@@ -13,7 +13,7 @@ BENCH_BASE ?= BENCH_9.json
 # check set, so bump this deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race bench bench-json bench-gate fuzz-smoke profile fmt vet docs staticcheck ci
+.PHONY: all build test race sybilbench-test bench bench-json bench-gate fuzz-smoke profile fmt vet docs staticcheck ci
 
 all: build
 
@@ -25,6 +25,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# benchmark/ is its own module compiled against this one's public API,
+# so tier-1 `go test ./...` does not cover it: a root-API change that
+# breaks the sybilbench harness shows up here, not at benchmark time.
+sybilbench-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Single-iteration pass over every benchmark: proves they run, reports
 # the reproduced paper metrics, stays inside a CI budget.
@@ -56,11 +62,8 @@ bench-json:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) < $(BENCH_OUT).tmp > $(BENCH_OUT)
 	@rm -f $(BENCH_OUT).tmp
 
-# Shard-scaling gate: the batch ingest path at shards=4 must not run
-# slower than shards=1 (modest slack for single-core runners, where
-# extra shards only add channel hops and no parallelism). A relative
-# gate within one run survives noisy shared hardware; CI's bench-smoke
-# job fails loudly when it trips.
+# Relative gates within one run, so they survive noisy shared
+# hardware; CI's bench-smoke job fails loudly when one trips.
 #
 # The partitioned-cluster gate bounds 4 partition-gated pipelines
 # against 1 whole-feed pipeline. Total cluster work at K=4 is ~2.7x
@@ -99,10 +102,6 @@ bench-json:
 # enough to catch a sequencer that re-grew serialized work under
 # contention.
 bench-gate:
-	$(GO) test -bench=BenchmarkPipelineBatch -benchtime=1x -run='^$$' . | \
-		$(GO) run ./cmd/benchjson \
-		-gate 'BenchmarkPipelineBatch/shards=4<=BenchmarkPipelineBatch/shards=1*1.25' \
-		> /dev/null
 	$(GO) test -bench=BenchmarkPartitionedIngest -benchtime=1x -run='^$$' ./internal/cluster | \
 		$(GO) run ./cmd/benchjson \
 		-gate 'BenchmarkPartitionedIngest/workers=4<=BenchmarkPartitionedIngest/workers=1*4.0' \
@@ -177,4 +176,4 @@ staticcheck:
 		$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...; \
 	fi
 
-ci: fmt vet build race bench bench-gate fuzz-smoke docs staticcheck
+ci: fmt vet build race sybilbench-test bench bench-gate fuzz-smoke docs staticcheck

@@ -11,8 +11,6 @@ package sybilwild
 // region; each iteration times the analysis driver itself.
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -384,7 +382,7 @@ func reportRealtime(b *testing.B, flagged int, nEvents int) {
 }
 
 // BenchmarkMonitor replays the production trace through the serial
-// reference detector — the baseline the sharded pipeline must beat.
+// reference detector — the baseline the pipeline is compared against.
 func BenchmarkMonitor(b *testing.B) {
 	events, g := realtimeWorkload(b)
 	rule := detector.PaperRule()
@@ -400,77 +398,46 @@ func BenchmarkMonitor(b *testing.B) {
 	reportRealtime(b, flagged, len(events))
 }
 
-// BenchmarkPipeline replays the same trace through the sharded
-// concurrent pipeline. The 4-shard case is the acceptance bar (≥2×
-// serial on ≥4 cores); the GOMAXPROCS case shows headroom.
+// replayPipeline feeds the production trace through a fresh pipeline
+// per iteration, chunk events per Ingest call.
+func replayPipeline(b *testing.B, events []osn.Event, chunk int, newPipeline func() *detector.Pipeline) {
+	flagged := 0
+	for i := 0; i < b.N; i++ {
+		p := newPipeline()
+		for off := 0; off < len(events); off += chunk {
+			p.Ingest(detector.Batch{Events: events[off:min(off+chunk, len(events))]})
+		}
+		p.Close()
+		flagged = p.FlaggedCount()
+	}
+	reportRealtime(b, flagged, len(events))
+}
+
+// BenchmarkPipeline replays the same trace through the pipeline one
+// event per Ingest call — the worst case for its per-call overhead
+// (one lock round trip per event) — over the static graph and in the
+// configuration detectd actually ships with, where the pipeline
+// rebuilds the graph from accept events.
 func BenchmarkPipeline(b *testing.B) {
 	events, g := realtimeWorkload(b)
 	rule := detector.PaperRule()
-	shardCounts := []int{1, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		shardCounts = append(shardCounts, n)
-	}
-	for _, shards := range shardCounts {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			flagged := 0
-			for i := 0; i < b.N; i++ {
-				p := detector.NewPipeline(rule, g, detector.WithShards(shards))
-				for _, ev := range events {
-					p.Observe(ev)
-				}
-				p.Close()
-				flagged = p.FlaggedCount()
-			}
-			reportRealtime(b, flagged, len(events))
+	b.Run("static", func(b *testing.B) {
+		replayPipeline(b, events, 1, func() *detector.Pipeline { return detector.NewPipeline(rule, g) })
+	})
+	b.Run("reconstruct", func(b *testing.B) {
+		replayPipeline(b, events, 1, func() *detector.Pipeline {
+			return detector.NewPipeline(rule, nil, detector.WithGraphReconstruction())
 		})
-	}
-	// The configuration detectd actually ships with: the pipeline
-	// rebuilds the graph from accept events, so every accept takes the
-	// write lock against the shards' clustering-coefficient reads.
-	// This keeps lock contention on the deployed path visible to the
-	// CI bench smoke.
-	b.Run("shards=4/reconstruct", func(b *testing.B) {
-		flagged := 0
-		for i := 0; i < b.N; i++ {
-			p := detector.NewPipeline(rule, nil,
-				detector.WithShards(4), detector.WithGraphReconstruction())
-			for _, ev := range events {
-				p.Observe(ev)
-			}
-			p.Close()
-			flagged = p.FlaggedCount()
-		}
-		reportRealtime(b, flagged, len(events))
 	})
 }
 
 // BenchmarkPipelineBatch replays the trace through Ingest in
-// wire-batch-sized chunks — the path detectd takes off the v2 feed
-// (stream batches → arena-partitioned sub-batches → one channel hop
-// per shard), compared against the per-event Observe dispatch of
-// BenchmarkPipeline.
+// wire-batch-sized chunks — the path detectd takes off the v2 feed.
 func BenchmarkPipelineBatch(b *testing.B) {
 	events, g := realtimeWorkload(b)
 	rule := detector.PaperRule()
 	const chunk = 256 // stream.DefaultMaxBatch
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			flagged := 0
-			for i := 0; i < b.N; i++ {
-				p := detector.NewPipeline(rule, g, detector.WithShards(shards))
-				for off := 0; off < len(events); off += chunk {
-					end := off + chunk
-					if end > len(events) {
-						end = len(events)
-					}
-					p.Ingest(detector.Batch{Events: events[off:end]})
-				}
-				p.Close()
-				flagged = p.FlaggedCount()
-			}
-			reportRealtime(b, flagged, len(events))
-		})
-	}
+	replayPipeline(b, events, chunk, func() *detector.Pipeline { return detector.NewPipeline(rule, g) })
 }
 
 // BenchmarkCampaignSimulation times the full agent-level pipeline —

@@ -21,8 +21,8 @@
 // loudly on a real scaling regression without gating on absolute
 // numbers:
 //
-//	go test -bench=PipelineBatch ... | benchjson \
-//	  -gate 'BenchmarkPipelineBatch/shards=4<=BenchmarkPipelineBatch/shards=1*1.15'
+//	go test -bench=BroadcastFanout ... | benchjson \
+//	  -gate 'BenchmarkBroadcastFanout/subs=16<=BenchmarkBroadcastFanout/subs=1*2.0'
 //
 // With -trend 'Name' (or 'Name:unit', default unit ns/op) it reads no
 // stdin at all: it scans the committed BENCH_*.json files — positional

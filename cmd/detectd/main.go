@@ -4,15 +4,15 @@
 // incrementally, and reports accounts crossing the detection
 // thresholds the moment they do.
 //
-// Detection runs on a sharded concurrent pipeline: accounts are
-// hash-partitioned across -shards workers (default GOMAXPROCS), each
-// owning its slice of feature state, so classification keeps up with
-// production-scale feeds. Ingestion rides the v2 feed protocol at
-// batch granularity: each sequenced wire batch enters the pipeline
-// through one Ingest call (one channel hop per shard), and the subscription
-// resumes from the last applied sequence if the connection drops, so
-// a network blip costs no events (see docs/ARCHITECTURE.md for the
-// delivery contract).
+// Detection runs on a synchronous pipeline: each sequenced wire batch
+// of the v2 feed protocol enters through one Ingest call, which applies
+// it event by event on the consumer loop's goroutine, so a verdict
+// depends only on the feed up to its triggering request. To keep up
+// with a production-scale feed, run K daemons with -partition i/K —
+// one process may host several. The subscription resumes from the
+// last applied sequence if the connection drops, so a network blip
+// costs no events (see docs/ARCHITECTURE.md for the delivery
+// contract).
 //
 // With -checkpoint-dir the daemon is durable: every -checkpoint-every
 // it runs a consistent Pipeline.Snapshot, writes it as an atomic
@@ -69,7 +69,7 @@
 //
 // Usage:
 //
-//	detectd -addr 127.0.0.1:7474 -shards 8 \
+//	detectd -addr 127.0.0.1:7474 \
 //	        -checkpoint-dir /var/lib/detectd -checkpoint-every 10s
 //	detectd -addr 127.0.0.1:7474 -partition 2/4 -handoff
 //	detectd -addr 127.0.0.1:7474 -rebalance 4/2
@@ -84,7 +84,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -185,7 +184,6 @@ func main() {
 		retries    = flag.Int("retries", 10, "max consecutive reconnect attempts")
 		fromStart  = flag.Bool("from-start", false, "backfill the feed from sequence 1 (the server's spool must retain it) instead of joining at the live head; ignored when a checkpoint already pins the resume point")
 		checkEvery = flag.Int("check-every", 5, "evaluate an account every Nth request it sends")
-		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "detection pipeline shards")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for pipeline checkpoints (empty: stateless)")
 		ckptEvery  = flag.Duration("checkpoint-every", 10*time.Second, "interval between checkpoints")
 		ckptKeep   = flag.Int("checkpoint-keep", checkpoint.DefaultKeep, "checkpoint generations to retain")
@@ -241,7 +239,6 @@ func main() {
 		MinObserved:  *minObs,
 	}
 	opts := []detector.PipelineOption{
-		detector.WithShards(*shards),
 		detector.WithGraphReconstruction(),
 		detector.WithCheckEvery(*checkEvery),
 		detector.WithFlagHook(func(f detector.Flag) {
@@ -265,9 +262,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if st != nil {
-			// Restored pipelines keep the snapshot's graph mode; the
-			// WithShards override still applies, so operators can change
-			// shard counts across restarts.
+			// Restored pipelines keep the snapshot's graph mode.
 			p, from, err := detector.NewPipelineFromSnapshot(rule, nil, st.Snapshot, opts...)
 			if err != nil {
 				log.Fatalf("restore %s: %v", path, err)
@@ -321,8 +316,7 @@ func main() {
 	}
 	if d.p == nil {
 		// The pipeline rebuilds the friendship graph from the feed (an
-		// accept event is an edge creation) and fans events out to the
-		// shard owning each account.
+		// accept event is an edge creation).
 		d.p = detector.NewPipeline(rule, nil, opts...)
 		if *fromStart {
 			// Replay the feed's whole history (spool-served) before
@@ -331,7 +325,11 @@ func main() {
 			d.resume = 1
 		}
 	}
-	fmt.Printf("rule: %v\nsubscribing to %s (%d shards)\n", rule, *addr, *shards)
+	slice := "whole feed"
+	if parts > 0 {
+		slice = fmt.Sprintf("partition %d/%d", part, parts)
+	}
+	fmt.Printf("rule: %v\nsubscribing to %s (%s)\n", rule, *addr, slice)
 
 	// First signal: kick the connection so the ingest loop unblocks,
 	// writes the final checkpoint and exits cleanly. Second: die.

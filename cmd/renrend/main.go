@@ -223,7 +223,7 @@ func runPublisher(addr, id string, group, index int, seed int64, normals, sybils
 	var seen, published uint64
 	var paceStart time.Time
 	pop.Net.RegisterObserver(func(ev osn.Event) {
-		if stream.PartitionActor(ev.Actor, group) != index {
+		if osn.Partition(ev.Actor, group) != index {
 			return
 		}
 		seen++

@@ -2,7 +2,7 @@
 // one process: a stream broker (streamd's role), three producers each
 // running the same seeded OSN simulation and publishing their
 // hash-partitioned share of the operational log over the publish
-// sub-protocol (renrend -publish's role), and a sharded concurrent
+// sub-protocol (renrend -publish's role), and a
 // detection pipeline consuming the merged feed at batch granularity,
 // reconstructing the graph, and flagging Sybils live (detectd's
 // role). Producer 0 also drives an in-process serial Monitor off its
@@ -18,7 +18,7 @@
 //	event feed on 127.0.0.1:NNNNN
 //	streamed campaign: accounts=3040 (normal=3000 sybil=40) edges=~35000 events=~100000
 //	producer p0: epoch=1 events=~33000 | p1: ... | p2: ...
-//	flagged over the wire (N shards): 39 sybils (of 40), 0 normals (of 3000)
+//	flagged over the wire: 39 sybils (of 40), 0 normals (of 3000)
 //	serial in-process monitor flagged 39 for comparison
 //	feed audit: sent=99535 delivered=99535 (100.0%) evicted_sessions=0
 //
@@ -31,7 +31,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"sybilwild/internal/agents"
@@ -57,14 +56,11 @@ func main() {
 
 	rule := detector.Rule{OutAcceptMax: 0.5, FreqMin: 20, CCMax: 0.05, MinObserved: 10}
 
-	// --- detector side (cmd/detectd in production): sharded pipeline
+	// --- detector side (cmd/detectd in production): pipeline
 	// fed whole wire batches, rebuilding the friendship graph from
 	// accepts. SubscribeBatch resumes the session on connection loss,
 	// so the pipeline sees every event exactly once.
-	shards := runtime.GOMAXPROCS(0)
-	pipe := detector.NewPipeline(rule, nil,
-		detector.WithShards(shards),
-		detector.WithGraphReconstruction())
+	pipe := detector.NewPipeline(rule, nil, detector.WithGraphReconstruction())
 	var subWG sync.WaitGroup
 	subWG.Add(1)
 	go func() {
@@ -95,7 +91,7 @@ func main() {
 			}
 			pop := agents.NewPopulation(seed, agents.DefaultParams())
 			feed := func(ev osn.Event) {
-				if stream.PartitionActor(ev.Actor, producers) != pi {
+				if osn.Partition(ev.Actor, producers) != pi {
 					return
 				}
 				if err := pub.Publish(ev); err != nil {
@@ -146,8 +142,8 @@ func main() {
 		line += fmt.Sprintf("producer %s: epoch=%d events=%d", ps.ID, ps.Epoch, ps.Events)
 	}
 	fmt.Println(line)
-	fmt.Printf("flagged over the wire (%d shards): %d sybils (of %d), %d normals (of %d)\n",
-		shards, tp, len(pop0.Sybils), fp, len(pop0.Normals))
+	fmt.Printf("flagged over the wire: %d sybils (of %d), %d normals (of %d)\n",
+		tp, len(pop0.Sybils), fp, len(pop0.Normals))
 	fmt.Printf("serial in-process monitor flagged %d for comparison\n", monitor.FlaggedCount())
 	pct := 0.0
 	if st.Broadcast > 0 {

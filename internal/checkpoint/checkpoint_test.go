@@ -12,7 +12,6 @@ func snapAt(seq uint64) *detector.PipelineSnapshot {
 	return &detector.PipelineSnapshot{
 		Version:    detector.SnapshotVersion,
 		Seq:        seq,
-		Shards:     4,
 		CheckEvery: 1,
 	}
 }

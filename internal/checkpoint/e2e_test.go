@@ -14,7 +14,7 @@ import (
 )
 
 // TestKillRestoreFlagEquality is the acceptance-criterion end-to-end:
-// a checkpointed consumer (manual-ack client + sharded pipeline +
+// a checkpointed consumer (manual-ack client + pipeline +
 // this package's store — exactly cmd/detectd's shape) is killed
 // mid-stream with un-checkpointed progress in memory. Everything it
 // held in RAM is discarded; only the checkpoint files and the
@@ -70,7 +70,7 @@ func TestKillRestoreFlagEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1.SetManualAck(true)
-	p1 := detector.NewPipeline(rule, g, detector.WithShards(4), detector.WithCheckEvery(3))
+	p1 := detector.NewPipeline(rule, g, detector.WithCheckEvery(3))
 	killAt := uint64(len(events) / 3)
 	batches := 0
 	for c1.LastSeq() < killAt {

@@ -16,7 +16,7 @@ import (
 // end-to-end for the feed's disk tier: the in-memory replay window is
 // tiny (64 events — orders of magnitude below the checkpoint
 // interval), the feed is spooled to disk segments, and a checkpointed
-// consumer (manual-ack client + sharded pipeline + checkpoint store —
+// consumer (manual-ack client + pipeline + checkpoint store —
 // cmd/detectd's exact shape) is killed without warning. Everything in
 // RAM dies; by the time the replacement process cold-starts, the feed
 // head has run thousands of events past the stale checkpoint, so the
@@ -81,7 +81,7 @@ func TestColdRestartFromStaleCheckpointViaSpool(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1.SetManualAck(true)
-	p1 := detector.NewPipeline(rule, g, detector.WithShards(4), detector.WithCheckEvery(3))
+	p1 := detector.NewPipeline(rule, g, detector.WithCheckEvery(3))
 	killAt := uint64(len(events) / 3)
 	batches := 0
 	for c1.LastSeq() < killAt {

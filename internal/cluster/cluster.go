@@ -42,7 +42,6 @@ type Config struct {
 	Part, Parts int    // this worker's account partition
 
 	Rule       detector.Rule
-	Shards     int // pipeline shards (0: GOMAXPROCS)
 	CheckEvery int // evaluate every Nth request (0: every request)
 
 	// SnapshotEvery offers a serialized pipeline snapshot to the
@@ -107,9 +106,6 @@ func Start(cfg Config) (*Worker, error) {
 	opts := []detector.PipelineOption{
 		detector.WithGraphReconstruction(),
 		detector.WithPartition(cfg.Part, cfg.Parts),
-	}
-	if cfg.Shards > 0 {
-		opts = append(opts, detector.WithShards(cfg.Shards))
 	}
 	if cfg.CheckEvery > 0 {
 		opts = append(opts, detector.WithCheckEvery(cfg.CheckEvery))

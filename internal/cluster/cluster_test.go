@@ -90,7 +90,7 @@ func TestPartitionedClusterFlagEquality(t *testing.T) {
 			for part := 0; part < k; part++ {
 				w, err := cluster.Start(cluster.Config{
 					Addr: srv.Addr(), Part: part, Parts: k,
-					Rule: rule, Shards: 2, CheckEvery: 1,
+					Rule: rule, CheckEvery: 1,
 					SnapshotEvery: 4, Handoff: true,
 				})
 				if err != nil {
@@ -122,7 +122,7 @@ func TestPartitionedClusterFlagEquality(t *testing.T) {
 			}
 			repl, err := cluster.Start(cluster.Config{
 				Addr: srv.Addr(), Part: 0, Parts: k,
-				Rule: rule, Shards: 2, CheckEvery: 1,
+				Rule: rule, CheckEvery: 1,
 				SnapshotEvery: 4, Handoff: true,
 			})
 			if err != nil {
@@ -244,7 +244,7 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 		t.Helper()
 		w, err := cluster.Start(cluster.Config{
 			Addr: addr, Part: part, Parts: k,
-			Rule: rule, Shards: 2, CheckEvery: 1,
+			Rule: rule, CheckEvery: 1,
 			SnapshotEvery: 4, Handoff: true,
 		})
 		if err != nil {

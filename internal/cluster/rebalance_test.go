@@ -40,7 +40,7 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 			workerCfg := func(part, parts int) cluster.Config {
 				return cluster.Config{
 					Addr: srv.Addr(), Part: part, Parts: parts,
-					Rule: rule, Shards: 2, CheckEvery: 1,
+					Rule: rule, CheckEvery: 1,
 					SnapshotEvery: 4, Audit: true,
 				}
 			}

@@ -11,7 +11,7 @@ import (
 
 // ExamplePipeline_Ingest ingests an event log in wire-batch
 // chunks — the shape detectd receives from stream.Client.RecvBatch —
-// through the sharded pipeline. Account 1 bursts 30 invitations in an
+// through the pipeline. Account 1 bursts 30 invitations in an
 // hour with a single accept, the paper's Sybil signature, and is the
 // only account flagged.
 func ExamplePipeline_Ingest() {
@@ -28,7 +28,7 @@ func ExamplePipeline_Ingest() {
 	events = append(events, osn.Event{Type: osn.EvFriendAccept, At: 61, Actor: 2, Target: 1})
 
 	rule := detector.Rule{OutAcceptMax: 0.5, FreqMin: 20, CCMax: 0.05, MinObserved: 10}
-	p := detector.NewPipeline(rule, g, detector.WithShards(4))
+	p := detector.NewPipeline(rule, g)
 	for i := 0; i < len(events); i += stream.DefaultMaxBatch {
 		end := min(i+stream.DefaultMaxBatch, len(events))
 		p.Ingest(detector.Batch{Events: events[i:end]})

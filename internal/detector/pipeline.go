@@ -1,9 +1,7 @@
 package detector
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"sybilwild/internal/features"
 	"sybilwild/internal/graph"
@@ -11,36 +9,30 @@ import (
 	"sybilwild/internal/sim"
 )
 
-// Pipeline is the sharded, concurrent counterpart of Monitor. Accounts
-// are hash-partitioned across N shards; each shard owns the feature
-// counters of its accounts outright (no shared tracker, no global
-// lock) and drains its own buffered channel of contiguous sub-batches.
-// Ingest is the fan-out dispatcher: it partitions each wire batch once
-// into per-shard sub-batches (in a reusable arena, so the steady-state
-// dispatch path never allocates) and hands each shard its slice in one
-// channel hop, so every counter is written by exactly one goroutine.
-// Flags from all shards funnel through a single merge goroutine, which
-// records them and fires the flag hook; shards deliver flags a message
-// at a time rather than one channel send per verdict, so a burst of
-// detections on one shard never serializes the others.
+// Pipeline is the production form of Monitor: the same per-account
+// rule, evaluated each time an account sends a friend request, plus
+// what a deployed worker needs around it — batch ingestion stamped
+// with stream sequences, a cluster partition gate, a reconstructed
+// friendship graph, and consistent snapshots (snapshot.go).
 //
-// Fed the same single-goroutine event stream over the same static
-// graph, Pipeline flags exactly the set Monitor flags (per-account
-// event order is preserved end to end); Monitor remains the serial
-// reference implementation that TestPipelineMatchesMonitor checks
-// against. Ingest and Observe are safe to call from many goroutines,
-// which is how production traffic — per-frontend feeds — would enter
-// the pipeline.
+// It is synchronous. Ingest applies each event, in feed order, on the
+// caller's goroutine: grow the graph, update the counters, evaluate
+// the sender if due, record the flag and fire the hook — then the next
+// event. A verdict therefore depends only on the events that precede
+// its trigger in the feed, never on how the feed was chunked or
+// scheduled, and equals what the serial Monitor decides over a graph
+// grown the same way. Scale-out is by partition: K pipelines, each
+// WithPartition(i, K) and fed its osn.PartitionDelivers slice, flag in
+// union exactly what one unpartitioned pipeline flags.
 //
-// Lifecycle: NewPipeline starts the shard and merge goroutines
-// immediately; call Ingest per wire batch (or Observe per event), then
-// Close exactly once, after all ingestion calls have returned, to
-// drain and stop. Flagged state may be queried at any time; Tracked
-// and Graph only after Close.
+// One mutex guards all state, so every method is safe to call from any
+// goroutine at any time. Each production caller is a single consumer
+// loop and never contends on it.
 type Pipeline struct {
 	c          Classifier
-	ccGate     CCGated // p.c when it implements CCGated, else nil
+	ccGate     CCGated // c when it implements CCGated, else nil
 	checkEvery int
+	onFlag     func(Flag)
 
 	// Cluster partition (WithPartition): the pipeline evaluates and
 	// flags only accounts it owns (osn.Partition(actor, parts) == part)
@@ -52,39 +44,23 @@ type Pipeline struct {
 	part  int
 	parts int
 
-	// Graph access. In the default mode g is a caller-provided graph
-	// that must not be mutated while the pipeline runs, and gmu is
-	// unused. With WithGraphReconstruction the pipeline owns g, grows
-	// it from accept events under gmu, and shards take the read side
-	// to compute clustering coefficients.
-	g        *graph.Graph
-	gmu      sync.RWMutex
+	// ownGraph (WithGraphReconstruction): g is the pipeline's own graph,
+	// grown from the events it ingests. Otherwise g is the caller's and
+	// must not be mutated while the pipeline runs.
 	ownGraph bool
 
-	shards []*pshard
-
-	// freeArenas is the ring of reusable sub-batch partition buffers.
-	// Ingest takes one per batch and the last shard to finish its
-	// sub-batch returns it, so the ring's depth bounds how many batches
-	// can be in flight — backpressure lands on the producer once every
-	// arena is busy.
-	freeArenas chan *arena
-
-	flags     chan flagMsg
-	mergeDone chan struct{}
-	syncAck   chan struct{} // merge's reply to a sync flagMsg
-	onFlag    func(Flag)
-
-	fmu     sync.RWMutex
-	flagged map[osn.AccountID]Flag
-
+	mu sync.Mutex
+	g  *graph.Graph
+	tr *features.Tracker
+	// Per-account evaluation bookkeeping, indexed by tracker Handle —
+	// two slice loads on the hot path instead of two map lookups.
+	seen      []uint32 // requests seen, mod checkEvery
+	flaggedAt []bool   // verdict already emitted
+	flagged   map[osn.AccountID]Flag
 	// lastSeq is the highest stream sequence stamped by a sequenced
-	// ingestion call (Ingest with Batch.LastSeq set). Written and read
-	// only from the ingestion/snapshot goroutine — the snapshot
-	// contract requires Snapshot not to overlap ingestion anyway.
+	// Ingest (Batch.LastSeq set).
 	lastSeq uint64
-
-	closeOnce sync.Once
+	closed  bool
 }
 
 // Flag is one detection verdict: which account, when, and the feature
@@ -106,91 +82,21 @@ type Batch struct {
 	// applied so Snapshot can stamp its cut, which is what turns a
 	// checkpoint plus the feed's resume-from-sequence into exactly-once
 	// crash recovery. Sequenced batches must come from a single
-	// goroutine (the snapshot contract already requires quiescing
-	// ingestion around Snapshot); unsequenced batches may be ingested
-	// concurrently.
+	// goroutine, in order — the stamp is only meaningful for one feed.
 	LastSeq uint64
-}
-
-// pshard is one partition: a goroutine draining in, the feature
-// counters of the accounts hashed to it, and its slice of the
-// per-account evaluation bookkeeping. Cadence positions and
-// flagged-bits live in flat slices indexed by tracker Handle — two
-// slice loads on the hot path where there used to be two map lookups.
-// The shard keeps the full Flag record (not just a bit) so a snapshot
-// barrier can serialize verdicts from the shard's own state,
-// consistent with its counters, without racing the merge goroutine.
-type pshard struct {
-	p         *Pipeline
-	in        chan shardMsg
-	tr        *features.Tracker
-	seen      []uint32 // by Handle: requests seen, mod checkEvery
-	flaggedAt []bool   // by Handle: verdict already emitted
-	flagged   map[osn.AccountID]Flag
-	pending   []Flag // flags accumulated during the current message
-	done      chan struct{}
-}
-
-// shardEvent tells a shard which side(s) of the event it owns. When
-// actor and target hash to the same shard one message carries both
-// roles.
-type shardEvent struct {
-	ev            osn.Event
-	actor, target bool
-}
-
-// shardMsg is one channel hop to a shard: a single event (Observe,
-// allocation-free), an arena-backed sub-batch (Ingest, one hop per
-// shard per wire batch), or a snapshot barrier (Snapshot/Reshard): the
-// shard serializes its partition at that exact point in its event
-// order and replies on the channel.
-type shardMsg struct {
-	one     shardEvent
-	batch   []shardEvent     // non-nil: sub-batch dispatch
-	arena   *arena           // owner of batch, released after processing
-	barrier chan<- shardPart // non-nil: serialize and reply
-}
-
-// arena is one reusable partition table: a per-shard slice of
-// sub-batches plus the count of shards still reading them. The
-// dispatcher fills subs, stamps pending with the number of non-empty
-// sub-batches, and dispatches; each shard decrements pending when done
-// and the last one returns the arena to the free ring. Slice capacity
-// is retained across reuses, so after warm-up partitioning allocates
-// nothing.
-type arena struct {
-	subs    [][]shardEvent
-	pending atomic.Int32
-}
-
-// release marks one shard's sub-batch fully consumed, recycling the
-// arena when it was the last.
-func (a *arena) release(p *Pipeline) {
-	if a.pending.Add(-1) == 0 {
-		p.freeArenas <- a
-	}
-}
-
-// flagMsg is one merge-stage delivery: a shard's verdicts from one
-// message (batched, so flag delivery is one channel hop per message
-// rather than per flag), or a sync marker Snapshot uses to flush the
-// merge stage.
-type flagMsg struct {
-	flags []Flag
-	sync  bool
 }
 
 // PipelineOption configures NewPipeline.
 type PipelineOption func(*Pipeline)
 
-// WithShards sets the shard count (default runtime.GOMAXPROCS(0);
-// values < 1 mean the default).
-func WithShards(n int) PipelineOption {
-	return func(p *Pipeline) {
-		if n >= 1 {
-			p.shards = make([]*pshard, n)
-		}
-	}
+// WithShards is ignored.
+//
+// Deprecated: the pipeline no longer shards in-process; scale out with
+// WithPartition workers. The option survives only because benchmark/
+// still passes it, and is deleted together with those call sites by the
+// next benchmark PR. Nothing in the root module may call it.
+func WithShards(int) PipelineOption {
+	return func(*Pipeline) {}
 }
 
 // WithCheckEvery evaluates an account every n-th request it sends,
@@ -199,12 +105,13 @@ func WithCheckEvery(n int) PipelineOption {
 	return func(p *Pipeline) { p.checkEvery = n }
 }
 
-// WithFlagHook installs fn, called exactly once per flagged account
-// from the merge goroutine (so hooks never run concurrently). The hook
-// must not call Close or Ingest (feeding events from the merge
-// goroutine can deadlock against a full shard buffer); to act on the
-// network, record the flag and apply it from the producer side, as
-// TestMonitorOnLiveCampaign's ban action does.
+// WithFlagHook installs fn, called exactly once per flagged account, on
+// the ingesting goroutine, before the Ingest call that carried the
+// triggering request returns (and before any later event is applied).
+// The hook runs with the pipeline's lock held, so it must not call back
+// into the pipeline; to act on the network, record the flag and apply
+// it from the producer side, as TestMonitorOnLiveCampaign's ban action
+// does.
 func WithFlagHook(fn func(Flag)) PipelineOption {
 	return func(p *Pipeline) { p.onFlag = fn }
 }
@@ -235,488 +142,201 @@ func WithGraphReconstruction() PipelineOption {
 	return func(p *Pipeline) { p.ownGraph = true }
 }
 
-// shardBuffer is the per-shard channel depth. Deep enough to ride out
-// shard-local bursts (one account evaluating an expensive clustering
-// coefficient) even when most messages are single events, small enough
-// that backpressure reaches the producer before memory does.
-const shardBuffer = 4096
-
-// arenaRing is how many partition arenas circulate, i.e. how many wire
-// batches may be in flight across the shards at once.
-const arenaRing = 8
-
-// arenaSubCap is the initial per-shard sub-batch capacity. Sized for a
-// typical wire batch landing on one shard; append growth beyond it is
-// retained for the arena's next reuse.
-const arenaSubCap = 512
-
-// NewPipeline builds and starts a pipeline classifying with c over
-// friendship graph g. The returned pipeline is live: wire Ingest to an
-// event source (e.g. stream.SubscribeBatch) and Close when the stream
-// ends.
+// NewPipeline builds a pipeline classifying with c over friendship
+// graph g. Wire Ingest to an event source (e.g. stream.SubscribeBatch)
+// and Close when the stream ends.
 func NewPipeline(c Classifier, g *graph.Graph, opts ...PipelineOption) *Pipeline {
-	p := &Pipeline{
-		c:          c,
-		g:          g,
-		checkEvery: 1,
-		flags:      make(chan flagMsg, 256),
-		mergeDone:  make(chan struct{}),
-		syncAck:    make(chan struct{}, 1),
-		flagged:    make(map[osn.AccountID]Flag),
-	}
-	for _, o := range opts {
-		o(p)
-	}
-	if p.checkEvery < 1 {
-		p.checkEvery = 1
-	}
+	p := &Pipeline{c: c, g: g, checkEvery: 1}
+	p.configure(opts)
 	if p.parts > 0 && (p.part < 0 || p.part >= p.parts) {
 		panic("detector: WithPartition part out of range")
 	}
-	p.ccGate, _ = p.c.(CCGated)
 	if p.ownGraph {
 		p.g = graph.New(0)
 	}
 	if p.g == nil {
 		panic("detector: NewPipeline needs a graph unless WithGraphReconstruction is set")
 	}
-	if p.shards == nil {
-		p.shards = make([]*pshard, runtime.GOMAXPROCS(0))
-	}
-	for i := range p.shards {
-		s := newShard(p)
-		p.shards[i] = s
-		go s.run()
-	}
-	p.makeArenas()
-	go p.merge()
+	p.tr = features.NewTracker(p.g)
 	return p
 }
 
-// makeArenas builds a fresh arena ring sized to the current shard
-// count. Called only when no arena can be in flight (construction, or
-// post-barrier in Reshard).
-func (p *Pipeline) makeArenas() {
-	p.freeArenas = make(chan *arena, arenaRing)
-	for i := 0; i < arenaRing; i++ {
-		a := &arena{subs: make([][]shardEvent, len(p.shards))}
-		for j := range a.subs {
-			a.subs[j] = make([]shardEvent, 0, arenaSubCap)
-		}
-		p.freeArenas <- a
+// configure applies opts over the defaults the constructor filled in.
+func (p *Pipeline) configure(opts []PipelineOption) {
+	for _, o := range opts {
+		o(p)
 	}
+	if p.checkEvery < 1 {
+		p.checkEvery = 1
+	}
+	p.ccGate, _ = p.c.(CCGated)
+	p.flagged = make(map[osn.AccountID]Flag)
 }
 
-// shardIdx hash-partitions an account. Dense sequential IDs are mixed
-// (splitmix64 finalizer) so shard load stays balanced regardless of
-// how IDs were assigned.
-func (p *Pipeline) shardIdx(id osn.AccountID) int {
-	x := uint64(uint32(id))
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x % uint64(len(p.shards)))
-}
-
-func (p *Pipeline) shardOf(id osn.AccountID) *pshard {
-	return p.shards[p.shardIdx(id)]
-}
-
-// Ingest is the batch-first entry point: it routes one wire batch —
-// e.g. one feed batch from stream.Client.RecvBatch or a chunk of a
-// replayed historical log — to the shards, with one channel hop per
-// shard per batch. The batch is partitioned once into per-shard
-// sub-batches inside a recycled arena, so steady-state dispatch
-// allocates nothing; when the pipeline reconstructs its own graph, the
-// batch's graph growth happens in one write-lock acquisition before
-// dispatch, so shards compute clustering coefficients concurrently
-// with the dispatcher growing the graph for the next batch instead of
-// serializing behind per-event lock traffic.
-//
-// Per-shard event order is the batch order, so feeding the same stream
-// via Ingest calls, Observe calls, or any mix of the two flags the
-// same set. Unsequenced batches (LastSeq zero) are safe to ingest from
-// many goroutines; see Batch.LastSeq for the sequenced contract.
-// Blocks when every arena is in flight or a shard's buffer is full —
-// backpressure lands on the producer rather than in unbounded memory.
-// Must not be called after (or concurrently with) Close.
+// Ingest applies one wire batch — e.g. one feed batch from
+// stream.Client.RecvBatch or a chunk of a replayed historical log —
+// event by event, in order, on the caller's goroutine. When it returns
+// every event is applied, every verdict the batch triggered is recorded
+// and its hook has fired. Chunking does not matter: feeding the same
+// stream as one batch or one event at a time flags the same set with
+// the same vectors. Safe to call from many goroutines (they serialize
+// on the pipeline's lock; the interleaving is then the feed order); see
+// Batch.LastSeq for the sequenced contract. Ingest after Close panics.
 func (p *Pipeline) Ingest(b Batch) {
-	if len(b.Events) > 0 {
-		if p.ownGraph {
-			p.extendGraphBatch(b.Events)
-		}
-		a := <-p.freeArenas
-		for i := range a.subs {
-			a.subs[i] = a.subs[i][:0]
-		}
-		for _, ev := range b.Events {
-			switch ev.Type {
-			case osn.EvFriendRequest, osn.EvFriendAccept:
-			default:
-				continue // no feature in §2.2 consumes the rest of the log
-			}
-			ia := p.shardIdx(ev.Actor)
-			it := p.shardIdx(ev.Target)
-			if ia == it {
-				a.subs[ia] = append(a.subs[ia], shardEvent{ev: ev, actor: true, target: true})
-				continue
-			}
-			a.subs[ia] = append(a.subs[ia], shardEvent{ev: ev, actor: true})
-			a.subs[it] = append(a.subs[it], shardEvent{ev: ev, target: true})
-		}
-		var nsub int32
-		for i := range a.subs {
-			if len(a.subs[i]) > 0 {
-				nsub++
-			}
-		}
-		if nsub == 0 {
-			p.freeArenas <- a
-		} else {
-			// Stamp the reader count before the first dispatch: a fast
-			// shard may finish (and decrement) before the loop ends.
-			a.pending.Store(nsub)
-			for i := range a.subs {
-				if len(a.subs[i]) > 0 {
-					p.shards[i].in <- shardMsg{batch: a.subs[i], arena: a}
-				}
-			}
-		}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		panic("detector: Ingest after Close")
+	}
+	for _, ev := range b.Events {
+		p.apply(ev)
 	}
 	if b.LastSeq > p.lastSeq {
 		p.lastSeq = b.LastSeq
 	}
 }
 
-// Observe is the single-event convenience wrapper around the batch
-// path: it routes one event to the shard(s) owning its endpoints,
-// allocation-free and safe for concurrent use, under the same rules as
-// an unsequenced Ingest. Prefer Ingest for anything that arrives in
-// batches — per-event dispatch pays one or two channel hops per event.
-func (p *Pipeline) Observe(ev osn.Event) {
+// apply is Monitor.Observe plus graph reconstruction and the partition
+// gate. Caller holds p.mu.
+func (p *Pipeline) apply(ev osn.Event) {
 	switch ev.Type {
 	case osn.EvFriendRequest, osn.EvFriendAccept:
 	default:
-		return
+		return // no feature in §2.2 consumes the rest of the log
 	}
 	if p.ownGraph {
-		p.extendGraph(ev)
+		// Grow the graph before the counters so an evaluation never sees
+		// counters ahead of the graph — and, since evaluation follows
+		// immediately, never a graph ahead of the counters either.
+		for hi := max(ev.Actor, ev.Target); graph.NodeID(p.g.NumNodes()) <= hi; {
+			p.g.AddNode()
+		}
+		if ev.Type == osn.EvFriendAccept && ev.Actor != ev.Target {
+			p.g.AddEdge(ev.Actor, ev.Target, ev.At)
+		}
 	}
-	sa := p.shardOf(ev.Actor)
-	st := p.shardOf(ev.Target)
-	if sa == st {
-		sa.in <- shardMsg{one: shardEvent{ev: ev, actor: true, target: true}}
+	h := p.tr.UpdateActor(ev)
+	p.tr.UpdateTarget(ev)
+	if ev.Type != osn.EvFriendRequest {
 		return
 	}
-	sa.in <- shardMsg{one: shardEvent{ev: ev, actor: true}}
-	st.in <- shardMsg{one: shardEvent{ev: ev, target: true}}
-}
-
-// Seq returns the highest stream sequence applied via sequenced Ingest
-// batches (zero if the pipeline has only seen unsequenced events).
-func (p *Pipeline) Seq() uint64 { return p.lastSeq }
-
-// extendGraph grows the owned graph to cover the event's accounts and
-// records accept events as edges, before the event is visible to any
-// shard — so a shard evaluating an account never sees counters ahead
-// of the graph.
-func (p *Pipeline) extendGraph(ev osn.Event) {
-	hi := ev.Actor
-	if ev.Target > hi {
-		hi = ev.Target
-	}
-	// Fast path: requests between already-known accounts mutate
-	// nothing, so the steady-state feed never takes the write lock and
-	// the dispatcher stays off the shards' read-side critical path.
-	if ev.Type == osn.EvFriendRequest {
-		p.gmu.RLock()
-		known := graph.NodeID(p.g.NumNodes()) > hi
-		p.gmu.RUnlock()
-		if known {
-			return
-		}
-	}
-	p.gmu.Lock()
-	for graph.NodeID(p.g.NumNodes()) <= hi {
-		p.g.AddNode()
-	}
-	if ev.Type == osn.EvFriendAccept && ev.Actor != ev.Target {
-		p.g.AddEdge(ev.Actor, ev.Target, ev.At)
-	}
-	p.gmu.Unlock()
-}
-
-// extendGraphBatch is extendGraph amortized over a whole batch: one
-// write-lock acquisition grows the node range to the batch's highest
-// account and appends every accept edge in batch order, before any of
-// the batch is visible to a shard. The invariant is the same as the
-// per-event path — the graph is never behind an event a shard can see
-// — and the edge set ends up identical to per-event replay because
-// edges are added in the same order. Request-only batches between
-// known accounts take only the read lock.
-func (p *Pipeline) extendGraphBatch(evs []osn.Event) {
-	var hi graph.NodeID = -1
-	accepts := false
-	for _, ev := range evs {
-		switch ev.Type {
-		case osn.EvFriendAccept:
-			accepts = true
-		case osn.EvFriendRequest:
-		default:
-			continue
-		}
-		if ev.Actor > hi {
-			hi = ev.Actor
-		}
-		if ev.Target > hi {
-			hi = ev.Target
-		}
-	}
-	if hi < 0 {
-		return
-	}
-	if !accepts {
-		p.gmu.RLock()
-		known := graph.NodeID(p.g.NumNodes()) > hi
-		p.gmu.RUnlock()
-		if known {
-			return
-		}
-	}
-	p.gmu.Lock()
-	for graph.NodeID(p.g.NumNodes()) <= hi {
-		p.g.AddNode()
-	}
-	if accepts {
-		for _, ev := range evs {
-			if ev.Type == osn.EvFriendAccept && ev.Actor != ev.Target {
-				p.g.AddEdge(ev.Actor, ev.Target, ev.At)
-			}
-		}
-	}
-	p.gmu.Unlock()
-}
-
-// fillCC computes the clustering coefficient for v.ID, taking the
-// graph read lock only when the pipeline is mutating the graph itself.
-func (p *Pipeline) fillCC(v *features.Vector) {
-	if p.ownGraph {
-		p.gmu.RLock()
-	}
-	if int(v.ID) < p.g.NumNodes() {
-		v.CC = p.g.ClusteringFirstK(v.ID, features.FirstFriendsK)
-	}
-	if p.ownGraph {
-		p.gmu.RUnlock()
-	}
-}
-
-// newShard builds an empty, not-yet-running shard.
-func newShard(p *Pipeline) *pshard {
-	return &pshard{
-		p:       p,
-		in:      make(chan shardMsg, shardBuffer),
-		tr:      features.NewTracker(p.g),
-		flagged: make(map[osn.AccountID]Flag),
-		done:    make(chan struct{}),
-	}
-}
-
-// run is the shard loop: apply the owned side(s) of each event, then
-// evaluate the sender on its due friend requests, then flush any
-// verdicts the message produced to the merge stage in one hop. A
-// barrier message makes the shard serialize its partition — counters,
-// cadence positions and verdicts at exactly this point in its event
-// order — and reply before touching another event.
-func (s *pshard) run() {
-	defer close(s.done)
-	for msg := range s.in {
-		switch {
-		case msg.barrier != nil:
-			msg.barrier <- s.serialize()
-		case msg.arena != nil:
-			for _, se := range msg.batch {
-				s.handle(se)
-			}
-			s.flush()
-			msg.arena.release(s.p)
-		default:
-			s.handle(msg.one)
-			s.flush()
-		}
-	}
-}
-
-// growTo extends the handle-indexed bookkeeping to cover h.
-func (s *pshard) growTo(h features.Handle) {
-	for int(h) >= len(s.seen) {
-		s.seen = append(s.seen, 0)
-		s.flaggedAt = append(s.flaggedAt, false)
-	}
-}
-
-func (s *pshard) handle(se shardEvent) {
-	h := features.NoHandle
-	if se.actor {
-		h = s.tr.UpdateActor(se.ev)
-	}
-	if se.target {
-		s.tr.UpdateTarget(se.ev)
-	}
-	if !se.actor || se.ev.Type != osn.EvFriendRequest {
-		return
-	}
-	if s.p.parts > 0 && osn.Partition(se.ev.Actor, s.p.parts) != s.p.part {
+	if p.parts > 0 && osn.Partition(ev.Actor, p.parts) != p.part {
 		// Support event: its counter updates feed owned accounts'
 		// features, but the actor belongs to another partition, whose
 		// worker holds sole verdict authority over it.
 		return
 	}
-	// An actor-side request always has a handle.
-	s.growTo(h)
-	if s.flaggedAt[h] {
+	p.growTo(h)
+	if p.flaggedAt[h] {
 		return
 	}
-	s.seen[h]++
-	if int(s.seen[h])%s.p.checkEvery != 0 {
+	p.seen[h]++
+	if int(p.seen[h])%p.checkEvery != 0 {
 		return
 	}
-	v := s.tr.CountsAt(h)
+	v := p.tr.CountsAt(h)
 	// Lazy CC: when the classifier can tell from the counter features
 	// alone that the (conjunctive) rule cannot fire, skip the
 	// clustering-coefficient walk — by the CCGated contract the verdict
 	// is unchanged, and the CC walk is the single most expensive step
 	// on the hot path.
-	if s.p.ccGate == nil || s.p.ccGate.NeedsCC(v) {
-		s.p.fillCC(&v)
+	if p.ccGate == nil || p.ccGate.NeedsCC(v) {
+		p.tr.FillCC(&v)
 	}
-	if s.p.c.Classify(v) {
-		id := se.ev.Actor
-		if _, dup := s.flagged[id]; dup {
-			// A restored verdict for an account the tracker had no
-			// counters for (so no handle existed to mark at seed time).
-			s.flaggedAt[h] = true
-			return
-		}
-		f := Flag{ID: id, At: se.ev.At, Vector: v}
-		s.flagged[id] = f
-		s.flaggedAt[h] = true
-		s.pending = append(s.pending, f)
-	}
-}
-
-// flush hands the message's accumulated verdicts to the merge stage in
-// one channel send. Ownership of the slice transfers with the send;
-// flags are rare (once per account, ever), so the fresh slice per
-// flagging message is off the steady-state path.
-func (s *pshard) flush() {
-	if len(s.pending) == 0 {
+	if !p.c.Classify(v) {
 		return
 	}
-	s.p.flags <- flagMsg{flags: s.pending}
-	s.pending = nil
-}
-
-// merge collects flag batches from all shards into the global verdict
-// map and fires the hook, serialized. The dup check is a defensive
-// backstop: each account is owned by exactly one shard, whose local
-// flagged map already guarantees at most one Flag per account.
-func (p *Pipeline) merge() {
-	defer close(p.mergeDone)
-	for m := range p.flags {
-		if m.sync {
-			p.syncAck <- struct{}{}
-			continue
-		}
-		for _, f := range m.flags {
-			p.fmu.Lock()
-			_, dup := p.flagged[f.ID]
-			if !dup {
-				p.flagged[f.ID] = f
-			}
-			p.fmu.Unlock()
-			if !dup && p.onFlag != nil {
-				p.onFlag(f)
-			}
-		}
+	p.flaggedAt[h] = true
+	if _, dup := p.flagged[ev.Actor]; dup {
+		// A restored verdict for an account the snapshot held no
+		// counters for (so no handle existed to mark at restore time).
+		return
+	}
+	f := Flag{ID: ev.Actor, At: ev.At, Vector: v}
+	p.flagged[ev.Actor] = f
+	if p.onFlag != nil {
+		p.onFlag(f)
 	}
 }
 
-// Close drains every shard, stops all pipeline goroutines, and waits
-// for the merge stage to finish. All ingestion calls must have
-// returned. Close is idempotent.
-func (p *Pipeline) Close() {
-	p.closeOnce.Do(func() {
-		for _, s := range p.shards {
-			close(s.in)
-		}
-		for _, s := range p.shards {
-			<-s.done
-		}
-		close(p.flags)
-		<-p.mergeDone
-	})
+// growTo extends the handle-indexed bookkeeping to cover h.
+func (p *Pipeline) growTo(h features.Handle) {
+	for int(h) >= len(p.seen) {
+		p.seen = append(p.seen, 0)
+		p.flaggedAt = append(p.flaggedAt, false)
+	}
 }
 
-// NumShards returns the shard count.
-func (p *Pipeline) NumShards() int { return len(p.shards) }
+// Close marks the end of the stream: a later Ingest panics. The
+// pipeline holds no goroutines or other resources, and every query
+// method keeps working. Close is idempotent.
+func (p *Pipeline) Close() {
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+}
+
+// Seq returns the highest stream sequence applied via sequenced Ingest
+// batches (zero if the pipeline has only seen unsequenced events).
+func (p *Pipeline) Seq() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.lastSeq
+}
 
 // Partition returns the pipeline's cluster partition (part, parts);
 // parts == 0 means unpartitioned.
 func (p *Pipeline) Partition() (part, parts int) { return p.part, p.parts }
 
-// Flagged reports whether an account has been flagged. Safe to call
-// while the pipeline runs; a flag becomes visible once the merge stage
-// has recorded it.
+// Flagged reports whether an account has been flagged.
 func (p *Pipeline) Flagged(id osn.AccountID) bool {
-	p.fmu.RLock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	_, ok := p.flagged[id]
-	p.fmu.RUnlock()
 	return ok
 }
 
 // FlaggedCount returns the number of flagged accounts so far.
 func (p *Pipeline) FlaggedCount() int {
-	p.fmu.RLock()
-	n := len(p.flagged)
-	p.fmu.RUnlock()
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.flagged)
 }
 
 // FlaggedIDs returns all flagged accounts (order unspecified).
 func (p *Pipeline) FlaggedIDs() []osn.AccountID {
-	p.fmu.RLock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	out := make([]osn.AccountID, 0, len(p.flagged))
 	for id := range p.flagged {
 		out = append(out, id)
 	}
-	p.fmu.RUnlock()
 	return out
 }
 
 // Flags returns the full verdicts (order unspecified).
 func (p *Pipeline) Flags() []Flag {
-	p.fmu.RLock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	out := make([]Flag, 0, len(p.flagged))
 	for _, f := range p.flagged {
 		out = append(out, f)
 	}
-	p.fmu.RUnlock()
 	return out
 }
 
-// Tracked returns the number of accounts with observed activity,
-// summed across shards. Only valid after Close (shard state is
-// goroutine-local while running).
+// Tracked returns the number of accounts with observed activity.
 func (p *Pipeline) Tracked() int {
-	n := 0
-	for _, s := range p.shards {
-		n += s.tr.Tracked()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tr.Tracked()
 }
 
 // Graph exposes the pipeline's graph — the reconstructed one under
-// WithGraphReconstruction, otherwise the caller's. Only read it after
-// Close.
-func (p *Pipeline) Graph() *graph.Graph { return p.g }
+// WithGraphReconstruction, otherwise the caller's. A reconstructed
+// graph is mutated by Ingest: read it only while no Ingest is running.
+func (p *Pipeline) Graph() *graph.Graph {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.g
+}

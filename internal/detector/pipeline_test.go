@@ -14,14 +14,13 @@ import (
 )
 
 // countingClassifier wraps a Classifier and counts Classify calls.
-// Atomic so the same type serves the serial Monitor and the shards.
 type countingClassifier struct {
 	inner Classifier
-	calls atomic.Int64
+	calls int
 }
 
 func (c *countingClassifier) Classify(v features.Vector) bool {
-	c.calls.Add(1)
+	c.calls++
 	return c.inner.Classify(v)
 }
 
@@ -41,15 +40,24 @@ func campaignLog(t testing.TB, seed int64) *agents.Population {
 	return pop
 }
 
+// ingestEach feeds events one Ingest call per event — the shape a
+// live osn.Observer delivers.
+func ingestEach(p *Pipeline, events ...osn.Event) {
+	for i := range events {
+		p.Ingest(Batch{Events: events[i : i+1]})
+	}
+}
+
 func sortedIDs(ids []osn.AccountID) []osn.AccountID {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// TestPipelineMatchesMonitor is the equivalence test the refactor
-// hangs on: replaying one event stream over one static graph, the
-// sharded pipeline must flag exactly the set the serial Monitor flags,
-// at any shard count and sampling rate.
+// TestPipelineMatchesMonitor is the equivalence test the pipeline
+// hangs on: replaying one event stream over one static graph, it must
+// flag exactly the set the serial Monitor flags, at any chunking
+// (one event per Ingest, odd chunks, wire-batch chunks, the whole feed
+// at once) and sampling rate.
 func TestPipelineMatchesMonitor(t *testing.T) {
 	pop := campaignLog(t, 31)
 	events := pop.Net.Events()
@@ -67,21 +75,19 @@ func TestPipelineMatchesMonitor(t *testing.T) {
 			t.Fatalf("checkEvery=%d: monitor flagged nothing; equivalence test is vacuous", checkEvery)
 		}
 
-		for _, shards := range []int{1, 3, 8} {
-			p := NewPipeline(rule, g, WithShards(shards), WithCheckEvery(checkEvery))
-			for _, ev := range events {
-				p.Observe(ev)
-			}
+		for _, chunk := range []int{1, 7, 256, len(events)} {
+			p := NewPipeline(rule, g, WithCheckEvery(checkEvery))
+			feedChunks(p, events, chunk)
 			p.Close()
 			got := sortedIDs(p.FlaggedIDs())
 			if len(got) != len(want) {
-				t.Fatalf("shards=%d checkEvery=%d: pipeline flagged %d, monitor %d",
-					shards, checkEvery, len(got), len(want))
+				t.Fatalf("chunk=%d checkEvery=%d: pipeline flagged %d, monitor %d",
+					chunk, checkEvery, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("shards=%d checkEvery=%d: flagged sets differ at %d: %d vs %d",
-						shards, checkEvery, i, got[i], want[i])
+					t.Fatalf("chunk=%d checkEvery=%d: flagged sets differ at %d: %d vs %d",
+						chunk, checkEvery, i, got[i], want[i])
 				}
 			}
 		}
@@ -122,10 +128,8 @@ func TestPipelineGraphReconstruction(t *testing.T) {
 	}
 	want := sortedIDs(m.FlaggedIDs())
 
-	p := NewPipeline(rule, nil, WithShards(4), WithGraphReconstruction())
-	for _, ev := range net.Events() {
-		p.Observe(ev)
-	}
+	p := NewPipeline(rule, nil, WithGraphReconstruction())
+	ingestEach(p, net.Events()...)
 	p.Close()
 
 	if got, src := p.Graph().NumEdges(), net.Graph().NumEdges(); got != src {
@@ -168,7 +172,7 @@ func TestMonitorCheckEveryEdgeCases(t *testing.T) {
 		// Every one of the 5 requests must have been evaluated; the rule
 		// fires on the 3rd (MinObserved), after which the account is
 		// skipped without consulting the classifier.
-		if got := cc.calls.Load(); got != 3 {
+		if got := cc.calls; got != 3 {
 			t.Errorf("CheckEvery=%d: classify calls = %d, want 3 (evaluate every request, stop once flagged)", every, got)
 		}
 		if !m.Flagged(a) {
@@ -178,7 +182,7 @@ func TestMonitorCheckEveryEdgeCases(t *testing.T) {
 }
 
 // TestPipelineCheckEveryEdgeCases mirrors the Monitor edge cases on
-// the concurrent implementation.
+// the Pipeline.
 func TestPipelineCheckEveryEdgeCases(t *testing.T) {
 	for _, every := range []int{0, -3} {
 		net := osn.NewNetwork()
@@ -187,13 +191,13 @@ func TestPipelineCheckEveryEdgeCases(t *testing.T) {
 			net.CreateAccount(osn.Male, osn.Normal, 0)
 		}
 		cc := &countingClassifier{inner: Rule{OutAcceptMax: 2, FreqMin: -1, CCMax: 2, MinObserved: 3}}
-		p := NewPipeline(cc, net.Graph(), WithShards(2), WithCheckEvery(every))
-		net.RegisterObserver(p.Observe)
+		p := NewPipeline(cc, net.Graph(), WithCheckEvery(every))
+		net.RegisterObserver(func(ev osn.Event) { ingestEach(p, ev) })
 		for i := 1; i <= 5; i++ {
 			net.SendFriendRequest(a, osn.AccountID(i), sim.Time(i))
 		}
 		p.Close()
-		if got := cc.calls.Load(); got != 3 {
+		if got := cc.calls; got != 3 {
 			t.Errorf("CheckEvery=%d: classify calls = %d, want 3", every, got)
 		}
 		if !p.Flagged(a) {
@@ -203,14 +207,14 @@ func TestPipelineCheckEveryEdgeCases(t *testing.T) {
 }
 
 // TestPipelineFlagHookOnce: the hook fires exactly once per account,
-// from a single goroutine, with the triggering vector attached.
+// on the ingesting goroutine before Ingest returns, with the
+// triggering vector attached.
 func TestPipelineFlagHookOnce(t *testing.T) {
 	seen := make(map[osn.AccountID]int)
 	p := NewPipeline(flagAll{}, nil,
-		WithShards(4),
 		WithGraphReconstruction(),
 		WithFlagHook(func(f Flag) {
-			seen[f.ID]++ // merge goroutine only; -race proves it
+			seen[f.ID]++ // unsynchronized: -race proves it runs on the ingester
 			if f.Vector.OutSent == 0 {
 				t.Error("flag vector missing counts")
 			}
@@ -219,7 +223,12 @@ func TestPipelineFlagHookOnce(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		net.CreateAccount(osn.Male, osn.Normal, 0)
 	}
-	net.RegisterObserver(p.Observe)
+	net.RegisterObserver(func(ev osn.Event) {
+		ingestEach(p, ev)
+		if ev.Type == osn.EvFriendRequest && seen[ev.Actor] != 1 {
+			t.Errorf("Ingest returned with hook fired %d times for account %d", seen[ev.Actor], ev.Actor)
+		}
+	})
 	for i := 0; i < 10; i++ {
 		for j := 10; j < 20; j++ {
 			net.SendFriendRequest(osn.AccountID(i), osn.AccountID(j), sim.Time(10*i+j))
@@ -229,20 +238,15 @@ func TestPipelineFlagHookOnce(t *testing.T) {
 	if len(seen) != 10 {
 		t.Fatalf("hook saw %d accounts, want 10", len(seen))
 	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Errorf("hook fired %d times for account %d", n, id)
-		}
-	}
 	if p.FlaggedCount() != 10 {
 		t.Fatalf("FlaggedCount = %d, want 10", p.FlaggedCount())
 	}
 }
 
 // TestPipelineConcurrentStress hammers one pipeline from many producer
-// goroutines over overlapping account ranges while another goroutine
-// polls the flag state — the -race workout for every lock and channel
-// in the pipeline.
+// goroutines, one event per Ingest, over overlapping account ranges
+// while another goroutine polls the flag state — the -race workout for
+// the pipeline's lock.
 func TestPipelineConcurrentStress(t *testing.T) {
 	const (
 		producers = 8
@@ -250,7 +254,7 @@ func TestPipelineConcurrentStress(t *testing.T) {
 		perProd   = 4000
 	)
 	rule := Rule{OutAcceptMax: 0.9, FreqMin: 0.1, CCMax: 1.1, MinObserved: 8}
-	p := NewPipeline(rule, nil, WithShards(4), WithGraphReconstruction(), WithCheckEvery(2))
+	p := NewPipeline(rule, nil, WithGraphReconstruction(), WithCheckEvery(2))
 
 	var wg sync.WaitGroup
 	for w := 0; w < producers; w++ {
@@ -265,9 +269,9 @@ func TestPipelineConcurrentStress(t *testing.T) {
 					continue
 				}
 				at := sim.Time(i)
-				p.Observe(osn.Event{Type: osn.EvFriendRequest, At: at, Actor: from, Target: to})
+				ingestEach(p, osn.Event{Type: osn.EvFriendRequest, At: at, Actor: from, Target: to})
 				if r.Bernoulli(0.4) {
-					p.Observe(osn.Event{Type: osn.EvFriendAccept, At: at + 1, Actor: to, Target: from})
+					ingestEach(p, osn.Event{Type: osn.EvFriendAccept, At: at + 1, Actor: to, Target: from})
 				}
 			}
 		}(w)
@@ -301,61 +305,9 @@ func TestPipelineConcurrentStress(t *testing.T) {
 	p.Close() // idempotent
 }
 
-// TestIngestMatchesObserve: chunked batch ingestion (any chunk
-// size, including a mix of batch and single-event dispatch) must flag
-// exactly the set that per-event Observe — and therefore the serial
-// Monitor — flags.
-func TestIngestMatchesObserve(t *testing.T) {
-	pop := campaignLog(t, 47)
-	events := pop.Net.Events()
-	g := pop.Net.Graph()
-	rule := FitRule(features.Labelled(pop.Net, pop.Sybils, pop.Normals), PaperRule())
-
-	ref := NewPipeline(rule, g, WithShards(4))
-	for _, ev := range events {
-		ref.Observe(ev)
-	}
-	ref.Close()
-	want := sortedIDs(ref.FlaggedIDs())
-	if len(want) == 0 {
-		t.Fatal("reference pipeline flagged nothing; equivalence test is vacuous")
-	}
-
-	for _, chunk := range []int{1, 7, 256, len(events)} {
-		p := NewPipeline(rule, g, WithShards(4))
-		for i := 0; i < len(events); i += chunk {
-			end := i + chunk
-			if end > len(events) {
-				end = len(events)
-			}
-			if (i/chunk)%5 == 4 { // interleave single-event dispatch
-				for _, ev := range events[i:end] {
-					p.Observe(ev)
-				}
-			} else {
-				p.Ingest(Batch{Events: events[i:end]})
-			}
-		}
-		p.Close()
-		got := sortedIDs(p.FlaggedIDs())
-		if len(got) != len(want) {
-			t.Fatalf("chunk=%d: batch path flagged %d, per-event %d", chunk, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("chunk=%d: flagged sets differ at %d: %d vs %d", chunk, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestIngestMatchesMonitorWithBarriers is the routing-rewrite
-// equivalence test: batch-first ingestion across shard counts
-// {1, 2, 4, 7}, with a Snapshot barrier and two live Reshards cutting
-// through the middle of the trace, must flag exactly the set the
-// serial Monitor flags. The barriers exercise the arena-ring rebuild
-// (Reshard resizes the partition tables) and the consistent-cut
-// machinery under the new sub-batch dispatch.
+// TestIngestMatchesMonitorWithBarriers: batch ingestion with Snapshot
+// cuts through the middle of the trace must flag exactly the set the
+// serial Monitor flags — a snapshot reads state, it never moves it.
 func TestIngestMatchesMonitorWithBarriers(t *testing.T) {
 	pop := campaignLog(t, 83)
 	events := pop.Net.Events()
@@ -371,45 +323,40 @@ func TestIngestMatchesMonitorWithBarriers(t *testing.T) {
 		t.Fatal("monitor flagged nothing; equivalence test is vacuous")
 	}
 
-	for _, shards := range []int{1, 2, 4, 7} {
-		p := NewPipeline(rule, g, WithShards(shards))
-		const chunk = 256
-		q1, q2, q3 := len(events)/4, len(events)/2, 3*len(events)/4
-		for i := 0; i < len(events); i += chunk {
-			end := i + chunk
-			if end > len(events) {
-				end = len(events)
-			}
-			p.Ingest(Batch{Events: events[i:end]})
-			switch {
-			case i < q1 && end >= q1:
-				p.Reshard(shards + 2)
-			case i < q2 && end >= q2:
+	p := NewPipeline(rule, g)
+	const chunk = 256
+	cuts := 0
+	for i := 0; i < len(events); i += chunk {
+		end := min(i+chunk, len(events))
+		p.Ingest(Batch{Events: events[i:end]})
+		for _, q := range []int{len(events) / 4, len(events) / 2, 3 * len(events) / 4} {
+			if i < q && end >= q {
+				cuts++
 				if snap := p.Snapshot(); len(snap.Accounts) == 0 {
-					t.Fatalf("shards=%d: mid-trace snapshot is empty", shards)
+					t.Fatalf("mid-trace snapshot at event %d is empty", end)
 				}
-			case i < q3 && end >= q3:
-				p.Reshard(shards)
 			}
 		}
-		p.Close()
-		got := sortedIDs(p.FlaggedIDs())
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: pipeline flagged %d, monitor %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: flagged sets differ at %d: %d vs %d", shards, i, got[i], want[i])
-			}
+	}
+	p.Close()
+	if cuts != 3 {
+		t.Fatalf("took %d mid-trace snapshots, want 3", cuts)
+	}
+	got := sortedIDs(p.FlaggedIDs())
+	if len(got) != len(want) {
+		t.Fatalf("pipeline flagged %d, monitor %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("flagged sets differ at %d: %d vs %d", i, got[i], want[i])
 		}
 	}
 }
 
 // TestIngestConcurrentStress hammers the batch path from many
-// unsequenced Ingest goroutines (mixed with per-event Observe callers)
-// — the -race workout for the arena ring: concurrent callers must get
-// distinct arenas and recycling must never hand a buffer back while a
-// shard still reads it.
+// unsequenced Ingest goroutines (whole batches mixed with one-event
+// calls) — the -race workout for concurrent ingesters serializing on
+// the pipeline's lock.
 func TestIngestConcurrentStress(t *testing.T) {
 	const (
 		producers = 6
@@ -418,7 +365,7 @@ func TestIngestConcurrentStress(t *testing.T) {
 		batchLen  = 64
 	)
 	rule := Rule{OutAcceptMax: 0.9, FreqMin: 0.1, CCMax: 1.1, MinObserved: 8}
-	p := NewPipeline(rule, nil, WithShards(4), WithGraphReconstruction(), WithCheckEvery(2))
+	p := NewPipeline(rule, nil, WithGraphReconstruction(), WithCheckEvery(2))
 
 	var wg sync.WaitGroup
 	for w := 0; w < producers; w++ {
@@ -444,9 +391,7 @@ func TestIngestConcurrentStress(t *testing.T) {
 				if w%2 == 0 || i%7 != 0 {
 					p.Ingest(Batch{Events: evs})
 				} else {
-					for _, ev := range evs {
-						p.Observe(ev)
-					}
+					ingestEach(p, evs...)
 				}
 			}
 		}(w)
@@ -478,7 +423,7 @@ func TestIngestGraphReconstruction(t *testing.T) {
 		net.SendFriendRequest(from, to, at)
 		net.RespondFriendRequest(to, from, true, at+5)
 	}
-	p := NewPipeline(PaperRule(), nil, WithShards(3), WithGraphReconstruction())
+	p := NewPipeline(PaperRule(), nil, WithGraphReconstruction())
 	p.Ingest(Batch{Events: net.Events()})
 	p.Close()
 	if got, src := p.Graph().NumEdges(), net.Graph().NumEdges(); got != src {

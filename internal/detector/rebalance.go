@@ -114,7 +114,6 @@ func RebalanceSnapshots(snaps []*PipelineSnapshot, newParts int) ([]*PipelineSna
 		snap := &PipelineSnapshot{
 			Version:    SnapshotVersion,
 			Seq:        ref.Seq,
-			Shards:     ref.Shards,
 			Part:       p,
 			Parts:      newParts,
 			CheckEvery: ref.CheckEvery,

@@ -16,7 +16,7 @@ import (
 func BenchmarkLiveRebalance(b *testing.B) {
 	for _, c := range []struct{ from, to int }{{3, 5}, {4, 2}} {
 		b.Run(fmt.Sprintf("k=%dto%d", c.from, c.to), func(b *testing.B) {
-			p := snapshotWorkload(b, 100_000, 4)
+			p := snapshotWorkload(b, 100_000)
 			defer p.Close()
 			base := p.Snapshot()
 			srcs, err := RebalanceSnapshots([]*PipelineSnapshot{base}, c.from)

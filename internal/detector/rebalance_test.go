@@ -144,9 +144,8 @@ func TestRebalanceSplitMergeRoundTrip(t *testing.T) {
 	events := pop.Net.Events()
 	rule := FitRule(features.Labelled(pop.Net, pop.Sybils, pop.Normals), PaperRule())
 	cut := len(events) * 2 / 3
-	const shards = 2
 
-	whole := NewPipeline(rule, nil, WithGraphReconstruction(), WithShards(shards))
+	whole := NewPipeline(rule, nil, WithGraphReconstruction())
 	whole.Ingest(Batch{Events: events[:cut], LastSeq: uint64(cut)})
 	wantSnap := whole.Snapshot()
 	whole.Close()
@@ -158,7 +157,7 @@ func TestRebalanceSplitMergeRoundTrip(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		snaps := make([]*PipelineSnapshot, k)
 		for part := 0; part < k; part++ {
-			p := NewPipeline(rule, nil, WithGraphReconstruction(), WithShards(shards), WithPartition(part, k))
+			p := NewPipeline(rule, nil, WithGraphReconstruction(), WithPartition(part, k))
 			p.Ingest(Batch{Events: partitionSlice(events[:cut], part, k), LastSeq: uint64(cut)})
 			snaps[part] = p.Snapshot()
 			p.Close()
@@ -209,7 +208,7 @@ func TestRebalanceIdentity(t *testing.T) {
 		// real partitioned pipeline would hold.
 		accs = append(accs, AccountSnapshot{State: features.AccountState{ID: owned[(p+1)%k], InReceived: 9}})
 		snaps[p] = &PipelineSnapshot{
-			Version: SnapshotVersion, Seq: seq, Shards: 1, Part: p, Parts: k,
+			Version: SnapshotVersion, Seq: seq, Part: p, Parts: k,
 			Accounts: accs,
 			Flags:    []Flag{{ID: owned[p], At: 7}},
 		}

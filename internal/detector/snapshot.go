@@ -6,23 +6,17 @@ import (
 
 	"sybilwild/internal/features"
 	"sybilwild/internal/graph"
-	"sybilwild/internal/osn"
 )
 
-// This file is the durability and elasticity layer of the Pipeline:
-// consistent snapshots (barrier through every shard), restore
-// (NewPipelineFromSnapshot), and live resharding (Reshard). All three
-// share one mechanism — a barrier message that makes each shard
-// serialize its partition at a consistent point in its event order —
-// and one serialized form, the flat account list, which is
-// partition-agnostic: restoring it under a different shard count *is*
-// resharding.
+// This file is the durability layer of the Pipeline: consistent
+// snapshots and restore (NewPipelineFromSnapshot). The serialized form
+// is a flat account list, which is what lets RebalanceSnapshots re-key
+// a cluster's snapshots into a different partition count.
 //
-// Concurrency contract: Snapshot and Reshard must not overlap
-// Ingest/Observe calls or each other (quiesce producers first;
-// a single-goroutine consumer loop, like cmd/detectd's, just calls
-// them inline between batches). They must be called before Close.
-// Flagged/FlaggedCount remain safe to call from anywhere throughout.
+// Snapshot takes the pipeline's one lock, so it cuts between two
+// events of whatever Ingest calls surround it; a single-goroutine
+// consumer loop, like cmd/detectd's, just calls it inline between
+// batches so the cut lands on a batch (and stream-sequence) boundary.
 
 // SnapshotVersion identifies the PipelineSnapshot schema. Bump it on
 // any incompatible change so a restore of an old checkpoint fails
@@ -41,11 +35,11 @@ type AccountSnapshot struct {
 // PipelineSnapshot is a consistent, serializable image of a running
 // Pipeline, stamped with the highest stream sequence applied before
 // the cut. Restoring it and resuming the feed from Seq+1 reproduces
-// the uninterrupted run exactly.
+// the uninterrupted run exactly. (Checkpoints written before in-process
+// sharding was removed also carry a "shards" key; it is ignored.)
 type PipelineSnapshot struct {
 	Version int    `json:"version"`
 	Seq     uint64 `json:"seq"`
-	Shards  int    `json:"shards"`
 	// Part/Parts record the cluster partition the pipeline evaluated
 	// (WithPartition); zero Parts means an unpartitioned run. A
 	// snapshot is only restorable into the same partition — its
@@ -61,90 +55,38 @@ type PipelineSnapshot struct {
 	Graph *graph.Snapshot `json:"graph,omitempty"`
 }
 
-// shardPart is one shard's serialized partition, produced at the
-// barrier point inside the shard goroutine (so shards serialize in
-// parallel and never race their own counters).
-type shardPart struct {
-	accounts []AccountSnapshot
-	flags    []Flag
-}
-
-// serialize captures the shard's partition. Runs on the shard
-// goroutine, between two events.
-func (s *pshard) serialize() shardPart {
-	states := s.tr.Export()
-	part := shardPart{accounts: make([]AccountSnapshot, len(states))}
-	for i, st := range states {
-		var seen int
-		if h, ok := s.tr.HandleOf(st.ID); ok && int(h) < len(s.seen) {
-			seen = int(s.seen[h])
-		}
-		part.accounts[i] = AccountSnapshot{State: st, Seen: seen}
-	}
-	part.flags = make([]Flag, 0, len(s.flagged))
-	for _, f := range s.flagged {
-		part.flags = append(part.flags, f)
-	}
-	return part
-}
-
-// barrier sends a barrier message down every shard channel and
-// collects the serialized partitions. Because each shard replies from
-// its own event order and no Observe call is in flight (the snapshot
-// contract), the union of parts is a consistent cut: every event
-// dispatched before the barrier is included, none after.
-func (p *Pipeline) barrier() []shardPart {
-	replies := make(chan shardPart, len(p.shards))
-	for _, s := range p.shards {
-		s.in <- shardMsg{barrier: replies}
-	}
-	parts := make([]shardPart, 0, len(p.shards))
-	for range p.shards {
-		parts = append(parts, <-replies)
-	}
-	return parts
-}
-
 // Snapshot serializes the pipeline's complete state at a consistent
 // point: per-account counters, check-cadence positions, verdicts, the
 // reconstructed graph when the pipeline owns one, and the highest
-// stream sequence applied. Safe to call repeatedly on a live pipeline
-// (subject to the quiescence contract above); the pipeline keeps
-// running afterwards.
+// stream sequence applied. Every verdict it contains has already had
+// its hook fired (hooks fire inside Ingest), so a checkpointer may
+// persist and acknowledge it — restore deliberately does not re-fire
+// hooks. The pipeline keeps running afterwards.
 func (p *Pipeline) Snapshot() *PipelineSnapshot {
-	parts := p.barrier()
-	// Flush the merge stage before handing the snapshot out: every
-	// flag a shard sent before the barrier must be recorded and have
-	// had its hook fired. Otherwise a checkpointer could persist and
-	// acknowledge a verdict whose hook is still queued — and a crash
-	// at that point would lose the hook delivery forever, since
-	// restore deliberately does not re-fire hooks.
-	p.flags <- flagMsg{sync: true}
-	<-p.syncAck
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	snap := &PipelineSnapshot{
 		Version:    SnapshotVersion,
 		Seq:        p.lastSeq,
-		Shards:     len(p.shards),
 		Part:       p.part,
 		Parts:      p.parts,
 		CheckEvery: p.checkEvery,
 	}
-	n, nf := 0, 0
-	for _, part := range parts {
-		n += len(part.accounts)
-		nf += len(part.flags)
+	// Deterministic order (Export sorts by account ID, flags are sorted
+	// below): checkpoint files for identical states are byte-identical,
+	// so equivalence tests (and operators) can diff them.
+	states := p.tr.Export()
+	snap.Accounts = make([]AccountSnapshot, len(states))
+	for i, st := range states {
+		snap.Accounts[i].State = st
+		if h, ok := p.tr.HandleOf(st.ID); ok && int(h) < len(p.seen) {
+			snap.Accounts[i].Seen = int(p.seen[h])
+		}
 	}
-	snap.Accounts = make([]AccountSnapshot, 0, n)
-	snap.Flags = make([]Flag, 0, nf)
-	for _, part := range parts {
-		snap.Accounts = append(snap.Accounts, part.accounts...)
-		snap.Flags = append(snap.Flags, part.flags...)
+	snap.Flags = make([]Flag, 0, len(p.flagged))
+	for _, f := range p.flagged {
+		snap.Flags = append(snap.Flags, f)
 	}
-	// Deterministic order: checkpoint files for identical states are
-	// byte-identical, so equivalence tests (and operators) can diff them.
-	sort.Slice(snap.Accounts, func(i, j int) bool {
-		return snap.Accounts[i].State.ID < snap.Accounts[j].State.ID
-	})
 	sort.Slice(snap.Flags, func(i, j int) bool { return snap.Flags[i].ID < snap.Flags[j].ID })
 	if p.ownGraph {
 		gs := p.g.Snapshot()
@@ -155,17 +97,16 @@ func (p *Pipeline) Snapshot() *PipelineSnapshot {
 
 // NewPipelineFromSnapshot rebuilds a live pipeline from a snapshot and
 // returns the stream sequence to resume the feed from (snapshot
-// sequence + 1, ready to hand to stream.DialResume). Shard count and
-// check cadence default to the snapshot's; options may override them —
-// restoring under a different WithShards value is a restart-time
-// reshard, and the flag hook must be re-installed here since hooks
-// don't serialize. The cluster partition is not overridable: the
-// restored pipeline evaluates the snapshot's Part/Parts slice, and a
-// WithPartition option naming any other partition is an error.
-// Restored flags do not re-fire the hook. Whether the
-// pipeline owns its graph follows the snapshot: a snapshot with a
-// graph restores into reconstruction mode (the g argument is ignored),
-// one without needs the same static graph the original run used.
+// sequence + 1, ready to hand to stream.DialResume). The check cadence
+// defaults to the snapshot's and an option may override it; the flag
+// hook must be re-installed here since hooks don't serialize. The
+// cluster partition is not overridable: the restored pipeline
+// evaluates the snapshot's Part/Parts slice, and a WithPartition option
+// naming any other partition is an error. Restored flags do not
+// re-fire the hook. Whether the pipeline owns its graph follows the
+// snapshot: a snapshot with a graph restores into reconstruction mode
+// (the g argument is ignored), one without needs the same static graph
+// the original run used.
 func NewPipelineFromSnapshot(c Classifier, g *graph.Graph, snap *PipelineSnapshot, opts ...PipelineOption) (*Pipeline, uint64, error) {
 	if snap.Version != SnapshotVersion {
 		return nil, 0, fmt.Errorf("detector: snapshot version %d, want %d", snap.Version, SnapshotVersion)
@@ -177,17 +118,8 @@ func NewPipelineFromSnapshot(c Classifier, g *graph.Graph, snap *PipelineSnapsho
 		part:       snap.Part,
 		parts:      snap.Parts,
 		lastSeq:    snap.Seq,
-		flags:      make(chan flagMsg, 256),
-		mergeDone:  make(chan struct{}),
-		syncAck:    make(chan struct{}, 1),
-		flagged:    make(map[osn.AccountID]Flag),
 	}
-	if snap.Shards >= 1 {
-		p.shards = make([]*pshard, snap.Shards)
-	}
-	for _, o := range opts {
-		o(p)
-	}
+	p.configure(opts)
 	if p.part != snap.Part || p.parts != snap.Parts {
 		// The snapshot's counters cover exactly one slice of the feed;
 		// adopting them under any other partition would evaluate
@@ -196,13 +128,6 @@ func NewPipelineFromSnapshot(c Classifier, g *graph.Graph, snap *PipelineSnapsho
 		// restate it.
 		return nil, 0, fmt.Errorf("detector: snapshot is for partition %d/%d, restore asked for %d/%d",
 			snap.Part, snap.Parts, p.part, p.parts)
-	}
-	if p.checkEvery < 1 {
-		p.checkEvery = 1
-	}
-	p.ccGate, _ = p.c.(CCGated)
-	if len(p.shards) == 0 {
-		return nil, 0, fmt.Errorf("detector: snapshot has shard count %d and no WithShards override", snap.Shards)
 	}
 	p.ownGraph = snap.Graph != nil
 	if p.ownGraph {
@@ -214,111 +139,38 @@ func NewPipelineFromSnapshot(c Classifier, g *graph.Graph, snap *PipelineSnapsho
 	} else if p.g == nil {
 		return nil, 0, fmt.Errorf("detector: snapshot has no graph; pass the static graph the original run used")
 	}
-	for i := range p.shards {
-		p.shards[i] = newShard(p)
-	}
-	if err := p.seed(snap.Accounts, snap.Flags, true); err != nil {
-		return nil, 0, err
-	}
-	for _, s := range p.shards {
-		go s.run()
-	}
-	p.makeArenas()
-	go p.merge()
-	return p, snap.Seq + 1, nil
-}
+	p.tr = features.NewTracker(p.g)
 
-// seed distributes serialized accounts and verdicts across the (not
-// yet running) shards by the pipeline's hash partition. recordGlobal
-// additionally records verdicts in the global flag map — right for
-// restore, where no merge goroutine ever saw them, and wrong for
-// reshard, where every collected flag was already sent to the merge
-// stage by its old shard (recording it here would make merge's dup
-// check swallow the flag hook for in-flight verdicts). Caller
-// guarantees no shard goroutine is running.
-func (p *Pipeline) seed(accounts []AccountSnapshot, flags []Flag, recordGlobal bool) error {
-	buckets := make([][]features.AccountState, len(p.shards))
-	for _, a := range accounts {
-		i := p.shardIdx(a.State.ID)
-		buckets[i] = append(buckets[i], a.State)
+	states := make([]features.AccountState, len(snap.Accounts))
+	for i, a := range snap.Accounts {
+		states[i] = a.State
 	}
-	for i, b := range buckets {
-		if err := p.shards[i].tr.Import(b); err != nil {
-			return fmt.Errorf("detector: restore: %w", err)
-		}
+	if err := p.tr.Import(states); err != nil {
+		return nil, 0, fmt.Errorf("detector: restore: %w", err)
 	}
-	// Cadence positions go into the handle-indexed slices, which is why
-	// the tracker import must happen first (handles exist after it).
-	for _, a := range accounts {
+	// Cadence positions and flagged-bits go into the handle-indexed
+	// slices, which is why the tracker import comes first (handles
+	// exist after it).
+	for _, a := range snap.Accounts {
 		if a.Seen == 0 {
 			continue
 		}
-		s := p.shardOf(a.State.ID)
-		h, ok := s.tr.HandleOf(a.State.ID)
+		h, ok := p.tr.HandleOf(a.State.ID)
 		if !ok {
-			return fmt.Errorf("detector: restore: account %d has no counters", a.State.ID)
+			return nil, 0, fmt.Errorf("detector: restore: account %d has no counters", a.State.ID)
 		}
-		s.growTo(h)
-		s.seen[h] = uint32(a.Seen)
+		p.growTo(h)
+		p.seen[h] = uint32(a.Seen)
 	}
-	for _, f := range flags {
-		s := p.shardOf(f.ID)
-		if _, dup := s.flagged[f.ID]; dup {
-			return fmt.Errorf("detector: restore: duplicate flag for account %d", f.ID)
+	for _, f := range snap.Flags {
+		if _, dup := p.flagged[f.ID]; dup {
+			return nil, 0, fmt.Errorf("detector: restore: duplicate flag for account %d", f.ID)
 		}
-		s.flagged[f.ID] = f
-		if h, ok := s.tr.HandleOf(f.ID); ok {
-			s.growTo(h)
-			s.flaggedAt[h] = true
-		}
-		if recordGlobal {
-			p.flagged[f.ID] = f
+		p.flagged[f.ID] = f
+		if h, ok := p.tr.HandleOf(f.ID); ok {
+			p.growTo(h)
+			p.flaggedAt[h] = true
 		}
 	}
-	return nil
-}
-
-// Reshard repartitions every account across a new shard count without
-// stopping the pipeline: a barrier collects each old shard's
-// serialized partition, the old shard goroutines retire, and fresh
-// shards are seeded with the same flat state under the new hash
-// partition. The merge stage, flag map, graph and stream position are
-// untouched, so flags recorded so far stay visible throughout and the
-// feed continues with the next Observe call. Subject to the same
-// quiescence contract as Snapshot. No-ops on n < 1 or the current
-// count.
-func (p *Pipeline) Reshard(n int) {
-	if n < 1 || n == len(p.shards) {
-		return
-	}
-	parts := p.barrier()
-	for _, s := range p.shards {
-		close(s.in)
-	}
-	for _, s := range p.shards {
-		<-s.done
-	}
-	p.shards = make([]*pshard, n)
-	for i := range p.shards {
-		p.shards[i] = newShard(p)
-	}
-	var accounts []AccountSnapshot
-	var flags []Flag
-	for _, part := range parts {
-		accounts = append(accounts, part.accounts...)
-		flags = append(flags, part.flags...)
-	}
-	if err := p.seed(accounts, flags, false); err != nil {
-		// Unreachable: each account lived in exactly one old shard, so
-		// it lands in exactly one new one, once.
-		panic(err)
-	}
-	for _, s := range p.shards {
-		go s.run()
-	}
-	// The arena ring is sized to the shard count; rebuild it. Every
-	// arena is provably free here: all sub-batches dispatched before
-	// the barrier were fully consumed (and their arenas released)
-	// before the shards replied to it.
-	p.makeArenas()
+	return p, snap.Seq + 1, nil
 }

@@ -13,10 +13,10 @@ import (
 // snapshotWorkload builds a running reconstruction-mode pipeline (the
 // detectd configuration) tracking the given number of accounts, fed
 // from a synthetic request/accept stream.
-func snapshotWorkload(b *testing.B, accounts, shards int) *Pipeline {
+func snapshotWorkload(b *testing.B, accounts int) *Pipeline {
 	b.Helper()
 	r := stats.NewRand(int64(accounts))
-	p := NewPipeline(PaperRule(), nil, WithShards(shards), WithGraphReconstruction(), WithCheckEvery(4))
+	p := NewPipeline(PaperRule(), nil, WithGraphReconstruction(), WithCheckEvery(4))
 	const chunk = 256
 	evs := make([]osn.Event, 0, chunk)
 	flush := func() {
@@ -44,14 +44,14 @@ func snapshotWorkload(b *testing.B, accounts, shards int) *Pipeline {
 	return p
 }
 
-// BenchmarkSnapshot measures the barrier + serialization cost of a
+// BenchmarkSnapshot measures the serialization cost of a
 // consistent pipeline snapshot as account count grows, and reports
 // the serialized checkpoint size — the latency a checkpointing
 // detectd pays per interval and the bytes it writes.
 func BenchmarkSnapshot(b *testing.B) {
 	for _, accounts := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("accounts=%d", accounts), func(b *testing.B) {
-			p := snapshotWorkload(b, accounts, 4)
+			p := snapshotWorkload(b, accounts)
 			defer p.Close()
 			b.ResetTimer()
 			var snap *PipelineSnapshot
@@ -65,27 +65,6 @@ func BenchmarkSnapshot(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(data)), "snapshot_bytes")
 			b.ReportMetric(float64(len(data))/float64(len(snap.Accounts)), "bytes/account")
-		})
-	}
-}
-
-// BenchmarkReshard measures a live repartition — barrier, shard
-// teardown, re-seeding, restart — at growing account counts,
-// alternating between two shard counts so every iteration does real
-// movement.
-func BenchmarkReshard(b *testing.B) {
-	for _, accounts := range []int{1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("accounts=%d", accounts), func(b *testing.B) {
-			p := snapshotWorkload(b, accounts, 4)
-			defer p.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					p.Reshard(8)
-				} else {
-					p.Reshard(4)
-				}
-			}
 		})
 	}
 }

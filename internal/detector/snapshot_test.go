@@ -1,10 +1,10 @@
 package detector
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"sybilwild/internal/features"
@@ -61,14 +61,14 @@ func TestSnapshotRestoreContinuesExactly(t *testing.T) {
 		m.Observe(ev)
 	}
 
-	full := NewPipeline(rule, g, WithShards(4), WithCheckEvery(3))
+	full := NewPipeline(rule, g, WithCheckEvery(3))
 	feedChunks(full, events, 97)
 	full.Close()
 	requireSameFlags(t, "uninterrupted vs monitor", full.FlaggedIDs(), m.FlaggedIDs())
 
 	for _, cutFrac := range []int{4, 2} {
 		cut := len(events) / cutFrac
-		p1 := NewPipeline(rule, g, WithShards(4), WithCheckEvery(3))
+		p1 := NewPipeline(rule, g, WithCheckEvery(3))
 		seq := feedChunks(p1, events[:cut], 97)
 		snap := p1.Snapshot()
 		p1.Close() // the "crash": p1's in-memory state is discarded
@@ -107,12 +107,12 @@ func TestSnapshotRestoreGraphReconstruction(t *testing.T) {
 	events := pop.Net.Events()
 	rule := Rule{OutAcceptMax: 0.5, FreqMin: 20, CCMax: 0.05, MinObserved: 10}
 
-	full := NewPipeline(rule, nil, WithShards(4), WithGraphReconstruction())
+	full := NewPipeline(rule, nil, WithGraphReconstruction())
 	feedChunks(full, events, 64)
 	full.Close()
 
 	cut := len(events) / 3
-	p1 := NewPipeline(rule, nil, WithShards(4), WithGraphReconstruction())
+	p1 := NewPipeline(rule, nil, WithGraphReconstruction())
 	feedChunks(p1, events[:cut], 64)
 	snap := p1.Snapshot()
 	p1.Close()
@@ -140,7 +140,7 @@ func TestSnapshotRestoreGraphReconstruction(t *testing.T) {
 func TestSnapshotRoundTripThroughJSON(t *testing.T) {
 	pop := campaignLog(t, 89)
 	p := NewPipeline(Rule{OutAcceptMax: 0.5, FreqMin: 20, CCMax: 0.05, MinObserved: 10}, nil,
-		WithShards(5), WithGraphReconstruction(), WithCheckEvery(2))
+		WithGraphReconstruction(), WithCheckEvery(2))
 	feedChunks(p, pop.Net.Events(), 128)
 	snap := p.Snapshot()
 	p.Close()
@@ -168,104 +168,67 @@ func TestSnapshotRoundTripThroughJSON(t *testing.T) {
 	}
 }
 
-// TestRestoreShardOverride: restoring under a different WithShards
-// value — a restart-time reshard — must not change any verdict.
-func TestRestoreShardOverride(t *testing.T) {
+// TestRestoreLegacyShardsKey: a checkpoint written before in-process
+// sharding was removed carries a "shards" key. It must still restore
+// (the key is ignored), continue to the uninterrupted run's flag set,
+// and not be written back.
+func TestRestoreLegacyShardsKey(t *testing.T) {
 	pop := campaignLog(t, 97)
 	events := pop.Net.Events()
 	g := pop.Net.Graph()
 	rule := FitRule(features.Labelled(pop.Net, pop.Sybils, pop.Normals), PaperRule())
 
-	full := NewPipeline(rule, g, WithShards(4))
+	full := NewPipeline(rule, g)
 	feedChunks(full, events, 100)
 	full.Close()
 
 	cut := len(events) / 2
-	p1 := NewPipeline(rule, g, WithShards(4))
+	p1 := NewPipeline(rule, g)
 	feedChunks(p1, events[:cut], 100)
-	snap := p1.Snapshot()
+	data, err := json.Marshal(p1.Snapshot())
 	p1.Close()
-	if snap.Shards != 4 {
-		t.Fatalf("snapshot shard count %d, want 4", snap.Shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"shards"`)) {
+		t.Fatal("snapshot still writes a shards key")
+	}
+	legacy := bytes.Replace(data, []byte(`"seq":`), []byte(`"shards":4,"seq":`), 1)
+	if bytes.Equal(legacy, data) {
+		t.Fatal("failed to plant the legacy shards key")
 	}
 
-	for _, n := range []int{1, 3, 9} {
-		p2, _, err := NewPipelineFromSnapshot(rule, g, snap, WithShards(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p2.NumShards() != n {
-			t.Fatalf("restored with %d shards, want %d", p2.NumShards(), n)
-		}
-		p2.Ingest(Batch{Events: events[cut:]})
-		p2.Close()
-		requireSameFlags(t, fmt.Sprintf("restore into %d shards", n), p2.FlaggedIDs(), full.FlaggedIDs())
+	var snap PipelineSnapshot
+	if err := json.Unmarshal(legacy, &snap); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestReshardEquivalence is the live-elasticity acceptance check:
-// resharding mid-trace — repeatedly, up and down — must flag exactly
-// what a fixed-shard run flags, keep earlier verdicts visible, and
-// leave per-account counters identical.
-func TestReshardEquivalence(t *testing.T) {
-	pop := campaignLog(t, 53)
-	events := pop.Net.Events()
-	g := pop.Net.Graph()
-	rule := FitRule(features.Labelled(pop.Net, pop.Sybils, pop.Normals), PaperRule())
-
-	fixed := NewPipeline(rule, g, WithShards(4), WithCheckEvery(2))
-	feedChunks(fixed, events, 83)
-	fixed.Close()
-
-	elastic := NewPipeline(rule, g, WithShards(4), WithCheckEvery(2))
-	plan := []int{2, 7, 1, 5} // reshard after each quarter of the trace
-	quarter := len(events) / 4
-	for i, n := range plan {
-		lo, hi := i*quarter, (i+1)*quarter
-		if i == len(plan)-1 {
-			hi = len(events)
-		}
-		for j := lo; j < hi; j += 83 {
-			end := j + 83
-			if end > hi {
-				end = hi
-			}
-			elastic.Ingest(Batch{Events: events[j:end]})
-		}
-		before := elastic.FlaggedCount()
-		elastic.Reshard(n)
-		if elastic.NumShards() != n {
-			t.Fatalf("after Reshard(%d): NumShards = %d", n, elastic.NumShards())
-		}
-		if elastic.FlaggedCount() < before {
-			t.Fatalf("Reshard(%d) lost flags: %d -> %d", n, before, elastic.FlaggedCount())
-		}
+	p2, _, err := NewPipelineFromSnapshot(rule, g, &snap)
+	if err != nil {
+		t.Fatalf("restore of a checkpoint carrying \"shards\": 4: %v", err)
 	}
-	elastic.Close()
-	requireSameFlags(t, "elastic vs fixed", elastic.FlaggedIDs(), fixed.FlaggedIDs())
-	if elastic.Tracked() != fixed.Tracked() {
-		t.Fatalf("elastic tracks %d accounts, fixed %d", elastic.Tracked(), fixed.Tracked())
-	}
+	p2.Ingest(Batch{Events: events[cut:]})
+	p2.Close()
+	requireSameFlags(t, "restore from legacy checkpoint", p2.FlaggedIDs(), full.FlaggedIDs())
 }
 
 // TestSnapshotFlushesFlagHooks: by the time Snapshot returns, every
-// verdict it contains has been recorded globally and had its hook
-// fired — the ordering that lets a checkpointer persist and
-// acknowledge the snapshot without risking a hook delivery lost to a
-// crash (restore never re-fires hooks).
+// verdict it contains has been recorded and had its hook fired — the
+// ordering that lets a checkpointer persist and acknowledge the
+// snapshot without risking a hook delivery lost to a crash (restore
+// never re-fires hooks).
 func TestSnapshotFlushesFlagHooks(t *testing.T) {
-	var fired atomic.Int64
-	p := NewPipeline(flagAll{}, nil, WithShards(4), WithGraphReconstruction(),
-		WithFlagHook(func(Flag) { fired.Add(1) }))
+	fired := 0
+	p := NewPipeline(flagAll{}, nil, WithGraphReconstruction(),
+		WithFlagHook(func(Flag) { fired++ }))
 	for i := 0; i < 30; i++ {
-		p.Observe(osn.Event{Type: osn.EvFriendRequest, At: sim.Time(i), Actor: osn.AccountID(i), Target: osn.AccountID(100 + i)})
+		ingestEach(p, osn.Event{Type: osn.EvFriendRequest, At: sim.Time(i), Actor: osn.AccountID(i), Target: osn.AccountID(100 + i)})
 	}
 	snap := p.Snapshot()
 	if len(snap.Flags) != 30 {
 		t.Fatalf("snapshot holds %d flags, want 30", len(snap.Flags))
 	}
-	if got := fired.Load(); got != 30 {
-		t.Fatalf("snapshot returned with only %d of 30 hooks fired", got)
+	if fired != 30 {
+		t.Fatalf("snapshot returned with only %d of 30 hooks fired", fired)
 	}
 	if p.FlaggedCount() != 30 {
 		t.Fatalf("snapshot returned with only %d of 30 flags recorded", p.FlaggedCount())
@@ -273,36 +236,18 @@ func TestSnapshotFlushesFlagHooks(t *testing.T) {
 	p.Close()
 }
 
-// TestReshardNoops: invalid and identical shard counts leave the
-// pipeline untouched and running.
-func TestReshardNoops(t *testing.T) {
-	p := NewPipeline(flagAll{}, nil, WithShards(3), WithGraphReconstruction())
-	p.Observe(osn.Event{Type: osn.EvFriendRequest, At: 1, Actor: 1, Target: 2})
-	p.Reshard(0)
-	p.Reshard(-2)
-	p.Reshard(3)
-	if p.NumShards() != 3 {
-		t.Fatalf("no-op reshard changed shard count to %d", p.NumShards())
-	}
-	p.Observe(osn.Event{Type: osn.EvFriendRequest, At: 2, Actor: 1, Target: 3})
-	p.Close()
-	if !p.Flagged(1) {
-		t.Fatal("pipeline stopped flagging after no-op reshards")
-	}
-}
-
 // TestRestoreRejectsBadSnapshots: version skew, missing graph, and
 // duplicate state must fail loudly.
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
-	if _, _, err := NewPipelineFromSnapshot(flagAll{}, nil, &PipelineSnapshot{Version: 99, Shards: 2}); err == nil {
+	if _, _, err := NewPipelineFromSnapshot(flagAll{}, nil, &PipelineSnapshot{Version: 99}); err == nil {
 		t.Fatal("version skew accepted")
 	}
 	if _, _, err := NewPipelineFromSnapshot(flagAll{}, nil,
-		&PipelineSnapshot{Version: SnapshotVersion, Shards: 2}); err == nil {
+		&PipelineSnapshot{Version: SnapshotVersion}); err == nil {
 		t.Fatal("snapshot without graph accepted despite nil static graph")
 	}
 	dup := &PipelineSnapshot{
-		Version: SnapshotVersion, Shards: 2,
+		Version: SnapshotVersion,
 		Accounts: []AccountSnapshot{
 			{State: features.AccountState{ID: 5, OutSent: 1}},
 			{State: features.AccountState{ID: 5, OutSent: 2}},

@@ -71,7 +71,7 @@ type counters struct {
 
 // Handle is a Tracker-assigned dense index for one tracked account,
 // valid for the lifetime of the Tracker that issued it. Handles let
-// hot-path callers (the sharded detector) keep their own per-account
+// hot-path callers (detector.Pipeline) keep their own per-account
 // bookkeeping in flat slices instead of maps: handles are assigned
 // 0, 1, 2, … in first-seen order, so a slice indexed by Handle grows
 // in lockstep with the tracker.
@@ -110,11 +110,8 @@ func (t *Tracker) Update(ev osn.Event) {
 // UpdateActor folds in only the state owned by ev.Actor and returns
 // the actor's Handle (NoHandle when the event touches no actor-owned
 // counter). Together with UpdateTarget it splits Update along
-// account-ownership lines, which is what lets a sharded pipeline
-// partition tracker state by account: the shard owning ev.Actor
-// applies UpdateActor, the shard owning ev.Target applies
-// UpdateTarget, and no counter is touched by two shards. Returning the
-// handle saves the evaluation path a second map lookup.
+// account-ownership lines. Returning the handle saves the evaluation
+// path a second map lookup.
 func (t *Tracker) UpdateActor(ev osn.Event) Handle {
 	switch ev.Type {
 	case osn.EvFriendRequest:
@@ -197,10 +194,8 @@ func (t *Tracker) FillCC(v *Vector) {
 }
 
 // CountsOf computes the feature vector from the tracker's own counters
-// alone, leaving CC at zero. Callers that guard the graph themselves
-// (the sharded pipeline takes a read lock while edges are still being
-// reconstructed from the feed) use this and fill in CC under their own
-// synchronization.
+// alone, leaving CC at zero, so detectors can decide whether the CC
+// walk is needed (FillCC) before paying for it.
 func (t *Tracker) CountsOf(id osn.AccountID) Vector {
 	if h, ok := t.idx[id]; ok {
 		return t.CountsAt(h)
@@ -208,8 +203,8 @@ func (t *Tracker) CountsOf(id osn.AccountID) Vector {
 	return Vector{ID: id}
 }
 
-// CountsAt is CountsOf by handle — the map-free form the sharded
-// detector's evaluation path uses.
+// CountsAt is CountsOf by handle — the map-free form
+// detector.Pipeline's evaluation path uses.
 func (t *Tracker) CountsAt(h Handle) Vector {
 	c := &t.acct[h]
 	v := Vector{

@@ -11,8 +11,7 @@ import (
 // This file is the durable half of the streaming tracker: counters in,
 // counters out, losslessly. A Tracker's entire state is the per-account
 // counter set, so Export/Import is a complete checkpoint of the §2.2
-// feature extraction — the detector's Pipeline snapshots lean on it
-// shard by shard.
+// feature extraction — the detector's Pipeline snapshots lean on it.
 
 // AccountState is one account's raw behavioural counters in
 // serializable form. It carries exactly the fields a Tracker

@@ -60,21 +60,6 @@ func actorIn(t *testing.T, part, parts int) osn.AccountID {
 	return 0
 }
 
-// TestPartitionActorAgreesWithOwnerPartition pins the producer-side
-// shard router to the broker-side owner function: renrend -publish
-// splits the population with PartitionActor, the broker filters
-// subscriptions with osn.Partition, and a drift between the two would
-// silently misroute accounts.
-func TestPartitionActorAgreesWithOwnerPartition(t *testing.T) {
-	for _, k := range []int{1, 2, 3, 5, 8, 64} {
-		for id := 0; id < 5000; id++ {
-			if got, want := PartitionActor(osn.AccountID(id), k), osn.Partition(osn.AccountID(id), k); got != want {
-				t.Fatalf("PartitionActor(%d, %d) = %d, osn.Partition = %d", id, k, got, want)
-			}
-		}
-	}
-}
-
 // TestPartitionedDeliveryMatchesContract is the broker-side half of
 // the partition-filtering property: K subscribers each taking one
 // slice of the same feed must receive exactly the events

@@ -40,17 +40,17 @@ func TestSimulationDeterminism(t *testing.T) {
 	}
 }
 
-// TestPartitionActorCoversAndAgrees: the partition function is total,
+// TestProducerPartitionCoversAndAgrees: the partition function is total,
 // stable, and splits a real population roughly evenly.
-func TestPartitionActorCoversAndAgrees(t *testing.T) {
+func TestProducerPartitionCoversAndAgrees(t *testing.T) {
 	const n = 3
 	counts := make([]int, n)
 	for id := osn.AccountID(0); id < 10000; id++ {
-		pi := PartitionActor(id, n)
+		pi := osn.Partition(id, n)
 		if pi < 0 || pi >= n {
 			t.Fatalf("partition out of range: %d", pi)
 		}
-		if pi != PartitionActor(id, n) {
+		if pi != osn.Partition(id, n) {
 			t.Fatalf("partition unstable for %d", id)
 		}
 		counts[pi]++
@@ -65,7 +65,7 @@ func TestPartitionActorCoversAndAgrees(t *testing.T) {
 // TestMultiProducerFlagEquality is the tentpole E2E at package level:
 // three producers jointly publish one campaign's partitioned event
 // set into a single broker — one of them killed mid-feed at the
-// transport level and restarted into a fresh epoch — and the sharded
+// transport level and restarted into a fresh epoch — and the
 // detection pipeline consuming the merged feed must flag exactly the
 // account set a serial replay of the single-producer log flags, with
 // every event sequenced exactly once.
@@ -76,7 +76,7 @@ func TestMultiProducerFlagEquality(t *testing.T) {
 
 	// Reference: serial replay of the canonical single-producer order,
 	// graph rebuilt from the feed alone (as detectd would).
-	ref := detector.NewPipeline(rule, nil, detector.WithShards(1), detector.WithGraphReconstruction())
+	ref := detector.NewPipeline(rule, nil, detector.WithGraphReconstruction())
 	ref.Ingest(detector.Batch{Events: events})
 	ref.Close()
 	want := ref.FlaggedIDs()
@@ -86,7 +86,7 @@ func TestMultiProducerFlagEquality(t *testing.T) {
 
 	parts := make([][]osn.Event, producers)
 	for _, ev := range events {
-		pi := PartitionActor(ev.Actor, producers)
+		pi := osn.Partition(ev.Actor, producers)
 		parts[pi] = append(parts[pi], ev)
 	}
 	total := 0
@@ -106,7 +106,7 @@ func TestMultiProducerFlagEquality(t *testing.T) {
 	}
 	defer srv.Close()
 
-	pipe := detector.NewPipeline(rule, nil, detector.WithShards(4), detector.WithGraphReconstruction())
+	pipe := detector.NewPipeline(rule, nil, detector.WithGraphReconstruction())
 	subDone := make(chan error, 1)
 	go func() {
 		subDone <- SubscribeBatch(srv.Addr(), func(evs []osn.Event) {

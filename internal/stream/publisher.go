@@ -508,16 +508,3 @@ func (p *Publisher) Abort() {
 	p.gen++
 	p.cond.Broadcast()
 }
-
-// PartitionActor deterministically assigns an actor to one of n
-// producers (FNV-1a over the account id; it is osn.Partition, the
-// system-wide partition function). K producer processes running the
-// same seeded simulation and each publishing only the actors assigned
-// to their index jointly emit exactly the event set a single producer
-// would — the contract renrend's publish mode and the broker rely on.
-// The broker's partitioned subscriptions and the detector's
-// evaluation ownership use the same function, so producer-side and
-// broker-side partitioning always agree.
-func PartitionActor(id osn.AccountID, n int) int {
-	return osn.Partition(id, n)
-}
