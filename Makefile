@@ -13,7 +13,12 @@ BENCH_BASE ?= BENCH_9.json
 # check set, so bump this deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race sybilbench-test bench bench-json bench-gate fuzz-smoke profile fmt vet docs staticcheck ci
+# sybilbench run parameters (make sybilbench / sybilbench-trace).
+WORKLOAD ?= campaign-saturate
+SEED ?= 7
+SECONDS ?= 20
+
+.PHONY: all build test race sybilbench-test sybilbench sybilbench-trace bench bench-json bench-gate fuzz-smoke profile profile-live fmt vet docs staticcheck ci
 
 all: build
 
@@ -31,6 +36,17 @@ race:
 # breaks the sybilbench harness shows up here, not at benchmark time.
 sybilbench-test:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# One run of the repo's benchmark (BENCHMARK.json): the six end-to-end
+# metrics with tracing off, or the traced run that adds the per-layer
+# rows. Timed, so neither is part of `make ci` — CI timing is not
+# resolvable; the allocation gate that is lives in tier-1
+# (TestLivePathAllocBudget, internal/stream).
+sybilbench:
+	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace 0
+
+sybilbench-trace:
+	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace 1
 
 # Single-iteration pass over every benchmark: proves they run, reports
 # the reproduced paper metrics, stays inside a CI budget.
@@ -140,6 +156,15 @@ profile:
 	$(GO) test -bench=BenchmarkPipelineBatch -benchtime=3x -run='^$$' -benchmem \
 		-cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "profiles written: cpu.pprof mem.pprof (binary: sybilwild.test)"
+
+# The same for the broker's live path: wire-fed ingest and the relay
+# hop. `go tool pprof -sample_index=alloc_space -top live-mem.pprof`
+# lists the allocation sites docs/ARCHITECTURE.md "Buffer ownership"
+# accounts for.
+profile-live:
+	$(GO) test -bench='^(BenchmarkPublishIngest|BenchmarkRelayFanout)$$' -benchtime=20000x -run='^$$' -benchmem \
+		-cpuprofile live-cpu.pprof -memprofile live-mem.pprof ./internal/stream
+	@echo "profiles written: live-cpu.pprof live-mem.pprof (binary: stream.test)"
 
 fmt:
 	@out=$$(gofmt -l .); \

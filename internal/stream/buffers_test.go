@@ -1,0 +1,695 @@
+package stream
+
+// Buffer discipline of the live path (docs/ARCHITECTURE.md, "Buffer
+// ownership"): transient buffers are scratch owned by one goroutine
+// and reused; retained payloads are exact-size immutable copies. These
+// tests hold both halves — nothing retained may alias scratch, and the
+// reuse must keep the allocation cost per event inside a budget — plus
+// the encode accounting and the undecodable-adopted-frame rule that
+// ride on the same code.
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"io"
+	"math/rand"
+	"net"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"sybilwild/internal/osn"
+	"sybilwild/internal/spool"
+	"sybilwild/internal/wire"
+)
+
+// campaignEvents builds n events shaped like the benchmark campaign:
+// hourly rounds of friend requests between 100k accounts, 40 % of them
+// accepted a tick later — so an encoded event is about as long as the
+// ones the live path carries in production-shaped runs.
+func campaignEvents(n int, seed int64) []osn.Event {
+	const accounts = 100000
+	rng := rand.New(rand.NewSource(seed))
+	evs := make([]osn.Event, 0, n)
+	for id := 0; len(evs) < n; id++ {
+		at := int64(id/accounts+1) * 60
+		actor, target := osn.AccountID(id%accounts), osn.AccountID(rng.Intn(accounts))
+		evs = append(evs, osn.Event{Type: osn.EvFriendRequest, At: at, Actor: actor, Target: target})
+		if len(evs) < n && rng.Float64() < 0.4 {
+			evs = append(evs, osn.Event{Type: osn.EvFriendAccept, At: at + 1, Actor: target, Target: actor})
+		}
+	}
+	return evs
+}
+
+// spooledTree brings up publisher-ready root → relay, both spooled and
+// both with a replay window of `window` events.
+func spooledTree(t *testing.T, window int) (root *Server, relay *Relay, rootSpool, relaySpool *spool.Spool) {
+	t.Helper()
+	dir := t.TempDir()
+	rootSpool, err := spool.Open(filepath.Join(dir, "root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rootSpool.Close() })
+	relaySpool, err = spool.Open(filepath.Join(dir, "relay"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { relaySpool.Close() })
+	root, err = NewServer("127.0.0.1:0", WithSpool(rootSpool), WithReplayBuffer(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { root.Close() })
+	relay, err = NewRelay("127.0.0.1:0", root.Addr(),
+		WithRelayServer(WithSpool(relaySpool), WithReplayBuffer(window)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { relay.Close() })
+	waitClients(t, root, 1) // the relay's upstream session
+	return root, relay, rootSpool, relaySpool
+}
+
+// publishAll feeds evs through pub in order and closes its epoch.
+func publishAll(t *testing.T, pub *Publisher, evs []osn.Event) {
+	t.Helper()
+	for _, ev := range evs {
+		if err := pub.Publish(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pub.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkSpoolFrames closes the spool (flushing what it buffers) and
+// asserts every frame it holds on disk is byte-identical to a fresh
+// canonical encode of the events it covers.
+func checkSpoolFrames(t *testing.T, written *spool.Spool, evs []osn.Event) {
+	t.Helper()
+	dir := written.Dir()
+	if err := written.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := spool.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	rd, err := sp.ReadFrom(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	next := uint64(1)
+	for {
+		first, n, payload, err := rd.NextFrame()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		if first != next {
+			t.Fatalf("%s: frame starts at %d, want %d", dir, first, next)
+		}
+		if want := wire.AppendBatch(nil, first, evs[first-1:first-1+uint64(n)]); !bytes.Equal(payload, want) {
+			t.Fatalf("%s: spooled frame at seq %d diverges from its events:\n%s\n%s", dir, first, payload, want)
+		}
+		next = first + uint64(n)
+	}
+	if next != uint64(len(evs))+1 {
+		t.Fatalf("%s: spool ends at seq %d, want %d", dir, next-1, len(evs))
+	}
+}
+
+// TestRetainedPayloadsNeverAliasScratch: two subscribers on a spooled
+// relay read nothing while 200 full batches cross publisher → root →
+// relay, so every chunk sits in their windows (and one of them blocked
+// mid-write on a full socket) while each encode scratch on the path —
+// the publisher's recycled payloads, the root connection's encode
+// buffer, both brokers' fan-out buffers — is reused hundreds of times.
+// What they finally read, and what both spools hold, must still be the
+// canonical encoding of the original events.
+func TestRetainedPayloadsNeverAliasScratch(t *testing.T) {
+	leakCheck(t)
+	const K, batches = 2, 200
+	const total = batches * DefaultMaxBatch
+	evs := campaignEvents(total, 19)
+	root, relay, rootSpool, relaySpool := spooledTree(t, total+DefaultMaxBatch)
+
+	full := dialRawSub(t, relay.Addr(), "slow-full", 0, 0)
+	part := dialRawSub(t, relay.Addr(), "slow-part", 1, K)
+	waitClients(t, relay.Server(), 2)
+
+	pub, err := NewPublisher(root.Addr(), "alias", 1, WithPublishFlushEvery(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishAll(t, pub, evs)
+	waitHead(t, relay.Server(), total)
+
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, sub := range []*rawSub{full, part} {
+		wg.Add(1)
+		go func(i int, sub *rawSub) {
+			defer wg.Done()
+			errs[i] = sub.drain()
+		}(i, sub)
+	}
+	if err := root.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := relay.Wait(); err != nil {
+		t.Fatalf("relay did not end cleanly: %v", err)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("slow subscriber %d: %v", i, err)
+		}
+	}
+
+	full.checkBatches(t, evs)
+	owned := part.checkFBatches(t, 1, K)
+	want := wantSeqs(evs, 1, K)
+	if len(owned) != len(want) {
+		t.Fatalf("partition 1/%d received %d events, contract says %d", K, len(owned), len(want))
+	}
+	for _, seq := range want {
+		if owned[seq] != evs[seq-1] {
+			t.Fatalf("partition 1/%d seq %d carries %+v, want %+v", K, seq, owned[seq], evs[seq-1])
+		}
+	}
+	if st := relay.Server().Stats(); st.Evicted != 0 {
+		t.Fatalf("relay evicted %d sessions", st.Evicted)
+	}
+	checkSpoolFrames(t, rootSpool, evs)
+	checkSpoolFrames(t, relaySpool, evs)
+}
+
+// ackingBroker speaks the broker half of the publish sub-protocol on
+// one connection, far enough for a Publisher to run against it: it
+// answers the phello with a pwelcome reporting `have` batches, hands
+// every pbatch payload (valid only during the call) to onBatch, sends
+// a pack for the sequence onBatch returns (0 = none) and hangs up when
+// it says so. A peof is confirmed and ends the connection. After the
+// handshake it allocates nothing, so allocation counts taken around a
+// Publisher talking to it are the Publisher's own.
+func ackingBroker(conn net.Conn, have uint64, onBatch func(bseq uint64, payload []byte) (ack uint64, hangup bool)) error {
+	defer conn.Close()
+	br := bufio.NewReaderSize(conn, 64<<10)
+	if _, err := readFrame(br, nil); err != nil { // phello
+		return err
+	}
+	if err := writeControl(conn, frame{T: framePWelcome, V: ProtocolVersion, Epoch: 1, Bseq: have}); err != nil {
+		return err
+	}
+	var buf, ackPayload, ackFrame []byte
+	evbuf := make([]osn.Event, 0, DefaultMaxBatch)
+	for {
+		payload, err := readFrame(br, buf)
+		if err != nil {
+			return err
+		}
+		buf = payload
+		bseq, _, ok := wire.ParsePBatch(payload, evbuf[:0])
+		if !ok { // the only control frame a publisher sends is peof
+			return writeControl(conn, frame{T: framePEOF})
+		}
+		ack, hangup := onBatch(bseq, payload)
+		if hangup {
+			return nil
+		}
+		if ack > 0 {
+			ackPayload = strconv.AppendUint(append(ackPayload[:0], `{"t":"pack","bseq":`...), ack, 10)
+			ackPayload = append(ackPayload, '}')
+			ackFrame = wire.AppendFrame(ackFrame[:0], ackPayload)
+			if _, err := conn.Write(ackFrame); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// TestPublisherResendsByteIdentical guards the publisher's free list:
+// a payload buffer may be recycled only once its batch is acknowledged.
+// The broker acks the first 6 batches (so their buffers are reused for
+// later ones), kills the connection with batches still in flight, and
+// on the reconnect compares every resent pbatch to its first
+// transmission; every batch must also equal a fresh encode of its
+// events.
+func TestPublisherResendsByteIdentical(t *testing.T) {
+	leakCheck(t)
+	const per, batches, ackedBeforeKill, killAt = 64, 30, 6, 12
+	evs := campaignEvents(per*batches, 23)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	seen := make(map[uint64][]byte) // first transmission of each batch
+	resent := 0
+	brokerDone := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			brokerDone <- err
+			return
+		}
+		ackingBroker(conn, 0, func(bseq uint64, payload []byte) (uint64, bool) {
+			seen[bseq] = bytes.Clone(payload)
+			if bseq <= ackedBeforeKill {
+				return bseq, false
+			}
+			return 0, bseq == killAt
+		})
+		if conn, err = ln.Accept(); err != nil {
+			brokerDone <- err
+			return
+		}
+		next := uint64(ackedBeforeKill + 1)
+		brokerDone <- ackingBroker(conn, ackedBeforeKill, func(bseq uint64, payload []byte) (uint64, bool) {
+			if bseq != next {
+				t.Errorf("after the reconnect batch %d arrived, want %d", bseq, next)
+			}
+			next = bseq + 1
+			if first, ok := seen[bseq]; ok {
+				resent++
+				if !bytes.Equal(first, payload) {
+					t.Errorf("resent batch %d differs from its first transmission:\n%s\n%s", bseq, first, payload)
+				}
+			} else {
+				seen[bseq] = bytes.Clone(payload)
+			}
+			return bseq, false
+		})
+	}()
+
+	pub, err := NewPublisher(ln.Addr().String(), "resend", 1,
+		WithPublishMaxBatch(per), WithPublishWindow(8), WithPublishFlushEvery(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishAll(t, pub, evs)
+	if err := <-brokerDone; err != nil {
+		t.Fatalf("broker: %v", err)
+	}
+	if st := pub.Stats(); st.Resent == 0 || resent < killAt-ackedBeforeKill {
+		t.Fatalf("publisher resent %d batches, broker matched %d against a first transmission; want ≥ %d",
+			st.Resent, resent, killAt-ackedBeforeKill)
+	}
+	for b := uint64(1); b <= batches; b++ {
+		if want := wire.AppendPBatch(nil, b, evs[(b-1)*per:b*per]); !bytes.Equal(seen[b], want) {
+			t.Fatalf("batch %d on the wire diverges from its events:\n%s\n%s", b, seen[b], want)
+		}
+	}
+}
+
+// TestPublisherSteadyFlushAllocatesNoPayload: once a Publisher has a
+// retired buffer to encode into, a flush of a full batch costs the
+// ack's JSON decode (9 small objects, ~0.6 KB) and nothing the size of
+// the ~15 KB payload — no fresh buffer, no append growth, no creeping
+// window slice.
+func TestPublisherSteadyFlushAllocatesNoPayload(t *testing.T) {
+	leakCheck(t)
+	evs := campaignEvents(DefaultMaxBatch, 29)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	brokerDone := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			brokerDone <- err
+			return
+		}
+		brokerDone <- ackingBroker(conn, 0, func(bseq uint64, _ []byte) (uint64, bool) { return bseq, false })
+	}()
+	pub, err := NewPublisher(ln.Addr().String(), "steady", 1, WithPublishFlushEvery(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One full batch, then wait for its ack: exactly one batch is ever
+	// in flight, so every flush after the first finds one free buffer.
+	flush := func() {
+		for _, ev := range evs {
+			if err := pub.Publish(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for st := pub.Stats(); st.Acked < st.Batches; st = pub.Stats() {
+			time.Sleep(10 * time.Microsecond) // not Gosched: AllocsPerRun runs on one P, which must go idle to poll the network
+		}
+	}
+	for i := 0; i < 4; i++ {
+		flush()
+	}
+	const runs = 200
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(runs, flush)
+	runtime.ReadMemStats(&m1)
+	bytesPerFlush := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up call
+	t.Logf("steady flush: %.1f allocations, %.0f B (payload is %d B)",
+		allocs, bytesPerFlush, len(wire.AppendPBatch(nil, 1, evs)))
+	if allocs > 12 || bytesPerFlush > 2048 {
+		t.Errorf("steady-state flush allocates %.1f objects / %.0f B; want ≤ 12 small objects and no payload-sized buffer",
+			allocs, bytesPerFlush)
+	}
+	if err := pub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-brokerDone; err != nil {
+		t.Fatalf("broker: %v", err)
+	}
+}
+
+// partitionDrainers dials one partitioned subscriber per partition of
+// K at addr and drains each on its own goroutine until the feed ends,
+// publishing its cursor after every batch. wait blocks until both have
+// stopped and reports the first receive error other than a clean end.
+type partitionDrainers struct {
+	applied []atomic.Uint64
+	events  []atomic.Uint64
+	wg      sync.WaitGroup
+	errMu   sync.Mutex
+	err     error
+}
+
+func drainPartitions(t *testing.T, srv *Server, K int) *partitionDrainers {
+	t.Helper()
+	d := &partitionDrainers{applied: make([]atomic.Uint64, K), events: make([]atomic.Uint64, K)}
+	for p := 0; p < K; p++ {
+		c, err := Dial(srv.Addr(), WithPartition(p, K))
+		if err != nil {
+			t.Fatalf("dial partition %d/%d: %v", p, K, err)
+		}
+		d.wg.Add(1)
+		go func(p int, c *Client) {
+			defer d.wg.Done()
+			defer c.Close()
+			for {
+				batch, err := c.RecvBatch()
+				if err != nil {
+					if !errors.Is(err, ErrClosed) {
+						d.errMu.Lock()
+						d.err = err
+						d.errMu.Unlock()
+					}
+					d.applied[p].Store(c.LastSeq())
+					return
+				}
+				d.events[p].Add(uint64(len(batch)))
+				d.applied[p].Store(c.LastSeq())
+			}
+		}(p, c)
+	}
+	waitClients(t, srv, K)
+	return d
+}
+
+// behind returns the cursor of the slowest drainer.
+func (d *partitionDrainers) behind() uint64 {
+	m := d.applied[0].Load()
+	for i := 1; i < len(d.applied); i++ {
+		if a := d.applied[i].Load(); a < m {
+			m = a
+		}
+	}
+	return m
+}
+
+func (d *partitionDrainers) wait(t *testing.T) {
+	t.Helper()
+	d.wg.Wait()
+	if d.err != nil {
+		t.Fatalf("partition drainer: %v", d.err)
+	}
+}
+
+// TestLivePathAllocBudget is the allocation gate sybilbench cannot be
+// (it is not part of go test): publisher → spooled root → spooled relay
+// → two partitioned RecvBatch drainers over loopback, no detector. One
+// publish window of warm-up fills every scratch buffer and free list;
+// over the next 64k events the whole process may allocate at most
+// liveAllocBudget bytes per event. With every transient buffer reused
+// and every retained payload sized exactly the path costs ~275 B/ev
+// (the root's chunk, the relay's read buffer and K fbatch payloads —
+// about 4 × the 64 B wire event with its size-class rounding); from
+// nil-started or over-sized buffers, as before, it cost ~950.
+func TestLivePathAllocBudget(t *testing.T) {
+	leakCheck(t)
+	const (
+		K               = 2
+		warm            = DefaultPublishWindow * DefaultMaxBatch
+		measured        = 256 * DefaultMaxBatch
+		credit          = DefaultReplayBuffer / 2 // events in flight; keeps every session on the live path
+		liveAllocBudget = 350.0
+	)
+	evs := campaignEvents(warm+measured, 31)
+	root, relay, _, _ := spooledTree(t, DefaultReplayBuffer)
+	drainers := drainPartitions(t, relay.Server(), K)
+	pub, err := NewPublisher(root.Addr(), "budget", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// feed publishes evs[lo:hi] under the credit window and returns
+	// once every drainer has applied them.
+	feed := func(lo, hi int) {
+		deadline := time.Now().Add(60 * time.Second)
+		for i := lo; i < hi; i++ {
+			for i%DefaultMaxBatch == 0 && uint64(i) > drainers.behind()+credit {
+				if time.Now().After(deadline) {
+					t.Fatalf("live path stuck: published %d, slowest drainer at %d", i, drainers.behind())
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			if err := pub.Publish(evs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pub.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for drainers.behind() < uint64(hi) {
+			if time.Now().After(deadline) {
+				t.Fatalf("live path stuck: published %d, slowest drainer at %d", hi, drainers.behind())
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	feed(0, warm)
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	feed(warm, warm+measured)
+	runtime.ReadMemStats(&m1)
+	perEv := float64(m1.TotalAlloc-m0.TotalAlloc) / measured
+	t.Logf("live path allocates %.1f B/ev over %d events (budget %.0f)", perEv, measured, liveAllocBudget)
+	if perEv > liveAllocBudget {
+		t.Errorf("live path allocates %.1f B/ev, budget is %.0f", perEv, liveAllocBudget)
+	}
+
+	for _, s := range []*Server{root, relay.Server()} {
+		for _, ss := range s.Stats().PerSession {
+			if ss.CatchUp {
+				t.Errorf("session %s fell to disk catch-up; the budget is for the live path", ss.ID)
+			}
+		}
+	}
+	if err := pub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := relay.Wait(); err != nil {
+		t.Fatalf("relay did not end cleanly: %v", err)
+	}
+	drainers.wait(t)
+}
+
+// TestEncodeAccounting pins ServerStats.Encodes on a clean K=2 run:
+// the root encodes exactly one canonical chunk per pbatch, the relay
+// encodes nothing but one fbatch view per (frame, partition) pair in
+// which the partition owns an event. The second case is the source of
+// sybilbench's "stray" stream.relay_encodes: a publisher flush that
+// lands inside one of the harness's 256-event chunks (Flush here; the
+// 2 ms flush interval there) adds a frame, and each extra frame costs
+// the relay K more views than a count over aligned chunks expects —
+// not a re-encode, a resume or a SuffixBatch.
+func TestEncodeAccounting(t *testing.T) {
+	const K, total = 2, 20*DefaultMaxBatch + 200
+	evs := campaignEvents(total, 37)
+	// views counts the (frame, partition) pairs with an owned event when
+	// evs travel in frames ending at the given offsets.
+	views := func(ends []int) (n uint64) {
+		lo := 0
+		for _, hi := range ends {
+			for p := 0; p < K; p++ {
+				if len(wantSeqs(evs[lo:hi], p, K)) > 0 {
+					n++
+				}
+			}
+			lo = hi
+		}
+		return n
+	}
+	// frameEnds models the publisher: a pbatch ends when it is full,
+	// when Flush is called after flushAt events, and at the end.
+	frameEnds := func(flushAt int) (ends []int) {
+		last := 0
+		for i := 1; i <= total; i++ {
+			if i-last == DefaultMaxBatch || i == flushAt || i == total {
+				ends = append(ends, i)
+				last = i
+			}
+		}
+		return ends
+	}
+	const early = 5*DefaultMaxBatch + 100 // a flush 100 events into the sixth chunk
+	aligned, shifted := frameEnds(0), frameEnds(early)
+	if views(shifted) != views(aligned)+K {
+		t.Fatalf("test feed: one extra frame should cost K=%d views, got %d → %d", K, views(aligned), views(shifted))
+	}
+
+	for _, tc := range []struct {
+		name    string
+		flushAt int
+		ends    []int
+	}{
+		{"aligned", -1, aligned},
+		{"early-flush", early, shifted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leakCheck(t)
+			root, relay, _, _ := spooledTree(t, DefaultReplayBuffer)
+			drainers := drainPartitions(t, relay.Server(), K)
+			pub, err := NewPublisher(root.Addr(), "acct", 1, WithPublishFlushEvery(time.Hour))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ev := range evs {
+				if i == tc.flushAt {
+					if err := pub.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := pub.Publish(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := pub.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := root.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := relay.Wait(); err != nil {
+				t.Fatalf("relay did not end cleanly: %v", err)
+			}
+			drainers.wait(t)
+			for p := 0; p < K; p++ {
+				if got, want := drainers.events[p].Load(), uint64(len(wantSeqs(evs, p, K))); got != want {
+					t.Fatalf("partition %d/%d received %d events, contract says %d", p, K, got, want)
+				}
+			}
+			frames := uint64(len(tc.ends))
+			if got := root.Stats().Encodes; got != frames {
+				t.Errorf("root Encodes = %d, want one per canonical chunk = %d", got, frames)
+			}
+			if got := relay.Stats().Frames; got != frames {
+				t.Errorf("relay adopted %d frames, want the root's %d chunks verbatim", got, frames)
+			}
+			if got, want := relay.Server().Stats().Encodes, views(tc.ends); got != want {
+				t.Errorf("relay Encodes = %d, want one per non-empty filtered chunk = %d", got, want)
+			}
+		})
+	}
+}
+
+// TestAdoptUndecodableFrameIsCursorOnly: a frame whose bounds parse but
+// whose events do not — an event type this build does not know, or a
+// non-canonical body that decodes to fewer events than its bounds
+// claimed — still moves the feed forward: full-feed subscribers get
+// the bytes verbatim, partitioned subscribers get the cursor. But no
+// event may be made up in its place: a zero-valued osn.Event is a
+// friend request from account 0 to account 0, which whichever
+// partition owns account 0 would count as real, and a short decode
+// must not be padded out with whatever the decode scratch held before.
+func TestAdoptUndecodableFrameIsCursorOnly(t *testing.T) {
+	leakCheck(t)
+	const K = 2
+	srv, err := NewServer("127.0.0.1:0", withAdopting())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	drainers := drainPartitions(t, srv, K)
+
+	good := partEvents(16, 41)
+	unknownType := []byte(`{"t":"batch","seq":9,"events":[` +
+		`{"type":"poke","at":1,"actor":0,"target":0},` +
+		`{"type":"poke","at":2,"actor":0,"target":0},` +
+		`{"type":"poke","at":3,"actor":0,"target":0}]}`)
+	// Bounds count '{': two here, but encoding/json sees one event.
+	miscounted := []byte(`{"t":"batch","seq":12,"events":[` +
+		`{"type":"message","at":4,"actor":1,"target":2,"x":{}}]}`)
+	for _, bad := range []struct {
+		payload  []byte
+		first, n int
+	}{{unknownType, 9, 3}, {miscounted, 12, 2}} {
+		if first, n, ok := wire.ParseBatchBounds(bad.payload); !ok || first != uint64(bad.first) || n != bad.n {
+			t.Fatalf("test frame bounds: first=%d n=%d ok=%v, want %d, %d, true", first, n, ok, bad.first, bad.n)
+		}
+		if _, _, ok := wire.ParseBatch(bad.payload, nil); ok {
+			t.Fatalf("test frame %s is canonical; it must not be", bad.payload)
+		}
+	}
+	if _, _, err := parseBatchSlow(unknownType, nil); err == nil {
+		t.Fatal("the unknown-type frame decodes through encoding/json; it must not")
+	}
+	if _, evs, err := parseBatchSlow(miscounted, nil); err != nil || len(evs) != 1 {
+		t.Fatalf("the miscounted frame should decode to one event through encoding/json, got %d (%v)", len(evs), err)
+	}
+	for _, payload := range [][]byte{
+		wire.AppendBatch(nil, 1, good[:8]),
+		unknownType,
+		miscounted,
+		wire.AppendBatch(nil, 14, good[8:]),
+	} {
+		if err := srv.AdoptFrame(payload); err != nil {
+			t.Fatalf("adopt: %v", err)
+		}
+	}
+	const head = 8 + 3 + 2 + 8
+	if got := srv.HeadSeq(); got != head {
+		t.Fatalf("head = %d, want %d: an undecodable frame must still advance the feed", got, head)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	drainers.wait(t)
+	for p := 0; p < K; p++ {
+		if got, want := drainers.events[p].Load(), uint64(len(wantSeqs(good, p, K))); got != want {
+			t.Errorf("partition %d/%d received %d events, want %d: the decodable frames' and none for the corrupt ones",
+				p, K, got, want)
+		}
+		if got := drainers.applied[p].Load(); got != head {
+			t.Errorf("partition %d/%d cursor ended at %d, want %d (past the corrupt frames)", p, K, got, head)
+		}
+	}
+}

@@ -96,6 +96,7 @@ func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, bu
 
 	bw := bufio.NewWriterSize(conn, 4<<10)
 	var evbuf []osn.Event
+	var enc []byte // canonical-encode scratch, owned by this connection
 	for {
 		payload, err := readFrame(br, buf)
 		if err != nil {
@@ -132,7 +133,7 @@ func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, bu
 			}
 		}
 		evbuf = evs[:0]
-		ack, err := s.ingest(p, conn, epoch, bseq, evs)
+		ack, err := s.ingest(p, conn, epoch, bseq, evs, &enc)
 		if err != nil {
 			if !errors.Is(err, errFenced) {
 				log.Printf("stream: producer %s batch %d rejected: %v", p.id, bseq, err)
@@ -202,17 +203,18 @@ func (s *Server) admitProducer(hello frame, conn net.Conn) (p *producerState, ep
 
 // ingest runs one publish batch through the global sequencer: dedupe
 // by producer batch sequence, then the shared batch fan-out core —
-// one canonical encode per maxBatch run, one spool frame, one queue
-// append per subscriber. The sequencer lock covers only the dedupe
-// check and sequence assignment, so concurrent producers overlap
-// everything else (encoding in parallel, delivery ordered by the
-// fan-out ticket). It returns the batch sequence to acknowledge
-// (monotone: replays ack the high-water mark), and only after the
-// fan-out completes — an acked batch is in the spool and every
-// subscriber queue, preserving at-least-once across a broker death.
+// one canonical encode per maxBatch run (on enc, the connection's
+// scratch), one spool frame, one queue append per subscriber. The
+// sequencer lock covers only the dedupe check and sequence assignment,
+// so concurrent producers overlap everything else (encoding in
+// parallel, delivery ordered by the fan-out ticket). It returns the
+// batch sequence to acknowledge (monotone: replays ack the high-water
+// mark), and only after the fan-out completes — an acked batch is in
+// the spool and every subscriber queue, preserving at-least-once
+// across a broker death.
 // The total order of the feed is the order producers' batches acquire
 // s.mu here, interleaved with any in-process Broadcast calls.
-func (s *Server) ingest(p *producerState, conn net.Conn, epoch, bseq uint64, evs []osn.Event) (uint64, error) {
+func (s *Server) ingest(p *producerState, conn net.Conn, epoch, bseq uint64, evs []osn.Event, enc *[]byte) (uint64, error) {
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
@@ -246,7 +248,7 @@ func (s *Server) ingest(p *producerState, conn net.Conn, epoch, bseq uint64, evs
 	s.mu.Unlock()
 
 	if len(evs) > 0 {
-		s.fanout(first, len(evs), func() []osn.Event { return evs }, s.encodeChunks(first, evs))
+		s.fanout(first, len(evs), evs, s.encodeChunks(first, evs, enc))
 	}
 	return bseq, nil
 }

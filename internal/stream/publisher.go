@@ -125,7 +125,12 @@ type Publisher struct {
 	bseq    uint64 // last batch sequence assigned
 	acked   uint64 // highest batch sequence acknowledged
 	unacked []pubBatch
-	eofAck  bool
+	// free holds the payload buffers of retired batches for the next
+	// flushes to encode into. A buffer enters it only once its batch is
+	// acknowledged — an unacked payload may still be resent — so it never
+	// holds more than the publish window.
+	free   [][]byte
+	eofAck bool
 
 	cur        []osn.Event // batch under construction
 	curStarted time.Time
@@ -246,21 +251,33 @@ func (p *Publisher) ackLoop(conn net.Conn, br *bufio.Reader, gen int) {
 		}
 		switch f.T {
 		case framePAck:
-			if f.Bseq > p.acked {
-				p.acked = f.Bseq
-				p.stats.Acked = f.Bseq
-				i := 0
-				for i < len(p.unacked) && p.unacked[i].bseq <= f.Bseq {
-					i++
-				}
-				p.unacked = p.unacked[i:]
-			}
+			p.retireLocked(f.Bseq)
 		case framePEOF:
 			p.eofAck = true
 		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
 	}
+}
+
+// retireLocked records the broker's acknowledgement of every batch up
+// to bseq: their payload buffers move to the free list and the window
+// is compacted in place, so neither the payloads nor the window slice
+// are reallocated in steady state. p.mu must be held.
+func (p *Publisher) retireLocked(bseq uint64) {
+	if bseq <= p.acked {
+		return
+	}
+	p.acked = bseq
+	p.stats.Acked = bseq
+	i := 0
+	for i < len(p.unacked) && p.unacked[i].bseq <= bseq {
+		p.free = append(p.free, p.unacked[i].payload)
+		i++
+	}
+	n := copy(p.unacked, p.unacked[i:])
+	clear(p.unacked[n:])
+	p.unacked = p.unacked[:n]
 }
 
 // Epoch returns the broker-granted epoch this publisher runs under.
@@ -334,10 +351,14 @@ func (p *Publisher) flushLocked() error {
 		p.cond.Wait()
 	}
 	p.bseq++
+	var buf []byte
+	if n := len(p.free); n > 0 {
+		buf, p.free = p.free[n-1][:0], p.free[:n-1]
+	}
 	pb := pubBatch{
 		bseq:    p.bseq,
 		events:  len(p.cur),
-		payload: appendPBatchFrame(nil, p.bseq, p.cur),
+		payload: appendPBatchFrame(buf, p.bseq, p.cur),
 	}
 	p.unacked = append(p.unacked, pb)
 	p.stats.Batches++
@@ -414,15 +435,7 @@ func (p *Publisher) reconnectLocked() error {
 		}
 		// The broker reports what it already has; retire those batches
 		// and resend the remainder in order on the new connection.
-		if welcome.Bseq > p.acked {
-			p.acked = welcome.Bseq
-			p.stats.Acked = welcome.Bseq
-		}
-		i := 0
-		for i < len(p.unacked) && p.unacked[i].bseq <= p.acked {
-			i++
-		}
-		p.unacked = p.unacked[i:]
+		p.retireLocked(welcome.Bseq)
 		p.gen++
 		p.conn = conn
 		p.bw = bufio.NewWriterSize(conn, 64<<10)

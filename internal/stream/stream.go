@@ -35,6 +35,7 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -216,10 +217,16 @@ type Server struct {
 	fanMu   sync.Mutex
 	fanCond *sync.Cond
 	fanNext uint64
-	// fanScratch is the session-snapshot buffer reused across fan-outs
-	// (safe: the ticket serializes the fan-out body). Touched only by
-	// the batch currently holding the ticket.
-	fanScratch []*session
+	// fan is the fan-out body's scratch, reused across batches (safe:
+	// the ticket serializes the body). Touched only by the batch
+	// currently holding the ticket.
+	fan fanScratch
+
+	// encPool holds encode scratch (*[]byte) for BroadcastBatch, whose
+	// encode runs before the ticket on whatever goroutines call it — a
+	// pool instead of a lock keeps concurrent callers concurrent. Wire
+	// producers don't use it: each connection owns its scratch.
+	encPool sync.Pool
 
 	// Incremental spool-retention floor: the min acked sequence
 	// across sessions, recomputed (under smu) only when floorStale —
@@ -288,6 +295,29 @@ type chunk struct {
 	part    int
 	parts   int
 }
+
+// fanScratch is the transient state of one fan-out body: the session
+// snapshot, the lazily decoded events of an adopted frame, the
+// partition filter's output, the fbatch encode buffer and the filtered
+// chunks per partition. Nothing in it outlives the ticket — payloads
+// that do are copied out with retain.
+type fanScratch struct {
+	sessions []*session
+	evs      []osn.Event
+	keep     []osn.Event
+	seqs     []uint64
+	buf      []byte
+	fcache   map[partKey][]*chunk
+}
+
+// retain returns the exactly-sized copy of an encoded payload that a
+// chunk keeps. Encoders run on reusable scratch, whose capacity is
+// whatever the largest frame so far needed; the retained copy is
+// immutable and garbage-collected, never recycled — session writers
+// copy chunk pointers out under sess.mu and write the payloads to
+// their sockets outside it, so a reused payload could be overwritten
+// in the middle of a write.
+func retain(scratch []byte) []byte { return bytes.Clone(scratch) }
 
 // partKey identifies one shared partition filter.
 type partKey struct{ part, parts int }
@@ -505,6 +535,8 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 		claims:     make(map[partKey]claim),
 		everSeen:   make(map[partKey]bool),
 		ingestDone: make(chan struct{}),
+		fan:        fanScratch{fcache: make(map[partKey][]*chunk)},
+		encPool:    sync.Pool{New: func() any { return new([]byte) }},
 	}
 	if o.spool != nil {
 		// Adopt the spooled log's position: a restarted producer
@@ -581,24 +613,18 @@ func (s *Server) BroadcastBatch(evs []osn.Event) {
 	first := s.seq + 1
 	s.seq += uint64(len(evs))
 	s.mu.Unlock()
-	s.fanout(first, len(evs), func() []osn.Event { return evs }, s.encodeChunks(first, evs))
+	scratch := s.encPool.Get().(*[]byte)
+	chunks := s.encodeChunks(first, evs, scratch)
+	s.encPool.Put(scratch)
+	s.fanout(first, len(evs), evs, chunks)
 }
 
-// Conservative per-frame size bounds, used to pre-size chunk payload
-// allocations so the canonical encode never pays append-growth
-// reallocations (from a nil buffer the doubling growth allocates
-// ~2.5x the final frame size — pure GC churn on the hot path).
-const (
-	framePrefixBound = 64  // tag + 20-digit sequence/cursor + events opener
-	batchEventBound  = 128 // one encoded event object, worst-case digits
-	fbatchEventBound = 156 // batch event + embedded `"seq":<20 digits>,`
-)
-
 // encodeChunks performs the batch's only canonical encode: one shared
-// immutable frame payload per maxBatch run. No lock is held — with
-// multiple producers the encodes themselves run concurrently; only
-// delivery is ordered (by the fan-out ticket).
-func (s *Server) encodeChunks(first uint64, evs []osn.Event) []*chunk {
+// immutable frame payload per maxBatch run, encoded on the caller's
+// scratch and retained at its exact size. No lock is held — with
+// multiple producers the encodes themselves run concurrently, each on
+// its own scratch; only delivery is ordered (by the fan-out ticket).
+func (s *Server) encodeChunks(first uint64, evs []osn.Event, scratch *[]byte) []*chunk {
 	n := (len(evs) + s.opt.maxBatch - 1) / s.opt.maxBatch
 	chunks := make([]*chunk, 0, n)
 	slab := make([]chunk, 0, n) // one allocation for all chunk headers
@@ -609,13 +635,13 @@ func (s *Server) encodeChunks(first uint64, evs []osn.Event) []*chunk {
 		}
 		cf := first + uint64(off)
 		cl := first + uint64(end) - 1
-		buf := make([]byte, 0, framePrefixBound+batchEventBound*(end-off))
+		*scratch = wire.AppendBatch((*scratch)[:0], cf, evs[off:end])
 		slab = append(slab, chunk{
 			first:   cf,
 			last:    cl,
 			n:       end - off,
 			cursor:  cl,
-			payload: wire.AppendBatch(buf, cf, evs[off:end]),
+			payload: retain(*scratch),
 		})
 		chunks = append(chunks, &slab[len(slab)-1])
 		s.encodes.Add(1)
@@ -702,26 +728,33 @@ func (s *Server) AdoptFrame(payload []byte) error {
 	s.adopted.Add(uint64(n))
 
 	c := &chunk{first: first, last: last, n: n, cursor: last, payload: payload}
-	var evs []osn.Event
-	s.fanout(first, n, func() []osn.Event {
-		if evs == nil {
-			var ok bool
-			if _, evs, ok = wire.ParseBatch(c.payload, nil); !ok {
-				var err error
-				if _, evs, err = parseBatchSlow(c.payload, nil); err != nil {
-					// Bounds parsed but the body didn't — only a
-					// non-canonical upstream encoder gets here. The raw
-					// frame already reached full-feed subscribers
-					// verbatim; partitioned views degrade to a pure
-					// cursor advance rather than crashing the hop.
-					log.Printf("stream: adopt: undecodable batch at seq %d: %v", c.first, err)
-					evs = make([]osn.Event, c.n)
-				}
-			}
-		}
-		return evs
-	}, []*chunk{c})
+	s.fanout(first, n, nil, []*chunk{c})
 	return nil
+}
+
+// decodeAdopted is the lazy event decode of an adopted chunk, into the
+// fan-out scratch (the caller holds the ticket). It returns nil when
+// the body does not decode to the c.n events its bounds claimed, which
+// only a non-canonical upstream encoder produces. The raw frame still
+// reaches full-feed subscribers verbatim; partitioned views get nothing
+// from it but the cursor, since any event invented in its place would
+// reach a detector as a real request.
+func (s *Server) decodeAdopted(c *chunk) []osn.Event {
+	_, evs, ok := wire.ParseBatch(c.payload, s.fan.evs[:0])
+	if !ok {
+		var err error
+		if _, evs, err = parseBatchSlow(c.payload, s.fan.evs[:0]); err != nil {
+			log.Printf("stream: adopt: undecodable batch at seq %d, partitioned sessions skip it: %v", c.first, err)
+			return nil
+		}
+	}
+	s.fan.evs = evs[:0]
+	if len(evs) != c.n {
+		log.Printf("stream: adopt: batch at seq %d decodes to %d events, bounds say %d; partitioned sessions skip it",
+			c.first, len(evs), c.n)
+		return nil
+	}
+	return evs
 }
 
 // fanout delivers one sequenced batch: spool append (the same shared
@@ -729,15 +762,14 @@ func (s *Server) AdoptFrame(payload []byte) error {
 // through strictly in sequence order — each waits for its ticket —
 // which is what keeps the spool contiguous and every session's queue
 // in feed order while concurrent producers encode in parallel. n is
-// the batch's event count; events provides the decoded batch and is
-// only called when a partitioned session needs a filtered view — an
-// encode-side caller returns the slice it already holds, a relay
-// adopting pre-encoded frames decodes on demand, so a hop with no
-// partitioned subscribers never decodes at all. The slice events
-// returns must remain valid until fanout returns (partition filters
-// are built lazily from it, once per (part, parts) and shared across
-// sessions).
-func (s *Server) fanout(first uint64, n int, events func() []osn.Event, chunks []*chunk) {
+// the batch's event count; evs is the decoded batch, read only when a
+// partitioned session needs a filtered view (built once per (part,
+// parts) and shared across sessions), and it must remain valid until
+// fanout returns. An encode-side caller passes the slice it already
+// holds; a relay adopting a pre-encoded frame passes nil and its one
+// chunk is decoded on demand, so a hop with no partitioned subscribers
+// never decodes at all.
+func (s *Server) fanout(first uint64, n int, evs []osn.Event, chunks []*chunk) {
 	s.fanMu.Lock()
 	for s.fanNext != first {
 		s.fanCond.Wait()
@@ -764,18 +796,19 @@ func (s *Server) fanout(first uint64, n int, events func() []osn.Event, chunks [
 	}
 
 	// The fan-out body runs exclusively (the next batch's ticket is
-	// granted only at the bottom), so the session snapshot lives in a
-	// reused scratch slice instead of a fresh allocation per batch.
+	// granted only at the bottom), so the session snapshot and the
+	// filter scratch are reused instead of allocated per batch.
 	s.smu.Lock()
-	sessions := s.fanScratch[:0]
+	sessions := s.fan.sessions[:0]
 	for _, sess := range s.sessions {
 		sessions = append(sessions, sess)
 	}
-	s.fanScratch = sessions
+	s.fan.sessions = sessions
 	s.smu.Unlock()
 
-	var fcache map[partKey][]*chunk
-	var evs []osn.Event
+	fcache := s.fan.fcache
+	clear(fcache)
+	adopted := evs == nil
 	for _, sess := range sessions {
 		if sess.parts == 0 {
 			for _, c := range chunks {
@@ -788,13 +821,11 @@ func (s *Server) fanout(first uint64, n int, events func() []osn.Event, chunks [
 		key := partKey{sess.part, sess.parts}
 		fchunks, ok := fcache[key]
 		if !ok {
-			if evs == nil {
-				evs = events() // first partitioned session pays the (single) decode
+			if adopted {
+				evs = s.decodeAdopted(chunks[0]) // first partitioned session pays the (single) decode
+				adopted = false
 			}
 			fchunks = s.filterChunks(chunks, evs, first, sess.part, sess.parts)
-			if fcache == nil {
-				fcache = make(map[partKey][]*chunk)
-			}
 			fcache[key] = fchunks
 		}
 		for i, c := range chunks {
@@ -813,24 +844,29 @@ func (s *Server) fanout(first uint64, n int, events func() []osn.Event, chunks [
 // filterChunks builds the shared filtered-chunk set for one
 // partition: one fbatch payload per source chunk, encoded once and
 // queued by every session on the partition; nil where the partition
-// owns nothing in a chunk (the cursor-only case).
+// owns nothing in a chunk (the cursor-only case) and everywhere when
+// evs is nil (an adopted frame that did not decode). Filter output and
+// the encode run on the fan-out scratch — the caller holds the ticket
+// — and each payload is retained at its exact size.
 func (s *Server) filterChunks(chunks []*chunk, evs []osn.Event, first uint64, part, parts int) []*chunk {
 	out := make([]*chunk, len(chunks))
-	var keep []osn.Event
-	var seqs []uint64
+	if evs == nil {
+		return out
+	}
+	f := &s.fan
 	for i, c := range chunks {
 		off := int(c.first - first)
-		keep, seqs = filterPartition(evs[off:off+c.n], c.first, part, parts, keep[:0], seqs[:0])
-		if len(keep) == 0 {
+		f.keep, f.seqs = filterPartition(evs[off:off+c.n], c.first, part, parts, f.keep[:0], f.seqs[:0])
+		if len(f.keep) == 0 {
 			continue
 		}
-		buf := make([]byte, 0, framePrefixBound+fbatchEventBound*len(keep))
+		f.buf = wire.AppendFBatch(f.buf[:0], c.cursor, f.seqs, f.keep)
 		out[i] = &chunk{
-			first:   seqs[0],
-			last:    seqs[len(seqs)-1],
-			n:       len(keep),
+			first:   f.seqs[0],
+			last:    f.seqs[len(f.seqs)-1],
+			n:       len(f.keep),
 			cursor:  c.cursor,
-			payload: wire.AppendFBatch(buf, c.cursor, seqs, keep),
+			payload: retain(f.buf),
 			part:    part,
 			parts:   parts,
 		}
