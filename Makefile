@@ -18,7 +18,7 @@ WORKLOAD ?= campaign-saturate
 SEED ?= 7
 SECONDS ?= 20
 
-.PHONY: all build test race sybilbench-test sybilbench sybilbench-trace bench bench-json bench-gate fuzz-smoke profile profile-live fmt vet docs staticcheck ci
+.PHONY: all build test race alloc-budget sybilbench-test sybilbench sybilbench-trace bench bench-json bench-gate fuzz-smoke profile profile-live fmt vet docs staticcheck ci
 
 all: build
 
@@ -31,6 +31,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The allocation gates that are resolvable in CI (bytes per event, not
+# time): the broker's live path and the detector's state. Mirrors
+# ci.yml's "live-path buffer aliasing + allocation budget" step.
+alloc-budget:
+	$(GO) test -race -run 'TestRetainedPayloadsNeverAliasScratch|TestPublisherResendsByteIdentical|TestPublisherSteadyFlushAllocatesNoPayload|TestLivePathAllocBudget' -count=1 -v ./internal/stream
+	$(GO) test -race -run 'TestDetectorStateAllocBudget' -count=1 -v ./internal/detector
+
 # benchmark/ is its own module compiled against this one's public API,
 # so tier-1 `go test ./...` does not cover it: a root-API change that
 # breaks the sybilbench harness shows up here, not at benchmark time.
@@ -40,8 +47,8 @@ sybilbench-test:
 # One run of the repo's benchmark (BENCHMARK.json): the six end-to-end
 # metrics with tracing off, or the traced run that adds the per-layer
 # rows. Timed, so neither is part of `make ci` — CI timing is not
-# resolvable; the allocation gate that is lives in tier-1
-# (TestLivePathAllocBudget, internal/stream).
+# resolvable; the allocation gates that are live in tier-1
+# (`make alloc-budget`).
 sybilbench:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace 0
 
@@ -201,4 +208,4 @@ staticcheck:
 		$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...; \
 	fi
 
-ci: fmt vet build race sybilbench-test bench bench-gate fuzz-smoke docs staticcheck
+ci: fmt vet build race alloc-budget sybilbench-test bench bench-gate fuzz-smoke docs staticcheck

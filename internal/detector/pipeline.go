@@ -6,6 +6,7 @@ import (
 	"sybilwild/internal/features"
 	"sybilwild/internal/graph"
 	"sybilwild/internal/osn"
+	"sybilwild/internal/paged"
 	"sybilwild/internal/sim"
 )
 
@@ -24,6 +25,17 @@ import (
 // grown the same way. Scale-out is by partition: K pipelines, each
 // WithPartition(i, K) and fed its osn.PartitionDelivers slice, flag in
 // union exactly what one unpartitioned pipeline flags.
+//
+// Account IDs are assumed dense from 0, as the OSN assigns them: they
+// index the per-account state directly, in pages of paged.PageSize
+// accounts allocated on first touch. An ID far from every other one is
+// accepted (negative ones are skipped) but costs a whole page per
+// slab — ~57 KB of counters for each of the event's two accounts and
+// 8 KB of evaluation state — plus 8 directory bytes per slab for every
+// 1024 IDs below it (16 MB near MaxInt32), so a feed of sparse IDs
+// costs some 500× what it would in a map. Under
+// WithGraphReconstruction the graph's node range reaches the highest
+// ID as well.
 //
 // One mutex guards all state, so every method is safe to call from any
 // goroutine at any time. Each production caller is a single consumer
@@ -52,15 +64,22 @@ type Pipeline struct {
 	mu sync.Mutex
 	g  *graph.Graph
 	tr *features.Tracker
-	// Per-account evaluation bookkeeping, indexed by tracker Handle —
-	// two slice loads on the hot path instead of two map lookups.
-	seen      []uint32 // requests seen, mod checkEvery
-	flaggedAt []bool   // verdict already emitted
-	flagged   map[osn.AccountID]Flag
+	// eval is the per-account evaluation bookkeeping, indexed by account
+	// ID like the tracker's counters beside it (and paged the same way).
+	eval    paged.Slab[evalState]
+	flagged map[osn.AccountID]Flag
+	// skipped counts friend events dropped for a negative account ID.
+	skipped int
 	// lastSeq is the highest stream sequence stamped by a sequenced
 	// Ingest (Batch.LastSeq set).
 	lastSeq uint64
 	closed  bool
+}
+
+// evalState is one account's position in the evaluation schedule.
+type evalState struct {
+	seen    uint32 // requests seen; evaluation is due every checkEvery-th
+	flagged bool   // verdict already emitted
 }
 
 // Flag is one detection verdict: which account, when, and the feature
@@ -199,24 +218,21 @@ func (p *Pipeline) Ingest(b Batch) {
 // apply is Monitor.Observe plus graph reconstruction and the partition
 // gate. Caller holds p.mu.
 func (p *Pipeline) apply(ev osn.Event) {
-	switch ev.Type {
-	case osn.EvFriendRequest, osn.EvFriendAccept:
-	default:
-		return // no feature in §2.2 consumes the rest of the log
+	if !admits(ev, &p.skipped) {
+		return
 	}
 	if p.ownGraph {
 		// Grow the graph before the counters so an evaluation never sees
 		// counters ahead of the graph — and, since evaluation follows
 		// immediately, never a graph ahead of the counters either.
-		for hi := max(ev.Actor, ev.Target); graph.NodeID(p.g.NumNodes()) <= hi; {
-			p.g.AddNode()
+		if grow := int(max(ev.Actor, ev.Target)) + 1 - p.g.NumNodes(); grow > 0 {
+			p.g.AddNodes(grow)
 		}
 		if ev.Type == osn.EvFriendAccept && ev.Actor != ev.Target {
 			p.g.AddEdge(ev.Actor, ev.Target, ev.At)
 		}
 	}
-	h := p.tr.UpdateActor(ev)
-	p.tr.UpdateTarget(ev)
+	p.tr.Update(ev)
 	if ev.Type != osn.EvFriendRequest {
 		return
 	}
@@ -226,15 +242,15 @@ func (p *Pipeline) apply(ev osn.Event) {
 		// worker holds sole verdict authority over it.
 		return
 	}
-	p.growTo(h)
-	if p.flaggedAt[h] {
+	st := p.eval.At(int(ev.Actor))
+	if st.flagged {
 		return
 	}
-	p.seen[h]++
-	if int(p.seen[h])%p.checkEvery != 0 {
+	st.seen++
+	if int(st.seen)%p.checkEvery != 0 {
 		return
 	}
-	v := p.tr.CountsAt(h)
+	v := p.tr.CountsOf(ev.Actor)
 	// Lazy CC: when the classifier can tell from the counter features
 	// alone that the (conjunctive) rule cannot fire, skip the
 	// clustering-coefficient walk — by the CCGated contract the verdict
@@ -246,24 +262,11 @@ func (p *Pipeline) apply(ev osn.Event) {
 	if !p.c.Classify(v) {
 		return
 	}
-	p.flaggedAt[h] = true
-	if _, dup := p.flagged[ev.Actor]; dup {
-		// A restored verdict for an account the snapshot held no
-		// counters for (so no handle existed to mark at restore time).
-		return
-	}
+	st.flagged = true
 	f := Flag{ID: ev.Actor, At: ev.At, Vector: v}
 	p.flagged[ev.Actor] = f
 	if p.onFlag != nil {
 		p.onFlag(f)
-	}
-}
-
-// growTo extends the handle-indexed bookkeeping to cover h.
-func (p *Pipeline) growTo(h features.Handle) {
-	for int(h) >= len(p.seen) {
-		p.seen = append(p.seen, 0)
-		p.flaggedAt = append(p.flaggedAt, false)
 	}
 }
 
@@ -323,6 +326,15 @@ func (p *Pipeline) Flags() []Flag {
 		out = append(out, f)
 	}
 	return out
+}
+
+// Skipped returns the number of friend requests and accepts dropped,
+// before touching any state, because their Actor or Target was
+// negative (see admits).
+func (p *Pipeline) Skipped() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.skipped
 }
 
 // Tracked returns the number of accounts with observed activity.

@@ -35,6 +35,10 @@ type CCGated interface {
 // Monitor deliberately evaluates only on EvFriendRequest: that is the
 // earliest signal available (no recipient response needed), matching
 // the paper's emphasis on detection "without significant delays".
+//
+// Like Pipeline, Monitor assumes account IDs dense from 0: its
+// Tracker's counters are indexed by ID in pages, so an ID far from the
+// rest costs a ~57 KB page (see Pipeline for the full accounting).
 type Monitor struct {
 	C       Classifier
 	Tracker *features.Tracker
@@ -46,6 +50,24 @@ type Monitor struct {
 
 	flagged map[osn.AccountID]bool
 	seen    map[osn.AccountID]int
+	skipped int
+}
+
+// admits is the one gate in front of detector state, shared by Monitor
+// and Pipeline: it passes friend requests and accepts — no feature in
+// §2.2 consumes the rest of the log — unless their Actor or Target is
+// negative. Account IDs index that state directly and the wire decodes
+// any int32, so such an event is dropped here, before it touches
+// anything, and counted in *skipped.
+func admits(ev osn.Event, skipped *int) bool {
+	if ev.Type != osn.EvFriendRequest && ev.Type != osn.EvFriendAccept {
+		return false
+	}
+	if ev.Actor < 0 || ev.Target < 0 {
+		*skipped++
+		return false
+	}
+	return true
 }
 
 // NewMonitor builds a monitor over the given friendship graph.
@@ -63,6 +85,9 @@ func NewMonitor(c Classifier, g *graph.Graph, onFlag func(osn.AccountID, sim.Tim
 // Observe folds one event in and evaluates the sender if due. Wire it
 // to a live network with net.RegisterObserver(m.Observe).
 func (m *Monitor) Observe(ev osn.Event) {
+	if !admits(ev, &m.skipped) {
+		return
+	}
 	m.Tracker.Update(ev)
 	if ev.Type != osn.EvFriendRequest {
 		return
@@ -98,6 +123,10 @@ func (m *Monitor) Flagged(id osn.AccountID) bool { return m.flagged[id] }
 
 // FlaggedCount returns the number of flagged accounts.
 func (m *Monitor) FlaggedCount() int { return len(m.flagged) }
+
+// Skipped returns the number of friend requests and accepts dropped
+// for a negative Actor or Target (see admits).
+func (m *Monitor) Skipped() int { return m.skipped }
 
 // FlaggedIDs returns all flagged accounts (order unspecified).
 func (m *Monitor) FlaggedIDs() []osn.AccountID {

@@ -72,15 +72,15 @@ func (p *Pipeline) Snapshot() *PipelineSnapshot {
 		Parts:      p.parts,
 		CheckEvery: p.checkEvery,
 	}
-	// Deterministic order (Export sorts by account ID, flags are sorted
-	// below): checkpoint files for identical states are byte-identical,
-	// so equivalence tests (and operators) can diff them.
+	// Deterministic order (Export walks accounts in ID order, flags are
+	// sorted below): checkpoint files for identical states are
+	// byte-identical, so equivalence tests (and operators) can diff them.
 	states := p.tr.Export()
 	snap.Accounts = make([]AccountSnapshot, len(states))
 	for i, st := range states {
 		snap.Accounts[i].State = st
-		if h, ok := p.tr.HandleOf(st.ID); ok && int(h) < len(p.seen) {
-			snap.Accounts[i].Seen = int(p.seen[h])
+		if es := p.eval.Peek(int(st.ID)); es != nil {
+			snap.Accounts[i].Seen = int(es.seen)
 		}
 	}
 	snap.Flags = make([]Flag, 0, len(p.flagged))
@@ -148,29 +148,21 @@ func NewPipelineFromSnapshot(c Classifier, g *graph.Graph, snap *PipelineSnapsho
 	if err := p.tr.Import(states); err != nil {
 		return nil, 0, fmt.Errorf("detector: restore: %w", err)
 	}
-	// Cadence positions and flagged-bits go into the handle-indexed
-	// slices, which is why the tracker import comes first (handles
-	// exist after it).
+	// Import has validated every account ID by now.
 	for _, a := range snap.Accounts {
-		if a.Seen == 0 {
-			continue
+		if a.Seen != 0 {
+			p.eval.At(int(a.State.ID)).seen = uint32(a.Seen)
 		}
-		h, ok := p.tr.HandleOf(a.State.ID)
-		if !ok {
-			return nil, 0, fmt.Errorf("detector: restore: account %d has no counters", a.State.ID)
-		}
-		p.growTo(h)
-		p.seen[h] = uint32(a.Seen)
 	}
 	for _, f := range snap.Flags {
+		if f.ID < 0 {
+			return nil, 0, fmt.Errorf("detector: restore: flag for negative account id %d", f.ID)
+		}
 		if _, dup := p.flagged[f.ID]; dup {
 			return nil, 0, fmt.Errorf("detector: restore: duplicate flag for account %d", f.ID)
 		}
 		p.flagged[f.ID] = f
-		if h, ok := p.tr.HandleOf(f.ID); ok {
-			p.growTo(h)
-			p.flaggedAt[h] = true
-		}
+		p.eval.At(int(f.ID)).flagged = true
 	}
 	return p, snap.Seq + 1, nil
 }

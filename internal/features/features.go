@@ -13,6 +13,7 @@ import (
 
 	"sybilwild/internal/graph"
 	"sybilwild/internal/osn"
+	"sybilwild/internal/paged"
 	"sybilwild/internal/sim"
 )
 
@@ -56,11 +57,11 @@ func (v *Vector) Features() []float64 {
 	return []float64{v.Freq1h, v.Freq400h, v.OutAccept, v.InAccept, v.CC}
 }
 
-// counters is the incremental per-account state. Counters live in the
-// Tracker's contiguous slab, not behind per-account pointers, so the
-// steady-state update path never allocates and stays cache-friendly.
+// counters is the incremental per-account state, one element of the
+// Tracker's ID-indexed slab. tracked separates an account with observed
+// activity from the untouched neighbours that share its page.
 type counters struct {
-	id          osn.AccountID
+	tracked     bool
 	outSent     int
 	outAccepted int
 	inReceived  int
@@ -69,36 +70,27 @@ type counters struct {
 	lastSent    sim.Time
 }
 
-// Handle is a Tracker-assigned dense index for one tracked account,
-// valid for the lifetime of the Tracker that issued it. Handles let
-// hot-path callers (detector.Pipeline) keep their own per-account
-// bookkeeping in flat slices instead of maps: handles are assigned
-// 0, 1, 2, … in first-seen order, so a slice indexed by Handle grows
-// in lockstep with the tracker.
-type Handle int32
-
-// NoHandle is returned by UpdateActor for events that touch no
-// actor-owned counter.
-const NoHandle Handle = -1
-
 // Tracker incrementally accumulates feature state from an event
 // stream. It is the real-time half of the package: feed every event to
 // Update, then call VectorOf for any account. The graph (for the
 // clustering coefficient) is consulted lazily at read time, exactly
 // like the production detector queried Renren's friendship store.
 //
-// Steady-state updates are allocation-free: counters live in one
-// contiguous slab indexed by Handle, and only first contact with a new
-// account grows it (amortized append + one map insert).
+// Counters are indexed by account ID directly — IDs are dense, so no
+// map stands between an event and its counters — in pages that are
+// allocated on first contact and never move. An update allocates only
+// when it touches a page for the first time. Account IDs must be
+// non-negative: the detectors drop events that carry a negative one
+// before they reach the tracker.
 type Tracker struct {
-	g    *graph.Graph
-	idx  map[osn.AccountID]Handle
-	acct []counters
+	g       *graph.Graph
+	acct    paged.Slab[counters]
+	tracked int
 }
 
 // NewTracker creates a tracker reading friendship structure from g.
 func NewTracker(g *graph.Graph) *Tracker {
-	return &Tracker{g: g, idx: make(map[osn.AccountID]Handle)}
+	return &Tracker{g: g}
 }
 
 // Update folds one event into the feature state.
@@ -107,20 +99,16 @@ func (t *Tracker) Update(ev osn.Event) {
 	t.UpdateTarget(ev)
 }
 
-// UpdateActor folds in only the state owned by ev.Actor and returns
-// the actor's Handle (NoHandle when the event touches no actor-owned
-// counter). Together with UpdateTarget it splits Update along
-// account-ownership lines. Returning the handle saves the evaluation
-// path a second map lookup.
-func (t *Tracker) UpdateActor(ev osn.Event) Handle {
+// UpdateActor folds in only the state owned by ev.Actor. Together with
+// UpdateTarget it splits Update along account-ownership lines.
+func (t *Tracker) UpdateActor(ev osn.Event) {
 	switch ev.Type {
 	case osn.EvFriendRequest:
-		h := t.handle(ev.Actor)
-		c := &t.acct[h]
-		// Min/max rather than first/last seen: concurrent producers
-		// (Pipeline.Observe from several frontends) may deliver an
-		// account's requests out of timestamp order, and a negative
-		// span would blow up the per-window frequencies.
+		c := t.touch(ev.Actor)
+		// Min/max rather than first/last seen: a feed merged from several
+		// producers may deliver an account's requests out of timestamp
+		// order, and a negative span would blow up the per-window
+		// frequencies.
 		if c.outSent == 0 {
 			c.firstSent, c.lastSent = ev.At, ev.At
 		} else {
@@ -132,50 +120,38 @@ func (t *Tracker) UpdateActor(ev osn.Event) Handle {
 			}
 		}
 		c.outSent++
-		return h
 	case osn.EvFriendAccept:
 		// Actor accepted Target's request.
-		h := t.handle(ev.Actor)
-		t.acct[h].inAccepted++
-		return h
+		t.touch(ev.Actor).inAccepted++
 	case osn.EvFriendReject:
 		// Reject contributes to the incoming denominator only, which
 		// inReceived already counted at request time.
 	}
-	return NoHandle
 }
 
 // UpdateTarget folds in only the state owned by ev.Target.
 func (t *Tracker) UpdateTarget(ev osn.Event) {
 	switch ev.Type {
 	case osn.EvFriendRequest:
-		t.acct[t.handle(ev.Target)].inReceived++
+		t.touch(ev.Target).inReceived++
 	case osn.EvFriendAccept:
-		t.acct[t.handle(ev.Target)].outAccepted++
+		t.touch(ev.Target).outAccepted++
 	}
 }
 
-// handle returns the dense index of id's counters, assigning a fresh
-// slab slot on first contact.
-func (t *Tracker) handle(id osn.AccountID) Handle {
-	if h, ok := t.idx[id]; ok {
-		return h
+// touch returns id's counters, marking the account tracked on first
+// contact.
+func (t *Tracker) touch(id osn.AccountID) *counters {
+	c := t.acct.At(int(id))
+	if !c.tracked {
+		c.tracked = true
+		t.tracked++
 	}
-	h := Handle(len(t.acct))
-	t.acct = append(t.acct, counters{id: id})
-	t.idx[id] = h
-	return h
-}
-
-// HandleOf returns the handle of an already-tracked account.
-func (t *Tracker) HandleOf(id osn.AccountID) (Handle, bool) {
-	h, ok := t.idx[id]
-	return h, ok
+	return c
 }
 
 // Tracked returns the number of accounts with any observed activity.
-// Handles issued by this tracker are always < Tracked().
-func (t *Tracker) Tracked() int { return len(t.acct) }
+func (t *Tracker) Tracked() int { return t.tracked }
 
 // VectorOf computes the current feature vector for an account.
 func (t *Tracker) VectorOf(id osn.AccountID) Vector {
@@ -188,7 +164,7 @@ func (t *Tracker) VectorOf(id osn.AccountID) Vector {
 // tracker's graph — the deferred, expensive half of VectorOf, split
 // out so detectors can skip it when their classifier doesn't need it.
 func (t *Tracker) FillCC(v *Vector) {
-	if int(v.ID) < t.g.NumNodes() {
+	if v.ID >= 0 && int(v.ID) < t.g.NumNodes() {
 		v.CC = t.g.ClusteringFirstK(v.ID, FirstFriendsK)
 	}
 }
@@ -197,23 +173,13 @@ func (t *Tracker) FillCC(v *Vector) {
 // alone, leaving CC at zero, so detectors can decide whether the CC
 // walk is needed (FillCC) before paying for it.
 func (t *Tracker) CountsOf(id osn.AccountID) Vector {
-	if h, ok := t.idx[id]; ok {
-		return t.CountsAt(h)
+	v := Vector{ID: id}
+	c := t.acct.Peek(int(id))
+	if c == nil {
+		return v
 	}
-	return Vector{ID: id}
-}
-
-// CountsAt is CountsOf by handle — the map-free form
-// detector.Pipeline's evaluation path uses.
-func (t *Tracker) CountsAt(h Handle) Vector {
-	c := &t.acct[h]
-	v := Vector{
-		ID:          c.id,
-		OutSent:     c.outSent,
-		OutAccepted: c.outAccepted,
-		InReceived:  c.inReceived,
-		InAccepted:  c.inAccepted,
-	}
+	v.OutSent, v.OutAccepted = c.outSent, c.outAccepted
+	v.InReceived, v.InAccepted = c.inReceived, c.inAccepted
 	if c.outSent > 0 {
 		v.OutAccept = float64(c.outAccepted) / float64(c.outSent)
 		span := c.lastSent - c.firstSent

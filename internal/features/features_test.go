@@ -116,6 +116,30 @@ func TestCCFromGraph(t *testing.T) {
 	}
 }
 
+// TestFillCCDoesNotAllocate: the graph keeps a first-FirstFriendsK
+// selection's membership set on the stack. Its bound is a constant of
+// package graph, which cannot import this one, so it is held to
+// FirstFriendsK here.
+func TestFillCCDoesNotAllocate(t *testing.T) {
+	const hub, n = 0, FirstFriendsK + 10
+	g := graph.New(n)
+	g.AddNodes(n)
+	for v := graph.NodeID(1); v < n; v++ {
+		g.AddEdge(hub, v, int64(v))
+		if v > 1 {
+			g.AddEdge(v-1, v, int64(v))
+		}
+	}
+	tr := NewTracker(g)
+	v := Vector{ID: hub}
+	if allocs := testing.AllocsPerRun(100, func() { tr.FillCC(&v) }); allocs != 0 {
+		t.Fatalf("FillCC over the first %d friends allocates %v objects per call", FirstFriendsK, allocs)
+	}
+	if v.CC == 0 {
+		t.Fatal("CC of a hub whose friends form a path is 0; the walk did not run")
+	}
+}
+
 func TestStreamingMatchesBatch(t *testing.T) {
 	net, sender := buildNet(
 		[]sim.Time{5, 65, 125, 185, 245},

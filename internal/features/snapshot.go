@@ -2,7 +2,6 @@ package features
 
 import (
 	"fmt"
-	"sort"
 
 	"sybilwild/internal/osn"
 	"sybilwild/internal/sim"
@@ -27,15 +26,17 @@ type AccountState struct {
 	LastSent    sim.Time      `json:"last_sent,omitempty"`
 }
 
-// Export serializes every tracked account's counters, sorted by
-// account ID so the output is deterministic (checkpoint files diff
-// cleanly run to run).
+// Export serializes every tracked account's counters in account-ID
+// order — the slab's own order — so the output is deterministic
+// (checkpoint files diff cleanly run to run).
 func (t *Tracker) Export() []AccountState {
-	out := make([]AccountState, 0, len(t.acct))
-	for i := range t.acct {
-		c := &t.acct[i]
+	out := make([]AccountState, 0, t.tracked)
+	t.acct.Each(func(id int, c *counters) {
+		if !c.tracked {
+			return
+		}
 		out = append(out, AccountState{
-			ID:          c.id,
+			ID:          osn.AccountID(id),
 			OutSent:     c.outSent,
 			OutAccepted: c.outAccepted,
 			InReceived:  c.inReceived,
@@ -43,8 +44,7 @@ func (t *Tracker) Export() []AccountState {
 			FirstSent:   c.firstSent,
 			LastSent:    c.lastSent,
 		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	})
 	return out
 }
 
@@ -52,15 +52,19 @@ func (t *Tracker) Export() []AccountState {
 // into a fresh tracker reproduces the exporting tracker exactly;
 // importing an account that is already tracked is a checkpoint
 // inconsistency and returns an error (counters are absolute values,
-// not deltas, so merging them would double-count).
+// not deltas, so merging them would double-count), as is a negative
+// account ID.
 func (t *Tracker) Import(states []AccountState) error {
 	for _, st := range states {
-		if _, dup := t.idx[st.ID]; dup {
+		if st.ID < 0 {
+			return fmt.Errorf("features: import: negative account id %d", st.ID)
+		}
+		c := t.acct.At(int(st.ID))
+		if c.tracked {
 			return fmt.Errorf("features: import: account %d already tracked", st.ID)
 		}
-		h := t.handle(st.ID)
-		t.acct[h] = counters{
-			id:          st.ID,
+		*c = counters{
+			tracked:     true,
 			outSent:     st.OutSent,
 			outAccepted: st.OutAccepted,
 			inReceived:  st.InReceived,
@@ -68,6 +72,7 @@ func (t *Tracker) Import(states []AccountState) error {
 			firstSent:   st.FirstSent,
 			lastSent:    st.LastSent,
 		}
+		t.tracked++
 	}
 	return nil
 }

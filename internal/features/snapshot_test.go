@@ -115,4 +115,7 @@ func TestTrackerImportRejectsDuplicates(t *testing.T) {
 	if err := tr.Import([]AccountState{{ID: 7, OutSent: 3}}); err == nil {
 		t.Fatal("import of an already-tracked account succeeded")
 	}
+	if err := tr.Import([]AccountState{{ID: -7, OutSent: 3}}); err == nil {
+		t.Fatal("import of a negative account id succeeded")
+	}
 }

@@ -1,5 +1,7 @@
 package graph
 
+import "math/bits"
+
 // LocalClustering returns the clustering coefficient of u over its full
 // neighbourhood: the fraction of pairs of u's neighbours that are
 // themselves connected. Nodes with degree < 2 have coefficient 0.
@@ -19,21 +21,48 @@ func (g *Graph) ClusteringFirstK(u NodeID, k int) float64 {
 	return g.clusteringOver(nbrs)
 }
 
+// smallSet is the largest neighbour selection clusteringOver handles
+// without allocating. It must cover the detector's only call,
+// ClusteringFirstK(u, features.FirstFriendsK) — asserted in features.
+const smallSet = 50
+
 func (g *Graph) clusteringOver(nbrs []Edge) float64 {
 	n := len(nbrs)
 	if n < 2 {
 		return 0
 	}
-	// Membership set over the (at most k) selected neighbours, then a
-	// single scan of each neighbour's adjacency list. O(sum deg(nbr)).
-	member := make(map[NodeID]struct{}, n)
+	// Membership set over the selected neighbours, then a single scan
+	// of each neighbour's adjacency list. O(sum deg(nbr)). The set is an
+	// open-addressing table (-1 marks a free slot; node IDs are never
+	// negative) with a power-of-two slot count that keeps it under half
+	// full. For a small selection it lives on this call's stack — the
+	// graph owns no scratch, so concurrent reads stay safe; only the
+	// unbounded LocalClustering path allocates one.
+	var small [128]NodeID
+	table := small[:]
+	if n > smallSet {
+		table = make([]NodeID, 1<<(bits.Len(uint(n))+1))
+	}
+	for i := range table {
+		table[i] = -1
+	}
+	shift := 32 - uint(bits.TrailingZeros(uint(len(table))))
+	// find returns the slot holding v, or the free slot where the probe
+	// for it ends (Fibonacci hashing, linear probing).
+	find := func(v NodeID) uint32 {
+		h := uint32(v) * 2654435769 >> shift
+		for table[h] != -1 && table[h] != v {
+			h = (h + 1) & uint32(len(table)-1)
+		}
+		return h
+	}
 	for _, e := range nbrs {
-		member[e.To] = struct{}{}
+		table[find(e.To)] = e.To
 	}
 	links := 0
 	for _, e := range nbrs {
 		for _, f := range g.adj[e.To] {
-			if _, ok := member[f.To]; ok {
+			if table[find(f.To)] == f.To {
 				links++ // counted twice, once per endpoint
 			}
 		}

@@ -10,7 +10,11 @@
 // overhead on the hot paths.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+
+	"sybilwild/internal/paged"
+)
 
 // NodeID identifies a node. IDs are dense: the n-th added node has ID n-1.
 type NodeID int32
@@ -28,12 +32,18 @@ type Edge struct {
 // is an empty graph ready to use. Graph is not safe for concurrent
 // mutation; concurrent reads are safe.
 type Graph struct {
+	// adj holds one header per node; the lists behind them are ordinary
+	// contiguous slices. The header array grows by doubling (AddNodes).
 	adj [][]Edge
-	// order records undirected edges in creation order (canonical
-	// U < V). Serialization replays it so per-node friend-list order —
-	// which the first-50-friends clustering metric and the Figure 8
-	// analysis depend on — survives a round trip exactly.
-	order []EdgeTriple
+	// order records undirected edges in creation order
+	// (canonical U < V), at indices [0, edges). Serialization replays it
+	// so per-node friend-list order — which the first-50-friends
+	// clustering metric and the Figure 8 analysis depend on — survives a
+	// round trip exactly. It is paged: an append-only log this size
+	// (one triple per accept on the detector's feed) would otherwise be
+	// re-copied several times over as it grows.
+	order paged.Slab[EdgeTriple]
+	edges int
 }
 
 // New returns an empty graph pre-sized for n nodes.
@@ -45,19 +55,27 @@ func New(n int) *Graph {
 func (g *Graph) NumNodes() int { return len(g.adj) }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.order) }
+func (g *Graph) NumEdges() int { return g.edges }
 
 // AddNode creates a new node and returns its ID.
-func (g *Graph) AddNode() NodeID {
-	g.adj = append(g.adj, nil)
-	return NodeID(len(g.adj) - 1)
-}
+func (g *Graph) AddNode() NodeID { return g.AddNodes(1) }
 
 // AddNodes creates n nodes and returns the ID of the first.
 func (g *Graph) AddNodes(n int) NodeID {
-	first := NodeID(len(g.adj))
-	g.adj = append(g.adj, make([][]Edge, n)...)
-	return first
+	if n < 0 {
+		panic(fmt.Sprintf("graph: AddNodes(%d)", n))
+	}
+	first := len(g.adj)
+	if first+n > cap(g.adj) {
+		// Double rather than append's 1.25x: a graph grown a node at a
+		// time (the detector's reconstruction) would otherwise copy the
+		// header array about five times its final size.
+		grown := make([][]Edge, first, max(2*cap(g.adj), first+n))
+		copy(grown, g.adj)
+		g.adj = grown
+	}
+	g.adj = g.adj[:first+n]
+	return NodeID(first)
 }
 
 // AddEdge inserts the undirected edge {u, v} with creation time t.
@@ -169,7 +187,8 @@ func (g *Graph) addEdgeUnchecked(u, v NodeID, t int64) {
 	if a > b {
 		a, b = b, a
 	}
-	g.order = append(g.order, EdgeTriple{U: a, V: b, Time: t})
+	*g.order.At(g.edges) = EdgeTriple{U: a, V: b, Time: t}
+	g.edges++
 }
 
 func sortEdgesByTime(es []Edge) {
@@ -189,7 +208,15 @@ type EdgeTriple struct {
 }
 
 // Edges returns every undirected edge exactly once (U < V), in
-// creation order. The returned slice is a copy.
+// creation order. The returned slice is a copy, nil for an edgeless
+// graph (which is what a snapshot of one serializes).
 func (g *Graph) Edges() []EdgeTriple {
-	return append([]EdgeTriple(nil), g.order...)
+	if g.edges == 0 {
+		return nil
+	}
+	out := make([]EdgeTriple, g.edges)
+	for i := range out {
+		out[i] = *g.order.Peek(i)
+	}
+	return out
 }

@@ -286,6 +286,107 @@ func TestClusteringRangeProperty(t *testing.T) {
 	}
 }
 
+// TestClusteringMatchesPairCount checks both sizings of clusteringOver's
+// membership table — the stack-resident one (selections up to smallSet)
+// and the allocated one (larger) — against the definition: the share of
+// pairs among the selected neighbours that are adjacent.
+func TestClusteringMatchesPairCount(t *testing.T) {
+	byPairs := func(g *Graph, nbrs []Edge) float64 {
+		if len(nbrs) < 2 {
+			return 0
+		}
+		links := 0
+		for i := range nbrs {
+			for j := i + 1; j < len(nbrs); j++ {
+				if g.HasEdge(nbrs[i].To, nbrs[j].To) {
+					links++
+				}
+			}
+		}
+		return float64(links) / float64(len(nbrs)*(len(nbrs)-1)/2)
+	}
+	r := stats.NewRand(43)
+	small, large := 0, 0
+	for trial := 0; trial < 12; trial++ {
+		n := 20 + r.Intn(120)
+		m := n * (2 + r.Intn(6))
+		if trial%2 == 1 {
+			m = n * n / 2 // dense: most degrees above smallSet
+		}
+		g := randomGraph(r, n, m)
+		for u := 0; u < n; u++ {
+			nbrs := g.Neighbors(NodeID(u))
+			if len(nbrs) > smallSet {
+				large++
+			} else {
+				small++
+			}
+			if got, want := g.LocalClustering(NodeID(u)), byPairs(g, nbrs); got != want {
+				t.Fatalf("trial %d node %d (degree %d): LocalClustering %v, pair count %v", trial, u, len(nbrs), got, want)
+			}
+			for _, k := range []int{2, 7, smallSet} {
+				if got, want := g.ClusteringFirstK(NodeID(u), k), byPairs(g, nbrs[:min(k, len(nbrs))]); got != want {
+					t.Fatalf("trial %d node %d: ClusteringFirstK(%d) %v, pair count %v", trial, u, k, got, want)
+				}
+			}
+		}
+	}
+	if small == 0 || large == 0 {
+		t.Fatalf("one table sizing untested: %d small selections, %d large", small, large)
+	}
+}
+
+// TestClusteringFirstKDoesNotAllocate: the detector's hot call keeps
+// its membership set on the stack — nothing allocated per evaluation and
+// no scratch owned by the graph, which would break concurrent reads.
+func TestClusteringFirstKDoesNotAllocate(t *testing.T) {
+	g := randomGraph(stats.NewRand(47), 200, 8000)
+	if d := g.Degree(0); d <= smallSet {
+		t.Fatalf("node 0 has degree %d; the test wants a full first-%d selection", d, smallSet)
+	}
+	var cc float64
+	if allocs := testing.AllocsPerRun(100, func() { cc += g.ClusteringFirstK(0, smallSet) }); allocs != 0 {
+		t.Fatalf("ClusteringFirstK(u, %d) allocates %v objects per call", smallSet, allocs)
+	}
+	if cc == 0 {
+		t.Fatal("clustering coefficient of a dense node is 0; the walk did not run")
+	}
+}
+
+// TestGraphGrowthKeepsNodesAndEdges: the node headers grow by doubling
+// and the edge log by pages; neither may lose or reorder anything, and
+// nodes added into spare capacity start empty.
+func TestGraphGrowthKeepsNodesAndEdges(t *testing.T) {
+	var g Graph
+	var want []EdgeTriple
+	for u := NodeID(1); u < 3000; u++ {
+		for g.NumNodes() <= int(u) {
+			if id := g.AddNode(); g.Degree(id) != 0 {
+				t.Fatalf("new node %d has degree %d", id, g.Degree(id))
+			}
+		}
+		v := u / 2
+		g.AddEdge(u, v, int64(u))
+		want = append(want, EdgeTriple{U: v, V: u, Time: int64(u)})
+	}
+	got := g.Edges()
+	if len(got) != len(want) || g.NumEdges() != len(want) {
+		t.Fatalf("%d edges out, NumEdges %d, want %d", len(got), g.NumEdges(), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("edge %d is %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	h, err := FromSnapshot(g.Snapshot())
+	if err != nil || !g.Equal(h) {
+		t.Fatalf("snapshot round trip differs (err %v)", err)
+	}
+	if first := g.AddNodes(5000); int(first) != 3000 || g.NumNodes() != 8000 || g.Degree(7999) != 0 || g.Degree(2999) != 1 {
+		t.Fatalf("AddNodes(5000) returned %d, graph has %d nodes", first, g.NumNodes())
+	}
+}
+
 func TestInducedSubgraph(t *testing.T) {
 	g := New(5)
 	g.AddNodes(5)

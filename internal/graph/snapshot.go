@@ -29,7 +29,6 @@ func FromSnapshot(s Snapshot) (*Graph, error) {
 	}
 	g := New(s.Nodes)
 	g.AddNodes(s.Nodes)
-	g.order = make([]EdgeTriple, 0, len(s.Edges))
 	for i, e := range s.Edges {
 		if e.U < 0 || int(e.U) >= s.Nodes || e.V < 0 || int(e.V) >= s.Nodes {
 			return nil, fmt.Errorf("graph: snapshot edge %d (%d,%d) out of range [0,%d)", i, e.U, e.V, s.Nodes)
@@ -50,11 +49,11 @@ func FromSnapshot(s Snapshot) (*Graph, error) {
 // the same edges in the same creation order (which implies identical
 // adjacency-list order everywhere). Used by snapshot round-trip tests.
 func (g *Graph) Equal(h *Graph) bool {
-	if len(g.adj) != len(h.adj) || len(g.order) != len(h.order) {
+	if len(g.adj) != len(h.adj) || g.edges != h.edges {
 		return false
 	}
-	for i := range g.order {
-		if g.order[i] != h.order[i] {
+	for i := 0; i < g.edges; i++ {
+		if *g.order.Peek(i) != *h.order.Peek(i) {
 			return false
 		}
 	}

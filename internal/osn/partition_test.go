@@ -1,6 +1,8 @@
 package osn
 
 import (
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -87,6 +89,30 @@ func TestPartitionDeliversContract(t *testing.T) {
 			}
 			if !PartitionDelivers(ev, owner, k) {
 				t.Fatalf("k=%d ev=%+v not delivered to its owner %d", k, ev, owner)
+			}
+		}
+	}
+}
+
+// TestPartitionMatchesFNV1a pins the inlined hash to hash/fnv bit for
+// bit: a changed assignment would silently re-route every account —
+// producers, broker filters, workers and every stored snapshot's
+// Part/Parts would disagree about who owns whom.
+func TestPartitionMatchesFNV1a(t *testing.T) {
+	ref := func(id AccountID, n int) int {
+		h := fnv.New32a()
+		v := uint32(id)
+		h.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+		return int(h.Sum32() % uint32(n))
+	}
+	ids := []AccountID{math.MaxInt32, math.MinInt32, -1}
+	for id := AccountID(0); id <= 1<<17; id++ {
+		ids = append(ids, id)
+	}
+	for _, n := range []int{2, 3, 4, 5, 7, 64} {
+		for _, id := range ids {
+			if got, want := Partition(id, n), ref(id, n); got != want {
+				t.Fatalf("Partition(%d, %d) = %d, hash/fnv says %d", id, n, got, want)
 			}
 		}
 	}
