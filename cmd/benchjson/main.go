@@ -19,10 +19,12 @@
 // is missing. Relative gates survive noisy shared runners (both sides
 // ran on the same machine moments apart), which is what lets CI fail
 // loudly on a real scaling regression without gating on absolute
-// numbers:
+// numbers. -gate repeats; every gate is evaluated and reported, and
+// the exit is non-zero if any fails:
 //
-//	go test -bench=BroadcastFanout ... | benchjson \
-//	  -gate 'BenchmarkBroadcastFanout/subs=16<=BenchmarkBroadcastFanout/subs=1*2.0'
+//	go test -bench=RelayFanout ... | benchjson \
+//	  -gate 'BenchmarkRelayFanout/root-downstream=64<=BenchmarkRelayFanout/root-downstream=0*3.0' \
+//	  -gate 'BenchmarkRelayFanout/tree-edges=2x64<=BenchmarkRelayFanout/flat-subs=128*1.3'
 //
 // With -trend 'Name' (or 'Name:unit', default unit ns/op) it reads no
 // stdin at all: it scans the committed BENCH_*.json files — positional
@@ -62,48 +64,75 @@ type result struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	compare := flag.String("compare", "", "baseline BENCH JSON file to diff the fresh run against (deltas on stderr)")
-	gate := flag.String("gate", "", "relative invariant 'A<=B*SLACK' over the fresh run's ns/op; exit non-zero when violated")
-	trend := flag.String("trend", "", "print a benchmark metric's trajectory across committed BENCH_*.json files: 'Name' or 'Name:unit' (default ns/op); reads no stdin, positional args override the file list")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// gateList collects every -gate flag, in order.
+type gateList []string
+
+func (g *gateList) String() string     { return strings.Join(*g, " ") }
+func (g *gateList) Set(v string) error { *g = append(*g, v); return nil }
+
+// run is the command with its arguments and streams passed in.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	compare := fs.String("compare", "", "baseline BENCH JSON file to diff the fresh run against (deltas on stderr)")
+	var gates gateList
+	fs.Var(&gates, "gate", "relative invariant 'A<=B*SLACK' over the fresh run's ns/op; repeatable, every gate is evaluated; exit non-zero when any is violated")
+	trend := fs.String("trend", "", "print a benchmark metric's trajectory across committed BENCH_*.json files: 'Name' or 'Name:unit' (default ns/op); reads no stdin, positional args override the file list")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *trend != "" {
-		files := flag.Args()
+		files := fs.Args()
 		if len(files) == 0 {
 			var err error
 			if files, err = filepath.Glob("BENCH_*.json"); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
-		if err := printTrend(os.Stdout, *trend, files); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return printTrend(stdout, *trend, files)
 	}
 
-	out, err := parseBench(os.Stdin)
+	out, err := parseBench(stdin)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *compare != "" {
 		if base, err := loadBaseline(*compare); err != nil {
 			// Non-fatal: a fresh checkout may predate the baseline; the
 			// JSON artifact is still produced.
-			log.Printf("compare skipped: %v", err)
+			fmt.Fprintf(stderr, "benchjson: compare skipped: %v\n", err)
 		} else {
-			printDeltas(os.Stderr, *compare, base, out)
+			printDeltas(stderr, *compare, base, out)
 		}
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if *gate != "" {
-		if err := checkGate(os.Stderr, *gate, out); err != nil {
-			log.Fatal(err)
+	return checkGates(stderr, gates, out)
+}
+
+// checkGates evaluates every gate, reporting each on w, and fails if
+// any of them does.
+func checkGates(w io.Writer, gates []string, fresh []result) error {
+	failed := 0
+	for _, g := range gates {
+		if err := checkGate(w, g, fresh); err != nil {
+			fmt.Fprintln(w, err)
+			failed++
 		}
 	}
+	if failed > 0 {
+		return fmt.Errorf("%d of %d gates failed", failed, len(gates))
+	}
+	return nil
 }
 
 // printTrend renders one benchmark metric's value across the given

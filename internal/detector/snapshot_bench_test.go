@@ -3,6 +3,7 @@ package detector
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sybilwild/internal/osn"
@@ -67,4 +68,28 @@ func BenchmarkSnapshot(b *testing.B) {
 			b.ReportMetric(float64(len(data))/float64(len(snap.Accounts)), "bytes/account")
 		})
 	}
+}
+
+// BenchmarkRestore measures the other side of a handoff: building a
+// running pipeline from a 100k-account snapshot, which is mostly the
+// graph.FromSnapshot rebuild. A live-rebalance cutover restores K'
+// such pipelines (accepts replicate to every partition, so each holds
+// the whole graph), so this is the denominator make bench-gate holds
+// BenchmarkLiveRebalance against.
+func BenchmarkRestore(b *testing.B) {
+	const accounts = 100_000
+	b.Run(fmt.Sprintf("accounts=%d", accounts), func(b *testing.B) {
+		p := snapshotWorkload(b, accounts)
+		snap := p.Snapshot()
+		p.Close()
+		runtime.GC() // the workload's garbage is not the restore's cost
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			np, _, err := NewPipelineFromSnapshot(PaperRule(), nil, snap)
+			if err != nil {
+				b.Fatal(err)
+			}
+			np.Close()
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sybilwild/internal/osn"
+	"sybilwild/internal/wire"
 )
 
 // BenchmarkSpoolAppend measures the disk tier's ingest cost in the
@@ -31,9 +32,9 @@ func BenchmarkSpoolAppend(b *testing.B) {
 	b.ReportMetric(float64(st.Bytes)/float64(b.N), "B/event")
 }
 
-// BenchmarkSpoolRead measures raw segment replay: decode throughput
-// of a spooled log read back batch by batch, the storage-layer cost
-// under BenchmarkResumeFromDisk's end-to-end number.
+// BenchmarkSpoolRead measures raw segment replay: a spooled log read
+// back frame by frame and decoded, the storage-layer cost under
+// BenchmarkResumeFromDisk's end-to-end number.
 func BenchmarkSpoolRead(b *testing.B) {
 	sp, err := Open(b.TempDir())
 	if err != nil {
@@ -56,15 +57,19 @@ func BenchmarkSpoolRead(b *testing.B) {
 	var buf []osn.Event
 	total := 0
 	for {
-		_, evs, err := rd.Next(buf[:0], 256)
+		_, _, payload, err := rd.NextFrame()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
+		_, evs, ok := wire.ParseBatch(payload, buf[:0])
+		if !ok {
+			b.Fatal("corrupt frame")
+		}
 		total += len(evs)
-		buf = evs
+		buf = evs[:0]
 	}
 	b.StopTimer()
 	if total != b.N {

@@ -747,58 +747,14 @@ func (s *Spool) ReadFrom(seq uint64) (*Reader, error) {
 	return &Reader{sp: s, next: seq}, nil
 }
 
-// Next appends up to max events starting at the reader's position to
-// dst, returning the first sequence and the filled slice (which may
-// alias dst's backing array). It coalesces small on-disk frames up to
-// max. io.EOF means the reader has caught up with everything
-// appended; later calls may succeed again as the spool grows.
-func (r *Reader) Next(dst []osn.Event, max int) (first uint64, evs []osn.Event, err error) {
-	evs = dst
-	first = r.next
-	for len(evs)-len(dst) < max {
-		payload, err := r.frameAt(r.next)
-		if err != nil {
-			if len(evs) > len(dst) {
-				return first, evs, nil // hand out what we have before reporting EOF
-			}
-			return 0, dst, err
-		}
-		seq, batch, ok := wire.ParseBatch(payload, evs)
-		if !ok {
-			return 0, dst, fmt.Errorf("spool: corrupt frame in %s at byte %d (seq %d expected)",
-				filepath.Base(r.path), r.off, r.next)
-		}
-		n := len(batch) - len(evs)
-		if n == 0 || seq > r.next {
-			return 0, dst, fmt.Errorf("spool: frame in %s covers seqs %d-%d, expected %d",
-				filepath.Base(r.path), seq, seq+uint64(n)-1, r.next)
-		}
-		if seq+uint64(n)-1 < r.next {
-			// Whole frame below the starting sequence: a mid-segment
-			// start scans forward from the segment head.
-			evs = batch[:len(evs)]
-			continue
-		}
-		if seq < r.next { // first frame of a mid-segment start: trim the prefix
-			skip := int(r.next - seq)
-			copy(batch[len(evs):], batch[len(evs)+skip:])
-			batch = batch[:len(batch)-skip]
-		}
-		evs = batch
-		r.next = first + uint64(len(evs)-len(dst))
-	}
-	return first, evs, nil
-}
-
 // NextFrame returns the raw payload of the next on-disk frame at or
 // past the reader's position, with the first sequence and event count
 // it covers. Frames wholly below the position (a mid-segment start)
 // are skipped; a frame straddling the position is returned whole, with
 // first below the reader's prior position — the caller trims or
 // re-encodes the suffix it wants. The payload aliases the reader's
-// buffer and is only valid until the next call. This is the zero-copy
-// counterpart of Next for callers that forward canonical frames
-// verbatim instead of decoding them.
+// buffer and is only valid until the next call: callers forward the
+// canonical bytes verbatim, or decode them, before reading on.
 func (r *Reader) NextFrame() (first uint64, n int, payload []byte, err error) {
 	for {
 		payload, err = r.frameAt(r.next)

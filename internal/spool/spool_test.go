@@ -35,8 +35,8 @@ func appendN(t *testing.T, sp *Spool, from uint64, n int) {
 	}
 }
 
-// drain reads everything from seq to the spool head, asserting
-// sequence continuity and event identity.
+// drain reads everything from seq to the spool head frame by frame,
+// asserting sequence continuity and event identity.
 func drain(t *testing.T, sp *Spool, from uint64) (count int) {
 	t.Helper()
 	rd, err := sp.ReadFrom(from)
@@ -47,15 +47,23 @@ func drain(t *testing.T, sp *Spool, from uint64) (count int) {
 	next := from
 	var buf []osn.Event
 	for {
-		first, evs, err := rd.Next(buf[:0], 256)
+		first, n, payload, err := rd.NextFrame()
 		if errors.Is(err, io.EOF) {
 			return count
 		}
 		if err != nil {
-			t.Fatalf("Next at seq %d: %v", next, err)
+			t.Fatalf("NextFrame at seq %d: %v", next, err)
+		}
+		seq, evs, ok := wire.ParseBatch(payload, buf[:0])
+		if !ok || seq != first || len(evs) != n {
+			t.Fatalf("frame at seq %d: ok=%v seq=%d events=%d, bounds say %d", first, ok, seq, len(evs), n)
+		}
+		buf = evs[:0]
+		if first < next { // a mid-frame start hands out the straddling frame whole
+			evs, first = evs[next-first:], next
 		}
 		if first != next {
-			t.Fatalf("batch starts at %d, want %d", first, next)
+			t.Fatalf("frame starts at %d, want %d", first, next)
 		}
 		for i, ev := range evs {
 			want := testEvent(int(first) + i)
@@ -65,7 +73,6 @@ func drain(t *testing.T, sp *Spool, from uint64) (count int) {
 		}
 		next += uint64(len(evs))
 		count += len(evs)
-		buf = evs
 	}
 }
 
@@ -102,7 +109,7 @@ func TestReadInterleavedWithAppends(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		appendN(t, sp, sp.End()+1, 37)
 		for {
-			first, evs, err := rd.Next(nil, 16)
+			first, n, _, err := rd.NextFrame()
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -110,9 +117,9 @@ func TestReadInterleavedWithAppends(t *testing.T) {
 				t.Fatal(err)
 			}
 			if first != next {
-				t.Fatalf("round %d: batch at %d, want %d", round, first, next)
+				t.Fatalf("round %d: frame at %d, want %d", round, first, next)
 			}
-			next += uint64(len(evs))
+			next += uint64(n)
 		}
 		if next != sp.End()+1 {
 			t.Fatalf("round %d: reader caught up to %d, head at %d", round, next-1, sp.End())

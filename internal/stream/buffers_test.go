@@ -530,7 +530,10 @@ func TestLivePathAllocBudget(t *testing.T) {
 // lands inside one of the harness's 256-event chunks (Flush here; the
 // 2 ms flush interval there) adds a frame, and each extra frame costs
 // the relay K more views than a count over aligned chunks expects —
-// not a re-encode, a resume or a SuffixBatch.
+// not a re-encode, a resume or a SuffixBatch. The third case replays a
+// spooled server's history to K partitioned subscribers from sequence
+// 1: each session encodes one view per spooled frame its partition owns
+// an event in.
 func TestEncodeAccounting(t *testing.T) {
 	const K, total = 2, 20*DefaultMaxBatch + 200
 	evs := campaignEvents(total, 37)
@@ -619,6 +622,38 @@ func TestEncodeAccounting(t *testing.T) {
 			}
 		})
 	}
+
+	// Disk catch-up builds the same views per session, from the spooled
+	// frames, and counts them the same way.
+	t.Run("catch-up", func(t *testing.T) {
+		leakCheck(t)
+		srv, _ := spooledServer(t, DefaultReplayBuffer)
+		for off := 0; off < total; off += DefaultMaxBatch {
+			srv.BroadcastBatch(evs[off:min(off+DefaultMaxBatch, total)])
+		}
+		before := srv.Stats().Encodes
+		for p := 0; p < K; p++ {
+			c, err := DialFrom(srv.Addr(), 1, WithPartition(p, K))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for c.LastSeq() < total {
+				batch, err := c.RecvBatch()
+				if err != nil {
+					t.Fatalf("partition %d/%d: %v", p, K, err)
+				}
+				n += len(batch)
+			}
+			c.Close()
+			if want := len(wantSeqs(evs, p, K)); n != want {
+				t.Fatalf("partition %d/%d received %d events, contract says %d", p, K, n, want)
+			}
+		}
+		if got, want := srv.Stats().Encodes-before, views(aligned); got != want {
+			t.Errorf("catch-up Encodes = %d, want one per non-empty filtered spool frame = %d", got, want)
+		}
+	})
 }
 
 // TestAdoptUndecodableFrameIsCursorOnly: a frame whose bounds parse but

@@ -504,6 +504,87 @@ func TestPartitionedStalledSubscriberEvicted(t *testing.T) {
 	}
 }
 
+// TestSpoollessPartitionedBackpressureLosesNothing: without a disk
+// tier, a partitioned session whose window is full holds the producer
+// back exactly as a plain one does, and its cursor never runs ahead of
+// what is queued. A cursor advance sent over a chunk still waiting for
+// window space made the client drop that chunk's events as duplicates
+// once they arrived — a silent shortfall with no eviction and a clean
+// eof (mixed feed) — or left the session holding chunks at or below
+// the client's cursor that it never acknowledged, until the stall
+// timeout evicted a subscriber that was reading all along (all-owned
+// feed).
+func TestSpoollessPartitionedBackpressureLosesNothing(t *testing.T) {
+	const K = 2
+	owned := actorIn(t, 0, K)
+	allOwned := make([]osn.Event, 40*DefaultMaxBatch)
+	for i := range allOwned {
+		allOwned[i] = osn.Event{Type: osn.EvMessage, At: int64(i), Actor: owned, Target: owned}
+	}
+	for _, tc := range []struct {
+		name          string
+		evs           []osn.Event
+		batch, window int
+		pause         time.Duration // per RecvBatch: a slow reader
+	}{
+		{"mixed-slow-reader", partEvents(25600, 11), 512, 1024, 500 * time.Microsecond},
+		{"all-owned", allOwned, DefaultMaxBatch, 300, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leakCheck(t)
+			s, err := NewServer("127.0.0.1:0", WithReplayBuffer(tc.window), WithStallTimeout(time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			c, err := Dial(s.Addr(), WithPartition(0, K))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			waitClients(t, s, 1)
+
+			var got []uint64
+			done := make(chan error, 1)
+			go func() {
+				for {
+					if _, err := c.RecvBatch(); err != nil {
+						if errors.Is(err, ErrClosed) {
+							err = nil
+						}
+						c.Close() // lets Close return without waiting out the drain deadline
+						done <- err
+						return
+					}
+					got = append(got, c.LastBatchSeqs()...)
+					time.Sleep(tc.pause)
+				}
+			}()
+			for off := 0; off < len(tc.evs); off += tc.batch {
+				s.BroadcastBatch(tc.evs[off:min(off+tc.batch, len(tc.evs))])
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("subscriber: %v", err)
+			}
+			if st := s.Stats(); st.Evicted != 0 {
+				t.Fatalf("evicted %d sessions", st.Evicted)
+			}
+			want := wantSeqs(tc.evs, 0, K)
+			if len(got) != len(want) {
+				t.Fatalf("received %d events, contract says %d", len(got), len(want))
+			}
+			for i, seq := range got {
+				if seq != want[i] {
+					t.Fatalf("event %d has seq %d, want %d", i, seq, want[i])
+				}
+			}
+		})
+	}
+}
+
 // TestPartitionedLingerExpiryEvicted: the linger clock must run for a
 // detached partitioned session even when every event in the meantime
 // was foreign — the foreign fast path skips the ring but not the

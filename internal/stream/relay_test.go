@@ -288,6 +288,10 @@ func TestRelayRootKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// The hop must be attached before the feed starts: a resume from 1
+	// that reaches a spooled root after its first sequence assignment but
+	// before the first spool append is refused as below retention.
+	waitClients(t, root, 1)
 
 	for i := 0; i < half; i++ {
 		root.Broadcast(testEvent(i))
@@ -466,6 +470,7 @@ func TestRelayPartitionedEdge(t *testing.T) {
 		clients[p] = c
 	}
 	waitClients(t, edge.Server(), K)
+	waitClients(t, root, 1) // spool-less root: the hop must be attached before the feed starts
 
 	type result struct {
 		seqs []uint64

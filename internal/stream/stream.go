@@ -297,17 +297,14 @@ type chunk struct {
 }
 
 // fanScratch is the transient state of one fan-out body: the session
-// snapshot, the lazily decoded events of an adopted frame, the
-// partition filter's output, the fbatch encode buffer and the filtered
-// chunks per partition. Nothing in it outlives the ticket — payloads
-// that do are copied out with retain.
+// snapshot, the partition-view scratch (the lazily decoded events of
+// an adopted frame, the filter's output, the fbatch encode buffer) and
+// the filtered chunks per partition. Nothing in it outlives the ticket
+// — payloads that do are copied out with retain.
 type fanScratch struct {
 	sessions []*session
-	evs      []osn.Event
-	keep     []osn.Event
-	seqs     []uint64
-	buf      []byte
-	fcache   map[partKey][]*chunk
+	partView
+	fcache map[partKey][]*chunk
 }
 
 // retain returns the exactly-sized copy of an encoded payload that a
@@ -342,11 +339,12 @@ type claim struct {
 // shared frame chunks awaiting acknowledgement, cursors over the feed,
 // and the (possibly nil, while disconnected) current connection.
 //
-// A session is in exactly one of two modes. Live: the writer drains
-// the chunk queue, which fan-out appends to. Catch-up (spool servers
-// only): the queue is empty, the writer streams frames from the disk
-// spool, and fan-out merely notes the advancing head (feedSeq); when
-// the catch-up reaches the head the session flips back to live.
+// A session is in exactly one of two modes, which pick the source of
+// its one writer loop. Live: the writer drains the chunk queue, which
+// fan-out appends to. Catch-up (spool servers only): the queue is
+// empty, the writer reads frames from the disk spool, and fan-out
+// merely notes the advancing head (feedSeq); when the catch-up reaches
+// the head the session flips back to live.
 //
 // A partitioned session (parts > 0) queues the shared filtered chunks
 // built once per (part, parts) per batch — the writer forwards their
@@ -384,7 +382,9 @@ type session struct {
 	sentChunks int
 	buffered   int
 
-	// Cursors: acked ≤ sent ≤ feedSeq, base ≤ sent. In live mode
+	// Cursors: acked ≤ sent, base ≤ sent, and sent ≤ feedSeq but for
+	// the moment after a catch-up flips live having read a batch whose
+	// fan-out has not reached the session yet. In live mode
 	// (base, base+buffered] is windowed: (base, sent] in flight,
 	// the rest awaiting the writer, base tracking acked. In catch-up
 	// mode the queue is empty and (acked, sent] are in flight from
@@ -402,8 +402,13 @@ type session struct {
 	// (srv.ackFloor); it is written only under mu.
 	ackedA atomic.Uint64
 
-	catchup bool   // writer streams from the spool instead of the queue
-	feedSeq uint64 // highest sequence fan-out has shown this session
+	catchup bool // writer streams from the spool instead of the queue
+	// feedSeq is the feed position fan-out has dealt with for this
+	// session: every run at or below it is queued, held by the spool for
+	// a catch-up, or nothing to queue. It never covers a chunk still
+	// waiting for window space, so a cursor advance never outruns the
+	// queue.
+	feedSeq uint64
 
 	// Rebalance fence (sticky once set): this session receives nothing
 	// past fencedAt; once everything at or below it is framed, the
@@ -438,8 +443,10 @@ type ServerStats struct {
 	// the fan-out hot path's unit of work. Shared-frame delivery keeps
 	// it O(events/maxBatch + partitions) per batch regardless of the
 	// subscriber count (each batch is encoded once, not once per
-	// session); catch-up suffix trims and partitioned disk catch-up
-	// add to it.
+	// session). Writers add their own: a suffix re-encoded for a resume
+	// that landed mid-frame, and one fbatch view per spooled frame a
+	// partitioned catch-up session owns an event in. Empty
+	// cursor-advance frames are not counted.
 	Encodes uint64
 	// Adopted counts events ingested in sequence-adopting mode
 	// (AdoptFrame): upstream-sequenced frames re-served as shared bytes
@@ -732,31 +739,6 @@ func (s *Server) AdoptFrame(payload []byte) error {
 	return nil
 }
 
-// decodeAdopted is the lazy event decode of an adopted chunk, into the
-// fan-out scratch (the caller holds the ticket). It returns nil when
-// the body does not decode to the c.n events its bounds claimed, which
-// only a non-canonical upstream encoder produces. The raw frame still
-// reaches full-feed subscribers verbatim; partitioned views get nothing
-// from it but the cursor, since any event invented in its place would
-// reach a detector as a real request.
-func (s *Server) decodeAdopted(c *chunk) []osn.Event {
-	_, evs, ok := wire.ParseBatch(c.payload, s.fan.evs[:0])
-	if !ok {
-		var err error
-		if _, evs, err = parseBatchSlow(c.payload, s.fan.evs[:0]); err != nil {
-			log.Printf("stream: adopt: undecodable batch at seq %d, partitioned sessions skip it: %v", c.first, err)
-			return nil
-		}
-	}
-	s.fan.evs = evs[:0]
-	if len(evs) != c.n {
-		log.Printf("stream: adopt: batch at seq %d decodes to %d events, bounds say %d; partitioned sessions skip it",
-			c.first, len(evs), c.n)
-		return nil
-	}
-	return evs
-}
-
 // fanout delivers one sequenced batch: spool append (the same shared
 // bytes), then one queue append per session per chunk. Batches pass
 // through strictly in sequence order — each waits for its ticket —
@@ -822,7 +804,10 @@ func (s *Server) fanout(first uint64, n int, evs []osn.Event, chunks []*chunk) {
 		fchunks, ok := fcache[key]
 		if !ok {
 			if adopted {
-				evs = s.decodeAdopted(chunks[0]) // first partitioned session pays the (single) decode
+				// The first partitioned session pays the (single) decode;
+				// full-feed subscribers get the raw frame verbatim even
+				// when it does not decode.
+				evs = s.fan.decode(chunks[0].payload, chunks[0].first, chunks[0].n)
 				adopted = false
 			}
 			fchunks = s.filterChunks(chunks, evs, first, sess.part, sess.parts)
@@ -853,23 +838,15 @@ func (s *Server) filterChunks(chunks []*chunk, evs []osn.Event, first uint64, pa
 	if evs == nil {
 		return out
 	}
-	f := &s.fan
 	for i, c := range chunks {
 		off := int(c.first - first)
-		f.keep, f.seqs = filterPartition(evs[off:off+c.n], c.first, part, parts, f.keep[:0], f.seqs[:0])
-		if len(f.keep) == 0 {
+		s.fan.buf = s.fan.buf[:0]
+		v, ok := s.fan.filter(evs[off:off+c.n], c.first, c.cursor, part, parts)
+		if !ok {
 			continue
 		}
-		f.buf = wire.AppendFBatch(f.buf[:0], c.cursor, f.seqs, f.keep)
-		out[i] = &chunk{
-			first:   f.seqs[0],
-			last:    f.seqs[len(f.seqs)-1],
-			n:       len(f.keep),
-			cursor:  c.cursor,
-			payload: retain(f.buf),
-			part:    part,
-			parts:   parts,
-		}
+		v.payload = retain(v.payload)
+		out[i] = &v
 		s.encodes.Add(1)
 	}
 	return out
@@ -912,71 +889,46 @@ func (s *Server) pruneSpool(head uint64) {
 }
 
 // appendChunk adds one shared chunk to the session's window, blocking
-// while a spool-less connected subscriber's window is full. A nil
-// chunk (partitioned sessions: the partition owns nothing in this
-// run) and a chunk at or below the session's base (admitted after the
-// batch was sequenced; its cursors already cover it) only advance the
-// feed cursor. cursor is the feed position the run ends at. Returns
-// false if the session was evicted.
+// while a spool-less connected subscriber's window is full. cursor is
+// the feed position the run ends at; it becomes the session's feedSeq
+// only once the run is dealt with — queued, held by the spool for a
+// catch-up, or nothing to queue — never while the chunk waits for
+// window space, or the writer would advance the client's cursor over
+// events not yet queued and the client would drop them as duplicates
+// when they arrived. Returns false if the session was evicted.
 func (sess *session) appendChunk(c *chunk, cursor uint64) bool {
 	sess.mu.Lock()
-	if cursor > sess.feedSeq {
-		sess.feedSeq = cursor
-	}
+	defer sess.mu.Unlock()
 	if f := sess.fencedAt; f > 0 {
 		// Fenced session: nothing past the barrier is ever queued or
 		// covered. The barrier falls on a batch boundary (both are
 		// assigned under the sequencer lock) and a chunk never spans
 		// batches, so a chunk is pre- or post-barrier wholesale.
-		if sess.feedSeq > f {
-			sess.feedSeq = f
-		}
+		cursor = min(cursor, f)
 		if c != nil && c.first > f {
 			c = nil
 		}
 	}
-	if c == nil || c.last <= sess.base {
-		// Foreign run: only the subscriber's cursor moves. The writer
-		// is woken so it can emit a cursor-advance frame once enough
-		// silent feed accumulates (its wait condition measures feedSeq
-		// − sent); the window cannot overflow on foreign runs, so none
-		// of the backpressure or demotion machinery below applies. The
-		// linger clock still does: a detached partition subscriber
-		// expires even if every event in the meantime was foreign.
-		if sess.gone || sess.closing {
-			alive := !sess.gone
-			sess.mu.Unlock()
-			return alive
-		}
-		if sess.conn == nil && time.Since(sess.detachedAt) > sess.srv.opt.linger {
-			sess.evictLocked()
-			sess.mu.Unlock()
-			return false
-		}
-		sess.cond.Signal()
-		sess.mu.Unlock()
-		return true
-	}
 	for {
 		if sess.gone || sess.closing {
-			alive := !sess.gone
-			sess.mu.Unlock()
-			return alive
+			return !sess.gone
 		}
 		lingered := sess.conn == nil && time.Since(sess.detachedAt) > sess.srv.opt.linger
-		if sess.catchup {
+		if c == nil || c.last <= sess.base || sess.catchup {
+			// Nothing to queue: a foreign run (the partition owns none of
+			// it), a run the session's cursors already cover (admitted
+			// after the batch was sequenced), or a catch-up session, whose
+			// spool holds the chunk. Only the cursor moves — the writer
+			// frames a cursor advance once enough silent feed accumulates
+			// — and no backpressure applies. The linger clock still does:
+			// silence and disk catch-up do not extend a detached session's
+			// lifetime (the data survives in the spool for a recreated
+			// session).
 			if lingered {
-				// Disk catch-up does not extend a session's lifetime:
-				// the resume window still expires (the data survives in
-				// the spool for a recreated session).
 				sess.evictLocked()
-				sess.mu.Unlock()
 				return false
 			}
-			// The spool holds the chunk; wake a writer waiting at the
-			// old head so it keeps reading.
-			sess.cond.Signal()
-			sess.mu.Unlock()
+			sess.advanceLocked(cursor)
 			return true
 		}
 		// An empty window always accepts a chunk (even one larger than
@@ -988,8 +940,7 @@ func (sess *session) appendChunk(c *chunk, cursor uint64) bool {
 			// instead of blocking the producer (connected) or dying
 			// (detached). The window's contents are all in the spool.
 			sess.demoteLocked()
-			sess.cond.Broadcast()
-			sess.mu.Unlock()
+			sess.advanceLocked(cursor)
 			return true
 		}
 		if sess.conn == nil && (full || lingered) {
@@ -997,7 +948,6 @@ func (sess *session) appendChunk(c *chunk, cursor uint64) bool {
 			// with no disk tier to spill to, or the resume window
 			// expired.
 			sess.evictLocked()
-			sess.mu.Unlock()
 			return false
 		}
 		if !full {
@@ -1016,16 +966,23 @@ func (sess *session) appendChunk(c *chunk, cursor uint64) bool {
 			if sess.buffered > 0 && sess.buffered+c.n > sess.window &&
 				sess.conn != nil && !sess.gone && !sess.closing {
 				sess.evictLocked()
-				sess.mu.Unlock()
 				return false
 			}
 		}
 	}
 	sess.chunks = append(sess.chunks, c)
 	sess.buffered += c.n
-	sess.cond.Signal()
-	sess.mu.Unlock()
+	sess.advanceLocked(cursor)
 	return true
+}
+
+// advanceLocked moves feedSeq to cursor, the run ending there being
+// dealt with, and wakes the writer. sess.mu must be held.
+func (sess *session) advanceLocked(cursor uint64) {
+	if cursor > sess.feedSeq {
+		sess.feedSeq = cursor
+	}
+	sess.cond.Signal()
 }
 
 // demoteLocked switches the session from live queue delivery to spool
@@ -1036,6 +993,7 @@ func (sess *session) demoteLocked() {
 	sess.chunks = nil
 	sess.sentChunks = 0
 	sess.buffered = 0
+	sess.cond.Broadcast()
 	select {
 	case sess.space <- struct{}{}:
 	default:
@@ -1078,7 +1036,7 @@ func (sess *session) evictLocked() {
 
 // ackTo processes a client acknowledgement: advance the delivered
 // high-water mark, trim fully-acknowledged chunks, and wake a
-// producer or catch-up writer blocked on the window.
+// producer blocked on the window.
 func (sess *session) ackTo(seq uint64) {
 	sess.mu.Lock()
 	if seq > sess.sent {
@@ -1195,8 +1153,8 @@ func (s *Server) detach(sess *session, gen int) {
 	sess.mu.Unlock()
 }
 
-// evict removes the session (used by the catch-up writer when the
-// spool can no longer serve it).
+// evict removes the session (used by a writer whose source can no
+// longer serve it).
 func (s *Server) evict(sess *session) {
 	sess.mu.Lock()
 	sess.evictLocked()
@@ -1550,158 +1508,360 @@ func (s *Server) newSessionLocked(id string, seq uint64, catchup bool, part, par
 	return sess
 }
 
-// writer drains the session onto one connection, switching between
-// live-ring delivery and disk catch-up as the session's mode changes,
-// until the connection dies, the generation moves on, or the feed
-// ends.
+// The session writer. One goroutine per connection frames its session
+// onto the socket in rounds, and every round has the same shape:
+//
+//   - fill: take a job list from the session's source — the chunk
+//     queue while live, a spool reader while catching up — and settle
+//     it under sess.mu: clamp it at the fence barrier and publish how
+//     far it moves the client's cursor (sent);
+//   - emit: coalesce the jobs up to maxBatch events per frame by byte
+//     splicing, re-encode a plain job a resume landed inside, or send a
+//     bare cursor advance once advanceEvery silent events have passed;
+//   - flush when the source is drained or flushEvery has passed;
+//   - end: a drained round at the fence barrier is followed by rebal, a
+//     drained live round on a closing server by eof; a drained
+//     catch-up hands the session back to its queue.
+//
+// Everything the writer encodes lives in its own scratch and goes
+// straight to the socket: it is never retained, and once warm the
+// writer allocates nothing per frame.
+
+// errStale ends a writer whose connection generation moved on: the
+// session was resumed on another connection, detached or evicted.
+var errStale = errors.New("stream: stale session writer")
+
+// errLost marks a failure of the source itself — an unserviceable or
+// corrupt spool, a corrupt frame — which a resume would only hit
+// again: the session is evicted loudly instead of detached.
+var errLost = errors.New("session unserviceable")
+
+// eofFrame is the goodbye a subscriber gets once its window drains at
+// server close.
+var eofFrame = []byte(`{"t":"` + frameEOF + `"}`)
+
+// sessionWriter is one writer goroutine's state.
+type sessionWriter struct {
+	s    *Server
+	sess *session
+	gen  int
+	bw   *bufio.Writer
+
+	rd        *spool.Reader // the catch-up source; nil while the queue is
+	pos       uint64        // last sequence rd has handed out
+	jobs      []chunk       // the round's frames, in feed order (copies: a job may be rewritten)
+	view      partView      // catch-up scratch: decode, filter, and the payloads of disk jobs
+	sfx       []byte        // a re-encoded suffix job
+	out       []byte        // spliced and cursor-advance frames
+	lastFlush time.Time
+}
+
+// round is one fill: the jobs in w.jobs are framed from sequence from
+// and move the client's cursor to to; end, when set, is the frame that
+// ends the subscription after them.
+type round struct {
+	from, to uint64
+	drained  bool // the source had nothing more to give
+	end      []byte
+}
+
+// writer drains the session onto one connection until the connection
+// dies, the generation moves on, or the subscription ends. At the end
+// it arms a read deadline so the ack reader terminates too.
 func (s *Server) writer(sess *session, conn net.Conn, gen int) {
 	defer s.wg.Done()
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	w := &sessionWriter{s: s, sess: sess, gen: gen,
+		bw: bufio.NewWriterSize(conn, 64<<10), lastFlush: time.Now()}
+	defer w.closeReader()
 	for {
-		sess.mu.Lock()
-		cu := sess.catchup
-		stale := sess.gen != gen
-		sess.mu.Unlock()
-		if stale {
+		r, err := w.next()
+		if err == nil {
+			err = w.emit(r.from, r.to)
+		}
+		if err == nil && r.end != nil {
+			writeFrame(w.bw, r.end)
+			w.bw.Flush()
+			conn.SetReadDeadline(time.Now().Add(s.opt.drain))
 			return
 		}
-		switch {
-		case cu:
-			if !s.writeCatchup(sess, conn, bw, gen) {
-				return
+		if err == nil {
+			err = w.flush(r.drained)
+		}
+		if err == nil && w.rd != nil && r.drained {
+			err = w.flip()
+		}
+		if err != nil {
+			// A stale writer ends quietly, a dead connection detaches
+			// (the session stays resumable), and an unserviceable source
+			// evicts the session loudly.
+			if errors.Is(err, errLost) {
+				log.Printf("stream: session %s: %v", sess.id, err)
+				s.evict(sess)
+			} else if !errors.Is(err, errStale) {
+				s.detach(sess, gen)
 			}
-		case sess.parts > 0:
-			if !s.writeLivePart(sess, conn, bw, gen) {
-				return
-			}
-		default:
-			if !s.writeLive(sess, conn, bw, gen) {
-				return
-			}
+			return
 		}
 	}
 }
 
-// writeLive drains the session's chunk queue onto the connection.
-// Chunks carry pre-encoded shared frames, so the common case is a
-// zero-encode write of the shared bytes; consecutive small chunks
-// (single-event Broadcasts) are coalesced up to maxBatch by byte
-// splicing — a memcpy merge that reproduces the canonical encoding
-// exactly, still with no encoder on the path. Only a resume landing
-// mid-chunk re-encodes (the suffix of one frame, once per resume). At
-// server close it finishes the window, sends the eof frame and arms a
-// read deadline so the ack reader also terminates. It returns true
-// when the session demoted to catch-up (the caller switches loops),
-// false when this writer is done.
-func (s *Server) writeLive(sess *session, conn net.Conn, bw *bufio.Writer, gen int) bool {
-	var scratch []osn.Event
-	var payload []byte
-	out := make([]*chunk, 0, 32)
-	lastFlush := time.Now()
-	for {
-		sess.mu.Lock()
-		for sess.gen == gen && !sess.closing && !sess.catchup &&
-			sess.sentChunks == len(sess.chunks) {
-			sess.cond.Wait()
-		}
-		if sess.gen != gen {
-			sess.mu.Unlock()
-			return false
-		}
-		if sess.catchup {
-			sess.mu.Unlock()
-			if err := bw.Flush(); err != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			return true
-		}
-		if sess.sentChunks == len(sess.chunks) { // implies closing: window drained, say goodbye
-			sess.mu.Unlock()
-			writeControl(bw, frame{T: frameEOF})
-			bw.Flush()
-			conn.SetReadDeadline(time.Now().Add(s.opt.drain))
-			return false
-		}
-		out = append(out[:0], sess.chunks[sess.sentChunks:]...)
-		from := sess.sent + 1 // > out[0].first only on a mid-chunk resume
-		sess.sentChunks = len(sess.chunks)
-		sess.sent = out[len(out)-1].last
-		sess.mu.Unlock()
-
-		i := 0
-		if from > out[0].first {
-			// Resume rewound into this chunk: re-encode the suffix so
-			// the first frame starts exactly at the resume point.
-			var evs []osn.Event
-			var ok bool
-			payload, evs, ok = wire.SuffixBatch(payload[:0], out[0].payload, from, scratch[:0])
-			if !ok {
-				log.Printf("stream: session %s: corrupt shared chunk at seq %d", sess.id, out[0].first)
-				s.detach(sess, gen)
-				return false
-			}
-			scratch = evs[:0]
-			s.encodes.Add(1)
-			if err := writeFrame(bw, payload); err != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			i = 1
-		}
-		for i < len(out) {
-			j, total := i+1, out[i].n
-			for j < len(out) && total+out[j].n <= s.opt.maxBatch {
-				total += out[j].n
-				j++
-			}
-			var err error
-			if j == i+1 {
-				err = writeFrame(bw, out[i].payload) // shared bytes, zero copy
-			} else {
-				payload = spliceChunks(payload[:0], out[i:j])
-				err = writeFrame(bw, payload)
-			}
-			if err != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			i = j
-		}
-
-		sess.mu.Lock()
-		drained := sess.sentChunks == len(sess.chunks)
-		sess.mu.Unlock()
-		if drained || time.Since(lastFlush) >= s.opt.flushEvery {
-			if err := bw.Flush(); err != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			lastFlush = time.Now()
-		}
+// next fills the next round. The live source waits for something —
+// queued chunks, advanceEvery silent events, the fence barrier, the
+// server's close — and takes everything queued.
+func (w *sessionWriter) next() (round, error) {
+	if w.rd != nil {
+		return w.fromSpool()
 	}
+	sess := w.sess
+	adv := w.s.advanceEvery()
+	sess.mu.Lock()
+	for sess.gen == w.gen && !sess.closing && !sess.catchup && sess.sentChunks == len(sess.chunks) &&
+		sess.feedSeq < sess.sent+adv && !(sess.fencedAt > 0 && sess.feedSeq >= sess.fencedAt) {
+		sess.cond.Wait()
+	}
+	if sess.gen != w.gen {
+		sess.mu.Unlock()
+		return round{}, errStale
+	}
+	if sess.catchup {
+		// Demoted, or admitted from disk: read the spool from sent+1. It
+		// refuses a position past its end + 1, and the batch holding
+		// sent (always sequenced) may still be mid-fan-out — the spool
+		// append happens inside fanout — so let that batch land first.
+		from := sess.sent + 1
+		sess.mu.Unlock()
+		w.s.waitFanned(from - 1)
+		rd, err := w.s.opt.spool.ReadFrom(from)
+		if err != nil {
+			return round{}, fmt.Errorf("%w: catch-up at seq %d: %v", errLost, from, err)
+		}
+		w.rd, w.pos = rd, from-1
+		return w.fromSpool()
+	}
+	w.jobs = w.jobs[:0]
+	for _, c := range sess.chunks[sess.sentChunks:] {
+		w.jobs = append(w.jobs, *c)
+	}
+	sess.sentChunks = len(sess.chunks)
+	r := w.settle(max(sess.feedSeq, sess.sent), true)
+	sess.mu.Unlock()
+	return r, nil
 }
 
-// spliceChunks merges consecutive contiguous batch chunks into one
-// canonical batch payload by byte splicing: the first payload minus
-// its closing "]}", then each following chunk's events section behind
-// a comma. The result is byte-identical to a fresh encode of the
-// concatenated events (pinned in internal/wire's tests) without
-// running the encoder.
-func spliceChunks(dst []byte, chunks []*chunk) []byte {
-	p0 := chunks[0].payload
-	dst = append(dst, p0[:len(p0)-2]...)
-	for _, c := range chunks[1:] {
-		sec, ok := wire.BatchEventsSection(c.payload)
+// fromSpool reads the next run of disk frames: up to maxBatch events,
+// stopping early at the spool's end or the fence barrier. There is no
+// ack-driven flow control here — the data already sits on disk, so a
+// slow reader costs no server memory and TCP backpressure alone paces
+// the transfer (which is also what lets a manual-ack consumer whose
+// acks are sparser than its window catch up). A plain session's jobs
+// are the raw frames, copied into writer scratch; a partitioned
+// session's are their partition views, built by the same helper
+// fan-out uses — a frame the partition owns nothing of only moves the
+// cursor.
+func (w *sessionWriter) fromSpool() (round, error) {
+	sess := w.sess
+	sess.mu.Lock()
+	f := sess.fencedAt
+	sess.mu.Unlock()
+	w.jobs, w.view.buf = w.jobs[:0], w.view.buf[:0]
+	eof := false
+	for read := 0; read < w.s.opt.maxBatch && (f == 0 || w.pos < f); {
+		first, n, raw, err := w.rd.NextFrame()
+		if errors.Is(err, io.EOF) {
+			eof = true
+			break
+		}
+		if err != nil {
+			return round{}, fmt.Errorf("%w: catch-up read: %v", errLost, err)
+		}
+		read += n
+		w.pos = first + uint64(n) - 1
+		if sess.parts == 0 {
+			off := len(w.view.buf)
+			w.view.buf = append(w.view.buf, raw...)
+			w.jobs = append(w.jobs, chunk{first: first, last: w.pos, n: n, cursor: w.pos, payload: w.view.buf[off:]})
+		} else if v, ok := w.view.filter(w.view.decode(raw, first, n), first, w.pos, sess.part, sess.parts); ok {
+			w.jobs = append(w.jobs, v)
+			w.s.encodes.Add(1)
+		}
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.gen != w.gen {
+		return round{}, errStale
+	}
+	return w.settle(w.pos, eof), nil
+}
+
+// settle closes a fill under sess.mu. It clamps the round at the fence
+// barrier — jobs past it are dropped, and reaching it drains the
+// source — and moves the client's cursor to cursor when the round
+// carries jobs, drains the source, or covers advanceEvery silent
+// events, publishing the new position as sent. sent therefore never
+// runs ahead of what the writer frames, as fan-out's feedSeq never
+// runs ahead of what is queued.
+func (w *sessionWriter) settle(cursor uint64, drained bool) round {
+	sess := w.sess
+	f := sess.fencedAt
+	if f > 0 && cursor >= f {
+		for len(w.jobs) > 0 && w.jobs[len(w.jobs)-1].cursor > f {
+			w.jobs = w.jobs[:len(w.jobs)-1]
+		}
+		cursor, drained = f, true
+	}
+	r := round{from: sess.sent + 1, drained: drained}
+	if cursor > sess.sent && (len(w.jobs) > 0 || drained || cursor >= sess.sent+w.s.advanceEvery()) {
+		sess.sent = cursor
+	}
+	r.to = sess.sent
+	switch {
+	case !drained:
+	case f > 0 && sess.sent >= f:
+		// Everything the old owner is entitled to has been framed:
+		// announce the cutover instead of more feed.
+		r.end = wire.AppendRebal(nil, wire.Rebal{Barrier: f, Parts: sess.parts, NParts: sess.fenceNew})
+	case sess.closing && w.rd == nil:
+		r.end = eofFrame
+	}
+	return r
+}
+
+// emit writes a round: its jobs coalesced up to maxBatch events per
+// frame, the last frame carrying the round's cursor — or, for a round
+// with no jobs that moves the cursor, an empty fbatch that only
+// advances it. A plain job starting below from (a resume landed inside
+// it) is re-encoded from there, the one encode a plain writer ever
+// pays; a partitioned job is resent whole, and the client drops the
+// sequences it already has.
+func (w *sessionWriter) emit(from, to uint64) error {
+	jobs := w.jobs
+	if len(jobs) == 0 {
+		if to < from {
+			return nil
+		}
+		w.out = wire.AppendFBatch(w.out[:0], to, nil, nil)
+		return writeFrame(w.bw, w.out)
+	}
+	if c := &jobs[0]; c.parts == 0 && from > c.first {
+		var ok bool
+		w.sfx, w.view.evs, ok = wire.SuffixBatch(w.sfx[:0], c.payload, from, w.view.evs[:0])
 		if !ok {
-			// Cannot happen for frames this server encoded; keep the
-			// wire canonical anyway by dropping the merge.
+			return fmt.Errorf("%w: corrupt frame at seq %d", errLost, c.first)
+		}
+		w.s.encodes.Add(1)
+		c.first, c.n, c.payload = from, int(c.last-from+1), w.sfx
+	}
+	for len(jobs) > 0 {
+		k, total := 1, jobs[0].n
+		for k < len(jobs) && total+jobs[k].n <= w.s.opt.maxBatch {
+			total += jobs[k].n
+			k++
+		}
+		last := jobs[k-1].cursor
+		if k == len(jobs) {
+			last = to
+		}
+		payload := jobs[0].payload // shared or scratch bytes, zero copy
+		if k > 1 || last != jobs[0].cursor {
+			w.out = splice(w.out[:0], last, jobs[:k])
+			payload = w.out
+		}
+		if err := writeFrame(w.bw, payload); err != nil {
+			return err
+		}
+		jobs = jobs[k:]
+	}
+	return nil
+}
+
+// splice merges consecutive jobs into one canonical frame by joining
+// their events sections under a fresh prefix: a batch frame starting
+// at the first job's first sequence, or an fbatch frame carrying
+// cursor last (fbatch events embed their own sequences). The result is
+// byte-identical to a fresh encode of the merged events (pinned in
+// internal/wire's tests) with no encoder on the path.
+func splice(dst []byte, last uint64, jobs []chunk) []byte {
+	section := wire.BatchEventsSection
+	if jobs[0].parts > 0 {
+		dst, section = wire.AppendFBatch(dst, last, nil, nil), wire.FBatchEventsSection
+	} else {
+		dst = wire.AppendBatch(dst, jobs[0].first, nil)
+	}
+	dst = dst[:len(dst)-2] // reopen the empty events array
+	open := len(dst)
+	for _, c := range jobs {
+		sec, ok := section(c.payload)
+		if !ok {
+			// Cannot happen: every frame that reaches a writer passed the
+			// same structural check (wire.ParseBatchBounds) or was
+			// encoded here.
 			continue
 		}
-		dst = append(dst, ',')
+		if len(dst) > open {
+			dst = append(dst, ',')
+		}
 		dst = append(dst, sec...)
 	}
 	return append(dst, ']', '}')
+}
+
+// flush applies the one flush rule: flush when the source is drained or
+// flushEvery has passed since the last flush. The queue is re-read
+// after the write, so chunks that arrived meanwhile coalesce into the
+// next round instead of forcing a flush.
+func (w *sessionWriter) flush(drained bool) error {
+	if w.rd == nil {
+		w.sess.mu.Lock()
+		drained = w.sess.sentChunks == len(w.sess.chunks)
+		w.sess.mu.Unlock()
+	}
+	if !drained && time.Since(w.lastFlush) < w.s.opt.flushEvery {
+		return nil
+	}
+	w.lastFlush = time.Now()
+	return w.bw.Flush()
+}
+
+// flip ends a catch-up that has read everything spooled. If no
+// sequence was assigned past sent, the session goes live: sess.mu is
+// held, so the next batch's fan-out finds it live and queues from
+// sent+1. Otherwise it waits until fan-out shows the session past sent
+// (which follows the spool append), or until the fence barrier or the
+// server's close gives the next round something to end on.
+func (w *sessionWriter) flip() error {
+	s, sess := w.s, w.sess
+	s.mu.Lock()
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	caughtUp := s.seq == sess.sent
+	s.mu.Unlock()
+	switch {
+	case sess.gen != w.gen:
+		return errStale
+	case caughtUp:
+		sess.catchup = false
+		sess.base = sess.sent
+		w.closeReader()
+		return nil
+	case s.spoolBroken.Load():
+		// The feed ran ahead of a dead spool: this gap can never be served.
+		return fmt.Errorf("%w: stranded mid-catch-up by spool failure", errLost)
+	}
+	for sess.gen == w.gen && !sess.closing && sess.feedSeq <= sess.sent &&
+		!(sess.fencedAt > 0 && sess.sent >= sess.fencedAt) {
+		sess.cond.Wait()
+	}
+	if sess.gen != w.gen {
+		return errStale
+	}
+	return nil
+}
+
+func (w *sessionWriter) closeReader() {
+	if w.rd != nil {
+		w.rd.Close()
+		w.rd = nil
+	}
 }
 
 // advanceEvery is how much silent (filtered-out) feed accumulates
@@ -1713,468 +1873,67 @@ func spliceChunks(dst []byte, chunks []*chunk) []byte {
 // latency with them.
 func (s *Server) advanceEvery() uint64 { return uint64(s.opt.maxBatch) }
 
-// writeLivePart is writeLive for a partitioned session: it drains the
-// queue of pre-filtered shared fbatch frames (encoded once per
-// (part, parts) per batch and shared across every session on the
-// partition), and emits empty cursor-advance frames across silent
-// stretches of foreign events. A resume that rewinds into a chunk
-// resends the whole shared frame — the client's per-event sequence
-// dedupe makes that wire-legal — so this path never re-encodes. Same
-// return contract as writeLive.
-func (s *Server) writeLivePart(sess *session, conn net.Conn, bw *bufio.Writer, gen int) bool {
-	var payload []byte
-	out := make([]*chunk, 0, 32)
-	adv := s.advanceEvery()
-	for {
-		sess.mu.Lock()
-		for sess.gen == gen && !sess.closing && !sess.catchup &&
-			sess.sentChunks == len(sess.chunks) && sess.feedSeq-sess.sent < adv &&
-			!(sess.fencedAt > 0 && sess.feedSeq >= sess.fencedAt) {
-			sess.cond.Wait()
-		}
-		if sess.gen != gen {
-			sess.mu.Unlock()
-			return false
-		}
-		if sess.catchup {
-			sess.mu.Unlock()
-			if err := bw.Flush(); err != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			return true
-		}
-		if f := sess.fencedAt; f > 0 && sess.sentChunks == len(sess.chunks) && sess.feedSeq >= f {
-			// Fenced and fully drained: the fence clamps feedSeq to the
-			// barrier, and the cursor only reaches it once every
-			// pre-barrier batch has fanned out to this session, so
-			// everything the old owner is entitled to has been framed.
-			// Bring the cursor exactly to the barrier, announce the
-			// cutover, and end the subscription (the drain deadline
-			// bounds the ack reader like the eof path).
-			advance := f > sess.sent
-			nparts := sess.fenceNew
-			sess.sent = f
-			sess.mu.Unlock()
-			if advance {
-				payload = appendFBatchFrame(payload[:0], f, nil, nil)
-				if writeFrame(bw, payload) != nil {
-					s.detach(sess, gen)
-					return false
-				}
-			}
-			payload = wire.AppendRebal(payload[:0], wire.Rebal{Barrier: f, Parts: sess.parts, NParts: nparts})
-			writeFrame(bw, payload)
-			bw.Flush()
-			conn.SetReadDeadline(time.Now().Add(s.opt.drain))
-			return false
-		}
-		if sess.sentChunks == len(sess.chunks) {
-			last := sess.feedSeq
-			if sess.closing {
-				// Window drained: final cursor advance (the feed may
-				// have ended mid-silence), goodbye, and a read deadline
-				// so the ack reader terminates too.
-				advance := last > sess.sent
-				sess.sent = last
-				sess.mu.Unlock()
-				if advance {
-					payload = appendFBatchFrame(payload[:0], last, nil, nil)
-					writeFrame(bw, payload)
-				}
-				writeControl(bw, frame{T: frameEOF})
-				bw.Flush()
-				conn.SetReadDeadline(time.Now().Add(s.opt.drain))
-				return false
-			}
-			if last <= sess.sent {
-				// Spurious wake (attach/detach broadcast); nothing new.
-				sess.mu.Unlock()
-				continue
-			}
-			sess.sent = last
-			sess.mu.Unlock()
-			payload = appendFBatchFrame(payload[:0], last, nil, nil)
-			if err := writeFrame(bw, payload); err != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			if err := bw.Flush(); err != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			continue
-		}
-		out = append(out[:0], sess.chunks[sess.sentChunks:]...)
-		sess.sentChunks = len(sess.chunks)
-		cur := out[len(out)-1].cursor
-		if sess.feedSeq > cur {
-			// Queue drained: extend the cursor over the trailing foreign
-			// run so the subscriber's acks track the feed head.
-			cur = sess.feedSeq
-		}
-		sess.sent = cur
-		sess.mu.Unlock()
-
-		i := 0
-		for i < len(out) {
-			j, total := i+1, out[i].n
-			for j < len(out) && total+out[j].n <= s.opt.maxBatch {
-				total += out[j].n
-				j++
-			}
-			last := out[j-1].cursor
-			if j == len(out) && cur > last {
-				last = cur
-			}
-			var werr error
-			if j == i+1 && last == out[i].cursor {
-				werr = writeFrame(bw, out[i].payload) // shared bytes, zero copy
-			} else {
-				payload = spliceFChunks(payload[:0], last, out[i:j])
-				werr = writeFrame(bw, payload)
-			}
-			if werr != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			i = j
-		}
-		if err := bw.Flush(); err != nil {
-			s.detach(sess, gen)
-			return false
-		}
-	}
+// partView is the scratch of building partition views of canonical
+// batch frames — decode, filter, fbatch encode. Fan-out runs it once
+// per (part, parts) per batch and retains each view; a catch-up writer
+// runs it per disk frame on its own copy and writes the views straight
+// to its socket.
+type partView struct {
+	evs  []osn.Event
+	keep []osn.Event
+	seqs []uint64
+	buf  []byte
 }
 
-// spliceFChunks merges consecutive filtered chunks into one canonical
-// fbatch payload carrying cursor `last`: the events of fbatch frames
-// embed their own global sequences, so their sections splice behind a
-// fresh prefix just like batch frames — byte-identical to a single
-// fresh encode of the merged run, with no encoder on the path.
-func spliceFChunks(dst []byte, last uint64, chunks []*chunk) []byte {
-	dst = wire.AppendFBatch(dst, last, nil, nil)
-	dst = dst[:len(dst)-2]
-	for k, c := range chunks {
-		sec, ok := wire.FBatchEventsSection(c.payload)
-		if !ok {
-			// Cannot happen for frames this server encoded; keep the
-			// wire canonical anyway by dropping the merge.
-			continue
-		}
-		if k > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, sec...)
+// decode is the lazy event decode of a canonical batch frame of n
+// events from sequence first. It returns nil when the body does not
+// decode to the n events its bounds claimed, which only a
+// non-canonical upstream encoder produces: partition views then get
+// nothing from the frame but the cursor, since any event invented in
+// its place would reach a detector as a real request.
+func (v *partView) decode(payload []byte, first uint64, n int) []osn.Event {
+	_, evs, ok := wire.ParseBatch(payload, v.evs[:0])
+	var err error
+	if !ok {
+		_, evs, err = parseBatchSlow(payload, v.evs[:0])
 	}
-	return append(dst, ']', '}')
-}
-
-// writeCatchup streams the gap (sent, head] from the disk spool onto
-// the connection, then flips the session back to live delivery
-// atomically with Broadcast. Unlike the live ring there is no
-// ack-driven flow control here — the data already sits on disk, so a
-// slow reader costs no server memory and TCP backpressure alone paces
-// the transfer (this is also what lets a manual-ack consumer whose
-// acks are sparser than its window catch up without deadlocking). It
-// returns true on a successful flip, false when this writer is done
-// (conn death, generation change, or an unserviceable spool — which
-// evicts the session loudly).
-func (s *Server) writeCatchup(sess *session, conn net.Conn, bw *bufio.Writer, gen int) bool {
-	sess.mu.Lock()
-	from := sess.sent + 1
-	told := sess.sent // cursor actually framed to the client (partitioned)
-	sess.mu.Unlock()
-	// The resume point may be sequenced but still mid-fan-out (the
-	// spool append happens inside fanout, after the ticket clears).
-	// Wait for its batch to land before reading — but only for
-	// sequences that were actually assigned; waiting on an unassigned
-	// one would block until some future broadcast.
-	s.mu.Lock()
-	assigned := from <= s.seq
-	s.mu.Unlock()
-	if assigned {
-		s.waitFanned(from)
+	v.evs = evs[:0]
+	if err == nil && len(evs) != n {
+		err = fmt.Errorf("%d events where its bounds say %d", len(evs), n)
 	}
-	rd, err := s.opt.spool.ReadFrom(from)
 	if err != nil {
-		log.Printf("stream: session %s catch-up at seq %d unserviceable: %v", sess.id, from, err)
-		s.evict(sess)
-		return false
+		log.Printf("stream: undecodable batch at seq %d, partition views skip it: %v", first, err)
+		return nil
 	}
-	defer rd.Close()
-	scratch := make([]osn.Event, 0, s.opt.maxBatch)
-	var keep []osn.Event
-	var keepSeqs []uint64
-	var payload []byte
-	lastFlush := time.Now()
-	adv := s.advanceEvery()
-	// Unpartitioned catch-up forwards the spool's frames as raw bytes,
-	// coalescing small ones (per-event broadcasts) up to maxBatch by
-	// the same byte splice the live path uses: acc holds canonical
-	// batch bytes minus the closing "]}" covering accN events.
-	next := from
-	var acc []byte
-	accN := 0
-	flushAcc := func() error {
-		if accN == 0 {
-			return nil
-		}
-		acc = append(acc, ']', '}')
-		werr := writeFrame(bw, acc)
-		acc, accN = acc[:0], 0
-		return werr
-	}
-	// finishFence ends a fenced session's catch-up once the disk read
-	// has covered everything at or below the barrier: cursor advance to
-	// the barrier (if the tail was foreign), the rebal announcement,
-	// and a read deadline so the ack reader terminates. Only
-	// partitioned sessions are ever fenced, so acc is always empty
-	// here.
-	finishFence := func(f uint64, fnew int) bool {
-		sess.mu.Lock()
-		sess.sent = f
-		sess.mu.Unlock()
-		if told < f {
-			payload = appendFBatchFrame(payload[:0], f, nil, nil)
-			if writeFrame(bw, payload) != nil {
-				s.detach(sess, gen)
-				return false
-			}
-		}
-		payload = wire.AppendRebal(payload[:0], wire.Rebal{Barrier: f, Parts: sess.parts, NParts: fnew})
-		writeFrame(bw, payload)
-		bw.Flush()
-		conn.SetReadDeadline(time.Now().Add(s.opt.drain))
-		return false
-	}
-	for {
-		sess.mu.Lock()
-		if sess.gen != gen || sess.gone {
-			sess.mu.Unlock()
-			return false
-		}
-		fenced, fenceNew, cur := sess.fencedAt, sess.fenceNew, sess.sent
-		sess.mu.Unlock()
-		if fenced > 0 && cur >= fenced {
-			return finishFence(fenced, fenceNew)
-		}
-
-		var first, end uint64
-		var rerr error
-		var raw []byte
-		var rawN int
-		if sess.parts > 0 {
-			var evs []osn.Event
-			first, evs, rerr = rd.Next(scratch[:0], s.opt.maxBatch)
-			if rerr == nil {
-				end = first + uint64(len(evs)) - 1
-				// Re-read the fence: it may have been installed while
-				// Next was reading, and post-barrier spool appends are
-				// sequenced after the install — so whenever the run
-				// carries events past a fresh barrier, this re-read is
-				// guaranteed to observe it (the top-of-loop read can be
-				// one iteration stale).
-				sess.mu.Lock()
-				fenced, fenceNew = sess.fencedAt, sess.fenceNew
-				sess.mu.Unlock()
-				if fenced > 0 && end > fenced {
-					// The spool run crosses the barrier (disk reads may
-					// coalesce frames): deliver only the pre-barrier
-					// prefix; the next loop iteration emits the rebal.
-					if first > fenced {
-						evs = evs[:0]
-					} else {
-						evs = evs[:fenced-first+1]
-					}
-					end = fenced
-				}
-				scratch = evs[:0]
-				// Filter the run down to the partition's slice; the
-				// frame's cursor still covers the whole run. A fully
-				// foreign run is framed only once enough silence has
-				// accumulated to be worth a cursor advance.
-				keep, keepSeqs = filterPartition(evs, first, sess.part, sess.parts, keep[:0], keepSeqs[:0])
-			}
-		} else {
-			first, rawN, raw, rerr = rd.NextFrame()
-			if rerr == nil {
-				end = first + uint64(rawN) - 1
-			}
-		}
-		switch {
-		case errors.Is(rerr, io.EOF):
-			// Reached everything spooled. Flush the wire, then try to
-			// flip live: under s.mu no new sequence can be assigned,
-			// so sent == s.seq means the chunk queue takes over
-			// gaplessly.
-			if ferr := flushAcc(); ferr != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			if sess.parts > 0 {
-				// Bring the client's cursor current first, so the flip
-				// boundary is exact even when the tail of the spool was
-				// all foreign events.
-				sess.mu.Lock()
-				cur := sess.sent
-				sess.mu.Unlock()
-				if cur > told {
-					payload = appendFBatchFrame(payload[:0], cur, nil, nil)
-					if werr := writeFrame(bw, payload); werr != nil {
-						s.detach(sess, gen)
-						return false
-					}
-					told = cur
-				}
-			}
-			if ferr := bw.Flush(); ferr != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			lastFlush = time.Now()
-			s.mu.Lock()
-			sess.mu.Lock()
-			if sess.gen != gen || sess.gone {
-				sess.mu.Unlock()
-				s.mu.Unlock()
-				return false
-			}
-			if s.seq == sess.sent {
-				sess.catchup = false
-				sess.base = sess.sent
-				sess.chunks = nil
-				sess.sentChunks = 0
-				sess.buffered = 0
-				sess.mu.Unlock()
-				s.mu.Unlock()
-				return true
-			}
-			s.mu.Unlock()
-			if s.spoolBroken.Load() {
-				// The feed ran ahead of a dead spool: this gap can
-				// never be served. Loud loss.
-				sess.mu.Unlock()
-				log.Printf("stream: session %s stranded mid-catch-up by spool failure", sess.id)
-				s.evict(sess)
-				return false
-			}
-			// More was broadcast while we flushed; wait for the spool
-			// to show it (feedSeq advances after the spool append). A
-			// fenced session's feedSeq is clamped at the barrier, so
-			// once sent reaches it nothing more ever arrives — fall
-			// through to the rebal instead of waiting forever.
-			for sess.gen == gen && !sess.closing && !sess.gone && sess.feedSeq <= sess.sent &&
-				!(sess.fencedAt > 0 && sess.sent >= sess.fencedAt) {
-				sess.cond.Wait()
-			}
-			stale := sess.gen != gen || sess.gone
-			f, fnew, cur := sess.fencedAt, sess.fenceNew, sess.sent
-			sess.mu.Unlock()
-			if stale {
-				return false
-			}
-			if f > 0 && cur >= f {
-				return finishFence(f, fnew)
-			}
-			continue
-		case rerr != nil:
-			log.Printf("stream: session %s catch-up read failed: %v", sess.id, rerr)
-			s.evict(sess)
-			return false
-		}
-
-		sess.mu.Lock()
-		if sess.gen != gen || sess.gone {
-			sess.mu.Unlock()
-			return false
-		}
-		sess.sent = end
-		sess.mu.Unlock()
-
-		if sess.parts > 0 {
-			if len(keep) == 0 && end-told < adv {
-				continue
-			}
-			payload = appendFBatchFrame(payload[:0], end, keepSeqs, keep)
-			told = end
-			if werr := writeFrame(bw, payload); werr != nil {
-				s.detach(sess, gen)
-				return false
-			}
-		} else if first < next {
-			// ReadFrom landed mid-frame: re-encode the suffix so the
-			// first frame starts exactly at the resume point. Happens
-			// at most once per resume.
-			var evs []osn.Event
-			var ok bool
-			payload, evs, ok = wire.SuffixBatch(payload[:0], raw, next, scratch[:0])
-			if !ok {
-				log.Printf("stream: session %s: corrupt spool frame at seq %d", sess.id, first)
-				s.evict(sess)
-				return false
-			}
-			scratch = evs[:0]
-			s.encodes.Add(1)
-			if werr := writeFrame(bw, payload); werr != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			next = end + 1
-		} else {
-			if accN > 0 && accN+rawN > s.opt.maxBatch {
-				if werr := flushAcc(); werr != nil {
-					s.detach(sess, gen)
-					return false
-				}
-			}
-			switch {
-			case accN == 0 && rawN >= s.opt.maxBatch:
-				if werr := writeFrame(bw, raw); werr != nil { // raw disk bytes, no encode
-					s.detach(sess, gen)
-					return false
-				}
-			case accN == 0:
-				acc = append(acc[:0], raw[:len(raw)-2]...)
-				accN = rawN
-			default:
-				sec, ok := wire.BatchEventsSection(raw)
-				if !ok {
-					log.Printf("stream: session %s: corrupt spool frame at seq %d", sess.id, first)
-					s.evict(sess)
-					return false
-				}
-				acc = append(acc, ',')
-				acc = append(acc, sec...)
-				accN += rawN
-			}
-			next = end + 1
-		}
-		if time.Since(lastFlush) >= s.opt.flushEvery {
-			if werr := flushAcc(); werr != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			if werr := bw.Flush(); werr != nil {
-				s.detach(sess, gen)
-				return false
-			}
-			lastFlush = time.Now()
-		}
-	}
+	return evs
 }
 
-// filterPartition appends the events of a contiguous run (first
-// sequence first) that partition part of parts receives to keep, with
-// their global sequences appended in parallel to keepSeqs.
-func filterPartition(evs []osn.Event, first uint64, part, parts int, keep []osn.Event, keepSeqs []uint64) ([]osn.Event, []uint64) {
+// filter appends the fbatch view partition part of parts receives of
+// the run evs (sequences from first; the frame advances the subscriber
+// to cursor) to v.buf and returns its chunk, whose payload aliases
+// v.buf. ok is false when the partition owns nothing in the run.
+func (v *partView) filter(evs []osn.Event, first, cursor uint64, part, parts int) (c chunk, ok bool) {
+	v.keep, v.seqs = v.keep[:0], v.seqs[:0]
 	for i, ev := range evs {
 		if osn.PartitionDelivers(ev, part, parts) {
-			keep = append(keep, ev)
-			keepSeqs = append(keepSeqs, first+uint64(i))
+			v.keep = append(v.keep, ev)
+			v.seqs = append(v.seqs, first+uint64(i))
 		}
 	}
-	return keep, keepSeqs
+	if len(v.keep) == 0 {
+		return chunk{}, false
+	}
+	off := len(v.buf)
+	v.buf = wire.AppendFBatch(v.buf, cursor, v.seqs, v.keep)
+	return chunk{
+		first:   v.seqs[0],
+		last:    v.seqs[len(v.seqs)-1],
+		n:       len(v.keep),
+		cursor:  cursor,
+		payload: v.buf[off:],
+		part:    part,
+		parts:   parts,
+	}, true
 }
 
 // Stats returns a snapshot of feed accounting, including per-session

@@ -242,13 +242,6 @@ func parseBatchSlow(payload []byte, dst []osn.Event) (uint64, []osn.Event, error
 	return f.Seq, evs, err
 }
 
-// appendFBatchFrame appends the canonical filtered-batch frame — the
-// partitioned-subscriber form, per-event sequences plus the covering
-// cursor last — to dst and returns the extended slice.
-func appendFBatchFrame(dst []byte, last uint64, seqs []uint64, events []osn.Event) []byte {
-	return wire.AppendFBatch(dst, last, seqs, events)
-}
-
 // parseFBatchFrame decodes a canonical filtered-batch payload,
 // appending events to dstEvs and their sequences to dstSeqs. ok is
 // false when the payload deviates from the canonical form.

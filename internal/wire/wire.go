@@ -23,6 +23,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -297,12 +298,7 @@ func ParseBatchBounds(payload []byte) (first uint64, n int, ok bool) {
 	if len(payload) < c.i+2 || payload[len(payload)-2] != ']' || payload[len(payload)-1] != '}' {
 		return 0, 0, false
 	}
-	for _, b := range payload[c.i : len(payload)-2] {
-		if b == '{' {
-			n++
-		}
-	}
-	return first, n, true
+	return first, bytes.Count(payload[c.i:len(payload)-2], []byte{'{'}), true
 }
 
 // BatchEventsSection returns the raw contents of a canonical batch
