@@ -3,12 +3,6 @@
 
 GO ?= go
 
-# Output file for bench-json; bump the number each PR that refreshes
-# the committed perf baseline. BENCH_BASE is the previous PR's
-# committed baseline that the fresh run is diffed against.
-BENCH_OUT ?= BENCH_10.json
-BENCH_BASE ?= BENCH_9.json
-
 # Pinned staticcheck release; CI and local runs must agree on the
 # check set, so bump this deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1.1
@@ -18,7 +12,7 @@ WORKLOAD ?= campaign-saturate
 SEED ?= 7
 SECONDS ?= 20
 
-.PHONY: all build test race alloc-budget sybilbench-test sybilbench sybilbench-trace bench bench-json bench-gate fuzz-smoke profile profile-live fmt vet docs staticcheck ci
+.PHONY: all build test race alloc-budget sybilbench-test sybilbench sybilbench-trace bench bench-gate fuzz-smoke profile profile-live fmt vet docs staticcheck ci
 
 all: build
 
@@ -59,31 +53,6 @@ sybilbench-trace:
 # the reproduced paper metrics, stays inside a CI budget.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# Same pass, but emitted as machine-readable JSON so the perf
-# trajectory is trackable PR over PR. Runs as a non-blocking CI step
-# (perf numbers from shared runners inform, they don't gate), so it is
-# deliberately NOT part of `make ci`.
-#
-# The headline benchmarks — the ones `benchjson -trend` tracks across
-# committed BENCH_N.json files — run at pinned iteration counts, not
-# -benchtime=1x: a single iteration measures setup noise as much as
-# steady state, and trend lines are only comparable when every file's
-# number came from the same workload. Everything else stays at 1x to
-# hold the CI budget. BenchmarkPublishIngest runs separately at
-# -cpu 1,4 — the ROADMAP's multi-core scaling evidence: the sequencer
-# shrank to sequence-assignment only, so concurrent producers should
-# overlap encode/fan-out work when cores exist.
-bench-json:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' \
-		-skip='^(BenchmarkPublishIngest|BenchmarkBroadcastDrain|BenchmarkBroadcastFanout|BenchmarkRelayFanout|BenchmarkLiveRebalance)$$' \
-		./... > $(BENCH_OUT).tmp
-	$(GO) test -bench='^(BenchmarkBroadcastDrain|BenchmarkBroadcastFanout|BenchmarkRelayFanout)$$' \
-		-benchtime=50000x -run='^$$' ./internal/stream >> $(BENCH_OUT).tmp
-	$(GO) test -bench=BenchmarkLiveRebalance -benchtime=3x -run='^$$' ./internal/detector >> $(BENCH_OUT).tmp
-	$(GO) test -bench=BenchmarkPublishIngest -benchtime=20000x -run='^$$' -cpu=1,4 ./internal/stream >> $(BENCH_OUT).tmp
-	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) < $(BENCH_OUT).tmp > $(BENCH_OUT)
-	@rm -f $(BENCH_OUT).tmp
 
 # Relative gates within one run, so they survive noisy shared
 # hardware; CI's bench-smoke job fails loudly when one trips. benchjson

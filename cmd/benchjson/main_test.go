@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,33 +36,6 @@ func TestParseBench(t *testing.T) {
 	}
 	if out[1].Package != "sybilwild/internal/stream" {
 		t.Fatalf("pkg tracking broken: %+v", out[1])
-	}
-}
-
-func TestPrintDeltas(t *testing.T) {
-	base := []result{
-		{Package: "p", Name: "BenchmarkKept", Metrics: map[string]float64{"ns/op": 100, "Mevents/s": 2}},
-		{Package: "p", Name: "BenchmarkGone", Metrics: map[string]float64{"ns/op": 50}},
-	}
-	fresh := []result{
-		{Package: "p", Name: "BenchmarkKept", Metrics: map[string]float64{"ns/op": 80, "Mevents/s": 2.5}},
-		{Package: "p", Name: "BenchmarkNew", Metrics: map[string]float64{"ns/op": 10}},
-	}
-	var sb strings.Builder
-	printDeltas(&sb, "BENCH_3.json", base, fresh)
-	got := sb.String()
-	for _, want := range []string{
-		"-20.0%",          // kept benchmark sped up 100→80
-		"p BenchmarkKept", //
-		"ns/op 100→80",    // old→new detail
-		"Mevents/s 2→2.5", // custom metrics compared too
-		"NEW      p BenchmarkNew",
-		"VANISHED p BenchmarkGone",
-		"1 benchmarks compared, 1 new, 1 vanished",
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("delta output missing %q:\n%s", want, got)
-		}
 	}
 }
 
@@ -231,96 +203,4 @@ func synthBench(t *testing.T, gates []string, violate int) string {
 		fmt.Fprintf(&sb, "%s 1 %g ns/op\n", name, ns[name])
 	}
 	return sb.String()
-}
-
-func TestPrintTrend(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, rs []result) string {
-		data, err := json.Marshal(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	// Passed deliberately out of order, and with BENCH_10 to prove
-	// numeric (not lexical) ordering; the benchmark is missing from the
-	// oldest file (born mid-history) and carries a GOMAXPROCS suffix in
-	// the newest.
-	files := []string{
-		write("BENCH_10.json", []result{{Name: "BenchmarkFanout/subs=16-4",
-			Metrics: map[string]float64{"ns/op": 50, "Mevents/s": 4}}}),
-		write("BENCH_2.json", []result{{Name: "BenchmarkOther",
-			Metrics: map[string]float64{"ns/op": 1}}}),
-		write("BENCH_9.json", []result{{Name: "BenchmarkFanout/subs=16",
-			Metrics: map[string]float64{"ns/op": 100, "Mevents/s": 2}}}),
-	}
-	var sb strings.Builder
-	if err := printTrend(&sb, "BenchmarkFanout/subs=16", files); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	for _, want := range []string{
-		"trend of BenchmarkFanout/subs=16 (ns/op)",
-		"BENCH_2.json",
-		"(absent)",
-		"100",
-		"50  (-50.0%)", // delta vs the previous file it appeared in
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("trend output missing %q:\n%s", want, got)
-		}
-	}
-	// BENCH_9 must precede BENCH_10 (numeric, not lexical, order).
-	if i9, i10 := strings.Index(got, "BENCH_9.json"), strings.Index(got, "BENCH_10.json"); i9 > i10 {
-		t.Fatalf("files not in numeric order:\n%s", got)
-	}
-
-	// Explicit unit selects a custom metric.
-	sb.Reset()
-	if err := printTrend(&sb, "BenchmarkFanout/subs=16:Mevents/s", files); err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); !strings.Contains(got, "(Mevents/s)") || !strings.Contains(got, "(+100.0%)") {
-		t.Fatalf("unit trend output wrong:\n%s", got)
-	}
-
-	// A benchmark in no file is an error, not an empty trajectory.
-	if err := printTrend(&sb, "BenchmarkTypo", files); err == nil {
-		t.Fatal("trend of a missing benchmark should have failed")
-	}
-	if err := printTrend(&sb, "BenchmarkFanout/subs=16", nil); err == nil {
-		t.Fatal("trend with no files should have failed")
-	}
-}
-
-func TestBaselineSeq(t *testing.T) {
-	for _, tc := range []struct {
-		path string
-		want int
-	}{
-		{"BENCH_7.json", 7},
-		{"BENCH_10.json", 10},
-		{"/some/dir/BENCH_12.json", 12},
-		{"BENCH.json", -1},
-	} {
-		if got := baselineSeq(tc.path); got != tc.want {
-			t.Fatalf("baselineSeq(%q) = %d, want %d", tc.path, got, tc.want)
-		}
-	}
-}
-
-func TestDeltaStringEdges(t *testing.T) {
-	if got := deltaString(0, 5); got != "n/a" {
-		t.Fatalf("zero baseline: %q, want n/a", got)
-	}
-	if got := deltaString(200, 100); got != "-50.0%" {
-		t.Fatalf("halving: %q, want -50.0%%", got)
-	}
-	if got := deltaString(100, 103); got != "+3.0%" {
-		t.Fatalf("+3%%: %q", got)
-	}
 }

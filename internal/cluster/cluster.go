@@ -1,64 +1,82 @@
-// Package cluster runs a partitioned detection cluster against one
-// feed broker: K workers, each subscribing to one account partition of
-// the feed (stream.WithPartition) and holding verdict authority over
-// exactly that partition's accounts (detector.WithPartition). The
-// union of the workers' flag sets equals a single unpartitioned
-// detector run over the same feed — the broker delivers each worker
-// its owned actor slice plus the cross-partition support events its
-// accounts' features need (osn.PartitionDelivers), and evaluation
-// ownership keeps verdicts exactly-once across the cluster.
+// Package cluster is the detector's one worker lifecycle: what
+// cmd/detectd runs and what the cluster tests drive. A Worker
+// subscribes to a feed broker — the whole feed, or one account
+// partition of a K-way detection cluster (stream.WithPartition) with
+// verdict authority over exactly that partition's accounts
+// (detector.WithPartition) — and drains it into a pipeline that
+// reconstructs the friendship graph from the feed. The union of K
+// workers' flag sets equals a single unpartitioned run over the same
+// feed: the broker delivers each its owned actor slice plus the
+// cross-partition support events its accounts' features need
+// (osn.PartitionDelivers), and evaluation ownership keeps verdicts
+// exactly-once across the cluster.
 //
-// Workers periodically offer serialized pipeline snapshots to the
-// broker's rendezvous store (stream.OfferSnapshot); a replacement
-// worker started with Handoff adopts the freshest snapshot for its
-// partition and resumes the feed from the snapshot's stamped sequence
-// + 1 — state migration over the wire instead of replaying the
-// partition's history from the spool. Cold starts (no snapshot
-// offered) backfill from sequence 1, which the broker's spool must
-// retain.
+// The lifecycle (docs/ARCHITECTURE.md, "Resume contract"):
 //
-// A Worker is a deliberately small harness: one subscription, one
-// pipeline, no transparent reconnect — when its connection dies the
-// worker stops and reports the error, and the operator (or a test)
-// starts a replacement. Reconnect policy lives in callers like
-// cmd/detectd, not here.
+//   - Start picks the starting state with one rule (pickSource): the
+//     newest valid local checkpoint or the partition's broker offer,
+//     whichever is fresher, the local one on a tie. With neither, the
+//     worker joins the feed's live head, or backfills it from sequence
+//     1 with FromStart.
+//   - After each ingested batch an interval and a lag trigger may fire
+//     a save: a checkpoint file, after which (and only after which) the
+//     feed is acked, and with Handoff an offer to the broker's
+//     rendezvous.
+//   - A lost connection is checkpointed, then resumed with backoff.
+//   - The feed's end, Stop and a live-rebalance retirement end with a
+//     final save. Retirement always offers: the rebalance coordinator
+//     is waiting for that snapshot. Kill is a crash: nothing is saved.
+//
+// StartStandby parks a warm standby that promotes itself into a Worker
+// when its partition's worker dies; Rebalance coordinates a live
+// K → K' resize of a running cluster.
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sybilwild/internal/detector"
 	"sybilwild/internal/osn"
 	"sybilwild/internal/stream"
 )
 
-// Config describes one cluster worker.
+// Config describes one worker. Every field but Audit and OnFlag is the
+// value of the cmd/detectd flag named beside it.
 type Config struct {
-	Addr        string // broker address
-	Part, Parts int    // this worker's account partition
+	Addr        string        // -addr: broker address
+	Part, Parts int           // -partition i/K; Parts 0 is the whole feed
+	Rule        detector.Rule // -out-accept, -freq, -cc, -min-requests
+	CheckEvery  int           // -check-every; below 1, every request
+	Retries     int           // -retries: consecutive failed dials before giving up
+	FromStart   bool          // -from-start: a cold start backfills from sequence 1
 
-	Rule       detector.Rule
-	CheckEvery int // evaluate every Nth request (0: every request)
-
-	// SnapshotEvery offers a serialized pipeline snapshot to the
-	// broker's rendezvous every N ingested batches (0: never offer).
-	SnapshotEvery int
-
-	// Handoff makes Start fetch the partition's freshest broker
-	// snapshot and adopt it — counters, graph, verdicts and stream
-	// position — before subscribing. Without it (or when no snapshot
-	// is offered) the worker cold-starts from sequence 1.
+	// Handoff (-handoff) offers a snapshot to the broker at every save
+	// and lets Start adopt the partition's offer.
 	Handoff bool
 
-	// SessionID fixes the worker's subscriber session id. A promoted
-	// standby must dial with the id it claimed the partition for
-	// (stream.ClaimPartition), or the broker refuses it the key.
-	// Empty: a random id.
-	SessionID string
+	// Dir (-checkpoint-dir) keeps the newest Keep (-checkpoint-keep)
+	// checkpoint files; with it the feed is acked only through the
+	// newest durable checkpoint. Empty: no local state.
+	Dir  string
+	Keep int
+
+	// A save fires when Every (-checkpoint-every) has passed since the
+	// last one, or, with Dir, once MaxLag (-checkpoint-max-lag; 0: off)
+	// sequences are applied past the newest checkpoint. The lag trigger
+	// keeps a fast feed flowing: acks move only at checkpoints, so a
+	// worker that could drain the feed's whole replay window between
+	// two of them would leave the producer blocked on a full window
+	// while it waits for more — broken only by stall eviction. MaxLag
+	// below the window makes that state unreachable.
+	Every  time.Duration
+	MaxLag int
 
 	// Audit records the global sequence of every owned-actor event the
 	// worker applies (after replay trimming), for cutover audits: the
@@ -66,207 +84,336 @@ type Config struct {
 	// once across generations. Costs memory linear in owned events —
 	// tests and verification runs only.
 	Audit bool
+
+	// OnFlag is called once per flagged account, on the ingest
+	// goroutine (detector.WithFlagHook).
+	OnFlag func(detector.Flag)
 }
 
-// Worker is one partition's detector: a partitioned feed subscription
-// draining into a partition-gated pipeline, with periodic snapshot
-// offers. Start it with Start; stop it by closing the broker's feed
-// (clean end) or Kill (simulated crash), then Wait.
-type Worker struct {
-	cfg Config
-	p   *detector.Pipeline
-	c   *stream.Client
+// Stats counts a worker's work. Valid after Wait.
+type Stats struct {
+	Events, Batches     int    // applied from the feed
+	Checkpoints, Offers int    // successful saves of each kind
+	Checkpointed        uint64 // sequence of the newest durable checkpoint (0: none)
+}
 
-	handoffSeq  uint64 // snapshot sequence adopted at start (0: cold start)
-	resumedFrom uint64 // feed sequence the subscription started at
+// Worker is one detector process's lifecycle. Start it with Start (or
+// let a Standby promote one); end it by ending the broker's feed, Stop
+// or Kill; then Wait.
+type Worker struct {
+	cfg   Config
+	p     *detector.Pipeline
+	store *store // nil: no checkpoint dir
+
+	session     string // subscriber session, the same across reconnects
+	resume      uint64 // where the next dial starts (0: the live head)
+	origin      string // the starting state, for the start-up log ("": cold)
+	handoffSeq  uint64
+	resumedFrom uint64
+	lastSave    time.Time
+	stats       Stats
+
+	mu              sync.Mutex
+	c               *stream.Client // current connection, for Kill and Stop
+	killed, stopped atomic.Bool
 
 	offered      atomic.Uint64 // highest sequence successfully offered
 	firstApplied atomic.Uint64 // lowest global sequence ingested (0: none yet)
 
-	// Live-rebalance retirement; set by the loop before done closes,
-	// read after Wait.
+	// Live-rebalance retirement; set by the loop before done closes.
 	rebalanced bool
 	rebBarrier uint64
 	rebNew     int
 
 	ownedSeqs []uint64 // Audit: applied owned-actor sequences, in order
 
-	err       error // terminal loop error; read after done closes
-	done      chan struct{}
-	closeOnce sync.Once
+	err  error // terminal loop error; read after done closes
+	done chan struct{}
 }
 
-// Start builds the worker's pipeline (adopting a broker snapshot when
-// Handoff is set and one is offered), subscribes to its partition of
-// the feed, and begins ingesting in a background goroutine.
-func Start(cfg Config) (*Worker, error) {
-	if cfg.Parts < 1 || cfg.Part < 0 || cfg.Part >= cfg.Parts {
+// Start picks the worker's starting state, subscribes, and begins
+// ingesting in a background goroutine.
+func Start(cfg Config) (*Worker, error) { return start(cfg, "") }
+
+// start is Start for a standby holding a claim on the partition: every
+// dial presents the claimed session id, the only one the broker admits
+// to the key while the claim is fresh, whatever state wins.
+func start(cfg Config, claim string) (*Worker, error) {
+	if cfg.Parts < 0 || cfg.Part < 0 || cfg.Part >= max(cfg.Parts, 1) {
 		return nil, fmt.Errorf("cluster: invalid partition %d/%d", cfg.Part, cfg.Parts)
+	}
+	w := &Worker{cfg: cfg, session: claim, lastSave: time.Now(), done: make(chan struct{})}
+	var sources []snapshotSource
+	if cfg.Dir != "" {
+		st, err := openStore(cfg.Dir, cfg.Keep)
+		if err != nil {
+			return nil, err
+		}
+		w.store = st
+		sources = append(sources, st)
+	}
+	if cfg.Handoff {
+		sources = append(sources, brokerSource(func() (uint64, []byte, error) {
+			return stream.FetchSnapshot(cfg.Addr, cfg.Part, cfg.Parts)
+		}))
+	}
+	st, err := pickSource(cfg.Part, cfg.Parts, sources...)
+	if err != nil {
+		return nil, err
 	}
 	opts := []detector.PipelineOption{
 		detector.WithGraphReconstruction(),
 		detector.WithPartition(cfg.Part, cfg.Parts),
+		detector.WithCheckEvery(cfg.CheckEvery),
+		detector.WithFlagHook(cfg.OnFlag),
 	}
-	if cfg.CheckEvery > 0 {
-		opts = append(opts, detector.WithCheckEvery(cfg.CheckEvery))
-	}
-	w := &Worker{cfg: cfg, done: make(chan struct{})}
-	resume := uint64(1)
-	if cfg.Handoff {
-		seq, data, err := stream.FetchSnapshot(cfg.Addr, cfg.Part, cfg.Parts)
-		switch {
-		case err == nil:
-			var snap detector.PipelineSnapshot
-			if err := json.Unmarshal(data, &snap); err != nil {
-				return nil, fmt.Errorf("cluster: decode broker snapshot: %w", err)
-			}
-			p, from, err := detector.NewPipelineFromSnapshot(cfg.Rule, nil, &snap, opts...)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: adopt broker snapshot: %w", err)
-			}
-			w.p, resume, w.handoffSeq = p, from, seq
-		case errors.Is(err, stream.ErrNoSnapshot):
-			// Nothing offered yet: cold start below.
-		default:
-			return nil, err
-		}
-	}
-	if w.p == nil {
+	if st == nil {
 		w.p = detector.NewPipeline(cfg.Rule, nil, opts...)
+		if cfg.FromStart {
+			w.resume = 1
+		}
+	} else {
+		if st.path == "" {
+			w.handoffSeq = st.Snapshot.Seq
+			w.origin = fmt.Sprintf("adopted broker snapshot for partition %d/%d", cfg.Part, cfg.Parts)
+		} else {
+			w.stats.Checkpointed = st.Snapshot.Seq
+			w.origin = "restored " + st.path
+			w.session = cmp.Or(claim, st.Session)
+		}
+		if w.p, w.resume, err = detector.NewPipelineFromSnapshot(cfg.Rule, nil, st.Snapshot, opts...); err != nil {
+			return nil, fmt.Errorf("cluster: %s: %w", w.origin, err)
+		}
+		w.origin += fmt.Sprintf(": %d accounts, %d flags", len(st.Snapshot.Accounts), len(st.Snapshot.Flags))
 	}
-	w.resumedFrom = resume
-	dialOpts := []stream.DialOption{stream.WithPartition(cfg.Part, cfg.Parts)}
-	if cfg.SessionID != "" {
-		dialOpts = append(dialOpts, stream.WithSessionID(cfg.SessionID))
-	}
-	c, err := stream.DialFrom(cfg.Addr, resume, dialOpts...)
+	w.session = cmp.Or(w.session, stream.NewSessionID())
+	w.resumedFrom = w.resume
+	c, err := w.connect()
 	if err != nil {
 		w.p.Close()
 		return nil, err
 	}
-	w.c = c
-	go w.loop()
+	go w.loop(c)
 	return w, nil
 }
 
-// loop drains the partitioned subscription into the pipeline until the
-// feed ends (clean) or the connection dies (error), offering snapshots
-// on the configured cadence. Runs on its own goroutine; the inline
-// Snapshot call satisfies the pipeline's quiescence contract because
-// this goroutine is the only ingester.
-func (w *Worker) loop() {
+// connect dials the subscription at w.resume, retrying up to Retries
+// consecutive failures with backoff. A refused resume (ErrGap) is
+// final: the feed no longer holds the events the state needs.
+func (w *Worker) connect() (*stream.Client, error) {
+	opts := []stream.DialOption{stream.WithPartition(w.cfg.Part, w.cfg.Parts)}
+	backoff := 50 * time.Millisecond
+	for attempt := 0; ; attempt++ {
+		var c *stream.Client
+		var err error
+		if w.resume == 0 {
+			c, err = stream.Dial(w.cfg.Addr, append(opts, stream.WithSessionID(w.session))...)
+		} else {
+			c, err = stream.DialResume(w.cfg.Addr, w.session, w.resume, opts...)
+		}
+		switch {
+		case err == nil:
+			c.SetManualAck(w.store != nil)
+			if c.LastSeq() > w.p.Seq() {
+				// Anchor the pipeline at the subscription point, so a save
+				// before the first batch records a sequence the feed can
+				// resume from.
+				w.p.Ingest(detector.Batch{LastSeq: c.LastSeq()})
+			}
+			w.signal(c) // and deliver a Kill or Stop that landed while dialing
+			return c, nil
+		case errors.Is(err, stream.ErrGap):
+			return nil, fmt.Errorf("cluster: the feed cannot serve seq %d (history pruned or not spooled; remove a stale checkpoint dir to rebuild from scratch): %w", w.resume, err)
+		case attempt >= w.cfg.Retries || w.killed.Load() || w.stopped.Load():
+			return nil, err
+		}
+		time.Sleep(backoff)
+		backoff = min(2*backoff, 2*time.Second)
+	}
+}
+
+// loop drains the subscription until the feed ends, the worker is
+// retired, stopped or killed, or a lost connection cannot be resumed.
+// It is the pipeline's only ingester, so its inline snapshots meet the
+// pipeline's quiescence contract.
+func (w *Worker) loop(c *stream.Client) {
 	defer close(w.done)
-	batches := 0
 	for {
-		evs, err := w.c.RecvBatch()
-		if errors.Is(err, stream.ErrRebalanced) {
-			// The broker retired this worker's group shape in a live
-			// rebalance. Everything owed below the barrier has been
-			// applied; pin the pipeline's cursor to the barrier (the
-			// tail may have been all foreign) and offer the snapshot
-			// the coordinator is waiting for. Retirement is a clean
-			// exit, not an error.
-			barrier, nparts, _ := w.c.Rebalanced()
+		err := w.drain(c)
+		switch {
+		case w.killed.Load():
+			w.err = err
+		case errors.Is(err, stream.ErrRebalanced):
+			// The broker retired this group shape in a live rebalance,
+			// having served everything owed through the barrier. Pin the
+			// pipeline there (the tail may have been all foreign) and save
+			// the cut the coordinator is waiting for.
+			barrier, nparts, _ := c.Rebalanced()
 			if barrier > w.p.Seq() {
 				w.p.Ingest(detector.Batch{LastSeq: barrier})
 			}
-			w.offer()
+			w.save(c, true)
 			w.rebalanced, w.rebBarrier, w.rebNew = true, barrier, nparts
-			return
-		}
-		if err != nil {
-			if !errors.Is(err, stream.ErrClosed) {
-				w.err = err
+		case errors.Is(err, stream.ErrClosed) || w.stopped.Load():
+			// Clean end of feed, or Stop: the final ack rides the
+			// (interrupted but writable) connection, so the feed's
+			// sent == delivered audit holds. A broker that ended the feed
+			// is closing, so only Stop offers.
+			w.save(c, w.cfg.Handoff && w.stopped.Load())
+		default:
+			// Connection lost. Checkpoint before resuming: a resume acks
+			// everything below its start, so it must never start past the
+			// newest durable checkpoint. drain trims what it replays.
+			c.Close()
+			if w.store != nil {
+				w.save(nil, w.cfg.Handoff)
 			}
-			return
-		}
-		last := w.c.LastSeq()
-		if last <= w.p.Seq() {
+			w.resume = cmp.Or(w.stats.Checkpointed, c.LastSeq()) + 1
+			if c, err = w.connect(); err != nil {
+				if w.killed.Load() || !w.stopped.Load() {
+					w.err = err
+				}
+				return
+			}
 			continue
 		}
-		// Trim any replayed prefix at or below the pipeline's own
-		// position. Partitioned frames are sparse in the global order,
-		// so the trim walks per-event sequences, not arithmetic.
-		seqs := w.c.LastBatchSeqs()
-		if seqs != nil {
-			drop := 0
-			for drop < len(seqs) && seqs[drop] <= w.p.Seq() {
-				drop++
-			}
-			evs, seqs = evs[drop:], seqs[drop:]
-		} else if first := last - uint64(len(evs)) + 1; first <= w.p.Seq() {
-			evs = evs[w.p.Seq()-first+1:]
-		}
-		if len(evs) > 0 && w.firstApplied.Load() == 0 {
-			first := last - uint64(len(evs)) + 1
-			if seqs != nil {
-				first = seqs[0]
-			}
-			w.firstApplied.Store(first)
-		}
-		if w.cfg.Audit {
-			first := last - uint64(len(evs)) + 1
-			for i, ev := range evs {
-				if osn.Partition(ev.Actor, w.cfg.Parts) != w.cfg.Part {
-					continue
-				}
-				if seqs != nil {
-					w.ownedSeqs = append(w.ownedSeqs, seqs[i])
-				} else {
-					w.ownedSeqs = append(w.ownedSeqs, first+uint64(i))
-				}
-			}
-		}
-		w.p.Ingest(detector.Batch{Events: evs, LastSeq: last})
-		batches++
-		if w.cfg.SnapshotEvery > 0 && batches%w.cfg.SnapshotEvery == 0 {
-			w.offer()
-		}
-	}
-}
-
-// offer snapshots the pipeline and publishes it to the broker's
-// rendezvous. Best-effort: a failed offer costs nothing but handoff
-// freshness (the previous offer, or the spool, still covers recovery).
-func (w *Worker) offer() {
-	snap := w.p.Snapshot()
-	data, err := json.Marshal(snap)
-	if err != nil {
+		c.Close()
 		return
 	}
-	if stream.OfferSnapshot(w.cfg.Addr, w.cfg.Part, w.cfg.Parts, snap.Seq, data) == nil {
-		w.offered.Store(snap.Seq)
+}
+
+// drain applies batches from c until a receive fails, saving whenever
+// a trigger fires.
+func (w *Worker) drain(c *stream.Client) error {
+	for {
+		evs, err := c.RecvBatch()
+		if err != nil {
+			return err
+		}
+		last, applied := c.LastSeq(), w.p.Seq()
+		if last <= applied {
+			continue
+		}
+		// Skip any replayed prefix at or below the pipeline's position:
+		// counters are not idempotent. Partitioned batches are sparse in
+		// the global order and carry per-event sequences.
+		seqs, n := c.LastBatchSeqs(), len(evs)
+		seqAt := func(i int) uint64 {
+			if seqs != nil {
+				return seqs[i]
+			}
+			return last - uint64(n-1-i)
+		}
+		drop := 0
+		for drop < n && seqAt(drop) <= applied {
+			drop++
+		}
+		if drop < n && w.firstApplied.Load() == 0 {
+			w.firstApplied.Store(seqAt(drop))
+		}
+		for i := drop; w.cfg.Audit && i < n; i++ {
+			if osn.Partition(evs[i].Actor, w.cfg.Parts) == w.cfg.Part {
+				w.ownedSeqs = append(w.ownedSeqs, seqAt(i))
+			}
+		}
+		w.p.Ingest(detector.Batch{Events: evs[drop:], LastSeq: last})
+		w.stats.Events += n - drop
+		w.stats.Batches++
+		lag := w.store != nil && w.cfg.MaxLag > 0 && last-w.stats.Checkpointed >= uint64(w.cfg.MaxLag)
+		if (w.store != nil || w.cfg.Handoff) && (lag || time.Since(w.lastSave) >= w.cfg.Every) {
+			w.save(c, w.cfg.Handoff)
+		}
 	}
 }
 
-// Kill severs the worker's feed connection without a final snapshot
-// offer — a simulated crash. The ingest loop exits with the connection
-// error; Wait returns it.
-func (w *Worker) Kill() { w.c.Kick() }
+// save cuts a snapshot and keeps it: in a checkpoint file, after which
+// the feed is acked through c (when c is non-nil), and, when offer is
+// set, at the broker's rendezvous. Neither failure is fatal: the
+// previous checkpoint generation and the broker's previous offer (or
+// the spool) keep recovery possible.
+func (w *Worker) save(c *stream.Client, offer bool) {
+	snap := w.p.Snapshot()
+	w.lastSave = time.Now()
+	if w.store != nil {
+		if err := w.store.write(w.session, snap); err != nil {
+			log.Printf("cluster: checkpoint failed (previous generation still valid): %v", err)
+		} else {
+			w.stats.Checkpoints++
+			w.stats.Checkpointed = snap.Seq
+			if c != nil {
+				c.Ack(snap.Seq)
+			}
+		}
+	}
+	if !offer || snap.Seq == 0 {
+		return // nothing applied yet is nothing worth adopting
+	}
+	// A failed offer is not logged: a closing broker refuses every save
+	// of the worker's final catch-up. Stats counts the successes.
+	data, err := json.Marshal(snap)
+	if err == nil && stream.OfferSnapshot(w.cfg.Addr, w.cfg.Part, w.cfg.Parts, snap.Seq, data) == nil {
+		w.offered.Store(snap.Seq)
+		w.stats.Offers++
+	}
+}
+
+// signal makes c, when non-nil, the current connection, and delivers a
+// pending Kill or Stop to the current connection.
+func (w *Worker) signal(c *stream.Client) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if c != nil {
+		w.c = c
+	}
+	switch {
+	case w.c == nil:
+	case w.killed.Load():
+		w.c.Kick()
+	case w.stopped.Load():
+		w.c.Interrupt()
+	}
+}
+
+// Kill severs the feed connection with nothing saved — a simulated
+// crash. The worker does not reconnect; Wait returns the connection
+// error.
+func (w *Worker) Kill() {
+	w.killed.Store(true)
+	w.signal(nil)
+}
+
+// Stop ends the worker gracefully: a final checkpoint, its ack sent
+// through the interrupted connection, and with Handoff a final offer.
+// It does not wait; Wait does.
+func (w *Worker) Stop() {
+	w.stopped.Store(true)
+	w.signal(nil)
+}
 
 // Wait blocks until the ingest loop has stopped, closes the pipeline,
-// and returns the loop's terminal error (nil on clean end of feed).
-// Idempotent.
+// and returns the loop's terminal error (nil on clean end of feed,
+// Stop or retirement).
 func (w *Worker) Wait() error {
 	<-w.done
-	w.closeOnce.Do(func() {
-		w.c.Close()
-		w.p.Close()
-	})
+	w.p.Close()
 	return w.err
 }
 
-// Pipeline exposes the worker's detector. Flag queries are safe at any
-// time; Tracked/Graph only after Wait.
+// Pipeline exposes the worker's detector; its queries are safe at any
+// time.
 func (w *Worker) Pipeline() *detector.Pipeline { return w.p }
 
-// ResumedFrom returns the feed sequence the worker's subscription
-// started at: 1 on a cold start, snapshot sequence + 1 after a
-// handoff.
+// Origin describes the state the worker started from ("restored PATH:
+// ..." or "adopted broker snapshot ..."), "" for a cold start.
+func (w *Worker) Origin() string { return w.origin }
+
+// ResumedFrom returns the feed sequence the first subscription started
+// at: the starting state's sequence + 1, 1 for a FromStart cold start,
+// 0 for one at the live head.
 func (w *Worker) ResumedFrom() uint64 { return w.resumedFrom }
 
 // HandoffSeq returns the stamped sequence of the broker snapshot the
-// worker adopted at start, or 0 for a cold start.
+// worker adopted at start, 0 when it did not adopt one.
 func (w *Worker) HandoffSeq() uint64 { return w.handoffSeq }
 
 // OfferedSeq returns the highest snapshot sequence this worker has
@@ -278,6 +425,9 @@ func (w *Worker) OfferedSeq() uint64 { return w.offered.Load() }
 // must exceed HandoffSeq — the zero-replay property: no event at or
 // below the snapshot's cut is ever re-applied.
 func (w *Worker) FirstApplied() uint64 { return w.firstApplied.Load() }
+
+// Stats returns the worker's counters. Valid after Wait.
+func (w *Worker) Stats() Stats { return w.stats }
 
 // Rebalanced reports whether the worker was retired by a live
 // rebalance, and if so the cutover barrier (its pipeline's final

@@ -57,12 +57,97 @@ func clusterServer(t *testing.T) *stream.Server {
 	return srv
 }
 
-func flagSet(ids []osn.AccountID) map[osn.AccountID]bool {
-	set := make(map[osn.AccountID]bool, len(ids))
-	for _, id := range ids {
-		set[id] = true
+// saveLag spaces the test workers' saves: a checkpoint (and, with
+// Handoff, an offer) every saveLag feed sequences, about 40 over the
+// campaign.
+const saveLag = 1000
+
+// workerConfig is the tests' worker for partition part of parts on
+// addr: its own checkpoint directory, saves on the lag trigger only
+// (the interval is out of reach), so they land at feed positions rather
+// than wall-clock times.
+func workerConfig(t *testing.T, addr string, part, parts int, rule detector.Rule) cluster.Config {
+	return cluster.Config{
+		Addr: addr, Part: part, Parts: parts, Rule: rule, CheckEvery: 1,
+		Dir: t.TempDir(), Every: time.Hour, MaxLag: saveLag,
 	}
-	return set
+}
+
+// waitSeq blocks until w's pipeline has applied the feed through seq.
+// A partitioned worker's cursor may trail a foreign tail, so only a
+// whole-feed worker can wait for the feed's head this way.
+func waitSeq(t *testing.T, w *cluster.Worker, seq uint64) {
+	t.Helper()
+	waitFor(t, func() bool { return w.Pipeline().Seq() >= seq }, "worker to apply seq %d", seq)
+}
+
+// waitOffered blocks until w has offered the broker a snapshot past seq.
+func waitOffered(t *testing.T, w *cluster.Worker, seq uint64) {
+	t.Helper()
+	waitFor(t, func() bool { return w.OfferedSeq() > seq }, "worker to offer a snapshot past seq %d", seq)
+}
+
+func waitFor(t *testing.T, done func() bool, what string, args ...any) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for !done() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for "+what, args...)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// singleRunFlags is the referee: the accounts one uninterrupted
+// unpartitioned pipeline flags over events.
+func singleRunFlags(t *testing.T, events []osn.Event, rule detector.Rule) map[osn.AccountID]bool {
+	t.Helper()
+	single := detector.NewPipeline(rule, nil, detector.WithGraphReconstruction())
+	single.Ingest(detector.Batch{Events: events})
+	single.Close()
+	want := make(map[osn.AccountID]bool)
+	for _, id := range single.FlaggedIDs() {
+		want[id] = true
+	}
+	if len(want) == 0 {
+		t.Fatal("single pipeline flagged nothing; equivalence test is vacuous")
+	}
+	return want
+}
+
+// checkUnion waits for a K-worker cluster to end cleanly at the feed's
+// last sequence and checks that its flags, each raised by the
+// account's owner alone, are exactly want.
+func checkUnion(t *testing.T, workers []*cluster.Worker, last uint64, want map[osn.AccountID]bool) {
+	t.Helper()
+	k := len(workers)
+	union := make(map[osn.AccountID]int)
+	for part, w := range workers {
+		if err := w.Wait(); err != nil {
+			t.Fatalf("worker %d/%d: %v", part, k, err)
+		}
+		if got := w.Pipeline().Seq(); got != last {
+			t.Fatalf("worker %d/%d stopped at seq %d, feed ended at %d", part, k, got, last)
+		}
+		for _, id := range w.Pipeline().FlaggedIDs() {
+			if osn.Partition(id, k) != part {
+				t.Fatalf("worker %d/%d flagged account %d owned by partition %d",
+					part, k, id, osn.Partition(id, k))
+			}
+			union[id]++
+		}
+	}
+	for id, n := range union {
+		if n != 1 {
+			t.Fatalf("account %d flagged by %d workers", id, n)
+		}
+		if !want[id] {
+			t.Fatalf("cluster flagged %d, single run did not", id)
+		}
+	}
+	if len(union) != len(want) {
+		t.Fatalf("cluster flagged %d accounts, single run flagged %d", len(union), len(want))
+	}
 }
 
 // TestPartitionedClusterFlagEquality is the PR's acceptance test: for
@@ -75,24 +160,19 @@ func flagSet(ids []osn.AccountID) map[osn.AccountID]bool {
 func TestPartitionedClusterFlagEquality(t *testing.T) {
 	events, rule := campaignFeed()
 
-	single := detector.NewPipeline(rule, nil, detector.WithGraphReconstruction())
-	single.Ingest(detector.Batch{Events: events})
-	single.Close()
-	want := flagSet(single.FlaggedIDs())
-	if len(want) == 0 {
-		t.Fatal("single pipeline flagged nothing; equivalence test is vacuous")
-	}
+	want := singleRunFlags(t, events, rule)
 
 	for _, k := range []int{2, 3, 5} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			srv := clusterServer(t)
 			workers := make([]*cluster.Worker, k)
+			start := func(part int) (*cluster.Worker, error) {
+				cfg := workerConfig(t, srv.Addr(), part, k, rule)
+				cfg.Handoff = true
+				return cluster.Start(cfg)
+			}
 			for part := 0; part < k; part++ {
-				w, err := cluster.Start(cluster.Config{
-					Addr: srv.Addr(), Part: part, Parts: k,
-					Rule: rule, CheckEvery: 1,
-					SnapshotEvery: 4, Handoff: true,
-				})
+				w, err := start(part)
 				if err != nil {
 					t.Fatalf("start worker %d/%d: %v", part, k, err)
 				}
@@ -106,13 +186,7 @@ func TestPartitionedClusterFlagEquality(t *testing.T) {
 				srv.Broadcast(ev)
 			}
 			victim := workers[0]
-			deadline := time.Now().Add(10 * time.Second)
-			for victim.OfferedSeq() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("victim never offered a snapshot to the broker")
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
+			waitOffered(t, victim, 0)
 
 			// Crash the victim and adopt its partition on a fresh
 			// worker from the broker's snapshot.
@@ -120,11 +194,7 @@ func TestPartitionedClusterFlagEquality(t *testing.T) {
 			if err := victim.Wait(); err == nil {
 				t.Fatal("killed worker reported a clean end of feed")
 			}
-			repl, err := cluster.Start(cluster.Config{
-				Addr: srv.Addr(), Part: 0, Parts: k,
-				Rule: rule, CheckEvery: 1,
-				SnapshotEvery: 4, Handoff: true,
-			})
+			repl, err := start(0) // a fresh checkpoint dir: the broker's offer is the state
 			if err != nil {
 				t.Fatalf("start replacement: %v", err)
 			}
@@ -148,38 +218,10 @@ func TestPartitionedClusterFlagEquality(t *testing.T) {
 			if err := srv.Close(); err != nil {
 				t.Fatalf("broker close: %v", err)
 			}
-			union := make(map[osn.AccountID]int)
-			for part, w := range workers {
-				if err := w.Wait(); err != nil {
-					t.Fatalf("worker %d/%d: %v", part, k, err)
-				}
-				if got := w.Pipeline().Seq(); got != uint64(len(events)) {
-					t.Fatalf("worker %d/%d stopped at seq %d, feed ended at %d",
-						part, k, got, len(events))
-				}
-				for _, id := range w.Pipeline().FlaggedIDs() {
-					if osn.Partition(id, k) != part {
-						t.Fatalf("worker %d/%d flagged account %d owned by partition %d",
-							part, k, id, osn.Partition(id, k))
-					}
-					union[id]++
-				}
-			}
+			checkUnion(t, workers, uint64(len(events)), want)
 			if first := repl.FirstApplied(); first <= repl.HandoffSeq() {
 				t.Fatalf("replacement replayed seq %d at or below its snapshot cut %d",
 					first, repl.HandoffSeq())
-			}
-			for id, n := range union {
-				if n != 1 {
-					t.Fatalf("account %d flagged by %d workers", id, n)
-				}
-				if !want[id] {
-					t.Fatalf("cluster flagged %d, single run did not", id)
-				}
-			}
-			if len(union) != len(want) {
-				t.Fatalf("cluster flagged %d accounts, single run flagged %d",
-					len(union), len(want))
 			}
 		})
 	}
@@ -211,13 +253,7 @@ func waitAdopted(t *testing.T, e *stream.Relay, seq uint64) {
 func TestRelayTreeFlagEquality(t *testing.T) {
 	events, rule := campaignFeed()
 
-	single := detector.NewPipeline(rule, nil, detector.WithGraphReconstruction())
-	single.Ingest(detector.Batch{Events: events})
-	single.Close()
-	want := flagSet(single.FlaggedIDs())
-	if len(want) == 0 {
-		t.Fatal("single pipeline flagged nothing; equivalence test is vacuous")
-	}
+	want := singleRunFlags(t, events, rule)
 
 	const k = 4
 	root := clusterServer(t)
@@ -242,11 +278,9 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 
 	start := func(part int, addr string) *cluster.Worker {
 		t.Helper()
-		w, err := cluster.Start(cluster.Config{
-			Addr: addr, Part: part, Parts: k,
-			Rule: rule, CheckEvery: 1,
-			SnapshotEvery: 4, Handoff: true,
-		})
+		cfg := workerConfig(t, addr, part, k, rule)
+		cfg.Handoff, cfg.FromStart = true, true
+		w, err := cluster.Start(cfg)
 		if err != nil {
 			t.Fatalf("start worker %d/%d on %s: %v", part, k, addr, err)
 		}
@@ -308,35 +342,7 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 	if err := edgeB2.Wait(); err != nil {
 		t.Fatalf("replacement edge did not propagate eof cleanly: %v", err)
 	}
-	union := make(map[osn.AccountID]int)
-	for part, w := range workers {
-		if err := w.Wait(); err != nil {
-			t.Fatalf("worker %d/%d: %v", part, k, err)
-		}
-		if got := w.Pipeline().Seq(); got != uint64(len(events)) {
-			t.Fatalf("worker %d/%d stopped at seq %d, feed ended at %d",
-				part, k, got, len(events))
-		}
-		for _, id := range w.Pipeline().FlaggedIDs() {
-			if osn.Partition(id, k) != part {
-				t.Fatalf("worker %d/%d flagged account %d owned by partition %d",
-					part, k, id, osn.Partition(id, k))
-			}
-			union[id]++
-		}
-	}
-	for id, n := range union {
-		if n != 1 {
-			t.Fatalf("account %d flagged by %d workers", id, n)
-		}
-		if !want[id] {
-			t.Fatalf("tree cluster flagged %d, single run did not", id)
-		}
-	}
-	if len(union) != len(want) {
-		t.Fatalf("tree cluster flagged %d accounts, single run flagged %d",
-			len(union), len(want))
-	}
+	checkUnion(t, workers, uint64(len(events)), want)
 	if adopted := edgeA.Server().Stats().Adopted; adopted != uint64(len(events)) {
 		t.Fatalf("edge A adopted %d events, feed carried %d", adopted, len(events))
 	}
@@ -345,7 +351,7 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 // TestWorkerInvalidPartition: the harness rejects partitions the
 // broker would reject, before dialing anything.
 func TestWorkerInvalidPartition(t *testing.T) {
-	for _, bad := range []struct{ part, parts int }{{0, 0}, {-1, 2}, {2, 2}, {5, 3}} {
+	for _, bad := range []struct{ part, parts int }{{-1, 2}, {2, 2}, {5, 3}} {
 		if _, err := cluster.Start(cluster.Config{
 			Addr: "127.0.0.1:0", Part: bad.part, Parts: bad.parts,
 			Rule: detector.PaperRule(),

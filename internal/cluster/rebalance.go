@@ -9,7 +9,8 @@
 //     snapshot cut precisely at B.
 //  2. The coordinator polls the rendezvous until all K snapshots sit
 //     at B (a fenced subscription cannot pass B, so seq == B is an
-//     exact rendezvous, not a race), re-keys them into K' snapshots
+//     exact rendezvous, not a race; a Worker offers its retirement
+//     snapshot with or without Handoff), re-keys them into K' snapshots
 //     (detector.RebalanceSnapshots), and offers the new set.
 //  3. CommitRebalance unfences the new shape; new workers Start with
 //     Handoff and adopt their snapshot, subscribing from B+1.

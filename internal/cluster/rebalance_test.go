@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"sybilwild/internal/cluster"
-	"sybilwild/internal/detector"
-	"sybilwild/internal/osn"
 )
 
 // TestLiveRebalanceFlagEquality is the PR's acceptance test: a K-way
@@ -26,31 +24,27 @@ import (
 func TestLiveRebalanceFlagEquality(t *testing.T) {
 	events, rule := campaignFeed()
 
-	single := detector.NewPipeline(rule, nil, detector.WithGraphReconstruction())
-	single.Ingest(detector.Batch{Events: events})
-	single.Close()
-	want := flagSet(single.FlaggedIDs())
-	if len(want) == 0 {
-		t.Fatal("single pipeline flagged nothing; equivalence test is vacuous")
-	}
+	want := singleRunFlags(t, events, rule)
 
 	for _, shape := range []struct{ from, to int }{{3, 5}, {4, 2}} {
 		t.Run(fmt.Sprintf("k=%dto%d", shape.from, shape.to), func(t *testing.T) {
 			srv := clusterServer(t)
 			workerCfg := func(part, parts int) cluster.Config {
-				return cluster.Config{
-					Addr: srv.Addr(), Part: part, Parts: parts,
-					Rule: rule, CheckEvery: 1,
-					SnapshotEvery: 4, Audit: true,
-				}
+				cfg := workerConfig(t, srv.Addr(), part, parts, rule)
+				cfg.Audit = true
+				return cfg
 			}
+			// The old generation runs without Handoff: it offers only its
+			// retirement snapshot, which it must do regardless.
 			oldGen := make([]*cluster.Worker, shape.from)
+			oldDirs := make([]string, shape.from)
 			for p := range oldGen {
-				w, err := cluster.Start(workerCfg(p, shape.from))
+				cfg := workerCfg(p, shape.from)
+				w, err := cluster.Start(cfg)
 				if err != nil {
 					t.Fatalf("start worker %d/%d: %v", p, shape.from, err)
 				}
-				oldGen[p] = w
+				oldGen[p], oldDirs[p] = w, cfg.Dir
 			}
 
 			// First leg, then cut over while the second leg is being
@@ -89,6 +83,10 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 				if got := w.Pipeline().Seq(); got != barrier {
 					t.Fatalf("old worker %d/%d stopped at seq %d, barrier is %d", p, shape.from, got, barrier)
 				}
+				if _, seq, err := cluster.NewestCheckpoint(oldDirs[p]); err != nil || seq != barrier {
+					t.Fatalf("old worker %d/%d's final checkpoint is at seq %d (%v), barrier is %d",
+						p, shape.from, seq, err, barrier)
+				}
 			}
 
 			// The new generation adopts the re-keyed snapshots and
@@ -117,11 +115,7 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 					srv.Broadcast(ev)
 				}
 			}()
-			sb, err := cluster.StartStandby(cluster.StandbyConfig{
-				Worker:    workerCfg(0, shape.to),
-				PollEvery: 10 * time.Millisecond,
-				Confirm:   2,
-			})
+			sb, err := cluster.StartStandby(workerCfg(0, shape.to))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,44 +139,14 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 			if err := srv.Close(); err != nil {
 				t.Fatalf("broker close: %v", err)
 			}
-			for p, w := range newGen {
-				if err := w.Wait(); err != nil {
-					t.Fatalf("new worker %d/%d: %v", p, shape.to, err)
-				}
-				if got := w.Pipeline().Seq(); got != uint64(len(events)) {
-					t.Fatalf("new worker %d/%d stopped at seq %d, feed ended at %d",
-						p, shape.to, got, len(events))
-				}
-			}
-			if first := promoted.FirstApplied(); first != 0 && first <= promoted.HandoffSeq() {
-				t.Fatalf("standby replayed seq %d at or below its snapshot cut %d",
-					first, promoted.HandoffSeq())
-			}
-
 			// Union flag equality: the new generation (whose snapshots
 			// inherited the old generation's verdicts through the
 			// re-keying) must flag exactly what the uninterrupted single
 			// run flagged, each account in its owner partition only.
-			union := make(map[osn.AccountID]int)
-			for p, w := range newGen {
-				for _, id := range w.Pipeline().FlaggedIDs() {
-					if osn.Partition(id, shape.to) != p {
-						t.Fatalf("new worker %d/%d flagged account %d owned by partition %d",
-							p, shape.to, id, osn.Partition(id, shape.to))
-					}
-					union[id]++
-				}
-			}
-			for id, n := range union {
-				if n != 1 {
-					t.Fatalf("account %d flagged by %d workers", id, n)
-				}
-				if !want[id] {
-					t.Fatalf("cluster flagged %d, single run did not", id)
-				}
-			}
-			if len(union) != len(want) {
-				t.Fatalf("cluster flagged %d accounts, single run flagged %d", len(union), len(want))
+			checkUnion(t, newGen, uint64(len(events)), want)
+			if first := promoted.FirstApplied(); first != 0 && first <= promoted.HandoffSeq() {
+				t.Fatalf("standby replayed seq %d at or below its snapshot cut %d",
+					first, promoted.HandoffSeq())
 			}
 
 			// Per-event owner audit: every sequence judged exactly once

@@ -1,11 +1,12 @@
 // Automatic standby promotion: a Standby watches one partition key on
 // the broker and, when its worker dies (stall eviction, crash, kill),
-// promotes itself — claims the key, adopts the dead worker's freshest
-// broker snapshot, and resumes the feed from the snapshot's cut — with
-// no operator action. The broker's claim protocol makes the promotion
-// race-free: of N standbys watching the same partition, exactly one
-// wins the claim; the rest keep watching (the winner's connection
-// resets their qualifying streak).
+// promotes itself — claims the key, starts a Worker under the claimed
+// session id, and so adopts the dead worker's freshest broker offer (or
+// its own checkpoint, if that is fresher) — with no operator action.
+// The broker's claim protocol makes the promotion race-free: of N
+// standbys watching the same partition, exactly one wins the claim;
+// the rest keep watching (the winner's connection resets their
+// qualifying streak).
 //
 // The promotion gate deliberately defers to a coordinated rebalance:
 // a fence on the group shape (Barrier != 0) means a cutover is
@@ -22,29 +23,22 @@ import (
 	"sybilwild/internal/stream"
 )
 
-// StandbyConfig describes a warm standby for one partition.
-type StandbyConfig struct {
-	// Worker is the configuration the standby promotes with. Handoff
-	// and SessionID are controlled by the standby itself and may be
-	// left zero.
-	Worker Config
+const (
+	standbyPoll = 50 * time.Millisecond // broker polling cadence
 
-	// PollEvery is the broker polling cadence (default 50ms).
-	PollEvery time.Duration
-
-	// Confirm is how many consecutive qualifying polls (partition seen
-	// before, nothing connected, snapshot available, no fence) must
+	// standbyConfirm is how many consecutive qualifying polls (partition
+	// seen before, nothing connected, snapshot available, no fence) must
 	// accumulate before promoting — debounce against a worker's brief
-	// reconnect window. Default 3.
-	Confirm int
-}
+	// reconnect window.
+	standbyConfirm = 3
+)
 
 // Standby watches a partition and promotes itself into a Worker when
 // the partition's owner dies. Create with StartStandby; Done closes
 // when the watch ends (promotion finished, or Stop), after which
 // Worker/Err report the outcome.
 type Standby struct {
-	cfg      StandbyConfig
+	cfg      Config
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
@@ -53,18 +47,13 @@ type Standby struct {
 	err error
 }
 
-// StartStandby begins watching the partition described by
-// cfg.Worker on its broker.
-func StartStandby(cfg StandbyConfig) (*Standby, error) {
-	if cfg.Worker.Parts < 1 || cfg.Worker.Part < 0 || cfg.Worker.Part >= cfg.Worker.Parts {
-		return nil, fmt.Errorf("cluster: invalid partition %d/%d", cfg.Worker.Part, cfg.Worker.Parts)
+// StartStandby begins watching cfg's partition on its broker. The
+// promoted worker runs cfg with Handoff set.
+func StartStandby(cfg Config) (*Standby, error) {
+	if cfg.Parts < 1 || cfg.Part < 0 || cfg.Part >= cfg.Parts {
+		return nil, fmt.Errorf("cluster: invalid partition %d/%d", cfg.Part, cfg.Parts)
 	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = 50 * time.Millisecond
-	}
-	if cfg.Confirm <= 0 {
-		cfg.Confirm = 3
-	}
+	cfg.Handoff = true
 	s := &Standby{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
 	go s.watch()
 	return s, nil
@@ -72,9 +61,9 @@ func StartStandby(cfg StandbyConfig) (*Standby, error) {
 
 func (s *Standby) watch() {
 	defer close(s.done)
-	cfg := s.cfg.Worker
+	cfg := s.cfg
 	streak := 0
-	ticker := time.NewTicker(s.cfg.PollEvery)
+	ticker := time.NewTicker(standbyPoll)
 	defer ticker.Stop()
 	for {
 		select {
@@ -91,7 +80,7 @@ func (s *Standby) watch() {
 			streak = 0
 			continue
 		}
-		if streak++; streak < s.cfg.Confirm {
+		if streak++; streak < standbyConfirm {
 			continue
 		}
 		// The partition had a worker, has none now, left a snapshot to
@@ -102,16 +91,9 @@ func (s *Standby) watch() {
 			streak = 0
 			continue
 		}
-		cfg.Handoff = true
-		cfg.SessionID = session
-		w, err := Start(cfg)
-		if err != nil {
-			// Claimed but could not start (broker died, snapshot became
-			// unusable): surface it — the claim expires on its own.
-			s.err = err
-			return
-		}
-		s.w = w
+		// A failed start (broker died, a state became unusable) is
+		// surfaced; the claim expires on its own.
+		s.w, s.err = start(cfg, session)
 		return
 	}
 }
