@@ -50,7 +50,8 @@ sybilbench-trace:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace 1
 
 # Single-iteration pass over every benchmark: proves they run, reports
-# the reproduced paper metrics, stays inside a CI budget.
+# the reproduced paper metrics, stays inside a CI budget. The codec
+# benchmarks in internal/wire run here short too.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
@@ -126,7 +127,7 @@ bench-gate:
 # inputs. Crashes fail the build; new interesting inputs stay in the
 # local build cache (promote them to testdata/fuzz to commit them).
 fuzz-smoke:
-	@for tgt in FuzzBatch FuzzPBatch FuzzFBatch FuzzSnapHeader FuzzReadFrame FuzzRebal; do \
+	@for tgt in FuzzBatch FuzzPBatch FuzzFBatch FuzzSplice FuzzSnapHeader FuzzReadFrame FuzzRebal; do \
 		$(GO) test ./internal/wire/ -run='^$$' -fuzz "^$$tgt$$" -fuzztime 5s || exit 1; \
 	done
 
@@ -138,13 +139,18 @@ profile:
 	@echo "profiles written: cpu.pprof mem.pprof (binary: sybilwild.test)"
 
 # The same for the broker's live path: wire-fed ingest and the relay
-# hop. `go tool pprof -sample_index=alloc_space -top live-mem.pprof`
-# lists the allocation sites docs/ARCHITECTURE.md "Buffer ownership"
-# accounts for.
+# hop, then the codec calls they are built on (root splice, relay
+# views, worker parse; one 256-event chunk each, ns/ev reported).
+# `go tool pprof -sample_index=alloc_space -top live-mem.pprof` lists
+# the allocation sites docs/ARCHITECTURE.md "Buffer ownership" accounts
+# for.
 profile-live:
 	$(GO) test -bench='^(BenchmarkPublishIngest|BenchmarkRelayFanout)$$' -benchtime=20000x -run='^$$' -benchmem \
 		-cpuprofile live-cpu.pprof -memprofile live-mem.pprof ./internal/stream
-	@echo "profiles written: live-cpu.pprof live-mem.pprof (binary: stream.test)"
+	$(GO) test -bench='^(BenchmarkParseBatch|BenchmarkParseFBatch|BenchmarkSplicePBatch|BenchmarkPartitionView)$$' \
+		-benchtime=20000x -run='^$$' -benchmem \
+		-cpuprofile wire-cpu.pprof -memprofile wire-mem.pprof ./internal/wire
+	@echo "profiles written: live-cpu.pprof live-mem.pprof (binary: stream.test), wire-cpu.pprof wire-mem.pprof (binary: wire.test)"
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 
 	"sybilwild/internal/osn"
+	"sybilwild/internal/wire"
 )
 
 // producerState is one wire producer's broker-side registration. It
@@ -77,10 +78,13 @@ func (s *Server) NumProducers() int {
 }
 
 // servePublisher admits a wire producer and runs its ingest loop:
-// pbatch frames are deduplicated, sequenced, and acked in arrival
-// order; peof closes the producer's epoch. Runs on the connection's
-// accept goroutine; the broker only ever writes to a producer from
-// this loop, so no separate writer goroutine is needed.
+// pbatch frames are deduplicated, sequenced, fanned out and acked in
+// arrival order; peof closes the producer's epoch. A canonical pbatch
+// is scanned once and its event bytes are spliced into the feed's
+// batch frames; anything else goes through encoding/json and a fresh
+// encode. Runs on the connection's accept goroutine; the broker only
+// ever writes to a producer from this loop, so no separate writer
+// goroutine is needed.
 func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, buf []byte) {
 	p, epoch, ackB, count, reject := s.admitProducer(hello, conn)
 	if reject != "" {
@@ -95,8 +99,7 @@ func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, bu
 	}
 
 	bw := bufio.NewWriterSize(conn, 4<<10)
-	var evbuf []osn.Event
-	var enc []byte // canonical-encode scratch, owned by this connection
+	var refs []wire.EventRef // index scratch, owned by this connection
 	for {
 		payload, err := readFrame(br, buf)
 		if err != nil {
@@ -104,8 +107,11 @@ func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, bu
 			return
 		}
 		buf = payload
-		bseq, evs, ok := parsePBatchFrame(payload, evbuf[:0])
-		if !ok {
+		bseq, idx, canonical := wire.IndexPBatch(payload, refs[:0])
+		refs = idx[:0]
+		n := len(idx)
+		var evs []osn.Event
+		if !canonical {
 			// Control frame, or a pbatch from a non-canonical encoder.
 			var f frame
 			if err := json.Unmarshal(payload, &f); err != nil {
@@ -120,26 +126,37 @@ func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, bu
 				bw.Flush()
 				continue // producer hangs up once it reads the confirmation
 			case framePBatch:
-				bseq, evs, err = parsePBatchSlow(payload, evbuf[:0])
+				bseq, evs, err = parsePBatchSlow(payload, nil)
 				if err != nil {
 					log.Printf("stream: producer %s: %v", p.id, err)
 					s.detachProducer(p, conn)
 					return
 				}
+				n = len(evs)
 			default:
 				log.Printf("stream: producer %s sent unexpected %q frame", p.id, f.T)
 				s.detachProducer(p, conn)
 				return
 			}
 		}
-		evbuf = evs[:0]
-		ack, err := s.ingest(p, conn, epoch, bseq, evs, &enc)
+		ack, first, err := s.sequence(p, conn, epoch, bseq, n)
 		if err != nil {
 			if !errors.Is(err, errFenced) {
 				log.Printf("stream: producer %s batch %d rejected: %v", p.id, bseq, err)
 			}
 			s.detachProducer(p, conn)
 			return
+		}
+		if first > 0 {
+			// The payload is read scratch: the chunks copy what they keep
+			// before the next read reuses it.
+			var chunks []*chunk
+			if canonical {
+				chunks = s.spliceChunks(first, payload, idx)
+			} else {
+				chunks = s.encodeChunks(first, evs, new([]byte))
+			}
+			s.fanout(first, n, chunks)
 		}
 		if writeControl(bw, frame{T: framePAck, Bseq: ack}) != nil || bw.Flush() != nil {
 			s.detachProducer(p, conn)
@@ -201,56 +218,48 @@ func (s *Server) admitProducer(hello frame, conn net.Conn) (p *producerState, ep
 	return p, p.epoch, p.bseq, p.events, ""
 }
 
-// ingest runs one publish batch through the global sequencer: dedupe
-// by producer batch sequence, then the shared batch fan-out core —
-// one canonical encode per maxBatch run (on enc, the connection's
-// scratch), one spool frame, one queue append per subscriber. The
-// sequencer lock covers only the dedupe check and sequence assignment,
-// so concurrent producers overlap everything else (encoding in
-// parallel, delivery ordered by the fan-out ticket). It returns the
-// batch sequence to acknowledge (monotone: replays ack the high-water
-// mark), and only after the fan-out completes — an acked batch is in
-// the spool and every subscriber queue, preserving at-least-once
-// across a broker death.
+// sequence runs one publish batch of n events through the global
+// sequencer: dedupe by producer batch sequence, then sequence
+// assignment. The sequencer lock covers only those, so concurrent
+// producers overlap everything else (frame building in parallel,
+// delivery ordered by the fan-out ticket). It returns the batch
+// sequence to acknowledge (monotone: replays ack the high-water mark)
+// and the batch's first feed sequence, 0 when there is nothing to fan
+// out (a replay, or an empty batch). The caller fans the batch out
+// before it acks, so an acked batch is in the spool and every
+// subscriber queue, preserving at-least-once across a broker death.
 // The total order of the feed is the order producers' batches acquire
 // s.mu here, interleaved with any in-process Broadcast calls.
-func (s *Server) ingest(p *producerState, conn net.Conn, epoch, bseq uint64, evs []osn.Event, enc *[]byte) (uint64, error) {
+func (s *Server) sequence(p *producerState, conn net.Conn, epoch, bseq uint64, n int) (ack, first uint64, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closing {
-		s.mu.Unlock()
-		return 0, errors.New("server closing")
+		return 0, 0, errors.New("server closing")
 	}
 	if p.epoch != epoch || p.conn != conn {
-		s.mu.Unlock()
-		return 0, errFenced
+		return 0, 0, errFenced
 	}
 	switch {
 	case bseq == 0:
-		s.mu.Unlock()
-		return 0, errors.New("batch sequence 0 (sequences start at 1)")
+		return 0, 0, errors.New("batch sequence 0 (sequences start at 1)")
 	case bseq <= p.bseq:
 		// A reconnect replayed a batch the broker already sequenced:
 		// drop it, but still ack the high-water mark so the producer
 		// can retire it.
 		p.dups++
-		hw := p.bseq
-		s.mu.Unlock()
-		return hw, nil
+		return p.bseq, 0, nil
 	case bseq > p.bseq+1:
-		s.mu.Unlock()
-		return 0, fmt.Errorf("batch sequence gap: have %d, got %d", p.bseq, bseq)
+		return 0, 0, fmt.Errorf("batch sequence gap: have %d, got %d", p.bseq, bseq)
 	}
 	p.bseq = bseq
 	p.batches++
-	p.events += uint64(len(evs))
-	first := s.seq + 1
-	s.seq += uint64(len(evs))
-	s.mu.Unlock()
-
-	if len(evs) > 0 {
-		s.fanout(first, len(evs), evs, s.encodeChunks(first, evs, enc))
+	p.events += uint64(n)
+	if n == 0 {
+		return bseq, 0, nil
 	}
-	return bseq, nil
+	first = s.seq + 1
+	s.seq += uint64(n)
+	return bseq, first, nil
 }
 
 // closeEpoch marks the producer's feed contribution complete. When

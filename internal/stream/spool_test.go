@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sybilwild/internal/osn"
 	"sybilwild/internal/spool"
 )
 
@@ -295,4 +296,34 @@ func TestManualAckLargeLagOverSpool(t *testing.T) {
 	if st := srv.Stats(); st.Evicted != 0 {
 		t.Fatalf("evicted = %d, want 0", st.Evicted)
 	}
+}
+
+// TestResumeBeforeFirstSpoolAppend: a resume — a DialFrom(1), a relay's
+// first hello — can reach a spooled broker after its first sequence
+// assignment but before its first spool append. The still-empty spool
+// holds that range as soon as the fan-out lands, so the resume must be
+// admitted as a catch-up that waits for it, not refused as below the
+// retention floor.
+func TestResumeBeforeFirstSpoolAppend(t *testing.T) {
+	leakCheck(t)
+	srv, _ := spooledServer(t, 64)
+	evs := make([]osn.Event, 10)
+	for i := range evs {
+		evs[i] = testEvent(i)
+	}
+	// BroadcastBatch's first half: the range is assigned, not fanned out.
+	srv.mu.Lock()
+	first := srv.seq + 1
+	srv.seq += uint64(len(evs))
+	srv.mu.Unlock()
+
+	c, err := DialFrom(srv.Addr(), 1)
+	// BroadcastBatch's second half lands the batch in the spool, and the
+	// catch-up serves it. (It runs either way: Close waits for it.)
+	srv.fanout(first, len(evs), srv.encodeChunks(first, evs, new([]byte)))
+	if err != nil {
+		t.Fatalf("resume from 1 refused while the first batch was in flight: %v", err)
+	}
+	defer c.Close()
+	recvThrough(t, c, uint64(len(evs)))
 }

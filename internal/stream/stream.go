@@ -41,6 +41,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -235,7 +236,7 @@ type Server struct {
 	ackFloor   atomic.Uint64
 	floorStale atomic.Bool
 
-	encodes   atomic.Uint64 // canonical batch/fbatch frame encodes (observability)
+	encodes   atomic.Uint64 // canonical batch/fbatch frames built (observability)
 	delivered atomic.Uint64
 	evicted   atomic.Uint64
 
@@ -297,18 +298,20 @@ type chunk struct {
 }
 
 // fanScratch is the transient state of one fan-out body: the session
-// snapshot, the partition-view scratch (the lazily decoded events of
-// an adopted frame, the filter's output, the fbatch encode buffer) and
-// the filtered chunks per partition. Nothing in it outlives the ticket
-// — payloads that do are copied out with retain.
+// snapshot, the partition keys among its sessions, the view scratch
+// (the scanned chunk's index) and the filtered chunks per partition.
+// Nothing in it outlives the ticket — the view payloads that do are
+// spliced into allocations of their own.
 type fanScratch struct {
 	sessions []*session
+	keys     []partKey
 	partView
 	fcache map[partKey][]*chunk
 }
 
 // retain returns the exactly-sized copy of an encoded payload that a
-// chunk keeps. Encoders run on reusable scratch, whose capacity is
+// chunk keeps (spliced payloads are built at their size and need no
+// copy). Encoders run on reusable scratch, whose capacity is
 // whatever the largest frame so far needed; the retained copy is
 // immutable and garbage-collected, never recycled — session writers
 // copy chunk pointers out under sess.mu and write the payloads to
@@ -439,14 +442,18 @@ type ServerStats struct {
 	Delivered uint64
 	Sessions  int    // sessions held (connected or lingering for resume)
 	Evicted   uint64 // sessions evicted with unrecoverable undelivered events — the only loss path
-	// Encodes counts canonical batch/fbatch frame encodes performed —
-	// the fan-out hot path's unit of work. Shared-frame delivery keeps
-	// it O(events/maxBatch + partitions) per batch regardless of the
-	// subscriber count (each batch is encoded once, not once per
-	// session). Writers add their own: a suffix re-encoded for a resume
-	// that landed mid-frame, and one fbatch view per spooled frame a
-	// partitioned catch-up session owns an event in. Empty
-	// cursor-advance frames are not counted.
+	// Encodes counts the canonical batch/fbatch frames the broker built,
+	// whether encoded from events or spliced from canonical event bytes
+	// — the fan-out hot path's unit of work: one batch frame per
+	// maxBatch run of a published batch, and one fbatch view per
+	// (frame, partition) pair in which the partition owns an event.
+	// Shared-frame delivery keeps it O(events/maxBatch + partitions)
+	// per batch regardless of the subscriber count (each frame is built
+	// once, not once per session). Writers add their own: a suffix
+	// spliced for a resume that landed mid-frame, and one fbatch view per
+	// spooled frame a partitioned catch-up session owns an event in.
+	// Frames forwarded verbatim, coalesced by a writer, or pure cursor
+	// advances are not counted.
 	Encodes uint64
 	// Adopted counts events ingested in sequence-adopting mode
 	// (AdoptFrame): upstream-sequenced frames re-served as shared bytes
@@ -623,33 +630,43 @@ func (s *Server) BroadcastBatch(evs []osn.Event) {
 	scratch := s.encPool.Get().(*[]byte)
 	chunks := s.encodeChunks(first, evs, scratch)
 	s.encPool.Put(scratch)
-	s.fanout(first, len(evs), evs, chunks)
+	s.fanout(first, len(evs), chunks)
 }
 
-// encodeChunks performs the batch's only canonical encode: one shared
-// immutable frame payload per maxBatch run, encoded on the caller's
+// encodeChunks builds a batch's shared frames by encoding: one
+// immutable canonical payload per maxBatch run, encoded on the caller's
 // scratch and retained at its exact size. No lock is held — with
 // multiple producers the encodes themselves run concurrently, each on
 // its own scratch; only delivery is ordered (by the fan-out ticket).
 func (s *Server) encodeChunks(first uint64, evs []osn.Event, scratch *[]byte) []*chunk {
-	n := (len(evs) + s.opt.maxBatch - 1) / s.opt.maxBatch
-	chunks := make([]*chunk, 0, n)
-	slab := make([]chunk, 0, n) // one allocation for all chunk headers
-	for off := 0; off < len(evs); off += s.opt.maxBatch {
-		end := off + s.opt.maxBatch
-		if end > len(evs) {
-			end = len(evs)
-		}
-		cf := first + uint64(off)
-		cl := first + uint64(end) - 1
-		*scratch = wire.AppendBatch((*scratch)[:0], cf, evs[off:end])
-		slab = append(slab, chunk{
-			first:   cf,
-			last:    cl,
-			n:       end - off,
-			cursor:  cl,
-			payload: retain(*scratch),
-		})
+	return s.buildChunks(first, len(evs), func(off, end int, seq uint64) []byte {
+		*scratch = wire.AppendBatch((*scratch)[:0], seq, evs[off:end])
+		return retain(*scratch)
+	})
+}
+
+// spliceChunks builds a canonical pbatch's shared frames without an
+// encoder: each maxBatch run of the producer's own event bytes (refs,
+// indexed in src) goes under a batch header in one copy sized for it —
+// the bytes encodeChunks would produce for the same events.
+func (s *Server) spliceChunks(first uint64, src []byte, refs []wire.EventRef) []*chunk {
+	return s.buildChunks(first, len(refs), func(off, end int, seq uint64) []byte {
+		return wire.SpliceBatch(nil, seq, src, refs[off:end])
+	})
+}
+
+// buildChunks cuts a batch of n events sequenced from first into
+// maxBatch runs and wraps each run's frame payload, frame(off, end,
+// seq) for events [off, end) from sequence seq, in a chunk. Each frame
+// built counts as one of ServerStats.Encodes.
+func (s *Server) buildChunks(first uint64, n int, frame func(off, end int, seq uint64) []byte) []*chunk {
+	k := (n + s.opt.maxBatch - 1) / s.opt.maxBatch
+	chunks := make([]*chunk, 0, k)
+	slab := make([]chunk, 0, k) // one allocation for all chunk headers
+	for off := 0; off < n; off += s.opt.maxBatch {
+		end := min(off+s.opt.maxBatch, n)
+		cf, cl := first+uint64(off), first+uint64(end)-1
+		slab = append(slab, chunk{first: cf, last: cl, n: end - off, cursor: cl, payload: frame(off, end, cf)})
 		chunks = append(chunks, &slab[len(slab)-1])
 		s.encodes.Add(1)
 	}
@@ -668,20 +685,21 @@ var ErrAdoptGap = errors.New("stream: adopted frame out of sequence")
 // payload — already canonical bytes — becomes the shared chunk that
 // the spool and every subscriber queue reference. An interior relay
 // hop therefore costs zero encodes (the Encodes counter does not move)
-// and zero event-level copies; events are decoded from the payload
-// only if a partitioned subscriber needs a filtered view, and even
-// then only once per frame. The payload is retained by reference — the
-// caller must hand over ownership and never reuse its backing array.
+// and zero event-level copies; the payload is scanned only if a
+// partitioned subscriber needs a filtered view, and even then only
+// once per frame. The payload is retained by reference — the caller
+// must hand over ownership and never reuse its backing array.
 //
 // Frames must arrive in feed order. A frame entirely at or below the
 // head is a reconnect resend and is dropped whole (nil error); one
 // straddling the head — a resume that landed mid-frame upstream — has
-// its suffix re-encoded locally, the single counted encode on the
-// adoption path; one starting past head+1 returns ErrAdoptGap with the
-// head untouched. Safe for concurrent use with subscriber traffic, but
-// a server has exactly one adopter (its relay's upstream loop) and
-// adoption must not be mixed with Broadcast or publish ingest: both
-// assign local sequences, which is precisely what adoption forgoes.
+// its suffix spliced into a new frame locally, the single counted
+// frame the adoption path builds; one starting past head+1 returns
+// ErrAdoptGap with the head untouched. Safe for concurrent use with
+// subscriber traffic, but a server has exactly one adopter (its relay's
+// upstream loop) and adoption must not be mixed with Broadcast or
+// publish ingest: both assign local sequences, which is precisely what
+// adoption forgoes.
 func (s *Server) AdoptFrame(payload []byte) error {
 	first, n, ok := wire.ParseBatchBounds(payload)
 	if !ok {
@@ -704,10 +722,10 @@ func (s *Server) AdoptFrame(payload []byte) error {
 	case first > head+1:
 		return fmt.Errorf("%w: head %d, frame starts at %d", ErrAdoptGap, head, first)
 	case first <= head:
-		// Straddling resend: re-encode the surviving suffix before
-		// touching the sequencer, so a corrupt frame can never leave a
-		// hole in the fan-out ticket order. This is the one encode
-		// adoption pays, at most once per upstream reconnect.
+		// Straddling resend: splice the surviving suffix before touching
+		// the sequencer, so a corrupt frame can never leave a hole in the
+		// fan-out ticket order. This is the one frame adoption builds, at
+		// most once per upstream reconnect.
 		var ok bool
 		payload, _, ok = wire.SuffixBatch(nil, payload, head+1, nil)
 		if !ok {
@@ -735,7 +753,7 @@ func (s *Server) AdoptFrame(payload []byte) error {
 	s.adopted.Add(uint64(n))
 
 	c := &chunk{first: first, last: last, n: n, cursor: last, payload: payload}
-	s.fanout(first, n, nil, []*chunk{c})
+	s.fanout(first, n, []*chunk{c})
 	return nil
 }
 
@@ -743,15 +761,12 @@ func (s *Server) AdoptFrame(payload []byte) error {
 // bytes), then one queue append per session per chunk. Batches pass
 // through strictly in sequence order — each waits for its ticket —
 // which is what keeps the spool contiguous and every session's queue
-// in feed order while concurrent producers encode in parallel. n is
-// the batch's event count; evs is the decoded batch, read only when a
-// partitioned session needs a filtered view (built once per (part,
-// parts) and shared across sessions), and it must remain valid until
-// fanout returns. An encode-side caller passes the slice it already
-// holds; a relay adopting a pre-encoded frame passes nil and its one
-// chunk is decoded on demand, so a hop with no partitioned subscribers
-// never decodes at all.
-func (s *Server) fanout(first uint64, n int, evs []osn.Event, chunks []*chunk) {
+// in feed order while concurrent producers build frames in parallel. n
+// is the batch's event count. A partitioned session queues its
+// partition's views of the chunks, built once per (part, parts) per
+// batch and shared across sessions, so a hop with no partitioned
+// subscribers never looks inside a frame.
+func (s *Server) fanout(first uint64, n int, chunks []*chunk) {
 	s.fanMu.Lock()
 	for s.fanNext != first {
 		s.fanCond.Wait()
@@ -778,8 +793,8 @@ func (s *Server) fanout(first uint64, n int, evs []osn.Event, chunks []*chunk) {
 	}
 
 	// The fan-out body runs exclusively (the next batch's ticket is
-	// granted only at the bottom), so the session snapshot and the
-	// filter scratch are reused instead of allocated per batch.
+	// granted only at the bottom), so the session snapshot and the view
+	// scratch are reused instead of allocated per batch.
 	s.smu.Lock()
 	sessions := s.fan.sessions[:0]
 	for _, sess := range s.sessions {
@@ -788,9 +803,15 @@ func (s *Server) fanout(first uint64, n int, evs []osn.Event, chunks []*chunk) {
 	s.fan.sessions = sessions
 	s.smu.Unlock()
 
-	fcache := s.fan.fcache
-	clear(fcache)
-	adopted := evs == nil
+	keys := s.fan.keys[:0]
+	for _, sess := range sessions {
+		if k := (partKey{sess.part, sess.parts}); sess.parts > 0 && !slices.Contains(keys, k) {
+			keys = append(keys, k)
+		}
+	}
+	s.fan.keys = keys
+	s.views(chunks, keys)
+
 	for _, sess := range sessions {
 		if sess.parts == 0 {
 			for _, c := range chunks {
@@ -800,19 +821,7 @@ func (s *Server) fanout(first uint64, n int, evs []osn.Event, chunks []*chunk) {
 			}
 			continue
 		}
-		key := partKey{sess.part, sess.parts}
-		fchunks, ok := fcache[key]
-		if !ok {
-			if adopted {
-				// The first partitioned session pays the (single) decode;
-				// full-feed subscribers get the raw frame verbatim even
-				// when it does not decode.
-				evs = s.fan.decode(chunks[0].payload, chunks[0].first, chunks[0].n)
-				adopted = false
-			}
-			fchunks = s.filterChunks(chunks, evs, first, sess.part, sess.parts)
-			fcache[key] = fchunks
-		}
+		fchunks := s.fan.fcache[partKey{sess.part, sess.parts}]
 		for i, c := range chunks {
 			if !sess.appendChunk(fchunks[i], c.cursor) {
 				break
@@ -826,30 +835,34 @@ func (s *Server) fanout(first uint64, n int, evs []osn.Event, chunks []*chunk) {
 	s.fanMu.Unlock()
 }
 
-// filterChunks builds the shared filtered-chunk set for one
-// partition: one fbatch payload per source chunk, encoded once and
-// queued by every session on the partition; nil where the partition
-// owns nothing in a chunk (the cursor-only case) and everywhere when
-// evs is nil (an adopted frame that did not decode). Filter output and
-// the encode run on the fan-out scratch — the caller holds the ticket
-// — and each payload is retained at its exact size.
-func (s *Server) filterChunks(chunks []*chunk, evs []osn.Event, first uint64, part, parts int) []*chunk {
-	out := make([]*chunk, len(chunks))
-	if evs == nil {
-		return out
+// views fills the fan-out's fcache with the shared filtered chunks of
+// every partition key in keys: one fbatch view per (key, source chunk),
+// nil where the partition owns nothing in the chunk (the cursor-only
+// case). Each chunk is scanned once for all keys, each view is spliced
+// from the chunk's own event bytes into a payload of its own, and a
+// chunk that does not scan gets cursor-only views. The caller holds the
+// ticket, which serializes use of the scratch.
+func (s *Server) views(chunks []*chunk, keys []partKey) {
+	fcache := s.fan.fcache
+	clear(fcache)
+	if len(keys) == 0 {
+		return
+	}
+	for _, k := range keys {
+		fcache[k] = make([]*chunk, len(chunks))
 	}
 	for i, c := range chunks {
-		off := int(c.first - first)
-		s.fan.buf = s.fan.buf[:0]
-		v, ok := s.fan.filter(evs[off:off+c.n], c.first, c.cursor, part, parts)
-		if !ok {
+		if !s.fan.index(c.payload, c.first, c.n) {
 			continue
 		}
-		v.payload = retain(v.payload)
-		out[i] = &v
-		s.encodes.Add(1)
+		for _, k := range keys {
+			var payload []byte
+			if v, ok := s.fan.view(&payload, c.payload, c.first, c.cursor, k.part, k.parts); ok {
+				fcache[k][i] = &v
+				s.encodes.Add(1)
+			}
+		}
 	}
-	return out
 }
 
 // waitFanned blocks until the batch containing seq has completed
@@ -1469,14 +1482,19 @@ func (s *Server) admit(hello frame, conn net.Conn) (sess *session, gen int, from
 	return sess, gen, r, ""
 }
 
-// spoolServes reports whether the disk tier retains sequence r.
-// Caller holds s.mu.
+// spoolServes reports whether the disk tier retains sequence r, or
+// will: a usable spool that is still empty serves everything past its
+// end, since a sequence assigned but not yet appended lands there next
+// and the catch-up writer waits for its fan-out (waitFanned) before it
+// reads. Caller holds s.mu.
 func (s *Server) spoolServes(r uint64) bool {
 	if !s.spoolUsable() {
 		return false
 	}
-	first := s.opt.spool.First()
-	return first != 0 && first <= r
+	if first := s.opt.spool.First(); first != 0 {
+		return first <= r
+	}
+	return r > s.opt.spool.End()
 }
 
 // newSessionLocked registers a session whose cursors sit at seq
@@ -1516,14 +1534,15 @@ func (s *Server) newSessionLocked(id string, seq uint64, catchup bool, part, par
 //     it under sess.mu: clamp it at the fence barrier and publish how
 //     far it moves the client's cursor (sent);
 //   - emit: coalesce the jobs up to maxBatch events per frame by byte
-//     splicing, re-encode a plain job a resume landed inside, or send a
-//     bare cursor advance once advanceEvery silent events have passed;
+//     splicing, splice the suffix of a plain job a resume landed inside,
+//     or send a bare cursor advance once advanceEvery silent events have
+//     passed;
 //   - flush when the source is drained or flushEvery has passed;
 //   - end: a drained round at the fence barrier is followed by rebal, a
 //     drained live round on a closing server by eof; a drained
 //     catch-up hands the session back to its queue.
 //
-// Everything the writer encodes lives in its own scratch and goes
+// Everything the writer builds lives in its own scratch and goes
 // straight to the socket: it is never retained, and once warm the
 // writer allocates nothing per frame.
 
@@ -1550,8 +1569,9 @@ type sessionWriter struct {
 	rd        *spool.Reader // the catch-up source; nil while the queue is
 	pos       uint64        // last sequence rd has handed out
 	jobs      []chunk       // the round's frames, in feed order (copies: a job may be rewritten)
-	view      partView      // catch-up scratch: decode, filter, and the payloads of disk jobs
-	sfx       []byte        // a re-encoded suffix job
+	view      partView      // the index of a disk frame, or of a job a resume landed inside
+	buf       []byte        // the payloads of disk jobs
+	sfx       []byte        // a spliced suffix job
 	out       []byte        // spliced and cursor-advance frames
 	lastFlush time.Time
 }
@@ -1655,15 +1675,15 @@ func (w *sessionWriter) next() (round, error) {
 // the transfer (which is also what lets a manual-ack consumer whose
 // acks are sparser than its window catch up). A plain session's jobs
 // are the raw frames, copied into writer scratch; a partitioned
-// session's are their partition views, built by the same helper
-// fan-out uses — a frame the partition owns nothing of only moves the
-// cursor.
+// session's are their partition views, spliced into writer scratch by
+// the same helper fan-out uses — a frame the partition owns nothing of,
+// or that does not scan, only moves the cursor.
 func (w *sessionWriter) fromSpool() (round, error) {
 	sess := w.sess
 	sess.mu.Lock()
 	f := sess.fencedAt
 	sess.mu.Unlock()
-	w.jobs, w.view.buf = w.jobs[:0], w.view.buf[:0]
+	w.jobs, w.buf = w.jobs[:0], w.buf[:0]
 	eof := false
 	for read := 0; read < w.s.opt.maxBatch && (f == 0 || w.pos < f); {
 		first, n, raw, err := w.rd.NextFrame()
@@ -1677,12 +1697,14 @@ func (w *sessionWriter) fromSpool() (round, error) {
 		read += n
 		w.pos = first + uint64(n) - 1
 		if sess.parts == 0 {
-			off := len(w.view.buf)
-			w.view.buf = append(w.view.buf, raw...)
-			w.jobs = append(w.jobs, chunk{first: first, last: w.pos, n: n, cursor: w.pos, payload: w.view.buf[off:]})
-		} else if v, ok := w.view.filter(w.view.decode(raw, first, n), first, w.pos, sess.part, sess.parts); ok {
-			w.jobs = append(w.jobs, v)
-			w.s.encodes.Add(1)
+			off := len(w.buf)
+			w.buf = append(w.buf, raw...)
+			w.jobs = append(w.jobs, chunk{first: first, last: w.pos, n: n, cursor: w.pos, payload: w.buf[off:]})
+		} else if w.view.index(raw, first, n) {
+			if v, ok := w.view.view(&w.buf, raw, first, w.pos, sess.part, sess.parts); ok {
+				w.jobs = append(w.jobs, v)
+				w.s.encodes.Add(1)
+			}
 		}
 	}
 	sess.mu.Lock()
@@ -1730,9 +1752,9 @@ func (w *sessionWriter) settle(cursor uint64, drained bool) round {
 // frame, the last frame carrying the round's cursor — or, for a round
 // with no jobs that moves the cursor, an empty fbatch that only
 // advances it. A plain job starting below from (a resume landed inside
-// it) is re-encoded from there, the one encode a plain writer ever
-// pays; a partitioned job is resent whole, and the client drops the
-// sequences it already has.
+// it) is spliced into a frame starting there, the one frame a plain
+// writer ever builds; a partitioned job is resent whole, and the client
+// drops the sequences it already has.
 func (w *sessionWriter) emit(from, to uint64) error {
 	jobs := w.jobs
 	if len(jobs) == 0 {
@@ -1744,7 +1766,7 @@ func (w *sessionWriter) emit(from, to uint64) error {
 	}
 	if c := &jobs[0]; c.parts == 0 && from > c.first {
 		var ok bool
-		w.sfx, w.view.evs, ok = wire.SuffixBatch(w.sfx[:0], c.payload, from, w.view.evs[:0])
+		w.sfx, w.view.refs, ok = wire.SuffixBatch(w.sfx[:0], c.payload, from, w.view.refs[:0])
 		if !ok {
 			return fmt.Errorf("%w: corrupt frame at seq %d", errLost, c.first)
 		}
@@ -1874,63 +1896,55 @@ func (w *sessionWriter) closeReader() {
 func (s *Server) advanceEvery() uint64 { return uint64(s.opt.maxBatch) }
 
 // partView is the scratch of building partition views of canonical
-// batch frames — decode, filter, fbatch encode. Fan-out runs it once
-// per (part, parts) per batch and retains each view; a catch-up writer
-// runs it per disk frame on its own copy and writes the views straight
-// to its socket.
+// batch frames: one scan indexes a frame's events, then each view
+// splices the events its partition owns. Fan-out runs it once per chunk
+// for every partition key and gives each view a payload of its own; a
+// catch-up writer runs it per disk frame on its own copy and splices
+// the views into scratch bound straight for its socket.
 type partView struct {
-	evs  []osn.Event
-	keep []osn.Event
-	seqs []uint64
-	buf  []byte
+	refs []wire.EventRef // the indexed frame
+	own  []int           // one view's events, as positions in refs
 }
 
-// decode is the lazy event decode of a canonical batch frame of n
-// events from sequence first. It returns nil when the body does not
-// decode to the n events its bounds claimed, which only a
-// non-canonical upstream encoder produces: partition views then get
-// nothing from the frame but the cursor, since any event invented in
-// its place would reach a detector as a real request.
-func (v *partView) decode(payload []byte, first uint64, n int) []osn.Event {
-	_, evs, ok := wire.ParseBatch(payload, v.evs[:0])
-	var err error
-	if !ok {
-		_, evs, err = parseBatchSlow(payload, v.evs[:0])
+// index scans a canonical batch frame of n events from sequence first
+// for views. It reports false, with a log line, when the frame does not
+// scan to the n events its bounds claimed — which only a non-canonical
+// upstream encoder produces: partition views then get nothing from the
+// frame but the cursor, since any event invented in its place would
+// reach a detector as a real request.
+func (v *partView) index(payload []byte, first uint64, n int) bool {
+	_, refs, ok := wire.IndexBatch(payload, v.refs[:0])
+	v.refs = refs
+	if !ok || len(refs) != n {
+		log.Printf("stream: batch at seq %d (%d events) is not canonical; partition views carry only its cursor", first, n)
+		return false
 	}
-	v.evs = evs[:0]
-	if err == nil && len(evs) != n {
-		err = fmt.Errorf("%d events where its bounds say %d", len(evs), n)
-	}
-	if err != nil {
-		log.Printf("stream: undecodable batch at seq %d, partition views skip it: %v", first, err)
-		return nil
-	}
-	return evs
+	return true
 }
 
-// filter appends the fbatch view partition part of parts receives of
-// the run evs (sequences from first; the frame advances the subscriber
-// to cursor) to v.buf and returns its chunk, whose payload aliases
-// v.buf. ok is false when the partition owns nothing in the run.
-func (v *partView) filter(evs []osn.Event, first, cursor uint64, part, parts int) (c chunk, ok bool) {
-	v.keep, v.seqs = v.keep[:0], v.seqs[:0]
-	for i, ev := range evs {
-		if osn.PartitionDelivers(ev, part, parts) {
-			v.keep = append(v.keep, ev)
-			v.seqs = append(v.seqs, first+uint64(i))
+// view appends to *buf the fbatch view partition part of parts receives
+// of the indexed frame (sequences from first; the view advances the
+// subscriber to cursor) and returns its chunk, whose payload aliases
+// the appended bytes. ok is false when the partition owns nothing in
+// the frame.
+func (v *partView) view(buf *[]byte, payload []byte, first, cursor uint64, part, parts int) (c chunk, ok bool) {
+	v.own = v.own[:0]
+	for k, r := range v.refs {
+		if osn.PartitionDelivers(osn.Event{Type: r.Type, Actor: r.Actor, Target: r.Target}, part, parts) {
+			v.own = append(v.own, k)
 		}
 	}
-	if len(v.keep) == 0 {
+	if len(v.own) == 0 {
 		return chunk{}, false
 	}
-	off := len(v.buf)
-	v.buf = wire.AppendFBatch(v.buf, cursor, v.seqs, v.keep)
+	off := len(*buf)
+	*buf = wire.SpliceFBatch(*buf, cursor, payload, first, v.refs, v.own)
 	return chunk{
-		first:   v.seqs[0],
-		last:    v.seqs[len(v.seqs)-1],
-		n:       len(v.keep),
+		first:   first + uint64(v.own[0]),
+		last:    first + uint64(v.own[len(v.own)-1]),
+		n:       len(v.own),
 		cursor:  cursor,
-		payload: v.buf[off:],
+		payload: (*buf)[off:],
 		part:    part,
 		parts:   parts,
 	}, true

@@ -162,9 +162,9 @@ const (
 const snapNone = "none"
 
 // frame is the JSON form of every control frame. Batch frames use the
-// same shape but are encoded and decoded on a hand-rolled hot path
-// (wire.AppendBatch / wire.ParseBatch); the struct remains their
-// fallback and interop form.
+// same shape but are built and read on a hand-rolled hot path
+// (internal/wire's encoders, splices and parsers); the struct remains
+// their fallback and interop form.
 type frame struct {
 	T       string      `json:"t"`
 	V       int         `json:"v,omitempty"`
@@ -274,13 +274,6 @@ func parseFBatchSlow(payload []byte, dstEvs []osn.Event, dstSeqs []uint64) (uint
 // sequence bseq) to dst and returns the extended slice.
 func appendPBatchFrame(dst []byte, bseq uint64, events []osn.Event) []byte {
 	return wire.AppendPBatch(dst, bseq, events)
-}
-
-// parsePBatchFrame decodes a canonical publish batch payload into
-// events appended to dst. ok is false when the payload deviates from
-// the canonical form (the broker then falls back to encoding/json).
-func parsePBatchFrame(payload []byte, dst []osn.Event) (bseq uint64, evs []osn.Event, ok bool) {
-	return wire.ParsePBatch(payload, dst)
 }
 
 // parsePBatchSlow is the encoding/json fallback for publish batches

@@ -1,0 +1,126 @@
+package wire
+
+import (
+	"math/rand"
+	"testing"
+
+	"sybilwild/internal/osn"
+)
+
+// The codec's hot calls on one 256-event chunk shaped like the
+// sybilbench feed: hourly rounds of friend requests among 100k
+// accounts, 40 % of them accepted a tick later. Each reports ns/ev.
+// The root splices every pbatch into batch frames; a relay indexes
+// every adopted frame once and splices one fbatch view per partition;
+// a worker parses its views.
+
+const benchChunk = 256
+
+func benchEvents() []osn.Event {
+	const accounts = 100000
+	rng := rand.New(rand.NewSource(7))
+	evs := make([]osn.Event, 0, benchChunk)
+	for id := 0; len(evs) < benchChunk; id++ {
+		at := int64(id/accounts+1) * 60
+		actor, target := osn.AccountID(rng.Intn(accounts)), osn.AccountID(rng.Intn(accounts))
+		evs = append(evs, osn.Event{Type: osn.EvFriendRequest, At: at, Actor: actor, Target: target})
+		if len(evs) < benchChunk && rng.Float64() < 0.4 {
+			evs = append(evs, osn.Event{Type: osn.EvFriendAccept, At: at + 1, Actor: target, Target: actor})
+		}
+	}
+	return evs
+}
+
+// benchFirst is a feed position the size of a sybilbench run's.
+const benchFirst = 1_000_001
+
+func reportPerEvent(b *testing.B, n int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/ev")
+}
+
+func BenchmarkParseBatch(b *testing.B) {
+	payload := AppendBatch(nil, benchFirst, benchEvents())
+	evs := make([]osn.Event, 0, benchChunk)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, evs, _ = ParseBatch(payload, evs[:0]); len(evs) != benchChunk {
+			b.Fatal("rejected its own encoder's frame")
+		}
+	}
+	reportPerEvent(b, benchChunk)
+}
+
+func BenchmarkParseFBatch(b *testing.B) {
+	all := benchEvents()
+	var seqs []uint64
+	var keep []osn.Event
+	for k, ev := range all {
+		if osn.PartitionDelivers(ev, 0, 2) {
+			seqs = append(seqs, benchFirst+uint64(k))
+			keep = append(keep, ev)
+		}
+	}
+	payload := AppendFBatch(nil, benchFirst+benchChunk-1, seqs, keep)
+	evs := make([]osn.Event, 0, len(keep))
+	seqbuf := make([]uint64, 0, len(keep))
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, evs, seqbuf, _ = ParseFBatch(payload, evs[:0], seqbuf[:0]); len(evs) != len(keep) {
+			b.Fatal("rejected its own encoder's frame")
+		}
+	}
+	reportPerEvent(b, len(keep))
+}
+
+// BenchmarkSplicePBatch is the root's work per pbatch: index it, then
+// splice its events under a batch header into a fresh payload.
+func BenchmarkSplicePBatch(b *testing.B) {
+	payload := AppendPBatch(nil, 9, benchEvents())
+	refs := make([]EventRef, 0, benchChunk)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ok bool
+		if _, refs, ok = IndexPBatch(payload, refs[:0]); !ok {
+			b.Fatal("rejected its own encoder's frame")
+		}
+		benchSink = SpliceBatch(nil, benchFirst, payload, refs)
+	}
+	reportPerEvent(b, benchChunk)
+}
+
+// BenchmarkPartitionView is a relay's work per adopted frame at K=2:
+// index it once, then splice each partition's fbatch view into a fresh
+// payload.
+func BenchmarkPartitionView(b *testing.B) {
+	const K = 2
+	payload := AppendBatch(nil, benchFirst, benchEvents())
+	refs := make([]EventRef, 0, benchChunk)
+	own := make([]int, 0, benchChunk)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ok bool
+		if _, refs, ok = IndexBatch(payload, refs[:0]); !ok {
+			b.Fatal("rejected its own encoder's frame")
+		}
+		for part := 0; part < K; part++ {
+			own = own[:0]
+			for k, r := range refs {
+				if osn.PartitionDelivers(osn.Event{Type: r.Type, Actor: r.Actor, Target: r.Target}, part, K) {
+					own = append(own, k)
+				}
+			}
+			benchSink = SpliceFBatch(nil, benchFirst+benchChunk-1, payload, benchFirst, refs, own)
+		}
+	}
+	reportPerEvent(b, benchChunk)
+}
+
+var benchSink []byte

@@ -74,13 +74,11 @@ func FuzzBatch(f *testing.F) {
 	f.Add([]byte(`{"t":"batch","seq":01,"events":[]}`))
 	f.Add([]byte(`{"t":"batch","seq":1,"events":[{"type":"warp"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Corrupt input: must not panic; accepted values must survive
-		// a re-encode/re-parse cycle unchanged.
+		// Corrupt input: must not panic, and whatever is accepted must be
+		// exactly what the encoder emits for the values it decoded to.
 		if seq, evs, ok := ParseBatch(data, nil); ok {
-			enc := AppendBatch(nil, seq, evs)
-			seq2, evs2, ok2 := ParseBatch(enc, nil)
-			if !ok2 || seq2 != seq || !eventsEqual(evs2, evs) {
-				t.Fatalf("accepted batch not idempotent: %q -> %q", data, enc)
+			if enc := AppendBatch(nil, seq, evs); !bytes.Equal(enc, data) {
+				t.Fatalf("accepted a batch its encoder does not emit: %q re-encodes as %q", data, enc)
 			}
 		}
 		// Generator round trip.
@@ -100,10 +98,8 @@ func FuzzPBatch(f *testing.F) {
 	f.Add([]byte(`{"t":"pbatch","bseq":-1,"events":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if bseq, evs, ok := ParsePBatch(data, nil); ok {
-			enc := AppendPBatch(nil, bseq, evs)
-			bseq2, evs2, ok2 := ParsePBatch(enc, nil)
-			if !ok2 || bseq2 != bseq || !eventsEqual(evs2, evs) {
-				t.Fatalf("accepted pbatch not idempotent: %q -> %q", data, enc)
+			if enc := AppendPBatch(nil, bseq, evs); !bytes.Equal(enc, data) {
+				t.Fatalf("accepted a pbatch its encoder does not emit: %q re-encodes as %q", data, enc)
 			}
 		}
 		evs, _ := fuzzEvents(data)
@@ -128,10 +124,8 @@ func FuzzFBatch(f *testing.F) {
 			if len(evs) != len(seqs) {
 				t.Fatalf("accepted fbatch with %d events but %d seqs", len(evs), len(seqs))
 			}
-			enc := AppendFBatch(nil, last, seqs, evs)
-			last2, evs2, seqs2, ok2 := ParseFBatch(enc, nil, nil)
-			if !ok2 || last2 != last || !eventsEqual(evs2, evs) || !seqsEqual(seqs2, seqs) {
-				t.Fatalf("accepted fbatch not idempotent: %q -> %q", data, enc)
+			if enc := AppendFBatch(nil, last, seqs, evs); !bytes.Equal(enc, data) {
+				t.Fatalf("accepted an fbatch its encoder does not emit: %q re-encodes as %q", data, enc)
 			}
 		}
 		evs, seqs := fuzzEvents(data)
@@ -147,6 +141,92 @@ func FuzzFBatch(f *testing.F) {
 	})
 }
 
+// FuzzSplice holds the broker's two splices to the encoders they stand
+// in for. The root splices a canonical pbatch's event bytes, cut into
+// runs of at most 3 events (a small maxBatch, so cuts happen), under
+// batch headers; each run must equal AppendBatch over the decoded
+// events. Each root frame is then indexed again, as a relay would, and
+// every partition view of it for K ∈ {2, 3} must equal AppendFBatch
+// over the partition's filtered decode. Raw input feeds the chain when
+// it parses as a pbatch; the event generator's encoding always does.
+func FuzzSplice(f *testing.F) {
+	f.Add([]byte(`{"t":"pbatch","bseq":1,"events":[]}`))
+	f.Add(AppendPBatch(nil, 7, []osn.Event{
+		{Type: osn.EvFriendRequest, At: 60, Actor: 1, Target: 99999},
+		{Type: osn.EvFriendAccept, At: 61, Actor: 99999, Target: 1},
+		{Type: osn.EvBan, At: -1, Target: -2147483648},
+		{Type: osn.EvBlogShare, At: 9223372036854775807, Actor: 2147483647, Target: 5, Aux: -3},
+	}))
+	f.Add([]byte(`{"t":"pbatch","bseq":2,"events":[{"type":"ban","at":1,"actor":0,"target":0,"aux":0}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, _ := fuzzEvents(data)
+		payloads := [][]byte{data, AppendPBatch(nil, uint64(len(data)), evs)}
+		for i, p := range payloads {
+			bseq, evs, ok := ParsePBatch(p, nil)
+			_, refs, iok := IndexPBatch(p, nil)
+			if ok != iok || len(refs) != len(evs) {
+				t.Fatalf("pbatch %q: parse ok=%v (%d events), index ok=%v (%d events)", p, ok, len(evs), iok, len(refs))
+			}
+			if !ok {
+				if i > 0 {
+					t.Fatalf("generated pbatch rejected: %q", p)
+				}
+				continue
+			}
+			first := bseq % 1000 // any feed position will do
+			for off := 0; off < len(refs); off += 3 {
+				end := min(off+3, len(refs))
+				seq := first + uint64(off)
+				frame := SpliceBatch(nil, seq, p, refs[off:end])
+				if want := AppendBatch(nil, seq, evs[off:end]); !bytes.Equal(frame, want) {
+					t.Fatalf("root splice of %q [%d:%d]:\n%s\nwant %s", p, off, end, frame, want)
+				}
+				if len(frame) != cap(frame) {
+					t.Fatalf("root splice of %q [%d:%d]: len %d, cap %d: the payload is not sized exactly", p, off, end, len(frame), cap(frame))
+				}
+				checkViews(t, frame, seq, evs[off:end])
+			}
+		}
+	})
+}
+
+// checkViews indexes a canonical batch frame and holds each of its
+// partition views, K ∈ {2, 3}, to AppendFBatch over the filtered
+// events it should carry.
+func checkViews(t *testing.T, frame []byte, first uint64, evs []osn.Event) {
+	t.Helper()
+	seq, refs, ok := IndexBatch(frame, nil)
+	if !ok || seq != first || len(refs) != len(evs) {
+		t.Fatalf("index of %q: seq=%d n=%d ok=%v, want %d/%d/true", frame, seq, len(refs), ok, first, len(evs))
+	}
+	last := first + uint64(len(evs)) // a cursor past the events, as after a flush
+	for parts := 2; parts <= 3; parts++ {
+		for part := 0; part < parts; part++ {
+			var own []int
+			var seqs []uint64
+			var keep []osn.Event
+			for k, ev := range evs {
+				r := refs[k]
+				if r.Type != ev.Type || r.Actor != ev.Actor || r.Target != ev.Target {
+					t.Fatalf("index of %q, event %d: %+v, decoded %+v", frame, k, r, ev)
+				}
+				if osn.PartitionDelivers(ev, part, parts) {
+					own = append(own, k)
+					seqs = append(seqs, first+uint64(k))
+					keep = append(keep, ev)
+				}
+			}
+			view := SpliceFBatch(nil, last, frame, first, refs, own)
+			if want := AppendFBatch(nil, last, seqs, keep); !bytes.Equal(view, want) {
+				t.Fatalf("view %d/%d of %q:\n%s\nwant %s", part, parts, frame, view, want)
+			}
+			if len(view) != cap(view) {
+				t.Fatalf("view %d/%d of %q: len %d, cap %d: the payload is not sized exactly", part, parts, frame, len(view), cap(view))
+			}
+		}
+	}
+}
+
 func FuzzSnapHeader(f *testing.F) {
 	f.Add([]byte(`{"t":"snap","part":0,"parts":1,"seq":0,"size":0}`))
 	f.Add(AppendSnapHeader(nil, SnapHeader{Part: 2, Parts: 5, Seq: 900, Size: 1 << 20}))
@@ -157,10 +237,8 @@ func FuzzSnapHeader(f *testing.F) {
 			if h.Parts < 1 || h.Part < 0 || h.Part >= h.Parts || h.Size > MaxSnapshotSize {
 				t.Fatalf("parser accepted out-of-contract header %+v from %q", h, data)
 			}
-			enc := AppendSnapHeader(nil, h)
-			h2, ok2 := ParseSnapHeader(enc)
-			if !ok2 || h2 != h {
-				t.Fatalf("accepted snap header not idempotent: %q -> %q", data, enc)
+			if enc := AppendSnapHeader(nil, h); !bytes.Equal(enc, data) {
+				t.Fatalf("accepted a snap header its encoder does not emit: %q re-encodes as %q", data, enc)
 			}
 		}
 		// Generator round trip over normalized-valid headers.
@@ -190,10 +268,8 @@ func FuzzRebal(f *testing.F) {
 			if r.Parts < 2 || r.NParts < 1 || r.Parts == r.NParts {
 				t.Fatalf("parser accepted out-of-contract rebal %+v from %q", r, data)
 			}
-			enc := AppendRebal(nil, r)
-			r2, ok2 := ParseRebal(enc)
-			if !ok2 || r2 != r {
-				t.Fatalf("accepted rebal not idempotent: %q -> %q", data, enc)
+			if enc := AppendRebal(nil, r); !bytes.Equal(enc, data) {
+				t.Fatalf("accepted a rebal its encoder does not emit: %q re-encodes as %q", data, enc)
 			}
 		}
 		// Generator round trip over normalized-valid announcements.

@@ -8,10 +8,10 @@
 package wire
 
 import (
+	"math"
 	"strconv"
 
 	"sybilwild/internal/osn"
-	"sybilwild/internal/sim"
 )
 
 // MaxSnapshotSize bounds a snapshot payload announced by a snap
@@ -37,7 +37,7 @@ const fbatchPrefix = `{"t":"fbatch","last":`
 func AppendFBatch(dst []byte, last uint64, seqs []uint64, events []osn.Event) []byte {
 	dst = append(dst, fbatchPrefix...)
 	dst = strconv.AppendUint(dst, last, 10)
-	dst = append(dst, `,"events":[`...)
+	dst = append(dst, eventsOpen...)
 	for i, ev := range events {
 		if i > 0 {
 			dst = append(dst, ',')
@@ -58,8 +58,7 @@ func AppendFBatch(dst []byte, last uint64, seqs []uint64, events []osn.Event) []
 		}
 		dst = append(dst, '}')
 	}
-	dst = append(dst, ']', '}')
-	return dst
+	return append(dst, eventsClose...)
 }
 
 // FBatchEventsSection returns the byte range of a canonical
@@ -72,94 +71,71 @@ func AppendFBatch(dst []byte, last uint64, seqs []uint64, events []osn.Event) []
 // BatchEventsSection. ok is false when payload is not a canonical
 // fbatch.
 func FBatchEventsSection(payload []byte) ([]byte, bool) {
-	c := batchCursor{b: payload}
-	if !c.lit(fbatchPrefix) {
-		return nil, false
-	}
-	if _, numOK := c.uint(); !numOK || !c.lit(`,"events":[`) {
-		return nil, false
-	}
-	if len(payload) < c.i+2 || payload[len(payload)-2] != ']' || payload[len(payload)-1] != '}' {
-		return nil, false
-	}
-	return payload[c.i : len(payload)-2], true
+	_, sec, ok := eventsSection(payload, fbatchPrefix)
+	return sec, ok
 }
 
 // ParseFBatch decodes a canonical filtered-batch payload, appending
 // events to dstEvs and their global sequences (parallel, same length)
-// to dstSeqs. ok is false on any deviation from the canonical form;
-// transport callers then fall back to encoding/json.
+// to dstSeqs. Like ParseBatch it accepts exactly what its encoder
+// (AppendFBatch) emits; ok is false on any deviation, and transport
+// callers then fall back to encoding/json.
 func ParseFBatch(payload []byte, dstEvs []osn.Event, dstSeqs []uint64) (last uint64, evs []osn.Event, seqs []uint64, ok bool) {
-	c := batchCursor{b: payload}
-	if !c.lit(fbatchPrefix) {
-		return 0, dstEvs, dstSeqs, false
-	}
-	last, numOK := c.uint()
-	if !numOK || !c.lit(`,"events":[`) {
+	s := scanner{b: payload}
+	last, ok = s.head(fbatchPrefix)
+	if !ok {
 		return 0, dstEvs, dstSeqs, false
 	}
 	evs, seqs = dstEvs, dstSeqs
-	for n := 0; ; n++ {
-		if c.lit(`]}`) {
-			break
-		}
-		if n > 0 && !c.lit(`,`) {
+	var ev osn.Event
+	for n := 0; !s.lit(eventsClose); n++ {
+		if n > 0 && !s.lit(",") || !s.lit(`{"seq":`) {
 			return 0, dstEvs, dstSeqs, false
 		}
-		if !c.lit(`{"seq":`) {
+		seq, ok := s.uint()
+		if !ok || !s.lit(`,"type":"`) || !s.event(&ev) {
 			return 0, dstEvs, dstSeqs, false
 		}
-		seq, qOK := c.uint()
-		if !qOK || !c.lit(`,"type":`) {
-			return 0, dstEvs, dstSeqs, false
-		}
-		typStr, sOK := c.str()
-		if !sOK {
-			return 0, dstEvs, dstSeqs, false
-		}
-		typ, err := EventTypeFromString(typStr)
-		if err != nil {
-			return 0, dstEvs, dstSeqs, false
-		}
-		if !c.lit(`,"at":`) {
-			return 0, dstEvs, dstSeqs, false
-		}
-		at, aOK := c.int()
-		if !aOK || !c.lit(`,"actor":`) {
-			return 0, dstEvs, dstSeqs, false
-		}
-		actor, acOK := c.int()
-		if !acOK || !c.lit(`,"target":`) {
-			return 0, dstEvs, dstSeqs, false
-		}
-		target, tOK := c.int()
-		if !tOK {
-			return 0, dstEvs, dstSeqs, false
-		}
-		var aux int64
-		if c.lit(`,"aux":`) {
-			var xOK bool
-			aux, xOK = c.int()
-			if !xOK {
-				return 0, dstEvs, dstSeqs, false
-			}
-		}
-		if !c.lit(`}`) {
-			return 0, dstEvs, dstSeqs, false
-		}
-		evs = append(evs, osn.Event{
-			Type:   typ,
-			At:     sim.Time(at),
-			Actor:  osn.AccountID(int32(actor)),
-			Target: osn.AccountID(int32(target)),
-			Aux:    int32(aux),
-		})
+		evs = append(evs, ev)
 		seqs = append(seqs, seq)
 	}
-	if c.i != len(payload) {
+	if s.i != len(payload) {
 		return 0, dstEvs, dstSeqs, false
 	}
 	return last, evs, seqs, true
+}
+
+// SpliceFBatch appends to dst a partition's view of a batch indexed in
+// src (IndexBatch, first sequence first): the canonical filtered-batch
+// payload carrying cursor last and the events refs[k] for each k in own
+// (ascending), each written as `{"seq":N,` followed by the event's own
+// bytes after its '{', N = first+k. The result is what AppendFBatch
+// emits for the same events. Splicing onto nil makes one allocation,
+// sized for the payload.
+func SpliceFBatch(dst []byte, last uint64, src []byte, first uint64, refs []EventRef, own []int) []byte {
+	const seqKey = `{"seq":`
+	if dst == nil {
+		size := len(fbatchPrefix) + uintLen(last) + len(eventsOpen) + len(eventsClose)
+		for i, k := range own {
+			// `{"seq":N,` + the event after its '{' (and a ',' before all
+			// but the first).
+			size += len(seqKey) + uintLen(first+uint64(k)) + refs[k].End - refs[k].Start + min(i, 1)
+		}
+		dst = make([]byte, 0, size)
+	}
+	dst = append(dst, fbatchPrefix...)
+	dst = strconv.AppendUint(dst, last, 10)
+	dst = append(dst, eventsOpen...)
+	for i, k := range own {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, seqKey...)
+		dst = strconv.AppendUint(dst, first+uint64(k), 10)
+		dst = append(dst, ',')
+		dst = append(dst, src[refs[k].Start+1:refs[k].End]...)
+	}
+	return append(dst, eventsClose...)
 }
 
 // SnapHeader announces a snapshot payload: which partition it covers,
@@ -197,24 +173,24 @@ func AppendSnapHeader(dst []byte, h SnapHeader) []byte {
 // any deviation (including a Size beyond MaxSnapshotSize, which a
 // reader must treat as corruption rather than allocate for).
 func ParseSnapHeader(payload []byte) (h SnapHeader, ok bool) {
-	c := batchCursor{b: payload}
-	if !c.lit(snapPrefix) {
+	s := scanner{b: payload}
+	if !s.lit(snapPrefix) {
 		return SnapHeader{}, false
 	}
-	part, pOK := c.int()
-	if !pOK || !c.lit(`,"parts":`) {
+	part, pOK := s.int(math.MaxInt64)
+	if !pOK || !s.lit(`,"parts":`) {
 		return SnapHeader{}, false
 	}
-	parts, kOK := c.int()
-	if !kOK || !c.lit(`,"seq":`) {
+	parts, kOK := s.int(math.MaxInt64)
+	if !kOK || !s.lit(`,"seq":`) {
 		return SnapHeader{}, false
 	}
-	seq, sOK := c.uint()
-	if !sOK || !c.lit(`,"size":`) {
+	seq, sOK := s.uint()
+	if !sOK || !s.lit(`,"size":`) {
 		return SnapHeader{}, false
 	}
-	size, zOK := c.uint()
-	if !zOK || !c.lit(`}`) || c.i != len(payload) {
+	size, zOK := s.uint()
+	if !zOK || !s.lit(`}`) || s.i != len(payload) {
 		return SnapHeader{}, false
 	}
 	if parts < 1 || part < 0 || part >= parts || size > MaxSnapshotSize {

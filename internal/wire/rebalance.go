@@ -10,7 +10,10 @@
 
 package wire
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // Rebal is the in-stream rebalance announcement: partition group
 // Parts is retired at sequence Barrier in favour of a group of NParts.
@@ -42,20 +45,20 @@ func AppendRebal(dst []byte, r Rebal) []byte {
 // group must hold at least one partition, and a "rebalance" onto the
 // same size is not a cutover.
 func ParseRebal(payload []byte) (r Rebal, ok bool) {
-	c := batchCursor{b: payload}
-	if !c.lit(rebalPrefix) {
+	s := scanner{b: payload}
+	if !s.lit(rebalPrefix) {
 		return Rebal{}, false
 	}
-	barrier, bOK := c.uint()
-	if !bOK || !c.lit(`,"parts":`) {
+	barrier, bOK := s.uint()
+	if !bOK || !s.lit(`,"parts":`) {
 		return Rebal{}, false
 	}
-	parts, pOK := c.int()
-	if !pOK || !c.lit(`,"nparts":`) {
+	parts, pOK := s.int(math.MaxInt64)
+	if !pOK || !s.lit(`,"nparts":`) {
 		return Rebal{}, false
 	}
-	nparts, nOK := c.int()
-	if !nOK || !c.lit(`}`) || c.i != len(payload) {
+	nparts, nOK := s.int(math.MaxInt64)
+	if !nOK || !s.lit(`}`) || s.i != len(payload) {
 		return Rebal{}, false
 	}
 	if parts < 2 || nparts < 1 || parts == nparts {

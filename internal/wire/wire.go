@@ -11,15 +11,24 @@
 //
 //	{"t":"batch","seq":N,"events":[{"type":"...","at":T,"actor":A,"target":B,"aux":X},...]}
 //
-// with exact key order, no whitespace, and "aux" omitted when zero.
-// AppendBatch emits exactly this form; ParseBatch accepts exactly this
-// form and reports !ok on anything else, in which case transport-level
-// callers fall back to encoding/json (the spool never needs to: it
-// only reads frames it wrote). The publish-side "pbatch" frame —
-// producer→broker, numbered by the producer's own batch sequence
-// instead of the feed's global one — is the same shape under the tag
-// `{"t":"pbatch","bseq":N,...}` and shares the encoder and parser
-// (AppendPBatch / ParsePBatch).
+// with exact key order, no whitespace, "aux" omitted when zero, and
+// every number as strconv writes it: no leading zero, no "-0", and
+// within its field's type (uint64 sequences, int64 "at", int32 ids and
+// aux). AppendBatch emits exactly this form; ParseBatch accepts exactly
+// this form — AppendBatch(ParseBatch(p)) == p byte for byte for every
+// accepted p — and reports !ok on anything else, in which case
+// transport-level callers fall back to encoding/json (the spool never
+// needs to: it only reads frames it wrote). The publish-side "pbatch"
+// frame — producer→broker, numbered by the producer's own batch
+// sequence instead of the feed's global one — is the same shape under
+// the tag `{"t":"pbatch","bseq":N,...}` and shares the encoder and
+// parser (AppendPBatch / ParsePBatch).
+//
+// Because an accepted payload is exactly its encoder's output, its
+// event bytes can be reused as they are: IndexBatch / IndexPBatch run
+// the same check and locate each event, and SpliceBatch / SpliceFBatch
+// build new batch and fbatch frames from those bytes, identical to a
+// fresh encode, without decoding or encoding an event.
 package wire
 
 import (
@@ -112,10 +121,9 @@ func FromOSN(ev osn.Event) Event {
 	}
 }
 
-// EventTypeFromString inverts osn.EventType.String. Taking []byte lets
-// the batch fast path switch without allocating a string per event.
-func EventTypeFromString[S string | []byte](s S) (osn.EventType, error) {
-	switch string(s) {
+// EventTypeFromString inverts osn.EventType.String.
+func EventTypeFromString(s string) (osn.EventType, error) {
+	switch s {
 	case "friend_request":
 		return osn.EvFriendRequest, nil
 	case "friend_accept":
@@ -158,6 +166,11 @@ func (w Event) ToOSN() (osn.Event, error) {
 const (
 	batchPrefix  = `{"t":"batch","seq":`
 	pbatchPrefix = `{"t":"pbatch","bseq":`
+
+	// What follows the leading number of every batch-shaped frame
+	// (batch, pbatch, fbatch), and what closes it.
+	eventsOpen  = `,"events":[`
+	eventsClose = `]}`
 )
 
 // AppendBatch appends the canonical JSON batch payload for events with
@@ -178,7 +191,7 @@ func AppendPBatch(dst []byte, bseq uint64, events []osn.Event) []byte {
 func appendBatch(dst []byte, prefix string, seq uint64, events []osn.Event) []byte {
 	dst = append(dst, prefix...)
 	dst = strconv.AppendUint(dst, seq, 10)
-	dst = append(dst, `,"events":[`...)
+	dst = append(dst, eventsOpen...)
 	for i, ev := range events {
 		if i > 0 {
 			dst = append(dst, ',')
@@ -197,70 +210,7 @@ func appendBatch(dst []byte, prefix string, seq uint64, events []osn.Event) []by
 		}
 		dst = append(dst, '}')
 	}
-	dst = append(dst, ']', '}')
-	return dst
-}
-
-// batchCursor walks a canonical batch payload.
-type batchCursor struct {
-	b []byte
-	i int
-}
-
-func (c *batchCursor) lit(s string) bool {
-	if c.i+len(s) > len(c.b) || string(c.b[c.i:c.i+len(s)]) != s {
-		return false
-	}
-	c.i += len(s)
-	return true
-}
-
-func (c *batchCursor) uint() (uint64, bool) {
-	start := c.i
-	var v uint64
-	for c.i < len(c.b) && c.b[c.i] >= '0' && c.b[c.i] <= '9' {
-		v = v*10 + uint64(c.b[c.i]-'0')
-		c.i++
-	}
-	return v, c.i > start
-}
-
-func (c *batchCursor) int() (int64, bool) {
-	neg := false
-	if c.i < len(c.b) && c.b[c.i] == '-' {
-		neg = true
-		c.i++
-	}
-	v, ok := c.uint()
-	if !ok {
-		return 0, false
-	}
-	if neg {
-		return -int64(v), true
-	}
-	return int64(v), true
-}
-
-// str parses a canonical string value (no escapes) including both
-// quotes, returning the unquoted bytes.
-func (c *batchCursor) str() ([]byte, bool) {
-	if c.i >= len(c.b) || c.b[c.i] != '"' {
-		return nil, false
-	}
-	c.i++
-	start := c.i
-	for c.i < len(c.b) {
-		switch c.b[c.i] {
-		case '\\':
-			return nil, false // non-canonical; fall back
-		case '"':
-			s := c.b[start:c.i]
-			c.i++
-			return s, true
-		}
-		c.i++
-	}
-	return nil, false
+	return append(dst, eventsClose...)
 }
 
 // ParseBatch decodes a canonical batch payload into events appended to
@@ -287,18 +237,8 @@ func ParsePBatch(payload []byte, dst []osn.Event) (bseq uint64, evs []osn.Event,
 // on canonical event objects being flat, with enum-only string values
 // that can never contain '{'.
 func ParseBatchBounds(payload []byte) (first uint64, n int, ok bool) {
-	c := batchCursor{b: payload}
-	if !c.lit(batchPrefix) {
-		return 0, 0, false
-	}
-	first, numOK := c.uint()
-	if !numOK || !c.lit(`,"events":[`) {
-		return 0, 0, false
-	}
-	if len(payload) < c.i+2 || payload[len(payload)-2] != ']' || payload[len(payload)-1] != '}' {
-		return 0, 0, false
-	}
-	return first, bytes.Count(payload[c.i:len(payload)-2], []byte{'{'}), true
+	first, sec, ok := eventsSection(payload, batchPrefix)
+	return first, bytes.Count(sec, []byte{'{'}), ok
 }
 
 // BatchEventsSection returns the raw contents of a canonical batch
@@ -309,100 +249,76 @@ func ParseBatchBounds(payload []byte) (first uint64, n int, ok bool) {
 // touching an encoder. The payload must have been produced by
 // AppendBatch.
 func BatchEventsSection(payload []byte) ([]byte, bool) {
-	c := batchCursor{b: payload}
-	if !c.lit(batchPrefix) {
-		return nil, false
-	}
-	if _, numOK := c.uint(); !numOK || !c.lit(`,"events":[`) {
-		return nil, false
-	}
-	if len(payload) < c.i+2 || payload[len(payload)-2] != ']' || payload[len(payload)-1] != '}' {
-		return nil, false
-	}
-	return payload[c.i : len(payload)-2], true
+	_, sec, ok := eventsSection(payload, batchPrefix)
+	return sec, ok
 }
 
-// SuffixBatch re-encodes the tail of a canonical batch payload so the
-// result starts exactly at sequence from: the payload is decoded (into
+// eventsSection returns the leading number of a batch-shaped payload
+// and the bytes between its events array's brackets, checking only the
+// frame's opening and its closing "]}".
+func eventsSection(payload []byte, prefix string) (uint64, []byte, bool) {
+	s := scanner{b: payload}
+	v, ok := s.head(prefix)
+	if !ok || !bytes.HasSuffix(payload[s.i:], []byte(eventsClose)) {
+		return 0, nil, false
+	}
+	return v, payload[s.i : len(payload)-len(eventsClose)], true
+}
+
+// SpliceBatch appends to dst the canonical batch payload with first
+// sequence seq whose events are refs — a run of consecutive events
+// indexed in src by IndexBatch or IndexPBatch — copied verbatim: the
+// bytes AppendBatch would emit for the same events, built without
+// decoding or encoding one. Splicing onto nil makes one allocation,
+// sized for the payload.
+func SpliceBatch(dst []byte, seq uint64, src []byte, refs []EventRef) []byte {
+	var events []byte
+	if len(refs) > 0 {
+		events = src[refs[0].Start:refs[len(refs)-1].End]
+	}
+	if dst == nil {
+		dst = make([]byte, 0, len(batchPrefix)+uintLen(seq)+len(eventsOpen)+len(events)+len(eventsClose))
+	}
+	dst = append(dst, batchPrefix...)
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, eventsOpen...)
+	dst = append(dst, events...)
+	return append(dst, eventsClose...)
+}
+
+// SuffixBatch splices the tail of a canonical batch payload so the
+// result starts exactly at sequence from: the payload is indexed (into
 // scratch, which callers reuse across calls), events below from are
-// dropped, and the remainder is freshly encoded onto dst. This is the
-// one encode shared-frame plumbing ever pays — a resume or a relay
-// adoption landing mid-frame, at most once per (re)connection. evs is
-// the decode buffer for recycling (evs[:0] as the next scratch). ok is
-// false when the payload is not canonical or from lies outside the
-// frame's sequence run (before its first event or past one-off its
-// end).
-func SuffixBatch(dst, payload []byte, from uint64, scratch []osn.Event) (out []byte, evs []osn.Event, ok bool) {
-	seq, evs, ok := ParseBatch(payload, scratch)
-	if !ok || from < seq || from-seq > uint64(len(evs)) {
-		return dst, evs, false
+// dropped, and the rest is spliced onto dst under a fresh header. This
+// is the one frame shared-frame plumbing ever rebuilds — a resume or a
+// relay adoption landing mid-frame, at most once per (re)connection.
+// refs is the index buffer for recycling (refs[:0] as the next
+// scratch). ok is false when the payload is not canonical or from lies
+// outside the frame's sequence run (before its first event or past
+// one-off its end).
+func SuffixBatch(dst, payload []byte, from uint64, scratch []EventRef) (out []byte, refs []EventRef, ok bool) {
+	seq, refs, ok := IndexBatch(payload, scratch)
+	if !ok || from < seq || from-seq > uint64(len(refs)) {
+		return dst, refs, false
 	}
-	return AppendBatch(dst, from, evs[from-seq:]), evs, true
+	return SpliceBatch(dst, from, payload, refs[from-seq:]), refs, true
 }
 
-func parseBatch(payload []byte, prefix string, dst []osn.Event) (seq uint64, evs []osn.Event, ok bool) {
-	c := batchCursor{b: payload}
-	if !c.lit(prefix) {
+func parseBatch(payload []byte, prefix string, dst []osn.Event) (uint64, []osn.Event, bool) {
+	s := scanner{b: payload}
+	seq, ok := s.head(prefix)
+	if !ok {
 		return 0, dst, false
 	}
-	seq, numOK := c.uint()
-	if !numOK || !c.lit(`,"events":[`) {
-		return 0, dst, false
+	evs := dst
+	var ev osn.Event
+	for n := 0; !s.lit(eventsClose); n++ {
+		if n > 0 && !s.lit(",") || !s.lit(`{"type":"`) || !s.event(&ev) {
+			return 0, dst, false
+		}
+		evs = append(evs, ev)
 	}
-	evs = dst
-	for n := 0; ; n++ {
-		if c.lit(`]}`) {
-			break
-		}
-		if n > 0 && !c.lit(`,`) {
-			return 0, dst, false
-		}
-		if !c.lit(`{"type":`) {
-			return 0, dst, false
-		}
-		typStr, sOK := c.str()
-		if !sOK {
-			return 0, dst, false
-		}
-		typ, err := EventTypeFromString(typStr)
-		if err != nil {
-			return 0, dst, false
-		}
-		if !c.lit(`,"at":`) {
-			return 0, dst, false
-		}
-		at, aOK := c.int()
-		if !aOK || !c.lit(`,"actor":`) {
-			return 0, dst, false
-		}
-		actor, acOK := c.int()
-		if !acOK || !c.lit(`,"target":`) {
-			return 0, dst, false
-		}
-		target, tOK := c.int()
-		if !tOK {
-			return 0, dst, false
-		}
-		var aux int64
-		if c.lit(`,"aux":`) {
-			var xOK bool
-			aux, xOK = c.int()
-			if !xOK {
-				return 0, dst, false
-			}
-		}
-		if !c.lit(`}`) {
-			return 0, dst, false
-		}
-		evs = append(evs, osn.Event{
-			Type:   typ,
-			At:     sim.Time(at),
-			Actor:  osn.AccountID(int32(actor)),
-			Target: osn.AccountID(int32(target)),
-			Aux:    int32(aux),
-		})
-	}
-	if c.i != len(payload) {
+	if s.i != len(payload) {
 		return 0, dst, false
 	}
 	return seq, evs, true

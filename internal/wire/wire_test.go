@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"sybilwild/internal/osn"
@@ -167,7 +170,7 @@ func TestPBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSuffixBatch pins the mid-frame re-encode: the suffix starting at
+// TestSuffixBatch pins the mid-frame splice: the suffix starting at
 // any sequence inside a canonical payload's run must be byte-identical
 // to a fresh encode of the trailing events — this is what a resumed
 // subscriber (and a relay adopting a straddling resend) receives as
@@ -179,7 +182,7 @@ func TestSuffixBatch(t *testing.T) {
 		{Type: osn.EvBlogShare, At: 12, Actor: 3, Target: 4, Aux: 9},
 	}
 	payload := AppendBatch(nil, 5, events)
-	var scratch []osn.Event
+	var scratch []EventRef
 	for from := uint64(5); from <= 8; from++ {
 		var got []byte
 		var ok bool
@@ -200,5 +203,136 @@ func TestSuffixBatch(t *testing.T) {
 	}
 	if _, _, ok := SuffixBatch(nil, AppendPBatch(nil, 5, events), 6, nil); ok {
 		t.Fatal("accepted a pbatch payload")
+	}
+}
+
+// TestParsersAcceptOnlyCanonical: the batch-shaped parsers accept
+// exactly what strconv writes for each field's type and nothing else.
+// A leading zero, a "-0", a zero aux (the encoder omits it) and an
+// out-of-range value are refused — an id of 2³²+1 must not decode as
+// account 1 — while each type's extremes are accepted. Every accepted
+// payload must re-encode to itself, byte for byte.
+func TestParsersAcceptOnlyCanonical(t *testing.T) {
+	batch := func(fields string) string {
+		return `{"t":"batch","seq":1,"events":[{"type":"ban",` + fields + `}]}`
+	}
+	const ids = `"actor":1,"target":2`
+	for _, tc := range []struct {
+		name, payload string
+		ok            bool
+	}{
+		{"plain", batch(`"at":5,` + ids), true},
+		{"int64 at extremes", batch(`"at":-9223372036854775808,` + ids), true},
+		{"int64 at max", batch(`"at":9223372036854775807,` + ids), true},
+		{"int32 id extremes", batch(`"at":0,"actor":-2147483648,"target":2147483647`), true},
+		{"int32 aux extremes", batch(`"at":0,` + ids + `,"aux":-2147483648`), true},
+		{"uint64 seq max", `{"t":"batch","seq":18446744073709551615,"events":[]}`, true},
+		{"long seq", `{"t":"pbatch","bseq":1234567890123,"events":[]}`, true},
+		{"fbatch extremes", `{"t":"fbatch","last":18446744073709551615,"events":[{"seq":0,"type":"message","at":-1,"actor":0,"target":0,"aux":2147483647}]}`, true},
+
+		{"seq leading zero", `{"t":"batch","seq":01,"events":[]}`, false},
+		{"bseq leading zero", `{"t":"pbatch","bseq":007,"events":[]}`, false},
+		{"last leading zero", `{"t":"fbatch","last":00,"events":[]}`, false},
+		{"fbatch seq leading zero", `{"t":"fbatch","last":9,"events":[{"seq":09,"type":"ban","at":0,"actor":0,"target":0}]}`, false},
+		{"negative seq", `{"t":"batch","seq":-1,"events":[]}`, false},
+		{"seq past uint64", `{"t":"batch","seq":18446744073709551616,"events":[]}`, false},
+		{"seq of 21 digits", `{"t":"batch","seq":100000000000000000000,"events":[]}`, false},
+		{"at leading zero", batch(`"at":007,` + ids), false},
+		{"at minus zero", batch(`"at":-0,` + ids), false},
+		{"at plus sign", batch(`"at":+5,` + ids), false},
+		{"at bare minus", batch(`"at":-,` + ids), false},
+		{"at past int64", batch(`"at":9223372036854775808,` + ids), false},
+		{"at below int64", batch(`"at":-9223372036854775809,` + ids), false},
+		{"actor past int32", batch(`"at":0,"actor":4294967297,"target":2`), false},
+		{"actor just past int32", batch(`"at":0,"actor":2147483648,"target":2`), false},
+		{"target below int32", batch(`"at":0,"actor":1,"target":-2147483649`), false},
+		{"aux zero", batch(`"at":0,` + ids + `,"aux":0`), false},
+		{"aux minus zero", batch(`"at":0,` + ids + `,"aux":-0`), false},
+		{"aux past int32", batch(`"at":0,` + ids + `,"aux":2147483648`), false},
+		{"exponent", batch(`"at":1e3,` + ids), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := []byte(tc.payload)
+			var ok bool
+			var enc []byte
+			switch {
+			case bytes.HasPrefix(p, []byte(`{"t":"fbatch"`)):
+				last, evs, seqs, fok := ParseFBatch(p, nil, nil)
+				ok, enc = fok, AppendFBatch(nil, last, seqs, evs)
+			case bytes.HasPrefix(p, []byte(`{"t":"pbatch"`)):
+				bseq, evs, pok := ParsePBatch(p, nil)
+				ok, enc = pok, AppendPBatch(nil, bseq, evs)
+				if _, _, iok := IndexPBatch(p, nil); iok != ok {
+					t.Errorf("IndexPBatch ok=%v, ParsePBatch ok=%v", iok, ok)
+				}
+			default:
+				seq, evs, bok := ParseBatch(p, nil)
+				ok, enc = bok, AppendBatch(nil, seq, evs)
+				if _, _, iok := IndexBatch(p, nil); iok != ok {
+					t.Errorf("IndexBatch ok=%v, ParseBatch ok=%v", iok, ok)
+				}
+			}
+			if ok != tc.ok {
+				t.Fatalf("accepted=%v, want %v: %s", ok, tc.ok, p)
+			}
+			if ok && !bytes.Equal(enc, p) {
+				t.Fatalf("accepted payload re-encodes differently:\n%s\n%s", p, enc)
+			}
+		})
+	}
+}
+
+// TestScannerNumbers holds the word-at-a-time number scan to strconv
+// at every length from 1 to 20 digits, at both ends of each type, and
+// followed by each kind of byte the canonical form puts after a number
+// (or by the end of the payload).
+func TestScannerNumbers(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var us []uint64
+	for _, p := range pow10 {
+		us = append(us, p-1, p, p+1)
+	}
+	for i := 0; i < 2000; i++ {
+		us = append(us, rng.Uint64()>>rng.Intn(64)) // every length
+	}
+	us = append(us, math.MaxUint64, math.MaxUint64-1, math.MaxInt64, math.MaxInt64+1, math.MaxInt32, math.MaxInt32+1)
+	for _, v := range us {
+		for _, tail := range []string{"", ",", "}", "]}", `,"x":1`} {
+			b := strconv.AppendUint(nil, v, 10)
+			s := scanner{b: append(b, tail...)}
+			if got, ok := s.uint(); !ok || got != v || s.i != len(b) {
+				t.Fatalf("uint of %q: %d ok=%v at %d, want %d at %d", s.b, got, ok, s.i, v, len(b))
+			}
+			for _, hi := range []uint64{math.MaxInt32, math.MaxInt64} {
+				for _, neg := range []bool{false, true} {
+					want, in := int64(v), v <= hi
+					b := strconv.AppendUint(nil, v, 10)
+					if neg {
+						want, in = -int64(v), v != 0 && v <= hi+1
+						b = append([]byte{'-'}, b...)
+					}
+					s := scanner{b: append(b, tail...)}
+					got, ok := s.int(hi)
+					if ok != in || ok && (got != want || s.i != len(b)) {
+						t.Fatalf("int(%d) of %q: %d ok=%v, want %d ok=%v", hi, s.b, got, ok, want, in)
+					}
+				}
+			}
+		}
+	}
+	for _, bad := range []string{"", "-", "x1", "00", "01", "-0", "+1", "18446744073709551616", "99999999999999999999", "100000000000000000000"} {
+		s := scanner{b: []byte(bad)}
+		if v, ok := s.uint(); ok {
+			t.Errorf("uint accepted %q as %d", bad, v)
+		}
+		s = scanner{b: []byte(bad)}
+		if v, ok := s.int(math.MaxInt64); ok {
+			t.Errorf("int accepted %q as %d", bad, v)
+		}
+	}
+	for _, v := range us {
+		if got, want := uintLen(v), len(strconv.FormatUint(v, 10)); got != want {
+			t.Fatalf("uintLen(%d) = %d, want %d", v, got, want)
+		}
 	}
 }
