@@ -12,7 +12,7 @@ WORKLOAD ?= campaign-saturate
 SEED ?= 7
 SECONDS ?= 20
 
-.PHONY: all build test race alloc-budget sybilbench-test sybilbench sybilbench-trace bench bench-gate fuzz-smoke profile profile-live fmt vet docs staticcheck ci
+.PHONY: all build test race alloc-budget sybilbench-test sybilbench sybilbench-trace bench bench-gate fuzz-smoke profile profile-live loc fmt vet docs staticcheck ci
 
 all: build
 
@@ -151,6 +151,18 @@ profile-live:
 		-benchtime=20000x -run='^$$' -benchmem \
 		-cpuprofile wire-cpu.pprof -memprofile wire-mem.pprof ./internal/wire
 	@echo "profiles written: live-cpu.pprof live-mem.pprof (binary: stream.test), wire-cpu.pprof wire-mem.pprof (binary: wire.test)"
+
+# Size per package of the root module: code lines (non-blank, not a
+# `//` comment) and physical lines of the non-test Go files — the
+# counts ROADMAP and CHANGES quote.
+loc:
+	@printf '%6s %6s  %s\n' code lines package
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read pkg files; do \
+		[ -n "$$files" ] || continue; \
+		awk -v pkg="$$pkg" '{ s = $$0; sub(/^[ \t]+/, "", s); if (s != "" && substr(s, 1, 2) != "//") n++ } \
+			END { printf "%6d %6d  %s\n", n, NR, pkg }' $$files; \
+	done
 
 fmt:
 	@out=$$(gofmt -l .); \

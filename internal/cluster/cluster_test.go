@@ -183,7 +183,7 @@ func TestPartitionedClusterFlagEquality(t *testing.T) {
 			// have parked at least one snapshot at the broker.
 			cut := 2 * len(events) / 5
 			for _, ev := range events[:cut] {
-				srv.Broadcast(ev)
+				srv.BroadcastBatch([]osn.Event{ev})
 			}
 			victim := workers[0]
 			waitOffered(t, victim, 0)
@@ -213,7 +213,7 @@ func TestPartitionedClusterFlagEquality(t *testing.T) {
 
 			// Rest of the campaign, clean shutdown, then the union check.
 			for _, ev := range events[cut:] {
-				srv.Broadcast(ev)
+				srv.BroadcastBatch([]osn.Event{ev})
 			}
 			if err := srv.Close(); err != nil {
 				t.Fatalf("broker close: %v", err)
@@ -300,7 +300,7 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 	// rendezvous), exactly like kill -9 of a streamd -relay process.
 	cut := 2 * len(events) / 5
 	for _, ev := range events[:cut] {
-		root.Broadcast(ev)
+		root.BroadcastBatch([]osn.Event{ev})
 	}
 	waitAdopted(t, edgeB, uint64(cut))
 
@@ -331,7 +331,7 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 
 	// Rest of the campaign, clean shutdown down the tree, union check.
 	for _, ev := range events[cut:] {
-		root.Broadcast(ev)
+		root.BroadcastBatch([]osn.Event{ev})
 	}
 	if err := root.Close(); err != nil {
 		t.Fatalf("root close: %v", err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sybilwild/internal/cluster"
+	"sybilwild/internal/osn"
 )
 
 // TestLiveRebalanceFlagEquality is the PR's acceptance test: a K-way
@@ -51,13 +52,13 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 			// broadcast — the feed never pauses for the rebalance.
 			leg1, leg2 := 2*len(events)/5, 3*len(events)/5
 			for _, ev := range events[:leg1] {
-				srv.Broadcast(ev)
+				srv.BroadcastBatch([]osn.Event{ev})
 			}
 			fed := make(chan struct{})
 			go func() {
 				defer close(fed)
 				for _, ev := range events[leg1:leg2] {
-					srv.Broadcast(ev)
+					srv.BroadcastBatch([]osn.Event{ev})
 				}
 			}()
 			barrier, err := cluster.Rebalance(srv.Addr(), shape.from, shape.to, 30*time.Second)
@@ -112,7 +113,7 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 			go func() {
 				defer close(fed3)
 				for _, ev := range events[leg2:] {
-					srv.Broadcast(ev)
+					srv.BroadcastBatch([]osn.Event{ev})
 				}
 			}()
 			sb, err := cluster.StartStandby(workerCfg(0, shape.to))

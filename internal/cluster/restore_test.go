@@ -61,7 +61,7 @@ func killMidFeed(t *testing.T, srv *stream.Server, events []osn.Event, rule dete
 	}
 	killAt := uint64(len(events) / 3)
 	for _, ev := range events[:killAt] {
-		srv.Broadcast(ev)
+		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	waitSeq(t, w, killAt)
 	w.Kill()
@@ -135,7 +135,7 @@ func TestKillRestoreFlagEquality(t *testing.T) {
 	cfg, ckpt := killMidFeed(t, srv, events, rule)
 	w := restart(t, cfg, ckpt)
 	for _, ev := range events[len(events)/3:] {
-		srv.Broadcast(ev)
+		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	finish(t, srv, w, events, want)
 }
@@ -161,7 +161,7 @@ func TestColdRestartFromStaleCheckpointViaSpool(t *testing.T) {
 	defer srv.Close()
 	cfg, ckpt := killMidFeed(t, srv, events, rule)
 	for _, ev := range events[len(events)/3:] {
-		srv.Broadcast(ev)
+		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for sp.End() < uint64(len(events)) && time.Now().Before(deadline) {
@@ -248,7 +248,7 @@ func TestWorkerResumesAcrossBlip(t *testing.T) {
 	}
 	blipAt := uint64(len(events) / 3)
 	for _, ev := range events[:blipAt] {
-		srv.Broadcast(ev)
+		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	waitSeq(t, w, blipAt)
 	if _, ckpt, _ := cluster.NewestCheckpoint(cfg.Dir); ckpt == 0 || ckpt >= blipAt {
@@ -259,7 +259,7 @@ func TestWorkerResumesAcrossBlip(t *testing.T) {
 	}
 	proxy.cut()
 	for _, ev := range events[blipAt:] {
-		srv.Broadcast(ev)
+		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	waitSeq(t, w, uint64(len(events)))
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil { // for the final checkpoint

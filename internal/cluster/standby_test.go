@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sybilwild/internal/cluster"
+	"sybilwild/internal/osn"
 )
 
 // copyNewestCheckpoint copies the newest checkpoint file in from into
@@ -73,7 +74,7 @@ func TestStandbyPromotesPastStaleCheckpoint(t *testing.T) {
 
 			leg1, leg2 := len(events)/5, 3*len(events)/5
 			for _, ev := range events[:leg1] {
-				srv.Broadcast(ev)
+				srv.BroadcastBatch([]osn.Event{ev})
 			}
 			waitOffered(t, victim, 0) // offers follow checkpoints
 			if !tc.localFresh {
@@ -81,7 +82,7 @@ func TestStandbyPromotesPastStaleCheckpoint(t *testing.T) {
 				startStandby()
 			}
 			for _, ev := range events[leg1:leg2] {
-				srv.Broadcast(ev)
+				srv.BroadcastBatch([]osn.Event{ev})
 			}
 			waitOffered(t, victim, local)
 			victim.Kill()
@@ -109,7 +110,7 @@ func TestStandbyPromotesPastStaleCheckpoint(t *testing.T) {
 			}
 
 			for _, ev := range events[leg2:] {
-				srv.Broadcast(ev)
+				srv.BroadcastBatch([]osn.Event{ev})
 			}
 			if err := srv.Close(); err != nil {
 				t.Fatalf("broker close: %v", err)

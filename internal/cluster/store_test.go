@@ -140,7 +140,7 @@ func TestCheckpointFileCompatible(t *testing.T) {
 	defer srv.Close()
 	filler := osn.Event{Type: osn.EvMessage, Actor: 1, Target: 2}
 	for i := 0; i < seq; i++ { // the feed's head reaches the checkpoint's cut
-		srv.Broadcast(filler)
+		srv.BroadcastBatch([]osn.Event{filler})
 	}
 	w, err := Start(Config{Addr: srv.Addr(), Rule: detector.PaperRule(), Dir: dir, Every: time.Hour})
 	if err != nil {
@@ -150,7 +150,7 @@ func TestCheckpointFileCompatible(t *testing.T) {
 		t.Fatalf("worker resumed from %d (%q), want %d from the checkpoint", w.ResumedFrom(), w.Origin(), seq+1)
 	}
 	for i := 0; i < 10; i++ {
-		srv.Broadcast(filler)
+		srv.BroadcastBatch([]osn.Event{filler})
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

@@ -166,7 +166,7 @@ type indexSegment struct {
 
 // Spool is a directory of append-only segment files holding the
 // sequenced event log. Safe for concurrent use: one appender (the
-// transport's Broadcast path) and any number of Readers.
+// transport's fan-out) and any number of Readers.
 type Spool struct {
 	dir string
 	opt options

@@ -77,7 +77,7 @@ func BenchmarkBroadcastDrain(b *testing.B) {
 	b.Run("v2-per-event", func(b *testing.B) {
 		drainV2(b, func(s *Server, n int) {
 			for i := 0; i < n; i++ {
-				s.Broadcast(ev)
+				s.BroadcastBatch([]osn.Event{ev})
 			}
 		})
 	})
@@ -446,7 +446,7 @@ func BenchmarkResumeFromDisk(b *testing.B) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < b.N; i++ {
-		s.Broadcast(ev)
+		s.BroadcastBatch([]osn.Event{ev})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"sybilwild/internal/osn"
 )
 
 // waitStats polls the server until cond is satisfied by a stats
@@ -41,7 +43,7 @@ func TestManualAckPinsWindowToCheckpoints(t *testing.T) {
 	}
 	c.SetManualAck(true)
 	for i := 0; i < total; i++ {
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	for i := 0; i < total; i++ {
 		if _, err := c.Recv(); err != nil {
@@ -98,7 +100,7 @@ func TestManualAckCloseDoesNotAck(t *testing.T) {
 	}
 	c.SetManualAck(true)
 	for i := 0; i < 10; i++ {
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	for i := 0; i < 10; i++ {
 		if _, err := c.Recv(); err != nil {
@@ -137,7 +139,7 @@ func TestPerSessionLagOrdering(t *testing.T) {
 
 	const n = 48
 	for i := 0; i < n; i++ {
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	for i := 0; i < n; i++ {
 		if _, err := fast.Recv(); err != nil {
@@ -183,7 +185,7 @@ func TestInterruptAllowsFinalAck(t *testing.T) {
 	}
 	c.SetManualAck(true)
 	for i := 0; i < 10; i++ {
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	for i := 0; i < 10; i++ {
 		if _, err := c.Recv(); err != nil {
@@ -218,7 +220,7 @@ func TestKickIsResumable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Broadcast(testEvent(0))
+	s.BroadcastBatch([]osn.Event{testEvent(0)})
 	if _, err := c.Recv(); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestKickIsResumable(t *testing.T) {
 		t.Fatalf("resume after kick: %v", err)
 	}
 	defer c2.Close()
-	s.Broadcast(testEvent(1))
+	s.BroadcastBatch([]osn.Event{testEvent(1)})
 	ev, err := c2.Recv()
 	if err != nil || ev.At != 1 {
 		t.Fatalf("post-kick resume recv = %v, %v", ev, err)

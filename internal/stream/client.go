@@ -174,53 +174,34 @@ func dial(addr, session string, resume uint64, opts []DialOption) (*Client, erro
 	if cfg.session != "" {
 		session = cfg.session
 	}
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	conn, err := dialBroker(addr)
 	if err != nil {
-		return nil, fmt.Errorf("stream: dial: %w", err)
+		return nil, err
+	}
+	hello := frame{T: frameHello, V: ProtocolVersion, Session: session, Resume: resume,
+		Part: cfg.part, Parts: cfg.parts}
+	welcome, br, err := handshake(conn, hello, nil, frameWelcome)
+	if err != nil {
+		conn.Close()
+		if welcome.Err != "" && resume > 0 {
+			return nil, fmt.Errorf("%w: %s", ErrGap, welcome.Err)
+		}
+		return nil, err
 	}
 	c := &Client{
 		conn:    conn,
-		br:      bufio.NewReaderSize(conn, 64<<10),
+		br:      br,
 		bw:      bufio.NewWriterSize(conn, 4<<10),
 		session: session,
 		part:    cfg.part,
 		parts:   cfg.parts,
 	}
-	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	hello := frame{T: frameHello, V: ProtocolVersion, Session: session, Resume: resume,
-		Part: cfg.part, Parts: cfg.parts}
-	if err := writeControl(c.bw, hello); err == nil {
-		err = c.bw.Flush()
-	}
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("stream: handshake: %w", err)
-	}
-	payload, err := readFrame(c.br, nil)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("stream: handshake: %w", err)
-	}
-	var welcome frame
-	if err := json.Unmarshal(payload, &welcome); err != nil || welcome.T != frameWelcome {
-		conn.Close()
-		return nil, fmt.Errorf("stream: handshake: expected welcome, got %q", payload)
-	}
-	if welcome.Err != "" {
-		conn.Close()
-		if resume > 0 {
-			return nil, fmt.Errorf("%w: %s", ErrGap, welcome.Err)
-		}
-		return nil, fmt.Errorf("stream: subscription rejected: %s", welcome.Err)
-	}
-	conn.SetDeadline(time.Time{})
 	if welcome.From > 0 {
 		// Anchor the cursor: the feed starts at the server's global
 		// sequence, not at 1.
 		c.lastSeq = welcome.From - 1
 		c.acked = c.lastSeq
 	}
-	c.buf = payload
 	return c, nil
 }
 
@@ -240,8 +221,8 @@ func (c *Client) LastSeq() uint64 { return c.lastSeq }
 // never acks on its own; the application calls Ack with its
 // checkpointed sequence, so the server retains exactly the
 // events-since-last-checkpoint a crash would need replayed. The replay
-// window must be sized to cover one checkpoint interval or Broadcast
-// backpressure kicks in.
+// window must be sized to cover one checkpoint interval or
+// BroadcastBatch backpressure kicks in.
 func (c *Client) SetManualAck(on bool) { c.manualAck = on }
 
 // Ack acknowledges delivery through seq (clamped to what has actually

@@ -31,7 +31,7 @@ func ExampleServer() {
 	}
 
 	for i := 0; i < 1000; i++ {
-		srv.Broadcast(osn.Event{Type: osn.EvFriendRequest, At: int64(i), Actor: 1, Target: 2})
+		srv.BroadcastBatch([]osn.Event{{Type: osn.EvFriendRequest, At: int64(i), Actor: 1, Target: 2}})
 	}
 	srv.Close() // drain, then end of feed
 
@@ -59,8 +59,8 @@ func ExampleDial() {
 	}
 	defer c.Close()
 
-	srv.Broadcast(osn.Event{Type: osn.EvFriendRequest, At: 10, Actor: 7, Target: 9})
-	srv.Broadcast(osn.Event{Type: osn.EvFriendAccept, At: 11, Actor: 9, Target: 7})
+	srv.BroadcastBatch([]osn.Event{{Type: osn.EvFriendRequest, At: 10, Actor: 7, Target: 9}})
+	srv.BroadcastBatch([]osn.Event{{Type: osn.EvFriendAccept, At: 11, Actor: 9, Target: 7}})
 
 	for i := 0; i < 2; i++ {
 		ev, err := c.Recv()

@@ -122,7 +122,7 @@ func TestPartitionedDeliveryMatchesContract(t *testing.T) {
 	}
 
 	for _, ev := range evs {
-		s.Broadcast(ev)
+		s.BroadcastBatch([]osn.Event{ev})
 	}
 	s.Close() // drains every window, then eof
 	wg.Wait()
@@ -171,7 +171,7 @@ func TestPartitionedRecvSingleEvents(t *testing.T) {
 	waitClients(t, s, 1)
 
 	for _, ev := range evs {
-		s.Broadcast(ev)
+		s.BroadcastBatch([]osn.Event{ev})
 	}
 	want := wantSeqs(evs, 0, K)
 	done := make(chan error, 1)
@@ -225,9 +225,9 @@ func TestPartitionedCursorAdvancesPastForeignEvents(t *testing.T) {
 	// 100 owner-only events for the other partition: nothing to
 	// deliver, but ≥ maxBatch of silence forces cursor-advance frames.
 	for i := 0; i < 100; i++ {
-		s.Broadcast(osn.Event{Type: osn.EvMessage, At: int64(i), Actor: foreign, Target: foreign})
+		s.BroadcastBatch([]osn.Event{{Type: osn.EvMessage, At: int64(i), Actor: foreign, Target: foreign}})
 	}
-	s.Broadcast(osn.Event{Type: osn.EvMessage, At: 100, Actor: owned, Target: owned})
+	s.BroadcastBatch([]osn.Event{{Type: osn.EvMessage, At: 100, Actor: owned, Target: owned}})
 	ev, err := c.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestPartitionedResumeAfterKill(t *testing.T) {
 	}
 	waitClients(t, s, 1)
 	for _, ev := range evs {
-		s.Broadcast(ev)
+		s.BroadcastBatch([]osn.Event{ev})
 	}
 	want := wantSeqs(evs, 1, K)
 	read := 0
@@ -329,7 +329,7 @@ func TestPartitionedResumePartitionMismatchRejected(t *testing.T) {
 	}
 	defer c.Close()
 	waitClients(t, s, 1)
-	s.Broadcast(osn.Event{Type: osn.EvMessage, At: 1, Actor: actorIn(t, 0, 2)})
+	s.BroadcastBatch([]osn.Event{{Type: osn.EvMessage, At: 1, Actor: actorIn(t, 0, 2)}})
 	if _, err := c.Recv(); err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestPartitionedCatchupFromSpool(t *testing.T) {
 	waitDetached(t, srv)
 
 	for _, ev := range evs[:burst] {
-		srv.Broadcast(ev) // overruns the 16-slot window → demotion
+		srv.BroadcastBatch([]osn.Event{ev}) // overruns the 16-slot window → demotion
 	}
 	c2, err := DialResume(srv.Addr(), c.Session(), 1, WithPartition(1, K))
 	if err != nil {
@@ -413,7 +413,7 @@ func TestPartitionedCatchupFromSpool(t *testing.T) {
 			// Catch-up replayed the whole burst; the rest arrives live
 			// through the flipped session.
 			for _, ev := range evs[burst:] {
-				srv.Broadcast(ev)
+				srv.BroadcastBatch([]osn.Event{ev})
 			}
 		}
 	}
@@ -433,7 +433,7 @@ func TestPartitionedBackfillFromStart(t *testing.T) {
 	evs := partEvents(total, 5)
 	srv, _ := spooledServer(t, 16)
 	for _, ev := range evs {
-		srv.Broadcast(ev)
+		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	for p := 0; p < K; p++ {
 		c, err := DialFrom(srv.Addr(), 1, WithPartition(p, K))
@@ -482,7 +482,7 @@ func TestPartitionedStalledSubscriberEvicted(t *testing.T) {
 	waitClients(t, s, 1)
 	start := time.Now()
 	for i := 0; i < 1000; i++ { // all owned, never read: window fills, then eviction
-		s.Broadcast(osn.Event{Type: osn.EvMessage, At: int64(i), Actor: owned, Target: owned})
+		s.BroadcastBatch([]osn.Event{{Type: osn.EvMessage, At: int64(i), Actor: owned, Target: owned}})
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("broadcast wedged for %v despite stall timeout", d)
@@ -608,7 +608,7 @@ func TestPartitionedLingerExpiryEvicted(t *testing.T) {
 	waitDetached(t, s)
 	time.Sleep(60 * time.Millisecond)
 	// A purely foreign event must still trigger the expiry sweep.
-	s.Broadcast(osn.Event{Type: osn.EvMessage, At: 0, Actor: foreign, Target: foreign})
+	s.BroadcastBatch([]osn.Event{{Type: osn.EvMessage, At: 0, Actor: foreign, Target: foreign}})
 	if _, err := DialResume(s.Addr(), c.Session(), 1, WithPartition(0, K)); !errors.Is(err, ErrGap) {
 		t.Fatalf("resume after linger expiry: err = %v, want ErrGap", err)
 	}

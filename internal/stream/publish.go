@@ -6,7 +6,7 @@ package stream
 // sequence, and runs every accepted batch through the single global
 // sequencer — so K concurrent producers interleave into one totally
 // ordered feed whose downstream frames, ring, and spool are
-// byte-compatible with a single in-process Broadcast caller. The
+// byte-compatible with a single in-process BroadcastBatch caller. The
 // producer-side counterpart is Publisher (publisher.go); the frame
 // vocabulary is in wire.go.
 
@@ -229,7 +229,7 @@ func (s *Server) admitProducer(hello frame, conn net.Conn) (p *producerState, ep
 // before it acks, so an acked batch is in the spool and every
 // subscriber queue, preserving at-least-once across a broker death.
 // The total order of the feed is the order producers' batches acquire
-// s.mu here, interleaved with any in-process Broadcast calls.
+// s.mu here, interleaved with any in-process BroadcastBatch calls.
 func (s *Server) sequence(p *producerState, conn net.Conn, epoch, bseq uint64, n int) (ack, first uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -493,7 +493,7 @@ func TestDialFromBackfillsSpooledHistory(t *testing.T) {
 	srv, _ := spooledServer(t, 16)
 	const history = 400
 	for i := 0; i < history; i++ {
-		srv.Broadcast(testEvent(i))
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	c, err := DialFrom(srv.Addr(), 1)
 	if err != nil {
@@ -502,7 +502,7 @@ func TestDialFromBackfillsSpooledHistory(t *testing.T) {
 	defer c.Close()
 	recvThrough(t, c, history)
 	// Still live after the backfill: a fresh broadcast arrives.
-	srv.Broadcast(testEvent(history))
+	srv.BroadcastBatch([]osn.Event{testEvent(history)})
 	recvThrough(t, c, history+1)
 }
 
@@ -520,7 +520,7 @@ func TestDialFromHeadOfEmptyFeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	srv.Broadcast(testEvent(0))
+	srv.BroadcastBatch([]osn.Event{testEvent(0)})
 	recvThrough(t, c, 1)
 }
 
@@ -545,7 +545,7 @@ func TestDialFromBelowRetentionIsErrGap(t *testing.T) {
 	}
 	defer c.Close()
 	for i := 0; i < 2000; i++ {
-		srv.Broadcast(testEvent(i))
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 		if i%16 == 0 {
 			recvThrough(t, c, uint64(i+1))
 		}
@@ -563,7 +563,7 @@ func TestDialFromBelowRetentionIsErrGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	mem.Broadcast(testEvent(0))
+	mem.BroadcastBatch([]osn.Event{testEvent(0)})
 	if _, err := DialFrom(mem.Addr(), 1); !errors.Is(err, ErrGap) {
 		t.Fatalf("backfill on a memory-only feed with history: err=%v, want ErrGap", err)
 	}

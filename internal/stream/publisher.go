@@ -165,7 +165,7 @@ func NewPublisher(addr, id string, group int, opts ...PublisherOption) (*Publish
 		fn(&p.opt)
 	}
 	p.cond = sync.NewCond(&p.mu)
-	conn, br, welcome, err := publishHandshake(addr, id, group, 0)
+	conn, br, welcome, err := p.dial(0)
 	if err != nil {
 		return nil, err
 	}
@@ -177,40 +177,21 @@ func NewPublisher(addr, id string, group int, opts ...PublisherOption) (*Publish
 	return p, nil
 }
 
-// publishHandshake dials the broker and exchanges phello/pwelcome. On
-// success the returned reader carries any broker bytes buffered past
-// the welcome and must be the one the ack loop keeps reading.
-func publishHandshake(addr, id string, group int, epoch uint64) (net.Conn, *bufio.Reader, frame, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+// dial connects to the broker and exchanges phello/pwelcome for the
+// given epoch (0 requests a fresh one). On success the returned reader
+// carries any broker bytes buffered past the welcome and must be the
+// one the ack loop keeps reading.
+func (p *Publisher) dial(epoch uint64) (net.Conn, *bufio.Reader, frame, error) {
+	conn, err := dialBroker(p.addr)
 	if err != nil {
-		return nil, nil, frame{}, fmt.Errorf("stream: publish dial: %w", err)
+		return nil, nil, frame{}, err
 	}
-	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	bw := bufio.NewWriterSize(conn, 4<<10)
-	hello := frame{T: framePHello, V: ProtocolVersion, Producer: id, Producers: group, Epoch: epoch}
-	if err := writeControl(bw, hello); err == nil {
-		err = bw.Flush()
-	}
+	hello := frame{T: framePHello, V: ProtocolVersion, Producer: p.id, Producers: p.group, Epoch: epoch}
+	welcome, br, err := handshake(conn, hello, nil, framePWelcome)
 	if err != nil {
 		conn.Close()
-		return nil, nil, frame{}, fmt.Errorf("stream: publish handshake: %w", err)
+		return nil, nil, frame{}, err
 	}
-	br := bufio.NewReaderSize(conn, 4<<10)
-	payload, err := readFrame(br, nil)
-	if err != nil {
-		conn.Close()
-		return nil, nil, frame{}, fmt.Errorf("stream: publish handshake: %w", err)
-	}
-	var welcome frame
-	if err := json.Unmarshal(payload, &welcome); err != nil || welcome.T != framePWelcome {
-		conn.Close()
-		return nil, nil, frame{}, fmt.Errorf("stream: publish handshake: expected pwelcome, got %q", payload)
-	}
-	if welcome.Err != "" {
-		conn.Close()
-		return nil, nil, frame{}, fmt.Errorf("stream: publish rejected: %s", welcome.Err)
-	}
-	conn.SetDeadline(time.Time{})
 	return conn, br, welcome, nil
 }
 
@@ -417,7 +398,7 @@ func (p *Publisher) reconnectLocked() error {
 				backoff *= 2
 			}
 		}
-		conn, br, welcome, err := publishHandshake(p.addr, p.id, p.group, p.epoch)
+		conn, br, welcome, err := p.dial(p.epoch)
 		p.mu.Lock()
 		if p.closed || p.err != nil {
 			// Aborted while we were dialing.

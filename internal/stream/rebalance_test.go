@@ -61,7 +61,7 @@ func TestRebalanceCutover(t *testing.T) {
 	}
 
 	for _, ev := range evs[:pre] {
-		srv.Broadcast(ev)
+		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	barrier, err := PrepareRebalance(srv.Addr(), oldK, newK)
 	if err != nil {
@@ -73,7 +73,7 @@ func TestRebalanceCutover(t *testing.T) {
 	// Post-barrier traffic flows while the old group drains out — the
 	// feed never pauses.
 	for _, ev := range evs[pre:] {
-		srv.Broadcast(ev)
+		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	wg.Wait()
 	for p := range results {
@@ -165,7 +165,7 @@ func TestRebalanceFenceAdmission(t *testing.T) {
 	evs := partEvents(70, 12)
 	srv, _ := spooledServer(t, 16, WithMaxBatch(8))
 	for _, ev := range evs[:50] {
-		srv.Broadcast(ev)
+		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	barrier, err := PrepareRebalance(srv.Addr(), K, 3)
 	if err != nil {
@@ -184,7 +184,7 @@ func TestRebalanceFenceAdmission(t *testing.T) {
 		t.Fatal("K→K prepare accepted; the shape must change")
 	}
 	for _, ev := range evs[50:] {
-		srv.Broadcast(ev)
+		srv.BroadcastBatch([]osn.Event{ev})
 	}
 
 	if _, err := Dial(srv.Addr(), WithPartition(0, K)); err == nil || !strings.Contains(err.Error(), "rebalanced") {
@@ -311,7 +311,7 @@ func TestRebalanceClaimAndStatus(t *testing.T) {
 	if err := OfferSnapshot(srv.Addr(), 0, K, 42, []byte("snap")); err != nil {
 		t.Fatal(err)
 	}
-	srv.Broadcast(osn.Event{Type: osn.EvMessage, Actor: 1, Target: 2})
+	srv.BroadcastBatch([]osn.Event{{Type: osn.EvMessage, Actor: 1, Target: 2}})
 	if _, err := PrepareRebalance(srv.Addr(), K, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -300,11 +300,13 @@ var errAdoptFatal = errors.New("stream: relay ingest failed")
 // upstream either replays what this hop is missing (memory window or
 // its own spool) or rejects with the gap error. The welcome's Hop
 // field tells the relay its depth; the downstream server advertises
-// hop+1 in its own welcomes.
+// hop+1 in its own welcomes. The connection is registered before the
+// hello goes out, so Close and Abort can cut a handshake the upstream
+// never answers.
 func (r *Relay) dialUpstream() (net.Conn, *bufio.Reader, error) {
-	conn, err := net.DialTimeout("tcp", r.upstream, 5*time.Second)
+	conn, err := dialBroker(r.upstream)
 	if err != nil {
-		return nil, nil, fmt.Errorf("stream: relay dial %s: %w", r.upstream, err)
+		return nil, nil, err
 	}
 	r.mu.Lock()
 	if r.closed {
@@ -315,33 +317,15 @@ func (r *Relay) dialUpstream() (net.Conn, *bufio.Reader, error) {
 	r.conn = conn
 	r.mu.Unlock()
 
-	resume := r.srv.HeadSeq() + 1
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 4<<10)
-	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	hello := frame{T: frameHello, V: ProtocolVersion, Session: r.session, Resume: resume, Relay: true}
-	if err := writeControl(bw, hello); err == nil {
-		err = bw.Flush()
-	}
+	hello := frame{T: frameHello, V: ProtocolVersion, Session: r.session, Resume: r.srv.HeadSeq() + 1, Relay: true}
+	welcome, br, err := handshake(conn, hello, nil, frameWelcome)
 	if err != nil {
 		conn.Close()
-		return nil, nil, fmt.Errorf("stream: relay handshake: %w", err)
+		if welcome.Err != "" {
+			return nil, nil, fmt.Errorf("%w: %s", ErrGap, welcome.Err)
+		}
+		return nil, nil, err
 	}
-	payload, err := readFrame(br, nil)
-	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("stream: relay handshake: %w", err)
-	}
-	var welcome frame
-	if err := json.Unmarshal(payload, &welcome); err != nil || welcome.T != frameWelcome {
-		conn.Close()
-		return nil, nil, fmt.Errorf("stream: relay handshake: expected welcome, got %q", payload)
-	}
-	if welcome.Err != "" {
-		conn.Close()
-		return nil, nil, fmt.Errorf("%w: %s", ErrGap, welcome.Err)
-	}
-	conn.SetDeadline(time.Time{})
 	hop := int32(welcome.Hop + 1)
 	r.hop.Store(hop)
 	r.srv.hop.Store(hop)

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"sybilwild/internal/osn"
 	"sybilwild/internal/spool"
 	"sybilwild/internal/wire"
 )
@@ -208,7 +209,7 @@ func TestRelayEdgeKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < half; i++ {
-		root.Broadcast(testEvent(i))
+		root.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	recvThrough(t, c, half)
 	session, last := c.Session(), c.LastSeq()
@@ -224,7 +225,7 @@ func TestRelayEdgeKillResume(t *testing.T) {
 	// The feed runs on while the edge is down; the root's spool is what
 	// heals the missed range on reconnect.
 	for i := half; i < total; i++ {
-		root.Broadcast(testEvent(i))
+		root.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 
 	edgeSpool2, err := spool.Open(edgeDir)
@@ -294,7 +295,7 @@ func TestRelayRootKillResume(t *testing.T) {
 	waitClients(t, root, 1)
 
 	for i := 0; i < half; i++ {
-		root.Broadcast(testEvent(i))
+		root.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	recvThrough(t, c, half)
 
@@ -316,7 +317,7 @@ func TestRelayRootKillResume(t *testing.T) {
 	}
 	defer root2.Close()
 	for i := half; i < total; i++ {
-		root2.Broadcast(testEvent(i))
+		root2.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	recvThrough(t, c, total)
 	if edge.Stats().Reconnects == 0 {
@@ -349,7 +350,7 @@ func TestRelayResumeBelowRetentionIsErrGap(t *testing.T) {
 	}
 	defer root.Close()
 	for i := 0; i < 3000; i++ {
-		root.Broadcast(testEvent(i))
+		root.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	if sp.First() <= 1 {
 		t.Fatal("test premise broken: retention never pruned")
@@ -400,7 +401,7 @@ func TestRelayEOFBeforeCatchup(t *testing.T) {
 	waitClients(t, root, 1)
 
 	for i := 0; i < total; i++ {
-		root.Broadcast(testEvent(i))
+		root.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	waitHead(t, edge.Server(), total)
 
@@ -588,5 +589,48 @@ func TestRelaySnapshotRendezvousAtEdge(t *testing.T) {
 	root.Close()
 	if err := edge.Wait(); err != nil {
 		t.Fatalf("relay did not end cleanly: %v", err)
+	}
+}
+
+// TestRelayCloseDuringHandshake: an upstream that accepts the relay's
+// connection and never answers its hello must not hold Close hostage
+// for the handshake timeout — the relay registers the connection
+// before the hello, so Close cuts the handshake.
+func TestRelayCloseDuringHandshake(t *testing.T) {
+	leakCheck(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	relay, err := NewRelay("127.0.0.1:0", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var up net.Conn
+	select {
+	case up = <-accepted:
+	case <-time.After(5 * time.Second):
+		relay.Abort()
+		t.Fatal("relay never dialed its upstream")
+	}
+	defer up.Close()
+	up.SetReadDeadline(time.Now().Add(5 * time.Second))
+	payload, err := readFrame(bufio.NewReader(up), nil)
+	if err != nil || !bytes.Contains(payload, []byte(`"relay":true`)) {
+		relay.Abort()
+		t.Fatalf("upstream read %q (%v), want the relay's hello", payload, err)
+	}
+
+	start := time.Now()
+	relay.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with the handshake unanswered, want < 1s", d)
 	}
 }

@@ -30,7 +30,7 @@ func TestResumeAfterKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < total; i++ {
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	for i := 0; i < total/3; i++ {
 		ev, err := c.Recv()
@@ -75,7 +75,7 @@ func TestResumeResendsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < total; i++ {
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	for i := 0; i < 500; i++ {
 		if _, err := c.Recv(); err != nil {
@@ -122,7 +122,7 @@ func TestResumeRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Broadcast(testEvent(0))
+	s.BroadcastBatch([]osn.Event{testEvent(0)})
 	// An unknown session may resume only at the live head — that needs
 	// no replay from either tier (TestDialFromHeadOfEmptyFeed); any
 	// sequence below the head is a gap.
@@ -141,7 +141,7 @@ func TestResumeRejections(t *testing.T) {
 	// loss shows up both as ErrGap and in Stats.
 	waitDetached(t, s)
 	for i := 0; i < 100; i++ {
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	if st := s.Stats(); st.Evicted != 1 {
 		t.Fatalf("stats = %+v, want one eviction", st)
@@ -277,7 +277,7 @@ func TestSubscribeResumesAcrossKillNoFlagDivergence(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for _, ev := range events {
-		s.Broadcast(ev)
+		s.BroadcastBatch([]osn.Event{ev})
 	}
 	for received.Load() < int64(len(events)) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

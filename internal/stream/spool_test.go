@@ -58,7 +58,7 @@ func TestResumePastWindowFromSpool(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		srv.Broadcast(testEvent(i))
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	recvThrough(t, c, 50)
 	session, last := c.Session(), c.LastSeq()
@@ -69,7 +69,7 @@ func TestResumePastWindowFromSpool(t *testing.T) {
 	// without the spool this session would be evicted and the resume
 	// answered with ErrGap.
 	for i := 100; i < total; i++ {
-		srv.Broadcast(testEvent(i))
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 
 	c2, err := DialResume(srv.Addr(), session, last+1)
@@ -81,7 +81,7 @@ func TestResumePastWindowFromSpool(t *testing.T) {
 
 	// And the session is live again: new broadcasts flow through the
 	// memory ring.
-	srv.Broadcast(testEvent(total))
+	srv.BroadcastBatch([]osn.Event{testEvent(total)})
 	recvThrough(t, c2, total+1)
 	if st := srv.Stats(); st.Evicted != 0 {
 		t.Fatalf("evicted = %d, want 0 (nothing was lost)", st.Evicted)
@@ -99,7 +99,7 @@ func TestResumeEvictedSessionFromSpool(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		srv.Broadcast(testEvent(i))
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	recvThrough(t, c, 10)
 	session, last := c.Session(), c.LastSeq()
@@ -107,7 +107,7 @@ func TestResumeEvictedSessionFromSpool(t *testing.T) {
 	waitDetached(t, srv)
 	time.Sleep(30 * time.Millisecond) // linger expires
 	for i := 20; i < 500; i++ {
-		srv.Broadcast(testEvent(i)) // sweeps the expired session away
+		srv.BroadcastBatch([]osn.Event{testEvent(i)}) // sweeps the expired session away
 	}
 	if srv.Stats().Sessions != 0 {
 		t.Fatal("test premise broken: session still held")
@@ -144,7 +144,7 @@ func TestSlowSubscriberDemotedNotStalled(t *testing.T) {
 	start := time.Now()
 	demoted := false
 	for i := 0; i < total; i++ {
-		srv.Broadcast(testEvent(i))
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 		if !demoted && i%256 == 0 {
 			for _, ss := range srv.Stats().PerSession {
 				demoted = demoted || ss.CatchUp
@@ -182,7 +182,7 @@ func TestSpooledServerAdoptsSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		srv.Broadcast(testEvent(i))
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	recvThrough(t, c, 120)
 	session, last := c.Session(), c.LastSeq()
@@ -203,7 +203,7 @@ func TestSpooledServerAdoptsSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	srv2.Broadcast(testEvent(300)) // must be assigned sequence 301, not 1
+	srv2.BroadcastBatch([]osn.Event{testEvent(300)}) // must be assigned sequence 301, not 1
 
 	c2, err := DialResume(srv2.Addr(), session, last+1)
 	if err != nil {
@@ -234,14 +234,14 @@ func TestResumeBelowRetentionIsErrGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Broadcast(testEvent(0))
+	srv.BroadcastBatch([]osn.Event{testEvent(0)})
 	recvThrough(t, c, 1)
 	session := c.Session()
 	c.Close() // clean close acks everything delivered
 	waitDetached(t, srv)
 	time.Sleep(30 * time.Millisecond) // linger expires: nothing pins retention
 	for i := 1; i < 3000; i++ {
-		srv.Broadcast(testEvent(i))
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	if sp.First() <= 1 {
 		t.Fatal("test premise broken: retention never pruned")
@@ -283,7 +283,7 @@ func TestManualAckLargeLagOverSpool(t *testing.T) {
 		done <- nil
 	}()
 	for i := 0; i < total; i++ {
-		srv.Broadcast(testEvent(i))
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	select {
 	case err := <-done:

@@ -11,7 +11,7 @@
 // which deduplicates on sequence numbers).
 //
 // The server is a producer-agnostic broker: events enter either via
-// in-process Broadcast calls or from any number of concurrent wire
+// in-process BroadcastBatch calls or from any number of concurrent wire
 // producers speaking the publish sub-protocol (phello/pbatch/pack —
 // see publish.go and Publisher), all merged by one global sequencer
 // into the same totally ordered feed. Producer batches carry
@@ -29,6 +29,12 @@
 // window fills is likewise demoted to disk catch-up instead of
 // stalling the producer.
 //
+// Besides the feed, a broker answers six one-shot control exchanges
+// — snapshot offer and fetch, rebalance prepare and commit, partition
+// status and claim — that move detector state between workers; each
+// rides a short-lived connection of its own (see control.go and
+// OfferSnapshot, PrepareRebalance, QueryPartition).
+//
 // The wire protocol — framing, the handshake, sequence/ack semantics
 // and the resume rules — is specified in docs/ARCHITECTURE.md.
 package stream
@@ -36,6 +42,7 @@ package stream
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -70,7 +77,7 @@ const (
 	// DefaultSessionLinger is how long a disconnected session's replay
 	// window is kept for resume before it is evicted.
 	DefaultSessionLinger = 30 * time.Second
-	// DefaultStallTimeout is how long Broadcast blocks on one full
+	// DefaultStallTimeout is how long BroadcastBatch blocks on one full
 	// connected subscriber before evicting it (liveness backstop: a
 	// dead-but-connected client cannot wedge the feed forever). Not
 	// reached when a spool is configured — a full window demotes to
@@ -141,7 +148,7 @@ func WithSessionLinger(d time.Duration) ServerOption {
 	}
 }
 
-// WithStallTimeout sets how long Broadcast waits on one full connected
+// WithStallTimeout sets how long BroadcastBatch waits on one full connected
 // subscriber before evicting it (spool-less servers only).
 func WithStallTimeout(d time.Duration) ServerOption {
 	return func(o *serverOptions) {
@@ -175,20 +182,20 @@ func WithSpool(sp *spool.Spool) ServerOption {
 
 // Server broadcasts events to TCP subscribers with at-least-once
 // delivery. Events enter the feed two ways, freely mixed: in-process
-// Broadcast calls, and wire producers speaking the publish
+// BroadcastBatch calls, and wire producers speaking the publish
 // sub-protocol (see publish.go) — both run through the same global
 // sequencer, so the downstream feed is one totally ordered sequence
-// space regardless of how many producers feed it. Broadcast and Close
-// must not overlap (wire producers need no such care: a closing
-// sequencer refuses their batches); Broadcast itself is safe for
+// space regardless of how many producers feed it. BroadcastBatch and
+// Close must not overlap (wire producers need no such care: a closing
+// sequencer refuses their batches); BroadcastBatch itself is safe for
 // concurrent use.
 type Server struct {
 	ln  net.Listener
 	opt serverOptions
 
-	// mu is the sequencer lock: it covers only sequence assignment,
-	// the closing flag, and the producer registry — the phase-1
-	// critical section of the batch fan-out. Encoding, the spool
+	// mu is the sequencer lock: it covers only sequence assignment (the
+	// phase-1 critical section of the batch fan-out), the closing flag,
+	// the producer registry and the control plane. Encoding, the spool
 	// append, and per-session delivery all happen after it is
 	// released, ordered by the fan-out ticket below, so concurrent
 	// producers overlap everything but the sequence assignment itself.
@@ -205,9 +212,9 @@ type Server struct {
 
 	// smu guards the sessions map — and nothing else. It is a leaf
 	// lock in the order mu → sess.mu → smu: eviction deletes a map
-	// entry while holding its sess.mu, and fan-out/Stats snapshot the
-	// session list under smu alone, then release it before touching
-	// any sess.mu.
+	// entry while holding its sess.mu, and sessionList copies the
+	// session list under smu alone, so callers touch each sess.mu only
+	// after smu is released.
 	smu      sync.Mutex
 	sessions map[string]*session
 
@@ -248,30 +255,12 @@ type Server struct {
 	adopted atomic.Uint64
 	hop     atomic.Int32
 
-	// Live-rebalance coordination (rebalance sub-protocol; see
-	// rebalance.go), guarded by mu — fences are installed under the
-	// sequencer lock so the barrier is exact and admission checks see
-	// them atomically. fences holds the active admission fence per OLD
-	// group size (an entry outlives its commit: a stale worker of a
-	// retired shape must never be re-admitted past the barrier);
-	// rebLog is the append-only audit of every rebalance prepared on
-	// this server. claims maps a partition key to the session id a
-	// standby reserved it for; everSeen records keys that ever
-	// admitted a subscriber (so a standby can tell "worker died" from
-	// "worker never started").
-	fences   map[int]*fence
-	rebLog   []*fence
-	claims   map[partKey]claim
-	everSeen map[partKey]bool
+	// ctl is the control plane (control.go), guarded by mu.
+	ctl control
 
-	// Snapshot rendezvous: latest offered detector snapshot per
-	// partition key (snapshot sub-protocol; see snapshot.go).
-	snapMu sync.Mutex
-	snaps  map[snapKey]snapVal
-
-	spoolBroken atomic.Bool // a spool write failed; disk tier is offline
-	spoolErrMu  sync.Mutex
-	spoolErr    error
+	// spoolErr holds the first spool append error; once it is set the
+	// disk tier is offline for good.
+	spoolErr atomic.Pointer[error]
 
 	wg sync.WaitGroup
 }
@@ -319,24 +308,9 @@ type fanScratch struct {
 // in the middle of a write.
 func retain(scratch []byte) []byte { return bytes.Clone(scratch) }
 
-// partKey identifies one shared partition filter.
+// partKey identifies one partition, part of parts: a shared partition
+// filter, or a control-plane key.
 type partKey struct{ part, parts int }
-
-// fence is one live rebalance: partition group `from` is cut at
-// `barrier` in favour of a group of `nparts`. Guarded by Server.mu.
-type fence struct {
-	from      int
-	nparts    int
-	barrier   uint64
-	committed bool
-}
-
-// claim reserves a partition key for a standby's promotion session.
-// Guarded by Server.mu; expires after the session linger.
-type claim struct {
-	session string
-	at      time.Time
-}
 
 // session is one subscriber's server-side state: a bounded window of
 // shared frame chunks awaiting acknowledgement, cursors over the feed,
@@ -500,7 +474,7 @@ type SessionStats struct {
 	Behind    uint64  // events behind the feed head (broadcast − acked)
 	Buffered  int     // replay-window fill: events held awaiting ack
 	Window    int     // replay-window capacity
-	Fill      float64 // Buffered/Window; at 1.0 this session stalls a spool-less Broadcast
+	Fill      float64 // Buffered/Window; at 1.0 this session stalls a spool-less BroadcastBatch
 }
 
 // RebalanceStats describes one rebalance the broker coordinated:
@@ -541,13 +515,16 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 		return nil, fmt.Errorf("stream: listen: %w", err)
 	}
 	s := &Server{
-		ln:         ln,
-		opt:        o,
-		sessions:   make(map[string]*session),
-		producers:  make(map[string]*producerState),
-		fences:     make(map[int]*fence),
-		claims:     make(map[partKey]claim),
-		everSeen:   make(map[partKey]bool),
+		ln:        ln,
+		opt:       o,
+		sessions:  make(map[string]*session),
+		producers: make(map[string]*producerState),
+		ctl: control{
+			fences: make(map[int]*fence),
+			claims: make(map[partKey]claim),
+			seen:   make(map[partKey]bool),
+			snaps:  make(map[partKey]snapshot),
+		},
 		ingestDone: make(chan struct{}),
 		fan:        fanScratch{fcache: make(map[partKey][]*chunk)},
 		encPool:    sync.Pool{New: func() any { return new([]byte) }},
@@ -593,18 +570,18 @@ func (s *Server) acceptLoop() {
 // spoolUsable reports whether the disk tier can serve and accept
 // data.
 func (s *Server) spoolUsable() bool {
-	return s.opt.spool != nil && !s.spoolBroken.Load()
+	return s.opt.spool != nil && s.spoolErr.Load() == nil
 }
 
-// Broadcast assigns the event the next sequence number and runs it
-// through the batch fan-out core (it is BroadcastBatch of one event —
-// callers with more than one event at hand should pass the whole
-// batch, which spools and fans out a single shared frame per maxBatch
-// run instead of one per event). Safe for concurrent use; must not
-// overlap Close.
-func (s *Server) Broadcast(ev osn.Event) {
-	evs := [1]osn.Event{ev}
-	s.BroadcastBatch(evs[:])
+// sessionList appends every registered session to dst, copied under
+// smu alone, and returns it.
+func (s *Server) sessionList(dst []*session) []*session {
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	for _, sess := range s.sessions {
+		dst = append(dst, sess)
+	}
+	return dst
 }
 
 // BroadcastBatch assigns the events one contiguous run of sequence
@@ -697,7 +674,7 @@ var ErrAdoptGap = errors.New("stream: adopted frame out of sequence")
 // frame the adoption path builds; one starting past head+1 returns
 // ErrAdoptGap with the head untouched. Safe for concurrent use with
 // subscriber traffic, but a server has exactly one adopter (its relay's
-// upstream loop) and adoption must not be mixed with Broadcast or
+// upstream loop) and adoption must not be mixed with BroadcastBatch or
 // publish ingest: both assign local sequences, which is precisely what
 // adoption forgoes.
 func (s *Server) AdoptFrame(payload []byte) error {
@@ -742,7 +719,7 @@ func (s *Server) AdoptFrame(payload []byte) error {
 	}
 	if s.seq != first-1 {
 		// The head moved between the check and the claim: a second
-		// adopter or an interleaved Broadcast — both contract
+		// adopter or an interleaved BroadcastBatch — both contract
 		// violations. Refuse loudly instead of corrupting the order.
 		cur := s.seq
 		s.mu.Unlock()
@@ -779,10 +756,7 @@ func (s *Server) fanout(first uint64, n int, chunks []*chunk) {
 			if err != nil {
 				// The disk tier is gone, loudly; the memory tier keeps
 				// the feed alive with its original semantics.
-				s.spoolBroken.Store(true)
-				s.spoolErrMu.Lock()
-				s.spoolErr = err
-				s.spoolErrMu.Unlock()
+				s.spoolErr.CompareAndSwap(nil, &err)
 				log.Printf("stream: spool append failed, disk replay tier offline: %v", err)
 				break
 			}
@@ -795,13 +769,8 @@ func (s *Server) fanout(first uint64, n int, chunks []*chunk) {
 	// The fan-out body runs exclusively (the next batch's ticket is
 	// granted only at the bottom), so the session snapshot and the view
 	// scratch are reused instead of allocated per batch.
-	s.smu.Lock()
-	sessions := s.fan.sessions[:0]
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
+	sessions := s.sessionList(s.fan.sessions[:0])
 	s.fan.sessions = sessions
-	s.smu.Unlock()
 
 	keys := s.fan.keys[:0]
 	for _, sess := range sessions {
@@ -1166,18 +1135,24 @@ func (s *Server) detach(sess *session, gen int) {
 	sess.mu.Unlock()
 }
 
-// evict removes the session (used by a writer whose source can no
-// longer serve it).
+// evict removes the session permanently, taking sess.mu.
 func (s *Server) evict(sess *session) {
 	sess.mu.Lock()
 	sess.evictLocked()
 	sess.mu.Unlock()
 }
 
-// serveConn performs the handshake, then runs the connection's ack
-// reader; the batch writer runs in its own goroutine.
+// serveConn reads the first frame and dispatches it through the
+// first-frame table: a one-shot control request to serveControl, a
+// phello to the ingest path, and a hello to admission, after which
+// this goroutine runs the connection's ack reader and the batch writer
+// runs in its own.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	refuse := func(t, why string) {
+		writeControl(conn, frame{T: t, V: ProtocolVersion, Err: why})
+		conn.Close()
+	}
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	br := bufio.NewReaderSize(conn, 32<<10)
 	payload, err := readFrame(br, nil)
@@ -1187,68 +1162,39 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	var hello frame
 	if err := json.Unmarshal(payload, &hello); err != nil {
-		writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, Err: "malformed hello"})
-		conn.Close()
+		refuse(frameWelcome, "malformed hello")
 		return
 	}
+	// Every refusal from here on carries the tag the client of the
+	// exchange waits for; an unknown tag is answered as a subscribe
+	// hello would be.
+	row := firstFrames[hello.T]
+	reply := cmp.Or(row.reply, frameWelcome)
 	if hello.V != ProtocolVersion {
-		t := frameWelcome
-		switch hello.T {
-		case framePHello:
-			t = framePWelcome
-		case frameSnapOffer:
-			t = frameSnapOK
-		case frameSnapFetch:
-			t = frameSnap
-		}
-		writeControl(conn, frame{T: t, V: ProtocolVersion,
-			Err: fmt.Sprintf("unsupported protocol version %d", hello.V)})
-		conn.Close()
+		refuse(reply, fmt.Sprintf("unsupported protocol version %d", hello.V))
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	switch hello.T {
-	case framePHello:
-		// The connection is a wire producer, not a subscriber: hand it
-		// to the ingest path (publish.go). A relay hop's sequencer is
-		// seated by the upstream feed, so it admits no producers.
-		if s.opt.adopting {
-			writeControl(conn, frame{T: framePWelcome, V: ProtocolVersion,
-				Err: "broker is a relay hop: publish to the root broker"})
-			conn.Close()
-			return
-		}
+	switch {
+	case row.serve != nil:
+		s.serveControl(conn, br, hello, row)
+		return
+	case hello.T == framePHello && s.opt.adopting:
+		// A relay hop's sequencer is seated by the upstream feed, so it
+		// admits no producers.
+		refuse(reply, "broker is a relay hop: publish to the root broker")
+		return
+	case hello.T == framePHello:
 		s.servePublisher(conn, br, hello, payload)
 		return
-	case frameSnapOffer:
-		s.serveSnapOffer(conn, br, hello)
-		return
-	case frameSnapFetch:
-		s.serveSnapFetch(conn, hello)
-		return
-	case frameRebPrep:
-		s.serveRebPrepare(conn, hello)
-		return
-	case frameRebCommit:
-		s.serveRebCommit(conn, hello)
-		return
-	case frameRebStatus:
-		s.serveRebStatus(conn, hello)
-		return
-	case frameRebClaim:
-		s.serveRebClaim(conn, hello)
-		return
-	}
-	if hello.T != frameHello || hello.Session == "" {
-		writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, Err: "malformed hello"})
-		conn.Close()
+	case hello.T != frameHello || hello.Session == "":
+		refuse(reply, "malformed hello")
 		return
 	}
 
 	sess, gen, from, reject := s.admit(hello, conn)
 	if reject != "" {
-		writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, Err: reject})
-		conn.Close()
+		refuse(reply, reject)
 		return
 	}
 	if hello.Relay {
@@ -1306,7 +1252,7 @@ func (s *Server) admit(hello frame, conn net.Conn) (sess *session, gen int, from
 	var fenceNew int
 	if hello.Parts >= 2 {
 		key := partKey{part: hello.Part, parts: hello.Parts}
-		if f := s.fences[hello.Parts]; f != nil {
+		if f := s.ctl.fences[hello.Parts]; f != nil {
 			// The group shape was rebalanced away. A fresh join would
 			// double-judge post-barrier events against the new owners;
 			// a resume may only drain what it is owed below the
@@ -1316,17 +1262,17 @@ func (s *Server) admit(hello frame, conn net.Conn) (sess *session, gen int, from
 			}
 			fencedAt, fenceNew = f.barrier, f.nparts
 		}
-		if c, ok := s.claims[key]; ok {
+		if c, ok := s.ctl.claims[key]; ok {
 			switch {
 			case hello.Session == c.session:
-				delete(s.claims, key) // claim consumed by its holder
+				delete(s.ctl.claims, key) // claim consumed by its holder
 			case time.Since(c.at) < s.opt.linger:
 				return nil, 0, 0, "partition claimed by another session"
 			default:
-				delete(s.claims, key) // claimant never showed; let go
+				delete(s.ctl.claims, key) // claimant never showed; let go
 			}
 		}
-		s.everSeen[key] = true
+		s.ctl.seen[key] = true
 	}
 	s.smu.Lock()
 	sess = s.sessions[hello.Session]
@@ -1342,9 +1288,7 @@ func (s *Server) admit(hello frame, conn net.Conn) (sess *session, gen int, from
 		// Fresh subscription from the next broadcast on. Reusing a live
 		// session id replaces (evicts) the old session.
 		if sess != nil {
-			sess.mu.Lock()
-			sess.evictLocked()
-			sess.mu.Unlock()
+			s.evict(sess)
 		}
 		sess = s.newSessionLocked(hello.Session, s.seq, false, hello.Part, hello.Parts)
 		sess.mu.Lock()
@@ -1470,9 +1414,7 @@ func (s *Server) admit(hello frame, conn net.Conn) (sess *session, gen int, from
 		served := s.spoolServes(r)
 		s.smu.Unlock()
 		if !served {
-			sess.mu.Lock()
-			sess.evictLocked()
-			sess.mu.Unlock()
+			s.evict(sess)
 			return nil, 0, 0, "resume sequence below the spool retention floor"
 		}
 	}
@@ -1865,7 +1807,7 @@ func (w *sessionWriter) flip() error {
 		sess.base = sess.sent
 		w.closeReader()
 		return nil
-	case s.spoolBroken.Load():
+	case s.spoolErr.Load() != nil:
 		// The feed ran ahead of a dead spool: this gap can never be served.
 		return fmt.Errorf("%w: stranded mid-catch-up by spool failure", errLost)
 	}
@@ -1955,10 +1897,7 @@ func (v *partView) view(buf *[]byte, payload []byte, first, cursor uint64, part,
 func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
 	seq := s.seq
-	reb := make([]RebalanceStats, 0, len(s.rebLog))
-	for _, f := range s.rebLog {
-		reb = append(reb, RebalanceStats{From: f.from, To: f.nparts, Barrier: f.barrier, Committed: f.committed})
-	}
+	snaps, reb := s.controlStatsLocked()
 	prod := make([]ProducerStats, 0, len(s.producers))
 	for _, p := range s.producers {
 		prod = append(prod, ProducerStats{
@@ -1972,12 +1911,7 @@ func (s *Server) Stats() ServerStats {
 		})
 	}
 	s.mu.Unlock()
-	s.smu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.smu.Unlock()
+	sessions := s.sessionList(nil)
 	per := make([]SessionStats, 0, len(sessions))
 	for _, sess := range sessions {
 		sess.mu.Lock()
@@ -2018,32 +1952,24 @@ func (s *Server) Stats() ServerStats {
 		Evicted:     s.evicted.Load(),
 		PerSession:  per,
 		PerProducer: prod,
+		Snapshots:   snaps,
+		Rebalances:  reb,
 	}
 	if s.opt.spool != nil {
 		st.SpoolFirst = s.opt.spool.First()
 		st.SpoolEnd = s.opt.spool.End()
-		s.spoolErrMu.Lock()
-		if s.spoolErr != nil {
-			st.SpoolErr = s.spoolErr.Error()
+		if err := s.spoolErr.Load(); err != nil {
+			st.SpoolErr = (*err).Error()
 		}
-		s.spoolErrMu.Unlock()
 	}
-	st.Snapshots = s.snapshotStats()
-	st.Rebalances = reb
 	return st
 }
 
 // NumClients returns the number of currently connected subscribers
 // (lingering disconnected sessions not included).
 func (s *Server) NumClients() int {
-	s.smu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.smu.Unlock()
 	n := 0
-	for _, sess := range sessions {
+	for _, sess := range s.sessionList(nil) {
 		sess.mu.Lock()
 		if sess.conn != nil {
 			n++
@@ -2055,30 +1981,14 @@ func (s *Server) NumClients() int {
 
 // Close stops accepting, drains every connected subscriber's remaining
 // window (bounded by the drain timeout), sends each an eof frame, and
-// waits for all connection goroutines to finish. All Broadcast calls
-// must have returned. The spool, if any, is not closed — it belongs
+// waits for all connection goroutines to finish. All BroadcastBatch
+// calls must have returned. The spool, if any, is not closed — it belongs
 // to the caller and outlives the server.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		s.wg.Wait()
+	seq, first, err := s.shut()
+	if !first {
 		return nil
 	}
-	s.closing = true
-	err := s.ln.Close()
-	for _, p := range s.producers {
-		// Sever producers: any pbatch still in flight is refused by the
-		// closing sequencer (ingest checks s.closing), so the cut is
-		// clean — the producer's unacked batches stay unacked.
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-		}
-	}
-	seq := s.seq
-	s.mu.Unlock()
-
 	// Let any batch already past the sequencer finish its fan-out, so
 	// the final events reach the spool and every session's queue before
 	// the drain starts.
@@ -2088,13 +1998,7 @@ func (s *Server) Close() error {
 	}
 	s.fanMu.Unlock()
 
-	s.smu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.smu.Unlock()
-	for _, sess := range sessions {
+	for _, sess := range s.sessionList(nil) {
 		sess.mu.Lock()
 		if sess.gone {
 			sess.mu.Unlock()
@@ -2117,18 +2021,38 @@ func (s *Server) Close() error {
 	// the drain deadline cut off a stalled subscriber): that is loss,
 	// and loss is always counted — unless the spool still holds it for
 	// a future resume against a restarted producer.
-	s.smu.Lock()
-	rest := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		rest = append(rest, sess)
-	}
-	s.smu.Unlock()
-	for _, sess := range rest {
-		sess.mu.Lock()
-		sess.evictLocked()
-		sess.mu.Unlock()
+	for _, sess := range s.sessionList(nil) {
+		s.evict(sess)
 	}
 	return err
+}
+
+// shut begins Close or Abort: it marks the server closing, stops
+// accepting and severs every wire producer — a pbatch still in flight
+// is refused by the closing sequencer (ingest checks s.closing), so the
+// cut is clean and the producer's unacked batches stay unacked. It
+// returns the head sequence and the listener's close error; first is
+// false when an earlier Close or Abort began it, and shut has waited
+// for that one's connection goroutines.
+func (s *Server) shut() (seq uint64, first bool, err error) {
+	s.mu.Lock()
+	first = !s.closing
+	if first {
+		s.closing = true
+		err = s.ln.Close()
+		for _, p := range s.producers {
+			if p.conn != nil {
+				p.conn.Close()
+				p.conn = nil
+			}
+		}
+	}
+	seq = s.seq
+	s.mu.Unlock()
+	if !first {
+		s.wg.Wait()
+	}
+	return seq, first, err
 }
 
 // Abort is the test double for kill -9: it severs the listener and
@@ -2137,35 +2061,14 @@ func (s *Server) Close() error {
 // nothing flushed on the way out. Subscribers see a dead TCP peer, not
 // a protocol goodbye, which is precisely what resume and relay
 // reconnect logic must survive. Safe to call concurrently with
-// Broadcast/AdoptFrame; in-flight fan-outs are unblocked by the
+// BroadcastBatch/AdoptFrame; in-flight fan-outs are unblocked by the
 // evictions rather than waited for.
 func (s *Server) Abort() {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		s.wg.Wait()
+	if _, first, _ := s.shut(); !first {
 		return
 	}
-	s.closing = true
-	s.ln.Close()
-	for _, p := range s.producers {
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-		}
-	}
-	s.mu.Unlock()
-
-	s.smu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.smu.Unlock()
-	for _, sess := range sessions {
-		sess.mu.Lock()
-		sess.evictLocked()
-		sess.mu.Unlock()
+	for _, sess := range s.sessionList(nil) {
+		s.evict(sess)
 	}
 	s.wg.Wait()
 }

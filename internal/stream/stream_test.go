@@ -124,7 +124,7 @@ func TestServerClientDelivery(t *testing.T) {
 
 	const n = 1000
 	for i := 0; i < n; i++ {
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	for i := 0; i < n; i++ {
 		ev, err := c.Recv()
@@ -158,7 +158,7 @@ func TestMultipleSubscribers(t *testing.T) {
 		defer c.Close()
 		clients = append(clients, c)
 	}
-	s.Broadcast(testEvent(7))
+	s.BroadcastBatch([]osn.Event{testEvent(7)})
 	for i, c := range clients {
 		ev, err := c.Recv()
 		if err != nil {
@@ -176,14 +176,14 @@ func TestLateSubscriberStartsAtCurrentSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Broadcast(testEvent(1))
-	s.Broadcast(testEvent(2))
+	s.BroadcastBatch([]osn.Event{testEvent(1)})
+	s.BroadcastBatch([]osn.Event{testEvent(2)})
 	c, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	s.Broadcast(testEvent(3))
+	s.BroadcastBatch([]osn.Event{testEvent(3)})
 	ev, err := c.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestCloseDrainsPendingWindow(t *testing.T) {
 	defer c.Close()
 	const n = 5000
 	for i := 0; i < n; i++ {
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	done := make(chan error, 1)
 	go func() { done <- s.Close() }()
@@ -281,7 +281,7 @@ func TestStallingSubscriberLosesNothing(t *testing.T) {
 	go func() {
 		defer close(sent)
 		for i := 0; i < total; i++ {
-			s.Broadcast(testEvent(i)) // blocks while the subscriber stalls
+			s.BroadcastBatch([]osn.Event{testEvent(i)}) // blocks while the subscriber stalls
 		}
 	}()
 
@@ -327,7 +327,7 @@ func TestStalledBeyondTimeoutIsEvicted(t *testing.T) {
 	waitClients(t, s, 1)
 	start := time.Now()
 	for i := 0; i < 1000; i++ { // never read: window fills, then eviction
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("broadcast wedged for %v despite stall timeout", d)
@@ -348,7 +348,7 @@ func TestSubscribeDeliversAndEnds(t *testing.T) {
 		done <- Subscribe(s.Addr(), func(ev osn.Event) { got <- ev }, 3)
 	}()
 	waitClients(t, s, 1)
-	s.Broadcast(testEvent(1))
+	s.BroadcastBatch([]osn.Event{testEvent(1)})
 	select {
 	case ev := <-got:
 		if ev.At != 1 {
@@ -387,7 +387,7 @@ func TestSubscribeBatchDeliversInOrder(t *testing.T) {
 	}()
 	waitClients(t, s, 1)
 	for i := 0; i < n; i++ {
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	s.Close()
 	if err := <-done; err != nil {
@@ -452,7 +452,7 @@ func TestConcurrentBroadcasters(t *testing.T) {
 		w := w
 		go func() {
 			for i := 0; i < per; i++ {
-				s.Broadcast(testEvent(w*per + i))
+				s.BroadcastBatch([]osn.Event{testEvent(w*per + i)})
 			}
 			done <- struct{}{}
 		}()
@@ -485,7 +485,7 @@ func TestDeliveredAccounting(t *testing.T) {
 	}
 	const n = 2000
 	for i := 0; i < n; i++ {
-		s.Broadcast(testEvent(i))
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	for i := 0; i < n; i++ {
 		if _, err := c.Recv(); err != nil {

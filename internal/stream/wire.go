@@ -82,13 +82,13 @@ import (
 //	standby → broker       rclaim   {"t":"rclaim","v":2,"part":I,"parts":K,"session":ID}
 //	broker → standby       rok      {"t":"rok"}  /  {"t":"rok","err":"..."}
 //
-// rinfo reports the partition key's health: connected subscriber
-// count, whether any subscriber was ever admitted on the key, the
-// sequence of the freshest held snapshot, and the group's fence
-// barrier (0 while unfenced). A granted rclaim reserves the partition
-// for the named session id — other sessions are refused admission on
-// the key until the claim is consumed or its linger expires — which
-// is how exactly one standby wins a promotion race.
+// rinfo reads as PartitionStatus; a granted rclaim refuses other
+// sessions the key until its holder connects or its linger expires.
+//
+// The first frame of every conversation carries "v". A broker refuses
+// any other version with the reply tag the request expects (welcome,
+// pwelcome, sok, snap, rok, rinfo: the first-frame table in control.go)
+// and "err":"unsupported protocol version N", then hangs up.
 //
 // The publish side (producer → broker, over the same listen port; the
 // first frame's type selects the role):
@@ -143,7 +143,7 @@ const (
 	frameSnapOK    = "sok"
 	frameSnap      = "snap"
 
-	// Rebalance sub-protocol (live K→K' cutover; see rebalance.go).
+	// Rebalance sub-protocol (live K→K' cutover; see control.go).
 	// rebal is the in-stream cutover announcement sent to fenced
 	// partition subscribers; the rest are control frames on their own
 	// short-lived connections.
