@@ -1,6 +1,6 @@
 // Command renrend runs the OSN simulation as a network service: it
 // listens on a TCP port and streams every operational-log event to
-// connected subscribers over the v2 feed protocol (sequence-numbered,
+// connected subscribers over the v3 feed protocol (sequence-numbered,
 // acked batches; see docs/ARCHITECTURE.md) — the role Renren's
 // production log feed played for the paper's deployed detector.
 // Delivery is at least once: a slow subscriber applies backpressure
@@ -68,7 +68,7 @@ func main() {
 		sybils  = flag.Int("sybils", 80, "Sybil accounts")
 		hours   = flag.Int64("hours", 400, "observation window (hours)")
 		wait    = flag.Duration("wait", 30*time.Second, "max wait for a first subscriber")
-		maxRate = flag.Int("maxrate", 0, "max events/second streamed (0 = unlimited); v2 backpressure already paces slow subscribers, set this only to smooth bursts. In publish mode this is the whole producer group's rate: each process paces at maxrate/producers")
+		maxRate = flag.Int("maxrate", 0, "max events/second streamed (0 = unlimited); feed backpressure already paces slow subscribers, set this only to smooth bursts. In publish mode this is the whole producer group's rate: each process paces at maxrate/producers")
 		window  = flag.Int("window", stream.DefaultReplayBuffer, "per-subscriber in-memory replay window in events; with a spool, tiny windows stay safe (overflow falls back to disk)")
 
 		publish    = flag.String("publish", "", "publish into a streamd broker at this address instead of serving subscribers (disables -addr/-wait/-window/-spool-*)")

@@ -254,6 +254,10 @@ func (w *Worker) loop(c *stream.Client) {
 			}
 			w.save(c, true)
 			w.rebalanced, w.rebBarrier, w.rebNew = true, barrier, nparts
+		case errors.Is(err, stream.ErrBadFrame):
+			// The feed sent a frame this build cannot decode; a resume
+			// would only replay it.
+			w.err = err
 		case errors.Is(err, stream.ErrClosed) || w.stopped.Load():
 			// Clean end of feed, or Stop: the final ack rides the
 			// (interrupted but writable) connection, so the feed's

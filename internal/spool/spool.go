@@ -12,14 +12,20 @@
 //
 // A segment file spool-<firstseq>.log (sequence zero-padded so
 // lexicographic order is sequence order) holds consecutive
-// length-prefixed batch frames in the canonical internal/wire
-// encoding — byte-identical to the frames the transport sends, so one
-// codec serves both tiers. Frames within and across segments are
-// gapless: each frame's first sequence is the previous frame's last
-// plus one. The highest-numbered segment is active (append target);
-// the rest are sealed, immutable, and recorded in an atomically
-// rewritten index file (spool.index.json) with their sequence range
-// and byte size.
+// length-prefixed binary v3 batch frames (internal/wire) —
+// byte-identical to the frames the transport sends, so one codec serves
+// both tiers and a spooled event costs the same bytes as one on the
+// wire. Frames within and across segments are gapless: each frame's
+// first sequence is the previous frame's last plus one. The
+// highest-numbered segment is active (append target); the rest are
+// sealed, immutable, and recorded in an atomically rewritten index file
+// (spool.index.json, version 2) with their sequence range and byte
+// size.
+//
+// A directory written by a build that spooled v2 JSON frames (index
+// version 1, or a segment whose frames open with '{') is refused by
+// Open with ErrJSONFrames and left untouched: its tail would otherwise
+// scan as corrupt and be truncated away.
 //
 // Rolling is by size (WithSegmentBytes) or age (WithSegmentAge): the
 // active segment is flushed, fsynced, sealed into the index, and a new
@@ -73,15 +79,21 @@ const (
 	DefaultSegmentBytes = 8 << 20
 	// indexName is the atomic index of sealed segments.
 	indexName = "spool.index.json"
-	// indexVersion identifies the index schema; a mismatch on load
-	// falls back to a full directory scan.
-	indexVersion = 1
+	// indexVersion identifies the index schema and the frame format of
+	// the segments it lists; an unknown version on load falls back to a
+	// full directory scan. Version 1 indexed v2 JSON frames.
+	indexVersion = 2
 )
 
 // ErrPruned is returned when a read asks for a sequence below the
 // spool's retained range — the segments holding it were pruned (or
 // damaged and skipped). The transport surfaces this as ErrGap.
 var ErrPruned = errors.New("spool: sequence pruned from retention")
+
+// ErrJSONFrames is returned by Open for a spool directory written in
+// the v2 JSON frame format. This build reads binary v3 frames only; the
+// directory is left exactly as it was found.
+var ErrJSONFrames = errors.New("spool: directory holds v2 JSON frames; this build reads binary v3 frames only")
 
 // ErrBroken is returned by Append after a write error has poisoned
 // the spool; the store never silently drops a batch mid-stream.
@@ -225,7 +237,10 @@ func seqOf(name string) (uint64, bool) {
 // segments from the index (each verified on disk), then the unindexed
 // tail scanned frame by frame with torn tails truncated away.
 func (s *Spool) recover() error {
-	idx := s.readIndex()
+	idx, err := s.readIndex()
+	if err != nil {
+		return err
+	}
 
 	// Every segment-named file on disk, ascending by first sequence.
 	entries, err := os.ReadDir(s.dir)
@@ -289,6 +304,9 @@ func (s *Spool) recover() error {
 			continue
 		}
 		last, size, err := s.scanTail(path, first)
+		if errors.Is(err, ErrJSONFrames) {
+			return err
+		}
 		if err != nil {
 			s.opt.logf("spool: tail segment %s unreadable: %v — skipping", filepath.Base(path), err)
 			continue
@@ -349,7 +367,8 @@ func contiguousSuffix(segs []*segment, logf func(string, ...any)) []*segment {
 // scanTail walks the frames of a recovered tail segment, validating
 // sequence continuity, and truncates the file back to the last
 // complete frame when it finds a torn or corrupt tail. It returns the
-// last sequence held and the surviving byte size.
+// last sequence held and the surviving byte size — or ErrJSONFrames,
+// before anything is truncated, when the segment holds v2 JSON frames.
 func (s *Spool) scanTail(path string, first uint64) (last uint64, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -360,7 +379,6 @@ func (s *Spool) scanTail(path string, first uint64) (last uint64, size int64, er
 		br   = newByteReader(f)
 		next = first
 		good int64
-		evs  []osn.Event
 	)
 	for {
 		payload, err := br.frame()
@@ -371,14 +389,16 @@ func (s *Spool) scanTail(path string, first uint64) (last uint64, size int64, er
 			}
 			break
 		}
-		seq, batch, ok := wire.ParseBatch(payload, evs[:0])
-		evs = batch[:0]
-		if !ok || seq != next || len(batch) == 0 {
+		if wire.IsControl(payload) {
+			return 0, 0, fmt.Errorf("%w (%s)", ErrJSONFrames, filepath.Base(path))
+		}
+		seq, n, ok := wire.ParseBatchBounds(payload)
+		if !ok || seq != next || n == 0 {
 			s.opt.logf("spool: %s: corrupt frame at byte %d — truncating to last complete batch",
 				filepath.Base(path), good)
 			break
 		}
-		next = seq + uint64(len(batch))
+		next = seq + uint64(n)
 		good = br.offset
 	}
 	if fi, err := f.Stat(); err == nil && fi.Size() != good {
@@ -427,8 +447,8 @@ func (s *Spool) Append(first uint64, events []osn.Event) (rolled bool, err error
 	return s.appendFrameLocked(first, len(events), s.scratch)
 }
 
-// AppendFrame stores a pre-encoded canonical batch frame covering n
-// events starting at first. payload must be byte-identical to what
+// AppendFrame stores a pre-encoded batch frame covering n events
+// starting at first. payload must be byte-identical to what
 // wire.AppendBatch(nil, first, events) would emit — the broker's
 // fan-out encodes each batch exactly once under the sequencer and
 // hands the same immutable bytes here and to every subscriber socket,
@@ -598,18 +618,22 @@ func (s *Spool) writeIndexLocked() error {
 }
 
 // readIndex loads the sealed-segment index, returning nil (full
-// rescan territory) when it is absent or unreadable.
-func (s *Spool) readIndex() []indexSegment {
+// rescan territory) when it is absent or unreadable, and ErrJSONFrames
+// when it indexes v2 JSON segments.
+func (s *Spool) readIndex() ([]indexSegment, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, indexName))
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	var idx indexFile
-	if json.Unmarshal(data, &idx) != nil || idx.Version != indexVersion {
+	switch {
+	case json.Unmarshal(data, &idx) != nil || idx.Version > indexVersion || idx.Version < 1:
 		s.opt.logf("spool: unreadable or mismatched index %s — treating sealed segments as unindexed", indexName)
-		return nil
+		return nil, nil
+	case idx.Version < indexVersion:
+		return nil, fmt.Errorf("%w (%s version %d)", ErrJSONFrames, indexName, idx.Version)
 	}
-	return idx.Segments
+	return idx.Segments, nil
 }
 
 // First returns the first retained sequence (0 when the spool is

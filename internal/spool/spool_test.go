@@ -264,8 +264,9 @@ func TestReopenCorruptTailFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Garbage mid-payload of the final frame.
-	if _, err := f.WriteAt([]byte("XXXX"), fi.Size()-10); err != nil {
+	// Garbage mid-payload of the final frame, from its last record's
+	// type byte on: 'X' is no event type.
+	if _, err := f.WriteAt([]byte("XXXX"), fi.Size()-21); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -280,6 +281,66 @@ func TestReopenCorruptTailFrame(t *testing.T) {
 	}
 	if got := drain(t, sp2, 1); got != 49 {
 		t.Fatalf("read %d events, want 49", got)
+	}
+}
+
+// TestOpenRefusesJSONSpool: testdata/spool-v2-json was written by the
+// build that spooled v2 JSON frames (two sealed segments, their index
+// and an active tail). Open must refuse it with an error naming the
+// old frame format — through the index, and through the tail scan when
+// the index is gone — and must leave every file byte-identical: read
+// as binary frames, its tail would scan as corrupt and be truncated to
+// nothing, silently losing the retained log.
+func TestOpenRefusesJSONSpool(t *testing.T) {
+	src := filepath.Join("testdata", "spool-v2-json")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := map[string][]byte{}
+	for _, e := range entries {
+		if orig[e.Name()], err = os.ReadFile(filepath.Join(src, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dropIndex := range []bool{false, true} {
+		dir := t.TempDir()
+		for name, data := range orig {
+			if dropIndex && name == indexName {
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sp, err := Open(dir, WithLogger(t.Logf))
+		if err == nil {
+			sp.Close()
+			t.Fatalf("index dropped=%v: a v2 JSON spool opened", dropIndex)
+		}
+		if !errors.Is(err, ErrJSONFrames) || !strings.Contains(err.Error(), "JSON") {
+			t.Fatalf("index dropped=%v: err = %v, want one naming the JSON frame format", dropIndex, err)
+		}
+		after, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(orig)
+		if dropIndex {
+			want--
+		}
+		if len(after) != want {
+			t.Fatalf("index dropped=%v: %d files after Open, want %d", dropIndex, len(after), want)
+		}
+		for _, e := range after {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(data) != string(orig[e.Name()]) {
+				t.Fatalf("index dropped=%v: Open modified %s", dropIndex, e.Name())
+			}
+		}
 	}
 }
 

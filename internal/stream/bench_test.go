@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -357,61 +356,6 @@ func BenchmarkRelayFanout(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 		for i := range edges {
 			drain(b, done[i], 64)
-		}
-	})
-}
-
-// BenchmarkBatchCodec isolates the hand-rolled batch hot path against
-// the encoding/json fallback it shadows.
-func BenchmarkBatchCodec(b *testing.B) {
-	events := make([]osn.Event, DefaultMaxBatch)
-	for i := range events {
-		events[i] = osn.Event{
-			Type: osn.EvFriendRequest, At: int64(i) * 7,
-			Actor: osn.AccountID(i), Target: osn.AccountID(i + 1),
-		}
-	}
-	payload := appendBatchFrame(nil, 1, events)
-
-	b.Run("Encode", func(b *testing.B) {
-		var buf []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = appendBatchFrame(buf[:0], 1, events)
-		}
-	})
-	b.Run("EncodeJSON", func(b *testing.B) {
-		wire := make([]WireEvent, len(events))
-		for i, ev := range events {
-			wire[i] = FromOSN(ev)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(frame{T: frameBatch, Seq: 1, Events: wire}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Decode", func(b *testing.B) {
-		var dst []osn.Event
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var ok bool
-			_, dst, ok = parseBatchFrame(payload, dst[:0])
-			if !ok {
-				b.Fatal("canonical payload rejected")
-			}
-		}
-	})
-	b.Run("DecodeJSON", func(b *testing.B) {
-		var dst []osn.Event
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			_, dst, err = parseBatchSlow(payload, dst[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

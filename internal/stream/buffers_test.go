@@ -5,8 +5,8 @@ package stream
 // and reused; retained payloads are exact-size immutable copies. These
 // tests hold both halves — nothing retained may alias scratch, and the
 // reuse must keep the allocation cost per event inside a budget — plus
-// the encode accounting and the undecodable-adopted-frame rule that
-// ride on the same code.
+// the encode accounting and the refusal of undecodable adopted frames
+// that ride on the same code.
 
 import (
 	"bufio"
@@ -319,7 +319,7 @@ func TestPublisherResendsByteIdentical(t *testing.T) {
 // TestPublisherSteadyFlushAllocatesNoPayload: once a Publisher has a
 // retired buffer to encode into, a flush of a full batch costs the
 // ack's JSON decode (9 small objects, ~0.6 KB) and nothing the size of
-// the ~15 KB payload — no fresh buffer, no append growth, no creeping
+// the ~5 KB payload — no fresh buffer, no append growth, no creeping
 // window slice.
 func TestPublisherSteadyFlushAllocatesNoPayload(t *testing.T) {
 	leakCheck(t)
@@ -446,10 +446,12 @@ func (d *partitionDrainers) wait(t *testing.T) {
 // publish window of warm-up fills every scratch buffer and free list;
 // over the next 64k events the whole process may allocate at most
 // liveAllocBudget bytes per event. With every transient buffer reused
-// and every retained payload sized exactly the path costs ~275 B/ev
-// (the root's chunk, the relay's read buffer and K fbatch payloads —
-// about 4 × the 64 B wire event with its size-class rounding); from
-// nil-started or over-sized buffers, as before, it cost ~950.
+// and every retained payload sized exactly the path costs ~110 B/ev:
+// the root's chunk, the relay's read buffer and K fbatch payloads —
+// about 4 × the 21-byte binary event (29 in a view) with its size-class
+// rounding. The budget is that plus ~30 % headroom, so a drift back
+// toward the 64-byte JSON event (~270 B/ev) fails here; from
+// nil-started or over-sized buffers the JSON path cost ~950.
 func TestLivePathAllocBudget(t *testing.T) {
 	leakCheck(t)
 	const (
@@ -457,7 +459,7 @@ func TestLivePathAllocBudget(t *testing.T) {
 		warm            = DefaultPublishWindow * DefaultMaxBatch
 		measured        = 256 * DefaultMaxBatch
 		credit          = DefaultReplayBuffer / 2 // events in flight; keeps every session on the live path
-		liveAllocBudget = 350.0
+		liveAllocBudget = 145.0
 	)
 	evs := campaignEvents(warm+measured, 31)
 	root, relay, _, _ := spooledTree(t, DefaultReplayBuffer)
@@ -656,16 +658,15 @@ func TestEncodeAccounting(t *testing.T) {
 	})
 }
 
-// TestAdoptUndecodableFrameIsCursorOnly: a frame whose bounds parse but
-// whose events do not — an event type this build does not know, or a
-// non-canonical body that decodes to fewer events than its bounds
-// claimed — still moves the feed forward: full-feed subscribers get
-// the bytes verbatim, partitioned subscribers get the cursor. But no
-// event may be made up in its place: a zero-valued osn.Event is a
-// friend request from account 0 to account 0, which whichever
-// partition owns account 0 would count as real, and a short decode
-// must not be padded out with whatever the decode scratch held before.
-func TestAdoptUndecodableFrameIsCursorOnly(t *testing.T) {
+// TestAdoptUndecodableFrameIsRefused: AdoptFrame checks every record
+// of a frame before it sequences anything. A frame that does not
+// decode — an event type this build does not know, a v2 JSON batch
+// (even the canonical "aux":0-free form), a record cut short — is
+// refused with ErrBadFrame and leaves the head where it was, so the
+// next good frame still lines up. No event is made up in its place
+// and no partitioned subscriber's cursor moves past what it was not
+// given.
+func TestAdoptUndecodableFrameIsRefused(t *testing.T) {
 	leakCheck(t)
 	const K = 2
 	srv, err := NewServer("127.0.0.1:0", withAdopting())
@@ -676,43 +677,26 @@ func TestAdoptUndecodableFrameIsCursorOnly(t *testing.T) {
 	drainers := drainPartitions(t, srv, K)
 
 	good := partEvents(16, 41)
-	unknownType := []byte(`{"t":"batch","seq":9,"events":[` +
-		`{"type":"poke","at":1,"actor":0,"target":0},` +
-		`{"type":"poke","at":2,"actor":0,"target":0},` +
-		`{"type":"poke","at":3,"actor":0,"target":0}]}`)
-	// Bounds count '{': two here, but encoding/json sees one event.
-	miscounted := []byte(`{"t":"batch","seq":12,"events":[` +
-		`{"type":"message","at":4,"actor":1,"target":2,"x":{}}]}`)
-	for _, bad := range []struct {
-		payload  []byte
-		first, n int
-	}{{unknownType, 9, 3}, {miscounted, 12, 2}} {
-		if first, n, ok := wire.ParseBatchBounds(bad.payload); !ok || first != uint64(bad.first) || n != bad.n {
-			t.Fatalf("test frame bounds: first=%d n=%d ok=%v, want %d, %d, true", first, n, ok, bad.first, bad.n)
-		}
-		if _, _, ok := wire.ParseBatch(bad.payload, nil); ok {
-			t.Fatalf("test frame %s is canonical; it must not be", bad.payload)
-		}
-	}
-	if _, _, err := parseBatchSlow(unknownType, nil); err == nil {
-		t.Fatal("the unknown-type frame decodes through encoding/json; it must not")
-	}
-	if _, evs, err := parseBatchSlow(miscounted, nil); err != nil || len(evs) != 1 {
-		t.Fatalf("the miscounted frame should decode to one event through encoding/json, got %d (%v)", len(evs), err)
-	}
-	for _, payload := range [][]byte{
-		wire.AppendBatch(nil, 1, good[:8]),
-		unknownType,
-		miscounted,
-		wire.AppendBatch(nil, 14, good[8:]),
+	first := wire.AppendBatch(nil, 1, good[:8])
+	for _, bad := range [][]byte{
+		wire.AppendBatch(nil, 9, []osn.Event{good[8], {Type: osn.EvBlogShare + 1, At: 2}}),
+		[]byte(`{"t":"batch","seq":9,"events":[{"type":"ban","at":1,"actor":0,"target":0,"aux":0}]}`),
+		first[:len(first)-1],
 	} {
-		if err := srv.AdoptFrame(payload); err != nil {
+		if n, err := srv.AdoptFrame(bad); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("adopt of %q: n=%d err=%v, want ErrBadFrame", bad, n, err)
+		}
+	}
+	if got := srv.HeadSeq(); got != 0 {
+		t.Fatalf("head = %d after refused frames, want 0", got)
+	}
+	for _, payload := range [][]byte{first, wire.AppendBatch(nil, 9, good[8:])} {
+		if _, err := srv.AdoptFrame(payload); err != nil {
 			t.Fatalf("adopt: %v", err)
 		}
 	}
-	const head = 8 + 3 + 2 + 8
-	if got := srv.HeadSeq(); got != head {
-		t.Fatalf("head = %d, want %d: an undecodable frame must still advance the feed", got, head)
+	if got := srv.HeadSeq(); got != 16 {
+		t.Fatalf("head = %d, want 16", got)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -720,11 +704,10 @@ func TestAdoptUndecodableFrameIsCursorOnly(t *testing.T) {
 	drainers.wait(t)
 	for p := 0; p < K; p++ {
 		if got, want := drainers.events[p].Load(), uint64(len(wantSeqs(good, p, K))); got != want {
-			t.Errorf("partition %d/%d received %d events, want %d: the decodable frames' and none for the corrupt ones",
-				p, K, got, want)
+			t.Errorf("partition %d/%d received %d events, want %d", p, K, got, want)
 		}
-		if got := drainers.applied[p].Load(); got != head {
-			t.Errorf("partition %d/%d cursor ended at %d, want %d (past the corrupt frames)", p, K, got, head)
+		if got := drainers.applied[p].Load(); got != 16 {
+			t.Errorf("partition %d/%d cursor ended at %d, want 16", p, K, got)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sybilwild/internal/osn"
+	"sybilwild/internal/wire"
 )
 
 // ErrClosed is returned by Recv/RecvBatch when the server ends the
@@ -32,6 +33,13 @@ var ErrGap = errors.New("stream: resume window lost")
 // snapshot its state at the barrier and offer it for the new owners;
 // Rebalanced() reports the barrier and the new group size.
 var ErrRebalanced = errors.New("stream: partition group rebalanced")
+
+// ErrBadFrame is returned by Recv/RecvBatch when the server sends a
+// frame this client cannot decode — an event frame that does not parse,
+// or a control frame that has no place mid-stream. Like ErrGap it is
+// terminal: a resume would only replay the same bytes, so the client
+// stops instead of skipping events it could not read.
+var ErrBadFrame = errors.New("stream: undecodable frame")
 
 // newSessionID returns a fresh random subscriber session id.
 func newSessionID() string {
@@ -72,11 +80,11 @@ type Client struct {
 	evbuf       []osn.Event // reusable decode buffer backing pending
 	seqbuf      []uint64    // reusable decode buffer backing pendingSeqs
 	buf         []byte      // reusable frame buffer
-	eof         bool
 
-	// Live-rebalance hand-off (terminal, like eof): set when the
-	// server retires this subscription's group shape.
-	rebalanced bool
+	// end is the subscription's terminal state once reached — ErrClosed
+	// at eof, ErrRebalanced at a live-rebalance hand-off, or an error
+	// wrapping ErrBadFrame — and every later receive returns it again.
+	end        error
 	rebBarrier uint64 // cutover barrier; lastSeq is advanced to it
 	rebNew     int    // new partition group size
 
@@ -267,11 +275,8 @@ func (c *Client) flushAcks() {
 // pure cursor advance past foreign events and never surfaces to the
 // caller.
 func (c *Client) fill() error {
-	if c.eof {
-		return ErrClosed
-	}
-	if c.rebalanced {
-		return ErrRebalanced
+	if c.end != nil {
+		return c.end
 	}
 	c.flushAcks() // the server trims its window while we wait
 	for {
@@ -280,97 +285,73 @@ func (c *Client) fill() error {
 			return fmt.Errorf("stream: read: %w", err)
 		}
 		c.buf = payload
-		seq, evs, ok := parseBatchFrame(payload, c.evbuf[:0])
-		var seqs []uint64
-		var fLast uint64
-		fbatch := false
-		if !ok {
-			fLast, evs, seqs, fbatch = parseFBatchFrame(payload, c.evbuf[:0], c.seqbuf[:0])
-			if !fbatch {
-				// Control frame, or a batch from a non-canonical encoder.
-				var f frame
-				if err := json.Unmarshal(payload, &f); err != nil {
-					return fmt.Errorf("stream: bad frame: %w", err)
-				}
-				switch f.T {
-				case frameEOF:
-					c.eof = true
-					return ErrClosed
-				case frameRebal:
-					// Terminal hand-off: everything owed below the barrier
-					// has been delivered, so the cursor snaps to it — the
-					// events between lastSeq and the barrier were all
-					// foreign.
-					c.rebalanced = true
-					c.rebBarrier = f.Barrier
-					c.rebNew = f.NParts
-					if f.Barrier > c.lastSeq {
-						c.lastSeq = f.Barrier
-					}
-					c.flushAcks()
-					return ErrRebalanced
-				case frameBatch:
-					seq, evs, err = parseBatchSlow(payload, c.evbuf[:0])
-					if err != nil {
-						return err
-					}
-				case frameFBatch:
-					fLast, evs, seqs, err = parseFBatchSlow(payload, c.evbuf[:0], c.seqbuf[:0])
-					if err != nil {
-						return err
-					}
-					fbatch = true
-				default:
-					return fmt.Errorf("stream: unexpected %q frame mid-stream", f.T)
-				}
-			}
+		if wire.IsControl(payload) {
+			return c.control(payload)
 		}
-		c.evbuf = evs[:0]
-		if fbatch {
-			c.seqbuf = seqs[:0]
-			// Drop any resent prefix the client already delivered.
-			drop := 0
-			for drop < len(evs) && seqs[drop] <= c.lastSeq {
-				drop++
+		if seq, evs, ok := wire.ParseBatch(payload, c.evbuf[:0]); ok {
+			c.evbuf = evs[:0]
+			if len(evs) == 0 || seq+uint64(len(evs))-1 <= c.lastSeq {
+				continue // empty, or whole batch already delivered
 			}
-			evs, seqs = evs[drop:], seqs[drop:]
-			if len(evs) == 0 {
-				// Pure cursor advance (or a fully stale resend): the
-				// filtered-out events will never arrive, so the cursor
-				// moves without a delivery.
-				if fLast > c.lastSeq {
-					c.lastSeq = fLast
-				}
-				continue
+			if seq <= c.lastSeq {
+				evs = evs[c.lastSeq+1-seq:]
+				seq = c.lastSeq + 1
 			}
-			if fLast < seqs[len(seqs)-1] {
-				return fmt.Errorf("stream: fbatch cursor %d behind its own events (last seq %d)",
-					fLast, seqs[len(seqs)-1])
+			if seq != c.lastSeq+1 {
+				return fmt.Errorf("stream: sequence gap: expected %d, got batch at %d", c.lastSeq+1, seq)
 			}
 			c.pending = evs
-			c.pendingSeqs = seqs
-			c.frameLast = fLast
+			c.pendingSeqs = nil
+			c.firstSeq = seq
 			return nil
 		}
+		last, evs, seqs, ok := wire.ParseFBatch(payload, c.evbuf[:0], c.seqbuf[:0])
+		if !ok || len(seqs) > 0 && last < seqs[len(seqs)-1] {
+			c.end = fmt.Errorf("%w: %d-byte event frame is neither a batch nor an fbatch with its cursor past its events", ErrBadFrame, len(payload))
+			return c.end
+		}
+		c.evbuf, c.seqbuf = evs[:0], seqs[:0]
+		// Drop any resent prefix the client already delivered.
+		drop := 0
+		for drop < len(evs) && seqs[drop] <= c.lastSeq {
+			drop++
+		}
+		evs, seqs = evs[drop:], seqs[drop:]
 		if len(evs) == 0 {
+			// Pure cursor advance (or a fully stale resend): the
+			// filtered-out events will never arrive, so the cursor moves
+			// without a delivery.
+			c.lastSeq = max(c.lastSeq, last)
 			continue
 		}
-		last := seq + uint64(len(evs)) - 1
-		if last <= c.lastSeq {
-			continue // whole batch already delivered
-		}
-		if seq <= c.lastSeq {
-			evs = evs[c.lastSeq+1-seq:]
-			seq = c.lastSeq + 1
-		}
-		if seq != c.lastSeq+1 {
-			return fmt.Errorf("stream: sequence gap: expected %d, got batch at %d", c.lastSeq+1, seq)
-		}
 		c.pending = evs
-		c.pendingSeqs = nil
-		c.firstSeq = seq
+		c.pendingSeqs = seqs
+		c.frameLast = last
 		return nil
 	}
+}
+
+// control handles a control frame mid-stream, each of which ends the
+// subscription: eof, the rebalance hand-off, or anything else as a
+// frame that has no place here.
+func (c *Client) control(payload []byte) error {
+	var f frame
+	switch err := json.Unmarshal(payload, &f); {
+	case err != nil:
+		c.end = fmt.Errorf("%w: %v", ErrBadFrame, err)
+	case f.T == frameEOF:
+		c.end = ErrClosed
+	case f.T == frameRebal:
+		// Terminal hand-off: everything owed below the barrier has been
+		// delivered, so the cursor snaps to it — the events between
+		// lastSeq and the barrier were all foreign.
+		c.end, c.rebBarrier, c.rebNew = ErrRebalanced, f.Barrier, f.NParts
+		c.lastSeq = max(c.lastSeq, f.Barrier)
+		c.flushAcks()
+	default:
+		c.end = fmt.Errorf("%w: unexpected %q frame mid-stream", ErrBadFrame, f.T)
+	}
+	return c.end
 }
 
 // Recv blocks for the next event. It returns ErrClosed on clean end
@@ -444,7 +425,7 @@ func (c *Client) Partition() (part, parts int) { return c.part, c.parts }
 // last sequence this subscription's state may cover) and the new
 // partition group size.
 func (c *Client) Rebalanced() (barrier uint64, nparts int, ok bool) {
-	return c.rebBarrier, c.rebNew, c.rebalanced
+	return c.rebBarrier, c.rebNew, c.end == ErrRebalanced
 }
 
 // Close acknowledges everything delivered (unless in manual-ack mode)
@@ -478,7 +459,9 @@ func (c *Client) Interrupt() { c.conn.SetReadDeadline(time.Now()) }
 // exactly-once: fn sees every event delivered after the first
 // handshake, with no gaps and no duplicates. It returns nil on clean
 // end of feed, an error wrapping ErrGap if the server evicted the
-// session (events were irrecoverably lost), or the last dial error.
+// session (events were irrecoverably lost), one wrapping ErrBadFrame if
+// the server sent a frame the client cannot decode, or the last dial
+// error.
 func Subscribe(addr string, fn func(osn.Event), maxRetries int, opts ...DialOption) error {
 	return subscribe(addr, maxRetries, opts, func(c *Client) error {
 		for {
@@ -542,9 +525,10 @@ func subscribe(addr string, maxRetries int, opts []DialOption, drain func(*Clien
 		if errors.Is(err, ErrClosed) {
 			return nil // clean end of feed
 		}
-		if errors.Is(err, ErrRebalanced) {
-			// Terminal: the partition group was retired; resuming would
-			// only replay the hand-off.
+		if errors.Is(err, ErrRebalanced) || errors.Is(err, ErrBadFrame) {
+			// Terminal: the partition group was retired, or the feed holds
+			// a frame this client cannot read; resuming would only replay
+			// the hand-off or the frame.
 			return err
 		}
 		// Connection lost mid-stream: resume from the next sequence.

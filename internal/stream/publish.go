@@ -19,7 +19,6 @@ import (
 
 	"encoding/json"
 
-	"sybilwild/internal/osn"
 	"sybilwild/internal/wire"
 )
 
@@ -79,12 +78,13 @@ func (s *Server) NumProducers() int {
 
 // servePublisher admits a wire producer and runs its ingest loop:
 // pbatch frames are deduplicated, sequenced, fanned out and acked in
-// arrival order; peof closes the producer's epoch. A canonical pbatch
-// is scanned once and its event bytes are spliced into the feed's
-// batch frames; anything else goes through encoding/json and a fresh
-// encode. Runs on the connection's accept goroutine; the broker only
-// ever writes to a producer from this loop, so no separate writer
-// goroutine is needed.
+// arrival order; peof closes the producer's epoch. Each pbatch is
+// checked once and its records are spliced into the feed's batch
+// frames. A frame that is neither a decodable pbatch nor peof is
+// refused with a pack carrying the reason, then the broker hangs up.
+// Runs on the connection's accept goroutine; the broker only ever
+// writes to a producer from this loop, so no separate writer goroutine
+// is needed.
 func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, buf []byte) {
 	p, epoch, ackB, count, reject := s.admitProducer(hello, conn)
 	if reject != "" {
@@ -99,7 +99,6 @@ func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, bu
 	}
 
 	bw := bufio.NewWriterSize(conn, 4<<10)
-	var refs []wire.EventRef // index scratch, owned by this connection
 	for {
 		payload, err := readFrame(br, buf)
 		if err != nil {
@@ -107,37 +106,20 @@ func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, bu
 			return
 		}
 		buf = payload
-		bseq, idx, canonical := wire.IndexPBatch(payload, refs[:0])
-		refs = idx[:0]
-		n := len(idx)
-		var evs []osn.Event
-		if !canonical {
-			// Control frame, or a pbatch from a non-canonical encoder.
-			var f frame
-			if err := json.Unmarshal(payload, &f); err != nil {
-				log.Printf("stream: producer %s sent a bad frame: %v", p.id, err)
-				s.detachProducer(p, conn)
-				return
-			}
-			switch f.T {
-			case framePEOF:
-				s.closeEpoch(p)
-				writeControl(bw, frame{T: framePEOF})
-				bw.Flush()
-				continue // producer hangs up once it reads the confirmation
-			case framePBatch:
-				bseq, evs, err = parsePBatchSlow(payload, nil)
-				if err != nil {
-					log.Printf("stream: producer %s: %v", p.id, err)
-					s.detachProducer(p, conn)
-					return
-				}
-				n = len(evs)
-			default:
-				log.Printf("stream: producer %s sent unexpected %q frame", p.id, f.T)
-				s.detachProducer(p, conn)
-				return
-			}
+		var f frame
+		if wire.IsControl(payload) && json.Unmarshal(payload, &f) == nil && f.T == framePEOF {
+			s.closeEpoch(p)
+			writeControl(bw, frame{T: framePEOF})
+			bw.Flush()
+			continue // producer hangs up once it reads the confirmation
+		}
+		bseq, n, ok := wire.ParsePBatchBounds(payload)
+		if !ok {
+			log.Printf("stream: producer %s sent an undecodable frame (%d bytes); refusing", p.id, len(payload))
+			writeControl(bw, frame{T: framePAck, Err: "undecodable pbatch"})
+			bw.Flush()
+			s.detachProducer(p, conn)
+			return
 		}
 		ack, first, err := s.sequence(p, conn, epoch, bseq, n)
 		if err != nil {
@@ -150,13 +132,7 @@ func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, bu
 		if first > 0 {
 			// The payload is read scratch: the chunks copy what they keep
 			// before the next read reuses it.
-			var chunks []*chunk
-			if canonical {
-				chunks = s.spliceChunks(first, payload, idx)
-			} else {
-				chunks = s.encodeChunks(first, evs, new([]byte))
-			}
-			s.fanout(first, n, chunks)
+			s.fanout(first, n, s.spliceChunks(first, payload, n))
 		}
 		if writeControl(bw, frame{T: framePAck, Bseq: ack}) != nil || bw.Flush() != nil {
 			s.detachProducer(p, conn)

@@ -12,6 +12,7 @@ import (
 
 	"sybilwild/internal/osn"
 	"sybilwild/internal/spool"
+	"sybilwild/internal/wire"
 )
 
 // pubEvent tags an event so a test can attribute it to a producer and
@@ -203,7 +204,7 @@ func (p *rawProducer) send(f frame) {
 
 func (p *rawProducer) sendBatch(bseq uint64, evs []osn.Event) {
 	p.t.Helper()
-	if err := writeFrame(p.conn, appendPBatchFrame(nil, bseq, evs)); err != nil {
+	if err := writeFrame(p.conn, wire.AppendPBatch(nil, bseq, evs)); err != nil {
 		p.t.Fatal(err)
 	}
 }
@@ -313,6 +314,37 @@ func TestPublishBatchGapRejected(t *testing.T) {
 	p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := readFrame(p.br, nil); err == nil {
 		t.Fatal("broker acked across a batch sequence gap")
+	}
+}
+
+// TestPublishUndecodableBatchRefused: a pbatch that does not decode —
+// here a hand-written v2 JSON one, a form this broker no longer speaks
+// — is refused with a pack carrying the reason before the broker hangs
+// up, and nothing reaches the feed.
+func TestPublishUndecodableBatchRefused(t *testing.T) {
+	leakCheck(t)
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p, w := dialRawProducer(t, srv.Addr(), "p0", 1, 0)
+	if w.Err != "" {
+		t.Fatalf("pwelcome: %+v", w)
+	}
+	v2 := []byte(`{"t":"pbatch","bseq":1,"events":[{"type":"ban","at":1,"actor":0,"target":7}]}`)
+	if err := writeFrame(p.conn, v2); err != nil {
+		t.Fatal(err)
+	}
+	if a := p.recv(); a.T != framePAck || a.Err == "" {
+		t.Fatalf("reply to an undecodable pbatch: %+v, want a pack carrying err", a)
+	}
+	p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := readFrame(p.br, nil); err == nil {
+		t.Fatal("broker kept the connection open after the refusal")
+	}
+	if st := srv.Stats(); st.Broadcast != 0 {
+		t.Fatalf("the refused pbatch reached the feed: %d events sequenced", st.Broadcast)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 
 	"sybilwild/internal/osn"
+	"sybilwild/internal/wire"
 )
 
 // This file is the producer half of the publish sub-protocol: the
@@ -230,10 +231,16 @@ func (p *Publisher) ackLoop(conn net.Conn, br *bufio.Reader, gen int) {
 			p.mu.Unlock()
 			return
 		}
-		switch f.T {
-		case framePAck:
+		switch {
+		case f.T == framePAck && f.Err != "":
+			// The broker refused a batch; resending it would only be
+			// refused again.
+			if p.err == nil {
+				p.err = fmt.Errorf("stream: pbatch refused: %s", f.Err)
+			}
+		case f.T == framePAck:
 			p.retireLocked(f.Bseq)
-		case framePEOF:
+		case f.T == framePEOF:
 			p.eofAck = true
 		}
 		p.cond.Broadcast()
@@ -339,7 +346,7 @@ func (p *Publisher) flushLocked() error {
 	pb := pubBatch{
 		bseq:    p.bseq,
 		events:  len(p.cur),
-		payload: appendPBatchFrame(buf, p.bseq, p.cur),
+		payload: wire.AppendPBatch(buf, p.bseq, p.cur),
 	}
 	p.unacked = append(p.unacked, pb)
 	p.stats.Batches++

@@ -2,22 +2,25 @@ package stream
 
 // Relay is the interior node of a broker tree: it subscribes to an
 // upstream broker as an ordinary resumable session and feeds its own
-// Server in sequence-adopting mode (AdoptFrame), so the canonical
-// frame bytes the upstream encoded once are spooled and fanned out
-// here without a single re-encode or event-level copy. A 2-level tree
-// — one root broker, E edge relays, S subscribers each — serves E×S
-// consumers while the root pays for E sessions and each edge pays for
-// S, which is what makes fan-out at 100+ subscribers flat instead of
-// linear in one broker's write loop.
+// Server in sequence-adopting mode (AdoptFrame), so the frame bytes the
+// upstream encoded once are spooled and fanned out here without a
+// single re-encode or event-level copy. A 2-level tree — one root
+// broker, E edge relays, S subscribers each — serves E×S consumers
+// while the root pays for E sessions and each edge pays for S, which is
+// what makes fan-out at 100+ subscribers flat instead of linear in one
+// broker's write loop.
 //
 // The relay owns the full subscriber lifecycle on its upstream side:
 // it resumes from its own spool head across restarts of either
 // endpoint (reconnect with exponential backoff; an error wrapping
 // ErrGap is terminal — the upstream pruned below our head and the gap
-// cannot be hidden), and on upstream eof it drains and closes its own
-// server, propagating the eof down the tree. On the downstream side it
-// is just a Server: resumable sessions, partitioned fbatch
-// subscriptions, and snapshot rendezvous are all served at the edge.
+// cannot be hidden — and so is an upstream frame that does not decode),
+// and on upstream eof it drains and closes its own server, propagating
+// the eof down the tree. A terminal failure severs the downstream
+// subscribers instead, so none of them mistakes a broken feed for a
+// finished one. On the downstream side it is just a Server: resumable
+// sessions, partitioned fbatch subscriptions, and snapshot rendezvous
+// are all served at the edge.
 
 import (
 	"bufio"
@@ -157,8 +160,10 @@ func (r *Relay) Stats() RelayStats {
 
 // Wait blocks until the relay stops on its own: nil after upstream eof
 // has been propagated downstream, an error wrapping ErrGap when the
-// upstream pruned past our resume point, or the last dial error when
-// reconnection attempts are exhausted. Close and Abort also unblock it.
+// upstream pruned past our resume point, an error wrapping ErrBadFrame
+// when the upstream sent a frame that does not decode, or the last dial
+// error when reconnection attempts are exhausted. Close and Abort also
+// unblock it.
 func (r *Relay) Wait() error {
 	<-r.done
 	r.errMu.Lock()
@@ -208,18 +213,22 @@ func (r *Relay) isClosed() bool {
 	return r.closed
 }
 
+// fail ends the relay with a terminal error. The downstream server is
+// aborted, not closed: its subscribers see a lost connection rather
+// than an eof that would claim the feed complete.
 func (r *Relay) fail(err error) {
 	r.errMu.Lock()
 	if r.err == nil {
 		r.err = err
 	}
 	r.errMu.Unlock()
+	r.srv.Abort()
 }
 
 // run is the upstream loop: dial (with resume from the local head),
 // pump frames into AdoptFrame, reconnect on connection loss. It exits
 // on upstream eof (propagated downstream via Close), a terminal error
-// (ErrGap, exhausted retries), or Close/Abort.
+// (ErrGap, an undecodable frame, exhausted retries), or Close/Abort.
 func (r *Relay) run() {
 	defer close(r.done)
 	backoff := 50 * time.Millisecond
@@ -280,7 +289,7 @@ func (r *Relay) run() {
 			return
 		case r.isClosed():
 			return
-		case err != nil && errors.Is(err, errAdoptFatal):
+		case errors.Is(err, ErrBadFrame):
 			r.fail(err)
 			return
 		default:
@@ -290,10 +299,6 @@ func (r *Relay) run() {
 		}
 	}
 }
-
-// errAdoptFatal tags pump errors that reconnecting cannot fix (the
-// downstream server refused a frame for a non-transient reason).
-var errAdoptFatal = errors.New("stream: relay ingest failed")
 
 // dialUpstream performs the relay handshake: an ordinary subscriber
 // hello with Relay set and Resume at the local head + 1, so the
@@ -333,12 +338,13 @@ func (r *Relay) dialUpstream() (net.Conn, *bufio.Reader, error) {
 }
 
 // pump reads upstream frames and adopts them until eof, connection
-// loss, or a fatal ingest error. Each batch frame gets a fresh buffer
-// — AdoptFrame retains the payload by reference as the shared chunk —
-// while control frames are rare enough that the allocation doesn't
-// matter. Acks ride on idle moments (empty read buffer) and at least
-// every relayAckEvery events, keeping the upstream window trimmed
-// without an ack per frame.
+// loss, or a frame that does not decode (an error wrapping
+// ErrBadFrame: reconnecting would only replay it). Each batch frame
+// gets a fresh buffer — AdoptFrame retains the payload by reference as
+// the shared chunk — while control frames are rare enough that the
+// allocation doesn't matter. Acks ride on idle moments (empty read
+// buffer) and at least every relayAckEvery events, keeping the upstream
+// window trimmed without an ack per frame.
 func (r *Relay) pump(conn net.Conn, br *bufio.Reader) (eof bool, err error) {
 	bw := bufio.NewWriterSize(conn, 1<<10)
 	var acked uint64
@@ -354,37 +360,25 @@ func (r *Relay) pump(conn net.Conn, br *bufio.Reader) (eof bool, err error) {
 		if rerr != nil {
 			return false, rerr
 		}
-		if first, n, ok := wire.ParseBatchBounds(payload); ok {
-			if aerr := r.srv.AdoptFrame(payload); aerr != nil {
-				if errors.Is(aerr, ErrAdoptGap) {
-					// The resumed stream skipped frames — only a broken
-					// upstream produces this; reconnect and re-resume.
-					return false, aerr
-				}
-				return false, fmt.Errorf("%w: batch at %d/%d: %v", errAdoptFatal, first, n, aerr)
+		if wire.IsControl(payload) {
+			var f frame
+			if json.Unmarshal(payload, &f) == nil && f.T == frameEOF {
+				ack() // retire everything delivered before hanging up
+				return true, nil
 			}
-			r.frames.Add(1)
-			r.events.Add(uint64(n))
-			if r.srv.HeadSeq()-acked >= relayAckEvery || br.Buffered() == 0 {
-				ack()
-			}
-			continue
+			return false, fmt.Errorf("%w: unexpected control frame on relay feed: %.64q", ErrBadFrame, payload)
 		}
-		var f frame
-		if uerr := json.Unmarshal(payload, &f); uerr != nil {
-			return false, fmt.Errorf("stream: relay: bad upstream frame: %w", uerr)
+		n, aerr := r.srv.AdoptFrame(payload)
+		if aerr != nil {
+			// ErrAdoptGap — the resumed stream skipped frames, which only a
+			// broken upstream produces — reconnects and re-resumes; a frame
+			// that does not decode (ErrBadFrame) ends the relay.
+			return false, aerr
 		}
-		switch f.T {
-		case frameEOF:
-			ack() // retire everything delivered before hanging up
-			return true, nil
-		case frameBatch:
-			// A batch from a non-canonical encoder: AdoptFrame's whole
-			// point is reusing canonical bytes, so this is fatal rather
-			// than silently re-encoded.
-			return false, fmt.Errorf("%w: upstream sent a non-canonical batch frame", errAdoptFatal)
-		default:
-			return false, fmt.Errorf("%w: unexpected %q frame on relay feed", errAdoptFatal, f.T)
+		r.frames.Add(1)
+		r.events.Add(uint64(n))
+		if r.srv.HeadSeq()-acked >= relayAckEvery || br.Buffered() == 0 {
+			ack()
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -632,5 +633,86 @@ func TestRelayCloseDuringHandshake(t *testing.T) {
 	relay.Close()
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("Close took %v with the handshake unanswered, want < 1s", d)
+	}
+}
+
+// TestRelayRefusesUndecodableUpstreamFrame: a relay fed a frame that
+// does not decode — here a v2 JSON batch whose event carries "aux":0,
+// the input that used to starve partitioned workers silently
+// (cursor-only views of it, then a clean eof) — fails terminally:
+// Wait returns an error, and its partitioned subscribers see their
+// connections drop, never an eof claiming the feed complete.
+func TestRelayRefusesUndecodableUpstreamFrame(t *testing.T) {
+	leakCheck(t)
+	const K = 2
+	good := partEvents(16, 43)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	send := make(chan struct{})
+	upstream := make(chan struct{})
+	go func() { // a hand-driven upstream broker
+		defer close(upstream)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if _, err := readFrame(br, nil); err != nil { // the relay's hello
+			return
+		}
+		writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: 1})
+		<-send
+		for _, f := range [][]byte{
+			wire.AppendBatch(nil, 1, good[:8]),
+			[]byte(`{"t":"batch","seq":9,"events":[{"type":"friend_accept","at":1,"actor":3,"target":4,"aux":0}]}`),
+			wire.AppendBatch(nil, 10, good[8:]),
+			[]byte(`{"t":"eof"}`),
+		} {
+			writeFrame(conn, f)
+		}
+		io.Copy(io.Discard, br) // acks, until the relay hangs up
+	}()
+	defer func() { <-upstream }()
+
+	relay, err := NewRelay("127.0.0.1:0", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	clients := make([]*Client, K)
+	for p := range clients {
+		if clients[p], err = Dial(relay.Addr(), WithPartition(p, K)); err != nil {
+			t.Fatal(err)
+		}
+		defer clients[p].Close()
+	}
+	waitClients(t, relay.Server(), K)
+	close(send)
+
+	werr := make(chan error, 1)
+	go func() { werr <- relay.Wait() }()
+	select {
+	case err := <-werr:
+		if err == nil {
+			t.Fatal("relay ended cleanly on an undecodable upstream frame")
+		}
+		t.Logf("relay: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("relay hung on an undecodable upstream frame")
+	}
+	for p, c := range clients {
+		for {
+			_, err := c.RecvBatch()
+			if errors.Is(err, ErrClosed) {
+				t.Fatalf("partition %d/%d saw a clean eof after its relay failed", p, K)
+			}
+			if err != nil {
+				break
+			}
+		}
 	}
 }

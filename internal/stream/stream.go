@@ -1,11 +1,11 @@
 // Package stream carries OSN events over TCP, mirroring how the
 // paper's detector consumed Renren's operational log feed in
-// production. Version 2 of the protocol is lossless: events carry
-// global sequence numbers and travel in length-prefixed batches, each
-// subscriber holds a bounded replay window on the server that is
-// trimmed by client acknowledgements, and a subscriber that falls
-// behind applies backpressure to the producer instead of losing its
-// oldest events. A briefly-disconnected subscriber redials with its
+// production. The protocol (version 3) is lossless: events carry
+// global sequence numbers and travel in length-prefixed binary batches
+// (internal/wire), each subscriber holds a bounded replay window on the
+// server that is trimmed by client acknowledgements, and a subscriber
+// that falls behind applies backpressure to the producer instead of
+// losing its oldest events. A briefly-disconnected subscriber redials with its
 // last delivered sequence and the server replays the gap, so delivery
 // is at least once end to end (and exactly once through Subscribe,
 // which deduplicates on sequence numbers).
@@ -288,7 +288,7 @@ type chunk struct {
 
 // fanScratch is the transient state of one fan-out body: the session
 // snapshot, the partition keys among its sessions, the view scratch
-// (the scanned chunk's index) and the filtered chunks per partition.
+// and the filtered chunks per partition.
 // Nothing in it outlives the ticket — the view payloads that do are
 // spliced into allocations of their own.
 type fanScratch struct {
@@ -417,7 +417,7 @@ type ServerStats struct {
 	Sessions  int    // sessions held (connected or lingering for resume)
 	Evicted   uint64 // sessions evicted with unrecoverable undelivered events — the only loss path
 	// Encodes counts the canonical batch/fbatch frames the broker built,
-	// whether encoded from events or spliced from canonical event bytes
+	// whether encoded from events or spliced from a checked frame's records
 	// — the fan-out hot path's unit of work: one batch frame per
 	// maxBatch run of a published batch, and one fbatch view per
 	// (frame, partition) pair in which the partition owns an event.
@@ -622,13 +622,14 @@ func (s *Server) encodeChunks(first uint64, evs []osn.Event, scratch *[]byte) []
 	})
 }
 
-// spliceChunks builds a canonical pbatch's shared frames without an
-// encoder: each maxBatch run of the producer's own event bytes (refs,
-// indexed in src) goes under a batch header in one copy sized for it —
-// the bytes encodeChunks would produce for the same events.
-func (s *Server) spliceChunks(first uint64, src []byte, refs []wire.EventRef) []*chunk {
-	return s.buildChunks(first, len(refs), func(off, end int, seq uint64) []byte {
-		return wire.SpliceBatch(nil, seq, src, refs[off:end])
+// spliceChunks builds the shared frames of a pbatch of n events
+// without an encoder: each maxBatch run of the producer's own records
+// (src, checked by wire.ParsePBatchBounds) goes under a batch header in
+// one copy sized for it — the bytes encodeChunks would produce for the
+// same events.
+func (s *Server) spliceChunks(first uint64, src []byte, n int) []*chunk {
+	return s.buildChunks(first, n, func(off, end int, seq uint64) []byte {
+		return wire.SpliceBatch(nil, seq, src, off, end)
 	})
 }
 
@@ -656,66 +657,61 @@ func (s *Server) buildChunks(first uint64, n int, frame func(off, end int, seq u
 // relay must reconnect and resume rather than paper over it.
 var ErrAdoptGap = errors.New("stream: adopted frame out of sequence")
 
-// AdoptFrame ingests one canonical batch frame in sequence-adopting
-// mode: the frame keeps the global sequences its upstream broker
-// assigned instead of passing through the local sequencer, and its
-// payload — already canonical bytes — becomes the shared chunk that
-// the spool and every subscriber queue reference. An interior relay
-// hop therefore costs zero encodes (the Encodes counter does not move)
-// and zero event-level copies; the payload is scanned only if a
-// partitioned subscriber needs a filtered view, and even then only
-// once per frame. The payload is retained by reference — the caller
-// must hand over ownership and never reuse its backing array.
+// AdoptFrame ingests one batch frame in sequence-adopting mode: the
+// frame keeps the global sequences its upstream broker assigned instead
+// of passing through the local sequencer, and its payload becomes the
+// shared chunk that the spool and every subscriber queue reference. An
+// interior relay hop therefore costs zero encodes (the Encodes counter
+// does not move) and zero event-level copies. The payload is retained
+// by reference — the caller must hand over ownership and never reuse
+// its backing array. It returns the frame's event count.
 //
-// Frames must arrive in feed order. A frame entirely at or below the
-// head is a reconnect resend and is dropped whole (nil error); one
-// straddling the head — a resume that landed mid-frame upstream — has
-// its suffix spliced into a new frame locally, the single counted
-// frame the adoption path builds; one starting past head+1 returns
-// ErrAdoptGap with the head untouched. Safe for concurrent use with
-// subscriber traffic, but a server has exactly one adopter (its relay's
-// upstream loop) and adoption must not be mixed with BroadcastBatch or
-// publish ingest: both assign local sequences, which is precisely what
-// adoption forgoes.
-func (s *Server) AdoptFrame(payload []byte) error {
+// Every record is checked before anything is sequenced: a frame that
+// does not decode is refused with an error wrapping ErrBadFrame and
+// leaves the head untouched. Frames must arrive in feed order. A frame
+// entirely at or below the head is a reconnect resend and is dropped
+// whole (nil error); one straddling the head — a resume that landed
+// mid-frame upstream — has its suffix spliced into a new frame locally,
+// the single counted frame the adoption path builds; one starting past
+// head+1 returns ErrAdoptGap with the head untouched. Safe for
+// concurrent use with subscriber traffic, but a server has exactly one
+// adopter (its relay's upstream loop) and adoption must not be mixed
+// with BroadcastBatch or publish ingest: both assign local sequences,
+// which is precisely what adoption forgoes.
+func (s *Server) AdoptFrame(payload []byte) (n int, err error) {
 	first, n, ok := wire.ParseBatchBounds(payload)
 	if !ok {
-		return errors.New("stream: adopt: not a canonical batch frame")
+		return 0, fmt.Errorf("%w: adopt: %d-byte payload is not a batch frame", ErrBadFrame, len(payload))
 	}
 	if n == 0 {
-		return nil
+		return 0, nil
 	}
 	last := first + uint64(n) - 1
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
-		return errors.New("stream: adopt: server closing")
+		return n, errors.New("stream: adopt: server closing")
 	}
 	head := s.seq
 	s.mu.Unlock()
+	adopt := n
 	switch {
 	case last <= head:
-		return nil // stale resend: everything here is already adopted
+		return n, nil // stale resend: everything here is already adopted
 	case first > head+1:
-		return fmt.Errorf("%w: head %d, frame starts at %d", ErrAdoptGap, head, first)
+		return n, fmt.Errorf("%w: head %d, frame starts at %d", ErrAdoptGap, head, first)
 	case first <= head:
-		// Straddling resend: splice the surviving suffix before touching
-		// the sequencer, so a corrupt frame can never leave a hole in the
-		// fan-out ticket order. This is the one frame adoption builds, at
-		// most once per upstream reconnect.
-		var ok bool
-		payload, _, ok = wire.SuffixBatch(nil, payload, head+1, nil)
-		if !ok {
-			return fmt.Errorf("stream: adopt: corrupt batch frame at seq %d", first)
-		}
+		// Straddling resend: splice the surviving suffix. This is the one
+		// frame adoption builds, at most once per upstream reconnect.
+		payload, _ = wire.SuffixBatch(nil, payload, head+1)
 		s.encodes.Add(1)
 		first = head + 1
-		n = int(last - head)
+		adopt = int(last - head)
 	}
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
-		return errors.New("stream: adopt: server closing")
+		return n, errors.New("stream: adopt: server closing")
 	}
 	if s.seq != first-1 {
 		// The head moved between the check and the claim: a second
@@ -723,15 +719,15 @@ func (s *Server) AdoptFrame(payload []byte) error {
 		// violations. Refuse loudly instead of corrupting the order.
 		cur := s.seq
 		s.mu.Unlock()
-		return fmt.Errorf("stream: adopt: concurrent sequencing (head moved %d → %d)", head, cur)
+		return n, fmt.Errorf("stream: adopt: concurrent sequencing (head moved %d → %d)", head, cur)
 	}
 	s.seq = last
 	s.mu.Unlock()
-	s.adopted.Add(uint64(n))
+	s.adopted.Add(uint64(adopt))
 
-	c := &chunk{first: first, last: last, n: n, cursor: last, payload: payload}
-	s.fanout(first, n, []*chunk{c})
-	return nil
+	c := &chunk{first: first, last: last, n: adopt, cursor: last, payload: payload}
+	s.fanout(first, adopt, []*chunk{c})
+	return n, nil
 }
 
 // fanout delivers one sequenced batch: spool append (the same shared
@@ -807,10 +803,9 @@ func (s *Server) fanout(first uint64, n int, chunks []*chunk) {
 // views fills the fan-out's fcache with the shared filtered chunks of
 // every partition key in keys: one fbatch view per (key, source chunk),
 // nil where the partition owns nothing in the chunk (the cursor-only
-// case). Each chunk is scanned once for all keys, each view is spliced
-// from the chunk's own event bytes into a payload of its own, and a
-// chunk that does not scan gets cursor-only views. The caller holds the
-// ticket, which serializes use of the scratch.
+// case). Each view is spliced from the chunk's own records into a
+// payload of its own. The caller holds the ticket, which serializes use
+// of the scratch.
 func (s *Server) views(chunks []*chunk, keys []partKey) {
 	fcache := s.fan.fcache
 	clear(fcache)
@@ -821,9 +816,6 @@ func (s *Server) views(chunks []*chunk, keys []partKey) {
 		fcache[k] = make([]*chunk, len(chunks))
 	}
 	for i, c := range chunks {
-		if !s.fan.index(c.payload, c.first, c.n) {
-			continue
-		}
 		for _, k := range keys {
 			var payload []byte
 			if v, ok := s.fan.view(&payload, c.payload, c.first, c.cursor, k.part, k.parts); ok {
@@ -1511,10 +1503,11 @@ type sessionWriter struct {
 	rd        *spool.Reader // the catch-up source; nil while the queue is
 	pos       uint64        // last sequence rd has handed out
 	jobs      []chunk       // the round's frames, in feed order (copies: a job may be rewritten)
-	view      partView      // the index of a disk frame, or of a job a resume landed inside
+	view      partView      // the partition view scratch of disk frames
 	buf       []byte        // the payloads of disk jobs
 	sfx       []byte        // a spliced suffix job
-	out       []byte        // spliced and cursor-advance frames
+	parts     [][]byte      // the payloads one coalesced frame joins
+	out       []byte        // coalesced and cursor-advance frames
 	lastFlush time.Time
 }
 
@@ -1618,8 +1611,9 @@ func (w *sessionWriter) next() (round, error) {
 // acks are sparser than its window catch up). A plain session's jobs
 // are the raw frames, copied into writer scratch; a partitioned
 // session's are their partition views, spliced into writer scratch by
-// the same helper fan-out uses — a frame the partition owns nothing of,
-// or that does not scan, only moves the cursor.
+// the same helper fan-out uses — a frame the partition owns nothing of
+// only moves the cursor. The spool checks every frame it hands out, so
+// a corrupt segment ends the catch-up loudly instead of starving it.
 func (w *sessionWriter) fromSpool() (round, error) {
 	sess := w.sess
 	sess.mu.Lock()
@@ -1642,11 +1636,9 @@ func (w *sessionWriter) fromSpool() (round, error) {
 			off := len(w.buf)
 			w.buf = append(w.buf, raw...)
 			w.jobs = append(w.jobs, chunk{first: first, last: w.pos, n: n, cursor: w.pos, payload: w.buf[off:]})
-		} else if w.view.index(raw, first, n) {
-			if v, ok := w.view.view(&w.buf, raw, first, w.pos, sess.part, sess.parts); ok {
-				w.jobs = append(w.jobs, v)
-				w.s.encodes.Add(1)
-			}
+		} else if v, ok := w.view.view(&w.buf, raw, first, w.pos, sess.part, sess.parts); ok {
+			w.jobs = append(w.jobs, v)
+			w.s.encodes.Add(1)
 		}
 	}
 	sess.mu.Lock()
@@ -1708,8 +1700,7 @@ func (w *sessionWriter) emit(from, to uint64) error {
 	}
 	if c := &jobs[0]; c.parts == 0 && from > c.first {
 		var ok bool
-		w.sfx, w.view.refs, ok = wire.SuffixBatch(w.sfx[:0], c.payload, from, w.view.refs[:0])
-		if !ok {
+		if w.sfx, ok = wire.SuffixBatch(w.sfx[:0], c.payload, from); !ok {
 			return fmt.Errorf("%w: corrupt frame at seq %d", errLost, c.first)
 		}
 		w.s.encodes.Add(1)
@@ -1727,7 +1718,14 @@ func (w *sessionWriter) emit(from, to uint64) error {
 		}
 		payload := jobs[0].payload // shared or scratch bytes, zero copy
 		if k > 1 || last != jobs[0].cursor {
-			w.out = splice(w.out[:0], last, jobs[:k])
+			// Coalesce by joining the jobs' records under one header: a batch
+			// from the first job's sequence, or an fbatch carrying cursor
+			// last — byte-identical to a fresh encode, with no encoder.
+			w.parts = w.parts[:0]
+			for _, c := range jobs[:k] {
+				w.parts = append(w.parts, c.payload)
+			}
+			w.out = wire.Join(w.out[:0], last, w.parts...)
 			payload = w.out
 		}
 		if err := writeFrame(w.bw, payload); err != nil {
@@ -1736,37 +1734,6 @@ func (w *sessionWriter) emit(from, to uint64) error {
 		jobs = jobs[k:]
 	}
 	return nil
-}
-
-// splice merges consecutive jobs into one canonical frame by joining
-// their events sections under a fresh prefix: a batch frame starting
-// at the first job's first sequence, or an fbatch frame carrying
-// cursor last (fbatch events embed their own sequences). The result is
-// byte-identical to a fresh encode of the merged events (pinned in
-// internal/wire's tests) with no encoder on the path.
-func splice(dst []byte, last uint64, jobs []chunk) []byte {
-	section := wire.BatchEventsSection
-	if jobs[0].parts > 0 {
-		dst, section = wire.AppendFBatch(dst, last, nil, nil), wire.FBatchEventsSection
-	} else {
-		dst = wire.AppendBatch(dst, jobs[0].first, nil)
-	}
-	dst = dst[:len(dst)-2] // reopen the empty events array
-	open := len(dst)
-	for _, c := range jobs {
-		sec, ok := section(c.payload)
-		if !ok {
-			// Cannot happen: every frame that reaches a writer passed the
-			// same structural check (wire.ParseBatchBounds) or was
-			// encoded here.
-			continue
-		}
-		if len(dst) > open {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, sec...)
-	}
-	return append(dst, ']', '}')
 }
 
 // flush applies the one flush rule: flush when the source is drained or
@@ -1837,50 +1804,30 @@ func (w *sessionWriter) closeReader() {
 // latency with them.
 func (s *Server) advanceEvery() uint64 { return uint64(s.opt.maxBatch) }
 
-// partView is the scratch of building partition views of canonical
-// batch frames: one scan indexes a frame's events, then each view
-// splices the events its partition owns. Fan-out runs it once per chunk
-// for every partition key and gives each view a payload of its own; a
-// catch-up writer runs it per disk frame on its own copy and splices
-// the views into scratch bound straight for its socket.
+// partView is the scratch of building partition views of batch frames:
+// each view splices the records its partition owns. Fan-out runs it
+// once per chunk for every partition key and gives each view a payload
+// of its own; a catch-up writer runs it per disk frame on its own copy
+// and splices the views into scratch bound straight for its socket.
+// Every frame it sees was checked on its way in — spliced or encoded
+// here, adopted, or read back by the spool — so no view is ever cut
+// short: a frame that does not decode never gets this far.
 type partView struct {
-	refs []wire.EventRef // the indexed frame
-	own  []int           // one view's events, as positions in refs
-}
-
-// index scans a canonical batch frame of n events from sequence first
-// for views. It reports false, with a log line, when the frame does not
-// scan to the n events its bounds claimed — which only a non-canonical
-// upstream encoder produces: partition views then get nothing from the
-// frame but the cursor, since any event invented in its place would
-// reach a detector as a real request.
-func (v *partView) index(payload []byte, first uint64, n int) bool {
-	_, refs, ok := wire.IndexBatch(payload, v.refs[:0])
-	v.refs = refs
-	if !ok || len(refs) != n {
-		log.Printf("stream: batch at seq %d (%d events) is not canonical; partition views carry only its cursor", first, n)
-		return false
-	}
-	return true
+	own []int // one view's events, as positions in the frame
 }
 
 // view appends to *buf the fbatch view partition part of parts receives
-// of the indexed frame (sequences from first; the view advances the
-// subscriber to cursor) and returns its chunk, whose payload aliases
+// of the batch frame payload (sequences from first; the view advances
+// the subscriber to cursor) and returns its chunk, whose payload aliases
 // the appended bytes. ok is false when the partition owns nothing in
 // the frame.
 func (v *partView) view(buf *[]byte, payload []byte, first, cursor uint64, part, parts int) (c chunk, ok bool) {
-	v.own = v.own[:0]
-	for k, r := range v.refs {
-		if osn.PartitionDelivers(osn.Event{Type: r.Type, Actor: r.Actor, Target: r.Target}, part, parts) {
-			v.own = append(v.own, k)
-		}
-	}
+	v.own = wire.Owned(v.own[:0], payload, part, parts)
 	if len(v.own) == 0 {
 		return chunk{}, false
 	}
 	off := len(*buf)
-	*buf = wire.SpliceFBatch(*buf, cursor, payload, first, v.refs, v.own)
+	*buf = wire.SpliceFBatch(*buf, cursor, payload, v.own)
 	return chunk{
 		first:   first + uint64(v.own[0]),
 		last:    first + uint64(v.own[len(v.own)-1]),

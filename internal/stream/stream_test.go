@@ -1,101 +1,158 @@
 package stream
 
 import (
-	"encoding/json"
+	"bufio"
 	"errors"
-	"reflect"
+	"io"
+	"math"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sybilwild/internal/osn"
+	"sybilwild/internal/wire"
 )
 
 func testEvent(i int) osn.Event {
 	return osn.Event{Type: osn.EvFriendRequest, At: int64(i), Actor: 1, Target: osn.AccountID(i)}
 }
 
+// TestWireRoundTrip: every event type, with each field at its
+// extremes, crosses a server → client hop unchanged.
 func TestWireRoundTrip(t *testing.T) {
 	evs := []osn.Event{
 		{Type: osn.EvFriendRequest, At: 10, Actor: 1, Target: 2},
 		{Type: osn.EvFriendAccept, At: 11, Actor: 2, Target: 1},
-		{Type: osn.EvFriendReject, At: 12, Actor: 3, Target: 1},
-		{Type: osn.EvMessage, At: 13, Actor: 1, Target: 4},
+		{Type: osn.EvFriendReject, At: math.MinInt64, Actor: math.MinInt32, Target: math.MaxInt32},
+		{Type: osn.EvMessage, At: math.MaxInt64, Actor: 1, Target: 4, Aux: -1},
 		{Type: osn.EvBan, At: 14, Target: 1},
+		{Type: osn.EvBlogPost, At: -3, Actor: 5, Aux: math.MaxInt32},
+		{Type: osn.EvBlogShare, At: 0, Actor: 6, Target: 5, Aux: math.MinInt32},
 	}
-	for _, ev := range evs {
-		got, err := FromOSN(ev).ToOSN()
+	s, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s.BroadcastBatch(evs)
+	for _, want := range evs {
+		got, err := c.Recv()
 		if err != nil {
-			t.Fatalf("%v: %v", ev, err)
+			t.Fatal(err)
 		}
-		if got != ev {
-			t.Fatalf("round trip: %+v != %+v", got, ev)
+		if got != want {
+			t.Fatalf("round trip: %+v != %+v", got, want)
 		}
 	}
 }
 
+// frameFeeder is a hand-driven broker: it answers every subscriber
+// hello with a welcome from sequence 1, sends frames, and holds the
+// connection until the subscriber hangs up. accepts counts the
+// connections it served.
+func frameFeeder(t *testing.T, frames ...[]byte) (addr string, accepts *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepts = new(atomic.Int32)
+	var wg sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				if _, err := readFrame(br, nil); err != nil { // hello
+					return
+				}
+				writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: 1})
+				for _, f := range frames {
+					writeFrame(conn, f)
+				}
+				io.Copy(io.Discard, br) // acks, until the subscriber hangs up
+			}()
+		}
+	}()
+	return ln.Addr().String(), accepts
+}
+
+// TestWireUnknownType: a batch carrying an event type this build does
+// not know is refused — it does not decode, and the subscription ends
+// terminally with ErrBadFrame rather than skipping the event or
+// resuming into it again.
 func TestWireUnknownType(t *testing.T) {
-	if _, err := (WireEvent{Type: "bogus"}).ToOSN(); err == nil {
-		t.Fatal("expected error for unknown type")
+	leakCheck(t)
+	addr, accepts := frameFeeder(t,
+		wire.AppendBatch(nil, 1, []osn.Event{testEvent(1)}),
+		wire.AppendBatch(nil, 2, []osn.Event{testEvent(2), {Type: osn.EvBlogShare + 1, At: 3}}))
+	var got []osn.Event
+	err := SubscribeBatch(addr, func(evs []osn.Event) { got = append(got, evs...) }, 3)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("SubscribeBatch = %v, want ErrBadFrame", err)
+	}
+	if len(got) != 1 || got[0] != testEvent(1) {
+		t.Fatalf("delivered %+v, want only the decodable first batch", got)
+	}
+	if n := accepts.Load(); n != 1 {
+		t.Fatalf("subscriber connected %d times; an undecodable frame is terminal, not a reason to resume", n)
 	}
 }
 
-// TestBatchCodecAgreesWithJSON pins the hand-rolled batch fast path to
-// the encoding/json semantics of the same frame: the canonical encoder
-// must produce valid JSON that the reflection path decodes to the
-// same events, and the fast parser must decode the canonical bytes to
-// the same events again.
-func TestBatchCodecAgreesWithJSON(t *testing.T) {
-	events := []osn.Event{
-		{Type: osn.EvFriendRequest, At: 0, Actor: 0, Target: 0},
-		{Type: osn.EvFriendAccept, At: 123456789012, Actor: 2147483647, Target: -5},
-		{Type: osn.EvBlogShare, At: -3, Actor: 7, Target: 9, Aux: 42},
-		{Type: osn.EvBan, At: 14, Target: 1, Aux: -1},
-		{Type: osn.EvMessage, At: 5, Actor: 3, Target: 4},
-	}
-	for n := 0; n <= len(events); n++ {
-		payload := appendBatchFrame(nil, 99, events[:n])
-		if !json.Valid(payload) {
-			t.Fatalf("canonical batch is not valid JSON: %s", payload)
-		}
-		seqSlow, evsSlow, err := parseBatchSlow(payload, nil)
-		if err != nil {
-			t.Fatalf("slow parse: %v", err)
-		}
-		seqFast, evsFast, ok := parseBatchFrame(payload, nil)
-		if !ok {
-			t.Fatalf("fast parser rejected canonical bytes: %s", payload)
-		}
-		if seqSlow != 99 || seqFast != 99 {
-			t.Fatalf("seq: slow=%d fast=%d", seqSlow, seqFast)
-		}
-		if !reflect.DeepEqual(evsSlow, evsFast) ||
-			(n > 0 && !reflect.DeepEqual(evsFast, events[:n])) {
-			t.Fatalf("decode mismatch at n=%d:\nslow %+v\nfast %+v", n, evsSlow, evsFast)
-		}
-	}
-}
-
-// TestBatchParserFallsBack feeds the fast parser non-canonical but
-// valid frames; it must refuse them (the slow path then handles them)
-// rather than mis-parse.
-func TestBatchParserFallsBack(t *testing.T) {
-	for _, payload := range []string{
-		`{"seq":1,"t":"batch","events":[]}`,                               // key order
-		`{"t":"batch","seq":1,"events":[{"at":1,"type":"ban"}]}`,          // event key order
-		`{"t": "batch","seq":1,"events":[]}`,                              // whitespace
-		`{"t":"batch","seq":1,"events":[{"type":"\u0062an","at":1}]}`,     // escapes
-		`{"t":"ack","ack":4}`,                                             // different frame
-		`{"t":"batch","seq":1,"events":[{"type":"nope","at":1}]} `,        // unknown type
-		`{"t":"batch","seq":1,"events":[{"type":"ban","at":1}],"x":true}`, // trailing key
+// TestClientRefusesUndecodableFrames: whatever a feed sends that does
+// not decode — a v2 JSON batch or fbatch, even a canonical one, a
+// frame cut short, an fbatch whose cursor is behind its own events, or
+// a control frame with no place mid-stream — ends the subscription
+// with ErrBadFrame, and every later receive returns the same error.
+func TestClientRefusesUndecodableFrames(t *testing.T) {
+	leakCheck(t)
+	good := wire.AppendBatch(nil, 1, []osn.Event{testEvent(1), testEvent(2)})
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"v2 batch", []byte(`{"t":"batch","seq":3,"events":[{"type":"ban","at":1,"actor":0,"target":0}]}`)},
+		{"v2 fbatch", []byte(`{"t":"fbatch","last":3,"events":[{"seq":3,"type":"ban","at":1,"actor":0,"target":0,"aux":0}]}`)},
+		{"cut short", good[:len(good)-1]},
+		{"cursor behind events", wire.AppendFBatch(nil, 2, []uint64{3}, []osn.Event{testEvent(3)})},
+		{"ack mid-stream", []byte(`{"t":"ack","ack":4}`)},
 	} {
-		if _, _, ok := parseBatchFrame([]byte(payload), nil); ok {
-			t.Fatalf("fast parser accepted non-canonical payload: %s", payload)
-		}
-	}
-	// The slow path must still handle a reordered batch correctly.
-	seq, evs, err := parseBatchSlow([]byte(`{"seq":7,"events":[{"at":1,"type":"ban","target":3}],"t":"batch"}`), nil)
-	if err != nil || seq != 7 || len(evs) != 1 || evs[0].Type != osn.EvBan || evs[0].Target != 3 {
-		t.Fatalf("slow parse of reordered batch: seq=%d evs=%+v err=%v", seq, evs, err)
+		t.Run(tc.name, func(t *testing.T) {
+			addr, _ := frameFeeder(t, good, tc.payload)
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if evs, err := c.RecvBatch(); err != nil || len(evs) != 2 {
+				t.Fatalf("first batch: %d events, %v", len(evs), err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := c.RecvBatch(); !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("receive %d after the bad frame: %v, want ErrBadFrame", i, err)
+				}
+			}
+			if c.LastSeq() != 2 {
+				t.Fatalf("cursor moved to %d past the bad frame", c.LastSeq())
+			}
+		})
 	}
 }
 

@@ -2,33 +2,36 @@ package stream
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
-	"sybilwild/internal/osn"
 	"sybilwild/internal/wire"
 )
 
-// This file is the v2 wire protocol's frame vocabulary. The framing
-// and the batch codec live one layer down in internal/wire (shared
-// with the disk spool, whose segments hold byte-identical frames); the
-// full specification — handshake, sequence and ack semantics, resume
-// rules — is in docs/ARCHITECTURE.md.
+// This file is the v3 wire protocol's frame vocabulary. The framing
+// and the event frame codec live one layer down in internal/wire
+// (shared with the disk spool, whose segments hold byte-identical
+// frames); the full specification — handshake, sequence and ack
+// semantics, resume rules, the byte layout of the event frames — is in
+// docs/ARCHITECTURE.md.
 //
-// Every frame is a 4-byte big-endian payload length followed by a
-// JSON object. The object's "t" field names the frame type. The
+// Every frame is a 4-byte big-endian payload length followed by the
+// payload. The three frames that carry events — batch, pbatch and
+// fbatch — are binary (internal/wire owns their layout; this package
+// never looks inside one). Every other frame is a control frame: a
+// JSON object whose "t" field names its type, so a payload whose first
+// byte is '{' is a control frame and any other is an event frame. The
 // subscribe side:
 //
-//	client → server   hello {"t":"hello","v":2,"session":S,"resume":R}
+//	client → server   hello {"t":"hello","v":3,"session":S,"resume":R}
 //	                  ack   {"t":"ack","ack":N}
-//	server → client   welcome {"t":"welcome","v":2,"from":F}
-//	                          {"t":"welcome","v":2,"err":"..."}
-//	                  batch   {"t":"batch","seq":F,"events":[...]}
+//	server → client   welcome {"t":"welcome","v":3,"from":F}
+//	                          {"t":"welcome","v":3,"err":"..."}
+//	                  batch   binary: first sequence F, events
 //	                  eof     {"t":"eof"}
 //
 // Events inside a batch frame carry consecutive sequence numbers
-// starting at the frame's "seq"; acks name the highest sequence the
-// client has delivered to its application.
+// starting at the frame's first sequence; acks name the highest
+// sequence the client has delivered to its application.
 //
 // A relay hop (streamd -relay; see relay.go) subscribes with the same
 // hello, flagged "relay":true so the upstream broker's audit can tell
@@ -37,8 +40,8 @@ import (
 // omitted from the JSON; a relay serves hop = upstream's hop + 1), so
 // each hop learns its depth from its upstream at handshake time:
 //
-//	relay → broker    hello   {"t":"hello","v":2,"session":S,"resume":R,"relay":true}
-//	broker → relay    welcome {"t":"welcome","v":2,"from":F,"hop":H}
+//	relay → broker    hello   {"t":"hello","v":3,"session":S,"resume":R,"relay":true}
+//	broker → relay    welcome {"t":"welcome","v":3,"from":F,"hop":H}
 //
 // A partitioned subscriber (hello carries "part" and "parts") receives
 // filtered batches instead — its slice of the feed is sparse in the
@@ -47,17 +50,17 @@ import (
 // to (an fbatch with no events purely moves the cursor past
 // filtered-out foreign events):
 //
-//	server → client   fbatch {"t":"fbatch","last":L,"events":[{"seq":N,...},...]}
+//	server → client   fbatch  binary: cursor L, events each with its sequence
 //
 // The snapshot sub-protocol (same listen port, the first frame's type
 // selects the role; one short-lived connection per transfer) moves a
 // partition's serialized detector state through the broker:
 //
-//	worker → broker   soffer {"t":"soffer","v":2,"part":I,"parts":K,"seq":S,"size":B}
+//	worker → broker   soffer {"t":"soffer","v":3,"part":I,"parts":K,"seq":S,"size":B}
 //	                  <raw payload frame of B bytes>
 //	broker → worker   sok    {"t":"sok"}  /  {"t":"sok","err":"..."}
 //
-//	worker → broker   sfetch {"t":"sfetch","v":2,"part":I,"parts":K}
+//	worker → broker   sfetch {"t":"sfetch","v":3,"part":I,"parts":K}
 //	broker → worker   snap   {"t":"snap","part":I,"parts":K,"seq":S,"size":B}
 //	                  <raw payload frame of B bytes>
 //	                  — or {"t":"snap","err":"none"} when nothing is held
@@ -72,14 +75,14 @@ import (
 // every fenced subscriber receives, in-stream after its last event at
 // or below the barrier, a rebal announcement instead of more feed:
 //
-//	coordinator → broker   rprepare {"t":"rprepare","v":2,"parts":K,"nparts":N}
+//	coordinator → broker   rprepare {"t":"rprepare","v":3,"parts":K,"nparts":N}
 //	broker → coordinator   rok      {"t":"rok","barrier":B}  /  {"t":"rok","err":"..."}
-//	coordinator → broker   rcommit  {"t":"rcommit","v":2,"parts":K,"nparts":N,"barrier":B}
+//	coordinator → broker   rcommit  {"t":"rcommit","v":3,"parts":K,"nparts":N,"barrier":B}
 //	broker → subscriber    rebal    {"t":"rebal","barrier":B,"parts":K,"nparts":N}   (in-stream)
 //
-//	standby → broker       rstatus  {"t":"rstatus","v":2,"part":I,"parts":K}
+//	standby → broker       rstatus  {"t":"rstatus","v":3,"part":I,"parts":K}
 //	broker → standby       rinfo    {"t":"rinfo","connected":C,"seen":true,"seq":S,"barrier":B}
-//	standby → broker       rclaim   {"t":"rclaim","v":2,"part":I,"parts":K,"session":ID}
+//	standby → broker       rclaim   {"t":"rclaim","v":3,"part":I,"parts":K,"session":ID}
 //	broker → standby       rok      {"t":"rok"}  /  {"t":"rok","err":"..."}
 //
 // rinfo reads as PartitionStatus; a granted rclaim refuses other
@@ -93,12 +96,13 @@ import (
 // The publish side (producer → broker, over the same listen port; the
 // first frame's type selects the role):
 //
-//	producer → broker   phello {"t":"phello","v":2,"producer":P,"producers":K,"epoch":E}
-//	                    pbatch {"t":"pbatch","bseq":B,"events":[...]}
+//	producer → broker   phello {"t":"phello","v":3,"producer":P,"producers":K,"epoch":E}
+//	                    pbatch binary: batch sequence B, events
 //	                    peof   {"t":"peof"}
-//	broker → producer   pwelcome {"t":"pwelcome","v":2,"epoch":E,"bseq":B,"count":C}
-//	                             {"t":"pwelcome","v":2,"err":"..."}
+//	broker → producer   pwelcome {"t":"pwelcome","v":3,"epoch":E,"bseq":B,"count":C}
+//	                             {"t":"pwelcome","v":3,"err":"..."}
 //	                    pack     {"t":"pack","bseq":B}
+//	                             {"t":"pack","err":"..."}
 //	                    peof     {"t":"peof"}
 //
 // A producer names itself (producer id P), declares the size K of its
@@ -112,28 +116,29 @@ import (
 // sequences are per producer and contiguous from 1 within an epoch;
 // the broker drops (but still acks) replays at or below B, so a
 // reconnect that resends in-flight batches delivers them downstream
-// exactly once. peof closes the producer's epoch for good; the broker
-// confirms with a peof of its own and ends the downstream feed only
-// after every one of the K producers has closed.
+// exactly once. A frame that is neither a decodable pbatch nor peof is
+// refused with a pack carrying "err", and the broker hangs up. peof
+// closes the producer's epoch for good; the broker confirms with a peof
+// of its own and ends the downstream feed only after every one of the K
+// producers has closed.
 
 // ProtocolVersion is the feed protocol generation spoken by this
-// package. Version 1 (unframed newline-delimited JSON, no sequencing,
-// drop-oldest overflow) is no longer served.
-const ProtocolVersion = 2
+// package. Version 3 carries events in binary frames; a peer speaking
+// version 2 (JSON event frames) is refused at its first frame, like
+// version 1 (unframed newline-delimited JSON, no sequencing,
+// drop-oldest overflow).
+const ProtocolVersion = 3
 
-// Frame type tags.
+// Control frame type tags.
 const (
 	frameHello   = "hello"
 	frameWelcome = "welcome"
-	frameBatch   = "batch"
-	frameFBatch  = "fbatch"
 	frameAck     = "ack"
 	frameEOF     = "eof"
 
 	// Publish sub-protocol (producer → broker ingest).
 	framePHello   = "phello"
 	framePWelcome = "pwelcome"
-	framePBatch   = "pbatch"
 	framePAck     = "pack"
 	framePEOF     = "peof"
 
@@ -161,32 +166,27 @@ const (
 // ErrNoSnapshot.
 const snapNone = "none"
 
-// frame is the JSON form of every control frame. Batch frames use the
-// same shape but are built and read on a hand-rolled hot path
-// (internal/wire's encoders, splices and parsers); the struct remains
-// their fallback and interop form.
+// frame is the JSON form of every control frame.
 type frame struct {
-	T       string      `json:"t"`
-	V       int         `json:"v,omitempty"`
-	Session string      `json:"session,omitempty"`
-	Resume  uint64      `json:"resume,omitempty"`
-	From    uint64      `json:"from,omitempty"`
-	Err     string      `json:"err,omitempty"`
-	Ack     uint64      `json:"ack,omitempty"`
-	Seq     uint64      `json:"seq,omitempty"`
-	Events  []WireEvent `json:"events,omitempty"`
+	T       string `json:"t"`
+	V       int    `json:"v,omitempty"`
+	Session string `json:"session,omitempty"`
+	Resume  uint64 `json:"resume,omitempty"`
+	From    uint64 `json:"from,omitempty"`
+	Err     string `json:"err,omitempty"`
+	Ack     uint64 `json:"ack,omitempty"`
+	Seq     uint64 `json:"seq,omitempty"`
 
 	// Partitioned-subscription and snapshot sub-protocol fields.
 	Part  int    `json:"part,omitempty"`  // partition index (hello/soffer/sfetch/snap)
 	Parts int    `json:"parts,omitempty"` // partition group size; 0 = full feed
-	Last  uint64 `json:"last,omitempty"`  // feed cursor covered by an fbatch
 	Size  uint64 `json:"size,omitempty"`  // snapshot payload bytes (soffer/snap)
 
 	// Publish sub-protocol fields.
 	Producer  string `json:"producer,omitempty"`  // producer id (phello)
 	Producers int    `json:"producers,omitempty"` // producer group size (phello)
 	Epoch     uint64 `json:"epoch,omitempty"`     // producer epoch (phello request / pwelcome grant)
-	Bseq      uint64 `json:"bseq,omitempty"`      // per-producer batch sequence (pbatch/pack/pwelcome)
+	Bseq      uint64 `json:"bseq,omitempty"`      // per-producer batch sequence (pack/pwelcome)
 	Count     uint64 `json:"count,omitempty"`     // events durably sequenced from this producer (pwelcome)
 
 	// Rebalance sub-protocol fields.
@@ -199,12 +199,6 @@ type frame struct {
 	Relay bool `json:"relay,omitempty"` // hello: this subscriber is an interior relay hop
 	Hop   int  `json:"hop,omitempty"`   // welcome: answering broker's tree depth (0 = root)
 }
-
-// WireEvent is the JSON wire form of an osn.Event.
-type WireEvent = wire.Event
-
-// FromOSN converts an event to wire form.
-func FromOSN(ev osn.Event) WireEvent { return wire.FromOSN(ev) }
 
 // writeFrame emits one length-prefixed frame payload.
 func writeFrame(w io.Writer, payload []byte) error { return wire.WriteFrame(w, payload) }
@@ -221,82 +215,3 @@ func writeControl(w io.Writer, f frame) error {
 // readFrame reads one length-prefixed payload, reusing buf when it is
 // large enough. The returned slice is only valid until the next call.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) { return wire.ReadFrame(r, buf) }
-
-// appendBatchFrame appends the canonical JSON batch frame for events
-// with first sequence seq to dst and returns the extended slice.
-func appendBatchFrame(dst []byte, seq uint64, events []osn.Event) []byte {
-	return wire.AppendBatch(dst, seq, events)
-}
-
-// parseBatchFrame decodes a canonical batch payload into events
-// appended to dst. ok is false when the payload deviates from the
-// canonical form (the caller then falls back to encoding/json).
-func parseBatchFrame(payload []byte, dst []osn.Event) (seq uint64, evs []osn.Event, ok bool) {
-	return wire.ParseBatch(payload, dst)
-}
-
-// parseBatchSlow is the encoding/json fallback for batch payloads from
-// non-canonical encoders.
-func parseBatchSlow(payload []byte, dst []osn.Event) (uint64, []osn.Event, error) {
-	f, evs, err := parseEventFrameSlow(payload, frameBatch, dst)
-	return f.Seq, evs, err
-}
-
-// parseFBatchFrame decodes a canonical filtered-batch payload,
-// appending events to dstEvs and their sequences to dstSeqs. ok is
-// false when the payload deviates from the canonical form.
-func parseFBatchFrame(payload []byte, dstEvs []osn.Event, dstSeqs []uint64) (last uint64, evs []osn.Event, seqs []uint64, ok bool) {
-	return wire.ParseFBatch(payload, dstEvs, dstSeqs)
-}
-
-// parseFBatchSlow is the encoding/json fallback for filtered batches
-// from non-canonical encoders.
-func parseFBatchSlow(payload []byte, dstEvs []osn.Event, dstSeqs []uint64) (uint64, []osn.Event, []uint64, error) {
-	var f frame
-	if err := json.Unmarshal(payload, &f); err != nil {
-		return 0, dstEvs, dstSeqs, fmt.Errorf("stream: bad frame: %w", err)
-	}
-	if f.T != frameFBatch {
-		return 0, dstEvs, dstSeqs, fmt.Errorf("stream: unexpected frame type %q", f.T)
-	}
-	for _, w := range f.Events {
-		ev, err := w.ToOSN()
-		if err != nil {
-			return 0, dstEvs, dstSeqs, err
-		}
-		dstEvs = append(dstEvs, ev)
-		dstSeqs = append(dstSeqs, w.Seq)
-	}
-	return f.Last, dstEvs, dstSeqs, nil
-}
-
-// appendPBatchFrame appends the canonical publish batch frame (batch
-// sequence bseq) to dst and returns the extended slice.
-func appendPBatchFrame(dst []byte, bseq uint64, events []osn.Event) []byte {
-	return wire.AppendPBatch(dst, bseq, events)
-}
-
-// parsePBatchSlow is the encoding/json fallback for publish batches
-// from non-canonical encoders.
-func parsePBatchSlow(payload []byte, dst []osn.Event) (uint64, []osn.Event, error) {
-	f, evs, err := parseEventFrameSlow(payload, framePBatch, dst)
-	return f.Bseq, evs, err
-}
-
-func parseEventFrameSlow(payload []byte, want string, dst []osn.Event) (frame, []osn.Event, error) {
-	var f frame
-	if err := json.Unmarshal(payload, &f); err != nil {
-		return f, dst, fmt.Errorf("stream: bad frame: %w", err)
-	}
-	if f.T != want {
-		return f, dst, fmt.Errorf("stream: unexpected frame type %q", f.T)
-	}
-	for _, w := range f.Events {
-		ev, err := w.ToOSN()
-		if err != nil {
-			return f, dst, err
-		}
-		dst = append(dst, ev)
-	}
-	return f, dst, nil
-}

@@ -10,7 +10,7 @@ import (
 // The codec's hot calls on one 256-event chunk shaped like the
 // sybilbench feed: hourly rounds of friend requests among 100k
 // accounts, 40 % of them accepted a tick later. Each reports ns/ev.
-// The root splices every pbatch into batch frames; a relay indexes
+// The root splices every pbatch into batch frames; a relay checks
 // every adopted frame once and splices one fbatch view per partition;
 // a worker parses its views.
 
@@ -76,48 +76,40 @@ func BenchmarkParseFBatch(b *testing.B) {
 	reportPerEvent(b, len(keep))
 }
 
-// BenchmarkSplicePBatch is the root's work per pbatch: index it, then
+// BenchmarkSplicePBatch is the root's work per pbatch: check it, then
 // splice its events under a batch header into a fresh payload.
 func BenchmarkSplicePBatch(b *testing.B) {
 	payload := AppendPBatch(nil, 9, benchEvents())
-	refs := make([]EventRef, 0, benchChunk)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var ok bool
-		if _, refs, ok = IndexPBatch(payload, refs[:0]); !ok {
+		_, n, ok := ParsePBatchBounds(payload)
+		if !ok {
 			b.Fatal("rejected its own encoder's frame")
 		}
-		benchSink = SpliceBatch(nil, benchFirst, payload, refs)
+		benchSink = SpliceBatch(nil, benchFirst, payload, 0, n)
 	}
 	reportPerEvent(b, benchChunk)
 }
 
 // BenchmarkPartitionView is a relay's work per adopted frame at K=2:
-// index it once, then splice each partition's fbatch view into a fresh
+// check it once, then splice each partition's fbatch view into a fresh
 // payload.
 func BenchmarkPartitionView(b *testing.B) {
 	const K = 2
 	payload := AppendBatch(nil, benchFirst, benchEvents())
-	refs := make([]EventRef, 0, benchChunk)
 	own := make([]int, 0, benchChunk)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var ok bool
-		if _, refs, ok = IndexBatch(payload, refs[:0]); !ok {
+		if _, _, ok := ParseBatchBounds(payload); !ok {
 			b.Fatal("rejected its own encoder's frame")
 		}
 		for part := 0; part < K; part++ {
-			own = own[:0]
-			for k, r := range refs {
-				if osn.PartitionDelivers(osn.Event{Type: r.Type, Actor: r.Actor, Target: r.Target}, part, K) {
-					own = append(own, k)
-				}
-			}
-			benchSink = SpliceFBatch(nil, benchFirst+benchChunk-1, payload, benchFirst, refs, own)
+			own = Owned(own[:0], payload, part, K)
+			benchSink = SpliceFBatch(nil, benchFirst+benchChunk-1, payload, own)
 		}
 	}
 	reportPerEvent(b, benchChunk)

@@ -2,15 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"sybilwild/internal/osn"
 )
 
 // TestFBatchCodecRoundTrip pins the filtered-batch form: per-event
-// global sequences (sparse), a trailing cursor "last" that may exceed
-// the final event's sequence, and the empty frame (a pure cursor
-// advance). None of the three parsers may accept another's tag.
+// global sequences (sparse), a cursor "last" that may exceed the final
+// event's sequence, and the empty frame (a pure cursor advance). None
+// of the three parsers may accept another's tag.
 func TestFBatchCodecRoundTrip(t *testing.T) {
 	events := []osn.Event{
 		{Type: osn.EvFriendRequest, At: 0, Actor: 1, Target: 2},
@@ -19,9 +20,12 @@ func TestFBatchCodecRoundTrip(t *testing.T) {
 	}
 	seqs := []uint64{3, 9, 10}
 	payload := AppendFBatch(nil, 14, seqs, events)
+	if len(payload) != 13+29*len(events) {
+		t.Fatalf("fbatch of %d events is %d bytes, want %d", len(events), len(payload), 13+29*len(events))
+	}
 	last, gotEvs, gotSeqs, ok := ParseFBatch(payload, nil, nil)
 	if !ok {
-		t.Fatalf("canonical fbatch rejected: %s", payload)
+		t.Fatalf("fbatch rejected: %x", payload)
 	}
 	if last != 14 || len(gotEvs) != len(events) || len(gotSeqs) != len(seqs) {
 		t.Fatalf("last=%d nev=%d nseq=%d, want 14/%d/%d", last, len(gotEvs), len(gotSeqs), len(events), len(seqs))
@@ -53,13 +57,13 @@ func TestFBatchEmptyAdvance(t *testing.T) {
 	}
 }
 
-// TestFBatchEventsSectionSplice pins the fbatch splice contract:
-// because every event object embeds its own global "seq", joining the
-// events sections of consecutive frames with ',' under a fresh prefix
-// carrying the FINAL frame's cursor must reproduce AppendFBatch over
-// the concatenated (seqs, events), byte for byte — what lets the
-// broker coalesce pre-encoded partitioned frames with memcpy instead
-// of a re-encode.
+// TestFBatchEventsSectionSplice pins the fbatch join contract: because
+// every record carries its own global sequence, joining the event
+// sections of consecutive views under a fresh header carrying the
+// FINAL frame's cursor must reproduce AppendFBatch over the
+// concatenated (seqs, events), byte for byte — what lets a writer
+// coalesce shared partitioned frames with a copy instead of a
+// re-encode. A pure cursor advance contributes nothing.
 func TestFBatchEventsSectionSplice(t *testing.T) {
 	aEvs := []osn.Event{
 		{Type: osn.EvFriendRequest, At: 1, Actor: 1, Target: 2},
@@ -72,61 +76,43 @@ func TestFBatchEventsSectionSplice(t *testing.T) {
 	bSeqs := []uint64{11}
 	fa := AppendFBatch(nil, 8, aSeqs, aEvs)
 	fb := AppendFBatch(nil, 13, bSeqs, bEvs)
-	sa, ok := FBatchEventsSection(fa)
-	if !ok {
-		t.Fatalf("section of %s rejected", fa)
-	}
-	sb, ok := FBatchEventsSection(fb)
-	if !ok {
-		t.Fatalf("section of %s rejected", fb)
-	}
-	spliced := AppendFBatch(nil, 13, nil, nil) // final frame's cursor
-	spliced = spliced[:len(spliced)-2]         // drop "]}"
-	spliced = append(spliced, sa...)
-	spliced = append(spliced, ',')
-	spliced = append(spliced, sb...)
-	spliced = append(spliced, ']', '}')
 	want := AppendFBatch(nil, 13,
 		append(append([]uint64{}, aSeqs...), bSeqs...),
 		append(append([]osn.Event{}, aEvs...), bEvs...))
-	if !bytes.Equal(spliced, want) {
-		t.Fatalf("splice diverges from fresh encode:\n%s\n%s", spliced, want)
+	if got := Join(nil, 13, fa, fb); !bytes.Equal(got, want) {
+		t.Fatalf("join diverges from fresh encode:\n%x\n%x", got, want)
 	}
-	// A pure cursor advance has an empty section — a splice starting
-	// from it must not emit a leading comma; pin the section itself.
-	se, ok := FBatchEventsSection(AppendFBatch(nil, 99, nil, nil))
-	if !ok || len(se) != 0 {
-		t.Fatalf("empty fbatch section: %q ok=%v, want empty/true", se, ok)
-	}
-	if _, ok := FBatchEventsSection(AppendBatch(nil, 1, aEvs)); ok {
-		t.Fatal("fbatch events section accepted a batch payload")
-	}
-	if _, ok := BatchEventsSection(fa); ok {
-		t.Fatal("batch events section accepted an fbatch payload")
+	if got := Join(nil, 13, fa, AppendFBatch(nil, 9, nil, nil), fb); !bytes.Equal(got, want) {
+		t.Fatalf("join across a cursor advance diverges:\n%x\n%x", got, want)
 	}
 }
 
-// TestSnapHeaderRoundTrip pins the snapshot header and its validation
-// rules: part within [0,parts), parts >= 1, size bounded.
+// TestSnapHeaderRoundTrip: the snapshot header is a JSON control
+// frame, and the generic decoder clients read it with gets back every
+// field.
 func TestSnapHeaderRoundTrip(t *testing.T) {
 	h := SnapHeader{Part: 2, Parts: 5, Seq: 99123, Size: 4096}
 	payload := AppendSnapHeader(nil, h)
-	got, ok := ParseSnapHeader(payload)
+	if !IsControl(payload) {
+		t.Fatalf("snap header %q is not a control frame", payload)
+	}
+	got, ok := decodeSnapHeader(payload)
 	if !ok || got != h {
 		t.Fatalf("round trip: ok=%v got=%+v want %+v (payload %s)", ok, got, h, payload)
 	}
-	bad := []SnapHeader{
-		{Part: 5, Parts: 5, Seq: 1, Size: 1},                   // part out of range
-		{Part: -1, Parts: 5, Seq: 1, Size: 1},                  // negative part
-		{Part: 0, Parts: 0, Seq: 1, Size: 1},                   // zero parts
-		{Part: 0, Parts: 1, Seq: 1, Size: MaxSnapshotSize + 1}, // oversized payload
+}
+
+// decodeSnapHeader reads a snap header the way a client does: as JSON.
+func decodeSnapHeader(payload []byte) (SnapHeader, bool) {
+	var f struct {
+		T     string `json:"t"`
+		Part  int    `json:"part"`
+		Parts int    `json:"parts"`
+		Seq   uint64 `json:"seq"`
+		Size  uint64 `json:"size"`
 	}
-	for _, b := range bad {
-		if _, ok := ParseSnapHeader(AppendSnapHeader(nil, b)); ok {
-			t.Fatalf("invalid header accepted: %+v", b)
-		}
+	if json.Unmarshal(payload, &f) != nil || f.T != "snap" {
+		return SnapHeader{}, false
 	}
-	if _, ok := ParseSnapHeader(payload[:len(payload)-1]); ok {
-		t.Fatal("truncated snap header accepted")
-	}
+	return SnapHeader{Part: f.Part, Parts: f.Parts, Seq: f.Seq, Size: f.Size}, true
 }

@@ -1,45 +1,44 @@
 // Package wire is the codec layer shared by the feed transport
 // (internal/stream) and the disk spool (internal/spool): length-prefix
-// framing and the canonical JSON batch encoding for sequenced event
-// runs. Keeping the codec below both packages means a spool segment
-// holds byte-identical frames to the ones the transport sends, so
-// replaying from disk is the same decode path as replaying from
-// memory.
+// framing and the binary v3 frames that carry events. Keeping the codec
+// below both packages means a spool segment holds byte-identical frames
+// to the ones the transport sends, so replaying from disk is the same
+// decode path as replaying from memory — and no other package knows the
+// event byte layout.
 //
-// A frame is a 4-byte big-endian payload length followed by a JSON
-// payload. The batch payload's canonical form is
+// A frame is a 4-byte big-endian payload length followed by the
+// payload. A payload whose first byte is '{' is a JSON control frame
+// (IsControl); any other payload is an event frame, whose first byte is
+// its tag. The three event frames share one fixed-width little-endian
+// layout, a header followed by n records:
 //
-//	{"t":"batch","seq":N,"events":[{"type":"...","at":T,"actor":A,"target":B,"aux":X},...]}
+//	header  tag u8 | seq u64 | n u32                              13 bytes
+//	record  type u8 | at i64 | actor i32 | target i32 | aux i32   21 bytes
 //
-// with exact key order, no whitespace, "aux" omitted when zero, and
-// every number as strconv writes it: no leading zero, no "-0", and
-// within its field's type (uint64 sequences, int64 "at", int32 ids and
-// aux). AppendBatch emits exactly this form; ParseBatch accepts exactly
-// this form — AppendBatch(ParseBatch(p)) == p byte for byte for every
-// accepted p — and reports !ok on anything else, in which case
-// transport-level callers fall back to encoding/json (the spool never
-// needs to: it only reads frames it wrote). The publish-side "pbatch"
-// frame — producer→broker, numbered by the producer's own batch
-// sequence instead of the feed's global one — is the same shape under
-// the tag `{"t":"pbatch","bseq":N,...}` and shares the encoder and
-// parser (AppendPBatch / ParsePBatch).
+// A batch (tag 0x01) numbers its records consecutively from seq. A
+// pbatch (0x02) is the producer→broker form; its seq is the producer's
+// own batch sequence. An fbatch (0x03) is a partition's view of the
+// feed; its seq is the cursor "last" the frame advances the subscriber
+// to, and each record is led by its own feed sequence (seq u64, 29
+// bytes in all).
 //
-// Because an accepted payload is exactly its encoder's output, its
-// event bytes can be reused as they are: IndexBatch / IndexPBatch run
-// the same check and locate each event, and SpliceBatch / SpliceFBatch
-// build new batch and fbatch frames from those bytes, identical to a
-// fresh encode, without decoding or encoding an event.
+// A payload is accepted exactly when it is what the encoders emit for
+// some events: the right tag, a length of exactly the header plus n
+// records, and a known event type in every record. So
+// AppendBatch(ParseBatch(p)) == p byte for byte for every accepted p
+// (likewise for pbatch and fbatch), and an accepted frame's records can
+// be copied instead of decoded: SpliceBatch, SuffixBatch, Join and
+// SpliceFBatch build new frames, identical to a fresh encode, out of
+// copies.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
+	"slices"
 
 	"sybilwild/internal/osn"
-	"sybilwild/internal/sim"
 )
 
 // MaxFrameSize bounds a single frame; readers reject anything larger
@@ -96,230 +95,199 @@ func ReadFrameLimit(r io.Reader, buf []byte, limit uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// Event is the JSON wire form of an osn.Event. Seq is only set inside
-// "fbatch" frames, where delivered events are sparse in the global
-// order and each one carries its own feed sequence; contiguous batch
-// frames number events implicitly from the frame's first sequence and
-// leave Seq zero.
-type Event struct {
-	Seq    uint64 `json:"seq,omitempty"`
-	Type   string `json:"type"`
-	At     int64  `json:"at"`
-	Actor  int32  `json:"actor"`
-	Target int32  `json:"target"`
-	Aux    int32  `json:"aux,omitempty"`
-}
+// IsControl reports whether payload is a control frame: a JSON object.
+// No event frame's tag is '{', so the first byte alone tells the two
+// apart.
+func IsControl(payload []byte) bool { return len(payload) > 0 && payload[0] == '{' }
 
-// FromOSN converts an event to wire form.
-func FromOSN(ev osn.Event) Event {
-	return Event{
-		Type:   ev.Type.String(),
-		At:     ev.At,
-		Actor:  int32(ev.Actor),
-		Target: int32(ev.Target),
-		Aux:    ev.Aux,
-	}
-}
-
-// EventTypeFromString inverts osn.EventType.String.
-func EventTypeFromString(s string) (osn.EventType, error) {
-	switch s {
-	case "friend_request":
-		return osn.EvFriendRequest, nil
-	case "friend_accept":
-		return osn.EvFriendAccept, nil
-	case "friend_reject":
-		return osn.EvFriendReject, nil
-	case "message":
-		return osn.EvMessage, nil
-	case "ban":
-		return osn.EvBan, nil
-	case "blog_post":
-		return osn.EvBlogPost, nil
-	case "blog_share":
-		return osn.EvBlogShare, nil
-	default:
-		return 0, fmt.Errorf("wire: unknown event type %q", s)
-	}
-}
-
-// ToOSN converts back from wire form.
-func (w Event) ToOSN() (osn.Event, error) {
-	typ, err := EventTypeFromString(w.Type)
-	if err != nil {
-		return osn.Event{}, err
-	}
-	return osn.Event{
-		Type:   typ,
-		At:     sim.Time(w.At),
-		Actor:  osn.AccountID(w.Actor),
-		Target: osn.AccountID(w.Target),
-		Aux:    w.Aux,
-	}, nil
-}
-
-// Canonical payload prefixes for the two batch-shaped frames: the
-// downstream batch (sequenced in the feed's global order) and the
-// publish-side pbatch (sequenced per producer for reconnect dedupe).
-// Both share one encoder and one parser; only the tag and the meaning
-// of the leading number differ.
+// The event frame layout; see the package doc.
 const (
-	batchPrefix  = `{"t":"batch","seq":`
-	pbatchPrefix = `{"t":"pbatch","bseq":`
+	tagBatch  = 0x01
+	tagPBatch = 0x02
+	tagFBatch = 0x03
 
-	// What follows the leading number of every batch-shaped frame
-	// (batch, pbatch, fbatch), and what closes it.
-	eventsOpen  = `,"events":[`
-	eventsClose = `]}`
+	headerSize    = 13 // tag u8 | seq u64 | n u32
+	recordSize    = 21 // type u8 | at i64 | actor i32 | target i32 | aux i32
+	seqRecordSize = 8 + recordSize
+
+	// lastType is the highest event type this build knows.
+	lastType = byte(osn.EvBlogShare)
 )
 
-// AppendBatch appends the canonical JSON batch payload for events with
-// first sequence seq to dst and returns the extended slice. Batch
-// payloads dominate feed traffic and fill every spool segment, so the
-// encoding avoids encoding/json reflection entirely.
+var le = binary.LittleEndian
+
+// AppendBatch appends the batch payload for events with first sequence
+// seq to dst and returns the extended slice.
 func AppendBatch(dst []byte, seq uint64, events []osn.Event) []byte {
-	return appendBatch(dst, batchPrefix, seq, events)
+	return appendEvents(dst, tagBatch, seq, events)
 }
 
-// AppendPBatch appends the canonical publish batch payload — the
-// producer→broker form, tagged "pbatch" and numbered by the producer's
-// own batch sequence — to dst and returns the extended slice.
+// AppendPBatch appends the publish batch payload — the producer→broker
+// form, numbered by the producer's own batch sequence — to dst and
+// returns the extended slice.
 func AppendPBatch(dst []byte, bseq uint64, events []osn.Event) []byte {
-	return appendBatch(dst, pbatchPrefix, bseq, events)
+	return appendEvents(dst, tagPBatch, bseq, events)
 }
 
-func appendBatch(dst []byte, prefix string, seq uint64, events []osn.Event) []byte {
-	dst = append(dst, prefix...)
-	dst = strconv.AppendUint(dst, seq, 10)
-	dst = append(dst, eventsOpen...)
+func appendEvents(dst []byte, tag byte, seq uint64, events []osn.Event) []byte {
+	dst, recs := grow(dst, tag, seq, len(events), recordSize)
 	for i, ev := range events {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"type":"`...)
-		dst = append(dst, ev.Type.String()...)
-		dst = append(dst, `","at":`...)
-		dst = strconv.AppendInt(dst, ev.At, 10)
-		dst = append(dst, `,"actor":`...)
-		dst = strconv.AppendInt(dst, int64(int32(ev.Actor)), 10)
-		dst = append(dst, `,"target":`...)
-		dst = strconv.AppendInt(dst, int64(int32(ev.Target)), 10)
-		if ev.Aux != 0 {
-			dst = append(dst, `,"aux":`...)
-			dst = strconv.AppendInt(dst, int64(ev.Aux), 10)
-		}
-		dst = append(dst, '}')
+		putEvent(recs[i*recordSize:], ev)
 	}
-	return append(dst, eventsClose...)
+	return dst
 }
 
-// ParseBatch decodes a canonical batch payload into events appended to
-// dst. ok is false when the payload deviates from the canonical form;
-// transport callers then fall back to encoding/json, storage callers
-// treat it as corruption.
-func ParseBatch(payload []byte, dst []osn.Event) (seq uint64, evs []osn.Event, ok bool) {
-	return parseBatch(payload, batchPrefix, dst)
-}
-
-// ParsePBatch decodes a canonical publish batch payload (the
-// producer→broker "pbatch" form) into events appended to dst,
-// returning the producer's batch sequence. Same canonical-form rules
-// as ParseBatch.
-func ParsePBatch(payload []byte, dst []osn.Event) (bseq uint64, evs []osn.Event, ok bool) {
-	return parseBatch(payload, pbatchPrefix, dst)
-}
-
-// ParseBatchBounds reports the first sequence and event count of a
-// canonical batch payload without decoding the events. It exists for
-// the broker's shared-frame fan-out, which moves pre-encoded frames
-// around and only needs to know which sequence run a frame covers.
-// The payload must have been produced by AppendBatch; counting relies
-// on canonical event objects being flat, with enum-only string values
-// that can never contain '{'.
-func ParseBatchBounds(payload []byte) (first uint64, n int, ok bool) {
-	first, sec, ok := eventsSection(payload, batchPrefix)
-	return first, bytes.Count(sec, []byte{'{'}), ok
-}
-
-// BatchEventsSection returns the raw contents of a canonical batch
-// payload's events array (the bytes between '[' and ']'). Splicing
-// these sections with ',' separators under a fresh batch prefix yields
-// a frame byte-identical to AppendBatch over the concatenated events —
-// the merge path for coalescing consecutive pre-encoded frames without
-// touching an encoder. The payload must have been produced by
-// AppendBatch.
-func BatchEventsSection(payload []byte) ([]byte, bool) {
-	_, sec, ok := eventsSection(payload, batchPrefix)
-	return sec, ok
-}
-
-// eventsSection returns the leading number of a batch-shaped payload
-// and the bytes between its events array's brackets, checking only the
-// frame's opening and its closing "]}".
-func eventsSection(payload []byte, prefix string) (uint64, []byte, bool) {
-	s := scanner{b: payload}
-	v, ok := s.head(prefix)
-	if !ok || !bytes.HasSuffix(payload[s.i:], []byte(eventsClose)) {
-		return 0, nil, false
-	}
-	return v, payload[s.i : len(payload)-len(eventsClose)], true
-}
-
-// SpliceBatch appends to dst the canonical batch payload with first
-// sequence seq whose events are refs — a run of consecutive events
-// indexed in src by IndexBatch or IndexPBatch — copied verbatim: the
-// bytes AppendBatch would emit for the same events, built without
-// decoding or encoding one. Splicing onto nil makes one allocation,
-// sized for the payload.
-func SpliceBatch(dst []byte, seq uint64, src []byte, refs []EventRef) []byte {
-	var events []byte
-	if len(refs) > 0 {
-		events = src[refs[0].Start:refs[len(refs)-1].End]
-	}
+// grow extends dst by one event frame of n records of rec bytes each,
+// writes its header, and returns the extended slice and the frame's
+// records. Growing nil makes one allocation, sized for the frame.
+func grow(dst []byte, tag byte, seq uint64, n, rec int) (out, records []byte) {
+	off, size := len(dst), headerSize+n*rec
 	if dst == nil {
-		dst = make([]byte, 0, len(batchPrefix)+uintLen(seq)+len(eventsOpen)+len(events)+len(eventsClose))
+		dst = make([]byte, 0, size)
 	}
-	dst = append(dst, batchPrefix...)
-	dst = strconv.AppendUint(dst, seq, 10)
-	dst = append(dst, eventsOpen...)
-	dst = append(dst, events...)
-	return append(dst, eventsClose...)
+	dst = slices.Grow(dst, size)[:off+size]
+	dst[off] = tag
+	le.PutUint64(dst[off+1:], seq)
+	le.PutUint32(dst[off+9:], uint32(n))
+	return dst, dst[off+headerSize:]
 }
 
-// SuffixBatch splices the tail of a canonical batch payload so the
-// result starts exactly at sequence from: the payload is indexed (into
-// scratch, which callers reuse across calls), events below from are
-// dropped, and the rest is spliced onto dst under a fresh header. This
-// is the one frame shared-frame plumbing ever rebuilds — a resume or a
-// relay adoption landing mid-frame, at most once per (re)connection.
-// refs is the index buffer for recycling (refs[:0] as the next
-// scratch). ok is false when the payload is not canonical or from lies
-// outside the frame's sequence run (before its first event or past
-// one-off its end).
-func SuffixBatch(dst, payload []byte, from uint64, scratch []EventRef) (out []byte, refs []EventRef, ok bool) {
-	seq, refs, ok := IndexBatch(payload, scratch)
-	if !ok || from < seq || from-seq > uint64(len(refs)) {
-		return dst, refs, false
-	}
-	return SpliceBatch(dst, from, payload, refs[from-seq:]), refs, true
+// putEvent stores ev as one record at the start of b.
+func putEvent(b []byte, ev osn.Event) {
+	_ = b[recordSize-1]
+	b[0] = byte(ev.Type)
+	le.PutUint64(b[1:], uint64(ev.At))
+	le.PutUint32(b[9:], uint32(ev.Actor))
+	le.PutUint32(b[13:], uint32(ev.Target))
+	le.PutUint32(b[17:], uint32(ev.Aux))
 }
 
-func parseBatch(payload []byte, prefix string, dst []osn.Event) (uint64, []osn.Event, bool) {
-	s := scanner{b: payload}
-	seq, ok := s.head(prefix)
+// event loads the record at the start of b; ok is false when its type
+// is one this build does not know.
+func event(b []byte) (ev osn.Event, ok bool) {
+	_ = b[recordSize-1]
+	return osn.Event{
+		Type:   osn.EventType(b[0]),
+		At:     int64(le.Uint64(b[1:])),
+		Actor:  osn.AccountID(le.Uint32(b[9:])),
+		Target: osn.AccountID(le.Uint32(b[13:])),
+		Aux:    int32(le.Uint32(b[17:])),
+	}, b[0] <= lastType
+}
+
+// header checks that payload is an event frame tagged tag whose length
+// is exactly its header plus the n records of rec bytes it counts, and
+// returns the header's number and n.
+func header(payload []byte, tag byte, rec int) (uint64, int, bool) {
+	if len(payload) < headerSize || payload[0] != tag {
+		return 0, 0, false
+	}
+	n := le.Uint32(payload[9:])
+	if uint64(len(payload)-headerSize) != uint64(n)*uint64(rec) {
+		return 0, 0, false
+	}
+	return le.Uint64(payload[1:]), int(n), true
+}
+
+// ParseBatch decodes a batch payload into events appended to dst. ok is
+// false when the payload is not one AppendBatch emits.
+func ParseBatch(payload []byte, dst []osn.Event) (seq uint64, evs []osn.Event, ok bool) {
+	return parseEvents(payload, tagBatch, dst)
+}
+
+// ParsePBatch decodes a publish batch payload into events appended to
+// dst, returning the producer's batch sequence. Same rules as
+// ParseBatch.
+func ParsePBatch(payload []byte, dst []osn.Event) (bseq uint64, evs []osn.Event, ok bool) {
+	return parseEvents(payload, tagPBatch, dst)
+}
+
+func parseEvents(payload []byte, tag byte, dst []osn.Event) (uint64, []osn.Event, bool) {
+	seq, n, ok := header(payload, tag, recordSize)
 	if !ok {
 		return 0, dst, false
 	}
-	evs := dst
-	var ev osn.Event
-	for n := 0; !s.lit(eventsClose); n++ {
-		if n > 0 && !s.lit(",") || !s.lit(`{"type":"`) || !s.event(&ev) {
+	evs := slices.Grow(dst, n)[:len(dst)+n]
+	out, recs := evs[len(dst):], payload[headerSize:]
+	for i := range out {
+		var ok bool
+		if out[i], ok = event(recs[i*recordSize:]); !ok {
 			return 0, dst, false
 		}
-		evs = append(evs, ev)
-	}
-	if s.i != len(payload) {
-		return 0, dst, false
 	}
 	return seq, evs, true
+}
+
+// ParseBatchBounds reports the first sequence and event count of a
+// batch payload, checking it exactly as ParseBatch does without
+// decoding an event. It exists for the broker's shared-frame plumbing
+// (adoption, the spool), which moves frames around whole and only needs
+// to know which sequence run a frame covers.
+func ParseBatchBounds(payload []byte) (first uint64, n int, ok bool) {
+	return bounds(payload, tagBatch)
+}
+
+// ParsePBatchBounds is ParseBatchBounds for a publish batch payload,
+// returning the producer's batch sequence.
+func ParsePBatchBounds(payload []byte) (bseq uint64, n int, ok bool) {
+	return bounds(payload, tagPBatch)
+}
+
+func bounds(payload []byte, tag byte) (uint64, int, bool) {
+	seq, n, ok := header(payload, tag, recordSize)
+	for off := headerSize; ok && off < len(payload); off += recordSize {
+		ok = payload[off] <= lastType
+	}
+	if !ok {
+		return 0, 0, false
+	}
+	return seq, n, true
+}
+
+// SpliceBatch appends to dst the batch payload with first sequence seq
+// holding events [off, end) of src, a batch or pbatch payload that
+// ParseBatchBounds or ParsePBatchBounds accepted: a header and one copy,
+// the bytes AppendBatch emits for the same events. Splicing onto nil
+// makes one allocation, sized for the payload.
+func SpliceBatch(dst []byte, seq uint64, src []byte, off, end int) []byte {
+	dst, recs := grow(dst, tagBatch, seq, end-off, recordSize)
+	copy(recs, src[headerSize+off*recordSize:])
+	return dst
+}
+
+// SuffixBatch splices the tail of a batch payload so the result starts
+// exactly at sequence from. This is the one frame shared-frame plumbing
+// ever rebuilds — a resume or a relay adoption landing mid-frame, at
+// most once per (re)connection. ok is false when the payload does not
+// parse or from lies outside its run (before its first event or past
+// one-off its end).
+func SuffixBatch(dst, payload []byte, from uint64) ([]byte, bool) {
+	seq, n, ok := ParseBatchBounds(payload)
+	if !ok || from < seq || from-seq > uint64(n) {
+		return dst, false
+	}
+	return SpliceBatch(dst, from, payload, int(from-seq), n), true
+}
+
+// Join appends to dst one payload holding the events of frames, in
+// order: consecutive batch payloads join into a batch numbered from the
+// first one's sequence, and consecutive partition views (fbatch, whose
+// records carry their own sequences) join into an fbatch carrying
+// cursor last. The frames must be accepted payloads of one kind; the
+// result is what a fresh encode of the joined events emits, built with
+// one copy per frame.
+func Join(dst []byte, last uint64, frames ...[]byte) []byte {
+	tag, rec := frames[0][0], seqRecordSize
+	if tag != tagFBatch {
+		last, rec = le.Uint64(frames[0][1:]), recordSize
+	}
+	n := 0
+	for _, f := range frames {
+		n += int(le.Uint32(f[9:]))
+	}
+	dst, recs := grow(dst, tag, last, n, rec)
+	for _, f := range frames {
+		recs = recs[copy(recs, f[headerSize:]):]
+	}
+	return dst
 }
