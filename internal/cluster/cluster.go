@@ -267,7 +267,12 @@ func (w *Worker) loop(c *stream.Client) {
 			// Clean end of feed, or Stop: the final ack rides the
 			// (interrupted but writable) connection, so the feed's
 			// sent == delivered audit holds. A broker that ended the feed
-			// is closing, so only Stop offers.
+			// is closing, so only Stop offers. A partitioned feed may end
+			// on a foreign run, a bare cursor advance RecvBatch never
+			// returns: pin the pipeline at the client's cursor first.
+			if last := c.LastSeq(); last > w.p.Seq() {
+				w.p.Ingest(detector.Batch{LastSeq: last})
+			}
 			w.save(c, w.cfg.Handoff && w.stopped.Load())
 		default:
 			// Connection lost. Checkpoint before resuming: a resume acks
@@ -339,10 +344,14 @@ func (w *Worker) drain(c *stream.Client) error {
 // the feed is acked through c (when c is non-nil), and, when offer is
 // set, at the broker's rendezvous. Neither failure is fatal: the
 // previous checkpoint generation and the broker's previous offer (or
-// the spool) keep recovery possible.
+// the spool) keep recovery possible. Kill is a crash: once it has
+// landed, a save in progress keeps nothing more.
 func (w *Worker) save(c *stream.Client, offer bool) {
 	snap := w.p.Snapshot()
 	w.lastSave = time.Now()
+	if w.killed.Load() {
+		return
+	}
 	if w.store != nil {
 		if err := w.store.write(w.session, snap); err != nil {
 			log.Printf("cluster: checkpoint failed (previous generation still valid): %v", err)
@@ -360,7 +369,7 @@ func (w *Worker) save(c *stream.Client, offer bool) {
 	// A failed offer is not logged: a closing broker refuses every save
 	// of the worker's final catch-up. Stats counts the successes.
 	data, err := json.Marshal(snap)
-	if err == nil && stream.OfferSnapshot(w.cfg.Addr, w.cfg.Part, w.cfg.Parts, snap.Seq, data) == nil {
+	if err == nil && !w.killed.Load() && stream.OfferSnapshot(w.cfg.Addr, w.cfg.Part, w.cfg.Parts, snap.Seq, data) == nil {
 		w.offered.Store(snap.Seq)
 		w.stats.Offers++
 	}

@@ -348,6 +348,39 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 	}
 }
 
+// TestWorkerEndsAtFeedCursor: a partitioned feed that ends on a foreign
+// event reaches the worker as a bare cursor advance, which RecvBatch
+// never returns. The worker's state must still end at the feed's last
+// sequence, the cursor it was sent.
+func TestWorkerEndsAtFeedCursor(t *testing.T) {
+	events, rule := campaignFeed()
+	const part, parts = 1, 3
+	end := len(events) - 1
+	for end > 1 && (osn.PartitionDelivers(events[end-1], part, parts) || !osn.PartitionDelivers(events[end-2], part, parts)) {
+		end--
+	}
+	srv := clusterServer(t)
+	w, err := cluster.Start(workerConfig(t, srv.Addr(), part, parts, rule))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.BroadcastBatch(events[:end-1])
+	waitSeq(t, w, uint64(end-1)) // its own last event, framed on its own
+	srv.BroadcastBatch(events[end-1 : end])
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Pipeline().Seq(); got != uint64(end) {
+		t.Fatalf("worker %d/%d ended at seq %d, the feed at %d", part, parts, got, end)
+	}
+	if got := w.Stats().Checkpointed; got != uint64(end) {
+		t.Fatalf("final checkpoint at seq %d, the feed ended at %d", got, end)
+	}
+}
+
 // TestWorkerInvalidPartition: the harness rejects partitions the
 // broker would reject, before dialing anything.
 func TestWorkerInvalidPartition(t *testing.T) {

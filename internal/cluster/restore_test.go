@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -266,4 +267,66 @@ func TestWorkerResumesAcrossBlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	finish(t, srv, w, events, want)
+}
+
+// TestKillSavesNothing: Kill is a crash, so a save the worker is in the
+// middle of when Kill lands must keep nothing — no checkpoint file, no
+// broker offer. Every batch saves here, and the worker kills itself
+// from its flag hook, inside the batch whose save would otherwise
+// follow: afterwards the newest checkpoint and the broker's held offer
+// must both predate that batch.
+func TestKillSavesNothing(t *testing.T) {
+	events, rule, _ := restoreFeed(t)
+	const part, parts = 0, 2
+	// firstFlag is the feed sequence of the event on which the partition
+	// raises its first flag; the killing batch holds it.
+	var firstFlag, cur uint64
+	ref := detector.NewPipeline(rule, nil, detector.WithGraphReconstruction(),
+		detector.WithPartition(part, parts), detector.WithCheckEvery(1),
+		detector.WithFlagHook(func(detector.Flag) {
+			if firstFlag == 0 {
+				firstFlag = cur
+			}
+		}))
+	for i, ev := range events {
+		if cur = uint64(i + 1); osn.PartitionDelivers(ev, part, parts) {
+			ref.Ingest(detector.Batch{Events: []osn.Event{ev}, LastSeq: cur})
+		}
+	}
+	ref.Close()
+	if firstFlag == 0 {
+		t.Fatalf("partition %d/%d never flags; the test is vacuous", part, parts)
+	}
+
+	srv := clusterServer(t)
+	var self atomic.Pointer[cluster.Worker]
+	cfg := cluster.Config{Addr: srv.Addr(), Part: part, Parts: parts, Rule: rule, CheckEvery: 1,
+		Handoff: true, Dir: t.TempDir(), Every: time.Nanosecond,
+		OnFlag: func(detector.Flag) { self.Load().Kill() }}
+	w, err := cluster.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	self.Store(w)
+	for off := 0; off < len(events); off += 64 {
+		srv.BroadcastBatch(events[off:min(off+64, len(events))])
+	}
+	if err := w.Wait(); err == nil {
+		t.Fatal("killed worker reported a clean end of feed")
+	}
+	if w.Stats().Checkpoints == 0 {
+		t.Fatal("the worker saved nothing before the kill; the test is vacuous")
+	}
+	_, ckpt, err := cluster.NewestCheckpoint(cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt >= firstFlag {
+		t.Fatalf("newest checkpoint at seq %d covers the killing batch (first flag at seq %d)", ckpt, firstFlag)
+	}
+	for _, sn := range srv.Stats().Snapshots {
+		if sn.Part == part && sn.Parts == parts && sn.Seq >= firstFlag {
+			t.Fatalf("broker holds an offer at seq %d covering the killing batch (first flag at seq %d)", sn.Seq, firstFlag)
+		}
+	}
 }

@@ -7,14 +7,16 @@ package stream
 // fresh canonical encode of its own decoded content — which pins the
 // splice-merge paths to the encoder — that every subscriber sees the
 // same gapless event stream, and that the number of canonical encodes
-// performed is a function of the feed shape, not of the subscriber
-// count.
+// performed is a function of the feed shape and the partitioned
+// sessions, not of the full-feed subscriber count.
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 
@@ -145,11 +147,13 @@ func (r *rawSub) checkFBatches(t *testing.T, part, parts int) map[uint64]osn.Eve
 }
 
 // TestFanoutByteIdenticalAcrossSubscribers: N full-feed subscribers
-// plus one subscriber per partition of a 4-way split all drain the same
-// broadcast feed; every frame must carry canonical bytes and every
-// subscriber must see the identical event stream — while the server's
-// encode counter stays bounded by the feed shape (chunks and
-// partitions), not the subscriber count.
+// plus one subscriber per partition of a 4-way split, and a second one
+// on partition 0, all drain the same broadcast feed; every frame must
+// carry canonical bytes and every subscriber must see the identical
+// event stream. The server's encode counter is exact: one batch frame
+// per chunk, whatever the full-feed subscriber count, plus one view
+// per (chunk, partitioned session) in which the session owns an event —
+// each partitioned writer splices its own views.
 func TestFanoutByteIdenticalAcrossSubscribers(t *testing.T) {
 	leakCheck(t)
 	const (
@@ -171,12 +175,14 @@ func TestFanoutByteIdenticalAcrossSubscribers(t *testing.T) {
 			}
 			defer s.Close()
 
-			readers := make([]*rawSub, 0, subs+partParts)
+			// One session per partition, then a second one on partition 0.
+			sessionParts := []int{0, 1, 2, 3, 0}
+			readers := make([]*rawSub, 0, subs+len(sessionParts))
 			for i := 0; i < subs; i++ {
 				readers = append(readers, dialRawSub(t, s.Addr(), fmt.Sprintf("full-%d", i), 0, 0))
 			}
-			for part := 0; part < partParts; part++ {
-				readers = append(readers, dialRawSub(t, s.Addr(), fmt.Sprintf("part-%d", part), part, partParts))
+			for i, part := range sessionParts {
+				readers = append(readers, dialRawSub(t, s.Addr(), fmt.Sprintf("part-%d", i), part, partParts))
 			}
 
 			var wg sync.WaitGroup
@@ -224,14 +230,28 @@ func TestFanoutByteIdenticalAcrossSubscribers(t *testing.T) {
 					t.Fatalf("seq %d: %+v, want %+v", seq, ev, want)
 				}
 			}
+			twin := readers[subs+partParts].checkFBatches(t, 0, partParts)
+			if !maps.Equal(twin, readers[subs].checkFBatches(t, 0, partParts)) {
+				t.Fatal("two sessions on partition 0 delivered different (seq, event) sets")
+			}
 
-			// The single-encode invariant: one canonical encode per
-			// chunk plus at most one filtered encode per chunk per
-			// partition — independent of the subscriber count.
-			chunks := batches * ((batchLen + maxBatch - 1) / maxBatch)
-			if enc := s.Stats().Encodes; enc == 0 || enc > uint64(chunks*(1+partParts)) {
-				t.Fatalf("encodes = %d with %d subscribers, want in [1, %d]",
-					enc, subs, chunks*(1+partParts))
+			// One encode per chunk, plus one view per (chunk, partitioned
+			// session) in which that session owns an event.
+			want := 0
+			for off := 0; off < len(events); off += batchLen {
+				for lo := off; lo < off+batchLen; lo += maxBatch {
+					want++
+					for _, part := range sessionParts {
+						if slices.ContainsFunc(events[lo:min(lo+maxBatch, off+batchLen)], func(ev osn.Event) bool {
+							return osn.PartitionDelivers(ev, part, partParts)
+						}) {
+							want++
+						}
+					}
+				}
+			}
+			if enc := s.Stats().Encodes; enc != uint64(want) {
+				t.Fatalf("encodes = %d with %d full-feed subscribers, want %d", enc, subs, want)
 			}
 		})
 	}

@@ -62,20 +62,6 @@ var errFenced = errors.New("stream: producer connection fenced by a newer one")
 // producers.
 func (s *Server) IngestDone() <-chan struct{} { return s.ingestDone }
 
-// NumProducers returns the number of currently connected wire
-// producers.
-func (s *Server) NumProducers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, p := range s.producers {
-		if p.conn != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // servePublisher admits a wire producer and runs its ingest loop:
 // pbatch frames are deduplicated, sequenced, fanned out and acked in
 // arrival order; peof closes the producer's epoch. Each pbatch is

@@ -50,7 +50,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,8 +62,9 @@ import (
 	"sybilwild/internal/wire"
 )
 
-// Server tunables. Each has a ServerOption override; the defaults suit
-// production-shaped feeds, tests shrink them to force the edge cases.
+// Server tunables. The defaults suit production-shaped feeds; those
+// with a ServerOption override are the ones tests shrink to force the
+// edge cases.
 const (
 	// DefaultReplayBuffer is the size of the log's in-memory tail in
 	// feed events, shared by every subscriber. Without a spool it is
@@ -94,14 +94,12 @@ const (
 )
 
 type serverOptions struct {
-	replay     int
-	maxBatch   int
-	flushEvery time.Duration
-	linger     time.Duration
-	stall      time.Duration
-	drain      time.Duration
-	spool      *spool.Spool
-	adopting   bool
+	replay   int
+	maxBatch int
+	linger   time.Duration
+	stall    time.Duration
+	spool    *spool.Spool
+	adopting bool
 }
 
 // withAdopting marks the server as a sequence-adopting relay hop:
@@ -134,15 +132,6 @@ func WithMaxBatch(n int) ServerOption {
 	}
 }
 
-// WithFlushEvery sets the coalescing writers' flush latency bound.
-func WithFlushEvery(d time.Duration) ServerOption {
-	return func(o *serverOptions) {
-		if d > 0 {
-			o.flushEvery = d
-		}
-	}
-}
-
 // WithSessionLinger sets how long a disconnected session may await
 // resume before eviction.
 func WithSessionLinger(d time.Duration) ServerOption {
@@ -160,16 +149,6 @@ func WithStallTimeout(d time.Duration) ServerOption {
 	return func(o *serverOptions) {
 		if d > 0 {
 			o.stall = d
-		}
-	}
-}
-
-// WithDrainTimeout sets the per-connection flush deadline Close
-// applies.
-func WithDrainTimeout(d time.Duration) ServerOption {
-	return func(o *serverOptions) {
-		if d > 0 {
-			o.drain = d
 		}
 	}
 }
@@ -222,11 +201,6 @@ type Server struct {
 	// the fan-out ticket.
 	tail tail
 
-	// fan is the fan-out body's scratch, reused across batches (safe:
-	// the ticket serializes the body). Touched only by the batch
-	// currently holding the ticket.
-	fan fanScratch
-
 	// encPool holds encode scratch (*[]byte) for BroadcastBatch, whose
 	// encode runs before the ticket on whatever goroutines call it — a
 	// pool instead of a lock keeps concurrent callers concurrent. Wire
@@ -257,11 +231,10 @@ type Server struct {
 
 // tail is the in-memory end of the feed log: the shared chunks of the
 // last WithReplayBuffer feed events in feed order — contiguous, so it
-// holds exactly [first(), head] — each carrying the partition views
-// fan-out built for it, together with every session's cursors and the
-// fan-out ticket. One mutex guards it all. Fan-out appends once per
-// batch and wakes every writer with one Broadcast on more; a writer
-// reads its next sequence here while the tail holds it.
+// holds exactly [first(), head] — together with every session's
+// cursors and the fan-out ticket. One mutex guards it all. Fan-out
+// appends once per batch and wakes every writer with one Broadcast on
+// more; a writer reads its next sequence here while the tail holds it.
 type tail struct {
 	mu     sync.Mutex
 	more   *sync.Cond // writers: the log grew, a fence or close arrived, or a connection changed
@@ -316,42 +289,18 @@ func (t *tail) push(c *chunk) {
 // events encoded exactly once into a canonical frame payload, then
 // shared by reference — the spool appends the same bytes every
 // subscriber socket writes. A tail chunk's payload is a batch frame and
-// first..last a contiguous run; its views are the fbatch views of it
-// fan-out built once per partition key of the sessions it saw, each
-// shared by every session on that partition (n == 0 where the
-// partition owns nothing). In a view, first/last are the first/last
-// sequences the partition owns inside the source chunk, n counts only
-// those, and cursor — the source chunk's end — is the feed position the
-// frame advances the subscriber to.
+// first..last a contiguous run. A writer's job chunk may instead be a
+// partition's fbatch view of a frame, spliced on the writer's scratch:
+// first/last are then the first/last sequences the partition owns
+// inside the source frame, n counts only those, and cursor — the source
+// frame's end — is the feed position the view advances the subscriber
+// to.
 type chunk struct {
 	first   uint64
 	last    uint64
 	n       int
 	cursor  uint64
 	payload []byte
-	part    int
-	parts   int
-	views   []chunk
-}
-
-// view returns the view fan-out built of c for partition part of
-// parts, or nil.
-func (c *chunk) view(part, parts int) *chunk {
-	for i := range c.views {
-		if v := &c.views[i]; v.part == part && v.parts == parts {
-			return v
-		}
-	}
-	return nil
-}
-
-// fanScratch is the transient state of one fan-out body: the partition
-// keys among the sessions and the view scratch. Nothing in it outlives
-// the ticket — the view payloads that do are spliced into allocations
-// of their own.
-type fanScratch struct {
-	keys []partKey
-	partView
 }
 
 // retain returns the exactly-sized copy of an encoded payload that a
@@ -364,8 +313,8 @@ type fanScratch struct {
 // in the middle of a write.
 func retain(scratch []byte) []byte { return bytes.Clone(scratch) }
 
-// partKey identifies one partition, part of parts: a shared partition
-// filter, or a control-plane key.
+// partKey identifies one partition, part of parts: a control-plane
+// key.
 type partKey struct{ part, parts int }
 
 // session is one subscriber: its cursors over the log and its
@@ -375,9 +324,9 @@ type partKey struct{ part, parts int }
 // A session has no queue of its own. Its one writer reads sent+1 from
 // the tail while the tail holds it and from a spool reader while it
 // does not. A partitioned session (parts > 0) is sent its partition's
-// views of the chunks, so acks, spool retention and resume all keep
-// working in global feed coordinates while only the partition's slice
-// crosses the wire.
+// views of the chunks, which its writer splices, so acks, spool
+// retention and resume all keep working in global feed coordinates
+// while only the partition's slice crosses the wire.
 type session struct {
 	id string
 
@@ -431,15 +380,11 @@ type ServerStats struct {
 	// Encodes counts the canonical batch/fbatch frames the broker built,
 	// whether encoded from events or spliced from a checked frame's records
 	// — the fan-out hot path's unit of work: one batch frame per
-	// maxBatch run of a published batch, and one fbatch view per
-	// (frame, partition) pair in which the partition owns an event.
-	// Shared-frame delivery keeps it O(events/maxBatch + partitions)
-	// per batch regardless of the subscriber count (each frame is built
-	// once, not once per session). Writers add their own: a suffix
-	// spliced for a resume that landed mid-frame, and one fbatch view per
-	// frame a partitioned session owns an event in that fan-out built no
-	// view of for it (a spooled frame, or a tail frame older than the
-	// partition's first session).
+	// maxBatch run of a published batch, built once and shared by every
+	// full-feed session regardless of their number. Writers add their
+	// own: a suffix spliced for a resume that landed mid-frame, and one
+	// fbatch view per (frame, partitioned session) pair in which the
+	// session owns an event, from the tail or the spool alike.
 	// Frames forwarded verbatim, coalesced by a writer, or pure cursor
 	// advances are not counted.
 	Encodes uint64
@@ -515,12 +460,10 @@ type SnapshotStats struct {
 // subscribers.
 func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 	o := serverOptions{
-		replay:     DefaultReplayBuffer,
-		maxBatch:   DefaultMaxBatch,
-		flushEvery: DefaultFlushEvery,
-		linger:     DefaultSessionLinger,
-		stall:      DefaultStallTimeout,
-		drain:      DefaultDrainTimeout,
+		replay:   DefaultReplayBuffer,
+		maxBatch: DefaultMaxBatch,
+		linger:   DefaultSessionLinger,
+		stall:    DefaultStallTimeout,
 	}
 	for _, fn := range opts {
 		fn(&o)
@@ -738,23 +681,15 @@ func (s *Server) AdoptFrame(payload []byte) (n int, err error) {
 // one Broadcast. Batches pass through strictly in sequence order — each
 // waits for its ticket — which is what keeps the spool and the tail
 // contiguous while concurrent producers build frames in parallel. n is
-// the batch's event count. Each chunk carries its views for the
-// partition keys of the sessions registered when the batch got its
-// ticket, built once and shared, so a hop with no partitioned
-// subscribers never looks inside a frame.
+// the batch's event count. Fan-out never looks inside a frame: the
+// tail holds only the shared batch bytes, and partition views are
+// their writers' work.
 func (s *Server) fanout(first uint64, n int, chunks []*chunk) {
 	t := &s.tail
 	t.mu.Lock()
 	for t.next != first {
 		t.ticket.Wait()
 	}
-	keys := s.fan.keys[:0]
-	for _, sess := range t.sessions {
-		if k := (partKey{sess.part, sess.parts}); sess.parts > 0 && !slices.Contains(keys, k) {
-			keys = append(keys, k)
-		}
-	}
-	s.fan.keys = keys
 	t.mu.Unlock()
 
 	if s.spoolUsable() {
@@ -772,7 +707,6 @@ func (s *Server) fanout(first uint64, n int, chunks []*chunk) {
 			}
 		}
 	}
-	s.views(chunks, keys)
 
 	t.mu.Lock()
 	for _, sess := range t.sessions {
@@ -791,32 +725,6 @@ func (s *Server) fanout(first uint64, n int, chunks []*chunk) {
 	t.next = first + uint64(n)
 	t.ticket.Broadcast()
 	t.mu.Unlock()
-}
-
-// views attaches to each chunk its fbatch view for every partition key
-// in keys — one slab per batch holds them all — spliced from the
-// chunk's own records into a payload of its own; a view with n == 0
-// marks a partition that owns nothing in the chunk. The caller holds
-// the ticket, which serializes use of the scratch.
-func (s *Server) views(chunks []*chunk, keys []partKey) {
-	if len(keys) == 0 {
-		return
-	}
-	nk := len(keys)
-	slab := make([]chunk, len(chunks)*nk)
-	for i, c := range chunks {
-		c.views = slab[i*nk : (i+1)*nk : (i+1)*nk]
-		for j, k := range keys {
-			var payload []byte
-			v, ok := s.fan.view(&payload, c.payload, c.first, c.cursor, k.part, k.parts)
-			if ok {
-				s.encodes.Add(1)
-			} else {
-				v = chunk{cursor: c.cursor, part: k.part, parts: k.parts}
-			}
-			c.views[j] = v
-		}
-	}
 }
 
 // pruneSpool runs retention after a segment roll, pinned to the lowest
@@ -1185,8 +1093,8 @@ func (s *Server) spoolServes(r uint64) bool {
 //     splicing, splice the suffix of a plain job a resume landed inside,
 //     or send a bare cursor advance once advanceEvery silent events have
 //     passed;
-//   - flush before the writer sleeps, and at least every flushEvery
-//     while it does not;
+//   - flush before the writer sleeps, and at least every
+//     DefaultFlushEvery while it does not;
 //   - end: a drained round at the fence barrier is followed by rebal, a
 //     drained tail round on a closing server by eof.
 //
@@ -1218,8 +1126,8 @@ type sessionWriter struct {
 	pos       uint64        // last sequence rd has handed out
 	seen      uint64        // feed position the tail has been examined through (≥ sent)
 	jobs      []chunk       // the round's frames, in feed order (copies: a job may be rewritten)
-	view      partView      // the partition view scratch of frames fan-out built no view of
-	buf       []byte        // the payloads of disk jobs and writer-built views
+	own       []int         // one view's events, as positions in its frame
+	buf       []byte        // the payloads of disk jobs and partition views
 	sfx       []byte        // a spliced suffix job
 	parts     [][]byte      // the payloads one coalesced frame joins
 	out       []byte        // coalesced and cursor-advance frames
@@ -1250,10 +1158,10 @@ func (s *Server) writer(sess *session, conn net.Conn, gen int) {
 		if err == nil && r.end != nil {
 			writeFrame(w.bw, r.end)
 			w.bw.Flush()
-			conn.SetReadDeadline(time.Now().Add(s.opt.drain))
+			conn.SetReadDeadline(time.Now().Add(DefaultDrainTimeout))
 			return
 		}
-		if err == nil && time.Since(w.lastFlush) >= s.opt.flushEvery {
+		if err == nil && time.Since(w.lastFlush) >= DefaultFlushEvery {
 			err = w.flush()
 		}
 		if err != nil {
@@ -1313,10 +1221,10 @@ func (w *sessionWriter) next() (round, error) {
 
 // fromTail fills a round from the tail's chunks past what this writer
 // has examined: the chunks themselves for a full-feed session; for a
-// partitioned one the views fan-out built for its key, or — for a chunk
-// older than the key's first session — a view spliced on the writer's
-// own scratch, at most maxBatch events of them per round. ok is false
-// when a partitioned session found nothing it owns and fewer than
+// partitioned one their views, spliced on the writer's own scratch —
+// a round stops splicing once its chunks cover maxBatch events, which
+// bounds how long it holds tail.mu. ok is false when a
+// partitioned session found nothing it owns and fewer than
 // advanceEvery events to cover: the round is not worth a frame yet —
 // unless the tail is full, when only the client's ack can free it.
 // Caller holds tail.mu.
@@ -1325,24 +1233,16 @@ func (w *sessionWriter) fromTail() (r round, ok bool) {
 	w.jobs, w.buf = w.jobs[:0], w.buf[:0]
 	cursor, drained, spliced := t.head, true, 0
 	for _, c := range t.after(w.seen) {
-		v := c
-		if sess.parts > 0 {
-			if v = c.view(sess.part, sess.parts); v == nil {
-				if spliced >= s.opt.maxBatch {
-					cursor, drained = c.first-1, false
-					break
-				}
-				spliced += c.n
-				if vv, owned := w.view.view(&w.buf, c.payload, c.first, c.cursor, sess.part, sess.parts); owned {
-					w.jobs = append(w.jobs, vv)
-					s.encodes.Add(1)
-				}
-				continue
-			}
+		if sess.parts == 0 {
+			w.jobs = append(w.jobs, *c)
+			continue
 		}
-		if v.n > 0 {
-			w.jobs = append(w.jobs, *v)
+		if spliced >= s.opt.maxBatch {
+			cursor, drained = c.first-1, false
+			break
 		}
+		spliced += c.n
+		w.view(c.payload, c.first, c.cursor)
 	}
 	w.seen = cursor
 	f := sess.fencedAt
@@ -1359,10 +1259,10 @@ func (w *sessionWriter) fromTail() (r round, ok bool) {
 // already sits on disk, so a slow reader costs no server memory and TCP
 // backpressure alone paces the transfer. A plain session's jobs are the
 // raw frames, copied into writer scratch; a partitioned session's are
-// their partition views, spliced into writer scratch by the same helper
-// fan-out uses — a frame the partition owns nothing of only moves the
-// cursor. The spool checks every frame it hands out, so a corrupt
-// segment ends the catch-up loudly instead of starving it.
+// their partition views, spliced as the tail's are — a frame the
+// partition owns nothing of only moves the cursor. The spool checks
+// every frame it hands out, so a corrupt segment ends the catch-up
+// loudly instead of starving it.
 func (w *sessionWriter) fromSpool(from, f uint64) (round, error) {
 	s, sess := w.s, w.sess
 	if w.rd == nil {
@@ -1392,9 +1292,8 @@ func (w *sessionWriter) fromSpool(from, f uint64) (round, error) {
 			off := len(w.buf)
 			w.buf = append(w.buf, raw...)
 			w.jobs = append(w.jobs, chunk{first: first, last: w.pos, n: n, cursor: w.pos, payload: w.buf[off:]})
-		} else if v, ok := w.view.view(&w.buf, raw, first, w.pos, sess.part, sess.parts); ok {
-			w.jobs = append(w.jobs, v)
-			w.s.encodes.Add(1)
+		} else {
+			w.view(raw, first, w.pos)
 		}
 	}
 	if eof && w.pos < from && s.opt.spool.End() < from {
@@ -1459,7 +1358,7 @@ func (w *sessionWriter) emit(from, to uint64) error {
 		w.out = wire.AppendFBatch(w.out[:0], to, nil, nil)
 		return writeFrame(w.bw, w.out)
 	}
-	if c := &jobs[0]; c.parts == 0 && from > c.first {
+	if c := &jobs[0]; w.sess.parts == 0 && from > c.first {
 		var ok bool
 		if w.sfx, ok = wire.SuffixBatch(w.sfx[:0], c.payload, from); !ok {
 			return fmt.Errorf("%w: corrupt frame at seq %d", errLost, c.first)
@@ -1519,39 +1418,29 @@ func (w *sessionWriter) closeReader() {
 // latency with them.
 func (s *Server) advanceEvery() uint64 { return uint64(s.opt.maxBatch) }
 
-// partView is the scratch of building partition views of batch frames:
-// each view splices the records its partition owns. Fan-out runs it
-// once per chunk for every partition key and gives each view a payload
-// of its own; a writer runs it on its own copy for frames fan-out built
-// no view of and splices the views into scratch bound straight for its
-// socket. Every frame it sees was checked on its way in — spliced or
-// encoded here, adopted, or read back by the spool — so no view is ever
-// cut short: a frame that does not decode never gets this far.
-type partView struct {
-	own []int // one view's events, as positions in the frame
-}
-
-// view appends to *buf the fbatch view partition part of parts receives
-// of the batch frame payload (sequences from first; the view advances
-// the subscriber to cursor) and returns its chunk, whose payload aliases
-// the appended bytes. ok is false when the partition owns nothing in
-// the frame.
-func (v *partView) view(buf *[]byte, payload []byte, first, cursor uint64, part, parts int) (c chunk, ok bool) {
-	v.own = wire.Owned(v.own[:0], payload, part, parts)
-	if len(v.own) == 0 {
-		return chunk{}, false
+// view adds to the round the fbatch view the session's partition
+// receives of the batch frame payload (sequences from first; the view
+// advances the subscriber to cursor): the records the partition owns,
+// spliced into w.buf behind their sequences, counted as one of
+// ServerStats.Encodes. A frame the partition owns nothing of adds no
+// job. Every frame seen here was checked on its way in — spliced or
+// encoded by the broker, adopted, or read back by the spool — so no
+// view is ever cut short.
+func (w *sessionWriter) view(payload []byte, first, cursor uint64) {
+	w.own = wire.Owned(w.own[:0], payload, w.sess.part, w.sess.parts)
+	if len(w.own) == 0 {
+		return
 	}
-	off := len(*buf)
-	*buf = wire.SpliceFBatch(*buf, cursor, payload, v.own)
-	return chunk{
-		first:   first + uint64(v.own[0]),
-		last:    first + uint64(v.own[len(v.own)-1]),
-		n:       len(v.own),
+	off := len(w.buf)
+	w.buf = wire.SpliceFBatch(w.buf, cursor, payload, w.own)
+	w.jobs = append(w.jobs, chunk{
+		first:   first + uint64(w.own[0]),
+		last:    first + uint64(w.own[len(w.own)-1]),
+		n:       len(w.own),
 		cursor:  cursor,
-		payload: (*buf)[off:],
-		part:    part,
-		parts:   parts,
-	}, true
+		payload: w.buf[off:],
+	})
+	w.s.encodes.Add(1)
 }
 
 // Stats returns a snapshot of feed accounting, including per-session
@@ -1664,7 +1553,7 @@ func (s *Server) Close() error {
 	t.closing = true
 	for _, sess := range t.sessions {
 		if sess.conn != nil {
-			sess.conn.SetWriteDeadline(time.Now().Add(s.opt.drain))
+			sess.conn.SetWriteDeadline(time.Now().Add(DefaultDrainTimeout))
 		} else {
 			// Nothing to drain to; the session dies with the server (but
 			// spooled events survive on disk for a restarted producer).
