@@ -90,7 +90,9 @@ bench:
 # measured at 200k events (0.91-1.18 over ten runs on a shared box),
 # bound 1.3x — a tree that paid per-hop re-encodes or serialized its
 # edges would land well past it. The tree wins outright on multi-core
-# hardware.
+# hardware. One run of the pair tripped the bound about once in six on
+# a loaded box, so the pair runs five times in a shell loop (the two
+# sides alternate, ~0.7 s a run) and benchjson compares their medians.
 #
 # The publish multi-core gate is ROADMAP's scaling evidence armed: 4
 # producers at GOMAXPROCS=4 vs the same at GOMAXPROCS=1. On multi-core
@@ -113,7 +115,9 @@ bench-gate:
 		$(GO) run ./cmd/benchjson \
 		-gate 'BenchmarkRelayFanout/root-downstream=64<=BenchmarkRelayFanout/root-downstream=0*3.0' \
 		> /dev/null
-	$(GO) test -bench='BenchmarkRelayFanout/(flat|tree)' -benchtime=200000x -run='^$$' ./internal/stream | \
+	for i in 1 2 3 4 5; do \
+		$(GO) test -bench='BenchmarkRelayFanout/(flat|tree)' -benchtime=200000x -run='^$$' ./internal/stream || exit 1; \
+	done | \
 		$(GO) run ./cmd/benchjson \
 		-gate 'BenchmarkRelayFanout/tree-edges=2x64<=BenchmarkRelayFanout/flat-subs=128*1.3' \
 		> /dev/null

@@ -286,15 +286,15 @@ func BenchmarkAblationSnowballBias(b *testing.B) {
 	}
 }
 
-// --- Real-time hot path: serial Monitor vs sharded Pipeline ---
+// --- Real-time hot path: the detection pipeline ---
 //
 // The workload is a synthetic 100k-account production trace built once
 // per process: a triangle-rich ring graph (every clustering-coefficient
 // evaluation does real work), four rounds of normal friend-request
 // chatter with 40% accepts, and a 2% population of burst-inviting
-// Sybils with no graph embedding. Replaying it through the serial
-// Monitor and through detector.Pipeline at various shard counts
-// measures exactly what the paper's deployment cares about: detection
+// Sybils with no graph embedding. Replaying it through
+// detector.Pipeline one event at a time and in wire batches measures
+// exactly what the paper's deployment cares about: detection
 // throughput on live traffic.
 
 const (
@@ -379,23 +379,6 @@ func realtimeWorkload(b *testing.B) ([]osn.Event, *graph.Graph) {
 func reportRealtime(b *testing.B, flagged int, nEvents int) {
 	b.ReportMetric(float64(nEvents)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 	b.ReportMetric(float64(flagged), "flagged")
-}
-
-// BenchmarkMonitor replays the production trace through the serial
-// reference detector — the baseline the pipeline is compared against.
-func BenchmarkMonitor(b *testing.B) {
-	events, g := realtimeWorkload(b)
-	rule := detector.PaperRule()
-	b.ResetTimer()
-	flagged := 0
-	for i := 0; i < b.N; i++ {
-		m := detector.NewMonitor(rule, g, nil)
-		for _, ev := range events {
-			m.Observe(ev)
-		}
-		flagged = m.FlaggedCount()
-	}
-	reportRealtime(b, flagged, len(events))
 }
 
 // replayPipeline feeds the production trace through a fresh pipeline

@@ -9,8 +9,12 @@
 // is missing. Relative gates survive noisy shared runners (both sides
 // ran on the same machine moments apart), which is what lets CI fail
 // loudly on a real scaling regression without gating on absolute
-// numbers. -gate repeats; every gate is evaluated and reported, and
-// the exit is non-zero if any fails (`make bench-gate`):
+// numbers. A benchmark that appears several times in the input (the
+// same run repeated, e.g. in a shell loop that alternates the two
+// sides) is judged by its median ns/op, so one noisy repetition cannot
+// trip a gate or hide a real regression. -gate repeats; every gate is
+// evaluated and reported, and the exit is non-zero if any fails
+// (`make bench-gate`):
 //
 //	go test -bench=RelayFanout ... | benchjson \
 //	  -gate 'BenchmarkRelayFanout/root-downstream=64<=BenchmarkRelayFanout/root-downstream=0*3.0' \
@@ -25,6 +29,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -92,10 +97,11 @@ func checkGates(w io.Writer, gates []string, fresh []result) error {
 }
 
 // checkGate evaluates one 'A<=B*SLACK' invariant (SLACK optional,
-// default 1.0) against the fresh results. Benchmark names match with
-// or without the -GOMAXPROCS suffix `go test` appends, so one gate
-// expression works on any runner shape. A missing side is a hard
-// failure — a renamed benchmark must not silently disarm the gate.
+// default 1.0) against the fresh results' median ns/op. Benchmark
+// names match with or without the -GOMAXPROCS suffix `go test`
+// appends, so one gate expression works on any runner shape. A missing
+// side is a hard failure — a renamed benchmark must not silently
+// disarm the gate.
 func checkGate(w io.Writer, expr string, fresh []result) error {
 	nameA, rest, ok := strings.Cut(expr, "<=")
 	if !ok {
@@ -110,8 +116,8 @@ func checkGate(w io.Writer, expr string, fresh []result) error {
 		}
 		nameB, slack = b, f
 	}
-	a, okA := findByName(fresh, nameA)
-	b, okB := findByName(fresh, nameB)
+	a, av, okA := medianNsPerOp(fresh, nameA)
+	b, bv, okB := medianNsPerOp(fresh, nameB)
 	if !okA || !okB {
 		missing := nameA
 		if okA {
@@ -119,33 +125,48 @@ func checkGate(w io.Writer, expr string, fresh []result) error {
 		}
 		return fmt.Errorf("gate %q: benchmark %q not in the fresh run", expr, missing)
 	}
-	av, bv := a.Metrics["ns/op"], b.Metrics["ns/op"]
 	if av == 0 || bv == 0 {
 		return fmt.Errorf("gate %q: ns/op missing or zero (%v vs %v)", expr, av, bv)
 	}
 	if av > bv*slack {
 		return fmt.Errorf("gate FAILED: %s ns/op %.4g > %s ns/op %.4g × %.2f = %.4g",
-			a.Name, av, b.Name, bv, slack, bv*slack)
+			a, av, b, bv, slack, bv*slack)
 	}
-	fmt.Fprintf(w, "gate ok: %s ns/op %.4g <= %s ns/op %.4g × %.2f\n", a.Name, av, b.Name, bv, slack)
+	fmt.Fprintf(w, "gate ok: %s ns/op %.4g <= %s ns/op %.4g × %.2f\n", a, av, b, bv, slack)
 	return nil
 }
 
-// findByName locates a fresh result whose name equals want, ignoring
-// the trailing -GOMAXPROCS decoration.
-func findByName(rs []result, want string) (result, bool) {
+// medianNsPerOp finds the first fresh result whose name equals want,
+// ignoring the trailing -GOMAXPROCS decoration, and returns its full
+// name and the median ns/op over every result of that full name.
+func medianNsPerOp(rs []result, want string) (string, float64, bool) {
+	name := ""
 	for _, r := range rs {
-		name := r.Name
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+		short := r.Name
+		if i := strings.LastIndex(short, "-"); i > 0 {
+			if _, err := strconv.Atoi(short[i+1:]); err == nil {
+				short = short[:i]
 			}
 		}
-		if name == want || r.Name == want {
-			return r, true
+		if short == want || r.Name == want {
+			name = r.Name
+			break
 		}
 	}
-	return result{}, false
+	if name == "" {
+		return "", 0, false
+	}
+	var ns []float64
+	for _, r := range rs {
+		if r.Name == name {
+			ns = append(ns, r.Metrics["ns/op"])
+		}
+	}
+	sort.Float64s(ns)
+	if n := len(ns); n%2 == 0 {
+		return name, (ns[n/2-1] + ns[n/2]) / 2, true
+	}
+	return name, ns[len(ns)/2], true
 }
 
 // parseBench reads `go test -bench` text output into results.

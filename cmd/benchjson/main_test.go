@@ -68,6 +68,38 @@ func TestCheckGate(t *testing.T) {
 	}
 }
 
+// TestGateComparesMedians: a benchmark repeated in the input (the
+// bench-gate loop alternating two sides) is judged by its median
+// ns/op, so one repetition over the bound passes and a median over it
+// fails.
+func TestGateComparesMedians(t *testing.T) {
+	const gate = "BenchmarkTree<=BenchmarkFlat*1.3"
+	render := func(tree []float64) []result {
+		var rs []result
+		for i, v := range tree {
+			rs = append(rs,
+				result{Name: "BenchmarkFlat-2", Metrics: map[string]float64{"ns/op": 100 + float64(i)}},
+				result{Name: "BenchmarkTree-2", Metrics: map[string]float64{"ns/op": v}})
+		}
+		return rs
+	}
+	var sb strings.Builder
+	// One outlier (200 > 1.3 × 102, the flat median): the median of
+	// tree, 105, holds.
+	if err := checkGate(&sb, gate, render([]float64{105, 200, 104, 106, 103})); err != nil {
+		t.Fatalf("one outlier over the bound failed the gate: %v", err)
+	}
+	// Three of five over the bound: the median, 140, is past 132.6.
+	if err := checkGate(&sb, gate, render([]float64{105, 140, 104, 150, 160})); err == nil {
+		t.Fatal("a median over the bound passed the gate")
+	}
+	// An even count takes the mean of the middle two: (130+136)/2 = 133
+	// is past 1.3 × 101.5 = 131.95.
+	if err := checkGate(&sb, gate, render([]float64{120, 130, 136, 150})); err == nil {
+		t.Fatal("an even-count median over the bound passed the gate")
+	}
+}
+
 // TestEveryGateEvaluated: -gate repeats, and a violated gate fails the
 // run without hiding the others — each one is reported.
 func TestEveryGateEvaluated(t *testing.T) {

@@ -5,9 +5,10 @@
 // sub-protocol (renrend -publish's role), and a
 // detection pipeline consuming the merged feed at batch granularity,
 // reconstructing the graph, and flagging Sybils live (detectd's
-// role). Producer 0 also drives an in-process serial Monitor off its
-// simulation — which generates the full event set; each producer only
-// *publishes* its partition — to cross-check the pipeline's verdicts.
+// role). Producer 0 also feeds a second, in-process pipeline straight
+// off its simulation — which generates the full event set; each
+// producer only *publishes* its partition — to cross-check the wire
+// pipeline's verdicts.
 //
 // The broker merges the three producer streams through one global
 // sequencer, holds the downstream eof until all three have closed
@@ -19,7 +20,7 @@
 //	streamed campaign: accounts=3040 (normal=3000 sybil=40) edges=~35000 events=~100000
 //	producer p0: epoch=1 events=~33000 | p1: ... | p2: ...
 //	flagged over the wire: 39 sybils (of 40), 0 normals (of 3000)
-//	serial in-process monitor flagged 39 for comparison
+//	serial in-process pipeline flagged 39 for comparison
 //	feed audit: sent=99535 delivered=99535 (100.0%) evicted_sessions=0
 //
 // The audit line is the delivery contract made visible: delivered
@@ -77,8 +78,8 @@ func main() {
 	// only the actors that hash-partition to their index; the broker's
 	// sequencer merges them into one totally ordered feed. Producer 0
 	// doubles as the reference: its simulation sees every event, so it
-	// drives the serial cross-check monitor too.
-	var monitor *detector.Monitor
+	// drives the serial cross-check pipeline too.
+	var serial *detector.Pipeline
 	var pop0 *agents.Population
 	var prodWG sync.WaitGroup
 	for pi := 0; pi < producers; pi++ {
@@ -100,12 +101,12 @@ func main() {
 			}
 			if pi == 0 {
 				pop0 = pop
-				monitor = detector.NewMonitor(rule, pop.Net.Graph(), nil)
-				// The monitor only consumes the friend-request
+				serial = detector.NewPipeline(rule, pop.Net.Graph())
+				// The pipeline only consumes the friend-request
 				// lifecycle; filtering here skips the feed events at
 				// the dispatch layer.
 				pop.Net.RegisterObserver(osn.FanOut(feed,
-					osn.FilterTypes(monitor.Observe,
+					osn.FilterTypes(serial.Observe,
 						osn.EvFriendRequest, osn.EvFriendAccept, osn.EvFriendReject)))
 			} else {
 				pop.Net.RegisterObserver(feed)
@@ -144,7 +145,7 @@ func main() {
 	fmt.Println(line)
 	fmt.Printf("flagged over the wire: %d sybils (of %d), %d normals (of %d)\n",
 		tp, len(pop0.Sybils), fp, len(pop0.Normals))
-	fmt.Printf("serial in-process monitor flagged %d for comparison\n", monitor.FlaggedCount())
+	fmt.Printf("serial in-process pipeline flagged %d for comparison\n", serial.FlaggedCount())
 	pct := 0.0
 	if st.Broadcast > 0 {
 		pct = 100 * float64(st.Delivered) / float64(st.Broadcast)

@@ -3,8 +3,8 @@
 // befriend users to spam advertisements, both as direct messages and
 // as blog entries that cascade through re-shares ("forwarded across
 // multiple social hops much like retweets"). This example runs the
-// campaign with and without the real-time monitor attached (flag ⇒
-// ban, as deployed on Renren) and measures the spam reach.
+// campaign with and without the real-time detection pipeline attached
+// (flag ⇒ ban, as deployed on Renren) and measures the spam reach.
 package main
 
 import (
@@ -35,11 +35,25 @@ func runCampaign(withDetector bool) outcome {
 			Seed: 8, Normals: 3000, Sybils: 40, Hours: 400, Params: sybilwild.DefaultParams(),
 		})
 		rule := sybilwild.FitRule(pilot.GroundTruth())
-		m := sybilwild.NewMonitor(rule, pop.Net, func(id osn.AccountID, at int64) {
-			pop.Net.Ban(id, at)
+		// The flag hook runs inside the pipeline's Observe, so it only
+		// queues the ban; the observer registered next applies it,
+		// before any later observer sees the triggering request.
+		type ban struct {
+			id osn.AccountID
+			at int64
+		}
+		var pending []ban
+		p := sybilwild.NewPipeline(rule, pop.Net, 5, func(id osn.AccountID, at int64) {
+			pending = append(pending, ban{id, at})
 		})
-		m.CheckEvery = 5
-		pop.Net.RegisterObserver(m.Observe)
+		pop.Net.RegisterObserver(p.Observe)
+		pop.Net.RegisterObserver(func(osn.Event) {
+			for len(pending) > 0 {
+				b := pending[0]
+				pending = pending[1:]
+				pop.Net.Ban(b.id, b.at)
+			}
+		})
 	}
 
 	// Every Sybil publishes one ad blog the moment its account becomes

@@ -190,9 +190,14 @@ func TestAdaptiveSingleClassNoRefit(t *testing.T) {
 }
 
 // TestMonitorOnLiveCampaign is the end-to-end integration test: run
-// the full agent simulation with the real-time monitor attached and a
+// the full agent simulation with the real-time pipeline attached and a
 // ban as the flag action, then check detection quality against ground
-// truth — the pipeline the paper deployed on Renren.
+// truth — the pipeline the paper deployed on Renren. The ban cannot
+// run inside the flag hook: it emits an event the network delivers
+// straight back to the pipeline, whose lock the hook holds. So the hook
+// only queues the flag, and a second observer, registered after the
+// pipeline's, applies the queued bans — still within the dispatch of
+// the request that triggered them.
 func TestMonitorOnLiveCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test in -short mode")
@@ -209,11 +214,24 @@ func TestMonitorOnLiveCampaign(t *testing.T) {
 	pilotDS := features.Labelled(pilot.Net, pilot.Sybils, pilot.Normals)
 	rule := FitRule(pilotDS, PaperRule())
 
-	m := NewMonitor(rule, pop.Net.Graph(), func(id osn.AccountID, at sim.Time) {
-		pop.Net.Ban(id, at)
-	})
-	m.CheckEvery = 5
+	var pending []Flag
+	m := NewPipeline(rule, pop.Net.Graph(), WithCheckEvery(5),
+		WithFlagHook(func(f Flag) { pending = append(pending, f) }))
 	pop.Net.RegisterObserver(m.Observe)
+	pop.Net.RegisterObserver(func(osn.Event) {
+		for len(pending) > 0 {
+			f := pending[0]
+			pending = pending[1:]
+			pop.Net.Ban(f.ID, f.At)
+		}
+	})
+	// The reference watches the same network, starting from the
+	// background friendships already in place.
+	ref := newReference(rule, 5)
+	for _, e := range pop.Net.Graph().Edges() {
+		ref.befriend(e.U, e.V)
+	}
+	pop.Net.RegisterObserver(ref.observe)
 
 	pop.LaunchSybils(50, 100*sim.TicksPerHour)
 	pop.RunFor(400 * sim.TicksPerHour)
@@ -246,13 +264,21 @@ func TestMonitorOnLiveCampaign(t *testing.T) {
 	if banned != caught {
 		t.Errorf("banned %d != flagged %d", banned, caught)
 	}
+	requireMatchesReference(t, "live campaign", m.Flags(), ref)
 }
 
+// TestMonitorFlagsOnce: the deprecated NewMonitor is a pipeline whose
+// hook fires once per account with the triggering request's time.
 func TestMonitorFlagsOnce(t *testing.T) {
 	calls := 0
 	r := Rule{OutAcceptMax: 2, FreqMin: -1, CCMax: 2, MinObserved: 0} // flags everything
 	net := osn.NewNetwork()
-	m := NewMonitor(r, net.Graph(), func(osn.AccountID, sim.Time) { calls++ })
+	m := NewMonitor(r, net.Graph(), func(_ osn.AccountID, at sim.Time) {
+		calls++
+		if at != 1 {
+			t.Errorf("flagged at %d, want the first request's time 1", at)
+		}
+	})
 	a := net.CreateAccount(osn.Female, osn.Sybil, 0)
 	b := net.CreateAccount(osn.Male, osn.Normal, 0)
 	c := net.CreateAccount(osn.Male, osn.Normal, 0)

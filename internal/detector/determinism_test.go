@@ -2,11 +2,9 @@ package detector
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"sybilwild/internal/features"
-	"sybilwild/internal/graph"
 	"sybilwild/internal/osn"
 )
 
@@ -45,73 +43,32 @@ func TestIngestVerdictIgnoresFutureEdges(t *testing.T) {
 	}
 }
 
-// ccWitness wraps a Rule and records what the clustering-coefficient
-// term did, so the determinism matrix can prove it was exercised. CC
-// is only filled in when NeedsCC said the walk was needed, so a
-// non-zero CC reaching Classify is a walk that found triangles.
-type ccWitness struct {
-	Rule
-	nonZero int // evaluations whose CC walk returned > 0
-	vetoed  int // evaluations the CC term alone kept from flagging
-}
-
-func (w *ccWitness) Classify(v features.Vector) bool {
-	if v.CC > 0 {
-		w.nonZero++
-	}
-	flag := w.Rule.Classify(v)
-	if !flag && w.Rule.NeedsCC(v) {
-		w.vetoed++
-	}
-	return flag
-}
-
-// monitorOverGrownGraph is the oracle: the serial Monitor over a graph
-// grown per event — node range, then the accept edge, immediately
-// before the event is observed.
-func monitorOverGrownGraph(c Classifier, events []osn.Event) []osn.AccountID {
-	g := graph.New(0)
-	m := NewMonitor(c, g, nil)
-	for _, ev := range events {
-		if ev.Type == osn.EvFriendRequest || ev.Type == osn.EvFriendAccept {
-			for hi := max(ev.Actor, ev.Target); graph.NodeID(g.NumNodes()) <= hi; {
-				g.AddNode()
-			}
-			if ev.Type == osn.EvFriendAccept && ev.Actor != ev.Target {
-				g.AddEdge(ev.Actor, ev.Target, ev.At)
-			}
-		}
-		m.Observe(ev)
-	}
-	return sortedIDs(m.FlaggedIDs())
-}
-
 // TestVerdictsAreAFunctionOfTheFeed is the determinism matrix: for
 // every campaign seed, chunking and cluster size, K partitioned
 // pipelines fed their osn.PartitionDelivers slices flag in union
-// exactly what the serial Monitor flags over a per-event-grown graph —
-// each account by its owner only. The rule is loose on the counter
-// terms and waits for 200 requests, by which time the campaign's
-// Sybils have been accepted by normals who know each other, so their
-// clustering coefficient hovers around CCMax and is the deciding term
-// for hundreds of evaluations — one edge early or late changes the
-// flag set. The test fails as vacuous otherwise.
+// exactly what the reference flags over the friendships the log's
+// accepts build — each account by its owner only, at the same request
+// and with the same features. The rule is loose on the counter terms
+// and waits for 200 requests, by which time the campaign's Sybils have
+// been accepted by normals who know each other, so their clustering
+// coefficient hovers around CCMax and is the deciding term for
+// hundreds of evaluations — one edge early or late changes the flag
+// set. The test fails as vacuous otherwise.
 func TestVerdictsAreAFunctionOfTheFeed(t *testing.T) {
 	seeds := 32
 	if testing.Short() {
 		seeds = 4
 	}
 	rule := Rule{OutAcceptMax: 0.9, FreqMin: 2, CCMax: 0.03, MinObserved: 200}
-	var witness ccWitness
+	nonZero, vetoed := 0, 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		events := campaignLog(t, seed).Net.Events()
-		oracle := ccWitness{Rule: rule}
-		want := monitorOverGrownGraph(&oracle, events)
-		if len(want) == 0 {
-			t.Fatalf("seed %d: monitor flagged nothing; the matrix is vacuous", seed)
+		ref := newReference(rule, 1).replay(events)
+		if len(ref.flags) == 0 {
+			t.Fatalf("seed %d: reference flagged nothing; the matrix is vacuous", seed)
 		}
-		witness.nonZero += oracle.nonZero
-		witness.vetoed += oracle.vetoed
+		nonZero += ref.ccNonZero
+		vetoed += ref.ccVetoed
 
 		for _, k := range []int{1, 2, 3} {
 			slices := make([][]osn.Event, k)
@@ -120,28 +77,26 @@ func TestVerdictsAreAFunctionOfTheFeed(t *testing.T) {
 			}
 			for _, chunk := range []int{1, 256, len(events)} {
 				label := fmt.Sprintf("seed=%d K=%d chunk=%d", seed, k, chunk)
-				var got []osn.AccountID
+				var got []Flag
 				for part, slice := range slices {
 					p := NewPipeline(rule, nil, WithGraphReconstruction(), WithPartition(part, k))
 					feedChunks(p, slice, chunk)
 					p.Close()
-					for _, id := range p.FlaggedIDs() {
-						if osn.Partition(id, k) != part {
-							t.Fatalf("%s: partition %d flagged account %d, owned by %d", label, part, id, osn.Partition(id, k))
+					for _, f := range p.Flags() {
+						if osn.Partition(f.ID, k) != part {
+							t.Fatalf("%s: partition %d flagged account %d, owned by %d", label, part, f.ID, osn.Partition(f.ID, k))
 						}
-						got = append(got, id)
+						got = append(got, f)
 					}
 				}
-				if got = sortedIDs(got); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: flag set differs from the serial monitor's:\n got %v\nwant %v", label, got, want)
-				}
+				requireMatchesReference(t, label, got, ref)
 			}
 		}
 	}
-	if witness.nonZero == 0 || witness.vetoed == 0 {
+	if nonZero == 0 || vetoed == 0 {
 		t.Fatalf("CC term not exercised (%d non-zero walks, %d CC-decided verdicts); the matrix is vacuous",
-			witness.nonZero, witness.vetoed)
+			nonZero, vetoed)
 	}
 	t.Logf("%d seeds: %d evaluations walked to a non-zero CC, %d were decided by CC alone",
-		seeds, witness.nonZero, witness.vetoed)
+		seeds, nonZero, vetoed)
 }

@@ -10,19 +10,20 @@ import (
 	"sybilwild/internal/sim"
 )
 
-// Pipeline is the production form of Monitor: the same per-account
-// rule, evaluated each time an account sends a friend request, plus
-// what a deployed worker needs around it — batch ingestion stamped
-// with stream sequences, a cluster partition gate, a reconstructed
-// friendship graph, and consistent snapshots (snapshot.go).
+// Pipeline is the real-time detector: it keeps per-account feature
+// state from a live event feed and evaluates the rule each time an
+// account sends a friend request — the earliest signal there is, since
+// it needs no response from the recipient — plus what a deployed
+// worker needs around it: batch ingestion stamped with stream
+// sequences, a cluster partition gate, a reconstructed friendship
+// graph, and consistent snapshots (snapshot.go).
 //
 // It is synchronous. Ingest applies each event, in feed order, on the
 // caller's goroutine: grow the graph, update the counters, evaluate
 // the sender if due, record the flag and fire the hook — then the next
 // event. A verdict therefore depends only on the events that precede
 // its trigger in the feed, never on how the feed was chunked or
-// scheduled, and equals what the serial Monitor decides over a graph
-// grown the same way. Scale-out is by partition: K pipelines, each
+// scheduled. Scale-out is by partition: K pipelines, each
 // WithPartition(i, K) and fed its osn.PartitionDelivers slice, flag in
 // union exactly what one unpartitioned pipeline flags.
 //
@@ -118,8 +119,19 @@ func WithShards(int) PipelineOption {
 	return func(*Pipeline) {}
 }
 
-// WithCheckEvery evaluates an account every n-th request it sends,
-// like Monitor.CheckEvery (values < 1 normalize to 1).
+// NewMonitor builds a pipeline over g whose hook reports the flagged
+// account and the time of its triggering request to onFlag (non-nil).
+//
+// Deprecated: the serial Monitor is gone; use NewPipeline, WithFlagHook
+// and Observe. The constructor survives only because benchmark/ still
+// calls it, and is deleted together with that call site. No non-test
+// code in the root module may call it.
+func NewMonitor(c Classifier, g *graph.Graph, onFlag func(osn.AccountID, sim.Time)) *Pipeline {
+	return NewPipeline(c, g, WithFlagHook(func(f Flag) { onFlag(f.ID, f.At) }))
+}
+
+// WithCheckEvery evaluates an account every n-th request it sends
+// (values < 1 normalize to 1, every request).
 func WithCheckEvery(n int) PipelineOption {
 	return func(p *Pipeline) { p.checkEvery = n }
 }
@@ -128,9 +140,11 @@ func WithCheckEvery(n int) PipelineOption {
 // the ingesting goroutine, before the Ingest call that carried the
 // triggering request returns (and before any later event is applied).
 // The hook runs with the pipeline's lock held, so it must not call back
-// into the pipeline; to act on the network, record the flag and apply
-// it from the producer side, as TestMonitorOnLiveCampaign's ban action
-// does.
+// into the pipeline — and acting on a network the pipeline observes
+// does, because the network delivers the resulting event to Observe.
+// To act on the network, have the hook record the flag and apply it
+// from an observer registered after Observe, as
+// TestMonitorOnLiveCampaign's ban action does.
 func WithFlagHook(fn func(Flag)) PipelineOption {
 	return func(p *Pipeline) { p.onFlag = fn }
 }
@@ -215,8 +229,16 @@ func (p *Pipeline) Ingest(b Batch) {
 	}
 }
 
-// apply is Monitor.Observe plus graph reconstruction and the partition
-// gate. Caller holds p.mu.
+// Observe applies one event, as a one-event Ingest: wire it to a live
+// network with net.RegisterObserver(p.Observe). Observe after Close
+// panics.
+func (p *Pipeline) Observe(ev osn.Event) {
+	p.Ingest(Batch{Events: []osn.Event{ev}})
+}
+
+// apply folds one event into the state and judges its sender if due:
+// the admission gate, graph reconstruction, the counters, the
+// partition gate, the check cadence and the rule. Caller holds p.mu.
 func (p *Pipeline) apply(ev osn.Event) {
 	if !admits(ev, &p.skipped) {
 		return

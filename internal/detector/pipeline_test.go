@@ -1,6 +1,7 @@
 package detector
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 
 	"sybilwild/internal/agents"
 	"sybilwild/internal/features"
+	"sybilwild/internal/graph"
 	"sybilwild/internal/osn"
 	"sybilwild/internal/sim"
 	"sybilwild/internal/stats"
@@ -53,41 +55,46 @@ func sortedIDs(ids []osn.AccountID) []osn.AccountID {
 	return ids
 }
 
-// TestPipelineMatchesMonitor is the equivalence test the pipeline
-// hangs on: replaying one event stream over one static graph, it must
-// flag exactly the set the serial Monitor flags, at any chunking
-// (one event per Ingest, odd chunks, wire-batch chunks, the whole feed
-// at once) and sampling rate.
-func TestPipelineMatchesMonitor(t *testing.T) {
-	pop := campaignLog(t, 31)
-	events := pop.Net.Events()
-	g := pop.Net.Graph()
-	rule := FitRule(features.Labelled(pop.Net, pop.Sybils, pop.Normals), PaperRule())
+// referenceOver returns a reference judging every checkEvery-th
+// request over g's friendships as they stand, frozen: the counterpart
+// of a pipeline over a caller's finished graph.
+func referenceOver(rule Rule, checkEvery int, g *graph.Graph) *reference {
+	ref := newReference(rule, checkEvery)
+	for _, e := range g.Edges() {
+		ref.befriend(e.U, e.V)
+	}
+	ref.frozen = true
+	return ref
+}
 
-	for _, checkEvery := range []int{1, 3} {
-		m := NewMonitor(rule, g, nil)
-		m.CheckEvery = checkEvery
-		for _, ev := range events {
-			m.Observe(ev)
-		}
-		want := sortedIDs(m.FlaggedIDs())
-		if len(want) == 0 {
-			t.Fatalf("checkEvery=%d: monitor flagged nothing; equivalence test is vacuous", checkEvery)
-		}
-
-		for _, chunk := range []int{1, 7, 256, len(events)} {
-			p := NewPipeline(rule, g, WithCheckEvery(checkEvery))
-			feedChunks(p, events, chunk)
-			p.Close()
-			got := sortedIDs(p.FlaggedIDs())
-			if len(got) != len(want) {
-				t.Fatalf("chunk=%d checkEvery=%d: pipeline flagged %d, monitor %d",
-					chunk, checkEvery, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("chunk=%d checkEvery=%d: flagged sets differ at %d: %d vs %d",
-						chunk, checkEvery, i, got[i], want[i])
+// TestPipelineMatchesReference is the equivalence test the pipeline
+// hangs on: replaying a campaign's event log, it must flag exactly the
+// accounts the reference flags, at the same requests and with the same
+// feature values, at any chunking (one event per Ingest, odd chunks,
+// wire-batch chunks, the whole feed at once) and check cadence — both
+// over the campaign's finished graph and over the graph it rebuilds
+// from the log's accepts.
+func TestPipelineMatchesReference(t *testing.T) {
+	for _, seed := range []int64{31, 47, 53, 61, 67, 73, 83, 89, 97} {
+		pop := campaignLog(t, seed)
+		events := pop.Net.Events()
+		g := pop.Net.Graph()
+		rule := FitRule(features.Labelled(pop.Net, pop.Sybils, pop.Normals), PaperRule())
+		for _, checkEvery := range []int{1, 3, 5} {
+			for _, rebuild := range []bool{false, true} {
+				ref, opts := referenceOver(rule, checkEvery, g), []PipelineOption{WithCheckEvery(checkEvery)}
+				if rebuild {
+					ref, opts = newReference(rule, checkEvery), append(opts, WithGraphReconstruction())
+				}
+				ref.replay(events)
+				if len(ref.flags) == 0 {
+					t.Fatalf("seed=%d checkEvery=%d rebuild=%v: reference flagged nothing; the test is vacuous", seed, checkEvery, rebuild)
+				}
+				for _, chunk := range []int{1, 7, 256, len(events)} {
+					p := NewPipeline(rule, g, opts...)
+					feedChunks(p, events, chunk)
+					p.Close()
+					requireMatchesReference(t, fmt.Sprintf("seed=%d checkEvery=%d rebuild=%v chunk=%d", seed, checkEvery, rebuild, chunk), p.Flags(), ref)
 				}
 			}
 		}
@@ -97,8 +104,8 @@ func TestPipelineMatchesMonitor(t *testing.T) {
 // TestPipelineGraphReconstruction feeds a triangle-free synthetic
 // stream (CC is identically zero, so graph-growth timing cannot change
 // any verdict) and checks the reconstruction mode: the owned graph
-// ends up identical in size to the source network's, and the flagged
-// set still matches the serial Monitor exactly.
+// ends up identical in size to the source network's, and the flags
+// still match the reference exactly.
 func TestPipelineGraphReconstruction(t *testing.T) {
 	net := osn.NewNetwork()
 	const accounts = 400
@@ -121,12 +128,7 @@ func TestPipelineGraphReconstruction(t *testing.T) {
 		net.RespondFriendRequest(to, from, true, at+sim.Time(i)*sim.TicksPerHour+5)
 	}
 	rule := PaperRule()
-
-	m := NewMonitor(rule, net.Graph(), nil)
-	for _, ev := range net.Events() {
-		m.Observe(ev)
-	}
-	want := sortedIDs(m.FlaggedIDs())
+	ref := newReference(rule, 1).replay(net.Events())
 
 	p := NewPipeline(rule, nil, WithGraphReconstruction())
 	ingestEach(p, net.Events()...)
@@ -138,51 +140,15 @@ func TestPipelineGraphReconstruction(t *testing.T) {
 	if got, src := p.Graph().NumNodes(), net.Graph().NumNodes(); got > src {
 		t.Errorf("reconstructed %d nodes, source has %d", got, src)
 	}
-	got := sortedIDs(p.FlaggedIDs())
-	if len(got) != len(want) {
-		t.Fatalf("reconstruction flagged %d, monitor %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("flagged sets differ: %v vs %v", got, want)
-		}
-	}
-	if len(want) == 0 || want[0] != 0 {
+	requireMatchesReference(t, "reconstruction", p.Flags(), ref)
+	if want := verdictIDs(ref.verdicts()); len(want) == 0 || want[0] != 0 {
 		t.Fatalf("expected the bursty account 0 flagged, got %v", want)
 	}
 }
 
-// TestMonitorCheckEveryEdgeCases: 0 and negative CheckEvery normalize
-// to 1 (every request evaluated), and flagged accounts are never
-// re-evaluated.
-func TestMonitorCheckEveryEdgeCases(t *testing.T) {
-	for _, every := range []int{0, -3} {
-		net := osn.NewNetwork()
-		a := net.CreateAccount(osn.Female, osn.Sybil, 0)
-		for i := 0; i < 5; i++ {
-			net.CreateAccount(osn.Male, osn.Normal, 0)
-		}
-		cc := &countingClassifier{inner: Rule{OutAcceptMax: 2, FreqMin: -1, CCMax: 2, MinObserved: 3}}
-		m := NewMonitor(cc, net.Graph(), nil)
-		m.CheckEvery = every
-		net.RegisterObserver(m.Observe)
-		for i := 1; i <= 5; i++ {
-			net.SendFriendRequest(a, osn.AccountID(i), sim.Time(i))
-		}
-		// Every one of the 5 requests must have been evaluated; the rule
-		// fires on the 3rd (MinObserved), after which the account is
-		// skipped without consulting the classifier.
-		if got := cc.calls; got != 3 {
-			t.Errorf("CheckEvery=%d: classify calls = %d, want 3 (evaluate every request, stop once flagged)", every, got)
-		}
-		if !m.Flagged(a) {
-			t.Errorf("CheckEvery=%d: account not flagged", every)
-		}
-	}
-}
-
-// TestPipelineCheckEveryEdgeCases mirrors the Monitor edge cases on
-// the Pipeline.
+// TestPipelineCheckEveryEdgeCases: 0 and negative WithCheckEvery
+// normalize to 1 (every request evaluated), and flagged accounts are
+// never re-evaluated.
 func TestPipelineCheckEveryEdgeCases(t *testing.T) {
 	for _, every := range []int{0, -3} {
 		net := osn.NewNetwork()
@@ -192,13 +158,16 @@ func TestPipelineCheckEveryEdgeCases(t *testing.T) {
 		}
 		cc := &countingClassifier{inner: Rule{OutAcceptMax: 2, FreqMin: -1, CCMax: 2, MinObserved: 3}}
 		p := NewPipeline(cc, net.Graph(), WithCheckEvery(every))
-		net.RegisterObserver(func(ev osn.Event) { ingestEach(p, ev) })
+		net.RegisterObserver(p.Observe)
 		for i := 1; i <= 5; i++ {
 			net.SendFriendRequest(a, osn.AccountID(i), sim.Time(i))
 		}
 		p.Close()
+		// Every one of the 5 requests must have been evaluated; the rule
+		// fires on the 3rd (MinObserved), after which the account is
+		// skipped without consulting the classifier.
 		if got := cc.calls; got != 3 {
-			t.Errorf("CheckEvery=%d: classify calls = %d, want 3", every, got)
+			t.Errorf("CheckEvery=%d: classify calls = %d, want 3 (evaluate every request, stop once flagged)", every, got)
 		}
 		if !p.Flagged(a) {
 			t.Errorf("CheckEvery=%d: account not flagged", every)
@@ -305,22 +274,17 @@ func TestPipelineConcurrentStress(t *testing.T) {
 	p.Close() // idempotent
 }
 
-// TestIngestMatchesMonitorWithBarriers: batch ingestion with Snapshot
-// cuts through the middle of the trace must flag exactly the set the
-// serial Monitor flags — a snapshot reads state, it never moves it.
-func TestIngestMatchesMonitorWithBarriers(t *testing.T) {
+// TestIngestMatchesReferenceWithBarriers: batch ingestion with
+// Snapshot cuts through the middle of the trace must flag exactly what
+// the reference flags — a snapshot reads state, it never moves it.
+func TestIngestMatchesReferenceWithBarriers(t *testing.T) {
 	pop := campaignLog(t, 83)
 	events := pop.Net.Events()
 	g := pop.Net.Graph()
 	rule := FitRule(features.Labelled(pop.Net, pop.Sybils, pop.Normals), PaperRule())
-
-	m := NewMonitor(rule, g, nil)
-	for _, ev := range events {
-		m.Observe(ev)
-	}
-	want := sortedIDs(m.FlaggedIDs())
-	if len(want) == 0 {
-		t.Fatal("monitor flagged nothing; equivalence test is vacuous")
+	ref := referenceOver(rule, 1, g).replay(events)
+	if len(ref.flags) == 0 {
+		t.Fatal("reference flagged nothing; equivalence test is vacuous")
 	}
 
 	p := NewPipeline(rule, g)
@@ -342,15 +306,7 @@ func TestIngestMatchesMonitorWithBarriers(t *testing.T) {
 	if cuts != 3 {
 		t.Fatalf("took %d mid-trace snapshots, want 3", cuts)
 	}
-	got := sortedIDs(p.FlaggedIDs())
-	if len(got) != len(want) {
-		t.Fatalf("pipeline flagged %d, monitor %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("flagged sets differ at %d: %d vs %d", i, got[i], want[i])
-		}
-	}
+	requireMatchesReference(t, "barriers", p.Flags(), ref)
 }
 
 // TestIngestConcurrentStress hammers the batch path from many

@@ -558,6 +558,7 @@ func TestRelayRejectsProducers(t *testing.T) {
 		t.Fatalf("publish into the root: %v", err)
 	}
 	pub.Abort()
+	waitClients(t, root, 1) // the relay's upstream session: a root closed before it is up ends the relay with an error
 	root.Close()
 	if err := edge.Wait(); err != nil {
 		t.Fatalf("relay did not end cleanly: %v", err)
@@ -587,6 +588,7 @@ func TestRelaySnapshotRendezvousAtEdge(t *testing.T) {
 	if err != nil || seq != 42 || string(data) != "edge-held" {
 		t.Fatalf("edge rendezvous returned (%d, %q, %v), want (42, edge-held, nil)", seq, data, err)
 	}
+	waitClients(t, root, 1) // the relay's upstream session
 	root.Close()
 	if err := edge.Wait(); err != nil {
 		t.Fatalf("relay did not end cleanly: %v", err)

@@ -280,10 +280,11 @@ func (p *killableProxy) Close() {
 
 // TestSubscribeResumesAcrossKillNoFlagDivergence is the satellite
 // end-to-end check: stream a full Sybil campaign log to a subscriber
-// feeding a Monitor, kill the connection mid-stream (Subscribe must
-// transparently resume), and require the flag set to match a serial
-// Monitor replay of the same log exactly — any lost or duplicated
-// event would shift a feature counter and diverge the verdicts.
+// feeding a detection pipeline, kill the connection mid-stream
+// (Subscribe must transparently resume), and require the flag set to
+// match a serial pipeline replay of the same log exactly — any lost or
+// duplicated event would shift a feature counter and diverge the
+// verdicts.
 func TestSubscribeResumesAcrossKillNoFlagDivergence(t *testing.T) {
 	pop := agents.NewPopulation(17, agents.DefaultParams())
 	pop.Bootstrap(800)
@@ -294,12 +295,10 @@ func TestSubscribeResumesAcrossKillNoFlagDivergence(t *testing.T) {
 	rule := detector.Rule{OutAcceptMax: 0.5, FreqMin: 20, CCMax: 0.05, MinObserved: 10}
 
 	// Reference: serial replay, no network.
-	ref := detector.NewMonitor(rule, g, nil)
-	for _, ev := range events {
-		ref.Observe(ev)
-	}
+	ref := detector.NewPipeline(rule, g)
+	ref.Ingest(detector.Batch{Events: events})
 	if ref.FlaggedCount() == 0 {
-		t.Fatal("reference monitor flagged nothing; divergence test is vacuous")
+		t.Fatal("serial replay flagged nothing; divergence test is vacuous")
 	}
 
 	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(len(events)+16))
@@ -310,7 +309,7 @@ func TestSubscribeResumesAcrossKillNoFlagDivergence(t *testing.T) {
 	proxy := newKillableProxy(t, s.Addr())
 	defer proxy.Close()
 
-	live := detector.NewMonitor(rule, g, nil)
+	live := detector.NewPipeline(rule, g)
 	var received atomic.Int64
 	killAt := int64(len(events) / 3)
 	done := make(chan error, 1)

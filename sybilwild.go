@@ -49,8 +49,8 @@ type (
 	Rule = detector.Rule
 	// AdaptiveDetector is the feedback-tuned threshold detector.
 	AdaptiveDetector = detector.Adaptive
-	// Monitor is the real-time detection pipeline.
-	Monitor = detector.Monitor
+	// Pipeline is the real-time detection pipeline.
+	Pipeline = detector.Pipeline
 	// SVMConfig holds SVM training hyperparameters.
 	SVMConfig = svm.Config
 	// ExperimentReport is one experiment's rendered output + metrics.
@@ -126,10 +126,22 @@ func ExtractFeatures(net *Network, ids []AccountID) []FeatureVector {
 	return features.Extract(net, ids)
 }
 
-// NewMonitor builds the real-time detection pipeline over a live
-// network; attach it with net.RegisterObserver(m.Observe).
-func NewMonitor(c detector.Classifier, net *Network, onFlag func(AccountID, int64)) *Monitor {
-	return detector.NewMonitor(c, net.Graph(), onFlag)
+// NewPipeline builds the real-time detection pipeline over a live
+// network, judging an account on every checkEvery-th friend request it
+// sends; attach it with net.RegisterObserver(p.Observe). onFlag, if
+// not nil, is called once per flagged account with the triggering
+// request's time, inside p.Observe and with the pipeline's lock held.
+// It must not act on net directly: a ban emits an event that net
+// delivers straight back to p.Observe, which then deadlocks. Have
+// onFlag record the flag, and apply it from an observer registered
+// after p.Observe — the ban still lands within the dispatch of the
+// request that triggered it.
+func NewPipeline(c detector.Classifier, net *Network, checkEvery int, onFlag func(AccountID, int64)) *Pipeline {
+	opts := []detector.PipelineOption{detector.WithCheckEvery(checkEvery)}
+	if onFlag != nil {
+		opts = append(opts, detector.WithFlagHook(func(f detector.Flag) { onFlag(f.ID, f.At) }))
+	}
+	return detector.NewPipeline(c, net.Graph(), opts...)
 }
 
 // TrainSVM trains the from-scratch SVM; labels are ±1 with +1 = Sybil.
