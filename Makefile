@@ -157,8 +157,8 @@ profile-live:
 	@echo "profiles written: live-cpu.pprof live-mem.pprof (binary: stream.test), wire-cpu.pprof wire-mem.pprof (binary: wire.test)"
 
 # Size per package of the root module: code lines (non-blank, not a
-# `//` comment) and physical lines of the non-test Go files — the
-# counts ROADMAP and CHANGES quote.
+# `//` comment) and physical lines of the non-test Go files, then the
+# module's total — the counts ROADMAP and CHANGES quote.
 loc:
 	@printf '%6s %6s  %s\n' code lines package
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
@@ -166,7 +166,7 @@ loc:
 		[ -n "$$files" ] || continue; \
 		awk -v pkg="$$pkg" '{ s = $$0; sub(/^[ \t]+/, "", s); if (s != "" && substr(s, 1, 2) != "//") n++ } \
 			END { printf "%6d %6d  %s\n", n, NR, pkg }' $$files; \
-	done
+	done | awk '{ print; code += $$1; lines += $$2 } END { printf "%6d %6d  total\n", code, lines }'
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -133,8 +133,11 @@ func BenchmarkAblationSimVsTopo(b *testing.B) {
 		pop.Bootstrap(5000)
 		pop.LaunchSybils(60, 100*sim.TicksPerHour)
 		pop.RunFor(400 * sim.TicksPerHour)
-		mask := pop.Net.SybilMask()
 		g := pop.Net.Graph()
+		mask := make([]bool, g.NumNodes())
+		for _, id := range pop.Sybils {
+			mask[id] = true
+		}
 		with := 0
 		for _, id := range pop.Sybils {
 			for _, e := range g.Neighbors(id) {
@@ -251,7 +254,8 @@ func BenchmarkAblationCCWindow(b *testing.B) {
 	b.Run("FullNeighbourhood", func(b *testing.B) {
 		var acc float64
 		for i := 0; i < b.N; i++ {
-			acc += g.LocalClustering(ids[i%len(ids)])
+			id := ids[i%len(ids)]
+			acc += g.ClusteringFirstK(id, g.Degree(id))
 		}
 		_ = acc
 	})

@@ -60,9 +60,6 @@ func (a *Adaptive) Audit(v features.Vector, isSybil bool) {
 	}
 }
 
-// AuditCount returns the number of samples currently in the window.
-func (a *Adaptive) AuditCount() int { return len(a.samples) }
-
 func (a *Adaptive) refit() {
 	// Need both classes present to fit anything meaningful.
 	var nSyb int

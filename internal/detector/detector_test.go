@@ -173,8 +173,8 @@ func TestAdaptiveWindowBound(t *testing.T) {
 		a.Audit(sybilVec(), true)
 		a.Audit(normalVec(), false)
 	}
-	if a.AuditCount() > 50 {
-		t.Fatalf("window exceeded: %d", a.AuditCount())
+	if len(a.samples) > 50 {
+		t.Fatalf("window exceeded: %d", len(a.samples))
 	}
 }
 
@@ -236,15 +236,16 @@ func TestMonitorOnLiveCampaign(t *testing.T) {
 	pop.LaunchSybils(50, 100*sim.TicksPerHour)
 	pop.RunFor(400 * sim.TicksPerHour)
 
+	flagged := flaggedSet(m)
 	caught := 0
 	for _, id := range pop.Sybils {
-		if m.Flagged(id) {
+		if flagged[id] {
 			caught++
 		}
 	}
 	fp := 0
 	for _, id := range pop.Normals {
-		if m.Flagged(id) {
+		if flagged[id] {
 			fp++
 		}
 	}
@@ -288,7 +289,7 @@ func TestMonitorFlagsOnce(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("OnFlag calls = %d, want 1", calls)
 	}
-	if !m.Flagged(a) || m.FlaggedCount() != 1 {
+	if !flaggedSet(m)[a] || m.FlaggedCount() != 1 {
 		t.Fatal("flag state wrong")
 	}
 	if len(m.FlaggedIDs()) != 1 || m.FlaggedIDs()[0] != a {

@@ -36,10 +36,10 @@ func ExamplePipeline_Ingest() {
 	p.Close()
 
 	fmt.Println("accounts tracked:", p.Tracked())
-	fmt.Println("account 1 flagged:", p.Flagged(1))
+	fmt.Println("flagged:", p.FlaggedIDs())
 	fmt.Println("total flagged:", p.FlaggedCount())
 	// Output:
 	// accounts tracked: 31
-	// account 1 flagged: true
+	// flagged: [1]
 	// total flagged: 1
 }

@@ -111,8 +111,8 @@ func TestPartitionedSnapshotRoundTrip(t *testing.T) {
 	if resume != uint64(cut)+1 {
 		t.Fatalf("resume seq = %d, want %d", resume, cut+1)
 	}
-	if gotPart, gotParts := p2.Partition(); gotPart != part || gotParts != parts {
-		t.Fatalf("restored pipeline evaluates partition %d/%d, want %d/%d", gotPart, gotParts, part, parts)
+	if p2.part != part || p2.parts != parts {
+		t.Fatalf("restored pipeline evaluates partition %d/%d, want %d/%d", p2.part, p2.parts, part, parts)
 	}
 	p2.Ingest(Batch{Events: slice[cut:]})
 	p2.Close()

@@ -309,18 +309,6 @@ func (p *Pipeline) Seq() uint64 {
 	return p.lastSeq
 }
 
-// Partition returns the pipeline's cluster partition (part, parts);
-// parts == 0 means unpartitioned.
-func (p *Pipeline) Partition() (part, parts int) { return p.part, p.parts }
-
-// Flagged reports whether an account has been flagged.
-func (p *Pipeline) Flagged(id osn.AccountID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.flagged[id]
-	return ok
-}
-
 // FlaggedCount returns the number of flagged accounts so far.
 func (p *Pipeline) FlaggedCount() int {
 	p.mu.Lock()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sybilwild/internal/agents"
@@ -48,6 +47,15 @@ func ingestEach(p *Pipeline, events ...osn.Event) {
 	for i := range events {
 		p.Ingest(Batch{Events: events[i : i+1]})
 	}
+}
+
+// flaggedSet returns the pipeline's flagged accounts as a set.
+func flaggedSet(p *Pipeline) map[osn.AccountID]bool {
+	set := map[osn.AccountID]bool{}
+	for _, id := range p.FlaggedIDs() {
+		set[id] = true
+	}
+	return set
 }
 
 func sortedIDs(ids []osn.AccountID) []osn.AccountID {
@@ -169,7 +177,7 @@ func TestPipelineCheckEveryEdgeCases(t *testing.T) {
 		if got := cc.calls; got != 3 {
 			t.Errorf("CheckEvery=%d: classify calls = %d, want 3 (evaluate every request, stop once flagged)", every, got)
 		}
-		if !p.Flagged(a) {
+		if !flaggedSet(p)[a] {
 			t.Errorf("CheckEvery=%d: account not flagged", every)
 		}
 	}
@@ -246,7 +254,6 @@ func TestPipelineConcurrentStress(t *testing.T) {
 		}(w)
 	}
 	stop := make(chan struct{})
-	var polls atomic.Int64
 	go func() {
 		for {
 			select {
@@ -254,7 +261,7 @@ func TestPipelineConcurrentStress(t *testing.T) {
 				return
 			default:
 				_ = p.FlaggedCount()
-				_ = p.Flagged(osn.AccountID(polls.Add(1) % accounts))
+				_ = p.FlaggedIDs()
 			}
 		}
 	}()

@@ -104,7 +104,7 @@ func TestRebalanceSnapshotsLiveEquivalence(t *testing.T) {
 			if resume != uint64(cut)+1 {
 				t.Fatalf("%d->%d: resume = %d, want %d", c.from, c.to, resume, cut+1)
 			}
-			part, parts := p2.Partition()
+			part, parts := p2.part, p2.parts
 			p2.Ingest(Batch{Events: partitionSlice(events[cut:], part, parts)})
 			p2.Close()
 			for _, id := range p2.FlaggedIDs() {

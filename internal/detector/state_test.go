@@ -9,6 +9,14 @@ import (
 	"sybilwild/internal/paged"
 )
 
+// slots is the number of elements s's allocated pages hold: Each
+// visits every one of them.
+func slots[T any](s *paged.Slab[T]) int {
+	n := 0
+	s.Each(func(int, *T) { n++ })
+	return n
+}
+
 // TestDetectorStateAllocBudget is the tier-1 form of sybilbench's
 // detector-direct alloc_bytes_per_ev: a 20k-account campaign shaped
 // like the benchmark's, split by osn.PartitionDelivers into K=2
@@ -97,10 +105,10 @@ func TestOutlierAccountIDCostsOnePage(t *testing.T) {
 		{Type: osn.EvFriendRequest, At: 1, Actor: 1, Target: 2},
 		{Type: osn.EvFriendRequest, At: 2, Actor: outlier, Target: 2},
 	}})
-	if !p.Flagged(1) || !p.Flagged(outlier) {
+	if f := flaggedSet(p); !f[1] || !f[outlier] {
 		t.Fatalf("flagged %v, want accounts 1 and %d", p.FlaggedIDs(), outlier)
 	}
-	if got := p.eval.Cap(); got != 2*paged.PageSize {
+	if got := slots(&p.eval); got != 2*paged.PageSize {
 		t.Fatalf("evaluation state holds %d slots for 2 far-apart accounts, want 2 pages (%d)", got, 2*paged.PageSize)
 	}
 	snap := p.Snapshot()
@@ -111,7 +119,7 @@ func TestOutlierAccountIDCostsOnePage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.eval.Cap(); got != 2*paged.PageSize {
+	if got := slots(&r.eval); got != 2*paged.PageSize {
 		t.Fatalf("restored evaluation state holds %d slots, want %d", got, 2*paged.PageSize)
 	}
 }

@@ -103,16 +103,3 @@ func (r *Runner) Run(id string) (Report, error) {
 		return Report{}, fmt.Errorf("experiments: unknown id %q (known: %v)", id, IDs())
 	}
 }
-
-// RunAll executes every experiment in paper order.
-func (r *Runner) RunAll() ([]Report, error) {
-	var out []Report
-	for _, id := range IDs() {
-		rep, err := r.Run(id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}

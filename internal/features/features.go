@@ -9,8 +9,6 @@
 package features
 
 import (
-	"math"
-
 	"sybilwild/internal/graph"
 	"sybilwild/internal/osn"
 	"sybilwild/internal/paged"
@@ -247,14 +245,4 @@ func (d Dataset) Matrix() ([][]float64, []float64) {
 		}
 	}
 	return x, y
-}
-
-// LogCC returns log10(cc) clamped at a floor, the transform used when
-// plotting Figure 4's log-scaled axis.
-func LogCC(cc float64) float64 {
-	const floor = 1e-6
-	if cc < floor {
-		cc = floor
-	}
-	return math.Log10(cc)
 }

@@ -193,18 +193,6 @@ func TestLabelledDataset(t *testing.T) {
 	}
 }
 
-func TestLogCC(t *testing.T) {
-	if LogCC(0.01) != -2 {
-		t.Fatalf("LogCC(0.01) = %v", LogCC(0.01))
-	}
-	if LogCC(0) != -6 {
-		t.Fatalf("LogCC(0) = %v (floor)", LogCC(0))
-	}
-	if math.IsInf(LogCC(0), 0) {
-		t.Fatal("LogCC unbounded")
-	}
-}
-
 func TestPerWindowBoundaries(t *testing.T) {
 	// span exactly one window: still 1 window (inclusive partial).
 	if got := perWindow(6, 59, 60); got != 6 {

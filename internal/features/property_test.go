@@ -12,6 +12,14 @@ import (
 	"sybilwild/internal/stats"
 )
 
+// slots is the number of elements s's allocated pages hold: Each
+// visits every one of them.
+func slots[T any](s *paged.Slab[T]) int {
+	n := 0
+	s.Each(func(int, *T) { n++ })
+	return n
+}
+
 // TestStreamingEqualsBatchUnderRandomTraffic is the invariant the
 // real-time deployment rests on: the streaming tracker must compute
 // exactly the same vectors as batch extraction over the finished log,
@@ -205,7 +213,7 @@ func TestTrackerMatchesMapModel(t *testing.T) {
 func TestTrackerOutlierIDCostsOnePage(t *testing.T) {
 	tr := NewTracker(graph.New(0))
 	tr.Update(osn.Event{Type: osn.EvFriendRequest, At: 1, Actor: 1 << 24, Target: 7})
-	if got := tr.acct.Cap(); got != 2*paged.PageSize {
+	if got := slots(&tr.acct); got != 2*paged.PageSize {
 		t.Fatalf("counters hold %d slots for 2 far-apart accounts, want 2 pages (%d)", got, 2*paged.PageSize)
 	}
 	if v := tr.VectorOf(1 << 24); v.OutSent != 1 || tr.Tracked() != 2 {

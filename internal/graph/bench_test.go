@@ -61,7 +61,7 @@ func BenchmarkMaxFlow(b *testing.B) {
 	g := benchGraph(b, 2000, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.MaxFlow(0, NodeID(1000+i%500), 1)
+		constFlow(g, 0, NodeID(1000+i%500), 1)
 	}
 }
 

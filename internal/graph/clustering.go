@@ -2,17 +2,13 @@ package graph
 
 import "math/bits"
 
-// LocalClustering returns the clustering coefficient of u over its full
-// neighbourhood: the fraction of pairs of u's neighbours that are
-// themselves connected. Nodes with degree < 2 have coefficient 0.
-func (g *Graph) LocalClustering(u NodeID) float64 {
-	return g.clusteringOver(g.Neighbors(u))
-}
-
 // ClusteringFirstK returns the clustering coefficient computed over
 // only the first k friends of u in edge-creation order, the metric the
 // paper uses (Figure 4, k = 50) so the detector can act before an
-// account finishes building its friend list.
+// account finishes building its friend list. The coefficient is the
+// fraction of pairs of the selected friends that are themselves
+// connected, 0 with fewer than two; k ≥ degree covers the whole
+// neighbourhood.
 func (g *Graph) ClusteringFirstK(u NodeID, k int) float64 {
 	nbrs := g.Neighbors(u)
 	if len(nbrs) > k {
@@ -36,8 +32,8 @@ func (g *Graph) clusteringOver(nbrs []Edge) float64 {
 	// open-addressing table (-1 marks a free slot; node IDs are never
 	// negative) with a power-of-two slot count that keeps it under half
 	// full. For a small selection it lives on this call's stack — the
-	// graph owns no scratch, so concurrent reads stay safe; only the
-	// unbounded LocalClustering path allocates one.
+	// graph owns no scratch, so concurrent reads stay safe; only a
+	// larger selection allocates one.
 	var small [128]NodeID
 	table := small[:]
 	if n > smallSet {
@@ -69,21 +65,4 @@ func (g *Graph) clusteringOver(nbrs []Edge) float64 {
 	}
 	pairs := n * (n - 1) / 2
 	return float64(links/2) / float64(pairs)
-}
-
-// AverageClustering returns the mean LocalClustering over all nodes
-// with degree ≥ 2, or 0 if no such node exists.
-func (g *Graph) AverageClustering() float64 {
-	var sum float64
-	n := 0
-	for u := range g.adj {
-		if len(g.adj[u]) >= 2 {
-			sum += g.LocalClustering(NodeID(u))
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

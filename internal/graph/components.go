@@ -44,9 +44,6 @@ func (uf *UnionFind) Union(x, y int) bool {
 	return true
 }
 
-// SetSize returns the size of x's set.
-func (uf *UnionFind) SetSize(x int) int { return int(uf.size[uf.Find(x)]) }
-
 // Components labels every node with a component index in [0, k) and
 // returns the label slice plus per-component sizes, computed with
 // union-find. Component indices are assigned in increasing order of the

@@ -203,18 +203,27 @@ func TestUnionFind(t *testing.T) {
 	if uf.Find(0) != uf.Find(2) {
 		t.Fatal("0 and 2 not joined")
 	}
-	if uf.SetSize(1) != 3 {
-		t.Fatalf("SetSize = %d", uf.SetSize(1))
+	size := 0
+	for x := 0; x < 5; x++ {
+		if uf.Find(x) == uf.Find(1) {
+			size++
+		}
+	}
+	if size != 3 {
+		t.Fatalf("set of 1 has %d members, want 3", size)
 	}
 	if uf.Find(3) == uf.Find(0) {
 		t.Fatal("3 spuriously joined")
 	}
 }
 
+// fullCC is the clustering coefficient over u's whole neighbourhood.
+func fullCC(g *Graph, u NodeID) float64 { return g.ClusteringFirstK(u, g.Degree(u)) }
+
 func TestClusteringComplete(t *testing.T) {
 	g := complete(5)
 	for u := 0; u < 5; u++ {
-		if cc := g.LocalClustering(NodeID(u)); cc != 1 {
+		if cc := fullCC(g, NodeID(u)); cc != 1 {
 			t.Fatalf("cc of complete graph node = %v", cc)
 		}
 	}
@@ -227,10 +236,10 @@ func TestClusteringStar(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		g.AddEdge(0, NodeID(i), int64(i))
 	}
-	if cc := g.LocalClustering(0); cc != 0 {
+	if cc := fullCC(g, 0); cc != 0 {
 		t.Fatalf("hub cc = %v", cc)
 	}
-	if cc := g.LocalClustering(1); cc != 0 {
+	if cc := fullCC(g, 1); cc != 0 {
 		t.Fatalf("degree-1 cc = %v", cc)
 	}
 }
@@ -243,7 +252,7 @@ func TestClusteringTriangle(t *testing.T) {
 	g.AddEdge(0, 2, 2)
 	g.AddEdge(0, 3, 3)
 	g.AddEdge(1, 2, 4)
-	if cc := g.LocalClustering(0); cc != 1.0/3.0 {
+	if cc := fullCC(g, 0); cc != 1.0/3.0 {
 		t.Fatalf("cc = %v, want 1/3", cc)
 	}
 }
@@ -263,7 +272,7 @@ func TestClusteringFirstK(t *testing.T) {
 		t.Fatalf("first-3 cc = %v, want 1/3", cc)
 	}
 	// k larger than degree falls back to full neighbourhood.
-	if cc := g.ClusteringFirstK(0, 50); cc != g.LocalClustering(0) {
+	if cc := g.ClusteringFirstK(0, 50); cc != 1.0/3.0 {
 		t.Fatal("k>deg mismatch with full clustering")
 	}
 }
@@ -274,7 +283,7 @@ func TestClusteringRangeProperty(t *testing.T) {
 		n := 3 + r.Intn(40)
 		g := randomGraph(r, n, r.Intn(4*n))
 		for u := 0; u < n; u++ {
-			cc := g.LocalClustering(NodeID(u))
+			cc := fullCC(g, NodeID(u))
 			if cc < 0 || cc > 1 {
 				t.Fatalf("cc out of range: %v", cc)
 			}
@@ -321,8 +330,8 @@ func TestClusteringMatchesPairCount(t *testing.T) {
 			} else {
 				small++
 			}
-			if got, want := g.LocalClustering(NodeID(u)), byPairs(g, nbrs); got != want {
-				t.Fatalf("trial %d node %d (degree %d): LocalClustering %v, pair count %v", trial, u, len(nbrs), got, want)
+			if got, want := fullCC(g, NodeID(u)), byPairs(g, nbrs); got != want {
+				t.Fatalf("trial %d node %d (degree %d): full-neighbourhood cc %v, pair count %v", trial, u, len(nbrs), got, want)
 			}
 			for _, k := range []int{2, 7, smallSet} {
 				if got, want := g.ClusteringFirstK(NodeID(u), k), byPairs(g, nbrs[:min(k, len(nbrs))]); got != want {
@@ -434,70 +443,17 @@ func TestInducedPreservesTimeOrder(t *testing.T) {
 	}
 }
 
-func TestCutOf(t *testing.T) {
-	// Two triangles joined by one bridge.
-	g := New(6)
-	g.AddNodes(6)
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(1, 2, 0)
-	g.AddEdge(2, 0, 0)
-	g.AddEdge(3, 4, 0)
-	g.AddEdge(4, 5, 0)
-	g.AddEdge(5, 3, 0)
-	g.AddEdge(0, 3, 0) // bridge
-	member := []bool{true, true, true, false, false, false}
-	cs := g.CutOf(member)
-	if cs.Internal != 3 || cs.Cut != 1 {
-		t.Fatalf("cut stats = %+v", cs)
-	}
-}
-
-func TestConductance(t *testing.T) {
-	g := New(6)
-	g.AddNodes(6)
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(1, 2, 0)
-	g.AddEdge(2, 0, 0)
-	g.AddEdge(3, 4, 0)
-	g.AddEdge(4, 5, 0)
-	g.AddEdge(5, 3, 0)
-	g.AddEdge(0, 3, 0)
-	member := []bool{true, true, true, false, false, false}
-	// vol(S)=7, cut=1, conductance = 1/7.
-	got := g.Conductance(member)
-	if got != 1.0/7.0 {
-		t.Fatalf("conductance = %v, want 1/7", got)
-	}
-	// Degenerate sets.
-	if g.Conductance(make([]bool, 6)) != 1 {
-		t.Fatal("empty set conductance != 1")
-	}
-	all := []bool{true, true, true, true, true, true}
-	if g.Conductance(all) != 1 {
-		t.Fatal("full set conductance != 1")
-	}
-}
-
-func TestAudience(t *testing.T) {
-	// Sybils {0,1} both attack normal node 2; 1 also attacks 3.
-	g := New(4)
-	g.AddNodes(4)
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(0, 2, 0)
-	g.AddEdge(1, 2, 0)
-	g.AddEdge(1, 3, 0)
-	member := []bool{true, true, false, false}
-	if a := g.Audience(member); a != 2 {
-		t.Fatalf("audience = %d, want 2", a)
-	}
+// constFlow is the max flow from s to t with capacity c on every edge.
+func constFlow(g *Graph, s, t NodeID, c int) int {
+	return g.MaxFlowFunc(s, t, func(NodeID, NodeID) int { return c })
 }
 
 func TestMaxFlowPath(t *testing.T) {
 	g := path(5)
-	if f := g.MaxFlow(0, 4, 1); f != 1 {
+	if f := constFlow(g, 0, 4, 1); f != 1 {
 		t.Fatalf("path flow = %d, want 1", f)
 	}
-	if f := g.MaxFlow(0, 4, 3); f != 3 {
+	if f := constFlow(g, 0, 4, 3); f != 3 {
 		t.Fatalf("path flow cap3 = %d, want 3", f)
 	}
 }
@@ -506,7 +462,7 @@ func TestMaxFlowComplete(t *testing.T) {
 	g := complete(4)
 	// Between any two nodes of K4 with unit capacities: 3 edge-disjoint
 	// paths (direct + two 2-hop).
-	if f := g.MaxFlow(0, 3, 1); f != 3 {
+	if f := constFlow(g, 0, 3, 1); f != 3 {
 		t.Fatalf("K4 flow = %d, want 3", f)
 	}
 }
@@ -516,10 +472,10 @@ func TestMaxFlowDisconnected(t *testing.T) {
 	g.AddNodes(4)
 	g.AddEdge(0, 1, 0)
 	g.AddEdge(2, 3, 0)
-	if f := g.MaxFlow(0, 3, 5); f != 0 {
+	if f := constFlow(g, 0, 3, 5); f != 0 {
 		t.Fatalf("disconnected flow = %d", f)
 	}
-	if f := g.MaxFlow(0, 0, 1); f != 0 {
+	if f := constFlow(g, 0, 0, 1); f != 0 {
 		t.Fatalf("s==t flow = %d", f)
 	}
 }
@@ -534,7 +490,7 @@ func TestMaxFlowBoundedByMinDegreeProperty(t *testing.T) {
 		if s == tn {
 			continue
 		}
-		f := g.MaxFlow(s, tn, 1)
+		f := constFlow(g, s, tn, 1)
 		bound := g.Degree(s)
 		if g.Degree(tn) < bound {
 			bound = g.Degree(tn)
@@ -674,25 +630,6 @@ func TestSnowballBiasPrefersPopular(t *testing.T) {
 		t.Fatalf("bias=1 sample less popular than bias=0: %v < %v", meanDeg(1), meanDeg(0))
 	}
 	_ = r
-}
-
-func TestTopKByDegree(t *testing.T) {
-	g := New(4)
-	g.AddNodes(4)
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(0, 2, 0)
-	g.AddEdge(0, 3, 0)
-	g.AddEdge(1, 2, 0)
-	top := g.TopKByDegree(2)
-	if top[0] != 0 {
-		t.Fatalf("top[0] = %d", top[0])
-	}
-	if len(top) != 2 {
-		t.Fatalf("len = %d", len(top))
-	}
-	if got := g.TopKByDegree(100); len(got) != 4 {
-		t.Fatalf("k>n len = %d", len(got))
-	}
 }
 
 func TestDegrees(t *testing.T) {

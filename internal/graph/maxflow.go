@@ -1,16 +1,11 @@
 package graph
 
-// MaxFlow computes the maximum integer flow from s to t treating every
-// undirected edge of g as a pair of directed edges with the given unit
-// capacity, using Dinic's algorithm. The SumUp baseline uses it to
-// bound the number of votes (flow) the Sybil region can push to the
-// vote collector.
-func (g *Graph) MaxFlow(s, t NodeID, capacity int) int {
-	return g.MaxFlowFunc(s, t, func(NodeID, NodeID) int { return capacity })
-}
-
-// MaxFlowFunc is MaxFlow with per-edge capacities: capOf is consulted
-// once per undirected edge and applies in both directions.
+// MaxFlowFunc computes the maximum integer flow from s to t treating
+// every undirected edge of g as a pair of directed edges, using
+// Dinic's algorithm. capOf is consulted once per undirected edge and
+// applies in both directions. The SumUp baseline uses it to bound the
+// number of votes (flow) the Sybil region can push to the vote
+// collector.
 func (g *Graph) MaxFlowFunc(s, t NodeID, capOf func(u, v NodeID) int) int {
 	if s == t {
 		return 0

@@ -190,22 +190,3 @@ func (g *Graph) Snowball(r *stats.Rand, seeds []NodeID, want int, bias float64) 
 	}
 	return out
 }
-
-// TopKByDegree returns the k highest-degree nodes (ties broken by ID).
-func (g *Graph) TopKByDegree(k int) []NodeID {
-	ids := make([]NodeID, g.NumNodes())
-	for i := range ids {
-		ids[i] = NodeID(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		da, db := g.Degree(ids[a]), g.Degree(ids[b])
-		if da != db {
-			return da > db
-		}
-		return ids[a] < ids[b]
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	return ids[:k]
-}

@@ -72,15 +72,6 @@ func (n *Network) ShareBlog(sharer AccountID, id BlogID, at sim.Time) error {
 	return nil
 }
 
-// BlogSharers returns how many accounts (author included) have shared
-// the entry.
-func (n *Network) BlogSharers(id BlogID) int {
-	if int(id) < 0 || int(id) >= len(n.blogs) {
-		return 0
-	}
-	return len(n.blogs[id].sharers)
-}
-
 // BlogAudience returns the entry's current reach: the number of
 // distinct accounts with at least one sharer among their friends
 // (sharers themselves excluded).
@@ -98,22 +89,4 @@ func (n *Network) BlogAudience(id BlogID) int {
 		}
 	}
 	return len(seen)
-}
-
-// CanSee reports whether the user currently sees the blog in their
-// feed (a friend has shared it) or is a sharer themselves.
-func (n *Network) CanSee(user AccountID, id BlogID) bool {
-	if int(id) < 0 || int(id) >= len(n.blogs) {
-		return false
-	}
-	b := &n.blogs[id]
-	if _, ok := b.sharers[user]; ok {
-		return true
-	}
-	for _, e := range n.g.Neighbors(user) {
-		if _, ok := b.sharers[e.To]; ok {
-			return true
-		}
-	}
-	return false
 }

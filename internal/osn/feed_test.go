@@ -22,20 +22,18 @@ func TestPostBlogVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !net.CanSee(0, id) {
-		t.Fatal("author cannot see own blog")
+	// A sharer already: the author's own re-share is a duplicate.
+	if err := net.ShareBlog(0, id, 11); err != ErrReshared {
+		t.Fatalf("author re-share err = %v, want ErrReshared", err)
 	}
-	if !net.CanSee(1, id) {
-		t.Fatal("friend cannot see blog")
-	}
-	if net.CanSee(2, id) {
-		t.Fatal("2-hop user sees unshared blog")
-	}
-	if net.BlogSharers(id) != 1 {
-		t.Fatalf("sharers = %d", net.BlogSharers(id))
+	if err := net.ShareBlog(2, id, 11); err != ErrNotVisible {
+		t.Fatalf("2-hop user sees unshared blog: share err = %v", err)
 	}
 	if net.BlogAudience(id) != 1 {
 		t.Fatalf("audience = %d, want 1 (only node 1)", net.BlogAudience(id))
+	}
+	if err := net.ShareBlog(1, id, 12); err != nil {
+		t.Fatalf("friend cannot see blog: share err = %v", err)
 	}
 }
 
@@ -50,14 +48,16 @@ func TestShareCascadeExtendsReach(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Now 2 can see and share; the cascade hops outward.
-	if !net.CanSee(2, id) {
-		t.Fatal("cascade did not extend visibility")
-	}
 	if err := net.ShareBlog(2, id, 13); err != nil {
-		t.Fatal(err)
+		t.Fatalf("cascade did not extend visibility: %v", err)
 	}
-	if net.BlogSharers(id) != 3 {
-		t.Fatalf("sharers = %d", net.BlogSharers(id))
+	for _, u := range []AccountID{0, 1, 2} {
+		if err := net.ShareBlog(u, id, 14); err != ErrReshared {
+			t.Fatalf("account %d re-share err = %v, want ErrReshared (a sharer)", u, err)
+		}
+	}
+	if err := net.ShareBlog(4, id, 14); err != ErrNotVisible {
+		t.Fatalf("account 4 share err = %v, want ErrNotVisible", err)
 	}
 	// Audience: nodes 3 (friend of sharer 2); 0,1,2 are sharers.
 	if net.BlogAudience(id) != 1 {
@@ -112,7 +112,7 @@ func TestFeedEventsLogged(t *testing.T) {
 
 func TestBlogQueriesOutOfRange(t *testing.T) {
 	net := chainNet(t, 2)
-	if net.BlogSharers(5) != 0 || net.BlogAudience(5) != 0 || net.CanSee(0, 5) {
-		t.Fatal("out-of-range blog queries not zero")
+	if net.BlogAudience(5) != 0 {
+		t.Fatal("out-of-range blog audience not zero")
 	}
 }

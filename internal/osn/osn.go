@@ -288,9 +288,6 @@ func (n *Network) RespondFriendRequest(to, from AccountID, accept bool, at sim.T
 // Callers must not modify the returned slice.
 func (n *Network) PendingFor(to AccountID) []PendingRequest { return n.pendingIn[to] }
 
-// Friends returns id's friendships in creation order.
-func (n *Network) Friends(id AccountID) []graph.Edge { return n.g.Neighbors(id) }
-
 // SendMessage records a message (the spam-delivery surface).
 func (n *Network) SendMessage(from, to AccountID, at sim.Time) error {
 	if n.accounts[from].Banned {
@@ -331,14 +328,4 @@ func Restore(accounts []Account, edges []graph.EdgeTriple, events []Event) *Netw
 	}
 	n.events = append(n.events, events...)
 	return n
-}
-
-// SybilMask returns a ground-truth membership mask over all accounts
-// (true where Kind == Sybil), sized for the current graph.
-func (n *Network) SybilMask() []bool {
-	mask := make([]bool, len(n.accounts))
-	for i := range n.accounts {
-		mask[i] = n.accounts[i].Kind == Sybil
-	}
-	return mask
 }

@@ -41,8 +41,8 @@ func TestFriendRequestLifecycleAccept(t *testing.T) {
 	if !n.Graph().HasEdge(a, b) {
 		t.Fatal("edge missing after accept")
 	}
-	if n.Friends(a)[0].Time != 25 {
-		t.Fatalf("edge time = %d, want response time 25", n.Friends(a)[0].Time)
+	if got := n.Graph().Neighbors(a)[0].Time; got != 25 {
+		t.Fatalf("edge time = %d, want response time 25", got)
 	}
 	evs := n.Events()
 	if len(evs) != 2 || evs[0].Type != EvFriendRequest || evs[1].Type != EvFriendAccept {
@@ -186,14 +186,6 @@ func TestPendingArrivalOrder(t *testing.T) {
 		if p.From != senders[i] {
 			t.Fatalf("pending order = %+v", pend)
 		}
-	}
-}
-
-func TestSybilMask(t *testing.T) {
-	n, _, b := twoAccounts()
-	mask := n.SybilMask()
-	if mask[0] || !mask[b] {
-		t.Fatalf("mask = %v", mask)
 	}
 }
 

@@ -20,8 +20,7 @@ type Slab[T any] struct {
 	// pages is the page directory: nil where no index of the page has
 	// been touched, so one outlier index costs one page plus directory
 	// pointers, not an array up to it.
-	pages     []*[PageSize]T
-	allocated int
+	pages []*[PageSize]T
 }
 
 // At returns a pointer to element i, allocating its page if this is
@@ -35,7 +34,6 @@ func (s *Slab[T]) At(i int) *T {
 	if pg == nil {
 		pg = new([PageSize]T)
 		s.pages[p] = pg
-		s.allocated++
 	}
 	return &pg[i&(PageSize-1)]
 }
@@ -62,6 +60,3 @@ func (s *Slab[T]) Each(fn func(i int, v *T)) {
 		}
 	}
 }
-
-// Cap returns the number of elements the allocated pages hold.
-func (s *Slab[T]) Cap() int { return s.allocated * PageSize }

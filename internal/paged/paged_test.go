@@ -2,6 +2,14 @@ package paged
 
 import "testing"
 
+// slots is the number of elements the slab's allocated pages hold:
+// Each visits every one of them.
+func slots[T any](s *Slab[T]) int {
+	n := 0
+	s.Each(func(int, *T) { n++ })
+	return n
+}
+
 // TestSlabPointersSurviveGrowth: an element never moves, so a pointer
 // taken before the slab grew by many pages still addresses the element
 // At returns afterwards.
@@ -18,8 +26,8 @@ func TestSlabPointersSurviveGrowth(t *testing.T) {
 	if s.Peek(3) != first {
 		t.Fatal("Peek and At disagree on element 3")
 	}
-	if got, want := s.Cap(), 64*PageSize; got != want {
-		t.Fatalf("Cap %d after touching 64 pages, want %d", got, want)
+	if got, want := slots(&s), 64*PageSize; got != want {
+		t.Fatalf("%d slots after touching 64 pages, want %d", got, want)
 	}
 }
 
@@ -32,12 +40,12 @@ func TestSlabZeroValueAndPeek(t *testing.T) {
 			t.Fatalf("Peek(%d) on an empty slab is not nil", i)
 		}
 	}
-	if s.Cap() != 0 {
-		t.Fatalf("empty slab has Cap %d", s.Cap())
+	if slots(&s) != 0 {
+		t.Fatalf("empty slab has %d slots", slots(&s))
 	}
 	s.At(5*PageSize + 1).b = 9
-	if s.Cap() != PageSize {
-		t.Fatalf("one far element allocated %d slots, want one page (%d)", s.Cap(), PageSize)
+	if slots(&s) != PageSize {
+		t.Fatalf("one far element allocated %d slots, want one page (%d)", slots(&s), PageSize)
 	}
 	for _, i := range []int{0, 4*PageSize + 1, 6 * PageSize, -1} {
 		if s.Peek(i) != nil {
@@ -47,7 +55,7 @@ func TestSlabZeroValueAndPeek(t *testing.T) {
 	if p := s.Peek(5 * PageSize); p == nil || *p != (struct{ a, b int64 }{}) {
 		t.Fatalf("untouched neighbour on a touched page: %v, want a zero element", p)
 	}
-	if s.Cap() != PageSize {
+	if slots(&s) != PageSize {
 		t.Fatal("Peek allocated a page")
 	}
 }

@@ -10,9 +10,11 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Schedule(Time(i%1024), nop)
 		if i%1024 == 1023 {
-			e.RunAll()
+			for e.Step() {
+			}
 		}
 	}
 	b.StopTimer()
-	e.RunAll()
+	for e.Step() {
+	}
 }

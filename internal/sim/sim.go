@@ -26,17 +26,10 @@ type Engine struct {
 	pq  eventHeap
 	now Time
 	seq uint64
-	ran int
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// Executed returns the number of events executed so far.
-func (e *Engine) Executed() int { return e.ran }
-
-// Pending returns the number of scheduled-but-unexecuted events.
-func (e *Engine) Pending() int { return len(e.pq) }
 
 // Schedule runs do at absolute time at. Scheduling in the past (before
 // Now) clamps to Now: the event runs at the current time, after events
@@ -65,7 +58,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.pq).(event)
 	e.now = ev.at
-	e.ran++
 	ev.do()
 	return true
 }
@@ -81,16 +73,6 @@ func (e *Engine) Run(until Time) int {
 	}
 	if e.now < until {
 		e.now = until
-	}
-	return ran
-}
-
-// RunAll drains the queue completely and returns the number of events
-// executed.
-func (e *Engine) RunAll() int {
-	ran := 0
-	for e.Step() {
-		ran++
 	}
 	return ran
 }

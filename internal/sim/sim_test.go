@@ -11,7 +11,8 @@ func TestScheduleOrder(t *testing.T) {
 	e.Schedule(30, func() { got = append(got, 3) })
 	e.Schedule(10, func() { got = append(got, 1) })
 	e.Schedule(20, func() { got = append(got, 2) })
-	e.RunAll()
+	for e.Step() {
+	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v", got)
 	}
@@ -27,7 +28,8 @@ func TestFIFOWithinSameTick(t *testing.T) {
 		i := i
 		e.Schedule(5, func() { got = append(got, i) })
 	}
-	e.RunAll()
+	for e.Step() {
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-tick order broken: %v", got)
@@ -44,7 +46,8 @@ func TestPastSchedulingClamps(t *testing.T) {
 	}
 	fired := int64(-1)
 	e.Schedule(50, func() { fired = e.Now() })
-	e.RunAll()
+	for e.Step() {
+	}
 	if fired != 100 {
 		t.Fatalf("past event fired at %d, want 100", fired)
 	}
@@ -59,14 +62,16 @@ func TestAfter(t *testing.T) {
 			}
 		})
 	})
-	e.RunAll()
+	for e.Step() {
+	}
 }
 
 func TestAfterNegativeClamps(t *testing.T) {
 	var e Engine
 	ran := false
 	e.After(-10, func() { ran = true })
-	e.RunAll()
+	for e.Step() {
+	}
 	if !ran || e.Now() != 0 {
 		t.Fatalf("negative After mishandled: ran=%v now=%d", ran, e.Now())
 	}
@@ -86,12 +91,8 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 12 {
 		t.Fatalf("Now = %d, want 12 (clock advances to until)", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
-	e.Run(100)
-	if len(got) != 4 {
-		t.Fatalf("remaining events not run: %v", got)
+	if n := e.Run(100); n != 2 || len(got) != 4 {
+		t.Fatalf("ran %d of the 2 pending events: %v", n, got)
 	}
 }
 
@@ -106,15 +107,18 @@ func TestEventsScheduleEvents(t *testing.T) {
 		}
 	}
 	e.Schedule(0, tick)
-	e.RunAll()
+	steps := 0
+	for e.Step() {
+		steps++
+	}
 	if count != 100 {
 		t.Fatalf("count = %d", count)
 	}
 	if e.Now() != 99 {
 		t.Fatalf("Now = %d", e.Now())
 	}
-	if e.Executed() != 100 {
-		t.Fatalf("Executed = %d", e.Executed())
+	if steps != 100 {
+		t.Fatalf("executed %d events, want 100", steps)
 	}
 }
 
@@ -129,7 +133,8 @@ func TestTimeMonotoneProperty(t *testing.T) {
 			}
 			e.Schedule(at, func() { fired = append(fired, e.Now()) })
 		}
-		e.RunAll()
+		for e.Step() {
+		}
 		for i := 1; i < len(fired); i++ {
 			if fired[i] < fired[i-1] {
 				return false

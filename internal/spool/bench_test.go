@@ -19,10 +19,12 @@ func BenchmarkSpoolAppend(b *testing.B) {
 	}
 	defer sp.Close()
 	ev := [1]osn.Event{{Type: osn.EvFriendRequest, At: 1, Actor: 2, Target: 3}}
+	var frame []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sp.Append(uint64(i)+1, ev[:]); err != nil {
+		frame = wire.AppendBatch(frame[:0], uint64(i)+1, ev[:])
+		if _, err := sp.AppendFrame(uint64(i)+1, 1, frame); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,8 +44,10 @@ func BenchmarkSpoolRead(b *testing.B) {
 	}
 	defer sp.Close()
 	ev := [1]osn.Event{{Type: osn.EvFriendRequest, At: 1, Actor: 2, Target: 3}}
+	var frame []byte
 	for i := 0; i < b.N; i++ {
-		if _, err := sp.Append(uint64(i)+1, ev[:]); err != nil {
+		frame = wire.AppendBatch(frame[:0], uint64(i)+1, ev[:])
+		if _, err := sp.AppendFrame(uint64(i)+1, 1, frame); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,7 +67,6 @@ import (
 	"sync"
 	"time"
 
-	"sybilwild/internal/osn"
 	"sybilwild/internal/wire"
 )
 
@@ -95,7 +94,7 @@ var ErrPruned = errors.New("spool: sequence pruned from retention")
 // directory is left exactly as it was found.
 var ErrJSONFrames = errors.New("spool: directory holds v2 JSON frames; this build reads binary v3 frames only")
 
-// ErrBroken is returned by Append after a write error has poisoned
+// ErrBroken is returned by AppendFrame after a write error has poisoned
 // the spool; the store never silently drops a batch mid-stream.
 var ErrBroken = errors.New("spool: store broken by earlier write error")
 
@@ -190,7 +189,6 @@ type Spool struct {
 	flushed   int64      // bytes of the active segment visible to readers
 	openedAt  time.Time  // active segment creation time (age-based rolling)
 	end       uint64     // last sequence appended (0 when empty)
-	scratch   []byte     // frame encode buffer
 	errSticky error      // first write failure; poisons future appends
 }
 
@@ -211,9 +209,6 @@ func Open(dir string, opts ...Option) (*Spool, error) {
 	}
 	return s, nil
 }
-
-// Dir returns the spool's directory.
-func (s *Spool) Dir() string { return s.dir }
 
 func (s *Spool) segPath(first uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("spool-%020d.log", first))
@@ -431,30 +426,19 @@ func (b *byteReader) frame() ([]byte, error) {
 	return payload, nil
 }
 
-// Append stores a batch of events with first sequence first. Batches
-// must be contiguous: first must equal End()+1 (any starting sequence
-// is accepted on an empty spool). It reports whether the append
-// sealed a segment — the transport uses that as its cue to run
-// retention. Appends after a write failure return ErrBroken: the
-// spool never hides a hole in the log.
-func (s *Spool) Append(first uint64, events []osn.Event) (rolled bool, err error) {
-	if len(events) == 0 {
-		return false, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.scratch = wire.AppendBatch(s.scratch[:0], first, events)
-	return s.appendFrameLocked(first, len(events), s.scratch)
-}
-
 // AppendFrame stores a pre-encoded batch frame covering n events
 // starting at first. payload must be byte-identical to what
 // wire.AppendBatch(nil, first, events) would emit — the broker's
 // fan-out encodes each batch exactly once under the sequencer and
 // hands the same immutable bytes here and to every subscriber socket,
-// so this entry point skips the re-encode Append would do. The bytes
-// are copied into the segment buffer; the caller keeps ownership of
-// payload. Same contiguity and rolling rules as Append.
+// so the spool never encodes. The bytes are copied into the segment
+// buffer; the caller keeps ownership of payload.
+//
+// Batches must be contiguous: first must equal End()+1 (any starting
+// sequence is accepted on an empty spool). It reports whether the
+// append sealed a segment — the transport uses that as its cue to run
+// retention. Appends after a write failure return ErrBroken: the
+// spool never hides a hole in the log.
 func (s *Spool) AppendFrame(first uint64, n int, payload []byte) (rolled bool, err error) {
 	if n == 0 {
 		return false, nil

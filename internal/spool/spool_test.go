@@ -23,13 +23,19 @@ func testEvent(i int) osn.Event {
 	}
 }
 
+// appendEvents appends events with first sequence first through the
+// production path: one frame encoded by wire.AppendBatch.
+func appendEvents(sp *Spool, first uint64, evs []osn.Event) (rolled bool, err error) {
+	return sp.AppendFrame(first, len(evs), wire.AppendBatch(nil, first, evs))
+}
+
 // appendN appends events with sequences [from, from+n) one batch per
 // call, the shape the transport's Broadcast produces.
 func appendN(t *testing.T, sp *Spool, from uint64, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		seq := from + uint64(i)
-		if _, err := sp.Append(seq, []osn.Event{testEvent(int(seq))}); err != nil {
+		if _, err := appendEvents(sp, seq, []osn.Event{testEvent(int(seq))}); err != nil {
 			t.Fatalf("append seq %d: %v", seq, err)
 		}
 	}
@@ -187,11 +193,11 @@ func TestAppendContiguityEnforced(t *testing.T) {
 	}
 	defer sp.Close()
 	appendN(t, sp, 1, 5)
-	if _, err := sp.Append(7, []osn.Event{testEvent(7)}); err == nil {
+	if _, err := appendEvents(sp, 7, []osn.Event{testEvent(7)}); err == nil {
 		t.Fatal("gap append accepted; spool must enforce contiguity")
 	}
 	// The failed append must not have poisoned the store.
-	if _, err := sp.Append(6, []osn.Event{testEvent(6)}); err != nil {
+	if _, err := appendEvents(sp, 6, []osn.Event{testEvent(6)}); err != nil {
 		t.Fatalf("contiguous append after rejected gap: %v", err)
 	}
 }
@@ -543,11 +549,10 @@ func TestReadFromBoundsChecked(t *testing.T) {
 	}
 }
 
-// TestAppendFrameMatchesAppend pins the pre-encoded entry point
-// against the encoding one: alternating Append and AppendFrame must
-// produce one contiguous log with identical read-back, and the frame
-// path must enforce the same contiguity rule.
-func TestAppendFrameMatchesAppend(t *testing.T) {
+// TestMultiEventFramesContiguous: frames of several events each roll
+// across segments into one contiguous log that reads back whole, and
+// a frame that skips a sequence is refused.
+func TestMultiEventFramesContiguous(t *testing.T) {
 	sp, err := Open(t.TempDir(), WithSegmentBytes(2048))
 	if err != nil {
 		t.Fatal(err)
@@ -556,23 +561,15 @@ func TestAppendFrameMatchesAppend(t *testing.T) {
 	seq := uint64(1)
 	for i := 0; i < 100; i++ {
 		evs := []osn.Event{testEvent(int(seq)), testEvent(int(seq) + 1), testEvent(int(seq) + 2)}
-		if i%2 == 0 {
-			if _, err := sp.Append(seq, evs); err != nil {
-				t.Fatalf("Append seq %d: %v", seq, err)
-			}
-		} else {
-			payload := wire.AppendBatch(nil, seq, evs)
-			if _, err := sp.AppendFrame(seq, len(evs), payload); err != nil {
-				t.Fatalf("AppendFrame seq %d: %v", seq, err)
-			}
+		if _, err := appendEvents(sp, seq, evs); err != nil {
+			t.Fatalf("append seq %d: %v", seq, err)
 		}
 		seq += uint64(len(evs))
 	}
 	if got := drain(t, sp, 1); got != 300 {
 		t.Fatalf("read %d events, want 300", got)
 	}
-	gap := wire.AppendBatch(nil, seq+1, []osn.Event{testEvent(0)})
-	if _, err := sp.AppendFrame(seq+1, 1, gap); err == nil {
+	if _, err := appendEvents(sp, seq+1, []osn.Event{testEvent(0)}); err == nil {
 		t.Fatal("non-contiguous AppendFrame accepted")
 	}
 }
@@ -651,12 +648,12 @@ func TestAppendAfterWriteErrorIsBroken(t *testing.T) {
 	sp.mu.Unlock()
 	var sawErr error
 	for i := 0; i < 100_000 && sawErr == nil; i++ {
-		_, sawErr = sp.Append(sp.End()+1, []osn.Event{testEvent(i)})
+		_, sawErr = appendEvents(sp, sp.End()+1, []osn.Event{testEvent(i)})
 	}
 	if sawErr == nil {
 		t.Fatal("writes to a closed file never surfaced")
 	}
-	if _, err := sp.Append(sp.End()+1, []osn.Event{testEvent(0)}); !errors.Is(err, ErrBroken) {
+	if _, err := appendEvents(sp, sp.End()+1, []osn.Event{testEvent(0)}); !errors.Is(err, ErrBroken) {
 		t.Fatalf("append after failure: err = %v, want ErrBroken", err)
 	}
 }

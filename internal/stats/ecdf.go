@@ -35,22 +35,6 @@ func (e *ECDF) Eval(x float64) float64 {
 // Quantile returns the q-quantile of the sample.
 func (e *ECDF) Quantile(q float64) float64 { return Quantile(e.sorted, q) }
 
-// Min returns the smallest sample value, or 0 for an empty sample.
-func (e *ECDF) Min() float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	return e.sorted[0]
-}
-
-// Max returns the largest sample value, or 0 for an empty sample.
-func (e *ECDF) Max() float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	return e.sorted[len(e.sorted)-1]
-}
-
 // Point is one (x, cumulative-percent) coordinate of a CDF series, as
 // plotted in the paper's figures (y in percent, 0–100).
 type Point struct {
@@ -75,17 +59,6 @@ func (e *ECDF) Points(n int) []Point {
 			X: e.sorted[idx],
 			Y: 100 * float64(idx+1) / float64(len(e.sorted)),
 		})
-	}
-	return pts
-}
-
-// PointsAt evaluates the CDF at the given x positions, returning
-// cumulative percent values. Useful for fixed-grid series like the
-// paper's log-scaled x axes.
-func (e *ECDF) PointsAt(xs []float64) []Point {
-	pts := make([]Point, len(xs))
-	for i, x := range xs {
-		pts[i] = Point{X: x, Y: 100 * e.Eval(x)}
 	}
 	return pts
 }

@@ -35,16 +35,6 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.NormFloat64()*sigma + mu)
 }
 
-// Pareto draws from a Pareto (power-law) distribution with scale xmin
-// and shape alpha: P(X > x) = (xmin/x)^alpha for x ≥ xmin.
-func (r *Rand) Pareto(xmin, alpha float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xmin * math.Pow(u, -1/alpha)
-}
-
 // Bernoulli returns true with probability p.
 func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p

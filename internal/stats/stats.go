@@ -1,7 +1,7 @@
 // Package stats provides the numerical substrate for the sybilwild
-// reproduction: empirical CDFs, histograms, summary statistics,
-// confusion matrices, random variates, and plain-text rendering of the
-// tables and series the paper reports.
+// reproduction: empirical CDFs, summary statistics, confusion
+// matrices, random variates, and plain-text rendering of the tables
+// and series the paper reports.
 //
 // Everything is deterministic given an injected rand source; no global
 // RNG state is consumed anywhere in this package.
@@ -89,32 +89,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// FractionBelow reports the fraction of xs strictly less than v.
-func FractionBelow(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x < v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
-// FractionAtMost reports the fraction of xs less than or equal to v.
-func FractionAtMost(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x <= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }

@@ -65,16 +65,6 @@ func TestQuantilePanics(t *testing.T) {
 	Quantile(nil, 0.5)
 }
 
-func TestFractionBelowAtMost(t *testing.T) {
-	xs := []float64{1, 2, 2, 3}
-	if got := FractionBelow(xs, 2); got != 0.25 {
-		t.Fatalf("FractionBelow = %v", got)
-	}
-	if got := FractionAtMost(xs, 2); got != 0.75 {
-		t.Fatalf("FractionAtMost = %v", got)
-	}
-}
-
 func TestECDFEval(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 3, 4})
 	cases := []struct {
@@ -153,42 +143,6 @@ func TestECDFQuantileInverse(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(-100)
-	h.Add(100)
-	h.Add(5)
-	if h.Total() != 3 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Counts[0] != 1 || h.Counts[4] != 1 || h.Counts[2] != 1 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if got := h.Fraction(2); math.Abs(got-1.0/3.0) > 1e-12 {
-		t.Fatalf("Fraction = %v", got)
-	}
-}
-
-func TestLogBins(t *testing.T) {
-	edges := LogBins(1, 1000, 3)
-	want := []float64{1, 10, 100, 1000}
-	for i := range want {
-		if math.Abs(edges[i]-want[i]) > 1e-9 {
-			t.Fatalf("edges = %v", edges)
-		}
-	}
-}
-
-func TestDegreeDistribution(t *testing.T) {
-	ds, counts := DegreeDistribution([]int{1, 1, 2, 5, 5, 5})
-	if len(ds) != 3 || ds[0] != 1 || ds[1] != 2 || ds[2] != 5 {
-		t.Fatalf("ds = %v", ds)
-	}
-	if counts[0] != 2 || counts[1] != 1 || counts[2] != 3 {
-		t.Fatalf("counts = %v", counts)
 	}
 }
 
@@ -279,26 +233,6 @@ func TestBetaRangeAndMean(t *testing.T) {
 	mean := sum / float64(n)
 	if math.Abs(mean-0.8) > 0.02 {
 		t.Fatalf("beta(8,2) mean = %v, want ~0.8", mean)
-	}
-}
-
-func TestParetoTail(t *testing.T) {
-	r := NewRand(13)
-	n := 50000
-	over := 0
-	for i := 0; i < n; i++ {
-		v := r.Pareto(1, 2)
-		if v < 1 {
-			t.Fatalf("pareto below xmin: %v", v)
-		}
-		if v > 2 {
-			over++
-		}
-	}
-	// P(X>2) = (1/2)^2 = 0.25
-	frac := float64(over) / float64(n)
-	if math.Abs(frac-0.25) > 0.02 {
-		t.Fatalf("pareto tail = %v, want ~0.25", frac)
 	}
 }
 

@@ -101,7 +101,7 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
 			const fanoutBatch = 4 * DefaultMaxBatch // larger frames amortize per-socket syscalls
 			s, err := NewServer("127.0.0.1:0",
-				WithMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch))
+				withMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -276,12 +276,12 @@ func BenchmarkRelayFanout(b *testing.B) {
 	for _, downstream := range []int{0, 64} {
 		b.Run(fmt.Sprintf("root-downstream=%d", downstream), func(b *testing.B) {
 			root, err := NewServer("127.0.0.1:0",
-				WithMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch))
+				withMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch))
 			if err != nil {
 				b.Fatal(err)
 			}
 			edge, err := NewRelay("127.0.0.1:0", root.Addr(),
-				WithRelayServer(WithMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch)))
+				WithRelayServer(withMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch)))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -310,7 +310,7 @@ func BenchmarkRelayFanout(b *testing.B) {
 
 	b.Run("flat-subs=128", func(b *testing.B) {
 		s, err := NewServer("127.0.0.1:0",
-			WithMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch))
+			withMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func BenchmarkRelayFanout(b *testing.B) {
 
 	b.Run("tree-edges=2x64", func(b *testing.B) {
 		root, err := NewServer("127.0.0.1:0",
-			WithMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch))
+			withMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func BenchmarkRelayFanout(b *testing.B) {
 		var done [2]chan int
 		for i := range edges {
 			edges[i], err = NewRelay("127.0.0.1:0", root.Addr(),
-				WithRelayServer(WithMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch)))
+				WithRelayServer(withMaxBatch(fanoutBatch), WithReplayBuffer(b.N+fanoutBatch)))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -48,10 +48,11 @@ func campaignEvents(n int, seed int64) []osn.Event {
 }
 
 // spooledTree brings up publisher-ready root → relay, both spooled and
-// both with a replay window of `window` events.
-func spooledTree(t *testing.T, window int) (root *Server, relay *Relay, rootSpool, relaySpool *spool.Spool) {
+// both with a replay window of `window` events. The spools live in
+// dir/root and dir/relay.
+func spooledTree(t *testing.T, window int) (root *Server, relay *Relay, rootSpool, relaySpool *spool.Spool, dir string) {
 	t.Helper()
-	dir := t.TempDir()
+	dir = t.TempDir()
 	rootSpool, err := spool.Open(filepath.Join(dir, "root"))
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func spooledTree(t *testing.T, window int) (root *Server, relay *Relay, rootSpoo
 	}
 	t.Cleanup(func() { relay.Close() })
 	waitClients(t, root, 1) // the relay's upstream session
-	return root, relay, rootSpool, relaySpool
+	return root, relay, rootSpool, relaySpool, dir
 }
 
 // publishAll feeds evs through pub in order and closes its epoch.
@@ -90,12 +91,11 @@ func publishAll(t *testing.T, pub *Publisher, evs []osn.Event) {
 	}
 }
 
-// checkSpoolFrames closes the spool (flushing what it buffers) and
-// asserts every frame it holds on disk is byte-identical to a fresh
-// canonical encode of the events it covers.
-func checkSpoolFrames(t *testing.T, written *spool.Spool, evs []osn.Event) {
+// checkSpoolFrames closes the spool written in dir (flushing what it
+// buffers) and asserts every frame it holds on disk is byte-identical
+// to a fresh canonical encode of the events it covers.
+func checkSpoolFrames(t *testing.T, written *spool.Spool, dir string, evs []osn.Event) {
 	t.Helper()
-	dir := written.Dir()
 	if err := written.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +144,13 @@ func TestRetainedPayloadsNeverAliasScratch(t *testing.T) {
 	const K, batches = 2, 200
 	const total = batches * DefaultMaxBatch
 	evs := campaignEvents(total, 19)
-	root, relay, rootSpool, relaySpool := spooledTree(t, total+DefaultMaxBatch)
+	root, relay, rootSpool, relaySpool, dir := spooledTree(t, total+DefaultMaxBatch)
 
 	full := dialRawSub(t, relay.Addr(), "slow-full", 0, 0)
 	part := dialRawSub(t, relay.Addr(), "slow-part", 1, K)
 	waitClients(t, relay.Server(), 2)
 
-	pub, err := NewPublisher(root.Addr(), "alias", 1, WithPublishFlushEvery(time.Hour))
+	pub, err := NewPublisher(root.Addr(), "alias", 1, withPublishFlushEvery(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +193,8 @@ func TestRetainedPayloadsNeverAliasScratch(t *testing.T) {
 	if st := relay.Server().Stats(); st.Evicted != 0 {
 		t.Fatalf("relay evicted %d sessions", st.Evicted)
 	}
-	checkSpoolFrames(t, rootSpool, evs)
-	checkSpoolFrames(t, relaySpool, evs)
+	checkSpoolFrames(t, rootSpool, filepath.Join(dir, "root"), evs)
+	checkSpoolFrames(t, relaySpool, filepath.Join(dir, "relay"), evs)
 }
 
 // ackingBroker speaks the broker half of the publish sub-protocol on
@@ -297,7 +297,7 @@ func TestPublisherResendsByteIdentical(t *testing.T) {
 	}()
 
 	pub, err := NewPublisher(ln.Addr().String(), "resend", 1,
-		WithPublishMaxBatch(per), WithPublishWindow(8), WithPublishFlushEvery(time.Hour))
+		withPublishMaxBatch(per), withPublishWindow(8), withPublishFlushEvery(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestPublisherSteadyFlushAllocatesNoPayload(t *testing.T) {
 		}
 		brokerDone <- ackingBroker(conn, 0, func(bseq uint64, _ []byte) (uint64, bool) { return bseq, false })
 	}()
-	pub, err := NewPublisher(ln.Addr().String(), "steady", 1, WithPublishFlushEvery(time.Hour))
+	pub, err := NewPublisher(ln.Addr().String(), "steady", 1, withPublishFlushEvery(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestLivePathAllocBudget(t *testing.T) {
 		liveAllocBudget = 80.0
 	)
 	evs := campaignEvents(warm+measured, 31)
-	root, relay, _, _ := spooledTree(t, DefaultReplayBuffer)
+	root, relay, _, _, _ := spooledTree(t, DefaultReplayBuffer)
 	drainers := drainPartitions(t, relay.Server(), K)
 	pub, err := NewPublisher(root.Addr(), "budget", 1)
 	if err != nil {
@@ -582,9 +582,9 @@ func TestEncodeAccounting(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			leakCheck(t)
-			root, relay, _, _ := spooledTree(t, DefaultReplayBuffer)
+			root, relay, _, _, _ := spooledTree(t, DefaultReplayBuffer)
 			drainers := drainPartitions(t, relay.Server(), K)
-			pub, err := NewPublisher(root.Addr(), "acct", 1, WithPublishFlushEvery(time.Hour))
+			pub, err := NewPublisher(root.Addr(), "acct", 1, withPublishFlushEvery(time.Hour))
 			if err != nil {
 				t.Fatal(err)
 			}

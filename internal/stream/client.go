@@ -14,7 +14,7 @@ import (
 	"sybilwild/internal/wire"
 )
 
-// ErrClosed is returned by Recv/RecvBatch when the server ends the
+// ErrClosed is returned by RecvBatch when the server ends the
 // feed cleanly (eof frame). Any other receive error means the
 // connection was lost and the session can be resumed with DialResume.
 var ErrClosed = errors.New("stream: feed closed")
@@ -25,7 +25,7 @@ var ErrClosed = errors.New("stream: feed closed")
 // loud: consumers must rebuild state rather than continue silently.
 var ErrGap = errors.New("stream: resume window lost")
 
-// ErrRebalanced is returned by Recv/RecvBatch when the broker retires
+// ErrRebalanced is returned by RecvBatch when the broker retires
 // the subscription's partition group shape in a live rebalance: the
 // client has been handed everything it is owed up to the cutover
 // barrier (LastSeq() == barrier once this is returned) and will never
@@ -34,7 +34,7 @@ var ErrGap = errors.New("stream: resume window lost")
 // Rebalanced() reports the barrier and the new group size.
 var ErrRebalanced = errors.New("stream: partition group rebalanced")
 
-// ErrBadFrame is returned by Recv/RecvBatch when the server sends a
+// ErrBadFrame is returned by RecvBatch when the server sends a
 // frame this client cannot decode — an event frame that does not parse,
 // or a control frame that has no place mid-stream. Like ErrGap it is
 // terminal: a resume would only replay the same bytes, so the client
@@ -356,40 +356,10 @@ func (c *Client) control(payload []byte) error {
 	return c.end
 }
 
-// Recv blocks for the next event. It returns ErrClosed on clean end
-// of feed; any other error means the connection died and the session
-// may be resumed.
-func (c *Client) Recv() (osn.Event, error) {
-	if len(c.pending) == 0 {
-		if err := c.fill(); err != nil {
-			return osn.Event{}, err
-		}
-	}
-	ev := c.pending[0]
-	c.pending = c.pending[1:]
-	c.batchSeqs = nil
-	if c.pendingSeqs != nil {
-		c.lastSeq = c.pendingSeqs[0]
-		c.pendingSeqs = c.pendingSeqs[1:]
-		if len(c.pending) == 0 {
-			// Frame drained: the cursor also covers the trailing
-			// foreign events the frame skipped over.
-			if c.frameLast > c.lastSeq {
-				c.lastSeq = c.frameLast
-			}
-			c.pendingSeqs = nil
-		}
-		return ev, nil
-	}
-	c.lastSeq = c.firstSeq
-	c.firstSeq++
-	return ev, nil
-}
-
 // RecvBatch blocks for the next batch of events, handing over whole
 // wire batches so consumers can amortize their own per-event costs
 // (e.g. feeding detector.Pipeline.Ingest). The returned slice is only
-// valid until the next Recv or RecvBatch call.
+// valid until the next RecvBatch call.
 func (c *Client) RecvBatch() ([]osn.Event, error) {
 	if len(c.pending) == 0 {
 		if err := c.fill(); err != nil {
@@ -415,15 +385,11 @@ func (c *Client) RecvBatch() ([]osn.Event, error) {
 // LastSeq()). Partitioned subscriptions need this: their slice of the
 // feed is sparse, so consumers that trim replayed prefixes by
 // sequence arithmetic must use per-event sequences instead. Valid
-// until the next Recv or RecvBatch call.
+// until the next RecvBatch call.
 func (c *Client) LastBatchSeqs() []uint64 { return c.batchSeqs }
 
-// Partition returns the client's partition subscription (part, parts);
-// parts == 0 means the full feed.
-func (c *Client) Partition() (part, parts int) { return c.part, c.parts }
-
 // Rebalanced reports the live-rebalance hand-off, valid once
-// Recv/RecvBatch has returned ErrRebalanced: the cutover barrier (the
+// RecvBatch has returned ErrRebalanced: the cutover barrier (the
 // last sequence this subscription's state may cover) and the new
 // partition group size.
 func (c *Client) Rebalanced() (barrier uint64, nparts int, ok bool) {
@@ -439,12 +405,12 @@ func (c *Client) Close() error {
 }
 
 // Kick severs the connection without touching any client buffers,
-// unblocking a Recv/RecvBatch pending in another goroutine (it
+// unblocking a RecvBatch pending in another goroutine (it
 // returns a connection-loss error, so the session stays resumable).
 // Safe to call concurrently with the owning goroutine's calls.
 func (c *Client) Kick() { c.conn.Close() }
 
-// Interrupt makes a pending (or the next) Recv/RecvBatch fail with a
+// Interrupt makes a pending (or the next) RecvBatch fail with a
 // timeout error while leaving the connection itself usable for writes
 // — unlike Kick, the interrupted loop can still send a final Ack and
 // Close cleanly, which is how a signal handler stops an ingest loop
@@ -454,7 +420,8 @@ func (c *Client) Kick() { c.conn.Close() }
 // to call concurrently with the owning goroutine's calls.
 func (c *Client) Interrupt() { c.conn.SetReadDeadline(time.Now()) }
 
-// Subscribe dials addr and delivers events to fn until the server
+// SubscribeBatch dials addr and delivers the feed to fn, whole wire
+// batches in order (each valid only during the call), until the server
 // ends the feed, transparently resuming the session (exponential
 // backoff, up to maxRetries consecutive failures) when the connection
 // drops mid-stream. Sequence numbers make the combined stream
@@ -464,34 +431,7 @@ func (c *Client) Interrupt() { c.conn.SetReadDeadline(time.Now()) }
 // session (events were irrecoverably lost), one wrapping ErrBadFrame if
 // the server sent a frame the client cannot decode, or the last dial
 // error.
-func Subscribe(addr string, fn func(osn.Event), maxRetries int, opts ...DialOption) error {
-	return subscribe(addr, maxRetries, opts, func(c *Client) error {
-		for {
-			ev, err := c.Recv()
-			if err != nil {
-				return err
-			}
-			fn(ev)
-		}
-	})
-}
-
-// SubscribeBatch is Subscribe at batch granularity: fn receives whole
-// wire batches (valid only during the call), preserving order. Same
-// delivery guarantees and return conventions as Subscribe.
 func SubscribeBatch(addr string, fn func([]osn.Event), maxRetries int, opts ...DialOption) error {
-	return subscribe(addr, maxRetries, opts, func(c *Client) error {
-		for {
-			evs, err := c.RecvBatch()
-			if err != nil {
-				return err
-			}
-			fn(evs)
-		}
-	})
-}
-
-func subscribe(addr string, maxRetries int, opts []DialOption, drain func(*Client) error) error {
 	backoff := 50 * time.Millisecond
 	retries := 0
 	session := ""
@@ -521,7 +461,10 @@ func subscribe(addr string, maxRetries int, opts []DialOption, drain func(*Clien
 		retries = 0
 		backoff = 50 * time.Millisecond
 		session = c.Session()
-		err = drain(c)
+		var evs []osn.Event
+		for evs, err = c.RecvBatch(); err == nil; evs, err = c.RecvBatch() {
+			fn(evs)
+		}
 		last = c.LastSeq()
 		c.Close()
 		if errors.Is(err, ErrClosed) {

@@ -8,8 +8,8 @@ import (
 	"sybilwild/internal/stream"
 )
 
-// ExampleServer wires a feed server to a subscriber via Subscribe,
-// the resuming at-least-once consumption loop: the server drains the
+// ExampleServer wires a feed server to a subscriber via
+// SubscribeBatch, the resuming exactly-once consumption loop: the server drains the
 // feed into the subscriber before ending it, so every
 // broadcast event arrives even though Close races the consumption.
 func ExampleServer() {
@@ -21,7 +21,7 @@ func ExampleServer() {
 	received := make(chan int, 1)
 	go func() {
 		n := 0
-		if err := stream.Subscribe(srv.Addr(), func(osn.Event) { n++ }, 5); err != nil {
+		if err := stream.SubscribeBatch(srv.Addr(), func(evs []osn.Event) { n += len(evs) }, 5); err != nil {
 			panic(err)
 		}
 		received <- n
@@ -43,9 +43,10 @@ func ExampleServer() {
 	// lossless: true
 }
 
-// ExampleDial drives the client by hand: Recv yields events in
-// sequence order, and LastSeq names the resume point a reconnecting
-// client would pass to DialResume.
+// ExampleDial drives the client by hand: RecvBatch yields events in
+// sequence order, whole wire batches at a time, and LastSeq names the
+// last sequence delivered: a reconnecting client passes LastSeq()+1 to
+// DialResume.
 func ExampleDial() {
 	srv, err := stream.NewServer("127.0.0.1:0")
 	if err != nil {
@@ -62,12 +63,16 @@ func ExampleDial() {
 	srv.BroadcastBatch([]osn.Event{{Type: osn.EvFriendRequest, At: 10, Actor: 7, Target: 9}})
 	srv.BroadcastBatch([]osn.Event{{Type: osn.EvFriendAccept, At: 11, Actor: 9, Target: 7}})
 
-	for i := 0; i < 2; i++ {
-		ev, err := c.Recv()
+	for n := 0; n < 2; {
+		evs, err := c.RecvBatch()
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("seq %d: %s %d->%d\n", c.LastSeq(), ev.Type, ev.Actor, ev.Target)
+		first := c.LastSeq() - uint64(len(evs)) + 1
+		for i, ev := range evs {
+			fmt.Printf("seq %d: %s %d->%d\n", first+uint64(i), ev.Type, ev.Actor, ev.Target)
+		}
+		n += len(evs)
 	}
 	// Output:
 	// seq 1: friend_request 7->9

@@ -169,7 +169,7 @@ func TestFanoutByteIdenticalAcrossSubscribers(t *testing.T) {
 	for _, subs := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
 			s, err := NewServer("127.0.0.1:0",
-				WithMaxBatch(maxBatch), WithReplayBuffer(len(events)+1))
+				withMaxBatch(maxBatch), WithReplayBuffer(len(events)+1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -210,7 +210,7 @@ func TestPartitionedCursorAdvancesPastForeignEvents(t *testing.T) {
 	const K = 2
 	foreign := actorIn(t, 0, K)
 	owned := actorIn(t, 1, K)
-	s, err := NewServer("127.0.0.1:0", WithMaxBatch(4))
+	s, err := NewServer("127.0.0.1:0", withMaxBatch(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestPartitionedCatchupFromSpool(t *testing.T) {
 	leakCheck(t)
 	const K, burst, live = 2, 2000, 100
 	evs := partEvents(burst+live, 4)
-	srv, _ := spooledServer(t, 16, WithMaxBatch(32))
+	srv, _ := spooledServer(t, 16, withMaxBatch(32))
 	c, err := Dial(srv.Addr(), WithPartition(1, K))
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +469,7 @@ func TestPartitionedStalledSubscriberEvicted(t *testing.T) {
 	const K = 2
 	owned := actorIn(t, 0, K)
 	s, err := NewServer("127.0.0.1:0",
-		WithReplayBuffer(8), WithStallTimeout(50*time.Millisecond))
+		WithReplayBuffer(8), withStallTimeout(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestSpoollessPartitionedBackpressureLosesNothing(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			leakCheck(t)
-			s, err := NewServer("127.0.0.1:0", WithReplayBuffer(tc.window), WithStallTimeout(time.Second))
+			s, err := NewServer("127.0.0.1:0", WithReplayBuffer(tc.window), withStallTimeout(time.Second))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -596,7 +596,7 @@ func TestPartitionedForeignRunReleasesTail(t *testing.T) {
 	leakCheck(t)
 	const K, window, total, every = 2, 8, 400, 100
 	owned, foreign := actorIn(t, 0, K), actorIn(t, 1, K)
-	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(window), WithStallTimeout(time.Minute))
+	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(window), withStallTimeout(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +649,7 @@ func TestPartitionedLingerExpiryEvicted(t *testing.T) {
 	leakCheck(t)
 	const K, window = 2, 4
 	foreign := actorIn(t, 1, K)
-	s, err := NewServer("127.0.0.1:0", WithSessionLinger(30*time.Millisecond), WithReplayBuffer(window))
+	s, err := NewServer("127.0.0.1:0", withSessionLinger(30*time.Millisecond), WithReplayBuffer(window))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestPublishDelivery(t *testing.T) {
 	}
 	defer sub.Close()
 
-	pub, err := NewPublisher(srv.Addr(), "p0", 1, WithPublishMaxBatch(16))
+	pub, err := NewPublisher(srv.Addr(), "p0", 1, withPublishMaxBatch(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPublishInterleavedStress(t *testing.T) {
 		go func(pi int) {
 			defer wg.Done()
 			pub, err := NewPublisher(srv.Addr(), fmt.Sprintf("p%d", pi), producers,
-				WithPublishMaxBatch(7), WithPublishWindow(4))
+				withPublishMaxBatch(7), withPublishWindow(4))
 			if err != nil {
 				errs <- err
 				return
@@ -452,7 +452,7 @@ func TestRestartedProducerResumesViaSkip(t *testing.T) {
 	defer sub.Close()
 
 	const total = 900
-	pub, err := NewPublisher(srv.Addr(), "p0", 1, WithPublishMaxBatch(8))
+	pub, err := NewPublisher(srv.Addr(), "p0", 1, withPublishMaxBatch(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestRestartedProducerResumesViaSkip(t *testing.T) {
 	}
 	pub.Abort() // die mid-feed, epoch never closed
 
-	resumed, err := NewPublisher(srv.Addr(), "p0", 1, WithPublishMaxBatch(8))
+	resumed, err := NewPublisher(srv.Addr(), "p0", 1, withPublishMaxBatch(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +650,7 @@ func TestPublishIntoSpooledBroker(t *testing.T) {
 		wg.Add(1)
 		go func(pi int) {
 			defer wg.Done()
-			pub, err := NewPublisher(srv.Addr(), fmt.Sprintf("p%d", pi), producers, WithPublishMaxBatch(10))
+			pub, err := NewPublisher(srv.Addr(), fmt.Sprintf("p%d", pi), producers, withPublishMaxBatch(10))
 			if err != nil {
 				t.Error(err)
 				return
@@ -707,7 +707,7 @@ func TestAbortInterruptsReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := NewPublisher(srv.Addr(), "p0", 1, WithPublishRetries(100))
+	pub, err := NewPublisher(srv.Addr(), "p0", 1, withPublishRetries(100))
 	if err != nil {
 		t.Fatal(err)
 	}

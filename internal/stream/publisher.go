@@ -43,8 +43,8 @@ type publisherOptions struct {
 // PublisherOption configures NewPublisher.
 type PublisherOption func(*publisherOptions)
 
-// WithPublishMaxBatch sets the events coalesced per pbatch frame.
-func WithPublishMaxBatch(n int) PublisherOption {
+// withPublishMaxBatch sets the events coalesced per pbatch frame.
+func withPublishMaxBatch(n int) PublisherOption {
 	return func(o *publisherOptions) {
 		if n > 0 {
 			o.maxBatch = n
@@ -52,9 +52,9 @@ func WithPublishMaxBatch(n int) PublisherOption {
 	}
 }
 
-// WithPublishFlushEvery bounds how long a partially filled batch may
+// withPublishFlushEvery bounds how long a partially filled batch may
 // sit before the next Publish call flushes it.
-func WithPublishFlushEvery(d time.Duration) PublisherOption {
+func withPublishFlushEvery(d time.Duration) PublisherOption {
 	return func(o *publisherOptions) {
 		if d > 0 {
 			o.flushEvery = d
@@ -62,8 +62,8 @@ func WithPublishFlushEvery(d time.Duration) PublisherOption {
 	}
 }
 
-// WithPublishWindow sets the maximum unacknowledged batches in flight.
-func WithPublishWindow(n int) PublisherOption {
+// withPublishWindow sets the maximum unacknowledged batches in flight.
+func withPublishWindow(n int) PublisherOption {
 	return func(o *publisherOptions) {
 		if n > 0 {
 			o.window = n
@@ -71,8 +71,8 @@ func WithPublishWindow(n int) PublisherOption {
 	}
 }
 
-// WithPublishRetries sets the maximum consecutive reconnect attempts.
-func WithPublishRetries(n int) PublisherOption {
+// withPublishRetries sets the maximum consecutive reconnect attempts.
+func withPublishRetries(n int) PublisherOption {
 	return func(o *publisherOptions) {
 		if n >= 0 {
 			o.retries = n

@@ -17,7 +17,7 @@ func TestRebalanceCutover(t *testing.T) {
 	leakCheck(t)
 	const oldK, newK, pre, post = 2, 3, 900, 400
 	evs := partEvents(pre+post, 11)
-	srv, _ := spooledServer(t, 64, WithMaxBatch(32))
+	srv, _ := spooledServer(t, 64, withMaxBatch(32))
 
 	old := make([]*Client, oldK)
 	for p := 0; p < oldK; p++ {
@@ -163,7 +163,7 @@ func TestRebalanceFenceAdmission(t *testing.T) {
 	leakCheck(t)
 	const K = 2
 	evs := partEvents(70, 12)
-	srv, _ := spooledServer(t, 16, WithMaxBatch(8))
+	srv, _ := spooledServer(t, 16, withMaxBatch(8))
 	for _, ev := range evs[:50] {
 		srv.BroadcastBatch([]osn.Event{ev})
 	}

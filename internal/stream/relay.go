@@ -57,10 +57,10 @@ func WithRelayServer(opts ...ServerOption) RelayOption {
 	return func(c *relayConfig) { c.srvOpts = append(c.srvOpts, opts...) }
 }
 
-// WithRelayRetries bounds consecutive upstream dial failures before
+// withRelayRetries bounds consecutive upstream dial failures before
 // the relay gives up (default 8; backoff doubles 50ms → 2s between
 // attempts). Failures reset on any successful handshake.
-func WithRelayRetries(n int) RelayOption {
+func withRelayRetries(n int) RelayOption {
 	return func(c *relayConfig) { c.maxRetries = n }
 }
 
@@ -140,11 +140,6 @@ func (r *Relay) Server() *Server { return r.srv }
 
 // Addr returns the downstream listen address.
 func (r *Relay) Addr() string { return r.srv.Addr() }
-
-// Hop returns this relay's depth in the broker tree: its upstream's
-// hop + 1, so a relay on the root is hop 1. Zero until the first
-// handshake completes.
-func (r *Relay) Hop() int { return int(r.hop.Load()) }
 
 // Stats snapshots the relay's upstream-side counters.
 func (r *Relay) Stats() RelayStats {

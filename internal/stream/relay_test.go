@@ -280,7 +280,7 @@ func TestRelayRootKillResume(t *testing.T) {
 	rootAddr := root.Addr()
 
 	edge, err := NewRelay("127.0.0.1:0", rootAddr,
-		WithRelayServer(WithReplayBuffer(64)), WithRelayRetries(20))
+		WithRelayServer(WithReplayBuffer(64)), withRelayRetries(20))
 	if err != nil {
 		t.Fatal(err)
 	}

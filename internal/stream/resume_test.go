@@ -158,7 +158,7 @@ func TestResumeRejections(t *testing.T) {
 func TestResumeServedFromTail(t *testing.T) {
 	leakCheck(t)
 	const total = 40
-	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(64), WithSessionLinger(10*time.Millisecond))
+	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(64), withSessionLinger(10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func (p *killableProxy) Close() {
 // TestSubscribeResumesAcrossKillNoFlagDivergence is the satellite
 // end-to-end check: stream a full Sybil campaign log to a subscriber
 // feeding a detection pipeline, kill the connection mid-stream
-// (Subscribe must transparently resume), and require the flag set to
+// (SubscribeBatch must transparently resume), and require the flag set to
 // match a serial pipeline replay of the same log exactly — any lost or
 // duplicated event would shift a feature counter and diverge the
 // verdicts.
@@ -314,11 +314,13 @@ func TestSubscribeResumesAcrossKillNoFlagDivergence(t *testing.T) {
 	killAt := int64(len(events) / 3)
 	done := make(chan error, 1)
 	go func() {
-		done <- Subscribe(proxy.Addr(), func(ev osn.Event) {
-			if received.Add(1) == killAt {
-				proxy.killConns() // mid-stream network blip
+		done <- SubscribeBatch(proxy.Addr(), func(evs []osn.Event) {
+			for _, ev := range evs {
+				if received.Add(1) == killAt {
+					proxy.killConns() // mid-stream network blip
+				}
+				live.Observe(ev)
 			}
-			live.Observe(ev)
 		}, 10)
 	}()
 

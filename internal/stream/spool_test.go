@@ -93,7 +93,7 @@ func TestResumePastWindowFromSpool(t *testing.T) {
 // disk — the cold-start path a detector restoring a stale checkpoint
 // takes.
 func TestResumeEvictedSessionFromSpool(t *testing.T) {
-	srv, _ := spooledServer(t, 8, WithSessionLinger(10*time.Millisecond))
+	srv, _ := spooledServer(t, 8, withSessionLinger(10*time.Millisecond))
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestResumeEvictedSessionFromSpool(t *testing.T) {
 // (CatchUp) and still receives every event.
 func TestSlowSubscriberDemotedNotStalled(t *testing.T) {
 	const total = 5000
-	srv, _ := spooledServer(t, 16, WithStallTimeout(50*time.Millisecond))
+	srv, _ := spooledServer(t, 16, withStallTimeout(50*time.Millisecond))
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestResumeBelowRetentionIsErrGap(t *testing.T) {
 	}
 	defer sp.Close()
 	srv, err := NewServer("127.0.0.1:0", WithReplayBuffer(8), WithSpool(sp),
-		WithSessionLinger(10*time.Millisecond))
+		withSessionLinger(10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestResumeBelowRetentionIsErrGap(t *testing.T) {
 // drains fully.
 func TestManualAckLargeLagOverSpool(t *testing.T) {
 	const total = 4000
-	srv, _ := spooledServer(t, 32, WithStallTimeout(100*time.Millisecond))
+	srv, _ := spooledServer(t, 32, withStallTimeout(100*time.Millisecond))
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@
 // behind a memory-only log applies backpressure to the producer instead
 // of losing events. A briefly-disconnected subscriber redials with its
 // last delivered sequence and the server replays the gap, so delivery
-// is at least once end to end (and exactly once through Subscribe,
+// is at least once end to end (and exactly once through SubscribeBatch,
 // which deduplicates on sequence numbers).
 //
 // The server is a producer-agnostic broker: events enter either via
@@ -123,8 +123,8 @@ func WithReplayBuffer(n int) ServerOption {
 	}
 }
 
-// WithMaxBatch sets the maximum events per batch frame.
-func WithMaxBatch(n int) ServerOption {
+// withMaxBatch sets the maximum events per batch frame.
+func withMaxBatch(n int) ServerOption {
 	return func(o *serverOptions) {
 		if n > 0 {
 			o.maxBatch = n
@@ -132,9 +132,9 @@ func WithMaxBatch(n int) ServerOption {
 	}
 }
 
-// WithSessionLinger sets how long a disconnected session may await
+// withSessionLinger sets how long a disconnected session may await
 // resume before eviction.
-func WithSessionLinger(d time.Duration) ServerOption {
+func withSessionLinger(d time.Duration) ServerOption {
 	return func(o *serverOptions) {
 		if d > 0 {
 			o.linger = d
@@ -142,10 +142,10 @@ func WithSessionLinger(d time.Duration) ServerOption {
 	}
 }
 
-// WithStallTimeout sets how long BroadcastBatch waits, with the tail
+// withStallTimeout sets how long BroadcastBatch waits, with the tail
 // full, on one connected subscriber that has not acknowledged the
 // tail's oldest frame before evicting it (spool-less servers only).
-func WithStallTimeout(d time.Duration) ServerOption {
+func withStallTimeout(d time.Duration) ServerOption {
 	return func(o *serverOptions) {
 		if d > 0 {
 			o.stall = d

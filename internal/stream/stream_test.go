@@ -323,7 +323,7 @@ func TestCloseDrainsPendingWindow(t *testing.T) {
 func TestStallingSubscriberLosesNothing(t *testing.T) {
 	const window = 64
 	s, err := NewServer("127.0.0.1:0",
-		WithReplayBuffer(window), WithMaxBatch(16), WithStallTimeout(time.Minute))
+		WithReplayBuffer(window), withMaxBatch(16), withStallTimeout(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestStallingSubscriberLosesNothing(t *testing.T) {
 // timeout — loudly, in Stats — instead of wedging the feed forever.
 func TestStalledBeyondTimeoutIsEvicted(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0",
-		WithReplayBuffer(8), WithStallTimeout(50*time.Millisecond))
+		WithReplayBuffer(8), withStallTimeout(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestStalledBeyondTimeoutIsEvicted(t *testing.T) {
 func TestChunkLargerThanTailAccepted(t *testing.T) {
 	leakCheck(t)
 	const window, batch, batches = 8, 100, 20
-	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(window), WithStallTimeout(time.Minute))
+	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(window), withStallTimeout(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,11 @@ func TestSubscribeDeliversAndEnds(t *testing.T) {
 	got := make(chan osn.Event, 16)
 	done := make(chan error, 1)
 	go func() {
-		done <- Subscribe(s.Addr(), func(ev osn.Event) { got <- ev }, 3)
+		done <- SubscribeBatch(s.Addr(), func(evs []osn.Event) {
+			for _, ev := range evs {
+				got <- ev
+			}
+		}, 3)
 	}()
 	waitClients(t, s, 1)
 	s.BroadcastBatch([]osn.Event{testEvent(1)})
@@ -478,7 +482,7 @@ func TestSubscribeDeliversAndEnds(t *testing.T) {
 }
 
 func TestSubscribeBatchDeliversInOrder(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", WithMaxBatch(32))
+	s, err := NewServer("127.0.0.1:0", withMaxBatch(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +520,7 @@ func TestSubscribeBatchDeliversInOrder(t *testing.T) {
 }
 
 func TestSubscribeFailsWhenNoServer(t *testing.T) {
-	err := Subscribe("127.0.0.1:1", func(osn.Event) {}, 1)
+	err := SubscribeBatch("127.0.0.1:1", func([]osn.Event) {}, 1)
 	if err == nil {
 		t.Fatal("expected dial failure")
 	}

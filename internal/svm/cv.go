@@ -62,21 +62,3 @@ func CrossValidate(x [][]float64, y []float64, k int, cfg Config) stats.Confusio
 	}
 	return total
 }
-
-// GridSearch evaluates each candidate config with k-fold CV and
-// returns the one with the highest accuracy, plus its confusion
-// matrix.
-func GridSearch(x [][]float64, y []float64, k int, candidates []Config) (Config, stats.Confusion) {
-	best := candidates[0]
-	var bestC stats.Confusion
-	bestAcc := -1.0
-	for _, cfg := range candidates {
-		c := CrossValidate(x, y, k, cfg)
-		if acc := c.Accuracy(); acc > bestAcc {
-			bestAcc = acc
-			best = cfg
-			bestC = c
-		}
-	}
-	return best, bestC
-}

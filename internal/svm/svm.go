@@ -48,20 +48,6 @@ func (k RBF) Eval(a, b []float64) float64 {
 // String implements Kernel.
 func (k RBF) String() string { return fmt.Sprintf("rbf(γ=%g)", k.Gamma) }
 
-// Poly is the polynomial kernel (a·b + c)^d.
-type Poly struct {
-	Degree int
-	Coef   float64
-}
-
-// Eval implements Kernel.
-func (k Poly) Eval(a, b []float64) float64 {
-	return math.Pow(dot(a, b)+k.Coef, float64(k.Degree))
-}
-
-// String implements Kernel.
-func (k Poly) String() string { return fmt.Sprintf("poly(d=%d,c=%g)", k.Degree, k.Coef) }
-
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
@@ -220,6 +206,3 @@ func (m *Model) Decision(x []float64) float64 {
 
 // Classify returns true for the +1 class (Sybil).
 func (m *Model) Classify(x []float64) bool { return m.Decision(x) >= 0 }
-
-// NumSupport returns the number of support vectors retained.
-func (m *Model) NumSupport() int { return len(m.x) }

@@ -98,24 +98,3 @@ func (cr *CommunityRank) Ranking(seeds []graph.NodeID) (order []graph.NodeID, co
 	}
 	return order, conductance
 }
-
-// SybilRankQuality summarizes how well a ranking separates Sybils: the
-// mean normalized rank of Sybil nodes (1.0 = all Sybils ranked last,
-// 0.5 = indistinguishable from random).
-func SybilRankQuality(order []graph.NodeID, isSybil []bool) float64 {
-	if len(order) == 0 {
-		return 0.5
-	}
-	var sum float64
-	count := 0
-	for pos, u := range order {
-		if isSybil[u] {
-			sum += float64(pos) / float64(len(order)-1+1)
-			count++
-		}
-	}
-	if count == 0 {
-		return 0.5
-	}
-	return sum / float64(count)
-}

@@ -122,13 +122,6 @@ func (t *Topology) eachAttackTarget(i int, fn func(int64)) {
 	}
 }
 
-// AttackTargets returns Sybil i's regenerated attack-target list.
-func (t *Topology) AttackTargets(i int) []int64 {
-	out := make([]int64, 0, t.AttackDeg[i])
-	t.eachAttackTarget(i, func(v int64) { out = append(out, v) })
-	return out
-}
-
 // EdgeOrder describes where a Sybil's Sybil-edges fall in its
 // chronological friend list — one column of Figure 8.
 type EdgeOrder struct {

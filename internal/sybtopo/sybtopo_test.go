@@ -261,8 +261,8 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("same seed, different topology")
 	}
 	for i := 0; i < a.NumSybils(); i += 97 {
-		ta := a.AttackTargets(i)
-		tb := b.AttackTargets(i)
+		ta := attackTargets(a, i)
+		tb := attackTargets(b, i)
 		if len(ta) != len(tb) {
 			t.Fatal("target regeneration differs")
 		}
@@ -274,11 +274,18 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// attackTargets returns Sybil i's regenerated attack-target list.
+func attackTargets(t *Topology, i int) []int64 {
+	var out []int64
+	t.eachAttackTarget(i, func(v int64) { out = append(out, v) })
+	return out
+}
+
 func TestAttackTargetsWithinPool(t *testing.T) {
 	topo := genSmall(t)
 	for i := 0; i < topo.NumSybils(); i += 13 {
 		op := topo.Op[i]
-		targets := topo.AttackTargets(i)
+		targets := attackTargets(topo, i)
 		if len(targets) != int(topo.AttackDeg[i]) {
 			t.Fatalf("target count %d != attack degree %d", len(targets), topo.AttackDeg[i])
 		}
