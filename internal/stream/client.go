@@ -41,20 +41,17 @@ var ErrRebalanced = errors.New("stream: partition group rebalanced")
 // stops instead of skipping events it could not read.
 var ErrBadFrame = errors.New("stream: undecodable frame")
 
-// newSessionID returns a fresh random subscriber session id.
-func newSessionID() string {
+// NewSessionID returns a fresh random subscriber session id, for
+// callers that must fix the id before dialing — a standby claims a
+// partition for a session id (ClaimPartition) and then dials with
+// WithSessionID so admission can match the claim.
+func NewSessionID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic("stream: crypto/rand unavailable: " + err.Error())
 	}
 	return hex.EncodeToString(b[:])
 }
-
-// NewSessionID returns a fresh random subscriber session id, for
-// callers that must fix the id before dialing — a standby claims a
-// partition for a session id (ClaimPartition) and then dials with
-// WithSessionID so admission can match the claim.
-func NewSessionID() string { return newSessionID() }
 
 // Client subscribes to a Server's event feed. A Client is not safe
 // for concurrent use.
@@ -130,7 +127,7 @@ func WithSessionID(id string) DialOption {
 // Dial connects to a stream server as a fresh subscriber: it receives
 // every event broadcast after the handshake.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
-	return dial(addr, newSessionID(), 0, opts)
+	return dial(addr, NewSessionID(), 0, opts)
 }
 
 // DialFrom connects as a fresh subscriber that backfills history: the
@@ -144,7 +141,7 @@ func DialFrom(addr string, from uint64, opts ...DialOption) (*Client, error) {
 	if from == 0 {
 		return nil, errors.New("stream: DialFrom needs a sequence ≥ 1 (use Dial to start at the live head)")
 	}
-	c, err := dial(addr, newSessionID(), from, opts)
+	c, err := dial(addr, NewSessionID(), from, opts)
 	if err != nil {
 		return nil, err
 	}

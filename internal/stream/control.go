@@ -28,11 +28,10 @@
 // and a reservation of the key for one session id, so that exactly one
 // standby wins a dead worker's slot.
 //
-// All of this state is one control struct guarded by the sequencer
-// lock Server.mu. A fence's barrier is the head sequence, and admission
-// must see fences and claims atomically with its own checks, so prepare,
-// admission and claim run under mu anyway; a snapshot store is one map
-// write. A lock of its own would only add a lock-order rule.
+// All of this state is one control struct guarded by Server.mu.
+// Admission must see fences and claims atomically with its own checks,
+// so prepare, admission and claim run under mu anyway; a snapshot store
+// is one map write. A lock of its own would only add a lock-order rule.
 
 package stream
 
@@ -201,7 +200,7 @@ func (s *Server) ctlPrepare(_ net.Conn, _ *bufio.Reader, req frame) *frame {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closing {
+	if _, closing := s.log.seq(); closing {
 		return &frame{Err: "server closing"}
 	}
 	f := s.ctl.fences[req.Parts]
@@ -209,21 +208,9 @@ func (s *Server) ctlPrepare(_ net.Conn, _ *bufio.Reader, req frame) *frame {
 		return &frame{Err: fmt.Sprintf("partition group %d already rebalancing to %d", req.Parts, f.nparts)}
 	}
 	if f == nil {
-		f = &fence{from: req.Parts, nparts: req.NParts, barrier: s.seq}
+		f = &fence{from: req.Parts, nparts: req.NParts, barrier: s.log.fence(req.Parts, req.NParts)}
 		s.ctl.fences[req.Parts] = f
 		s.ctl.rebLog = append(s.ctl.rebLog, f)
-		// Fence every session of the old shape. The barrier is the head
-		// sequence, so nothing a writer has framed lies past it; the
-		// broadcast wakes writers parked on a feed that may not grow.
-		t := &s.tail
-		t.mu.Lock()
-		for _, sess := range t.sessions {
-			if sess.parts == req.Parts && sess.fencedAt == 0 {
-				sess.fencedAt, sess.fenceNew = f.barrier, f.nparts
-			}
-		}
-		t.more.Broadcast()
-		t.mu.Unlock()
 	}
 	return &frame{Parts: req.Parts, NParts: req.NParts, Barrier: f.barrier}
 }
@@ -276,7 +263,7 @@ func (s *Server) ctlClaim(_ net.Conn, _ *bufio.Reader, req frame) *frame {
 	if n := s.connectedOnLocked(k); n > 0 {
 		return &frame{Err: fmt.Sprintf("partition %d/%d has %d connected session(s)", req.Part, req.Parts, n)}
 	}
-	if c, ok := s.ctl.claims[k]; ok && c.session != req.Session && time.Since(c.at) < s.opt.linger {
+	if c, ok := s.ctl.claims[k]; ok && c.session != req.Session && time.Since(c.at) < s.log.opt.linger {
 		return &frame{Err: "partition already claimed"}
 	}
 	s.ctl.claims[k] = claim{session: req.Session, at: time.Now()}
@@ -290,16 +277,7 @@ func (s *Server) connectedOnLocked(k partKey) int {
 	if k.parts == 1 {
 		k = partKey{}
 	}
-	t := &s.tail
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, sess := range t.sessions {
-		if sess.part == k.part && sess.parts == k.parts && sess.conn != nil {
-			n++
-		}
-	}
-	return n
+	return s.log.connected(&k)
 }
 
 // controlStatsLocked lists the held snapshots, sorted by (parts, part),

@@ -103,7 +103,10 @@ func TestPartitionedDeliveryMatchesContract(t *testing.T) {
 			for {
 				batch, err := c.RecvBatch()
 				if errors.Is(err, ErrClosed) {
+					// Hang up at eof, so Close need not wait out the drain
+					// timeout on this connection.
 					r.last = c.LastSeq()
+					c.Close()
 					return
 				}
 				if err != nil {

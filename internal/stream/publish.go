@@ -3,9 +3,9 @@ package stream
 // This file is the broker half of the publish sub-protocol: the
 // server-side ingest path that admits wire producers, fences their
 // epochs, deduplicates reconnect replays by per-producer batch
-// sequence, and runs every accepted batch through the single global
+// sequence, and runs every accepted batch through the log's one
 // sequencer — so K concurrent producers interleave into one totally
-// ordered feed whose downstream frames, ring, and spool are
+// ordered feed whose downstream frames, tail, and spool are
 // byte-compatible with a single in-process BroadcastBatch caller. The
 // producer-side counterpart is Publisher (publisher.go); the frame
 // vocabulary is in wire.go.
@@ -63,7 +63,7 @@ var errFenced = errors.New("stream: producer connection fenced by a newer one")
 func (s *Server) IngestDone() <-chan struct{} { return s.ingestDone }
 
 // servePublisher admits a wire producer and runs its ingest loop:
-// pbatch frames are deduplicated, sequenced, fanned out and acked in
+// pbatch frames are deduplicated, sequenced, published and acked in
 // arrival order; peof closes the producer's epoch. Each pbatch is
 // checked once and its records are spliced into the feed's batch
 // frames. A frame that is neither a decodable pbatch nor peof is
@@ -118,9 +118,13 @@ func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, bu
 			return
 		}
 		if first > 0 {
-			// The payload is read scratch: the chunks copy what they keep
-			// before the next read reuses it.
-			s.fanout(first, n, s.spliceChunks(first, payload, n))
+			// Each maxBatch run of the producer's own records goes under a
+			// batch header in one copy sized for it — the bytes an encode
+			// would produce, and the chunks' own, since the payload is read
+			// scratch the next read reuses.
+			s.log.publish(s.buildChunks(first, n, func(off, end int, seq uint64) []byte {
+				return wire.SpliceBatch(nil, seq, payload, off, end)
+			}))
 		}
 		if writeControl(bw, frame{T: framePAck, Bseq: ack}) != nil || bw.Flush() != nil {
 			s.detachProducer(p, conn)
@@ -142,7 +146,7 @@ func (s *Server) admitProducer(hello frame, conn net.Conn) (p *producerState, ep
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closing {
+	if _, closing := s.log.seq(); closing {
 		return nil, 0, 0, 0, "server closing"
 	}
 	if s.expectProducers == 0 {
@@ -182,24 +186,20 @@ func (s *Server) admitProducer(hello frame, conn net.Conn) (p *producerState, ep
 	return p, p.epoch, p.bseq, p.events, ""
 }
 
-// sequence runs one publish batch of n events through the global
-// sequencer: dedupe by producer batch sequence, then sequence
-// assignment. The sequencer lock covers only those, so concurrent
-// producers overlap everything else (frame building in parallel,
-// delivery ordered by the fan-out ticket). It returns the batch
-// sequence to acknowledge (monotone: replays ack the high-water mark)
-// and the batch's first feed sequence, 0 when there is nothing to fan
-// out (a replay, or an empty batch). The caller fans the batch out
-// before it acks, so an acked batch is in the spool and every
-// subscriber queue, preserving at-least-once across a broker death.
-// The total order of the feed is the order producers' batches acquire
-// s.mu here, interleaved with any in-process BroadcastBatch calls.
+// sequence runs one publish batch of n events through dedupe by
+// producer batch sequence, then the log's sequencer. s.mu covers only
+// those, so concurrent producers overlap everything else (frame
+// building in parallel, publication ordered by the log's ticket). It
+// returns the batch sequence to acknowledge (monotone: replays ack the
+// high-water mark) and the batch's first feed sequence, 0 when there is
+// nothing to publish (a replay, or an empty batch). The caller
+// publishes the batch before it acks, so an acked batch is in the spool
+// and the tail, preserving at-least-once across a broker death. The
+// total order of the feed is the order batches reserve their sequences,
+// producers' and in-process BroadcastBatch calls' alike.
 func (s *Server) sequence(p *producerState, conn net.Conn, epoch, bseq uint64, n int) (ack, first uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closing {
-		return 0, 0, errors.New("server closing")
-	}
 	if p.epoch != epoch || p.conn != conn {
 		return 0, 0, errFenced
 	}
@@ -215,14 +215,14 @@ func (s *Server) sequence(p *producerState, conn net.Conn, epoch, bseq uint64, n
 	case bseq > p.bseq+1:
 		return 0, 0, fmt.Errorf("batch sequence gap: have %d, got %d", p.bseq, bseq)
 	}
+	if n > 0 {
+		if first, err = s.log.reserve(n, 0); err != nil {
+			return 0, 0, err
+		}
+	}
 	p.bseq = bseq
 	p.batches++
 	p.events += uint64(n)
-	if n == 0 {
-		return bseq, 0, nil
-	}
-	first = s.seq + 1
-	s.seq += uint64(n)
 	return bseq, first, nil
 }
 

@@ -93,7 +93,6 @@ type Relay struct {
 	quit chan struct{} // closed once, wakes the backoff sleep
 	done chan struct{} // closed when the run loop exits
 
-	hop        atomic.Int32
 	frames     atomic.Uint64
 	events     atomic.Uint64
 	reconnects atomic.Uint64
@@ -124,7 +123,7 @@ func NewRelay(addr, upstream string, opts ...RelayOption) (*Relay, error) {
 	r := &Relay{
 		srv:      srv,
 		upstream: upstream,
-		session:  newSessionID(),
+		session:  NewSessionID(),
 		retries:  cfg.maxRetries,
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -145,7 +144,7 @@ func (r *Relay) Addr() string { return r.srv.Addr() }
 func (r *Relay) Stats() RelayStats {
 	return RelayStats{
 		Upstream:   r.upstream,
-		Hop:        int(r.hop.Load()),
+		Hop:        int(r.srv.hop.Load()),
 		Seq:        r.srv.HeadSeq(),
 		Frames:     r.frames.Load(),
 		Events:     r.events.Load(),
@@ -326,9 +325,7 @@ func (r *Relay) dialUpstream() (net.Conn, *bufio.Reader, error) {
 		}
 		return nil, nil, err
 	}
-	hop := int32(welcome.Hop + 1)
-	r.hop.Store(hop)
-	r.srv.hop.Store(hop)
+	r.srv.hop.Store(int32(welcome.Hop + 1))
 	return conn, br, nil
 }
 

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"io"
 	"net"
 	"sync"
@@ -106,99 +105,6 @@ func TestResumeResendsInFlight(t *testing.T) {
 		if ev.At != int64(i) {
 			t.Fatalf("dedupe failed: event %d has At=%d", i, ev.At)
 		}
-	}
-}
-
-// TestResumeRejections: every way a resume can be unserviceable must
-// produce a loud ErrGap, never a silent restart.
-func TestResumeRejections(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.BroadcastBatch([]osn.Event{testEvent(0)})
-	if _, err := c.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	c.conn.Close()
-	if _, err := DialResume(s.Addr(), c.Session(), c.LastSeq()+100); !errors.Is(err, ErrGap) {
-		t.Fatalf("resume ahead of feed: err = %v, want ErrGap", err)
-	}
-
-	// Overflow the detached session's window: it is evicted, and the
-	// loss shows up both as ErrGap and in Stats.
-	waitDetached(t, s)
-	for i := 0; i < 100; i++ {
-		s.BroadcastBatch([]osn.Event{testEvent(i)})
-	}
-	if st := s.Stats(); st.Evicted != 1 {
-		t.Fatalf("stats = %+v, want one eviction", st)
-	}
-	if _, err := DialResume(s.Addr(), c.Session(), c.LastSeq()+1); !errors.Is(err, ErrGap) {
-		t.Fatalf("resume after eviction: err = %v, want ErrGap", err)
-	}
-	// A sequence below the tail of a memory-only log is a gap whoever
-	// asks for it, a session the server never knew included.
-	if _, err := DialResume(s.Addr(), "nosuchsession", 1); !errors.Is(err, ErrGap) {
-		t.Fatalf("unknown session below the tail: err = %v, want ErrGap", err)
-	}
-}
-
-// TestResumeServedFromTail pins the one resume rule on a spool-less
-// server: a resume at r is served iff r lies in [tail first, head+1]
-// (or the spool holds r). Whether the server still knows the session
-// does not matter — an id it never saw and one whose linger expired
-// both get exactly r..head from the tail.
-func TestResumeServedFromTail(t *testing.T) {
-	leakCheck(t)
-	const total = 40
-	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(64), withSessionLinger(10*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	gone, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitClients(t, s, 1)
-	gone.Kick()
-	waitDetached(t, s)
-	time.Sleep(30 * time.Millisecond) // linger expires
-	for i := 0; i < total; i++ {
-		s.BroadcastBatch([]osn.Event{testEvent(i)}) // the first sweeps the expired session away
-	}
-	if st := s.Stats(); st.Sessions != 0 {
-		t.Fatalf("test premise broken: expired session still held: %+v", st.PerSession)
-	}
-	for _, tc := range []struct {
-		name, session string
-		from          uint64
-	}{
-		{"unknown", "nosuchsession", 7},
-		{"linger-expired", gone.Session(), 1},
-		{"at-head", "athead", total + 1},
-	} {
-		c, err := DialResume(s.Addr(), tc.session, tc.from)
-		if err != nil {
-			t.Fatalf("%s resume at %d inside the tail: %v", tc.name, tc.from, err)
-		}
-		if tc.from <= total {
-			recvThrough(t, c, total)
-		}
-		if c.LastSeq() != total {
-			t.Fatalf("%s resume ended at seq %d, want %d", tc.name, c.LastSeq(), total)
-		}
-		c.Close()
-	}
-	if st := s.Stats(); st.Evicted != 0 {
-		t.Fatalf("evicted = %d, want 0", st.Evicted)
 	}
 }
 

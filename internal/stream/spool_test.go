@@ -298,34 +298,3 @@ func TestManualAckLargeLagOverSpool(t *testing.T) {
 		t.Fatalf("evicted = %d, want 0", st.Evicted)
 	}
 }
-
-// TestResumeBeforeFirstSpoolAppend: a resume — a DialFrom(1), a relay's
-// first hello — can reach a spooled broker after its first sequence
-// assignment but before its first spool append. A sequence assigned but
-// not yet fanned out counts as inside the tail, so the resume must be
-// admitted and its writer wait for the append, not be refused as below
-// the retention floor.
-func TestResumeBeforeFirstSpoolAppend(t *testing.T) {
-	leakCheck(t)
-	srv, _ := spooledServer(t, 64)
-	evs := make([]osn.Event, 10)
-	for i := range evs {
-		evs[i] = testEvent(i)
-	}
-	// BroadcastBatch's first half: the range is assigned, not fanned out.
-	srv.mu.Lock()
-	first := srv.seq + 1
-	srv.seq += uint64(len(evs))
-	srv.mu.Unlock()
-
-	c, err := DialFrom(srv.Addr(), 1)
-	// BroadcastBatch's second half lands the batch in the spool and the
-	// tail, and the writer serves it. (It runs either way: Close waits
-	// for it.)
-	srv.fanout(first, len(evs), srv.encodeChunks(first, evs, new([]byte)))
-	if err != nil {
-		t.Fatalf("resume from 1 refused while the first batch was in flight: %v", err)
-	}
-	defer c.Close()
-	recvThrough(t, c, uint64(len(evs)))
-}

@@ -367,34 +367,6 @@ func TestStallingSubscriberLosesNothing(t *testing.T) {
 	}
 }
 
-// TestStalledBeyondTimeoutIsEvicted: the liveness backstop. A
-// connected subscriber that never drains is evicted after the stall
-// timeout — loudly, in Stats — instead of wedging the feed forever.
-func TestStalledBeyondTimeoutIsEvicted(t *testing.T) {
-	s, err := NewServer("127.0.0.1:0",
-		WithReplayBuffer(8), withStallTimeout(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	waitClients(t, s, 1)
-	start := time.Now()
-	for i := 0; i < 1000; i++ { // never read: window fills, then eviction
-		s.BroadcastBatch([]osn.Event{testEvent(i)})
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("broadcast wedged for %v despite stall timeout", d)
-	}
-	if st := s.Stats(); st.Evicted != 1 {
-		t.Fatalf("stats = %+v, want exactly one eviction", st)
-	}
-}
-
 // TestChunkLargerThanTailAccepted: on a memory-only log a frame bigger
 // than the whole tail is still accepted — the tail always keeps its
 // newest chunk — so a tail smaller than maxBatch slows the producer to
