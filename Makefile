@@ -131,7 +131,7 @@ bench-gate:
 # inputs. Crashes fail the build; new interesting inputs stay in the
 # local build cache (promote them to testdata/fuzz to commit them).
 fuzz-smoke:
-	@for tgt in FuzzBatch FuzzPBatch FuzzFBatch FuzzSplice FuzzSnapHeader FuzzReadFrame FuzzRebal; do \
+	@for tgt in FuzzBatch FuzzPBatch FuzzFBatch FuzzSplice FuzzReadFrame; do \
 		$(GO) test ./internal/wire/ -run='^$$' -fuzz "^$$tgt$$" -fuzztime 5s || exit 1; \
 	done
 

@@ -76,7 +76,7 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 	fs.SetOutput(out)
 	var o options
 	c := &o.cfg
-	fs.StringVar(&c.Addr, "addr", "127.0.0.1:7474", "renrend feed address")
+	fs.StringVar(&c.Addr, "addr", "127.0.0.1:7474", "feed broker address (renrend, streamd, or a relay edge)")
 	fs.Float64Var(&c.Rule.OutAcceptMax, "out-accept", 0.5, "max outgoing accept ratio")
 	fs.Float64Var(&c.Rule.FreqMin, "freq", 20, "min invitations/hour")
 	fs.Float64Var(&c.Rule.CCMax, "cc", 0.05, "max first-50-friends clustering coefficient")
@@ -150,7 +150,7 @@ func main() {
 		// a memory-only feed whose tail is smaller than one interval's
 		// traffic, producer and consumer deadlock until stall eviction. A
 		// spooled feed serves the session from disk instead.
-		log.Print("warning: -checkpoint-max-lag 0 disables the lag trigger; only safe when the feed spools to disk (renrend -spool-dir)")
+		log.Print("warning: -checkpoint-max-lag 0 disables the lag trigger; only safe when the feed spools to disk (renrend or streamd -spool-dir)")
 	}
 	cfg.OnFlag = func(f detector.Flag) {
 		fmt.Printf("FLAG account %d at t=%d: freq=%.1f/h outAccept=%.2f cc=%.4f sent=%d\n",

@@ -105,9 +105,13 @@ func main() {
 				// The pipeline only consumes the friend-request
 				// lifecycle; filtering here skips the feed events at
 				// the dispatch layer.
-				pop.Net.RegisterObserver(osn.FanOut(feed,
-					osn.FilterTypes(serial.Observe,
-						osn.EvFriendRequest, osn.EvFriendAccept, osn.EvFriendReject)))
+				pop.Net.RegisterObserver(func(ev osn.Event) {
+					feed(ev)
+					switch ev.Type {
+					case osn.EvFriendRequest, osn.EvFriendAccept, osn.EvFriendReject:
+						serial.Observe(ev)
+					}
+				})
 			} else {
 				pop.Net.RegisterObserver(feed)
 			}

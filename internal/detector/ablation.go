@@ -72,23 +72,7 @@ func fitStump(xs []sample) (cut float64, sybilBelow bool) {
 
 func crossValidateStump(xs []sample, folds int, seed int64) stats.Confusion {
 	r := stats.NewRand(seed)
-	var pos, neg []int
-	for i, s := range xs {
-		if s.sybil {
-			pos = append(pos, i)
-		} else {
-			neg = append(neg, i)
-		}
-	}
-	stats.Shuffle(r, pos)
-	stats.Shuffle(r, neg)
-	fold := make([]int, len(xs))
-	for i, idx := range pos {
-		fold[idx] = i % folds
-	}
-	for i, idx := range neg {
-		fold[idx] = i % folds
-	}
+	fold := stats.StratifiedFolds(r, len(xs), folds, func(i int) bool { return xs[i].sybil })
 	var total stats.Confusion
 	for f := 0; f < folds; f++ {
 		var train, test []sample

@@ -242,23 +242,7 @@ func balance(gt *GroundTruth) features.Dataset {
 // k-fold CV (fit on training folds, evaluate on the held-out fold).
 func crossValidateRule(ds features.Dataset, k int, seed int64) stats.Confusion {
 	r := stats.NewRand(seed + 31)
-	fold := make([]int, len(ds.Vectors))
-	var pos, neg []int
-	for i, lab := range ds.Labels {
-		if lab {
-			pos = append(pos, i)
-		} else {
-			neg = append(neg, i)
-		}
-	}
-	stats.Shuffle(r, pos)
-	stats.Shuffle(r, neg)
-	for i, idx := range pos {
-		fold[idx] = i % k
-	}
-	for i, idx := range neg {
-		fold[idx] = i % k
-	}
+	fold := stats.StratifiedFolds(r, len(ds.Vectors), k, func(i int) bool { return ds.Labels[i] })
 	var total stats.Confusion
 	for f := 0; f < k; f++ {
 		var train, test features.Dataset
@@ -275,11 +259,4 @@ func crossValidateRule(ds features.Dataset, k int, seed int64) stats.Confusion {
 		total.Add(rule.Evaluate(test))
 	}
 	return total
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -280,10 +280,3 @@ func Fig9(topo *sybtopo.Topology) Report {
 		},
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

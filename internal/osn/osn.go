@@ -117,34 +117,6 @@ type Event struct {
 // network reentrantly.
 type Observer func(Event)
 
-// FanOut combines observers into one that forwards each event to all
-// of them in order — the hook point for wiring several consumers (a
-// feed broadcaster, a detection pipeline, a metrics counter) to one
-// registration.
-func FanOut(obs ...Observer) Observer {
-	return func(ev Event) {
-		for _, o := range obs {
-			o(ev)
-		}
-	}
-}
-
-// FilterTypes wraps an observer so it only sees the given event types.
-// Consumers that care about a slice of the log (the detector only
-// consumes the friend-request lifecycle) skip the rest without paying
-// for their own dispatch.
-func FilterTypes(o Observer, types ...EventType) Observer {
-	var want [256]bool
-	for _, t := range types {
-		want[t] = true
-	}
-	return func(ev Event) {
-		if want[ev.Type] {
-			o(ev)
-		}
-	}
-}
-
 // Request errors.
 var (
 	ErrBanned         = errors.New("osn: account is banned")

@@ -197,47 +197,3 @@ func TestKindString(t *testing.T) {
 		t.Fatal("event names wrong")
 	}
 }
-
-func TestFanOut(t *testing.T) {
-	n := NewNetwork()
-	a := n.CreateAccount(Male, Normal, 0)
-	b := n.CreateAccount(Female, Normal, 0)
-	var first, second []EventType
-	n.RegisterObserver(FanOut(
-		func(ev Event) { first = append(first, ev.Type) },
-		func(ev Event) {
-			second = append(second, ev.Type)
-			if len(second) != len(first) {
-				t.Error("fan-out order violated: second observer ran before first")
-			}
-		},
-	))
-	n.SendFriendRequest(a, b, 1)
-	n.RespondFriendRequest(b, a, true, 2)
-	want := []EventType{EvFriendRequest, EvFriendAccept}
-	if len(first) != len(want) || len(second) != len(want) {
-		t.Fatalf("fan-out delivered %d/%d events, want %d", len(first), len(second), len(want))
-	}
-	for i, w := range want {
-		if first[i] != w || second[i] != w {
-			t.Fatalf("fan-out event %d = %v/%v, want %v", i, first[i], second[i], w)
-		}
-	}
-}
-
-func TestFilterTypes(t *testing.T) {
-	n := NewNetwork()
-	a := n.CreateAccount(Male, Normal, 0)
-	b := n.CreateAccount(Female, Normal, 0)
-	var got []EventType
-	n.RegisterObserver(FilterTypes(
-		func(ev Event) { got = append(got, ev.Type) },
-		EvFriendRequest,
-	))
-	n.SendFriendRequest(a, b, 1)
-	n.RespondFriendRequest(b, a, true, 2)
-	n.SendMessage(a, b, 3)
-	if len(got) != 1 || got[0] != EvFriendRequest {
-		t.Fatalf("filter passed %v, want [friend_request]", got)
-	}
-}

@@ -130,6 +130,31 @@ func Shuffle[T any](r *Rand, xs []T) {
 	r.Rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }
 
+// StratifiedFolds assigns n samples to k cross-validation folds,
+// stratified by class: the indices where positive holds and the rest
+// are each shuffled (positives first) and dealt into folds
+// round-robin, so every fold gets its share of both classes. It
+// returns each sample's fold in [0, k).
+func StratifiedFolds(r *Rand, n, k int, positive func(i int) bool) []int {
+	var pos, neg []int
+	for i := 0; i < n; i++ {
+		if positive(i) {
+			pos = append(pos, i)
+		} else {
+			neg = append(neg, i)
+		}
+	}
+	Shuffle(r, pos)
+	Shuffle(r, neg)
+	fold := make([]int, n)
+	for _, class := range [][]int{pos, neg} {
+		for i, idx := range class {
+			fold[idx] = i % k
+		}
+	}
+	return fold
+}
+
 // SampleWithoutReplacement picks k distinct indices from [0, n). When
 // k ≥ n it returns all n indices in shuffled order.
 func SampleWithoutReplacement(r *Rand, n, k int) []int {

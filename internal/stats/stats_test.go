@@ -359,3 +359,33 @@ func TestQuantileSortedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStratifiedFoldsBalanced: every fold holds its round-robin share
+// of each class, and a seed fixes the assignment.
+func TestStratifiedFoldsBalanced(t *testing.T) {
+	const n, k = 103, 5
+	positive := func(i int) bool { return i%4 == 0 } // 26 positives, 77 negatives
+	fold := StratifiedFolds(NewRand(9), n, k, positive)
+	var count [k][2]int
+	for i, f := range fold {
+		if f < 0 || f >= k {
+			t.Fatalf("sample %d in fold %d, want [0, %d)", i, f, k)
+		}
+		if positive(i) {
+			count[f][0]++
+		} else {
+			count[f][1]++
+		}
+	}
+	for f, c := range count {
+		if c[0] < 26/k || c[0] > 26/k+1 || c[1] < 77/k || c[1] > 77/k+1 {
+			t.Fatalf("fold %d holds %d positives and %d negatives: not stratified", f, c[0], c[1])
+		}
+	}
+	again := StratifiedFolds(NewRand(9), n, k, positive)
+	for i := range fold {
+		if fold[i] != again[i] {
+			t.Fatalf("sample %d: fold %d, then %d with the same seed", i, fold[i], again[i])
+		}
+	}
+}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bufio"
+	"cmp"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -86,6 +87,7 @@ type Client struct {
 	rebNew     int    // new partition group size
 
 	manualAck bool // acks driven by Ack() instead of delivery
+	hop       int  // the welcome's tree depth of the answering broker
 }
 
 // dialConfig collects DialOption settings.
@@ -141,13 +143,7 @@ func DialFrom(addr string, from uint64, opts ...DialOption) (*Client, error) {
 	if from == 0 {
 		return nil, errors.New("stream: DialFrom needs a sequence ≥ 1 (use Dial to start at the live head)")
 	}
-	c, err := dial(addr, NewSessionID(), from, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.lastSeq = from - 1
-	c.acked = from - 1
-	return c, nil
+	return dial(addr, NewSessionID(), from, opts)
 }
 
 // DialResume reconnects an existing session, asking the feed to
@@ -159,13 +155,7 @@ func DialResume(addr, session string, from uint64, opts ...DialOption) (*Client,
 	if from == 0 || session == "" {
 		return nil, errors.New("stream: DialResume needs a session and a sequence ≥ 1")
 	}
-	c, err := dial(addr, session, from, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.lastSeq = from - 1
-	c.acked = from - 1
-	return c, nil
+	return dial(addr, session, from, opts)
 }
 
 func dial(addr, session string, resume uint64, opts []DialOption) (*Client, error) {
@@ -176,19 +166,27 @@ func dial(addr, session string, resume uint64, opts []DialOption) (*Client, erro
 	if cfg.parts > 0 && (cfg.part < 0 || cfg.part >= cfg.parts) {
 		return nil, fmt.Errorf("stream: invalid partition %d/%d", cfg.part, cfg.parts)
 	}
-	if cfg.session != "" {
-		session = cfg.session
-	}
 	conn, err := dialBroker(addr)
 	if err != nil {
 		return nil, err
 	}
-	hello := frame{T: frameHello, V: ProtocolVersion, Session: session, Resume: resume,
-		Part: cfg.part, Parts: cfg.parts}
+	return subscribe(conn, frame{T: frameHello, V: ProtocolVersion, Session: cmp.Or(cfg.session, session),
+		Resume: resume, Part: cfg.part, Parts: cfg.parts})
+}
+
+// subscribe opens a subscription on a dialed broker connection: it
+// sends hello, reads the welcome and anchors the cursor at the
+// welcome's first sequence. A resume the broker refuses is a lost
+// range, an error wrapping ErrGap — unless the broker refused because
+// it is closing, which is an ordinary dial error a retry may outlive.
+// conn is closed on error; a caller that dials separately can register
+// conn first, so that its own Close cuts a handshake the broker never
+// answers.
+func subscribe(conn net.Conn, hello frame) (*Client, error) {
 	welcome, br, err := handshake(conn, hello, nil, frameWelcome)
 	if err != nil {
 		conn.Close()
-		if welcome.Err != "" && resume > 0 {
+		if welcome.Err != "" && welcome.Err != errClosing.Error() && hello.Resume > 0 {
 			return nil, fmt.Errorf("%w: %s", ErrGap, welcome.Err)
 		}
 		return nil, err
@@ -197,14 +195,15 @@ func dial(addr, session string, resume uint64, opts []DialOption) (*Client, erro
 		conn:    conn,
 		br:      br,
 		bw:      bufio.NewWriterSize(conn, 4<<10),
-		session: session,
-		part:    cfg.part,
-		parts:   cfg.parts,
+		session: hello.Session,
+		part:    hello.Part,
+		parts:   hello.Parts,
+		hop:     welcome.Hop,
 	}
-	if welcome.From > 0 {
+	if from := cmp.Or(welcome.From, hello.Resume); from > 0 {
 		// Anchor the cursor: the feed starts at the server's global
 		// sequence, not at 1.
-		c.lastSeq = welcome.From - 1
+		c.lastSeq = from - 1
 		c.acked = c.lastSeq
 	}
 	return c, nil
@@ -265,6 +264,26 @@ func (c *Client) flushAcks() {
 	}
 }
 
+// next blocks for the next event frame and returns its payload, read
+// into buf (nil for a fresh buffer the caller may keep). It acks
+// before every wait, a bare cursor advance included — on a memory-only
+// feed the server's tail moves on only with acks — and a control frame
+// ends the subscription (control).
+func (c *Client) next(buf []byte) ([]byte, error) {
+	if c.end != nil {
+		return nil, c.end
+	}
+	c.flushAcks()
+	payload, err := readFrame(c.br, buf)
+	if err != nil {
+		return nil, fmt.Errorf("stream: read: %w", err)
+	}
+	if wire.IsControl(payload) {
+		return nil, c.control(payload)
+	}
+	return payload, nil
+}
+
 // fill blocks for the next non-empty batch, deduplicating any events
 // the client already delivered (a resumed server may resend its
 // in-flight window). Filtered batches (fbatch, partitioned
@@ -272,21 +291,12 @@ func (c *Client) flushAcks() {
 // pure cursor advance past foreign events and never surfaces to the
 // caller.
 func (c *Client) fill() error {
-	if c.end != nil {
-		return c.end
-	}
 	for {
-		// Ack before every wait, a bare cursor advance included: on a
-		// memory-only feed the server's tail moves on only with acks.
-		c.flushAcks()
-		payload, err := readFrame(c.br, c.buf)
+		payload, err := c.next(c.buf)
 		if err != nil {
-			return fmt.Errorf("stream: read: %w", err)
+			return err
 		}
 		c.buf = payload
-		if wire.IsControl(payload) {
-			return c.control(payload)
-		}
 		if seq, evs, ok := wire.ParseBatch(payload, c.evbuf[:0]); ok {
 			c.evbuf = evs[:0]
 			if len(evs) == 0 || seq+uint64(len(evs))-1 <= c.lastSeq {
@@ -429,50 +439,61 @@ func (c *Client) Interrupt() { c.conn.SetReadDeadline(time.Now()) }
 // the server sent a frame the client cannot decode, or the last dial
 // error.
 func SubscribeBatch(addr string, fn func([]osn.Event), maxRetries int, opts ...DialOption) error {
-	backoff := 50 * time.Millisecond
-	retries := 0
-	session := ""
-	var last uint64
-	for {
-		var c *Client
-		var err error
-		if session == "" {
-			c, err = Dial(addr, opts...)
-		} else {
-			c, err = DialResume(addr, session, last+1, opts...)
+	open := func(prev *Client) (*Client, error) {
+		if prev == nil {
+			return Dial(addr, opts...)
 		}
-		if err != nil {
-			if errors.Is(err, ErrGap) {
-				return err
-			}
-			retries++
-			if retries > maxRetries {
-				return err
-			}
-			time.Sleep(backoff)
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
-			continue
-		}
-		retries = 0
-		backoff = 50 * time.Millisecond
-		session = c.Session()
-		var evs []osn.Event
-		for evs, err = c.RecvBatch(); err == nil; evs, err = c.RecvBatch() {
+		return DialResume(addr, prev.Session(), prev.LastSeq()+1, opts...)
+	}
+	drain := func(c *Client) error {
+		evs, err := c.RecvBatch()
+		for ; err == nil; evs, err = c.RecvBatch() {
 			fn(evs)
 		}
-		last = c.LastSeq()
-		c.Close()
-		if errors.Is(err, ErrClosed) {
-			return nil // clean end of feed
+		return err
+	}
+	return resumeLoop(open, drain, maxRetries, nil)
+}
+
+// resumeLoop is the one subscriber lifecycle, shared by SubscribeBatch
+// and a Relay's upstream link: open a session — fresh when prev is nil,
+// else resumed where prev left off — and drain it until it ends. The
+// clean end of feed (ErrClosed) returns nil; ErrGap, ErrBadFrame and
+// ErrRebalanced are terminal, since a resume would only find the same
+// lost range, frame or hand-off. Any other error reopens at once, and
+// a failed open is retried with exponential backoff (50ms, doubling
+// while under 2s) until maxRetries consecutive failures, when the last
+// error is returned. Closing quit cuts a backoff sleep short,
+// returning the open's error.
+func resumeLoop(open func(prev *Client) (*Client, error), drain func(*Client) error, maxRetries int, quit <-chan struct{}) error {
+	const minBackoff, maxBackoff = 50 * time.Millisecond, 2 * time.Second
+	backoff, fails := minBackoff, 0
+	var prev *Client
+	for {
+		c, err := open(prev)
+		if err == nil {
+			backoff, fails, prev = minBackoff, 0, c
+			err = drain(c)
+			c.Close()
+		} else {
+			fails++
 		}
-		if errors.Is(err, ErrRebalanced) || errors.Is(err, ErrBadFrame) {
-			// Terminal: the partition group was retired, or the feed holds
-			// a frame this client cannot read; resuming would only replay
-			// the hand-off or the frame.
+		switch {
+		case errors.Is(err, ErrClosed):
+			return nil
+		case errors.Is(err, ErrGap), errors.Is(err, ErrBadFrame), errors.Is(err, ErrRebalanced),
+			fails > maxRetries:
+			return err
+		case fails == 0:
+			continue // connection lost mid-stream: resume at once
+		}
+		select {
+		case <-time.After(backoff):
+		case <-quit:
 			return err
 		}
-		// Connection lost mid-stream: resume from the next sequence.
+		if backoff < maxBackoff {
+			backoff *= 2
+		}
 	}
 }

@@ -182,7 +182,7 @@ func (s *Server) ctlFetch(conn net.Conn, _ *bufio.Reader, req frame) *frame {
 		return &frame{Err: snapNone}
 	}
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	hdr := wire.AppendSnapHeader(nil, wire.SnapHeader{Part: req.Part, Parts: req.Parts, Seq: v.seq, Size: uint64(len(v.data))})
+	hdr := marshalControl(frame{T: frameSnap, Part: req.Part, Parts: req.Parts, Seq: v.seq, Size: uint64(len(v.data))})
 	if writeFrame(bw, hdr) == nil && writeFrame(bw, v.data) == nil {
 		bw.Flush()
 	}

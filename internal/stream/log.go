@@ -409,7 +409,7 @@ func (l *feedLog) open(want *reader, resume uint64, conn io.Closer) (r *reader, 
 	defer l.mu.Unlock()
 	seq, closing := l.seq()
 	if closing {
-		return nil, 0, 0, "server closing"
+		return nil, 0, 0, errClosing.Error()
 	}
 	r = l.readers[want.id]
 	from = resume
@@ -664,7 +664,7 @@ var errLost = errors.New("session unserviceable")
 
 // eofFrame is the goodbye a subscriber gets once it has drained the
 // feed at close.
-var eofFrame = []byte(`{"t":"` + frameEOF + `"}`)
+var eofFrame = marshalControl(frame{T: frameEOF})
 
 // fill is one connection's pass over the log on behalf of a reader: it
 // fills the rounds that connection's writer frames. A reader outlives
@@ -852,7 +852,7 @@ func (f *fill) settle(cursor uint64, drained bool) round {
 	case fc > 0 && r.sent >= fc:
 		// Everything the old owner is entitled to has been framed:
 		// announce the cutover instead of more feed.
-		rd.end = wire.AppendRebal(nil, wire.Rebal{Barrier: fc, Parts: r.parts, NParts: r.fenceNew})
+		rd.end = marshalControl(frame{T: frameRebal, Barrier: fc, Parts: r.parts, NParts: r.fenceNew})
 	case l.drainingLocked() && f.rd == nil:
 		rd.end = eofFrame
 	}

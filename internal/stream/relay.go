@@ -10,29 +10,23 @@ package stream
 // what makes fan-out at 100+ subscribers flat instead of linear in one
 // broker's write loop.
 //
-// The relay owns the full subscriber lifecycle on its upstream side:
-// it resumes from its own spool head across restarts of either
-// endpoint (reconnect with exponential backoff; an error wrapping
-// ErrGap is terminal — the upstream pruned below our head and the gap
-// cannot be hidden — and so is an upstream frame that does not decode),
-// and on upstream eof it drains and closes its own server, propagating
-// the eof down the tree. A terminal failure severs the downstream
+// Upstream, the relay is an ordinary manual-ack Client run by the
+// resume loop SubscribeBatch runs too: it resumes from its own spool
+// head across restarts of either endpoint (an error wrapping ErrGap is
+// terminal — the upstream pruned below our head and the gap cannot be
+// hidden — and so is an upstream frame that does not decode), and on
+// upstream eof it drains and closes its own server, propagating the
+// eof down the tree. A terminal failure severs the downstream
 // subscribers instead, so none of them mistakes a broken feed for a
 // finished one. On the downstream side it is just a Server: resumable
 // sessions, partitioned fbatch subscriptions, and snapshot rendezvous
 // are all served at the edge.
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"sybilwild/internal/wire"
 )
 
 // relayAckEvery bounds how many adopted events may go unacknowledged
@@ -58,8 +52,8 @@ func WithRelayServer(opts ...ServerOption) RelayOption {
 }
 
 // withRelayRetries bounds consecutive upstream dial failures before
-// the relay gives up (default 8; backoff doubles 50ms → 2s between
-// attempts). Failures reset on any successful handshake.
+// the relay gives up (default 8, on SubscribeBatch's backoff).
+// Failures reset on any successful handshake.
 func withRelayRetries(n int) RelayOption {
 	return func(c *relayConfig) { c.maxRetries = n }
 }
@@ -88,7 +82,6 @@ type Relay struct {
 	mu     sync.Mutex
 	conn   net.Conn // current upstream connection, severed by Close/Abort
 	closed bool
-	abort  bool
 
 	quit chan struct{} // closed once, wakes the backoff sleep
 	done chan struct{} // closed when the run loop exits
@@ -97,8 +90,7 @@ type Relay struct {
 	events     atomic.Uint64
 	reconnects atomic.Uint64
 
-	errMu sync.Mutex
-	err   error
+	err error // the terminal error, set by run before done closes
 }
 
 // NewRelay starts a broker on addr that mirrors the feed served at
@@ -160,8 +152,6 @@ func (r *Relay) Stats() RelayStats {
 // unblock it.
 func (r *Relay) Wait() error {
 	<-r.done
-	r.errMu.Lock()
-	defer r.errMu.Unlock()
 	return r.err
 }
 
@@ -169,7 +159,7 @@ func (r *Relay) Wait() error {
 // the downstream server drains every subscriber's window and sends
 // eof, exactly like Close on a standalone broker.
 func (r *Relay) Close() error {
-	r.shutdown(false)
+	r.shutdown()
 	<-r.done
 	return r.srv.Close()
 }
@@ -179,20 +169,16 @@ func (r *Relay) Close() error {
 // left as a crash would. A replacement relay opened on the same spool
 // directory resumes where this one died.
 func (r *Relay) Abort() {
-	r.shutdown(true)
+	r.shutdown()
 	r.srv.Abort()
 	<-r.done
 }
 
-func (r *Relay) shutdown(abort bool) {
+func (r *Relay) shutdown() {
 	r.mu.Lock()
 	if !r.closed {
 		r.closed = true
-		r.abort = abort
 		close(r.quit)
-	}
-	if abort {
-		r.abort = true
 	}
 	if r.conn != nil {
 		r.conn.Close()
@@ -201,176 +187,96 @@ func (r *Relay) shutdown(abort bool) {
 	r.mu.Unlock()
 }
 
-func (r *Relay) isClosed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}
-
-// fail ends the relay with a terminal error. The downstream server is
-// aborted, not closed: its subscribers see a lost connection rather
-// than an eof that would claim the feed complete.
-func (r *Relay) fail(err error) {
-	r.errMu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.errMu.Unlock()
-	r.srv.Abort()
-}
-
-// run is the upstream loop: dial (with resume from the local head),
-// pump frames into AdoptFrame, reconnect on connection loss. It exits
-// on upstream eof (propagated downstream via Close), a terminal error
-// (ErrGap, an undecodable frame, exhausted retries), or Close/Abort.
+// run is the upstream loop: the subscriber lifecycle SubscribeBatch
+// runs too (resumeLoop), with open resuming from the local head and
+// pump adopting frames. It exits on upstream eof (propagated
+// downstream via Close), a terminal error (ErrGap, an undecodable
+// frame, exhausted retries), or Close/Abort.
 func (r *Relay) run() {
 	defer close(r.done)
-	backoff := 50 * time.Millisecond
-	fails := 0
-	for {
-		if r.isClosed() {
-			return
-		}
-		conn, br, err := r.dialUpstream()
-		if err != nil {
-			if r.isClosed() {
-				return
-			}
-			if errors.Is(err, ErrGap) {
-				// The upstream no longer holds our next sequence; no
-				// amount of retrying recovers the lost range. Loud and
-				// terminal, per the delivery contract.
-				r.fail(err)
-				return
-			}
-			fails++
-			if fails > r.retries {
-				r.fail(err)
-				return
-			}
-			select {
-			case <-time.After(backoff):
-			case <-r.quit:
-				return
-			}
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
-			continue
-		}
-		fails = 0
-		backoff = 50 * time.Millisecond
-
-		eof, err := r.pump(conn, br)
-		r.mu.Lock()
-		if r.conn == conn {
-			r.conn = nil
-		}
-		r.mu.Unlock()
-		conn.Close()
-		switch {
-		case eof:
-			// Upstream feed complete: drain our own subscribers and
-			// send them eof — the propagation step that walks the tree.
-			r.mu.Lock()
-			aborted := r.abort
-			r.mu.Unlock()
-			if !aborted {
-				if cerr := r.srv.Close(); cerr != nil {
-					r.fail(cerr)
-				}
-			}
-			return
-		case r.isClosed():
-			return
-		case errors.Is(err, ErrBadFrame):
-			r.fail(err)
-			return
-		default:
-			// Connection lost mid-stream: resume the session from the
-			// local head on a fresh connection.
-			r.reconnects.Add(1)
-		}
+	err := resumeLoop(r.open, r.pump, r.retries, r.quit)
+	r.mu.Lock()
+	closed := r.closed
+	r.mu.Unlock()
+	if closed {
+		return // Close or Abort owns the downstream server's end
+	}
+	if err == nil {
+		// Upstream feed complete: drain our own subscribers and send
+		// them eof — the propagation step that walks the tree.
+		err = r.srv.Close()
+	}
+	if err != nil {
+		// A terminal failure aborts the downstream server rather than
+		// closing it: its subscribers see a lost connection, not an eof
+		// that would claim the feed complete.
+		r.err = err
+		r.srv.Abort()
 	}
 }
 
-// dialUpstream performs the relay handshake: an ordinary subscriber
-// hello with Relay set and Resume at the local head + 1, so the
-// upstream either replays what this hop is missing (memory window or
-// its own spool) or rejects with the gap error. The welcome's Hop
-// field tells the relay its depth; the downstream server advertises
-// hop+1 in its own welcomes. The connection is registered before the
-// hello goes out, so Close and Abort can cut a handshake the upstream
-// never answers.
-func (r *Relay) dialUpstream() (net.Conn, *bufio.Reader, error) {
+// open subscribes upstream as an ordinary manual-ack Client: a hello
+// with Relay set and Resume at the local head + 1, so the upstream
+// either replays what this hop is missing (memory window or its own
+// spool) or refuses with the gap error. The welcome's Hop tells the
+// relay its depth; the downstream server advertises hop+1 in its own
+// welcomes. The connection is registered before the hello goes out,
+// so Close and Abort can cut a handshake the upstream never answers.
+func (r *Relay) open(prev *Client) (*Client, error) {
 	conn, err := dialBroker(r.upstream)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		conn.Close()
-		return nil, nil, errors.New("stream: relay closed")
+		return nil, errors.New("stream: relay closed")
 	}
 	r.conn = conn
 	r.mu.Unlock()
-
-	hello := frame{T: frameHello, V: ProtocolVersion, Session: r.session, Resume: r.srv.HeadSeq() + 1, Relay: true}
-	welcome, br, err := handshake(conn, hello, nil, frameWelcome)
+	c, err := subscribe(conn, frame{T: frameHello, V: ProtocolVersion, Session: r.session,
+		Resume: r.srv.HeadSeq() + 1, Relay: true})
 	if err != nil {
-		conn.Close()
-		if welcome.Err != "" {
-			return nil, nil, fmt.Errorf("%w: %s", ErrGap, welcome.Err)
-		}
-		return nil, nil, err
+		return nil, err
 	}
-	r.srv.hop.Store(int32(welcome.Hop + 1))
-	return conn, br, nil
+	if prev != nil {
+		r.reconnects.Add(1)
+	}
+	c.SetManualAck(true)
+	r.srv.hop.Store(int32(c.hop + 1))
+	return c, nil
 }
 
-// pump reads upstream frames and adopts them until eof, connection
-// loss, or a frame that does not decode (an error wrapping
-// ErrBadFrame: reconnecting would only replay it). Each batch frame
-// gets a fresh buffer — AdoptFrame retains the payload by reference as
-// the shared chunk — while control frames are rare enough that the
-// allocation doesn't matter. Acks ride on idle moments (empty read
-// buffer) and at least every relayAckEvery events, keeping the upstream
-// window trimmed without an ack per frame.
-func (r *Relay) pump(conn net.Conn, br *bufio.Reader) (eof bool, err error) {
-	bw := bufio.NewWriterSize(conn, 1<<10)
-	var acked uint64
-	ack := func() {
-		if head := r.srv.HeadSeq(); head > acked {
-			if writeControl(bw, frame{T: frameAck, Ack: head}) == nil && bw.Flush() == nil {
-				acked = head
-			}
-		}
-	}
+// pump adopts upstream frames until eof, connection loss, or a frame
+// that does not decode (an error wrapping ErrBadFrame: reconnecting
+// would only replay it). Each frame is read into a fresh buffer, which
+// AdoptFrame retains by reference as the shared chunk. The client's
+// cursor follows the local head, and acks ride on idle moments (empty
+// read buffer), at least every relayAckEvery events, and through the
+// head at eof, keeping the upstream window trimmed without an ack per
+// frame.
+func (r *Relay) pump(c *Client) error {
 	for {
-		payload, rerr := readFrame(br, nil)
-		if rerr != nil {
-			return false, rerr
+		payload, err := c.next(nil)
+		if errors.Is(err, ErrClosed) {
+			c.Ack(c.lastSeq) // retire everything delivered before hanging up
 		}
-		if wire.IsControl(payload) {
-			var f frame
-			if json.Unmarshal(payload, &f) == nil && f.T == frameEOF {
-				ack() // retire everything delivered before hanging up
-				return true, nil
-			}
-			return false, fmt.Errorf("%w: unexpected control frame on relay feed: %.64q", ErrBadFrame, payload)
+		if err != nil {
+			return err
 		}
-		n, aerr := r.srv.AdoptFrame(payload)
-		if aerr != nil {
+		n, err := r.srv.AdoptFrame(payload)
+		if err != nil {
 			// ErrAdoptGap — the resumed stream skipped frames, which only a
 			// broken upstream produces — reconnects and re-resumes; a frame
 			// that does not decode (ErrBadFrame) ends the relay.
-			return false, aerr
+			return err
 		}
 		r.frames.Add(1)
 		r.events.Add(uint64(n))
-		if r.srv.HeadSeq()-acked >= relayAckEvery || br.Buffered() == 0 {
-			ack()
+		c.lastSeq = r.srv.HeadSeq()
+		if c.lastSeq-c.acked >= relayAckEvery || c.br.Buffered() == 0 {
+			c.Ack(c.lastSeq)
 		}
 	}
 }

@@ -10,6 +10,7 @@ package stream
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -717,4 +718,142 @@ func TestRelayRefusesUndecodableUpstreamFrame(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestClosingRefusalIsNotErrGap: a broker that refuses a hello because it
+// is closing — what feedLog.open answers on a connection accepted just
+// before Close or Abort shut the listener — has lost nothing, so the
+// refusal is an ordinary dial error: DialResume's error does not wrap
+// ErrGap, and a relay redials instead of failing. Retention refusals
+// stay ErrGap (TestResumeBelowRetentionIsErrGap,
+// TestRelayResumeBelowRetentionIsErrGap).
+func TestClosingRefusalIsNotErrGap(t *testing.T) {
+	leakCheck(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	upstream := make(chan struct{})
+	go func() { // a hand-driven upstream: two closing refusals, then a feed that ends at once
+		defer close(upstream)
+		for i := 0; ; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			br := bufio.NewReader(conn)
+			if _, err := readFrame(br, nil); err == nil { // the hello
+				if i < 2 {
+					writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, Err: errClosing.Error()})
+				} else {
+					writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: 1})
+					writeControl(conn, frame{T: frameEOF})
+					io.Copy(io.Discard, br)
+				}
+			}
+			conn.Close()
+		}
+	}()
+	defer func() { ln.Close(); <-upstream }()
+
+	_, err = DialResume(ln.Addr().String(), "s", 5)
+	if err == nil || errors.Is(err, ErrGap) || !strings.Contains(err.Error(), errClosing.Error()) {
+		t.Fatalf("resume refused by a closing broker: err = %v, want a plain %q refusal", err, errClosing)
+	}
+
+	relay, err := NewRelay("127.0.0.1:0", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	werr := make(chan error, 1)
+	go func() { werr <- relay.Wait() }()
+	select {
+	case err := <-werr:
+		if err != nil {
+			t.Fatalf("relay refused by a closing upstream: Wait = %v, want a redial and a clean end", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("relay hung after a closing refusal")
+	}
+}
+
+// TestRelayAckSchedule pins when a relay acks its upstream. A
+// hand-driven upstream writes 8192 events in 8-event frames at once,
+// so the relay's read buffer is seldom empty, then eof, and reads the
+// acks until the relay hangs up. They rise; no two in a row (nor the
+// first and the resume anchor) lie more than relayAckEvery plus one
+// frame apart, so adopted events never stand unacknowledged longer
+// than that; and the last one acks the last sequence.
+func TestRelayAckSchedule(t *testing.T) {
+	leakCheck(t)
+	const total, per = 8192, 8
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	acks := make(chan []uint64, 1)
+	go func() { // a hand-driven upstream broker
+		var got []uint64
+		defer func() { acks <- got }()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if _, err := readFrame(br, nil); err != nil { // the relay's hello
+			return
+		}
+		go func() {
+			bw := bufio.NewWriter(conn)
+			writeControl(bw, frame{T: frameWelcome, V: ProtocolVersion, From: 1})
+			evs := make([]osn.Event, per)
+			for seq := uint64(1); seq <= total; seq += per {
+				for i := range evs {
+					evs[i] = testEvent(int(seq) + i)
+				}
+				writeFrame(bw, wire.AppendBatch(nil, seq, evs))
+			}
+			writeControl(bw, frame{T: frameEOF})
+			bw.Flush()
+		}()
+		for {
+			payload, err := readFrame(br, nil)
+			if err != nil {
+				return // the relay hung up
+			}
+			var f frame
+			if json.Unmarshal(payload, &f) != nil || f.T != frameAck {
+				t.Errorf("upstream read %q, want an ack", payload)
+				return
+			}
+			got = append(got, f.Ack)
+		}
+	}()
+
+	relay, err := NewRelay("127.0.0.1:0", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	if err := relay.Wait(); err != nil {
+		t.Fatalf("relay: %v", err)
+	}
+	got := <-acks
+	var prev uint64
+	for i, a := range got {
+		if a <= prev {
+			t.Fatalf("ack %d = %d after %d: acks must rise (%v)", i, a, prev, got)
+		}
+		if a-prev > relayAckEvery+per {
+			t.Fatalf("ack %d = %d after %d: more than relayAckEvery (%d) plus one frame (%d) unacknowledged", i, a, prev, relayAckEvery, per)
+		}
+		prev = a
+	}
+	if prev != total {
+		t.Fatalf("last ack %d, want %d before the relay hangs up (%d acks)", prev, total, len(got))
+	}
+	t.Logf("%d acks for %d events", len(got), total)
 }

@@ -13,7 +13,10 @@
 // briefly-disconnected subscriber redials with its last delivered
 // sequence and the log replays the gap, so delivery is at least once
 // end to end (and exactly once through SubscribeBatch, which
-// deduplicates on sequence numbers).
+// deduplicates on sequence numbers). Client (client.go) is the only
+// code that speaks the subscriber side of the protocol: SubscribeBatch
+// and a Relay's upstream link are the two callers of its one resume
+// loop.
 //
 // The server is a producer-agnostic broker: events enter either via
 // in-process BroadcastBatch calls or from any number of concurrent wire

@@ -99,14 +99,15 @@ type frame struct {
 // writeFrame emits one length-prefixed frame payload.
 func writeFrame(w io.Writer, payload []byte) error { return wire.WriteFrame(w, payload) }
 
-// writeControl marshals and emits a control frame.
-func writeControl(w io.Writer, f frame) error {
-	payload, err := json.Marshal(f)
-	if err != nil {
-		return err
-	}
-	return writeFrame(w, payload)
+// marshalControl is the one encoder of control frames. A frame holds
+// only strings, numbers and bools, so marshalling cannot fail.
+func marshalControl(f frame) []byte {
+	payload, _ := json.Marshal(f)
+	return payload
 }
+
+// writeControl marshals and emits a control frame.
+func writeControl(w io.Writer, f frame) error { return writeFrame(w, marshalControl(f)) }
 
 // readFrame reads one length-prefixed payload, reusing buf when it is
 // large enough. The returned slice is only valid until the next call.

@@ -15,25 +15,7 @@ func CrossValidate(x [][]float64, y []float64, k int, cfg Config) stats.Confusio
 		k = 2
 	}
 	r := stats.NewRand(cfg.Seed + 1000)
-	// Stratified assignment: shuffle each class separately, deal into
-	// folds round-robin.
-	var pos, neg []int
-	for i, v := range y {
-		if v > 0 {
-			pos = append(pos, i)
-		} else {
-			neg = append(neg, i)
-		}
-	}
-	stats.Shuffle(r, pos)
-	stats.Shuffle(r, neg)
-	fold := make([]int, len(y))
-	for i, idx := range pos {
-		fold[idx] = i % k
-	}
-	for i, idx := range neg {
-		fold[idx] = i % k
-	}
+	fold := stats.StratifiedFolds(r, len(y), k, func(i int) bool { return y[i] > 0 })
 
 	var total stats.Confusion
 	for f := 0; f < k; f++ {

@@ -221,64 +221,6 @@ func checkViews(t *testing.T, frame []byte, first uint64, evs []osn.Event) {
 	}
 }
 
-// FuzzSnapHeader: the snap header is a JSON control frame that clients
-// read with encoding/json. Any header values a decoder produces from
-// raw input re-encode to a header that decodes back to the same values,
-// and so do generated ones.
-func FuzzSnapHeader(f *testing.F) {
-	f.Add([]byte(`{"t":"snap","part":0,"parts":1,"seq":0,"size":0}`))
-	f.Add(AppendSnapHeader(nil, SnapHeader{Part: 2, Parts: 5, Seq: 900, Size: 1 << 20}))
-	f.Add([]byte(`{"t":"snap","part":3,"parts":2,"seq":1,"size":1}`))
-	f.Add([]byte(`{"t":"snap","part":-1,"parts":1,"seq":1,"size":99999999999}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		roundTrip := func(h SnapHeader) {
-			enc := AppendSnapHeader(nil, h)
-			if h2, ok := decodeSnapHeader(enc); !ok || h2 != h {
-				t.Fatalf("snap header round trip: %+v on wire as %q gave %+v", h, enc, h2)
-			}
-		}
-		if h, ok := decodeSnapHeader(data); ok {
-			roundTrip(h)
-		}
-		if len(data) >= 18 {
-			roundTrip(SnapHeader{
-				Part:  int(int8(data[0])),
-				Parts: int(int8(data[1])),
-				Seq:   binary.LittleEndian.Uint64(data[2:10]),
-				Size:  binary.LittleEndian.Uint64(data[10:18]),
-			})
-		}
-	})
-}
-
-// FuzzRebal: the rebal frame is a JSON control frame that clients read
-// with encoding/json; decoded and generated announcements alike survive
-// AppendRebal and the decoder unchanged.
-func FuzzRebal(f *testing.F) {
-	f.Add([]byte(`{"t":"rebal","barrier":0,"parts":2,"nparts":1}`))
-	f.Add(AppendRebal(nil, Rebal{Barrier: 12345, Parts: 3, NParts: 5}))
-	f.Add([]byte(`{"t":"rebal","barrier":7,"parts":4,"nparts":4}`))
-	f.Add([]byte(`{"t":"rebal","barrier":7,"parts":1,"nparts":2}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		roundTrip := func(r Rebal) {
-			enc := AppendRebal(nil, r)
-			if r2, ok := decodeRebal(enc); !ok || r2 != r {
-				t.Fatalf("rebal round trip: %+v on wire as %q gave %+v", r, enc, r2)
-			}
-		}
-		if r, ok := decodeRebal(data); ok {
-			roundTrip(r)
-		}
-		if len(data) >= 10 {
-			roundTrip(Rebal{
-				Barrier: binary.LittleEndian.Uint64(data[2:10]),
-				Parts:   int(int8(data[0])),
-				NParts:  int(int8(data[1])),
-			})
-		}
-	})
-}
-
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add(AppendFrame(nil, AppendBatch(nil, 1, fuzzSeedEvents[:1])))

@@ -1,15 +1,15 @@
 // Codec additions for the partitioned cluster: the fbatch frame (a
 // filtered batch — the downstream form sent to partitioned subscribers,
 // where delivered sequences are sparse in the global order), the
-// partition view that builds one from a batch frame, and the snapshot
-// header that announces a detector.PipelineSnapshot moving between
-// workers and the broker.
+// partition view that builds one from a batch frame, and the bound on
+// the raw snapshot frame a detector.PipelineSnapshot moves in between
+// workers and the broker (its snap header is a control frame,
+// internal/stream).
 
 package wire
 
 import (
 	"slices"
-	"strconv"
 
 	"sybilwild/internal/osn"
 )
@@ -86,34 +86,4 @@ func SpliceFBatch(dst []byte, last uint64, src []byte, own []int) []byte {
 		copy(r[8:], src[headerSize+k*recordSize:])
 	}
 	return dst
-}
-
-// SnapHeader announces a snapshot payload: which partition it covers,
-// the feed sequence the snapshot is stamped at (a worker restored
-// from it resumes at Seq+1), and the byte length of the raw payload
-// frame that follows.
-type SnapHeader struct {
-	Part  int
-	Parts int
-	Seq   uint64
-	Size  uint64
-}
-
-// AppendSnapHeader appends the snapshot header, a JSON control frame:
-//
-//	{"t":"snap","part":P,"parts":K,"seq":S,"size":B}
-//
-// The snapshot frame pair is this header followed by one raw frame of
-// exactly Size bytes holding the serialized detector.PipelineSnapshot.
-// Clients read the header with encoding/json, as every control frame.
-func AppendSnapHeader(dst []byte, h SnapHeader) []byte {
-	dst = append(dst, `{"t":"snap","part":`...)
-	dst = strconv.AppendInt(dst, int64(h.Part), 10)
-	dst = append(dst, `,"parts":`...)
-	dst = strconv.AppendInt(dst, int64(h.Parts), 10)
-	dst = append(dst, `,"seq":`...)
-	dst = strconv.AppendUint(dst, h.Seq, 10)
-	dst = append(dst, `,"size":`...)
-	dst = strconv.AppendUint(dst, h.Size, 10)
-	return append(dst, '}')
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"sybilwild/internal/osn"
@@ -85,34 +84,4 @@ func TestFBatchEventsSectionSplice(t *testing.T) {
 	if got := Join(nil, 13, fa, AppendFBatch(nil, 9, nil, nil), fb); !bytes.Equal(got, want) {
 		t.Fatalf("join across a cursor advance diverges:\n%x\n%x", got, want)
 	}
-}
-
-// TestSnapHeaderRoundTrip: the snapshot header is a JSON control
-// frame, and the generic decoder clients read it with gets back every
-// field.
-func TestSnapHeaderRoundTrip(t *testing.T) {
-	h := SnapHeader{Part: 2, Parts: 5, Seq: 99123, Size: 4096}
-	payload := AppendSnapHeader(nil, h)
-	if !IsControl(payload) {
-		t.Fatalf("snap header %q is not a control frame", payload)
-	}
-	got, ok := decodeSnapHeader(payload)
-	if !ok || got != h {
-		t.Fatalf("round trip: ok=%v got=%+v want %+v (payload %s)", ok, got, h, payload)
-	}
-}
-
-// decodeSnapHeader reads a snap header the way a client does: as JSON.
-func decodeSnapHeader(payload []byte) (SnapHeader, bool) {
-	var f struct {
-		T     string `json:"t"`
-		Part  int    `json:"part"`
-		Parts int    `json:"parts"`
-		Seq   uint64 `json:"seq"`
-		Size  uint64 `json:"size"`
-	}
-	if json.Unmarshal(payload, &f) != nil || f.T != "snap" {
-		return SnapHeader{}, false
-	}
-	return SnapHeader{Part: f.Part, Parts: f.Parts, Seq: f.Seq, Size: f.Size}, true
 }
