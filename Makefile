@@ -12,7 +12,7 @@ WORKLOAD ?= campaign-saturate
 SEED ?= 7
 SECONDS ?= 20
 
-.PHONY: all build test race alloc-budget sybilbench-test sybilbench sybilbench-trace bench bench-gate fuzz-smoke profile profile-live loc fmt vet docs staticcheck ci
+.PHONY: all build test race alloc-budget daemon-smoke sybilbench-test sybilbench sybilbench-trace bench bench-gate fuzz-smoke profile profile-live loc fmt vet docs staticcheck ci
 
 all: build
 
@@ -31,6 +31,31 @@ race:
 alloc-budget:
 	$(GO) test -race -run 'TestRetainedPayloadsNeverAliasScratch|TestPublisherResendsByteIdentical|TestPublisherSteadyFlushAllocatesNoPayload|TestLivePathAllocBudget' -count=1 -v ./internal/stream
 	$(GO) test -race -run 'TestDetectorStateAllocBudget' -count=1 -v ./internal/detector
+
+# The three daemons end to end, each in its one role: streamd brokers
+# (spooled, so start order does not matter), detectd backfills the feed
+# from sequence 1, and one renrend produces a small campaign. Gated on
+# exit codes and exact counts only, never on timing: every daemon exits
+# 0, the broker delivers all E events it sent and evicts no session,
+# and the producer's published count and detectd's `feed ended: E
+# events` equal the broker's E. Mirrors ci.yml's "daemon smoke" step.
+daemon-smoke:
+	@d=$$(mktemp -d); trap 'kill $$(jobs -p) 2>/dev/null; rm -rf "$$d"' EXIT; \
+	fail() { echo "daemon-smoke: $$*" >&2; tail -n 20 $$d/*.out >&2; exit 1; }; \
+	for c in streamd detectd renrend; do $(GO) build -o $$d/$$c ./cmd/$$c || exit 1; done; \
+	$$d/streamd -addr 127.0.0.1:0 -spool-dir $$d/spool -linger 10s -stats-every 0 >$$d/streamd.out 2>&1 & sp=$$!; \
+	for i in $$(seq 100); do grep -q '^broker on' $$d/streamd.out && break; sleep 0.1; done; \
+	addr=$$(sed -n 's/^broker on \([^;]*\);.*/\1/p' $$d/streamd.out); \
+	[ -n "$$addr" ] || fail "streamd did not start"; \
+	$$d/detectd -addr $$addr -from-start -check-every 3 >$$d/detectd.out 2>&1 & dp=$$!; \
+	$$d/renrend -addr $$addr -normals 1500 -sybils 20 -hours 150 >$$d/renrend.out 2>&1 || fail "renrend exited $$?"; \
+	wait $$sp || fail "streamd exited $$?"; \
+	wait $$dp || fail "detectd exited $$?"; \
+	e=$$(sed -n 's/^sent=\([0-9]*\) delivered=\1 encodes=[0-9]* sessions_evicted=0$$/\1/p' $$d/streamd.out); \
+	[ -n "$$e" ] || fail "streamd audit is not sent=E delivered=E ... sessions_evicted=0"; \
+	grep -q "^producer p0: published $$e events " $$d/renrend.out || fail "renrend did not publish $$e events"; \
+	grep -q "^feed ended: $$e events " $$d/detectd.out || fail "detectd did not receive $$e events"; \
+	echo "daemon-smoke: $$e events produced, sent, delivered and detected; $$(grep -c '^FLAG ' $$d/detectd.out) accounts flagged"
 
 # benchmark/ is its own module compiled against this one's public API,
 # so tier-1 `go test ./...` does not cover it: a root-API change that
@@ -203,4 +228,4 @@ staticcheck:
 		$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...; \
 	fi
 
-ci: fmt vet build race alloc-budget sybilbench-test bench bench-gate fuzz-smoke docs staticcheck
+ci: fmt vet build race alloc-budget daemon-smoke sybilbench-test bench bench-gate fuzz-smoke docs staticcheck

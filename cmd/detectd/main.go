@@ -1,8 +1,8 @@
 // Command detectd is the real-time Sybil detector daemon: it
-// subscribes to a feed broker (renrend, streamd, or any relay edge of
-// either), reconstructs the friendship graph from accept events, tracks
-// the paper's behavioural features incrementally, and prints a FLAG
-// line the moment an account crosses the detection thresholds.
+// subscribes to a feed broker (streamd, as the root or any relay edge
+// of a tree), reconstructs the friendship graph from accept events,
+// tracks the paper's behavioural features incrementally, and prints a
+// FLAG line the moment an account crosses the detection thresholds.
 //
 // detectd is flags over cluster.Worker, the one worker lifecycle (see
 // docs/ARCHITECTURE.md, "Resume contract"); this file parses, prints
@@ -76,7 +76,7 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 	fs.SetOutput(out)
 	var o options
 	c := &o.cfg
-	fs.StringVar(&c.Addr, "addr", "127.0.0.1:7474", "feed broker address (renrend, streamd, or a relay edge)")
+	fs.StringVar(&c.Addr, "addr", "127.0.0.1:7474", "feed broker address (streamd, as the root or a relay edge)")
 	fs.Float64Var(&c.Rule.OutAcceptMax, "out-accept", 0.5, "max outgoing accept ratio")
 	fs.Float64Var(&c.Rule.FreqMin, "freq", 20, "min invitations/hour")
 	fs.Float64Var(&c.Rule.CCMax, "cc", 0.05, "max first-50-friends clustering coefficient")
@@ -150,7 +150,7 @@ func main() {
 		// a memory-only feed whose tail is smaller than one interval's
 		// traffic, producer and consumer deadlock until stall eviction. A
 		// spooled feed serves the session from disk instead.
-		log.Print("warning: -checkpoint-max-lag 0 disables the lag trigger; only safe when the feed spools to disk (renrend or streamd -spool-dir)")
+		log.Print("warning: -checkpoint-max-lag 0 disables the lag trigger; only safe when the feed spools to disk (streamd -spool-dir)")
 	}
 	cfg.OnFlag = func(f detector.Flag) {
 		fmt.Printf("FLAG account %d at t=%d: freq=%.1f/h outAccept=%.2f cc=%.4f sent=%d\n",

@@ -1,237 +1,141 @@
-// Command renrend runs the OSN simulation as a network service: it
-// listens on a TCP port and streams every operational-log event to
-// connected subscribers over the v3 feed protocol (sequence-numbered,
-// acked batches; see docs/ARCHITECTURE.md) — the role Renren's
-// production log feed played for the paper's deployed detector.
-// Delivery is at least once: a slow subscriber applies backpressure
-// to the simulation instead of losing events, and a briefly
-// disconnected one resumes from its last delivered sequence.
+// Command renrend runs the OSN simulation as a feed producer: it
+// publishes every operational-log event into a streamd broker over the
+// publish sub-protocol (sequence-numbered, acked batches; see
+// docs/ARCHITECTURE.md) — the role Renren's frontends played for the
+// paper's deployed detector. The broker sequences, spools and fans the
+// feed out to detectd subscribers; renrend only produces.
 //
-// With -spool-dir the feed also persists to disk: every event is
-// appended to segment files (internal/spool), and a subscriber that
-// fell out of the feed log's in-memory tail — a detector cold-starting
-// from a stale checkpoint, or one that was simply gone too long — is
-// caught up from the segments instead of being answered with a feed
-// gap. A slow subscriber reads the spool rather than stalling the
-// simulation. Retention is pruned by -spool-retain but never past the
-// lowest subscriber acknowledgement.
+// A subscriber joins the feed at its live head, so start detectd
+// before renrend, or run streamd with -spool-dir and detectd with
+// -from-start to backfill the campaign from sequence 1.
 //
-// The simulation starts once the first subscriber connects (so a
-// detector daemon never misses the campaign), then streams the whole
-// campaign, drains every subscriber to the head, and exits with a
-// sent-vs-delivered accounting line.
-//
-// With -publish the process is a producer instead of a server: it
-// dials a streamd broker and publishes its share of the simulated
-// population over the publish sub-protocol. -producers K and
-// -producer-index i split the campaign across K such processes — each
-// runs the full deterministic simulation from the shared -seed but
-// publishes only the actors that hash-partition to its index, so the
-// K processes jointly emit exactly the event set one process would.
-// A publish-mode process that is killed and restarted resumes
+// -producers K and -producer-index i split the campaign across K
+// processes — each runs the full deterministic simulation from the
+// shared -seed but publishes only the actors that hash-partition to its
+// index, so the K processes jointly emit exactly the event set one
+// process would. A process that is killed and restarted resumes
 // exactly-once: the broker reports how many of its events are already
 // sequenced and the regenerated deterministic stream skips that
-// prefix. -maxrate is interpreted as the target rate of the whole
-// producer group: each process paces at maxrate/K so K producers do
-// not overdrive the broker at K times the requested rate.
+// prefix. -maxrate is the target rate of the whole producer group:
+// each process paces at maxrate/K so K producers do not overdrive the
+// broker at K times the requested rate.
 //
 // Usage:
 //
-//	renrend -addr 127.0.0.1:7474 -normals 6000 -sybils 80 -hours 400 \
-//	        -spool-dir /var/lib/renrend/spool -spool-retain 1073741824
+//	streamd -addr 127.0.0.1:7474 &
+//	detectd -addr 127.0.0.1:7474 &
+//	renrend -addr 127.0.0.1:7474 -normals 6000 -sybils 80 -hours 400
 //
-//	# or, as one of three producers feeding a streamd broker:
-//	renrend -publish 127.0.0.1:7474 -producers 3 -producer-index 1 \
-//	        -normals 6000 -sybils 80 -hours 400
+//	# or as one of three producers jointly generating the campaign:
+//	renrend -producers 3 -producer-index 1 -normals 6000 -sybils 80 -hours 400
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"sybilwild/internal/agents"
 	"sybilwild/internal/osn"
 	"sybilwild/internal/sim"
-	"sybilwild/internal/spool"
 	"sybilwild/internal/stream"
 )
+
+// config is a parsed command line.
+type config struct {
+	addr, id         string
+	producers, index int
+	seed             int64
+	normals, sybils  int
+	hours            int64
+	maxRate          int
+}
+
+// parseArgs maps the command line onto a config, rejecting a producer
+// index outside the group. Usage and parse errors are written to out.
+func parseArgs(args []string, out io.Writer) (config, error) {
+	fs := flag.NewFlagSet("renrend", flag.ContinueOnError)
+	fs.SetOutput(out)
+	var c config
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:7474", "feed broker to publish into (streamd, or the root of a relay tree)")
+	fs.Int64Var(&c.seed, "seed", 1, "deterministic seed (shared by every producer of one campaign)")
+	fs.IntVar(&c.normals, "normals", 6000, "background user population")
+	fs.IntVar(&c.sybils, "sybils", 80, "Sybil accounts")
+	fs.Int64Var(&c.hours, "hours", 400, "observation window (hours)")
+	fs.IntVar(&c.maxRate, "maxrate", 0, "max events/second published by the whole producer group (0 = unlimited); each process paces at maxrate/producers. Broker backpressure already paces the feed; set this only to smooth bursts")
+	fs.IntVar(&c.producers, "producers", 1, "size of the producer group jointly generating the campaign")
+	fs.IntVar(&c.index, "producer-index", 0, "this process's partition index in [0, producers)")
+	fs.StringVar(&c.id, "producer-id", "", "producer id registered with the broker (default: p<producer-index>)")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	if c.index < 0 || c.index >= c.producers {
+		return c, fmt.Errorf("-producer-index %d out of range [0, %d)", c.index, c.producers)
+	}
+	if c.id == "" {
+		c.id = fmt.Sprintf("p%d", c.index)
+	}
+	return c, nil
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("renrend: ")
-	var (
-		addr    = flag.String("addr", "127.0.0.1:7474", "listen address")
-		seed    = flag.Int64("seed", 1, "deterministic seed")
-		normals = flag.Int("normals", 6000, "background user population")
-		sybils  = flag.Int("sybils", 80, "Sybil accounts")
-		hours   = flag.Int64("hours", 400, "observation window (hours)")
-		wait    = flag.Duration("wait", 30*time.Second, "max wait for a first subscriber")
-		maxRate = flag.Int("maxrate", 0, "max events/second streamed (0 = unlimited); feed backpressure already paces slow subscribers, set this only to smooth bursts. In publish mode this is the whole producer group's rate: each process paces at maxrate/producers")
-		window  = flag.Int("window", stream.DefaultReplayBuffer, "in-memory tail of the feed log in events, shared by every subscriber (partitioned ones count feed events too); with a spool, tiny tails stay safe (a subscriber that falls out of the tail reads the spool)")
-
-		publish    = flag.String("publish", "", "publish into a streamd broker at this address instead of serving subscribers (disables -addr/-wait/-window/-spool-*)")
-		producers  = flag.Int("producers", 1, "size of the producer group jointly generating the campaign (publish mode)")
-		prodIndex  = flag.Int("producer-index", 0, "this process's partition index in [0, producers) (publish mode)")
-		producerID = flag.String("producer-id", "", "producer id registered with the broker (default: p<producer-index>)")
-
-		spoolDir     = flag.String("spool-dir", "", "directory for the disk feed spool (empty: memory-only feed log)")
-		spoolSegment = flag.Int64("spool-segment-bytes", spool.DefaultSegmentBytes, "segment file size before rolling (fsync on roll)")
-		spoolRetain  = flag.Int64("spool-retain", 0, "spool retention budget in bytes (0 = keep everything); pruning never passes the lowest subscriber ack")
-		spoolAge     = flag.Duration("spool-segment-age", 0, "also roll the active segment after this age (0 = size-only rolling)")
-	)
-	flag.Parse()
-
-	if *publish != "" {
-		runPublisher(*publish, *producerID, *producers, *prodIndex,
-			*seed, *normals, *sybils, *hours, *maxRate)
+	c, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-
-	opts := []stream.ServerOption{stream.WithReplayBuffer(*window)}
-	var sp *spool.Spool
-	if *spoolDir != "" {
-		var err error
-		sp, err = spool.Open(*spoolDir,
-			spool.WithSegmentBytes(*spoolSegment),
-			spool.WithRetainBytes(*spoolRetain),
-			spool.WithSegmentAge(*spoolAge))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer sp.Close()
-		opts = append(opts, stream.WithSpool(sp))
-		if st := sp.Stats(); st.End > 0 {
-			fmt.Printf("spool %s: resuming log at seq %d (%d segments, %d bytes retained from seq %d)\n",
-				*spoolDir, st.End+1, st.Segments, st.Bytes, st.First)
-		}
-	}
-
-	srv, err := stream.NewServer(*addr, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
-	fmt.Printf("listening on %s; waiting up to %v for a subscriber\n", srv.Addr(), *wait)
-
-	deadline := time.Now().Add(*wait)
-	for srv.NumClients() == 0 && time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
-	}
-	if srv.NumClients() == 0 {
-		fmt.Println("no subscriber; streaming anyway")
-	}
-
-	pop := agents.NewPopulation(*seed, agents.DefaultParams())
-	pop.Net.SetKeepLog(false) // observers only; no need to retain
-	sent := 0
-	windowStart := time.Now()
-	// Coalesce observer events into broker batches: BroadcastBatch
-	// sequences, encodes and spools one shared frame per run instead of
-	// one per event, which is the broker's single-encode hot path.
-	const flushAt = 256
-	batch := make([]osn.Event, 0, flushAt)
-	flush := func() {
-		srv.BroadcastBatch(batch)
-		batch = batch[:0]
-	}
-	pop.Net.RegisterObserver(func(ev osn.Event) {
-		batch = append(batch, ev)
-		if len(batch) >= flushAt {
-			flush()
-		}
-		if *maxRate <= 0 {
-			return
-		}
-		sent++
-		if sent%1024 == 0 {
-			// Simple token pacing: never exceed maxRate on average.
-			need := time.Duration(sent) * time.Second / time.Duration(*maxRate)
-			if elapsed := time.Since(windowStart); elapsed < need {
-				time.Sleep(need - elapsed)
-			}
-		}
-	})
-	pop.Bootstrap(*normals)
-	pop.LaunchSybils(*sybils, (*hours)/4*sim.TicksPerHour)
-	pop.RunFor(*hours * sim.TicksPerHour)
-	flush() // tail of the feed
-
-	fmt.Println(pop.Stats())
-	// Per-session lag (worst first): who is holding the feed back, and
-	// whether they are being served from memory or disk catch-up.
-	for _, ss := range srv.Stats().PerSession {
-		state := "connected"
-		if !ss.Connected {
-			state = "detached"
-		}
-		if ss.CatchUp {
-			state += ", disk catch-up"
-		}
-		fmt.Printf("session %s (%s): behind=%d window=%d/%d (%.0f%% full)\n",
-			ss.ID, state, ss.Behind, ss.Buffered, ss.Window, 100*ss.Fill)
-	}
-	fmt.Println("campaign complete; draining subscriber replay windows")
-	srv.Close() // blocks until every subscriber drained (or the drain timeout cut it off)
-	st := srv.Stats()
-	fmt.Printf("sent=%d delivered=%d encodes=%d sessions_evicted=%d\n", st.Broadcast, st.Delivered, st.Encodes, st.Evicted)
-	if sp != nil {
-		sst := sp.Stats()
-		line := fmt.Sprintf("spool: %d segments, %d bytes, seqs %d-%d retained", sst.Segments, sst.Bytes, sst.First, sst.End)
-		if st.SpoolErr != "" {
-			line += " (DISK TIER FAILED: " + st.SpoolErr + ")"
-		}
-		fmt.Println(line)
+	if err := publish(c, os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 }
 
-// runPublisher is publish mode: run the full deterministic simulation
-// and publish this process's actor partition into a streamd broker.
-// Exactly-once across kill -9 rides on determinism — the broker
+// publish runs the full deterministic simulation and publishes this
+// process's actor partition into the broker at c.addr, narrating to
+// out. Exactly-once across kill -9 rides on determinism — the broker
 // reports how many of this producer's events are already sequenced,
-// and the regenerated stream skips exactly that prefix (at full
-// speed: pacing starts at the first freshly published event).
-func runPublisher(addr, id string, group, index int, seed int64, normals, sybils int, hours int64, maxRate int) {
-	if index < 0 || index >= group {
-		log.Fatalf("-producer-index %d out of range [0, %d)", index, group)
-	}
-	if id == "" {
-		id = fmt.Sprintf("p%d", index)
-	}
-	pub, err := stream.NewPublisher(addr, id, group)
+// and the regenerated stream skips exactly that prefix (at full speed:
+// pacing starts at the first freshly published event). A failed publish
+// stops publishing; the simulation runs out and the error is returned.
+func publish(c config, out io.Writer) error {
+	pub, err := stream.NewPublisher(c.addr, c.id, c.producers)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	skip := pub.SkipEvents()
-	fmt.Printf("registered as producer %s (%d of %d), epoch %d\n", id, index, group, pub.Epoch())
+	fmt.Fprintf(out, "registered as producer %s (%d of %d), epoch %d\n", c.id, c.index, c.producers, pub.Epoch())
 	if skip > 0 {
-		fmt.Printf("broker already holds %d of our events; regenerating and skipping that prefix\n", skip)
+		fmt.Fprintf(out, "broker already holds %d of our events; regenerating and skipping that prefix\n", skip)
 	}
 	// -maxrate is the producer group's aggregate budget; this process
 	// paces its own share so K producers sum to roughly maxrate.
 	rate := 0
-	if maxRate > 0 {
-		rate = maxRate / group
-		if rate < 1 {
-			rate = 1
-		}
+	if c.maxRate > 0 {
+		rate = max(c.maxRate/c.producers, 1)
 	}
 
-	pop := agents.NewPopulation(seed, agents.DefaultParams())
+	pop := agents.NewPopulation(c.seed, agents.DefaultParams())
 	pop.Net.SetKeepLog(false) // observers only; no need to retain
 	var seen, published uint64
 	var paceStart time.Time
+	var perr error
 	pop.Net.RegisterObserver(func(ev osn.Event) {
-		if osn.Partition(ev.Actor, group) != index {
+		if perr != nil || osn.Partition(ev.Actor, c.producers) != c.index {
 			return
 		}
 		seen++
 		if seen <= skip {
 			return // a predecessor process already published this prefix
 		}
-		if err := pub.Publish(ev); err != nil {
-			log.Fatalf("publish: %v", err)
+		if perr = pub.Publish(ev); perr != nil {
+			return
 		}
 		published++
 		if rate > 0 {
@@ -247,14 +151,18 @@ func runPublisher(addr, id string, group, index int, seed int64, normals, sybils
 			}
 		}
 	})
-	pop.Bootstrap(normals)
-	pop.LaunchSybils(sybils, hours/4*sim.TicksPerHour)
-	pop.RunFor(hours * sim.TicksPerHour)
+	pop.Bootstrap(c.normals)
+	pop.LaunchSybils(c.sybils, c.hours/4*sim.TicksPerHour)
+	pop.RunFor(c.hours * sim.TicksPerHour)
+	if perr != nil {
+		return fmt.Errorf("publish: %w", perr)
+	}
 	if err := pub.Close(); err != nil {
-		log.Fatalf("close: %v", err)
+		return fmt.Errorf("close: %w", err)
 	}
 	st := pub.Stats()
-	fmt.Println(pop.Stats())
-	fmt.Printf("producer %s: published %d events in %d batches (skipped %d already-durable), acked through batch %d, %d batches resent\n",
-		id, st.Events, st.Batches, skip, st.Acked, st.Resent)
+	fmt.Fprintln(out, pop.Stats())
+	fmt.Fprintf(out, "producer %s: published %d events in %d batches (skipped %d already-durable), acked through batch %d, %d batches resent\n",
+		c.id, st.Events, st.Batches, skip, st.Acked, st.Resent)
+	return nil
 }

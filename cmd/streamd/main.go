@@ -1,10 +1,11 @@
-// Command streamd is the standalone feed broker: it owns the stream
-// server that renrend used to embed, admitting any number of wire
-// producers (renrend -publish) on one side and feed subscribers
-// (detectd) on the other. Producer batches are merged by a single
-// global sequencer into one totally ordered feed — the topology the
-// paper's measurement ran against, where Renren's behavioral logs
-// arrived from many frontend sources at once.
+// Command streamd is the feed broker, the one process that runs the
+// stream server: it admits any number of wire producers (renrend) on
+// one side and feed subscribers (detectd) on the other. Producer
+// batches are merged by a single global sequencer into one totally
+// ordered feed — the topology the paper's measurement ran against,
+// where Renren's behavioral logs arrived from many frontend sources at
+// once. Subscribers are admitted before any producer registers, so
+// starting broker, detectors and producers in that order loses nothing.
 //
 // Producers speak the publish sub-protocol: each registers with a
 // producer id and the size of its producer group, publishes batches
@@ -41,12 +42,12 @@
 //
 // Usage:
 //
-//	streamd -addr 127.0.0.1:7474 -spool-dir /var/lib/streamd/spool
-//	renrend -publish 127.0.0.1:7474 -producers 3 -producer-index 0 &
-//	renrend -publish 127.0.0.1:7474 -producers 3 -producer-index 1 &
-//	renrend -publish 127.0.0.1:7474 -producers 3 -producer-index 2 &
+//	streamd -addr 127.0.0.1:7474 -spool-dir /var/lib/streamd/spool &
 //	streamd -addr 127.0.0.1:7475 -relay 127.0.0.1:7474 -spool-dir /var/lib/streamd/edge &
-//	detectd -addr 127.0.0.1:7475
+//	detectd -addr 127.0.0.1:7475 &
+//	renrend -addr 127.0.0.1:7474 -producers 3 -producer-index 0 &
+//	renrend -addr 127.0.0.1:7474 -producers 3 -producer-index 1 &
+//	renrend -addr 127.0.0.1:7474 -producers 3 -producer-index 2 &
 package main
 
 import (
@@ -163,14 +164,7 @@ func main() {
 	srv.Close() // blocks until every subscriber drained (or the drain timeout cut it off)
 	st = srv.Stats()
 	fmt.Printf("sent=%d delivered=%d encodes=%d sessions_evicted=%d\n", st.Broadcast, st.Delivered, st.Encodes, st.Evicted)
-	if sp != nil {
-		sst := sp.Stats()
-		line := fmt.Sprintf("spool: %d segments, %d bytes, seqs %d-%d retained", sst.Segments, sst.Bytes, sst.First, sst.End)
-		if st.SpoolErr != "" {
-			line += " (DISK TIER FAILED: " + st.SpoolErr + ")"
-		}
-		fmt.Println(line)
-	}
+	printSpool(sp, st.SpoolErr)
 }
 
 // runRelay is the -relay mode: an interior hop adopting the upstream
@@ -202,14 +196,7 @@ func runRelay(addr, upstream string, opts []stream.ServerOption, sp *spool.Spool
 	st := rly.Server().Stats()
 	fmt.Printf("adopted=%d delivered=%d encodes=%d sessions_evicted=%d\n",
 		st.Adopted, st.Delivered, st.Encodes, st.Evicted)
-	if sp != nil {
-		sst := sp.Stats()
-		line := fmt.Sprintf("spool: %d segments, %d bytes, seqs %d-%d retained", sst.Segments, sst.Bytes, sst.First, sst.End)
-		if st.SpoolErr != "" {
-			line += " (DISK TIER FAILED: " + st.SpoolErr + ")"
-		}
-		fmt.Println(line)
-	}
+	printSpool(sp, st.SpoolErr)
 	if ferr != nil {
 		log.Fatalf("relay feed ended abnormally: %v", ferr)
 	}
@@ -222,6 +209,19 @@ func printHop(rly *stream.Relay) {
 	rs, st := rly.Stats(), rly.Server().Stats()
 	fmt.Printf("hop=%d seq=%d frames=%d events=%d reconnects=%d subscribers=%d encodes=%d\n",
 		rs.Hop, rs.Seq, rs.Frames, rs.Events, rs.Reconnects, st.Sessions, st.Encodes)
+}
+
+// printSpool is a spooled broker's closing disk-tier audit line.
+func printSpool(sp *spool.Spool, spoolErr string) {
+	if sp == nil {
+		return
+	}
+	st := sp.Stats()
+	line := fmt.Sprintf("spool: %d segments, %d bytes, seqs %d-%d retained", st.Segments, st.Bytes, st.First, st.End)
+	if spoolErr != "" {
+		line += " (DISK TIER FAILED: " + spoolErr + ")"
+	}
+	fmt.Println(line)
 }
 
 func statsInterval(d time.Duration) time.Duration {

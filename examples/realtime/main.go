@@ -2,13 +2,12 @@
 // one process: a stream broker (streamd's role), three producers each
 // running the same seeded OSN simulation and publishing their
 // hash-partitioned share of the operational log over the publish
-// sub-protocol (renrend -publish's role), and a
-// detection pipeline consuming the merged feed at batch granularity,
-// reconstructing the graph, and flagging Sybils live (detectd's
-// role). Producer 0 also feeds a second, in-process pipeline straight
-// off its simulation — which generates the full event set; each
-// producer only *publishes* its partition — to cross-check the wire
-// pipeline's verdicts.
+// sub-protocol (renrend's role), and a detection pipeline consuming
+// the merged feed at batch granularity, reconstructing the graph, and
+// flagging Sybils live (detectd's role). Producer 0 also feeds a
+// second, in-process pipeline straight off its simulation — which
+// generates the full event set; each producer only *publishes* its
+// partition — to cross-check the wire pipeline's verdicts.
 //
 // The broker merges the three producer streams through one global
 // sequencer, holds the downstream eof until all three have closed
@@ -73,7 +72,7 @@ func main() {
 		pipe.Close()
 	}()
 
-	// --- producer side (renrend -publish in production): three
+	// --- producer side (renrend in production): three
 	// processes each run the full deterministic simulation and publish
 	// only the actors that hash-partition to their index; the broker's
 	// sequencer merges them into one totally ordered feed. Producer 0

@@ -113,10 +113,3 @@ func main() {
 		after.blogAudience, 100*(1-float64(after.blogAudience)/float64(max(before.blogAudience, 1))))
 	fmt.Printf("  sybils banned mid-campaign:   %d/50\n", after.banned)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -70,10 +70,3 @@ func main() {
 	}
 	_ = graph.NodeID(0)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -97,7 +97,7 @@ func (pop *Population) startNormals() {
 func (pop *Population) LaunchSybils(n int, over sim.Time) {
 	r := pop.R.Fork()
 	for i := 0; i < n; i++ {
-		arrive := pop.ObsStart + sim.Time(r.Int63n(int64(maxTime(over, 1))))
+		arrive := pop.ObsStart + sim.Time(r.Int63n(int64(max(over, 1))))
 		gender := osn.Male
 		if drawGender(r, pop.P.SybilFemaleFrac) {
 			gender = osn.Female
@@ -231,11 +231,4 @@ func (pop *Population) Stats() string {
 	g := pop.Net.Graph()
 	return fmt.Sprintf("accounts=%d (normal=%d sybil=%d) edges=%d events=%d",
 		pop.Net.NumAccounts(), len(pop.Normals), len(pop.Sybils), g.NumEdges(), len(pop.Net.Events()))
-}
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -77,7 +77,7 @@ func (d *dinic) dfs(u, t int, f int32) int32 {
 		if e.cap <= 0 || d.level[e.to] != d.level[u]+1 {
 			continue
 		}
-		pushed := d.dfs(int(e.to), t, min32(f, e.cap))
+		pushed := d.dfs(int(e.to), t, min(f, e.cap))
 		if pushed > 0 {
 			e.cap -= pushed
 			d.edges[e.to][e.rev].cap += pushed
@@ -103,11 +103,4 @@ func (d *dinic) run(s, t NodeID) int {
 		}
 	}
 	return flow
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }

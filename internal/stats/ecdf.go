@@ -109,10 +109,3 @@ func AsciiCDF(width, height int, xmin, xmax float64, series map[string]*ECDF) st
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -9,44 +9,6 @@ import (
 	"sybilwild/internal/stats"
 )
 
-// honestGraph builds a connected preferential-attachment honest region.
-func honestGraph(r *stats.Rand, n, m int) *graph.Graph {
-	g := graph.New(n)
-	g.AddNodes(n)
-	var endpoints []graph.NodeID
-	for i := 1; i < n; i++ {
-		for e := 0; e < m; e++ {
-			var v graph.NodeID
-			if len(endpoints) == 0 {
-				v = graph.NodeID(r.Intn(i))
-			} else {
-				v = endpoints[r.Intn(len(endpoints))]
-			}
-			if v != graph.NodeID(i) && g.AddEdge(graph.NodeID(i), v, int64(i)) {
-				endpoints = append(endpoints, graph.NodeID(i), v)
-			}
-		}
-	}
-	return g
-}
-
-// integratedSybils appends Sybils that mimic the paper's measured
-// topology: each has many attack edges to random honest nodes and
-// (almost) no Sybil edges.
-func integratedSybils(g *graph.Graph, r *stats.Rand, nSybil, attackPer int) []graph.NodeID {
-	nHonest := g.NumNodes()
-	first := g.AddNodes(nSybil)
-	ids := make([]graph.NodeID, nSybil)
-	for i := range ids {
-		ids[i] = first + graph.NodeID(i)
-		for e := 0; e < attackPer; e++ {
-			h := graph.NodeID(r.Intn(nHonest))
-			g.AddEdge(ids[i], h, 1)
-		}
-	}
-	return ids
-}
-
 func maskFor(g *graph.Graph, sybils []graph.NodeID) []bool {
 	mask := make([]bool, g.NumNodes())
 	for _, s := range sybils {
@@ -60,7 +22,7 @@ func maskFor(g *graph.Graph, sybils []graph.NodeID) []bool {
 // attack cut IS separable.
 func TestDefensesCatchTightCommunity(t *testing.T) {
 	r := stats.NewRand(11)
-	g := honestGraph(r, 800, 5)
+	g := HonestBackground(r, 800, 5)
 	sybils := InjectTightCommunity(g, r, 150, 6, 12, 99)
 	mask := maskFor(g, sybils)
 	cfg := DefaultEvalConfig()
@@ -82,8 +44,8 @@ func TestDefensesCatchTightCommunity(t *testing.T) {
 // edges) slip past every community-based defense.
 func TestDefensesFailOnIntegratedSybils(t *testing.T) {
 	r := stats.NewRand(13)
-	g := honestGraph(r, 800, 5)
-	sybils := integratedSybils(g, r, 150, 15)
+	g := HonestBackground(r, 800, 5)
+	sybils := IntegratedSybils(g, r, 150, 15)
 	mask := maskFor(g, sybils)
 	cfg := DefaultEvalConfig()
 	cfg.Suspects = 100
@@ -98,7 +60,7 @@ func TestDefensesFailOnIntegratedSybils(t *testing.T) {
 
 func TestSybilGuardHonestIntersection(t *testing.T) {
 	r := stats.NewRand(17)
-	g := honestGraph(r, 400, 5)
+	g := HonestBackground(r, 400, 5)
 	sg := NewSybilGuard(g, 60, 7)
 	acc := 0
 	for i := 0; i < 50; i++ {
@@ -115,7 +77,7 @@ func TestSybilGuardHonestIntersection(t *testing.T) {
 
 func TestSybilGuardDeterministicRoutes(t *testing.T) {
 	r := stats.NewRand(19)
-	g := honestGraph(r, 100, 4)
+	g := HonestBackground(r, 100, 4)
 	sg := NewSybilGuard(g, 20, 5)
 	a := sg.Accepts(3, 60)
 	b := sg.Accepts(3, 60)
@@ -126,7 +88,7 @@ func TestSybilGuardDeterministicRoutes(t *testing.T) {
 
 func TestSybilLimitTails(t *testing.T) {
 	r := stats.NewRand(23)
-	g := honestGraph(r, 300, 5)
+	g := HonestBackground(r, 300, 5)
 	sl := NewSybilLimit(g, 40, 12, 3)
 	ts := sl.tailSet(5)
 	if len(ts) == 0 {
@@ -144,7 +106,7 @@ func TestSybilLimitTails(t *testing.T) {
 
 func TestSybilInferScoresHonestHigher(t *testing.T) {
 	r := stats.NewRand(29)
-	g := honestGraph(r, 600, 5)
+	g := HonestBackground(r, 600, 5)
 	sybils := InjectTightCommunity(g, r, 100, 6, 6, 9)
 	si := NewSybilInfer(g, 25, 300)
 	seeds := []graph.NodeID{1, 2, 3, 4, 5}
@@ -165,7 +127,7 @@ func TestSybilInferScoresHonestHigher(t *testing.T) {
 
 func TestSumUpBoundedByCut(t *testing.T) {
 	r := stats.NewRand(31)
-	g := honestGraph(r, 300, 4)
+	g := HonestBackground(r, 300, 4)
 	// Tight community with exactly 5 attack edges: it can never deliver
 	// more than 5 votes.
 	sybils := InjectTightCommunity(g, r, 60, 5, 5, 9)
@@ -186,7 +148,7 @@ func TestSumUpBoundedByCut(t *testing.T) {
 }
 
 func TestSumUpEmptyVoters(t *testing.T) {
-	g := honestGraph(stats.NewRand(1), 50, 3)
+	g := HonestBackground(stats.NewRand(1), 50, 3)
 	su := NewSumUp(g)
 	if su.CollectVotes(0, nil) != 0 || su.VoteRatio(0, nil) != 0 {
 		t.Fatal("empty voters should yield zero")
@@ -195,7 +157,7 @@ func TestSumUpEmptyVoters(t *testing.T) {
 
 func TestCommunityRankAdmitsSeedFirst(t *testing.T) {
 	r := stats.NewRand(37)
-	g := honestGraph(r, 200, 4)
+	g := HonestBackground(r, 200, 4)
 	cr := NewCommunityRank(g)
 	order, cond := cr.Ranking([]graph.NodeID{42})
 	if order[0] != 42 {
@@ -220,7 +182,7 @@ func TestCommunityRankAdmitsSeedFirst(t *testing.T) {
 
 func TestCommunityRankTightSybilsLast(t *testing.T) {
 	r := stats.NewRand(41)
-	g := honestGraph(r, 500, 5)
+	g := HonestBackground(r, 500, 5)
 	sybils := InjectTightCommunity(g, r, 100, 6, 5, 9)
 	mask := maskFor(g, sybils)
 	cr := NewCommunityRank(g)
@@ -242,7 +204,7 @@ func TestCommunityRankTightSybilsLast(t *testing.T) {
 
 func TestInjectTightCommunityShape(t *testing.T) {
 	r := stats.NewRand(43)
-	g := honestGraph(r, 100, 3)
+	g := HonestBackground(r, 100, 3)
 	before := g.NumNodes()
 	sybils := InjectTightCommunity(g, r, 30, 4, 7, 5)
 	if g.NumNodes() != before+30 || len(sybils) != 30 {

@@ -131,10 +131,10 @@ func autoSet(cfg *EvalConfig, g *graph.Graph) {
 	n := float64(g.NumNodes())
 	m := float64(g.NumEdges())
 	if cfg.SGRouteLen <= 0 {
-		cfg.SGRouteLen = int(sqrt(n*log2(n))) + 2
+		cfg.SGRouteLen = int(math.Sqrt(n*log2(n))) + 2
 	}
 	if cfg.SLInstances <= 0 {
-		cfg.SLInstances = int(sqrt(m)) + 1
+		cfg.SLInstances = int(math.Sqrt(m)) + 1
 	}
 	if cfg.SLRouteLen <= 0 {
 		cfg.SLRouteLen = int(log2(n))*2 + 2
@@ -234,14 +234,6 @@ func InjectTightCommunity(g *graph.Graph, r *stats.Rand, nSybil, intraDeg, attac
 	return ids
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func sqrt(x float64) float64 { return math.Sqrt(x) }
 func log2(x float64) float64 {
 	if x <= 1 {
 		return 1

@@ -251,7 +251,7 @@ func Generate(cfg Config) *Topology {
 		if pool < 100 {
 			pool = 100
 		}
-		poolStart := r.Int63n(maxI64(normals-pool, 1))
+		poolStart := r.Int63n(max(normals-pool, 1))
 		op := Operator{Narrow: true, PoolStart: poolStart, PoolSize: pool, First: start, Last: start + size - 1}
 		opIdx := int32(len(t.Operators))
 		t.Operators = append(t.Operators, op)
@@ -438,11 +438,4 @@ func (t *Topology) pickEarlierInOp(r *stats.Rand, op Operator, j int) int {
 
 func sortTimes(ts []sim.Time) {
 	slices.Sort(ts)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -302,10 +302,3 @@ func TestAttackTargetsWithinPool(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
