@@ -110,7 +110,9 @@ bench:
 # still share the root's cores (median ~1.6x, 0.9-2.8 over a dozen
 # runs on a shared box), so the 3x bound catches work per downstream
 # subscriber on the ingest path (~64x), not the last bit of
-# contention. A 2-level tree (2 edges x 64 subscribers, full drain)
+# contention. One run of that pair still went over the bound in 10 of
+# 46 runs on a loaded box, so it runs five times in a shell loop and
+# benchjson compares medians, as for the tree pair. A 2-level tree (2 edges x 64 subscribers, full drain)
 # must stay near parity with one broker draining 128 directly: ~1.03
 # measured at 200k events (0.91-1.18 over ten runs on a shared box),
 # bound 1.3x — a tree that paid per-hop re-encodes or serialized its
@@ -136,7 +138,9 @@ bench-gate:
 		-gate 'BenchmarkLiveRebalance/k=4to2<=BenchmarkRestore/accounts=100000*5.0' \
 		-gate 'BenchmarkLiveRebalance/k=3to5<=BenchmarkRestore/accounts=100000*10.0' \
 		> /dev/null
-	$(GO) test -bench='BenchmarkRelayFanout/root-downstream' -benchtime=50000x -run='^$$' ./internal/stream | \
+	for i in 1 2 3 4 5; do \
+		$(GO) test -bench='BenchmarkRelayFanout/root-downstream' -benchtime=50000x -run='^$$' ./internal/stream || exit 1; \
+	done | \
 		$(GO) run ./cmd/benchjson \
 		-gate 'BenchmarkRelayFanout/root-downstream=64<=BenchmarkRelayFanout/root-downstream=0*3.0' \
 		> /dev/null

@@ -9,22 +9,22 @@
 // and handles signals. A lost connection resumes the session with
 // backoff, so a network blip costs no events.
 //
-//   - -checkpoint-dir makes the daemon durable: every -checkpoint-every
-//     (and every -checkpoint-max-lag sequences) it writes an atomic
-//     checkpoint file and only then acks the feed through it. A restart
-//     resumes from the newest checkpoint, so even kill -9 recovery is
-//     exactly-once; against a spooled feed the resume succeeds from any
-//     retained sequence. SIGINT/SIGTERM write a final checkpoint, ack
-//     it and exit 0; a second signal exits at once.
+//   - -handoff makes the daemon's state durable at the broker, its one
+//     keeper: every -checkpoint-every (and every -checkpoint-max-lag
+//     sequences) it offers a snapshot to the broker and acks the feed
+//     through it only once the broker confirmed it. A restart adopts
+//     the broker's snapshot for its partition (the whole feed is key
+//     0/1), so even kill -9 recovery is exactly-once. A spooled broker
+//     (streamd -spool-dir) writes the snapshot beside its spool, so it
+//     survives a broker restart too; a memory-only one loses it with
+//     the feed. SIGINT/SIGTERM offer a final snapshot, ack it and exit
+//     0; a second signal exits at once.
 //   - -from-start backfills the feed's spooled history from sequence 1
 //     on a start with no state, instead of joining the live head.
 //   - -partition i/K joins a K-way detection cluster: the broker serves
 //     partition i's slice and the daemon flags only accounts it owns,
-//     so K daemons flag exactly what one whole-feed daemon would.
-//     -handoff also offers a snapshot to the broker at every save and
-//     adopts the partition's offer at start. Start-up takes the fresher
-//     of the local checkpoint and the broker's offer (the local one on
-//     a tie) and refuses a state stamped for another partition.
+//     so K daemons flag exactly what one whole-feed daemon would. A
+//     broker snapshot stamped for another partition refuses the start.
 //   - -rebalance K/K' runs a one-shot coordinator instead: it fences the
 //     K-way group at a barrier, re-keys the old workers' retirement
 //     snapshots into K', offers them and commits. The old daemons
@@ -36,7 +36,7 @@
 //
 // Usage:
 //
-//	detectd -addr 127.0.0.1:7474 -checkpoint-dir /var/lib/detectd -checkpoint-every 10s
+//	detectd -addr 127.0.0.1:7474 -handoff -checkpoint-every 10s
 //	detectd -addr 127.0.0.1:7474 -partition 2/4 -handoff
 //	detectd -addr 127.0.0.1:7474 -rebalance 4/2
 //	detectd -addr 127.0.0.1:7474 -partition 1/2 -handoff -standby
@@ -82,15 +82,13 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 	fs.Float64Var(&c.Rule.CCMax, "cc", 0.05, "max first-50-friends clustering coefficient")
 	fs.IntVar(&c.Rule.MinObserved, "min-requests", 10, "requests observed before judging")
 	fs.IntVar(&c.Retries, "retries", 10, "max consecutive reconnect attempts")
-	fs.BoolVar(&c.FromStart, "from-start", false, "backfill the feed from sequence 1 (the server's spool must retain it) instead of joining at the live head; ignored when a checkpoint already pins the resume point")
+	fs.BoolVar(&c.FromStart, "from-start", false, "backfill the feed from sequence 1 (the server's spool must retain it) instead of joining at the live head; ignored when -handoff adopts a broker snapshot")
 	fs.IntVar(&c.CheckEvery, "check-every", 5, "evaluate an account every Nth request it sends")
-	fs.StringVar(&c.Dir, "checkpoint-dir", "", "directory for pipeline checkpoints (empty: stateless)")
-	fs.DurationVar(&c.Every, "checkpoint-every", 10*time.Second, "interval between checkpoints")
-	fs.IntVar(&c.Keep, "checkpoint-keep", cluster.DefaultKeep, "checkpoint generations to retain")
+	fs.DurationVar(&c.Every, "checkpoint-every", 10*time.Second, "interval between -handoff snapshot offers")
 	fs.IntVar(&c.MaxLag, "checkpoint-max-lag", stream.DefaultReplayBuffer/2,
-		"checkpoint early once this many events are applied past the last checkpoint; must stay below the feed's -window (its in-memory tail, in feed events) unless the feed runs a disk spool, where 0 disables the trigger")
+		"with -handoff, offer early once this many events are applied past the last offer; must stay below two thirds of the feed's -window (its in-memory tail, in feed events) unless the feed runs a disk spool, where 0 disables the trigger")
 	partition := fs.String("partition", "", "subscribe as partition i/K of a detection cluster (e.g. 0/4; empty: whole feed)")
-	fs.BoolVar(&c.Handoff, "handoff", false, "offer pipeline snapshots to the broker every -checkpoint-every and adopt the partition's broker snapshot at start when it is fresher than the local checkpoint (requires -partition)")
+	fs.BoolVar(&c.Handoff, "handoff", false, "keep the daemon's state at the broker: offer a pipeline snapshot every -checkpoint-every, ack the feed only through confirmed offers, and adopt the partition's broker snapshot at start (the whole feed is key 0/1)")
 	rebalance := fs.String("rebalance", "", "coordinate a live cluster rebalance K/K' (e.g. 3/5) against -addr and exit: fence the old group at a barrier, re-key its snapshots, commit — no daemon mode")
 	fs.DurationVar(&o.rebalanceTimeout, "rebalance-timeout", time.Minute, "how long -rebalance waits for the old workers' snapshots to rendezvous at the barrier")
 	fs.BoolVar(&o.standby, "standby", false, "watch -partition instead of subscribing: promote automatically (claim the key, adopt the freshest state, resume) when its worker dies; requires -partition and -handoff")
@@ -115,11 +113,9 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 		}
 	}
 	switch {
-	case c.Handoff && c.Parts == 0:
-		return o, errors.New("-handoff requires -partition: snapshot handoff is keyed by cluster partition")
-	case o.standby && !c.Handoff:
+	case o.standby && (!c.Handoff || c.Parts == 0):
 		return o, errors.New("-standby requires -partition and -handoff: promotion adopts the dead worker's broker snapshot")
-	case c.Dir != "" && c.MaxLag < 0:
+	case c.MaxLag < 0:
 		return o, errors.New("-checkpoint-max-lag must not be negative")
 	}
 	return o, nil
@@ -145,7 +141,7 @@ func main() {
 			o.rebalanceFrom, o.rebalanceTo, barrier, barrier, barrier+1)
 		return
 	}
-	if cfg.Dir != "" && cfg.MaxLag == 0 {
+	if cfg.Handoff && cfg.MaxLag == 0 {
 		// Without the lag trigger, acks move only on the interval: against
 		// a memory-only feed whose tail is smaller than one interval's
 		// traffic, producer and consumer deadlock until stall eviction. A
@@ -181,16 +177,15 @@ func main() {
 		fmt.Printf("%s, resuming feed at seq %d\n", origin, w.ResumedFrom())
 	}
 
-	// First signal: stop gracefully (final checkpoint, ack, offer).
-	// Second: die.
+	// First signal: stop gracefully (final offer, ack). Second: die.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
-		fmt.Println("signal: writing final checkpoint and shutting down")
+		fmt.Println("signal: offering a final snapshot and shutting down")
 		w.Stop()
 		<-sigc
-		log.Fatal("second signal: exiting without checkpoint")
+		log.Fatal("second signal: exiting without a final snapshot")
 	}()
 
 	err = w.Wait()
@@ -201,6 +196,6 @@ func main() {
 		log.Fatal(err)
 	}
 	st := w.Stats()
-	fmt.Printf("feed ended: %d events in %d batches, %d checkpoints (newest at seq %d), %d snapshot offers, %d accounts tracked, %d flagged\n",
-		st.Events, st.Batches, st.Checkpoints, st.Checkpointed, st.Offers, w.Pipeline().Tracked(), w.Pipeline().FlaggedCount())
+	fmt.Printf("feed ended: %d events in %d batches, %d snapshot offers (newest at seq %d), %d accounts tracked, %d flagged\n",
+		st.Events, st.Batches, st.Offers, st.Offered, w.Pipeline().Tracked(), w.Pipeline().FlaggedCount())
 }

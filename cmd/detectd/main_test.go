@@ -23,7 +23,6 @@ func TestParseArgs(t *testing.T) {
 		CheckEvery: 5,
 		Retries:    10,
 		Every:      10 * time.Second,
-		Keep:       cluster.DefaultKeep,
 		MaxLag:     stream.DefaultReplayBuffer / 2,
 	}
 	with := func(edit func(*cluster.Config)) cluster.Config {
@@ -38,11 +37,11 @@ func TestParseArgs(t *testing.T) {
 	}{
 		{args: nil, want: options{cfg: defaults, rebalanceTimeout: time.Minute}},
 		{
-			args: []string{"-addr", "10.0.0.1:9", "-checkpoint-dir", "/var/lib/detectd", "-checkpoint-every", "2s",
-				"-checkpoint-keep", "5", "-checkpoint-max-lag", "100", "-from-start", "-retries", "3",
+			args: []string{"-addr", "10.0.0.1:9", "-checkpoint-every", "2s",
+				"-checkpoint-max-lag", "100", "-from-start", "-retries", "3",
 				"-check-every", "1", "-out-accept", "0.4", "-freq", "15", "-cc", "0.1", "-min-requests", "7"},
 			want: options{rebalanceTimeout: time.Minute, cfg: with(func(c *cluster.Config) {
-				c.Addr, c.Dir, c.Every, c.Keep, c.MaxLag = "10.0.0.1:9", "/var/lib/detectd", 2*time.Second, 5, 100
+				c.Addr, c.Every, c.MaxLag = "10.0.0.1:9", 2*time.Second, 100
 				c.FromStart, c.Retries, c.CheckEvery = true, 3, 1
 				c.Rule = detector.Rule{OutAcceptMax: 0.4, FreqMin: 15, CCMax: 0.1, MinObserved: 7}
 			})},
@@ -54,25 +53,28 @@ func TestParseArgs(t *testing.T) {
 			})},
 		},
 		{
-			args: []string{"-partition", "1/2", "-handoff", "-standby", "-checkpoint-dir", "d"},
+			args: []string{"-partition", "1/2", "-handoff", "-standby"},
 			want: options{standby: true, rebalanceTimeout: time.Minute, cfg: with(func(c *cluster.Config) {
-				c.Part, c.Parts, c.Handoff, c.Dir = 1, 2, true, "d"
+				c.Part, c.Parts, c.Handoff = 1, 2, true
 			})},
+		},
+		{
+			// A whole-feed worker keeps its state at the broker's key 0/1.
+			args: []string{"-handoff"},
+			want: options{rebalanceTimeout: time.Minute, cfg: with(func(c *cluster.Config) { c.Handoff = true })},
 		},
 		{
 			args: []string{"-addr", "h:1", "-rebalance", "3/5", "-rebalance-timeout", "30s"},
 			want: options{rebalanceFrom: 3, rebalanceTo: 5, rebalanceTimeout: 30 * time.Second,
 				cfg: with(func(c *cluster.Config) { c.Addr = "h:1" })},
 		},
-		{
-			// The lag trigger is only checked against a checkpoint dir.
-			args: []string{"-checkpoint-max-lag", "-1"},
-			want: options{rebalanceTimeout: time.Minute, cfg: with(func(c *cluster.Config) { c.MaxLag = -1 })},
-		},
-		{args: []string{"-handoff"}, wantErr: "-handoff requires -partition"},
 		{args: []string{"-partition", "0/2", "-standby"}, wantErr: "-standby requires -partition and -handoff"},
 		{args: []string{"-standby"}, wantErr: "-standby requires -partition and -handoff"},
-		{args: []string{"-checkpoint-dir", "d", "-checkpoint-max-lag", "-1"}, wantErr: "-checkpoint-max-lag must not be negative"},
+		{args: []string{"-checkpoint-max-lag", "-1"}, wantErr: "-checkpoint-max-lag must not be negative"},
+		// The checkpoint dir is gone: the state lives at the broker. An old
+		// command line that still names one is refused, not run without it.
+		{args: []string{"-checkpoint-dir", "d", "-checkpoint-max-lag", "-1"}, wantErr: "flag provided but not defined: -checkpoint-dir"},
+		{args: []string{"-handoff", "-standby"}, wantErr: "-standby requires -partition and -handoff"},
 		{args: []string{"-partition", "2"}, wantErr: "want i/K"},
 		{args: []string{"-partition", "a/b"}, wantErr: "want i/K"},
 		{args: []string{"-partition", "2/2"}, wantErr: "partition index out of range"},

@@ -17,16 +17,18 @@
 //
 // With -spool-dir the merged feed also persists to segment files, so
 // a subscriber may backfill the entire campaign from sequence 1
-// (detectd -from-start) or cold-start from a stale checkpoint far
+// (detectd -from-start) or restart from a stale snapshot far
 // past the in-memory tail — regardless of which producer each
 // event came from.
 //
 // Subscribers may also join partitioned (detectd -partition i/K): the
 // broker filters each such session's feed down to its partition's
-// slice and keeps one detector snapshot per partition in a handoff
-// rendezvous, so a replacement worker adopts its predecessor's state
-// over the wire (see docs/ARCHITECTURE.md, "Partitioned cluster").
-// Held snapshots are reported in the end-of-feed audit.
+// slice. It keeps one detector snapshot per partition (the whole feed
+// is key 0/1) in a handoff rendezvous, so a replacement worker adopts
+// its predecessor's state over the wire (see docs/ARCHITECTURE.md,
+// "Partitioned cluster"). With -spool-dir the snapshots are written
+// beside the spool and survive a broker restart. Held snapshots are
+// reported in the end-of-feed audit.
 //
 // With -relay the broker becomes an interior node of a relay tree
 // instead of a producer-facing root: it subscribes to the upstream
@@ -152,7 +154,7 @@ func main() {
 	}
 	for _, sn := range st.Snapshots {
 		fmt.Printf("snapshot %d/%d: seq=%d bytes=%d held for handoff\n",
-			sn.Part, sn.Parts, sn.Seq, sn.Bytes)
+			sn.Part, sn.Parts, sn.Seq, len(sn.Data))
 	}
 	for _, rb := range st.Rebalances {
 		state := "prepared"

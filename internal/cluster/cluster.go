@@ -11,21 +11,22 @@
 // (osn.PartitionDelivers), and evaluation ownership keeps verdicts
 // exactly-once across the cluster.
 //
-// The lifecycle (docs/ARCHITECTURE.md, "Resume contract"):
+// The broker is the only keeper of a worker's state: a worker's state
+// is a cache of a function of the feed, so it is kept where the feed
+// is, and is exactly as durable. The lifecycle (docs/ARCHITECTURE.md,
+// "Resume contract"):
 //
-//   - Start picks the starting state with one rule (pickSource): the
-//     newest valid local checkpoint or the partition's broker offer,
-//     whichever is fresher, the local one on a tie. With neither, the
-//     worker joins the feed's live head, or backfills it from sequence
-//     1 with FromStart.
+//   - Start, with Handoff, adopts the partition's snapshot at the
+//     broker (a whole-feed worker's key is 0/1). With none, or one the
+//     feed can no longer resume, the worker joins the feed's live head,
+//     or backfills it from sequence 1 with FromStart.
 //   - After each ingested batch an interval and a lag trigger may fire
-//     a save: a checkpoint file, after which (and only after which) the
-//     feed is acked, and with Handoff an offer to the broker's
-//     rendezvous.
-//   - A lost connection is checkpointed, then resumed with backoff.
-//   - The feed's end, Stop and a live-rebalance retirement end with a
-//     final save. Retirement always offers: the rebalance coordinator
-//     is waiting for that snapshot. Kill is a crash: nothing is saved.
+//     a save: with Handoff, an offer to the broker, after which (and
+//     only after the broker confirmed it) the feed is acked.
+//   - A lost connection is saved, then resumed with backoff.
+//   - Stop and a live-rebalance retirement end with a final save.
+//     Retirement always offers: the rebalance coordinator is waiting
+//     for that snapshot. Kill is a crash: nothing is saved.
 //
 // StartStandby parks a warm standby that promotes itself into a Worker
 // when its partition's worker dies; Rebalance coordinates a live
@@ -37,7 +38,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,25 +57,24 @@ type Config struct {
 	Retries     int           // -retries: consecutive failed dials before giving up
 	FromStart   bool          // -from-start: a cold start backfills from sequence 1
 
-	// Handoff (-handoff) offers a snapshot to the broker at every save
-	// and lets Start adopt the partition's offer.
+	// Handoff (-handoff) offers a snapshot to the broker at every save,
+	// acks the feed only through the offers the broker confirmed, and
+	// lets Start adopt the partition's offer. Without it the worker
+	// keeps no state anywhere and acks whatever it receives.
 	Handoff bool
 
-	// Dir (-checkpoint-dir) keeps the newest Keep (-checkpoint-keep)
-	// checkpoint files; with it the feed is acked only through the
-	// newest durable checkpoint. Empty: no local state.
-	Dir  string
-	Keep int
-
 	// A save fires when Every (-checkpoint-every) has passed since the
-	// last one, or, with Dir, once MaxLag (-checkpoint-max-lag; 0: off)
-	// sequences are applied past the newest checkpoint. The lag trigger
-	// keeps a fast feed flowing: acks move only at checkpoints, so a
+	// last one, or, with Handoff, once MaxLag (-checkpoint-max-lag; 0:
+	// off) sequences are applied past the newest confirmed offer and
+	// half that past the last save: a refused offer (a closing broker)
+	// is retried every MaxLag/2 sequences, not at every batch. The lag
+	// trigger keeps a fast feed flowing: acks move only at offers, so a
 	// worker that could drain the broker's whole in-memory tail between
 	// two of them would leave a memory-only producer blocked on a full
 	// tail while it waits for more — broken only by stall eviction.
-	// MaxLag below the tail size (WithReplayBuffer, -window) makes that
-	// state unreachable, partitioned workers included: the lag and the
+	// MaxLag below two thirds of the tail size (WithReplayBuffer,
+	// -window; the default is half) makes that state unreachable, a
+	// refused offer and partitioned workers included: the lag and the
 	// tail both count feed sequences. (The lag is read when a batch
 	// arrives, so a partitioned worker also needs one of its events at
 	// least every window − MaxLag sequences; replicated accepts see to
@@ -97,32 +96,32 @@ type Config struct {
 
 // Stats counts a worker's work. Valid after Wait.
 type Stats struct {
-	Events, Batches     int    // applied from the feed
-	Checkpoints, Offers int    // successful saves of each kind
-	Checkpointed        uint64 // sequence of the newest durable checkpoint (0: none)
+	Events, Batches int    // applied from the feed
+	Offers          int    // snapshot offers the broker confirmed
+	Offered         uint64 // sequence of the newest confirmed offer (0: none)
 }
 
 // Worker is one detector process's lifecycle. Start it with Start (or
 // let a Standby promote one); end it by ending the broker's feed, Stop
 // or Kill; then Wait.
 type Worker struct {
-	cfg   Config
-	p     *detector.Pipeline
-	store *store // nil: no checkpoint dir
+	cfg Config
+	p   *detector.Pipeline
 
 	session     string // subscriber session, the same across reconnects
 	resume      uint64 // where the next dial starts (0: the live head)
 	origin      string // the starting state, for the start-up log ("": cold)
-	handoffSeq  uint64
+	handoffSeq  uint64 // the adopted snapshot's sequence (0: none)
 	resumedFrom uint64
-	lastSave    time.Time
+	lastSave    time.Time // when the last save was tried
+	lastSaveSeq uint64    // and the pipeline's sequence then
 	stats       Stats
 
 	mu              sync.Mutex
 	c               *stream.Client // current connection, for Kill and Stop
 	killed, stopped atomic.Bool
 
-	offered      atomic.Uint64 // highest sequence successfully offered
+	offered      atomic.Uint64 // highest sequence the broker confirmed
 	firstApplied atomic.Uint64 // lowest global sequence ingested (0: none yet)
 
 	// Live-rebalance retirement; set by the loop before done closes.
@@ -142,27 +141,13 @@ func Start(cfg Config) (*Worker, error) { return start(cfg, "") }
 
 // start is Start for a standby holding a claim on the partition: every
 // dial presents the claimed session id, the only one the broker admits
-// to the key while the claim is fresh, whatever state wins.
+// to the key while the claim is fresh.
 func start(cfg Config, claim string) (*Worker, error) {
 	if cfg.Parts < 0 || cfg.Part < 0 || cfg.Part >= max(cfg.Parts, 1) {
 		return nil, fmt.Errorf("cluster: invalid partition %d/%d", cfg.Part, cfg.Parts)
 	}
 	w := &Worker{cfg: cfg, session: claim, lastSave: time.Now(), done: make(chan struct{})}
-	var sources []snapshotSource
-	if cfg.Dir != "" {
-		st, err := openStore(cfg.Dir, cfg.Keep)
-		if err != nil {
-			return nil, err
-		}
-		w.store = st
-		sources = append(sources, st)
-	}
-	if cfg.Handoff {
-		sources = append(sources, brokerSource(func() (uint64, []byte, error) {
-			return stream.FetchSnapshot(cfg.Addr, cfg.Part, cfg.Parts)
-		}))
-	}
-	st, err := pickSource(cfg.Part, cfg.Parts, sources...)
+	snap, err := adoptable(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -172,34 +157,72 @@ func start(cfg Config, claim string) (*Worker, error) {
 		detector.WithCheckEvery(cfg.CheckEvery),
 		detector.WithFlagHook(cfg.OnFlag),
 	}
-	if st == nil {
-		w.p = detector.NewPipeline(cfg.Rule, nil, opts...)
-		if cfg.FromStart {
-			w.resume = 1
-		}
-	} else {
-		if st.path == "" {
-			w.handoffSeq = st.Snapshot.Seq
-			w.origin = fmt.Sprintf("adopted broker snapshot for partition %d/%d", cfg.Part, cfg.Parts)
-		} else {
-			w.stats.Checkpointed = st.Snapshot.Seq
-			w.origin = "restored " + st.path
-			w.session = cmp.Or(claim, st.Session)
-		}
-		if w.p, w.resume, err = detector.NewPipelineFromSnapshot(cfg.Rule, nil, st.Snapshot, opts...); err != nil {
-			return nil, fmt.Errorf("cluster: %s: %w", w.origin, err)
-		}
-		w.origin += fmt.Sprintf(": %d accounts, %d flags", len(st.Snapshot.Accounts), len(st.Snapshot.Flags))
-	}
 	w.session = cmp.Or(w.session, stream.NewSessionID())
-	w.resumedFrom = w.resume
-	c, err := w.connect()
+	for {
+		if snap == nil {
+			w.p = detector.NewPipeline(cfg.Rule, nil, opts...)
+			if cfg.FromStart {
+				w.resume = 1
+			}
+		} else {
+			w.handoffSeq = snap.Seq
+			w.origin = fmt.Sprintf("adopted broker snapshot for partition %d/%d", cfg.Part, max(cfg.Parts, 1))
+			if w.p, w.resume, err = detector.NewPipelineFromSnapshot(cfg.Rule, nil, snap, opts...); err != nil {
+				return nil, fmt.Errorf("cluster: %s: %w", w.origin, err)
+			}
+			w.origin += fmt.Sprintf(": %d accounts, %d flags", len(snap.Accounts), len(snap.Flags))
+		}
+		w.resumedFrom = w.resume
+		c, err := w.connect()
+		if errors.Is(err, stream.ErrGap) && snap != nil {
+			// The feed no longer holds the snapshot's resume point (a
+			// memory-only tail moved on past its dead worker's session):
+			// start cold; this worker's first offer replaces it.
+			w.p.Close()
+			w.origin = fmt.Sprintf("broker snapshot at seq %d is past the feed's retention: cold start", snap.Seq)
+			snap, w.handoffSeq, w.resume = nil, 0, 0
+			continue
+		}
+		if err != nil {
+			w.p.Close()
+			return nil, err
+		}
+		go w.loop(c)
+		return w, nil
+	}
+}
+
+// adoptable returns the snapshot a worker with cfg starts from: with
+// Handoff, the partition's snapshot at the broker, nil when it holds
+// none. A snapshot stamped for another partition, or at another
+// sequence than the broker announced, refuses the start.
+func adoptable(cfg Config) (*detector.PipelineSnapshot, error) {
+	if !cfg.Handoff {
+		return nil, nil
+	}
+	seq, data, err := stream.FetchSnapshot(cfg.Addr, cfg.Part, max(cfg.Parts, 1))
+	if errors.Is(err, stream.ErrNoSnapshot) {
+		return nil, nil
+	}
 	if err != nil {
-		w.p.Close()
 		return nil, err
 	}
-	go w.loop(c)
-	return w, nil
+	var snap detector.PipelineSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, fmt.Errorf("cluster: decode broker snapshot: %w", err)
+	}
+	part, parts := cfg.Part, cfg.Parts
+	if parts <= 1 {
+		part, parts = 0, 0 // how the pipeline stamps a whole-feed run
+	}
+	switch {
+	case snap.Part != part || snap.Parts != parts:
+		return nil, fmt.Errorf("cluster: the broker's snapshot is for partition %d/%d, not %d/%d",
+			snap.Part, snap.Parts, part, parts)
+	case snap.Seq != seq:
+		return nil, fmt.Errorf("cluster: broker snapshot announced seq %d but is stamped %d", seq, snap.Seq)
+	}
+	return &snap, nil
 }
 
 // connect dials the subscription at w.resume, retrying up to Retries
@@ -218,7 +241,7 @@ func (w *Worker) connect() (*stream.Client, error) {
 		}
 		switch {
 		case err == nil:
-			c.SetManualAck(w.store != nil)
+			c.SetManualAck(w.cfg.Handoff)
 			if c.LastSeq() > w.p.Seq() {
 				// Anchor the pipeline at the subscription point, so a save
 				// before the first batch records a sequence the feed can
@@ -228,7 +251,7 @@ func (w *Worker) connect() (*stream.Client, error) {
 			w.signal(c) // and deliver a Kill or Stop that landed while dialing
 			return c, nil
 		case errors.Is(err, stream.ErrGap):
-			return nil, fmt.Errorf("cluster: the feed cannot serve seq %d (history pruned or not spooled; remove a stale checkpoint dir to rebuild from scratch): %w", w.resume, err)
+			return nil, fmt.Errorf("cluster: the feed cannot serve seq %d (history pruned or not spooled; a restart adopts a resumable snapshot or starts cold): %w", w.resume, err)
 		case attempt >= w.cfg.Retries || w.killed.Load() || w.stopped.Load():
 			return nil, err
 		}
@@ -266,23 +289,26 @@ func (w *Worker) loop(c *stream.Client) {
 		case errors.Is(err, stream.ErrClosed) || w.stopped.Load():
 			// Clean end of feed, or Stop: the final ack rides the
 			// (interrupted but writable) connection, so the feed's
-			// sent == delivered audit holds. A broker that ended the feed
-			// is closing, so only Stop offers. A partitioned feed may end
+			// sent == delivered audit holds. A partitioned feed may end
 			// on a foreign run, a bare cursor advance RecvBatch never
 			// returns: pin the pipeline at the client's cursor first.
 			if last := c.LastSeq(); last > w.p.Seq() {
 				w.p.Ingest(detector.Batch{LastSeq: last})
 			}
-			w.save(c, w.cfg.Handoff && w.stopped.Load())
-		default:
-			// Connection lost. Checkpoint before resuming: a resume acks
-			// everything below its start, so it must never start past the
-			// newest durable checkpoint. drain trims what it replays.
-			c.Close()
-			if w.store != nil {
-				w.save(nil, w.cfg.Handoff)
+			if errors.Is(err, stream.ErrClosed) {
+				// A broker that ended the feed is closing: it takes no
+				// more offers and keeps nothing more for this session.
+				c.Ack(w.p.Seq())
+			} else {
+				w.save(c, w.cfg.Handoff)
 			}
-			w.resume = cmp.Or(w.stats.Checkpointed, c.LastSeq()) + 1
+		default:
+			// Connection lost. Save before resuming: a resume acks
+			// everything below its start, so it must never start past the
+			// newest confirmed offer. drain trims what it replays.
+			c.Close()
+			w.save(nil, w.cfg.Handoff)
+			w.resume = cmp.Or(w.durable(), c.LastSeq()) + 1
 			if c, err = w.connect(); err != nil {
 				if w.killed.Load() || !w.stopped.Load() {
 					w.err = err
@@ -333,45 +359,38 @@ func (w *Worker) drain(c *stream.Client) error {
 		w.p.Ingest(detector.Batch{Events: evs[drop:], LastSeq: last})
 		w.stats.Events += n - drop
 		w.stats.Batches++
-		lag := w.store != nil && w.cfg.MaxLag > 0 && last-w.stats.Checkpointed >= uint64(w.cfg.MaxLag)
-		if (w.store != nil || w.cfg.Handoff) && (lag || time.Since(w.lastSave) >= w.cfg.Every) {
-			w.save(c, w.cfg.Handoff)
+		lag := uint64(w.cfg.MaxLag)
+		if w.cfg.Handoff && (lag > 0 && last-w.durable() >= lag && last-w.lastSaveSeq >= lag/2 ||
+			time.Since(w.lastSave) >= w.cfg.Every) {
+			w.save(c, true)
 		}
 	}
 }
 
-// save cuts a snapshot and keeps it: in a checkpoint file, after which
-// the feed is acked through c (when c is non-nil), and, when offer is
-// set, at the broker's rendezvous. Neither failure is fatal: the
-// previous checkpoint generation and the broker's previous offer (or
-// the spool) keep recovery possible. Kill is a crash: once it has
+// durable is the newest sequence the broker holds this worker's state
+// at: its newest confirmed offer, or the snapshot it adopted.
+func (w *Worker) durable() uint64 { return max(w.offered.Load(), w.handoffSeq) }
+
+// save cuts a snapshot and, when offer is set, offers it to the broker;
+// once the broker confirms it, the feed is acked through it on c (when
+// c is non-nil). A failure is not fatal: the broker's previous offer
+// (or the spool) keeps recovery possible. Kill is a crash: once it has
 // landed, a save in progress keeps nothing more.
 func (w *Worker) save(c *stream.Client, offer bool) {
+	w.lastSave, w.lastSaveSeq = time.Now(), w.p.Seq()
+	if !offer || w.p.Seq() == 0 || w.killed.Load() {
+		return // nothing applied yet is nothing worth adopting; a crash keeps nothing
+	}
 	snap := w.p.Snapshot()
-	w.lastSave = time.Now()
-	if w.killed.Load() {
-		return
-	}
-	if w.store != nil {
-		if err := w.store.write(w.session, snap); err != nil {
-			log.Printf("cluster: checkpoint failed (previous generation still valid): %v", err)
-		} else {
-			w.stats.Checkpoints++
-			w.stats.Checkpointed = snap.Seq
-			if c != nil {
-				c.Ack(snap.Seq)
-			}
-		}
-	}
-	if !offer || snap.Seq == 0 {
-		return // nothing applied yet is nothing worth adopting
-	}
-	// A failed offer is not logged: a closing broker refuses every save
-	// of the worker's final catch-up. Stats counts the successes.
+	// A failed offer is not logged: a broker that is down refuses the
+	// save before the resume. Stats counts the successes.
 	data, err := json.Marshal(snap)
-	if err == nil && !w.killed.Load() && stream.OfferSnapshot(w.cfg.Addr, w.cfg.Part, w.cfg.Parts, snap.Seq, data) == nil {
+	if err == nil && !w.killed.Load() && stream.OfferSnapshot(w.cfg.Addr, w.cfg.Part, max(w.cfg.Parts, 1), snap.Seq, data) == nil {
 		w.offered.Store(snap.Seq)
 		w.stats.Offers++
+		if c != nil {
+			c.Ack(snap.Seq)
+		}
 	}
 }
 
@@ -400,9 +419,9 @@ func (w *Worker) Kill() {
 	w.signal(nil)
 }
 
-// Stop ends the worker gracefully: a final checkpoint, its ack sent
-// through the interrupted connection, and with Handoff a final offer.
-// It does not wait; Wait does.
+// Stop ends the worker gracefully: with Handoff a final offer, and its
+// ack sent through the interrupted connection. It does not wait; Wait
+// does.
 func (w *Worker) Stop() {
 	w.stopped.Store(true)
 	w.signal(nil)
@@ -421,8 +440,9 @@ func (w *Worker) Wait() error {
 // time.
 func (w *Worker) Pipeline() *detector.Pipeline { return w.p }
 
-// Origin describes the state the worker started from ("restored PATH:
-// ..." or "adopted broker snapshot ..."), "" for a cold start.
+// Origin describes the state the worker started from ("adopted broker
+// snapshot ...", or why a held one was passed over), "" for a cold
+// start.
 func (w *Worker) Origin() string { return w.origin }
 
 // ResumedFrom returns the feed sequence the first subscription started
@@ -431,7 +451,11 @@ func (w *Worker) Origin() string { return w.origin }
 func (w *Worker) ResumedFrom() uint64 { return w.resumedFrom }
 
 // Stats returns the worker's counters. Valid after Wait.
-func (w *Worker) Stats() Stats { return w.stats }
+func (w *Worker) Stats() Stats {
+	st := w.stats
+	st.Offered = w.offered.Load()
+	return st
+}
 
 // Rebalanced reports whether the worker was retired by a live
 // rebalance, and if so the cutover barrier (its pipeline's final

@@ -57,19 +57,18 @@ func clusterServer(t *testing.T) *stream.Server {
 	return srv
 }
 
-// saveLag spaces the test workers' saves: a checkpoint (and, with
-// Handoff, an offer) every saveLag feed sequences, about 40 over the
-// campaign.
+// saveLag spaces the test workers' saves: an offer every saveLag feed
+// sequences, about 40 over the campaign.
 const saveLag = 1000
 
 // workerConfig is the tests' worker for partition part of parts on
-// addr: its own checkpoint directory, saves on the lag trigger only
-// (the interval is out of reach), so they land at feed positions rather
-// than wall-clock times.
-func workerConfig(t *testing.T, addr string, part, parts int, rule detector.Rule) cluster.Config {
+// addr: its state kept at the broker (Handoff), saves on the lag
+// trigger only (the interval is out of reach), so they land at feed
+// positions rather than wall-clock times.
+func workerConfig(addr string, part, parts int, rule detector.Rule) cluster.Config {
 	return cluster.Config{
 		Addr: addr, Part: part, Parts: parts, Rule: rule, CheckEvery: 1,
-		Dir: t.TempDir(), Every: time.Hour, MaxLag: saveLag,
+		Handoff: true, Every: time.Hour, MaxLag: saveLag,
 	}
 }
 
@@ -167,9 +166,7 @@ func TestPartitionedClusterFlagEquality(t *testing.T) {
 			srv := clusterServer(t)
 			workers := make([]*cluster.Worker, k)
 			start := func(part int) (*cluster.Worker, error) {
-				cfg := workerConfig(t, srv.Addr(), part, k, rule)
-				cfg.Handoff = true
-				return cluster.Start(cfg)
+				return cluster.Start(workerConfig(srv.Addr(), part, k, rule))
 			}
 			for part := 0; part < k; part++ {
 				w, err := start(part)
@@ -194,7 +191,7 @@ func TestPartitionedClusterFlagEquality(t *testing.T) {
 			if err := victim.Wait(); err == nil {
 				t.Fatal("killed worker reported a clean end of feed")
 			}
-			repl, err := start(0) // a fresh checkpoint dir: the broker's offer is the state
+			repl, err := start(0) // the broker's offer is the state
 			if err != nil {
 				t.Fatalf("start replacement: %v", err)
 			}
@@ -246,10 +243,12 @@ func waitAdopted(t *testing.T, e *stream.Relay, seq uint64) {
 // accounts a single direct pipeline flags — with one edge broker
 // killed -9 mid-campaign and replaced on the same spool directory.
 // The replacement edge resumes the upstream subscription from its
-// spool's end; its workers find the crash emptied the edge's snapshot
-// rendezvous and fall back to a cold start served from the edge spool
-// — the deterministic-replay path — and the tree reconverges with no
-// gaps and no duplicate flags.
+// spool's end and loads the snapshots its predecessor confirmed from
+// beside the spool. Its workers adopt them: one replacement worker
+// started by hand, the other partition's a standby that promotes on
+// the restarted edge, where no worker has connected yet but the
+// snapshot is held. Neither replays from sequence 1, and the tree
+// reconverges with no gaps and no duplicate flags.
 func TestRelayTreeFlagEquality(t *testing.T) {
 	events, rule := campaignFeed()
 
@@ -278,8 +277,8 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 
 	start := func(part int, addr string) *cluster.Worker {
 		t.Helper()
-		cfg := workerConfig(t, addr, part, k, rule)
-		cfg.Handoff, cfg.FromStart = true, true
+		cfg := workerConfig(addr, part, k, rule)
+		cfg.FromStart = true
 		w, err := cluster.Start(cfg)
 		if err != nil {
 			t.Fatalf("start worker %d/%d on %s: %v", part, k, addr, err)
@@ -295,14 +294,18 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 		workers[part] = start(part, addr)
 	}
 
-	// First leg of the campaign; both edges adopt it fully before the
-	// kill, so the crash loses only in-memory state (sessions, snapshot
-	// rendezvous), exactly like kill -9 of a streamd -relay process.
+	// First leg of the campaign; both edges adopt it fully, and edge
+	// B's workers have snapshots confirmed there, before the kill. The
+	// crash loses only in-memory state (sessions, unspooled frames),
+	// exactly like kill -9 of a streamd -relay process.
 	cut := 2 * len(events) / 5
 	for _, ev := range events[:cut] {
 		root.BroadcastBatch([]osn.Event{ev})
 	}
 	waitAdopted(t, edgeB, uint64(cut))
+	for part := k / 2; part < k; part++ {
+		waitOffered(t, workers[part], 0)
+	}
 
 	edgeB.Abort()
 	if err := spB.Close(); err != nil {
@@ -315,19 +318,37 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 	}
 
 	// Replacement edge on the same spool directory, new address: it
-	// resumes upstream from the spool's end and serves its own backlog
-	// to the replacement workers, which cold-start from sequence 1 —
-	// the broker-held snapshots died with the edge.
+	// resumes upstream from the spool's end and still holds the
+	// snapshots the dead edge confirmed. Partition 2's replacement
+	// adopts its snapshot at start; partition 3's is a standby, which
+	// promotes because the restarted edge holds the key's snapshot.
 	edgeB2, spB2 := newEdge(dirB)
 	defer func() { edgeB2.Close(); spB2.Close() }()
-	for part := k / 2; part < k; part++ {
-		w := start(part, edgeB2.Addr())
-		if w.HandoffSeq() != 0 {
-			t.Fatalf("worker %d adopted a snapshot (seq %d) that should have died with the edge",
-				part, w.HandoffSeq())
+	adopted := func(part int) {
+		t.Helper()
+		if w := workers[part]; w.HandoffSeq() == 0 || w.ResumedFrom() != w.HandoffSeq()+1 {
+			t.Fatalf("worker %d on the restarted edge adopted seq %d and resumed from %d; want the dead edge's confirmed snapshot, resumed right after it",
+				part, w.HandoffSeq(), w.ResumedFrom())
 		}
-		workers[part] = w
 	}
+	workers[k/2] = start(k/2, edgeB2.Addr())
+	adopted(k / 2)
+	sbCfg := workerConfig(edgeB2.Addr(), k-1, k, rule)
+	sbCfg.FromStart = true
+	sb, err := cluster.StartStandby(sbCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Stop()
+	select {
+	case <-sb.Done():
+	case <-time.After(15 * time.Second):
+		t.Fatal("standby never promoted on the restarted edge")
+	}
+	if workers[k-1] = sb.Worker(); workers[k-1] == nil {
+		t.Fatalf("standby never promoted on the restarted edge: %v", sb.Err())
+	}
+	adopted(k - 1)
 
 	// Rest of the campaign, clean shutdown down the tree, union check.
 	for _, ev := range events[cut:] {
@@ -343,6 +364,11 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 		t.Fatalf("replacement edge did not propagate eof cleanly: %v", err)
 	}
 	checkUnion(t, workers, uint64(len(events)), want)
+	for part := k / 2; part < k; part++ {
+		if first := workers[part].FirstApplied(); first <= workers[part].HandoffSeq() {
+			t.Fatalf("worker %d replayed seq %d at or below its snapshot cut %d", part, first, workers[part].HandoffSeq())
+		}
+	}
 	if adopted := edgeA.Server().Stats().Adopted; adopted != uint64(len(events)) {
 		t.Fatalf("edge A adopted %d events, feed carried %d", adopted, len(events))
 	}
@@ -350,8 +376,8 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 
 // TestWorkerEndsAtFeedCursor: a partitioned feed that ends on a foreign
 // event reaches the worker as a bare cursor advance, which RecvBatch
-// never returns. The worker's state must still end at the feed's last
-// sequence, the cursor it was sent.
+// never returns. The worker's state, and its final ack, must still end
+// at the feed's last sequence, the cursor it was sent.
 func TestWorkerEndsAtFeedCursor(t *testing.T) {
 	events, rule := campaignFeed()
 	const part, parts = 1, 3
@@ -360,7 +386,7 @@ func TestWorkerEndsAtFeedCursor(t *testing.T) {
 		end--
 	}
 	srv := clusterServer(t)
-	w, err := cluster.Start(workerConfig(t, srv.Addr(), part, parts, rule))
+	w, err := cluster.Start(workerConfig(srv.Addr(), part, parts, rule))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +402,8 @@ func TestWorkerEndsAtFeedCursor(t *testing.T) {
 	if got := w.Pipeline().Seq(); got != uint64(end) {
 		t.Fatalf("worker %d/%d ended at seq %d, the feed at %d", part, parts, got, end)
 	}
-	if got := w.Stats().Checkpointed; got != uint64(end) {
-		t.Fatalf("final checkpoint at seq %d, the feed ended at %d", got, end)
+	if got := srv.Stats().Delivered; got != uint64(end) {
+		t.Fatalf("the worker acked the feed through seq %d, the feed ended at %d", got, end)
 	}
 }
 

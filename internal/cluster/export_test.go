@@ -1,21 +1,12 @@
 package cluster
 
-// NewestCheckpoint reads the newest valid checkpoint in dir, the state
-// a worker started on dir would restore (seq 0: none).
-func NewestCheckpoint(dir string) (session string, seq uint64, err error) {
-	st, err := (&store{dir: dir}).newest()
-	if err != nil || st == nil {
-		return "", 0, err
-	}
-	return st.Session, st.Snapshot.Seq, nil
-}
-
 // HandoffSeq returns the stamped sequence of the broker snapshot the
 // worker adopted at start, 0 when it did not adopt one.
 func (w *Worker) HandoffSeq() uint64 { return w.handoffSeq }
 
-// OfferedSeq returns the highest snapshot sequence this worker has
-// successfully offered to the broker (0: none yet).
+// OfferedSeq returns the highest snapshot sequence the broker has
+// confirmed for this worker (0: none yet); unlike Stats, safe while
+// the worker runs.
 func (w *Worker) OfferedSeq() uint64 { return w.offered.Load() }
 
 // FirstApplied returns the lowest global feed sequence the worker has

@@ -31,21 +31,21 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 		t.Run(fmt.Sprintf("k=%dto%d", shape.from, shape.to), func(t *testing.T) {
 			srv := clusterServer(t)
 			workerCfg := func(part, parts int) cluster.Config {
-				cfg := workerConfig(t, srv.Addr(), part, parts, rule)
+				cfg := workerConfig(srv.Addr(), part, parts, rule)
 				cfg.Audit = true
 				return cfg
 			}
 			// The old generation runs without Handoff: it offers only its
 			// retirement snapshot, which it must do regardless.
 			oldGen := make([]*cluster.Worker, shape.from)
-			oldDirs := make([]string, shape.from)
 			for p := range oldGen {
 				cfg := workerCfg(p, shape.from)
+				cfg.Handoff = false
 				w, err := cluster.Start(cfg)
 				if err != nil {
 					t.Fatalf("start worker %d/%d: %v", p, shape.from, err)
 				}
-				oldGen[p], oldDirs[p] = w, cfg.Dir
+				oldGen[p] = w
 			}
 
 			// First leg, then cut over while the second leg is being
@@ -84,9 +84,9 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 				if got := w.Pipeline().Seq(); got != barrier {
 					t.Fatalf("old worker %d/%d stopped at seq %d, barrier is %d", p, shape.from, got, barrier)
 				}
-				if _, seq, err := cluster.NewestCheckpoint(oldDirs[p]); err != nil || seq != barrier {
-					t.Fatalf("old worker %d/%d's final checkpoint is at seq %d (%v), barrier is %d",
-						p, shape.from, seq, err, barrier)
+				if st := w.Stats(); st.Offers != 1 || st.Offered != barrier {
+					t.Fatalf("old worker %d/%d made %d offers, the newest at seq %d; want its one retirement offer at the barrier %d",
+						p, shape.from, st.Offers, st.Offered, barrier)
 				}
 			}
 
@@ -94,9 +94,7 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 			// resumes from barrier+1.
 			newGen := make([]*cluster.Worker, shape.to)
 			for p := range newGen {
-				cfg := workerCfg(p, shape.to)
-				cfg.Handoff = true
-				w, err := cluster.Start(cfg)
+				w, err := cluster.Start(workerCfg(p, shape.to))
 				if err != nil {
 					t.Fatalf("start new worker %d/%d: %v", p, shape.to, err)
 				}

@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"io"
 	"net"
-	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -23,7 +22,7 @@ import (
 
 // restoreFeed is the kill-restore campaign, with the flags one
 // uninterrupted whole-feed pipeline raises over it (the worker's check
-// cadence, 3, is part of the state a checkpoint must carry).
+// cadence, 3, is part of the state a snapshot must carry).
 func restoreFeed(t *testing.T) ([]osn.Event, detector.Rule, []osn.AccountID) {
 	t.Helper()
 	pop := agents.NewPopulation(17, agents.DefaultParams())
@@ -46,16 +45,28 @@ func sorted(ids []osn.AccountID) []osn.AccountID {
 	return ids
 }
 
-// killMidFeed runs the first third of events through a checkpointed
-// whole-feed worker on srv and kills it there, with progress past its
-// newest checkpoint in memory. It returns the worker's configuration
-// (for the replacement) and the surviving checkpoint's sequence.
+// heldSnapshot returns the sequence of the snapshot srv holds for key
+// (part, parts), 0 when it holds none.
+func heldSnapshot(srv *stream.Server, part, parts int) uint64 {
+	for _, sn := range srv.Stats().Snapshots {
+		if sn.Part == part && sn.Parts == parts {
+			return sn.Seq
+		}
+	}
+	return 0
+}
+
+// killMidFeed runs the first third of events through a whole-feed
+// worker on srv that keeps its state at the broker, and kills it there,
+// with progress past its newest confirmed offer in memory. It returns
+// the worker's configuration (for the replacement) and the sequence of
+// the snapshot the broker holds.
 func killMidFeed(t *testing.T, srv *stream.Server, events []osn.Event, rule detector.Rule) (cluster.Config, uint64) {
 	t.Helper()
-	// One checkpoint lands in [n/4, n/3): the kill at n/3 leaves a
-	// replay gap the restart must cover.
+	// One offer lands in [n/4, n/3): the kill at n/3 leaves a replay
+	// gap the restart must cover.
 	cfg := cluster.Config{Addr: srv.Addr(), Rule: rule, CheckEvery: 3,
-		Dir: t.TempDir(), Every: time.Hour, MaxLag: len(events) / 4}
+		Handoff: true, Every: time.Hour, MaxLag: len(events) / 4}
 	w, err := cluster.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -69,26 +80,23 @@ func killMidFeed(t *testing.T, srv *stream.Server, events []osn.Event, rule dete
 	if err := w.Wait(); err == nil {
 		t.Fatal("killed worker reported a clean end of feed")
 	}
-	_, ckpt, err := cluster.NewestCheckpoint(cfg.Dir)
-	if err != nil {
-		t.Fatal(err)
+	held := heldSnapshot(srv, 0, 1)
+	if held == 0 || held >= killAt {
+		t.Fatalf("the broker's snapshot covers seq %d, killed worker had applied %d — no replay gap to prove recovery on", held, killAt)
 	}
-	if ckpt == 0 || ckpt >= killAt {
-		t.Fatalf("surviving checkpoint covers seq %d, killed worker had applied %d — no replay gap to prove recovery on", ckpt, killAt)
-	}
-	return cfg, ckpt
+	return cfg, held
 }
 
-// restart starts the killed worker's replacement on the same checkpoint
-// dir and checks that it restored the newest checkpoint.
-func restart(t *testing.T, cfg cluster.Config, ckpt uint64) *cluster.Worker {
+// restart starts the killed worker's replacement and checks that it
+// adopted the broker's snapshot.
+func restart(t *testing.T, cfg cluster.Config, held uint64) *cluster.Worker {
 	t.Helper()
 	w, err := cluster.Start(cfg)
 	if err != nil {
-		t.Fatalf("restart from checkpoint %d: %v", ckpt, err)
+		t.Fatalf("restart from the snapshot at %d: %v", held, err)
 	}
-	if w.ResumedFrom() != ckpt+1 || !strings.HasPrefix(w.Origin(), "restored ") {
-		t.Fatalf("replacement resumed from %d (%q), want %d from the checkpoint", w.ResumedFrom(), w.Origin(), ckpt+1)
+	if w.ResumedFrom() != held+1 || !strings.HasPrefix(w.Origin(), "adopted broker snapshot") {
+		t.Fatalf("replacement resumed from %d (%q), want %d from the broker's snapshot", w.ResumedFrom(), w.Origin(), held+1)
 	}
 	return w
 }
@@ -107,9 +115,6 @@ func finish(t *testing.T, srv *stream.Server, w *cluster.Worker, events []osn.Ev
 		t.Fatalf("replacement stopped at seq %d, feed ended at %d", got, len(events))
 	}
 	st := w.Stats()
-	if st.Checkpointed != uint64(len(events)) {
-		t.Fatalf("final checkpoint at seq %d, want %d", st.Checkpointed, len(events))
-	}
 	// Each event past the starting state applied exactly once.
 	if applied := uint64(len(events)) - (max(w.ResumedFrom(), 1) - 1); uint64(st.Events) != applied {
 		t.Fatalf("worker applied %d events, want %d", st.Events, applied)
@@ -119,13 +124,12 @@ func finish(t *testing.T, srv *stream.Server, w *cluster.Worker, events []osn.Ev
 	}
 }
 
-// TestKillRestoreFlagEquality: a checkpointed worker is killed mid-feed
-// with un-checkpointed progress in memory. Everything it held in RAM
-// is discarded; only its checkpoint files and the feed's replay window
-// survive, as after kill -9. A replacement started on the same
-// directory restores the newest checkpoint, resumes the session from
-// the sequence it covers, and must finish with the flag set of one
-// uninterrupted run.
+// TestKillRestoreFlagEquality: a worker keeping its state at the broker
+// is killed mid-feed with unoffered progress in memory. Everything it
+// held in RAM is discarded; only the broker's snapshot and the feed's
+// replay window survive, as after kill -9. A replacement adopts the
+// snapshot, resumes the feed from the sequence it covers, and must
+// finish with the flag set of one uninterrupted run.
 func TestKillRestoreFlagEquality(t *testing.T) {
 	events, rule, want := restoreFeed(t)
 	srv, err := stream.NewServer("127.0.0.1:0", stream.WithReplayBuffer(len(events)+16))
@@ -133,8 +137,8 @@ func TestKillRestoreFlagEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cfg, ckpt := killMidFeed(t, srv, events, rule)
-	w := restart(t, cfg, ckpt)
+	cfg, held := killMidFeed(t, srv, events, rule)
+	w := restart(t, cfg, held)
 	for _, ev := range events[len(events)/3:] {
 		srv.BroadcastBatch([]osn.Event{ev})
 	}
@@ -160,7 +164,7 @@ func TestColdRestartFromStaleCheckpointViaSpool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cfg, ckpt := killMidFeed(t, srv, events, rule)
+	cfg, held := killMidFeed(t, srv, events, rule)
 	for _, ev := range events[len(events)/3:] {
 		srv.BroadcastBatch([]osn.Event{ev})
 	}
@@ -171,22 +175,67 @@ func TestColdRestartFromStaleCheckpointViaSpool(t *testing.T) {
 	if sp.End() != uint64(len(events)) {
 		t.Fatalf("spool holds %d events, want %d — producer stalled", sp.End(), len(events))
 	}
-	if gap := uint64(len(events)) - ckpt; gap <= window {
+	if gap := uint64(len(events)) - held; gap <= window {
 		t.Fatalf("replay gap is only %d events (≤ window %d); nothing would prove the disk tier", gap, window)
 	}
-	w := restart(t, cfg, ckpt)
+	w := restart(t, cfg, held)
 	finish(t, srv, w, events, want)
 	if ev := srv.Stats().Evicted; ev != 0 {
 		t.Fatalf("evicted = %d, want 0 — the disk tier must make this scenario lossless", ev)
 	}
 }
 
+// TestUnresumableSnapshotStartsCold: on a memory-only broker, a dead
+// worker's lingering session is evicted once the tail needs its room,
+// and the tail then moves past the broker's snapshot of it. The
+// snapshot can no longer be resumed, so a replacement says so and
+// starts cold at the live head instead of failing on ErrGap, and its
+// first offer replaces the stale snapshot.
+func TestUnresumableSnapshotStartsCold(t *testing.T) {
+	events, rule, _ := restoreFeed(t)
+	n := len(events)
+	srv, err := stream.NewServer("127.0.0.1:0", stream.WithReplayBuffer(n/3+16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cfg, held := killMidFeed(t, srv, events, rule)
+	for _, ev := range events[n/3 : 5*n/6] {
+		srv.BroadcastBatch([]osn.Event{ev})
+	}
+	cfg.MaxLag = 100
+	w, err := cluster.Start(cfg)
+	if err != nil {
+		t.Fatalf("start past an unresumable snapshot: %v", err)
+	}
+	if w.HandoffSeq() != 0 || w.ResumedFrom() != 0 || !strings.Contains(w.Origin(), "past the feed's retention") {
+		t.Fatalf("replacement adopted seq %d, resumed from %d (%q); want a cold start at the live head that says why",
+			w.HandoffSeq(), w.ResumedFrom(), w.Origin())
+	}
+	for _, ev := range events[5*n/6:] {
+		srv.BroadcastBatch([]osn.Event{ev})
+	}
+	waitOffered(t, w, held)
+	if got := heldSnapshot(srv, 0, 1); got <= held {
+		t.Fatalf("the broker still holds the snapshot at %d, want the cold worker's newer offer", got)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(); err != nil {
+		t.Fatalf("cold replacement: %v", err)
+	}
+}
+
 // blipProxy forwards TCP connections to a broker until cut severs them
-// all: a network blip between a worker and its feed.
+// all: a network blip between a worker and its feed. While refuse is
+// set it closes every connection it accepts, counting them in refused.
 type blipProxy struct {
-	ln    net.Listener
-	mu    sync.Mutex
-	conns []net.Conn
+	ln      net.Listener
+	mu      sync.Mutex
+	conns   []net.Conn
+	refuse  atomic.Bool
+	refused atomic.Int32
 }
 
 func newBlipProxy(t *testing.T, target string) *blipProxy {
@@ -201,6 +250,11 @@ func newBlipProxy(t *testing.T, target string) *blipProxy {
 			in, err := ln.Accept()
 			if err != nil {
 				return
+			}
+			if p.refuse.Load() {
+				in.Close()
+				p.refused.Add(1)
+				continue
 			}
 			out, err := net.Dial("tcp", target)
 			if err != nil {
@@ -227,12 +281,12 @@ func (p *blipProxy) cut() {
 	p.conns = nil
 }
 
-// TestWorkerResumesAcrossBlip: a network blip mid-feed costs a
-// checkpointed worker nothing. It reconnects by itself and resumes its
-// session from its newest durable checkpoint — an older one here, since
-// the checkpoint dir vanishes with the blip and the pre-resume
-// checkpoint fails — and skips the replayed events it already applied.
-// The flag set equals one uninterrupted run's.
+// TestWorkerResumesAcrossBlip: a network blip mid-feed costs a worker
+// that keeps its state at the broker nothing. It reconnects by itself
+// and resumes its session from its newest confirmed offer — an older
+// one here, since the broker is unreachable during the blip and the
+// pre-resume offer fails — and skips the replayed events it already
+// applied. The flag set equals one uninterrupted run's.
 func TestWorkerResumesAcrossBlip(t *testing.T) {
 	events, rule, want := restoreFeed(t)
 	srv, err := stream.NewServer("127.0.0.1:0", stream.WithReplayBuffer(len(events)+16))
@@ -242,7 +296,7 @@ func TestWorkerResumesAcrossBlip(t *testing.T) {
 	defer srv.Close()
 	proxy := newBlipProxy(t, srv.Addr())
 	cfg := cluster.Config{Addr: proxy.ln.Addr().String(), Rule: rule, CheckEvery: 3, Retries: 5,
-		Dir: t.TempDir(), Every: time.Hour, MaxLag: len(events) / 4}
+		Handoff: true, Every: time.Hour, MaxLag: len(events) / 4}
 	w, err := cluster.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -252,29 +306,62 @@ func TestWorkerResumesAcrossBlip(t *testing.T) {
 		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	waitSeq(t, w, blipAt)
-	if _, ckpt, _ := cluster.NewestCheckpoint(cfg.Dir); ckpt == 0 || ckpt >= blipAt {
-		t.Fatalf("checkpoint at seq %d before the blip at %d: no replay to skip", ckpt, blipAt)
+	if held := w.OfferedSeq(); held == 0 || held >= blipAt {
+		t.Fatalf("offer confirmed at seq %d before the blip at %d: no replay to skip", held, blipAt)
 	}
-	if err := os.RemoveAll(cfg.Dir); err != nil {
-		t.Fatal(err)
-	}
+	proxy.refuse.Store(true)
 	proxy.cut()
 	for _, ev := range events[blipAt:] {
 		srv.BroadcastBatch([]osn.Event{ev})
 	}
+	// The pre-resume offer and the first redial are refused; then the
+	// blip ends.
+	waitFor(t, func() bool { return proxy.refused.Load() >= 2 }, "the pre-resume offer and a redial to be refused")
+	proxy.refuse.Store(false)
 	waitSeq(t, w, uint64(len(events)))
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil { // for the final checkpoint
-		t.Fatal(err)
-	}
 	finish(t, srv, w, events, want)
 }
 
+// TestRefusedOfferNotRetriedEveryBatch: while the broker refuses
+// offers (here a proxy that turns away every new connection, as a
+// closing broker does), the lag trigger retries half a lag after the
+// refused attempt, not at every batch: each attempt costs a whole
+// snapshot.
+func TestRefusedOfferNotRetriedEveryBatch(t *testing.T) {
+	events, rule, _ := restoreFeed(t)
+	srv, err := stream.NewServer("127.0.0.1:0", stream.WithReplayBuffer(len(events)+16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	proxy := newBlipProxy(t, srv.Addr())
+	const lag = 500
+	w, err := cluster.Start(cluster.Config{Addr: proxy.ln.Addr().String(), Rule: rule, CheckEvery: 3,
+		Handoff: true, Every: time.Hour, MaxLag: lag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy.refuse.Store(true)
+	for _, ev := range events {
+		srv.BroadcastBatch([]osn.Event{ev})
+	}
+	waitSeq(t, w, uint64(len(events)))
+	if got, most := int(proxy.refused.Load()), 2*len(events)/lag; got == 0 || got > most {
+		t.Fatalf("%d offers refused over %d one-event batches, want 1 to %d: one per half lag", got, len(events), most)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestKillSavesNothing: Kill is a crash, so a save the worker is in the
-// middle of when Kill lands must keep nothing — no checkpoint file, no
-// broker offer. Every batch saves here, and the worker kills itself
-// from its flag hook, inside the batch whose save would otherwise
-// follow: afterwards the newest checkpoint and the broker's held offer
-// must both predate that batch.
+// middle of when Kill lands must keep nothing — no broker offer. Every
+// batch saves here, and the worker kills itself from its flag hook,
+// inside the batch whose save would otherwise follow: afterwards the
+// broker's held offer must predate that batch.
 func TestKillSavesNothing(t *testing.T) {
 	events, rule, _ := restoreFeed(t)
 	const part, parts = 0, 2
@@ -301,7 +388,7 @@ func TestKillSavesNothing(t *testing.T) {
 	srv := clusterServer(t)
 	var self atomic.Pointer[cluster.Worker]
 	cfg := cluster.Config{Addr: srv.Addr(), Part: part, Parts: parts, Rule: rule, CheckEvery: 1,
-		Handoff: true, Dir: t.TempDir(), Every: time.Nanosecond,
+		Handoff: true, Every: time.Nanosecond,
 		OnFlag: func(detector.Flag) { self.Load().Kill() }}
 	w, err := cluster.Start(cfg)
 	if err != nil {
@@ -314,19 +401,10 @@ func TestKillSavesNothing(t *testing.T) {
 	if err := w.Wait(); err == nil {
 		t.Fatal("killed worker reported a clean end of feed")
 	}
-	if w.Stats().Checkpoints == 0 {
+	if w.Stats().Offers == 0 {
 		t.Fatal("the worker saved nothing before the kill; the test is vacuous")
 	}
-	_, ckpt, err := cluster.NewestCheckpoint(cfg.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ckpt >= firstFlag {
-		t.Fatalf("newest checkpoint at seq %d covers the killing batch (first flag at seq %d)", ckpt, firstFlag)
-	}
-	for _, sn := range srv.Stats().Snapshots {
-		if sn.Part == part && sn.Parts == parts && sn.Seq >= firstFlag {
-			t.Fatalf("broker holds an offer at seq %d covering the killing batch (first flag at seq %d)", sn.Seq, firstFlag)
-		}
+	if held := heldSnapshot(srv, part, parts); held >= firstFlag {
+		t.Fatalf("broker holds an offer at seq %d covering the killing batch (first flag at seq %d)", held, firstFlag)
 	}
 }

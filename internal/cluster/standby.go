@@ -1,8 +1,11 @@
 // Automatic standby promotion: a Standby watches one partition key on
 // the broker and, when its worker dies (stall eviction, crash, kill),
 // promotes itself — claims the key, starts a Worker under the claimed
-// session id, and so adopts the dead worker's freshest broker offer (or
-// its own checkpoint, if that is fresher) — with no operator action.
+// session id, and so adopts the dead worker's freshest broker offer —
+// with no operator action. A spooled broker that restarted still holds
+// that offer, and counts its key as seen once the key's worker had the
+// broker's restart grace to come back, so a standby promotes there
+// too, but not past a live worker that is still redialing.
 // The broker's claim protocol makes the promotion race-free: of N
 // standbys watching the same partition, exactly one wins the claim;
 // the rest keep watching (the winner's connection resets their

@@ -4,9 +4,12 @@
 // transport's bounded in-memory tail. stream.Server appends
 // every broadcast batch here (when configured with WithSpool) and
 // reads segments back to serve resumes the memory tier answers with
-// ErrGap — making large checkpoint intervals safe with a small
-// in-memory tail, and a detector cold-start from a stale checkpoint a
-// replay from disk instead of a silent coverage gap.
+// ErrGap — making large snapshot intervals safe with a small
+// in-memory tail, and a detector restart from a stale snapshot a
+// replay from disk instead of a silent coverage gap. Beside the
+// segments it keeps the broker's detector snapshots, one file per
+// partition key (snapshot.go): the spool is the one owner of the
+// broker's disk.
 //
 // # Segment format
 //
@@ -190,6 +193,11 @@ type Spool struct {
 	openedAt  time.Time  // active segment creation time (age-based rolling)
 	end       uint64     // last sequence appended (0 when empty)
 	errSticky error      // first write failure; poisons future appends
+
+	snapMu sync.Mutex // serializes the snapshot files (snapshot.go)
+	// pins holds each key's held snapshot sequence (under mu): Prune
+	// keeps every one's resume point.
+	pins map[[2]int]uint64
 }
 
 // Open creates dir if needed, recovers any existing segments (index
@@ -203,7 +211,7 @@ func Open(dir string, opts ...Option) (*Spool, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("spool: %w", err)
 	}
-	s := &Spool{dir: dir, opt: o}
+	s := &Spool{dir: dir, opt: o, pins: make(map[[2]int]uint64)}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -576,29 +584,52 @@ func (s *Spool) writeIndexLocked() error {
 			})
 		}
 	}
-	tmp, err := os.CreateTemp(s.dir, "spool.index-*.tmp")
+	data, err := json.Marshal(&idx)
+	if err == nil {
+		err = replaceFile(s.dir, indexName, data)
+	}
 	if err != nil {
 		return fmt.Errorf("spool: index: %w", err)
 	}
+	syncDir(s.dir) // best effort: a lost rename only costs a rescan
+	return nil
+}
+
+// replaceFile atomically replaces dir/name with the concatenation of
+// parts: written to a temporary file in dir, fsynced and renamed into
+// place, so a crash leaves the old file or the new one, never a torn
+// one. The rename itself is durable once syncDir(dir) returns.
+func replaceFile(dir, name string, parts ...[]byte) error {
+	tmp, err := os.CreateTemp(dir, name+".*.tmp")
+	if err != nil {
+		return err
+	}
 	defer os.Remove(tmp.Name()) // no-op once renamed
-	enc := json.NewEncoder(tmp)
-	if err := enc.Encode(&idx); err == nil {
+	for _, p := range parts {
+		if err == nil {
+			_, err = tmp.Write(p)
+		}
+	}
+	if err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	return err
+}
+
+// syncDir fsyncs directory dir, making the renames in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("spool: index: %w", err)
+		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, indexName)); err != nil {
-		return fmt.Errorf("spool: index: %w", err)
-	}
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync() // best effort: make the rename durable too
-		d.Close()
-	}
-	return nil
+	defer d.Close()
+	return d.Sync()
 }
 
 // readIndex loads the sealed-segment index, returning nil (full
@@ -663,17 +694,21 @@ func (s *Spool) Stats() Stats {
 
 // Prune enforces the retention budget: while total size exceeds
 // WithRetainBytes, sealed segments are deleted oldest-first — but
-// never a segment holding sequences above floor. The transport passes
-// the minimum acknowledged sequence across its subscriber sessions as
-// floor, so pruning can starve on a lagging consumer but can never
-// delete an event some session still needs. With a zero budget Prune
-// is a no-op: everything is retained.
+// never a segment holding sequences above floor, or above a held
+// snapshot's sequence (snapshot.go). The transport passes the minimum
+// acknowledged sequence across its subscriber sessions as floor, so
+// pruning can starve on a lagging consumer but can never delete an
+// event some session, or a worker adopting a held snapshot, still
+// needs. With a zero budget Prune is a no-op: everything is retained.
 func (s *Spool) Prune(floor uint64) {
 	if s.opt.retainBytes <= 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, seq := range s.pins {
+		floor = min(floor, seq)
+	}
 	var total int64
 	for _, seg := range s.segs {
 		total += seg.size
@@ -682,7 +717,7 @@ func (s *Spool) Prune(floor uint64) {
 	for len(s.segs) > 0 && total > s.opt.retainBytes {
 		oldest := s.segs[0]
 		if !oldest.sealed || oldest.last > floor {
-			break // active, or still within some subscriber's unacked range
+			break // active, or still within some subscriber's or snapshot's range
 		}
 		if err := os.Remove(oldest.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			s.opt.logf("spool: prune %s: %v", filepath.Base(oldest.path), err)

@@ -217,16 +217,13 @@ func (c *Client) Session() string { return c.session }
 func (c *Client) LastSeq() uint64 { return c.lastSeq }
 
 // SetManualAck switches acknowledgement control to the caller. By
-// default the client acks whatever it has delivered, which releases the
-// server's tail as fast as the application consumes — right
-// for stateless consumers, wrong for checkpointed ones: a consumer
-// that acked past its last durable checkpoint and then crashed would
-// find the events it needs already trimmed. In manual mode the client
-// never acks on its own; the application calls Ack with its
-// checkpointed sequence, so the server retains exactly the
-// events-since-last-checkpoint a crash would need replayed. On a
-// memory-only feed the server's tail (WithReplayBuffer) must cover one
-// checkpoint interval or BroadcastBatch backpressure kicks in.
+// default the client acks whatever it has delivered — right for
+// stateless consumers. In manual mode the client never acks on its
+// own; a stateful consumer calls Ack with the sequence of its newest
+// durable snapshot, so the server retains exactly the events a crash
+// would need replayed. On a memory-only feed the server's tail
+// (WithReplayBuffer) must cover one snapshot interval or
+// BroadcastBatch backpressure kicks in.
 func (c *Client) SetManualAck(on bool) { c.manualAck = on }
 
 // Ack acknowledges delivery through seq (clamped to what has actually
@@ -421,7 +418,7 @@ func (c *Client) Kick() { c.conn.Close() }
 // timeout error while leaving the connection itself usable for writes
 // — unlike Kick, the interrupted loop can still send a final Ack and
 // Close cleanly, which is how a signal handler stops an ingest loop
-// that must checkpoint-and-acknowledge on the way out. Reads must not
+// that must snapshot-and-acknowledge on the way out. Reads must not
 // be retried after an Interrupt (a frame may have been consumed
 // partially); resume the session on a fresh connection instead. Safe
 // to call concurrently with the owning goroutine's calls.

@@ -9,10 +9,10 @@
 // OFFERS its partition's serialized detector.PipelineSnapshot, stamped
 // with the feed sequence it covers; a new or standby worker FETCHES the
 // partition's latest snapshot and resumes the feed from the stamped
-// sequence + 1 — state migration instead of spool replay. The broker
-// holds the highest-sequence offer per (part, parts) key, in memory
-// only: a snapshot is a cache of detector state, the durable recovery
-// path remains the spool + the worker's own checkpoints.
+// sequence + 1. The broker holds the highest-sequence offer per (part,
+// parts) key and is the only keeper of worker state, exactly as durable
+// as its feed: spooled, offers are written beside the spool and reload
+// on restart; memory-only, they die with the feed.
 //
 // Live rebalance (rprepare / rcommit). The broker is the only place a
 // consistent cut exists, so the coordinator (detectd -rebalance) asks
@@ -31,7 +31,8 @@
 // All of this state is one control struct guarded by Server.mu.
 // Admission must see fences and claims atomically with its own checks,
 // so prepare, admission and claim run under mu anyway; a snapshot store
-// is one map write. A lock of its own would only add a lock-order rule.
+// is one map write (its spool write runs outside mu). A lock of its own
+// would only add a lock-order rule.
 
 package stream
 
@@ -45,12 +46,13 @@ import (
 	"slices"
 	"time"
 
+	"sybilwild/internal/spool"
 	"sybilwild/internal/wire"
 )
 
 // ErrNoSnapshot is returned by FetchSnapshot when the broker holds no
-// snapshot for the requested partition — the worker should fall back
-// to its local checkpoint or a from-the-start backfill.
+// snapshot for the requested partition — the worker starts cold, at
+// the live head or backfilling from sequence 1.
 var ErrNoSnapshot = errors.New("stream: no snapshot offered for this partition")
 
 // PartitionStatus is the broker's view of one partition key,
@@ -61,7 +63,7 @@ var ErrNoSnapshot = errors.New("stream: no snapshot offered for this partition")
 // standby, owns the recovery).
 type PartitionStatus struct {
 	Connected   int    // sessions currently connected on this key
-	Seen        bool   // a subscriber ever served this key on this broker
+	Seen        bool   // a worker was admitted here, or the key's snapshot was reloaded restartGrace ago
 	SnapshotSeq uint64 // stamp of the freshest held snapshot; 0 = none
 	Barrier     uint64 // fence barrier on this group shape; 0 = not fenced
 }
@@ -74,11 +76,11 @@ type control struct {
 	fences map[int]*fence
 	rebLog []*fence
 	// claims maps a key to the session id a standby reserved it for;
-	// seen records keys that ever admitted a subscriber, so a standby
-	// can tell "worker died" from "worker never started".
+	// seen, from when a key reads as seen (admitted a subscriber: zero;
+	// reloaded: restartGrace on), tells "worker died" from "never ran".
 	claims map[partKey]claim
-	seen   map[partKey]bool
-	snaps  map[partKey]snapshot // the freshest offer per key
+	seen   map[partKey]time.Time
+	snaps  map[partKey]spool.Snapshot // the freshest offer per key (payload immutable once held)
 }
 
 // fence is one live rebalance: partition group `from` is cut at
@@ -95,13 +97,6 @@ type fence struct {
 type claim struct {
 	session string
 	at      time.Time
-}
-
-// snapshot is one held offer: the feed sequence it is stamped at and
-// the serialized payload (immutable once stored).
-type snapshot struct {
-	seq  uint64
-	data []byte
 }
 
 // firstFrame is one row of the first-frame table: how the broker
@@ -152,6 +147,8 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, req frame, row fi
 // must be the size it announced, unless the held snapshot is fresher:
 // an equal sequence replaces (an idempotent re-offer), an older one is
 // confirmed and dropped, so a lagging worker cannot regress the store.
+// A usable spool stores it first, outside mu (a large fsync must not
+// stall admission); a failed write is refused, so the worker won't ack.
 func (s *Server) ctlOffer(_ net.Conn, br *bufio.Reader, req frame) *frame {
 	if req.Size > wire.MaxSnapshotSize {
 		return &frame{Err: "snapshot too large"}
@@ -163,11 +160,16 @@ func (s *Server) ctlOffer(_ net.Conn, br *bufio.Reader, req frame) *frame {
 	if uint64(len(payload)) != req.Size {
 		return &frame{Err: fmt.Sprintf("payload of %d bytes does not match announced size %d", len(payload), req.Size)}
 	}
+	if s.log.spoolUsable() {
+		if err := s.log.opt.spool.PutSnapshot(req.Part, req.Parts, req.Seq, payload); err != nil {
+			return &frame{Err: err.Error()}
+		}
+	}
 	k := partKey{part: req.Part, parts: req.Parts}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if held, ok := s.ctl.snaps[k]; !ok || held.seq <= req.Seq {
-		s.ctl.snaps[k] = snapshot{seq: req.Seq, data: payload}
+	if held, ok := s.ctl.snaps[k]; !ok || held.Seq <= req.Seq {
+		s.ctl.snaps[k] = spool.Snapshot{Part: req.Part, Parts: req.Parts, Seq: req.Seq, Data: payload}
 	}
 	return &frame{}
 }
@@ -182,8 +184,8 @@ func (s *Server) ctlFetch(conn net.Conn, _ *bufio.Reader, req frame) *frame {
 		return &frame{Err: snapNone}
 	}
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	hdr := marshalControl(frame{T: frameSnap, Part: req.Part, Parts: req.Parts, Seq: v.seq, Size: uint64(len(v.data))})
-	if writeFrame(bw, hdr) == nil && writeFrame(bw, v.data) == nil {
+	hdr := marshalControl(frame{T: frameSnap, Part: req.Part, Parts: req.Parts, Seq: v.Seq, Size: uint64(len(v.Data))})
+	if writeFrame(bw, hdr) == nil && writeFrame(bw, v.Data) == nil {
 		bw.Flush()
 	}
 	return nil
@@ -241,8 +243,9 @@ func (s *Server) ctlStatus(_ net.Conn, _ *bufio.Reader, req frame) *frame {
 	k := partKey{part: req.Part, parts: req.Parts}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	at, seen := s.ctl.seen[k]
 	rep := &frame{Part: req.Part, Parts: req.Parts, Connected: s.connectedOnLocked(k),
-		Seen: s.ctl.seen[k], Seq: s.ctl.snaps[k].seq}
+		Seen: seen && !time.Now().Before(at), Seq: s.ctl.snaps[k].Seq}
 	if f := s.ctl.fences[req.Parts]; f != nil {
 		rep.Barrier = f.barrier
 	}
@@ -282,12 +285,12 @@ func (s *Server) connectedOnLocked(k partKey) int {
 
 // controlStatsLocked lists the held snapshots, sorted by (parts, part),
 // and the rebalance audit. Caller holds s.mu.
-func (s *Server) controlStatsLocked() ([]SnapshotStats, []RebalanceStats) {
-	snaps := make([]SnapshotStats, 0, len(s.ctl.snaps))
-	for k, v := range s.ctl.snaps {
-		snaps = append(snaps, SnapshotStats{Part: k.part, Parts: k.parts, Seq: v.seq, Bytes: len(v.data)})
+func (s *Server) controlStatsLocked() ([]spool.Snapshot, []RebalanceStats) {
+	snaps := make([]spool.Snapshot, 0, len(s.ctl.snaps))
+	for _, v := range s.ctl.snaps {
+		snaps = append(snaps, v)
 	}
-	slices.SortFunc(snaps, func(a, b SnapshotStats) int {
+	slices.SortFunc(snaps, func(a, b spool.Snapshot) int {
 		return cmp.Or(cmp.Compare(a.Parts, b.Parts), cmp.Compare(a.Part, b.Part))
 	})
 	reb := make([]RebalanceStats, 0, len(s.ctl.rebLog))

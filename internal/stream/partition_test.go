@@ -737,7 +737,7 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 		t.Fatalf("stats list %d snapshots, want 2: %+v", len(snaps), snaps)
 	}
 	if snaps[0].Parts != 2 || snaps[0].Part != 1 || snaps[0].Seq != 50 ||
-		snaps[1].Parts != 3 || snaps[1].Part != 1 || snaps[1].Seq != 600 || snaps[1].Bytes != len("newer") {
+		snaps[1].Parts != 3 || snaps[1].Part != 1 || snaps[1].Seq != 600 || string(snaps[1].Data) != "newer" {
 		t.Fatalf("snapshot stats = %+v", snaps)
 	}
 

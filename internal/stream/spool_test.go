@@ -90,8 +90,7 @@ func TestResumePastWindowFromSpool(t *testing.T) {
 
 // TestResumeEvictedSessionFromSpool: even after the session itself is
 // long gone (linger expiry), a resume with its id is recreated from
-// disk — the cold-start path a detector restoring a stale checkpoint
-// takes.
+// disk — the path a detector adopting a stale snapshot takes.
 func TestResumeEvictedSessionFromSpool(t *testing.T) {
 	srv, _ := spooledServer(t, 8, withSessionLinger(10*time.Millisecond))
 	c, err := Dial(srv.Addr())
@@ -297,4 +296,93 @@ func TestManualAckLargeLagOverSpool(t *testing.T) {
 	if st := srv.Stats(); st.Evicted != 0 {
 		t.Fatalf("evicted = %d, want 0", st.Evicted)
 	}
+}
+
+// TestSpooledSnapshotSurvivesRestart: a spooled broker confirms an
+// offer only once it is on disk, refuses one its spool cannot keep (it
+// is past the spooled feed), and a broker restarted on the same spool
+// directory still holds the confirmed snapshot. Its key does not read
+// as seen yet: the key's worker may still be redialing, and a standby
+// must not promote past it within restartGrace (the promotion after it
+// is TestRelayTreeFlagEquality's, in internal/cluster).
+func TestSpooledSnapshotSurvivesRestart(t *testing.T) {
+	leakCheck(t)
+	dir := t.TempDir()
+	sp, err := spool.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer("127.0.0.1:0", WithSpool(sp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
+	}
+	if err := OfferSnapshot(srv.Addr(), 1, 2, 10, []byte("state at 10")); err != nil {
+		t.Fatalf("offer: %v", err)
+	}
+	if err := OfferSnapshot(srv.Addr(), 0, 2, 11, []byte("ahead of the feed")); err == nil {
+		t.Fatal("offer past the spooled feed confirmed")
+	}
+	srv.Abort()
+	sp.Close()
+
+	sp, err = spool.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	srv, err = NewServer("127.0.0.1:0", WithSpool(sp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	seq, data, err := FetchSnapshot(srv.Addr(), 1, 2)
+	if err != nil || seq != 10 || string(data) != "state at 10" {
+		t.Fatalf("restarted broker holds (%d, %q, %v), want (10, state at 10, nil)", seq, data, err)
+	}
+	if _, _, err := FetchSnapshot(srv.Addr(), 0, 2); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("refused offer survived the restart: err = %v", err)
+	}
+	if st, err := QueryPartition(srv.Addr(), 1, 2); err != nil || st.Seen || st.SnapshotSeq != 10 {
+		t.Fatalf("restarted broker's status for 1/2 = %+v (%v), want snapshot 10, not seen within the grace", st, err)
+	}
+}
+
+// TestSpooledSnapshotPinsRetention: with a retention budget, the spool
+// keeps a held snapshot's resume point however far the feed runs on
+// after its worker is gone, so the snapshot stays adoptable.
+func TestSpooledSnapshotPinsRetention(t *testing.T) {
+	leakCheck(t)
+	sp, err := spool.Open(t.TempDir(), spool.WithSegmentBytes(1024), spool.WithRetainBytes(2048))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	srv, err := NewServer("127.0.0.1:0", WithSpool(sp), WithReplayBuffer(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 0; i < 100; i++ {
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
+	}
+	if err := OfferSnapshot(srv.Addr(), 0, 2, 50, []byte("state at 50")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 100; i < 2000; i++ {
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
+	}
+	if st := sp.Stats(); st.First > 51 || st.Bytes <= 4096 {
+		t.Fatalf("spool %+v: want the resume point 51 kept past the retention budget", st)
+	}
+	if seq, _, err := FetchSnapshot(srv.Addr(), 0, 2); err != nil || seq != 50 {
+		t.Fatalf("fetch = (%d, %v), want the held snapshot at 50", seq, err)
+	}
+	c, err := DialResume(srv.Addr(), NewSessionID(), 51, WithPartition(0, 2))
+	if err != nil {
+		t.Fatalf("resume at the snapshot's resume point: %v", err)
+	}
+	c.Close()
 }

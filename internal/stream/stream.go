@@ -31,8 +31,8 @@
 // With WithSpool the log continues on disk (internal/spool): every
 // batch is also appended to the spool, and a reader whose next
 // sequence has left the tail — a subscriber that fell behind, one
-// resuming after a long outage, one cold-starting from a stale
-// checkpoint — reads it from segment files until it reaches the tail
+// resuming after a long outage, one restarting from a stale
+// snapshot — reads it from segment files until it reaches the tail
 // again. The tail then drops its oldest frames freely, so no
 // subscriber holds the producer back, and ErrGap retreats to genuine
 // retention loss.
@@ -97,6 +97,9 @@ const (
 	DefaultDrainTimeout = 5 * time.Second
 
 	handshakeTimeout = 10 * time.Second
+	// restartGrace: a restarted broker's reloaded key reads as seen this
+	// late, so a live worker still redialing (2 s backoff cap) is back.
+	restartGrace = 4 * time.Second
 )
 
 type serverOptions struct {
@@ -274,8 +277,8 @@ type ServerStats struct {
 	SpoolEnd   uint64
 	SpoolErr   string
 	// Snapshots lists the detector snapshots currently held for
-	// handoff, sorted by (parts, part).
-	Snapshots []SnapshotStats
+	// handoff, sorted by (parts, part); payloads are shared, read-only.
+	Snapshots []spool.Snapshot
 	// Rebalances is the append-only audit of every rebalance prepared
 	// on this broker, in preparation order.
 	Rebalances []RebalanceStats
@@ -307,15 +310,6 @@ type RebalanceStats struct {
 	Committed bool
 }
 
-// SnapshotStats describes one held snapshot in the broker's
-// rendezvous store.
-type SnapshotStats struct {
-	Part  int    // partition the snapshot covers
-	Parts int    // partition group size
-	Seq   uint64 // feed sequence the snapshot is stamped at
-	Bytes int    // serialized payload size
-}
-
 // NewServer listens on addr (e.g. "127.0.0.1:0") and starts accepting
 // subscribers.
 func NewServer(addr string, opts ...ServerOption) (*Server, error) {
@@ -330,11 +324,17 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 		ctl: control{
 			fences: make(map[int]*fence),
 			claims: make(map[partKey]claim),
-			seen:   make(map[partKey]bool),
-			snaps:  make(map[partKey]snapshot),
+			seen:   make(map[partKey]time.Time),
+			snaps:  make(map[partKey]spool.Snapshot),
 		},
 		ingestDone: make(chan struct{}),
 		encPool:    sync.Pool{New: func() any { return new([]byte) }},
+	}
+	if sp := s.log.opt.spool; sp != nil {
+		for _, sn := range sp.LoadSnapshots() {
+			k := partKey{part: sn.Part, parts: sn.Parts}
+			s.ctl.snaps[k], s.ctl.seen[k] = sn, time.Now().Add(restartGrace)
+		}
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -589,7 +589,7 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uin
 				delete(s.ctl.claims, key) // claimant never showed; let go
 			}
 		}
-		s.ctl.seen[key] = true
+		s.ctl.seen[key] = time.Time{}
 	}
 	return s.log.open(want, hello.Resume, conn)
 }

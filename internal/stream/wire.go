@@ -89,7 +89,7 @@ type frame struct {
 	Barrier   uint64 `json:"barrier,omitempty"`   // cutover barrier sequence (rprepare reply, rcommit, rebal, rinfo)
 	NParts    int    `json:"nparts,omitempty"`    // new partition group size (rprepare, rcommit, rebal)
 	Connected int    `json:"connected,omitempty"` // connected sessions on the partition key (rinfo)
-	Seen      bool   `json:"seen,omitempty"`      // a worker was ever admitted on the key (rinfo)
+	Seen      bool   `json:"seen,omitempty"`      // a worker was admitted here, or the key's snapshot was reloaded restartGrace ago (rinfo)
 
 	// Relay-tier handshake fields (relay.go).
 	Relay bool `json:"relay,omitempty"` // hello: this subscriber is an interior relay hop
