@@ -29,8 +29,8 @@ race:
 # time): the broker's live path and the detector's state. Mirrors
 # ci.yml's "live-path buffer aliasing + allocation budget" step.
 alloc-budget:
-	$(GO) test -race -run 'TestRetainedPayloadsNeverAliasScratch|TestPublisherResendsByteIdentical|TestPublisherSteadyFlushAllocatesNoPayload|TestLivePathAllocBudget' -count=1 -v ./internal/stream
-	$(GO) test -race -run 'TestDetectorStateAllocBudget' -count=1 -v ./internal/detector
+	$(GO) test -race -run 'TestRetainedPayloadsNeverAliasScratch|TestPublisherResendsByteIdentical|TestPublisherSteadyFlushAllocatesNoPayload|TestLivePathAllocBudget|TestDrainersWaitForOwedEvents' -count=1 -v ./internal/stream
+	$(GO) test -race -run 'TestDetectorStateAllocBudget|TestSteadyIngestAllocatesNothing' -count=1 -v ./internal/detector
 
 # The three daemons end to end, each in its one role: streamd brokers
 # (spooled, so start order does not matter), detectd backfills the feed
@@ -164,12 +164,15 @@ fuzz-smoke:
 		$(GO) test ./internal/wire/ -run='^$$' -fuzz "^$$tgt$$" -fuzztime 5s || exit 1; \
 	done
 
-# CPU + allocation profiles of the batch ingest hot path. Inspect with
-# `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects mem.pprof`.
+# CPU + allocation profiles of the path the workers run: K=2
+# partition-gated reconstruction pipelines over a 100k-account campaign
+# in 256-event Ingest calls (BenchmarkIngest, ns/ev and B/ev). Inspect
+# with `go tool pprof detector.test cpu.pprof` /
+# `go tool pprof -sample_index=alloc_space detector.test mem.pprof`.
 profile:
-	$(GO) test -bench=BenchmarkPipelineBatch -benchtime=3x -run='^$$' -benchmem \
-		-cpuprofile cpu.pprof -memprofile mem.pprof .
-	@echo "profiles written: cpu.pprof mem.pprof (binary: sybilwild.test)"
+	$(GO) test -bench='^BenchmarkIngest$$' -benchtime=5x -run='^$$' -benchmem \
+		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/detector
+	@echo "profiles written: cpu.pprof mem.pprof (binary: detector.test)"
 
 # The same for the broker's live path: wire-fed ingest and the relay
 # hop, then the codec calls they are built on (root splice, relay

@@ -23,7 +23,10 @@ import (
 // the sender if due, record the flag and fire the hook — then the next
 // event. A verdict therefore depends only on the events that precede
 // its trigger in the feed, never on how the feed was chunked or
-// scheduled. Scale-out is by partition: K pipelines, each
+// scheduled. Before it applies a batch, Ingest runs a warm pass over
+// it that only reads the state the batch will touch, so the batch's
+// cache misses overlap; it writes nothing, so it cannot move a
+// verdict either. Scale-out is by partition: K pipelines, each
 // WithPartition(i, K) and fed its osn.PartitionDelivers slice, flag in
 // union exactly what one unpartitioned pipeline flags.
 //
@@ -74,6 +77,8 @@ type Pipeline struct {
 	// lastSeq is the highest stream sequence stamped by a sequenced
 	// Ingest (Batch.LastSeq set).
 	lastSeq uint64
+	// warmSum accumulates what warm loads; nothing reads it.
+	warmSum int
 	closed  bool
 }
 
@@ -208,11 +213,12 @@ func (p *Pipeline) configure(opts []PipelineOption) {
 
 // Ingest applies one wire batch — e.g. one feed batch from
 // stream.Client.RecvBatch or a chunk of a replayed historical log —
-// event by event, in order, on the caller's goroutine. When it returns
-// every event is applied, every verdict the batch triggered is recorded
-// and its hook has fired. Chunking does not matter: feeding the same
-// stream as one batch or one event at a time flags the same set with
-// the same vectors. Safe to call from many goroutines (they serialize
+// event by event, in order, on the caller's goroutine, each window of
+// up to warmWindow events after a read-only warm pass over it. When it
+// returns every event is applied, every verdict the batch triggered is
+// recorded and its hook has fired. Chunking does not matter: feeding
+// the same stream as one batch or one event at a time flags the same
+// set with the same vectors. Safe to call from many goroutines (they serialize
 // on the pipeline's lock; the interleaving is then the feed order); see
 // Batch.LastSeq for the sequenced contract. Ingest after Close panics.
 func (p *Pipeline) Ingest(b Batch) {
@@ -221,8 +227,12 @@ func (p *Pipeline) Ingest(b Batch) {
 	if p.closed {
 		panic("detector: Ingest after Close")
 	}
-	for _, ev := range b.Events {
-		p.apply(ev)
+	for lo := 0; lo < len(b.Events); lo += warmWindow {
+		evs := b.Events[lo:min(lo+warmWindow, len(b.Events))]
+		p.warm(evs)
+		for i := range evs {
+			p.apply(&evs[i])
+		}
 	}
 	if b.LastSeq > p.lastSeq {
 		p.lastSeq = b.LastSeq
@@ -236,10 +246,70 @@ func (p *Pipeline) Observe(ev osn.Event) {
 	p.Ingest(Batch{Events: []osn.Event{ev}})
 }
 
-// apply folds one event into the state and judges its sender if due:
-// the admission gate, graph reconstruction, the counters, the
-// partition gate, the check cadence and the rule. Caller holds p.mu.
-func (p *Pipeline) apply(ev osn.Event) {
+// warmWindow is how many events warm reads ahead of apply: one wire
+// batch (stream.DefaultMaxBatch). A longer batch — a replayed log in
+// one call — is taken a window at a time, so that what warm loaded is
+// still in cache when apply reaches it.
+const warmWindow = 256
+
+// warm is Ingest's first pass over a window of events. It loads the
+// state the events are about to touch — for each friend request or
+// accept both endpoints' counters, for a request the actor's
+// evaluation record, for an accept under WithGraphReconstruction both
+// adjacency headers with the first and last edge of each list — so
+// that the window's cache misses overlap instead of each stalling its
+// own event in apply. It only reads: it allocates no page, grows
+// nothing and writes no state, so apply sees exactly the state it would
+// have seen without it. The loads are summed into p.warmSum only so
+// that the compiler keeps them. Caller holds p.mu.
+func (p *Pipeline) warm(evs []osn.Event) {
+	sum := 0
+	for i := range evs {
+		ev := &evs[i]
+		if ev.Actor < 0 || ev.Target < 0 {
+			continue
+		}
+		switch ev.Type {
+		case osn.EvFriendRequest:
+			if st := p.eval.Peek(int(ev.Actor)); st != nil {
+				sum += int(st.seen)
+			}
+		case osn.EvFriendAccept:
+			if p.ownGraph {
+				sum += peekAdjacency(p.g, ev.Actor) + peekAdjacency(p.g, ev.Target)
+			}
+		default:
+			continue
+		}
+		sum += p.tr.Peek(ev.Actor) + p.tr.Peek(ev.Target)
+	}
+	p.warmSum += sum
+}
+
+// peekAdjacency loads id's adjacency header and the first and last edge
+// of its list — where HasEdge starts its scan and AddEdge appends — and
+// returns a value derived from them. An id the graph has not grown to
+// yet reads nothing.
+func peekAdjacency(g *graph.Graph, id osn.AccountID) int {
+	if int(id) >= g.NumNodes() {
+		return 0
+	}
+	es := g.Neighbors(id)
+	if len(es) == 0 {
+		return 0
+	}
+	return int(es[0].To) + int(es[len(es)-1].To)
+}
+
+// apply is Ingest's second pass, one event at a time: it folds ev into
+// the state and judges its sender if due — the admission gate, graph
+// reconstruction, the counters, the partition gate, the check cadence
+// and the rule. ev points into the batch: an event passed by value is
+// spilled to the stack field by field and copied on with 16-byte loads
+// that the store buffer cannot forward, so each event would wait for
+// the previous one's stores, cache misses included, to drain. Caller
+// holds p.mu.
+func (p *Pipeline) apply(ev *osn.Event) {
 	if !admits(ev, &p.skipped) {
 		return
 	}
@@ -254,7 +324,7 @@ func (p *Pipeline) apply(ev osn.Event) {
 			p.g.AddEdge(ev.Actor, ev.Target, ev.At)
 		}
 	}
-	p.tr.Update(ev)
+	p.tr.Update(*ev)
 	if ev.Type != osn.EvFriendRequest {
 		return
 	}

@@ -26,10 +26,11 @@ type CCGated interface {
 
 // admits is the one gate in front of Pipeline's state: it passes
 // friend requests and accepts — no feature in §2.2 consumes the rest
-// of the log — unless their Actor or Target is negative. Account IDs index that state directly and the wire decodes
-// any int32, so such an event is dropped here, before it touches
-// anything, and counted in *skipped.
-func admits(ev osn.Event, skipped *int) bool {
+// of the log — unless their Actor or Target is negative. Account IDs
+// index that state directly and the wire decodes any int32, so such an
+// event is dropped here, before it touches anything, and counted in
+// *skipped.
+func admits(ev *osn.Event, skipped *int) bool {
 	if ev.Type != osn.EvFriendRequest && ev.Type != osn.EvFriendAccept {
 		return false
 	}

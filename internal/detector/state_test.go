@@ -4,9 +4,11 @@ import (
 	"runtime"
 	"testing"
 
+	"sybilwild/internal/features"
 	"sybilwild/internal/graph"
 	"sybilwild/internal/osn"
 	"sybilwild/internal/paged"
+	"sybilwild/internal/sim"
 )
 
 // slots is the number of elements s's allocated pages hold: Each
@@ -33,22 +35,11 @@ func TestDetectorStateAllocBudget(t *testing.T) {
 		stateBudget = 80.0
 	)
 	events := burstCampaign(7, 20_000, 10)
-	var slices [K][]osn.Event
-	for w := range slices {
-		slices[w] = partitionSlice(events, w, K)
-	}
-	flagged := 0
+	slices := partitionSlices(events, K)
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	for w, evs := range slices {
-		p := NewPipeline(PaperRule(), nil, WithGraphReconstruction(), WithPartition(w, K))
-		for lo := 0; lo < len(evs); lo += chunk {
-			p.Ingest(Batch{Events: evs[lo:min(lo+chunk, len(evs))]})
-		}
-		p.Close()
-		flagged += p.FlaggedCount()
-	}
+	flagged := ingestPartitioned(slices, chunk)
 	runtime.ReadMemStats(&m1)
 	if want := 20_000 / 50; flagged != want {
 		t.Fatalf("flagged %d accounts, want the %d Sybils", flagged, want)
@@ -57,6 +48,45 @@ func TestDetectorStateAllocBudget(t *testing.T) {
 	t.Logf("detector state allocates %.1f B/ev over %d events (budget %.0f)", perEv, len(events), stateBudget)
 	if perEv > stateBudget {
 		t.Errorf("detector state allocates %.1f B/ev, budget is %.0f", perEv, stateBudget)
+	}
+}
+
+// flagNone flags nothing. It is not CCGated, so every evaluation walks
+// the clustering coefficient: the costliest evaluation that leaves the
+// flag map alone.
+type flagNone struct{}
+
+func (flagNone) Classify(features.Vector) bool { return false }
+
+// TestSteadyIngestAllocatesNothing: once the accounts are tracked and
+// their friend lists built, neither Observe nor a 256-event Ingest of
+// friend requests between them allocates. That holds the warm pass to
+// reads that allocate no page and grow nothing, and keeps Observe's
+// one-event batch on the stack although apply takes a pointer into it.
+func TestSteadyIngestAllocatesNothing(t *testing.T) {
+	const accounts = 64
+	p := NewPipeline(flagNone{}, nil, WithGraphReconstruction())
+	var friends []osn.Event
+	for a := 0; a < accounts; a++ {
+		for _, d := range []int{1, 3, 7} {
+			friends = append(friends, osn.Event{Type: osn.EvFriendAccept, At: sim.Time(a),
+				Actor: osn.AccountID(a), Target: osn.AccountID((a + d) % accounts)})
+		}
+	}
+	p.Ingest(Batch{Events: friends})
+	batch := make([]osn.Event, 256)
+	for i := range batch {
+		batch[i] = osn.Event{Type: osn.EvFriendRequest, At: sim.Time(accounts + i),
+			Actor: osn.AccountID(i % accounts), Target: osn.AccountID((5 * i) % accounts)}
+	}
+	if n := testing.AllocsPerRun(20, func() { p.Ingest(Batch{Events: batch}) }); n != 0 {
+		t.Errorf("a 256-event Ingest of requests between tracked accounts allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { p.Observe(batch[1]) }); n != 0 {
+		t.Errorf("Observe of a request between tracked accounts allocates %.1f times, want 0", n)
+	}
+	if got := p.FlaggedCount(); got != 0 {
+		t.Fatalf("flagged %d accounts, want none", got)
 	}
 }
 

@@ -148,6 +148,17 @@ func (t *Tracker) touch(id osn.AccountID) *counters {
 	return c
 }
 
+// Peek loads id's counters without touching them — no page is
+// allocated and no account marked tracked — and returns a value derived
+// from them that means nothing: it lets a detector warm a batch's
+// counters before it updates them, so their cache misses overlap.
+func (t *Tracker) Peek(id osn.AccountID) int {
+	if c := t.acct.Peek(int(id)); c != nil {
+		return c.outSent + int(c.lastSent)
+	}
+	return 0
+}
+
 // Tracked returns the number of accounts with any observed activity.
 func (t *Tracker) Tracked() int { return t.tracked }
 

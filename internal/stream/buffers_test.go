@@ -379,8 +379,9 @@ func TestPublisherSteadyFlushAllocatesNoPayload(t *testing.T) {
 
 // partitionDrainers dials one partitioned subscriber per partition of
 // K at addr and drains each on its own goroutine until the feed ends,
-// publishing its cursor after every batch. wait blocks until both have
-// stopped and reports the first receive error other than a clean end.
+// publishing its cursor and its event count after every batch. wait
+// blocks until both have stopped and reports the first receive error
+// other than a clean end.
 type partitionDrainers struct {
 	applied []atomic.Uint64
 	events  []atomic.Uint64
@@ -412,8 +413,8 @@ func drainPartitions(t *testing.T, srv *Server, K int) *partitionDrainers {
 					d.applied[p].Store(c.LastSeq())
 					return
 				}
+				d.applied[p].Store(c.LastSeq()) // first: a count that is complete implies its cursor
 				d.events[p].Add(uint64(len(batch)))
-				d.applied[p].Store(c.LastSeq())
 			}
 		}(p, c)
 	}
@@ -430,6 +431,33 @@ func (d *partitionDrainers) behind() uint64 {
 		}
 	}
 	return m
+}
+
+// waitOwed blocks until every drainer has received all the events of
+// evs, the feed from sequence 1, that osn.PartitionDelivers owes its
+// partition, and fails t at deadline. It counts events, not cursors: a
+// partitioned session is sent no frame for a run of fewer than
+// advanceEvery events its partition does not own, so a drainer's cursor
+// can rest short of a head that owes it nothing more — until the feed
+// ends, which a wait inside a live feed never sees.
+func (d *partitionDrainers) waitOwed(t *testing.T, evs []osn.Event, deadline time.Time) {
+	t.Helper()
+	K := len(d.events)
+	for p := 0; p < K; p++ {
+		owed := uint64(0)
+		for _, ev := range evs {
+			if osn.PartitionDelivers(ev, p, K) {
+				owed++
+			}
+		}
+		for d.events[p].Load() < owed {
+			if time.Now().After(deadline) {
+				t.Fatalf("live path stuck: published %d, partition %d/%d received %d of its %d events (cursor %d)",
+					len(evs), p, K, d.events[p].Load(), owed, d.applied[p].Load())
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
 }
 
 func (d *partitionDrainers) wait(t *testing.T) {
@@ -487,12 +515,7 @@ func TestLivePathAllocBudget(t *testing.T) {
 		if err := pub.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		for drainers.behind() < uint64(hi) {
-			if time.Now().After(deadline) {
-				t.Fatalf("live path stuck: published %d, slowest drainer at %d", hi, drainers.behind())
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
+		drainers.waitOwed(t, evs[:hi], deadline)
 	}
 	feed(0, warm)
 	runtime.GC()
@@ -523,6 +546,51 @@ func TestLivePathAllocBudget(t *testing.T) {
 		t.Fatalf("relay did not end cleanly: %v", err)
 	}
 	drainers.wait(t)
+}
+
+// TestDrainersWaitForOwedEvents pins the completion wait of
+// TestLivePathAllocBudget, which flaked with "published 16384, slowest
+// drainer at 16383" while it waited on cursors. Two whole batches,
+// then a flushed one-event frame that only partition 0 is owed: the
+// relay sends partition 1 no frame for it, so partition 1's cursor
+// stays one short for as long as the feed runs, and a wait on cursors
+// would hit its deadline. A wait on the events owed returns at once.
+func TestDrainersWaitForOwedEvents(t *testing.T) {
+	leakCheck(t)
+	const K = 2
+	evs := append(campaignEvents(2*DefaultMaxBatch, 43),
+		osn.Event{Type: osn.EvBlogPost, At: 1 << 20, Actor: actorIn(t, 0, K)})
+	root, relay, _, _, _ := spooledTree(t, DefaultReplayBuffer)
+	drainers := drainPartitions(t, relay.Server(), K)
+	pub, err := NewPublisher(root.Addr(), "owed", 1, withPublishFlushEvery(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		if err := pub.Publish(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pub.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	drainers.waitOwed(t, evs, time.Now().Add(5*time.Second))
+	if got, want := drainers.applied[1].Load(), uint64(2*DefaultMaxBatch); got != want {
+		t.Errorf("partition 1/%d cursor at %d with the feed live, want %d: no frame for a foreign run shorter than advanceEvery", K, got, want)
+	}
+	if err := pub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := relay.Wait(); err != nil {
+		t.Fatalf("relay did not end cleanly: %v", err)
+	}
+	drainers.wait(t)
+	if got := drainers.behind(); got != uint64(len(evs)) {
+		t.Errorf("slowest cursor ended at %d, want %d once the feed ended", got, len(evs))
+	}
 }
 
 // TestEncodeAccounting pins ServerStats.Encodes on a clean K=2 run:
