@@ -1,7 +1,8 @@
 package sybilwild
 
 // The benchmark harness regenerates every table and figure in the
-// paper's evaluation (DESIGN.md §3 maps each bench to its experiment)
+// paper's evaluation (each bench is named after the figure or table it
+// regenerates and runs that experiment's internal/experiments driver)
 // and reports the headline metric of each as a custom benchmark unit,
 // so `go test -bench=. -benchmem` both times the pipeline and shows
 // the reproduced numbers next to the paper's.
@@ -120,7 +121,8 @@ func BenchmarkExtCommunityDefense(b *testing.B) {
 		"tight_gap_SumUp", "wild_gap_SumUp")
 }
 
-// --- Ablations (DESIGN.md §4) ---
+// --- Ablations: checks of the reproduction's own modelling choices,
+// not figures of the paper ---
 
 // BenchmarkAblationSimVsTopo cross-checks the agent-level simulation
 // against the generative topology model at matched scale: the fraction

@@ -10,9 +10,11 @@
 // backoff, so a network blip costs no events.
 //
 //   - -handoff makes the daemon's state durable at the broker, its one
-//     keeper: every -checkpoint-every (and every -checkpoint-max-lag
-//     sequences) it offers a snapshot to the broker and acks the feed
-//     through it only once the broker confirmed it. A restart adopts
+//     keeper: every -checkpoint-every it offers a snapshot to the broker
+//     and acks the feed through it only once the broker confirmed it.
+//     A memory-only broker also gets an offer every N events, N set
+//     from the tail it holds its producers on (printed at start), so
+//     the daemon never holds back the feed it judges. A restart adopts
 //     the broker's snapshot for its partition (the whole feed is key
 //     0/1), so even kill -9 recovery is exactly-once. A spooled broker
 //     (streamd -spool-dir) writes the snapshot beside its spool, so it
@@ -55,7 +57,6 @@ import (
 
 	"sybilwild/internal/cluster"
 	"sybilwild/internal/detector"
-	"sybilwild/internal/stream"
 )
 
 // options is a parsed command line: the worker's configuration and the
@@ -85,10 +86,8 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 	fs.BoolVar(&c.FromStart, "from-start", false, "backfill the feed from sequence 1 (the server's spool must retain it) instead of joining at the live head; ignored when -handoff adopts a broker snapshot")
 	fs.IntVar(&c.CheckEvery, "check-every", 5, "evaluate an account every Nth request it sends")
 	fs.DurationVar(&c.Every, "checkpoint-every", 10*time.Second, "interval between -handoff snapshot offers")
-	fs.IntVar(&c.MaxLag, "checkpoint-max-lag", stream.DefaultReplayBuffer/2,
-		"with -handoff, offer early once this many events are applied past the last offer; must stay below two thirds of the feed's -window (its in-memory tail, in feed events) unless the feed runs a disk spool, where 0 disables the trigger")
 	partition := fs.String("partition", "", "subscribe as partition i/K of a detection cluster (e.g. 0/4; empty: whole feed)")
-	fs.BoolVar(&c.Handoff, "handoff", false, "keep the daemon's state at the broker: offer a pipeline snapshot every -checkpoint-every, ack the feed only through confirmed offers, and adopt the partition's broker snapshot at start (the whole feed is key 0/1)")
+	fs.BoolVar(&c.Handoff, "handoff", false, "keep the daemon's state at the broker: offer a pipeline snapshot every -checkpoint-every (and, on a memory-only broker, every N events, N set from its tail), ack the feed only through confirmed offers, and adopt the partition's broker snapshot at start (the whole feed is key 0/1)")
 	rebalance := fs.String("rebalance", "", "coordinate a live cluster rebalance K/K' (e.g. 3/5) against -addr and exit: fence the old group at a barrier, re-key its snapshots, commit — no daemon mode")
 	fs.DurationVar(&o.rebalanceTimeout, "rebalance-timeout", time.Minute, "how long -rebalance waits for the old workers' snapshots to rendezvous at the barrier")
 	fs.BoolVar(&o.standby, "standby", false, "watch -partition instead of subscribing: promote automatically (claim the key, adopt the freshest state, resume) when its worker dies; requires -partition and -handoff")
@@ -115,8 +114,6 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 	switch {
 	case o.standby && (!c.Handoff || c.Parts == 0):
 		return o, errors.New("-standby requires -partition and -handoff: promotion adopts the dead worker's broker snapshot")
-	case c.MaxLag < 0:
-		return o, errors.New("-checkpoint-max-lag must not be negative")
 	}
 	return o, nil
 }
@@ -140,13 +137,6 @@ func main() {
 		fmt.Printf("rebalanced %d -> %d at barrier %d: old workers retired at %d, new workers adopt and resume from %d\n",
 			o.rebalanceFrom, o.rebalanceTo, barrier, barrier, barrier+1)
 		return
-	}
-	if cfg.Handoff && cfg.MaxLag == 0 {
-		// Without the lag trigger, acks move only on the interval: against
-		// a memory-only feed whose tail is smaller than one interval's
-		// traffic, producer and consumer deadlock until stall eviction. A
-		// spooled feed serves the session from disk instead.
-		log.Print("warning: -checkpoint-max-lag 0 disables the lag trigger; only safe when the feed spools to disk (streamd -spool-dir)")
 	}
 	cfg.OnFlag = func(f detector.Flag) {
 		fmt.Printf("FLAG account %d at t=%d: freq=%.1f/h outAccept=%.2f cc=%.4f sent=%d\n",
@@ -172,6 +162,13 @@ func main() {
 		fmt.Printf("standby: promoting as %s\n", slice)
 	} else if w, err = cluster.Start(cfg); err != nil {
 		log.Fatal(err)
+	}
+	if cfg.Handoff {
+		if lag := w.OfferLag(); lag > 0 {
+			fmt.Printf("memory-only broker: offers every %d events past the last confirmed offer, and every %v\n", lag, cfg.Every)
+		} else {
+			fmt.Printf("spooled broker: offers every %v only\n", cfg.Every)
+		}
 	}
 	if origin := w.Origin(); origin != "" {
 		fmt.Printf("%s, resuming feed at seq %d\n", origin, w.ResumedFrom())

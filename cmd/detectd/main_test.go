@@ -9,7 +9,6 @@ import (
 
 	"sybilwild/internal/cluster"
 	"sybilwild/internal/detector"
-	"sybilwild/internal/stream"
 )
 
 // TestParseArgs maps command lines onto the worker configuration and
@@ -23,7 +22,6 @@ func TestParseArgs(t *testing.T) {
 		CheckEvery: 5,
 		Retries:    10,
 		Every:      10 * time.Second,
-		MaxLag:     stream.DefaultReplayBuffer / 2,
 	}
 	with := func(edit func(*cluster.Config)) cluster.Config {
 		c := defaults
@@ -38,10 +36,10 @@ func TestParseArgs(t *testing.T) {
 		{args: nil, want: options{cfg: defaults, rebalanceTimeout: time.Minute}},
 		{
 			args: []string{"-addr", "10.0.0.1:9", "-checkpoint-every", "2s",
-				"-checkpoint-max-lag", "100", "-from-start", "-retries", "3",
+				"-from-start", "-retries", "3",
 				"-check-every", "1", "-out-accept", "0.4", "-freq", "15", "-cc", "0.1", "-min-requests", "7"},
 			want: options{rebalanceTimeout: time.Minute, cfg: with(func(c *cluster.Config) {
-				c.Addr, c.Every, c.MaxLag = "10.0.0.1:9", 2*time.Second, 100
+				c.Addr, c.Every = "10.0.0.1:9", 2*time.Second
 				c.FromStart, c.Retries, c.CheckEvery = true, 3, 1
 				c.Rule = detector.Rule{OutAcceptMax: 0.4, FreqMin: 15, CCMax: 0.1, MinObserved: 7}
 			})},
@@ -70,9 +68,10 @@ func TestParseArgs(t *testing.T) {
 		},
 		{args: []string{"-partition", "0/2", "-standby"}, wantErr: "-standby requires -partition and -handoff"},
 		{args: []string{"-standby"}, wantErr: "-standby requires -partition and -handoff"},
-		{args: []string{"-checkpoint-max-lag", "-1"}, wantErr: "-checkpoint-max-lag must not be negative"},
-		// The checkpoint dir is gone: the state lives at the broker. An old
-		// command line that still names one is refused, not run without it.
+		// The checkpoint dir and the lag flag are gone: the state lives at
+		// the broker, which also sets the lag. An old command line that
+		// still names either is refused, not run without it.
+		{args: []string{"-checkpoint-max-lag", "-1"}, wantErr: "flag provided but not defined: -checkpoint-max-lag"},
 		{args: []string{"-checkpoint-dir", "d", "-checkpoint-max-lag", "-1"}, wantErr: "flag provided but not defined: -checkpoint-dir"},
 		{args: []string{"-handoff", "-standby"}, wantErr: "-standby requires -partition and -handoff"},
 		{args: []string{"-partition", "2"}, wantErr: "want i/K"},

@@ -70,7 +70,7 @@ func main() {
 		relay  = flag.String("relay", "", "upstream broker address: run as an interior relay hop adopting that feed instead of admitting producers")
 		wait   = flag.Duration("wait", 5*time.Minute, "max wait for the first producer to register")
 		linger = flag.Duration("linger", 0, "keep serving subscribers this long after the last producer closes, so late consumers can still backfill the spooled campaign (detectd -from-start) before the broker drains and exits")
-		window = flag.Int("window", stream.DefaultReplayBuffer, "in-memory tail of the feed log in events, shared by every subscriber (partitioned ones count feed events too); with a spool, tiny tails stay safe (a subscriber that falls out of the tail reads the spool)")
+		window = flag.Int("window", stream.DefaultReplayBuffer, "in-memory tail of the feed log in events, shared by every subscriber (partitioned ones count feed events too); with a spool, tiny tails stay safe (a subscriber that falls out of the tail reads the spool); without one, the welcome reports it and a -handoff detectd offers every min(W/2, 2(W-256)/3) events")
 
 		spoolDir     = flag.String("spool-dir", "", "directory for the disk feed spool (empty: memory-only feed log)")
 		spoolSegment = flag.Int64("spool-segment-bytes", spool.DefaultSegmentBytes, "segment file size before rolling (fsync on roll)")

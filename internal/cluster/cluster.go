@@ -22,7 +22,11 @@
 //     or backfills it from sequence 1 with FromStart.
 //   - After each ingested batch an interval and a lag trigger may fire
 //     a save: with Handoff, an offer to the broker, after which (and
-//     only after the broker confirmed it) the feed is acked.
+//     only after the broker confirmed it) the feed is acked. The
+//     broker sets the lag: each connection's welcome reports the tail
+//     a memory-only broker holds its producers on for the worker's
+//     acks, and a spooled broker, whose tail never waits, reports none
+//     (offerLag).
 //   - A lost connection is saved, then resumed with backoff.
 //   - Stop and a live-rebalance retirement end with a final save.
 //     Retirement always offers: the rebalance coordinator is waiting
@@ -47,8 +51,8 @@ import (
 	"sybilwild/internal/stream"
 )
 
-// Config describes one worker. Every field but Audit and OnFlag is the
-// value of the cmd/detectd flag named beside it.
+// Config describes one worker. Every exported field but Audit and
+// OnFlag is the value of the cmd/detectd flag named beside it.
 type Config struct {
 	Addr        string        // -addr: broker address
 	Part, Parts int           // -partition i/K; Parts 0 is the whole feed
@@ -64,23 +68,13 @@ type Config struct {
 	Handoff bool
 
 	// A save fires when Every (-checkpoint-every) has passed since the
-	// last one, or, with Handoff, once MaxLag (-checkpoint-max-lag; 0:
-	// off) sequences are applied past the newest confirmed offer and
-	// half that past the last save: a refused offer (a closing broker)
-	// is retried every MaxLag/2 sequences, not at every batch. The lag
-	// trigger keeps a fast feed flowing: acks move only at offers, so a
-	// worker that could drain the broker's whole in-memory tail between
-	// two of them would leave a memory-only producer blocked on a full
-	// tail while it waits for more — broken only by stall eviction.
-	// MaxLag below two thirds of the tail size (WithReplayBuffer,
-	// -window; the default is half) makes that state unreachable, a
-	// refused offer and partitioned workers included: the lag and the
-	// tail both count feed sequences. (The lag is read when a batch
-	// arrives, so a partitioned worker also needs one of its events at
-	// least every window − MaxLag sequences; replicated accepts see to
-	// that on campaign-shaped feeds.)
-	Every  time.Duration
-	MaxLag int
+	// last one, or, with Handoff, on the lag trigger the broker sets
+	// (offerLag).
+	Every time.Duration
+
+	// offerLag, when set, replaces the lag the broker's welcome sets, so
+	// a test can place offers at feed positions (export_test.go).
+	offerLag int
 
 	// Audit records the global sequence of every owned-actor event the
 	// worker applies (after replay trimming), for cutover audits: the
@@ -122,6 +116,7 @@ type Worker struct {
 	killed, stopped atomic.Bool
 
 	offered      atomic.Uint64 // highest sequence the broker confirmed
+	lag          atomic.Uint64 // the lag trigger set at the last connect (0: off)
 	firstApplied atomic.Uint64 // lowest global sequence ingested (0: none yet)
 
 	// Live-rebalance retirement; set by the loop before done closes.
@@ -242,6 +237,7 @@ func (w *Worker) connect() (*stream.Client, error) {
 		switch {
 		case err == nil:
 			c.SetManualAck(w.cfg.Handoff)
+			w.lag.Store(uint64(cmp.Or(w.cfg.offerLag, offerLag(c.Window()))))
 			if c.LastSeq() > w.p.Seq() {
 				// Anchor the pipeline at the subscription point, so a save
 				// before the first batch records a sequence the feed can
@@ -290,8 +286,9 @@ func (w *Worker) loop(c *stream.Client) {
 			// Clean end of feed, or Stop: the final ack rides the
 			// (interrupted but writable) connection, so the feed's
 			// sent == delivered audit holds. A partitioned feed may end
-			// on a foreign run, a bare cursor advance RecvBatch never
-			// returns: pin the pipeline at the client's cursor first.
+			// on a foreign run, a bare cursor advance an auto-ack
+			// RecvBatch never returns: pin the pipeline at the client's
+			// cursor first.
 			if last := c.LastSeq(); last > w.p.Seq() {
 				w.p.Ingest(detector.Batch{LastSeq: last})
 			}
@@ -323,7 +320,10 @@ func (w *Worker) loop(c *stream.Client) {
 }
 
 // drain applies batches from c until a receive fails, saving whenever
-// a trigger fires.
+// a trigger fires. With Handoff a batch may be empty: a partitioned
+// feed's cursor advance past a foreign run, which pins the pipeline
+// and runs the triggers like any batch, so a foreign run longer than
+// the broker's tail is offered and acked.
 func (w *Worker) drain(c *stream.Client) error {
 	for {
 		evs, err := c.RecvBatch()
@@ -358,13 +358,32 @@ func (w *Worker) drain(c *stream.Client) error {
 		}
 		w.p.Ingest(detector.Batch{Events: evs[drop:], LastSeq: last})
 		w.stats.Events += n - drop
-		w.stats.Batches++
-		lag := uint64(w.cfg.MaxLag)
+		if n > 0 {
+			w.stats.Batches++
+		}
+		lag := w.lag.Load()
 		if w.cfg.Handoff && (lag > 0 && last-w.durable() >= lag && last-w.lastSaveSeq >= lag/2 ||
 			time.Since(w.lastSave) >= w.cfg.Every) {
 			w.save(c, true)
 		}
 	}
+}
+
+// offerLag is the lag trigger for a broker whose welcome reported
+// window: the applied sequences past the newest confirmed offer that
+// fire an offer, 0 for none. Acks move only at offers, so a worker that
+// could leave a memory-only broker's whole tail unacked between two of
+// them would hold its producer until stall eviction. A refused offer
+// (a closing broker) is retried half a lag later, so the unacked range
+// reaches 1.5 lags plus one batch; two thirds of the tail less a batch
+// keeps that inside the tail, partitioned workers included, since the
+// lag and the tail both count feed sequences. A spooled broker's tail
+// never waits (window 0): its worker offers on the interval alone.
+func offerLag(window int) int {
+	if window == 0 {
+		return 0
+	}
+	return max(1, min(window/2, 2*(window-stream.DefaultMaxBatch)/3))
 }
 
 // durable is the newest sequence the broker holds this worker's state
@@ -435,6 +454,13 @@ func (w *Worker) Wait() error {
 	w.p.Close()
 	return w.err
 }
+
+// OfferLag returns the lag trigger set at the worker's latest connect:
+// with Handoff, an offer once this many sequences are applied past the
+// newest confirmed offer, besides one every Every; 0 when the broker's
+// tail never waits for the worker's acks, and offers are on the
+// interval alone.
+func (w *Worker) OfferLag() int { return int(w.lag.Load()) }
 
 // Pipeline exposes the worker's detector; its queries are safe at any
 // time.

@@ -66,10 +66,10 @@ const saveLag = 1000
 // trigger only (the interval is out of reach), so they land at feed
 // positions rather than wall-clock times.
 func workerConfig(addr string, part, parts int, rule detector.Rule) cluster.Config {
-	return cluster.Config{
+	return cluster.WithOfferLag(cluster.Config{
 		Addr: addr, Part: part, Parts: parts, Rule: rule, CheckEvery: 1,
-		Handoff: true, Every: time.Hour, MaxLag: saveLag,
-	}
+		Handoff: true, Every: time.Hour,
+	}, saveLag)
 }
 
 // waitSeq blocks until w's pipeline has applied the feed through seq.
@@ -375,9 +375,9 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 }
 
 // TestWorkerEndsAtFeedCursor: a partitioned feed that ends on a foreign
-// event reaches the worker as a bare cursor advance, which RecvBatch
-// never returns. The worker's state, and its final ack, must still end
-// at the feed's last sequence, the cursor it was sent.
+// event reaches the worker as a bare cursor advance, which may arrive
+// only as the feed ends. The worker's state, and its final ack, must
+// still end at the feed's last sequence, the cursor it was sent.
 func TestWorkerEndsAtFeedCursor(t *testing.T) {
 	events, rule := campaignFeed()
 	const part, parts = 1, 3

@@ -1,5 +1,17 @@
 package cluster
 
+// WithOfferLag returns cfg with its lag trigger pinned at lag feed
+// sequences, whatever the broker's welcome reports, so a test places
+// offers at feed positions.
+func WithOfferLag(cfg Config, lag int) Config {
+	cfg.offerLag = lag
+	return cfg
+}
+
+// OfferLagFor is the lag trigger a worker derives from a welcome
+// reporting window.
+var OfferLagFor = offerLag
+
 // HandoffSeq returns the stamped sequence of the broker snapshot the
 // worker adopted at start, 0 when it did not adopt one.
 func (w *Worker) HandoffSeq() uint64 { return w.handoffSeq }

@@ -65,8 +65,8 @@ func killMidFeed(t *testing.T, srv *stream.Server, events []osn.Event, rule dete
 	t.Helper()
 	// One offer lands in [n/4, n/3): the kill at n/3 leaves a replay
 	// gap the restart must cover.
-	cfg := cluster.Config{Addr: srv.Addr(), Rule: rule, CheckEvery: 3,
-		Handoff: true, Every: time.Hour, MaxLag: len(events) / 4}
+	cfg := cluster.WithOfferLag(cluster.Config{Addr: srv.Addr(), Rule: rule, CheckEvery: 3,
+		Handoff: true, Every: time.Hour}, len(events)/4)
 	w, err := cluster.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestUnresumableSnapshotStartsCold(t *testing.T) {
 	for _, ev := range events[n/3 : 5*n/6] {
 		srv.BroadcastBatch([]osn.Event{ev})
 	}
-	cfg.MaxLag = 100
+	cfg = cluster.WithOfferLag(cfg, 100)
 	w, err := cluster.Start(cfg)
 	if err != nil {
 		t.Fatalf("start past an unresumable snapshot: %v", err)
@@ -295,8 +295,8 @@ func TestWorkerResumesAcrossBlip(t *testing.T) {
 	}
 	defer srv.Close()
 	proxy := newBlipProxy(t, srv.Addr())
-	cfg := cluster.Config{Addr: proxy.ln.Addr().String(), Rule: rule, CheckEvery: 3, Retries: 5,
-		Handoff: true, Every: time.Hour, MaxLag: len(events) / 4}
+	cfg := cluster.WithOfferLag(cluster.Config{Addr: proxy.ln.Addr().String(), Rule: rule, CheckEvery: 3, Retries: 5,
+		Handoff: true, Every: time.Hour}, len(events)/4)
 	w, err := cluster.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -336,8 +336,8 @@ func TestRefusedOfferNotRetriedEveryBatch(t *testing.T) {
 	defer srv.Close()
 	proxy := newBlipProxy(t, srv.Addr())
 	const lag = 500
-	w, err := cluster.Start(cluster.Config{Addr: proxy.ln.Addr().String(), Rule: rule, CheckEvery: 3,
-		Handoff: true, Every: time.Hour, MaxLag: lag})
+	w, err := cluster.Start(cluster.WithOfferLag(cluster.Config{Addr: proxy.ln.Addr().String(), Rule: rule, CheckEvery: 3,
+		Handoff: true, Every: time.Hour}, lag))
 	if err != nil {
 		t.Fatal(err)
 	}

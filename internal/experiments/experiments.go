@@ -46,8 +46,9 @@ type GroundTruthConfig struct {
 }
 
 // DefaultGroundTruth mirrors the paper's 400-hour measurement with a
-// Sybil:normal ratio that avoids small-population saturation
-// artifacts (see DESIGN.md).
+// Sybil:normal ratio of 1:80: the Sybils' snowball-sampled target
+// pools then cannot run through a small population of normals, which
+// would saturate the request and accept rates Figures 1–4 measure.
 func DefaultGroundTruth(seed int64) GroundTruthConfig {
 	return GroundTruthConfig{
 		Seed:    seed,

@@ -88,6 +88,7 @@ type Client struct {
 
 	manualAck bool // acks driven by Ack() instead of delivery
 	hop       int  // the welcome's tree depth of the answering broker
+	window    int  // the welcome's tail that waits on this session's acks (0: none)
 }
 
 // dialConfig collects DialOption settings.
@@ -199,6 +200,7 @@ func subscribe(conn net.Conn, hello frame) (*Client, error) {
 		part:    hello.Part,
 		parts:   hello.Parts,
 		hop:     welcome.Hop,
+		window:  welcome.Window,
 	}
 	if from := cmp.Or(welcome.From, hello.Resume); from > 0 {
 		// Anchor the cursor: the feed starts at the server's global
@@ -216,14 +218,21 @@ func (c *Client) Session() string { return c.session }
 // caller; resume from LastSeq()+1.
 func (c *Client) LastSeq() uint64 { return c.lastSeq }
 
+// Window returns the tail, in feed events, that the broker holds its
+// producers on for this session's acks: its WithReplayBuffer when it
+// has no usable spool, 0 when its tail drops freely. It is the
+// broker's state at the handshake.
+func (c *Client) Window() int { return c.window }
+
 // SetManualAck switches acknowledgement control to the caller. By
 // default the client acks whatever it has delivered — right for
 // stateless consumers. In manual mode the client never acks on its
 // own; a stateful consumer calls Ack with the sequence of its newest
 // durable snapshot, so the server retains exactly the events a crash
-// would need replayed. On a memory-only feed the server's tail
-// (WithReplayBuffer) must cover one snapshot interval or
-// BroadcastBatch backpressure kicks in.
+// would need replayed. While Window is non-zero, those acks must move
+// before the session owes the broker that many events, or the
+// producer waits on them. So RecvBatch also returns a bare cursor
+// advance, as an empty batch: only the caller can ack the range.
 func (c *Client) SetManualAck(on bool) { c.manualAck = on }
 
 // Ack acknowledges delivery through seq (clamped to what has actually
@@ -285,8 +294,8 @@ func (c *Client) next(buf []byte) ([]byte, error) {
 // the client already delivered (a resumed server may resend its
 // in-flight window). Filtered batches (fbatch, partitioned
 // subscriptions) carry per-event sequences; their empty form is a
-// pure cursor advance past foreign events and never surfaces to the
-// caller.
+// pure cursor advance past foreign events. It moves the cursor, and
+// in manual-ack mode fill returns on it with nothing pending.
 func (c *Client) fill() error {
 	for {
 		payload, err := c.next(c.buf)
@@ -327,7 +336,12 @@ func (c *Client) fill() error {
 			// Pure cursor advance (or a fully stale resend): the
 			// filtered-out events will never arrive, so the cursor moves
 			// without a delivery.
-			c.lastSeq = max(c.lastSeq, last)
+			if last > c.lastSeq {
+				c.lastSeq = last
+				if c.manualAck {
+					return nil
+				}
+			}
 			continue
 		}
 		c.pending = evs
@@ -363,11 +377,17 @@ func (c *Client) control(payload []byte) error {
 // RecvBatch blocks for the next batch of events, handing over whole
 // wire batches so consumers can amortize their own per-event costs
 // (e.g. feeding detector.Pipeline.Ingest). The returned slice is only
-// valid until the next RecvBatch call.
+// valid until the next RecvBatch call. In manual-ack mode a batch may
+// be empty: a cursor advance past events the subscription filters
+// out, with LastSeq moved to it.
 func (c *Client) RecvBatch() ([]osn.Event, error) {
 	if len(c.pending) == 0 {
 		if err := c.fill(); err != nil {
 			return nil, err
+		}
+		if len(c.pending) == 0 {
+			c.batchSeqs = nil
+			return nil, nil
 		}
 	}
 	evs := c.pending

@@ -8,7 +8,7 @@ import "sybilwild/internal/osn"
 // ErrClosed on clean end of feed; any other error means the
 // connection died and the session may be resumed.
 func (c *Client) Recv() (osn.Event, error) {
-	if len(c.pending) == 0 {
+	for len(c.pending) == 0 { // a manual-ack cursor advance has no event
 		if err := c.fill(); err != nil {
 			return osn.Event{}, err
 		}

@@ -251,6 +251,16 @@ func (l *feedLog) spoolUsable() bool {
 	return l.opt.spool != nil && l.spoolErr.Load() == nil
 }
 
+// window is the tail a session's acks must keep moving, for its
+// welcome: WithReplayBuffer when publish would hold producers back for
+// unacknowledged chunks (no usable spool), 0 when the tail drops freely.
+func (l *feedLog) window() int {
+	if l.spoolUsable() {
+		return 0
+	}
+	return l.opt.replay
+}
+
 // spoolServes reports whether the disk tier retains sequence r: the
 // spool is usable and its oldest segment starts at or below r. Anything
 // the spool has not appended yet is still in the tail (publish appends

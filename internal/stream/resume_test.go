@@ -237,7 +237,11 @@ func TestSubscribeResumesAcrossKillNoFlagDivergence(t *testing.T) {
 	for _, ev := range events {
 		s.BroadcastBatch([]osn.Event{ev})
 	}
-	for received.Load() < int64(len(events)) && time.Now().Before(deadline) {
+	// The whole feed can reach the client's socket buffer before the
+	// kill, so every event arrives and only then does its resume race
+	// Close, which refuses it: wait for the resumed session's acks too.
+	for (received.Load() < int64(len(events)) || s.Stats().Delivered < uint64(len(events))) &&
+		time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	s.Close()

@@ -529,7 +529,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	if err := writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: from,
-		Hop: int(s.hop.Load())}); err != nil {
+		Hop: int(s.hop.Load()), Window: s.log.window()}); err != nil {
 		r.detach(gen)
 		return
 	}

@@ -94,6 +94,11 @@ type frame struct {
 	// Relay-tier handshake fields (relay.go).
 	Relay bool `json:"relay,omitempty"` // hello: this subscriber is an interior relay hop
 	Hop   int  `json:"hop,omitempty"`   // welcome: answering broker's tree depth (0 = root)
+
+	// Window (welcome) is the tail, in feed events, that the answering
+	// broker holds its producers on for this session's acks: its
+	// WithReplayBuffer when it has no usable spool, 0 when it has one.
+	Window int `json:"window,omitempty"`
 }
 
 // writeFrame emits one length-prefixed frame payload.

@@ -9,8 +9,9 @@
 // This root package is the public facade: it re-exports the pieces a
 // downstream user composes (campaign generation, feature extraction,
 // detection, experiment drivers) while the implementations live in
-// internal/ packages. See README.md for a tour and DESIGN.md for the
-// system inventory.
+// internal/ packages. See README.md for a tour (its "Repository
+// layout" section is the package inventory) and docs/ARCHITECTURE.md
+// for the runtime system.
 package sybilwild
 
 import (
