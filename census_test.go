@@ -28,7 +28,6 @@ var censusAllowlist = map[string]string{
 	"spool.WithLogger":          "test seam: spool tests assert the loud-error lines",
 	"detector.Pipeline.Skipped": "the only count of refused outside input (negative IDs); ROADMAP item 7a serves it on /statusz",
 	"cluster.Worker.Kill":       "crash double: a kill -9 that saves nothing",
-	"cluster.Standby.Stop":      "stop double for the standby lifecycle tests",
 }
 
 // censusInterfaces are the standard-library interfaces whose methods

@@ -32,16 +32,18 @@
 //     snapshots into K', offers them and commits. The old daemons
 //     retire; K' daemons started with -partition i/K' -handoff adopt
 //     the state and resume from barrier+1.
-//   - -standby parks a warm standby for its -partition: when the
-//     partition's worker dies it claims the key (of N standbys exactly
-//     one wins), adopts the freshest state and promotes itself.
+//   - A partition has one judge: the broker admits one daemon per
+//     -partition key. A second daemon with the same flags waits while
+//     the key is held (a spare; a signal then just exits) and takes the
+//     key over, adopting the dead owner's freshest offer, when the
+//     owner's connection goes. A running daemon whose resume finds the
+//     key taken over says so and waits as a spare in turn.
 //
 // Usage:
 //
 //	detectd -addr 127.0.0.1:7474 -handoff -checkpoint-every 10s
 //	detectd -addr 127.0.0.1:7474 -partition 2/4 -handoff
 //	detectd -addr 127.0.0.1:7474 -rebalance 4/2
-//	detectd -addr 127.0.0.1:7474 -partition 1/2 -handoff -standby
 package main
 
 import (
@@ -57,13 +59,13 @@ import (
 
 	"sybilwild/internal/cluster"
 	"sybilwild/internal/detector"
+	"sybilwild/internal/stream"
 )
 
 // options is a parsed command line: the worker's configuration and the
 // mode to run it in.
 type options struct {
-	cfg     cluster.Config
-	standby bool
+	cfg cluster.Config
 
 	// -rebalance K/K' (rebalanceTo 0: not a coordinator) and its timeout.
 	rebalanceFrom, rebalanceTo int
@@ -90,7 +92,6 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 	fs.BoolVar(&c.Handoff, "handoff", false, "keep the daemon's state at the broker: offer a pipeline snapshot every -checkpoint-every (and, on a memory-only broker, every N events, N set from its tail), ack the feed only through confirmed offers, and adopt the partition's broker snapshot at start (the whole feed is key 0/1)")
 	rebalance := fs.String("rebalance", "", "coordinate a live cluster rebalance K/K' (e.g. 3/5) against -addr and exit: fence the old group at a barrier, re-key its snapshots, commit — no daemon mode")
 	fs.DurationVar(&o.rebalanceTimeout, "rebalance-timeout", time.Minute, "how long -rebalance waits for the old workers' snapshots to rendezvous at the barrier")
-	fs.BoolVar(&o.standby, "standby", false, "watch -partition instead of subscribing: promote automatically (claim the key, adopt the freshest state, resume) when its worker dies; requires -partition and -handoff")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -110,10 +111,6 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 		if c.Parts < 1 || c.Part < 0 || c.Part >= c.Parts {
 			return o, fmt.Errorf("-partition %q: partition index out of range", *partition)
 		}
-	}
-	switch {
-	case o.standby && (!c.Handoff || c.Parts == 0):
-		return o, errors.New("-standby requires -partition and -handoff: promotion adopts the dead worker's broker snapshot")
 	}
 	return o, nil
 }
@@ -148,21 +145,26 @@ func main() {
 	}
 	fmt.Printf("rule: %v\nsubscribing to %s (%s)\n", cfg.Rule, cfg.Addr, slice)
 
-	var w *cluster.Worker
-	if o.standby {
-		fmt.Printf("standby: watching %s on %s\n", slice, cfg.Addr)
-		sb, err := cluster.StartStandby(cfg)
+	for {
+		w, err := cluster.Start(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		<-sb.Done()
-		if w = sb.Worker(); w == nil {
-			log.Fatalf("standby: promotion failed: %v", sb.Err())
+		err = run(w, cfg)
+		if !errors.Is(err, stream.ErrHeld) {
+			if err != nil {
+				log.Fatal(err)
+			}
+			return
 		}
-		fmt.Printf("standby: promoting as %s\n", slice)
-	} else if w, err = cluster.Start(cfg); err != nil {
-		log.Fatal(err)
+		fmt.Printf("%s: another worker took the key over with its state; waiting for it\n", slice)
 	}
+}
+
+// run reports a started worker and waits for it: the first signal
+// stops it gracefully (final offer, ack), a second one exits at once.
+// It prints the feed's end and returns the worker's error.
+func run(w *cluster.Worker, cfg cluster.Config) error {
 	if cfg.Handoff {
 		if lag := w.OfferLag(); lag > 0 {
 			fmt.Printf("memory-only broker: offers every %d events past the last confirmed offer, and every %v\n", lag, cfg.Every)
@@ -174,25 +176,35 @@ func main() {
 		fmt.Printf("%s, resuming feed at seq %d\n", origin, w.ResumedFrom())
 	}
 
-	// First signal: stop gracefully (final offer, ack). Second: die.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
-		<-sigc
+		select {
+		case <-sigc:
+		case <-done:
+			return
+		}
 		fmt.Println("signal: offering a final snapshot and shutting down")
 		w.Stop()
-		<-sigc
-		log.Fatal("second signal: exiting without a final snapshot")
+		select {
+		case <-sigc:
+			log.Fatal("second signal: exiting without a final snapshot")
+		case <-done:
+		}
 	}()
 
-	err = w.Wait()
+	err := w.Wait()
 	if barrier, nparts, ok := w.Rebalanced(); ok {
 		fmt.Printf("partition group %d rebalanced to %d at barrier %d; retiring\n", cfg.Parts, nparts, barrier)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st := w.Stats()
 	fmt.Printf("feed ended: %d events in %d batches, %d snapshot offers (newest at seq %d), %d accounts tracked, %d flagged\n",
 		st.Events, st.Batches, st.Offers, st.Offered, w.Pipeline().Tracked(), w.Pipeline().FlaggedCount())
+	return nil
 }

@@ -51,12 +51,6 @@ func TestParseArgs(t *testing.T) {
 			})},
 		},
 		{
-			args: []string{"-partition", "1/2", "-handoff", "-standby"},
-			want: options{standby: true, rebalanceTimeout: time.Minute, cfg: with(func(c *cluster.Config) {
-				c.Part, c.Parts, c.Handoff = 1, 2, true
-			})},
-		},
-		{
 			// A whole-feed worker keeps its state at the broker's key 0/1.
 			args: []string{"-handoff"},
 			want: options{rebalanceTimeout: time.Minute, cfg: with(func(c *cluster.Config) { c.Handoff = true })},
@@ -66,14 +60,19 @@ func TestParseArgs(t *testing.T) {
 			want: options{rebalanceFrom: 3, rebalanceTo: 5, rebalanceTimeout: 30 * time.Second,
 				cfg: with(func(c *cluster.Config) { c.Addr = "h:1" })},
 		},
-		{args: []string{"-partition", "0/2", "-standby"}, wantErr: "-standby requires -partition and -handoff"},
-		{args: []string{"-standby"}, wantErr: "-standby requires -partition and -handoff"},
+		// -standby is gone: a spare is a second detectd with the same
+		// flags, which waits while the key is held. The command lines
+		// that named it, the one it ran and the ones it refused, are all
+		// refused now.
+		{args: []string{"-partition", "1/2", "-handoff", "-standby"}, wantErr: "flag provided but not defined: -standby"},
+		{args: []string{"-partition", "0/2", "-standby"}, wantErr: "flag provided but not defined: -standby"},
+		{args: []string{"-handoff", "-standby"}, wantErr: "flag provided but not defined: -standby"},
+		{args: []string{"-standby"}, wantErr: "flag provided but not defined: -standby"},
 		// The checkpoint dir and the lag flag are gone: the state lives at
 		// the broker, which also sets the lag. An old command line that
 		// still names either is refused, not run without it.
 		{args: []string{"-checkpoint-max-lag", "-1"}, wantErr: "flag provided but not defined: -checkpoint-max-lag"},
 		{args: []string{"-checkpoint-dir", "d", "-checkpoint-max-lag", "-1"}, wantErr: "flag provided but not defined: -checkpoint-dir"},
-		{args: []string{"-handoff", "-standby"}, wantErr: "-standby requires -partition and -handoff"},
 		{args: []string{"-partition", "2"}, wantErr: "want i/K"},
 		{args: []string{"-partition", "a/b"}, wantErr: "want i/K"},
 		{args: []string{"-partition", "2/2"}, wantErr: "partition index out of range"},

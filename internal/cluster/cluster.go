@@ -17,9 +17,15 @@
 // "Resume contract"):
 //
 //   - Start, with Handoff, adopts the partition's snapshot at the
-//     broker (a whole-feed worker's key is 0/1). With none, or one the
-//     feed can no longer resume, the worker joins the feed's live head,
-//     or backfills it from sequence 1 with FromStart.
+//     broker (a whole-feed worker's key is 0/1) in the subscribe
+//     handshake, so the state adopted is the one the broker held when
+//     it made the worker the key's owner. With none, or one the feed
+//     can no longer resume, the worker joins the feed's live head, or
+//     backfills it from sequence 1 with FromStart. A partition key has
+//     one owner: while another worker's session holds it, Start waits.
+//     A second worker with the same Config is therefore a spare that
+//     takes over, with the dead owner's freshest offer, when the owner's
+//     connection goes.
 //   - After each ingested batch an interval and a lag trigger may fire
 //     a save: with Handoff, an offer to the broker, after which (and
 //     only after the broker confirmed it) the feed is acked. The
@@ -27,14 +33,14 @@
 //     a memory-only broker holds its producers on for the worker's
 //     acks, and a spooled broker, whose tail never waits, reports none
 //     (offerLag).
-//   - A lost connection is saved, then resumed with backoff.
+//   - A lost connection is saved, then resumed with backoff. A resume
+//     refused because another worker now holds the key (stream.ErrHeld)
+//     ends the worker: that worker adopted its state.
 //   - Stop and a live-rebalance retirement end with a final save.
 //     Retirement always offers: the rebalance coordinator is waiting
 //     for that snapshot. Kill is a crash: nothing is saved.
 //
-// StartStandby parks a warm standby that promotes itself into a Worker
-// when its partition's worker dies; Rebalance coordinates a live
-// K → K' resize of a running cluster.
+// Rebalance coordinates a live K → K' resize of a running cluster.
 package cluster
 
 import (
@@ -95,14 +101,13 @@ type Stats struct {
 	Offered         uint64 // sequence of the newest confirmed offer (0: none)
 }
 
-// Worker is one detector process's lifecycle. Start it with Start (or
-// let a Standby promote one); end it by ending the broker's feed, Stop
-// or Kill; then Wait.
+// Worker is one detector process's lifecycle. Start it with Start; end
+// it by ending the broker's feed, Stop or Kill; then Wait.
 type Worker struct {
 	cfg Config
 	p   *detector.Pipeline
 
-	session     string // subscriber session, the same across reconnects
+	session     string // subscriber session, the same across reconnects ("": not admitted yet)
 	resume      uint64 // where the next dial starts (0: the live head)
 	origin      string // the starting state, for the start-up log ("": cold)
 	handoffSeq  uint64 // the adopted snapshot's sequence (0: none)
@@ -130,19 +135,24 @@ type Worker struct {
 	done chan struct{}
 }
 
-// Start picks the worker's starting state, subscribes, and begins
-// ingesting in a background goroutine.
-func Start(cfg Config) (*Worker, error) { return start(cfg, "") }
+// heldPoll is how often a starting worker redials while another
+// worker's session holds its partition key.
+const heldPoll = 50 * time.Millisecond
 
-// start is Start for a standby holding a claim on the partition: every
-// dial presents the claimed session id, the only one the broker admits
-// to the key while the claim is fresh.
-func start(cfg Config, claim string) (*Worker, error) {
+// Start subscribes — with Handoff adopting the key's broker snapshot —
+// and begins ingesting in a background goroutine. While another
+// worker's session holds the key, Start waits, redialing every
+// heldPoll; it returns once the worker is admitted, or with an error
+// once the broker stops answering (Retries consecutive failed dials).
+func Start(cfg Config) (*Worker, error) {
 	if cfg.Parts < 0 || cfg.Part < 0 || cfg.Part >= max(cfg.Parts, 1) {
 		return nil, fmt.Errorf("cluster: invalid partition %d/%d", cfg.Part, cfg.Parts)
 	}
-	w := &Worker{cfg: cfg, session: claim, lastSave: time.Now(), done: make(chan struct{})}
-	snap, err := adoptable(cfg)
+	w := &Worker{cfg: cfg, lastSave: time.Now(), done: make(chan struct{})}
+	if cfg.FromStart {
+		w.resume = 1
+	}
+	c, snap, err := w.first()
 	if err != nil {
 		return nil, err
 	}
@@ -152,56 +162,52 @@ func start(cfg Config, claim string) (*Worker, error) {
 		detector.WithCheckEvery(cfg.CheckEvery),
 		detector.WithFlagHook(cfg.OnFlag),
 	}
-	w.session = cmp.Or(w.session, stream.NewSessionID())
-	for {
-		if snap == nil {
-			w.p = detector.NewPipeline(cfg.Rule, nil, opts...)
-			if cfg.FromStart {
-				w.resume = 1
-			}
-		} else {
-			w.handoffSeq = snap.Seq
-			w.origin = fmt.Sprintf("adopted broker snapshot for partition %d/%d", cfg.Part, max(cfg.Parts, 1))
-			if w.p, w.resume, err = detector.NewPipelineFromSnapshot(cfg.Rule, nil, snap, opts...); err != nil {
-				return nil, fmt.Errorf("cluster: %s: %w", w.origin, err)
-			}
-			w.origin += fmt.Sprintf(": %d accounts, %d flags", len(snap.Accounts), len(snap.Flags))
-		}
-		w.resumedFrom = w.resume
-		c, err := w.connect()
-		if errors.Is(err, stream.ErrGap) && snap != nil {
-			// The feed no longer holds the snapshot's resume point (a
-			// memory-only tail moved on past its dead worker's session):
-			// start cold; this worker's first offer replaces it.
-			w.p.Close()
-			w.origin = fmt.Sprintf("broker snapshot at seq %d is past the feed's retention: cold start", snap.Seq)
-			snap, w.handoffSeq, w.resume = nil, 0, 0
-			continue
-		}
-		if err != nil {
-			w.p.Close()
-			return nil, err
-		}
-		go w.loop(c)
-		return w, nil
+	if snap == nil {
+		w.p = detector.NewPipeline(cfg.Rule, nil, opts...)
+	} else if w.p, w.resume, err = detector.NewPipelineFromSnapshot(cfg.Rule, nil, snap, opts...); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("cluster: %s: %w", w.origin, err)
 	}
+	w.resumedFrom = w.resume
+	w.attach(c)
+	go w.loop(c)
+	return w, nil
 }
 
-// adoptable returns the snapshot a worker with cfg starts from: with
-// Handoff, the partition's snapshot at the broker, nil when it holds
-// none. A snapshot stamped for another partition, or at another
-// sequence than the broker announced, refuses the start.
-func adoptable(cfg Config) (*detector.PipelineSnapshot, error) {
-	if !cfg.Handoff {
-		return nil, nil
-	}
-	seq, data, err := stream.FetchSnapshot(cfg.Addr, cfg.Part, max(cfg.Parts, 1))
-	if errors.Is(err, stream.ErrNoSnapshot) {
-		return nil, nil
+// first dials the worker's first subscription and returns it with the
+// snapshot it adopted in the handshake (nil: a cold start). A held
+// snapshot the feed can no longer resume (a memory-only tail moved on
+// past its dead worker's session) is passed over for a cold start:
+// this worker's first offer replaces it.
+func (w *Worker) first() (*stream.Client, *detector.PipelineSnapshot, error) {
+	c, err := w.connect(w.cfg.Handoff)
+	if errors.Is(err, stream.ErrGap) && w.cfg.Handoff {
+		w.origin = fmt.Sprintf("broker snapshot is past the feed's retention: cold start (%v)", err)
+		c, err = w.connect(false)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	seq, data := c.Adopted()
+	if seq == 0 {
+		return c, nil, nil
+	}
+	snap, err := adoptable(w.cfg, seq, data)
+	if err != nil {
+		c.Close()
+		return nil, nil, err
+	}
+	w.handoffSeq = snap.Seq
+	w.origin = fmt.Sprintf("adopted broker snapshot for partition %d/%d: %d accounts, %d flags",
+		w.cfg.Part, max(w.cfg.Parts, 1), len(snap.Accounts), len(snap.Flags))
+	return c, snap, nil
+}
+
+// adoptable decodes the snapshot a worker with cfg adopted in its
+// handshake, which the broker's welcome announced at seq. A snapshot
+// stamped for another partition, or at another sequence, refuses the
+// start.
+func adoptable(cfg Config, seq uint64, data []byte) (*detector.PipelineSnapshot, error) {
 	var snap detector.PipelineSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("cluster: decode broker snapshot: %w", err)
@@ -215,45 +221,68 @@ func adoptable(cfg Config) (*detector.PipelineSnapshot, error) {
 		return nil, fmt.Errorf("cluster: the broker's snapshot is for partition %d/%d, not %d/%d",
 			snap.Part, snap.Parts, part, parts)
 	case snap.Seq != seq:
-		return nil, fmt.Errorf("cluster: broker snapshot announced seq %d but is stamped %d", seq, snap.Seq)
+		return nil, fmt.Errorf("cluster: the broker's welcome announced its snapshot at seq %d but it is stamped %d", seq, snap.Seq)
 	}
 	return &snap, nil
 }
 
-// connect dials the subscription at w.resume, retrying up to Retries
-// consecutive failures with backoff. A refused resume (ErrGap) is
-// final: the feed no longer holds the events the state needs.
-func (w *Worker) connect() (*stream.Client, error) {
+// connect dials the subscription at w.resume — with adopt, adopting
+// the key's held snapshot instead — retrying up to Retries consecutive
+// failed dials with backoff. A refused resume (ErrGap) is final: the
+// feed no longer holds the events the state needs. So is a key held by
+// another worker, once this one was admitted: that worker adopted its
+// state. Before that, a held key is waited out.
+func (w *Worker) connect(adopt bool) (*stream.Client, error) {
 	opts := []stream.DialOption{stream.WithPartition(w.cfg.Part, w.cfg.Parts)}
 	backoff := 50 * time.Millisecond
-	for attempt := 0; ; attempt++ {
+	for fails := 0; ; {
 		var c *stream.Client
 		var err error
-		if w.resume == 0 {
-			c, err = stream.Dial(w.cfg.Addr, append(opts, stream.WithSessionID(w.session))...)
-		} else {
+		switch {
+		case adopt:
+			c, err = stream.DialAdopt(w.cfg.Addr, w.resume, opts...)
+		case w.session != "":
 			c, err = stream.DialResume(w.cfg.Addr, w.session, w.resume, opts...)
+		case w.resume > 0:
+			c, err = stream.DialFrom(w.cfg.Addr, w.resume, opts...)
+		default:
+			c, err = stream.Dial(w.cfg.Addr, opts...)
 		}
 		switch {
 		case err == nil:
+			w.session = c.Session()
 			c.SetManualAck(w.cfg.Handoff)
 			w.lag.Store(uint64(cmp.Or(w.cfg.offerLag, offerLag(c.Window()))))
-			if c.LastSeq() > w.p.Seq() {
-				// Anchor the pipeline at the subscription point, so a save
-				// before the first batch records a sequence the feed can
-				// resume from.
-				w.p.Ingest(detector.Batch{LastSeq: c.LastSeq()})
-			}
-			w.signal(c) // and deliver a Kill or Stop that landed while dialing
 			return c, nil
+		case errors.Is(err, stream.ErrHeld) && w.session == "":
+			fails, backoff = 0, 50*time.Millisecond // the broker answers
+			time.Sleep(heldPoll)
+			continue
+		case errors.Is(err, stream.ErrHeld):
+			return nil, fmt.Errorf("cluster: partition %d/%d is owned by another worker, which adopted its state: %w",
+				w.cfg.Part, max(w.cfg.Parts, 1), err)
+		case errors.Is(err, stream.ErrGap) && adopt:
+			return nil, err
 		case errors.Is(err, stream.ErrGap):
 			return nil, fmt.Errorf("cluster: the feed cannot serve seq %d (history pruned or not spooled; a restart adopts a resumable snapshot or starts cold): %w", w.resume, err)
-		case attempt >= w.cfg.Retries || w.killed.Load() || w.stopped.Load():
+		case fails >= w.cfg.Retries || w.killed.Load() || w.stopped.Load():
 			return nil, err
 		}
+		fails++
 		time.Sleep(backoff)
 		backoff = min(2*backoff, 2*time.Second)
 	}
+}
+
+// attach anchors the pipeline at c's subscription point, so a save
+// before the first batch records a sequence the feed can resume from,
+// makes c the current connection, and delivers a Kill or Stop that
+// landed while dialing.
+func (w *Worker) attach(c *stream.Client) {
+	if c.LastSeq() > w.p.Seq() {
+		w.p.Ingest(detector.Batch{LastSeq: c.LastSeq()})
+	}
+	w.signal(c)
 }
 
 // loop drains the subscription until the feed ends, the worker is
@@ -306,12 +335,13 @@ func (w *Worker) loop(c *stream.Client) {
 			c.Close()
 			w.save(nil, w.cfg.Handoff)
 			w.resume = cmp.Or(w.durable(), c.LastSeq()) + 1
-			if c, err = w.connect(); err != nil {
+			if c, err = w.connect(false); err != nil {
 				if w.killed.Load() || !w.stopped.Load() {
 					w.err = err
 				}
 				return
 			}
+			w.attach(c)
 			continue
 		}
 		c.Close()
@@ -448,7 +478,8 @@ func (w *Worker) Stop() {
 
 // Wait blocks until the ingest loop has stopped, closes the pipeline,
 // and returns the loop's terminal error (nil on clean end of feed,
-// Stop or retirement).
+// Stop or retirement; one wrapping stream.ErrHeld when another worker
+// took the key over).
 func (w *Worker) Wait() error {
 	<-w.done
 	w.p.Close()

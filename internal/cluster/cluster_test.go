@@ -224,6 +224,23 @@ func TestPartitionedClusterFlagEquality(t *testing.T) {
 	}
 }
 
+// started is the outcome of a Start run in the background.
+type started struct {
+	w   *cluster.Worker
+	err error
+}
+
+// startAsync runs Start in the background: a second worker for a key
+// that a first one holds waits in it until the key is free.
+func startAsync(cfg cluster.Config) <-chan started {
+	ch := make(chan started, 1)
+	go func() {
+		w, err := cluster.Start(cfg)
+		ch <- started{w, err}
+	}()
+	return ch
+}
+
 // waitAdopted blocks until a relay edge's broker has adopted the feed
 // through seq.
 func waitAdopted(t *testing.T, e *stream.Relay, seq uint64) {
@@ -244,11 +261,9 @@ func waitAdopted(t *testing.T, e *stream.Relay, seq uint64) {
 // killed -9 mid-campaign and replaced on the same spool directory.
 // The replacement edge resumes the upstream subscription from its
 // spool's end and loads the snapshots its predecessor confirmed from
-// beside the spool. Its workers adopt them: one replacement worker
-// started by hand, the other partition's a standby that promotes on
-// the restarted edge, where no worker has connected yet but the
-// snapshot is held. Neither replays from sequence 1, and the tree
-// reconverges with no gaps and no duplicate flags.
+// beside the spool. Both replacement workers adopt them in the
+// handshake on the restarted edge; neither replays from sequence 1,
+// and the tree reconverges with no gaps and no duplicate flags.
 func TestRelayTreeFlagEquality(t *testing.T) {
 	events, rule := campaignFeed()
 
@@ -319,9 +334,8 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 
 	// Replacement edge on the same spool directory, new address: it
 	// resumes upstream from the spool's end and still holds the
-	// snapshots the dead edge confirmed. Partition 2's replacement
-	// adopts its snapshot at start; partition 3's is a standby, which
-	// promotes because the restarted edge holds the key's snapshot.
+	// snapshots the dead edge confirmed, which the replacement workers
+	// adopt at start.
 	edgeB2, spB2 := newEdge(dirB)
 	defer func() { edgeB2.Close(); spB2.Close() }()
 	adopted := func(part int) {
@@ -331,24 +345,10 @@ func TestRelayTreeFlagEquality(t *testing.T) {
 				part, w.HandoffSeq(), w.ResumedFrom())
 		}
 	}
-	workers[k/2] = start(k/2, edgeB2.Addr())
-	adopted(k / 2)
-	sbCfg := workerConfig(edgeB2.Addr(), k-1, k, rule)
-	sbCfg.FromStart = true
-	sb, err := cluster.StartStandby(sbCfg)
-	if err != nil {
-		t.Fatal(err)
+	for part := k / 2; part < k; part++ {
+		workers[part] = start(part, edgeB2.Addr())
+		adopted(part)
 	}
-	defer sb.Stop()
-	select {
-	case <-sb.Done():
-	case <-time.After(15 * time.Second):
-		t.Fatal("standby never promoted on the restarted edge")
-	}
-	if workers[k-1] = sb.Worker(); workers[k-1] == nil {
-		t.Fatalf("standby never promoted on the restarted edge: %v", sb.Err())
-	}
-	adopted(k - 1)
 
 	// Rest of the campaign, clean shutdown down the tree, union check.
 	for _, ev := range events[cut:] {

@@ -9,19 +9,19 @@ import (
 	"sybilwild/internal/osn"
 )
 
-// TestLiveRebalanceFlagEquality is the PR's acceptance test: a K-way
-// detection cluster is resized to K' mid-campaign, under load, via the
-// broker-coordinated cutover — and afterwards one of the new workers is
-// killed and recovered by an unattended standby. Three properties must
-// hold at the end:
+// TestLiveRebalanceFlagEquality: a K-way detection cluster is resized
+// to K' mid-campaign, under load, via the broker-coordinated cutover —
+// and afterwards one of the new workers is killed and taken over by a
+// second worker started for its key, which waited while the key was
+// held. Three properties must hold at the end:
 //
 //   - The new generation's union flag set is identical to a single
 //     uninterrupted unpartitioned run over the same feed.
 //   - No event is ever judged by two owners: the per-event owner audit
 //     (Config.Audit) across both generations covers every sequence
 //     1..len(events) exactly once.
-//   - The standby promotion replays nothing at or below the snapshot
-//     cut it adopted.
+//   - The takeover replays nothing at or below the snapshot cut it
+//     adopted.
 func TestLiveRebalanceFlagEquality(t *testing.T) {
 	events, rule := campaignFeed()
 
@@ -105,8 +105,8 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 				newGen[p] = w
 			}
 
-			// Third leg under way; kill one new worker and let an
-			// unattended standby recover it.
+			// Third leg under way; a second worker for 0/K' waits while
+			// the key is held, then takes it over when its owner is killed.
 			fed3 := make(chan struct{})
 			go func() {
 				defer close(fed3)
@@ -114,24 +114,21 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 					srv.BroadcastBatch([]osn.Event{ev})
 				}
 			}()
-			sb, err := cluster.StartStandby(workerCfg(0, shape.to))
-			if err != nil {
-				t.Fatal(err)
-			}
+			spare := startAsync(workerCfg(0, shape.to))
 			killed := newGen[0]
 			killed.Kill()
 			if err := killed.Wait(); err == nil {
 				t.Fatal("killed worker reported a clean end of feed")
 			}
-			<-sb.Done()
-			promoted := sb.Worker()
-			if promoted == nil {
-				t.Fatalf("standby never promoted: %v", sb.Err())
+			st := <-spare
+			if st.err != nil {
+				t.Fatalf("second worker never took the key over: %v", st.err)
 			}
+			promoted := st.w
 			newGen[0] = promoted
-			if promoted.HandoffSeq() < barrier {
-				t.Fatalf("standby adopted seq %d, below the cutover barrier %d",
-					promoted.HandoffSeq(), barrier)
+			if promoted.HandoffSeq() < barrier || promoted.ResumedFrom() != promoted.HandoffSeq()+1 {
+				t.Fatalf("second worker adopted seq %d resuming %d; want the victim's offer (barrier %d or later), resumed right after it",
+					promoted.HandoffSeq(), promoted.ResumedFrom(), barrier)
 			}
 
 			<-fed3
@@ -144,14 +141,14 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 			// run flagged, each account in its owner partition only.
 			checkUnion(t, newGen, uint64(len(events)), want)
 			if first := promoted.FirstApplied(); first != 0 && first <= promoted.HandoffSeq() {
-				t.Fatalf("standby replayed seq %d at or below its snapshot cut %d",
+				t.Fatalf("second worker replayed seq %d at or below its snapshot cut %d",
 					first, promoted.HandoffSeq())
 			}
 
 			// Per-event owner audit: every sequence judged exactly once
 			// across generations. The killed worker's post-snapshot work
 			// was discarded state — its audit counts only through the
-			// cut the standby adopted; the standby re-judged the rest.
+			// cut the second worker adopted, which re-judged the rest.
 			judged := make(map[uint64]int, len(events))
 			for _, w := range oldGen {
 				for _, s := range w.OwnedSeqs() {

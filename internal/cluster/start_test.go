@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sybilwild/internal/detector"
+	"sybilwild/internal/osn"
 	"sybilwild/internal/stream"
 )
 
@@ -19,8 +20,9 @@ func snapAt(seq uint64, part, parts int) *detector.PipelineSnapshot {
 	}
 }
 
-// offerAt starts a broker holding snap as the offer for key (part,
-// parts), announced at seq, and returns its address.
+// offerAt starts a broker with a 60-event feed holding snap as the
+// offer for key (part, parts), announced at seq, and returns its
+// address.
 func offerAt(t *testing.T, part, parts int, seq uint64, snap *detector.PipelineSnapshot) string {
 	t.Helper()
 	srv, err := stream.NewServer("127.0.0.1:0")
@@ -28,6 +30,9 @@ func offerAt(t *testing.T, part, parts int, seq uint64, snap *detector.PipelineS
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
+	for i := 0; i < 60; i++ {
+		srv.BroadcastBatch([]osn.Event{{Type: osn.EvMessage, Actor: osn.AccountID(i), Target: 1}})
+	}
 	if snap != nil {
 		data, err := json.Marshal(snap)
 		if err != nil {
@@ -50,28 +55,42 @@ func deadAddr(t *testing.T) string {
 	return srv.Addr()
 }
 
+// pick runs a worker's first subscription against cfg's broker and
+// returns the snapshot it adopted in the handshake (nil: cold).
+func pick(cfg Config) (*detector.PipelineSnapshot, error) {
+	w := &Worker{cfg: cfg}
+	c, snap, err := w.first()
+	if c != nil {
+		c.Close()
+	}
+	return snap, err
+}
+
 // TestPickSource is the start-up rule as a table: what a worker of
 // partition 1/3 starts from, given what its broker holds for the key —
-// the broker's snapshot, a cold start, or a refusal to start.
+// the snapshot the handshake hands over, a cold start, or a refusal to
+// start.
 func TestPickSource(t *testing.T) {
 	const part, parts = 1, 3
+	held := func(seq uint64, stamp *detector.PipelineSnapshot) func(t *testing.T) string {
+		return func(t *testing.T) string { return offerAt(t, part, parts, seq, stamp) }
+	}
 	for _, tc := range []struct {
 		name    string
 		handoff bool
 		addr    func(t *testing.T) string
 		want    string // "broker", "cold", or an error substring
 	}{
-		{"neither", false, deadAddr, "cold"}, // without Handoff the broker is not asked
-		{"neither, no offer", true, func(t *testing.T) string { return offerAt(t, part, parts, 0, nil) }, "cold"},
-		{"broker only", true, func(t *testing.T) string { return offerAt(t, part, parts, 50, snapAt(50, part, parts)) }, "broker"},
-		{"broker wrong partition", true, func(t *testing.T) string { return offerAt(t, part, parts, 50, snapAt(50, 0, parts)) },
-			"broker's snapshot is for partition 0/3, not 1/3"},
-		{"broker stamp differs from announcement", true, func(t *testing.T) string { return offerAt(t, part, parts, 51, snapAt(50, part, parts)) },
-			"announced seq 51 but is stamped 50"},
+		{"neither", false, held(50, snapAt(50, part, parts)), "cold"}, // without Handoff nothing is adopted
+		{"neither, no offer", true, held(0, nil), "cold"},
+		{"broker only", true, held(50, snapAt(50, part, parts)), "broker"},
+		{"broker wrong partition", true, held(50, snapAt(50, 0, parts)), "broker's snapshot is for partition 0/3, not 1/3"},
+		{"broker stamp differs from announcement", true, held(51, snapAt(50, part, parts)),
+			"welcome announced its snapshot at seq 51 but it is stamped 50"},
 		{"broker unreachable", true, deadAddr, "connection refused"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			snap, err := adoptable(Config{Addr: tc.addr(t), Part: part, Parts: parts, Handoff: tc.handoff})
+			snap, err := pick(Config{Addr: tc.addr(t), Part: part, Parts: parts, Handoff: tc.handoff})
 			got := "cold"
 			switch {
 			case err != nil:
@@ -88,7 +107,7 @@ func TestPickSource(t *testing.T) {
 	// pipeline normalize it to) finds the unpartitioned stamp at key 0/1.
 	addr := offerAt(t, 0, 1, 7, snapAt(7, 0, 0))
 	for _, parts := range []int{0, 1} {
-		snap, err := adoptable(Config{Addr: addr, Parts: parts, Handoff: true})
+		snap, err := pick(Config{Addr: addr, Parts: parts, Handoff: true})
 		if err != nil || snap == nil || snap.Seq != 7 {
 			t.Fatalf("whole feed as 0/%d: snap=%v err=%v", parts, snap, err)
 		}

@@ -7,7 +7,8 @@
 // and LoadSnapshots drops a snapshot stamped past the log's end. The
 // feed in turn keeps what a held snapshot needs: Prune never deletes
 // a held snapshot's resume point (its sequence + 1), so a snapshot
-// goes only when a newer one for its key replaces it.
+// goes only when a newer one for its key replaces it, or when its group
+// shape is retired (DropSnapshots).
 //
 // # File format
 //
@@ -112,6 +113,29 @@ func (s *Spool) PutSnapshot(part, parts int, seq uint64, payload []byte) error {
 		}
 	}
 	return nil
+}
+
+// DropSnapshots removes every stored snapshot of group shape parts and
+// the retention pins they held: a committed rebalance retired the shape,
+// so nothing will adopt them.
+func (s *Spool) DropSnapshots(parts int) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	for k, files := range s.snapFiles() {
+		if k[0] != parts {
+			continue
+		}
+		for _, sn := range files {
+			os.Remove(filepath.Join(s.dir, snapName(sn.Part, sn.Parts, sn.Seq)))
+		}
+	}
+	s.mu.Lock()
+	for k := range s.pins {
+		if k[0] == parts {
+			delete(s.pins, k)
+		}
+	}
+	s.mu.Unlock()
 }
 
 // pin records seq as the key's held snapshot, the resume point Prune

@@ -42,10 +42,14 @@ var ErrRebalanced = errors.New("stream: partition group rebalanced")
 // stops instead of skipping events it could not read.
 var ErrBadFrame = errors.New("stream: undecodable frame")
 
-// NewSessionID returns a fresh random subscriber session id, for
-// callers that must fix the id before dialing — a standby claims a
-// partition for a session id (ClaimPartition) and then dials with
-// WithSessionID so admission can match the claim.
+// ErrHeld is returned by a dial the broker refused because another
+// connected session owns the partition key: each key has one judge. A
+// starting worker waits for the key; a running one whose resume is
+// refused this way has been replaced, and ends.
+var ErrHeld = errors.New("stream: partition held by another session")
+
+// NewSessionID returns a fresh random subscriber session id: the one a
+// fresh dial presents, and a relay's upstream session.
 func NewSessionID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -89,13 +93,16 @@ type Client struct {
 	manualAck bool // acks driven by Ack() instead of delivery
 	hop       int  // the welcome's tree depth of the answering broker
 	window    int  // the welcome's tail that waits on this session's acks (0: none)
+
+	// The snapshot the handshake handed over (DialAdopt); seq 0: none.
+	adoptedSeq uint64
+	adopted    []byte
 }
 
 // dialConfig collects DialOption settings.
 type dialConfig struct {
-	part    int
-	parts   int
-	session string
+	part  int
+	parts int
 }
 
 // DialOption configures Dial, DialFrom and DialResume.
@@ -118,19 +125,10 @@ func WithPartition(part, parts int) DialOption {
 	}
 }
 
-// WithSessionID fixes the session id for Dial and DialFrom instead of
-// generating a random one. A standby that claimed a partition
-// (ClaimPartition) must dial with the claimed id, or admission will
-// refuse it the key. With DialResume — which already names its session
-// — the option takes precedence; don't mix the two.
-func WithSessionID(id string) DialOption {
-	return func(c *dialConfig) { c.session = id }
-}
-
 // Dial connects to a stream server as a fresh subscriber: it receives
 // every event broadcast after the handshake.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
-	return dial(addr, NewSessionID(), 0, opts)
+	return dial(addr, frame{Session: NewSessionID()}, opts)
 }
 
 // DialFrom connects as a fresh subscriber that backfills history: the
@@ -144,7 +142,7 @@ func DialFrom(addr string, from uint64, opts ...DialOption) (*Client, error) {
 	if from == 0 {
 		return nil, errors.New("stream: DialFrom needs a sequence ≥ 1 (use Dial to start at the live head)")
 	}
-	return dial(addr, NewSessionID(), from, opts)
+	return dial(addr, frame{Session: NewSessionID(), Resume: from}, opts)
 }
 
 // DialResume reconnects an existing session, asking the feed to
@@ -156,10 +154,23 @@ func DialResume(addr, session string, from uint64, opts ...DialOption) (*Client,
 	if from == 0 || session == "" {
 		return nil, errors.New("stream: DialResume needs a session and a sequence ≥ 1")
 	}
-	return dial(addr, session, from, opts)
+	return dial(addr, frame{Session: session, Resume: from}, opts)
 }
 
-func dial(addr, session string, resume uint64, opts []DialOption) (*Client, error) {
+// DialAdopt connects as a fresh subscriber that adopts its partition
+// key's state: when the broker holds a snapshot for the key (the whole
+// feed's key is 0/1), the handshake hands it over (Adopted) and the
+// feed resumes right after it. With none held, the feed starts where
+// Dial (from 0) or DialFrom would start it. A held snapshot the feed
+// can no longer resume is refused with an error wrapping ErrGap. The
+// snapshot and the key's ownership are one decision of the broker's, so
+// the state adopted is exactly the one it held when it admitted this
+// session.
+func DialAdopt(addr string, from uint64, opts ...DialOption) (*Client, error) {
+	return dial(addr, frame{Session: NewSessionID(), Resume: from, Adopt: true}, opts)
+}
+
+func dial(addr string, hello frame, opts []DialOption) (*Client, error) {
 	var cfg dialConfig
 	for _, fn := range opts {
 		fn(&cfg)
@@ -171,23 +182,28 @@ func dial(addr, session string, resume uint64, opts []DialOption) (*Client, erro
 	if err != nil {
 		return nil, err
 	}
-	return subscribe(conn, frame{T: frameHello, V: ProtocolVersion, Session: cmp.Or(cfg.session, session),
-		Resume: resume, Part: cfg.part, Parts: cfg.parts})
+	hello.T, hello.V, hello.Part, hello.Parts = frameHello, ProtocolVersion, cfg.part, cfg.parts
+	return subscribe(conn, hello)
 }
 
 // subscribe opens a subscription on a dialed broker connection: it
-// sends hello, reads the welcome and anchors the cursor at the
-// welcome's first sequence. A resume the broker refuses is a lost
-// range, an error wrapping ErrGap — unless the broker refused because
-// it is closing, which is an ordinary dial error a retry may outlive.
-// conn is closed on error; a caller that dials separately can register
-// conn first, so that its own Close cuts a handshake the broker never
+// sends hello, reads the welcome — and, for an adopting hello, the
+// snapshot behind it — and anchors the cursor at the welcome's first
+// sequence. A refusal falls in one of three classes: the broker is
+// closing, an ordinary dial error a retry may outlive; another session
+// holds the key, ErrHeld; and any other refused resume (an adopting
+// hello resumes from the held snapshot) is a lost range, ErrGap. conn
+// is closed on error; a caller that dials separately can register conn
+// first, so that its own Close cuts a handshake the broker never
 // answers.
 func subscribe(conn net.Conn, hello frame) (*Client, error) {
 	welcome, br, err := handshake(conn, hello, nil, frameWelcome)
 	if err != nil {
 		conn.Close()
-		if welcome.Err != "" && welcome.Err != errClosing.Error() && hello.Resume > 0 {
+		switch {
+		case welcome.Err == errHeld.Error():
+			return nil, fmt.Errorf("%w (partition %d/%d)", ErrHeld, hello.Part, hello.Parts)
+		case welcome.Err != "" && welcome.Err != errClosing.Error() && (hello.Resume > 0 || hello.Adopt):
 			return nil, fmt.Errorf("%w: %s", ErrGap, welcome.Err)
 		}
 		return nil, err
@@ -201,6 +217,19 @@ func subscribe(conn net.Conn, hello frame) (*Client, error) {
 		parts:   hello.Parts,
 		hop:     welcome.Hop,
 		window:  welcome.Window,
+	}
+	if hello.Adopt && welcome.Seq > 0 {
+		conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
+		data, err := wire.ReadFrameLimit(br, nil, min(welcome.Size, wire.MaxSnapshotSize))
+		if err == nil && uint64(len(data)) != welcome.Size {
+			err = fmt.Errorf("payload of %d bytes does not match announced %d", len(data), welcome.Size)
+		}
+		if err != nil {
+			conn.Close()
+			return nil, fmt.Errorf("stream: hello: adopted snapshot: %w", err)
+		}
+		conn.SetReadDeadline(time.Time{})
+		c.adoptedSeq, c.adopted = welcome.Seq, data
 	}
 	if from := cmp.Or(welcome.From, hello.Resume); from > 0 {
 		// Anchor the cursor: the feed starts at the server's global
@@ -217,6 +246,16 @@ func (c *Client) Session() string { return c.session }
 // LastSeq returns the sequence number of the last event handed to the
 // caller; resume from LastSeq()+1.
 func (c *Client) LastSeq() uint64 { return c.lastSeq }
+
+// Adopted hands over the snapshot a DialAdopt handshake carried: the
+// sequence the broker held it at (the cursor starts right after it)
+// and its payload, or 0 and nil when the broker held none. The client
+// keeps no reference, so a later call returns 0 and nil.
+func (c *Client) Adopted() (seq uint64, data []byte) {
+	seq, data = c.adoptedSeq, c.adopted
+	c.adoptedSeq, c.adopted = 0, nil
+	return seq, data
+}
 
 // Window returns the tail, in feed events, that the broker holds its
 // producers on for this session's acks: its WithReplayBuffer when it

@@ -1,4 +1,4 @@
-// The control plane: the six one-shot exchanges a broker answers
+// The control plane: the four one-shot exchanges a broker answers
 // besides the feed, and the state they move. Each rides one
 // short-lived connection of its own on the regular listen port; the
 // first frame's tag selects it through firstFrames, the table that
@@ -7,12 +7,13 @@
 //
 // Snapshot rendezvous (soffer / sfetch). A running worker periodically
 // OFFERS its partition's serialized detector.PipelineSnapshot, stamped
-// with the feed sequence it covers; a new or standby worker FETCHES the
-// partition's latest snapshot and resumes the feed from the stamped
-// sequence + 1. The broker holds the highest-sequence offer per (part,
-// parts) key and is the only keeper of worker state, exactly as durable
-// as its feed: spooled, offers are written beside the spool and reload
-// on restart; memory-only, they die with the feed.
+// with the feed sequence it covers. The broker holds the
+// highest-sequence offer per (part, parts) key and is the only keeper
+// of worker state, exactly as durable as its feed: spooled, offers are
+// written beside the spool and reload on restart; memory-only, they
+// die with the feed. A worker adopts its key's snapshot in the
+// subscribe handshake itself (hello "adopt", see admit), so the one
+// who FETCHES is the rebalance coordinator.
 //
 // Live rebalance (rprepare / rcommit). The broker is the only place a
 // consistent cut exists, so the coordinator (detectd -rebalance) asks
@@ -21,18 +22,15 @@
 // everything it is owed up to and including B, then a terminal rebal
 // frame instead of more events. The old workers snapshot at exactly B
 // and offer it; the coordinator fetches all K, re-keys them into K'
-// (detector.RebalanceSnapshots), offers the new set, and COMMITs; new
-// workers restore and subscribe from B+1.
-//
-// Standby promotion (rstatus / rclaim): a partition key's liveness,
-// and a reservation of the key for one session id, so that exactly one
-// standby wins a dead worker's slot.
+// (detector.RebalanceSnapshots), offers the new set, and COMMITs,
+// which drops the old shape's snapshots; new workers adopt theirs and
+// subscribe from B+1.
 //
 // All of this state is one control struct guarded by Server.mu.
-// Admission must see fences and claims atomically with its own checks,
-// so prepare, admission and claim run under mu anyway; a snapshot store
-// is one map write (its spool write runs outside mu). A lock of its own
-// would only add a lock-order rule.
+// Admission must see fences and snapshots atomically with its own
+// checks, so prepare, commit and admission run under mu anyway; a
+// snapshot store is one map write (its spool write runs outside mu). A
+// lock of its own would only add a lock-order rule.
 
 package stream
 
@@ -51,22 +49,9 @@ import (
 )
 
 // ErrNoSnapshot is returned by FetchSnapshot when the broker holds no
-// snapshot for the requested partition — the worker starts cold, at
-// the live head or backfilling from sequence 1.
+// snapshot for the requested partition: none was offered, or a
+// committed rebalance retired the key's group shape.
 var ErrNoSnapshot = errors.New("stream: no snapshot offered for this partition")
-
-// PartitionStatus is the broker's view of one partition key,
-// returned by QueryPartition. A standby promotes when the key has been
-// seen (a worker once served it), nothing is connected now, a snapshot
-// is available to adopt, and no fence is pending (a fence means a
-// coordinated rebalance is mid-flight — the coordinator, not the
-// standby, owns the recovery).
-type PartitionStatus struct {
-	Connected   int    // sessions currently connected on this key
-	Seen        bool   // a worker was admitted here, or the key's snapshot was reloaded restartGrace ago
-	SnapshotSeq uint64 // stamp of the freshest held snapshot; 0 = none
-	Barrier     uint64 // fence barrier on this group shape; 0 = not fenced
-}
 
 // control is the broker's control-plane state, guarded by Server.mu.
 type control struct {
@@ -75,11 +60,6 @@ type control struct {
 	// re-admitted past the barrier. rebLog audits every prepare.
 	fences map[int]*fence
 	rebLog []*fence
-	// claims maps a key to the session id a standby reserved it for;
-	// seen, from when a key reads as seen (admitted a subscriber: zero;
-	// reloaded: restartGrace on), tells "worker died" from "never ran".
-	claims map[partKey]claim
-	seen   map[partKey]time.Time
 	snaps  map[partKey]spool.Snapshot // the freshest offer per key (payload immutable once held)
 }
 
@@ -90,13 +70,6 @@ type fence struct {
 	nparts    int
 	barrier   uint64
 	committed bool
-}
-
-// claim reserves a partition key for a standby's promotion session; it
-// expires after the session linger.
-type claim struct {
-	session string
-	at      time.Time
 }
 
 // firstFrame is one row of the first-frame table: how the broker
@@ -123,8 +96,6 @@ var firstFrames = map[string]firstFrame{
 	frameSnapFetch: {reply: frameSnap, invalid: "invalid partition", serve: (*Server).ctlFetch},
 	frameRebPrep:   {reply: frameRebOK, serve: (*Server).ctlPrepare},
 	frameRebCommit: {reply: frameRebOK, serve: (*Server).ctlCommit},
-	frameRebStatus: {reply: frameRebInfo, invalid: "invalid partition", serve: (*Server).ctlStatus},
-	frameRebClaim:  {reply: frameRebOK, invalid: "invalid claim", serve: (*Server).ctlClaim},
 }
 
 // serveControl answers one one-shot control request and closes the
@@ -149,6 +120,9 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, req frame, row fi
 // confirmed and dropped, so a lagging worker cannot regress the store.
 // A usable spool stores it first, outside mu (a large fsync must not
 // stall admission); a failed write is refused, so the worker won't ack.
+// An offer for a group shape a committed rebalance retired is refused
+// and its file removed: nobody may adopt it, and it would pin the
+// spool's retention.
 func (s *Server) ctlOffer(_ net.Conn, br *bufio.Reader, req frame) *frame {
 	if req.Size > wire.MaxSnapshotSize {
 		return &frame{Err: "snapshot too large"}
@@ -167,11 +141,41 @@ func (s *Server) ctlOffer(_ net.Conn, br *bufio.Reader, req frame) *frame {
 	}
 	k := partKey{part: req.Part, parts: req.Parts}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if held, ok := s.ctl.snaps[k]; !ok || held.Seq <= req.Seq {
+	why := s.retiredLocked(req.Parts)
+	if held, ok := s.ctl.snaps[k]; why == "" && (!ok || held.Seq <= req.Seq) {
 		s.ctl.snaps[k] = spool.Snapshot{Part: req.Part, Parts: req.Parts, Seq: req.Seq, Data: payload}
 	}
+	s.mu.Unlock()
+	if why != "" {
+		s.dropSnapshots(req.Parts) // the file just written, and its pin
+		return &frame{Err: why}
+	}
 	return &frame{}
+}
+
+// retiredLocked is the refusal for group shape parts once a committed
+// rebalance has retired it, "" otherwise. Caller holds s.mu.
+func (s *Server) retiredLocked(parts int) string {
+	if f := s.ctl.fences[parts]; f != nil && f.committed {
+		return fmt.Sprintf("partition group %d rebalanced to %d at barrier %d", f.from, f.nparts, f.barrier)
+	}
+	return ""
+}
+
+// dropSnapshots forgets every snapshot of group shape parts, in memory
+// and, on a spooled broker, on disk together with the retention pins
+// they held. The files go outside mu, like an offer's.
+func (s *Server) dropSnapshots(parts int) {
+	s.mu.Lock()
+	for k := range s.ctl.snaps {
+		if k.parts == parts {
+			delete(s.ctl.snaps, k)
+		}
+	}
+	s.mu.Unlock()
+	if sp := s.log.opt.spool; sp != nil {
+		sp.DropSnapshots(parts)
+	}
 }
 
 // ctlFetch sends the held snapshot as a snap header plus raw payload
@@ -218,69 +222,27 @@ func (s *Server) ctlPrepare(_ net.Conn, _ *bufio.Reader, req frame) *frame {
 }
 
 // ctlCommit marks a prepared rebalance committed. The old shape's fence
-// stays (its sessions are retired for good); the commit lifts any stale
-// fence keyed by the *new* shape, so a chained rebalance back to a
+// stays (its sessions are retired for good) and its snapshots go, so
+// they no longer pin the spool; the commit lifts any stale fence keyed
+// by the *new* shape, so a chained rebalance back to a
 // previously-retired group size can admit subscribers again.
 func (s *Server) ctlCommit(_ net.Conn, _ *bufio.Reader, req frame) *frame {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	f := s.ctl.fences[req.Parts]
 	switch {
 	case f == nil:
+		s.mu.Unlock()
 		return &frame{Err: fmt.Sprintf("no rebalance prepared for partition group %d", req.Parts)}
 	case f.nparts != req.NParts || f.barrier != req.Barrier:
+		s.mu.Unlock()
 		return &frame{Err: fmt.Sprintf("commit names %d@%d, prepared rebalance is %d@%d",
 			req.NParts, req.Barrier, f.nparts, f.barrier)}
 	}
 	f.committed = true
 	delete(s.ctl.fences, req.NParts)
+	s.mu.Unlock()
+	s.dropSnapshots(req.Parts)
 	return &frame{Parts: req.Parts, NParts: req.NParts, Barrier: req.Barrier}
-}
-
-// ctlStatus reports a partition key's liveness for standby promotion
-// decisions.
-func (s *Server) ctlStatus(_ net.Conn, _ *bufio.Reader, req frame) *frame {
-	k := partKey{part: req.Part, parts: req.Parts}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	at, seen := s.ctl.seen[k]
-	rep := &frame{Part: req.Part, Parts: req.Parts, Connected: s.connectedOnLocked(k),
-		Seen: seen && !time.Now().Before(at), Seq: s.ctl.snaps[k].Seq}
-	if f := s.ctl.fences[req.Parts]; f != nil {
-		rep.Barrier = f.barrier
-	}
-	return rep
-}
-
-// ctlClaim reserves a partition key for one session id. Granted only
-// while nothing is connected on the key and no other fresh claim holds
-// it; a granted claim expires after the session linger if the claimant
-// never connects.
-func (s *Server) ctlClaim(_ net.Conn, _ *bufio.Reader, req frame) *frame {
-	if req.Session == "" {
-		return &frame{Err: "invalid claim"}
-	}
-	k := partKey{part: req.Part, parts: req.Parts}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := s.connectedOnLocked(k); n > 0 {
-		return &frame{Err: fmt.Sprintf("partition %d/%d has %d connected session(s)", req.Part, req.Parts, n)}
-	}
-	if c, ok := s.ctl.claims[k]; ok && c.session != req.Session && time.Since(c.at) < s.log.opt.linger {
-		return &frame{Err: "partition already claimed"}
-	}
-	s.ctl.claims[k] = claim{session: req.Session, at: time.Now()}
-	return &frame{Part: req.Part, Parts: req.Parts}
-}
-
-// connectedOnLocked counts sessions currently connected on partition
-// key k (a group of one matches full-feed sessions, which admit
-// normalizes to 0/0). Caller holds s.mu.
-func (s *Server) connectedOnLocked(k partKey) int {
-	if k.parts == 1 {
-		k = partKey{}
-	}
-	return s.log.connected(&k)
 }
 
 // controlStatsLocked lists the held snapshots, sorted by (parts, part),
@@ -428,34 +390,5 @@ func CommitRebalance(addr string, from, to int, barrier uint64) error {
 	}
 	defer conn.Close()
 	_, _, err = handshake(conn, frame{T: frameRebCommit, V: ProtocolVersion, Parts: from, NParts: to, Barrier: barrier}, nil, frameRebOK)
-	return err
-}
-
-// QueryPartition reports the broker's view of one partition key; see
-// PartitionStatus for the standby promotion reading of it.
-func QueryPartition(addr string, part, parts int) (PartitionStatus, error) {
-	conn, err := dialBroker(addr)
-	if err != nil {
-		return PartitionStatus{}, err
-	}
-	defer conn.Close()
-	f, _, err := handshake(conn, frame{T: frameRebStatus, V: ProtocolVersion, Part: part, Parts: parts}, nil, frameRebInfo)
-	if err != nil {
-		return PartitionStatus{}, err
-	}
-	return PartitionStatus{Connected: f.Connected, Seen: f.Seen, SnapshotSeq: f.Seq, Barrier: f.Barrier}, nil
-}
-
-// ClaimPartition reserves partition part of parts for the given
-// session id, so that exactly one standby wins a dead worker's slot.
-// The claimant must then dial with WithSessionID(session); other
-// sessions are refused the key while the claim is fresh.
-func ClaimPartition(addr string, part, parts int, session string) error {
-	conn, err := dialBroker(addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	_, _, err = handshake(conn, frame{T: frameRebClaim, V: ProtocolVersion, Part: part, Parts: parts, Session: session}, nil, frameRebOK)
 	return err
 }

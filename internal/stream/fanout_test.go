@@ -14,7 +14,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"net"
 	"slices"
 	"sync"
@@ -147,8 +146,8 @@ func (r *rawSub) checkFBatches(t *testing.T, part, parts int) map[uint64]osn.Eve
 }
 
 // TestFanoutByteIdenticalAcrossSubscribers: N full-feed subscribers
-// plus one subscriber per partition of a 4-way split, and a second one
-// on partition 0, all drain the same broadcast feed; every frame must
+// plus one subscriber per partition of a 4-way split, and one on
+// partition 0 of a 2-way split, all drain the same broadcast feed; every frame must
 // carry canonical bytes and every subscriber must see the identical
 // event stream. The server's encode counter is exact: one batch frame
 // per chunk, whatever the full-feed subscriber count, plus one view
@@ -175,14 +174,15 @@ func TestFanoutByteIdenticalAcrossSubscribers(t *testing.T) {
 			}
 			defer s.Close()
 
-			// One session per partition, then a second one on partition 0.
-			sessionParts := []int{0, 1, 2, 3, 0}
-			readers := make([]*rawSub, 0, subs+len(sessionParts))
+			// One session per partition, then one of another group shape
+			// (a key has one session; its own writer splices its views).
+			sessionKeys := []struct{ part, parts int }{{0, partParts}, {1, partParts}, {2, partParts}, {3, partParts}, {0, 2}}
+			readers := make([]*rawSub, 0, subs+len(sessionKeys))
 			for i := 0; i < subs; i++ {
 				readers = append(readers, dialRawSub(t, s.Addr(), fmt.Sprintf("full-%d", i), 0, 0))
 			}
-			for i, part := range sessionParts {
-				readers = append(readers, dialRawSub(t, s.Addr(), fmt.Sprintf("part-%d", i), part, partParts))
+			for i, k := range sessionKeys {
+				readers = append(readers, dialRawSub(t, s.Addr(), fmt.Sprintf("part-%d", i), k.part, k.parts))
 			}
 
 			var wg sync.WaitGroup
@@ -230,9 +230,11 @@ func TestFanoutByteIdenticalAcrossSubscribers(t *testing.T) {
 					t.Fatalf("seq %d: %+v, want %+v", seq, ev, want)
 				}
 			}
-			twin := readers[subs+partParts].checkFBatches(t, 0, partParts)
-			if !maps.Equal(twin, readers[subs].checkFBatches(t, 0, partParts)) {
-				t.Fatal("two sessions on partition 0 delivered different (seq, event) sets")
+			half := readers[subs+partParts].checkFBatches(t, 0, 2)
+			for i, ev := range events {
+				if _, got := half[uint64(i+1)]; got != osn.PartitionDelivers(ev, 0, 2) {
+					t.Fatalf("session on 0/2: seq %d delivered = %v, the contract says %v", i+1, got, !got)
+				}
 			}
 
 			// One encode per chunk, plus one view per (chunk, partitioned
@@ -241,9 +243,9 @@ func TestFanoutByteIdenticalAcrossSubscribers(t *testing.T) {
 			for off := 0; off < len(events); off += batchLen {
 				for lo := off; lo < off+batchLen; lo += maxBatch {
 					want++
-					for _, part := range sessionParts {
+					for _, k := range sessionKeys {
 						if slices.ContainsFunc(events[lo:min(lo+maxBatch, off+batchLen)], func(ev osn.Event) bool {
-							return osn.PartitionDelivers(ev, part, partParts)
+							return osn.PartitionDelivers(ev, k.part, k.parts)
 						}) {
 							want++
 						}

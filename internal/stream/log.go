@@ -41,6 +41,10 @@ const closingBit = 1 << 63
 // errClosing refuses a reservation on a closing log.
 var errClosing = errors.New("server closing")
 
+// errHeld refuses a session on a partition key that a connected reader
+// with another id holds.
+var errHeld = errors.New("partition key held by another session")
+
 // feedLog is the log. Lock order: Server.mu → feedLog.mu.
 type feedLog struct {
 	opt serverOptions
@@ -409,6 +413,11 @@ func (l *feedLog) cutLocked(r *reader) {
 // sequence it will be sent — or the reason the resume is refused. want
 // carries the request: id, partition, relay flag and any fence.
 //
+// A partition key (parts ≥ 2) has one owner: while a reader with
+// another id is connected on it, open refuses (errHeld). A detached
+// reader holds nothing, and a resume of the holder's own id passes and
+// cuts its old connection. Whole-feed readers share the feed freely.
+//
 // There is one resume rule: a resume at r is served iff r lies in
 // [tail first, head+1] or the spool holds r, and a range reserved but
 // not yet published counts as inside the tail. Whether the reader is
@@ -420,6 +429,11 @@ func (l *feedLog) open(want *reader, resume uint64, conn io.Closer) (r *reader, 
 	seq, closing := l.seq()
 	if closing {
 		return nil, 0, 0, errClosing.Error()
+	}
+	for _, o := range l.readers {
+		if o.conn != nil && o.id != want.id && o.part == want.part && o.parts == want.parts && want.parts >= 2 {
+			return nil, 0, 0, errHeld.Error()
+		}
 	}
 	r = l.readers[want.id]
 	from = resume
@@ -486,14 +500,13 @@ func (l *feedLog) fence(parts, nparts int) (barrier uint64) {
 	return barrier
 }
 
-// connected counts the connected readers on partition key k, or all of
-// them when k is nil.
-func (l *feedLog) connected(k *partKey) int {
+// connected counts the connected readers.
+func (l *feedLog) connected() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
 	for _, r := range l.readers {
-		if r.conn != nil && (k == nil || r.part == k.part && r.parts == k.parts) {
+		if r.conn != nil {
 			n++
 		}
 	}

@@ -366,6 +366,123 @@ func TestDialInvalidPartition(t *testing.T) {
 	}
 }
 
+// TestAdmissionOneOwnerPerKey is admission's ownership rule as a
+// table: a partition key has one connected session, whole-feed sessions
+// share the feed, and an adopting hello receives its key's held
+// snapshot in the handshake and resumes right after it.
+func TestAdmissionOneOwnerPerKey(t *testing.T) {
+	leakCheck(t)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, srv *Server)
+	}{
+		{"second session waits for the holder to detach", func(t *testing.T, srv *Server) {
+			c, err := Dial(srv.Addr(), WithPartition(0, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Dial(srv.Addr(), WithPartition(0, 2)); !errors.Is(err, ErrHeld) {
+				t.Fatalf("second session on a held key: err = %v, want ErrHeld", err)
+			}
+			if _, err := DialAdopt(srv.Addr(), 0, WithPartition(0, 2)); !errors.Is(err, ErrHeld) {
+				t.Fatalf("adopting session on a held key: err = %v, want ErrHeld", err)
+			}
+			other, err := Dial(srv.Addr(), WithPartition(1, 2))
+			if err != nil {
+				t.Fatalf("the other key of the group: %v", err)
+			}
+			other.Close()
+			c.Kick()
+			waitDetached(t, srv)
+			c2, err := Dial(srv.Addr(), WithPartition(0, 2))
+			if err != nil {
+				t.Fatalf("second session once the holder detached: %v", err)
+			}
+			c2.Close()
+		}},
+		{"the holder's own resume passes", func(t *testing.T, srv *Server) {
+			srv.BroadcastBatch([]osn.Event{testEvent(0)})
+			c, err := DialFrom(srv.Addr(), 1, WithPartition(1, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Kick()
+			c2, err := DialResume(srv.Addr(), c.Session(), 1, WithPartition(1, 3))
+			if err != nil {
+				t.Fatalf("same-id resume on its own key: %v", err)
+			}
+			c2.Close()
+		}},
+		{"whole-feed sessions share the feed", func(t *testing.T, srv *Server) {
+			for _, opts := range [][]DialOption{nil, {WithPartition(0, 1)}} {
+				a, err := Dial(srv.Addr(), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := Dial(srv.Addr(), opts...)
+				if err != nil {
+					t.Fatalf("second whole-feed session: %v", err)
+				}
+				a.Close()
+				b.Close()
+			}
+		}},
+		{"adoption hands over the held snapshot", func(t *testing.T, srv *Server) {
+			for i := 0; i < 10; i++ {
+				srv.BroadcastBatch([]osn.Event{testEvent(i)})
+			}
+			if c, err := DialAdopt(srv.Addr(), 1, WithPartition(1, 2)); err != nil {
+				t.Fatal(err)
+			} else if seq, data := c.Adopted(); seq != 0 || data != nil || c.LastSeq() != 0 {
+				t.Fatalf("with nothing held: adopted (%d, %q) at cursor %d, want nothing from seq 1", seq, data, c.LastSeq())
+			} else {
+				c.Close()
+			}
+			for _, parts := range []int{2, 1} {
+				if err := OfferSnapshot(srv.Addr(), 0, parts, 7, []byte("state at 7")); err != nil {
+					t.Fatal(err)
+				}
+				c, err := DialAdopt(srv.Addr(), 0, WithPartition(0, parts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if seq, data := c.Adopted(); seq != 7 || string(data) != "state at 7" || c.LastSeq() != 7 {
+					t.Fatalf("key 0/%d: adopted (%d, %q) at cursor %d, want (7, state at 7) at 7", parts, seq, data, c.LastSeq())
+				}
+				for c.LastSeq() < 10 {
+					if _, err := c.RecvBatch(); err != nil {
+						t.Fatal(err)
+					}
+					if seqs := c.LastBatchSeqs(); len(seqs) > 0 && seqs[0] <= 7 {
+						t.Fatalf("key 0/%d: delivered seq %d at or below the adopted snapshot", parts, seqs[0])
+					}
+				}
+				c.Close()
+			}
+		}},
+		{"an unresumable held snapshot is ErrGap", func(t *testing.T, srv *Server) {
+			for i := 0; i < 100; i++ {
+				srv.BroadcastBatch([]osn.Event{testEvent(i)})
+			}
+			if err := OfferSnapshot(srv.Addr(), 1, 2, 5, []byte("state at 5")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DialAdopt(srv.Addr(), 0, WithPartition(1, 2)); !errors.Is(err, ErrGap) || !strings.Contains(err.Error(), "held snapshot at seq 5") {
+				t.Fatalf("adopting past the tail: err = %v, want ErrGap naming the snapshot", err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewServer("127.0.0.1:0", WithReplayBuffer(16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			tc.run(t, srv)
+		})
+	}
+}
+
 // TestPartitionedCatchupFromSpool is the teardown audit for the
 // spool-to-tail hand-over under a filtered subscription: a partitioned
 // subscriber detaches, the feed overruns the tiny tail (its next

@@ -250,72 +250,3 @@ func TestRebalanceFenceAdmission(t *testing.T) {
 	}
 	c3.Close()
 }
-
-// TestRebalanceClaimAndStatus covers the standby-promotion exchanges:
-// rstatus reflecting liveness, snapshots and fences, and rclaim's
-// exactly-one-winner admission.
-func TestRebalanceClaimAndStatus(t *testing.T) {
-	leakCheck(t)
-	const K = 2
-	srv, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	st, err := QueryPartition(srv.Addr(), 0, K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Seen || st.Connected != 0 || st.SnapshotSeq != 0 || st.Barrier != 0 {
-		t.Fatalf("virgin partition status = %+v, want zero", st)
-	}
-
-	c, err := Dial(srv.Addr(), WithPartition(0, K))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitClients(t, srv, 1)
-	if st, _ = QueryPartition(srv.Addr(), 0, K); !st.Seen || st.Connected != 1 {
-		t.Fatalf("status with live subscriber = %+v, want seen, 1 connected", st)
-	}
-	if err := ClaimPartition(srv.Addr(), 0, K, "standby-a"); err == nil {
-		t.Fatal("claim granted while a session is connected")
-	}
-
-	c.Kick()
-	waitDetached(t, srv)
-	if st, _ = QueryPartition(srv.Addr(), 0, K); !st.Seen || st.Connected != 0 {
-		t.Fatalf("status after disconnect = %+v, want seen, 0 connected", st)
-	}
-	if err := ClaimPartition(srv.Addr(), 0, K, "standby-a"); err != nil {
-		t.Fatalf("claim on a dead partition: %v", err)
-	}
-	if err := ClaimPartition(srv.Addr(), 0, K, "standby-b"); err == nil {
-		t.Fatal("second standby's claim granted while the first is fresh")
-	}
-	if _, err := Dial(srv.Addr(), WithPartition(0, K), WithSessionID("standby-b")); err == nil ||
-		!strings.Contains(err.Error(), "claimed") {
-		t.Fatalf("unclaimed session admitted onto a claimed key: %v", err)
-	}
-	c2, err := Dial(srv.Addr(), WithPartition(0, K), WithSessionID("standby-a"))
-	if err != nil {
-		t.Fatalf("claim holder refused its key: %v", err)
-	}
-	waitClients(t, srv, 1)
-	if err := ClaimPartition(srv.Addr(), 0, K, "standby-c"); err == nil {
-		t.Fatal("claim granted while the promoted standby is connected")
-	}
-	c2.Close()
-
-	if err := OfferSnapshot(srv.Addr(), 0, K, 42, []byte("snap")); err != nil {
-		t.Fatal(err)
-	}
-	srv.BroadcastBatch([]osn.Event{{Type: osn.EvMessage, Actor: 1, Target: 2}})
-	if _, err := PrepareRebalance(srv.Addr(), K, 1); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ = QueryPartition(srv.Addr(), 0, K); st.SnapshotSeq != 42 || st.Barrier != 1 {
-		t.Fatalf("status after offer+prepare = %+v, want snapshot 42, barrier 1", st)
-	}
-}

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,10 +303,8 @@ func TestManualAckLargeLagOverSpool(t *testing.T) {
 // TestSpooledSnapshotSurvivesRestart: a spooled broker confirms an
 // offer only once it is on disk, refuses one its spool cannot keep (it
 // is past the spooled feed), and a broker restarted on the same spool
-// directory still holds the confirmed snapshot. Its key does not read
-// as seen yet: the key's worker may still be redialing, and a standby
-// must not promote past it within restartGrace (the promotion after it
-// is TestRelayTreeFlagEquality's, in internal/cluster).
+// directory still holds the confirmed snapshot (a worker adopting it
+// there is TestRelayTreeFlagEquality's, in internal/cluster).
 func TestSpooledSnapshotSurvivesRestart(t *testing.T) {
 	leakCheck(t)
 	dir := t.TempDir()
@@ -345,8 +345,88 @@ func TestSpooledSnapshotSurvivesRestart(t *testing.T) {
 	if _, _, err := FetchSnapshot(srv.Addr(), 0, 2); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("refused offer survived the restart: err = %v", err)
 	}
-	if st, err := QueryPartition(srv.Addr(), 1, 2); err != nil || st.Seen || st.SnapshotSeq != 10 {
-		t.Fatalf("restarted broker's status for 1/2 = %+v (%v), want snapshot 10, not seen within the grace", st, err)
+}
+
+// TestCommittedRebalanceDropsRetiredSnapshots: once a K=2→3 cutover at
+// barrier B is committed, the retired shape's snapshots no longer pin
+// the spool's retention. Its offers are refused, the feed is pruned
+// past B+1 once the new owners have offered past it, and a broker
+// restarted on the directory holds only the three new keys.
+func TestCommittedRebalanceDropsRetiredSnapshots(t *testing.T) {
+	leakCheck(t)
+	dir := t.TempDir()
+	open := func() (*Server, *spool.Spool) {
+		t.Helper()
+		sp, err := spool.Open(dir, spool.WithSegmentBytes(1024), spool.WithRetainBytes(2048))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer("127.0.0.1:0", WithSpool(sp), WithReplayBuffer(8))
+		if err != nil {
+			sp.Close()
+			t.Fatal(err)
+		}
+		return srv, sp
+	}
+	offer := func(addr string, part, parts int, seq uint64) error {
+		return OfferSnapshot(addr, part, parts, seq, []byte(fmt.Sprintf("%d/%d at %d", part, parts, seq)))
+	}
+	srv, sp := open()
+	for i := 0; i < 100; i++ {
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
+	}
+	barrier, err := PrepareRebalance(srv.Addr(), 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The old workers retire at the barrier and offer there; the
+	// coordinator offers the re-keyed set and commits.
+	for p := 0; p < 2; p++ {
+		if err := offer(srv.Addr(), p, 2, barrier); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := 0; p < 3; p++ {
+		if err := offer(srv.Addr(), p, 3, barrier); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := CommitRebalance(srv.Addr(), 2, 3, barrier); err != nil {
+		t.Fatal(err)
+	}
+	if err := offer(srv.Addr(), 0, 2, barrier); err == nil || !strings.Contains(err.Error(), "rebalanced") {
+		t.Fatalf("offer for the retired shape: err = %v, want a refusal", err)
+	}
+	if _, _, err := FetchSnapshot(srv.Addr(), 1, 2); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("retired key still held after the commit: err = %v", err)
+	}
+	// The new owners offer past the barrier, and the feed runs on past
+	// the retention budget.
+	for i := 100; i < 1000; i++ {
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
+	}
+	for p := 0; p < 3; p++ {
+		if err := offer(srv.Addr(), p, 3, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1000; i < 3000; i++ {
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
+	}
+	if first := sp.First(); first <= barrier+1 {
+		t.Fatalf("spool starts at %d: the retired shape still pins its barrier %d", first, barrier)
+	}
+	srv.Abort()
+	sp.Close()
+
+	srv, sp = open()
+	defer func() { srv.Close(); sp.Close() }()
+	var keys []string
+	for _, sn := range srv.Stats().Snapshots {
+		keys = append(keys, fmt.Sprintf("%d/%d@%d", sn.Part, sn.Parts, sn.Seq))
+	}
+	if got, want := strings.Join(keys, " "), "0/3@1000 1/3@1000 2/3@1000"; got != want {
+		t.Fatalf("restarted broker holds %q, want %q", got, want)
 	}
 }
 

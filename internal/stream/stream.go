@@ -37,11 +37,13 @@
 // subscriber holds the producer back, and ErrGap retreats to genuine
 // retention loss.
 //
-// Besides the feed, a broker answers six one-shot control exchanges
-// — snapshot offer and fetch, rebalance prepare and commit, partition
-// status and claim — that move detector state between workers; each
-// rides a short-lived connection of its own (see control.go and
-// OfferSnapshot, PrepareRebalance, QueryPartition).
+// Besides the feed, a broker answers four one-shot control exchanges
+// — snapshot offer and fetch, rebalance prepare and commit — that move
+// detector state between workers; each rides a short-lived connection
+// of its own (see control.go, OfferSnapshot and PrepareRebalance). A
+// partition key has one owner: admission refuses a second session on a
+// held key (ErrHeld), and hands an adopting subscriber the key's held
+// snapshot in the handshake (DialAdopt).
 //
 // The wire protocol — framing, the handshake, sequence/ack semantics
 // and the resume rules — is specified in docs/ARCHITECTURE.md.
@@ -97,9 +99,6 @@ const (
 	DefaultDrainTimeout = 5 * time.Second
 
 	handshakeTimeout = 10 * time.Second
-	// restartGrace: a restarted broker's reloaded key reads as seen this
-	// late, so a live worker still redialing (2 s backoff cap) is back.
-	restartGrace = 4 * time.Second
 )
 
 type serverOptions struct {
@@ -323,8 +322,6 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 		producers: make(map[string]*producerState),
 		ctl: control{
 			fences: make(map[int]*fence),
-			claims: make(map[partKey]claim),
-			seen:   make(map[partKey]time.Time),
 			snaps:  make(map[partKey]spool.Snapshot),
 		},
 		ingestDone: make(chan struct{}),
@@ -332,8 +329,7 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 	}
 	if sp := s.log.opt.spool; sp != nil {
 		for _, sn := range sp.LoadSnapshots() {
-			k := partKey{part: sn.Part, parts: sn.Parts}
-			s.ctl.snaps[k], s.ctl.seen[k] = sn, time.Now().Add(restartGrace)
+			s.ctl.snaps[partKey{part: sn.Part, parts: sn.Parts}] = sn
 		}
 	}
 	s.wg.Add(1)
@@ -523,13 +519,21 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 
-	r, gen, from, reject := s.admit(hello, conn)
+	r, gen, from, snap, reject := s.admit(hello, conn)
 	if reject != "" {
 		refuse(reply, reject)
 		return
 	}
-	if err := writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: from,
-		Hop: int(s.hop.Load()), Window: s.log.window()}); err != nil {
+	// An adopted snapshot's payload follows the welcome as one raw frame,
+	// under the handshake deadline, before the writer owns the socket.
+	conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
+	err = writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: from,
+		Hop: int(s.hop.Load()), Window: s.log.window(), Seq: snap.Seq, Size: uint64(len(snap.Data))})
+	if err == nil && snap.Seq > 0 {
+		err = writeFrame(conn, snap.Data)
+	}
+	conn.SetWriteDeadline(time.Time{})
+	if err != nil {
 		r.detach(gen)
 		return
 	}
@@ -550,48 +554,46 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// admit checks the hello's partition against the control plane — a
-// rebalance fence on its group shape, a standby's claim on its key —
-// then opens its reader on the log, which applies the resume rule. It
-// returns the reader, the connection generation and the first sequence
-// the writer will send, or a rejection reason.
-func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uint64, reject string) {
+// admit checks the hello's partition against the control plane, then
+// opens its reader on the log, which applies the resume rule and
+// refuses a key another connected session holds. An adopting hello
+// resumes from its key's held snapshot (the whole feed's key is 0/1),
+// which admit returns for the welcome; with none held, the hello's own
+// resume applies. A fence on the group shape admits only a resume
+// below its barrier, as a fenced session. admit returns the reader,
+// the connection generation and the first sequence the writer will
+// send, or a rejection reason.
+func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uint64, snap spool.Snapshot, reject string) {
 	// Normalize the partition request: a group of one is the full
 	// feed, served on the cheaper contiguous path.
 	if hello.Parts == 1 {
 		hello.Part, hello.Parts = 0, 0
 	}
 	if hello.Parts < 0 || hello.Part < 0 || (hello.Parts > 0 && hello.Part >= hello.Parts) {
-		return nil, 0, 0, "invalid partition"
+		return nil, 0, 0, snap, "invalid partition"
 	}
 	want := &reader{id: hello.Session, part: hello.Part, parts: hello.Parts, relay: hello.Relay}
+	resume := hello.Resume
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if hello.Parts >= 2 {
-		key := partKey{part: hello.Part, parts: hello.Parts}
-		if f := s.ctl.fences[hello.Parts]; f != nil {
-			// The group shape was rebalanced away. A fresh join would
-			// double-judge post-barrier events against the new owners;
-			// a resume may only drain what it is owed below the
-			// barrier, then gets the rebal hand-off like everyone else.
-			if hello.Resume == 0 || hello.Resume > f.barrier+1 {
-				return nil, 0, 0, fmt.Sprintf("partition group %d rebalanced to %d at barrier %d", f.from, f.nparts, f.barrier)
-			}
-			want.fencedAt, want.fenceNew = f.barrier, f.nparts
-		}
-		if c, ok := s.ctl.claims[key]; ok {
-			switch {
-			case hello.Session == c.session:
-				delete(s.ctl.claims, key) // claim consumed by its holder
-			case time.Since(c.at) < s.log.opt.linger:
-				return nil, 0, 0, "partition claimed by another session"
-			default:
-				delete(s.ctl.claims, key) // claimant never showed; let go
-			}
-		}
-		s.ctl.seen[key] = time.Time{}
+	if held, ok := s.ctl.snaps[partKey{part: hello.Part, parts: max(hello.Parts, 1)}]; hello.Adopt && ok && held.Seq > 0 {
+		snap, resume = held, held.Seq+1
 	}
-	return s.log.open(want, hello.Resume, conn)
+	if f := s.ctl.fences[hello.Parts]; f != nil {
+		// The group shape was rebalanced away. A fresh join would
+		// double-judge post-barrier events against the new owners; a
+		// resume may only drain what it is owed below the barrier, then
+		// gets the rebal hand-off like everyone else.
+		if resume == 0 || resume > f.barrier+1 {
+			return nil, 0, 0, snap, fmt.Sprintf("partition group %d rebalanced to %d at barrier %d", f.from, f.nparts, f.barrier)
+		}
+		want.fencedAt, want.fenceNew = f.barrier, f.nparts
+	}
+	r, gen, from, reject = s.log.open(want, resume, conn)
+	if reject != "" && snap.Seq > 0 && reject != errClosing.Error() && reject != errHeld.Error() {
+		reject = fmt.Sprintf("held snapshot at seq %d: %s", snap.Seq, reject)
+	}
+	return r, gen, from, snap, reject
 }
 
 // sessionWriter is one session's socket writer: the log's fill for its
@@ -764,7 +766,7 @@ func (s *Server) Stats() ServerStats {
 // NumClients returns the number of currently connected subscribers
 // (lingering disconnected sessions not included).
 func (s *Server) NumClients() int {
-	return s.log.connected(nil)
+	return s.log.connected()
 }
 
 // Close stops accepting, drains every connected subscriber to the head

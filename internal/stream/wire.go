@@ -52,9 +52,6 @@ const (
 	frameRebPrep   = "rprepare"
 	frameRebCommit = "rcommit"
 	frameRebOK     = "rok"
-	frameRebStatus = "rstatus"
-	frameRebInfo   = "rinfo"
-	frameRebClaim  = "rclaim"
 )
 
 // snapNone is the well-known error a snapshot fetch gets when the
@@ -76,7 +73,11 @@ type frame struct {
 	// Partitioned-subscription and snapshot sub-protocol fields.
 	Part  int    `json:"part,omitempty"`  // partition index (hello/soffer/sfetch/snap)
 	Parts int    `json:"parts,omitempty"` // partition group size; 0 = full feed
-	Size  uint64 `json:"size,omitempty"`  // snapshot payload bytes (soffer/snap)
+	Size  uint64 `json:"size,omitempty"`  // snapshot payload bytes (soffer/snap/welcome)
+	// Adopt (hello) asks admission for the key's held snapshot: the
+	// welcome then carries its seq and size, and its payload follows as
+	// one raw frame.
+	Adopt bool `json:"adopt,omitempty"`
 
 	// Publish sub-protocol fields.
 	Producer  string `json:"producer,omitempty"`  // producer id (phello)
@@ -86,10 +87,8 @@ type frame struct {
 	Count     uint64 `json:"count,omitempty"`     // events durably sequenced from this producer (pwelcome)
 
 	// Rebalance sub-protocol fields.
-	Barrier   uint64 `json:"barrier,omitempty"`   // cutover barrier sequence (rprepare reply, rcommit, rebal, rinfo)
-	NParts    int    `json:"nparts,omitempty"`    // new partition group size (rprepare, rcommit, rebal)
-	Connected int    `json:"connected,omitempty"` // connected sessions on the partition key (rinfo)
-	Seen      bool   `json:"seen,omitempty"`      // a worker was admitted here, or the key's snapshot was reloaded restartGrace ago (rinfo)
+	Barrier uint64 `json:"barrier,omitempty"` // cutover barrier sequence (rprepare reply, rcommit, rebal)
+	NParts  int    `json:"nparts,omitempty"`  // new partition group size (rprepare, rcommit, rebal)
 
 	// Relay-tier handshake fields (relay.go).
 	Relay bool `json:"relay,omitempty"` // hello: this subscriber is an interior relay hop
