@@ -15,13 +15,20 @@ import (
 	"sybilwild/internal/stream"
 )
 
-// TestSecondWorkerWaitsThenAdopts: a second worker started for a key
-// its owner holds waits, so every flagged account is judged once, not
-// once per worker. When the owner is killed, the second worker is
-// admitted and adopts, in the handshake, the owner's freshest confirmed
-// offer (not the stale one held when it started waiting), and the
-// cluster's union flag set stays exactly the single run's.
-func TestSecondWorkerWaitsThenAdopts(t *testing.T) {
+// TestStandbyPromotesPastStaleCheckpoint: a standby — a second worker
+// started for a key its owner holds — waits, so every flagged account
+// is judged once, not once per worker. When the owner is killed, the
+// standby is admitted and adopts, in the handshake, the owner's
+// freshest confirmed offer (not the stale one held when it started
+// waiting), and the cluster's union flag set stays exactly the single
+// run's.
+func TestStandbyPromotesPastStaleCheckpoint(t *testing.T) {
+	// The broker's snapshot of the key is stale when the standby starts
+	// waiting; the victim's fresher offer must win over it.
+	t.Run("stale local adopts the offer", secondWorkerWaitsThenAdopts)
+}
+
+func secondWorkerWaitsThenAdopts(t *testing.T) {
 	events, rule := campaignFeed()
 	want := singleRunFlags(t, events, rule)
 	const k = 2
