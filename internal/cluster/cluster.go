@@ -434,7 +434,7 @@ func (w *Worker) save(c *stream.Client, offer bool) {
 	// A failed offer is not logged: a broker that is down refuses the
 	// save before the resume. Stats counts the successes.
 	data, err := json.Marshal(snap)
-	if err == nil && !w.killed.Load() && stream.OfferSnapshot(w.cfg.Addr, w.cfg.Part, max(w.cfg.Parts, 1), snap.Seq, data) == nil {
+	if err == nil && !w.killed.Load() && stream.OfferSnapshot(w.cfg.Addr, w.session, w.cfg.Part, max(w.cfg.Parts, 1), snap.Seq, data) == nil {
 		w.offered.Store(snap.Seq)
 		w.stats.Offers++
 		if c != nil {

@@ -82,10 +82,9 @@ func secondWorkerWaitsThenAdopts(t *testing.T) {
 		t.Fatal("nothing flagged before the kill; the once-per-account check is vacuous")
 	}
 
-	// An offer in flight when the kill lands may still reach the broker
-	// after the second worker was admitted: the state it adopts is at
-	// least the one confirmed before the kill.
-	offered := victim.OfferedSeq()
+	// An offer in flight when the kill lands counts once the broker
+	// confirmed it, which it does only while the victim owns the key:
+	// the second worker adopts at least every confirmed offer.
 	victim.Kill()
 	if err := victim.Wait(); err == nil {
 		t.Fatal("killed worker reported a clean end of feed")
@@ -96,9 +95,9 @@ func secondWorkerWaitsThenAdopts(t *testing.T) {
 	}
 	promoted := st.w
 	workers[0] = promoted
-	if promoted.HandoffSeq() < offered || promoted.ResumedFrom() != promoted.HandoffSeq()+1 {
+	if promoted.HandoffSeq() < victim.OfferedSeq() || promoted.ResumedFrom() != promoted.HandoffSeq()+1 {
 		t.Fatalf("second worker started from %q at seq %d, victim had offered %d",
-			promoted.Origin(), promoted.ResumedFrom(), offered)
+			promoted.Origin(), promoted.ResumedFrom(), victim.OfferedSeq())
 	}
 
 	for _, ev := range events[leg2:] {

@@ -87,7 +87,7 @@ func Rebalance(addr string, from, to int, timeout time.Duration) (uint64, error)
 		}
 		// A K'=1 output is stamped unpartitioned (0/0); its rendezvous
 		// key is still (0, 1), where a single-worker Start looks.
-		if err := stream.OfferSnapshot(addr, i, to, snap.Seq, data); err != nil {
+		if err := stream.OfferSnapshot(addr, "", i, to, snap.Seq, data); err != nil {
 			return 0, err
 		}
 	}

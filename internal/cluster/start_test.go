@@ -38,7 +38,7 @@ func offerAt(t *testing.T, part, parts int, seq uint64, snap *detector.PipelineS
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := stream.OfferSnapshot(srv.Addr(), part, parts, seq, data); err != nil {
+		if err := stream.OfferSnapshot(srv.Addr(), "", part, parts, seq, data); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"time"
 
 	"sybilwild/internal/osn"
@@ -165,7 +166,8 @@ func DialResume(addr, session string, from uint64, opts ...DialOption) (*Client,
 // can no longer resume is refused with an error wrapping ErrGap. The
 // snapshot and the key's ownership are one decision of the broker's, so
 // the state adopted is exactly the one it held when it admitted this
-// session.
+// session. A broker whose welcome does not echo adopt predates this
+// handshake; the dial fails rather than start cold past its snapshot.
 func DialAdopt(addr string, from uint64, opts ...DialOption) (*Client, error) {
 	return dial(addr, frame{Session: NewSessionID(), Resume: from, Adopt: true}, opts)
 }
@@ -191,19 +193,27 @@ func dial(addr string, hello frame, opts []DialOption) (*Client, error) {
 // snapshot behind it — and anchors the cursor at the welcome's first
 // sequence. A refusal falls in one of three classes: the broker is
 // closing, an ordinary dial error a retry may outlive; another session
-// holds the key, ErrHeld; and any other refused resume (an adopting
-// hello resumes from the held snapshot) is a lost range, ErrGap. conn
-// is closed on error; a caller that dials separately can register conn
-// first, so that its own Close cuts a handshake the broker never
+// holds the key, ErrHeld; and any other refused resume is a lost
+// range, ErrGap. An adopting hello resumes when it asks to or when
+// admission resumed it from the held snapshot, which the refusal then
+// names; its other refusals (a fence, say) are no lost range. A
+// welcome that does not echo adopt comes from a broker that predates
+// adoption in the handshake and is refused, rather than started cold.
+// conn is closed on error; a caller that dials separately can register
+// conn first, so that its own Close cuts a handshake the broker never
 // answers.
 func subscribe(conn net.Conn, hello frame) (*Client, error) {
 	welcome, br, err := handshake(conn, hello, nil, frameWelcome)
+	if err == nil && hello.Adopt && !welcome.Adopt {
+		err = errors.New("stream: hello: the broker ignored adopt (it predates adoption in the handshake)")
+	}
 	if err != nil {
 		conn.Close()
 		switch {
 		case welcome.Err == errHeld.Error():
 			return nil, fmt.Errorf("%w (partition %d/%d)", ErrHeld, hello.Part, hello.Parts)
-		case welcome.Err != "" && welcome.Err != errClosing.Error() && (hello.Resume > 0 || hello.Adopt):
+		case welcome.Err != "" && welcome.Err != errClosing.Error() &&
+			(hello.Resume > 0 || strings.HasPrefix(welcome.Err, heldSnapshotRefusal)):
 			return nil, fmt.Errorf("%w: %s", ErrGap, welcome.Err)
 		}
 		return nil, err

@@ -8,12 +8,13 @@
 // Snapshot rendezvous (soffer / sfetch). A running worker periodically
 // OFFERS its partition's serialized detector.PipelineSnapshot, stamped
 // with the feed sequence it covers. The broker holds the
-// highest-sequence offer per (part, parts) key and is the only keeper
-// of worker state, exactly as durable as its feed: spooled, offers are
-// written beside the spool and reload on restart; memory-only, they
-// die with the feed. A worker adopts its key's snapshot in the
-// subscribe handshake itself (hello "adopt", see admit), so the one
-// who FETCHES is the rebalance coordinator.
+// highest-sequence offer per (part, parts) key, taking a partitioned
+// key's offers only from the session admission made its owner, and is
+// the only keeper of worker state, exactly as durable as its feed:
+// spooled, offers are written beside the spool and reload on restart;
+// memory-only, they die with the feed. A worker adopts its key's
+// snapshot in the subscribe handshake itself (hello "adopt", see
+// admit), so the one who FETCHES is the rebalance coordinator.
 //
 // Live rebalance (rprepare / rcommit). The broker is the only place a
 // consistent cut exists, so the coordinator (detectd -rebalance) asks
@@ -61,6 +62,9 @@ type control struct {
 	fences map[int]*fence
 	rebLog []*fence
 	snaps  map[partKey]spool.Snapshot // the freshest offer per key (payload immutable once held)
+	// owners names the session admission last made each partitioned
+	// key's owner; an offer naming another session is refused.
+	owners map[partKey]string
 }
 
 // fence is one live rebalance: partition group `from` is cut at
@@ -120,9 +124,16 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, req frame, row fi
 // confirmed and dropped, so a lagging worker cannot regress the store.
 // A usable spool stores it first, outside mu (a large fsync must not
 // stall admission); a failed write is refused, so the worker won't ack.
-// An offer for a group shape a committed rebalance retired is refused
-// and its file removed: nobody may adopt it, and it would pin the
-// spool's retention.
+//
+// Two offers are refused (offerRefusalLocked), before the write and
+// again after it, since admission and commits go on meanwhile. One
+// names a session that is no longer its key's owner: a dead worker's
+// late offer must not overwrite the state its successor adopted. The
+// other is for a group shape a committed rebalance retired: nobody may
+// adopt it, and its file, removed if it was written, would pin the
+// spool's retention. A dead owner's file written while its successor
+// was admitted stays on disk until an offer passes it; it is a valid
+// state of the key, just not the one adopted.
 func (s *Server) ctlOffer(_ net.Conn, br *bufio.Reader, req frame) *frame {
 	if req.Size > wire.MaxSnapshotSize {
 		return &frame{Err: "snapshot too large"}
@@ -134,6 +145,12 @@ func (s *Server) ctlOffer(_ net.Conn, br *bufio.Reader, req frame) *frame {
 	if uint64(len(payload)) != req.Size {
 		return &frame{Err: fmt.Sprintf("payload of %d bytes does not match announced size %d", len(payload), req.Size)}
 	}
+	s.mu.Lock()
+	why, _ := s.offerRefusalLocked(req)
+	s.mu.Unlock()
+	if why != "" {
+		return &frame{Err: why}
+	}
 	if s.log.spoolUsable() {
 		if err := s.log.opt.spool.PutSnapshot(req.Part, req.Parts, req.Seq, payload); err != nil {
 			return &frame{Err: err.Error()}
@@ -141,35 +158,56 @@ func (s *Server) ctlOffer(_ net.Conn, br *bufio.Reader, req frame) *frame {
 	}
 	k := partKey{part: req.Part, parts: req.Parts}
 	s.mu.Lock()
-	why := s.retiredLocked(req.Parts)
+	why, retired := s.offerRefusalLocked(req)
 	if held, ok := s.ctl.snaps[k]; why == "" && (!ok || held.Seq <= req.Seq) {
 		s.ctl.snaps[k] = spool.Snapshot{Part: req.Part, Parts: req.Parts, Seq: req.Seq, Data: payload}
 	}
 	s.mu.Unlock()
-	if why != "" {
+	if retired {
 		s.dropSnapshots(req.Parts) // the file just written, and its pin
+	}
+	if why != "" {
 		return &frame{Err: why}
 	}
 	return &frame{}
 }
 
-// retiredLocked is the refusal for group shape parts once a committed
-// rebalance has retired it, "" otherwise. Caller holds s.mu.
-func (s *Server) retiredLocked(parts int) string {
-	if f := s.ctl.fences[parts]; f != nil && f.committed {
-		return fmt.Sprintf("partition group %d rebalanced to %d at barrier %d", f.from, f.nparts, f.barrier)
+// offerRefusalLocked is the reason an offer is refused, "" if it is
+// not, and whether its group shape is retired: a committed rebalance
+// retired the shape, and no rebalance back to it is re-keying its
+// snapshots; or the offer names a session other than its key's owner.
+// The rebalance coordinator offers anonymously, as the cut itself.
+// Caller holds s.mu.
+func (s *Server) offerRefusalLocked(req frame) (why string, retired bool) {
+	if f := s.ctl.fences[req.Parts]; f != nil && f.committed {
+		back := false
+		for _, g := range s.ctl.fences {
+			back = back || (!g.committed && g.nparts == req.Parts)
+		}
+		if !back {
+			return fmt.Sprintf("partition group %d rebalanced to %d at barrier %d", f.from, f.nparts, f.barrier), true
+		}
 	}
-	return ""
+	if owner, ok := s.ctl.owners[partKey{part: req.Part, parts: req.Parts}]; ok && req.Session != "" && req.Session != owner {
+		return fmt.Sprintf("session %s does not own partition %d/%d", req.Session, req.Part, req.Parts), false
+	}
+	return "", false
 }
 
-// dropSnapshots forgets every snapshot of group shape parts, in memory
-// and, on a spooled broker, on disk together with the retention pins
-// they held. The files go outside mu, like an offer's.
+// dropSnapshots forgets every snapshot and owner of group shape parts,
+// in memory and, on a spooled broker, on disk together with the
+// retention pins the snapshots held. The files go outside mu, like an
+// offer's.
 func (s *Server) dropSnapshots(parts int) {
 	s.mu.Lock()
 	for k := range s.ctl.snaps {
 		if k.parts == parts {
 			delete(s.ctl.snaps, k)
+		}
+	}
+	for k := range s.ctl.owners {
+		if k.parts == parts {
+			delete(s.ctl.owners, k)
 		}
 	}
 	s.mu.Unlock()
@@ -314,8 +352,11 @@ func handshake(conn net.Conn, req frame, body []byte, want string) (frame, *bufi
 // stamped with the feed sequence it covers, to the broker's
 // rendezvous store (one short-lived connection). The broker keeps the
 // highest-sequence offer per (part, parts); offering below it is not
-// an error — the fresher snapshot simply stays.
-func OfferSnapshot(addr string, part, parts int, seq uint64, data []byte) error {
+// an error — the fresher snapshot simply stays. session names the
+// offering subscriber: on a partitioned key the broker refuses it
+// unless that session is the key's current owner. An empty session
+// offers anonymously, as the rebalance coordinator does.
+func OfferSnapshot(addr, session string, part, parts int, seq uint64, data []byte) error {
 	if parts < 1 || part < 0 || part >= parts {
 		return fmt.Errorf("stream: invalid partition %d/%d", part, parts)
 	}
@@ -327,7 +368,7 @@ func OfferSnapshot(addr string, part, parts int, seq uint64, data []byte) error 
 	if data == nil {
 		data = []byte{} // an empty snapshot still sends its payload frame
 	}
-	offer := frame{T: frameSnapOffer, V: ProtocolVersion, Part: part, Parts: parts, Seq: seq, Size: uint64(len(data))}
+	offer := frame{T: frameSnapOffer, V: ProtocolVersion, Session: session, Part: part, Parts: parts, Seq: seq, Size: uint64(len(data))}
 	_, _, err = handshake(conn, offer, data, frameSnapOK)
 	return err
 }

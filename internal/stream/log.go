@@ -45,6 +45,11 @@ var errClosing = errors.New("server closing")
 // with another id holds.
 var errHeld = errors.New("partition key held by another session")
 
+// heldSnapshotRefusal prefixes the refusal of an adopting hello that
+// admission resumed from its key's held snapshot, when the feed can no
+// longer serve that resume point.
+const heldSnapshotRefusal = "held snapshot at seq "
+
 // feedLog is the log. Lock order: Server.mu → feedLog.mu.
 type feedLog struct {
 	opt serverOptions

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -367,9 +368,10 @@ func TestDialInvalidPartition(t *testing.T) {
 }
 
 // TestAdmissionOneOwnerPerKey is admission's ownership rule as a
-// table: a partition key has one connected session, whole-feed sessions
-// share the feed, and an adopting hello receives its key's held
-// snapshot in the handshake and resumes right after it.
+// table: a partition key has one connected session whose offers alone
+// it takes, whole-feed sessions share the feed, and an adopting hello
+// receives its key's held snapshot in the handshake and resumes right
+// after it.
 func TestAdmissionOneOwnerPerKey(t *testing.T) {
 	leakCheck(t)
 	for _, tc := range []struct {
@@ -439,7 +441,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				c.Close()
 			}
 			for _, parts := range []int{2, 1} {
-				if err := OfferSnapshot(srv.Addr(), 0, parts, 7, []byte("state at 7")); err != nil {
+				if err := OfferSnapshot(srv.Addr(), "", 0, parts, 7, []byte("state at 7")); err != nil {
 					t.Fatal(err)
 				}
 				c, err := DialAdopt(srv.Addr(), 0, WithPartition(0, parts))
@@ -460,11 +462,87 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				c.Close()
 			}
 		}},
+		{"offers come from the key's owner", func(t *testing.T, srv *Server) {
+			for i := 0; i < 10; i++ {
+				srv.BroadcastBatch([]osn.Event{testEvent(i)})
+			}
+			c, err := Dial(srv.Addr(), WithPartition(0, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := OfferSnapshot(srv.Addr(), c.Session(), 0, 2, 4, []byte("owner at 4")); err != nil {
+				t.Fatalf("the owner's offer: %v", err)
+			}
+			if err := OfferSnapshot(srv.Addr(), "intruder", 0, 2, 6, []byte("intruder at 6")); err == nil || !strings.Contains(err.Error(), "does not own") {
+				t.Fatalf("an offer naming another session: err = %v, want a refusal", err)
+			}
+			c.Kick()
+			waitDetached(t, srv)
+			c2, err := DialAdopt(srv.Addr(), 0, WithPartition(0, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			if seq, data := c2.Adopted(); seq != 4 || string(data) != "owner at 4" {
+				t.Fatalf("adopted (%d, %q), want the owner's (4, owner at 4)", seq, data)
+			}
+			// The first owner's late offer lands after its successor adopted.
+			if err := OfferSnapshot(srv.Addr(), c.Session(), 0, 2, 8, []byte("dead owner at 8")); err == nil {
+				t.Fatal("the replaced owner's offer was taken")
+			}
+			if err := OfferSnapshot(srv.Addr(), c2.Session(), 0, 2, 5, []byte("successor at 5")); err != nil {
+				t.Fatalf("the successor's offer: %v", err)
+			}
+			if err := OfferSnapshot(srv.Addr(), "", 0, 2, 5, []byte("coordinator at 5")); err != nil {
+				t.Fatalf("an anonymous offer: %v", err)
+			}
+			if err := OfferSnapshot(srv.Addr(), "anyone", 0, 1, 5, []byte("whole feed")); err != nil {
+				t.Fatalf("a whole-feed offer: %v", err)
+			}
+			if seq, data, err := FetchSnapshot(srv.Addr(), 0, 2); err != nil || seq != 5 || string(data) != "coordinator at 5" {
+				t.Fatalf("held (%d, %q, %v), want the equal-sequence re-offer at 5", seq, data, err)
+			}
+		}},
+		{"a fence refusal of an adopting hello is no lost range", func(t *testing.T, srv *Server) {
+			for i := 0; i < 10; i++ {
+				srv.BroadcastBatch([]osn.Event{testEvent(i)})
+			}
+			if _, err := PrepareRebalance(srv.Addr(), 2, 3); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DialAdopt(srv.Addr(), 0, WithPartition(0, 2)); err == nil || errors.Is(err, ErrGap) || !strings.Contains(err.Error(), "rebalanced") {
+				t.Fatalf("adopting a fenced shape: err = %v, want the fence refusal, not ErrGap", err)
+			}
+		}},
+		{"a broker that ignores adopt is refused", func(t *testing.T, _ *Server) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if _, err := readFrame(conn, nil); err == nil {
+					writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: 1})
+				}
+				readFrame(conn, nil) // until the client hangs up
+			}()
+			if c, err := DialAdopt(ln.Addr().String(), 0, WithPartition(0, 2)); err == nil || !strings.Contains(err.Error(), "ignored adopt") {
+				if c != nil {
+					c.Close()
+				}
+				t.Fatalf("welcome without the adopt echo: err = %v, want a refusal", err)
+			}
+		}},
 		{"an unresumable held snapshot is ErrGap", func(t *testing.T, srv *Server) {
 			for i := 0; i < 100; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
-			if err := OfferSnapshot(srv.Addr(), 1, 2, 5, []byte("state at 5")); err != nil {
+			if err := OfferSnapshot(srv.Addr(), "", 1, 2, 5, []byte("state at 5")); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := DialAdopt(srv.Addr(), 0, WithPartition(1, 2)); !errors.Is(err, ErrGap) || !strings.Contains(err.Error(), "held snapshot at seq 5") {
@@ -812,7 +890,7 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 	}
 
 	blob := []byte("\x00\x01snapshot payload \xff not JSON at all")
-	if err := OfferSnapshot(addr, 1, 3, 500, blob); err != nil {
+	if err := OfferSnapshot(addr, "", 1, 3, 500, blob); err != nil {
 		t.Fatalf("offer: %v", err)
 	}
 	seq, data, err := FetchSnapshot(addr, 1, 3)
@@ -824,14 +902,14 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 	}
 
 	// A stale offer must not regress the held snapshot.
-	if err := OfferSnapshot(addr, 1, 3, 400, []byte("older")); err != nil {
+	if err := OfferSnapshot(addr, "", 1, 3, 400, []byte("older")); err != nil {
 		t.Fatalf("stale offer: %v", err)
 	}
 	if seq, _, _ := FetchSnapshot(addr, 1, 3); seq != 500 {
 		t.Fatalf("stale offer regressed the store to seq %d", seq)
 	}
 	// A fresher offer replaces it.
-	if err := OfferSnapshot(addr, 1, 3, 600, []byte("newer")); err != nil {
+	if err := OfferSnapshot(addr, "", 1, 3, 600, []byte("newer")); err != nil {
 		t.Fatalf("fresher offer: %v", err)
 	}
 	if seq, data, _ := FetchSnapshot(addr, 1, 3); seq != 600 || string(data) != "newer" {
@@ -839,7 +917,7 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 	}
 
 	// Keys are (part, parts): a 2-way snapshot is invisible to 3-way.
-	if err := OfferSnapshot(addr, 1, 2, 50, []byte("two-way")); err != nil {
+	if err := OfferSnapshot(addr, "", 1, 2, 50, []byte("two-way")); err != nil {
 		t.Fatal(err)
 	}
 	if seq, data, _ := FetchSnapshot(addr, 1, 3); seq != 600 || string(data) != "newer" {
@@ -859,7 +937,7 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 	}
 
 	// Invalid partitions die before touching the network or the store.
-	if err := OfferSnapshot(addr, 3, 3, 1, nil); err == nil {
+	if err := OfferSnapshot(addr, "", 3, 3, 1, nil); err == nil {
 		t.Fatal("offer with part == parts accepted")
 	}
 	if _, _, err := FetchSnapshot(addr, -1, 3); err == nil {
@@ -881,7 +959,7 @@ func TestSnapshotLargerThanFrameLimit(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i * 2654435761)
 	}
-	if err := OfferSnapshot(s.Addr(), 0, 2, 9001, big); err != nil {
+	if err := OfferSnapshot(s.Addr(), "", 0, 2, 9001, big); err != nil {
 		t.Fatalf("offer: %v", err)
 	}
 	seq, data, err := FetchSnapshot(s.Addr(), 0, 2)

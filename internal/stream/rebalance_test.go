@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -249,4 +250,51 @@ func TestRebalanceFenceAdmission(t *testing.T) {
 		t.Fatalf("new shape refused after commit: %v", err)
 	}
 	c3.Close()
+}
+
+// TestRebalanceBackToRetiredShape: a chained rebalance returns to a
+// group shape an earlier one retired. While the 3→2 cutover is in
+// flight the re-keyed 2-shape snapshots are taken, although 2 was
+// retired; the commit makes them adoptable, and the 3-shape ones go.
+func TestRebalanceBackToRetiredShape(t *testing.T) {
+	leakCheck(t)
+	srv, _ := spooledServer(t, 64)
+	cutover := func(from, to int, events int) uint64 {
+		t.Helper()
+		for i := 0; i < events; i++ {
+			srv.BroadcastBatch([]osn.Event{testEvent(i)})
+		}
+		barrier, err := PrepareRebalance(srv.Addr(), from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < from; p++ { // the old owners retire at the barrier
+			if err := OfferSnapshot(srv.Addr(), "", p, from, barrier, []byte(fmt.Sprintf("%d/%d", p, from))); err != nil {
+				t.Fatalf("%d→%d: old owner %d's offer: %v", from, to, p, err)
+			}
+		}
+		for p := 0; p < to; p++ { // the coordinator's re-keyed set
+			if err := OfferSnapshot(srv.Addr(), "", p, to, barrier, []byte(fmt.Sprintf("%d/%d at %d", p, to, barrier))); err != nil {
+				t.Fatalf("%d→%d: re-keyed offer %d: %v", from, to, p, err)
+			}
+		}
+		if err := CommitRebalance(srv.Addr(), from, to, barrier); err != nil {
+			t.Fatal(err)
+		}
+		return barrier
+	}
+	cutover(2, 3, 40)
+	barrier := cutover(3, 2, 40)
+	if err := OfferSnapshot(srv.Addr(), "", 0, 3, barrier, []byte("stale")); err == nil || !strings.Contains(err.Error(), "rebalanced") {
+		t.Fatalf("offer for the shape retired second: err = %v, want a refusal", err)
+	}
+	c, err := DialAdopt(srv.Addr(), 0, WithPartition(0, 2))
+	if err != nil {
+		t.Fatalf("worker on 0/2 after the chain: %v", err)
+	}
+	defer c.Close()
+	want := fmt.Sprintf("0/2 at %d", barrier)
+	if seq, data := c.Adopted(); seq != barrier || string(data) != want || c.LastSeq() != barrier {
+		t.Fatalf("adopted (%d, %q) at cursor %d, want (%d, %s) at %d", seq, data, c.LastSeq(), barrier, want, barrier)
+	}
 }

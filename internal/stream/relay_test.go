@@ -582,7 +582,7 @@ func TestRelaySnapshotRendezvousAtEdge(t *testing.T) {
 	if _, _, err := FetchSnapshot(edge.Addr(), 0, 2); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("fetch before any offer: err = %v, want ErrNoSnapshot", err)
 	}
-	if err := OfferSnapshot(edge.Addr(), 0, 2, 42, []byte("edge-held")); err != nil {
+	if err := OfferSnapshot(edge.Addr(), "", 0, 2, 42, []byte("edge-held")); err != nil {
 		t.Fatal(err)
 	}
 	seq, data, err := FetchSnapshot(edge.Addr(), 0, 2)

@@ -319,10 +319,10 @@ func TestSpooledSnapshotSurvivesRestart(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
-	if err := OfferSnapshot(srv.Addr(), 1, 2, 10, []byte("state at 10")); err != nil {
+	if err := OfferSnapshot(srv.Addr(), "", 1, 2, 10, []byte("state at 10")); err != nil {
 		t.Fatalf("offer: %v", err)
 	}
-	if err := OfferSnapshot(srv.Addr(), 0, 2, 11, []byte("ahead of the feed")); err == nil {
+	if err := OfferSnapshot(srv.Addr(), "", 0, 2, 11, []byte("ahead of the feed")); err == nil {
 		t.Fatal("offer past the spooled feed confirmed")
 	}
 	srv.Abort()
@@ -369,7 +369,7 @@ func TestCommittedRebalanceDropsRetiredSnapshots(t *testing.T) {
 		return srv, sp
 	}
 	offer := func(addr string, part, parts int, seq uint64) error {
-		return OfferSnapshot(addr, part, parts, seq, []byte(fmt.Sprintf("%d/%d at %d", part, parts, seq)))
+		return OfferSnapshot(addr, "", part, parts, seq, []byte(fmt.Sprintf("%d/%d at %d", part, parts, seq)))
 	}
 	srv, sp := open()
 	for i := 0; i < 100; i++ {
@@ -448,7 +448,7 @@ func TestSpooledSnapshotPinsRetention(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
-	if err := OfferSnapshot(srv.Addr(), 0, 2, 50, []byte("state at 50")); err != nil {
+	if err := OfferSnapshot(srv.Addr(), "", 0, 2, 50, []byte("state at 50")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 100; i < 2000; i++ {

@@ -323,6 +323,7 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 		ctl: control{
 			fences: make(map[int]*fence),
 			snaps:  make(map[partKey]spool.Snapshot),
+			owners: make(map[partKey]string),
 		},
 		ingestDone: make(chan struct{}),
 		encPool:    sync.Pool{New: func() any { return new([]byte) }},
@@ -527,7 +528,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// An adopted snapshot's payload follows the welcome as one raw frame,
 	// under the handshake deadline, before the writer owns the socket.
 	conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
-	err = writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: from,
+	err = writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: from, Adopt: hello.Adopt,
 		Hop: int(s.hop.Load()), Window: s.log.window(), Seq: snap.Seq, Size: uint64(len(snap.Data))})
 	if err == nil && snap.Seq > 0 {
 		err = writeFrame(conn, snap.Data)
@@ -560,9 +561,10 @@ func (s *Server) serveConn(conn net.Conn) {
 // resumes from its key's held snapshot (the whole feed's key is 0/1),
 // which admit returns for the welcome; with none held, the hello's own
 // resume applies. A fence on the group shape admits only a resume
-// below its barrier, as a fenced session. admit returns the reader,
-// the connection generation and the first sequence the writer will
-// send, or a rejection reason.
+// below its barrier, as a fenced session. An admitted session becomes
+// its partitioned key's owner, whose offers alone the key then takes.
+// admit returns the reader, the connection generation and the first
+// sequence the writer will send, or a rejection reason.
 func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uint64, snap spool.Snapshot, reject string) {
 	// Normalize the partition request: a group of one is the full
 	// feed, served on the cheaper contiguous path.
@@ -590,8 +592,11 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uin
 		want.fencedAt, want.fenceNew = f.barrier, f.nparts
 	}
 	r, gen, from, reject = s.log.open(want, resume, conn)
-	if reject != "" && snap.Seq > 0 && reject != errClosing.Error() && reject != errHeld.Error() {
-		reject = fmt.Sprintf("held snapshot at seq %d: %s", snap.Seq, reject)
+	switch {
+	case reject == "" && hello.Parts >= 2:
+		s.ctl.owners[partKey{part: hello.Part, parts: hello.Parts}] = hello.Session
+	case reject != "" && snap.Seq > 0 && reject != errClosing.Error() && reject != errHeld.Error():
+		reject = fmt.Sprintf("%s%d: %s", heldSnapshotRefusal, snap.Seq, reject)
 	}
 	return r, gen, from, snap, reject
 }

@@ -75,8 +75,9 @@ type frame struct {
 	Parts int    `json:"parts,omitempty"` // partition group size; 0 = full feed
 	Size  uint64 `json:"size,omitempty"`  // snapshot payload bytes (soffer/snap/welcome)
 	// Adopt (hello) asks admission for the key's held snapshot: the
-	// welcome then carries its seq and size, and its payload follows as
-	// one raw frame.
+	// welcome echoes it, so a broker that predates adoption is told
+	// apart from one that holds nothing, and carries the snapshot's seq
+	// and size; its payload follows as one raw frame.
 	Adopt bool `json:"adopt,omitempty"`
 
 	// Publish sub-protocol fields.
