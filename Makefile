@@ -38,7 +38,14 @@ alloc-budget:
 # exit codes and exact counts only, never on timing: every daemon exits
 # 0, the broker delivers all E events it sent and evicts no session,
 # and the producer's published count and detectd's `feed ended: E
-# events` equal the broker's E. Mirrors ci.yml's "daemon smoke" step.
+# events` equal the broker's E. A second leg, on a broker of its own,
+# runs the same campaign through two `-partition i/2 -handoff` daemons,
+# then `detectd -rebalance 2/3` once the producer is done, then three
+# `-partition j/3 -handoff` daemons. Gated on exact values again: both
+# old daemons retire at a barrier B equal to the leg's sent count, each
+# new one adopts the cut and resumes at B+1, the new daemons' flagged
+# counts sum to the first leg's FLAG lines, and the broker evicts no
+# session. Mirrors ci.yml's "daemon smoke" step.
 daemon-smoke:
 	@d=$$(mktemp -d); trap 'kill $$(jobs -p) 2>/dev/null; rm -rf "$$d"' EXIT; \
 	fail() { echo "daemon-smoke: $$*" >&2; tail -n 20 $$d/*.out >&2; exit 1; }; \
@@ -55,7 +62,29 @@ daemon-smoke:
 	[ -n "$$e" ] || fail "streamd audit is not sent=E delivered=E ... sessions_evicted=0"; \
 	grep -q "^producer p0: published $$e events " $$d/renrend.out || fail "renrend did not publish $$e events"; \
 	grep -q "^feed ended: $$e events " $$d/detectd.out || fail "detectd did not receive $$e events"; \
-	echo "daemon-smoke: $$e events produced, sent, delivered and detected; $$(grep -c '^FLAG ' $$d/detectd.out) accounts flagged"
+	f=$$(grep -c '^FLAG ' $$d/detectd.out); \
+	echo "daemon-smoke: $$e events produced, sent, delivered and detected; $$f accounts flagged"; \
+	$$d/streamd -addr 127.0.0.1:0 -spool-dir $$d/rspool -linger 10s -stats-every 0 >$$d/rstreamd.out 2>&1 & sp=$$!; \
+	for i in $$(seq 100); do grep -q '^broker on' $$d/rstreamd.out && break; sleep 0.1; done; \
+	addr=$$(sed -n 's/^broker on \([^;]*\);.*/\1/p' $$d/rstreamd.out); \
+	[ -n "$$addr" ] || fail "rebalance leg: streamd did not start"; \
+	ps=; for i in 0 1; do $$d/detectd -addr $$addr -partition $$i/2 -handoff -from-start -check-every 3 >$$d/old$$i.out 2>&1 & ps="$$ps $$!"; done; \
+	$$d/renrend -addr $$addr -normals 1500 -sybils 20 -hours 150 >$$d/rrenrend.out 2>&1 || fail "rebalance leg: renrend exited $$?"; \
+	$$d/detectd -addr $$addr -rebalance 2/3 >$$d/prepare.out 2>&1 || fail "detectd -rebalance 2/3 exited $$?"; \
+	for j in 0 1 2; do $$d/detectd -addr $$addr -partition $$j/3 -handoff -check-every 3 >$$d/new$$j.out 2>&1 & ps="$$ps $$!"; done; \
+	for p in $$ps; do wait $$p || fail "rebalance leg: a detectd exited $$?"; done; \
+	wait $$sp || fail "rebalance leg: streamd exited $$?"; \
+	b=$$(sed -n 's/^sent=\([0-9]*\) delivered=[0-9]* encodes=[0-9]* sessions_evicted=0$$/\1/p' $$d/rstreamd.out); \
+	[ -n "$$b" ] || fail "rebalance leg: streamd audit is not sent=B ... sessions_evicted=0"; \
+	for i in 0 1; do grep -q "^partition group 2 rebalanced to 3 at barrier $$b; retiring$$" $$d/old$$i.out || fail "daemon $$i/2 did not retire at barrier $$b"; done; \
+	n=0; for j in 0 1 2; do \
+		grep -q "^adopted the cut of partition group 2 at barrier $$b for partition $$j/3: .*, resuming feed at seq $$((b + 1))$$" $$d/new$$j.out || fail "daemon $$j/3 did not adopt the cut at $$b"; \
+		x=$$(sed -n 's/^feed ended: .*, \([0-9]*\) flagged$$/\1/p' $$d/new$$j.out); \
+		[ -n "$$x" ] || fail "daemon $$j/3 printed no feed ended line"; \
+		n=$$((n + x)); \
+	done; \
+	[ "$$n" -eq "$$f" ] || fail "the new daemons flagged $$n accounts, the first leg $$f"; \
+	echo "daemon-smoke: rebalance 2 -> 3 at barrier $$b: both old daemons retired there, the three new ones adopted the cut and hold all $$n flags"
 
 # benchmark/ is its own module compiled against this one's public API,
 # so tier-1 `go test ./...` does not cover it: a root-API change that

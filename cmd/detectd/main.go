@@ -27,11 +27,14 @@
 //     partition i's slice and the daemon flags only accounts it owns,
 //     so K daemons flag exactly what one whole-feed daemon would. A
 //     broker snapshot stamped for another partition refuses the start.
-//   - -rebalance K/K' runs a one-shot coordinator instead: it fences the
-//     K-way group at a barrier, re-keys the old workers' retirement
-//     snapshots into K', offers them and commits. The old daemons
-//     retire; K' daemons started with -partition i/K' -handoff adopt
-//     the state and resume from barrier+1.
+//   - -rebalance K/K' prepares a live rebalance instead and exits: the
+//     broker fences the K-way group at a barrier B, which it prints.
+//     The old daemons retire at B, each offering its snapshot there; K'
+//     daemons started with -partition i/K' -handoff (before or after
+//     that) wait for the K snapshots, adopt them in the subscribe
+//     handshake, re-key them into their own partition and resume from
+//     B+1. The broker commits the rebalance once every new daemon has
+//     offered its state.
 //   - A partition has one judge: the broker admits one daemon per
 //     -partition key. A second daemon with the same flags waits while
 //     the key is held (a spare; a signal then just exits) and takes the
@@ -67,9 +70,8 @@ import (
 type options struct {
 	cfg cluster.Config
 
-	// -rebalance K/K' (rebalanceTo 0: not a coordinator) and its timeout.
+	// -rebalance K/K' (rebalanceTo 0: run a worker instead).
 	rebalanceFrom, rebalanceTo int
-	rebalanceTimeout           time.Duration
 }
 
 // parseArgs maps the command line onto options, rejecting inconsistent
@@ -90,8 +92,7 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 	fs.DurationVar(&c.Every, "checkpoint-every", 10*time.Second, "interval between -handoff snapshot offers")
 	partition := fs.String("partition", "", "subscribe as partition i/K of a detection cluster (e.g. 0/4; empty: whole feed)")
 	fs.BoolVar(&c.Handoff, "handoff", false, "keep the daemon's state at the broker: offer a pipeline snapshot every -checkpoint-every (and, on a memory-only broker, every N events, N set from its tail), ack the feed only through confirmed offers, and adopt the partition's broker snapshot at start (the whole feed is key 0/1)")
-	rebalance := fs.String("rebalance", "", "coordinate a live cluster rebalance K/K' (e.g. 3/5) against -addr and exit: fence the old group at a barrier, re-key its snapshots, commit — no daemon mode")
-	fs.DurationVar(&o.rebalanceTimeout, "rebalance-timeout", time.Minute, "how long -rebalance waits for the old workers' snapshots to rendezvous at the barrier")
+	rebalance := fs.String("rebalance", "", "prepare a live cluster rebalance K/K' (e.g. 3/5) at -addr, print its barrier and exit: the K old workers retire there, and K' workers started with -partition i/K' -handoff adopt their cut")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -127,11 +128,11 @@ func main() {
 	}
 	cfg := o.cfg
 	if o.rebalanceTo > 0 {
-		barrier, err := cluster.Rebalance(cfg.Addr, o.rebalanceFrom, o.rebalanceTo, o.rebalanceTimeout)
+		barrier, err := stream.PrepareRebalance(cfg.Addr, o.rebalanceFrom, o.rebalanceTo)
 		if err != nil {
 			log.Fatalf("rebalance %d -> %d: %v", o.rebalanceFrom, o.rebalanceTo, err)
 		}
-		fmt.Printf("rebalanced %d -> %d at barrier %d: old workers retired at %d, new workers adopt and resume from %d\n",
+		fmt.Printf("rebalance %d -> %d prepared at barrier %d: old workers retire at %d, new workers adopt their cut and resume from %d\n",
 			o.rebalanceFrom, o.rebalanceTo, barrier, barrier, barrier+1)
 		return
 	}

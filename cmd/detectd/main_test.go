@@ -33,12 +33,12 @@ func TestParseArgs(t *testing.T) {
 		want    options // ignored when wantErr is set
 		wantErr string
 	}{
-		{args: nil, want: options{cfg: defaults, rebalanceTimeout: time.Minute}},
+		{args: nil, want: options{cfg: defaults}},
 		{
 			args: []string{"-addr", "10.0.0.1:9", "-checkpoint-every", "2s",
 				"-from-start", "-retries", "3",
 				"-check-every", "1", "-out-accept", "0.4", "-freq", "15", "-cc", "0.1", "-min-requests", "7"},
-			want: options{rebalanceTimeout: time.Minute, cfg: with(func(c *cluster.Config) {
+			want: options{cfg: with(func(c *cluster.Config) {
 				c.Addr, c.Every = "10.0.0.1:9", 2*time.Second
 				c.FromStart, c.Retries, c.CheckEvery = true, 3, 1
 				c.Rule = detector.Rule{OutAcceptMax: 0.4, FreqMin: 15, CCMax: 0.1, MinObserved: 7}
@@ -46,20 +46,23 @@ func TestParseArgs(t *testing.T) {
 		},
 		{
 			args: []string{"-partition", "2/4", "-handoff"},
-			want: options{rebalanceTimeout: time.Minute, cfg: with(func(c *cluster.Config) {
+			want: options{cfg: with(func(c *cluster.Config) {
 				c.Part, c.Parts, c.Handoff = 2, 4, true
 			})},
 		},
 		{
 			// A whole-feed worker keeps its state at the broker's key 0/1.
 			args: []string{"-handoff"},
-			want: options{rebalanceTimeout: time.Minute, cfg: with(func(c *cluster.Config) { c.Handoff = true })},
+			want: options{cfg: with(func(c *cluster.Config) { c.Handoff = true })},
 		},
 		{
-			args: []string{"-addr", "h:1", "-rebalance", "3/5", "-rebalance-timeout", "30s"},
-			want: options{rebalanceFrom: 3, rebalanceTo: 5, rebalanceTimeout: 30 * time.Second,
+			args: []string{"-addr", "h:1", "-rebalance", "3/5"},
+			want: options{rebalanceFrom: 3, rebalanceTo: 5,
 				cfg: with(func(c *cluster.Config) { c.Addr = "h:1" })},
 		},
+		// -rebalance only prepares, so it waits for nothing: the timeout
+		// is gone, and a command line naming it is refused.
+		{args: []string{"-addr", "h:1", "-rebalance", "3/5", "-rebalance-timeout", "30s"}, wantErr: "flag provided but not defined: -rebalance-timeout"},
 		// -standby is gone: a spare is a second detectd with the same
 		// flags, which waits while the key is held. The command lines
 		// that named it, the one it ran and the ones it refused, are all

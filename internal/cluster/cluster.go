@@ -26,6 +26,13 @@
 //     A second worker with the same Config is therefore a spare that
 //     takes over, with the dead owner's freshest offer, when the owner's
 //     connection goes.
+//   - On a group shape a live rebalance (stream.PrepareRebalance) is
+//     cutting over to, the handshake hands a key with no state of its
+//     own past the barrier the old K-way group's K snapshots at the
+//     barrier instead; Start waits until all K are there. It re-keys
+//     them (detector.RebalanceSnapshots), keeps its own partition,
+//     resumes from barrier+1 and offers at once: the broker commits the
+//     rebalance once every new key has.
 //   - After each ingested batch an interval and a lag trigger may fire
 //     a save: with Handoff, an offer to the broker, after which (and
 //     only after the broker confirmed it) the feed is acked. The
@@ -37,10 +44,8 @@
 //     refused because another worker now holds the key (stream.ErrHeld)
 //     ends the worker: that worker adopted its state.
 //   - Stop and a live-rebalance retirement end with a final save.
-//     Retirement always offers: the rebalance coordinator is waiting
-//     for that snapshot. Kill is a crash: nothing is saved.
-//
-// Rebalance coordinates a live K → K' resize of a running cluster.
+//     Retirement always offers: the new workers adopt that cut. Kill is
+//     a crash: nothing is saved.
 package cluster
 
 import (
@@ -57,8 +62,8 @@ import (
 	"sybilwild/internal/stream"
 )
 
-// Config describes one worker. Every exported field but Audit and
-// OnFlag is the value of the cmd/detectd flag named beside it.
+// Config describes one worker. Every exported field except OnFlag is
+// the value of the cmd/detectd flag named beside it.
 type Config struct {
 	Addr        string        // -addr: broker address
 	Part, Parts int           // -partition i/K; Parts 0 is the whole feed
@@ -82,12 +87,11 @@ type Config struct {
 	// a test can place offers at feed positions (export_test.go).
 	offerLag int
 
-	// Audit records the global sequence of every owned-actor event the
+	// audit records the global sequence of every owned-actor event the
 	// worker applies (after replay trimming), for cutover audits: the
 	// union of the cluster's audits must cover each sequence exactly
-	// once across generations. Costs memory linear in owned events —
-	// tests and verification runs only.
-	Audit bool
+	// once across generations (export_test.go).
+	audit bool
 
 	// OnFlag is called once per flagged account, on the ingest
 	// goroutine (detector.WithFlagHook).
@@ -129,21 +133,24 @@ type Worker struct {
 	rebBarrier uint64
 	rebNew     int
 
-	ownedSeqs []uint64 // Audit: applied owned-actor sequences, in order
+	ownedSeqs []uint64 // audit: applied owned-actor sequences, in order
 
 	err  error // terminal loop error; read after done closes
 	done chan struct{}
 }
 
 // heldPoll is how often a starting worker redials while another
-// worker's session holds its partition key.
+// worker's session holds its partition key, or a rebalance cut it is
+// to adopt is not complete.
 const heldPoll = 50 * time.Millisecond
 
-// Start subscribes — with Handoff adopting the key's broker snapshot —
-// and begins ingesting in a background goroutine. While another
-// worker's session holds the key, Start waits, redialing every
-// heldPoll; it returns once the worker is admitted, or with an error
-// once the broker stops answering (Retries consecutive failed dials).
+// Start subscribes — with Handoff adopting the key's broker snapshot,
+// or re-keying a live rebalance's cut — and begins ingesting in a
+// background goroutine. While another worker's session holds the key,
+// or the cut is not complete, Start waits, redialing every heldPoll; it
+// returns once the worker is admitted (having offered the re-keyed
+// state), or with an error once the broker stops answering (Retries
+// consecutive failed dials).
 func Start(cfg Config) (*Worker, error) {
 	if cfg.Parts < 0 || cfg.Part < 0 || cfg.Part >= max(cfg.Parts, 1) {
 		return nil, fmt.Errorf("cluster: invalid partition %d/%d", cfg.Part, cfg.Parts)
@@ -152,7 +159,7 @@ func Start(cfg Config) (*Worker, error) {
 	if cfg.FromStart {
 		w.resume = 1
 	}
-	c, snap, err := w.first()
+	c, snap, cut, err := w.first()
 	if err != nil {
 		return nil, err
 	}
@@ -170,49 +177,59 @@ func Start(cfg Config) (*Worker, error) {
 	}
 	w.resumedFrom = w.resume
 	w.attach(c)
+	if cut {
+		w.save(c, true) // the broker commits the rebalance once every new key offered
+	}
 	go w.loop(c)
 	return w, nil
 }
 
 // first dials the worker's first subscription and returns it with the
-// snapshot it adopted in the handshake (nil: a cold start). A held
-// snapshot the feed can no longer resume (a memory-only tail moved on
-// past its dead worker's session) is passed over for a cold start:
-// this worker's first offer replaces it.
-func (w *Worker) first() (*stream.Client, *detector.PipelineSnapshot, error) {
+// snapshot it adopted in the handshake (nil: a cold start), and whether
+// that is its share of a rebalance cut it re-keyed. A held snapshot the
+// feed can no longer resume (a memory-only tail moved on past its dead
+// worker's session) is passed over for a cold start: this worker's
+// first offer replaces it.
+func (w *Worker) first() (*stream.Client, *detector.PipelineSnapshot, bool, error) {
 	c, err := w.connect(w.cfg.Handoff)
 	if errors.Is(err, stream.ErrGap) && w.cfg.Handoff {
 		w.origin = fmt.Sprintf("broker snapshot is past the feed's retention: cold start (%v)", err)
 		c, err = w.connect(false)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	seq, data := c.Adopted()
 	if seq == 0 {
-		return c, nil, nil
+		return c, nil, false, nil
 	}
-	snap, err := adoptable(w.cfg, seq, data)
+	part, parts := w.cfg.Part, max(w.cfg.Parts, 1)
+	var snap *detector.PipelineSnapshot
+	w.origin = fmt.Sprintf("adopted broker snapshot for partition %d/%d", part, parts)
+	if len(data) == 1 {
+		snap, err = adoptable(part, parts, seq, data[0])
+	} else {
+		snap, err = rekey(part, parts, seq, data)
+		w.origin = fmt.Sprintf("adopted the cut of partition group %d at barrier %d for partition %d/%d", len(data), seq, part, parts)
+	}
 	if err != nil {
 		c.Close()
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	w.handoffSeq = snap.Seq
-	w.origin = fmt.Sprintf("adopted broker snapshot for partition %d/%d: %d accounts, %d flags",
-		w.cfg.Part, max(w.cfg.Parts, 1), len(snap.Accounts), len(snap.Flags))
-	return c, snap, nil
+	w.origin += fmt.Sprintf(": %d accounts, %d flags", len(snap.Accounts), len(snap.Flags))
+	return c, snap, len(data) > 1, nil
 }
 
-// adoptable decodes the snapshot a worker with cfg adopted in its
-// handshake, which the broker's welcome announced at seq. A snapshot
-// stamped for another partition, or at another sequence, refuses the
-// start.
-func adoptable(cfg Config, seq uint64, data []byte) (*detector.PipelineSnapshot, error) {
+// adoptable decodes the snapshot of partition part of parts that a
+// handshake handed over, which the broker's welcome announced at seq. A
+// snapshot stamped for another partition, or at another sequence,
+// refuses the start.
+func adoptable(part, parts int, seq uint64, data []byte) (*detector.PipelineSnapshot, error) {
 	var snap detector.PipelineSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("cluster: decode broker snapshot: %w", err)
 	}
-	part, parts := cfg.Part, cfg.Parts
 	if parts <= 1 {
 		part, parts = 0, 0 // how the pipeline stamps a whole-feed run
 	}
@@ -226,12 +243,31 @@ func adoptable(cfg Config, seq uint64, data []byte) (*detector.PipelineSnapshot,
 	return &snap, nil
 }
 
+// rekey decodes a rebalance cut, the old K-way group's snapshots at
+// the barrier seq in partition order, and re-keys it into partition
+// part of a group of parts.
+func rekey(part, parts int, seq uint64, cut [][]byte) (*detector.PipelineSnapshot, error) {
+	old := make([]*detector.PipelineSnapshot, len(cut))
+	for p, data := range cut {
+		var err error
+		if old[p], err = adoptable(p, len(cut), seq, data); err != nil {
+			return nil, err
+		}
+	}
+	out, err := detector.RebalanceSnapshots(old, parts)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: re-key the rebalance cut: %w", err)
+	}
+	return out[part], nil
+}
+
 // connect dials the subscription at w.resume — with adopt, adopting
 // the key's held snapshot instead — retrying up to Retries consecutive
 // failed dials with backoff. A refused resume (ErrGap) is final: the
 // feed no longer holds the events the state needs. So is a key held by
 // another worker, once this one was admitted: that worker adopted its
-// state. Before that, a held key is waited out.
+// state. Before that, a held key and an incomplete rebalance cut are
+// waited out.
 func (w *Worker) connect(adopt bool) (*stream.Client, error) {
 	opts := []stream.DialOption{stream.WithPartition(w.cfg.Part, w.cfg.Parts)}
 	backoff := 50 * time.Millisecond
@@ -254,7 +290,7 @@ func (w *Worker) connect(adopt bool) (*stream.Client, error) {
 			c.SetManualAck(w.cfg.Handoff)
 			w.lag.Store(uint64(cmp.Or(w.cfg.offerLag, offerLag(c.Window()))))
 			return c, nil
-		case errors.Is(err, stream.ErrHeld) && w.session == "":
+		case (errors.Is(err, stream.ErrHeld) || errors.Is(err, stream.ErrCutPending)) && w.session == "":
 			fails, backoff = 0, 50*time.Millisecond // the broker answers
 			time.Sleep(heldPoll)
 			continue
@@ -300,7 +336,7 @@ func (w *Worker) loop(c *stream.Client) {
 			// The broker retired this group shape in a live rebalance,
 			// having served everything owed through the barrier. Pin the
 			// pipeline there (the tail may have been all foreign) and save
-			// the cut the coordinator is waiting for.
+			// the cut the new workers adopt.
 			barrier, nparts, _ := c.Rebalanced()
 			if barrier > w.p.Seq() {
 				w.p.Ingest(detector.Batch{LastSeq: barrier})
@@ -381,7 +417,7 @@ func (w *Worker) drain(c *stream.Client) error {
 		if drop < n && w.firstApplied.Load() == 0 {
 			w.firstApplied.Store(seqAt(drop))
 		}
-		for i := drop; w.cfg.Audit && i < n; i++ {
+		for i := drop; w.cfg.audit && i < n; i++ {
 			if osn.Partition(evs[i].Actor, w.cfg.Parts) == w.cfg.Part {
 				w.ownedSeqs = append(w.ownedSeqs, seqAt(i))
 			}

@@ -8,6 +8,13 @@ func WithOfferLag(cfg Config, lag int) Config {
 	return cfg
 }
 
+// WithAudit returns cfg recording the global sequence of every
+// owned-actor event the worker applies (OwnedSeqs).
+func WithAudit(cfg Config) Config {
+	cfg.audit = true
+	return cfg
+}
+
 // OfferLagFor is the lag trigger a worker derives from a welcome
 // reporting window.
 var OfferLagFor = offerLag
@@ -30,5 +37,5 @@ func (w *Worker) FirstApplied() uint64 { return w.firstApplied.Load() }
 // OwnedSeqs returns the global sequences of every owned-actor event
 // this worker applied, in feed order — the per-event owner audit a
 // cutover verification sums across workers and generations. Requires
-// Config.Audit; valid after Wait.
+// WithAudit; valid after Wait.
 func (w *Worker) OwnedSeqs() []uint64 { return w.ownedSeqs }

@@ -21,8 +21,8 @@ func snapAt(seq uint64, part, parts int) *detector.PipelineSnapshot {
 }
 
 // offerAt starts a broker with a 60-event feed holding snap as the
-// offer for key (part, parts), announced at seq, and returns its
-// address.
+// offer for key (part, parts), announced at seq by a session admitted
+// on the key, and returns its address.
 func offerAt(t *testing.T, part, parts int, seq uint64, snap *detector.PipelineSnapshot) string {
 	t.Helper()
 	srv, err := stream.NewServer("127.0.0.1:0")
@@ -38,7 +38,12 @@ func offerAt(t *testing.T, part, parts int, seq uint64, snap *detector.PipelineS
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := stream.OfferSnapshot(srv.Addr(), "", part, parts, seq, data); err != nil {
+		c, err := stream.Dial(srv.Addr(), stream.WithPartition(part, parts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close() // a worker dialing meanwhile waits while the key is held
+		if err := stream.OfferSnapshot(srv.Addr(), c.Session(), part, parts, seq, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +64,7 @@ func deadAddr(t *testing.T) string {
 // returns the snapshot it adopted in the handshake (nil: cold).
 func pick(cfg Config) (*detector.PipelineSnapshot, error) {
 	w := &Worker{cfg: cfg}
-	c, snap, err := w.first()
+	c, snap, _, err := w.first()
 	if c != nil {
 		c.Close()
 	}

@@ -49,6 +49,12 @@ var ErrBadFrame = errors.New("stream: undecodable frame")
 // refused this way has been replaced, and ends.
 var ErrHeld = errors.New("stream: partition held by another session")
 
+// ErrCutPending is returned by an adopting dial (DialAdopt) on a group
+// shape a live rebalance is cutting over to, while the old group's
+// snapshots have not all reached the barrier. Like a held key, a
+// starting worker waits it out.
+var ErrCutPending = errors.New("stream: rebalance cut not complete")
+
 // NewSessionID returns a fresh random subscriber session id: the one a
 // fresh dial presents, and a relay's upstream session.
 func NewSessionID() string {
@@ -95,9 +101,9 @@ type Client struct {
 	hop       int  // the welcome's tree depth of the answering broker
 	window    int  // the welcome's tail that waits on this session's acks (0: none)
 
-	// The snapshot the handshake handed over (DialAdopt); seq 0: none.
+	// The snapshots the handshake handed over (DialAdopt); seq 0: none.
 	adoptedSeq uint64
-	adopted    []byte
+	adopted    [][]byte
 }
 
 // dialConfig collects DialOption settings.
@@ -161,11 +167,15 @@ func DialResume(addr, session string, from uint64, opts ...DialOption) (*Client,
 // DialAdopt connects as a fresh subscriber that adopts its partition
 // key's state: when the broker holds a snapshot for the key (the whole
 // feed's key is 0/1), the handshake hands it over (Adopted) and the
-// feed resumes right after it. With none held, the feed starts where
-// Dial (from 0) or DialFrom would start it. A held snapshot the feed
-// can no longer resume is refused with an error wrapping ErrGap. The
-// snapshot and the key's ownership are one decision of the broker's, so
-// the state adopted is exactly the one it held when it admitted this
+// feed resumes right after it. On a group shape a live rebalance is
+// cutting over to, a key with nothing at or past the barrier is handed
+// the old group's snapshots at the barrier instead, for the caller to
+// re-key; until all of them are there the dial is refused with an error
+// wrapping ErrCutPending. With nothing held, the feed starts where Dial
+// (from 0) or DialFrom would start it. A held snapshot the feed can no
+// longer resume is refused with an error wrapping ErrGap. The snapshot
+// and the key's ownership are one decision of the broker's, so the
+// state adopted is exactly the one it held when it admitted this
 // session. A broker whose welcome does not echo adopt predates this
 // handshake; the dial fails rather than start cold past its snapshot.
 func DialAdopt(addr string, from uint64, opts ...DialOption) (*Client, error) {
@@ -190,18 +200,19 @@ func dial(addr string, hello frame, opts []DialOption) (*Client, error) {
 
 // subscribe opens a subscription on a dialed broker connection: it
 // sends hello, reads the welcome — and, for an adopting hello, the
-// snapshot behind it — and anchors the cursor at the welcome's first
-// sequence. A refusal falls in one of three classes: the broker is
+// snapshots behind it — and anchors the cursor at the welcome's first
+// sequence. A refusal falls in one of four classes: the broker is
 // closing, an ordinary dial error a retry may outlive; another session
-// holds the key, ErrHeld; and any other refused resume is a lost
-// range, ErrGap. An adopting hello resumes when it asks to or when
-// admission resumed it from the held snapshot, which the refusal then
-// names; its other refusals (a fence, say) are no lost range. A
-// welcome that does not echo adopt comes from a broker that predates
-// adoption in the handshake and is refused, rather than started cold.
-// conn is closed on error; a caller that dials separately can register
-// conn first, so that its own Close cuts a handshake the broker never
-// answers.
+// holds the key, ErrHeld, and a rebalance cut is not complete yet,
+// ErrCutPending, both waited out by a starting worker; and any other
+// refused resume is a lost range, ErrGap. An adopting hello resumes
+// when it asks to or when admission resumed it from the held snapshot,
+// which the refusal then names; its other refusals (a fence, say) are
+// no lost range. A welcome that does not echo adopt comes from a
+// broker that predates adoption in the handshake and is refused,
+// rather than started cold. conn is closed on error; a caller that
+// dials separately can register conn first, so that its own Close cuts
+// a handshake the broker never answers.
 func subscribe(conn net.Conn, hello frame) (*Client, error) {
 	welcome, br, err := handshake(conn, hello, nil, frameWelcome)
 	if err == nil && hello.Adopt && !welcome.Adopt {
@@ -212,6 +223,8 @@ func subscribe(conn net.Conn, hello frame) (*Client, error) {
 		switch {
 		case welcome.Err == errHeld.Error():
 			return nil, fmt.Errorf("%w (partition %d/%d)", ErrHeld, hello.Part, hello.Parts)
+		case strings.HasPrefix(welcome.Err, cutPendingRefusal):
+			return nil, fmt.Errorf("%w (partition %d/%d): %s", ErrCutPending, hello.Part, hello.Parts, welcome.Err)
 		case welcome.Err != "" && welcome.Err != errClosing.Error() &&
 			(hello.Resume > 0 || strings.HasPrefix(welcome.Err, heldSnapshotRefusal)):
 			return nil, fmt.Errorf("%w: %s", ErrGap, welcome.Err)
@@ -228,18 +241,25 @@ func subscribe(conn net.Conn, hello frame) (*Client, error) {
 		hop:     welcome.Hop,
 		window:  welcome.Window,
 	}
-	if hello.Adopt && welcome.Seq > 0 {
+	if hello.Adopt && welcome.Snaps > 0 {
 		conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-		data, err := wire.ReadFrameLimit(br, nil, min(welcome.Size, wire.MaxSnapshotSize))
-		if err == nil && uint64(len(data)) != welcome.Size {
-			err = fmt.Errorf("payload of %d bytes does not match announced %d", len(data), welcome.Size)
+		left := welcome.Size
+		for i := 0; i < welcome.Snaps && err == nil; i++ {
+			var data []byte
+			if data, err = wire.ReadFrameLimit(br, nil, min(left, wire.MaxSnapshotSize)); err == nil {
+				c.adopted = append(c.adopted, data)
+				left -= uint64(len(data))
+			}
+		}
+		if err == nil && left != 0 {
+			err = fmt.Errorf("payloads are %d bytes short of the announced %d", left, welcome.Size)
 		}
 		if err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("stream: hello: adopted snapshot: %w", err)
 		}
 		conn.SetReadDeadline(time.Time{})
-		c.adoptedSeq, c.adopted = welcome.Seq, data
+		c.adoptedSeq = welcome.Seq
 	}
 	if from := cmp.Or(welcome.From, hello.Resume); from > 0 {
 		// Anchor the cursor: the feed starts at the server's global
@@ -257,11 +277,13 @@ func (c *Client) Session() string { return c.session }
 // caller; resume from LastSeq()+1.
 func (c *Client) LastSeq() uint64 { return c.lastSeq }
 
-// Adopted hands over the snapshot a DialAdopt handshake carried: the
-// sequence the broker held it at (the cursor starts right after it)
-// and its payload, or 0 and nil when the broker held none. The client
-// keeps no reference, so a later call returns 0 and nil.
-func (c *Client) Adopted() (seq uint64, data []byte) {
+// Adopted hands over the snapshots a DialAdopt handshake carried: the
+// sequence the broker held them at (the cursor starts right after it)
+// and their payloads — one, the key's own snapshot, or, on a shape a
+// live rebalance is cutting over to, the old K-way group's K at the
+// barrier in partition order — or 0 and nil when the broker held none.
+// The client keeps no reference, so a later call returns 0 and nil.
+func (c *Client) Adopted() (seq uint64, data [][]byte) {
 	seq, data = c.adoptedSeq, c.adopted
 	c.adoptedSeq, c.adopted = 0, nil
 	return seq, data

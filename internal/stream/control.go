@@ -1,31 +1,32 @@
-// The control plane: the four one-shot exchanges a broker answers
+// The control plane: the two one-shot exchanges a broker answers
 // besides the feed, and the state they move. Each rides one
 // short-lived connection of its own on the regular listen port; the
 // first frame's tag selects it through firstFrames, the table that
 // also names every reply's tag, and serveControl validates the
 // request's partition key, answers and closes.
 //
-// Snapshot rendezvous (soffer / sfetch). A running worker periodically
-// OFFERS its partition's serialized detector.PipelineSnapshot, stamped
-// with the feed sequence it covers. The broker holds the
-// highest-sequence offer per (part, parts) key, taking a partitioned
-// key's offers only from the session admission made its owner, and is
-// the only keeper of worker state, exactly as durable as its feed:
-// spooled, offers are written beside the spool and reload on restart;
-// memory-only, they die with the feed. A worker adopts its key's
-// snapshot in the subscribe handshake itself (hello "adopt", see
-// admit), so the one who FETCHES is the rebalance coordinator.
+// Snapshot offers (soffer). A running worker periodically OFFERS its
+// partition's serialized detector.PipelineSnapshot, stamped with the
+// feed sequence it covers. The broker holds the highest-sequence offer
+// per (part, parts) key, taking a partitioned key's offers only from
+// the session admission made its owner, and is the only keeper of
+// worker state, exactly as durable as its feed: spooled, offers are
+// written beside the spool and reload on restart; memory-only, they
+// die with the feed. A worker adopts its key's snapshot in the
+// subscribe handshake itself (hello "adopt", see admit).
 //
-// Live rebalance (rprepare / rcommit). The broker is the only place a
-// consistent cut exists, so the coordinator (detectd -rebalance) asks
-// it to PREPARE: pick the barrier B = current head sequence and fence
-// every subscriber of the old group shape. A fenced session is served
-// everything it is owed up to and including B, then a terminal rebal
-// frame instead of more events. The old workers snapshot at exactly B
-// and offer it; the coordinator fetches all K, re-keys them into K'
-// (detector.RebalanceSnapshots), offers the new set, and COMMITs,
-// which drops the old shape's snapshots; new workers adopt theirs and
-// subscribe from B+1.
+// Live rebalance (rprepare). The broker is the only place a consistent
+// cut exists, so detectd -rebalance asks it to PREPARE: pick the
+// barrier B = current head sequence and fence every subscriber of the
+// old group shape K. A fenced session is served everything it is owed
+// up to and including B, then a terminal rebal frame instead of more
+// events; the old workers snapshot at exactly B and offer it. A new
+// worker's adopting hello on a K' key is handed all K old snapshots in
+// its welcome once every one sits at B (and a waitable refusal until
+// then); it re-keys them itself (detector.RebalanceSnapshots), keeps
+// its own partition, subscribes from B+1 and offers at once. The
+// offer that leaves every K' key holding one at or past B commits the
+// rebalance, which drops the old shape's snapshots.
 //
 // All of this state is one control struct guarded by Server.mu.
 // Admission must see fences and snapshots atomically with its own
@@ -39,7 +40,6 @@ import (
 	"bufio"
 	"cmp"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -48,11 +48,6 @@ import (
 	"sybilwild/internal/spool"
 	"sybilwild/internal/wire"
 )
-
-// ErrNoSnapshot is returned by FetchSnapshot when the broker holds no
-// snapshot for the requested partition: none was offered, or a
-// committed rebalance retired the key's group shape.
-var ErrNoSnapshot = errors.New("stream: no snapshot offered for this partition")
 
 // control is the broker's control-plane state, guarded by Server.mu.
 type control struct {
@@ -63,18 +58,25 @@ type control struct {
 	rebLog []*fence
 	snaps  map[partKey]spool.Snapshot // the freshest offer per key (payload immutable once held)
 	// owners names the session admission last made each partitioned
-	// key's owner; an offer naming another session is refused.
+	// key's owner; an offer naming another session, or for a key with
+	// none, is refused.
 	owners map[partKey]string
 }
 
 // fence is one live rebalance: partition group `from` is cut at
-// `barrier` in favour of a group of `nparts`.
+// `barrier` in favour of a group of `nparts`. It commits once every
+// key of the new shape holds an offer at or past the barrier.
 type fence struct {
 	from      int
 	nparts    int
 	barrier   uint64
 	committed bool
 }
+
+// cutPendingRefusal prefixes the refusal of an adopting hello on a
+// group shape a rebalance is cutting over to, while the old group's
+// snapshots have not all reached the barrier.
+const cutPendingRefusal = "rebalance cut pending: "
 
 // firstFrame is one row of the first-frame table: how the broker
 // answers a connection that opens with a given tag.
@@ -85,9 +87,8 @@ type firstFrame struct {
 	invalid string
 	// serve answers a one-shot control request (nil for subscribe and
 	// publish, which serveConn runs itself). It returns the reply, whose
-	// tag serveControl fills in, or nil when nothing is left to send: a
-	// fetch that hit has sent its snapshot, or an offer broke off.
-	serve func(s *Server, conn net.Conn, br *bufio.Reader, req frame) *frame
+	// tag serveControl fills in, or nil when an offer broke off.
+	serve func(s *Server, br *bufio.Reader, req frame) *frame
 }
 
 // firstFrames is the first-frame table: every tag a connection may open
@@ -97,9 +98,7 @@ var firstFrames = map[string]firstFrame{
 	frameHello:     {reply: frameWelcome},
 	framePHello:    {reply: framePWelcome},
 	frameSnapOffer: {reply: frameSnapOK, invalid: "invalid partition", serve: (*Server).ctlOffer},
-	frameSnapFetch: {reply: frameSnap, invalid: "invalid partition", serve: (*Server).ctlFetch},
 	frameRebPrep:   {reply: frameRebOK, serve: (*Server).ctlPrepare},
-	frameRebCommit: {reply: frameRebOK, serve: (*Server).ctlCommit},
 }
 
 // serveControl answers one one-shot control request and closes the
@@ -110,7 +109,7 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, req frame, row fi
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	rep := &frame{Err: row.invalid}
 	if row.invalid == "" || (req.Parts >= 1 && req.Part >= 0 && req.Part < req.Parts) {
-		rep = row.serve(s, conn, br, req)
+		rep = row.serve(s, br, req)
 	}
 	if rep != nil {
 		rep.T = row.reply
@@ -125,16 +124,15 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, req frame, row fi
 // A usable spool stores it first, outside mu (a large fsync must not
 // stall admission); a failed write is refused, so the worker won't ack.
 //
-// Two offers are refused (offerRefusalLocked), before the write and
-// again after it, since admission and commits go on meanwhile. One
-// names a session that is no longer its key's owner: a dead worker's
-// late offer must not overwrite the state its successor adopted. The
-// other is for a group shape a committed rebalance retired: nobody may
-// adopt it, and its file, removed if it was written, would pin the
-// spool's retention. A dead owner's file written while its successor
-// was admitted stays on disk until an offer passes it; it is a valid
-// state of the key, just not the one adopted.
-func (s *Server) ctlOffer(_ net.Conn, br *bufio.Reader, req frame) *frame {
+// An offer for a partitioned key is taken only from the session
+// admission last made the key's owner (offerRefusalLocked), checked
+// before the write and again after it, since admission and commits go
+// on meanwhile. A dead owner's file written while its successor was
+// admitted stays on disk until an offer passes it; it is a valid state
+// of the key, just not the one adopted. A file written while a commit
+// retired the key's shape goes with the rest of the shape's. The offer
+// that completes a pending rebalance's new shape commits it.
+func (s *Server) ctlOffer(br *bufio.Reader, req frame) *frame {
 	if req.Size > wire.MaxSnapshotSize {
 		return &frame{Err: "snapshot too large"}
 	}
@@ -146,7 +144,7 @@ func (s *Server) ctlOffer(_ net.Conn, br *bufio.Reader, req frame) *frame {
 		return &frame{Err: fmt.Sprintf("payload of %d bytes does not match announced size %d", len(payload), req.Size)}
 	}
 	s.mu.Lock()
-	why, _ := s.offerRefusalLocked(req)
+	why := s.offerRefusalLocked(req)
 	s.mu.Unlock()
 	if why != "" {
 		return &frame{Err: why}
@@ -158,13 +156,21 @@ func (s *Server) ctlOffer(_ net.Conn, br *bufio.Reader, req frame) *frame {
 	}
 	k := partKey{part: req.Part, parts: req.Parts}
 	s.mu.Lock()
-	why, retired := s.offerRefusalLocked(req)
-	if held, ok := s.ctl.snaps[k]; why == "" && (!ok || held.Seq <= req.Seq) {
-		s.ctl.snaps[k] = spool.Snapshot{Part: req.Part, Parts: req.Parts, Seq: req.Seq, Data: payload}
+	why = s.offerRefusalLocked(req)
+	_, owned := s.ctl.owners[k]
+	retired := 0
+	switch {
+	case why == "":
+		if held, ok := s.ctl.snaps[k]; !ok || held.Seq <= req.Seq {
+			s.ctl.snaps[k] = spool.Snapshot{Part: req.Part, Parts: req.Parts, Seq: req.Seq, Data: payload}
+		}
+		retired = s.commitLocked(req.Parts)
+	case !owned:
+		retired = req.Parts // the file just written, and its pin
 	}
 	s.mu.Unlock()
-	if retired {
-		s.dropSnapshots(req.Parts) // the file just written, and its pin
+	if retired > 0 {
+		s.dropSnapshots(retired)
 	}
 	if why != "" {
 		return &frame{Err: why}
@@ -173,25 +179,22 @@ func (s *Server) ctlOffer(_ net.Conn, br *bufio.Reader, req frame) *frame {
 }
 
 // offerRefusalLocked is the reason an offer is refused, "" if it is
-// not, and whether its group shape is retired: a committed rebalance
-// retired the shape, and no rebalance back to it is re-keying its
-// snapshots; or the offer names a session other than its key's owner.
-// The rebalance coordinator offers anonymously, as the cut itself.
-// Caller holds s.mu.
-func (s *Server) offerRefusalLocked(req frame) (why string, retired bool) {
-	if f := s.ctl.fences[req.Parts]; f != nil && f.committed {
-		back := false
-		for _, g := range s.ctl.fences {
-			back = back || (!g.committed && g.nparts == req.Parts)
-		}
-		if !back {
-			return fmt.Sprintf("partition group %d rebalanced to %d at barrier %d", f.from, f.nparts, f.barrier), true
-		}
+// not: an offer for a partitioned key must name the session admission
+// last made the key's owner. So a dead worker's late offer cannot
+// overwrite the state its successor adopted, and nobody offers for a
+// group shape a committed rebalance retired: its owners went with its
+// snapshots. Caller holds s.mu.
+func (s *Server) offerRefusalLocked(req frame) string {
+	if req.Parts < 2 {
+		return ""
 	}
-	if owner, ok := s.ctl.owners[partKey{part: req.Part, parts: req.Parts}]; ok && req.Session != "" && req.Session != owner {
-		return fmt.Sprintf("session %s does not own partition %d/%d", req.Session, req.Part, req.Parts), false
+	switch owner, ok := s.ctl.owners[partKey{part: req.Part, parts: req.Parts}]; {
+	case !ok:
+		return fmt.Sprintf("no session owns partition %d/%d (none was admitted, or a rebalance retired the group)", req.Part, req.Parts)
+	case req.Session != owner:
+		return fmt.Sprintf("session %q does not own partition %d/%d", req.Session, req.Part, req.Parts)
 	}
-	return "", false
+	return ""
 }
 
 // dropSnapshots forgets every snapshot and owner of group shape parts,
@@ -216,40 +219,29 @@ func (s *Server) dropSnapshots(parts int) {
 	}
 }
 
-// ctlFetch sends the held snapshot as a snap header plus raw payload
-// frame, or answers with a tagged miss.
-func (s *Server) ctlFetch(conn net.Conn, _ *bufio.Reader, req frame) *frame {
-	s.mu.Lock()
-	v, ok := s.ctl.snaps[partKey{part: req.Part, parts: req.Parts}]
-	s.mu.Unlock()
-	if !ok {
-		return &frame{Err: snapNone}
-	}
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	hdr := marshalControl(frame{T: frameSnap, Part: req.Part, Parts: req.Parts, Seq: v.Seq, Size: uint64(len(v.Data))})
-	if writeFrame(bw, hdr) == nil && writeFrame(bw, v.Data) == nil {
-		bw.Flush()
-	}
-	return nil
-}
-
 // ctlPrepare installs a fence on an old group shape and replies with
 // the chosen barrier. Idempotent: re-preparing the same K→K' returns
-// the already-chosen barrier, so a coordinator can retry across a
-// dropped connection; a conflicting K→K” is rejected until the first
-// rebalance's fence is superseded.
-func (s *Server) ctlPrepare(_ net.Conn, _ *bufio.Reader, req frame) *frame {
+// the already-chosen barrier, so a retry across a dropped connection is
+// safe; a conflicting K→K” is rejected until the first rebalance's
+// fence is superseded, and so is a second rebalance into a shape one
+// is already cutting over to. An empty feed has no barrier to cut at.
+func (s *Server) ctlPrepare(_ *bufio.Reader, req frame) *frame {
 	if req.Parts < 2 || req.NParts < 1 || req.Parts == req.NParts {
 		return &frame{Err: "invalid rebalance shape"}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, closing := s.log.seq(); closing {
-		return &frame{Err: "server closing"}
-	}
 	f := s.ctl.fences[req.Parts]
-	if f != nil && f.nparts != req.NParts {
+	g := s.pendingLocked(req.NParts)
+	switch seq, closing := s.log.seq(); {
+	case closing:
+		return &frame{Err: "server closing"}
+	case f != nil && f.nparts != req.NParts:
 		return &frame{Err: fmt.Sprintf("partition group %d already rebalancing to %d", req.Parts, f.nparts)}
+	case g != nil && g != f:
+		return &frame{Err: fmt.Sprintf("partition group %d already rebalancing to %d", g.from, g.nparts)}
+	case f == nil && seq == 0:
+		return &frame{Err: "the feed is empty: no barrier to cut at"}
 	}
 	if f == nil {
 		f = &fence{from: req.Parts, nparts: req.NParts, barrier: s.log.fence(req.Parts, req.NParts)}
@@ -259,28 +251,55 @@ func (s *Server) ctlPrepare(_ net.Conn, _ *bufio.Reader, req frame) *frame {
 	return &frame{Parts: req.Parts, NParts: req.NParts, Barrier: f.barrier}
 }
 
-// ctlCommit marks a prepared rebalance committed. The old shape's fence
-// stays (its sessions are retired for good) and its snapshots go, so
-// they no longer pin the spool; the commit lifts any stale fence keyed
-// by the *new* shape, so a chained rebalance back to a
-// previously-retired group size can admit subscribers again.
-func (s *Server) ctlCommit(_ net.Conn, _ *bufio.Reader, req frame) *frame {
-	s.mu.Lock()
-	f := s.ctl.fences[req.Parts]
-	switch {
-	case f == nil:
-		s.mu.Unlock()
-		return &frame{Err: fmt.Sprintf("no rebalance prepared for partition group %d", req.Parts)}
-	case f.nparts != req.NParts || f.barrier != req.Barrier:
-		s.mu.Unlock()
-		return &frame{Err: fmt.Sprintf("commit names %d@%d, prepared rebalance is %d@%d",
-			req.NParts, req.Barrier, f.nparts, f.barrier)}
+// pendingLocked returns the uncommitted rebalance into group shape
+// parts, nil if there is none. Caller holds s.mu.
+func (s *Server) pendingLocked(parts int) *fence {
+	for _, f := range s.ctl.fences {
+		if !f.committed && f.nparts == parts {
+			return f
+		}
+	}
+	return nil
+}
+
+// cutLocked returns the old group's snapshots at f's barrier, in
+// partition order, or the refusal naming how many are there yet.
+// Caller holds s.mu.
+func (s *Server) cutLocked(f *fence) ([]spool.Snapshot, string) {
+	cut := make([]spool.Snapshot, f.from)
+	at := 0
+	for p := range cut {
+		cut[p] = s.ctl.snaps[partKey{part: p, parts: f.from}]
+		if cut[p].Seq == f.barrier {
+			at++
+		}
+	}
+	if at < f.from {
+		return nil, fmt.Sprintf("%s%d of partition group %d's snapshots at barrier %d", cutPendingRefusal, at, f.from, f.barrier)
+	}
+	return cut, ""
+}
+
+// commitLocked commits the pending rebalance into group shape parts
+// once every key of the shape holds an offer at or past its barrier,
+// and returns the retired old shape, whose snapshots the caller drops
+// (0: nothing committed). The old shape's fence stays, so a stale
+// worker of it is never re-admitted past the barrier; a stale fence
+// keyed by the new shape goes, so its new owners are admitted for
+// good. Caller holds s.mu.
+func (s *Server) commitLocked(parts int) int {
+	f := s.pendingLocked(parts)
+	if f == nil {
+		return 0
+	}
+	for p := 0; p < parts; p++ {
+		if sn, ok := s.ctl.snaps[partKey{part: p, parts: parts}]; !ok || sn.Seq < f.barrier {
+			return 0
+		}
 	}
 	f.committed = true
-	delete(s.ctl.fences, req.NParts)
-	s.mu.Unlock()
-	s.dropSnapshots(req.Parts)
-	return &frame{Parts: req.Parts, NParts: req.NParts, Barrier: req.Barrier}
+	delete(s.ctl.fences, parts)
+	return f.from
 }
 
 // controlStatsLocked lists the held snapshots, sorted by (parts, part),
@@ -354,8 +373,7 @@ func handshake(conn net.Conn, req frame, body []byte, want string) (frame, *bufi
 // highest-sequence offer per (part, parts); offering below it is not
 // an error — the fresher snapshot simply stays. session names the
 // offering subscriber: on a partitioned key the broker refuses it
-// unless that session is the key's current owner. An empty session
-// offers anonymously, as the rebalance coordinator does.
+// unless that session is the key's current owner.
 func OfferSnapshot(addr, session string, part, parts int, seq uint64, data []byte) error {
 	if parts < 1 || part < 0 || part >= parts {
 		return fmt.Errorf("stream: invalid partition %d/%d", part, parts)
@@ -373,45 +391,12 @@ func OfferSnapshot(addr, session string, part, parts int, seq uint64, data []byt
 	return err
 }
 
-// FetchSnapshot retrieves the latest snapshot the broker holds for
-// partition part of parts: the stamped feed sequence and the
-// serialized detector.PipelineSnapshot payload. It returns an error
-// wrapping ErrNoSnapshot when the broker holds nothing for the key.
-func FetchSnapshot(addr string, part, parts int) (seq uint64, data []byte, err error) {
-	if parts < 1 || part < 0 || part >= parts {
-		return 0, nil, fmt.Errorf("stream: invalid partition %d/%d", part, parts)
-	}
-	conn, err := dialBroker(addr)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer conn.Close()
-	h, br, err := handshake(conn, frame{T: frameSnapFetch, V: ProtocolVersion, Part: part, Parts: parts}, nil, frameSnap)
-	switch {
-	case h.Err == snapNone:
-		return 0, nil, fmt.Errorf("%w (partition %d/%d)", ErrNoSnapshot, part, parts)
-	case err != nil:
-		return 0, nil, err
-	case h.Part != part || h.Parts != parts || h.Size > wire.MaxSnapshotSize:
-		return 0, nil, fmt.Errorf("stream: sfetch: header names partition %d/%d (%d bytes), asked %d/%d",
-			h.Part, h.Parts, h.Size, part, parts)
-	}
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	data, err = wire.ReadFrameLimit(br, nil, h.Size)
-	if err != nil {
-		return 0, nil, fmt.Errorf("stream: sfetch: %w", err)
-	}
-	if uint64(len(data)) != h.Size {
-		return 0, nil, fmt.Errorf("stream: sfetch: payload of %d bytes does not match announced %d", len(data), h.Size)
-	}
-	return h.Seq, data, nil
-}
-
 // PrepareRebalance asks the broker to fence partition group `from` for
 // a cutover to `to` workers and returns the barrier it chose: old
-// owners drain to the barrier and snapshot there; new owners subscribe
+// owners drain to the barrier and offer their snapshots there; new
+// owners adopt that cut in their handshake (DialAdopt) and subscribe
 // from barrier+1. Idempotent per (from, to) — a retry returns the same
-// barrier.
+// barrier. An empty feed is refused: it has no barrier to cut at.
 func PrepareRebalance(addr string, from, to int) (uint64, error) {
 	conn, err := dialBroker(addr)
 	if err != nil {
@@ -420,16 +405,4 @@ func PrepareRebalance(addr string, from, to int) (uint64, error) {
 	defer conn.Close()
 	rep, _, err := handshake(conn, frame{T: frameRebPrep, V: ProtocolVersion, Parts: from, NParts: to}, nil, frameRebOK)
 	return rep.Barrier, err
-}
-
-// CommitRebalance finalizes a prepared from→to rebalance at the
-// barrier PrepareRebalance returned, unfencing the new group shape.
-func CommitRebalance(addr string, from, to int, barrier uint64) error {
-	conn, err := dialBroker(addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	_, _, err = handshake(conn, frame{T: frameRebCommit, V: ProtocolVersion, Parts: from, NParts: to, Barrier: barrier}, nil, frameRebOK)
-	return err
 }

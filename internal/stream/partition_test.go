@@ -441,14 +441,14 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				c.Close()
 			}
 			for _, parts := range []int{2, 1} {
-				if err := OfferSnapshot(srv.Addr(), "", 0, parts, 7, []byte("state at 7")); err != nil {
+				if err := OfferSnapshot(srv.Addr(), owner(t, srv, 0, parts), 0, parts, 7, []byte("state at 7")); err != nil {
 					t.Fatal(err)
 				}
 				c, err := DialAdopt(srv.Addr(), 0, WithPartition(0, parts))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if seq, data := c.Adopted(); seq != 7 || string(data) != "state at 7" || c.LastSeq() != 7 {
+				if seq, data := c.Adopted(); seq != 7 || len(data) != 1 || string(data[0]) != "state at 7" || c.LastSeq() != 7 {
 					t.Fatalf("key 0/%d: adopted (%d, %q) at cursor %d, want (7, state at 7) at 7", parts, seq, data, c.LastSeq())
 				}
 				for c.LastSeq() < 10 {
@@ -483,7 +483,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c2.Close()
-			if seq, data := c2.Adopted(); seq != 4 || string(data) != "owner at 4" {
+			if seq, data := c2.Adopted(); seq != 4 || len(data) != 1 || string(data[0]) != "owner at 4" {
 				t.Fatalf("adopted (%d, %q), want the owner's (4, owner at 4)", seq, data)
 			}
 			// The first owner's late offer lands after its successor adopted.
@@ -493,14 +493,17 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 			if err := OfferSnapshot(srv.Addr(), c2.Session(), 0, 2, 5, []byte("successor at 5")); err != nil {
 				t.Fatalf("the successor's offer: %v", err)
 			}
-			if err := OfferSnapshot(srv.Addr(), "", 0, 2, 5, []byte("coordinator at 5")); err != nil {
-				t.Fatalf("an anonymous offer: %v", err)
+			if err := OfferSnapshot(srv.Addr(), "", 0, 2, 5, []byte("anonymous at 5")); err == nil || !strings.Contains(err.Error(), "does not own") {
+				t.Fatalf("an anonymous offer: err = %v, want a refusal", err)
+			}
+			if err := OfferSnapshot(srv.Addr(), c2.Session(), 0, 2, 5, []byte("successor again at 5")); err != nil {
+				t.Fatalf("the successor's re-offer: %v", err)
 			}
 			if err := OfferSnapshot(srv.Addr(), "anyone", 0, 1, 5, []byte("whole feed")); err != nil {
 				t.Fatalf("a whole-feed offer: %v", err)
 			}
-			if seq, data, err := FetchSnapshot(srv.Addr(), 0, 2); err != nil || seq != 5 || string(data) != "coordinator at 5" {
-				t.Fatalf("held (%d, %q, %v), want the equal-sequence re-offer at 5", seq, data, err)
+			if seq, data := held(srv, 0, 2); seq != 5 || string(data) != "successor again at 5" {
+				t.Fatalf("held (%d, %q), want the equal-sequence re-offer at 5", seq, data)
 			}
 		}},
 		{"a fence refusal of an adopting hello is no lost range", func(t *testing.T, srv *Server) {
@@ -542,7 +545,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
-			if err := OfferSnapshot(srv.Addr(), "", 1, 2, 5, []byte("state at 5")); err != nil {
+			if err := OfferSnapshot(srv.Addr(), owner(t, srv, 1, 2), 1, 2, 5, []byte("state at 5")); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := DialAdopt(srv.Addr(), 0, WithPartition(1, 2)); !errors.Is(err, ErrGap) || !strings.Contains(err.Error(), "held snapshot at seq 5") {
@@ -875,7 +878,8 @@ func TestPartitionedLingerExpiryEvicted(t *testing.T) {
 }
 
 // TestSnapshotOfferFetchRoundTrip exercises the rendezvous store end
-// to end: miss, offer, fetch, freshness rules, key isolation, stats.
+// to end: offers from the key's owner, freshness rules, key isolation,
+// stats.
 func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 	leakCheck(t)
 	s, err := NewServer("127.0.0.1:0")
@@ -885,46 +889,43 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 	defer s.Close()
 	addr := s.Addr()
 
-	if _, _, err := FetchSnapshot(addr, 1, 3); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("fetch before any offer: err = %v, want ErrNoSnapshot", err)
+	if seq, _ := held(s, 1, 3); seq != 0 {
+		t.Fatalf("held seq %d before any offer, want none", seq)
 	}
 
+	own := owner(t, s, 1, 3)
 	blob := []byte("\x00\x01snapshot payload \xff not JSON at all")
-	if err := OfferSnapshot(addr, "", 1, 3, 500, blob); err != nil {
+	if err := OfferSnapshot(addr, own, 1, 3, 500, blob); err != nil {
 		t.Fatalf("offer: %v", err)
 	}
-	seq, data, err := FetchSnapshot(addr, 1, 3)
-	if err != nil {
-		t.Fatalf("fetch: %v", err)
-	}
-	if seq != 500 || !bytes.Equal(data, blob) {
-		t.Fatalf("fetch = (%d, %q), want (500, original payload)", seq, data)
+	if seq, data := held(s, 1, 3); seq != 500 || !bytes.Equal(data, blob) {
+		t.Fatalf("held = (%d, %q), want (500, original payload)", seq, data)
 	}
 
 	// A stale offer must not regress the held snapshot.
-	if err := OfferSnapshot(addr, "", 1, 3, 400, []byte("older")); err != nil {
+	if err := OfferSnapshot(addr, own, 1, 3, 400, []byte("older")); err != nil {
 		t.Fatalf("stale offer: %v", err)
 	}
-	if seq, _, _ := FetchSnapshot(addr, 1, 3); seq != 500 {
+	if seq, _ := held(s, 1, 3); seq != 500 {
 		t.Fatalf("stale offer regressed the store to seq %d", seq)
 	}
 	// A fresher offer replaces it.
-	if err := OfferSnapshot(addr, "", 1, 3, 600, []byte("newer")); err != nil {
+	if err := OfferSnapshot(addr, own, 1, 3, 600, []byte("newer")); err != nil {
 		t.Fatalf("fresher offer: %v", err)
 	}
-	if seq, data, _ := FetchSnapshot(addr, 1, 3); seq != 600 || string(data) != "newer" {
-		t.Fatalf("fetch after fresher offer = (%d, %q)", seq, data)
+	if seq, data := held(s, 1, 3); seq != 600 || string(data) != "newer" {
+		t.Fatalf("held after fresher offer = (%d, %q)", seq, data)
 	}
 
 	// Keys are (part, parts): a 2-way snapshot is invisible to 3-way.
-	if err := OfferSnapshot(addr, "", 1, 2, 50, []byte("two-way")); err != nil {
+	if err := OfferSnapshot(addr, owner(t, s, 1, 2), 1, 2, 50, []byte("two-way")); err != nil {
 		t.Fatal(err)
 	}
-	if seq, data, _ := FetchSnapshot(addr, 1, 3); seq != 600 || string(data) != "newer" {
+	if seq, data := held(s, 1, 3); seq != 600 || string(data) != "newer" {
 		t.Fatalf("(1,2) offer bled into (1,3): (%d, %q)", seq, data)
 	}
-	if _, _, err := FetchSnapshot(addr, 0, 3); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("fetch of unoffered sibling partition: err = %v, want ErrNoSnapshot", err)
+	if seq, _ := held(s, 0, 3); seq != 0 {
+		t.Fatalf("unoffered sibling partition holds seq %d, want none", seq)
 	}
 
 	snaps := s.Stats().Snapshots
@@ -937,17 +938,15 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 	}
 
 	// Invalid partitions die before touching the network or the store.
-	if err := OfferSnapshot(addr, "", 3, 3, 1, nil); err == nil {
+	if err := OfferSnapshot(addr, own, 3, 3, 1, nil); err == nil {
 		t.Fatal("offer with part == parts accepted")
-	}
-	if _, _, err := FetchSnapshot(addr, -1, 3); err == nil {
-		t.Fatal("fetch with negative part accepted")
 	}
 }
 
 // TestSnapshotLargerThanFrameLimit: snapshot payloads ride the
 // header's declared size, not MaxFrameSize — a graph snapshot past
-// 16 MiB must transfer intact.
+// 16 MiB must transfer intact, in the offer and in the adopting
+// handshake.
 func TestSnapshotLargerThanFrameLimit(t *testing.T) {
 	leakCheck(t)
 	s, err := NewServer("127.0.0.1:0")
@@ -955,18 +954,25 @@ func TestSnapshotLargerThanFrameLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	for i := 0; i < 10; i++ {
+		s.BroadcastBatch([]osn.Event{testEvent(i)})
+	}
 	big := make([]byte, 17<<20)
 	for i := range big {
 		big[i] = byte(i * 2654435761)
 	}
-	if err := OfferSnapshot(s.Addr(), "", 0, 2, 9001, big); err != nil {
+	if err := OfferSnapshot(s.Addr(), owner(t, s, 0, 2), 0, 2, 9, big); err != nil {
 		t.Fatalf("offer: %v", err)
 	}
-	seq, data, err := FetchSnapshot(s.Addr(), 0, 2)
-	if err != nil {
-		t.Fatalf("fetch: %v", err)
+	if seq, data := held(s, 0, 2); seq != 9 || !bytes.Equal(data, big) {
+		t.Fatalf("large snapshot corrupted in the offer (seq %d, %d bytes)", seq, len(data))
 	}
-	if seq != 9001 || !bytes.Equal(data, big) {
-		t.Fatalf("large snapshot corrupted in transit (seq %d, %d bytes)", seq, len(data))
+	c, err := DialAdopt(s.Addr(), 0, WithPartition(0, 2))
+	if err != nil {
+		t.Fatalf("adopt: %v", err)
+	}
+	defer c.Close()
+	if seq, data := c.Adopted(); seq != 9 || len(data) != 1 || !bytes.Equal(data[0], big) {
+		t.Fatalf("large snapshot corrupted in the handshake (seq %d, %d payloads)", seq, len(data))
 	}
 }

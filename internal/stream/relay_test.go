@@ -579,15 +579,17 @@ func TestRelaySnapshotRendezvousAtEdge(t *testing.T) {
 	}
 	defer edge.Close()
 
-	if _, _, err := FetchSnapshot(edge.Addr(), 0, 2); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("fetch before any offer: err = %v, want ErrNoSnapshot", err)
+	if seq, _ := held(edge.Server(), 0, 2); seq != 0 {
+		t.Fatalf("edge holds seq %d before any offer, want none", seq)
 	}
-	if err := OfferSnapshot(edge.Addr(), "", 0, 2, 42, []byte("edge-held")); err != nil {
+	if err := OfferSnapshot(edge.Addr(), owner(t, edge.Server(), 0, 2), 0, 2, 42, []byte("edge-held")); err != nil {
 		t.Fatal(err)
 	}
-	seq, data, err := FetchSnapshot(edge.Addr(), 0, 2)
-	if err != nil || seq != 42 || string(data) != "edge-held" {
-		t.Fatalf("edge rendezvous returned (%d, %q, %v), want (42, edge-held, nil)", seq, data, err)
+	if seq, data := held(edge.Server(), 0, 2); seq != 42 || string(data) != "edge-held" {
+		t.Fatalf("edge rendezvous holds (%d, %q), want (42, edge-held)", seq, data)
+	}
+	if len(root.Stats().Snapshots) != 0 {
+		t.Fatalf("the edge's offer reached the root: %+v", root.Stats().Snapshots)
 	}
 	waitClients(t, root, 1) // the relay's upstream session
 	root.Close()

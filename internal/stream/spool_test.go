@@ -319,10 +319,10 @@ func TestSpooledSnapshotSurvivesRestart(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
-	if err := OfferSnapshot(srv.Addr(), "", 1, 2, 10, []byte("state at 10")); err != nil {
+	if err := OfferSnapshot(srv.Addr(), owner(t, srv, 1, 2), 1, 2, 10, []byte("state at 10")); err != nil {
 		t.Fatalf("offer: %v", err)
 	}
-	if err := OfferSnapshot(srv.Addr(), "", 0, 2, 11, []byte("ahead of the feed")); err == nil {
+	if err := OfferSnapshot(srv.Addr(), owner(t, srv, 0, 2), 0, 2, 11, []byte("ahead of the feed")); err == nil {
 		t.Fatal("offer past the spooled feed confirmed")
 	}
 	srv.Abort()
@@ -338,20 +338,21 @@ func TestSpooledSnapshotSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	seq, data, err := FetchSnapshot(srv.Addr(), 1, 2)
-	if err != nil || seq != 10 || string(data) != "state at 10" {
-		t.Fatalf("restarted broker holds (%d, %q, %v), want (10, state at 10, nil)", seq, data, err)
+	if seq, data := held(srv, 1, 2); seq != 10 || string(data) != "state at 10" {
+		t.Fatalf("restarted broker holds (%d, %q), want (10, state at 10)", seq, data)
 	}
-	if _, _, err := FetchSnapshot(srv.Addr(), 0, 2); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("refused offer survived the restart: err = %v", err)
+	if seq, _ := held(srv, 0, 2); seq != 0 {
+		t.Fatalf("refused offer survived the restart at seq %d", seq)
 	}
 }
 
-// TestCommittedRebalanceDropsRetiredSnapshots: once a K=2→3 cutover at
-// barrier B is committed, the retired shape's snapshots no longer pin
-// the spool's retention. Its offers are refused, the feed is pruned
-// past B+1 once the new owners have offered past it, and a broker
-// restarted on the directory holds only the three new keys.
+// TestCommittedRebalanceDropsRetiredSnapshots: once the new owners'
+// offers commit a K=2→3 cutover at barrier B, the retired shape's
+// snapshots no longer pin the spool's retention. Its offers are
+// refused, the feed is pruned past B+1 once the new owners have offered
+// past it, and a broker restarted on the directory holds only the three
+// new keys. Detached owner sessions linger briefly, so their acks do
+// not pin the spool instead.
 func TestCommittedRebalanceDropsRetiredSnapshots(t *testing.T) {
 	leakCheck(t)
 	dir := t.TempDir()
@@ -361,52 +362,38 @@ func TestCommittedRebalanceDropsRetiredSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewServer("127.0.0.1:0", WithSpool(sp), WithReplayBuffer(8))
+		srv, err := NewServer("127.0.0.1:0", WithSpool(sp), WithReplayBuffer(8), withSessionLinger(10*time.Millisecond))
 		if err != nil {
 			sp.Close()
 			t.Fatal(err)
 		}
 		return srv, sp
 	}
-	offer := func(addr string, part, parts int, seq uint64) error {
-		return OfferSnapshot(addr, "", part, parts, seq, []byte(fmt.Sprintf("%d/%d at %d", part, parts, seq)))
-	}
 	srv, sp := open()
 	for i := 0; i < 100; i++ {
 		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
+	olds := []string{owner(t, srv, 0, 2), owner(t, srv, 1, 2)}
 	barrier, err := PrepareRebalance(srv.Addr(), 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The old workers retire at the barrier and offer there; the
-	// coordinator offers the re-keyed set and commits.
-	for p := 0; p < 2; p++ {
-		if err := offer(srv.Addr(), p, 2, barrier); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for p := 0; p < 3; p++ {
-		if err := offer(srv.Addr(), p, 3, barrier); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := CommitRebalance(srv.Addr(), 2, 3, barrier); err != nil {
-		t.Fatal(err)
-	}
-	if err := offer(srv.Addr(), 0, 2, barrier); err == nil || !strings.Contains(err.Error(), "rebalanced") {
+	// The old workers retire at the barrier and offer there; the new
+	// ones adopt the cut and offer their share, which commits.
+	news := cutOver(t, srv, olds, 3, barrier)
+	if err := OfferSnapshot(srv.Addr(), olds[0], 0, 2, barrier, []byte("late")); err == nil || !strings.Contains(err.Error(), "no session owns") {
 		t.Fatalf("offer for the retired shape: err = %v, want a refusal", err)
 	}
-	if _, _, err := FetchSnapshot(srv.Addr(), 1, 2); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("retired key still held after the commit: err = %v", err)
+	if seq, _ := held(srv, 1, 2); seq != 0 {
+		t.Fatalf("retired key still held at seq %d after the commit", seq)
 	}
 	// The new owners offer past the barrier, and the feed runs on past
 	// the retention budget.
 	for i := 100; i < 1000; i++ {
 		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
-	for p := 0; p < 3; p++ {
-		if err := offer(srv.Addr(), p, 3, 1000); err != nil {
+	for p, sess := range news {
+		if err := OfferSnapshot(srv.Addr(), sess, p, 3, 1000, []byte("past the barrier")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -448,7 +435,7 @@ func TestSpooledSnapshotPinsRetention(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
-	if err := OfferSnapshot(srv.Addr(), "", 0, 2, 50, []byte("state at 50")); err != nil {
+	if err := OfferSnapshot(srv.Addr(), owner(t, srv, 0, 2), 0, 2, 50, []byte("state at 50")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 100; i < 2000; i++ {
@@ -457,8 +444,8 @@ func TestSpooledSnapshotPinsRetention(t *testing.T) {
 	if st := sp.Stats(); st.First > 51 || st.Bytes <= 4096 {
 		t.Fatalf("spool %+v: want the resume point 51 kept past the retention budget", st)
 	}
-	if seq, _, err := FetchSnapshot(srv.Addr(), 0, 2); err != nil || seq != 50 {
-		t.Fatalf("fetch = (%d, %v), want the held snapshot at 50", seq, err)
+	if seq, _ := held(srv, 0, 2); seq != 50 {
+		t.Fatalf("held seq %d, want the snapshot at 50", seq)
 	}
 	c, err := DialResume(srv.Addr(), NewSessionID(), 51, WithPartition(0, 2))
 	if err != nil {

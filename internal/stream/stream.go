@@ -37,13 +37,14 @@
 // subscriber holds the producer back, and ErrGap retreats to genuine
 // retention loss.
 //
-// Besides the feed, a broker answers four one-shot control exchanges
-// — snapshot offer and fetch, rebalance prepare and commit — that move
-// detector state between workers; each rides a short-lived connection
-// of its own (see control.go, OfferSnapshot and PrepareRebalance). A
-// partition key has one owner: admission refuses a second session on a
-// held key (ErrHeld), and hands an adopting subscriber the key's held
-// snapshot in the handshake (DialAdopt).
+// Besides the feed, a broker answers two one-shot control exchanges —
+// a snapshot offer and a rebalance prepare — each on a short-lived
+// connection of its own (see control.go, OfferSnapshot and
+// PrepareRebalance). A partition key has one owner: admission refuses a
+// second session on a held key (ErrHeld), and hands an adopting
+// subscriber the key's held snapshot in the handshake, or, on a shape a
+// live rebalance is cutting over to, the old group's snapshots at the
+// barrier (DialAdopt).
 //
 // The wire protocol — framing, the handshake, sequence/ack semantics
 // and the resume rules — is specified in docs/ARCHITECTURE.md.
@@ -301,7 +302,8 @@ type SessionStats struct {
 
 // RebalanceStats describes one rebalance the broker coordinated:
 // the old group shape, the new one, the sequence barrier the cutover
-// fenced at, and whether the coordinator committed it.
+// fenced at, and whether it committed: every key of the new shape
+// offered a snapshot at or past the barrier.
 type RebalanceStats struct {
 	From      int    // old partition group size
 	To        int    // new partition group size
@@ -520,18 +522,24 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 
-	r, gen, from, snap, reject := s.admit(hello, conn)
+	r, gen, from, snaps, reject := s.admit(hello, conn)
 	if reject != "" {
 		refuse(reply, reject)
 		return
 	}
-	// An adopted snapshot's payload follows the welcome as one raw frame,
+	// Adopted snapshots' payloads follow the welcome as raw frames,
 	// under the handshake deadline, before the writer owns the socket.
+	welcome := frame{T: frameWelcome, V: ProtocolVersion, From: from, Adopt: hello.Adopt,
+		Hop: int(s.hop.Load()), Window: s.log.window(), Snaps: len(snaps)}
+	for _, sn := range snaps {
+		welcome.Seq, welcome.Size = sn.Seq, welcome.Size+uint64(len(sn.Data))
+	}
 	conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
-	err = writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: from, Adopt: hello.Adopt,
-		Hop: int(s.hop.Load()), Window: s.log.window(), Seq: snap.Seq, Size: uint64(len(snap.Data))})
-	if err == nil && snap.Seq > 0 {
-		err = writeFrame(conn, snap.Data)
+	err = writeControl(conn, welcome)
+	for _, sn := range snaps {
+		if err == nil {
+			err = writeFrame(conn, sn.Data)
+		}
 	}
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {
@@ -560,34 +568,49 @@ func (s *Server) serveConn(conn net.Conn) {
 // refuses a key another connected session holds. An adopting hello
 // resumes from its key's held snapshot (the whole feed's key is 0/1),
 // which admit returns for the welcome; with none held, the hello's own
-// resume applies. A fence on the group shape admits only a resume
-// below its barrier, as a fenced session. An admitted session becomes
+// resume applies. On a group shape a pending rebalance is cutting over
+// to, an adopting hello whose key holds nothing at or past the barrier
+// is handed the old group's cut instead and resumes after the barrier,
+// or is refused (cutPendingRefusal) until every old snapshot is there.
+// A fence on the hello's own group shape admits only a resume below its
+// barrier, as a fenced session, unless the shape is being cut over to
+// again and the resume is past that cut. An admitted session becomes
 // its partitioned key's owner, whose offers alone the key then takes.
-// admit returns the reader, the connection generation and the first
-// sequence the writer will send, or a rejection reason.
-func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uint64, snap spool.Snapshot, reject string) {
+// admit returns the reader, the connection generation, the first
+// sequence the writer will send and the adopted snapshots, or a
+// rejection reason.
+func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uint64, snaps []spool.Snapshot, reject string) {
 	// Normalize the partition request: a group of one is the full
 	// feed, served on the cheaper contiguous path.
 	if hello.Parts == 1 {
 		hello.Part, hello.Parts = 0, 0
 	}
 	if hello.Parts < 0 || hello.Part < 0 || (hello.Parts > 0 && hello.Part >= hello.Parts) {
-		return nil, 0, 0, snap, "invalid partition"
+		return nil, 0, 0, nil, "invalid partition"
 	}
 	want := &reader{id: hello.Session, part: hello.Part, parts: hello.Parts, relay: hello.Relay}
 	resume := hello.Resume
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if held, ok := s.ctl.snaps[partKey{part: hello.Part, parts: max(hello.Parts, 1)}]; hello.Adopt && ok && held.Seq > 0 {
-		snap, resume = held, held.Seq+1
+	held, ok := s.ctl.snaps[partKey{part: hello.Part, parts: max(hello.Parts, 1)}]
+	cut := s.pendingLocked(max(hello.Parts, 1))
+	switch {
+	case !hello.Adopt:
+	case cut != nil && held.Seq < cut.barrier:
+		if snaps, reject = s.cutLocked(cut); reject != "" {
+			return nil, 0, 0, nil, reject
+		}
+		resume = cut.barrier + 1
+	case ok && held.Seq > 0:
+		snaps, resume = []spool.Snapshot{held}, held.Seq+1
 	}
-	if f := s.ctl.fences[hello.Parts]; f != nil {
+	if f := s.ctl.fences[hello.Parts]; f != nil && (cut == nil || resume <= cut.barrier) {
 		// The group shape was rebalanced away. A fresh join would
 		// double-judge post-barrier events against the new owners; a
 		// resume may only drain what it is owed below the barrier, then
 		// gets the rebal hand-off like everyone else.
 		if resume == 0 || resume > f.barrier+1 {
-			return nil, 0, 0, snap, fmt.Sprintf("partition group %d rebalanced to %d at barrier %d", f.from, f.nparts, f.barrier)
+			return nil, 0, 0, nil, fmt.Sprintf("partition group %d rebalanced to %d at barrier %d", f.from, f.nparts, f.barrier)
 		}
 		want.fencedAt, want.fenceNew = f.barrier, f.nparts
 	}
@@ -595,10 +618,10 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uin
 	switch {
 	case reject == "" && hello.Parts >= 2:
 		s.ctl.owners[partKey{part: hello.Part, parts: hello.Parts}] = hello.Session
-	case reject != "" && snap.Seq > 0 && reject != errClosing.Error() && reject != errHeld.Error():
-		reject = fmt.Sprintf("%s%d: %s", heldSnapshotRefusal, snap.Seq, reject)
+	case reject != "" && len(snaps) > 0 && reject != errClosing.Error() && reject != errHeld.Error():
+		reject = fmt.Sprintf("%s%d: %s", heldSnapshotRefusal, snaps[0].Seq, reject)
 	}
-	return r, gen, from, snap, reject
+	return r, gen, from, snaps, reject
 }
 
 // sessionWriter is one session's socket writer: the log's fill for its

@@ -38,26 +38,18 @@ const (
 	framePAck     = "pack"
 	framePEOF     = "peof"
 
-	// Snapshot sub-protocol (partition state through the broker).
+	// Snapshot offers (partition state kept at the broker).
 	frameSnapOffer = "soffer"
-	frameSnapFetch = "sfetch"
 	frameSnapOK    = "sok"
-	frameSnap      = "snap"
 
 	// Rebalance sub-protocol (live K→K' cutover; see control.go).
 	// rebal is the in-stream cutover announcement sent to fenced
-	// partition subscribers; the rest are control frames on their own
-	// short-lived connections.
-	frameRebal     = "rebal"
-	frameRebPrep   = "rprepare"
-	frameRebCommit = "rcommit"
-	frameRebOK     = "rok"
+	// partition subscribers; rprepare and its rok reply ride a
+	// short-lived connection of their own.
+	frameRebal   = "rebal"
+	frameRebPrep = "rprepare"
+	frameRebOK   = "rok"
 )
-
-// snapNone is the well-known error a snapshot fetch gets when the
-// broker holds nothing for the partition; the client maps it to
-// ErrNoSnapshot.
-const snapNone = "none"
 
 // frame is the JSON form of every control frame.
 type frame struct {
@@ -71,14 +63,16 @@ type frame struct {
 	Seq     uint64 `json:"seq,omitempty"`
 
 	// Partitioned-subscription and snapshot sub-protocol fields.
-	Part  int    `json:"part,omitempty"`  // partition index (hello/soffer/sfetch/snap)
+	Part  int    `json:"part,omitempty"`  // partition index (hello/soffer)
 	Parts int    `json:"parts,omitempty"` // partition group size; 0 = full feed
-	Size  uint64 `json:"size,omitempty"`  // snapshot payload bytes (soffer/snap/welcome)
+	Size  uint64 `json:"size,omitempty"`  // snapshot payload bytes (soffer; welcome: all payloads together)
 	// Adopt (hello) asks admission for the key's held snapshot: the
 	// welcome echoes it, so a broker that predates adoption is told
-	// apart from one that holds nothing, and carries the snapshot's seq
-	// and size; its payload follows as one raw frame.
+	// apart from one that holds nothing, and carries the snapshots'
+	// seq, total size and count (Snaps); their payloads follow as raw
+	// frames, one per snapshot: the key's own, or a rebalance cut's K.
 	Adopt bool `json:"adopt,omitempty"`
+	Snaps int  `json:"snaps,omitempty"`
 
 	// Publish sub-protocol fields.
 	Producer  string `json:"producer,omitempty"`  // producer id (phello)
@@ -88,8 +82,8 @@ type frame struct {
 	Count     uint64 `json:"count,omitempty"`     // events durably sequenced from this producer (pwelcome)
 
 	// Rebalance sub-protocol fields.
-	Barrier uint64 `json:"barrier,omitempty"` // cutover barrier sequence (rprepare reply, rcommit, rebal)
-	NParts  int    `json:"nparts,omitempty"`  // new partition group size (rprepare, rcommit, rebal)
+	Barrier uint64 `json:"barrier,omitempty"` // cutover barrier sequence (rprepare reply, rebal)
+	NParts  int    `json:"nparts,omitempty"`  // new partition group size (rprepare, rebal)
 
 	// Relay-tier handshake fields (relay.go).
 	Relay bool `json:"relay,omitempty"` // hello: this subscriber is an interior relay hop
