@@ -42,7 +42,9 @@ alloc-budget:
 # runs the same campaign through two `-partition i/2 -handoff` daemons,
 # then `detectd -rebalance 2/3` once the producer is done, then three
 # `-partition j/3 -handoff` daemons. Gated on exact values again: both
-# old daemons retire at a barrier B equal to the leg's sent count, each
+# old daemons retire at a barrier B equal to the leg's sent count, which
+# counts the cutover record the prepare appends as the feed's last
+# sequence (the campaign's events plus one), each
 # new one adopts the cut and resumes at B+1, the new daemons' flagged
 # counts sum to the first leg's FLAG lines, and the broker evicts no
 # session. Mirrors ci.yml's "daemon smoke" step.

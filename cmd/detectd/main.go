@@ -28,13 +28,15 @@
 //     so K daemons flag exactly what one whole-feed daemon would. A
 //     broker snapshot stamped for another partition refuses the start.
 //   - -rebalance K/K' prepares a live rebalance instead and exits: the
-//     broker fences the K-way group at a barrier B, which it prints.
-//     The old daemons retire at B, each offering its snapshot there; K'
-//     daemons started with -partition i/K' -handoff (before or after
-//     that) wait for the K snapshots, adopt them in the subscribe
-//     handshake, re-key them into their own partition and resume from
-//     B+1. The broker commits the rebalance once every new daemon has
-//     offered its state.
+//     root broker sequences a cutover record at a barrier B, which it
+//     prints. The old daemons judge through the record and retire at B,
+//     each offering its snapshot there; K' daemons started with
+//     -partition i/K' -handoff (before or after that) wait for the K
+//     snapshots, adopt them in the subscribe handshake, re-key them
+//     into their own partition and resume from B+1. The broker commits
+//     the rebalance once every new daemon has offered its state. A
+//     daemon of the old shape started after the cut, with no state
+//     below B, has nothing to judge: it says so and exits 0.
 //   - A partition has one judge: the broker admits one daemon per
 //     -partition key. A second daemon with the same flags waits while
 //     the key is held (a spare; a signal then just exits) and takes the
@@ -148,6 +150,11 @@ func main() {
 
 	for {
 		w, err := cluster.Start(cfg)
+		var reb *stream.RebalancedError
+		if errors.As(err, &reb) {
+			fmt.Printf("%s: %v; nothing to judge\n", slice, reb)
+			return
+		}
 		if err != nil {
 			log.Fatal(err)
 		}

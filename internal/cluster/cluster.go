@@ -26,13 +26,17 @@
 //     A second worker with the same Config is therefore a spare that
 //     takes over, with the dead owner's freshest offer, when the owner's
 //     connection goes.
-//   - On a group shape a live rebalance (stream.PrepareRebalance) is
-//     cutting over to, the handshake hands a key with no state of its
+//   - A live rebalance (stream.PrepareRebalance) is a cutover record in
+//     the feed, at the barrier. A worker of the group shape it retires
+//     judges through the record and retires there (below). On the shape
+//     it cuts over to, the handshake hands a key with no state of its
 //     own past the barrier the old K-way group's K snapshots at the
 //     barrier instead; Start waits until all K are there. It re-keys
 //     them (detector.RebalanceSnapshots), keeps its own partition,
 //     resumes from barrier+1 and offers at once: the broker commits the
-//     rebalance once every new key has.
+//     rebalance once every new key has. A worker of the retired shape
+//     that would not reach the record has nothing to judge: Start
+//     returns stream.ErrRebalanced at once.
 //   - After each ingested batch an interval and a lag trigger may fire
 //     a save: with Handoff, an offer to the broker, after which (and
 //     only after the broker confirmed it) the feed is acked. The
@@ -44,8 +48,10 @@
 //     refused because another worker now holds the key (stream.ErrHeld)
 //     ends the worker: that worker adopted its state.
 //   - Stop and a live-rebalance retirement end with a final save.
-//     Retirement always offers: the new workers adopt that cut. Kill is
-//     a crash: nothing is saved.
+//     Retirement always offers, naming the new shape: the new workers
+//     adopt that cut, and a broker that forgot the cutover (a restarted
+//     root) or never saw it prepared (a relay edge) learns it from the
+//     offer. Kill is a crash: nothing is saved.
 package cluster
 
 import (
@@ -128,7 +134,7 @@ type Worker struct {
 	lag          atomic.Uint64 // the lag trigger set at the last connect (0: off)
 	firstApplied atomic.Uint64 // lowest global sequence ingested (0: none yet)
 
-	// Live-rebalance retirement; set by the loop before done closes.
+	// Live-rebalance retirement; set by drain at the cutover record.
 	rebalanced bool
 	rebBarrier uint64
 	rebNew     int
@@ -149,8 +155,10 @@ const heldPoll = 50 * time.Millisecond
 // background goroutine. While another worker's session holds the key,
 // or the cut is not complete, Start waits, redialing every heldPoll; it
 // returns once the worker is admitted (having offered the re-keyed
-// state), or with an error once the broker stops answering (Retries
-// consecutive failed dials).
+// state), with an error wrapping stream.ErrRebalanced at once when a
+// rebalance retired the key's shape before the worker's resume point,
+// or with an error once the broker stops answering (Retries consecutive
+// failed dials).
 func Start(cfg Config) (*Worker, error) {
 	if cfg.Parts < 0 || cfg.Part < 0 || cfg.Part >= max(cfg.Parts, 1) {
 		return nil, fmt.Errorf("cluster: invalid partition %d/%d", cfg.Part, cfg.Parts)
@@ -264,10 +272,11 @@ func rekey(part, parts int, seq uint64, cut [][]byte) (*detector.PipelineSnapsho
 // connect dials the subscription at w.resume — with adopt, adopting
 // the key's held snapshot instead — retrying up to Retries consecutive
 // failed dials with backoff. A refused resume (ErrGap) is final: the
-// feed no longer holds the events the state needs. So is a key held by
-// another worker, once this one was admitted: that worker adopted its
-// state. Before that, a held key and an incomplete rebalance cut are
-// waited out.
+// feed no longer holds the events the state needs. So is a rebalance's
+// fence (ErrRebalanced): the shape's new owners judge from there. So is
+// a key held by another worker, once this one was admitted: that worker
+// adopted its state. Before that, a held key and an incomplete
+// rebalance cut are waited out.
 func (w *Worker) connect(adopt bool) (*stream.Client, error) {
 	opts := []stream.DialOption{stream.WithPartition(w.cfg.Part, w.cfg.Parts)}
 	backoff := 50 * time.Millisecond
@@ -297,7 +306,7 @@ func (w *Worker) connect(adopt bool) (*stream.Client, error) {
 		case errors.Is(err, stream.ErrHeld):
 			return nil, fmt.Errorf("cluster: partition %d/%d is owned by another worker, which adopted its state: %w",
 				w.cfg.Part, max(w.cfg.Parts, 1), err)
-		case errors.Is(err, stream.ErrGap) && adopt:
+		case errors.Is(err, stream.ErrRebalanced), errors.Is(err, stream.ErrGap) && adopt:
 			return nil, err
 		case errors.Is(err, stream.ErrGap):
 			return nil, fmt.Errorf("cluster: the feed cannot serve seq %d (history pruned or not spooled; a restart adopts a resumable snapshot or starts cold): %w", w.resume, err)
@@ -332,17 +341,11 @@ func (w *Worker) loop(c *stream.Client) {
 		switch {
 		case w.killed.Load():
 			w.err = err
-		case errors.Is(err, stream.ErrRebalanced):
-			// The broker retired this group shape in a live rebalance,
-			// having served everything owed through the barrier. Pin the
-			// pipeline there (the tail may have been all foreign) and save
-			// the cut the new workers adopt.
-			barrier, nparts, _ := c.Rebalanced()
-			if barrier > w.p.Seq() {
-				w.p.Ingest(detector.Batch{LastSeq: barrier})
-			}
+		case w.rebalanced:
+			// The pipeline ends at the record: save the cut the new
+			// workers adopt, and ack nothing past it on the way out.
 			w.save(c, true)
-			w.rebalanced, w.rebBarrier, w.rebNew = true, barrier, nparts
+			c.SetManualAck(true)
 		case errors.Is(err, stream.ErrBadFrame):
 			// The feed sent a frame this build cannot decode; a resume
 			// would only replay it.
@@ -386,10 +389,13 @@ func (w *Worker) loop(c *stream.Client) {
 }
 
 // drain applies batches from c until a receive fails, saving whenever
-// a trigger fires. With Handoff a batch may be empty: a partitioned
-// feed's cursor advance past a foreign run, which pins the pipeline
-// and runs the triggers like any batch, so a foreign run longer than
-// the broker's tail is offered and acked.
+// a trigger fires, or until it applies the cutover record that retires
+// the worker's group shape, when it returns nil: the pipeline then ends
+// at the record's sequence, the barrier, and nothing past it is
+// applied. With Handoff a batch may be empty: a partitioned feed's
+// cursor advance past a foreign run, which pins the pipeline and runs
+// the triggers like any batch, so a foreign run longer than the
+// broker's tail is offered and acked.
 func (w *Worker) drain(c *stream.Client) error {
 	for {
 		evs, err := c.RecvBatch()
@@ -417,15 +423,23 @@ func (w *Worker) drain(c *stream.Client) error {
 		if drop < n && w.firstApplied.Load() == 0 {
 			w.firstApplied.Store(seqAt(drop))
 		}
-		for i := drop; w.cfg.audit && i < n; i++ {
-			if osn.Partition(evs[i].Actor, w.cfg.Parts) == w.cfg.Part {
+		for i := drop; i < n; i++ {
+			ev := evs[i]
+			if w.cfg.audit && osn.Partition(ev.Actor, w.cfg.Parts) == w.cfg.Part {
 				w.ownedSeqs = append(w.ownedSeqs, seqAt(i))
 			}
+			if ev.Type == osn.EvCutover && int(ev.Actor) == w.cfg.Parts {
+				w.rebalanced, w.rebBarrier, w.rebNew = true, seqAt(i), int(ev.Target)
+				n, last = i+1, w.rebBarrier // the batch ends at the record
+			}
 		}
-		w.p.Ingest(detector.Batch{Events: evs[drop:], LastSeq: last})
+		w.p.Ingest(detector.Batch{Events: evs[drop:n], LastSeq: last})
 		w.stats.Events += n - drop
 		if n > 0 {
 			w.stats.Batches++
+		}
+		if w.rebalanced {
+			return nil
 		}
 		lag := w.lag.Load()
 		if w.cfg.Handoff && (lag > 0 && last-w.durable() >= lag && last-w.lastSaveSeq >= lag/2 ||
@@ -456,7 +470,8 @@ func offerLag(window int) int {
 // at: its newest confirmed offer, or the snapshot it adopted.
 func (w *Worker) durable() uint64 { return max(w.offered.Load(), w.handoffSeq) }
 
-// save cuts a snapshot and, when offer is set, offers it to the broker;
+// save cuts a snapshot and, when offer is set, offers it to the broker
+// (after retirement, as the retirement offer naming the new shape);
 // once the broker confirms it, the feed is acked through it on c (when
 // c is non-nil). A failure is not fatal: the broker's previous offer
 // (or the spool) keeps recovery possible. Kill is a crash: once it has
@@ -470,7 +485,7 @@ func (w *Worker) save(c *stream.Client, offer bool) {
 	// A failed offer is not logged: a broker that is down refuses the
 	// save before the resume. Stats counts the successes.
 	data, err := json.Marshal(snap)
-	if err == nil && !w.killed.Load() && stream.OfferSnapshot(w.cfg.Addr, w.session, w.cfg.Part, max(w.cfg.Parts, 1), snap.Seq, data) == nil {
+	if err == nil && !w.killed.Load() && stream.OfferSnapshot(w.cfg.Addr, w.session, w.cfg.Part, max(w.cfg.Parts, 1), w.rebNew, snap.Seq, data) == nil {
 		w.offered.Store(snap.Seq)
 		w.stats.Offers++
 		if c != nil {

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -12,8 +13,9 @@ import (
 )
 
 // TestLiveRebalanceFlagEquality: a K-way detection cluster is resized
-// to K' mid-campaign, under load: the broker fences the old group at a
-// barrier and the new workers adopt its cut and re-key it themselves —
+// to K' mid-campaign, under load: the broker sequences a cutover record
+// at a barrier, the old group judges through it and retires there, and
+// the new workers adopt its cut and re-key it themselves —
 // and afterwards one of the new workers is killed and taken over by a
 // second worker started for its key, which waited while the key was
 // held. Three properties must hold at the end:
@@ -21,8 +23,8 @@ import (
 //   - The new generation's union flag set is identical to a single
 //     uninterrupted unpartitioned run over the same feed.
 //   - No event is ever judged by two owners: the per-event owner audit
-//     (WithAudit) across both generations covers every sequence
-//     1..len(events) exactly once.
+//     (WithAudit) across both generations covers every sequence of the
+//     feed, the record's included, exactly once.
 //   - The takeover replays nothing at or below the snapshot cut it
 //     adopted.
 func TestLiveRebalanceFlagEquality(t *testing.T) {
@@ -67,8 +69,8 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 				t.Fatalf("rebalance %d -> %d: %v", shape.from, shape.to, err)
 			}
 			<-fed
-			if barrier < uint64(leg1) || barrier > uint64(leg2) {
-				t.Fatalf("barrier %d outside the broadcast window [%d, %d]", barrier, leg1, leg2)
+			if barrier <= uint64(leg1) || barrier > uint64(leg2)+1 {
+				t.Fatalf("barrier %d outside the broadcast window (%d, %d]: the record follows at least the first leg", barrier, leg1, leg2+1)
 			}
 
 			// The old generation retires cleanly, every worker cut at
@@ -139,8 +141,9 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 			// Union flag equality: the new generation (whose snapshots
 			// inherited the old generation's verdicts through the
 			// re-keying) must flag exactly what the uninterrupted single
-			// run flagged, each account in its owner partition only.
-			checkUnion(t, newGen, uint64(len(events)), want)
+			// run flagged, each account in its owner partition only. The
+			// feed is the events and the record.
+			checkUnion(t, newGen, uint64(len(events))+1, want)
 			if first := promoted.FirstApplied(); first != 0 && first <= promoted.HandoffSeq() {
 				t.Fatalf("second worker replayed seq %d at or below its snapshot cut %d",
 					first, promoted.HandoffSeq())
@@ -166,7 +169,7 @@ func TestLiveRebalanceFlagEquality(t *testing.T) {
 					judged[s]++
 				}
 			}
-			for s := uint64(1); s <= uint64(len(events)); s++ {
+			for s := uint64(1); s <= uint64(len(events))+1; s++ {
 				if judged[s] != 1 {
 					t.Fatalf("seq %d judged by %d owners, want exactly 1", s, judged[s])
 				}
@@ -212,8 +215,8 @@ func TestLiveRebalanceEarlyStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if barrier != uint64(half) {
-		t.Fatalf("barrier %d, want the head %d", barrier, half)
+	if barrier != uint64(half)+1 {
+		t.Fatalf("barrier %d, want the record right after the head %d", barrier, half)
 	}
 	newGen := make([]<-chan started, to)
 	for p := range newGen {
@@ -230,8 +233,8 @@ func TestLiveRebalanceEarlyStart(t *testing.T) {
 		}
 	}
 
-	// The victim's replacement adopts its last offer, drains to the
-	// barrier as a fenced session and retires there, completing the cut.
+	// The victim's replacement adopts its last offer, judges through the
+	// record and retires there, completing the cut.
 	repl, err := cluster.Start(workerCfg(1, from))
 	if err != nil {
 		t.Fatalf("replacement 1/%d: %v", from, err)
@@ -263,7 +266,7 @@ func TestLiveRebalanceEarlyStart(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatalf("broker close: %v", err)
 	}
-	checkUnion(t, workers, uint64(len(events)), want)
+	checkUnion(t, workers, uint64(len(events))+1, want)
 
 	judged := make(map[uint64]int, len(events))
 	for _, w := range append([]*cluster.Worker{oldGen[0], repl}, workers...) {
@@ -276,10 +279,210 @@ func TestLiveRebalanceEarlyStart(t *testing.T) {
 			judged[s]++
 		}
 	}
-	for s := uint64(1); s <= uint64(len(events)); s++ {
+	for s := uint64(1); s <= uint64(len(events))+1; s++ {
 		if judged[s] != 1 {
 			t.Fatalf("seq %d judged by %d owners, want exactly 1", s, judged[s])
 		}
+	}
+}
+
+// TestRebalanceSurvivesRootRestart: a K=2→3 cutover on a spooled root
+// survives the root's restart between the prepare and the start of the
+// new workers. The old workers are killed after an offer below the
+// barrier, the prepare runs, and the root is aborted and reopened on
+// the same spool and address: it has forgotten the fence, but the
+// cutover record is durable in its spool. The restarted old workers
+// adopt their snapshots, replay to the record and retire at B, and
+// their retirement offers hand the root the cut back; new workers
+// started after that adopt it (HandoffSeq == B, ResumedFrom == B+1).
+// The union of flags equals the single run's, and each sequence of the
+// feed is judged exactly once.
+func TestRebalanceSurvivesRootRestart(t *testing.T) {
+	events, rule := campaignFeed()
+	want := singleRunFlags(t, events, rule)
+	const from, to = 2, 3
+	dir := t.TempDir()
+	open := func(addr string) (*stream.Server, *spool.Spool) {
+		t.Helper()
+		sp, err := spool.Open(dir, spool.WithSegmentBytes(1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := stream.NewServer(addr, stream.WithReplayBuffer(4096), stream.WithSpool(sp))
+		if err != nil {
+			sp.Close()
+			t.Fatal(err)
+		}
+		return srv, sp
+	}
+	srv, sp := open("127.0.0.1:0")
+	addr := srv.Addr()
+	workerCfg := func(part, parts int) cluster.Config {
+		return cluster.WithAudit(workerConfig(addr, part, parts, rule))
+	}
+	killed := make([]*cluster.Worker, from)
+	for p := range killed {
+		w, err := cluster.Start(workerCfg(p, from))
+		if err != nil {
+			t.Fatalf("start worker %d/%d: %v", p, from, err)
+		}
+		killed[p] = w
+	}
+	half := len(events) / 2
+	for _, ev := range events[:half] {
+		srv.BroadcastBatch([]osn.Event{ev})
+	}
+	for p, w := range killed {
+		waitOffered(t, w, 0)
+		w.Kill()
+		if err := w.Wait(); err == nil {
+			t.Fatalf("killed worker %d/%d reported a clean end of feed", p, from)
+		}
+	}
+	barrier, err := stream.PrepareRebalance(addr, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Abort()
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, sp = open(addr)
+	defer sp.Close()
+	defer srv.Close()
+
+	olds := make([]*cluster.Worker, from)
+	for p := range olds {
+		w, err := cluster.Start(workerCfg(p, from))
+		if err != nil {
+			t.Fatalf("restart worker %d/%d: %v", p, from, err)
+		}
+		if w.HandoffSeq() == 0 || w.HandoffSeq() >= barrier {
+			t.Fatalf("restarted worker %d/%d adopted seq %d, want its offer below the barrier %d", p, from, w.HandoffSeq(), barrier)
+		}
+		olds[p] = w
+	}
+	for p, w := range olds {
+		done := make(chan error, 1)
+		go func() { done <- w.Wait() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("restarted worker %d/%d: %v", p, from, err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("restarted worker %d/%d never retired: the root forgot the cutover", p, from)
+		}
+		if b, n, ok := w.Rebalanced(); !ok || b != barrier || n != to || w.Pipeline().Seq() != barrier {
+			t.Fatalf("restarted worker %d/%d retired with (%d, %d, %v) at seq %d, want (%d, %d, true) at the barrier",
+				p, from, b, n, ok, w.Pipeline().Seq(), barrier, to)
+		}
+	}
+	news := make([]*cluster.Worker, to)
+	for p := range news {
+		w, err := cluster.Start(workerCfg(p, to))
+		if err != nil {
+			t.Fatalf("start new worker %d/%d: %v", p, to, err)
+		}
+		if w.HandoffSeq() != barrier || w.ResumedFrom() != barrier+1 {
+			t.Fatalf("new worker %d/%d adopted seq %d resuming %d, want %d resuming %d",
+				p, to, w.HandoffSeq(), w.ResumedFrom(), barrier, barrier+1)
+		}
+		news[p] = w
+	}
+	for _, ev := range events[half:] {
+		srv.BroadcastBatch([]osn.Event{ev})
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("broker close: %v", err)
+	}
+	checkUnion(t, news, uint64(len(events))+1, want)
+
+	judged := make(map[uint64]int, len(events))
+	for p, w := range killed {
+		for _, s := range w.OwnedSeqs() {
+			if s <= olds[p].HandoffSeq() {
+				judged[s]++
+			}
+		}
+	}
+	for _, w := range append(olds, news...) {
+		for _, s := range w.OwnedSeqs() {
+			judged[s]++
+		}
+	}
+	for s := uint64(1); s <= uint64(len(events))+1; s++ {
+		if judged[s] != 1 {
+			t.Fatalf("seq %d judged by %d owners, want exactly 1", s, judged[s])
+		}
+	}
+}
+
+// TestRetiredShapeSpareEndsAtOnce: a worker of a shape a rebalance
+// retired, which would not reach the cutover record, has nothing to
+// judge, and Start says so at once (ErrRebalanced naming the cutover)
+// instead of redialing through its retries: a spare whose adopted
+// snapshot sits at the barrier, and one that dials after the commit,
+// when the retired shape holds no snapshot at all.
+func TestRetiredShapeSpareEndsAtOnce(t *testing.T) {
+	events, rule := campaignFeed()
+	const from, to = 2, 3
+	srv := clusterServer(t)
+	workerCfg := func(part, parts int) cluster.Config {
+		cfg := workerConfig(srv.Addr(), part, parts, rule)
+		cfg.Retries = 10
+		return cfg
+	}
+	olds := make([]*cluster.Worker, from)
+	for p := range olds {
+		w, err := cluster.Start(workerCfg(p, from))
+		if err != nil {
+			t.Fatalf("start worker %d/%d: %v", p, from, err)
+		}
+		olds[p] = w
+	}
+	for _, ev := range events[:2000] {
+		srv.BroadcastBatch([]osn.Event{ev})
+	}
+	barrier, err := stream.PrepareRebalance(srv.Addr(), from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, w := range olds {
+		if err := w.Wait(); err != nil {
+			t.Fatalf("old worker %d/%d: %v", p, from, err)
+		}
+	}
+	spare := func(part int) {
+		t.Helper()
+		start := time.Now()
+		w, err := cluster.Start(workerCfg(part, from))
+		var reb *stream.RebalancedError
+		if !errors.Is(err, stream.ErrRebalanced) || !errors.As(err, &reb) || *reb != (stream.RebalancedError{From: from, To: to, Barrier: barrier}) {
+			if w != nil {
+				w.Kill()
+				w.Wait()
+			}
+			t.Fatalf("spare %d/%d: err = %v, want ErrRebalanced naming %d -> %d at %d", part, from, err, from, to, barrier)
+		}
+		if d := time.Since(start); d >= time.Second {
+			t.Fatalf("spare %d/%d took %v to end", part, from, d)
+		}
+	}
+	spare(0) // its key's snapshot sits at the barrier
+	news := make([]*cluster.Worker, to)
+	for p := range news {
+		if news[p], err = cluster.Start(workerCfg(p, to)); err != nil {
+			t.Fatalf("start new worker %d/%d: %v", p, to, err)
+		}
+	}
+	if reb := srv.Stats().Rebalances; len(reb) != 1 || !reb[0].Committed {
+		t.Fatalf("rebalance audit %+v, want one committed by the new workers' offers", reb)
+	}
+	spare(1) // the commit dropped the retired shape's snapshots
+	for _, w := range news {
+		w.Stop()
+		w.Wait()
 	}
 }
 

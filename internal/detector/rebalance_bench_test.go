@@ -10,10 +10,11 @@ import (
 // cutover's pause at detectd scale: re-keying a 100k-account
 // campaign's K partition snapshots into K' and restoring the K' new
 // pipelines, ready to subscribe from barrier+1. The feed itself never
-// pauses during a live rebalance — events buffer at the fenced broker
-// — so this number bounds how long the new owners lag the barrier,
-// reported as ms/cutover. The snapshot capture side of the pause is
-// BenchmarkSnapshot; the K=3→5 and 4→2 shapes mirror the E2E.
+// pauses during a live rebalance — events past the cutover record
+// buffer at the broker — so this number bounds how long the new owners
+// lag the barrier, reported as ms/cutover. The snapshot capture side of
+// the pause is BenchmarkSnapshot; the K=3→5 and 4→2 shapes mirror the
+// E2E.
 func BenchmarkLiveRebalance(b *testing.B) {
 	for _, c := range []struct{ from, to int }{{3, 5}, {4, 2}} {
 		b.Run(fmt.Sprintf("k=%dto%d", c.from, c.to), func(b *testing.B) {

@@ -78,6 +78,11 @@ const (
 	EvBan                            // Target banned (Actor unused)
 	EvBlogPost                       // Actor published blog Aux
 	EvBlogShare                      // Actor re-shared blog Aux by Target
+	// EvCutover is the broker's live-rebalance record, never a
+	// producer's: partition group Actor (its size K) is cut over to a
+	// group of Target workers, and the record's own feed sequence is the
+	// barrier. Shape-K workers judge through it and retire.
+	EvCutover
 )
 
 // String returns the event type name.
@@ -97,6 +102,8 @@ func (t EventType) String() string {
 		return "blog_post"
 	case EvBlogShare:
 		return "blog_share"
+	case EvCutover:
+		return "cutover"
 	default:
 		return fmt.Sprintf("event(%d)", uint8(t))
 	}

@@ -44,6 +44,8 @@ func Partition(id AccountID, n int) int {
 //     they carry the target's outgoing-accept credit.
 //   - friend_request events additionally go to the target's
 //     partition (the target's incoming-request counter).
+//   - a cutover record (EvCutover) goes to every partition: each
+//     worker of the retiring shape must see where its feed ends.
 //   - everything else (messages, bans, blog activity) goes only to
 //     the owner.
 //
@@ -59,7 +61,7 @@ func PartitionDelivers(ev Event, part, parts int) bool {
 		return true
 	}
 	switch ev.Type {
-	case EvFriendAccept:
+	case EvFriendAccept, EvCutover:
 		return true
 	case EvFriendRequest, EvBan:
 		return Partition(ev.Target, parts) == part

@@ -49,15 +49,16 @@ func TestPartitionExhaustiveDisjoint(t *testing.T) {
 }
 
 // TestPartitionDeliversContract pins the delivery predicate against
-// its spec: the owner always receives the event, accepts fan out to
-// every partition, requests and bans reach the target's partition,
+// its spec: the owner always receives the event, accepts and cutover
+// records fan out to every partition, requests and bans reach the
+// target's partition,
 // everything else stays owner-only — and the union over partitions
 // covers every event (nothing is dropped by filtering).
 func TestPartitionDeliversContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	types := []EventType{
 		EvFriendRequest, EvFriendAccept, EvFriendReject,
-		EvMessage, EvBan, EvBlogPost, EvBlogShare,
+		EvMessage, EvBan, EvBlogPost, EvBlogShare, EvCutover,
 	}
 	for _, k := range []int{1, 2, 3, 5, 7} {
 		for i := 0; i < 5000; i++ {
@@ -72,7 +73,7 @@ func TestPartitionDeliversContract(t *testing.T) {
 				got := PartitionDelivers(ev, p, k)
 				want := p == owner
 				switch ev.Type {
-				case EvFriendAccept:
+				case EvFriendAccept, EvCutover:
 					want = true
 				case EvFriendRequest, EvBan:
 					want = want || p == Partition(ev.Target, k)

@@ -89,7 +89,7 @@ func (s *Spool) snapFiles() map[[2]int][]Snapshot {
 // stored one is not written, and that is no error: the fresher one
 // stays. Safe for concurrent use with appends and readers.
 func (s *Spool) PutSnapshot(part, parts int, seq uint64, payload []byte) error {
-	if err := s.syncThrough(seq); err != nil {
+	if err := s.Sync(seq); err != nil {
 		return err
 	}
 	s.snapMu.Lock()
@@ -146,11 +146,13 @@ func (s *Spool) pin(part, parts int, seq uint64) {
 	s.mu.Unlock()
 }
 
-// syncThrough makes the log through seq durable: it flushes the active
-// segment under mu and fsyncs it outside, so appends go on while the
-// disk syncs. Sealed segments were fsynced when they rolled, and so
-// was this one if a roll closes it first.
-func (s *Spool) syncThrough(seq uint64) error {
+// Sync makes the log through seq durable, seq being appended already:
+// it flushes the active segment under mu and fsyncs it outside, so
+// appends go on while the disk syncs. Sealed segments were fsynced when
+// they rolled, and so was this one if a roll closes it first. A
+// snapshot is written only once the feed it covers is durable, and a
+// broker confirms a rebalance prepare only once its cutover record is.
+func (s *Spool) Sync(seq uint64) error {
 	s.mu.Lock()
 	broken, end, f, err := s.errSticky != nil, s.end, s.f, s.flushLocked()
 	s.mu.Unlock()
@@ -158,7 +160,7 @@ func (s *Spool) syncThrough(seq uint64) error {
 	case broken:
 		return ErrBroken
 	case seq > end:
-		return fmt.Errorf("spool: snapshot at seq %d is past the spooled log (end %d)", seq, end)
+		return fmt.Errorf("spool: sync through seq %d: past the spooled log (end %d)", seq, end)
 	case err == nil && f != nil:
 		if err = f.Sync(); errors.Is(err, os.ErrClosed) {
 			err = nil
@@ -168,7 +170,7 @@ func (s *Spool) syncThrough(seq uint64) error {
 		s.mu.Lock()
 		s.errSticky = cmp.Or(s.errSticky, err)
 		s.mu.Unlock()
-		return fmt.Errorf("spool: sync before snapshot: %w", err)
+		return fmt.Errorf("spool: sync: %w", err)
 	}
 	return nil
 }

@@ -749,7 +749,7 @@ func TestAdoptUndecodableFrameIsRefused(t *testing.T) {
 	good := partEvents(16, 41)
 	first := wire.AppendBatch(nil, 1, good[:8])
 	for _, bad := range [][]byte{
-		wire.AppendBatch(nil, 9, []osn.Event{good[8], {Type: osn.EvBlogShare + 1, At: 2}}),
+		wire.AppendBatch(nil, 9, []osn.Event{good[8], {Type: osn.EvCutover + 1, At: 2}}),
 		[]byte(`{"t":"batch","seq":9,"events":[{"type":"ban","at":1,"actor":0,"target":0,"aux":0}]}`),
 		first[:len(first)-1],
 	} {

@@ -27,14 +27,28 @@ var ErrClosed = errors.New("stream: feed closed")
 // loud: consumers must rebuild state rather than continue silently.
 var ErrGap = errors.New("stream: resume window lost")
 
-// ErrRebalanced is returned by RecvBatch when the broker retires
-// the subscription's partition group shape in a live rebalance: the
-// client has been handed everything it is owed up to the cutover
-// barrier (LastSeq() == barrier once this is returned) and will never
-// receive another event on this subscription. The consumer should
-// snapshot its state at the barrier and offer it for the new owners;
-// Rebalanced() reports the barrier and the new group size.
+// ErrRebalanced is returned by a dial the broker refused because a
+// live rebalance retired the subscription's partition group shape, and
+// the dial would not reach the cutover record: a fresh join, or a
+// resume past the barrier. There is nothing left for it to judge. The
+// error also wraps a *RebalancedError, which names the cutover.
 var ErrRebalanced = errors.New("stream: partition group rebalanced")
+
+// RebalancedError names the cutover behind an ErrRebalanced refusal:
+// partition group From was cut over to a group of To at Barrier, the
+// sequence of its cutover record.
+type RebalancedError struct {
+	From, To int
+	Barrier  uint64
+}
+
+// rebalancedFormat is a RebalancedError's text: admission's refusal
+// carries it behind rebalancedRefusal, and subscribe scans it back.
+const rebalancedFormat = "group %d was rebalanced to %d at barrier %d"
+
+func (e *RebalancedError) Error() string {
+	return fmt.Sprintf(rebalancedFormat, e.From, e.To, e.Barrier)
+}
 
 // ErrBadFrame is returned by RecvBatch when the server sends a
 // frame this client cannot decode — an event frame that does not parse,
@@ -91,11 +105,9 @@ type Client struct {
 	buf         []byte      // reusable frame buffer
 
 	// end is the subscription's terminal state once reached — ErrClosed
-	// at eof, ErrRebalanced at a live-rebalance hand-off, or an error
-	// wrapping ErrBadFrame — and every later receive returns it again.
-	end        error
-	rebBarrier uint64 // cutover barrier; lastSeq is advanced to it
-	rebNew     int    // new partition group size
+	// at eof, or an error wrapping ErrBadFrame — and every later receive
+	// returns it again.
+	end error
 
 	manualAck bool // acks driven by Ack() instead of delivery
 	hop       int  // the welcome's tree depth of the answering broker
@@ -201,14 +213,15 @@ func dial(addr string, hello frame, opts []DialOption) (*Client, error) {
 // subscribe opens a subscription on a dialed broker connection: it
 // sends hello, reads the welcome — and, for an adopting hello, the
 // snapshots behind it — and anchors the cursor at the welcome's first
-// sequence. A refusal falls in one of four classes: the broker is
+// sequence. A refusal falls in one of five classes: the broker is
 // closing, an ordinary dial error a retry may outlive; another session
 // holds the key, ErrHeld, and a rebalance cut is not complete yet,
-// ErrCutPending, both waited out by a starting worker; and any other
-// refused resume is a lost range, ErrGap. An adopting hello resumes
-// when it asks to or when admission resumed it from the held snapshot,
-// which the refusal then names; its other refusals (a fence, say) are
-// no lost range. A welcome that does not echo adopt comes from a
+// ErrCutPending, both waited out by a starting worker; a rebalance
+// retired the shape, ErrRebalanced, which no retry outlives; and any
+// other refused resume is a lost range, ErrGap. An adopting hello
+// resumes when it asks to or when admission resumed it from the held
+// snapshot, which the refusal then names; its other refusals are no
+// lost range. A welcome that does not echo adopt comes from a
 // broker that predates adoption in the handshake and is refused,
 // rather than started cold. conn is closed on error; a caller that
 // dials separately can register conn first, so that its own Close cuts
@@ -225,6 +238,10 @@ func subscribe(conn net.Conn, hello frame) (*Client, error) {
 			return nil, fmt.Errorf("%w (partition %d/%d)", ErrHeld, hello.Part, hello.Parts)
 		case strings.HasPrefix(welcome.Err, cutPendingRefusal):
 			return nil, fmt.Errorf("%w (partition %d/%d): %s", ErrCutPending, hello.Part, hello.Parts, welcome.Err)
+		case strings.HasPrefix(welcome.Err, rebalancedRefusal):
+			e := &RebalancedError{}
+			fmt.Sscanf(welcome.Err[len(rebalancedRefusal):], rebalancedFormat, &e.From, &e.To, &e.Barrier)
+			return nil, fmt.Errorf("%w: %w", ErrRebalanced, e)
 		case welcome.Err != "" && welcome.Err != errClosing.Error() &&
 			(hello.Resume > 0 || strings.HasPrefix(welcome.Err, heldSnapshotRefusal)):
 			return nil, fmt.Errorf("%w: %s", ErrGap, welcome.Err)
@@ -422,25 +439,15 @@ func (c *Client) fill() error {
 	}
 }
 
-// control handles a control frame mid-stream, each of which ends the
-// subscription: eof, the rebalance hand-off, or anything else as a
-// frame that has no place here.
+// control handles a control frame mid-stream, which ends the
+// subscription: eof, or anything else as a frame that has no place
+// here.
 func (c *Client) control(payload []byte) error {
 	var f frame
-	switch err := json.Unmarshal(payload, &f); {
-	case err != nil:
-		c.end = fmt.Errorf("%w: %v", ErrBadFrame, err)
-	case f.T == frameEOF:
+	if json.Unmarshal(payload, &f) == nil && f.T == frameEOF {
 		c.end = ErrClosed
-	case f.T == frameRebal:
-		// Terminal hand-off: everything owed below the barrier has been
-		// delivered, so the cursor snaps to it — the events between
-		// lastSeq and the barrier were all foreign.
-		c.end, c.rebBarrier, c.rebNew = ErrRebalanced, f.Barrier, f.NParts
-		c.lastSeq = max(c.lastSeq, f.Barrier)
-		c.flushAcks()
-	default:
-		c.end = fmt.Errorf("%w: unexpected %q frame mid-stream", ErrBadFrame, f.T)
+	} else {
+		c.end = fmt.Errorf("%w: unexpected control frame %q mid-stream", ErrBadFrame, payload)
 	}
 	return c.end
 }
@@ -482,14 +489,6 @@ func (c *Client) RecvBatch() ([]osn.Event, error) {
 // sequence arithmetic must use per-event sequences instead. Valid
 // until the next RecvBatch call.
 func (c *Client) LastBatchSeqs() []uint64 { return c.batchSeqs }
-
-// Rebalanced reports the live-rebalance hand-off, valid once
-// RecvBatch has returned ErrRebalanced: the cutover barrier (the
-// last sequence this subscription's state may cover) and the new
-// partition group size.
-func (c *Client) Rebalanced() (barrier uint64, nparts int, ok bool) {
-	return c.rebBarrier, c.rebNew, c.end == ErrRebalanced
-}
 
 // Close acknowledges everything delivered (unless in manual-ack mode)
 // and disconnects. The session remains resumable on the server until
@@ -548,7 +547,7 @@ func SubscribeBatch(addr string, fn func([]osn.Event), maxRetries int, opts ...D
 // else resumed where prev left off — and drain it until it ends. The
 // clean end of feed (ErrClosed) returns nil; ErrGap, ErrBadFrame and
 // ErrRebalanced are terminal, since a resume would only find the same
-// lost range, frame or hand-off. Any other error reopens at once, and
+// lost range, frame or fence. Any other error reopens at once, and
 // a failed open is retried with exponential backoff (50ms, doubling
 // while under 2s) until maxRetries consecutive failures, when the last
 // error is returned. Closing quit cuts a backoff sleep short,

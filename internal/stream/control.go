@@ -15,18 +15,22 @@
 // die with the feed. A worker adopts its key's snapshot in the
 // subscribe handshake itself (hello "adopt", see admit).
 //
-// Live rebalance (rprepare). The broker is the only place a consistent
-// cut exists, so detectd -rebalance asks it to PREPARE: pick the
-// barrier B = current head sequence and fence every subscriber of the
-// old group shape K. A fenced session is served everything it is owed
-// up to and including B, then a terminal rebal frame instead of more
-// events; the old workers snapshot at exactly B and offer it. A new
+// Live rebalance (rprepare). The root broker's sequencer is the only
+// place a consistent cut exists, so detectd -rebalance asks it to
+// PREPARE: it sequences one cutover record (osn.EvCutover, naming the
+// old group shape K and the new K') at B, through the same reserve and
+// publish as any batch, so the spool keeps it, relays forward it and
+// every partition of every shape receives it. A worker of shape K
+// judges through the record, snapshots at exactly B, offers that as
+// its retirement offer and ends; nobody's delivery is clamped. A new
 // worker's adopting hello on a K' key is handed all K old snapshots in
 // its welcome once every one sits at B (and a waitable refusal until
 // then); it re-keys them itself (detector.RebalanceSnapshots), keeps
 // its own partition, subscribes from B+1 and offers at once. The
 // offer that leaves every K' key holding one at or past B commits the
-// rebalance, which drops the old shape's snapshots.
+// rebalance, which drops the old shape's snapshots. A retirement offer
+// names K', so a broker that holds no fence for the cutover — a
+// restarted root, or a relay edge — installs it from the offer.
 //
 // All of this state is one control struct guarded by Server.mu.
 // Admission must see fences and snapshots atomically with its own
@@ -45,6 +49,7 @@ import (
 	"slices"
 	"time"
 
+	"sybilwild/internal/osn"
 	"sybilwild/internal/spool"
 	"sybilwild/internal/wire"
 )
@@ -64,8 +69,9 @@ type control struct {
 }
 
 // fence is one live rebalance: partition group `from` is cut at
-// `barrier` in favour of a group of `nparts`. It commits once every
-// key of the new shape holds an offer at or past the barrier.
+// `barrier`, the sequence of its cutover record, in favour of a group
+// of `nparts`. It commits once every key of the new shape holds an
+// offer at or past the barrier.
 type fence struct {
 	from      int
 	nparts    int
@@ -77,6 +83,10 @@ type fence struct {
 // group shape a rebalance is cutting over to, while the old group's
 // snapshots have not all reached the barrier.
 const cutPendingRefusal = "rebalance cut pending: "
+
+// rebalancedRefusal prefixes the refusal of a hello on a group shape a
+// rebalance retired, unless it resumes at or below the barrier.
+const rebalancedRefusal = "rebalanced: "
 
 // firstFrame is one row of the first-frame table: how the broker
 // answers a connection that opens with a given tag.
@@ -130,11 +140,17 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, req frame, row fi
 // on meanwhile. A dead owner's file written while its successor was
 // admitted stays on disk until an offer passes it; it is a valid state
 // of the key, just not the one adopted. A file written while a commit
-// retired the key's shape goes with the rest of the shape's. The offer
-// that completes a pending rebalance's new shape commits it.
+// retired the key's shape goes with the rest of the shape's. A
+// retirement offer (nparts set: the shape its cut goes to) installs its
+// cutover when the broker holds none, and is refused when it
+// contradicts the one held. The offer that completes a pending
+// rebalance's new shape commits it.
 func (s *Server) ctlOffer(br *bufio.Reader, req frame) *frame {
-	if req.Size > wire.MaxSnapshotSize {
+	switch {
+	case req.Size > wire.MaxSnapshotSize:
 		return &frame{Err: "snapshot too large"}
+	case req.NParts > 0 && (req.Seq == 0 || !validShape(req.Parts, req.NParts)):
+		return &frame{Err: "invalid retirement offer"}
 	}
 	payload, err := wire.ReadFrameLimit(br, nil, wire.MaxSnapshotSize)
 	if err != nil {
@@ -157,6 +173,9 @@ func (s *Server) ctlOffer(br *bufio.Reader, req frame) *frame {
 	k := partKey{part: req.Part, parts: req.Parts}
 	s.mu.Lock()
 	why = s.offerRefusalLocked(req)
+	if why == "" && req.NParts > 0 {
+		_, _, why = s.cutoverLocked(req.Parts, req.NParts, req.Seq)
+	}
 	_, owned := s.ctl.owners[k]
 	retired := 0
 	switch {
@@ -219,36 +238,76 @@ func (s *Server) dropSnapshots(parts int) {
 	}
 }
 
-// ctlPrepare installs a fence on an old group shape and replies with
-// the chosen barrier. Idempotent: re-preparing the same K→K' returns
-// the already-chosen barrier, so a retry across a dropped connection is
-// safe; a conflicting K→K” is rejected until the first rebalance's
-// fence is superseded, and so is a second rebalance into a shape one
-// is already cutting over to. An empty feed has no barrier to cut at.
+// ctlPrepare cuts group shape K over to K': it reserves one sequence B,
+// installs the fence and publishes the cutover record at B, then
+// replies with B once a spooled broker has the record on disk.
+// Idempotent: re-preparing the same K→K' returns the barrier already
+// chosen, so a retry across a dropped connection is safe; a conflicting
+// K→K” is refused, and so is a second rebalance into a shape one is
+// already cutting over to. A relay hop has no sequencer of its own and
+// refuses.
 func (s *Server) ctlPrepare(_ *bufio.Reader, req frame) *frame {
-	if req.Parts < 2 || req.NParts < 1 || req.Parts == req.NParts {
+	switch {
+	case !validShape(req.Parts, req.NParts):
 		return &frame{Err: "invalid rebalance shape"}
+	case s.log.opt.adopting:
+		return &frame{Err: "broker is a relay hop: prepare the rebalance at the root broker"}
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	f := s.ctl.fences[req.Parts]
-	g := s.pendingLocked(req.NParts)
-	switch seq, closing := s.log.seq(); {
-	case closing:
-		return &frame{Err: "server closing"}
-	case f != nil && f.nparts != req.NParts:
-		return &frame{Err: fmt.Sprintf("partition group %d already rebalancing to %d", req.Parts, f.nparts)}
+	f, fresh, why := s.cutoverLocked(req.Parts, req.NParts, 0)
+	s.mu.Unlock()
+	if why != "" {
+		return &frame{Err: why}
+	}
+	if fresh {
+		cut := []osn.Event{{Type: osn.EvCutover, Actor: osn.AccountID(f.from), Target: osn.AccountID(f.nparts)}}
+		s.log.publish(s.buildChunks(f.barrier, 1, func(_, _ int, seq uint64) []byte {
+			return wire.AppendBatch(nil, seq, cut)
+		}))
+	}
+	if s.log.spoolUsable() {
+		if err := s.log.opt.spool.Sync(f.barrier); err != nil {
+			return &frame{Err: err.Error()}
+		}
+	}
+	return &frame{Parts: f.from, NParts: f.nparts, Barrier: f.barrier}
+}
+
+// validShape reports whether a rebalance may cut group shape from over
+// to a group of to.
+func validShape(from, to int) bool { return from >= 2 && to >= 1 && from != to }
+
+// cutoverLocked returns the fence of the cutover of group shape from to
+// a group of to, installing it (fresh) when the broker holds none:
+// admission's fence, the log's barrier for the shape and the audit row.
+// barrier is the cutover record's sequence, 0 to reserve it now — under
+// mu, with the fence, so admission never admits a fresh join of the
+// shape that would miss the record. A cutover that contradicts the one
+// held — from cutting over to another shape, another group already
+// cutting over to to, or from cut at another barrier than the one
+// named — is refused (why). Caller holds s.mu.
+func (s *Server) cutoverLocked(from, to int, barrier uint64) (f *fence, fresh bool, why string) {
+	f, g := s.ctl.fences[from], s.pendingLocked(to)
+	switch {
+	case f != nil && f.nparts != to:
+		return nil, false, fmt.Sprintf("partition group %d already rebalancing to %d", from, f.nparts)
 	case g != nil && g != f:
-		return &frame{Err: fmt.Sprintf("partition group %d already rebalancing to %d", g.from, g.nparts)}
-	case f == nil && seq == 0:
-		return &frame{Err: "the feed is empty: no barrier to cut at"}
+		return nil, false, fmt.Sprintf("partition group %d already rebalancing to %d", g.from, g.nparts)
+	case f != nil && barrier != 0 && f.barrier != barrier:
+		return nil, false, fmt.Sprintf("partition group %d was cut over to %d at barrier %d, not %d", from, to, f.barrier, barrier)
+	case f != nil:
+		return f, false, ""
+	case barrier == 0:
+		var err error
+		if barrier, err = s.log.reserve(1, 0); err != nil {
+			return nil, false, err.Error()
+		}
 	}
-	if f == nil {
-		f = &fence{from: req.Parts, nparts: req.NParts, barrier: s.log.fence(req.Parts, req.NParts)}
-		s.ctl.fences[req.Parts] = f
-		s.ctl.rebLog = append(s.ctl.rebLog, f)
-	}
-	return &frame{Parts: req.Parts, NParts: req.NParts, Barrier: f.barrier}
+	f = &fence{from: from, nparts: to, barrier: barrier}
+	s.ctl.fences[from] = f
+	s.ctl.rebLog = append(s.ctl.rebLog, f)
+	s.log.retire(from, barrier)
+	return f, true, ""
 }
 
 // pendingLocked returns the uncommitted rebalance into group shape
@@ -373,8 +432,11 @@ func handshake(conn net.Conn, req frame, body []byte, want string) (frame, *bufi
 // highest-sequence offer per (part, parts); offering below it is not
 // an error — the fresher snapshot simply stays. session names the
 // offering subscriber: on a partitioned key the broker refuses it
-// unless that session is the key's current owner.
-func OfferSnapshot(addr, session string, part, parts int, seq uint64, data []byte) error {
+// unless that session is the key's current owner. nparts, when nonzero,
+// makes it a retirement offer: the snapshot is the key's share of the
+// cut at seq, the cutover record that hands group shape parts to a
+// group of nparts, and a broker that holds no such cutover installs it.
+func OfferSnapshot(addr, session string, part, parts, nparts int, seq uint64, data []byte) error {
 	if parts < 1 || part < 0 || part >= parts {
 		return fmt.Errorf("stream: invalid partition %d/%d", part, parts)
 	}
@@ -386,17 +448,17 @@ func OfferSnapshot(addr, session string, part, parts int, seq uint64, data []byt
 	if data == nil {
 		data = []byte{} // an empty snapshot still sends its payload frame
 	}
-	offer := frame{T: frameSnapOffer, V: ProtocolVersion, Session: session, Part: part, Parts: parts, Seq: seq, Size: uint64(len(data))}
+	offer := frame{T: frameSnapOffer, V: ProtocolVersion, Session: session, Part: part, Parts: parts, NParts: nparts, Seq: seq, Size: uint64(len(data))}
 	_, _, err = handshake(conn, offer, data, frameSnapOK)
 	return err
 }
 
-// PrepareRebalance asks the broker to fence partition group `from` for
-// a cutover to `to` workers and returns the barrier it chose: old
-// owners drain to the barrier and offer their snapshots there; new
-// owners adopt that cut in their handshake (DialAdopt) and subscribe
-// from barrier+1. Idempotent per (from, to) — a retry returns the same
-// barrier. An empty feed is refused: it has no barrier to cut at.
+// PrepareRebalance asks the root broker to cut partition group `from`
+// over to `to` workers and returns the barrier, the sequence of the
+// cutover record it published: old owners judge through the record and
+// offer their snapshots there; new owners adopt that cut in their
+// handshake (DialAdopt) and subscribe from barrier+1. Idempotent per
+// (from, to) — a retry returns the same barrier. A relay hop refuses.
 func PrepareRebalance(addr string, from, to int) (uint64, error) {
 	conn, err := dialBroker(addr)
 	if err != nil {

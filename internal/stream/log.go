@@ -13,8 +13,8 @@ package stream
 //   - the one resume rule (open);
 //   - backpressure (dropLocked, pinLocked, evictLocked), before
 //     publication;
-//   - readers: a subscriber's cursors and fence, and the rounds its
-//     writer frames from the tail or the spool (fill).
+//   - readers: a subscriber's cursors, and the rounds its writer frames
+//     from the tail or the spool (fill).
 //
 // None of it touches a socket. A reader's connection is an io.Closer,
 // closed when the reader is replaced, detached or evicted; the Server
@@ -70,7 +70,7 @@ type feedLog struct {
 
 	// mu guards the tail, the ticket and the readers.
 	mu     sync.Mutex
-	more   *sync.Cond // writers: the log grew, a fence or close arrived, or a connection changed
+	more   *sync.Cond // writers: the log grew, close arrived, or a connection changed
 	room   *sync.Cond // publish: an ack, detach or eviction may let the oldest chunk go
 	ticket *sync.Cond // batches waiting for their turn to publish
 
@@ -89,6 +89,10 @@ type feedLog struct {
 	full bool
 
 	readers map[string]*reader
+
+	// barriers holds, per retired group shape, the sequence of the
+	// cutover record that retired it (retire).
+	barriers map[int]uint64
 }
 
 // newFeedLog builds a log from the server options. A log on a spool
@@ -103,7 +107,8 @@ func newFeedLog(opts ...ServerOption) *feedLog {
 			linger:   DefaultSessionLinger,
 			stall:    DefaultStallTimeout,
 		},
-		readers: make(map[string]*reader),
+		readers:  make(map[string]*reader),
+		barriers: make(map[int]uint64),
 	}
 	for _, fn := range opts {
 		fn(&l.opt)
@@ -373,7 +378,8 @@ func (l *feedLog) pinLocked(c *chunk) (pin *reader) {
 // eviction from deleting a newer reader reusing the id). Loss is only
 // counted when events r is owed die with it irrecoverably — a usable
 // spool still holds them for a later resume, so spooled evictions are
-// not loss. Caller holds l.mu.
+// not loss, and neither is the session of a worker that retired at its
+// shape's cutover record (retire). Caller holds l.mu.
 func (l *feedLog) evictLocked(r *reader) {
 	if r.gone {
 		return
@@ -382,11 +388,7 @@ func (l *feedLog) evictLocked(r *reader) {
 	if l.readers[r.id] == r {
 		delete(l.readers, r.id)
 	}
-	owed := l.head
-	if f := r.fencedAt; f > 0 {
-		owed = min(owed, f)
-	}
-	if r.acked < owed && !l.spoolUsable() {
+	if b := l.barriers[r.parts]; r.acked < l.head && (b == 0 || r.acked != b) && !l.spoolUsable() {
 		l.evicted.Add(1)
 	}
 	l.cutLocked(r)
@@ -416,7 +418,7 @@ func (l *feedLog) cutLocked(r *reader) {
 // open registers or resumes the reader named want.id, attaches conn to
 // it and returns it with the connection generation and the first
 // sequence it will be sent — or the reason the resume is refused. want
-// carries the request: id, partition, relay flag and any fence.
+// carries the request: id, partition and relay flag.
 //
 // A partition key (parts ≥ 2) has one owner: while a reader with
 // another id is connected on it, open refuses (errHeld). A detached
@@ -479,30 +481,23 @@ func (l *feedLog) open(want *reader, resume uint64, conn io.Closer) (r *reader, 
 	// below its own acks pins what it asked for again.
 	r.acked, r.sent = from-1, from-1
 	r.relay = r.relay || want.relay
-	if want.fencedAt > 0 {
-		r.fencedAt, r.fenceNew = want.fencedAt, want.fenceNew
-	}
 	l.cutLocked(r) // kick a previous connection and its writer
 	r.conn = conn
 	return r, r.gen, from, ""
 }
 
-// fence cuts every reader of group shape parts at the barrier, the last
-// sequence reserved: a fenced reader is sent nothing past it, then a
-// rebal naming nparts. No writer has framed past the barrier — writers
-// read only up to the published head, which mu holds still while the
-// readers are fenced.
-func (l *feedLog) fence(parts, nparts int) (barrier uint64) {
+// retire records that group shape parts is cut over at barrier, the
+// sequence of its cutover record. Delivery does not change: every
+// reader goes on being served the whole feed, and its worker stops at
+// the record. Only what a reader of the shape is owed does
+// (evictLocked): one that acknowledged exactly the barrier is a retired
+// worker's session, owed nothing more, so its eviction is no loss. A
+// reader below the barrier still owes its worker the record, and one
+// past it belongs to a later generation of the shape.
+func (l *feedLog) retire(parts int, barrier uint64) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	barrier, _ = l.seq()
-	for _, r := range l.readers {
-		if r.parts == parts && r.fencedAt == 0 {
-			r.fencedAt, r.fenceNew = barrier, nparts
-		}
-	}
-	l.more.Broadcast() // wake writers parked on a feed that may not grow
-	return barrier
+	l.barriers[parts] = barrier
+	l.mu.Unlock()
 }
 
 // connected counts the connected readers.
@@ -596,8 +591,8 @@ func (l *feedLog) drainingLocked() bool {
 // latency with them.
 func (l *feedLog) advanceEvery() uint64 { return uint64(l.opt.maxBatch) }
 
-// reader is one subscriber session's place in the log: its cursors,
-// its fence and its (possibly nil, while detached) current connection.
+// reader is one subscriber session's place in the log: its cursors
+// and its (possibly nil, while detached) current connection.
 // Everything but the immutable fields is guarded by feedLog.mu.
 //
 // A reader has no queue of its own. Its writer reads sent+1 from the
@@ -626,14 +621,6 @@ type reader struct {
 	acked uint64
 	sent  uint64
 
-	// Rebalance fence (sticky once set): the reader is sent nothing past
-	// fencedAt; once everything at or below it is framed, the writer
-	// emits a rebal announcement naming fenceNew and ends the
-	// subscription. Set either by fence walking the readers or by open
-	// for readers (re)joining a fenced group.
-	fencedAt uint64
-	fenceNew int
-
 	conn       io.Closer // nil while detached
 	gen        int       // connection generation; stale writers exit on mismatch
 	detachedAt time.Time
@@ -641,10 +628,8 @@ type reader struct {
 }
 
 // owes reports whether r still needs chunk c: it has not acknowledged
-// all of it, and c is not wholly past its fence barrier.
-func (r *reader) owes(c *chunk) bool {
-	return r.acked < c.last && (r.fencedAt == 0 || c.first <= r.fencedAt)
-}
+// all of it.
+func (r *reader) owes(c *chunk) bool { return r.acked < c.last }
 
 // ack processes a client acknowledgement: advance the delivered
 // high-water mark and wake a producer waiting for the tail's oldest
@@ -700,10 +685,8 @@ var eofFrame = marshalControl(frame{T: frameEOF})
 // serves, and once that moves on the fill is stale. Every round has the
 // same shape: take a job list from whichever source holds sent+1 — the
 // tail, or a spool reader once the tail has moved past it — and settle
-// it under the log's lock: clamp it at the fence barrier and publish
-// how far it moves the client's cursor (sent). A drained round at the
-// fence barrier ends with rebal, a drained tail round on a draining log
-// with eof.
+// it under the log's lock: publish how far it moves the client's cursor
+// (sent). A drained tail round on a draining log ends with eof.
 //
 // What a fill builds — disk frames, partition views — lives in its own
 // scratch, and once warm it allocates nothing per round.
@@ -720,18 +703,17 @@ type fill struct {
 }
 
 // round is one fill: the jobs in fill.jobs are framed from sequence
-// from and move the client's cursor to to; end, when set, is the frame
-// that ends the subscription after them.
+// from and move the client's cursor to to; eof, when set, ends the
+// subscription after them.
 type round struct {
 	from, to uint64
-	end      []byte
+	eof      bool
 }
 
 // next fills the next round from whichever source holds sent+1. When
 // the tail has nothing for the reader yet — the feed has not grown past
-// what this fill has examined, the fence barrier is not reached, the
-// log is not draining, and no full tail needs the client's cursor at
-// the head — next sleeps until it has if wait is set, and otherwise
+// what this fill has examined, the log is not draining, and no full
+// tail needs the client's cursor at the head — next sleeps until it has if wait is set, and otherwise
 // returns an empty round (to < from, no jobs) at once, so the writer
 // can flush before it sleeps.
 func (f *fill) next(wait bool) (round, error) {
@@ -743,13 +725,12 @@ func (f *fill) next(wait bool) (round, error) {
 			return round{}, errStale
 		}
 		if from := r.sent + 1; from < l.first() {
-			fenced := r.fencedAt
 			l.mu.Unlock()
-			return f.fromSpool(from, fenced)
+			return f.fromSpool(from)
 		}
 		f.closeSpool()
 		f.seen = max(f.seen, r.sent)
-		if fc := r.fencedAt; l.head > f.seen || l.drainingLocked() || (fc > 0 && l.head >= fc) || (l.full && r.sent < l.head) {
+		if l.head > f.seen || l.drainingLocked() || (l.full && r.sent < l.head) {
 			if rd, ok := f.fromTail(); ok {
 				l.mu.Unlock()
 				return rd, nil
@@ -791,17 +772,14 @@ func (f *fill) fromTail() (rd round, ok bool) {
 		f.view(c.payload, c.first, c.cursor)
 	}
 	f.seen = cursor
-	fc := r.fencedAt
-	if len(f.jobs) == 0 && drained && !l.drainingLocked() && !l.full && !(fc > 0 && cursor >= fc) &&
-		cursor < r.sent+l.advanceEvery() {
+	if len(f.jobs) == 0 && drained && !l.drainingLocked() && !l.full && cursor < r.sent+l.advanceEvery() {
 		return round{}, false
 	}
 	return f.settle(cursor, drained), true
 }
 
 // fromSpool reads the next run of disk frames from sent+1 (from): up to
-// maxBatch events, stopping early at the spool's end or the fence
-// barrier fenced. There is no ack-driven flow control here — the data
+// maxBatch events, stopping early at the spool's end. There is no ack-driven flow control here — the data
 // already sits on disk, so a slow reader costs no server memory and TCP
 // backpressure alone paces the transfer. A full-feed reader's jobs are
 // the raw frames, copied into fill scratch; a partitioned reader's are
@@ -809,7 +787,7 @@ func (f *fill) fromTail() (rd round, ok bool) {
 // partition owns nothing of only moves the cursor. The spool checks
 // every frame it hands out, so a corrupt segment ends the catch-up
 // loudly instead of starving it.
-func (f *fill) fromSpool(from, fenced uint64) (round, error) {
+func (f *fill) fromSpool(from uint64) (round, error) {
 	r, l := f.r, f.r.l
 	if f.rd == nil {
 		if l.opt.spool == nil {
@@ -823,7 +801,7 @@ func (f *fill) fromSpool(from, fenced uint64) (round, error) {
 	}
 	f.jobs, f.buf = f.jobs[:0], f.buf[:0]
 	eof := false
-	for read := 0; read < l.opt.maxBatch && (fenced == 0 || f.pos < fenced); {
+	for read := 0; read < l.opt.maxBatch; {
 		first, n, raw, err := f.rd.NextFrame()
 		if errors.Is(err, io.EOF) {
 			eof = true
@@ -855,35 +833,18 @@ func (f *fill) fromSpool(from, fenced uint64) (round, error) {
 	return f.settle(f.pos, eof), nil
 }
 
-// settle closes a fill under the log's lock. It clamps the round at the
-// fence barrier — jobs past it are dropped, and reaching it drains the
-// source — and moves the client's cursor to cursor when the round
-// carries jobs, drains the source, or covers advanceEvery silent
-// events, publishing the new position as sent. sent therefore never
-// runs ahead of what the writer frames.
+// settle closes a fill under the log's lock. It moves the client's
+// cursor to cursor when the round carries jobs, drains the source, or
+// covers advanceEvery silent events, publishing the new position as
+// sent. sent therefore never runs ahead of what the writer frames.
 func (f *fill) settle(cursor uint64, drained bool) round {
 	r, l := f.r, f.r.l
-	fc := r.fencedAt
-	if fc > 0 && cursor >= fc {
-		for len(f.jobs) > 0 && f.jobs[len(f.jobs)-1].cursor > fc {
-			f.jobs = f.jobs[:len(f.jobs)-1]
-		}
-		cursor, drained = fc, true
-	}
 	rd := round{from: r.sent + 1}
 	if cursor > r.sent && (len(f.jobs) > 0 || drained || cursor >= r.sent+l.advanceEvery()) {
 		r.sent = cursor
 	}
 	rd.to = r.sent
-	switch {
-	case !drained:
-	case fc > 0 && r.sent >= fc:
-		// Everything the old owner is entitled to has been framed:
-		// announce the cutover instead of more feed.
-		rd.end = marshalControl(frame{T: frameRebal, Barrier: fc, Parts: r.parts, NParts: r.fenceNew})
-	case l.drainingLocked() && f.rd == nil:
-		rd.end = eofFrame
-	}
+	rd.eof = drained && l.drainingLocked() && f.rd == nil
 	return rd
 }
 

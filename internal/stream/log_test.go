@@ -78,17 +78,17 @@ func mustOpen(t *testing.T, l *feedLog, id string, resume uint64) (*reader, *fil
 // drain fills rounds until the log has nothing more for f's reader,
 // checking that every round's jobs cover it without a gap and carry
 // the events published at their sequences. It returns the first
-// sequence framed (0 if none), the reader's cursor, and the frame that
-// ended the subscription, if any.
-func drain(t *testing.T, f *fill) (from, to uint64, end []byte) {
+// sequence framed (0 if none), the reader's cursor, and whether eof
+// ended the subscription.
+func drain(t *testing.T, f *fill) (from, to uint64, eof bool) {
 	t.Helper()
 	for {
 		rd, err := f.next(false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rd.to < rd.from && rd.end == nil {
-			return from, f.r.sent, nil
+		if rd.to < rd.from && !rd.eof {
+			return from, f.r.sent, false
 		}
 		want := rd.from
 		for _, c := range f.jobs {
@@ -107,8 +107,8 @@ func drain(t *testing.T, f *fill) (from, to uint64, end []byte) {
 		if from == 0 && rd.to >= rd.from {
 			from = rd.from
 		}
-		if rd.end != nil {
-			return from, rd.to, rd.end
+		if rd.eof {
+			return from, rd.to, true
 		}
 	}
 }
@@ -452,12 +452,12 @@ func TestLogCloseDrainsThenEOF(t *testing.T) {
 	if _, _, reject := tryOpen(l, "late", 0); reject != "server closing" {
 		t.Fatalf("open on a closing log: %q", reject)
 	}
-	if _, to, end := drain(t, f); to != 5 || end != nil {
-		t.Fatalf("before the reserved batch: framed through %d, end %q; want 5, none", to, end)
+	if _, to, eof := drain(t, f); to != 5 || eof {
+		t.Fatalf("before the reserved batch: framed through %d, eof %v; want 5, none", to, eof)
 	}
 	publishAt(l, first, 5)
-	if _, to, end := drain(t, f); to != 10 || string(end) != string(eofFrame) {
-		t.Fatalf("after it: framed through %d, end %q; want 10, eof", to, end)
+	if _, to, eof := drain(t, f); to != 10 || !eof {
+		t.Fatalf("after it: framed through %d, eof %v; want 10, eof", to, eof)
 	}
 
 	l = newFeedLog()

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,16 +11,42 @@ import (
 	"sybilwild/internal/osn"
 )
 
-// TestRebalanceCutover is the full broker-coordinated cutover: a 2-way
-// partition group drains exactly its pre-barrier slice and is handed
-// off, offering its snapshots at the barrier; a 3-way group adopts
-// that cut, resumes from barrier+1 and splits the rest exactly-once;
-// and the rebalance, committed by the new owners' offers, lands in the
-// stats audit.
+// untilCutover reads c until the cutover record and returns the
+// sequences of the events before it, the record's sequence and the
+// record: what a worker of the retiring shape judges.
+func untilCutover(c *Client) (before []uint64, at uint64, rec osn.Event, err error) {
+	for {
+		evs, err := c.RecvBatch()
+		if err != nil {
+			return before, 0, osn.Event{}, err
+		}
+		seqs := c.LastBatchSeqs()
+		for i, ev := range evs {
+			seq := c.LastSeq() - uint64(len(evs)-1-i)
+			if seqs != nil {
+				seq = seqs[i]
+			}
+			if ev.Type == osn.EvCutover {
+				return before, seq, ev, nil
+			}
+			before = append(before, seq)
+		}
+	}
+}
+
+// TestRebalanceCutover is the full cutover: the prepare sequences the
+// cutover record after the events already published, every partition
+// of the 2-way group receives exactly its pre-barrier slice and then
+// the record, and the old owners offer their snapshots at the barrier;
+// a 3-way group adopts that cut, resumes from barrier+1 and splits the
+// rest exactly-once; and the rebalance, committed by the new owners'
+// offers, lands in the stats audit. Nobody's delivery is cut short.
 func TestRebalanceCutover(t *testing.T) {
 	leakCheck(t)
 	const oldK, newK, pre, post = 2, 3, 900, 400
 	evs := partEvents(pre+post, 11)
+	record := osn.Event{Type: osn.EvCutover, Actor: oldK, Target: newK}
+	feed := append(append(slices.Clone(evs[:pre]), record), evs[pre:]...)
 	srv, _ := spooledServer(t, 64, withMaxBatch(32))
 
 	old := make([]*Client, oldK)
@@ -34,33 +61,19 @@ func TestRebalanceCutover(t *testing.T) {
 	waitClients(t, srv, oldK)
 
 	type result struct {
-		seqs    []uint64
-		last    uint64
-		barrier uint64
-		nparts  int
-		err     error
+		seqs []uint64
+		at   uint64
+		rec  osn.Event
+		err  error
 	}
 	results := make([]result, oldK)
 	var wg sync.WaitGroup
 	for p, c := range old {
 		wg.Add(1)
-		go func(p int, c *Client) {
+		go func(r *result, c *Client) {
 			defer wg.Done()
-			r := &results[p]
-			for {
-				_, err := c.RecvBatch()
-				if errors.Is(err, ErrRebalanced) {
-					r.last = c.LastSeq()
-					r.barrier, r.nparts, _ = c.Rebalanced()
-					return
-				}
-				if err != nil {
-					r.err = err
-					return
-				}
-				r.seqs = append(r.seqs, c.LastBatchSeqs()...)
-			}
-		}(p, c)
+			r.seqs, r.at, r.rec, r.err = untilCutover(c)
+		}(&results[p], c)
 	}
 
 	for _, ev := range evs[:pre] {
@@ -70,38 +83,29 @@ func TestRebalanceCutover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if barrier != pre {
-		t.Fatalf("barrier = %d, want the head at prepare time %d", barrier, pre)
+	if barrier != pre+1 {
+		t.Fatalf("barrier = %d, want %d: the record follows the %d events published before the prepare", barrier, pre+1, pre)
 	}
-	// Post-barrier traffic flows while the old group drains out — the
-	// feed never pauses.
+	// Post-barrier traffic flows while the old group reads on to the
+	// record — the feed never pauses.
 	for _, ev := range evs[pre:] {
 		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	wg.Wait()
-	for p := range results {
-		r := results[p]
+	for p, r := range results {
 		if r.err != nil {
 			t.Fatalf("old partition %d: %v", p, r.err)
 		}
-		if r.barrier != barrier || r.nparts != newK || r.last != barrier {
-			t.Fatalf("old partition %d handed off at (barrier=%d nparts=%d last=%d), want (%d, %d, %d)",
-				p, r.barrier, r.nparts, r.last, barrier, newK, barrier)
+		if r.at != barrier || r.rec != record {
+			t.Fatalf("old partition %d met %+v at seq %d, want the record %+v at the barrier %d", p, r.rec, r.at, record, barrier)
 		}
-		want := wantSeqs(evs[:pre], p, oldK)
-		if len(r.seqs) != len(want) {
-			t.Fatalf("old partition %d received %d events before the barrier, contract says %d",
-				p, len(r.seqs), len(want))
-		}
-		for i, seq := range r.seqs {
-			if seq != want[i] {
-				t.Fatalf("old partition %d event %d has seq %d, want %d", p, i, seq, want[i])
-			}
+		if got, want := fmt.Sprint(r.seqs), fmt.Sprint(wantSeqs(evs[:pre], p, oldK)); got != want {
+			t.Fatalf("old partition %d received %s before the record, contract says %s", p, got, want)
 		}
 	}
 
 	for p, c := range old {
-		if err := OfferSnapshot(srv.Addr(), c.Session(), p, oldK, barrier, []byte(fmt.Sprintf("%d/%d", p, oldK))); err != nil {
+		if err := OfferSnapshot(srv.Addr(), c.Session(), p, oldK, newK, barrier, []byte(fmt.Sprintf("%d/%d", p, oldK))); err != nil {
 			t.Fatalf("old partition %d's retirement offer: %v", p, err)
 		}
 	}
@@ -113,7 +117,7 @@ func TestRebalanceCutover(t *testing.T) {
 	for p := 0; p < newK; p++ {
 		c := adoptCut(t, srv.Addr(), p, newK, oldK, barrier)
 		var want []uint64
-		for _, seq := range wantSeqs(evs, p, newK) {
+		for _, seq := range wantSeqs(feed, p, newK) {
 			if seq > barrier {
 				want = append(want, seq)
 			}
@@ -129,7 +133,7 @@ func TestRebalanceCutover(t *testing.T) {
 		if st := srv.Stats(); st.Rebalances[0].Committed {
 			t.Fatalf("rebalance committed before new partition %d offered", p)
 		}
-		if err := OfferSnapshot(srv.Addr(), c.Session(), p, newK, c.LastSeq(), []byte("re-keyed")); err != nil {
+		if err := OfferSnapshot(srv.Addr(), c.Session(), p, newK, 0, c.LastSeq(), []byte("re-keyed")); err != nil {
 			t.Fatalf("new partition %d's offer: %v", p, err)
 		}
 		for i, seq := range got {
@@ -139,7 +143,7 @@ func TestRebalanceCutover(t *testing.T) {
 			// Delivery legitimately replicates support events; the
 			// exactly-once property is about judging, which follows the
 			// actor's owner.
-			if osn.Partition(evs[seq-1].Actor, newK) == p {
+			if osn.Partition(feed[seq-1].Actor, newK) == p {
 				if prev, dup := owners[seq]; dup {
 					t.Fatalf("seq %d judged by both new partitions %d and %d", seq, prev, p)
 				}
@@ -148,7 +152,7 @@ func TestRebalanceCutover(t *testing.T) {
 		}
 		c.Close()
 	}
-	for seq := barrier + 1; seq <= uint64(pre+post); seq++ {
+	for seq := barrier + 1; seq <= uint64(len(feed)); seq++ {
 		if _, ok := owners[seq]; !ok {
 			t.Fatalf("seq %d judged by no new owner", seq)
 		}
@@ -164,12 +168,13 @@ func TestRebalanceCutover(t *testing.T) {
 }
 
 // TestRebalanceFenceAdmission pins the fencing rules: idempotent
-// prepare, conflicting prepare rejected, fresh joins and beyond-barrier
-// resumes of a fenced shape refused, a pre-barrier backfill drained
-// exactly to the barrier then handed off, an adopting hello of the new
-// shape refused (ErrCutPending) until every old snapshot is at the
-// barrier, and the old shape staying fenced after the commit while the
-// new shape admits.
+// prepare, conflicting prepare refused, fresh joins and resumes past
+// the barrier of a fenced shape refused as ErrRebalanced naming the
+// cutover, a resume at the barrier admitted, a backfill from sequence 1
+// reaching exactly its pre-barrier slice and then the record, an
+// adopting hello of the new shape refused (ErrCutPending) until every
+// old snapshot is at the barrier, and the old shape staying fenced
+// after the commit while the new shape admits.
 func TestRebalanceFenceAdmission(t *testing.T) {
 	leakCheck(t)
 	const K = 2
@@ -182,8 +187,8 @@ func TestRebalanceFenceAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if barrier != 50 {
-		t.Fatalf("barrier = %d, want 50", barrier)
+	if barrier != 51 {
+		t.Fatalf("barrier = %d, want 51: the record follows the 50 events", barrier)
 	}
 	if b2, err := PrepareRebalance(srv.Addr(), K, 3); err != nil || b2 != barrier {
 		t.Fatalf("idempotent re-prepare = (%d, %v), want (%d, nil)", b2, err, barrier)
@@ -198,67 +203,64 @@ func TestRebalanceFenceAdmission(t *testing.T) {
 		srv.BroadcastBatch([]osn.Event{ev})
 	}
 
-	if _, err := Dial(srv.Addr(), WithPartition(0, K)); err == nil || !strings.Contains(err.Error(), "rebalanced") {
-		t.Fatalf("fresh join of fenced shape: err = %v, want a rebalanced rejection", err)
+	wantReb := RebalancedError{From: K, To: 3, Barrier: barrier}
+	for name, dial := range map[string]func() (*Client, error){
+		"fresh join": func() (*Client, error) { return Dial(srv.Addr(), WithPartition(0, K)) },
+		"resume at barrier+1": func() (*Client, error) {
+			return DialResume(srv.Addr(), "ghost", barrier+1, WithPartition(0, K))
+		},
+		"resume past it": func() (*Client, error) {
+			return DialResume(srv.Addr(), "ghost", barrier+2, WithPartition(0, K))
+		},
+	} {
+		var reb *RebalancedError
+		if _, err := dial(); !errors.Is(err, ErrRebalanced) || !errors.As(err, &reb) || *reb != wantReb {
+			t.Fatalf("%s of the fenced shape: err = %v, want ErrRebalanced naming %+v", name, err, wantReb)
+		}
 	}
-	if _, err := DialResume(srv.Addr(), "ghost", barrier+2, WithPartition(0, K)); err == nil || !strings.Contains(err.Error(), "rebalanced") {
-		t.Fatalf("beyond-barrier resume: err = %v, want a rebalanced rejection", err)
-	}
-
-	// A backfill below the barrier is still owed its pre-barrier slice:
-	// it drains exactly to the barrier through the disk tier, then gets
-	// the same hand-off as a live subscriber.
-	c, err := DialFrom(srv.Addr(), 1, WithPartition(1, K))
+	c, err := DialResume(srv.Addr(), "ghost", barrier, WithPartition(0, K))
 	if err != nil {
-		t.Fatalf("pre-barrier backfill refused: %v", err)
+		t.Fatalf("resume at the barrier refused: %v", err)
 	}
-	want := wantSeqs(evs[:50], 1, K)
-	var got []uint64
-	for {
-		_, err := c.RecvBatch()
-		if errors.Is(err, ErrRebalanced) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("backfill recv: %v", err)
-		}
-		got = append(got, c.LastBatchSeqs()...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("backfill received %d events, contract says %d below the barrier", len(got), len(want))
-	}
-	for i, seq := range got {
-		if seq != want[i] {
-			t.Fatalf("backfill event %d has seq %d, want %d", i, seq, want[i])
-		}
-	}
-	if b, n, ok := c.Rebalanced(); !ok || b != barrier || n != 3 || c.LastSeq() != barrier {
-		t.Fatalf("backfill hand-off = (%d, %d, %v) at cursor %d, want (%d, 3, true) at %d",
-			b, n, ok, c.LastSeq(), barrier, barrier)
+	if _, at, _, err := untilCutover(c); err != nil || at != barrier {
+		t.Fatalf("resume at the barrier met the record at %d (%v), want %d first", at, err, barrier)
 	}
 	c.Close()
 
-	// The backfill retired 1/2 at the barrier; 0/2 was never offered.
-	if err := OfferSnapshot(srv.Addr(), c.Session(), 1, K, barrier, []byte("1/2")); err != nil {
+	// A backfill below the barrier is served its pre-barrier slice
+	// through the disk tier, then the record, like a live subscriber.
+	backfill := func(p int) *Client {
+		t.Helper()
+		c, err := DialFrom(srv.Addr(), 1, WithPartition(p, K))
+		if err != nil {
+			t.Fatalf("pre-barrier backfill of %d/%d refused: %v", p, K, err)
+		}
+		got, at, _, err := untilCutover(c)
+		if err != nil || at != barrier {
+			t.Fatalf("backfill of %d/%d met the record at %d (%v), want the barrier %d", p, K, at, err, barrier)
+		}
+		if want := wantSeqs(evs[:50], p, K); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("backfill of %d/%d received %v before the record, contract says %v", p, K, got, want)
+		}
+		return c
+	}
+	c1 := backfill(1)
+	if err := OfferSnapshot(srv.Addr(), c1.Session(), 1, K, 3, barrier, []byte("1/2")); err != nil {
 		t.Fatal(err)
 	}
+	c1.Close()
+	// 0/2 was never offered.
 	if _, err := DialAdopt(srv.Addr(), 0, WithPartition(0, 3)); !errors.Is(err, ErrCutPending) || !strings.Contains(err.Error(), "1 of partition group 2's snapshots") {
 		t.Fatalf("adopting an incomplete cut: err = %v, want ErrCutPending naming 1 of 2", err)
 	}
-	c0, err := DialFrom(srv.Addr(), 1, WithPartition(0, K))
-	if err != nil {
-		t.Fatalf("pre-barrier backfill refused: %v", err)
-	}
-	for !errors.Is(err, ErrRebalanced) {
-		_, err = c0.RecvBatch()
-	}
-	if err := OfferSnapshot(srv.Addr(), c0.Session(), 0, K, barrier, []byte("0/2")); err != nil {
+	c0 := backfill(0)
+	if err := OfferSnapshot(srv.Addr(), c0.Session(), 0, K, 3, barrier, []byte("0/2")); err != nil {
 		t.Fatal(err)
 	}
 	c0.Close()
 	for p := 0; p < 3; p++ {
 		c := adoptCut(t, srv.Addr(), p, 3, K, barrier)
-		if err := OfferSnapshot(srv.Addr(), c.Session(), p, 3, barrier, []byte("re-keyed")); err != nil {
+		if err := OfferSnapshot(srv.Addr(), c.Session(), p, 3, 0, barrier, []byte("re-keyed")); err != nil {
 			t.Fatal(err)
 		}
 		c.Close()
@@ -268,8 +270,8 @@ func TestRebalanceFenceAdmission(t *testing.T) {
 	}
 
 	// The old shape stays fenced forever; the new shape admits.
-	if _, err := Dial(srv.Addr(), WithPartition(0, K)); err == nil {
-		t.Fatal("fenced shape admitted a fresh join after commit")
+	if _, err := Dial(srv.Addr(), WithPartition(0, K)); !errors.Is(err, ErrRebalanced) {
+		t.Fatalf("fenced shape after commit: err = %v, want ErrRebalanced", err)
 	}
 	waitDetached(t, srv)
 	c3, err := Dial(srv.Addr(), WithPartition(0, 3))
@@ -279,13 +281,12 @@ func TestRebalanceFenceAdmission(t *testing.T) {
 	c3.Close()
 }
 
-// TestRebalanceRefusedOnEmptyFeed: an empty feed has no barrier to cut
-// at (0 would read as "no fence"), so prepare is refused and installs
-// nothing: a subscriber of the shape keeps its whole feed, and fresh
-// joins of the shape are still admitted.
-func TestRebalanceRefusedOnEmptyFeed(t *testing.T) {
+// TestRebalanceOnEmptyFeedCutsAtOne: on an empty feed the cutover record
+// is the feed's first sequence, a valid cut: a subscriber of the shape
+// connected before the prepare receives the record at 1, fresh joins of
+// the shape are refused from then on, and the audit lists the cut.
+func TestRebalanceOnEmptyFeedCutsAtOne(t *testing.T) {
 	leakCheck(t)
-	evs := partEvents(50, 13)
 	srv, _ := spooledServer(t, 64)
 	c, err := Dial(srv.Addr(), WithPartition(0, 2))
 	if err != nil {
@@ -293,30 +294,63 @@ func TestRebalanceRefusedOnEmptyFeed(t *testing.T) {
 	}
 	defer c.Close()
 	waitClients(t, srv, 1)
-	if b, err := PrepareRebalance(srv.Addr(), 2, 3); err == nil || !strings.Contains(err.Error(), "feed is empty") {
-		t.Fatalf("prepare on an empty feed = (%d, %v), want a refusal", b, err)
+	barrier, err := PrepareRebalance(srv.Addr(), 2, 3)
+	if err != nil || barrier != 1 {
+		t.Fatalf("prepare on an empty feed = (%d, %v), want the cut at 1", barrier, err)
 	}
-	for _, ev := range evs {
-		srv.BroadcastBatch([]osn.Event{ev})
+	if before, at, rec, err := untilCutover(c); err != nil || len(before) != 0 || at != 1 || rec.Actor != 2 || rec.Target != 3 {
+		t.Fatalf("subscriber of the shape: %v before %+v at %d (%v), want the 2→3 record first, at 1", before, rec, at, err)
 	}
-	want := wantSeqs(evs, 0, 2)
-	var got []uint64
-	for len(got) < len(want) {
-		if _, err := c.RecvBatch(); err != nil {
-			t.Fatalf("subscriber of the shape after the refused prepare: %v", err)
+	if _, err := Dial(srv.Addr(), WithPartition(1, 2)); !errors.Is(err, ErrRebalanced) {
+		t.Fatalf("fresh join of the shape after the cut: err = %v, want ErrRebalanced", err)
+	}
+	if got, want := srv.Stats().Rebalances, []RebalanceStats{{From: 2, To: 3, Barrier: 1}}; !slices.Equal(got, want) {
+		t.Fatalf("rebalance audit = %+v, want %+v", got, want)
+	}
+}
+
+// TestRetirementOfferInstallsCutover: a broker that holds no fence for
+// a cutover — a restarted root, a relay edge — installs it from the
+// first retirement offer (admission's fence, the audit row), and refuses
+// retirement offers that contradict it: another target shape, or
+// another barrier. A relay hop, having no sequencer, refuses a prepare.
+func TestRetirementOfferInstallsCutover(t *testing.T) {
+	leakCheck(t)
+	srv, _ := spooledServer(t, 64)
+	for i := 0; i < 20; i++ {
+		srv.BroadcastBatch([]osn.Event{testEvent(i)})
+	}
+	olds := []string{owner(t, srv, 0, 2), owner(t, srv, 1, 2)}
+	if err := OfferSnapshot(srv.Addr(), olds[0], 0, 2, 3, 15, []byte("0/2")); err != nil {
+		t.Fatalf("retirement offer: %v", err)
+	}
+	if got, want := srv.Stats().Rebalances, []RebalanceStats{{From: 2, To: 3, Barrier: 15}}; !slices.Equal(got, want) {
+		t.Fatalf("rebalance audit = %+v, want %+v", got, want)
+	}
+	if _, err := Dial(srv.Addr(), WithPartition(0, 2)); !errors.Is(err, ErrRebalanced) {
+		t.Fatalf("fresh join after the installed cut: err = %v, want ErrRebalanced", err)
+	}
+	for _, bad := range []struct {
+		nparts int
+		seq    uint64
+		why    string
+	}{{4, 15, "already rebalancing to 3"}, {3, 16, "at barrier 15, not 16"}} {
+		if err := OfferSnapshot(srv.Addr(), olds[1], 1, 2, bad.nparts, bad.seq, []byte("1/2")); err == nil || !strings.Contains(err.Error(), bad.why) {
+			t.Fatalf("retirement offer for %d at %d: err = %v, want a refusal naming %q", bad.nparts, bad.seq, err, bad.why)
 		}
-		got = append(got, c.LastBatchSeqs()...)
 	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("subscriber received %v, want %v", got, want)
+	if err := OfferSnapshot(srv.Addr(), olds[1], 1, 2, 3, 15, []byte("1/2")); err != nil {
+		t.Fatalf("agreeing retirement offer: %v", err)
 	}
-	c1, err := Dial(srv.Addr(), WithPartition(1, 2))
+	adoptCut(t, srv.Addr(), 0, 3, 2, 15).Close()
+
+	hop, err := NewServer("127.0.0.1:0", withAdopting())
 	if err != nil {
-		t.Fatalf("fresh join of the shape after the refused prepare: %v", err)
+		t.Fatal(err)
 	}
-	c1.Close()
-	if reb := srv.Stats().Rebalances; len(reb) != 0 {
-		t.Fatalf("refused prepare is in the audit: %+v", reb)
+	defer hop.Close()
+	if _, err := PrepareRebalance(hop.Addr(), 2, 3); err == nil || !strings.Contains(err.Error(), "relay hop") {
+		t.Fatalf("prepare at a relay hop: err = %v, want a refusal", err)
 	}
 }
 
@@ -342,7 +376,7 @@ func TestRebalanceBackToRetiredShape(t *testing.T) {
 	olds := []string{owner(t, srv, 0, 2), owner(t, srv, 1, 2)}
 	threes, _ := cutover(olds, 3, 40)
 	_, barrier := cutover(threes, 2, 40)
-	if err := OfferSnapshot(srv.Addr(), threes[0], 0, 3, barrier, []byte("stale")); err == nil || !strings.Contains(err.Error(), "no session owns") {
+	if err := OfferSnapshot(srv.Addr(), threes[0], 0, 3, 0, barrier, []byte("stale")); err == nil || !strings.Contains(err.Error(), "no session owns") {
 		t.Fatalf("offer for the shape retired second: err = %v, want a refusal", err)
 	}
 	c, err := DialAdopt(srv.Addr(), 0, WithPartition(0, 2))
@@ -380,22 +414,22 @@ func adoptCut(t *testing.T, addr string, part, parts, from int, barrier uint64) 
 }
 
 // cutOver completes a prepared rebalance the way workers do: each old
-// owner (olds[p], the session that owns p/len(olds)) offers "p/from" at
-// the barrier, then each new worker adopts the cut (adoptCut) and
+// owner (olds[p], the session that owns p/len(olds)) makes its
+// retirement offer, "p/from" at the barrier, then each new worker adopts the cut (adoptCut) and
 // offers "p/to at barrier" there, the last offer committing the
 // rebalance. It returns the new owners' sessions, detached.
 func cutOver(t *testing.T, srv *Server, olds []string, to int, barrier uint64) []string {
 	t.Helper()
 	from := len(olds)
 	for p, sess := range olds {
-		if err := OfferSnapshot(srv.Addr(), sess, p, from, barrier, []byte(fmt.Sprintf("%d/%d", p, from))); err != nil {
+		if err := OfferSnapshot(srv.Addr(), sess, p, from, to, barrier, []byte(fmt.Sprintf("%d/%d", p, from))); err != nil {
 			t.Fatalf("%d→%d: old owner %d's offer: %v", from, to, p, err)
 		}
 	}
 	news := make([]string, to)
 	for p := range news {
 		c := adoptCut(t, srv.Addr(), p, to, from, barrier)
-		if err := OfferSnapshot(srv.Addr(), c.Session(), p, to, barrier, []byte(fmt.Sprintf("%d/%d at %d", p, to, barrier))); err != nil {
+		if err := OfferSnapshot(srv.Addr(), c.Session(), p, to, 0, barrier, []byte(fmt.Sprintf("%d/%d at %d", p, to, barrier))); err != nil {
 			t.Fatalf("%d→%d: new owner %d's offer: %v", from, to, p, err)
 		}
 		news[p] = c.Session()

@@ -38,9 +38,9 @@
 // retention loss.
 //
 // Besides the feed, a broker answers two one-shot control exchanges —
-// a snapshot offer and a rebalance prepare — each on a short-lived
-// connection of its own (see control.go, OfferSnapshot and
-// PrepareRebalance). A partition key has one owner: admission refuses a
+// a snapshot offer and a rebalance prepare, which sequences a cutover
+// record into the feed — each on a short-lived connection of its own
+// (see control.go, OfferSnapshot and PrepareRebalance). A partition key has one owner: admission refuses a
 // second session on a held key (ErrHeld), and hands an adopting
 // subscriber the key's held snapshot in the handshake, or, on a shape a
 // live rebalance is cutting over to, the old group's snapshots at the
@@ -195,7 +195,8 @@ type Server struct {
 
 	// mu guards the producer registry and the control plane. Admission,
 	// a producer's dedupe and a rebalance's fence hold it across their
-	// calls into the log. Lock order: mu → log.mu.
+	// calls into the log (never across a publish). Lock order: mu →
+	// log.mu.
 	mu sync.Mutex
 
 	// Wire-producer ingest (publish sub-protocol; see publish.go),
@@ -300,14 +301,15 @@ type SessionStats struct {
 	Fill      float64 // Buffered/Window; at 1.0 this session stalls a spool-less BroadcastBatch
 }
 
-// RebalanceStats describes one rebalance the broker coordinated:
-// the old group shape, the new one, the sequence barrier the cutover
-// fenced at, and whether it committed: every key of the new shape
-// offered a snapshot at or past the barrier.
+// RebalanceStats describes one rebalance the broker holds, prepared
+// here or installed from a retirement offer: the old group shape, the
+// new one, the sequence of the cutover record, and whether it
+// committed: every key of the new shape offered a snapshot at or past
+// the barrier.
 type RebalanceStats struct {
 	From      int    // old partition group size
 	To        int    // new partition group size
-	Barrier   uint64 // common cut sequence: old owners end at it, new owners start after it
+	Barrier   uint64 // the cutover record's sequence: old owners end at it, new owners start after it
 	Committed bool
 }
 
@@ -572,9 +574,10 @@ func (s *Server) serveConn(conn net.Conn) {
 // to, an adopting hello whose key holds nothing at or past the barrier
 // is handed the old group's cut instead and resumes after the barrier,
 // or is refused (cutPendingRefusal) until every old snapshot is there.
-// A fence on the hello's own group shape admits only a resume below its
-// barrier, as a fenced session, unless the shape is being cut over to
-// again and the resume is past that cut. An admitted session becomes
+// A fence on the hello's own group shape admits only a resume at or
+// below its barrier, one that will reach the cutover record, unless the
+// shape is being cut over to again and the resume is past that cut;
+// anything else is refused (rebalancedRefusal). An admitted session becomes
 // its partitioned key's owner, whose offers alone the key then takes.
 // admit returns the reader, the connection generation, the first
 // sequence the writer will send and the adopted snapshots, or a
@@ -604,15 +607,13 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uin
 	case ok && held.Seq > 0:
 		snaps, resume = []spool.Snapshot{held}, held.Seq+1
 	}
-	if f := s.ctl.fences[hello.Parts]; f != nil && (cut == nil || resume <= cut.barrier) {
-		// The group shape was rebalanced away. A fresh join would
-		// double-judge post-barrier events against the new owners; a
-		// resume may only drain what it is owed below the barrier, then
-		// gets the rebal hand-off like everyone else.
-		if resume == 0 || resume > f.barrier+1 {
-			return nil, 0, 0, nil, fmt.Sprintf("partition group %d rebalanced to %d at barrier %d", f.from, f.nparts, f.barrier)
-		}
-		want.fencedAt, want.fenceNew = f.barrier, f.nparts
+	if f := s.ctl.fences[hello.Parts]; f != nil && (cut == nil || resume <= cut.barrier) &&
+		(resume == 0 || resume > f.barrier) {
+		// The group shape was rebalanced away. A fresh join or a resume
+		// past the record would double-judge post-barrier events against
+		// the new owners; one at or below it judges up to the record and
+		// retires there like the rest of its group.
+		return nil, 0, 0, nil, rebalancedRefusal + (&RebalancedError{From: f.from, To: f.nparts, Barrier: f.barrier}).Error()
 	}
 	r, gen, from, reject = s.log.open(want, resume, conn)
 	switch {
@@ -635,7 +636,8 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uin
 //     passed;
 //   - flush when the log has nothing more for now, before the fill
 //     sleeps, and at least every DefaultFlushEvery while it does not;
-//   - end: the round's end frame, rebal or eof, ends the subscription.
+//   - end: a round that drains a closing log ends the subscription with
+//     eof.
 //
 // Everything the writer builds lives in its own scratch and goes
 // straight to the socket: it is never retained, and once warm the
@@ -662,8 +664,8 @@ func (s *Server) writer(r *reader, conn net.Conn, gen int) {
 		if err == nil {
 			err = w.emit(rd.from, rd.to)
 		}
-		if err == nil && rd.end != nil {
-			writeFrame(w.bw, rd.end)
+		if err == nil && rd.eof {
+			writeFrame(w.bw, eofFrame)
 			w.bw.Flush()
 			conn.SetReadDeadline(time.Now().Add(DefaultDrainTimeout))
 			return

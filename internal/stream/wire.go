@@ -42,11 +42,9 @@ const (
 	frameSnapOffer = "soffer"
 	frameSnapOK    = "sok"
 
-	// Rebalance sub-protocol (live K→K' cutover; see control.go).
-	// rebal is the in-stream cutover announcement sent to fenced
-	// partition subscribers; rprepare and its rok reply ride a
-	// short-lived connection of their own.
-	frameRebal   = "rebal"
+	// Rebalance prepare (live K→K' cutover; see control.go): rprepare
+	// and its rok reply ride a short-lived connection of their own. The
+	// cutover itself travels in the feed, as an event record.
 	frameRebPrep = "rprepare"
 	frameRebOK   = "rok"
 )
@@ -81,9 +79,9 @@ type frame struct {
 	Bseq      uint64 `json:"bseq,omitempty"`      // per-producer batch sequence (pack/pwelcome)
 	Count     uint64 `json:"count,omitempty"`     // events durably sequenced from this producer (pwelcome)
 
-	// Rebalance sub-protocol fields.
-	Barrier uint64 `json:"barrier,omitempty"` // cutover barrier sequence (rprepare reply, rebal)
-	NParts  int    `json:"nparts,omitempty"`  // new partition group size (rprepare, rebal)
+	// Rebalance fields.
+	Barrier uint64 `json:"barrier,omitempty"` // the cutover record's sequence (rok)
+	NParts  int    `json:"nparts,omitempty"`  // new partition group size (rprepare, rok; soffer: a retirement offer's)
 
 	// Relay-tier handshake fields (relay.go).
 	Relay bool `json:"relay,omitempty"` // hello: this subscriber is an interior relay hop

@@ -24,7 +24,9 @@
 //
 // A payload is accepted exactly when it is what the encoders emit for
 // some events: the right tag, a length of exactly the header plus n
-// records, and a known event type in every record. So
+// records, and a known event type in every record — for a pbatch, a
+// type a producer may publish, which excludes the broker's cutover
+// record (osn.EvCutover). So
 // AppendBatch(ParseBatch(p)) == p byte for byte for every accepted p
 // (likewise for pbatch and fbatch), and an accepted frame's records can
 // be copied instead of decoded: SpliceBatch, SuffixBatch, Join and
@@ -110,8 +112,11 @@ const (
 	recordSize    = 21 // type u8 | at i64 | actor i32 | target i32 | aux i32
 	seqRecordSize = 8 + recordSize
 
-	// lastType is the highest event type this build knows.
-	lastType = byte(osn.EvBlogShare)
+	// lastType is the highest event type this build knows, and
+	// lastProducerType the highest a producer may publish: the cutover
+	// record is the broker's own, so a pbatch carrying one is refused.
+	lastType         = byte(osn.EvCutover)
+	lastProducerType = byte(osn.EvBlogShare)
 )
 
 var le = binary.LittleEndian
@@ -163,8 +168,8 @@ func putEvent(b []byte, ev osn.Event) {
 }
 
 // event loads the record at the start of b; ok is false when its type
-// is one this build does not know.
-func event(b []byte) (ev osn.Event, ok bool) {
+// is past bound.
+func event(b []byte, bound byte) (ev osn.Event, ok bool) {
 	_ = b[recordSize-1]
 	return osn.Event{
 		Type:   osn.EventType(b[0]),
@@ -172,7 +177,7 @@ func event(b []byte) (ev osn.Event, ok bool) {
 		Actor:  osn.AccountID(le.Uint32(b[9:])),
 		Target: osn.AccountID(le.Uint32(b[13:])),
 		Aux:    int32(le.Uint32(b[17:])),
-	}, b[0] <= lastType
+	}, b[0] <= bound
 }
 
 // header checks that payload is an event frame tagged tag whose length
@@ -192,17 +197,20 @@ func header(payload []byte, tag byte, rec int) (uint64, int, bool) {
 // ParseBatch decodes a batch payload into events appended to dst. ok is
 // false when the payload is not one AppendBatch emits.
 func ParseBatch(payload []byte, dst []osn.Event) (seq uint64, evs []osn.Event, ok bool) {
-	return parseEvents(payload, tagBatch, dst)
+	return parseEvents(payload, tagBatch, lastType, dst)
 }
 
 // ParsePBatch decodes a publish batch payload into events appended to
 // dst, returning the producer's batch sequence. Same rules as
-// ParseBatch.
+// ParseBatch, except that a cutover record is refused: only the broker
+// writes one.
 func ParsePBatch(payload []byte, dst []osn.Event) (bseq uint64, evs []osn.Event, ok bool) {
-	return parseEvents(payload, tagPBatch, dst)
+	return parseEvents(payload, tagPBatch, lastProducerType, dst)
 }
 
-func parseEvents(payload []byte, tag byte, dst []osn.Event) (uint64, []osn.Event, bool) {
+// parseEvents decodes a payload tagged tag whose records' types are at
+// most bound.
+func parseEvents(payload []byte, tag, bound byte, dst []osn.Event) (uint64, []osn.Event, bool) {
 	seq, n, ok := header(payload, tag, recordSize)
 	if !ok {
 		return 0, dst, false
@@ -211,7 +219,7 @@ func parseEvents(payload []byte, tag byte, dst []osn.Event) (uint64, []osn.Event
 	out, recs := evs[len(dst):], payload[headerSize:]
 	for i := range out {
 		var ok bool
-		if out[i], ok = event(recs[i*recordSize:]); !ok {
+		if out[i], ok = event(recs[i*recordSize:], bound); !ok {
 			return 0, dst, false
 		}
 	}
@@ -224,19 +232,20 @@ func parseEvents(payload []byte, tag byte, dst []osn.Event) (uint64, []osn.Event
 // (adoption, the spool), which moves frames around whole and only needs
 // to know which sequence run a frame covers.
 func ParseBatchBounds(payload []byte) (first uint64, n int, ok bool) {
-	return bounds(payload, tagBatch)
+	return bounds(payload, tagBatch, lastType)
 }
 
 // ParsePBatchBounds is ParseBatchBounds for a publish batch payload,
-// returning the producer's batch sequence.
+// returning the producer's batch sequence; like ParsePBatch it refuses
+// a cutover record.
 func ParsePBatchBounds(payload []byte) (bseq uint64, n int, ok bool) {
-	return bounds(payload, tagPBatch)
+	return bounds(payload, tagPBatch, lastProducerType)
 }
 
-func bounds(payload []byte, tag byte) (uint64, int, bool) {
+func bounds(payload []byte, tag, bound byte) (uint64, int, bool) {
 	seq, n, ok := header(payload, tag, recordSize)
 	for off := headerSize; ok && off < len(payload); off += recordSize {
-		ok = payload[off] <= lastType
+		ok = payload[off] <= bound
 	}
 	if !ok {
 		return 0, 0, false

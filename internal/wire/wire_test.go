@@ -165,6 +165,40 @@ func TestPBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCutoverRecordIsTheBrokers: a cutover record rides the feed's own
+// frames — a batch carrying one parses, with and without decoding, and
+// every partition's fbatch view of it carries the record — but no
+// producer can publish one: both pbatch parsers refuse it.
+func TestCutoverRecordIsTheBrokers(t *testing.T) {
+	events := []osn.Event{
+		{Type: osn.EvFriendRequest, At: 10, Actor: 1, Target: 2},
+		{Type: osn.EvCutover, Actor: 2, Target: 3},
+	}
+	batch := AppendBatch(nil, 40, events)
+	if seq, got, ok := ParseBatch(batch, nil); !ok || seq != 40 || len(got) != 2 || got[1] != events[1] {
+		t.Fatalf("batch with a cutover record: (%d, %+v, %v)", seq, got, ok)
+	}
+	if first, n, ok := ParseBatchBounds(batch); !ok || first != 40 || n != 2 {
+		t.Fatalf("bounds of a batch with a cutover record: (%d, %d, %v)", first, n, ok)
+	}
+	for _, parts := range []int{2, 3, 5} {
+		for part := 0; part < parts; part++ {
+			view := SpliceFBatch(nil, 41, batch, Owned(nil, batch, part, parts))
+			last, got, seqs, ok := ParseFBatch(view, nil, nil)
+			if !ok || last != 41 || len(got) == 0 || got[len(got)-1] != events[1] || seqs[len(seqs)-1] != 41 {
+				t.Fatalf("partition %d/%d's view: (%d, %+v, %v, %v), want the record at 41 last", part, parts, last, got, seqs, ok)
+			}
+		}
+	}
+	pbatch := AppendPBatch(nil, 7, events)
+	if _, _, ok := ParsePBatch(pbatch, nil); ok {
+		t.Fatal("ParsePBatch accepted a producer's cutover record")
+	}
+	if _, _, ok := ParsePBatchBounds(pbatch); ok {
+		t.Fatal("ParsePBatchBounds accepted a producer's cutover record")
+	}
+}
+
 // TestSuffixBatch pins the mid-frame splice: the suffix starting at
 // any sequence inside a payload's run must be byte-identical to a fresh
 // encode of the trailing events — this is what a resumed subscriber
