@@ -28,7 +28,10 @@
 //     connection goes.
 //   - A live rebalance (stream.PrepareRebalance) is a cutover record in
 //     the feed, at the barrier. A worker of the group shape it retires
-//     judges through the record and retires there (below). On the shape
+//     judges through the record and retires there (below), unless the
+//     broker admitted it past a later rebalance back into its shape
+//     (stream.Client.Reshaped): a replay of the feed from before an
+//     earlier generation's cut judges on past that cut. On the shape
 //     it cuts over to, the handshake hands a key with no state of its
 //     own past the barrier the old K-way group's K snapshots at the
 //     barrier instead; Start waits until all K are there. It re-keys
@@ -48,10 +51,8 @@
 //     refused because another worker now holds the key (stream.ErrHeld)
 //     ends the worker: that worker adopted its state.
 //   - Stop and a live-rebalance retirement end with a final save.
-//     Retirement always offers, naming the new shape: the new workers
-//     adopt that cut, and a broker that forgot the cutover (a restarted
-//     root) or never saw it prepared (a relay edge) learns it from the
-//     offer. Kill is a crash: nothing is saved.
+//     Retirement always offers: the new workers adopt that cut. Kill is
+//     a crash: nothing is saved.
 package cluster
 
 import (
@@ -428,7 +429,7 @@ func (w *Worker) drain(c *stream.Client) error {
 			if w.cfg.audit && osn.Partition(ev.Actor, w.cfg.Parts) == w.cfg.Part {
 				w.ownedSeqs = append(w.ownedSeqs, seqAt(i))
 			}
-			if ev.Type == osn.EvCutover && int(ev.Actor) == w.cfg.Parts {
+			if ev.Type == osn.EvCutover && int(ev.Actor) == w.cfg.Parts && seqAt(i) > c.Reshaped() {
 				w.rebalanced, w.rebBarrier, w.rebNew = true, seqAt(i), int(ev.Target)
 				n, last = i+1, w.rebBarrier // the batch ends at the record
 			}
@@ -470,8 +471,7 @@ func offerLag(window int) int {
 // at: its newest confirmed offer, or the snapshot it adopted.
 func (w *Worker) durable() uint64 { return max(w.offered.Load(), w.handoffSeq) }
 
-// save cuts a snapshot and, when offer is set, offers it to the broker
-// (after retirement, as the retirement offer naming the new shape);
+// save cuts a snapshot and, when offer is set, offers it to the broker;
 // once the broker confirms it, the feed is acked through it on c (when
 // c is non-nil). A failure is not fatal: the broker's previous offer
 // (or the spool) keeps recovery possible. Kill is a crash: once it has
@@ -485,7 +485,7 @@ func (w *Worker) save(c *stream.Client, offer bool) {
 	// A failed offer is not logged: a broker that is down refuses the
 	// save before the resume. Stats counts the successes.
 	data, err := json.Marshal(snap)
-	if err == nil && !w.killed.Load() && stream.OfferSnapshot(w.cfg.Addr, w.session, w.cfg.Part, max(w.cfg.Parts, 1), w.rebNew, snap.Seq, data) == nil {
+	if err == nil && !w.killed.Load() && stream.OfferSnapshot(w.cfg.Addr, w.session, w.cfg.Part, max(w.cfg.Parts, 1), snap.Seq, data) == nil {
 		w.offered.Store(snap.Seq)
 		w.stats.Offers++
 		if c != nil {

@@ -287,17 +287,24 @@ func TestLiveRebalanceEarlyStart(t *testing.T) {
 }
 
 // TestRebalanceSurvivesRootRestart: a K=2→3 cutover on a spooled root
-// survives the root's restart between the prepare and the start of the
-// new workers. The old workers are killed after an offer below the
+// survives the root's restart between the prepare and the end of the
+// old workers. The old workers are killed after an offer below the
 // barrier, the prepare runs, and the root is aborted and reopened on
-// the same spool and address: it has forgotten the fence, but the
-// cutover record is durable in its spool. The restarted old workers
-// adopt their snapshots, replay to the record and retire at B, and
-// their retirement offers hand the root the cut back; new workers
-// started after that adopt it (HandoffSeq == B, ResumedFrom == B+1).
-// The union of flags equals the single run's, and each sequence of the
-// feed is judged exactly once.
+// the same spool and address: it holds the cut again from the note it
+// wrote beside its log. The restarted old workers adopt their
+// snapshots, replay to the record and retire at B; new workers adopt
+// the cut (HandoffSeq == B, ResumedFrom == B+1), whether they start
+// after the old workers retired or before the old workers return, when
+// they wait for the cut. The union of flags equals the single run's,
+// and each sequence of the feed is judged exactly once.
 func TestRebalanceSurvivesRootRestart(t *testing.T) {
+	for _, newFirst := range []bool{false, true} {
+		name := map[bool]string{false: "old-workers-first", true: "new-workers-first"}[newFirst]
+		t.Run(name, func(t *testing.T) { rebalanceAcrossRootRestart(t, newFirst) })
+	}
+}
+
+func rebalanceAcrossRootRestart(t *testing.T, newFirst bool) {
 	events, rule := campaignFeed()
 	want := singleRunFlags(t, events, rule)
 	const from, to = 2, 3
@@ -351,6 +358,21 @@ func TestRebalanceSurvivesRootRestart(t *testing.T) {
 	defer sp.Close()
 	defer srv.Close()
 
+	pending := make([]<-chan started, to)
+	startNew := func() {
+		for p := range pending {
+			pending[p] = startAsync(workerCfg(p, to))
+		}
+	}
+	if newFirst {
+		startNew()
+		time.Sleep(200 * time.Millisecond) // a few refused dials: the cut is not complete
+		for p, ch := range pending {
+			if len(ch) > 0 {
+				t.Fatalf("new worker %d/%d started before the old workers returned", p, to)
+			}
+		}
+	}
 	olds := make([]*cluster.Worker, from)
 	for p := range olds {
 		w, err := cluster.Start(workerCfg(p, from))
@@ -378,12 +400,16 @@ func TestRebalanceSurvivesRootRestart(t *testing.T) {
 				p, from, b, n, ok, w.Pipeline().Seq(), barrier, to)
 		}
 	}
+	if !newFirst {
+		startNew()
+	}
 	news := make([]*cluster.Worker, to)
-	for p := range news {
-		w, err := cluster.Start(workerCfg(p, to))
-		if err != nil {
-			t.Fatalf("start new worker %d/%d: %v", p, to, err)
+	for p, ch := range pending {
+		st := <-ch
+		if st.err != nil {
+			t.Fatalf("start new worker %d/%d: %v", p, to, st.err)
 		}
+		w := st.w
 		if w.HandoffSeq() != barrier || w.ResumedFrom() != barrier+1 {
 			t.Fatalf("new worker %d/%d adopted seq %d resuming %d, want %d resuming %d",
 				p, to, w.HandoffSeq(), w.ResumedFrom(), barrier, barrier+1)
@@ -483,6 +509,78 @@ func TestRetiredShapeSpareEndsAtOnce(t *testing.T) {
 	for _, w := range news {
 		w.Stop()
 		w.Wait()
+	}
+}
+
+// TestReplayJudgesPastAnEarlierCut: a 2→3 rebalance and then a 3→2
+// one return the cluster to shape 2. A spare of shape 2 replaying the
+// feed from sequence 1 meets the 2→3 record first, but its broker told
+// it the shape was cut back to at the later barrier, so it judges on
+// past the earlier record instead of retiring there, and the broker
+// still holds just the two committed cutovers.
+func TestReplayJudgesPastAnEarlierCut(t *testing.T) {
+	events, rule := campaignFeed()
+	srv := clusterServer(t)
+	addr := srv.Addr()
+	gen := func(parts int) []*cluster.Worker {
+		t.Helper()
+		ws := make([]*cluster.Worker, parts)
+		for p := range ws {
+			w, err := cluster.Start(workerConfig(addr, p, parts, rule))
+			if err != nil {
+				t.Fatalf("start worker %d/%d: %v", p, parts, err)
+			}
+			ws[p] = w
+		}
+		return ws
+	}
+	cut := func(ws []*cluster.Worker, to int, evs []osn.Event) uint64 {
+		t.Helper()
+		for _, ev := range evs {
+			srv.BroadcastBatch([]osn.Event{ev})
+		}
+		barrier, err := stream.PrepareRebalance(addr, len(ws), to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p, w := range ws {
+			if err := w.Wait(); err != nil {
+				t.Fatalf("worker %d/%d: %v", p, len(ws), err)
+			}
+			if b, n, ok := w.Rebalanced(); !ok || b != barrier || n != to {
+				t.Fatalf("worker %d/%d retired with (%d, %d, %v), want (%d, %d, true)", p, len(ws), b, n, ok, barrier, to)
+			}
+		}
+		return barrier
+	}
+	first := cut(gen(2), 3, events[:2000])
+	second := cut(gen(3), 2, events[2000:4000])
+	for _, w := range gen(2) {
+		w.Stop()
+		w.Wait()
+	}
+	for _, ev := range events[4000:] {
+		srv.BroadcastBatch([]osn.Event{ev})
+	}
+	cfg := workerConfig(addr, 0, 2, rule)
+	cfg.Handoff, cfg.FromStart = false, true
+	spare, err := cluster.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return spare.Pipeline().Seq() > second }, "the replay to pass the 3→2 cut at %d", second)
+	if b, _, ok := spare.Rebalanced(); ok {
+		t.Fatalf("the replay retired at %d, an earlier generation's cut (the shape was cut back to at %d)", b, second)
+	}
+	reb := srv.Stats().Rebalances
+	if len(reb) != 2 || reb[0].Barrier != first || reb[1].Barrier != second || !reb[0].Committed || !reb[1].Committed {
+		t.Fatalf("rebalance audit %+v, want the committed cutovers at %d and %d only", reb, first, second)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := spare.Wait(); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
 }
 

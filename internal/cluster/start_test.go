@@ -43,7 +43,7 @@ func offerAt(t *testing.T, part, parts int, seq uint64, snap *detector.PipelineS
 			t.Fatal(err)
 		}
 		defer c.Close() // a worker dialing meanwhile waits while the key is held
-		if err := stream.OfferSnapshot(srv.Addr(), c.Session(), part, parts, 0, seq, data); err != nil {
+		if err := stream.OfferSnapshot(srv.Addr(), c.Session(), part, parts, seq, data); err != nil {
 			t.Fatal(err)
 		}
 	}

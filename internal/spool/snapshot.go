@@ -217,3 +217,55 @@ func (s *Spool) LoadSnapshots() []Snapshot {
 	}
 	return out
 }
+
+// Cutover is a live rebalance's cutover record as a broker notes it
+// beside the log: partition group From was cut over to a group of To
+// at Barrier, the record's sequence. The record itself is in the log;
+// the note lets a restarted broker hold the cut without reading the
+// log back, and outlives the record's segment being pruned.
+type Cutover struct {
+	From, To int
+	Barrier  uint64
+}
+
+// cutName is the file noting c: empty, everything is in the name.
+func cutName(c Cutover) string {
+	return fmt.Sprintf("cutover-%020d-%04d-%04d.cut", c.Barrier, c.From, c.To)
+}
+
+// PutCutover durably notes cutover c. A broker notes a record before it
+// appends it, so a crash in between leaves a note past the log's end,
+// which LoadCutovers drops, and never a record without its note.
+func (s *Spool) PutCutover(c Cutover) error {
+	err := replaceFile(s.dir, cutName(c))
+	if err == nil {
+		err = syncDir(s.dir)
+	}
+	if err != nil {
+		return fmt.Errorf("spool: cutover: %w", err)
+	}
+	return nil
+}
+
+// LoadCutovers returns the noted cutovers in barrier order, once, when
+// a broker opens on the spool. A note past End() is removed with a loud
+// line: its record never reached the log, and that sequence may be
+// reused.
+func (s *Spool) LoadCutovers() []Cutover {
+	entries, _ := os.ReadDir(s.dir)
+	end := s.End()
+	var out []Cutover
+	for _, e := range entries { // sorted by name: by barrier
+		var c Cutover
+		n, err := fmt.Sscanf(e.Name(), "cutover-%d-%d-%d.cut", &c.Barrier, &c.From, &c.To)
+		switch {
+		case n != 3 || err != nil || e.Name() != cutName(c):
+		case c.Barrier > end:
+			s.opt.logf("spool: cutover %s is past the spooled log's end %d — dropped", e.Name(), end)
+			os.Remove(filepath.Join(s.dir, e.Name()))
+		default:
+			out = append(out, c)
+		}
+	}
+	return out
+}

@@ -279,3 +279,33 @@ func TestSnapshotPrunedResumePointDropped(t *testing.T) {
 		t.Fatalf("files left %v", names)
 	}
 }
+
+// TestCutoverNotes: noted cutovers reload in barrier order across a
+// reopen, and a note past the log's end — its record never appended —
+// is dropped loudly and its file removed, so a reused sequence is not
+// mistaken for a cut.
+func TestCutoverNotes(t *testing.T) {
+	dir := t.TempDir()
+	var lines []string
+	sp := openWith(t, dir, 40, &lines)
+	cuts := []Cutover{{From: 3, To: 2, Barrier: 40}, {From: 2, To: 3, Barrier: 9}, {From: 2, To: 4, Barrier: 41}}
+	for _, c := range cuts {
+		if err := sp.PutCutover(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sp.PutCutover(cuts[0]); err != nil {
+		t.Fatalf("noting a cutover again: %v", err)
+	}
+	sp.Close()
+	sp = openWith(t, dir, 0, &lines)
+	if got, want := sp.LoadCutovers(), []Cutover{cuts[1], cuts[0]}; !slices.Equal(got, want) {
+		t.Fatalf("loaded %+v, want %+v", got, want)
+	}
+	if len(lines) != 1 || !strings.Contains(lines[0], "past the spooled log's end 40") {
+		t.Fatalf("log lines %q, want one naming the end", lines)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "cutover-*")); len(names) != 2 {
+		t.Fatalf("files left %v, want the two within the log", names)
+	}
+}

@@ -109,9 +109,10 @@ type Client struct {
 	// returns it again.
 	end error
 
-	manualAck bool // acks driven by Ack() instead of delivery
-	hop       int  // the welcome's tree depth of the answering broker
-	window    int  // the welcome's tail that waits on this session's acks (0: none)
+	manualAck bool   // acks driven by Ack() instead of delivery
+	hop       int    // the welcome's tree depth of the answering broker
+	window    int    // the welcome's tail that waits on this session's acks (0: none)
+	reshaped  uint64 // the welcome's newest cutover into the group shape (Reshaped)
 
 	// The snapshots the handshake handed over (DialAdopt); seq 0: none.
 	adoptedSeq uint64
@@ -249,14 +250,15 @@ func subscribe(conn net.Conn, hello frame) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		conn:    conn,
-		br:      br,
-		bw:      bufio.NewWriterSize(conn, 4<<10),
-		session: hello.Session,
-		part:    hello.Part,
-		parts:   hello.Parts,
-		hop:     welcome.Hop,
-		window:  welcome.Window,
+		conn:     conn,
+		br:       br,
+		bw:       bufio.NewWriterSize(conn, 4<<10),
+		session:  hello.Session,
+		part:     hello.Part,
+		parts:    hello.Parts,
+		hop:      welcome.Hop,
+		window:   welcome.Window,
+		reshaped: welcome.Barrier,
 	}
 	if hello.Adopt && welcome.Snaps > 0 {
 		conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
@@ -293,6 +295,14 @@ func (c *Client) Session() string { return c.session }
 // LastSeq returns the sequence number of the last event handed to the
 // caller; resume from LastSeq()+1.
 func (c *Client) LastSeq() uint64 { return c.lastSeq }
+
+// Reshaped returns the barrier of the newest cutover record into the
+// subscription's group shape that the broker held when it admitted this
+// client, 0 if none. A cutover record out of the shape at or below it
+// retired an earlier generation of the shape — the feed is replayed
+// past a rebalance that later returned to the shape — so a worker of
+// the shape judges on past it; one above it retires the worker.
+func (c *Client) Reshaped() uint64 { return c.reshaped }
 
 // Adopted hands over the snapshots a DialAdopt handshake carried: the
 // sequence the broker held them at (the cursor starts right after it)

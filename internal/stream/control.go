@@ -28,9 +28,12 @@
 // then); it re-keys them itself (detector.RebalanceSnapshots), keeps
 // its own partition, subscribes from B+1 and offers at once. The
 // offer that leaves every K' key holding one at or past B commits the
-// rebalance, which drops the old shape's snapshots. A retirement offer
-// names K', so a broker that holds no fence for the cutover — a
-// restarted root, or a relay edge — installs it from the offer.
+// rebalance, which drops the old shape's snapshots. Every broker learns
+// a cutover from its record alone: the root when it sequences it, a
+// relay hop when it adopts the frame carrying it (AdoptFrame). A
+// spooled broker notes each cutover beside its log before appending
+// the record (spool.PutCutover) and holds them again when it reopens
+// (NewServer), so a restart keeps the cut.
 //
 // All of this state is one control struct guarded by Server.mu.
 // Admission must see fences and snapshots atomically with its own
@@ -45,6 +48,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net"
 	"slices"
 	"time"
@@ -140,17 +144,11 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, req frame, row fi
 // on meanwhile. A dead owner's file written while its successor was
 // admitted stays on disk until an offer passes it; it is a valid state
 // of the key, just not the one adopted. A file written while a commit
-// retired the key's shape goes with the rest of the shape's. A
-// retirement offer (nparts set: the shape its cut goes to) installs its
-// cutover when the broker holds none, and is refused when it
-// contradicts the one held. The offer that completes a pending
-// rebalance's new shape commits it.
+// retired the key's shape goes with the rest of the shape's. The offer
+// that completes a pending rebalance's new shape commits it.
 func (s *Server) ctlOffer(br *bufio.Reader, req frame) *frame {
-	switch {
-	case req.Size > wire.MaxSnapshotSize:
+	if req.Size > wire.MaxSnapshotSize {
 		return &frame{Err: "snapshot too large"}
-	case req.NParts > 0 && (req.Seq == 0 || !validShape(req.Parts, req.NParts)):
-		return &frame{Err: "invalid retirement offer"}
 	}
 	payload, err := wire.ReadFrameLimit(br, nil, wire.MaxSnapshotSize)
 	if err != nil {
@@ -173,9 +171,6 @@ func (s *Server) ctlOffer(br *bufio.Reader, req frame) *frame {
 	k := partKey{part: req.Part, parts: req.Parts}
 	s.mu.Lock()
 	why = s.offerRefusalLocked(req)
-	if why == "" && req.NParts > 0 {
-		_, _, why = s.cutoverLocked(req.Parts, req.NParts, req.Seq)
-	}
 	_, owned := s.ctl.owners[k]
 	retired := 0
 	switch {
@@ -238,76 +233,95 @@ func (s *Server) dropSnapshots(parts int) {
 	}
 }
 
-// ctlPrepare cuts group shape K over to K': it reserves one sequence B,
-// installs the fence and publishes the cutover record at B, then
-// replies with B once a spooled broker has the record on disk.
-// Idempotent: re-preparing the same K→K' returns the barrier already
-// chosen, so a retry across a dropped connection is safe; a conflicting
-// K→K” is refused, and so is a second rebalance into a shape one is
-// already cutting over to. A relay hop has no sequencer of its own and
-// refuses.
+// ctlPrepare cuts group shape K over to K': under mu it reserves one
+// sequence B and installs the fence with it, so two prepares never
+// reserve two records; then it notes the cutover beside a spooled log,
+// publishes its record at B, and replies with B once the record is
+// published, and on disk when there is a spool. Idempotent:
+// re-preparing the same K→K' returns the barrier already chosen, under
+// the same rule, so a retry across a dropped connection is safe; a
+// conflicting K→K” is refused, and so is a second rebalance into a
+// shape one is already cutting over to. A relay hop has no sequencer of
+// its own and refuses.
 func (s *Server) ctlPrepare(_ *bufio.Reader, req frame) *frame {
 	switch {
-	case !validShape(req.Parts, req.NParts):
+	case req.Parts < 2 || req.NParts < 1 || req.Parts == req.NParts:
 		return &frame{Err: "invalid rebalance shape"}
 	case s.log.opt.adopting:
 		return &frame{Err: "broker is a relay hop: prepare the rebalance at the root broker"}
 	}
 	s.mu.Lock()
-	f, fresh, why := s.cutoverLocked(req.Parts, req.NParts, 0)
+	f, g := s.ctl.fences[req.Parts], s.pendingLocked(req.NParts)
+	fresh, why := f == nil && g == nil, ""
+	switch {
+	case f != nil && f.nparts != req.NParts:
+		why = fmt.Sprintf("partition group %d already rebalancing to %d", req.Parts, f.nparts)
+	case g != nil && g != f:
+		why = fmt.Sprintf("partition group %d already rebalancing to %d", g.from, g.nparts)
+	case fresh:
+		if b, err := s.log.reserve(1, 0); err != nil {
+			why = err.Error()
+		} else {
+			f = s.installLocked(req.Parts, req.NParts, b)
+		}
+	}
 	s.mu.Unlock()
 	if why != "" {
 		return &frame{Err: why}
 	}
+	// Every sequence after B waits for the record, the note's fsync
+	// included: a rebalance is rare, and the note must come first.
+	err := s.noteCutover(f)
 	if fresh {
 		cut := []osn.Event{{Type: osn.EvCutover, Actor: osn.AccountID(f.from), Target: osn.AccountID(f.nparts)}}
 		s.log.publish(s.buildChunks(f.barrier, 1, func(_, _ int, seq uint64) []byte {
 			return wire.AppendBatch(nil, seq, cut)
 		}))
 	}
-	if s.log.spoolUsable() {
-		if err := s.log.opt.spool.Sync(f.barrier); err != nil {
-			return &frame{Err: err.Error()}
-		}
+	s.log.published(f.barrier)
+	if err == nil && s.log.spoolUsable() {
+		err = s.log.opt.spool.Sync(f.barrier)
+	}
+	if err != nil {
+		return &frame{Err: err.Error()}
 	}
 	return &frame{Parts: f.from, NParts: f.nparts, Barrier: f.barrier}
 }
 
-// validShape reports whether a rebalance may cut group shape from over
-// to a group of to.
-func validShape(from, to int) bool { return from >= 2 && to >= 1 && from != to }
-
-// cutoverLocked returns the fence of the cutover of group shape from to
-// a group of to, installing it (fresh) when the broker holds none:
-// admission's fence, the log's barrier for the shape and the audit row.
-// barrier is the cutover record's sequence, 0 to reserve it now — under
-// mu, with the fence, so admission never admits a fresh join of the
-// shape that would miss the record. A cutover that contradicts the one
-// held — from cutting over to another shape, another group already
-// cutting over to to, or from cut at another barrier than the one
-// named — is refused (why). Caller holds s.mu.
-func (s *Server) cutoverLocked(from, to int, barrier uint64) (f *fence, fresh bool, why string) {
-	f, g := s.ctl.fences[from], s.pendingLocked(to)
-	switch {
-	case f != nil && f.nparts != to:
-		return nil, false, fmt.Sprintf("partition group %d already rebalancing to %d", from, f.nparts)
-	case g != nil && g != f:
-		return nil, false, fmt.Sprintf("partition group %d already rebalancing to %d", g.from, g.nparts)
-	case f != nil && barrier != 0 && f.barrier != barrier:
-		return nil, false, fmt.Sprintf("partition group %d was cut over to %d at barrier %d, not %d", from, to, f.barrier, barrier)
-	case f != nil:
-		return f, false, ""
-	case barrier == 0:
-		var err error
-		if barrier, err = s.log.reserve(1, 0); err != nil {
-			return nil, false, err.Error()
-		}
+// installLocked holds the cutover of group shape from to a group of to
+// whose record is at barrier: admission's fence, the log's barrier for
+// the shape and the audit row. A fence the broker holds for from at or
+// past barrier already covers the record. Caller holds s.mu.
+func (s *Server) installLocked(from, to int, barrier uint64) *fence {
+	if f := s.ctl.fences[from]; f != nil && f.barrier >= barrier {
+		return f
 	}
-	f = &fence{from: from, nparts: to, barrier: barrier}
+	f := &fence{from: from, nparts: to, barrier: barrier}
 	s.ctl.fences[from] = f
 	s.ctl.rebLog = append(s.ctl.rebLog, f)
 	s.log.retire(from, barrier)
-	return f, true, ""
+	return f
+}
+
+// noteCutover notes f's cutover beside a usable spool, before its
+// record is appended (spool.PutCutover).
+func (s *Server) noteCutover(f *fence) error {
+	if !s.log.spoolUsable() {
+		return nil
+	}
+	return s.log.opt.spool.PutCutover(spool.Cutover{From: f.from, To: f.nparts, Barrier: f.barrier})
+}
+
+// learnCutover holds the cutover named by a record a relay hop adopts
+// at seq, noting it first on a spooled hop. Caller is AdoptFrame,
+// between the frame's reservation and its publication.
+func (s *Server) learnCutover(ev osn.Event, seq uint64) {
+	s.mu.Lock()
+	f := s.installLocked(int(ev.Actor), int(ev.Target), seq)
+	s.mu.Unlock()
+	if err := s.noteCutover(f); err != nil {
+		log.Printf("stream: %v: a restart of this hop forgets the cutover at %d", err, seq)
+	}
 }
 
 // pendingLocked returns the uncommitted rebalance into group shape
@@ -432,11 +446,8 @@ func handshake(conn net.Conn, req frame, body []byte, want string) (frame, *bufi
 // highest-sequence offer per (part, parts); offering below it is not
 // an error — the fresher snapshot simply stays. session names the
 // offering subscriber: on a partitioned key the broker refuses it
-// unless that session is the key's current owner. nparts, when nonzero,
-// makes it a retirement offer: the snapshot is the key's share of the
-// cut at seq, the cutover record that hands group shape parts to a
-// group of nparts, and a broker that holds no such cutover installs it.
-func OfferSnapshot(addr, session string, part, parts, nparts int, seq uint64, data []byte) error {
+// unless that session is the key's current owner.
+func OfferSnapshot(addr, session string, part, parts int, seq uint64, data []byte) error {
 	if parts < 1 || part < 0 || part >= parts {
 		return fmt.Errorf("stream: invalid partition %d/%d", part, parts)
 	}
@@ -448,7 +459,7 @@ func OfferSnapshot(addr, session string, part, parts, nparts int, seq uint64, da
 	if data == nil {
 		data = []byte{} // an empty snapshot still sends its payload frame
 	}
-	offer := frame{T: frameSnapOffer, V: ProtocolVersion, Session: session, Part: part, Parts: parts, NParts: nparts, Seq: seq, Size: uint64(len(data))}
+	offer := frame{T: frameSnapOffer, V: ProtocolVersion, Session: session, Part: part, Parts: parts, Seq: seq, Size: uint64(len(data))}
 	_, _, err = handshake(conn, offer, data, frameSnapOK)
 	return err
 }

@@ -500,6 +500,17 @@ func (l *feedLog) retire(parts int, barrier uint64) {
 	l.mu.Unlock()
 }
 
+// published waits until the log has published every sequence through
+// seq, which must be reserved already: a reserved batch is always
+// published, closing or not.
+func (l *feedLog) published(seq uint64) {
+	l.mu.Lock()
+	for l.next <= seq {
+		l.ticket.Wait()
+	}
+	l.mu.Unlock()
+}
+
 // connected counts the connected readers.
 func (l *feedLog) connected() int {
 	l.mu.Lock()

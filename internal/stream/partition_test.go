@@ -441,7 +441,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				c.Close()
 			}
 			for _, parts := range []int{2, 1} {
-				if err := OfferSnapshot(srv.Addr(), owner(t, srv, 0, parts), 0, parts, 0, 7, []byte("state at 7")); err != nil {
+				if err := OfferSnapshot(srv.Addr(), owner(t, srv, 0, parts), 0, parts, 7, []byte("state at 7")); err != nil {
 					t.Fatal(err)
 				}
 				c, err := DialAdopt(srv.Addr(), 0, WithPartition(0, parts))
@@ -470,10 +470,10 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := OfferSnapshot(srv.Addr(), c.Session(), 0, 2, 0, 4, []byte("owner at 4")); err != nil {
+			if err := OfferSnapshot(srv.Addr(), c.Session(), 0, 2, 4, []byte("owner at 4")); err != nil {
 				t.Fatalf("the owner's offer: %v", err)
 			}
-			if err := OfferSnapshot(srv.Addr(), "intruder", 0, 2, 0, 6, []byte("intruder at 6")); err == nil || !strings.Contains(err.Error(), "does not own") {
+			if err := OfferSnapshot(srv.Addr(), "intruder", 0, 2, 6, []byte("intruder at 6")); err == nil || !strings.Contains(err.Error(), "does not own") {
 				t.Fatalf("an offer naming another session: err = %v, want a refusal", err)
 			}
 			c.Kick()
@@ -487,19 +487,19 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("adopted (%d, %q), want the owner's (4, owner at 4)", seq, data)
 			}
 			// The first owner's late offer lands after its successor adopted.
-			if err := OfferSnapshot(srv.Addr(), c.Session(), 0, 2, 0, 8, []byte("dead owner at 8")); err == nil {
+			if err := OfferSnapshot(srv.Addr(), c.Session(), 0, 2, 8, []byte("dead owner at 8")); err == nil {
 				t.Fatal("the replaced owner's offer was taken")
 			}
-			if err := OfferSnapshot(srv.Addr(), c2.Session(), 0, 2, 0, 5, []byte("successor at 5")); err != nil {
+			if err := OfferSnapshot(srv.Addr(), c2.Session(), 0, 2, 5, []byte("successor at 5")); err != nil {
 				t.Fatalf("the successor's offer: %v", err)
 			}
-			if err := OfferSnapshot(srv.Addr(), "", 0, 2, 0, 5, []byte("anonymous at 5")); err == nil || !strings.Contains(err.Error(), "does not own") {
+			if err := OfferSnapshot(srv.Addr(), "", 0, 2, 5, []byte("anonymous at 5")); err == nil || !strings.Contains(err.Error(), "does not own") {
 				t.Fatalf("an anonymous offer: err = %v, want a refusal", err)
 			}
-			if err := OfferSnapshot(srv.Addr(), c2.Session(), 0, 2, 0, 5, []byte("successor again at 5")); err != nil {
+			if err := OfferSnapshot(srv.Addr(), c2.Session(), 0, 2, 5, []byte("successor again at 5")); err != nil {
 				t.Fatalf("the successor's re-offer: %v", err)
 			}
-			if err := OfferSnapshot(srv.Addr(), "anyone", 0, 1, 0, 5, []byte("whole feed")); err != nil {
+			if err := OfferSnapshot(srv.Addr(), "anyone", 0, 1, 5, []byte("whole feed")); err != nil {
 				t.Fatalf("a whole-feed offer: %v", err)
 			}
 			if seq, data := held(srv, 0, 2); seq != 5 || string(data) != "successor again at 5" {
@@ -545,7 +545,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
-			if err := OfferSnapshot(srv.Addr(), owner(t, srv, 1, 2), 1, 2, 0, 5, []byte("state at 5")); err != nil {
+			if err := OfferSnapshot(srv.Addr(), owner(t, srv, 1, 2), 1, 2, 5, []byte("state at 5")); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := DialAdopt(srv.Addr(), 0, WithPartition(1, 2)); !errors.Is(err, ErrGap) || !strings.Contains(err.Error(), "held snapshot at seq 5") {
@@ -895,7 +895,7 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 
 	own := owner(t, s, 1, 3)
 	blob := []byte("\x00\x01snapshot payload \xff not JSON at all")
-	if err := OfferSnapshot(addr, own, 1, 3, 0, 500, blob); err != nil {
+	if err := OfferSnapshot(addr, own, 1, 3, 500, blob); err != nil {
 		t.Fatalf("offer: %v", err)
 	}
 	if seq, data := held(s, 1, 3); seq != 500 || !bytes.Equal(data, blob) {
@@ -903,14 +903,14 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 	}
 
 	// A stale offer must not regress the held snapshot.
-	if err := OfferSnapshot(addr, own, 1, 3, 0, 400, []byte("older")); err != nil {
+	if err := OfferSnapshot(addr, own, 1, 3, 400, []byte("older")); err != nil {
 		t.Fatalf("stale offer: %v", err)
 	}
 	if seq, _ := held(s, 1, 3); seq != 500 {
 		t.Fatalf("stale offer regressed the store to seq %d", seq)
 	}
 	// A fresher offer replaces it.
-	if err := OfferSnapshot(addr, own, 1, 3, 0, 600, []byte("newer")); err != nil {
+	if err := OfferSnapshot(addr, own, 1, 3, 600, []byte("newer")); err != nil {
 		t.Fatalf("fresher offer: %v", err)
 	}
 	if seq, data := held(s, 1, 3); seq != 600 || string(data) != "newer" {
@@ -918,7 +918,7 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 	}
 
 	// Keys are (part, parts): a 2-way snapshot is invisible to 3-way.
-	if err := OfferSnapshot(addr, owner(t, s, 1, 2), 1, 2, 0, 50, []byte("two-way")); err != nil {
+	if err := OfferSnapshot(addr, owner(t, s, 1, 2), 1, 2, 50, []byte("two-way")); err != nil {
 		t.Fatal(err)
 	}
 	if seq, data := held(s, 1, 3); seq != 600 || string(data) != "newer" {
@@ -938,7 +938,7 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 	}
 
 	// Invalid partitions die before touching the network or the store.
-	if err := OfferSnapshot(addr, own, 3, 3, 0, 1, nil); err == nil {
+	if err := OfferSnapshot(addr, own, 3, 3, 1, nil); err == nil {
 		t.Fatal("offer with part == parts accepted")
 	}
 }
@@ -961,7 +961,7 @@ func TestSnapshotLargerThanFrameLimit(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i * 2654435761)
 	}
-	if err := OfferSnapshot(s.Addr(), owner(t, s, 0, 2), 0, 2, 0, 9, big); err != nil {
+	if err := OfferSnapshot(s.Addr(), owner(t, s, 0, 2), 0, 2, 9, big); err != nil {
 		t.Fatalf("offer: %v", err)
 	}
 	if seq, data := held(s, 0, 2); seq != 9 || !bytes.Equal(data, big) {

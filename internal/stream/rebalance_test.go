@@ -7,8 +7,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sybilwild/internal/osn"
+	"sybilwild/internal/spool"
 )
 
 // untilCutover reads c until the cutover record and returns the
@@ -105,7 +107,7 @@ func TestRebalanceCutover(t *testing.T) {
 	}
 
 	for p, c := range old {
-		if err := OfferSnapshot(srv.Addr(), c.Session(), p, oldK, newK, barrier, []byte(fmt.Sprintf("%d/%d", p, oldK))); err != nil {
+		if err := OfferSnapshot(srv.Addr(), c.Session(), p, oldK, barrier, []byte(fmt.Sprintf("%d/%d", p, oldK))); err != nil {
 			t.Fatalf("old partition %d's retirement offer: %v", p, err)
 		}
 	}
@@ -133,7 +135,7 @@ func TestRebalanceCutover(t *testing.T) {
 		if st := srv.Stats(); st.Rebalances[0].Committed {
 			t.Fatalf("rebalance committed before new partition %d offered", p)
 		}
-		if err := OfferSnapshot(srv.Addr(), c.Session(), p, newK, 0, c.LastSeq(), []byte("re-keyed")); err != nil {
+		if err := OfferSnapshot(srv.Addr(), c.Session(), p, newK, c.LastSeq(), []byte("re-keyed")); err != nil {
 			t.Fatalf("new partition %d's offer: %v", p, err)
 		}
 		for i, seq := range got {
@@ -245,7 +247,7 @@ func TestRebalanceFenceAdmission(t *testing.T) {
 		return c
 	}
 	c1 := backfill(1)
-	if err := OfferSnapshot(srv.Addr(), c1.Session(), 1, K, 3, barrier, []byte("1/2")); err != nil {
+	if err := OfferSnapshot(srv.Addr(), c1.Session(), 1, K, barrier, []byte("1/2")); err != nil {
 		t.Fatal(err)
 	}
 	c1.Close()
@@ -254,13 +256,13 @@ func TestRebalanceFenceAdmission(t *testing.T) {
 		t.Fatalf("adopting an incomplete cut: err = %v, want ErrCutPending naming 1 of 2", err)
 	}
 	c0 := backfill(0)
-	if err := OfferSnapshot(srv.Addr(), c0.Session(), 0, K, 3, barrier, []byte("0/2")); err != nil {
+	if err := OfferSnapshot(srv.Addr(), c0.Session(), 0, K, barrier, []byte("0/2")); err != nil {
 		t.Fatal(err)
 	}
 	c0.Close()
 	for p := 0; p < 3; p++ {
 		c := adoptCut(t, srv.Addr(), p, 3, K, barrier)
-		if err := OfferSnapshot(srv.Addr(), c.Session(), p, 3, 0, barrier, []byte("re-keyed")); err != nil {
+		if err := OfferSnapshot(srv.Addr(), c.Session(), p, 3, barrier, []byte("re-keyed")); err != nil {
 			t.Fatal(err)
 		}
 		c.Close()
@@ -309,48 +311,85 @@ func TestRebalanceOnEmptyFeedCutsAtOne(t *testing.T) {
 	}
 }
 
-// TestRetirementOfferInstallsCutover: a broker that holds no fence for
-// a cutover — a restarted root, a relay edge — installs it from the
-// first retirement offer (admission's fence, the audit row), and refuses
-// retirement offers that contradict it: another target shape, or
-// another barrier. A relay hop, having no sequencer, refuses a prepare.
-func TestRetirementOfferInstallsCutover(t *testing.T) {
+// TestCutoverLearnedFromTheRecord: a broker learns a cutover from its
+// record alone. A relay hop that adopted the record holds the cut — its
+// audit lists it, it refuses a fresh join of the retired shape and
+// admits a resume at the barrier — and refuses a prepare, having no
+// sequencer. A spooled root reopened on its spool holds the cut it
+// noted beside the log: the same audit row and fence, and a re-prepare
+// returns the same barrier without a second record.
+func TestCutoverLearnedFromTheRecord(t *testing.T) {
 	leakCheck(t)
-	srv, _ := spooledServer(t, 64)
-	for i := 0; i < 20; i++ {
-		srv.BroadcastBatch([]osn.Event{testEvent(i)})
-	}
-	olds := []string{owner(t, srv, 0, 2), owner(t, srv, 1, 2)}
-	if err := OfferSnapshot(srv.Addr(), olds[0], 0, 2, 3, 15, []byte("0/2")); err != nil {
-		t.Fatalf("retirement offer: %v", err)
-	}
-	if got, want := srv.Stats().Rebalances, []RebalanceStats{{From: 2, To: 3, Barrier: 15}}; !slices.Equal(got, want) {
-		t.Fatalf("rebalance audit = %+v, want %+v", got, want)
-	}
-	if _, err := Dial(srv.Addr(), WithPartition(0, 2)); !errors.Is(err, ErrRebalanced) {
-		t.Fatalf("fresh join after the installed cut: err = %v, want ErrRebalanced", err)
-	}
-	for _, bad := range []struct {
-		nparts int
-		seq    uint64
-		why    string
-	}{{4, 15, "already rebalancing to 3"}, {3, 16, "at barrier 15, not 16"}} {
-		if err := OfferSnapshot(srv.Addr(), olds[1], 1, 2, bad.nparts, bad.seq, []byte("1/2")); err == nil || !strings.Contains(err.Error(), bad.why) {
-			t.Fatalf("retirement offer for %d at %d: err = %v, want a refusal naming %q", bad.nparts, bad.seq, err, bad.why)
+	dir := t.TempDir()
+	open := func(addr string) (*Server, *spool.Spool) {
+		t.Helper()
+		sp, err := spool.Open(dir, spool.WithSegmentBytes(4096))
+		if err != nil {
+			t.Fatal(err)
 		}
+		srv, err := NewServer(addr, WithReplayBuffer(64), WithSpool(sp))
+		if err != nil {
+			sp.Close()
+			t.Fatal(err)
+		}
+		return srv, sp
 	}
-	if err := OfferSnapshot(srv.Addr(), olds[1], 1, 2, 3, 15, []byte("1/2")); err != nil {
-		t.Fatalf("agreeing retirement offer: %v", err)
-	}
-	adoptCut(t, srv.Addr(), 0, 3, 2, 15).Close()
-
-	hop, err := NewServer("127.0.0.1:0", withAdopting())
+	root, sp := open("127.0.0.1:0")
+	addr := root.Addr()
+	edge, err := NewRelay("127.0.0.1:0", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hop.Close()
-	if _, err := PrepareRebalance(hop.Addr(), 2, 3); err == nil || !strings.Contains(err.Error(), "relay hop") {
+	for i := 0; i < 20; i++ {
+		root.BroadcastBatch([]osn.Event{testEvent(i)})
+	}
+	barrier, err := PrepareRebalance(addr, 2, 3)
+	if err != nil || barrier != 21 {
+		t.Fatalf("prepare = (%d, %v), want the cut at 21", barrier, err)
+	}
+	root.BroadcastBatch([]osn.Event{testEvent(20)})
+	for deadline := time.Now().Add(5 * time.Second); edge.Server().HeadSeq() < barrier+1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("relay hop stuck at %d", edge.Server().HeadSeq())
+		}
+	}
+	want := []RebalanceStats{{From: 2, To: 3, Barrier: barrier}}
+	fenced := func(who string, srv *Server) {
+		t.Helper()
+		if got := srv.Stats().Rebalances; !slices.Equal(got, want) {
+			t.Fatalf("%s: rebalance audit = %+v, want %+v", who, got, want)
+		}
+		if _, err := Dial(srv.Addr(), WithPartition(0, 2)); !errors.Is(err, ErrRebalanced) {
+			t.Fatalf("%s: fresh join of the retired shape: err = %v, want ErrRebalanced", who, err)
+		}
+		c, err := DialResume(srv.Addr(), "ghost", barrier, WithPartition(1, 2))
+		if err != nil {
+			t.Fatalf("%s: resume at the barrier refused: %v", who, err)
+		}
+		closeDetached(t, srv, c)
+	}
+	fenced("relay hop", edge.Server())
+	if _, err := PrepareRebalance(edge.Addr(), 2, 3); err == nil || !strings.Contains(err.Error(), "relay hop") {
 		t.Fatalf("prepare at a relay hop: err = %v, want a refusal", err)
+	}
+	edge.Close()
+
+	root.Abort()
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	root, sp = open(addr)
+	defer sp.Close()
+	defer root.Close()
+	fenced("reopened root", root)
+	if b, err := PrepareRebalance(addr, 2, 3); err != nil || b != barrier {
+		t.Fatalf("re-prepare after the restart = (%d, %v), want (%d, nil)", b, err, barrier)
+	}
+	if _, err := PrepareRebalance(addr, 2, 4); err == nil || !strings.Contains(err.Error(), "already rebalancing to 3") {
+		t.Fatalf("conflicting prepare after the restart: err = %v, want a refusal", err)
+	}
+	if head := root.HeadSeq(); head != barrier+1 {
+		t.Fatalf("head = %d after the re-prepare, want %d: one record", head, barrier+1)
 	}
 }
 
@@ -358,7 +397,9 @@ func TestRetirementOfferInstallsCutover(t *testing.T) {
 // group shape an earlier one retired. While the 3→2 cutover is in
 // flight the new 2-shape owners are admitted past the stale fence the
 // 2→3 commit left, adopt the 3-shape cut and offer, although 2 was
-// retired; their offers commit it, and the 3-shape snapshots go.
+// retired; their offers commit it, and the 3-shape snapshots go. A
+// replay of shape 2 from sequence 1 is told the 2→3 record is stale,
+// and its offer there fences nothing.
 func TestRebalanceBackToRetiredShape(t *testing.T) {
 	leakCheck(t)
 	srv, _ := spooledServer(t, 64)
@@ -374,9 +415,9 @@ func TestRebalanceBackToRetiredShape(t *testing.T) {
 		return cutOver(t, srv, olds, to, barrier), barrier
 	}
 	olds := []string{owner(t, srv, 0, 2), owner(t, srv, 1, 2)}
-	threes, _ := cutover(olds, 3, 40)
+	threes, first := cutover(olds, 3, 40)
 	_, barrier := cutover(threes, 2, 40)
-	if err := OfferSnapshot(srv.Addr(), threes[0], 0, 3, 0, barrier, []byte("stale")); err == nil || !strings.Contains(err.Error(), "no session owns") {
+	if err := OfferSnapshot(srv.Addr(), threes[0], 0, 3, barrier, []byte("stale")); err == nil || !strings.Contains(err.Error(), "no session owns") {
 		t.Fatalf("offer for the shape retired second: err = %v, want a refusal", err)
 	}
 	c, err := DialAdopt(srv.Addr(), 0, WithPartition(0, 2))
@@ -388,6 +429,50 @@ func TestRebalanceBackToRetiredShape(t *testing.T) {
 	if seq, data := c.Adopted(); seq != barrier || len(data) != 1 || string(data[0]) != want || c.LastSeq() != barrier {
 		t.Fatalf("adopted (%d, %q) at cursor %d, want (%d, %s) at %d", seq, data, c.LastSeq(), barrier, want, barrier)
 	}
+	if c.Reshaped() != barrier {
+		t.Fatalf("new 0/2 owner told the newest cutover into its shape is at %d, want %d", c.Reshaped(), barrier)
+	}
+	closeDetached(t, srv, c)
+
+	// A replay of shape 2 from the start is past the 3→2 cut too: it is
+	// told so (Reshaped), so its worker judges on past the 2→3 record,
+	// which retired an earlier generation of the shape. Its offer there
+	// is an ordinary, stale one: shape 2 is not fenced again.
+	replay, err := DialFrom(srv.Addr(), 1, WithPartition(0, 2))
+	if err != nil {
+		t.Fatalf("replay of 0/2 from 1: %v", err)
+	}
+	if replay.Reshaped() != barrier {
+		t.Fatalf("replay of 0/2 told the newest cutover into its shape is at %d, want %d", replay.Reshaped(), barrier)
+	}
+	var records []osn.Event
+	for len(records) < 2 {
+		evs, err := replay.RecvBatch()
+		if err != nil {
+			t.Fatalf("replay of 0/2 after %d records: %v", len(records), err)
+		}
+		for _, ev := range evs {
+			if ev.Type == osn.EvCutover {
+				records = append(records, ev)
+			}
+		}
+	}
+	if records[0].Actor != 2 || records[1].Actor != 3 || replay.LastSeq() != barrier {
+		t.Fatalf("replay of 0/2 met %+v through %d, want the 2→3 record and then the 3→2 one at %d", records, replay.LastSeq(), barrier)
+	}
+	if err := OfferSnapshot(srv.Addr(), replay.Session(), 0, 2, first, []byte("stale")); err != nil {
+		t.Fatalf("replay's offer at the first cut: %v", err)
+	}
+	closeDetached(t, srv, replay)
+	reb := srv.Stats().Rebalances
+	if len(reb) != 2 || !reb[0].Committed || !reb[1].Committed {
+		t.Fatalf("rebalance audit %+v, want the two committed cutovers only", reb)
+	}
+	fresh, err := Dial(srv.Addr(), WithPartition(1, 2))
+	if err != nil {
+		t.Fatalf("fresh join of shape 2 after the replay's offer: %v", err)
+	}
+	fresh.Close()
 }
 
 // adoptCut dials the new owner of part/parts with adoption and checks
@@ -422,14 +507,14 @@ func cutOver(t *testing.T, srv *Server, olds []string, to int, barrier uint64) [
 	t.Helper()
 	from := len(olds)
 	for p, sess := range olds {
-		if err := OfferSnapshot(srv.Addr(), sess, p, from, to, barrier, []byte(fmt.Sprintf("%d/%d", p, from))); err != nil {
+		if err := OfferSnapshot(srv.Addr(), sess, p, from, barrier, []byte(fmt.Sprintf("%d/%d", p, from))); err != nil {
 			t.Fatalf("%d→%d: old owner %d's offer: %v", from, to, p, err)
 		}
 	}
 	news := make([]string, to)
 	for p := range news {
 		c := adoptCut(t, srv.Addr(), p, to, from, barrier)
-		if err := OfferSnapshot(srv.Addr(), c.Session(), p, to, 0, barrier, []byte(fmt.Sprintf("%d/%d at %d", p, to, barrier))); err != nil {
+		if err := OfferSnapshot(srv.Addr(), c.Session(), p, to, barrier, []byte(fmt.Sprintf("%d/%d at %d", p, to, barrier))); err != nil {
 			t.Fatalf("%d→%d: new owner %d's offer: %v", from, to, p, err)
 		}
 		news[p] = c.Session()

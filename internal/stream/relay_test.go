@@ -582,7 +582,7 @@ func TestRelaySnapshotRendezvousAtEdge(t *testing.T) {
 	if seq, _ := held(edge.Server(), 0, 2); seq != 0 {
 		t.Fatalf("edge holds seq %d before any offer, want none", seq)
 	}
-	if err := OfferSnapshot(edge.Addr(), owner(t, edge.Server(), 0, 2), 0, 2, 0, 42, []byte("edge-held")); err != nil {
+	if err := OfferSnapshot(edge.Addr(), owner(t, edge.Server(), 0, 2), 0, 2, 42, []byte("edge-held")); err != nil {
 		t.Fatal(err)
 	}
 	if seq, data := held(edge.Server(), 0, 2); seq != 42 || string(data) != "edge-held" {

@@ -319,10 +319,10 @@ func TestSpooledSnapshotSurvivesRestart(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
-	if err := OfferSnapshot(srv.Addr(), owner(t, srv, 1, 2), 1, 2, 0, 10, []byte("state at 10")); err != nil {
+	if err := OfferSnapshot(srv.Addr(), owner(t, srv, 1, 2), 1, 2, 10, []byte("state at 10")); err != nil {
 		t.Fatalf("offer: %v", err)
 	}
-	if err := OfferSnapshot(srv.Addr(), owner(t, srv, 0, 2), 0, 2, 0, 11, []byte("ahead of the feed")); err == nil {
+	if err := OfferSnapshot(srv.Addr(), owner(t, srv, 0, 2), 0, 2, 11, []byte("ahead of the feed")); err == nil {
 		t.Fatal("offer past the spooled feed confirmed")
 	}
 	srv.Abort()
@@ -381,7 +381,7 @@ func TestCommittedRebalanceDropsRetiredSnapshots(t *testing.T) {
 	// The old workers retire at the barrier and offer there; the new
 	// ones adopt the cut and offer their share, which commits.
 	news := cutOver(t, srv, olds, 3, barrier)
-	if err := OfferSnapshot(srv.Addr(), olds[0], 0, 2, 0, barrier, []byte("late")); err == nil || !strings.Contains(err.Error(), "no session owns") {
+	if err := OfferSnapshot(srv.Addr(), olds[0], 0, 2, barrier, []byte("late")); err == nil || !strings.Contains(err.Error(), "no session owns") {
 		t.Fatalf("offer for the retired shape: err = %v, want a refusal", err)
 	}
 	if seq, _ := held(srv, 1, 2); seq != 0 {
@@ -393,7 +393,7 @@ func TestCommittedRebalanceDropsRetiredSnapshots(t *testing.T) {
 		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
 	for p, sess := range news {
-		if err := OfferSnapshot(srv.Addr(), sess, p, 3, 0, 1000, []byte("past the barrier")); err != nil {
+		if err := OfferSnapshot(srv.Addr(), sess, p, 3, 1000, []byte("past the barrier")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -435,7 +435,7 @@ func TestSpooledSnapshotPinsRetention(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		srv.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
-	if err := OfferSnapshot(srv.Addr(), owner(t, srv, 0, 2), 0, 2, 0, 50, []byte("state at 50")); err != nil {
+	if err := OfferSnapshot(srv.Addr(), owner(t, srv, 0, 2), 0, 2, 50, []byte("state at 50")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 100; i < 2000; i++ {

@@ -302,7 +302,8 @@ type SessionStats struct {
 }
 
 // RebalanceStats describes one rebalance the broker holds, prepared
-// here or installed from a retirement offer: the old group shape, the
+// here, adopted in its cutover record from upstream, or noted beside
+// the spool before a restart: the old group shape, the
 // new one, the sequence of the cutover record, and whether it
 // committed: every key of the new shape offered a snapshot at or past
 // the barrier.
@@ -335,6 +336,15 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 	if sp := s.log.opt.spool; sp != nil {
 		for _, sn := range sp.LoadSnapshots() {
 			s.ctl.snaps[partKey{part: sn.Part, parts: sn.Parts}] = sn
+		}
+		// The cutovers noted beside the log hold again, and those whose
+		// new shape had offered past the barrier commit again; nothing
+		// races this before the broker accepts.
+		for _, c := range sp.LoadCutovers() {
+			s.installLocked(c.From, c.To, c.Barrier)
+		}
+		for _, f := range s.ctl.rebLog {
+			s.commitLocked(f.nparts)
 		}
 	}
 	s.wg.Add(1)
@@ -468,6 +478,9 @@ func (s *Server) AdoptFrame(payload []byte) (n int, err error) {
 		payload, _ = wire.SuffixBatch(nil, payload, from)
 		s.log.encodes.Add(1)
 	}
+	for i, ev := wire.NextCutover(payload, 0); i >= 0; i, ev = wire.NextCutover(payload, i+1) {
+		s.learnCutover(ev, from+uint64(i))
+	}
 	adopt := int(last - from + 1)
 	s.adopted.Add(uint64(adopt))
 	s.log.publish([]*chunk{{first: from, last: last, n: adopt, cursor: last, payload: payload}})
@@ -524,15 +537,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 
-	r, gen, from, snaps, reject := s.admit(hello, conn)
+	r, gen, welcome, snaps, reject := s.admit(hello, conn)
 	if reject != "" {
 		refuse(reply, reject)
 		return
 	}
 	// Adopted snapshots' payloads follow the welcome as raw frames,
 	// under the handshake deadline, before the writer owns the socket.
-	welcome := frame{T: frameWelcome, V: ProtocolVersion, From: from, Adopt: hello.Adopt,
-		Hop: int(s.hop.Load()), Window: s.log.window(), Snaps: len(snaps)}
+	welcome.T, welcome.V, welcome.Adopt = frameWelcome, ProtocolVersion, hello.Adopt
+	welcome.Hop, welcome.Window, welcome.Snaps = int(s.hop.Load()), s.log.window(), len(snaps)
 	for _, sn := range snaps {
 		welcome.Seq, welcome.Size = sn.Seq, welcome.Size+uint64(len(sn.Data))
 	}
@@ -579,17 +592,19 @@ func (s *Server) serveConn(conn net.Conn) {
 // shape is being cut over to again and the resume is past that cut;
 // anything else is refused (rebalancedRefusal). An admitted session becomes
 // its partitioned key's owner, whose offers alone the key then takes.
-// admit returns the reader, the connection generation, the first
-// sequence the writer will send and the adopted snapshots, or a
-// rejection reason.
-func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uint64, snaps []spool.Snapshot, reject string) {
+// admit returns the reader, the connection generation, the welcome's
+// admission fields — From, the first sequence the writer will send,
+// and Barrier, the newest cutover into the hello's shape, before which
+// a cutover record out of it retired an earlier generation — and the
+// adopted snapshots, or a rejection reason.
+func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, welcome frame, snaps []spool.Snapshot, reject string) {
 	// Normalize the partition request: a group of one is the full
 	// feed, served on the cheaper contiguous path.
 	if hello.Parts == 1 {
 		hello.Part, hello.Parts = 0, 0
 	}
 	if hello.Parts < 0 || hello.Part < 0 || (hello.Parts > 0 && hello.Part >= hello.Parts) {
-		return nil, 0, 0, nil, "invalid partition"
+		return nil, 0, frame{}, nil, "invalid partition"
 	}
 	want := &reader{id: hello.Session, part: hello.Part, parts: hello.Parts, relay: hello.Relay}
 	resume := hello.Resume
@@ -601,7 +616,7 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uin
 	case !hello.Adopt:
 	case cut != nil && held.Seq < cut.barrier:
 		if snaps, reject = s.cutLocked(cut); reject != "" {
-			return nil, 0, 0, nil, reject
+			return nil, 0, frame{}, nil, reject
 		}
 		resume = cut.barrier + 1
 	case ok && held.Seq > 0:
@@ -613,16 +628,21 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, from uin
 		// past the record would double-judge post-barrier events against
 		// the new owners; one at or below it judges up to the record and
 		// retires there like the rest of its group.
-		return nil, 0, 0, nil, rebalancedRefusal + (&RebalancedError{From: f.from, To: f.nparts, Barrier: f.barrier}).Error()
+		return nil, 0, frame{}, nil, rebalancedRefusal + (&RebalancedError{From: f.from, To: f.nparts, Barrier: f.barrier}).Error()
 	}
-	r, gen, from, reject = s.log.open(want, resume, conn)
+	r, gen, welcome.From, reject = s.log.open(want, resume, conn)
+	for _, f := range s.ctl.rebLog {
+		if f.nparts == max(hello.Parts, 1) {
+			welcome.Barrier = max(welcome.Barrier, f.barrier)
+		}
+	}
 	switch {
 	case reject == "" && hello.Parts >= 2:
 		s.ctl.owners[partKey{part: hello.Part, parts: hello.Parts}] = hello.Session
 	case reject != "" && len(snaps) > 0 && reject != errClosing.Error() && reject != errHeld.Error():
 		reject = fmt.Sprintf("%s%d: %s", heldSnapshotRefusal, snaps[0].Seq, reject)
 	}
-	return r, gen, from, snaps, reject
+	return r, gen, welcome, snaps, reject
 }
 
 // sessionWriter is one session's socket writer: the log's fill for its

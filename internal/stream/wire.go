@@ -80,8 +80,10 @@ type frame struct {
 	Count     uint64 `json:"count,omitempty"`     // events durably sequenced from this producer (pwelcome)
 
 	// Rebalance fields.
-	Barrier uint64 `json:"barrier,omitempty"` // the cutover record's sequence (rok)
-	NParts  int    `json:"nparts,omitempty"`  // new partition group size (rprepare, rok; soffer: a retirement offer's)
+	// Barrier is the cutover record's sequence (rok); in a welcome, the
+	// newest cutover record into the hello's group shape (Reshaped).
+	Barrier uint64 `json:"barrier,omitempty"`
+	NParts  int    `json:"nparts,omitempty"` // new partition group size (rprepare, rok)
 
 	// Relay-tier handshake fields (relay.go).
 	Relay bool `json:"relay,omitempty"` // hello: this subscriber is an interior relay hop

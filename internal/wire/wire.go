@@ -253,6 +253,21 @@ func bounds(payload []byte, tag, bound byte) (uint64, int, bool) {
 	return seq, n, true
 }
 
+// NextCutover finds the first cutover record (osn.EvCutover) at or
+// after record i of a batch payload ParseBatchBounds accepted, reading
+// only the records' type bytes: it returns the record's index and the
+// record, or -1 when there is none. A relay hop learns a live
+// rebalance from the frames it adopts this way.
+func NextCutover(payload []byte, i int) (int, osn.Event) {
+	for off := headerSize + i*recordSize; off < len(payload); off += recordSize {
+		if payload[off] == lastType {
+			ev, _ := event(payload[off:], lastType)
+			return (off - headerSize) / recordSize, ev
+		}
+	}
+	return -1, osn.Event{}
+}
+
 // SpliceBatch appends to dst the batch payload with first sequence seq
 // holding events [off, end) of src, a batch or pbatch payload that
 // ParseBatchBounds or ParsePBatchBounds accepted: a header and one copy,

@@ -166,7 +166,8 @@ func TestPBatchCodecRoundTrip(t *testing.T) {
 }
 
 // TestCutoverRecordIsTheBrokers: a cutover record rides the feed's own
-// frames — a batch carrying one parses, with and without decoding, and
+// frames — a batch carrying one parses, with and without decoding,
+// NextCutover finds it, and
 // every partition's fbatch view of it carries the record — but no
 // producer can publish one: both pbatch parsers refuse it.
 func TestCutoverRecordIsTheBrokers(t *testing.T) {
@@ -180,6 +181,15 @@ func TestCutoverRecordIsTheBrokers(t *testing.T) {
 	}
 	if first, n, ok := ParseBatchBounds(batch); !ok || first != 40 || n != 2 {
 		t.Fatalf("bounds of a batch with a cutover record: (%d, %d, %v)", first, n, ok)
+	}
+	if i, ev := NextCutover(batch, 0); i != 1 || ev != events[1] {
+		t.Fatalf("NextCutover from 0 = (%d, %+v), want the record at 1", i, ev)
+	}
+	if i, _ := NextCutover(batch, 2); i != -1 {
+		t.Fatalf("NextCutover past the record = %d, want -1", i)
+	}
+	if i, _ := NextCutover(AppendBatch(nil, 40, events[:1]), 0); i != -1 {
+		t.Fatalf("NextCutover in a batch without one = %d, want -1", i)
 	}
 	for _, parts := range []int{2, 3, 5} {
 		for part := 0; part < parts; part++ {
