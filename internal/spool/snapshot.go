@@ -18,7 +18,9 @@
 // crc32c(payload) u32 (big endian), then the opaque payload. The header
 // must match the name and the checksum the payload, or the file is
 // damaged. Files are written through a temporary file, fsync, rename
-// and directory fsync, so a crash leaves whole files only.
+// and directory fsync, so a crash leaves whole files only. A live
+// rebalance's cutover note (Cutover) is an empty file written the same
+// way, cutover-<barrier>-<from>-<to>.cut, every number zero-padded.
 
 package spool
 

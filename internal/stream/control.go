@@ -313,8 +313,9 @@ func (s *Server) noteCutover(f *fence) error {
 }
 
 // learnCutover holds the cutover named by a record a relay hop adopts
-// at seq, noting it first on a spooled hop. Caller is AdoptFrame,
-// between the frame's reservation and its publication.
+// at seq, and notes it on a spooled hop. Caller is AdoptFrame, between
+// the frame's reservation and its publication, so the note precedes the
+// record in the hop's spool.
 func (s *Server) learnCutover(ev osn.Event, seq uint64) {
 	s.mu.Lock()
 	f := s.installLocked(int(ev.Actor), int(ev.Target), seq)
