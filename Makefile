@@ -47,7 +47,16 @@ alloc-budget:
 # sequence (the campaign's events plus one), each
 # new one adopts the cut and resumes at B+1, the new daemons' flagged
 # counts sum to the first leg's FLAG lines, and the broker evicts no
-# session. Mirrors ci.yml's "daemon smoke" step.
+# session. A third leg, again on a broker of its own with a long
+# -linger, runs the campaign through a whole-feed detectd, two
+# `-partition 0/2 -handoff` daemons (one waits as the spare) and one
+# `-partition 1/2`, then stops the broker with kill -TERM once the
+# producer is done. Gated on exact values: every process exits 0, the
+# broker's audit reads sent=E delivered=3E (delivered sums over the
+# three admitted sessions) with no session evicted, the whole-feed
+# daemon received all E events, exactly one 0/2 daemon prints the
+# spare's line, and the owners' flagged counts sum to the first leg's
+# FLAG lines. Mirrors ci.yml's "daemon smoke" step.
 daemon-smoke:
 	@d=$$(mktemp -d); trap 'kill $$(jobs -p) 2>/dev/null; rm -rf "$$d"' EXIT; \
 	fail() { echo "daemon-smoke: $$*" >&2; tail -n 20 $$d/*.out >&2; exit 1; }; \
@@ -86,7 +95,28 @@ daemon-smoke:
 		n=$$((n + x)); \
 	done; \
 	[ "$$n" -eq "$$f" ] || fail "the new daemons flagged $$n accounts, the first leg $$f"; \
-	echo "daemon-smoke: rebalance 2 -> 3 at barrier $$b: both old daemons retired there, the three new ones adopted the cut and hold all $$n flags"
+	echo "daemon-smoke: rebalance 2 -> 3 at barrier $$b: both old daemons retired there, the three new ones adopted the cut and hold all $$n flags"; \
+	$$d/streamd -addr 127.0.0.1:0 -spool-dir $$d/tspool -linger 10m -stats-every 0 >$$d/tstreamd.out 2>&1 & sp=$$!; \
+	for i in $$(seq 100); do grep -q '^broker on' $$d/tstreamd.out && break; sleep 0.1; done; \
+	addr=$$(sed -n 's/^broker on \([^;]*\);.*/\1/p' $$d/tstreamd.out); \
+	[ -n "$$addr" ] || fail "TERM leg: streamd did not start"; \
+	$$d/detectd -addr $$addr -from-start -check-every 3 >$$d/twhole.out 2>&1 & ps=$$!; \
+	for o in t0a t0b; do $$d/detectd -addr $$addr -partition 0/2 -handoff -from-start -check-every 3 >$$d/$$o.out 2>&1 & ps="$$ps $$!"; done; \
+	$$d/detectd -addr $$addr -partition 1/2 -handoff -from-start -check-every 3 >$$d/t1.out 2>&1 & ps="$$ps $$!"; \
+	$$d/renrend -addr $$addr -normals 1500 -sybils 20 -hours 150 >$$d/trenrend.out 2>&1 || fail "TERM leg: renrend exited $$?"; \
+	kill -TERM $$sp; \
+	wait $$sp || fail "TERM leg: streamd exited $$? on kill -TERM"; \
+	for p in $$ps; do wait $$p || fail "TERM leg: a detectd exited $$?"; done; \
+	e=$$(sed -n 's/^sent=\([0-9]*\) delivered=[0-9]* encodes=[0-9]* sessions_evicted=0$$/\1/p' $$d/tstreamd.out); \
+	[ -n "$$e" ] && grep -q "^sent=$$e delivered=$$((3 * e)) encodes=[0-9]* sessions_evicted=0$$" $$d/tstreamd.out || fail "TERM leg: streamd audit is not sent=E delivered=3E (three sessions) ... sessions_evicted=0"; \
+	grep -q "^feed ended: $$e events " $$d/twhole.out || fail "TERM leg: the whole-feed detectd did not receive $$e events"; \
+	[ "$$(cat $$d/t0a.out $$d/t0b.out | grep -c '^partition 0/2: the feed ended while this worker waited; nothing to judge$$')" -eq 1 ] || fail "TERM leg: not exactly one 0/2 daemon printed the spare's line"; \
+	n=0; for o in t0a t0b t1; do \
+		x=$$(sed -n 's/^feed ended: .*, \([0-9]*\) flagged$$/\1/p' $$d/$$o.out); \
+		n=$$((n + $${x:-0})); \
+	done; \
+	[ "$$n" -eq "$$f" ] || fail "TERM leg: the owners flagged $$n accounts, the first leg $$f"; \
+	echo "daemon-smoke: kill -TERM: streamd drained all $$e events and exited 0, the spare ended cleanly, the owners hold all $$n flags"
 
 # benchmark/ is its own module compiled against this one's public API,
 # so tier-1 `go test ./...` does not cover it: a root-API change that
@@ -162,29 +192,24 @@ bench:
 bench-gate:
 	$(GO) test -bench=BenchmarkPartitionedIngest -benchtime=1x -run='^$$' ./internal/cluster | \
 		$(GO) run ./cmd/benchjson \
-		-gate 'BenchmarkPartitionedIngest/workers=4<=BenchmarkPartitionedIngest/workers=1*4.0' \
-		> /dev/null
+		-gate 'BenchmarkPartitionedIngest/workers=4<=BenchmarkPartitionedIngest/workers=1*4.0'
 	$(GO) test -bench='^BenchmarkRestore$$|^BenchmarkLiveRebalance$$' -benchtime=3x -run='^$$' ./internal/detector | \
 		$(GO) run ./cmd/benchjson \
 		-gate 'BenchmarkLiveRebalance/k=4to2<=BenchmarkRestore/accounts=100000*5.0' \
-		-gate 'BenchmarkLiveRebalance/k=3to5<=BenchmarkRestore/accounts=100000*10.0' \
-		> /dev/null
+		-gate 'BenchmarkLiveRebalance/k=3to5<=BenchmarkRestore/accounts=100000*10.0'
 	for i in 1 2 3 4 5; do \
 		$(GO) test -bench='BenchmarkRelayFanout/root-downstream' -benchtime=50000x -run='^$$' ./internal/stream || exit 1; \
 	done | \
 		$(GO) run ./cmd/benchjson \
-		-gate 'BenchmarkRelayFanout/root-downstream=64<=BenchmarkRelayFanout/root-downstream=0*3.0' \
-		> /dev/null
+		-gate 'BenchmarkRelayFanout/root-downstream=64<=BenchmarkRelayFanout/root-downstream=0*3.0'
 	for i in 1 2 3 4 5; do \
 		$(GO) test -bench='BenchmarkRelayFanout/(flat|tree)' -benchtime=200000x -run='^$$' ./internal/stream || exit 1; \
 	done | \
 		$(GO) run ./cmd/benchjson \
-		-gate 'BenchmarkRelayFanout/tree-edges=2x64<=BenchmarkRelayFanout/flat-subs=128*1.3' \
-		> /dev/null
+		-gate 'BenchmarkRelayFanout/tree-edges=2x64<=BenchmarkRelayFanout/flat-subs=128*1.3'
 	$(GO) test -bench=BenchmarkPublishIngest -benchtime=20000x -run='^$$' -cpu=1,4 ./internal/stream | \
 		$(GO) run ./cmd/benchjson \
-		-gate 'BenchmarkPublishIngest/producers=4-4<=BenchmarkPublishIngest/producers=4*2.5' \
-		> /dev/null
+		-gate 'BenchmarkPublishIngest/producers=4-4<=BenchmarkPublishIngest/producers=4*2.5'
 
 # Short deterministic fuzz pass over the wire codecs: each target runs
 # its committed corpus plus a few seconds of new coverage-guided

@@ -1,20 +1,16 @@
-// Command benchjson converts `go test -bench` text output on stdin
-// into a JSON array on stdout, one object per benchmark result with
-// every reported metric (ns/op, custom b.ReportMetric units, …) keyed
-// by unit.
-//
-// With -gate 'A<=B*SLACK' it asserts a relative invariant WITHIN the
+// Command benchjson holds `go test -bench` text output on stdin to
+// relative invariants. Each -gate 'A<=B*SLACK' asserts one WITHIN the
 // fresh run — benchmark A's ns/op must not exceed benchmark B's times
-// SLACK — and exits non-zero when it doesn't hold or either benchmark
-// is missing. Relative gates survive noisy shared runners (both sides
-// ran on the same machine moments apart), which is what lets CI fail
-// loudly on a real scaling regression without gating on absolute
-// numbers. A benchmark that appears several times in the input (the
-// same run repeated, e.g. in a shell loop that alternates the two
-// sides) is judged by its median ns/op, so one noisy repetition cannot
-// trip a gate or hide a real regression. -gate repeats; every gate is
-// evaluated and reported, and the exit is non-zero if any fails
-// (`make bench-gate`):
+// SLACK — and the exit is non-zero when it doesn't hold or either
+// benchmark is missing. Relative gates survive noisy shared runners
+// (both sides ran on the same machine moments apart), which is what
+// lets CI fail loudly on a real scaling regression without gating on
+// absolute numbers. A benchmark that appears several times in the
+// input (the same run repeated, e.g. in a shell loop that alternates
+// the two sides) is judged by its median ns/op, so one noisy
+// repetition cannot trip a gate or hide a real regression. -gate
+// repeats; every gate is evaluated and reported on stderr, and the
+// exit is non-zero if any fails (`make bench-gate`):
 //
 //	go test -bench=RelayFanout ... | benchjson \
 //	  -gate 'BenchmarkRelayFanout/root-downstream=64<=BenchmarkRelayFanout/root-downstream=0*3.0' \
@@ -23,7 +19,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -34,20 +29,16 @@ import (
 	"strings"
 )
 
-// result is one benchmark line. Metrics maps unit → value; JSON
-// object keys come out sorted, so output is deterministic for a given
-// bench run.
+// result is one benchmark line. Metrics maps unit → value.
 type result struct {
-	Package    string             `json:"package,omitempty"`
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
+	Name    string
+	Metrics map[string]float64
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -59,7 +50,7 @@ func (g *gateList) String() string     { return strings.Join(*g, " ") }
 func (g *gateList) Set(v string) error { *g = append(*g, v); return nil }
 
 // run is the command with its arguments and streams passed in.
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+func run(args []string, stdin io.Reader, stderr io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var gates gateList
@@ -70,11 +61,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	out, err := parseBench(stdin)
 	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
 		return err
 	}
 	return checkGates(stderr, gates, out)
@@ -174,13 +160,8 @@ func parseBench(r io.Reader) ([]result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	out := []result{}
-	pkg := ""
 	for sc.Scan() {
 		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "pkg:"); ok {
-			pkg = strings.TrimSpace(rest)
-			continue
-		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -190,11 +171,10 @@ func parseBench(r io.Reader) ([]result, error) {
 		if len(fields) < 4 || len(fields)%2 != 0 {
 			continue
 		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 			continue
 		}
-		r := result{Package: pkg, Name: fields[0], Iterations: iters, Metrics: make(map[string]float64)}
+		r := result{Name: fields[0], Metrics: make(map[string]float64)}
 		ok := true
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)

@@ -42,7 +42,10 @@
 //     the key is held (a spare; a signal then just exits) and takes the
 //     key over, adopting the dead owner's freshest offer, when the
 //     owner's connection goes. A running daemon whose resume finds the
-//     key taken over says so and waits as a spare in turn.
+//     key taken over says so and waits as a spare in turn. A spare still
+//     waiting when the broker closes the feed has nothing to judge: it
+//     says so and exits 0. A broker that stops answering (killed, or
+//     restarting) is redialed up to -retries times, then fails.
 //
 // Usage:
 //
@@ -151,11 +154,14 @@ func main() {
 	for {
 		w, err := cluster.Start(cfg)
 		var reb *stream.RebalancedError
-		if errors.As(err, &reb) {
+		switch {
+		case errors.As(err, &reb):
 			fmt.Printf("%s: %v; nothing to judge\n", slice, reb)
 			return
-		}
-		if err != nil {
+		case errors.Is(err, stream.ErrClosed):
+			fmt.Printf("%s: the feed ended while this worker waited; nothing to judge\n", slice)
+			return
+		case err != nil:
 			log.Fatal(err)
 		}
 		err = run(w, cfg)

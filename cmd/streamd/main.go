@@ -42,6 +42,14 @@
 // publish to a relay: sequence adoption and local sequencing don't
 // mix.
 //
+// SIGINT or SIGTERM stops the broker, prints the audit, flushes, syncs
+// and closes the spool, and exits 0; a second signal exits at once. The
+// root's feed ends there: it drains every subscriber to the head and
+// sends it eof, and tells a waiting spare that the feed closed. A relay
+// hop's feed goes on at the root, so the hop severs every connection
+// as a crash would, and its subscribers redial until a hop restarted
+// on the same spool resumes them.
+//
 // Usage:
 //
 //	streamd -addr 127.0.0.1:7474 -spool-dir /var/lib/streamd/spool &
@@ -56,6 +64,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"sybilwild/internal/spool"
@@ -91,7 +102,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer sp.Close()
 		opts = append(opts, stream.WithSpool(sp))
 		if st := sp.Stats(); st.End > 0 {
 			fmt.Printf("spool %s: resuming log at seq %d (%d segments, %d bytes retained from seq %d)\n",
@@ -99,8 +109,9 @@ func main() {
 		}
 	}
 
+	stop := onSignal()
 	if *relay != "" {
-		runRelay(*addr, *relay, opts, sp, *statsEvery)
+		runRelay(*addr, *relay, opts, sp, *statsEvery, stop)
 		return
 	}
 
@@ -110,36 +121,10 @@ func main() {
 	}
 	defer srv.Close()
 	fmt.Printf("broker on %s; waiting up to %v for a producer\n", srv.Addr(), *wait)
-
-	deadline := time.Now().Add(*wait)
-	for len(srv.Stats().PerProducer) == 0 {
-		if time.Now().After(deadline) {
-			log.Fatal("no producer registered; exiting")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	// Serve until every producer in the registered group closes its
-	// epoch, narrating ingest progress.
-	tick := time.NewTicker(statsInterval(*statsEvery))
-	defer tick.Stop()
-	for done := false; !done; {
-		select {
-		case <-srv.IngestDone():
-			done = true
-		case <-tick.C:
-			if *statsEvery > 0 {
-				printProgress(srv)
-			}
-		}
-	}
-
-	if *linger > 0 {
-		fmt.Printf("all producer epochs closed; serving subscribers for another %v\n", *linger)
-		time.Sleep(*linger)
+	if serve(srv, stop, *wait, *linger, *statsEvery) {
+		fmt.Println("all producer epochs closed; draining subscriber replay windows")
 	}
 	st := srv.Stats()
-	fmt.Println("all producer epochs closed; draining subscriber replay windows")
 	printProducers(st)
 	for _, ss := range st.PerSession {
 		state := "connected"
@@ -166,12 +151,60 @@ func main() {
 	srv.Close() // blocks until every subscriber drained (or the drain timeout cut it off)
 	st = srv.Stats()
 	fmt.Printf("sent=%d delivered=%d encodes=%d sessions_evicted=%d\n", st.Broadcast, st.Delivered, st.Encodes, st.Evicted)
-	printSpool(sp, st.SpoolErr)
+	closeSpool(sp, st.SpoolErr)
+}
+
+// onSignal returns a channel closed at the first SIGINT or SIGTERM; a
+// second one exits at once.
+func onSignal() <-chan struct{} {
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	stop := make(chan struct{})
+	go func() {
+		fmt.Printf("signal %v: stopping\n", <-sigc)
+		close(stop)
+		<-sigc
+		log.Fatal("second signal: exiting without draining")
+	}()
+	return stop
+}
+
+// serve runs the root broker until its feed is complete — every
+// producer of the group that registered within wait closed its epoch,
+// and linger passed — narrating ingest progress, and reports whether
+// it was. A signal (stop) ends it early.
+func serve(srv *stream.Server, stop <-chan struct{}, wait, linger, statsEvery time.Duration) bool {
+	deadline, done := time.After(wait), srv.IngestDone()
+	var lingered <-chan time.Time
+	tick := time.NewTicker(statsInterval(statsEvery))
+	defer tick.Stop()
+	for {
+		select {
+		case <-deadline:
+			if len(srv.Stats().PerProducer) == 0 {
+				log.Fatal("no producer registered; exiting")
+			}
+		case <-done:
+			if linger > 0 {
+				fmt.Printf("all producer epochs closed; serving subscribers for another %v\n", linger)
+			}
+			done, lingered = nil, time.After(linger)
+		case <-lingered:
+			return true
+		case <-stop:
+			return false
+		case <-tick.C:
+			if statsEvery > 0 {
+				printProgress(srv)
+			}
+		}
+	}
 }
 
 // runRelay is the -relay mode: an interior hop adopting the upstream
-// feed, narrated with per-hop audit lines until eof propagates through.
-func runRelay(addr, upstream string, opts []stream.ServerOption, sp *spool.Spool, statsEvery time.Duration) {
+// feed, narrated with per-hop audit lines until eof propagates through
+// or a signal (stop) severs the hop.
+func runRelay(addr, upstream string, opts []stream.ServerOption, sp *spool.Spool, statsEvery time.Duration, stop <-chan struct{}) {
 	rly, err := stream.NewRelay(addr, upstream, stream.WithRelayServer(opts...))
 	if err != nil {
 		log.Fatal(err)
@@ -183,26 +216,37 @@ func runRelay(addr, upstream string, opts []stream.ServerOption, sp *spool.Spool
 	tick := time.NewTicker(statsInterval(statsEvery))
 	defer tick.Stop()
 	var ferr error
+	signaled := false
 	for running := true; running; {
 		select {
 		case ferr = <-done:
 			running = false
+		case <-stop:
+			running, signaled = false, true
 		case <-tick.C:
 			if statsEvery > 0 {
 				printHop(rly)
 			}
 		}
 	}
-	rly.Close() // idempotent after Wait: makes sure the downstream drain ran
+	if signaled {
+		rly.Abort() // no eof: the feed goes on at the root
+	} else {
+		rly.Close() // idempotent after Wait: makes sure the downstream drain ran
+	}
 	printHop(rly)
 	st := rly.Server().Stats()
 	fmt.Printf("adopted=%d delivered=%d encodes=%d sessions_evicted=%d\n",
 		st.Adopted, st.Delivered, st.Encodes, st.Evicted)
-	printSpool(sp, st.SpoolErr)
-	if ferr != nil {
+	closeSpool(sp, st.SpoolErr)
+	switch {
+	case ferr != nil:
 		log.Fatalf("relay feed ended abnormally: %v", ferr)
+	case signaled:
+		fmt.Println("relay hop stopped on a signal; every connection severed, subscribers redial")
+	default:
+		fmt.Println("upstream feed complete; eof propagated to every subscriber")
 	}
-	fmt.Println("upstream feed complete; eof propagated to every subscriber")
 }
 
 // printHop is the per-hop audit line: where this broker sits in the
@@ -213,12 +257,16 @@ func printHop(rly *stream.Relay) {
 		rs.Hop, rs.Seq, rs.Frames, rs.Events, rs.Reconnects, st.Sessions, st.Encodes)
 }
 
-// printSpool is a spooled broker's closing disk-tier audit line.
-func printSpool(sp *spool.Spool, spoolErr string) {
+// closeSpool flushes, syncs and closes a spooled broker's spool, and
+// prints its closing disk-tier audit line.
+func closeSpool(sp *spool.Spool, spoolErr string) {
 	if sp == nil {
 		return
 	}
 	st := sp.Stats()
+	if err := sp.Close(); err != nil && spoolErr == "" {
+		spoolErr = err.Error()
+	}
 	line := fmt.Sprintf("spool: %d segments, %d bytes, seqs %d-%d retained", st.Segments, st.Bytes, st.First, st.End)
 	if spoolErr != "" {
 		line += " (DISK TIER FAILED: " + spoolErr + ")"

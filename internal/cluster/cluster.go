@@ -25,7 +25,8 @@
 //     one owner: while another worker's session holds it, Start waits.
 //     A second worker with the same Config is therefore a spare that
 //     takes over, with the dead owner's freshest offer, when the owner's
-//     connection goes.
+//     connection goes; if the broker closes the feed first, Start
+//     returns stream.ErrClosed.
 //   - A live rebalance (stream.PrepareRebalance) is a cutover record in
 //     the feed, at the barrier. A worker of the group shape it retires
 //     judges through the record and retires there (below), unless the
@@ -158,8 +159,9 @@ const heldPoll = 50 * time.Millisecond
 // returns once the worker is admitted (having offered the re-keyed
 // state), with an error wrapping stream.ErrRebalanced at once when a
 // rebalance retired the key's shape before the worker's resume point,
-// or with an error once the broker stops answering (Retries consecutive
-// failed dials).
+// with one wrapping stream.ErrClosed at once when the broker closes
+// the feed while it waits as a spare, or with an error once the broker
+// stops answering (Retries consecutive failed dials).
 func Start(cfg Config) (*Worker, error) {
 	if cfg.Parts < 0 || cfg.Part < 0 || cfg.Part >= max(cfg.Parts, 1) {
 		return nil, fmt.Errorf("cluster: invalid partition %d/%d", cfg.Part, cfg.Parts)
@@ -277,11 +279,17 @@ func rekey(part, parts int, seq uint64, cut [][]byte) (*detector.PipelineSnapsho
 // fence (ErrRebalanced): the shape's new owners judge from there. So is
 // a key held by another worker, once this one was admitted: that worker
 // adopted its state. Before that, a held key and an incomplete
-// rebalance cut are waited out.
+// rebalance cut are waited out. A spare — a worker last refused as held
+// — whose broker then refuses it as closing ends with an error wrapping
+// stream.ErrClosed: it was never admitted and holds nothing, and the
+// key's owner judged the feed. A worker waiting on a cut is the key's
+// only designated owner, so it retries a closing broker like a failed
+// dial, as a spare does a broker that stops answering (a kill or a
+// restart looks the same from here).
 func (w *Worker) connect(adopt bool) (*stream.Client, error) {
 	opts := []stream.DialOption{stream.WithPartition(w.cfg.Part, w.cfg.Parts)}
 	backoff := 50 * time.Millisecond
-	for fails := 0; ; {
+	for fails, spare := 0, false; ; {
 		var c *stream.Client
 		var err error
 		switch {
@@ -301,7 +309,7 @@ func (w *Worker) connect(adopt bool) (*stream.Client, error) {
 			w.lag.Store(uint64(cmp.Or(w.cfg.offerLag, offerLag(c.Window()))))
 			return c, nil
 		case (errors.Is(err, stream.ErrHeld) || errors.Is(err, stream.ErrCutPending)) && w.session == "":
-			fails, backoff = 0, 50*time.Millisecond // the broker answers
+			fails, backoff, spare = 0, 50*time.Millisecond, errors.Is(err, stream.ErrHeld) // the broker answers
 			time.Sleep(heldPoll)
 			continue
 		case errors.Is(err, stream.ErrHeld):
@@ -311,6 +319,9 @@ func (w *Worker) connect(adopt bool) (*stream.Client, error) {
 			return nil, err
 		case errors.Is(err, stream.ErrGap):
 			return nil, fmt.Errorf("cluster: the feed cannot serve seq %d (history pruned or not spooled; a restart adopts a resumable snapshot or starts cold): %w", w.resume, err)
+		case spare && errors.Is(err, stream.ErrClosing):
+			return nil, fmt.Errorf("cluster: partition %d/%d: the broker closed the feed while this worker waited (%v): %w",
+				w.cfg.Part, max(w.cfg.Parts, 1), err, stream.ErrClosed)
 		case fails >= w.cfg.Retries || w.killed.Load() || w.stopped.Load():
 			return nil, err
 		}

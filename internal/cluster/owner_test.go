@@ -256,3 +256,46 @@ func TestRestartAdmitsOneOwnerPerKey(t *testing.T) {
 	}
 	checkUnion(t, owners, uint64(len(events)), want)
 }
+
+// TestWaitingSpareEndsWithTheFeed: a second worker waiting on a held
+// key was never admitted and holds nothing, so the end of the feed ends
+// its wait: Start returns an error wrapping stream.ErrClosed within a
+// second of Server.Close, instead of walking its retries into a dial
+// error. The owner ends cleanly with the feed.
+func TestWaitingSpareEndsWithTheFeed(t *testing.T) {
+	events, rule := campaignFeed()
+	srv := clusterServer(t)
+	cfg := workerConfig(srv.Addr(), 0, 2, rule)
+	cfg.Retries = 10
+	owner, err := cluster.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare := startAsync(cfg)
+	for _, ev := range events[:1000] {
+		srv.BroadcastBatch([]osn.Event{ev})
+	}
+	time.Sleep(200 * time.Millisecond) // the spare's dials are refused as held
+	if len(spare) > 0 {
+		st := <-spare
+		t.Fatalf("spare started beside the owner: %v", st.err)
+	}
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case st := <-spare:
+		if st.w != nil || !errors.Is(st.err, stream.ErrClosed) {
+			t.Fatalf("spare at the end of the feed: err = %v, want one wrapping stream.ErrClosed", st.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("spare still waiting 5 s after the feed ended")
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("spare ended %v after Server.Close, want under 1 s", d)
+	}
+	if err := owner.Wait(); err != nil {
+		t.Fatalf("owner: %v", err)
+	}
+}

@@ -295,16 +295,39 @@ func TestLiveRebalanceEarlyStart(t *testing.T) {
 // snapshots, replay to the record and retire at B; new workers adopt
 // the cut (HandoffSeq == B, ResumedFrom == B+1), whether they start
 // after the old workers retired or before the old workers return, when
-// they wait for the cut. The union of flags equals the single run's,
-// and each sequence of the feed is judged exactly once.
+// they wait for the cut — also when they already waited before the
+// restart, which they outlive whether the root is killed or closed: a
+// worker waiting on a cut is the key's only designated owner. The
+// union of flags equals the single run's, and each sequence of the
+// feed is judged exactly once.
 func TestRebalanceSurvivesRootRestart(t *testing.T) {
-	for _, newFirst := range []bool{false, true} {
-		name := map[bool]string{false: "old-workers-first", true: "new-workers-first"}[newFirst]
-		t.Run(name, func(t *testing.T) { rebalanceAcrossRootRestart(t, newFirst) })
+	for _, tc := range []struct {
+		name  string
+		at    newAt
+		clean bool
+	}{
+		{"old-workers-first", afterOld, false},
+		{"new-workers-first", afterRestart, false},
+		{"new-workers-across-kill", beforeRestart, false},
+		{"new-workers-across-close", beforeRestart, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { rebalanceAcrossRootRestart(t, tc.at, tc.clean) })
 	}
 }
 
-func rebalanceAcrossRootRestart(t *testing.T, newFirst bool) {
+// newAt is when rebalanceAcrossRootRestart starts the new shape's
+// workers.
+type newAt int
+
+const (
+	afterOld      newAt = iota // once the restarted old workers retired
+	afterRestart               // as the root comes back, before the old workers
+	beforeRestart              // after the prepare, waiting on the cut while the root restarts
+)
+
+// rebalanceAcrossRootRestart restarts the root with Abort, or with
+// Close when clean.
+func rebalanceAcrossRootRestart(t *testing.T, at newAt, clean bool) {
 	events, rule := campaignFeed()
 	want := singleRunFlags(t, events, rule)
 	const from, to = 2, 3
@@ -350,28 +373,40 @@ func rebalanceAcrossRootRestart(t *testing.T, newFirst bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Abort()
+
+	pending := make([]<-chan started, to)
+	startNew := func() {
+		for p := range pending {
+			cfg := workerCfg(p, to)
+			cfg.Retries = 10 // outlives the restart
+			pending[p] = startAsync(cfg)
+		}
+		time.Sleep(200 * time.Millisecond) // a few refused dials: the cut is not complete
+		for p, ch := range pending {
+			if at != afterOld && len(ch) > 0 {
+				st := <-ch
+				t.Fatalf("new worker %d/%d returned before the old workers did: %v", p, to, st.err)
+			}
+		}
+	}
+	if at == beforeRestart {
+		startNew()
+	}
+	if clean {
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		srv.Abort()
+	}
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
 	srv, sp = open(addr)
 	defer sp.Close()
 	defer srv.Close()
-
-	pending := make([]<-chan started, to)
-	startNew := func() {
-		for p := range pending {
-			pending[p] = startAsync(workerCfg(p, to))
-		}
-	}
-	if newFirst {
+	if at == afterRestart {
 		startNew()
-		time.Sleep(200 * time.Millisecond) // a few refused dials: the cut is not complete
-		for p, ch := range pending {
-			if len(ch) > 0 {
-				t.Fatalf("new worker %d/%d started before the old workers returned", p, to)
-			}
-		}
 	}
 	olds := make([]*cluster.Worker, from)
 	for p := range olds {
@@ -400,7 +435,7 @@ func rebalanceAcrossRootRestart(t *testing.T, newFirst bool) {
 				p, from, b, n, ok, w.Pipeline().Seq(), barrier, to)
 		}
 	}
-	if !newFirst {
+	if at == afterOld {
 		startNew()
 	}
 	news := make([]*cluster.Worker, to)

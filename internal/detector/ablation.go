@@ -43,7 +43,20 @@ func EvaluateFeatures(ds features.Dataset, minObserved, folds int, seed int64) [
 			continue
 		}
 		eval := FeatureEval{Name: name}
-		eval.Confusion = crossValidateStump(xs, folds, seed+int64(f))
+		sybil := func(i int) bool { return xs[i].sybil }
+		eval.Confusion = stats.CrossValidate(stats.NewRand(seed+int64(f)), len(xs), folds, sybil, func(train []int) func(int) bool {
+			fold := make([]sample, len(train))
+			for j, i := range train {
+				fold[j] = xs[i]
+			}
+			cut, sybilBelow := fitStump(fold)
+			return func(i int) bool {
+				if sybilBelow {
+					return xs[i].x < cut
+				}
+				return xs[i].x > cut
+			}
+		})
 		// Report the full-data cut and direction for the table.
 		eval.Cut, eval.SybilBelow = fitStump(xs)
 		out = append(out, eval)
@@ -68,32 +81,4 @@ func fitStump(xs []sample) (cut float64, sybilBelow bool) {
 		return below, true
 	}
 	return above, false
-}
-
-func crossValidateStump(xs []sample, folds int, seed int64) stats.Confusion {
-	r := stats.NewRand(seed)
-	fold := stats.StratifiedFolds(r, len(xs), folds, func(i int) bool { return xs[i].sybil })
-	var total stats.Confusion
-	for f := 0; f < folds; f++ {
-		var train, test []sample
-		for i, s := range xs {
-			if fold[i] == f {
-				test = append(test, s)
-			} else {
-				train = append(train, s)
-			}
-		}
-		if len(train) == 0 || len(test) == 0 {
-			continue
-		}
-		cut, sybilBelow := fitStump(train)
-		for _, s := range test {
-			pred := s.x > cut
-			if sybilBelow {
-				pred = s.x < cut
-			}
-			total.Observe(s.sybil, pred)
-		}
-	}
-	return total
 }

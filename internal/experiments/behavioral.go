@@ -241,22 +241,14 @@ func balance(gt *GroundTruth) features.Dataset {
 // crossValidateRule evaluates the stump-fitted threshold rule with
 // k-fold CV (fit on training folds, evaluate on the held-out fold).
 func crossValidateRule(ds features.Dataset, k int, seed int64) stats.Confusion {
-	r := stats.NewRand(seed + 31)
-	fold := stats.StratifiedFolds(r, len(ds.Vectors), k, func(i int) bool { return ds.Labels[i] })
-	var total stats.Confusion
-	for f := 0; f < k; f++ {
-		var train, test features.Dataset
-		for i := range ds.Vectors {
-			if fold[i] == f {
-				test.Vectors = append(test.Vectors, ds.Vectors[i])
-				test.Labels = append(test.Labels, ds.Labels[i])
-			} else {
-				train.Vectors = append(train.Vectors, ds.Vectors[i])
-				train.Labels = append(train.Labels, ds.Labels[i])
-			}
+	sybil := func(i int) bool { return ds.Labels[i] }
+	return stats.CrossValidate(stats.NewRand(seed+31), len(ds.Vectors), k, sybil, func(train []int) func(int) bool {
+		var fold features.Dataset
+		for _, i := range train {
+			fold.Vectors = append(fold.Vectors, ds.Vectors[i])
+			fold.Labels = append(fold.Labels, ds.Labels[i])
 		}
-		rule := detector.FitRule(train, detector.PaperRule())
-		total.Add(rule.Evaluate(test))
-	}
-	return total
+		rule := detector.FitRule(fold, detector.PaperRule())
+		return func(i int) bool { return rule.Classify(ds.Vectors[i]) }
+	})
 }

@@ -15,6 +15,38 @@ type Confusion struct {
 	TN int // true non-Sybil predicted non-Sybil
 }
 
+// CrossValidate is the paper's Table 1 protocol, stratified k-fold
+// cross-validation: "randomly partition the original sample into 5
+// sub-samples, 4 of which are used for training ... and the last used
+// to test". The n samples, Sybil where sybil holds, are dealt into k
+// folds by StratifiedFolds on r; for each fold, fit trains on the other
+// folds' sample indices, in ascending order, and returns a predictor
+// that is scored on the fold's own samples. A fold with nothing to
+// train on or nothing to test is skipped. It returns the confusion
+// matrix summed over the folds.
+func CrossValidate(r *Rand, n, k int, sybil func(i int) bool, fit func(train []int) (predict func(i int) bool)) Confusion {
+	fold := StratifiedFolds(r, n, k, sybil)
+	var total Confusion
+	for f := 0; f < k; f++ {
+		var train, test []int
+		for i := 0; i < n; i++ {
+			if fold[i] == f {
+				test = append(test, i)
+			} else {
+				train = append(train, i)
+			}
+		}
+		if len(train) == 0 || len(test) == 0 {
+			continue
+		}
+		predict := fit(train)
+		for _, i := range test {
+			total.Observe(sybil(i), predict(i))
+		}
+	}
+	return total
+}
+
 // Observe records one classification outcome.
 func (c *Confusion) Observe(actualSybil, predictedSybil bool) {
 	switch {
@@ -27,14 +59,6 @@ func (c *Confusion) Observe(actualSybil, predictedSybil bool) {
 	default:
 		c.TN++
 	}
-}
-
-// Add accumulates another confusion matrix (e.g. across CV folds).
-func (c *Confusion) Add(o Confusion) {
-	c.TP += o.TP
-	c.FN += o.FN
-	c.FP += o.FP
-	c.TN += o.TN
 }
 
 // TPR is the true-positive rate: detected Sybils / actual Sybils.

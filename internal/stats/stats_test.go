@@ -158,12 +158,6 @@ func TestConfusion(t *testing.T) {
 	if c.Accuracy() != 0.5 || c.TPR() != 0.5 || c.FPR() != 0.5 {
 		t.Fatalf("rates wrong: %+v", c)
 	}
-	var sum Confusion
-	sum.Add(c)
-	sum.Add(c)
-	if sum.TP != 2 || sum.TN != 2 {
-		t.Fatalf("Add broken: %+v", sum)
-	}
 }
 
 func TestRandDeterminism(t *testing.T) {
@@ -386,6 +380,36 @@ func TestStratifiedFoldsBalanced(t *testing.T) {
 	for i := range fold {
 		if fold[i] != again[i] {
 			t.Fatalf("sample %d: fold %d, then %d with the same seed", i, fold[i], again[i])
+		}
+	}
+}
+
+// TestCrossValidateTestsEachSampleOnce: every sample is scored exactly
+// once, by a fit that never trained on it, and a perfect predictor
+// yields a perfect matrix.
+func TestCrossValidateTestsEachSampleOnce(t *testing.T) {
+	const n, k = 103, 5
+	positive := func(i int) bool { return i%4 == 0 }
+	var trained [n]int
+	c := CrossValidate(NewRand(9), n, k, positive, func(train []int) func(int) bool {
+		in := make(map[int]bool, len(train))
+		for _, i := range train {
+			in[i] = true
+			trained[i]++
+		}
+		return func(i int) bool {
+			if in[i] {
+				t.Fatalf("sample %d scored by a fit that trained on it", i)
+			}
+			return positive(i)
+		}
+	})
+	if c.TP != 26 || c.TN != 77 || c.FP != 0 || c.FN != 0 {
+		t.Fatalf("matrix %+v, want every one of the %d samples scored once, correctly", c, n)
+	}
+	for i, m := range trained {
+		if m != k-1 {
+			t.Fatalf("sample %d trained on %d times, want %d", i, m, k-1)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"time"
 
 	"sybilwild/internal/osn"
@@ -42,12 +41,8 @@ type RebalancedError struct {
 	Barrier  uint64
 }
 
-// rebalancedFormat is a RebalancedError's text: admission's refusal
-// carries it behind rebalancedRefusal, and subscribe scans it back.
-const rebalancedFormat = "group %d was rebalanced to %d at barrier %d"
-
 func (e *RebalancedError) Error() string {
-	return fmt.Sprintf(rebalancedFormat, e.From, e.To, e.Barrier)
+	return fmt.Sprintf("group %d was rebalanced to %d at barrier %d", e.From, e.To, e.Barrier)
 }
 
 // ErrBadFrame is returned by RecvBatch when the server sends a
@@ -214,39 +209,27 @@ func dial(addr string, hello frame, opts []DialOption) (*Client, error) {
 // subscribe opens a subscription on a dialed broker connection: it
 // sends hello, reads the welcome — and, for an adopting hello, the
 // snapshots behind it — and anchors the cursor at the welcome's first
-// sequence. A refusal falls in one of five classes: the broker is
-// closing, an ordinary dial error a retry may outlive; another session
-// holds the key, ErrHeld, and a rebalance cut is not complete yet,
-// ErrCutPending, both waited out by a starting worker; a rebalance
-// retired the shape, ErrRebalanced, which no retry outlives; and any
-// other refused resume is a lost range, ErrGap. An adopting hello
-// resumes when it asks to or when admission resumed it from the held
-// snapshot, which the refusal then names; its other refusals are no
-// lost range. A welcome that does not echo adopt comes from a
-// broker that predates adoption in the handshake and is refused,
-// rather than started cold. conn is closed on error; a caller that
-// dials separately can register conn first, so that its own Close cuts
-// a handshake the broker never answers.
+// sequence. A refusal's class alone decides the error: closing is
+// ErrClosing, which a retry may outlive; held is ErrHeld and
+// cut-pending ErrCutPending, both waited out by a starting worker; gap
+// is ErrGap, a lost range (refusals); rebalanced is ErrRebalanced,
+// wrapping the RebalancedError built here from the reply's cutover
+// fields, which no retry outlives. A refusal with no class is an
+// ordinary dial error. A welcome that does not echo adopt comes from a
+// broker that predates adoption in the handshake and is refused, rather
+// than started cold. conn is closed on error; a caller that dials
+// separately can register conn first, so that its own Close cuts a
+// handshake the broker never answers.
 func subscribe(conn net.Conn, hello frame) (*Client, error) {
 	welcome, br, err := handshake(conn, hello, nil, frameWelcome)
 	if err == nil && hello.Adopt && !welcome.Adopt {
 		err = errors.New("stream: hello: the broker ignored adopt (it predates adoption in the handshake)")
 	}
+	if welcome.Class == classRebalanced {
+		err = fmt.Errorf("%w: %w", ErrRebalanced, &RebalancedError{From: welcome.Parts, To: welcome.NParts, Barrier: welcome.Barrier})
+	}
 	if err != nil {
 		conn.Close()
-		switch {
-		case welcome.Err == errHeld.Error():
-			return nil, fmt.Errorf("%w (partition %d/%d)", ErrHeld, hello.Part, hello.Parts)
-		case strings.HasPrefix(welcome.Err, cutPendingRefusal):
-			return nil, fmt.Errorf("%w (partition %d/%d): %s", ErrCutPending, hello.Part, hello.Parts, welcome.Err)
-		case strings.HasPrefix(welcome.Err, rebalancedRefusal):
-			e := &RebalancedError{}
-			fmt.Sscanf(welcome.Err[len(rebalancedRefusal):], rebalancedFormat, &e.From, &e.To, &e.Barrier)
-			return nil, fmt.Errorf("%w: %w", ErrRebalanced, e)
-		case welcome.Err != "" && welcome.Err != errClosing.Error() &&
-			(hello.Resume > 0 || strings.HasPrefix(welcome.Err, heldSnapshotRefusal)):
-			return nil, fmt.Errorf("%w: %s", ErrGap, welcome.Err)
-		}
 		return nil, err
 	}
 	c := &Client{

@@ -83,15 +83,6 @@ type fence struct {
 	committed bool
 }
 
-// cutPendingRefusal prefixes the refusal of an adopting hello on a
-// group shape a rebalance is cutting over to, while the old group's
-// snapshots have not all reached the barrier.
-const cutPendingRefusal = "rebalance cut pending: "
-
-// rebalancedRefusal prefixes the refusal of a hello on a group shape a
-// rebalance retired, unless it resumes at or below the barrier.
-const rebalancedRefusal = "rebalanced: "
-
 // firstFrame is one row of the first-frame table: how the broker
 // answers a connection that opens with a given tag.
 type firstFrame struct {
@@ -337,9 +328,9 @@ func (s *Server) pendingLocked(parts int) *fence {
 }
 
 // cutLocked returns the old group's snapshots at f's barrier, in
-// partition order, or the refusal naming how many are there yet.
-// Caller holds s.mu.
-func (s *Server) cutLocked(f *fence) ([]spool.Snapshot, string) {
+// partition order, or the cut-pending refusal naming how many are there
+// yet. Caller holds s.mu.
+func (s *Server) cutLocked(f *fence) ([]spool.Snapshot, *frame) {
 	cut := make([]spool.Snapshot, f.from)
 	at := 0
 	for p := range cut {
@@ -349,9 +340,9 @@ func (s *Server) cutLocked(f *fence) ([]spool.Snapshot, string) {
 		}
 	}
 	if at < f.from {
-		return nil, fmt.Sprintf("%s%d of partition group %d's snapshots at barrier %d", cutPendingRefusal, at, f.from, f.barrier)
+		return nil, refusal(classCutPending, fmt.Sprintf("rebalance cut pending: %d of partition group %d's snapshots at barrier %d", at, f.from, f.barrier))
 	}
-	return cut, ""
+	return cut, nil
 }
 
 // commitLocked commits the pending rebalance into group shape parts
@@ -408,8 +399,9 @@ func dialBroker(addr string) (net.Conn, error) {
 // and reads the reply, which must be tagged want. It returns the reply
 // and the reader the rest of the conversation must use (it may already
 // hold bytes past the reply), with the connection's deadline cleared.
-// A refusal returns its reply along with the error, so the caller can
-// read why. The caller owns conn and closes it on error; dialing
+// A refusal returns its reply along with an error wrapping errRejected
+// and the error its class names (refusals), so the caller can act on
+// the class. The caller owns conn and closes it on error; dialing
 // separately lets a caller register conn first, so that its own Close
 // can cut a handshake the broker never answers.
 func handshake(conn net.Conn, req frame, body []byte, want string) (frame, *bufio.Reader, error) {
@@ -435,7 +427,10 @@ func handshake(conn net.Conn, req frame, body []byte, want string) (frame, *bufi
 		return frame{}, nil, fmt.Errorf("stream: %s: expected %s, got %q", req.T, want, payload)
 	}
 	if rep.Err != "" {
-		return rep, nil, fmt.Errorf("stream: %s rejected: %s", req.T, rep.Err)
+		if class := refusals[rep.Class]; class != nil {
+			return rep, nil, fmt.Errorf("%w: %s %w: %s", class, req.T, errRejected, rep.Err)
+		}
+		return rep, nil, fmt.Errorf("stream: %s %w: %s", req.T, errRejected, rep.Err)
 	}
 	conn.SetDeadline(time.Time{})
 	return rep, br, nil

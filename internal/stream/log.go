@@ -38,17 +38,11 @@ import (
 // closingBit marks feedLog.state once the log closes.
 const closingBit = 1 << 63
 
-// errClosing refuses a reservation on a closing log.
-var errClosing = errors.New("server closing")
-
-// errHeld refuses a session on a partition key that a connected reader
-// with another id holds.
-var errHeld = errors.New("partition key held by another session")
-
-// heldSnapshotRefusal prefixes the refusal of an adopting hello that
-// admission resumed from its key's held snapshot, when the feed can no
-// longer serve that resume point.
-const heldSnapshotRefusal = "held snapshot at seq "
+// ErrClosing refuses a reservation on a closing log, and is returned
+// by a dial the broker refused because it is closing: its feed is
+// ending, and nothing was lost. A retry may reach a restarted broker; a
+// spare still waiting to be admitted has nothing left to wait for.
+var ErrClosing = errors.New("server closing")
 
 // feedLog is the log. Lock order: Server.mu → feedLog.mu.
 type feedLog struct {
@@ -67,6 +61,12 @@ type feedLog struct {
 	encodes   atomic.Uint64 // canonical batch/fbatch frames built (ServerStats.Encodes)
 	delivered atomic.Uint64
 	evicted   atomic.Uint64
+
+	// heldAt is when open last refused a key as held (UnixNano): the
+	// refused worker is a spare, which redials until it is admitted or
+	// told the feed ended, so Server.Close answers closing for
+	// spareNotice past it.
+	heldAt atomic.Int64
 
 	// mu guards the tail, the ticket and the readers.
 	mu     sync.Mutex
@@ -162,7 +162,7 @@ func (l *feedLog) reserve(n int, at uint64) (first uint64, err error) {
 		head, last := v&^closingBit, v+uint64(n)
 		switch {
 		case v&closingBit != 0:
-			return 0, errClosing
+			return 0, ErrClosing
 		case at == 0:
 		case at+uint64(n) <= head+1:
 			return 0, nil
@@ -417,11 +417,11 @@ func (l *feedLog) cutLocked(r *reader) {
 
 // open registers or resumes the reader named want.id, attaches conn to
 // it and returns it with the connection generation and the first
-// sequence it will be sent — or the reason the resume is refused. want
+// sequence it will be sent — or the refusal, with its class. want
 // carries the request: id, partition and relay flag.
 //
 // A partition key (parts ≥ 2) has one owner: while a reader with
-// another id is connected on it, open refuses (errHeld). A detached
+// another id is connected on it, open refuses it as held. A detached
 // reader holds nothing, and a resume of the holder's own id passes and
 // cuts its old connection. Whole-feed readers share the feed freely.
 //
@@ -429,17 +429,19 @@ func (l *feedLog) cutLocked(r *reader) {
 // [tail first, head+1] or the spool holds r, and a range reserved but
 // not yet published counts as inside the tail. Whether the reader is
 // still registered only decides which cursors carry over; a fresh
-// subscription (resume 0) starts at the next sequence reserved.
-func (l *feedLog) open(want *reader, resume uint64, conn io.Closer) (r *reader, gen int, from uint64, reject string) {
+// subscription (resume 0) starts at the next sequence reserved. Every
+// refused resume is a gap: the feed cannot serve it.
+func (l *feedLog) open(want *reader, resume uint64, conn io.Closer) (r *reader, gen int, from uint64, reject *frame) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	seq, closing := l.seq()
 	if closing {
-		return nil, 0, 0, errClosing.Error()
+		return nil, 0, 0, refusal(classClosing, ErrClosing.Error())
 	}
 	for _, o := range l.readers {
 		if o.conn != nil && o.id != want.id && o.part == want.part && o.parts == want.parts && want.parts >= 2 {
-			return nil, 0, 0, errHeld.Error()
+			l.heldAt.Store(time.Now().UnixNano())
+			return nil, 0, 0, refusal(classHeld, "partition key held by another session")
 		}
 	}
 	r = l.readers[want.id]
@@ -457,17 +459,17 @@ func (l *feedLog) open(want *reader, resume uint64, conn io.Closer) (r *reader, 
 		// A reader's filter is part of its delivery state: the acks and
 		// cursors only make sense for the slice they were earned on.
 		// Changing partition means starting a fresh session.
-		return nil, 0, 0, "partition mismatch for resumed session"
+		return nil, 0, 0, refusal(classGap, "partition mismatch for resumed session")
 	case from > seq+1:
-		return nil, 0, 0, "resume sequence ahead of feed"
+		return nil, 0, 0, refusal(classGap, "resume sequence ahead of feed")
 	case from < l.first() && !l.spoolServes(from):
 		switch {
 		case l.spoolUsable():
-			return nil, 0, 0, "resume sequence below the spool retention floor"
+			return nil, 0, 0, refusal(classGap, "resume sequence below the spool retention floor")
 		case r != nil:
-			return nil, 0, 0, "resume sequence already trimmed"
+			return nil, 0, 0, refusal(classGap, "resume sequence already trimmed")
 		}
-		return nil, 0, 0, "unknown session (resume window expired)"
+		return nil, 0, 0, refusal(classGap, "unknown session (resume window expired)")
 	}
 	if r == nil {
 		r = want
@@ -483,7 +485,7 @@ func (l *feedLog) open(want *reader, resume uint64, conn io.Closer) (r *reader, 
 	r.relay = r.relay || want.relay
 	l.cutLocked(r) // kick a previous connection and its writer
 	r.conn = conn
-	return r, r.gen, from, ""
+	return r, r.gen, from, nil
 }
 
 // retire records that group shape parts is cut over at barrier, the

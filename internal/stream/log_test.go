@@ -59,8 +59,8 @@ func publishAt(l *feedLog, first uint64, n int) {
 // tryOpen opens reader id at resume (0 = fresh) on a connection double.
 func tryOpen(l *feedLog, id string, resume uint64) (*reader, *fill, string) {
 	r, gen, _, reject := l.open(&reader{id: id}, resume, &closer{})
-	if reject != "" {
-		return nil, nil, reject
+	if reject != nil {
+		return nil, nil, reject.Err
 	}
 	return r, &fill{r: r, gen: gen}, ""
 }
@@ -162,8 +162,8 @@ func TestLogResumeRule(t *testing.T) {
 			t.Errorf("%s: resume at %d framed %d..%d, want %d..40", tc.name, tc.resume, from, to, tc.resume)
 		}
 	}
-	if _, _, _, reject := l.open(&reader{id: "known", part: 1, parts: 2}, 41, &closer{}); !strings.Contains(reject, "partition mismatch") {
-		t.Errorf("resume on another partition: reject %q", reject)
+	if _, _, _, reject := l.open(&reader{id: "known", part: 1, parts: 2}, 41, &closer{}); reject == nil || !strings.Contains(reject.Err, "partition mismatch") {
+		t.Errorf("resume on another partition: reject %+v", reject)
 	}
 }
 
@@ -433,7 +433,7 @@ func TestLogAdoptClaims(t *testing.T) {
 		}
 	}
 	l.shut(false)
-	if _, err := l.reserve(1, 16); !errors.Is(err, errClosing) {
+	if _, err := l.reserve(1, 16); !errors.Is(err, ErrClosing) {
 		t.Fatalf("claim on a closing log: %v", err)
 	}
 }

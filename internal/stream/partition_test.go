@@ -552,6 +552,64 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("adopting past the tail: err = %v, want ErrGap naming the snapshot", err)
 			}
 		}},
+		{"a closing broker's refusal is ErrClosing, no lost range", func(t *testing.T, srv *Server) {
+			srv.BroadcastBatch([]osn.Event{testEvent(0)})
+			srv.log.shut(false) // what a hello dialed while Close runs meets
+			if rep := refusedHello(t, srv.Addr(), frame{Session: "s", Resume: 1}); rep.Class != classClosing {
+				t.Fatalf("resume on a closing broker: reply %+v, want class %q", rep, classClosing)
+			}
+			for _, hello := range []func() (*Client, error){
+				func() (*Client, error) { return Dial(srv.Addr(), WithPartition(0, 2)) },
+				func() (*Client, error) { return DialResume(srv.Addr(), "s", 1) },
+			} {
+				if _, err := hello(); !errors.Is(err, ErrClosing) || errors.Is(err, ErrGap) {
+					t.Fatalf("dial on a closing broker: err = %v, want ErrClosing", err)
+				}
+			}
+		}},
+		{"an incomplete cut is ErrCutPending", func(t *testing.T, srv *Server) {
+			for i := 0; i < 10; i++ {
+				srv.BroadcastBatch([]osn.Event{testEvent(i)})
+			}
+			if _, err := PrepareRebalance(srv.Addr(), 2, 3); err != nil {
+				t.Fatal(err)
+			}
+			if rep := refusedHello(t, srv.Addr(), frame{Session: "s", Adopt: true, Part: 1, Parts: 3}); rep.Class != classCutPending {
+				t.Fatalf("adopting an incomplete cut: reply %+v, want class %q", rep, classCutPending)
+			}
+			if _, err := DialAdopt(srv.Addr(), 0, WithPartition(1, 3)); !errors.Is(err, ErrCutPending) {
+				t.Fatalf("adopting an incomplete cut: err = %v, want ErrCutPending", err)
+			}
+		}},
+		{"a retired shape's refusal names its cutover", func(t *testing.T, srv *Server) {
+			for i := 0; i < 10; i++ {
+				srv.BroadcastBatch([]osn.Event{testEvent(i)})
+			}
+			barrier, err := PrepareRebalance(srv.Addr(), 2, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := refusedHello(t, srv.Addr(), frame{Session: "s", Part: 1, Parts: 2})
+			if rep.Class != classRebalanced || rep.Parts != 2 || rep.NParts != 3 || rep.Barrier != barrier {
+				t.Fatalf("fresh join of a retired shape: reply %+v, want class %q naming 2 -> 3 at %d", rep, classRebalanced, barrier)
+			}
+			var reb *RebalancedError
+			if _, err := Dial(srv.Addr(), WithPartition(1, 2)); !errors.Is(err, ErrRebalanced) || !errors.As(err, &reb) ||
+				*reb != (RebalancedError{From: 2, To: 3, Barrier: barrier}) {
+				t.Fatalf("fresh join of a retired shape: err = %v, want ErrRebalanced naming 2 -> 3 at %d", err, barrier)
+			}
+		}},
+		{"a resume below the tail is ErrGap", func(t *testing.T, srv *Server) {
+			for i := 0; i < 100; i++ {
+				srv.BroadcastBatch([]osn.Event{testEvent(i)})
+			}
+			if rep := refusedHello(t, srv.Addr(), frame{Session: "s", Resume: 1}); rep.Class != classGap {
+				t.Fatalf("resume below the tail: reply %+v, want class %q", rep, classGap)
+			}
+			if _, err := DialResume(srv.Addr(), "s", 1); !errors.Is(err, ErrGap) {
+				t.Fatalf("resume below the tail: err = %v, want ErrGap", err)
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, err := NewServer("127.0.0.1:0", WithReplayBuffer(16))
@@ -975,4 +1033,21 @@ func TestSnapshotLargerThanFrameLimit(t *testing.T) {
 	if seq, data := c.Adopted(); seq != 9 || len(data) != 1 || !bytes.Equal(data[0], big) {
 		t.Fatalf("large snapshot corrupted in the handshake (seq %d, %d payloads)", seq, len(data))
 	}
+}
+
+// refusedHello sends hello on a raw connection to addr and returns the
+// broker's reply, which must be a refused welcome.
+func refusedHello(t *testing.T, addr string, hello frame) frame {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello.T, hello.V = frameHello, ProtocolVersion
+	rep, _, err := handshake(conn, hello, nil, frameWelcome)
+	if err == nil || rep.Err == "" {
+		t.Fatalf("hello %+v admitted: %+v", hello, rep)
+	}
+	return rep
 }

@@ -73,9 +73,8 @@ func (s *Server) IngestDone() <-chan struct{} { return s.ingestDone }
 // is needed.
 func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, buf []byte) {
 	p, epoch, ackB, count, reject := s.admitProducer(hello, conn)
-	if reject != "" {
-		writeControl(conn, frame{T: framePWelcome, V: ProtocolVersion, Err: reject})
-		conn.Close()
+	if reject != nil {
+		refuse(conn, framePWelcome, reject)
 		return
 	}
 	if err := writeControl(conn, frame{T: framePWelcome, V: ProtocolVersion,
@@ -139,21 +138,21 @@ func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, bu
 // reconnect), anything else is fenced off. It returns the producer,
 // the granted epoch, the highest batch sequence already sequenced in
 // it, and the total events durably sequenced from this producer — or
-// a rejection reason.
-func (s *Server) admitProducer(hello frame, conn net.Conn) (p *producerState, epoch, ackB, count uint64, reject string) {
+// the refusal: closing while the log closes, else an ordinary one.
+func (s *Server) admitProducer(hello frame, conn net.Conn) (p *producerState, epoch, ackB, count uint64, reject *frame) {
 	if hello.Producer == "" || hello.Producers < 1 {
-		return nil, 0, 0, 0, "malformed phello (producer id and group size required)"
+		return nil, 0, 0, 0, refusal("", "malformed phello (producer id and group size required)")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, closing := s.log.seq(); closing {
-		return nil, 0, 0, 0, "server closing"
+		return nil, 0, 0, 0, refusal(classClosing, ErrClosing.Error())
 	}
 	if s.expectProducers == 0 {
 		s.expectProducers = hello.Producers
 	} else if s.expectProducers != hello.Producers {
-		return nil, 0, 0, 0, fmt.Sprintf("producer group size mismatch: feed registered %d, phello says %d",
-			s.expectProducers, hello.Producers)
+		return nil, 0, 0, 0, refusal("", fmt.Sprintf("producer group size mismatch: feed registered %d, phello says %d",
+			s.expectProducers, hello.Producers))
 	}
 	p = s.producers[hello.Producer]
 	if p == nil {
@@ -171,19 +170,19 @@ func (s *Server) admitProducer(hello frame, conn net.Conn) (p *producerState, ep
 		// Reconnect within the epoch: keep the batch sequence so the
 		// producer's resend of unacked batches dedupes.
 	case hello.Epoch < p.epoch:
-		return nil, 0, 0, 0, fmt.Sprintf("stale epoch %d (current is %d)", hello.Epoch, p.epoch)
+		return nil, 0, 0, 0, refusal("", fmt.Sprintf("stale epoch %d (current is %d)", hello.Epoch, p.epoch))
 	default:
 		// An epoch this broker never granted — e.g. the producer
 		// outlived a broker restart that lost the registry. Dedupe
 		// state is gone, so admitting it could duplicate events;
 		// reject loudly instead.
-		return nil, 0, 0, 0, fmt.Sprintf("unknown epoch %d (broker has only granted %d)", hello.Epoch, p.epoch)
+		return nil, 0, 0, 0, refusal("", fmt.Sprintf("unknown epoch %d (broker has only granted %d)", hello.Epoch, p.epoch))
 	}
 	if p.conn != nil {
 		p.conn.Close()
 	}
 	p.conn = conn
-	return p, p.epoch, p.bseq, p.events, ""
+	return p, p.epoch, p.bseq, p.events, nil
 }
 
 // sequence runs one publish batch of n events through dedupe by

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -510,7 +511,9 @@ func TestRestartedProducerResumesViaSkip(t *testing.T) {
 }
 
 // TestStaleEpochFenced: once a successor has taken a fresh epoch, the
-// predecessor's zombie connection is refused.
+// predecessor's zombie connection is refused, and the predecessor's
+// Publisher stops at the refusal instead of redialing through its
+// retries.
 func TestStaleEpochFenced(t *testing.T) {
 	leakCheck(t)
 	srv, err := NewServer("127.0.0.1:0")
@@ -518,7 +521,8 @@ func TestStaleEpochFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := NewPublisher(srv.Addr(), "p0", 1); err != nil {
+	first, err := NewPublisher(srv.Addr(), "p0", 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// A zombie from before the restart phellos with the old epoch 1 —
@@ -531,6 +535,13 @@ func TestStaleEpochFenced(t *testing.T) {
 	_, w := dialRawProducer(t, srv.Addr(), "p0", 1, 1)
 	if w.Err == "" {
 		t.Fatalf("stale epoch admitted: %+v", w)
+	}
+	start := time.Now()
+	if err := first.Close(); err == nil || !strings.Contains(err.Error(), "stale epoch 1") {
+		t.Fatalf("fenced publisher's Close = %v, want the stale-epoch refusal", err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("fenced publisher took %v to stop", d)
 	}
 }
 

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -386,8 +387,11 @@ func (p *Publisher) detachLocked() {
 
 // reconnectLocked re-dials within the current epoch and retransmits
 // every unacknowledged batch (the broker's dedupe drops the ones it
-// already sequenced). Exponential backoff, bounded by the retries
-// option; a final failure is sticky. p.mu must be held on entry and
+// already sequenced). A transport failure or a closing broker is
+// retried with exponential backoff, bounded by the retries option; any
+// other refusal (a successor fenced this epoch, a relay hop) would be
+// refused again, so it ends the publisher at once. A final failure is
+// sticky. p.mu must be held on entry and
 // is held on return, but is released around each dial and backoff
 // sleep so Abort (and Stats polls) never block behind the retry
 // ladder.
@@ -412,41 +416,33 @@ func (p *Publisher) reconnectLocked() error {
 			if err == nil {
 				conn.Close()
 			}
-			if p.err != nil {
-				return p.err
-			}
-			return ErrPublisherClosed
+			return cmp.Or(p.err, ErrPublisherClosed)
+		}
+		if errors.Is(err, errRejected) && !errors.Is(err, ErrClosing) {
+			p.err = err
+			p.cond.Broadcast()
+			return p.err
 		}
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		// The broker reports what it already has; retire those batches
-		// and resend the remainder in order on the new connection.
+		// and resend the remainder in order on the new connection. The
+		// ack reader only reads, and takes p.mu for what it reads.
 		p.retireLocked(welcome.Bseq)
-		p.gen++
-		p.conn = conn
-		p.bw = bufio.NewWriterSize(conn, 64<<10)
-		ok := true
+		p.attachLocked(conn, br)
 		for _, pb := range p.unacked {
-			if err := writeFrame(p.bw, pb.payload); err != nil {
-				ok = false
+			if err = writeFrame(p.bw, pb.payload); err != nil {
 				break
 			}
 			p.stats.Resent++
 		}
-		if ok {
-			if err := p.bw.Flush(); err != nil {
-				ok = false
-			}
+		if err == nil && p.bw.Flush() == nil {
+			return nil
 		}
-		if !ok {
-			p.detachLocked()
-			lastErr = errors.New("stream: publish resend failed")
-			continue
-		}
-		go p.ackLoop(conn, br, p.gen)
-		return nil
+		p.detachLocked()
+		lastErr = errors.New("stream: publish resend failed")
 	}
 	p.err = fmt.Errorf("stream: publisher gave up after %d reconnect attempts: %w", p.opt.retries, lastErr)
 	p.cond.Broadcast()

@@ -746,7 +746,7 @@ func TestClosingRefusalIsNotErrGap(t *testing.T) {
 			br := bufio.NewReader(conn)
 			if _, err := readFrame(br, nil); err == nil { // the hello
 				if i < 2 {
-					writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, Err: errClosing.Error()})
+					writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, Err: ErrClosing.Error()})
 				} else {
 					writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: 1})
 					writeControl(conn, frame{T: frameEOF})
@@ -759,8 +759,8 @@ func TestClosingRefusalIsNotErrGap(t *testing.T) {
 	defer func() { ln.Close(); <-upstream }()
 
 	_, err = DialResume(ln.Addr().String(), "s", 5)
-	if err == nil || errors.Is(err, ErrGap) || !strings.Contains(err.Error(), errClosing.Error()) {
-		t.Fatalf("resume refused by a closing broker: err = %v, want a plain %q refusal", err, errClosing)
+	if err == nil || errors.Is(err, ErrGap) || !strings.Contains(err.Error(), ErrClosing.Error()) {
+		t.Fatalf("resume refused by a closing broker: err = %v, want a plain %q refusal", err, ErrClosing)
 	}
 
 	relay, err := NewRelay("127.0.0.1:0", ln.Addr().String())

@@ -100,6 +100,9 @@ const (
 	DefaultDrainTimeout = 5 * time.Second
 
 	handshakeTimeout = 10 * time.Second
+	// spareNotice is how long a spare may take between redials and still
+	// hear from a closing server that the feed ended.
+	spareNotice = 300 * time.Millisecond
 )
 
 type serverOptions struct {
@@ -494,10 +497,6 @@ func (s *Server) AdoptFrame(payload []byte) (n int, err error) {
 // writer runs in its own.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	refuse := func(t, why string) {
-		writeControl(conn, frame{T: t, V: ProtocolVersion, Err: why})
-		conn.Close()
-	}
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	br := bufio.NewReaderSize(conn, 32<<10)
 	payload, err := readFrame(br, nil)
@@ -507,7 +506,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	var hello frame
 	if err := json.Unmarshal(payload, &hello); err != nil {
-		refuse(frameWelcome, "malformed hello")
+		refuse(conn, frameWelcome, refusal("", "malformed hello"))
 		return
 	}
 	// Every refusal from here on carries the tag the client of the
@@ -516,7 +515,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	row := firstFrames[hello.T]
 	reply := cmp.Or(row.reply, frameWelcome)
 	if hello.V != ProtocolVersion {
-		refuse(reply, fmt.Sprintf("unsupported protocol version %d", hello.V))
+		refuse(conn, reply, refusal("", fmt.Sprintf("unsupported protocol version %d", hello.V)))
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -527,19 +526,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	case hello.T == framePHello && s.log.opt.adopting:
 		// A relay hop's sequencer is seated by the upstream feed, so it
 		// admits no producers.
-		refuse(reply, "broker is a relay hop: publish to the root broker")
+		refuse(conn, reply, refusal("", "broker is a relay hop: publish to the root broker"))
 		return
 	case hello.T == framePHello:
 		s.servePublisher(conn, br, hello, payload)
 		return
 	case hello.T != frameHello || hello.Session == "":
-		refuse(reply, "malformed hello")
+		refuse(conn, reply, refusal("", "malformed hello"))
 		return
 	}
 
 	r, gen, welcome, snaps, reject := s.admit(hello, conn)
-	if reject != "" {
-		refuse(reply, reject)
+	if reject != nil {
+		refuse(conn, reply, reject)
 		return
 	}
 	// Adopted snapshots' payloads follow the welcome as raw frames,
@@ -578,6 +577,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// refuse answers a connection's first frame with the refusal rep,
+// tagged t, and closes the connection.
+func refuse(conn net.Conn, t string, rep *frame) {
+	rep.T, rep.V = t, ProtocolVersion
+	writeControl(conn, *rep)
+	conn.Close()
+}
+
 // admit checks the hello's partition against the control plane, then
 // opens its reader on the log, which applies the resume rule and
 // refuses a key another connected session holds. An adopting hello
@@ -586,25 +593,25 @@ func (s *Server) serveConn(conn net.Conn) {
 // resume applies. On a group shape a pending rebalance is cutting over
 // to, an adopting hello whose key holds nothing at or past the barrier
 // is handed the old group's cut instead and resumes after the barrier,
-// or is refused (cutPendingRefusal) until every old snapshot is there.
-// A fence on the hello's own group shape admits only a resume at or
-// below its barrier, one that will reach the cutover record, unless the
-// shape is being cut over to again and the resume is past that cut;
-// anything else is refused (rebalancedRefusal). An admitted session becomes
-// its partitioned key's owner, whose offers alone the key then takes.
-// admit returns the reader, the connection generation, the welcome's
-// admission fields — From, the first sequence the writer will send,
-// and Barrier, the newest cutover into the hello's shape, before which
-// a cutover record out of it retired an earlier generation — and the
-// adopted snapshots, or a rejection reason.
-func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, welcome frame, snaps []spool.Snapshot, reject string) {
+// or is refused as cut-pending until every old snapshot is there. A
+// fence on the hello's own group shape admits only a resume at or below
+// its barrier, one that will reach the cutover record, unless the shape
+// is being cut over to again and the resume is past that cut; anything
+// else is refused as rebalanced, the reply naming the cutover. An
+// admitted session becomes its partitioned key's owner, whose offers
+// alone the key then takes. admit returns the reader, the connection
+// generation, the welcome's admission fields — From, the first sequence
+// the writer will send, and Barrier, the newest cutover into the
+// hello's shape, before which a cutover record out of it retired an
+// earlier generation — and the adopted snapshots, or the refusal.
+func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, welcome frame, snaps []spool.Snapshot, reject *frame) {
 	// Normalize the partition request: a group of one is the full
 	// feed, served on the cheaper contiguous path.
 	if hello.Parts == 1 {
 		hello.Part, hello.Parts = 0, 0
 	}
 	if hello.Parts < 0 || hello.Part < 0 || (hello.Parts > 0 && hello.Part >= hello.Parts) {
-		return nil, 0, frame{}, nil, "invalid partition"
+		return nil, 0, frame{}, nil, refusal("", "invalid partition")
 	}
 	want := &reader{id: hello.Session, part: hello.Part, parts: hello.Parts, relay: hello.Relay}
 	resume := hello.Resume
@@ -615,7 +622,7 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, welcome 
 	switch {
 	case !hello.Adopt:
 	case cut != nil && held.Seq < cut.barrier:
-		if snaps, reject = s.cutLocked(cut); reject != "" {
+		if snaps, reject = s.cutLocked(cut); reject != nil {
 			return nil, 0, frame{}, nil, reject
 		}
 		resume = cut.barrier + 1
@@ -628,7 +635,9 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, welcome 
 		// past the record would double-judge post-barrier events against
 		// the new owners; one at or below it judges up to the record and
 		// retires there like the rest of its group.
-		return nil, 0, frame{}, nil, rebalancedRefusal + (&RebalancedError{From: f.from, To: f.nparts, Barrier: f.barrier}).Error()
+		reject = refusal(classRebalanced, (&RebalancedError{From: f.from, To: f.nparts, Barrier: f.barrier}).Error())
+		reject.Parts, reject.NParts, reject.Barrier = f.from, f.nparts, f.barrier
+		return nil, 0, frame{}, nil, reject
 	}
 	r, gen, welcome.From, reject = s.log.open(want, resume, conn)
 	for _, f := range s.ctl.rebLog {
@@ -637,10 +646,10 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, welcome 
 		}
 	}
 	switch {
-	case reject == "" && hello.Parts >= 2:
+	case reject == nil && hello.Parts >= 2:
 		s.ctl.owners[partKey{part: hello.Part, parts: hello.Parts}] = hello.Session
-	case reject != "" && len(snaps) > 0 && reject != errClosing.Error() && reject != errHeld.Error():
-		reject = fmt.Sprintf("%s%d: %s", heldSnapshotRefusal, snaps[0].Seq, reject)
+	case reject != nil && len(snaps) > 0:
+		reject.Err = fmt.Sprintf("held snapshot at seq %d: %s", snaps[0].Seq, reject.Err)
 	}
 	return r, gen, welcome, snaps, reject
 }
@@ -819,18 +828,23 @@ func (s *Server) NumClients() int {
 	return s.log.connected()
 }
 
-// Close stops accepting, drains every connected subscriber to the head
-// (bounded by the drain timeout), sends each an eof frame, and waits
-// for all connection goroutines to finish. All BroadcastBatch calls
-// must have returned. The spool, if any, is not closed — it belongs to
-// the caller and outlives the server.
+// Close drains every connected subscriber to the head (bounded by the
+// drain timeout), sends each an eof frame, and waits for all connection
+// goroutines to finish. Every hello dialed in meanwhile is refused as
+// closing, and the listener stays open for spareNotice past the last
+// held refusal, so a waiting spare hears that the feed ended; a spare
+// that finds the listener gone cannot tell a restart from an end. All
+// BroadcastBatch calls must have returned. The spool, if any, is not
+// closed — it belongs to the caller and outlives the server.
 func (s *Server) Close() error {
-	err := s.ln.Close()
 	if !s.log.shut(false) {
+		s.ln.Close()
 		s.wg.Wait()
 		return nil
 	}
 	s.severProducers()
+	time.Sleep(time.Until(time.Unix(0, s.log.heldAt.Load()).Add(spareNotice)))
+	err := s.ln.Close()
 	// A subscriber still draining after the drain timeout is cut off.
 	cut := time.AfterFunc(DefaultDrainTimeout, s.log.evictAll)
 	s.wg.Wait()
@@ -863,9 +877,6 @@ func (s *Server) Abort() {
 // severProducers cuts every wire producer's connection once the log is
 // closed: a pbatch still in flight is refused by the closed sequencer,
 // so the cut is clean and the producer's unacked batches stay unacked.
-// Close and Abort close the listener before the log, so that nothing
-// dials in to find it closing — a relay would take that refusal for a
-// gap.
 func (s *Server) severProducers() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 
 	"sybilwild/internal/wire"
@@ -19,11 +20,12 @@ import (
 // the event frames — is in docs/ARCHITECTURE.md.
 
 // ProtocolVersion is the feed protocol generation spoken by this
-// package. Version 3 carries events in binary frames; a peer speaking
-// version 2 (JSON event frames) is refused at its first frame, like
-// version 1 (unframed newline-delimited JSON, no sequencing,
-// drop-oldest overflow).
-const ProtocolVersion = 3
+// package. Version 4 names each refusal's class in the reply; version
+// 3, whose refusals carry only their text, carries the same binary
+// event frames. A peer speaking an older version is refused at its
+// first frame, so a client never reads an older broker's class-less
+// refusal as an ordinary one.
+const ProtocolVersion = 4
 
 // Control frame type tags.
 const (
@@ -49,6 +51,31 @@ const (
 	frameRebOK   = "rok"
 )
 
+// Refusal classes. A refused welcome or pwelcome names its class, and
+// the client acts on the class alone; the reason (err) is for people.
+// A refusal with no class is an ordinary one.
+const (
+	classClosing    = "closing"     // the broker is closing: nothing was lost
+	classHeld       = "held"        // another connected session owns the partition key
+	classCutPending = "cut-pending" // the rebalance cut an adopting hello needs is not complete
+	classRebalanced = "rebalanced"  // a rebalance retired the shape: parts to nparts at barrier
+	classGap        = "gap"         // the feed cannot serve the resume point: history is lost
+)
+
+// refusals maps a refusal class to the error a refused handshake's
+// error wraps besides errRejected, which every refusal's error wraps.
+// Only a hello is refused as rebalanced, and subscribe builds that
+// error from the reply's cutover fields.
+var refusals = map[string]error{classClosing: ErrClosing, classHeld: ErrHeld,
+	classCutPending: ErrCutPending, classGap: ErrGap}
+
+// errRejected marks a refused handshake's error, as against a failed
+// connection.
+var errRejected = errors.New("rejected")
+
+// refusal is the body of a refused reply: the reason and its class.
+func refusal(class, why string) *frame { return &frame{Class: class, Err: why} }
+
 // frame is the JSON form of every control frame.
 type frame struct {
 	T       string `json:"t"`
@@ -57,6 +84,7 @@ type frame struct {
 	Resume  uint64 `json:"resume,omitempty"`
 	From    uint64 `json:"from,omitempty"`
 	Err     string `json:"err,omitempty"`
+	Class   string `json:"class,omitempty"` // a refusal's class (welcome, pwelcome)
 	Ack     uint64 `json:"ack,omitempty"`
 	Seq     uint64 `json:"seq,omitempty"`
 
@@ -69,7 +97,10 @@ type frame struct {
 	// apart from one that holds nothing, and carries the snapshots'
 	// seq, total size and count (Snaps); their payloads follow as raw
 	// frames, one per snapshot: the key's own, or a rebalance cut's K.
+	// The two bools sit together, so that a frame stays in its
+	// allocation size class: every ack marshals and unmarshals one.
 	Adopt bool `json:"adopt,omitempty"`
+	Relay bool `json:"relay,omitempty"` // hello: this subscriber is an interior relay hop (relay.go)
 	Snaps int  `json:"snaps,omitempty"`
 
 	// Publish sub-protocol fields.
@@ -79,15 +110,14 @@ type frame struct {
 	Bseq      uint64 `json:"bseq,omitempty"`      // per-producer batch sequence (pack/pwelcome)
 	Count     uint64 `json:"count,omitempty"`     // events durably sequenced from this producer (pwelcome)
 
-	// Rebalance fields.
-	// Barrier is the cutover record's sequence (rok); in a welcome, the
-	// newest cutover record into the hello's group shape (Reshaped).
+	// Rebalance fields; a rok, and a rebalanced refusal, name the
+	// cutover of group Parts to NParts at Barrier.
+	// Barrier is the cutover record's sequence; in a welcome, the newest
+	// cutover record into the hello's group shape (Reshaped).
 	Barrier uint64 `json:"barrier,omitempty"`
-	NParts  int    `json:"nparts,omitempty"` // new partition group size (rprepare, rok)
+	NParts  int    `json:"nparts,omitempty"` // new partition group size
 
-	// Relay-tier handshake fields (relay.go).
-	Relay bool `json:"relay,omitempty"` // hello: this subscriber is an interior relay hop
-	Hop   int  `json:"hop,omitempty"`   // welcome: answering broker's tree depth (0 = root)
+	Hop int `json:"hop,omitempty"` // welcome: answering broker's tree depth (0 = root; relay.go)
 
 	// Window (welcome) is the tail, in feed events, that the answering
 	// broker holds its producers on for this session's acks: its
