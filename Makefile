@@ -26,9 +26,12 @@ race:
 	$(GO) test -race ./...
 
 # The allocation gates that are resolvable in CI (bytes per event, not
-# time): the broker's live path and the detector's state. Mirrors
-# ci.yml's "live-path buffer aliasing + allocation budget" step.
+# time): the broker's live path and the detector's state, plus the
+# pinned bytes of internal/campaign, which both budgets draw their
+# feeds from. Mirrors ci.yml's "live-path buffer aliasing + allocation
+# budget" step.
 alloc-budget:
+	$(GO) test -race -count=1 ./internal/campaign
 	$(GO) test -race -run 'TestRetainedPayloadsNeverAliasScratch|TestPublisherResendsByteIdentical|TestPublisherSteadyFlushAllocatesNoPayload|TestLivePathAllocBudget|TestDrainersWaitForOwedEvents' -count=1 -v ./internal/stream
 	$(GO) test -race -run 'TestDetectorStateAllocBudget|TestSteadyIngestAllocatesNothing' -count=1 -v ./internal/detector
 

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"sybilwild/internal/agents"
+	"sybilwild/internal/campaign"
 	"sybilwild/internal/detector"
 	"sybilwild/internal/experiments"
 	"sybilwild/internal/features"
@@ -294,21 +295,18 @@ func BenchmarkAblationSnowballBias(b *testing.B) {
 
 // --- Real-time hot path: the detection pipeline ---
 //
-// The workload is a synthetic 100k-account production trace built once
-// per process: a triangle-rich ring graph (every clustering-coefficient
-// evaluation does real work), four rounds of normal friend-request
-// chatter with 40% accepts, and a 2% population of burst-inviting
-// Sybils with no graph embedding. Replaying it through
-// detector.Pipeline one event at a time and in wire batches measures
-// exactly what the paper's deployment cares about: detection
-// throughput on live traffic.
+// The workload, built once per process, is four rounds of the
+// 100k-account burst campaign (internal/campaign) over a triangle-rich
+// ring graph of its normal accounts (every clustering-coefficient
+// evaluation does real work); its 2 % of Sybils are unembedded.
+// Replaying it through detector.Pipeline one event at a time and in
+// wire batches measures what the paper's deployment cares about:
+// detection throughput on live traffic.
 
 const (
-	rtAccounts   = 100_000
-	rtRingDeg    = 8  // ring neighbours per side ⇒ degree 16
-	rtSybilEvery = 50 // every 50th account is a burst Sybil
-	rtRounds     = 4  // normal request rounds
-	rtBurst      = 30 // requests per Sybil burst
+	rtAccounts = 100_000
+	rtRingDeg  = 8 // ring neighbours per side ⇒ degree 16
+	rtRounds   = 4 // campaign rounds
 )
 
 var (
@@ -316,8 +314,6 @@ var (
 	rtGraph  *graph.Graph
 	rtEvents []osn.Event
 )
-
-func isRTSybil(id int) bool { return id%rtSybilEvery == 0 }
 
 // realtimeWorkload builds the shared graph and event stream outside
 // any timed region.
@@ -327,57 +323,17 @@ func realtimeWorkload(b *testing.B) ([]osn.Event, *graph.Graph) {
 		g := graph.New(rtAccounts)
 		g.AddNodes(rtAccounts)
 		for i := 0; i < rtAccounts; i++ {
-			if isRTSybil(i) {
+			if campaign.IsSybil(osn.AccountID(i)) {
 				continue // Sybils are unembedded: cc = 0
 			}
 			for j := 1; j <= rtRingDeg; j++ {
 				v := (i + j) % rtAccounts
-				if !isRTSybil(v) {
+				if !campaign.IsSybil(osn.AccountID(v)) {
 					g.AddEdge(graph.NodeID(i), graph.NodeID(v), int64(i))
 				}
 			}
 		}
-		r := stats.NewRand(7)
-		events := make([]osn.Event, 0, rtAccounts*(rtRounds+1))
-		// Sybil bursts: rtBurst requests at 1-tick spacing pushes the
-		// 1h invitation frequency well past the paper's 20/h cut.
-		for id := 0; id < rtAccounts; id += rtSybilEvery {
-			for k := 0; k < rtBurst; k++ {
-				tgt := r.Intn(rtAccounts)
-				if tgt == id {
-					tgt = (id + 1) % rtAccounts
-				}
-				events = append(events, osn.Event{
-					Type: osn.EvFriendRequest, At: sim.Time(k),
-					Actor: osn.AccountID(id), Target: osn.AccountID(tgt),
-				})
-			}
-		}
-		// Normal chatter: one request per account per simulated hour,
-		// 40% accepted.
-		for round := 0; round < rtRounds; round++ {
-			at := sim.Time(round+1) * sim.TicksPerHour
-			for id := 0; id < rtAccounts; id++ {
-				if isRTSybil(id) {
-					continue
-				}
-				tgt := r.Intn(rtAccounts)
-				if tgt == id {
-					tgt = (id + 1) % rtAccounts
-				}
-				events = append(events, osn.Event{
-					Type: osn.EvFriendRequest, At: at,
-					Actor: osn.AccountID(id), Target: osn.AccountID(tgt),
-				})
-				if r.Bernoulli(0.4) {
-					events = append(events, osn.Event{
-						Type: osn.EvFriendAccept, At: at + 1,
-						Actor: osn.AccountID(tgt), Target: osn.AccountID(id),
-					})
-				}
-			}
-		}
-		rtGraph, rtEvents = g, events
+		rtGraph, rtEvents = g, campaign.Burst(7, rtAccounts, rtRounds)
 	})
 	return rtEvents, rtGraph
 }

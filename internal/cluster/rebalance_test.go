@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -282,6 +283,62 @@ func TestLiveRebalanceEarlyStart(t *testing.T) {
 	for s := uint64(1); s <= uint64(len(events))+1; s++ {
 		if judged[s] != 1 {
 			t.Fatalf("seq %d judged by %d owners, want exactly 1", s, judged[s])
+		}
+	}
+}
+
+// TestLostRebalanceCutRefused: on a memory-only broker, a 2→3 cut whose
+// new workers start only after the tail has moved past B+1 is refused,
+// not skipped by a cold start that would leave (B, head] unjudged: each
+// new Start fails naming B, no session of the new shape is admitted and
+// the rebalance stays uncommitted.
+func TestLostRebalanceCutRefused(t *testing.T) {
+	events, rule := campaignFeed()
+	const from, to = 2, 3
+	srv, err := stream.NewServer("127.0.0.1:0", stream.WithReplayBuffer(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	oldGen := make([]*cluster.Worker, from)
+	for p := range oldGen {
+		cfg := workerConfig(srv.Addr(), p, from, rule)
+		cfg.Handoff = false
+		if oldGen[p], err = cluster.Start(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	third := len(events) / 3
+	for _, ev := range events[:third] {
+		srv.BroadcastBatch([]osn.Event{ev})
+	}
+	barrier, err := stream.PrepareRebalance(srv.Addr(), from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, w := range oldGen {
+		err := w.Wait()
+		if b, _, ok := w.Rebalanced(); err != nil || !ok || b != barrier {
+			t.Fatalf("old worker %d/%d: %v, retired at (%d, %v), want the barrier %d", p, from, err, b, ok, barrier)
+		}
+	}
+	for _, ev := range events[third : 2*third] {
+		srv.BroadcastBatch([]osn.Event{ev})
+	}
+	for p := 0; p < to; p++ {
+		cfg := workerConfig(srv.Addr(), p, to, rule)
+		cfg.Retries = 0
+		if w, err := cluster.Start(cfg); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("barrier %d", barrier)) {
+			t.Fatalf("new worker %d/%d: Start returned (%v, %v), want an error naming the barrier %d", p, to, w, err, barrier)
+		}
+	}
+	st := srv.Stats()
+	if len(st.Rebalances) != 1 || st.Rebalances[0].Committed {
+		t.Fatalf("rebalance audit %+v, want one uncommitted", st.Rebalances)
+	}
+	for _, ss := range st.PerSession {
+		if ss.Parts == to {
+			t.Fatalf("session %s of the new shape %d/%d was admitted", ss.ID, ss.Part, ss.Parts)
 		}
 	}
 }

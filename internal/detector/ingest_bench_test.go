@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"sybilwild/internal/campaign"
 	"sybilwild/internal/osn"
 )
 
@@ -41,7 +42,7 @@ func partitionSlices(events []osn.Event, K int) [][]osn.Event {
 // feed event. `make profile` profiles it.
 func BenchmarkIngest(b *testing.B) {
 	const K, chunk = 2, 256
-	events := burstCampaign(7, 100_000, 10)
+	events := campaign.Burst(7, 100_000, 10)
 	slices := partitionSlices(events, K)
 	runtime.GC()
 	var m0, m1 runtime.MemStats

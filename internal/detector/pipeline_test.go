@@ -7,11 +7,11 @@ import (
 	"testing"
 
 	"sybilwild/internal/agents"
+	"sybilwild/internal/campaign"
 	"sybilwild/internal/features"
 	"sybilwild/internal/graph"
 	"sybilwild/internal/osn"
 	"sybilwild/internal/sim"
-	"sybilwild/internal/stats"
 )
 
 // countingClassifier wraps a Classifier and counts Classify calls.
@@ -221,15 +221,11 @@ func TestPipelineFlagHookOnce(t *testing.T) {
 }
 
 // TestPipelineConcurrentStress hammers one pipeline from many producer
-// goroutines, one event per Ingest, over overlapping account ranges
-// while another goroutine polls the flag state — the -race workout for
-// the pipeline's lock.
+// goroutines, one event per Ingest, each replaying its own seed of the
+// burst campaign over the same accounts, while another goroutine polls
+// the flag state — the -race workout for the pipeline's lock.
 func TestPipelineConcurrentStress(t *testing.T) {
-	const (
-		producers = 8
-		accounts  = 2000
-		perProd   = 4000
-	)
+	const producers, accounts = 8, 2000
 	rule := Rule{OutAcceptMax: 0.9, FreqMin: 0.1, CCMax: 1.1, MinObserved: 8}
 	p := NewPipeline(rule, nil, WithGraphReconstruction(), WithCheckEvery(2))
 
@@ -238,19 +234,7 @@ func TestPipelineConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r := stats.NewRand(int64(100 + w))
-			for i := 0; i < perProd; i++ {
-				from := osn.AccountID(r.Intn(accounts))
-				to := osn.AccountID(r.Intn(accounts))
-				if from == to {
-					continue
-				}
-				at := sim.Time(i)
-				ingestEach(p, osn.Event{Type: osn.EvFriendRequest, At: at, Actor: from, Target: to})
-				if r.Bernoulli(0.4) {
-					ingestEach(p, osn.Event{Type: osn.EvFriendAccept, At: at + 1, Actor: to, Target: from})
-				}
-			}
+			ingestEach(p, campaign.Burst(int64(100+w), accounts, 2)...)
 		}(w)
 	}
 	stop := make(chan struct{})
@@ -321,12 +305,7 @@ func TestIngestMatchesReferenceWithBarriers(t *testing.T) {
 // calls) — the -race workout for concurrent ingesters serializing on
 // the pipeline's lock.
 func TestIngestConcurrentStress(t *testing.T) {
-	const (
-		producers = 6
-		accounts  = 1500
-		batches   = 300
-		batchLen  = 64
-	)
+	const producers, accounts, batchLen = 6, 1500, 64
 	rule := Rule{OutAcceptMax: 0.9, FreqMin: 0.1, CCMax: 1.1, MinObserved: 8}
 	p := NewPipeline(rule, nil, WithGraphReconstruction(), WithCheckEvery(2))
 
@@ -335,26 +314,12 @@ func TestIngestConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r := stats.NewRand(int64(200 + w))
-			evs := make([]osn.Event, 0, 2*batchLen)
-			for i := 0; i < batches; i++ {
-				evs = evs[:0]
-				for j := 0; j < batchLen; j++ {
-					from := osn.AccountID(r.Intn(accounts))
-					to := osn.AccountID(r.Intn(accounts))
-					if from == to {
-						continue
-					}
-					at := sim.Time(i*batchLen + j)
-					evs = append(evs, osn.Event{Type: osn.EvFriendRequest, At: at, Actor: from, Target: to})
-					if r.Bernoulli(0.4) {
-						evs = append(evs, osn.Event{Type: osn.EvFriendAccept, At: at + 1, Actor: to, Target: from})
-					}
-				}
-				if w%2 == 0 || i%7 != 0 {
-					p.Ingest(Batch{Events: evs})
+			evs := campaign.Burst(int64(200+w), accounts, 10)
+			for i := 0; i*batchLen < len(evs); i++ {
+				if batch := evs[i*batchLen : min((i+1)*batchLen, len(evs))]; w%2 == 0 || i%7 != 0 {
+					p.Ingest(Batch{Events: batch})
 				} else {
-					ingestEach(p, evs...)
+					ingestEach(p, batch...)
 				}
 			}
 		}(w)

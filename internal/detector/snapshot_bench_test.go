@@ -6,42 +6,15 @@ import (
 	"runtime"
 	"testing"
 
-	"sybilwild/internal/osn"
-	"sybilwild/internal/sim"
-	"sybilwild/internal/stats"
+	"sybilwild/internal/campaign"
 )
 
-// snapshotWorkload builds a running reconstruction-mode pipeline (the
-// detectd configuration) tracking the given number of accounts, fed
-// from a synthetic request/accept stream.
+// snapshotWorkload is a reconstruction-mode pipeline (the detectd
+// configuration) fed three rounds of the burst campaign over accounts.
 func snapshotWorkload(b *testing.B, accounts int) *Pipeline {
 	b.Helper()
-	r := stats.NewRand(int64(accounts))
 	p := NewPipeline(PaperRule(), nil, WithGraphReconstruction(), WithCheckEvery(4))
-	const chunk = 256
-	evs := make([]osn.Event, 0, chunk)
-	flush := func() {
-		p.Ingest(Batch{Events: evs})
-		evs = evs[:0]
-	}
-	at := sim.Time(0)
-	for a := 0; a < accounts; a++ {
-		for k := 0; k < 3; k++ {
-			tgt := osn.AccountID(r.Intn(accounts))
-			if int(tgt) == a {
-				tgt = osn.AccountID((a + 1) % accounts)
-			}
-			at++
-			evs = append(evs, osn.Event{Type: osn.EvFriendRequest, At: at, Actor: osn.AccountID(a), Target: tgt})
-			if r.Bernoulli(0.5) {
-				evs = append(evs, osn.Event{Type: osn.EvFriendAccept, At: at + 1, Actor: tgt, Target: osn.AccountID(a)})
-			}
-			if len(evs) >= chunk {
-				flush()
-			}
-		}
-	}
-	flush()
+	feedChunks(p, campaign.Burst(int64(accounts), accounts, 3), 256)
 	return p
 }
 

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"sybilwild/internal/campaign"
 	"sybilwild/internal/features"
 	"sybilwild/internal/graph"
 	"sybilwild/internal/osn"
@@ -34,7 +35,7 @@ func TestDetectorStateAllocBudget(t *testing.T) {
 		chunk       = 256
 		stateBudget = 80.0
 	)
-	events := burstCampaign(7, 20_000, 10)
+	events := campaign.Burst(7, 20_000, 10)
 	slices := partitionSlices(events, K)
 	runtime.GC()
 	var m0, m1 runtime.MemStats

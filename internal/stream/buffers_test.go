@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math/rand"
 	"net"
 	"path/filepath"
 	"runtime"
@@ -23,29 +22,11 @@ import (
 	"testing"
 	"time"
 
+	"sybilwild/internal/campaign"
 	"sybilwild/internal/osn"
 	"sybilwild/internal/spool"
 	"sybilwild/internal/wire"
 )
-
-// campaignEvents builds n events shaped like the benchmark campaign:
-// hourly rounds of friend requests between 100k accounts, 40 % of them
-// accepted a tick later — so an encoded event is about as long as the
-// ones the live path carries in production-shaped runs.
-func campaignEvents(n int, seed int64) []osn.Event {
-	const accounts = 100000
-	rng := rand.New(rand.NewSource(seed))
-	evs := make([]osn.Event, 0, n)
-	for id := 0; len(evs) < n; id++ {
-		at := int64(id/accounts+1) * 60
-		actor, target := osn.AccountID(id%accounts), osn.AccountID(rng.Intn(accounts))
-		evs = append(evs, osn.Event{Type: osn.EvFriendRequest, At: at, Actor: actor, Target: target})
-		if len(evs) < n && rng.Float64() < 0.4 {
-			evs = append(evs, osn.Event{Type: osn.EvFriendAccept, At: at + 1, Actor: target, Target: actor})
-		}
-	}
-	return evs
-}
 
 // spooledTree brings up publisher-ready root → relay, both spooled and
 // both with a replay window of `window` events. The spools live in
@@ -143,7 +124,7 @@ func TestRetainedPayloadsNeverAliasScratch(t *testing.T) {
 	leakCheck(t)
 	const K, batches = 2, 200
 	const total = batches * DefaultMaxBatch
-	evs := campaignEvents(total, 19)
+	evs := campaign.Burst(19, 100_000, 1)[:total]
 	root, relay, rootSpool, relaySpool, dir := spooledTree(t, total+DefaultMaxBatch)
 
 	full := dialRawSub(t, relay.Addr(), "slow-full", 0, 0)
@@ -251,7 +232,7 @@ func ackingBroker(conn net.Conn, have uint64, onBatch func(bseq uint64, payload 
 func TestPublisherResendsByteIdentical(t *testing.T) {
 	leakCheck(t)
 	const per, batches, ackedBeforeKill, killAt = 64, 30, 6, 12
-	evs := campaignEvents(per*batches, 23)
+	evs := campaign.Burst(23, 100_000, 1)[:per*batches]
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +304,7 @@ func TestPublisherResendsByteIdentical(t *testing.T) {
 // window slice.
 func TestPublisherSteadyFlushAllocatesNoPayload(t *testing.T) {
 	leakCheck(t)
-	evs := campaignEvents(DefaultMaxBatch, 29)
+	evs := campaign.Burst(29, 100_000, 1)[:DefaultMaxBatch]
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +471,7 @@ func TestLivePathAllocBudget(t *testing.T) {
 		credit          = DefaultReplayBuffer / 2 // events in flight; keeps every session on the live path
 		liveAllocBudget = 80.0
 	)
-	evs := campaignEvents(warm+measured, 31)
+	evs := campaign.Burst(31, 100_000, 1)[:warm+measured]
 	root, relay, _, _, _ := spooledTree(t, DefaultReplayBuffer)
 	drainers := drainPartitions(t, relay.Server(), K)
 	pub, err := NewPublisher(root.Addr(), "budget", 1)
@@ -558,7 +539,7 @@ func TestLivePathAllocBudget(t *testing.T) {
 func TestDrainersWaitForOwedEvents(t *testing.T) {
 	leakCheck(t)
 	const K = 2
-	evs := append(campaignEvents(2*DefaultMaxBatch, 43),
+	evs := append(campaign.Burst(43, 100_000, 1)[:2*DefaultMaxBatch],
 		osn.Event{Type: osn.EvBlogPost, At: 1 << 20, Actor: actorIn(t, 0, K)})
 	root, relay, _, _, _ := spooledTree(t, DefaultReplayBuffer)
 	drainers := drainPartitions(t, relay.Server(), K)
@@ -607,7 +588,7 @@ func TestDrainersWaitForOwedEvents(t *testing.T) {
 // an event in.
 func TestEncodeAccounting(t *testing.T) {
 	const K, total = 2, 20*DefaultMaxBatch + 200
-	evs := campaignEvents(total, 37)
+	evs := campaign.Burst(37, 100_000, 1)[:total]
 	// views counts the (frame, partition) pairs with an owned event when
 	// evs travel in frames ending at the given offsets.
 	views := func(ends []int) (n uint64) {

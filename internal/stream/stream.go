@@ -1,6 +1,6 @@
 // Package stream carries OSN events over TCP, mirroring how the
 // paper's detector consumed Renren's operational log feed in
-// production. The protocol (version 3) is lossless: events carry
+// production. The protocol (version 4) is lossless: events carry
 // global sequence numbers and travel in length-prefixed binary batches
 // (internal/wire). The broker is one append-only log (log.go): it
 // sequences every batch, publishes it in sequence order to the spool
@@ -593,7 +593,9 @@ func refuse(conn net.Conn, t string, rep *frame) {
 // resume applies. On a group shape a pending rebalance is cutting over
 // to, an adopting hello whose key holds nothing at or past the barrier
 // is handed the old group's cut instead and resumes after the barrier,
-// or is refused as cut-pending until every old snapshot is there. A
+// or is refused as cut-pending until every old snapshot is there, or
+// with no class once the log no longer holds the sequence after the
+// barrier, so that no worker of the new shape starts cold past it. A
 // fence on the hello's own group shape admits only a resume at or below
 // its barrier, one that will reach the cutover record, unless the shape
 // is being cut over to again and the resume is past that cut; anything
@@ -614,7 +616,7 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, welcome 
 		return nil, 0, frame{}, nil, refusal("", "invalid partition")
 	}
 	want := &reader{id: hello.Session, part: hello.Part, parts: hello.Parts, relay: hello.Relay}
-	resume := hello.Resume
+	resume, fromCut := hello.Resume, false
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	held, ok := s.ctl.snaps[partKey{part: hello.Part, parts: max(hello.Parts, 1)}]
@@ -625,7 +627,7 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, welcome 
 		if snaps, reject = s.cutLocked(cut); reject != nil {
 			return nil, 0, frame{}, nil, reject
 		}
-		resume = cut.barrier + 1
+		resume, fromCut = cut.barrier+1, true
 	case ok && held.Seq > 0:
 		snaps, resume = []spool.Snapshot{held}, held.Seq+1
 	}
@@ -648,6 +650,8 @@ func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, welcome 
 	switch {
 	case reject == nil && hello.Parts >= 2:
 		s.ctl.owners[partKey{part: hello.Part, parts: hello.Parts}] = hello.Session
+	case reject != nil && fromCut && reject.Class == classGap:
+		reject = refusal("", fmt.Sprintf("rebalance cut at barrier %d: the feed no longer holds seq %d (%s)", cut.barrier, resume, reject.Err))
 	case reject != nil && len(snaps) > 0:
 		reject.Err = fmt.Sprintf("held snapshot at seq %d: %s", snaps[0].Seq, reject.Err)
 	}

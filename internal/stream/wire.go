@@ -8,7 +8,7 @@ import (
 	"sybilwild/internal/wire"
 )
 
-// This file is the v3 wire protocol's frame vocabulary. The framing
+// This file is the v4 wire protocol's frame vocabulary. The framing
 // and the event frame codec live one layer down in internal/wire
 // (shared with the disk spool, whose segments hold byte-identical
 // frames). The three frames that carry events — batch, pbatch and

@@ -1,35 +1,19 @@
 package wire
 
 import (
-	"math/rand"
 	"testing"
 
+	"sybilwild/internal/campaign"
 	"sybilwild/internal/osn"
 )
 
-// The codec's hot calls on one 256-event chunk shaped like the
-// sybilbench feed: hourly rounds of friend requests among 100k
-// accounts, 40 % of them accepted a tick later. Each reports ns/ev.
+// The codec's hot calls on one 256-event chunk of the burst campaign
+// among 100k accounts (internal/campaign). Each reports ns/ev.
 // The root splices every pbatch into batch frames; a relay checks
 // every adopted frame once and splices one fbatch view per partition;
 // a worker parses its views.
 
 const benchChunk = 256
-
-func benchEvents() []osn.Event {
-	const accounts = 100000
-	rng := rand.New(rand.NewSource(7))
-	evs := make([]osn.Event, 0, benchChunk)
-	for id := 0; len(evs) < benchChunk; id++ {
-		at := int64(id/accounts+1) * 60
-		actor, target := osn.AccountID(rng.Intn(accounts)), osn.AccountID(rng.Intn(accounts))
-		evs = append(evs, osn.Event{Type: osn.EvFriendRequest, At: at, Actor: actor, Target: target})
-		if len(evs) < benchChunk && rng.Float64() < 0.4 {
-			evs = append(evs, osn.Event{Type: osn.EvFriendAccept, At: at + 1, Actor: target, Target: actor})
-		}
-	}
-	return evs
-}
 
 // benchFirst is a feed position the size of a sybilbench run's.
 const benchFirst = 1_000_001
@@ -39,7 +23,7 @@ func reportPerEvent(b *testing.B, n int) {
 }
 
 func BenchmarkParseBatch(b *testing.B) {
-	payload := AppendBatch(nil, benchFirst, benchEvents())
+	payload := AppendBatch(nil, benchFirst, campaign.Burst(7, 100_000, 1)[:benchChunk])
 	evs := make([]osn.Event, 0, benchChunk)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
@@ -53,7 +37,7 @@ func BenchmarkParseBatch(b *testing.B) {
 }
 
 func BenchmarkParseFBatch(b *testing.B) {
-	all := benchEvents()
+	all := campaign.Burst(7, 100_000, 1)[:benchChunk]
 	var seqs []uint64
 	var keep []osn.Event
 	for k, ev := range all {
@@ -79,7 +63,7 @@ func BenchmarkParseFBatch(b *testing.B) {
 // BenchmarkSplicePBatch is the root's work per pbatch: check it, then
 // splice its events under a batch header into a fresh payload.
 func BenchmarkSplicePBatch(b *testing.B) {
-	payload := AppendPBatch(nil, 9, benchEvents())
+	payload := AppendPBatch(nil, 9, campaign.Burst(7, 100_000, 1)[:benchChunk])
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -98,7 +82,7 @@ func BenchmarkSplicePBatch(b *testing.B) {
 // payload.
 func BenchmarkPartitionView(b *testing.B) {
 	const K = 2
-	payload := AppendBatch(nil, benchFirst, benchEvents())
+	payload := AppendBatch(nil, benchFirst, campaign.Burst(7, 100_000, 1)[:benchChunk])
 	own := make([]int, 0, benchChunk)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
