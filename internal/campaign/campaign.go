@@ -5,6 +5,7 @@
 package campaign
 
 import (
+	"fmt"
 	"math/rand"
 
 	"sybilwild/internal/osn"
@@ -24,8 +25,9 @@ func IsSybil(id osn.AccountID) bool { return id%sybilEvery == 0 }
 // normal account sends one friend request a round, 40 % accepted a tick
 // later unless the target is a Sybil. Each Sybil sends one burst of 30
 // requests, starting at the start of its equal span of the chatter, one
-// every min(16, span/30) chatter events; the run needs 30 chatter
-// events per Sybil. Equal arguments give identical feeds.
+// every min(16, span/30) chatter events. The run needs at least one
+// account and 30 chatter events per Sybil, and Burst panics, naming its
+// arguments, when it has fewer. Equal arguments give identical feeds.
 func Burst(seed int64, accounts, rounds int) []osn.Event {
 	r := rand.New(rand.NewSource(seed))
 	target := func(self int) osn.AccountID {
@@ -52,6 +54,10 @@ func Burst(seed int64, accounts, rounds int) []osn.Event {
 	// Sybil j's k-th request goes in front of chatter event
 	// j*span + k*stride; stride keeps a burst inside its own span.
 	sybils := (accounts + sybilEvery - 1) / sybilEvery
+	if accounts < 1 || len(chatter) < burstRequests*sybils {
+		panic(fmt.Sprintf("campaign: Burst(%d, %d, %d): the run needs at least one account and %d chatter events per Sybil, and has %d for %d Sybils",
+			seed, accounts, rounds, burstRequests, len(chatter), sybils))
+	}
 	span := len(chatter) / sybils
 	stride := min(16, span/burstRequests)
 	events := make([]osn.Event, 0, len(chatter)+sybils*burstRequests)

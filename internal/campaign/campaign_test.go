@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"sybilwild/internal/osn"
@@ -60,5 +61,27 @@ func TestBurstShape(t *testing.T) {
 		if requests[id] != 30 {
 			t.Errorf("Sybil %d sent %d requests, want 30", id, requests[id])
 		}
+	}
+}
+
+// TestBurstStatesItsPrecondition: a run too short for its Sybils'
+// bursts, or one with no accounts, panics with a message naming the
+// arguments and the precondition instead of dividing by zero.
+func TestBurstStatesItsPrecondition(t *testing.T) {
+	for _, c := range []struct {
+		accounts, rounds int
+		want             string
+	}{
+		{10, 1, "campaign: Burst(7, 10, 1): the run needs at least one account and 30 chatter events per Sybil, and has "},
+		{0, 4, "campaign: Burst(7, 0, 4): the run needs at least one account and 30 chatter events per Sybil, and has 0 for 0 Sybils"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, c.want) {
+					t.Errorf("Burst(7, %d, %d) panicked with %q, want a message starting %q", c.accounts, c.rounds, msg, c.want)
+				}
+			}()
+			Burst(7, c.accounts, c.rounds)
+		}()
 	}
 }

@@ -279,9 +279,9 @@ func (c *Client) Session() string { return c.session }
 // caller; resume from LastSeq()+1.
 func (c *Client) LastSeq() uint64 { return c.lastSeq }
 
-// Reshaped returns the barrier of the newest cutover record into the
-// subscription's group shape that the broker held when it admitted this
-// client, 0 if none. A cutover record out of the shape at or below it
+// Reshaped returns the barrier of the newest committed cutover record
+// into the subscription's group shape that the broker held when it
+// admitted this client, 0 if none. A cutover record out of the shape at or below it
 // retired an earlier generation of the shape — the feed is replayed
 // past a rebalance that later returned to the shape — so a worker of
 // the shape judges on past it; one above it retires the worker.

@@ -35,22 +35,22 @@
 // the record (spool.PutCutover) and holds them again when it reopens
 // (NewServer), so a restart keeps the cut.
 //
-// All of this state is one control struct guarded by Server.mu.
-// Admission must see fences and snapshots atomically with its own
-// checks, so prepare, commit and admission run under mu anyway; a
-// snapshot store is one map write (its spool write runs outside mu). A
-// lock of its own would only add a lock-order rule.
+// Every decision — admission, an offer, a prepare, a learned record and
+// the restart reload — is the plane's (plane.go), a socket-free type
+// with no lock of its own that Server calls under Server.mu. Admission
+// must see the cutovers and snapshots atomically with its own checks,
+// so prepare, commit and admission run under mu anyway; this file keeps
+// the sockets and the spool writes around those calls. A lock of the
+// plane's own would only add a lock-order rule.
 
 package stream
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"log"
 	"net"
-	"slices"
 	"time"
 
 	"sybilwild/internal/osn"
@@ -58,38 +58,10 @@ import (
 	"sybilwild/internal/wire"
 )
 
-// control is the broker's control-plane state, guarded by Server.mu.
-type control struct {
-	// fences holds the admission fence per OLD group size; an entry
-	// outlives its commit, so a stale worker of a retired shape is never
-	// re-admitted past the barrier. rebLog audits every prepare.
-	fences map[int]*fence
-	rebLog []*fence
-	snaps  map[partKey]spool.Snapshot // the freshest offer per key (payload immutable once held)
-	// owners names the session admission last made each partitioned
-	// key's owner; an offer naming another session, or for a key with
-	// none, is refused.
-	owners map[partKey]string
-}
-
-// fence is one live rebalance: partition group `from` is cut at
-// `barrier`, the sequence of its cutover record, in favour of a group
-// of `nparts`. It commits once every key of the new shape holds an
-// offer at or past the barrier.
-type fence struct {
-	from      int
-	nparts    int
-	barrier   uint64
-	committed bool
-}
-
 // firstFrame is one row of the first-frame table: how the broker
 // answers a connection that opens with a given tag.
 type firstFrame struct {
 	reply string // the reply's tag, refusals included
-	// invalid, when set, is the refusal for a request whose partition
-	// key (part of parts) is out of range.
-	invalid string
 	// serve answers a one-shot control request (nil for subscribe and
 	// publish, which serveConn runs itself). It returns the reply, whose
 	// tag serveControl fills in, or nil when an offer broke off.
@@ -102,7 +74,7 @@ type firstFrame struct {
 var firstFrames = map[string]firstFrame{
 	frameHello:     {reply: frameWelcome},
 	framePHello:    {reply: framePWelcome},
-	frameSnapOffer: {reply: frameSnapOK, invalid: "invalid partition", serve: (*Server).ctlOffer},
+	frameSnapOffer: {reply: frameSnapOK, serve: (*Server).ctlOffer},
 	frameRebPrep:   {reply: frameRebOK, serve: (*Server).ctlPrepare},
 }
 
@@ -112,33 +84,28 @@ var firstFrames = map[string]firstFrame{
 func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, req frame, row firstFrame) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	rep := &frame{Err: row.invalid}
-	if row.invalid == "" || (req.Parts >= 1 && req.Part >= 0 && req.Part < req.Parts) {
-		rep = row.serve(s, br, req)
-	}
-	if rep != nil {
+	if rep := row.serve(s, br, req); rep != nil {
 		rep.T = row.reply
 		writeControl(conn, *rep)
 	}
 }
 
-// ctlOffer stores the raw payload frame that follows the soffer, which
-// must be the size it announced, unless the held snapshot is fresher:
-// an equal sequence replaces (an idempotent re-offer), an older one is
-// confirmed and dropped, so a lagging worker cannot regress the store.
-// A usable spool stores it first, outside mu (a large fsync must not
-// stall admission); a failed write is refused, so the worker won't ack.
-//
-// An offer for a partitioned key is taken only from the session
-// admission last made the key's owner (offerRefusalLocked), checked
-// before the write and again after it, since admission and commits go
-// on meanwhile. A dead owner's file written while its successor was
-// admitted stays on disk until an offer passes it; it is a valid state
-// of the key, just not the one adopted. A file written while a commit
-// retired the key's shape goes with the rest of the shape's. The offer
-// that completes a pending rebalance's new shape commits it.
+// ctlOffer stores the raw payload frame that follows the soffer, whose
+// partition key must be valid and whose payload must be the size it
+// announced: the plane checks the offer's owner (offerRefusal), a
+// usable spool writes the payload, outside mu (a large fsync must not
+// stall admission), and the plane takes it (offer), checking the owner
+// again, since admission and commits go on meanwhile. A failed write is
+// refused, so the worker won't ack. A dead owner's file written while
+// its successor was admitted stays on disk until an offer passes it; it
+// is a valid state of the key, just not the one adopted. The files of a
+// shape a commit retired go, outside mu too, with the file just written
+// if the commit landed during its write.
 func (s *Server) ctlOffer(br *bufio.Reader, req frame) *frame {
-	if req.Size > wire.MaxSnapshotSize {
+	switch {
+	case req.Parts < 1 || req.Part < 0 || req.Part >= req.Parts:
+		return &frame{Err: "invalid partition"}
+	case req.Size > wire.MaxSnapshotSize:
 		return &frame{Err: "snapshot too large"}
 	}
 	payload, err := wire.ReadFrameLimit(br, nil, wire.MaxSnapshotSize)
@@ -149,33 +116,22 @@ func (s *Server) ctlOffer(br *bufio.Reader, req frame) *frame {
 		return &frame{Err: fmt.Sprintf("payload of %d bytes does not match announced size %d", len(payload), req.Size)}
 	}
 	s.mu.Lock()
-	why := s.offerRefusalLocked(req)
+	why := s.ctl.offerRefusal(req)
 	s.mu.Unlock()
 	if why != "" {
 		return &frame{Err: why}
 	}
+	sp := s.log.opt.spool
 	if s.log.spoolUsable() {
-		if err := s.log.opt.spool.PutSnapshot(req.Part, req.Parts, req.Seq, payload); err != nil {
+		if err := sp.PutSnapshot(req.Part, req.Parts, req.Seq, payload); err != nil {
 			return &frame{Err: err.Error()}
 		}
 	}
-	k := partKey{part: req.Part, parts: req.Parts}
 	s.mu.Lock()
-	why = s.offerRefusalLocked(req)
-	_, owned := s.ctl.owners[k]
-	retired := 0
-	switch {
-	case why == "":
-		if held, ok := s.ctl.snaps[k]; !ok || held.Seq <= req.Seq {
-			s.ctl.snaps[k] = spool.Snapshot{Part: req.Part, Parts: req.Parts, Seq: req.Seq, Data: payload}
-		}
-		retired = s.commitLocked(req.Parts)
-	case !owned:
-		retired = req.Parts // the file just written, and its pin
-	}
+	retired, why := s.ctl.offer(req, payload)
 	s.mu.Unlock()
-	if retired > 0 {
-		s.dropSnapshots(retired)
+	if retired > 0 && sp != nil {
+		sp.DropSnapshots(retired)
 	}
 	if why != "" {
 		return &frame{Err: why}
@@ -183,124 +139,45 @@ func (s *Server) ctlOffer(br *bufio.Reader, req frame) *frame {
 	return &frame{}
 }
 
-// offerRefusalLocked is the reason an offer is refused, "" if it is
-// not: an offer for a partitioned key must name the session admission
-// last made the key's owner. So a dead worker's late offer cannot
-// overwrite the state its successor adopted, and nobody offers for a
-// group shape a committed rebalance retired: its owners went with its
-// snapshots. Caller holds s.mu.
-func (s *Server) offerRefusalLocked(req frame) string {
-	if req.Parts < 2 {
-		return ""
-	}
-	switch owner, ok := s.ctl.owners[partKey{part: req.Part, parts: req.Parts}]; {
-	case !ok:
-		return fmt.Sprintf("no session owns partition %d/%d (none was admitted, or a rebalance retired the group)", req.Part, req.Parts)
-	case req.Session != owner:
-		return fmt.Sprintf("session %q does not own partition %d/%d", req.Session, req.Part, req.Parts)
-	}
-	return ""
-}
-
-// dropSnapshots forgets every snapshot and owner of group shape parts,
-// in memory and, on a spooled broker, on disk together with the
-// retention pins the snapshots held. The files go outside mu, like an
-// offer's.
-func (s *Server) dropSnapshots(parts int) {
-	s.mu.Lock()
-	for k := range s.ctl.snaps {
-		if k.parts == parts {
-			delete(s.ctl.snaps, k)
-		}
-	}
-	for k := range s.ctl.owners {
-		if k.parts == parts {
-			delete(s.ctl.owners, k)
-		}
-	}
-	s.mu.Unlock()
-	if sp := s.log.opt.spool; sp != nil {
-		sp.DropSnapshots(parts)
-	}
-}
-
-// ctlPrepare cuts group shape K over to K': under mu it reserves one
-// sequence B and installs the fence with it, so two prepares never
-// reserve two records; then it notes the cutover beside a spooled log,
-// publishes its record at B, and replies with B once the record is
-// published, and on disk when there is a spool. Idempotent:
-// re-preparing the same K→K' returns the barrier already chosen, under
-// the same rule, so a retry across a dropped connection is safe; a
-// conflicting K→K” is refused, and so is a second rebalance into a
-// shape one is already cutting over to. A relay hop has no sequencer of
-// its own and refuses.
+// ctlPrepare cuts group shape K over to K' (plane.prepare, under mu,
+// which reserves the record's sequence B with the cut); then it notes
+// the cutover beside a spooled log, publishes its record at B, and
+// replies with B once the record is published, and on disk when there
+// is a spool. A retry of the same prepare waits for the same record, so
+// a retry across a dropped connection is safe.
 func (s *Server) ctlPrepare(_ *bufio.Reader, req frame) *frame {
-	switch {
-	case req.Parts < 2 || req.NParts < 1 || req.Parts == req.NParts:
-		return &frame{Err: "invalid rebalance shape"}
-	case s.log.opt.adopting:
-		return &frame{Err: "broker is a relay hop: prepare the rebalance at the root broker"}
-	}
 	s.mu.Lock()
-	f, g := s.ctl.fences[req.Parts], s.pendingLocked(req.NParts)
-	fresh, why := f == nil && g == nil, ""
-	switch {
-	case f != nil && f.nparts != req.NParts:
-		why = fmt.Sprintf("partition group %d already rebalancing to %d", req.Parts, f.nparts)
-	case g != nil && g != f:
-		why = fmt.Sprintf("partition group %d already rebalancing to %d", g.from, g.nparts)
-	case fresh:
-		if b, err := s.log.reserve(1, 0); err != nil {
-			why = err.Error()
-		} else {
-			f = s.installLocked(req.Parts, req.NParts, b)
-		}
-	}
+	c, fresh, why := s.ctl.prepare(req.Parts, req.NParts)
 	s.mu.Unlock()
 	if why != "" {
 		return &frame{Err: why}
 	}
 	// Every sequence after B waits for the record, the note's fsync
 	// included: a rebalance is rare, and the note must come first.
-	err := s.noteCutover(f)
+	err := s.noteCutover(c)
 	if fresh {
-		cut := []osn.Event{{Type: osn.EvCutover, Actor: osn.AccountID(f.from), Target: osn.AccountID(f.nparts)}}
-		s.log.publish(s.buildChunks(f.barrier, 1, func(_, _ int, seq uint64) []byte {
+		cut := []osn.Event{{Type: osn.EvCutover, Actor: osn.AccountID(c.from), Target: osn.AccountID(c.to)}}
+		s.log.publish(s.buildChunks(c.barrier, 1, func(_, _ int, seq uint64) []byte {
 			return wire.AppendBatch(nil, seq, cut)
 		}))
 	}
-	s.log.published(f.barrier)
+	s.log.published(c.barrier)
 	if err == nil && s.log.spoolUsable() {
-		err = s.log.opt.spool.Sync(f.barrier)
+		err = s.log.opt.spool.Sync(c.barrier)
 	}
 	if err != nil {
 		return &frame{Err: err.Error()}
 	}
-	return &frame{Parts: f.from, NParts: f.nparts, Barrier: f.barrier}
+	return &frame{Parts: c.from, NParts: c.to, Barrier: c.barrier}
 }
 
-// installLocked holds the cutover of group shape from to a group of to
-// whose record is at barrier: admission's fence, the log's barrier for
-// the shape and the audit row. A fence the broker holds for from at or
-// past barrier already covers the record. Caller holds s.mu.
-func (s *Server) installLocked(from, to int, barrier uint64) *fence {
-	if f := s.ctl.fences[from]; f != nil && f.barrier >= barrier {
-		return f
-	}
-	f := &fence{from: from, nparts: to, barrier: barrier}
-	s.ctl.fences[from] = f
-	s.ctl.rebLog = append(s.ctl.rebLog, f)
-	s.log.retire(from, barrier)
-	return f
-}
-
-// noteCutover notes f's cutover beside a usable spool, before its
-// record is appended (spool.PutCutover).
-func (s *Server) noteCutover(f *fence) error {
+// noteCutover notes c beside a usable spool, before its record is
+// appended (spool.PutCutover).
+func (s *Server) noteCutover(c cutover) error {
 	if !s.log.spoolUsable() {
 		return nil
 	}
-	return s.log.opt.spool.PutCutover(spool.Cutover{From: f.from, To: f.nparts, Barrier: f.barrier})
+	return s.log.opt.spool.PutCutover(spool.Cutover{From: c.from, To: c.to, Barrier: c.barrier})
 }
 
 // learnCutover holds the cutover named by a record a relay hop adopts
@@ -309,79 +186,11 @@ func (s *Server) noteCutover(f *fence) error {
 // record in the hop's spool.
 func (s *Server) learnCutover(ev osn.Event, seq uint64) {
 	s.mu.Lock()
-	f := s.installLocked(int(ev.Actor), int(ev.Target), seq)
+	c := s.ctl.install(int(ev.Actor), int(ev.Target), seq)
 	s.mu.Unlock()
-	if err := s.noteCutover(f); err != nil {
+	if err := s.noteCutover(c); err != nil {
 		log.Printf("stream: %v: a restart of this hop forgets the cutover at %d", err, seq)
 	}
-}
-
-// pendingLocked returns the uncommitted rebalance into group shape
-// parts, nil if there is none. Caller holds s.mu.
-func (s *Server) pendingLocked(parts int) *fence {
-	for _, f := range s.ctl.fences {
-		if !f.committed && f.nparts == parts {
-			return f
-		}
-	}
-	return nil
-}
-
-// cutLocked returns the old group's snapshots at f's barrier, in
-// partition order, or the cut-pending refusal naming how many are there
-// yet. Caller holds s.mu.
-func (s *Server) cutLocked(f *fence) ([]spool.Snapshot, *frame) {
-	cut := make([]spool.Snapshot, f.from)
-	at := 0
-	for p := range cut {
-		cut[p] = s.ctl.snaps[partKey{part: p, parts: f.from}]
-		if cut[p].Seq == f.barrier {
-			at++
-		}
-	}
-	if at < f.from {
-		return nil, refusal(classCutPending, fmt.Sprintf("rebalance cut pending: %d of partition group %d's snapshots at barrier %d", at, f.from, f.barrier))
-	}
-	return cut, nil
-}
-
-// commitLocked commits the pending rebalance into group shape parts
-// once every key of the shape holds an offer at or past its barrier,
-// and returns the retired old shape, whose snapshots the caller drops
-// (0: nothing committed). The old shape's fence stays, so a stale
-// worker of it is never re-admitted past the barrier; a stale fence
-// keyed by the new shape goes, so its new owners are admitted for
-// good. Caller holds s.mu.
-func (s *Server) commitLocked(parts int) int {
-	f := s.pendingLocked(parts)
-	if f == nil {
-		return 0
-	}
-	for p := 0; p < parts; p++ {
-		if sn, ok := s.ctl.snaps[partKey{part: p, parts: parts}]; !ok || sn.Seq < f.barrier {
-			return 0
-		}
-	}
-	f.committed = true
-	delete(s.ctl.fences, parts)
-	return f.from
-}
-
-// controlStatsLocked lists the held snapshots, sorted by (parts, part),
-// and the rebalance audit. Caller holds s.mu.
-func (s *Server) controlStatsLocked() ([]spool.Snapshot, []RebalanceStats) {
-	snaps := make([]spool.Snapshot, 0, len(s.ctl.snaps))
-	for _, v := range s.ctl.snaps {
-		snaps = append(snaps, v)
-	}
-	slices.SortFunc(snaps, func(a, b spool.Snapshot) int {
-		return cmp.Or(cmp.Compare(a.Parts, b.Parts), cmp.Compare(a.Part, b.Part))
-	})
-	reb := make([]RebalanceStats, 0, len(s.ctl.rebLog))
-	for _, f := range s.ctl.rebLog {
-		reb = append(reb, RebalanceStats{From: f.from, To: f.nparts, Barrier: f.barrier, Committed: f.committed})
-	}
-	return snaps, reb
 }
 
 // dialBroker opens a connection to a broker — the one dial every client

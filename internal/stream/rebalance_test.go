@@ -522,3 +522,130 @@ func cutOver(t *testing.T, srv *Server, olds []string, to int, barrier uint64) [
 	}
 	return news
 }
+
+// TestChainedCommitKeepsNewerFence: 3→5 is prepared at 21, and 5→2 at
+// 42 before the five new owners have offered. Their offers at 21 commit
+// 3→5, and that commit must not lift the newer 5→2 fence: a fresh join
+// of shape 5 and a resume of a 5-shape session past 42 are refused as
+// rebalanced, as they were before the commit, so no restarted 5-shape
+// worker judges past 42 beside the 2-shape group.
+func TestChainedCommitKeepsNewerFence(t *testing.T) {
+	leakCheck(t)
+	srv, _ := spooledServer(t, 64)
+	publish := func(n int) {
+		for i := 0; i < n; i++ {
+			srv.BroadcastBatch([]osn.Event{testEvent(i)})
+		}
+	}
+	olds := []string{owner(t, srv, 0, 3), owner(t, srv, 1, 3), owner(t, srv, 2, 3)}
+	publish(20)
+	b1, err := PrepareRebalance(srv.Addr(), 3, 5)
+	if err != nil || b1 != 21 {
+		t.Fatalf("3→5 prepare = (%d, %v), want the cut at 21", b1, err)
+	}
+	for p, sess := range olds {
+		if err := OfferSnapshot(srv.Addr(), sess, p, 3, b1, []byte(fmt.Sprintf("%d/3", p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fives := make([]string, 5)
+	for p := range fives {
+		c := adoptCut(t, srv.Addr(), p, 5, 3, b1)
+		fives[p] = c.Session()
+		closeDetached(t, srv, c)
+	}
+	publish(20)
+	b2, err := PrepareRebalance(srv.Addr(), 5, 2)
+	if err != nil || b2 != 42 {
+		t.Fatalf("5→2 prepare = (%d, %v), want the cut at 42", b2, err)
+	}
+	for p, sess := range fives {
+		if err := OfferSnapshot(srv.Addr(), sess, p, 5, b1, []byte(fmt.Sprintf("%d/5 at %d", p, b1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []RebalanceStats{{From: 3, To: 5, Barrier: b1, Committed: true}, {From: 5, To: 2, Barrier: b2}}
+	if got := srv.Stats().Rebalances; !slices.Equal(got, want) {
+		t.Fatalf("rebalance audit = %+v, want %+v", got, want)
+	}
+	wantReb := RebalancedError{From: 5, To: 2, Barrier: b2}
+	for name, dial := range map[string]func() (*Client, error){
+		"fresh join of 0/5": func() (*Client, error) { return Dial(srv.Addr(), WithPartition(0, 5)) },
+		"resume of 0/5's owner past 42": func() (*Client, error) {
+			return DialResume(srv.Addr(), fives[0], b2+1, WithPartition(0, 5))
+		},
+	} {
+		var reb *RebalancedError
+		if c, err := dial(); !errors.As(err, &reb) || *reb != wantReb {
+			if c != nil {
+				c.Close()
+			}
+			t.Fatalf("%s after the 3→5 commit: err = %v, want ErrRebalanced naming %+v", name, err, wantReb)
+		}
+	}
+}
+
+// TestRestartKeepsChainedCommit: 3→5 at 21 and 5→2 at 42 both commit,
+// then the root is killed and reopened on its spool. The 5→2 commit
+// dropped the 5-shape snapshots that 3→5's commit was read from, and
+// the reopened root must still give the answers the live one gave: both
+// cuts committed in the audit, an adopting 0/5 hello refused as
+// rebalanced (not left waiting on a cut-pending that never completes),
+// and a 2→5 prepare accepted at the next sequence.
+func TestRestartKeepsChainedCommit(t *testing.T) {
+	leakCheck(t)
+	dir := t.TempDir()
+	open := func(addr string) (*Server, *spool.Spool) {
+		t.Helper()
+		sp, err := spool.Open(dir, spool.WithSegmentBytes(4096))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(addr, WithReplayBuffer(64), WithSpool(sp))
+		if err != nil {
+			sp.Close()
+			t.Fatal(err)
+		}
+		return srv, sp
+	}
+	srv, sp := open("127.0.0.1:0")
+	addr := srv.Addr()
+	cutover := func(olds []string, to int) ([]string, uint64) {
+		t.Helper()
+		for i := 0; i < 20; i++ {
+			srv.BroadcastBatch([]osn.Event{testEvent(i)})
+		}
+		barrier, err := PrepareRebalance(addr, len(olds), to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cutOver(t, srv, olds, to, barrier), barrier
+	}
+	fives, b1 := cutover([]string{owner(t, srv, 0, 3), owner(t, srv, 1, 3), owner(t, srv, 2, 3)}, 5)
+	_, b2 := cutover(fives, 2)
+	want := []RebalanceStats{{From: 3, To: 5, Barrier: b1, Committed: true}, {From: 5, To: 2, Barrier: b2, Committed: true}}
+	answers := func(who string) {
+		t.Helper()
+		if got := srv.Stats().Rebalances; !slices.Equal(got, want) {
+			t.Fatalf("%s: rebalance audit = %+v, want %+v", who, got, want)
+		}
+		if c, err := DialAdopt(addr, 0, WithPartition(0, 5)); !errors.Is(err, ErrRebalanced) {
+			if c != nil {
+				c.Close()
+			}
+			t.Fatalf("%s: adopting 0/5: err = %v, want ErrRebalanced", who, err)
+		}
+	}
+	answers("live root")
+	srv.Abort()
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, sp = open(addr)
+	defer sp.Close()
+	defer srv.Close()
+	answers("reopened root")
+	if b, err := PrepareRebalance(addr, 2, 5); err != nil || b != b2+1 {
+		t.Fatalf("2→5 prepare after the restart = (%d, %v), want (%d, nil)", b, err, b2+1)
+	}
+}

@@ -223,8 +223,9 @@ type Server struct {
 	adopted atomic.Uint64
 	hop     atomic.Int32
 
-	// ctl is the control plane (control.go), guarded by mu.
-	ctl control
+	// ctl is the control plane's state and decisions (plane.go),
+	// guarded by mu.
+	ctl plane
 
 	wg sync.WaitGroup
 }
@@ -324,31 +325,18 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: listen: %w", err)
 	}
+	l := newFeedLog(opts...)
 	s := &Server{
-		ln:        ln,
-		log:       newFeedLog(opts...),
-		producers: make(map[string]*producerState),
-		ctl: control{
-			fences: make(map[int]*fence),
-			snaps:  make(map[partKey]spool.Snapshot),
-			owners: make(map[partKey]string),
-		},
+		ln:         ln,
+		log:        l,
+		producers:  make(map[string]*producerState),
+		ctl:        plane{log: l, snaps: make(map[partKey]spool.Snapshot), owners: make(map[partKey]string)},
 		ingestDone: make(chan struct{}),
 		encPool:    sync.Pool{New: func() any { return new([]byte) }},
 	}
-	if sp := s.log.opt.spool; sp != nil {
-		for _, sn := range sp.LoadSnapshots() {
-			s.ctl.snaps[partKey{part: sn.Part, parts: sn.Parts}] = sn
-		}
-		// The cutovers noted beside the log hold again, and those whose
-		// new shape had offered past the barrier commit again; nothing
-		// races this before the broker accepts.
-		for _, c := range sp.LoadCutovers() {
-			s.installLocked(c.From, c.To, c.Barrier)
-		}
-		for _, f := range s.ctl.rebLog {
-			s.commitLocked(f.nparts)
-		}
+	if sp := l.opt.spool; sp != nil {
+		// Nothing races the reload before the broker accepts.
+		s.ctl.reload(sp.LoadCutovers(), sp.LoadSnapshots())
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -536,7 +524,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 
-	r, gen, welcome, snaps, reject := s.admit(hello, conn)
+	s.mu.Lock()
+	r, gen, welcome, snaps, reject := s.ctl.admit(hello, conn)
+	s.mu.Unlock()
 	if reject != nil {
 		refuse(conn, reply, reject)
 		return
@@ -583,79 +573,6 @@ func refuse(conn net.Conn, t string, rep *frame) {
 	rep.T, rep.V = t, ProtocolVersion
 	writeControl(conn, *rep)
 	conn.Close()
-}
-
-// admit checks the hello's partition against the control plane, then
-// opens its reader on the log, which applies the resume rule and
-// refuses a key another connected session holds. An adopting hello
-// resumes from its key's held snapshot (the whole feed's key is 0/1),
-// which admit returns for the welcome; with none held, the hello's own
-// resume applies. On a group shape a pending rebalance is cutting over
-// to, an adopting hello whose key holds nothing at or past the barrier
-// is handed the old group's cut instead and resumes after the barrier,
-// or is refused as cut-pending until every old snapshot is there, or
-// with no class once the log no longer holds the sequence after the
-// barrier, so that no worker of the new shape starts cold past it. A
-// fence on the hello's own group shape admits only a resume at or below
-// its barrier, one that will reach the cutover record, unless the shape
-// is being cut over to again and the resume is past that cut; anything
-// else is refused as rebalanced, the reply naming the cutover. An
-// admitted session becomes its partitioned key's owner, whose offers
-// alone the key then takes. admit returns the reader, the connection
-// generation, the welcome's admission fields — From, the first sequence
-// the writer will send, and Barrier, the newest cutover into the
-// hello's shape, before which a cutover record out of it retired an
-// earlier generation — and the adopted snapshots, or the refusal.
-func (s *Server) admit(hello frame, conn net.Conn) (r *reader, gen int, welcome frame, snaps []spool.Snapshot, reject *frame) {
-	// Normalize the partition request: a group of one is the full
-	// feed, served on the cheaper contiguous path.
-	if hello.Parts == 1 {
-		hello.Part, hello.Parts = 0, 0
-	}
-	if hello.Parts < 0 || hello.Part < 0 || (hello.Parts > 0 && hello.Part >= hello.Parts) {
-		return nil, 0, frame{}, nil, refusal("", "invalid partition")
-	}
-	want := &reader{id: hello.Session, part: hello.Part, parts: hello.Parts, relay: hello.Relay}
-	resume, fromCut := hello.Resume, false
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	held, ok := s.ctl.snaps[partKey{part: hello.Part, parts: max(hello.Parts, 1)}]
-	cut := s.pendingLocked(max(hello.Parts, 1))
-	switch {
-	case !hello.Adopt:
-	case cut != nil && held.Seq < cut.barrier:
-		if snaps, reject = s.cutLocked(cut); reject != nil {
-			return nil, 0, frame{}, nil, reject
-		}
-		resume, fromCut = cut.barrier+1, true
-	case ok && held.Seq > 0:
-		snaps, resume = []spool.Snapshot{held}, held.Seq+1
-	}
-	if f := s.ctl.fences[hello.Parts]; f != nil && (cut == nil || resume <= cut.barrier) &&
-		(resume == 0 || resume > f.barrier) {
-		// The group shape was rebalanced away. A fresh join or a resume
-		// past the record would double-judge post-barrier events against
-		// the new owners; one at or below it judges up to the record and
-		// retires there like the rest of its group.
-		reject = refusal(classRebalanced, (&RebalancedError{From: f.from, To: f.nparts, Barrier: f.barrier}).Error())
-		reject.Parts, reject.NParts, reject.Barrier = f.from, f.nparts, f.barrier
-		return nil, 0, frame{}, nil, reject
-	}
-	r, gen, welcome.From, reject = s.log.open(want, resume, conn)
-	for _, f := range s.ctl.rebLog {
-		if f.nparts == max(hello.Parts, 1) {
-			welcome.Barrier = max(welcome.Barrier, f.barrier)
-		}
-	}
-	switch {
-	case reject == nil && hello.Parts >= 2:
-		s.ctl.owners[partKey{part: hello.Part, parts: hello.Parts}] = hello.Session
-	case reject != nil && fromCut && reject.Class == classGap:
-		reject = refusal("", fmt.Sprintf("rebalance cut at barrier %d: the feed no longer holds seq %d (%s)", cut.barrier, resume, reject.Err))
-	case reject != nil && len(snaps) > 0:
-		reject.Err = fmt.Sprintf("held snapshot at seq %d: %s", snaps[0].Seq, reject.Err)
-	}
-	return r, gen, welcome, snaps, reject
 }
 
 // sessionWriter is one session's socket writer: the log's fill for its
@@ -787,7 +704,7 @@ func (s *Server) Stats() ServerStats {
 	l := s.log
 	s.mu.Lock()
 	seq, _ := l.seq()
-	snaps, reb := s.controlStatsLocked()
+	snaps, reb := s.ctl.stats()
 	prod := make([]ProducerStats, 0, len(s.producers))
 	for _, p := range s.producers {
 		prod = append(prod, ProducerStats{

@@ -113,7 +113,7 @@ type frame struct {
 	// Rebalance fields; a rok, and a rebalanced refusal, name the
 	// cutover of group Parts to NParts at Barrier.
 	// Barrier is the cutover record's sequence; in a welcome, the newest
-	// cutover record into the hello's group shape (Reshaped).
+	// committed cutover record into the hello's group shape (Reshaped).
 	Barrier uint64 `json:"barrier,omitempty"`
 	NParts  int    `json:"nparts,omitempty"` // new partition group size
 
