@@ -1,4 +1,5 @@
-# Targets mirror .github/workflows/ci.yml one to one, so a green
+# Targets mirror .github/workflows/ci.yml one to one (and `explore`
+# fuzz-nightly.yml's explore job), so a green
 # `make ci` locally means a green CI run.
 
 GO ?= go
@@ -12,7 +13,7 @@ WORKLOAD ?= campaign-saturate
 SEED ?= 7
 SECONDS ?= 20
 
-.PHONY: all build test race alloc-budget daemon-smoke sybilbench-test sybilbench sybilbench-trace bench bench-gate fuzz-smoke profile profile-live loc fmt vet docs staticcheck ci
+.PHONY: all build test race alloc-budget daemon-smoke sybilbench-test sybilbench sybilbench-trace bench bench-gate fuzz-smoke explore profile profile-live loc fmt vet docs staticcheck ci
 
 all: build
 
@@ -222,6 +223,12 @@ fuzz-smoke:
 	@for tgt in FuzzBatch FuzzPBatch FuzzFBatch FuzzSplice FuzzReadFrame; do \
 		$(GO) test ./internal/wire/ -run='^$$' -fuzz "^$$tgt$$" -fuzztime 5s || exit 1; \
 	done
+
+# The control-plane explorer two levels deeper than tier-1 does.
+# Mirrors fuzz-nightly.yml's explore job, so the nightly check can run
+# before a merge.
+explore:
+	$(GO) test ./internal/stream/ -run '^TestControlPlaneExplorer$$' -count=1 -v -timeout 50m -explore.depth=10
 
 # CPU + allocation profiles of the path the workers run: K=2
 # partition-gated reconstruction pipelines over a 100k-account campaign

@@ -62,6 +62,8 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -102,7 +104,8 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 		return o, err
 	}
 	if *rebalance != "" {
-		if n, err := fmt.Sscanf(*rebalance, "%d/%d", &o.rebalanceFrom, &o.rebalanceTo); n != 2 || err != nil {
+		var ok bool
+		if o.rebalanceFrom, o.rebalanceTo, ok = pair(*rebalance); !ok {
 			return o, fmt.Errorf("-rebalance %q: want K/K', e.g. 3/5", *rebalance)
 		}
 		if o.rebalanceFrom < 2 || o.rebalanceTo < 1 || o.rebalanceFrom == o.rebalanceTo {
@@ -111,7 +114,8 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 		return o, nil
 	}
 	if *partition != "" {
-		if n, err := fmt.Sscanf(*partition, "%d/%d", &c.Part, &c.Parts); n != 2 || err != nil {
+		var ok bool
+		if c.Part, c.Parts, ok = pair(*partition); !ok {
 			return o, fmt.Errorf("-partition %q: want i/K, e.g. 0/4", *partition)
 		}
 		if c.Parts < 1 || c.Part < 0 || c.Part >= c.Parts {
@@ -119,6 +123,15 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 		}
 	}
 	return o, nil
+}
+
+// pair parses "a/b" into its two integers; anything else, trailing
+// input included, is not a pair.
+func pair(s string) (a, b int, ok bool) {
+	x, y, found := strings.Cut(s, "/")
+	a, errA := strconv.Atoi(x)
+	b, errB := strconv.Atoi(y)
+	return a, b, found && errA == nil && errB == nil
 }
 
 func main() {

@@ -78,10 +78,13 @@ func TestParseArgs(t *testing.T) {
 		{args: []string{"-checkpoint-dir", "d", "-checkpoint-max-lag", "-1"}, wantErr: "flag provided but not defined: -checkpoint-dir"},
 		{args: []string{"-partition", "2"}, wantErr: "want i/K"},
 		{args: []string{"-partition", "a/b"}, wantErr: "want i/K"},
+		{args: []string{"-partition", "0/4/8"}, wantErr: "want i/K"},
+		{args: []string{"-partition", "2/3 "}, wantErr: "want i/K"},
 		{args: []string{"-partition", "2/2"}, wantErr: "partition index out of range"},
 		{args: []string{"-partition", "-1/3"}, wantErr: "partition index out of range"},
 		{args: []string{"-rebalance", "3"}, wantErr: "want K/K'"},
 		{args: []string{"-rebalance", "x/5"}, wantErr: "want K/K'"},
+		{args: []string{"-rebalance", "3/5x"}, wantErr: "want K/K'"},
 		{args: []string{"-rebalance", "2/2"}, wantErr: "need K >= 2, K' >= 1, K != K'"},
 		{args: []string{"-rebalance", "1/3"}, wantErr: "need K >= 2, K' >= 1, K != K'"},
 		{args: []string{"-shards", "4"}, wantErr: "flag provided but not defined"},

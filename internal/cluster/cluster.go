@@ -13,8 +13,14 @@
 //
 // The broker is the only keeper of a worker's state: a worker's state
 // is a cache of a function of the feed, so it is kept where the feed
-// is, and is exactly as durable. The lifecycle (docs/ARCHITECTURE.md,
-// "Resume contract"):
+// is, and is exactly as durable. Every decision about what a worker
+// judges is its kernel's (stream.Kernel): which hello it sends, what a
+// refusal means, which events of a batch it applies, where it retires,
+// when it saves, what it acks and where it resumes. The control-plane
+// explorer drives that same kernel. A Worker does the I/O around it:
+// the dials and their backoff, the client, the pipeline, the snapshot
+// codec, Kill and Stop. The lifecycle (docs/ARCHITECTURE.md, "Resume
+// contract"):
 //
 //   - Start, with Handoff, adopts the partition's snapshot at the
 //     broker (a whole-feed worker's key is 0/1) in the subscribe
@@ -31,7 +37,7 @@
 //     the feed, at the barrier. A worker of the group shape it retires
 //     judges through the record and retires there (below), unless the
 //     broker admitted it past a later rebalance back into its shape
-//     (stream.Client.Reshaped): a replay of the feed from before an
+//     (the welcome's barrier): a replay of the feed from before an
 //     earlier generation's cut judges on past that cut. On the shape
 //     it cuts over to, the handshake hands a key with no state of its
 //     own past the barrier the old K-way group's K snapshots at the
@@ -46,18 +52,17 @@
 //     only after the broker confirmed it) the feed is acked. The
 //     broker sets the lag: each connection's welcome reports the tail
 //     a memory-only broker holds its producers on for the worker's
-//     acks, and a spooled broker, whose tail never waits, reports none
-//     (offerLag).
-//   - A lost connection is saved, then resumed with backoff. A resume
-//     refused because another worker now holds the key (stream.ErrHeld)
-//     ends the worker: that worker adopted its state.
+//     acks, and a spooled broker, whose tail never waits, reports none.
+//   - A lost connection is saved, then resumed with backoff at the
+//     newest state the broker holds, never past it. A resume refused
+//     because another worker now holds the key (stream.ErrHeld) ends
+//     the worker: that worker adopted its state.
 //   - Stop and a live-rebalance retirement end with a final save.
 //     Retirement always offers: the new workers adopt that cut. Kill is
 //     a crash: nothing is saved.
 package cluster
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -88,7 +93,7 @@ type Config struct {
 
 	// A save fires when Every (-checkpoint-every) has passed since the
 	// last one, or, with Handoff, on the lag trigger the broker sets
-	// (offerLag).
+	// (stream.Kernel.Due).
 	Every time.Duration
 
 	// offerLag, when set, replaces the lag the broker's welcome sets, so
@@ -114,18 +119,16 @@ type Stats struct {
 }
 
 // Worker is one detector process's lifecycle. Start it with Start; end
-// it by ending the broker's feed, Stop or Kill; then Wait.
+// it by ending the broker's feed, Stop or Kill; then Wait. Its kernel
+// (stream.Kernel) decides what it judges; the Worker does the I/O.
 type Worker struct {
 	cfg Config
+	k   stream.Kernel
 	p   *detector.Pipeline
 
-	session     string // subscriber session, the same across reconnects ("": not admitted yet)
-	resume      uint64 // where the next dial starts (0: the live head)
 	origin      string // the starting state, for the start-up log ("": cold)
 	handoffSeq  uint64 // the adopted snapshot's sequence (0: none)
 	resumedFrom uint64
-	lastSave    time.Time // when the last save was tried
-	lastSaveSeq uint64    // and the pipeline's sequence then
 	stats       Stats
 
 	mu              sync.Mutex
@@ -135,11 +138,6 @@ type Worker struct {
 	offered      atomic.Uint64 // highest sequence the broker confirmed
 	lag          atomic.Uint64 // the lag trigger set at the last connect (0: off)
 	firstApplied atomic.Uint64 // lowest global sequence ingested (0: none yet)
-
-	// Live-rebalance retirement; set by drain at the cutover record.
-	rebalanced bool
-	rebBarrier uint64
-	rebNew     int
 
 	ownedSeqs []uint64 // audit: applied owned-actor sequences, in order
 
@@ -166,11 +164,8 @@ func Start(cfg Config) (*Worker, error) {
 	if cfg.Parts < 0 || cfg.Part < 0 || cfg.Part >= max(cfg.Parts, 1) {
 		return nil, fmt.Errorf("cluster: invalid partition %d/%d", cfg.Part, cfg.Parts)
 	}
-	w := &Worker{cfg: cfg, lastSave: time.Now(), done: make(chan struct{})}
-	if cfg.FromStart {
-		w.resume = 1
-	}
-	c, snap, cut, err := w.first()
+	w := newWorker(cfg)
+	c, snap, err := w.first()
 	if err != nil {
 		return nil, err
 	}
@@ -182,37 +177,37 @@ func Start(cfg Config) (*Worker, error) {
 	}
 	if snap == nil {
 		w.p = detector.NewPipeline(cfg.Rule, nil, opts...)
-	} else if w.p, w.resume, err = detector.NewPipelineFromSnapshot(cfg.Rule, nil, snap, opts...); err != nil {
+		if cfg.FromStart {
+			w.resumedFrom = 1
+		}
+	} else if w.p, w.resumedFrom, err = detector.NewPipelineFromSnapshot(cfg.Rule, nil, snap, opts...); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("cluster: %s: %w", w.origin, err)
 	}
-	w.resumedFrom = w.resume
 	w.attach(c)
-	if cut {
-		w.save(c, true) // the broker commits the rebalance once every new key offered
+	if w.k.Cut() {
+		w.save(c)
 	}
 	go w.loop(c)
 	return w, nil
 }
 
+func newWorker(cfg Config) *Worker {
+	return &Worker{cfg: cfg, done: make(chan struct{}), k: stream.Kernel{Part: cfg.Part, Parts: cfg.Parts,
+		Handoff: cfg.Handoff, FromStart: cfg.FromStart, Every: cfg.Every, Lag: cfg.offerLag}}
+}
+
 // first dials the worker's first subscription and returns it with the
-// snapshot it adopted in the handshake (nil: a cold start), and whether
-// that is its share of a rebalance cut it re-keyed. A held snapshot the
-// feed can no longer resume (a memory-only tail moved on past its dead
-// worker's session) is passed over for a cold start: this worker's
-// first offer replaces it.
-func (w *Worker) first() (*stream.Client, *detector.PipelineSnapshot, bool, error) {
-	c, err := w.connect(w.cfg.Handoff)
-	if errors.Is(err, stream.ErrGap) && w.cfg.Handoff {
-		w.origin = fmt.Sprintf("broker snapshot is past the feed's retention: cold start (%v)", err)
-		c, err = w.connect(false)
-	}
+// snapshot it adopted in the handshake (nil: a cold start), re-keyed
+// when it is a rebalance cut.
+func (w *Worker) first() (*stream.Client, *detector.PipelineSnapshot, error) {
+	c, err := w.connect()
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	seq, data := c.Adopted()
 	if seq == 0 {
-		return c, nil, false, nil
+		return c, nil, nil
 	}
 	part, parts := w.cfg.Part, max(w.cfg.Parts, 1)
 	var snap *detector.PipelineSnapshot
@@ -225,11 +220,11 @@ func (w *Worker) first() (*stream.Client, *detector.PipelineSnapshot, bool, erro
 	}
 	if err != nil {
 		c.Close()
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	w.handoffSeq = snap.Seq
 	w.origin += fmt.Sprintf(": %d accounts, %d flags", len(snap.Accounts), len(snap.Flags))
-	return c, snap, len(data) > 1, nil
+	return c, snap, nil
 }
 
 // adoptable decodes the snapshot of partition part of parts that a
@@ -272,56 +267,30 @@ func rekey(part, parts int, seq uint64, cut [][]byte) (*detector.PipelineSnapsho
 	return out[part], nil
 }
 
-// connect dials the subscription at w.resume — with adopt, adopting
-// the key's held snapshot instead — retrying up to Retries consecutive
-// failed dials with backoff. A refused resume (ErrGap) is final: the
-// feed no longer holds the events the state needs. So is a rebalance's
-// fence (ErrRebalanced): the shape's new owners judge from there. So is
-// a key held by another worker, once this one was admitted: that worker
-// adopted its state. Before that, a held key and an incomplete
-// rebalance cut are waited out. A spare — a worker last refused as held
-// — whose broker then refuses it as closing ends with an error wrapping
-// stream.ErrClosed: it was never admitted and holds nothing, and the
-// key's owner judged the feed. A worker waiting on a cut is the key's
-// only designated owner, so it retries a closing broker like a failed
-// dial, as a spare does a broker that stops answering (a kill or a
-// restart looks the same from here).
-func (w *Worker) connect(adopt bool) (*stream.Client, error) {
-	opts := []stream.DialOption{stream.WithPartition(w.cfg.Part, w.cfg.Parts)}
+// connect dials the kernel's hellos until one is admitted, the kernel
+// ends the worker (its refusal table, stream.Kernel.Refused), or Retries
+// consecutive dials failed. A refusal the kernel waits out — a held
+// key, an incomplete rebalance cut, or a held snapshot past the feed,
+// which it passes over for a cold start — is redialed every heldPoll.
+func (w *Worker) connect() (*stream.Client, error) {
 	backoff := 50 * time.Millisecond
-	for fails, spare := 0, false; ; {
-		var c *stream.Client
-		var err error
-		switch {
-		case adopt:
-			c, err = stream.DialAdopt(w.cfg.Addr, w.resume, opts...)
-		case w.session != "":
-			c, err = stream.DialResume(w.cfg.Addr, w.session, w.resume, opts...)
-		case w.resume > 0:
-			c, err = stream.DialFrom(w.cfg.Addr, w.resume, opts...)
-		default:
-			c, err = stream.Dial(w.cfg.Addr, opts...)
-		}
-		switch {
-		case err == nil:
-			w.session = c.Session()
-			c.SetManualAck(w.cfg.Handoff)
-			w.lag.Store(uint64(cmp.Or(w.cfg.offerLag, offerLag(c.Window()))))
+	for fails := 0; ; {
+		c, err := stream.DialKernel(w.cfg.Addr, &w.k)
+		if err == nil {
+			w.lag.Store(uint64(w.k.OfferLag()))
 			return c, nil
-		case (errors.Is(err, stream.ErrHeld) || errors.Is(err, stream.ErrCutPending)) && w.session == "":
-			fails, backoff, spare = 0, 50*time.Millisecond, errors.Is(err, stream.ErrHeld) // the broker answers
+		}
+		wait, end := w.k.Refused(err)
+		switch {
+		case end != nil:
+			return nil, end
+		case wait:
+			if errors.Is(err, stream.ErrGap) {
+				w.origin = fmt.Sprintf("broker snapshot is past the feed's retention: cold start (%v)", err)
+			}
+			fails, backoff = 0, 50*time.Millisecond // the broker answers
 			time.Sleep(heldPoll)
 			continue
-		case errors.Is(err, stream.ErrHeld):
-			return nil, fmt.Errorf("cluster: partition %d/%d is owned by another worker, which adopted its state: %w",
-				w.cfg.Part, max(w.cfg.Parts, 1), err)
-		case errors.Is(err, stream.ErrRebalanced), errors.Is(err, stream.ErrGap) && adopt:
-			return nil, err
-		case errors.Is(err, stream.ErrGap):
-			return nil, fmt.Errorf("cluster: the feed cannot serve seq %d (history pruned or not spooled; a restart adopts a resumable snapshot or starts cold): %w", w.resume, err)
-		case spare && errors.Is(err, stream.ErrClosing):
-			return nil, fmt.Errorf("cluster: partition %d/%d: the broker closed the feed while this worker waited (%v): %w",
-				w.cfg.Part, max(w.cfg.Parts, 1), err, stream.ErrClosed)
 		case fails >= w.cfg.Retries || w.killed.Load() || w.stopped.Load():
 			return nil, err
 		}
@@ -336,10 +305,16 @@ func (w *Worker) connect(adopt bool) (*stream.Client, error) {
 // makes c the current connection, and delivers a Kill or Stop that
 // landed while dialing.
 func (w *Worker) attach(c *stream.Client) {
-	if c.LastSeq() > w.p.Seq() {
-		w.p.Ingest(detector.Batch{LastSeq: c.LastSeq()})
-	}
+	w.ingest(nil)
 	w.signal(c)
+}
+
+// ingest applies evs to the pipeline, which then ends at the kernel's
+// applied sequence.
+func (w *Worker) ingest(evs []osn.Event) {
+	if a := w.k.Applied(); a > w.p.Seq() || len(evs) > 0 {
+		w.p.Ingest(detector.Batch{Events: evs, LastSeq: a})
+	}
 }
 
 // loop drains the subscription until the feed ends, the worker is
@@ -350,14 +325,14 @@ func (w *Worker) loop(c *stream.Client) {
 	defer close(w.done)
 	for {
 		err := w.drain(c)
+		_, _, retired := w.k.Retired()
 		switch {
 		case w.killed.Load():
 			w.err = err
-		case w.rebalanced:
+		case retired:
 			// The pipeline ends at the record: save the cut the new
-			// workers adopt, and ack nothing past it on the way out.
-			w.save(c, true)
-			c.SetManualAck(true)
+			// workers adopt. The kernel acks nothing past it.
+			w.save(c)
 		case errors.Is(err, stream.ErrBadFrame):
 			// The feed sent a frame this build cannot decode; a resume
 			// would only replay it.
@@ -369,24 +344,21 @@ func (w *Worker) loop(c *stream.Client) {
 			// on a foreign run, a bare cursor advance an auto-ack
 			// RecvBatch never returns: pin the pipeline at the client's
 			// cursor first.
-			if last := c.LastSeq(); last > w.p.Seq() {
-				w.p.Ingest(detector.Batch{LastSeq: last})
-			}
+			w.k.Batch(c, nil)
+			w.ingest(nil)
 			if errors.Is(err, stream.ErrClosed) {
 				// A broker that ended the feed is closing: it takes no
 				// more offers and keeps nothing more for this session.
 				c.Ack(w.p.Seq())
 			} else {
-				w.save(c, w.cfg.Handoff)
+				w.save(c)
 			}
 		default:
-			// Connection lost. Save before resuming: a resume acks
-			// everything below its start, so it must never start past the
-			// newest confirmed offer. drain trims what it replays.
+			// Connection lost: save, then resume where the kernel says.
 			c.Close()
-			w.save(nil, w.cfg.Handoff)
-			w.resume = cmp.Or(w.durable(), c.LastSeq()) + 1
-			if c, err = w.connect(false); err != nil {
+			w.save(nil)
+			w.k.Lost(c.LastSeq())
+			if c, err = w.connect(); err != nil {
 				if w.killed.Load() || !w.stopped.Load() {
 					w.err = err
 				}
@@ -401,102 +373,73 @@ func (w *Worker) loop(c *stream.Client) {
 }
 
 // drain applies batches from c until a receive fails, saving whenever
-// a trigger fires, or until it applies the cutover record that retires
-// the worker's group shape, when it returns nil: the pipeline then ends
-// at the record's sequence, the barrier, and nothing past it is
-// applied. With Handoff a batch may be empty: a partitioned feed's
-// cursor advance past a foreign run, which pins the pipeline and runs
-// the triggers like any batch, so a foreign run longer than the
-// broker's tail is offered and acked.
+// the kernel says one is due, or until the kernel retires the worker at
+// a cutover record, when it returns nil: the pipeline then ends at the
+// record's sequence, the barrier, and nothing past it is applied. With
+// Handoff a batch may be empty: a partitioned feed's cursor advance past
+// a foreign run, which pins the pipeline and runs the triggers like any
+// batch, so a foreign run longer than the broker's tail is offered and
+// acked.
 func (w *Worker) drain(c *stream.Client) error {
 	for {
 		evs, err := c.RecvBatch()
 		if err != nil {
 			return err
 		}
-		last, applied := c.LastSeq(), w.p.Seq()
-		if last <= applied {
+		drop, n, ok := w.k.Batch(c, evs)
+		if !ok {
 			continue
 		}
-		// Skip any replayed prefix at or below the pipeline's position:
-		// counters are not idempotent. Partitioned batches are sparse in
-		// the global order and carry per-event sequences.
-		seqs, n := c.LastBatchSeqs(), len(evs)
-		seqAt := func(i int) uint64 {
-			if seqs != nil {
-				return seqs[i]
-			}
-			return last - uint64(n-1-i)
-		}
-		drop := 0
-		for drop < n && seqAt(drop) <= applied {
-			drop++
-		}
-		if drop < n && w.firstApplied.Load() == 0 {
-			w.firstApplied.Store(seqAt(drop))
-		}
-		for i := drop; i < n; i++ {
-			ev := evs[i]
-			if w.cfg.audit && osn.Partition(ev.Actor, w.cfg.Parts) == w.cfg.Part {
-				w.ownedSeqs = append(w.ownedSeqs, seqAt(i))
-			}
-			if ev.Type == osn.EvCutover && int(ev.Actor) == w.cfg.Parts && seqAt(i) > c.Reshaped() {
-				w.rebalanced, w.rebBarrier, w.rebNew = true, seqAt(i), int(ev.Target)
-				n, last = i+1, w.rebBarrier // the batch ends at the record
-			}
-		}
-		w.p.Ingest(detector.Batch{Events: evs[drop:n], LastSeq: last})
+		w.audit(c, evs, drop, n)
+		w.ingest(evs[drop:n])
 		w.stats.Events += n - drop
 		if n > 0 {
 			w.stats.Batches++
 		}
-		if w.rebalanced {
+		if _, _, retired := w.k.Retired(); retired {
 			return nil
 		}
-		lag := w.lag.Load()
-		if w.cfg.Handoff && (lag > 0 && last-w.durable() >= lag && last-w.lastSaveSeq >= lag/2 ||
-			time.Since(w.lastSave) >= w.cfg.Every) {
-			w.save(c, true)
+		if w.k.Due(time.Now()) {
+			w.save(c)
 		}
 	}
 }
 
-// offerLag is the lag trigger for a broker whose welcome reported
-// window: the applied sequences past the newest confirmed offer that
-// fire an offer, 0 for none. Acks move only at offers, so a worker that
-// could leave a memory-only broker's whole tail unacked between two of
-// them would hold its producer until stall eviction. A refused offer
-// (a closing broker) is retried half a lag later, so the unacked range
-// reaches 1.5 lags plus one batch; two thirds of the tail less a batch
-// keeps that inside the tail, partitioned workers included, since the
-// lag and the tail both count feed sequences. A spooled broker's tail
-// never waits (window 0): its worker offers on the interval alone.
-func offerLag(window int) int {
-	if window == 0 {
-		return 0
+// audit notes the sequences of evs[drop:n], the events of c's last
+// batch that the pipeline applies: the first one, and with Config.audit
+// every owned-actor event's.
+func (w *Worker) audit(c *stream.Client, evs []osn.Event, drop, n int) {
+	seq := func(i int) uint64 {
+		if seqs := c.LastBatchSeqs(); seqs != nil {
+			return seqs[i]
+		}
+		return c.LastSeq() - uint64(len(evs)-1-i)
 	}
-	return max(1, min(window/2, 2*(window-stream.DefaultMaxBatch)/3))
+	if drop < n && w.firstApplied.Load() == 0 {
+		w.firstApplied.Store(seq(drop))
+	}
+	for i := drop; i < n && w.cfg.audit; i++ {
+		if osn.Partition(evs[i].Actor, w.cfg.Parts) == w.cfg.Part {
+			w.ownedSeqs = append(w.ownedSeqs, seq(i))
+		}
+	}
 }
 
-// durable is the newest sequence the broker holds this worker's state
-// at: its newest confirmed offer, or the snapshot it adopted.
-func (w *Worker) durable() uint64 { return max(w.offered.Load(), w.handoffSeq) }
-
-// save cuts a snapshot and, when offer is set, offers it to the broker;
-// once the broker confirms it, the feed is acked through it on c (when
-// c is non-nil). A failure is not fatal: the broker's previous offer
-// (or the spool) keeps recovery possible. Kill is a crash: once it has
-// landed, a save in progress keeps nothing more.
-func (w *Worker) save(c *stream.Client, offer bool) {
-	w.lastSave, w.lastSaveSeq = time.Now(), w.p.Seq()
-	if !offer || w.p.Seq() == 0 || w.killed.Load() {
-		return // nothing applied yet is nothing worth adopting; a crash keeps nothing
+// save cuts a snapshot and, when the kernel offers it, offers it to the
+// broker; once the broker confirms it, the feed is acked through it on
+// c (when c is non-nil). A failure is not fatal: the broker's previous
+// offer (or the spool) keeps recovery possible. Kill is a crash: once
+// it has landed, a save in progress keeps nothing more.
+func (w *Worker) save(c *stream.Client) {
+	if !w.k.Save(time.Now()) || w.killed.Load() {
+		return
 	}
 	snap := w.p.Snapshot()
 	// A failed offer is not logged: a broker that is down refuses the
 	// save before the resume. Stats counts the successes.
 	data, err := json.Marshal(snap)
-	if err == nil && !w.killed.Load() && stream.OfferSnapshot(w.cfg.Addr, w.session, w.cfg.Part, max(w.cfg.Parts, 1), snap.Seq, data) == nil {
+	if err == nil && !w.killed.Load() && stream.OfferSnapshot(w.cfg.Addr, w.c.Session(), w.cfg.Part, max(w.cfg.Parts, 1), snap.Seq, data) == nil {
+		w.k.Offered(snap.Seq)
 		w.offered.Store(snap.Seq)
 		w.stats.Offers++
 		if c != nil {
@@ -579,6 +522,4 @@ func (w *Worker) Stats() Stats {
 // Rebalanced reports whether the worker was retired by a live
 // rebalance, and if so the cutover barrier (its pipeline's final
 // sequence) and the new partition group size. Valid after Wait.
-func (w *Worker) Rebalanced() (barrier uint64, nparts int, ok bool) {
-	return w.rebBarrier, w.rebNew, w.rebalanced
-}
+func (w *Worker) Rebalanced() (barrier uint64, nparts int, ok bool) { return w.k.Retired() }

@@ -15,10 +15,6 @@ func WithAudit(cfg Config) Config {
 	return cfg
 }
 
-// OfferLagFor is the lag trigger a worker derives from a welcome
-// reporting window.
-var OfferLagFor = offerLag
-
 // HandoffSeq returns the stamped sequence of the broker snapshot the
 // worker adopted at start, 0 when it did not adopt one.
 func (w *Worker) HandoffSeq() uint64 { return w.handoffSeq }

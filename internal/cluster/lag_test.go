@@ -11,22 +11,6 @@ import (
 	"sybilwild/internal/stream"
 )
 
-// TestOfferLagRule is the lag a worker derives from the tail its
-// broker's welcome reports: half the tail, held to two thirds of the
-// tail less one batch, and none for a spooled broker's 0.
-func TestOfferLagRule(t *testing.T) {
-	for _, tc := range []struct{ window, lag int }{
-		{0, 0},
-		{64, 1},
-		{512, 170},
-		{stream.DefaultReplayBuffer, 8192},
-	} {
-		if got := cluster.OfferLagFor(tc.window); got != tc.lag {
-			t.Errorf("offerLag(%d) = %d, want %d", tc.window, got, tc.lag)
-		}
-	}
-}
-
 // lagWindow is the lag tests' tail: 2048 feed events, whose derived
 // lag is 1024.
 const lagWindow = 2048

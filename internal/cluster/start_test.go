@@ -63,8 +63,8 @@ func deadAddr(t *testing.T) string {
 // pick runs a worker's first subscription against cfg's broker and
 // returns the snapshot it adopted in the handshake (nil: cold).
 func pick(cfg Config) (*detector.PipelineSnapshot, error) {
-	w := &Worker{cfg: cfg}
-	c, snap, _, err := w.first()
+	w := newWorker(cfg)
+	c, snap, err := w.first()
 	if c != nil {
 		c.Close()
 	}

@@ -58,7 +58,7 @@ var ErrBadFrame = errors.New("stream: undecodable frame")
 // refused this way has been replaced, and ends.
 var ErrHeld = errors.New("stream: partition held by another session")
 
-// ErrCutPending is returned by an adopting dial (DialAdopt) on a group
+// ErrCutPending is returned by an adopting dial (DialKernel) on a group
 // shape a live rebalance is cutting over to, while the old group's
 // snapshots have not all reached the barrier. Like a held key, a
 // starting worker waits it out.
@@ -104,12 +104,21 @@ type Client struct {
 	// returns it again.
 	end error
 
-	manualAck bool   // acks driven by Ack() instead of delivery
-	hop       int    // the welcome's tree depth of the answering broker
-	window    int    // the welcome's tail that waits on this session's acks (0: none)
-	reshaped  uint64 // the welcome's newest cutover into the group shape (Reshaped)
+	manualAck bool // acks driven by Ack() instead of delivery
+	hop       int  // the welcome's tree depth of the answering broker
+	// The welcome's admission state, which DialKernel hands its kernel:
+	// the tail the broker holds its producers on for this session's acks
+	// (its WithReplayBuffer when it has no usable spool, 0 when its tail
+	// drops freely), and the barrier of the newest committed cutover
+	// record into the subscription's group shape (0: none). A record out
+	// of the shape at or below that barrier retired an earlier
+	// generation of the shape, before a rebalance back into it, so a
+	// worker of the shape judges on past it; one above it retires the
+	// worker.
+	window   int
+	reshaped uint64
 
-	// The snapshots the handshake handed over (DialAdopt); seq 0: none.
+	// The snapshots the handshake handed over (DialKernel); seq 0: none.
 	adoptedSeq uint64
 	adopted    [][]byte
 }
@@ -172,22 +181,31 @@ func DialResume(addr, session string, from uint64, opts ...DialOption) (*Client,
 	return dial(addr, frame{Session: session, Resume: from}, opts)
 }
 
-// DialAdopt connects as a fresh subscriber that adopts its partition
-// key's state: when the broker holds a snapshot for the key (the whole
-// feed's key is 0/1), the handshake hands it over (Adopted) and the
-// feed resumes right after it. On a group shape a live rebalance is
-// cutting over to, a key with nothing at or past the barrier is handed
-// the old group's snapshots at the barrier instead, for the caller to
-// re-key; until all of them are there the dial is refused with an error
-// wrapping ErrCutPending. With nothing held, the feed starts where Dial
-// (from 0) or DialFrom would start it. A held snapshot the feed can no
-// longer resume is refused with an error wrapping ErrGap. The snapshot
-// and the key's ownership are one decision of the broker's, so the
-// state adopted is exactly the one it held when it admitted this
-// session. A broker whose welcome does not echo adopt predates this
-// handshake; the dial fails rather than start cold past its snapshot.
-func DialAdopt(addr string, from uint64, opts ...DialOption) (*Client, error) {
-	return dial(addr, frame{Session: NewSessionID(), Resume: from, Adopt: true}, opts)
+// DialKernel dials the hello k chose: a resume of its session once
+// admitted, else a fresh session that, with Handoff, adopts its
+// partition key's state. When the broker holds a snapshot for the key
+// (the whole feed's key is 0/1), the handshake hands it over (Adopted)
+// and the feed resumes right after it. On a group shape a live
+// rebalance is cutting over to, a key with nothing at or past the
+// barrier is handed the old group's snapshots at the barrier instead,
+// for the caller to re-key; until all of them are there the dial is
+// refused with an error wrapping ErrCutPending. A held snapshot the
+// feed can no longer resume is refused with an error wrapping ErrGap.
+// The snapshot and the key's ownership are one decision of the
+// broker's, so the state adopted is exactly the one it held when it
+// admitted this session. A broker whose welcome does not echo adopt
+// predates this handshake; the dial fails rather than start cold past
+// its snapshot. Admitted, k takes the welcome and sets c's acks
+// (SetManualAck); refused, Kernel.Refused reads the error.
+func DialKernel(addr string, k *Kernel) (*Client, error) {
+	hello := k.hello()
+	hello.Session = cmp.Or(hello.Session, NewSessionID())
+	c, err := dial(addr, hello, []DialOption{WithPartition(k.Part, k.Parts)})
+	if err == nil {
+		k.admitted(c.session, c.lastSeq+1, c.reshaped, c.window, c.adoptedSeq, len(c.adopted), time.Now())
+		c.manualAck = k.manual()
+	}
+	return c, err
 }
 
 func dial(addr string, hello frame, opts []DialOption) (*Client, error) {
@@ -209,24 +227,17 @@ func dial(addr string, hello frame, opts []DialOption) (*Client, error) {
 // subscribe opens a subscription on a dialed broker connection: it
 // sends hello, reads the welcome — and, for an adopting hello, the
 // snapshots behind it — and anchors the cursor at the welcome's first
-// sequence. A refusal's class alone decides the error: closing is
-// ErrClosing, which a retry may outlive; held is ErrHeld and
-// cut-pending ErrCutPending, both waited out by a starting worker; gap
-// is ErrGap, a lost range (refusals); rebalanced is ErrRebalanced,
-// wrapping the RebalancedError built here from the reply's cutover
-// fields, which no retry outlives. A refusal with no class is an
-// ordinary dial error. A welcome that does not echo adopt comes from a
-// broker that predates adoption in the handshake and is refused, rather
-// than started cold. conn is closed on error; a caller that dials
+// sequence. A refusal's class alone decides the error (rejected), and a
+// worker's kernel what it means (Kernel.Refused). A refusal with no
+// class is an ordinary dial error. A welcome that does not echo adopt
+// comes from a broker that predates adoption in the handshake and is
+// refused, rather than started cold. conn is closed on error; a caller that dials
 // separately can register conn first, so that its own Close cuts a
 // handshake the broker never answers.
 func subscribe(conn net.Conn, hello frame) (*Client, error) {
 	welcome, br, err := handshake(conn, hello, nil, frameWelcome)
 	if err == nil && hello.Adopt && !welcome.Adopt {
 		err = errors.New("stream: hello: the broker ignored adopt (it predates adoption in the handshake)")
-	}
-	if welcome.Class == classRebalanced {
-		err = fmt.Errorf("%w: %w", ErrRebalanced, &RebalancedError{From: welcome.Parts, To: welcome.NParts, Barrier: welcome.Barrier})
 	}
 	if err != nil {
 		conn.Close()
@@ -279,15 +290,7 @@ func (c *Client) Session() string { return c.session }
 // caller; resume from LastSeq()+1.
 func (c *Client) LastSeq() uint64 { return c.lastSeq }
 
-// Reshaped returns the barrier of the newest committed cutover record
-// into the subscription's group shape that the broker held when it
-// admitted this client, 0 if none. A cutover record out of the shape at or below it
-// retired an earlier generation of the shape — the feed is replayed
-// past a rebalance that later returned to the shape — so a worker of
-// the shape judges on past it; one above it retires the worker.
-func (c *Client) Reshaped() uint64 { return c.reshaped }
-
-// Adopted hands over the snapshots a DialAdopt handshake carried: the
+// Adopted hands over the snapshots an adopting handshake carried: the
 // sequence the broker held them at (the cursor starts right after it)
 // and their payloads — one, the key's own snapshot, or, on a shape a
 // live rebalance is cutting over to, the old K-way group's K at the
@@ -298,12 +301,6 @@ func (c *Client) Adopted() (seq uint64, data [][]byte) {
 	c.adoptedSeq, c.adopted = 0, nil
 	return seq, data
 }
-
-// Window returns the tail, in feed events, that the broker holds its
-// producers on for this session's acks: its WithReplayBuffer when it
-// has no usable spool, 0 when its tail drops freely. It is the
-// broker's state at the handshake.
-func (c *Client) Window() int { return c.window }
 
 // SetManualAck switches acknowledgement control to the caller. By
 // default the client acks whatever it has delivered — right for

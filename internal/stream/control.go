@@ -208,9 +208,8 @@ func dialBroker(addr string) (net.Conn, error) {
 // and reads the reply, which must be tagged want. It returns the reply
 // and the reader the rest of the conversation must use (it may already
 // hold bytes past the reply), with the connection's deadline cleared.
-// A refusal returns its reply along with an error wrapping errRejected
-// and the error its class names (refusals), so the caller can act on
-// the class. The caller owns conn and closes it on error; dialing
+// A refusal returns its reply along with its error (rejected), so the
+// caller can act on the class. The caller owns conn and closes it on error; dialing
 // separately lets a caller register conn first, so that its own Close
 // can cut a handshake the broker never answers.
 func handshake(conn net.Conn, req frame, body []byte, want string) (frame, *bufio.Reader, error) {
@@ -236,10 +235,7 @@ func handshake(conn net.Conn, req frame, body []byte, want string) (frame, *bufi
 		return frame{}, nil, fmt.Errorf("stream: %s: expected %s, got %q", req.T, want, payload)
 	}
 	if rep.Err != "" {
-		if class := refusals[rep.Class]; class != nil {
-			return rep, nil, fmt.Errorf("%w: %s %w: %s", class, req.T, errRejected, rep.Err)
-		}
-		return rep, nil, fmt.Errorf("stream: %s %w: %s", req.T, errRejected, rep.Err)
+		return rep, nil, rejected(req.T, &rep)
 	}
 	conn.SetDeadline(time.Time{})
 	return rep, br, nil
@@ -273,7 +269,7 @@ func OfferSnapshot(addr, session string, part, parts int, seq uint64, data []byt
 // over to `to` workers and returns the barrier, the sequence of the
 // cutover record it published: old owners judge through the record and
 // offer their snapshots there; new owners adopt that cut in their
-// handshake (DialAdopt) and subscribe from barrier+1. Idempotent per
+// handshake (DialKernel) and subscribe from barrier+1. Idempotent per
 // (from, to) — a retry returns the same barrier. A relay hop refuses.
 func PrepareRebalance(addr string, from, to int) (uint64, error) {
 	conn, err := dialBroker(addr)

@@ -1,19 +1,21 @@
 package stream
 
 // The control-plane explorer: a breadth-first search over event
-// sequences that drives the plane and a real feedLog, with abstract
-// workers that judge the feed, and checks the plane's invariants after
-// every step. A violation fails the test with the shortest event
-// sequence that reaches it. It opens no socket: the broker is a Server
-// with no listener, and the spool is a model of what the Server writes
-// beside its log (cutover notes and snapshot files).
+// sequences that drives the plane, a real feedLog and workers whose
+// every decision is the worker kernel's (kernel.go), the one
+// cluster.Worker runs, and checks the cluster's invariants after every
+// step. A violation fails the test with the shortest event sequence
+// that reaches it. It opens no socket: the broker is a Server with no
+// listener, and the spool is a model of what the Server writes beside
+// its log (cutover notes and snapshot files).
 //
 // The feed is tiny: sequence s carries account s's event, or a cutover
-// record. A worker owns a key (part of parts), judges every event its
-// key owns under its shape and retires at a record out of its shape
-// newer than its welcome's barrier, offering its state there, as
-// cluster.Worker does. A state is a judge per sequence, so a snapshot
-// says which worker judged each event it holds.
+// record. A worker is a kernel and the state it judges: the kernel
+// picks its hellos, reads its refusals, trims each batch and retires it
+// at a record, and decides its offers, its acks and its resume points;
+// the worker judges the events of its batches that its key owns. A
+// state is a judge per sequence, so a snapshot says which worker judged
+// each event it holds.
 
 import (
 	"encoding/binary"
@@ -39,8 +41,9 @@ var exploreDepth = flag.Int("explore.depth", 8, "depth of TestControlPlaneExplor
 // TestControlPlaneExplorer searches every event sequence up to
 // -explore.depth from each configuration's seeds: a spooled root, a
 // spooled relay hop that learns cutovers from their records, and a
-// memory-only root whose tail holds two events. The invariants, checked
-// after every step:
+// memory-only root whose tail holds two events, the one configuration
+// with single-worker blips (they double the others' time). The
+// invariants, checked after every step:
 //
 //   - one owner: a worker judges only events of its shape's current
 //     generation, no event is judged again while the judge that judged
@@ -49,8 +52,9 @@ var exploreDepth = flag.Int("explore.depth", 8, "depth of TestControlPlaneExplor
 //   - the fence: no hello is admitted that would judge another shape's
 //     events (an old-shape resume only at R ≤ B, no fresh join of a
 //     retired shape), a worker retires only at a record while its shape
-//     is not current, and no worker of a cut-to shape starts cold past
-//     the cut;
+//     is not current, no worker of a cut-to shape starts cold past the
+//     cut, and a start of the shape in force with no cut pending leaves
+//     no key without a worker;
 //   - commit: a cut commits only once every new key holds state at or
 //     past its barrier, and stays committed; every held snapshot and
 //     live state is the exact state of its key, judged by the judges
@@ -59,7 +63,8 @@ var exploreDepth = flag.Int("explore.depth", 8, "depth of TestControlPlaneExplor
 //     as the live broker it restarts from would, and keeps every
 //     confirmed cut; a prepare is confirmed only once its record is
 //     published;
-//   - cursors: a resume is admitted exactly where its worker stopped.
+//   - cursors: a resume is admitted exactly at its kernel's resume
+//     point.
 func TestControlPlaneExplorer(t *testing.T) {
 	for _, cfg := range exploreConfigs() {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -79,6 +84,7 @@ type exploreConfig struct {
 	shapes []int // the group shapes workers use; the first is the initial one
 	hop    bool  // a relay hop: cutovers arrive as records (learn), not prepares
 	window int   // the log's tail; a memory-only broker when small, else spooled
+	blip   bool  // the alphabet has single-worker connection blips
 	seeds  [][]event
 }
 
@@ -90,7 +96,7 @@ func exploreConfigs() []exploreConfig {
 	return []exploreConfig{
 		{name: "spooled-root", shapes: []int{2, 3}, window: 1 << 10, seeds: [][]event{warm, root}},
 		{name: "spooled-hop", shapes: []int{2, 3}, hop: true, window: 1 << 10, seeds: [][]event{hop, chain}},
-		{name: "memory-only-root", shapes: []int{2, 3}, window: 2, seeds: [][]event{warm}},
+		{name: "memory-only-root", shapes: []int{2, 3}, window: 2, blip: true, seeds: [][]event{warm}},
 	}
 }
 
@@ -106,37 +112,31 @@ const (
 	evRestart        // the spooled broker is killed and reopened; live workers resume
 	evStart          // every key of shape a with no connected worker dials with adopt
 	evOffer          // every connected worker of shape a offers its state
-	evKill           // the connected worker on b/a dies
+	evKill           // the connected worker on b/a dies; it and the kinds after it name one worker
 	evLate           // the dead worker on b/a's last offer lands
 	evReplay         // a worker on b/a replays the feed from sequence 1
+	evBlip           // the connected worker on b/a loses its connection, saves, and resumes at the next step
 )
 
 type event struct{ kind, a, b int }
 
+// eventNames names each kind of event; String adds its shapes, or its
+// shape and part.
+var eventNames = [...]string{evPub: "pub", evPrep: "prepare", evPubCut: "publish cut", evRetry: "retry prepare",
+	evLearn: "learn", evRestart: "restart", evStart: "start", evOffer: "offer", evKill: "kill", evLate: "late offer",
+	evReplay: "replay", evBlip: "blip"}
+
 func (e event) String() string {
-	switch e.kind {
-	case evPub:
-		return "pub"
-	case evPrep:
-		return fmt.Sprintf("prepare %d→%d", e.a, e.b)
-	case evPubCut:
-		return "publish cut"
-	case evRetry:
-		return "retry prepare"
-	case evLearn:
-		return fmt.Sprintf("learn %d→%d", e.a, e.b)
-	case evRestart:
-		return "restart"
-	case evStart:
-		return fmt.Sprintf("start %d", e.a)
-	case evOffer:
-		return fmt.Sprintf("offer %d", e.a)
-	case evKill:
-		return fmt.Sprintf("kill %d/%d", e.b, e.a)
-	case evLate:
-		return fmt.Sprintf("late offer %d/%d", e.b, e.a)
+	switch name := eventNames[e.kind]; {
+	case e.kind == evPrep || e.kind == evLearn:
+		return fmt.Sprintf("%s %d→%d", name, e.a, e.b)
+	case e.kind >= evKill:
+		return fmt.Sprintf("%s %d/%d", name, e.b, e.a)
+	case e.kind >= evStart:
+		return fmt.Sprintf("%s %d", name, e.a)
+	default:
+		return name
 	}
-	return fmt.Sprintf("replay %d/%d", e.b, e.a)
 }
 
 // entry is one published sequence: account s's event, or a record.
@@ -149,22 +149,23 @@ type entry struct {
 // re-derives state and stands for whichever judge the ledger names.
 const replayed = 0xff
 
-// worker is an abstract cluster.Worker.
+// worker is a cluster.Worker: its kernel, the state it judges, and the
+// model's bookkeeping.
 type worker struct {
-	id          uint8
-	sess        string
-	part, parts int
-	alive       bool   // not killed
-	conn        bool   // admitted and not ended
-	retired     bool   // stopped at a record out of its shape
-	late        bool   // killed with an offer in flight
-	pos         uint64 // the feed cursor: the last sequence processed
-	resh        uint64 // the welcome's barrier (Client.Reshaped)
-	offered     uint64 // the last offer's sequence
-	history     uint64 // a replay's history ends here; its judgments up to it are replayed
-	cold        uint64 // the state may miss events at or below cold
-	state       []uint8
+	k       Kernel
+	id      uint8
+	alive   bool   // not killed, and not ended by a refusal
+	conn    bool   // admitted and not ended
+	lost    bool   // its connection blipped: it resumes at the next step
+	late    bool   // killed with an offer in flight
+	history uint64 // a replay's history ends here; its judgments up to it are replayed
+	cold    uint64 // the state may miss events at or below cold
+	state   []uint8
 }
+
+func (wk *worker) key() partKey { return partKey{part: wk.k.Part, parts: wk.k.Parts} }
+
+func (wk *worker) retired() bool { return wk.k.barrier > 0 }
 
 // world is one state of the search.
 type world struct {
@@ -307,7 +308,7 @@ func (w *world) legit(parts int, from uint64) bool {
 
 func (w *world) live(part, parts int) *worker {
 	for _, wk := range w.workers {
-		if wk.conn && wk.part == part && wk.parts == parts {
+		if wk.conn && wk.k.Part == part && wk.k.Parts == parts {
 			return wk
 		}
 	}
@@ -316,29 +317,54 @@ func (w *world) live(part, parts int) *worker {
 
 func (w *world) byID(id uint8) *worker { return w.workers[id-1] }
 
+// stalls reports whether publishing one more event would wait in
+// dropLocked: the tail is full, and a connected reader has not acked
+// its oldest chunk. A memory-only broker holds its producer there until
+// the reader acks, so the explorer holds the publish back instead.
+func (w *world) stalls() bool {
+	l := w.srv.log
+	size := l.head + 1 - l.first()
+	for _, c := range l.buf[l.lo:] {
+		if size+1 <= uint64(l.opt.replay) {
+			return false
+		}
+		for _, r := range l.readers {
+			if r.conn != nil && r.owes(c) {
+				return true
+			}
+		}
+		size -= c.last - c.first + 1
+	}
+	return false
+}
+
+// interval reports whether wk's save interval firing now would offer
+// anything new: an offer of the state the broker holds changes nothing.
+func (wk *worker) interval() bool {
+	return wk.k.Due(wk.k.lastSave.Add(wk.k.Every)) && wk.k.Applied() > wk.k.durable
+}
+
 func (w *world) events() []event {
 	var evs []event
 	// While a record is reserved, every later sequence waits for it to
 	// publish: nothing else is sequenced meanwhile.
-	full := len(w.feed) >= maxFeed || len(w.reserved) > 0
-	if !full {
+	full, stalled := len(w.feed) >= maxFeed || len(w.reserved) > 0, w.stalls()
+	if !full && !stalled {
 		evs = append(evs, event{kind: evPub})
 	}
 	cur := w.cur()
 	for _, to := range w.cfg.shapes {
-		if to == cur || full {
-			continue
-		}
 		switch {
-		case w.cfg.hop:
-			evs = append(evs, event{kind: evLearn, a: cur, b: to})
-		case len(w.reserved) == 0:
+		case to == cur || full:
+		case !w.cfg.hop:
 			evs = append(evs, event{kind: evPrep, a: cur, b: to})
+		case !stalled:
+			evs = append(evs, event{kind: evLearn, a: cur, b: to})
 		}
 	}
-	if len(w.reserved) > 0 {
+	if len(w.reserved) > 0 && !stalled {
 		evs = append(evs, event{kind: evPubCut}, event{kind: evRetry})
-	} else if w.cfg.window > maxFeed && !w.cfg.hop {
+	} else if len(w.reserved) == 0 && w.cfg.window > maxFeed && !w.cfg.hop {
 		evs = append(evs, event{kind: evRestart})
 	}
 	for _, k := range w.cfg.shapes {
@@ -349,7 +375,7 @@ func (w *world) events() []event {
 		for p := 0; p < k; p++ {
 			wk := w.live(p, k)
 			start = start || wk == nil
-			offer = offer || wk != nil && wk.pos > wk.offered
+			offer = offer || wk != nil && wk.interval()
 		}
 		if start {
 			evs = append(evs, event{kind: evStart, a: k})
@@ -359,11 +385,14 @@ func (w *world) events() []event {
 		}
 		if w.live(0, k) != nil {
 			evs = append(evs, event{kind: evKill, a: k})
+			if w.cfg.blip {
+				evs = append(evs, event{kind: evBlip, a: k})
+			}
 		} else {
 			evs = append(evs, event{kind: evReplay, a: k})
 		}
 		for _, wk := range w.workers {
-			if wk.late && wk.part == 0 && wk.parts == k {
+			if wk.late && wk.k.Part == 0 && wk.k.Parts == k {
 				evs = append(evs, event{kind: evLate, a: k})
 				break
 			}
@@ -372,11 +401,18 @@ func (w *world) events() []event {
 	return evs
 }
 
-// apply runs e and the deliveries it enables, and returns the first
-// invariant it breaks ("" if none). check arms the checks that cost
-// more than the step (a retried prepare's early-confirmation probe);
-// a rebuild of an explored path passes false.
+// apply runs e, resumes the workers that lost their connection at the
+// step before, and runs the deliveries; it returns the first invariant
+// that breaks ("" if none). check arms the checks that cost more than
+// the step (a retried prepare's early-confirmation probe); a rebuild of
+// an explored path passes false.
 func (w *world) apply(e event, check bool) string {
+	var lost []*worker
+	for _, wk := range w.workers {
+		if wk.lost {
+			lost = append(lost, wk)
+		}
+	}
 	l := w.srv.log
 	switch e.kind {
 	case evPub:
@@ -428,38 +464,79 @@ func (w *world) apply(e event, check bool) string {
 			return why
 		}
 	case evStart:
+		// A start of the shape in force, with no cut into it pending,
+		// admits every free key: a held snapshot the feed lost is passed
+		// over for a cold start.
+		_, pend, _ := w.srv.ctl.shape(e.a)
+		inForce := e.a == w.cur() && pend == nil && len(w.reserved) == 0
 		for p := 0; p < e.a; p++ {
 			if w.live(p, e.a) != nil {
 				continue
 			}
-			if why := w.dial(p, e.a, frame{Adopt: true}); why != "" {
+			why, reject := w.dial(p, e.a, false)
+			if why == "" && reject != nil && inForce {
+				why = fmt.Sprintf("a start of shape %d, the one in force, left %d/%d without a worker: %s", e.a, p, e.a, reject.Err)
+			}
+			if why != "" {
 				return why
 			}
 		}
 	case evOffer:
 		for _, wk := range w.workers {
-			if wk.conn && wk.parts == e.a && wk.pos > wk.offered {
-				w.offer(wk)
+			if wk.conn && wk.k.Parts == e.a && wk.interval() {
+				w.save(wk)
 			}
 		}
 	case evKill:
 		wk := w.live(0, e.a)
-		wk.alive, wk.conn, wk.late = false, false, wk.pos > wk.offered
+		wk.alive, wk.conn, wk.late = false, false, wk.k.offers() && wk.k.Applied() > wk.k.durable
 		w.detach(wk)
 	case evLate:
 		for _, wk := range w.workers {
-			if wk.late && wk.part == 0 && wk.parts == e.a {
+			if wk.late && wk.k.Part == 0 && wk.k.Parts == e.a {
 				wk.late = false
 				w.offer(wk)
 				break
 			}
 		}
 	case evReplay:
-		if why := w.dial(0, e.a, frame{Resume: 1}); why != "" {
+		if why, _ := w.dial(0, e.a, true); why != "" {
+			return why
+		}
+	case evBlip:
+		// Every delivery runs to the head, so the client's cursor is
+		// the state's.
+		wk := w.live(0, e.a)
+		wk.conn, wk.lost = false, true
+		w.detach(wk)
+		w.save(wk)
+		wk.k.Lost(wk.k.Applied())
+	}
+	for _, wk := range lost {
+		if why := w.resume(wk); why != "" {
 			return why
 		}
 	}
 	return w.deliver()
+}
+
+// resume sends the hello of wk, which lost its connection: a resume of
+// its session at its kernel's resume point. It must be admitted exactly
+// there, and only where its shape still judges; on a tail that never
+// drops, only another worker holding the key may refuse it.
+func (w *world) resume(wk *worker) string {
+	at := wk.k.hello().Resume
+	welcome, _, reject, end := w.connect(wk)
+	wk.lost, wk.conn, wk.alive = reject != nil && end == nil, reject == nil, end == nil
+	switch {
+	case reject == nil && welcome.From != at:
+		return fmt.Sprintf("%s resumed at %d, but its kernel resumes at %d", wk.k.session, welcome.From, at)
+	case reject == nil && !w.legit(wk.k.Parts, at):
+		return fmt.Sprintf("%s (%s) resumed at %d, but shape %d is retired there", wk.key(), wk.k.session, at, wk.k.Parts)
+	case reject != nil && reject.Class != classHeld && w.cfg.window > maxFeed && w.legit(wk.k.Parts, at):
+		return fmt.Sprintf("%s's resume at %d was refused (%s), though it judges only shape %d's events from there", wk.k.session, at, reject.Err, wk.k.Parts)
+	}
+	return ""
 }
 
 // push publishes the reserved next sequence, holding e.
@@ -480,43 +557,66 @@ func (w *world) publishCut() {
 	w.confirmed = append(w.confirmed, c)
 }
 
-// dial opens a worker on part/parts with hello's adopt or resume,
-// falling back to a cold start when an adopting hello is refused as a
-// gap, as cluster.Worker does. A refused dial opens nothing.
-func (w *world) dial(part, parts int, hello frame) string {
-	id := uint8(len(w.workers) + 1)
-	wk := &worker{id: id, sess: fmt.Sprintf("w%d", id), part: part, parts: parts, alive: true, conn: true}
-	hello.Session, hello.Part, hello.Parts = wk.sess, part, parts
-	_, _, welcome, snaps, reject := w.srv.ctl.admit(hello, nopCloser{})
-	if reject != nil && reject.Class == classGap && hello.Adopt {
-		hello.Adopt = false
+// connect sends wk's kernel's hellos to the plane until one is
+// admitted, which the kernel takes, or the kernel stops: a refusal it
+// waits out (a held key, a pending cut) ends this attempt, as a spare's
+// wait does, one it answers with another hello (a cold start) sends
+// that at once, and end is set when the refusal ends the worker.
+func (w *world) connect(wk *worker) (welcome frame, snaps []spool.Snapshot, reject *frame, end error) {
+	for {
+		hello := wk.k.hello()
+		if hello.Session == "" {
+			hello.Session = "w" + strconv.Itoa(int(wk.id))
+		}
+		hello.Part, hello.Parts = wk.k.Part, wk.k.Parts
 		_, _, welcome, snaps, reject = w.srv.ctl.admit(hello, nopCloser{})
+		if reject == nil {
+			var seq uint64
+			if len(snaps) > 0 {
+				seq = snaps[0].Seq
+			}
+			wk.k.admitted(hello.Session, welcome.From, welcome.Barrier, w.srv.log.window(), seq, len(snaps), time.Time{})
+			return welcome, snaps, nil, nil
+		}
+		wait, end := wk.k.Refused(rejected(frameHello, reject))
+		if !wait || wk.k.hello().Adopt == hello.Adopt {
+			return welcome, nil, reject, end
+		}
 	}
+}
+
+// dial starts a worker on part/parts: a handoff worker adopting its
+// key's state, or, with replay, one that replays the feed from sequence
+// 1 and keeps no state at the broker. A dial the kernel does not get
+// admitted opens nothing, and returns the refusal.
+func (w *world) dial(part, parts int, replay bool) (string, *frame) {
+	wk := &worker{id: uint8(len(w.workers) + 1), alive: true, conn: true,
+		k: Kernel{Part: part, Parts: parts, Handoff: !replay, FromStart: replay, Every: time.Hour}}
+	welcome, snaps, reject, _ := w.connect(wk)
 	if reject != nil {
-		return ""
+		return "", reject
 	}
 	w.workers = append(w.workers, wk)
-	k := partKey{part: part, parts: parts}
-	from := welcome.From
-	wk.pos, wk.resh, wk.cold = from-1, welcome.Barrier, from-1
-	if hello.Resume == 1 {
+	k, from, pos := wk.key(), welcome.From, wk.k.Applied()
+	wk.cold = pos
+	if replay {
 		wk.history, wk.cold = uint64(len(w.feed)), 0
 	}
 	switch {
 	case len(snaps) == 1:
-		if snaps[0].Seq != wk.pos {
-			return fmt.Sprintf("%s adopted 1 snapshot at %d and resumes at %d", k, snaps[0].Seq, from)
+		if snaps[0].Seq != pos {
+			return fmt.Sprintf("%s adopted 1 snapshot at %d and resumes at %d", k, snaps[0].Seq, from), nil
 		}
 		wk.state, wk.cold = decode(snaps[0].Data)
 	case len(snaps) > 1:
-		wk.state = make([]uint8, wk.pos)
+		wk.state = make([]uint8, pos)
 		wk.cold = 0
 		for _, sn := range snaps {
-			if sn.Seq != wk.pos {
-				return fmt.Sprintf("%s adopted a cut of %d snapshots with one at %d, resuming at %d", k, len(snaps), sn.Seq, from)
+			if sn.Seq != pos {
+				return fmt.Sprintf("%s adopted a cut of %d snapshots with one at %d, resuming at %d", k, len(snaps), sn.Seq, from), nil
 			}
 		}
-		for s := uint64(1); s <= wk.pos; s++ {
+		for s := uint64(1); s <= pos; s++ {
 			if w.feed[s-1].rec || !owned(s, part, parts) {
 				continue
 			}
@@ -525,16 +625,16 @@ func (w *world) dial(part, parts int, hello frame) string {
 		}
 	}
 	if !w.legit(parts, from) {
-		return fmt.Sprintf("%s admitted at %d (welcome barrier %d), but shape %d is retired there: it would judge shape %d's events", k, from, wk.resh, parts, w.shapeAt(from))
+		return fmt.Sprintf("%s admitted at %d (welcome barrier %d), but shape %d is retired there: it would judge shape %d's events", k, from, wk.k.reshaped, parts, w.shapeAt(from)), nil
 	}
 	if wk.cold > 0 && len(snaps) == 0 && w.reached[k] < w.cutInto(parts) {
-		return fmt.Sprintf("%s started cold at %d past the cut into shape %d at %d: shape %d's events after the cut go unjudged", k, from, parts, w.cutInto(parts), parts)
+		return fmt.Sprintf("%s started cold at %d past the cut into shape %d at %d: shape %d's events after the cut go unjudged", k, from, parts, w.cutInto(parts), parts), nil
 	}
-	w.reached[k] = max(w.reached[k], wk.pos)
-	if len(snaps) > 1 {
-		w.offer(wk) // a cut's new owner offers its share at once
+	w.reached[k] = max(w.reached[k], pos)
+	if wk.k.Cut() {
+		w.save(wk)
 	}
-	return ""
+	return "", nil
 }
 
 // established is the barrier of the newest published record into parts
@@ -568,24 +668,39 @@ func (w *world) cutInto(parts int) (b uint64) {
 	return b
 }
 
+// save is a save of wk's kernel: an offer, when the kernel makes one.
+func (w *world) save(wk *worker) {
+	if wk.k.Save(time.Time{}) {
+		w.offer(wk)
+	}
+}
+
 // offer is ctlOffer, its spool write on the model spool, of wk's state
-// at its cursor (a dead worker's late offer names its own session, as
-// its in-flight connection did).
+// at its kernel's applied sequence (a dead worker's late offer names its
+// own session, as its in-flight connection did). A confirmed offer is
+// acked on wk's connection.
 func (w *world) offer(wk *worker) {
-	wk.offered = wk.pos
-	k := partKey{part: wk.part, parts: wk.parts}
-	req := frame{Session: wk.sess, Part: wk.part, Parts: wk.parts, Seq: wk.pos}
+	seq, k := wk.k.Applied(), wk.key()
+	req := frame{Session: wk.k.session, Part: k.part, Parts: k.parts, Seq: seq}
 	if w.srv.ctl.offerRefusal(req) != "" {
 		return
 	}
-	data := encode(wk.state, wk.cold, wk.pos)
-	if f, ok := w.files[k]; !ok || f.Seq <= wk.pos {
-		w.files[k] = spool.Snapshot{Part: wk.part, Parts: wk.parts, Seq: wk.pos, Data: data}
+	data := encode(wk.state, wk.cold, seq)
+	if f, ok := w.files[k]; !ok || f.Seq <= seq {
+		w.files[k] = spool.Snapshot{Part: k.part, Parts: k.parts, Seq: seq, Data: data}
 	}
-	if retired, _ := w.srv.ctl.offer(req, data); retired > 0 {
+	retired, why := w.srv.ctl.offer(req, data)
+	if retired > 0 {
 		maps.DeleteFunc(w.files, func(k partKey, _ spool.Snapshot) bool { return k.parts == retired })
 	}
-	w.reached[k] = max(w.reached[k], wk.pos)
+	if why != "" {
+		return
+	}
+	w.reached[k] = max(w.reached[k], seq)
+	wk.k.Offered(seq)
+	if r := w.srv.log.readers[wk.k.session]; r != nil && wk.conn {
+		r.ack(seq)
+	}
 }
 
 func encode(state []uint8, cold, pos uint64) []byte {
@@ -602,63 +717,75 @@ func decode(data []byte) ([]uint8, uint64) {
 // detach drops wk's connection in the log, as its ack reader does when
 // the connection ends.
 func (w *world) detach(wk *worker) {
-	if r := w.srv.log.readers[wk.sess]; r != nil {
+	if r := w.srv.log.readers[wk.k.session]; r != nil {
 		r.detach(r.gen)
 	}
 }
 
-// deliver runs every connected worker over the feed to its head: it
-// judges the events its key owns and retires at a record out of its
-// shape newer than its welcome's barrier, offering there; then it acks.
+// event is the feed's sequence s as a worker receives it.
+func (w *world) event(s uint64) osn.Event {
+	if e := w.feed[s-1]; e.rec {
+		return osn.Event{Type: osn.EvCutover, Actor: osn.AccountID(e.from), Target: osn.AccountID(e.to)}
+	}
+	return osn.Event{Actor: osn.AccountID(s)}
+}
+
+// deliver runs every connected worker over the feed to its head: its
+// client receives the feed past its cursor as one batch, the kernel
+// trims it (and retires the worker at a record), and the worker judges
+// the events its key owns; then it acks, saves or retires as its kernel
+// says.
 func (w *world) deliver() string {
+	l, head, evs := w.srv.log, uint64(len(w.feed)), make([]osn.Event, 0, maxFeed)
 	for _, wk := range w.workers {
-		if !wk.conn {
+		r := l.readers[wk.k.session]
+		if !wk.conn || r == nil {
 			continue
 		}
-		k := partKey{part: wk.part, parts: wk.parts}
-		for s := wk.pos + 1; s <= uint64(len(w.feed)); s++ {
-			e := w.feed[s-1]
-			wk.pos = s
+		k := wk.key()
+		evs = evs[:0]
+		for s := r.sent + 1; s <= head; s++ {
+			evs = append(evs, w.event(s))
+		}
+		l.mu.Lock()
+		r.sent = max(r.sent, head)
+		l.mu.Unlock()
+		drop, n, _ := wk.k.batch(evs, nil, head)
+		for i := drop; i < n; i++ {
+			s := head - uint64(len(evs)-1-i)
 			for uint64(len(wk.state)) < s {
 				wk.state = append(wk.state, 0)
 			}
-			if e.rec {
-				if e.from != wk.parts || s <= wk.resh {
-					continue
-				}
-				if b := w.established(wk.parts); b > s {
-					return fmt.Sprintf("%s (%s) retired at the record %d→%d at %d, but every key of shape %d took state from the cut back into it at %d", k, wk.sess, e.from, e.to, s, wk.parts, b)
-				}
-				wk.retired, wk.conn = true, false
-				w.offer(wk)
-				break
-			}
-			if !owned(s, wk.part, wk.parts) {
+			switch {
+			case w.feed[s-1].rec || !owned(s, k.part, k.parts):
 				continue
-			}
-			if wk.state[s-1] != 0 {
-				return fmt.Sprintf("%s (%s) judged event %d into a state that already holds it", k, wk.sess, s)
-			}
-			if s <= wk.history {
+			case wk.state[s-1] != 0:
+				return fmt.Sprintf("%s (%s) judged event %d into a state that already holds it", k, wk.k.session, s)
+			case s <= wk.history:
 				wk.state[s-1] = replayed
 				continue
 			}
-			if shape := w.shapeAt(s); shape != wk.parts {
-				return fmt.Sprintf("%s (%s) judged event %d, which belongs to shape %d", k, wk.sess, s, shape)
+			if shape := w.shapeAt(s); shape != k.parts {
+				return fmt.Sprintf("%s (%s) judged event %d, which belongs to shape %d", k, wk.k.session, s, shape)
 			}
 			if prev := w.ledger[s-1]; prev != 0 && prev != wk.id && w.byID(prev).alive {
-				return fmt.Sprintf("event %d judged twice: by %s and by %s, both alive", s, w.byID(prev).sess, wk.sess)
+				return fmt.Sprintf("event %d judged twice: by %s and by %s, both alive", s, w.byID(prev).k.session, wk.k.session)
 			}
 			w.ledger[s-1], wk.state[s-1] = wk.id, wk.id
 		}
-		if r := w.srv.log.readers[wk.sess]; r != nil {
-			w.srv.log.mu.Lock()
-			r.sent = max(r.sent, wk.pos)
-			w.srv.log.mu.Unlock()
-			r.ack(wk.pos)
-		}
-		if wk.retired {
+		switch {
+		case wk.retired():
+			if b := w.established(k.parts); b > wk.k.barrier {
+				e := w.feed[wk.k.barrier-1]
+				return fmt.Sprintf("%s (%s) retired at the record %d→%d at %d, but every key of shape %d took state from the cut back into it at %d", k, wk.k.session, e.from, e.to, wk.k.barrier, k.parts, b)
+			}
+			w.save(wk)
+			wk.conn = false
 			w.detach(wk)
+		case !wk.k.manual():
+			r.ack(r.sent)
+		case wk.k.Due(wk.k.lastSave):
+			w.save(wk)
 		}
 	}
 	return ""
@@ -668,7 +795,8 @@ func (w *world) deliver() string {
 // seated at the spooled feed's end (the spool still serves every
 // sequence) and a plane reloaded from the notes and snapshot files. The
 // reopened broker must answer as the live one would; then every
-// connected worker resumes where it stopped, or ends if it is refused.
+// connected worker, whose save found the broker down, resumes at its
+// kernel's resume point, or ends if it is refused.
 func (w *world) restart(check bool) string {
 	var before string
 	if check {
@@ -698,20 +826,12 @@ func (w *world) restart(check bool) string {
 	}
 	for _, wk := range w.workers {
 		wk.late = false
-		if !wk.conn {
-			continue
-		}
-		_, _, welcome, _, reject := w.srv.ctl.admit(frame{Session: wk.sess, Part: wk.part, Parts: wk.parts, Resume: wk.pos + 1}, nopCloser{})
-		switch {
-		case reject != nil:
-			wk.conn = false
-			if w.legit(wk.parts, wk.pos+1) {
-				return fmt.Sprintf("%s's resume at %d after the restart was refused (%s), though it judges only shape %d's events from there", wk.sess, wk.pos+1, reject.Err, wk.parts)
+		if wk.conn {
+			wk.k.Save(time.Time{}) // the dead broker refuses it
+			wk.k.Lost(wk.k.Applied())
+			if why := w.resume(wk); why != "" {
+				return why
 			}
-		case welcome.From != wk.pos+1:
-			return fmt.Sprintf("%s resumed at %d after the restart, but stopped at %d", wk.sess, welcome.From, wk.pos)
-		default:
-			wk.resh = welcome.Barrier
 		}
 	}
 	return ""
@@ -784,15 +904,15 @@ func (w *world) check(prev []bool) string {
 	}
 	held := map[partKey]int{}
 	for _, wk := range w.workers {
-		k := partKey{part: wk.part, parts: wk.parts}
+		k := wk.key()
 		if wk.conn {
 			if held[k]++; held[k] > 1 {
 				return fmt.Sprintf("%s has two connected workers", k)
 			}
 		}
-		if wk.alive && !wk.retired {
-			if why := w.exact(k, wk.state, wk.cold, wk.pos); why != "" {
-				return fmt.Sprintf("%s's live state: %s", wk.sess, why)
+		if wk.alive && !wk.retired() {
+			if why := w.exact(k, wk.state, wk.cold, wk.k.Applied()); why != "" {
+				return fmt.Sprintf("%s's live state: %s", wk.k.session, why)
 			}
 		}
 	}
@@ -883,15 +1003,32 @@ func (w *world) hash(seed maphash.Seed) uint64 {
 	}
 	for _, wk := range w.workers {
 		flags := uint64(0)
-		for i, f := range []bool{wk.alive, wk.conn, wk.retired, wk.late} {
+		for i, f := range []bool{wk.alive, wk.conn, wk.lost, wk.late, wk.k.cut} {
 			if f {
 				flags |= 1 << i
 			}
 		}
-		num(flags, wk.pos, wk.resh, wk.offered, wk.history, wk.cold)
+		// A kernel's last save enters its decisions only through the lag
+		// trigger (its interval fires only on offer events), which never
+		// fires on a feed shorter than the lag, and then only as the
+		// sequences applied since, against half the lag. Its resume point
+		// counts only while it is lost, and the rest of its hello state
+		// only before it is admitted, which the explorer's workers always
+		// are.
+		k := &wk.k
+		num(flags, k.applied, k.reshaped, k.durable, k.barrier, wk.history, wk.cold)
+		if k.lag > 0 && k.lag <= maxFeed {
+			num(min(k.applied-k.lastSaveSeq, k.lag/2))
+		}
+		if wk.lost {
+			num(k.resume)
+		}
 		b = append(b, wk.state...)
-		if r := w.srv.log.readers[wk.sess]; r != nil {
-			num(1, r.acked, r.sent, uint64(r.gen))
+		if r := w.srv.log.readers[k.session]; r != nil {
+			num(1, r.sent, uint64(r.gen))
+			if w.cfg.window <= maxFeed {
+				num(r.acked) // acks only matter to a tail that drops
+			}
 		}
 	}
 	num(w.srv.log.head)

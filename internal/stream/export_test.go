@@ -33,3 +33,13 @@ func (c *Client) Recv() (osn.Event, error) {
 	c.firstSeq++
 	return ev, nil
 }
+
+// DialAdopt connects as a fresh subscriber adopting its partition key's
+// state from, as a handoff worker's first hello does (DialKernel).
+func DialAdopt(addr string, from uint64, opts ...DialOption) (*Client, error) {
+	return dial(addr, frame{Session: NewSessionID(), Resume: from, Adopt: true}, opts)
+}
+
+// Reshaped returns the welcome's barrier: the newest committed cutover
+// record into the subscription's group shape, 0 if none.
+func (c *Client) Reshaped() uint64 { return c.reshaped }

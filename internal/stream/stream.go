@@ -44,7 +44,7 @@
 // second session on a held key (ErrHeld), and hands an adopting
 // subscriber the key's held snapshot in the handshake, or, on a shape a
 // live rebalance is cutting over to, the old group's snapshots at the
-// barrier (DialAdopt).
+// barrier (DialKernel).
 //
 // The wire protocol — framing, the handshake, sequence/ack semantics
 // and the resume rules — is specified in docs/ARCHITECTURE.md.

@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 
 	"sybilwild/internal/wire"
@@ -63,15 +64,27 @@ const (
 )
 
 // refusals maps a refusal class to the error a refused handshake's
-// error wraps besides errRejected, which every refusal's error wraps.
-// Only a hello is refused as rebalanced, and subscribe builds that
-// error from the reply's cutover fields.
+// error wraps besides errRejected (rejected).
 var refusals = map[string]error{classClosing: ErrClosing, classHeld: ErrHeld,
 	classCutPending: ErrCutPending, classGap: ErrGap}
 
 // errRejected marks a refused handshake's error, as against a failed
 // connection.
 var errRejected = errors.New("rejected")
+
+// rejected is the error of rep, a refused reply to a tag request: it
+// wraps errRejected and its class's error. A rebalanced refusal (only a
+// hello meets one) is ErrRebalanced, wrapping the RebalancedError that
+// rep's cutover fields name.
+func rejected(tag string, rep *frame) error {
+	switch class := refusals[rep.Class]; {
+	case rep.Class == classRebalanced:
+		return fmt.Errorf("%w: %w", ErrRebalanced, &RebalancedError{From: rep.Parts, To: rep.NParts, Barrier: rep.Barrier})
+	case class != nil:
+		return fmt.Errorf("%w: %s %w: %s", class, tag, errRejected, rep.Err)
+	}
+	return fmt.Errorf("stream: %s %w: %s", tag, errRejected, rep.Err)
+}
 
 // refusal is the body of a refused reply: the reason and its class.
 func refusal(class, why string) *frame { return &frame{Class: class, Err: why} }
