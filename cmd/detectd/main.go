@@ -12,15 +12,13 @@
 //   - -handoff makes the daemon's state durable at the broker, its one
 //     keeper: every -checkpoint-every it offers a snapshot to the broker
 //     and acks the feed through it only once the broker confirmed it.
-//     A memory-only broker also gets an offer every N events, N set
-//     from the tail it holds its producers on (printed at start), so
-//     the daemon never holds back the feed it judges. A restart adopts
-//     the broker's snapshot for its partition (the whole feed is key
-//     0/1), so even kill -9 recovery is exactly-once. A spooled broker
-//     (streamd -spool-dir) writes the snapshot beside its spool, so it
-//     survives a broker restart too; a memory-only one loses it with
-//     the feed. SIGINT/SIGTERM offer a final snapshot, ack it and exit
-//     0; a second signal exits at once.
+//     The broker never waits on those acks; they only let its spool's
+//     retention move. A restart adopts the broker's snapshot for its
+//     partition (the whole feed is key 0/1), so even kill -9 recovery
+//     is exactly-once. The broker writes the snapshot beside its spool
+//     (streamd -spool-dir), so it survives a broker restart too.
+//     SIGINT/SIGTERM offer a final snapshot, ack it and exit 0; a
+//     second signal exits at once.
 //   - -from-start backfills the feed's spooled history from sequence 1
 //     on a start with no state, instead of joining the live head.
 //   - -partition i/K joins a K-way detection cluster: the broker serves
@@ -98,7 +96,7 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 	fs.IntVar(&c.CheckEvery, "check-every", 5, "evaluate an account every Nth request it sends")
 	fs.DurationVar(&c.Every, "checkpoint-every", 10*time.Second, "interval between -handoff snapshot offers")
 	partition := fs.String("partition", "", "subscribe as partition i/K of a detection cluster (e.g. 0/4; empty: whole feed)")
-	fs.BoolVar(&c.Handoff, "handoff", false, "keep the daemon's state at the broker: offer a pipeline snapshot every -checkpoint-every (and, on a memory-only broker, every N events, N set from its tail), ack the feed only through confirmed offers, and adopt the partition's broker snapshot at start (the whole feed is key 0/1)")
+	fs.BoolVar(&c.Handoff, "handoff", false, "keep the daemon's state at the broker: offer a pipeline snapshot every -checkpoint-every, ack the feed only through confirmed offers, and adopt the partition's broker snapshot at start (the whole feed is key 0/1)")
 	rebalance := fs.String("rebalance", "", "prepare a live cluster rebalance K/K' (e.g. 3/5) at -addr, print its barrier and exit: the K old workers retire there, and K' workers started with -partition i/K' -handoff adopt their cut")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -192,13 +190,6 @@ func main() {
 // stops it gracefully (final offer, ack), a second one exits at once.
 // It prints the feed's end and returns the worker's error.
 func run(w *cluster.Worker, cfg cluster.Config) error {
-	if cfg.Handoff {
-		if lag := w.OfferLag(); lag > 0 {
-			fmt.Printf("memory-only broker: offers every %d events past the last confirmed offer, and every %v\n", lag, cfg.Every)
-		} else {
-			fmt.Printf("spooled broker: offers every %v only\n", cfg.Every)
-		}
-	}
 	if origin := w.Origin(); origin != "" {
 		fmt.Printf("%s, resuming feed at seq %d\n", origin, w.ResumedFrom())
 	}

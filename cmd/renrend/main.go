@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	streamd -addr 127.0.0.1:7474 &
+//	streamd -addr 127.0.0.1:7474 -spool-dir /var/lib/streamd/spool &
 //	detectd -addr 127.0.0.1:7474 &
 //	renrend -addr 127.0.0.1:7474 -normals 6000 -sybils 80 -hours 400
 //

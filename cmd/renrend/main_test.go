@@ -60,7 +60,7 @@ func TestParseArgs(t *testing.T) {
 }
 
 // TestTwoProducersPublishOneCampaign runs a K=2 producer group into a
-// memory-only broker: the group's epochs close, and the producers'
+// broker given no spool: the group's epochs close, and the producers'
 // sequenced events add up to exactly one full simulation's log.
 func TestTwoProducersPublishOneCampaign(t *testing.T) {
 	const seed, normals, sybils, hours = 5, 400, 10, 60

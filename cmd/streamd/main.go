@@ -15,20 +15,21 @@
 // drains each subscriber to the head and exits with the
 // sent-vs-delivered audit aggregated across producers.
 //
-// With -spool-dir the merged feed also persists to segment files, so
-// a subscriber may backfill the entire campaign from sequence 1
-// (detectd -from-start) or restart from a stale snapshot far
-// past the in-memory tail — regardless of which producer each
-// event came from.
+// The merged feed persists to segment files in -spool-dir, which
+// streamd requires in root and relay mode alike, so a subscriber may
+// backfill the entire campaign from sequence 1 (detectd -from-start),
+// restart from a stale snapshot far past the in-memory tail, or fall
+// behind the tail without holding any producer up — regardless of
+// which producer each event came from.
 //
 // Subscribers may also join partitioned (detectd -partition i/K): the
 // broker filters each such session's feed down to its partition's
 // slice. It keeps one detector snapshot per partition (the whole feed
 // is key 0/1) in a handoff rendezvous, so a replacement worker adopts
 // its predecessor's state over the wire (see docs/ARCHITECTURE.md,
-// "Partitioned cluster"). With -spool-dir the snapshots are written
-// beside the spool and survive a broker restart. Held snapshots are
-// reported in the end-of-feed audit.
+// "Partitioned cluster"). The snapshots are written beside the spool
+// and survive a broker restart. Held snapshots are reported in the
+// end-of-feed audit.
 //
 // With -relay the broker becomes an interior node of a relay tree
 // instead of a producer-facing root: it subscribes to the upstream
@@ -81,32 +82,32 @@ func main() {
 		relay  = flag.String("relay", "", "upstream broker address: run as an interior relay hop adopting that feed instead of admitting producers")
 		wait   = flag.Duration("wait", 5*time.Minute, "max wait for the first producer to register")
 		linger = flag.Duration("linger", 0, "keep serving subscribers this long after the last producer closes, so late consumers can still backfill the spooled campaign (detectd -from-start) before the broker drains and exits")
-		window = flag.Int("window", stream.DefaultReplayBuffer, "in-memory tail of the feed log in events, shared by every subscriber (partitioned ones count feed events too); with a spool, tiny tails stay safe (a subscriber that falls out of the tail reads the spool); without one, the welcome reports it and a -handoff detectd offers every min(W/2, 2(W-256)/3) events")
+		window = flag.Int("window", stream.DefaultReplayBuffer, "in-memory tail of the feed log in events, shared by every subscriber (partitioned ones count feed events too); tiny tails stay safe: a subscriber that falls out of the tail reads the spool")
 
-		spoolDir     = flag.String("spool-dir", "", "directory for the disk feed spool (empty: memory-only feed log)")
+		spoolDir     = flag.String("spool-dir", "", "directory for the disk feed spool (required): the feed log, its retention and the held snapshots live there")
 		spoolSegment = flag.Int64("spool-segment-bytes", spool.DefaultSegmentBytes, "segment file size before rolling (fsync on roll)")
 		spoolRetain  = flag.Int64("spool-retain", 0, "spool retention budget in bytes (0 = keep everything); pruning never passes the lowest subscriber ack")
 		spoolAge     = flag.Duration("spool-segment-age", 0, "also roll the active segment after this age (0 = size-only rolling)")
 		statsEvery   = flag.Duration("stats-every", 10*time.Second, "interval between ingest progress lines (0 = silent until completion)")
 	)
 	flag.Parse()
+	if *spoolDir == "" {
+		fmt.Fprintln(os.Stderr, "streamd: -spool-dir is required: the broker keeps its feed log there, in root and -relay mode alike")
+		flag.Usage()
+		os.Exit(2)
+	}
 
-	opts := []stream.ServerOption{stream.WithReplayBuffer(*window)}
-	var sp *spool.Spool
-	if *spoolDir != "" {
-		var err error
-		sp, err = spool.Open(*spoolDir,
-			spool.WithSegmentBytes(*spoolSegment),
-			spool.WithRetainBytes(*spoolRetain),
-			spool.WithSegmentAge(*spoolAge))
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts = append(opts, stream.WithSpool(sp))
-		if st := sp.Stats(); st.End > 0 {
-			fmt.Printf("spool %s: resuming log at seq %d (%d segments, %d bytes retained from seq %d)\n",
-				*spoolDir, st.End+1, st.Segments, st.Bytes, st.First)
-		}
+	sp, err := spool.Open(*spoolDir,
+		spool.WithSegmentBytes(*spoolSegment),
+		spool.WithRetainBytes(*spoolRetain),
+		spool.WithSegmentAge(*spoolAge))
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts := []stream.ServerOption{stream.WithReplayBuffer(*window), stream.WithSpool(sp)}
+	if st := sp.Stats(); st.End > 0 {
+		fmt.Printf("spool %s: resuming log at seq %d (%d segments, %d bytes retained from seq %d)\n",
+			*spoolDir, st.End+1, st.Segments, st.Bytes, st.First)
 	}
 
 	stop := onSignal()
@@ -134,8 +135,7 @@ func main() {
 		if ss.CatchUp {
 			state += ", disk catch-up"
 		}
-		fmt.Printf("session %s (%s): behind=%d window=%d/%d (%.0f%% full)\n",
-			ss.ID, state, ss.Behind, ss.Buffered, ss.Window, 100*ss.Fill)
+		fmt.Printf("session %s (%s): behind=%d buffered=%d\n", ss.ID, state, ss.Behind, ss.Buffered)
 	}
 	for _, sn := range st.Snapshots {
 		fmt.Printf("snapshot %d/%d: seq=%d bytes=%d held for handoff\n",
@@ -257,12 +257,9 @@ func printHop(rly *stream.Relay) {
 		rs.Hop, rs.Seq, rs.Frames, rs.Events, rs.Reconnects, st.Sessions, st.Encodes)
 }
 
-// closeSpool flushes, syncs and closes a spooled broker's spool, and
-// prints its closing disk-tier audit line.
+// closeSpool flushes, syncs and closes the broker's spool, and prints
+// its closing disk-tier audit line.
 func closeSpool(sp *spool.Spool, spoolErr string) {
-	if sp == nil {
-		return
-	}
 	st := sp.Stats()
 	if err := sp.Close(); err != nil && spoolErr == "" {
 		spoolErr = err.Error()

@@ -47,12 +47,10 @@
 //     rebalance once every new key has. A worker of the retired shape
 //     that would not reach the record has nothing to judge: Start
 //     returns stream.ErrRebalanced at once.
-//   - After each ingested batch an interval and a lag trigger may fire
-//     a save: with Handoff, an offer to the broker, after which (and
-//     only after the broker confirmed it) the feed is acked. The
-//     broker sets the lag: each connection's welcome reports the tail
-//     a memory-only broker holds its producers on for the worker's
-//     acks, and a spooled broker, whose tail never waits, reports none.
+//   - After each ingested batch the save interval may fire a save:
+//     with Handoff, an offer to the broker, after which (and only after
+//     the broker confirmed it) the feed is acked. No broker waits on
+//     those acks: they only move the spool's retention.
 //   - A lost connection is saved, then resumed with backoff at the
 //     newest state the broker holds, never past it. A resume refused
 //     because another worker now holds the key (stream.ErrHeld) ends
@@ -92,13 +90,14 @@ type Config struct {
 	Handoff bool
 
 	// A save fires when Every (-checkpoint-every) has passed since the
-	// last one, or, with Handoff, on the lag trigger the broker sets
-	// (stream.Kernel.Due).
+	// last one (stream.Kernel.Due).
 	Every time.Duration
 
-	// offerLag, when set, replaces the lag the broker's welcome sets, so
-	// a test can place offers at feed positions (export_test.go).
-	offerLag int
+	// saveEvery, when set, also fires a save at each batch that carries
+	// the state past a multiple of saveEvery feed sequences, so a test
+	// places offers at feed positions rather than wall-clock times
+	// (export_test.go).
+	saveEvery uint64
 
 	// audit records the global sequence of every owned-actor event the
 	// worker applies (after replay trimming), for cutover audits: the
@@ -136,7 +135,6 @@ type Worker struct {
 	killed, stopped atomic.Bool
 
 	offered      atomic.Uint64 // highest sequence the broker confirmed
-	lag          atomic.Uint64 // the lag trigger set at the last connect (0: off)
 	firstApplied atomic.Uint64 // lowest global sequence ingested (0: none yet)
 
 	ownedSeqs []uint64 // audit: applied owned-actor sequences, in order
@@ -194,7 +192,7 @@ func Start(cfg Config) (*Worker, error) {
 
 func newWorker(cfg Config) *Worker {
 	return &Worker{cfg: cfg, done: make(chan struct{}), k: stream.Kernel{Part: cfg.Part, Parts: cfg.Parts,
-		Handoff: cfg.Handoff, FromStart: cfg.FromStart, Every: cfg.Every, Lag: cfg.offerLag}}
+		Handoff: cfg.Handoff, FromStart: cfg.FromStart, Every: cfg.Every}}
 }
 
 // first dials the worker's first subscription and returns it with the
@@ -277,7 +275,6 @@ func (w *Worker) connect() (*stream.Client, error) {
 	for fails := 0; ; {
 		c, err := stream.DialKernel(w.cfg.Addr, &w.k)
 		if err == nil {
-			w.lag.Store(uint64(w.k.OfferLag()))
 			return c, nil
 		}
 		wait, end := w.k.Refused(err)
@@ -377,15 +374,15 @@ func (w *Worker) loop(c *stream.Client) {
 // a cutover record, when it returns nil: the pipeline then ends at the
 // record's sequence, the barrier, and nothing past it is applied. With
 // Handoff a batch may be empty: a partitioned feed's cursor advance past
-// a foreign run, which pins the pipeline and runs the triggers like any
-// batch, so a foreign run longer than the broker's tail is offered and
-// acked.
+// a foreign run, which pins the pipeline and runs the save interval like
+// any batch, so a long foreign run is offered and acked.
 func (w *Worker) drain(c *stream.Client) error {
 	for {
 		evs, err := c.RecvBatch()
 		if err != nil {
 			return err
 		}
+		before := w.k.Applied()
 		drop, n, ok := w.k.Batch(c, evs)
 		if !ok {
 			continue
@@ -399,7 +396,7 @@ func (w *Worker) drain(c *stream.Client) error {
 		if _, _, retired := w.k.Retired(); retired {
 			return nil
 		}
-		if w.k.Due(time.Now()) {
+		if e := w.cfg.saveEvery; w.k.Due(time.Now()) || e > 0 && before/e != w.k.Applied()/e {
 			w.save(c)
 		}
 	}
@@ -490,13 +487,6 @@ func (w *Worker) Wait() error {
 	w.p.Close()
 	return w.err
 }
-
-// OfferLag returns the lag trigger set at the worker's latest connect:
-// with Handoff, an offer once this many sequences are applied past the
-// newest confirmed offer, besides one every Every; 0 when the broker's
-// tail never waits for the worker's acks, and offers are on the
-// interval alone.
-func (w *Worker) OfferLag() int { return int(w.lag.Load()) }
 
 // Pipeline exposes the worker's detector; its queries are safe at any
 // time.

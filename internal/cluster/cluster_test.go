@@ -57,19 +57,19 @@ func clusterServer(t *testing.T) *stream.Server {
 	return srv
 }
 
-// saveLag spaces the test workers' saves: an offer every saveLag feed
-// sequences, about 40 over the campaign.
-const saveLag = 1000
+// saveEvery spaces the test workers' saves: an offer every saveEvery
+// feed sequences, about 40 over the campaign.
+const saveEvery = 1000
 
 // workerConfig is the tests' worker for partition part of parts on
-// addr: its state kept at the broker (Handoff), saves on the lag
-// trigger only (the interval is out of reach), so they land at feed
-// positions rather than wall-clock times.
+// addr: its state kept at the broker (Handoff), saves every saveEvery
+// feed sequences only (the interval is out of reach), so they land at
+// feed positions rather than wall-clock times.
 func workerConfig(addr string, part, parts int, rule detector.Rule) cluster.Config {
-	return cluster.WithOfferLag(cluster.Config{
+	return cluster.WithSaveEvery(cluster.Config{
 		Addr: addr, Part: part, Parts: parts, Rule: rule, CheckEvery: 1,
 		Handoff: true, Every: time.Hour,
-	}, saveLag)
+	}, saveEvery)
 }
 
 // waitSeq blocks until w's pipeline has applied the feed through seq.

@@ -1,10 +1,10 @@
 package cluster
 
-// WithOfferLag returns cfg with its lag trigger pinned at lag feed
-// sequences, whatever the broker's welcome reports, so a test places
+// WithSaveEvery returns cfg also saving at each batch that carries the
+// state past a multiple of every feed sequences, so a test places
 // offers at feed positions.
-func WithOfferLag(cfg Config, lag int) Config {
-	cfg.offerLag = lag
+func WithSaveEvery(cfg Config, every uint64) Config {
+	cfg.saveEvery = every
 	return cfg
 }
 

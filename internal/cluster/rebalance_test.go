@@ -287,19 +287,18 @@ func TestLiveRebalanceEarlyStart(t *testing.T) {
 	}
 }
 
-// TestLostRebalanceCutRefused: on a memory-only broker, a 2→3 cut whose
-// new workers start only after the tail has moved past B+1 is refused,
-// not skipped by a cold start that would leave (B, head] unjudged: each
-// new Start fails naming B, no session of the new shape is admitted and
-// the rebalance stays uncommitted.
+// TestLostRebalanceCutRefused: the old group's snapshots at the
+// barrier B pin the spool's retention until the rebalance commits, so
+// only a failed spool loses B+1. A 2→3 cut whose spool fails before its
+// new workers start, the tail then moving past B+1, is refused, not
+// skipped by a cold start that would leave (B, head] unjudged: each new
+// Start fails naming B, no session of the new shape is admitted and the
+// rebalance stays uncommitted.
 func TestLostRebalanceCutRefused(t *testing.T) {
 	events, rule := campaignFeed()
 	const from, to = 2, 3
-	srv, err := stream.NewServer("127.0.0.1:0", stream.WithReplayBuffer(1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
+	srv, fail := failingServer(t, 1024)
+	var err error
 	oldGen := make([]*cluster.Worker, from)
 	for p := range oldGen {
 		cfg := workerConfig(srv.Addr(), p, from, rule)
@@ -322,8 +321,12 @@ func TestLostRebalanceCutRefused(t *testing.T) {
 			t.Fatalf("old worker %d/%d: %v, retired at (%d, %v), want the barrier %d", p, from, err, b, ok, barrier)
 		}
 	}
+	fail()
 	for _, ev := range events[third : 2*third] {
 		srv.BroadcastBatch([]osn.Event{ev})
+	}
+	if srv.Stats().SpoolErr == "" {
+		t.Fatal("the spool never failed")
 	}
 	for p := 0; p < to; p++ {
 		cfg := workerConfig(srv.Addr(), p, to, rule)

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"io"
 	"net"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -65,8 +66,8 @@ func killMidFeed(t *testing.T, srv *stream.Server, events []osn.Event, rule dete
 	t.Helper()
 	// One offer lands in [n/4, n/3): the kill at n/3 leaves a replay
 	// gap the restart must cover.
-	cfg := cluster.WithOfferLag(cluster.Config{Addr: srv.Addr(), Rule: rule, CheckEvery: 3,
-		Handoff: true, Every: time.Hour}, len(events)/4)
+	cfg := cluster.WithSaveEvery(cluster.Config{Addr: srv.Addr(), Rule: rule, CheckEvery: 3,
+		Handoff: true, Every: time.Hour}, uint64(len(events)/4))
 	w, err := cluster.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -185,25 +186,48 @@ func TestColdRestartFromStaleCheckpointViaSpool(t *testing.T) {
 	}
 }
 
-// TestUnresumableSnapshotStartsCold: on a memory-only broker, a dead
-// worker's lingering session is evicted once the tail needs its room,
-// and the tail then moves past the broker's snapshot of it. The
-// snapshot can no longer be resumed, so a replacement says so and
-// starts cold at the live head instead of failing on ErrGap, and its
-// first offer replaces the stale snapshot.
-func TestUnresumableSnapshotStartsCold(t *testing.T) {
-	events, rule, _ := restoreFeed(t)
-	n := len(events)
-	srv, err := stream.NewServer("127.0.0.1:0", stream.WithReplayBuffer(n/3+16))
+// failingServer is a broker with a window-event tail on a spool with
+// 64 KiB segments, and fail takes that disk tier offline the way a
+// dying disk would: the spool's directory goes, and the next segment
+// roll fails. From then on the tail is all the feed serves, the one way
+// a broker still loses a range that its held snapshots pin against
+// retention. Callers publish past a roll and check ServerStats.SpoolErr.
+func failingServer(t *testing.T, window int) (srv *stream.Server, fail func()) {
+	t.Helper()
+	dir := t.TempDir()
+	sp, err := spool.Open(dir, spool.WithSegmentBytes(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { sp.Close() })
+	srv, err = stream.NewServer("127.0.0.1:0", stream.WithReplayBuffer(window), stream.WithSpool(sp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv, func() { os.RemoveAll(dir) }
+}
+
+// TestUnresumableSnapshotStartsCold: a held snapshot pins the spool's
+// retention at its resume point, so only a failed spool loses it. Here
+// the spool fails after a dead worker's offer, and the tail then moves
+// past the broker's snapshot of it. The snapshot can no longer be
+// resumed, so a replacement says so and starts cold at the live head
+// instead of failing on ErrGap, and its first offer replaces the stale
+// snapshot.
+func TestUnresumableSnapshotStartsCold(t *testing.T) {
+	events, rule, _ := restoreFeed(t)
+	n := len(events)
+	srv, fail := failingServer(t, n/3+16)
 	cfg, held := killMidFeed(t, srv, events, rule)
+	fail()
 	for _, ev := range events[n/3 : 5*n/6] {
 		srv.BroadcastBatch([]osn.Event{ev})
 	}
-	cfg = cluster.WithOfferLag(cfg, 100)
+	if srv.Stats().SpoolErr == "" {
+		t.Fatal("the spool never failed")
+	}
+	cfg = cluster.WithSaveEvery(cfg, 100)
 	w, err := cluster.Start(cfg)
 	if err != nil {
 		t.Fatalf("start past an unresumable snapshot: %v", err)
@@ -295,8 +319,8 @@ func TestWorkerResumesAcrossBlip(t *testing.T) {
 	}
 	defer srv.Close()
 	proxy := newBlipProxy(t, srv.Addr())
-	cfg := cluster.WithOfferLag(cluster.Config{Addr: proxy.ln.Addr().String(), Rule: rule, CheckEvery: 3, Retries: 5,
-		Handoff: true, Every: time.Hour}, len(events)/4)
+	cfg := cluster.WithSaveEvery(cluster.Config{Addr: proxy.ln.Addr().String(), Rule: rule, CheckEvery: 3, Retries: 5,
+		Handoff: true, Every: time.Hour}, uint64(len(events)/4))
 	w, err := cluster.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -324,9 +348,8 @@ func TestWorkerResumesAcrossBlip(t *testing.T) {
 
 // TestRefusedOfferNotRetriedEveryBatch: while the broker refuses
 // offers (here a proxy that turns away every new connection, as a
-// closing broker does), the lag trigger retries half a lag after the
-// refused attempt, not at every batch: each attempt costs a whole
-// snapshot.
+// closing broker does), a refused save is retried at the next save
+// point, not at every batch: each attempt costs a whole snapshot.
 func TestRefusedOfferNotRetriedEveryBatch(t *testing.T) {
 	events, rule, _ := restoreFeed(t)
 	srv, err := stream.NewServer("127.0.0.1:0", stream.WithReplayBuffer(len(events)+16))
@@ -335,9 +358,9 @@ func TestRefusedOfferNotRetriedEveryBatch(t *testing.T) {
 	}
 	defer srv.Close()
 	proxy := newBlipProxy(t, srv.Addr())
-	const lag = 500
-	w, err := cluster.Start(cluster.WithOfferLag(cluster.Config{Addr: proxy.ln.Addr().String(), Rule: rule, CheckEvery: 3,
-		Handoff: true, Every: time.Hour}, lag))
+	const every = 500
+	w, err := cluster.Start(cluster.WithSaveEvery(cluster.Config{Addr: proxy.ln.Addr().String(), Rule: rule, CheckEvery: 3,
+		Handoff: true, Every: time.Hour}, every))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +369,8 @@ func TestRefusedOfferNotRetriedEveryBatch(t *testing.T) {
 		srv.BroadcastBatch([]osn.Event{ev})
 	}
 	waitSeq(t, w, uint64(len(events)))
-	if got, most := int(proxy.refused.Load()), 2*len(events)/lag; got == 0 || got > most {
-		t.Fatalf("%d offers refused over %d one-event batches, want 1 to %d: one per half lag", got, len(events), most)
+	if got, most := int(proxy.refused.Load()), len(events)/every; got == 0 || got > most {
+		t.Fatalf("%d offers refused over %d one-event batches, want 1 to %d: one per save point", got, len(events), most)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

@@ -287,7 +287,7 @@ func BenchmarkRelayFanout(b *testing.B) {
 			}
 			hold := make(chan struct{})
 			done := benchRawSubs(b, edge.Addr(), downstream, hold)
-			waitClients(b, root, 1) // spool-less root: the hop must be attached before the feed starts
+			waitClients(b, root, 1) // the hop is attached before the feed starts: no backfill in the timed region
 			b.ReportAllocs()
 			b.ResetTimer()
 			feed(root, b.N)

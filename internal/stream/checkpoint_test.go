@@ -115,10 +115,11 @@ func TestManualAckCloseDoesNotAck(t *testing.T) {
 }
 
 // TestPerSessionLagOrdering: the slowest consumer sorts first, with
-// lag measured both as events-behind-head and window fill, so the
-// operator can spot who is about to stall the feed. Fill counts feed
-// events in the tail for a partitioned consumer too: the foreign events
-// it was never sent pin the tail exactly as its own do.
+// lag measured both as events behind the head and as feed events
+// buffered in the tail above its acks, so the operator can spot who is
+// falling behind. Buffered counts feed events for a partitioned
+// consumer too: the foreign events it was never sent count exactly as
+// its own do.
 func TestPerSessionLagOrdering(t *testing.T) {
 	const window, K = 64, 2
 	owned, foreign := actorIn(t, 0, K), actorIn(t, 1, K)
@@ -177,19 +178,16 @@ func TestPerSessionLagOrdering(t *testing.T) {
 	st := waitStats(t, s, "fast session to drain", func(st ServerStats) bool {
 		return len(st.PerSession) == 3 && st.PerSession[2].Behind == 0 && st.PerSession[1].Acked == n/2
 	})
-	if mid := st.PerSession[1]; mid.ID != part.Session() || mid.Behind != n/2 || mid.Buffered != n/2 || mid.Window != window {
-		t.Fatalf("partitioned session lag = %+v, want behind=%d buffered=%d (feed events, not the %d it owns) window=%d",
-			mid, n/2, n/2, n/4, window)
+	if mid := st.PerSession[1]; mid.ID != part.Session() || mid.Behind != n/2 || mid.Buffered != n/2 {
+		t.Fatalf("partitioned session lag = %+v, want behind=%d buffered=%d (feed events, not the %d it owns)",
+			mid, n/2, n/2, n/4)
 	}
 	worst := st.PerSession[0]
 	if worst.ID != slow.Session() {
 		t.Fatalf("worst-lagging session is %q, want the slow one %q", worst.ID, slow.Session())
 	}
-	if worst.Behind != n || worst.Buffered != n || worst.Window != window {
-		t.Fatalf("slow session lag = %+v, want behind=%d buffered=%d window=%d", worst, n, n, window)
-	}
-	if want := float64(n) / float64(window); worst.Fill != want {
-		t.Fatalf("slow session fill = %v, want %v", worst.Fill, want)
+	if worst.Behind != n || worst.Buffered != n {
+		t.Fatalf("slow session lag = %+v, want behind=%d buffered=%d", worst, n, n)
 	}
 	if !worst.Connected {
 		t.Fatal("slow session should report connected")

@@ -21,9 +21,10 @@ import (
 var ErrClosed = errors.New("stream: feed closed")
 
 // ErrGap means the server can no longer replay the requested resume
-// sequence — the session was evicted (overflow, stall, or linger
-// expiry) and at-least-once delivery cannot be preserved. The loss is
-// loud: consumers must rebuild state rather than continue silently.
+// sequence — spool retention pruned it, or the spool failed and the
+// tail moved past it — and at-least-once delivery cannot be preserved.
+// The loss is loud: consumers must rebuild state rather than continue
+// silently.
 var ErrGap = errors.New("stream: resume window lost")
 
 // ErrRebalanced is returned by a dial the broker refused because a
@@ -107,15 +108,11 @@ type Client struct {
 	manualAck bool // acks driven by Ack() instead of delivery
 	hop       int  // the welcome's tree depth of the answering broker
 	// The welcome's admission state, which DialKernel hands its kernel:
-	// the tail the broker holds its producers on for this session's acks
-	// (its WithReplayBuffer when it has no usable spool, 0 when its tail
-	// drops freely), and the barrier of the newest committed cutover
-	// record into the subscription's group shape (0: none). A record out
-	// of the shape at or below that barrier retired an earlier
-	// generation of the shape, before a rebalance back into it, so a
-	// worker of the shape judges on past it; one above it retires the
-	// worker.
-	window   int
+	// the barrier of the newest committed cutover record into the
+	// subscription's group shape (0: none). A record out of the shape at
+	// or below that barrier retired an earlier generation of the shape,
+	// before a rebalance back into it, so a worker of the shape judges on
+	// past it; one above it retires the worker.
 	reshaped uint64
 
 	// The snapshots the handshake handed over (DialKernel); seq 0: none.
@@ -161,7 +158,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 // drained — served from the server's disk spool, so the feed is a
 // replayable log for new consumers, not only resumed ones. It returns
 // an error wrapping ErrGap when from is below the spool's retention
-// floor (or the server has no spool holding it).
+// floor (or the server's spool failed and its tail moved past from).
 func DialFrom(addr string, from uint64, opts ...DialOption) (*Client, error) {
 	if from == 0 {
 		return nil, errors.New("stream: DialFrom needs a sequence ≥ 1 (use Dial to start at the live head)")
@@ -202,7 +199,7 @@ func DialKernel(addr string, k *Kernel) (*Client, error) {
 	hello.Session = cmp.Or(hello.Session, NewSessionID())
 	c, err := dial(addr, hello, []DialOption{WithPartition(k.Part, k.Parts)})
 	if err == nil {
-		k.admitted(c.session, c.lastSeq+1, c.reshaped, c.window, c.adoptedSeq, len(c.adopted), time.Now())
+		k.admitted(c.session, c.lastSeq+1, c.reshaped, c.adoptedSeq, len(c.adopted), time.Now())
 		c.manualAck = k.manual()
 	}
 	return c, err
@@ -251,7 +248,6 @@ func subscribe(conn net.Conn, hello frame) (*Client, error) {
 		part:     hello.Part,
 		parts:    hello.Parts,
 		hop:      welcome.Hop,
-		window:   welcome.Window,
 		reshaped: welcome.Barrier,
 	}
 	if hello.Adopt && welcome.Snaps > 0 {
@@ -307,10 +303,9 @@ func (c *Client) Adopted() (seq uint64, data [][]byte) {
 // stateless consumers. In manual mode the client never acks on its
 // own; a stateful consumer calls Ack with the sequence of its newest
 // durable snapshot, so the server retains exactly the events a crash
-// would need replayed. While Window is non-zero, those acks must move
-// before the session owes the broker that many events, or the
-// producer waits on them. So RecvBatch also returns a bare cursor
-// advance, as an empty batch: only the caller can ack the range.
+// would need replayed. So RecvBatch also returns a bare cursor advance,
+// as an empty batch: only the caller can ack the range it covers, which
+// moves the spool's retention.
 func (c *Client) SetManualAck(on bool) { c.manualAck = on }
 
 // Ack acknowledges delivery through seq (clamped to what has actually
@@ -350,9 +345,9 @@ func (c *Client) flushAcks() {
 
 // next blocks for the next event frame and returns its payload, read
 // into buf (nil for a fresh buffer the caller may keep). It acks
-// before every wait, a bare cursor advance included — on a memory-only
-// feed the server's tail moves on only with acks — and a control frame
-// ends the subscription (control).
+// before every wait, a bare cursor advance included — the spool's
+// retention moves on only with acks — and a control frame ends the
+// subscription (control).
 func (c *Client) next(buf []byte) ([]byte, error) {
 	if c.end != nil {
 		return nil, c.end

@@ -10,9 +10,9 @@
 // feed sequence it covers. The broker holds the highest-sequence offer
 // per (part, parts) key, taking a partitioned key's offers only from
 // the session admission made its owner, and is the only keeper of
-// worker state, exactly as durable as its feed: spooled, offers are
-// written beside the spool and reload on restart; memory-only, they
-// die with the feed. A worker adopts its key's snapshot in the
+// worker state, exactly as durable as its feed: offers are written
+// beside the spool and reload on restart (a private spool dies with
+// its server, feed and all). A worker adopts its key's snapshot in the
 // subscribe handshake itself (hello "adopt", see admit).
 //
 // Live rebalance (rprepare). The root broker's sequencer is the only
@@ -130,7 +130,7 @@ func (s *Server) ctlOffer(br *bufio.Reader, req frame) *frame {
 	s.mu.Lock()
 	retired, why := s.ctl.offer(req, payload)
 	s.mu.Unlock()
-	if retired > 0 && sp != nil {
+	if retired > 0 {
 		sp.DropSnapshots(retired)
 	}
 	if why != "" {

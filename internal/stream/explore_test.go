@@ -40,9 +40,10 @@ var exploreDepth = flag.Int("explore.depth", 8, "depth of TestControlPlaneExplor
 
 // TestControlPlaneExplorer searches every event sequence up to
 // -explore.depth from each configuration's seeds: a spooled root, a
-// spooled relay hop that learns cutovers from their records, and a
-// memory-only root whose tail holds two events, the one configuration
-// with single-worker blips (they double the others' time). The
+// spooled relay hop that learns cutovers from their records, and a root
+// whose spool failed, so its two-event tail is all the feed still
+// serves, the one configuration with single-worker blips (they double
+// the others' time). The
 // invariants, checked after every step:
 //
 //   - one owner: a worker judges only events of its shape's current
@@ -83,7 +84,7 @@ type exploreConfig struct {
 	name   string
 	shapes []int // the group shapes workers use; the first is the initial one
 	hop    bool  // a relay hop: cutovers arrive as records (learn), not prepares
-	window int   // the log's tail; a memory-only broker when small, else spooled
+	window int   // the log's tail; when small the spool failed and the tail is all the feed serves, else every sequence is served
 	blip   bool  // the alphabet has single-worker connection blips
 	seeds  [][]event
 }
@@ -96,7 +97,7 @@ func exploreConfigs() []exploreConfig {
 	return []exploreConfig{
 		{name: "spooled-root", shapes: []int{2, 3}, window: 1 << 10, seeds: [][]event{warm, root}},
 		{name: "spooled-hop", shapes: []int{2, 3}, hop: true, window: 1 << 10, seeds: [][]event{hop, chain}},
-		{name: "memory-only-root", shapes: []int{2, 3}, window: 2, blip: true, seeds: [][]event{warm}},
+		{name: "failed-spool-root", shapes: []int{2, 3}, window: 2, blip: true, seeds: [][]event{warm}},
 	}
 }
 
@@ -317,27 +318,6 @@ func (w *world) live(part, parts int) *worker {
 
 func (w *world) byID(id uint8) *worker { return w.workers[id-1] }
 
-// stalls reports whether publishing one more event would wait in
-// dropLocked: the tail is full, and a connected reader has not acked
-// its oldest chunk. A memory-only broker holds its producer there until
-// the reader acks, so the explorer holds the publish back instead.
-func (w *world) stalls() bool {
-	l := w.srv.log
-	size := l.head + 1 - l.first()
-	for _, c := range l.buf[l.lo:] {
-		if size+1 <= uint64(l.opt.replay) {
-			return false
-		}
-		for _, r := range l.readers {
-			if r.conn != nil && r.owes(c) {
-				return true
-			}
-		}
-		size -= c.last - c.first + 1
-	}
-	return false
-}
-
 // interval reports whether wk's save interval firing now would offer
 // anything new: an offer of the state the broker holds changes nothing.
 func (wk *worker) interval() bool {
@@ -348,8 +328,8 @@ func (w *world) events() []event {
 	var evs []event
 	// While a record is reserved, every later sequence waits for it to
 	// publish: nothing else is sequenced meanwhile.
-	full, stalled := len(w.feed) >= maxFeed || len(w.reserved) > 0, w.stalls()
-	if !full && !stalled {
+	full := len(w.feed) >= maxFeed || len(w.reserved) > 0
+	if !full {
 		evs = append(evs, event{kind: evPub})
 	}
 	cur := w.cur()
@@ -358,13 +338,13 @@ func (w *world) events() []event {
 		case to == cur || full:
 		case !w.cfg.hop:
 			evs = append(evs, event{kind: evPrep, a: cur, b: to})
-		case !stalled:
+		default:
 			evs = append(evs, event{kind: evLearn, a: cur, b: to})
 		}
 	}
-	if len(w.reserved) > 0 && !stalled {
+	if len(w.reserved) > 0 {
 		evs = append(evs, event{kind: evPubCut}, event{kind: evRetry})
-	} else if len(w.reserved) == 0 && w.cfg.window > maxFeed && !w.cfg.hop {
+	} else if w.cfg.window > maxFeed && !w.cfg.hop {
 		evs = append(evs, event{kind: evRestart})
 	}
 	for _, k := range w.cfg.shapes {
@@ -575,7 +555,7 @@ func (w *world) connect(wk *worker) (welcome frame, snaps []spool.Snapshot, reje
 			if len(snaps) > 0 {
 				seq = snaps[0].Seq
 			}
-			wk.k.admitted(hello.Session, welcome.From, welcome.Barrier, w.srv.log.window(), seq, len(snaps), time.Time{})
+			wk.k.admitted(hello.Session, welcome.From, welcome.Barrier, seq, len(snaps), time.Time{})
 			return welcome, snaps, nil, nil
 		}
 		wait, end := wk.k.Refused(rejected(frameHello, reject))
@@ -784,8 +764,6 @@ func (w *world) deliver() string {
 			w.detach(wk)
 		case !wk.k.manual():
 			r.ack(r.sent)
-		case wk.k.Due(wk.k.lastSave):
-			w.save(wk)
 		}
 	}
 	return ""
@@ -1008,27 +986,20 @@ func (w *world) hash(seed maphash.Seed) uint64 {
 				flags |= 1 << i
 			}
 		}
-		// A kernel's last save enters its decisions only through the lag
-		// trigger (its interval fires only on offer events), which never
-		// fires on a feed shorter than the lag, and then only as the
-		// sequences applied since, against half the lag. Its resume point
-		// counts only while it is lost, and the rest of its hello state
-		// only before it is admitted, which the explorer's workers always
-		// are.
+		// A kernel's last save enters none of its decisions (its interval
+		// fires only on offer events). Its resume point counts only while
+		// it is lost, and the rest of its hello state only before it is
+		// admitted, which the explorer's workers always are. A reader's
+		// acks would move only a spool's retention, which the model spool
+		// does not keep.
 		k := &wk.k
 		num(flags, k.applied, k.reshaped, k.durable, k.barrier, wk.history, wk.cold)
-		if k.lag > 0 && k.lag <= maxFeed {
-			num(min(k.applied-k.lastSaveSeq, k.lag/2))
-		}
 		if wk.lost {
 			num(k.resume)
 		}
 		b = append(b, wk.state...)
 		if r := w.srv.log.readers[k.session]; r != nil {
 			num(1, r.sent, uint64(r.gen))
-			if w.cfg.window <= maxFeed {
-				num(r.acked) // acks only matter to a tail that drops
-			}
 		}
 	}
 	num(w.srv.log.head)

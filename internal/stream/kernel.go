@@ -27,22 +27,19 @@ type Kernel struct {
 	Handoff     bool          // adopt the key's held state, offer it, and ack only through confirmed offers
 	FromStart   bool          // a start with no state backfills from sequence 1
 	Every       time.Duration // the save interval
-	Lag         int           // when set, replaces the lag trigger the welcome's window sets
 
 	session  string // the admitted session ("": not admitted yet)
 	resume   uint64 // where an admitted worker's next hello resumes
 	cold     bool   // the key's held snapshot is past the feed: start without it
 	spare    bool   // not admitted, and last refused because another session holds the key
 	reshaped uint64 // the welcome's barrier: the newest committed cutover into the shape
-	lag      uint64 // the lag trigger (0: off)
 
-	applied     uint64    // the state covers the feed through here
-	durable     uint64    // the newest state the broker holds: the adopted one, or a confirmed offer
-	cut         bool      // the adopted state is a re-keyed rebalance cut, not offered yet
-	lastSave    time.Time // when the last save was tried, or the worker admitted
-	lastSaveSeq uint64    // and applied then
-	barrier     uint64    // the cutover record that retired the worker (0: none)
-	nparts      int       // and the group shape it cut over to
+	applied  uint64    // the state covers the feed through here
+	durable  uint64    // the newest state the broker holds: the adopted one, or a confirmed offer
+	cut      bool      // the adopted state is a re-keyed rebalance cut, not offered yet
+	lastSave time.Time // when the last save was tried, or the worker admitted
+	barrier  uint64    // the cutover record that retired the worker (0: none)
+	nparts   int       // and the group shape it cut over to
 }
 
 // hello is the kernel's next hello: a resume of its own session once
@@ -61,11 +58,10 @@ func (k *Kernel) hello() frame {
 }
 
 // admitted takes the welcome of session: the first sequence it is sent
-// (from), the welcome's barrier and window, and the adopted snapshots
-// (their sequence and count). The save interval restarts at now.
-func (k *Kernel) admitted(session string, from, barrier uint64, window int, seq uint64, snaps int, now time.Time) {
+// (from), the welcome's barrier, and the adopted snapshots (their
+// sequence and count). The save interval restarts at now.
+func (k *Kernel) admitted(session string, from, barrier, seq uint64, snaps int, now time.Time) {
 	k.session, k.spare, k.reshaped = session, false, barrier
-	k.lag = uint64(cmp.Or(k.Lag, offerLag(window)))
 	if snaps > 0 {
 		k.durable, k.cut = seq, snaps > 1
 	}
@@ -104,7 +100,7 @@ func (k *Kernel) Refused(err error) (wait bool, end error) {
 		k.cold, k.spare = true, false
 		return true, nil
 	case gap:
-		return false, fmt.Errorf("stream: the feed cannot serve seq %d (history pruned or not spooled; a restart adopts a resumable snapshot or starts cold): %w", k.hello().Resume, err)
+		return false, fmt.Errorf("stream: the feed cannot serve seq %d (history pruned, or the spool failed; a restart adopts a resumable snapshot or starts cold): %w", k.hello().Resume, err)
 	case errors.Is(err, ErrClosing) && k.spare:
 		return false, fmt.Errorf("stream: partition %d/%d: the broker closed the feed while this worker waited (%v): %w", k.Part, max(k.Parts, 1), err, ErrClosed)
 	}
@@ -160,40 +156,16 @@ func (k *Kernel) Retired() (barrier uint64, nparts int, ok bool) {
 	return k.barrier, k.nparts, k.barrier > 0
 }
 
-// OfferLag is the lag trigger set at the last admission: an offer once
-// this many sequences are applied past the state the broker holds, 0
-// for none.
-func (k *Kernel) OfferLag() int { return int(k.lag) }
-
-// offerLag is the lag trigger for a broker whose welcome reported
-// window: the applied sequences past the newest confirmed offer that
-// fire an offer, 0 for none. Acks move only at offers, so a worker that
-// could leave a memory-only broker's whole tail unacked between two of
-// them would hold its producer until stall eviction. A refused offer
-// (a closing broker) is retried half a lag later, so the unacked range
-// reaches 1.5 lags plus one batch; two thirds of the tail less a batch
-// keeps that inside the tail, partitioned workers included, since the
-// lag and the tail both count feed sequences. A spooled broker's tail
-// never waits (window 0): its worker offers on the interval alone.
-func offerLag(window int) int {
-	if window == 0 {
-		return 0
-	}
-	return max(1, min(window/2, 2*(window-DefaultMaxBatch)/3))
-}
-
 // Cut reports whether the adopted state is a re-keyed rebalance cut
 // not offered yet. Its owner offers it at once: the broker commits the
 // rebalance once every new key has.
 func (k *Kernel) Cut() bool { return k.cut }
 
 // Due reports whether a save is due at now, after a batch: with
-// Handoff, once Every has passed since the last save, or on the lag
-// trigger, a lag applied past the state the broker holds and, after a
-// refused offer, half a lag past that attempt.
+// Handoff, once Every has passed since the last save was tried. No
+// broker waits on the worker's acks, so nothing else forces an offer.
 func (k *Kernel) Due(now time.Time) bool {
-	a := k.applied
-	return k.Handoff && (k.lag > 0 && a-k.durable >= k.lag && a-k.lastSaveSeq >= k.lag/2 || now.Sub(k.lastSave) >= k.Every)
+	return k.Handoff && now.Sub(k.lastSave) >= k.Every
 }
 
 // Save notes a save tried at now and reports whether it offers the
@@ -201,7 +173,7 @@ func (k *Kernel) Due(now time.Time) bool {
 // state the new group adopts. Nothing applied is nothing worth
 // adopting.
 func (k *Kernel) Save(now time.Time) bool {
-	k.lastSave, k.lastSaveSeq, k.cut = now, k.applied, false
+	k.lastSave, k.cut = now, false
 	return k.offers()
 }
 

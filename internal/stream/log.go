@@ -9,10 +9,10 @@ package stream
 //     publish appends the reserved batch behind the ticket, strictly in
 //     sequence order;
 //   - the spool append, its retention (pruneSpool) and the in-memory
-//     tail of the last WithReplayBuffer feed events;
-//   - the one resume rule (open);
-//   - backpressure (dropLocked, pinLocked, evictLocked), before
-//     publication;
+//     tail of the last WithReplayBuffer feed events, which drops its
+//     oldest chunks freely (dropLocked): a reader behind it reads the
+//     spool;
+//   - the one resume rule (open), and eviction (evictLocked);
 //   - readers: a subscriber's cursors, and the rounds its writer frames
 //     from the tail or the spool (fill).
 //
@@ -71,7 +71,6 @@ type feedLog struct {
 	// mu guards the tail, the ticket and the readers.
 	mu     sync.Mutex
 	more   *sync.Cond // writers: the log grew, close arrived, or a connection changed
-	room   *sync.Cond // publish: an ack, detach or eviction may let the oldest chunk go
 	ticket *sync.Cond // batches waiting for their turn to publish
 
 	// The tail: the shared chunks of the last opt.replay feed events in
@@ -83,10 +82,6 @@ type feedLog struct {
 	// is to publish. A range reserved but not yet published lies past
 	// head, so the tail counts it as its own (it is empty there).
 	next uint64
-	// full is set while publish waits for the oldest chunk to be
-	// acknowledged: partitioned writers then move their clients'
-	// cursors to the head at once, so acks can pass foreign runs.
-	full bool
 
 	readers map[string]*reader
 
@@ -105,7 +100,6 @@ func newFeedLog(opts ...ServerOption) *feedLog {
 			replay:   DefaultReplayBuffer,
 			maxBatch: DefaultMaxBatch,
 			linger:   DefaultSessionLinger,
-			stall:    DefaultStallTimeout,
 		},
 		readers:  make(map[string]*reader),
 		barriers: make(map[int]uint64),
@@ -118,7 +112,7 @@ func newFeedLog(opts ...ServerOption) *feedLog {
 	}
 	l.state.Store(l.head)
 	l.next = l.head + 1
-	l.more, l.room, l.ticket = sync.NewCond(&l.mu), sync.NewCond(&l.mu), sync.NewCond(&l.mu)
+	l.more, l.ticket = sync.NewCond(&l.mu), sync.NewCond(&l.mu)
 	return l
 }
 
@@ -184,10 +178,10 @@ func (l *feedLog) reserve(n int, at uint64) (first uint64, err error) {
 // Batches publish strictly in sequence order — each waits for its
 // ticket — which keeps the spool and the tail contiguous while
 // concurrent producers build their frames in parallel. The batch goes
-// to the spool first (the same shared bytes), then room is made for it
-// in the tail, and then it is pushed and every writer woken with one
-// Broadcast. The log never looks inside a frame: partition views are
-// their writers' work.
+// to the spool first (the same shared bytes), then the tail drops what
+// the batch displaces, and then it is pushed and every writer woken
+// with one Broadcast. Nothing here waits on a reader. The log never
+// looks inside a frame: partition views are their writers' work.
 func (l *feedLog) publish(chunks []*chunk) {
 	first, last := chunks[0].first, chunks[len(chunks)-1].last
 	l.mu.Lock()
@@ -201,7 +195,7 @@ func (l *feedLog) publish(chunks []*chunk) {
 			rolled, err := l.opt.spool.AppendFrame(c.first, c.n, c.payload)
 			if err != nil {
 				// The disk tier is gone, loudly; the tail keeps the feed
-				// alive with spool-less semantics from here on.
+				// alive, and a reader that falls behind it is lost.
 				l.spoolErr.CompareAndSwap(nil, &err)
 				log.Printf("stream: spool append failed, disk replay tier offline: %v", err)
 				break
@@ -265,16 +259,6 @@ func (l *feedLog) spoolUsable() bool {
 	return l.opt.spool != nil && l.spoolErr.Load() == nil
 }
 
-// window is the tail a session's acks must keep moving, for its
-// welcome: WithReplayBuffer when publish would hold producers back for
-// unacknowledged chunks (no usable spool), 0 when the tail drops freely.
-func (l *feedLog) window() int {
-	if l.spoolUsable() {
-		return 0
-	}
-	return l.opt.replay
-}
-
 // spoolServes reports whether the disk tier retains sequence r: the
 // spool is usable and its oldest segment starts at or below r. Anything
 // the spool has not appended yet is still in the tail (publish appends
@@ -306,72 +290,14 @@ func (l *feedLog) pruneSpool(head uint64) {
 // dropLocked makes room for a batch of n events: it drops chunks from
 // the front of the tail until the batch fits in WithReplayBuffer
 // events, or the tail is empty (a batch larger than the tail is still
-// accepted). It is the one place backpressure lives, and it runs
-// before the batch is published, so a producer only ever waits on
-// frames its subscribers already have. With a usable spool every
-// chunk is on disk and goes freely. Without one, a chunk a reader
-// still owes stays: a detached reader owing it is evicted (the loss
-// counted), and a connected one holds the producer — whose publish
-// holds the ticket — until it acknowledges the chunk, or until the
-// stall timeout passes with nothing dropped, when it is evicted too.
-// Caller holds l.mu.
+// accepted). It never waits: a reader still owed a dropped chunk reads
+// it from the spool, and without a usable spool it is lost (fill's
+// errLost, a refused resume). Caller holds l.mu.
 func (l *feedLog) dropLocked(n int) {
-	var deadline time.Time
-	var wake *time.Timer
 	for len(l.buf) > l.lo && l.head+1-l.first()+uint64(n) > uint64(l.opt.replay) {
-		pin := l.pinLocked(l.buf[l.lo])
-		switch {
-		case pin == nil:
-			l.buf[l.lo] = nil
-			l.lo++
-			deadline = time.Time{}
-			continue
-		case deadline.IsZero():
-			deadline = time.Now().Add(l.opt.stall)
-			if wake == nil {
-				wake = time.AfterFunc(l.opt.stall, func() {
-					l.mu.Lock()
-					l.room.Broadcast()
-					l.mu.Unlock()
-				})
-			} else {
-				wake.Reset(l.opt.stall)
-			}
-		case !time.Now().Before(deadline):
-			l.evictLocked(pin)
-			deadline = time.Time{}
-			continue
-		}
-		if !l.full {
-			l.full = true
-			l.more.Broadcast()
-		}
-		l.room.Wait()
+		l.buf[l.lo] = nil
+		l.lo++
 	}
-	l.full = false
-	if wake != nil {
-		wake.Stop()
-	}
-}
-
-// pinLocked returns the connected reader that keeps chunk c in a
-// spool-less tail — the one furthest behind — evicting every detached
-// reader that still owes c on the way. It returns nil when c may go.
-// Caller holds l.mu.
-func (l *feedLog) pinLocked(c *chunk) (pin *reader) {
-	if l.spoolUsable() {
-		return nil
-	}
-	for _, r := range l.readers {
-		switch {
-		case !r.owes(c):
-		case r.conn == nil:
-			l.evictLocked(r)
-		case pin == nil || r.acked < pin.acked:
-			pin = r
-		}
-	}
-	return pin
 }
 
 // evictLocked removes r for good (the identity check keeps a delayed
@@ -392,7 +318,6 @@ func (l *feedLog) evictLocked(r *reader) {
 		l.evicted.Add(1)
 	}
 	l.cutLocked(r)
-	l.room.Signal()
 }
 
 // evictAll evicts every reader.
@@ -541,7 +466,6 @@ func (l *feedLog) sessionStats(seq uint64) []SessionStats {
 			Part:      r.part,
 			Parts:     r.parts,
 			Acked:     r.acked,
-			Window:    l.opt.replay,
 		}
 		if held := max(r.acked, first-1); head > held {
 			st.Buffered = int(head - held)
@@ -549,7 +473,6 @@ func (l *feedLog) sessionStats(seq uint64) []SessionStats {
 		if seq > st.Acked {
 			st.Behind = seq - st.Acked
 		}
-		st.Fill = float64(st.Buffered) / float64(st.Window)
 		per = append(per, st)
 	}
 	l.mu.Unlock()
@@ -598,8 +521,8 @@ func (l *feedLog) drainingLocked() bool {
 // advanceEvery is how much silent (filtered-out) feed accumulates
 // before a partitioned writer sends an empty fbatch purely to move
 // the subscriber's cursor. Cursor advances are what let a partition
-// subscriber's acks track the feed head — letting the tail drop and
-// spool retention move — through stretches owned by other partitions.
+// subscriber's acks track the feed head — letting spool retention
+// move — through stretches owned by other partitions.
 // Tied to maxBatch so tests that shrink batches shrink advance
 // latency with them.
 func (l *feedLog) advanceEvery() uint64 { return uint64(l.opt.maxBatch) }
@@ -640,13 +563,8 @@ type reader struct {
 	gone       bool // evicted: removed from the log
 }
 
-// owes reports whether r still needs chunk c: it has not acknowledged
-// all of it.
-func (r *reader) owes(c *chunk) bool { return r.acked < c.last }
-
 // ack processes a client acknowledgement: advance the delivered
-// high-water mark and wake a producer waiting for the tail's oldest
-// chunk to be acknowledged.
+// high-water mark, which also pins the spool's retention.
 func (r *reader) ack(seq uint64) {
 	l := r.l
 	l.mu.Lock()
@@ -654,7 +572,6 @@ func (r *reader) ack(seq uint64) {
 	if seq > r.acked {
 		l.delivered.Add(seq - r.acked)
 		r.acked = seq
-		l.room.Signal()
 	}
 	l.mu.Unlock()
 }
@@ -667,7 +584,6 @@ func (r *reader) detach(gen int) {
 	if r.gen == gen && !r.gone {
 		l.cutLocked(r)
 		r.detachedAt = time.Now()
-		l.room.Signal() // a producer waiting on this reader now evicts it instead
 	}
 	l.mu.Unlock()
 }
@@ -725,10 +641,10 @@ type round struct {
 
 // next fills the next round from whichever source holds sent+1. When
 // the tail has nothing for the reader yet — the feed has not grown past
-// what this fill has examined, the log is not draining, and no full
-// tail needs the client's cursor at the head — next sleeps until it has if wait is set, and otherwise
-// returns an empty round (to < from, no jobs) at once, so the writer
-// can flush before it sleeps.
+// what this fill has examined, and the log is not draining — next
+// sleeps until it has if wait is set, and otherwise returns an empty
+// round (to < from, no jobs) at once, so the writer can flush before it
+// sleeps.
 func (f *fill) next(wait bool) (round, error) {
 	r, l := f.r, f.r.l
 	l.mu.Lock()
@@ -743,7 +659,7 @@ func (f *fill) next(wait bool) (round, error) {
 		}
 		f.closeSpool()
 		f.seen = max(f.seen, r.sent)
-		if l.head > f.seen || l.drainingLocked() || (l.full && r.sent < l.head) {
+		if l.head > f.seen || l.drainingLocked() {
 			if rd, ok := f.fromTail(); ok {
 				l.mu.Unlock()
 				return rd, nil
@@ -766,8 +682,8 @@ func (f *fill) next(wait bool) (round, error) {
 // round stops splicing once its chunks cover maxBatch events, which
 // bounds how long it holds the log's lock. ok is false when a
 // partitioned reader found nothing it owns and fewer than advanceEvery
-// events to cover: the round is not worth a frame yet — unless the tail
-// is full, when only the client's ack can free it. Caller holds l.mu.
+// events to cover: the round is not worth a frame yet. Caller holds
+// l.mu.
 func (f *fill) fromTail() (rd round, ok bool) {
 	r, l := f.r, f.r.l
 	f.jobs, f.buf = f.jobs[:0], f.buf[:0]
@@ -785,7 +701,7 @@ func (f *fill) fromTail() (rd round, ok bool) {
 		f.view(c.payload, c.first, c.cursor)
 	}
 	f.seen = cursor
-	if len(f.jobs) == 0 && drained && !l.drainingLocked() && !l.full && cursor < r.sent+l.advanceEvery() {
+	if len(f.jobs) == 0 && drained && !l.drainingLocked() && cursor < r.sent+l.advanceEvery() {
 		return round{}, false
 	}
 	return f.settle(cursor, drained), true
@@ -804,7 +720,7 @@ func (f *fill) fromSpool(from uint64) (round, error) {
 	r, l := f.r, f.r.l
 	if f.rd == nil {
 		if l.opt.spool == nil {
-			return round{}, fmt.Errorf("%w: seq %d left the tail of a spool-less log", errLost, from)
+			return round{}, fmt.Errorf("%w: seq %d left the tail of a log with no spool", errLost, from)
 		}
 		rd, err := l.opt.spool.ReadFrom(from)
 		if err != nil {

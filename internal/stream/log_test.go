@@ -1,7 +1,7 @@
 package stream
 
 // Unit tests of the feed log (log.go): the resume rule, retention,
-// drop vs pin, adoption claims and close. They drive the log directly —
+// the free-dropping tail, adoption claims and close. They drive the log directly —
 // no listener, no socket — with an io.Closer double for a reader's
 // connection, and they fill rounds without waiting: an empty round
 // means the log has nothing more for the reader now.
@@ -246,7 +246,7 @@ func TestLogPruneFollowsMinAck(t *testing.T) {
 // so the tail drops freely — a reader that never acks holds nobody up
 // and is not evicted, connected or detached.
 func TestLogSpooledNeverWaits(t *testing.T) {
-	l, _ := spooledLog(t, nil, WithReplayBuffer(8), withStallTimeout(100*time.Millisecond))
+	l, _ := spooledLog(t, nil, WithReplayBuffer(8))
 	slow, f := mustOpen(t, l, "slow", 0)
 	away, _ := mustOpen(t, l, "away", 0)
 	away.detach(away.gen)
@@ -264,114 +264,68 @@ func TestLogSpooledNeverWaits(t *testing.T) {
 	}
 }
 
-// TestLogSpoollessPins: without a spool a chunk some reader owes stays.
-// The furthest-behind connected reader pins it, holding the producer
-// until it acks; a detached one owing it is evicted, its loss counted.
-func TestLogSpoollessPins(t *testing.T) {
-	l := newFeedLog(WithReplayBuffer(4), withStallTimeout(time.Minute))
+// TestLogSpoollessDropsFreely: a log with no usable spool (its disk
+// tier failed) still never waits on a reader: the tail drops its
+// oldest chunks whoever owes them. A reader left behind the tail is
+// lost — its fill fails with errLost, and its eviction counts the
+// loss — and a resume below the tail is refused.
+func TestLogSpoollessDropsFreely(t *testing.T) {
+	l := newFeedLog(WithReplayBuffer(4))
 	ahead, fa := mustOpen(t, l, "ahead", 0)
 	behind, fb := mustOpen(t, l, "behind", 0)
-	away, _ := mustOpen(t, l, "away", 0)
-	away.detach(away.gen)
 	for i := 0; i < 4; i++ {
 		put(t, l, 1)
 	}
 	drain(t, fa)
-	drain(t, fb)
-	ahead.ack(3)
-	behind.ack(1)
-
-	l.mu.Lock()
-	pin := l.pinLocked(l.buf[l.lo+1]) // sequence 2: owed by behind and away
-	l.mu.Unlock()
-	if pin != behind {
-		t.Fatalf("sequence 2 pinned by %v, want the furthest-behind connected reader", pin)
+	ahead.ack(4)
+	for i := 0; i < 4; i++ {
+		put(t, l, 1) // behind owes 1..4: the publish drops them anyway
 	}
-	if !away.gone || l.evicted.Load() != 1 {
-		t.Fatalf("detached ower: gone=%v evicted=%d, want evicted with its loss counted", away.gone, l.evicted.Load())
+	if first := l.first(); first != 5 {
+		t.Fatalf("tail starts at %d, want 5", first)
 	}
-
-	put(t, l, 1) // drops sequence 1, which both connected readers acked
-	done := make(chan struct{})
-	first, _ := l.reserve(1, 0)
-	go func() { publishAt(l, first, 1); close(done) }() // must drop sequence 2: waits on behind
-	waitFull(t, l)
-	select {
-	case <-done:
-		t.Fatal("publish passed a chunk its connected owner had not acked")
-	default:
+	if from, to, _ := drain(t, fa); from != 5 || to != 8 {
+		t.Fatalf("reader at the tail framed %d..%d, want 5..8", from, to)
 	}
-	behind.ack(2)
-	<-done
-	if behind.gone || l.evicted.Load() != 1 {
-		t.Fatalf("pinning reader: gone=%v evicted=%d, want kept", behind.gone, l.evicted.Load())
+	if _, err := fb.next(false); !errors.Is(err, errLost) {
+		t.Fatalf("reader behind the tail: fill error %v, want errLost", err)
 	}
-}
-
-// waitFull blocks until a publish is waiting for room.
-func waitFull(t *testing.T, l *feedLog) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		l.mu.Lock()
-		full := l.full
-		l.mu.Unlock()
-		if full {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("publish never waited for room")
-		}
-		time.Sleep(time.Millisecond)
+	behind.evict()
+	if l.evicted.Load() != 1 {
+		t.Fatalf("evicted = %d, want the lost reader counted", l.evicted.Load())
 	}
-}
-
-// TestLogStallEvicts: a connected reader that never acks holds a
-// spool-less log up for the stall timeout, then is evicted — its
-// connection closed, its loss counted — and the producer moves on.
-func TestLogStallEvicts(t *testing.T) {
-	l := newFeedLog(WithReplayBuffer(2), withStallTimeout(20*time.Millisecond))
-	r, gen, _, _ := l.open(&reader{id: "stuck"}, 0, &closer{})
-	conn := r.conn.(*closer)
-	for i := 0; i < 10; i++ {
-		put(t, l, 1)
-	}
-	if !r.gone || !conn.closed || l.evicted.Load() != 1 {
-		t.Fatalf("stalled reader: gone=%v closed=%v evicted=%d, want evicted once", r.gone, conn.closed, l.evicted.Load())
-	}
-	if _, err := (&fill{r: r, gen: gen}).next(false); !errors.Is(err, errStale) {
-		t.Fatalf("evicted reader's fill: %v, want errStale", err)
+	if _, _, reject := tryOpen(l, "late", 2); !strings.Contains(reject, "unknown session") {
+		t.Fatalf("resume below the tail: reject %q", reject)
 	}
 }
 
 // TestLogBatchLargerThanTail: a batch bigger than the whole tail is
 // still accepted — the tail always keeps its newest chunk — and the
-// next batch waits for the reader's ack instead of evicting it.
+// next batch drops it, leaving the reader to catch up from the spool
+// without being evicted.
 func TestLogBatchLargerThanTail(t *testing.T) {
-	l := newFeedLog(WithReplayBuffer(8), withStallTimeout(time.Minute))
+	l, _ := spooledLog(t, nil, WithReplayBuffer(8))
 	r, f := mustOpen(t, l, "reader", 0)
 	put(t, l, 100)
-	done := make(chan struct{})
-	first, _ := l.reserve(100, 0)
-	go func() { publishAt(l, first, 100); close(done) }()
-	waitFull(t, l)
-	if _, to, _ := drain(t, f); to != 100 {
-		t.Fatalf("framed through %d, want 100", to)
+	if first := l.first(); first != 1 {
+		t.Fatalf("tail starts at %d, want the whole 100-event batch from 1", first)
 	}
-	r.ack(100)
-	<-done
-	if _, to, _ := drain(t, f); to != 200 || r.gone || l.evicted.Load() != 0 {
-		t.Fatalf("framed through %d, gone=%v evicted=%d; want 200, kept", to, r.gone, l.evicted.Load())
+	put(t, l, 100)
+	if first := l.first(); first != 101 {
+		t.Fatalf("tail starts at %d, want only the newest batch from 101", first)
+	}
+	if from, to, _ := drain(t, f); from != 1 || to != 200 || r.gone || l.evicted.Load() != 0 {
+		t.Fatalf("framed %d..%d, gone=%v evicted=%d; want 1..200, kept", from, to, r.gone, l.evicted.Load())
 	}
 }
 
 // TestLogConcurrentPublishers: batches reserved and published from
 // several goroutines at once reach a reader as one gapless feed in
-// sequence order, on a tail small enough that publishers wait on the
-// reader's acks.
+// sequence order, on a tail small enough that the reader keeps falling
+// behind it and catching up from the spool.
 func TestLogConcurrentPublishers(t *testing.T) {
 	const producers, batches = 4, 50
-	l := newFeedLog(WithReplayBuffer(16), withStallTimeout(time.Minute))
+	l, _ := spooledLog(t, nil, WithReplayBuffer(16))
 	r, f := mustOpen(t, l, "reader", 0)
 	done := make(chan struct{})
 	for p := 0; p < producers; p++ {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sybilwild/internal/osn"
+	"sybilwild/internal/spool"
 )
 
 // partEvents builds a deterministic pseudo-random event stream whose
@@ -376,9 +377,9 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 	leakCheck(t)
 	for _, tc := range []struct {
 		name string
-		run  func(t *testing.T, srv *Server)
+		run  func(t *testing.T, srv *Server, fail func())
 	}{
-		{"second session waits for the holder to detach", func(t *testing.T, srv *Server) {
+		{"second session waits for the holder to detach", func(t *testing.T, srv *Server, _ func()) {
 			c, err := Dial(srv.Addr(), WithPartition(0, 2))
 			if err != nil {
 				t.Fatal(err)
@@ -402,7 +403,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 			}
 			c2.Close()
 		}},
-		{"the holder's own resume passes", func(t *testing.T, srv *Server) {
+		{"the holder's own resume passes", func(t *testing.T, srv *Server, _ func()) {
 			srv.BroadcastBatch([]osn.Event{testEvent(0)})
 			c, err := DialFrom(srv.Addr(), 1, WithPartition(1, 3))
 			if err != nil {
@@ -415,7 +416,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 			}
 			c2.Close()
 		}},
-		{"whole-feed sessions share the feed", func(t *testing.T, srv *Server) {
+		{"whole-feed sessions share the feed", func(t *testing.T, srv *Server, _ func()) {
 			for _, opts := range [][]DialOption{nil, {WithPartition(0, 1)}} {
 				a, err := Dial(srv.Addr(), opts...)
 				if err != nil {
@@ -429,7 +430,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				b.Close()
 			}
 		}},
-		{"adoption hands over the held snapshot", func(t *testing.T, srv *Server) {
+		{"adoption hands over the held snapshot", func(t *testing.T, srv *Server, _ func()) {
 			for i := 0; i < 10; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
@@ -462,7 +463,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				c.Close()
 			}
 		}},
-		{"offers come from the key's owner", func(t *testing.T, srv *Server) {
+		{"offers come from the key's owner", func(t *testing.T, srv *Server, _ func()) {
 			for i := 0; i < 10; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
@@ -506,7 +507,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("held (%d, %q), want the equal-sequence re-offer at 5", seq, data)
 			}
 		}},
-		{"a fence refusal of an adopting hello is no lost range", func(t *testing.T, srv *Server) {
+		{"a fence refusal of an adopting hello is no lost range", func(t *testing.T, srv *Server, _ func()) {
 			for i := 0; i < 10; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
@@ -517,7 +518,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("adopting a fenced shape: err = %v, want the fence refusal, not ErrGap", err)
 			}
 		}},
-		{"a broker that ignores adopt is refused", func(t *testing.T, _ *Server) {
+		{"a broker that ignores adopt is refused", func(t *testing.T, _ *Server, _ func()) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -541,18 +542,25 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("welcome without the adopt echo: err = %v, want a refusal", err)
 			}
 		}},
-		{"an unresumable held snapshot is ErrGap", func(t *testing.T, srv *Server) {
+		{"an unresumable held snapshot is ErrGap", func(t *testing.T, srv *Server, fail func()) {
 			for i := 0; i < 100; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
 			if err := OfferSnapshot(srv.Addr(), owner(t, srv, 1, 2), 1, 2, 5, []byte("state at 5")); err != nil {
 				t.Fatal(err)
 			}
+			fail()
+			for i := 100; i < 200; i++ {
+				srv.BroadcastBatch([]osn.Event{testEvent(i)})
+			}
+			if srv.Stats().SpoolErr == "" {
+				t.Fatal("the spool never failed")
+			}
 			if _, err := DialAdopt(srv.Addr(), 0, WithPartition(1, 2)); !errors.Is(err, ErrGap) || !strings.Contains(err.Error(), "held snapshot at seq 5") {
 				t.Fatalf("adopting past the tail: err = %v, want ErrGap naming the snapshot", err)
 			}
 		}},
-		{"a closing broker's refusal is ErrClosing, no lost range", func(t *testing.T, srv *Server) {
+		{"a closing broker's refusal is ErrClosing, no lost range", func(t *testing.T, srv *Server, _ func()) {
 			srv.BroadcastBatch([]osn.Event{testEvent(0)})
 			srv.log.shut(false) // what a hello dialed while Close runs meets
 			if rep := refusedHello(t, srv.Addr(), frame{Session: "s", Resume: 1}); rep.Class != classClosing {
@@ -567,7 +575,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				}
 			}
 		}},
-		{"an incomplete cut is ErrCutPending", func(t *testing.T, srv *Server) {
+		{"an incomplete cut is ErrCutPending", func(t *testing.T, srv *Server, _ func()) {
 			for i := 0; i < 10; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
@@ -581,7 +589,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("adopting an incomplete cut: err = %v, want ErrCutPending", err)
 			}
 		}},
-		{"a retired shape's refusal names its cutover", func(t *testing.T, srv *Server) {
+		{"a retired shape's refusal names its cutover", func(t *testing.T, srv *Server, _ func()) {
 			for i := 0; i < 10; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
@@ -599,9 +607,13 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("fresh join of a retired shape: err = %v, want ErrRebalanced naming 2 -> 3 at %d", err, barrier)
 			}
 		}},
-		{"a resume below the tail is ErrGap", func(t *testing.T, srv *Server) {
+		{"a resume below the tail is ErrGap", func(t *testing.T, srv *Server, fail func()) {
+			fail()
 			for i := 0; i < 100; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
+			}
+			if srv.Stats().SpoolErr == "" {
+				t.Fatal("the spool never failed")
 			}
 			if rep := refusedHello(t, srv.Addr(), frame{Session: "s", Resume: 1}); rep.Class != classGap {
 				t.Fatalf("resume below the tail: reply %+v, want class %q", rep, classGap)
@@ -612,12 +624,8 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, err := NewServer("127.0.0.1:0", WithReplayBuffer(16))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			tc.run(t, srv)
+			srv, fail := failingServer(t, 16)
+			tc.run(t, srv, fail)
 		})
 	}
 }
@@ -719,60 +727,14 @@ func TestPartitionedBackfillFromStart(t *testing.T) {
 	}
 }
 
-// TestPartitionedStalledSubscriberEvicted is the kick-path audit under
-// filtered subscriptions: a partitioned subscriber that never drains
-// its owned slice is evicted after the stall timeout without wedging
-// the producer, and the eviction tears the connection down.
-func TestPartitionedStalledSubscriberEvicted(t *testing.T) {
-	leakCheck(t)
-	const K = 2
-	owned := actorIn(t, 0, K)
-	s, err := NewServer("127.0.0.1:0",
-		WithReplayBuffer(8), withStallTimeout(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c, err := Dial(s.Addr(), WithPartition(0, K))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	waitClients(t, s, 1)
-	start := time.Now()
-	for i := 0; i < 1000; i++ { // all owned, never read: window fills, then eviction
-		s.BroadcastBatch([]osn.Event{{Type: osn.EvMessage, At: int64(i), Actor: owned, Target: owned}})
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("broadcast wedged for %v despite stall timeout", d)
-	}
-	if st := s.Stats(); st.Evicted != 1 {
-		t.Fatalf("stats = %+v, want exactly one eviction", st)
-	}
-	// Frames already on the wire still drain; the eviction then
-	// surfaces as a connection error, never a clean eof.
-	for {
-		_, err := c.Recv()
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, ErrClosed) {
-			t.Fatalf("evicted subscriber saw a clean eof, want a connection error")
-		}
-		break
-	}
-}
-
-// TestSpoollessPartitionedBackpressureLosesNothing: without a disk
-// tier, a partitioned session whose window is full holds the producer
-// back exactly as a plain one does, and its cursor never runs ahead of
-// what is queued. A cursor advance sent over a chunk still waiting for
-// window space made the client drop that chunk's events as duplicates
-// once they arrived — a silent shortfall with no eviction and a clean
-// eof (mixed feed) — or left the session holding chunks at or below
-// the client's cursor that it never acknowledged, until the stall
-// timeout evicted a subscriber that was reading all along (all-owned
-// feed).
+// TestSpoollessPartitionedBackpressureLosesNothing: on a server given
+// no spool (it spools privately), a partitioned session that falls
+// behind a small tail — a slow reader, or one owning every event — is
+// served the rest from the spool and receives exactly its slice, each
+// event once, with no eviction. Its cursor must never run ahead of what
+// its writer framed: a cursor advance past a chunk not yet framed makes
+// the client drop that chunk's events as duplicates, a silent shortfall
+// with a clean eof.
 func TestSpoollessPartitionedBackpressureLosesNothing(t *testing.T) {
 	const K = 2
 	owned := actorIn(t, 0, K)
@@ -791,7 +753,7 @@ func TestSpoollessPartitionedBackpressureLosesNothing(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			leakCheck(t)
-			s, err := NewServer("127.0.0.1:0", WithReplayBuffer(tc.window), withStallTimeout(time.Second))
+			s, err := NewServer("127.0.0.1:0", WithReplayBuffer(tc.window))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -845,17 +807,16 @@ func TestSpoollessPartitionedBackpressureLosesNothing(t *testing.T) {
 }
 
 // TestPartitionedForeignRunReleasesTail: the tail counts feed events
-// for a partitioned subscriber too, so on a memory-only log a run of
-// foreign events longer than the tail pins it at the subscriber's ack.
-// A full tail has the writer move the client's cursor to the head at
-// once — not after advanceEvery silent events, more than this tail
-// holds — and the client acks a bare cursor advance before it waits
-// again, so the producer never waits out the stall timeout.
+// for a partitioned subscriber too, so a run of foreign events longer
+// than the tail drops chunks the subscriber has not acknowledged. The
+// producer runs on regardless, and the subscriber still receives each
+// owned event between the runs, from the tail or the spool, with no
+// eviction.
 func TestPartitionedForeignRunReleasesTail(t *testing.T) {
 	leakCheck(t)
 	const K, window, total, every = 2, 8, 400, 100
 	owned, foreign := actorIn(t, 0, K), actorIn(t, 1, K)
-	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(window), withStallTimeout(time.Minute))
+	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(window))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -902,13 +863,19 @@ func TestPartitionedForeignRunReleasesTail(t *testing.T) {
 // TestPartitionedLingerExpiryEvicted: the linger clock must run for a
 // detached partitioned session even when every event in the meantime
 // was foreign — a partition that owns nothing still has its lifetime
-// bookkept — and once it has expired, a resume from a sequence the
-// memory-only tail no longer holds is a gap.
+// bookkept — and once it has expired, nothing pins the spool's
+// retention for it any more: a resume from a sequence retention pruned
+// is a gap.
 func TestPartitionedLingerExpiryEvicted(t *testing.T) {
 	leakCheck(t)
 	const K, window = 2, 4
 	foreign := actorIn(t, 1, K)
-	s, err := NewServer("127.0.0.1:0", withSessionLinger(30*time.Millisecond), WithReplayBuffer(window))
+	sp, err := spool.Open(t.TempDir(), spool.WithSegmentBytes(512), spool.WithRetainBytes(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	s, err := NewServer("127.0.0.1:0", withSessionLinger(30*time.Millisecond), WithReplayBuffer(window), WithSpool(sp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -927,8 +894,11 @@ func TestPartitionedLingerExpiryEvicted(t *testing.T) {
 	if st := s.Stats(); st.Sessions != 0 || st.Evicted != 0 {
 		t.Fatalf("linger expiry: sessions=%d evicted=%d, want the session swept with no loss counted", st.Sessions, st.Evicted)
 	}
-	for i := 1; i <= 2*window; i++ { // sequence 1 leaves the tail
+	for i := 1; i <= 200; i++ { // sequence 1 leaves the tail, and retention prunes it
 		s.BroadcastBatch([]osn.Event{{Type: osn.EvMessage, At: int64(i), Actor: foreign, Target: foreign}})
+	}
+	if sp.First() <= 1 {
+		t.Fatal("test premise broken: retention never pruned")
 	}
 	if _, err := DialResume(s.Addr(), c.Session(), 1, WithPartition(0, K)); !errors.Is(err, ErrGap) {
 		t.Fatalf("resume after linger expiry: err = %v, want ErrGap", err)
@@ -946,6 +916,13 @@ func TestSnapshotOfferFetchRoundTrip(t *testing.T) {
 	}
 	defer s.Close()
 	addr := s.Addr()
+	// The broker writes a snapshot beside its spool only once the feed
+	// it covers is there.
+	evs := make([]osn.Event, 600)
+	for i := range evs {
+		evs[i] = testEvent(i)
+	}
+	s.BroadcastBatch(evs)
 
 	if seq, _ := held(s, 1, 3); seq != 0 {
 		t.Fatalf("held seq %d before any offer, want none", seq)

@@ -603,8 +603,8 @@ func TestDialFromHeadOfEmptyFeed(t *testing.T) {
 }
 
 // TestDialFromBelowRetentionIsErrGap: history pruned past the
-// requested sequence rejects loudly with ErrGap, and history that
-// never spooled (memory-only feed) does too.
+// requested sequence rejects loudly with ErrGap, while a server given
+// no spool still backfills its whole history from its private one.
 func TestDialFromBelowRetentionIsErrGap(t *testing.T) {
 	leakCheck(t)
 	sp, err := spool.Open(t.TempDir(), spool.WithSegmentBytes(512), spool.WithRetainBytes(1024))
@@ -636,17 +636,20 @@ func TestDialFromBelowRetentionIsErrGap(t *testing.T) {
 		t.Fatalf("backfill below the retention floor: err=%v, want ErrGap", err)
 	}
 
-	mem, err := NewServer("127.0.0.1:0", WithReplayBuffer(16))
+	private, err := NewServer("127.0.0.1:0", WithReplayBuffer(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mem.Close()
+	defer private.Close()
 	for i := 0; i < 100; i++ { // history runs past the in-memory tail
-		mem.BroadcastBatch([]osn.Event{testEvent(i)})
+		private.BroadcastBatch([]osn.Event{testEvent(i)})
 	}
-	if _, err := DialFrom(mem.Addr(), 1); !errors.Is(err, ErrGap) {
-		t.Fatalf("backfill on a memory-only feed with history: err=%v, want ErrGap", err)
+	b, err := DialFrom(private.Addr(), 1)
+	if err != nil {
+		t.Fatalf("backfill on a privately spooled feed: %v", err)
 	}
+	defer b.Close()
+	recvThrough(t, b, 100)
 }
 
 // TestPublishIntoSpooledBroker: wire-produced batches land in the

@@ -45,7 +45,7 @@ type relayConfig struct {
 type RelayOption func(*relayConfig)
 
 // WithRelayServer passes server options through to the relay's
-// downstream broker — spool, window, linger, batch sizing all apply
+// downstream broker — spool, tail size, linger, batch sizing all apply
 // exactly as on a standalone Server.
 func WithRelayServer(opts ...ServerOption) RelayOption {
 	return func(c *relayConfig) { c.srvOpts = append(c.srvOpts, opts...) }
@@ -94,19 +94,21 @@ type Relay struct {
 }
 
 // NewRelay starts a broker on addr that mirrors the feed served at
-// upstream. The local server comes up immediately — downstream
-// subscribers can connect and (if the relay has a spool) backfill
-// before the upstream link is even established — and the upstream
-// subscription resumes from the local head: an empty spool asks for
-// sequence 1 (full backfill), a restarted relay asks for exactly the
-// first frame it is missing.
+// upstream. Like every broker it spools — on the WithSpool of its
+// WithRelayServer options, else privately (NewServer). The local server
+// comes up immediately — downstream subscribers can connect and
+// backfill what the spool holds before the upstream link is even
+// established — and the upstream subscription resumes from the local
+// head: an empty spool asks for sequence 1 (full backfill), a relay
+// restarted on its spool asks for exactly the first frame it is
+// missing.
 func NewRelay(addr, upstream string, opts ...RelayOption) (*Relay, error) {
 	cfg := relayConfig{maxRetries: 8}
 	for _, fn := range opts {
 		fn(&cfg)
 	}
 	// NewServer already seats the sequencer at the spool's end, so a
-	// spooled relay restarting mid-feed resumes at exactly the first
+	// relay restarting mid-feed on its spool resumes at exactly the first
 	// frame it is missing — no relay-specific recovery step needed.
 	srv, err := NewServer(addr, append(cfg.srvOpts, withAdopting())...)
 	if err != nil {
@@ -217,7 +219,7 @@ func (r *Relay) run() {
 
 // open subscribes upstream as an ordinary manual-ack Client: a hello
 // with Relay set and Resume at the local head + 1, so the upstream
-// either replays what this hop is missing (memory window or its own
+// either replays what this hop is missing (from its tail or its
 // spool) or refuses with the gap error. The welcome's Hop tells the
 // relay its depth; the downstream server advertises hop+1 in its own
 // welcomes. The connection is registered before the hello goes out,

@@ -473,7 +473,7 @@ func TestRelayPartitionedEdge(t *testing.T) {
 		clients[p] = c
 	}
 	waitClients(t, edge.Server(), K)
-	waitClients(t, root, 1) // spool-less root: the hop must be attached before the feed starts
+	waitClients(t, root, 1) // the hop is attached before the feed starts
 
 	type result struct {
 		seqs []uint64
@@ -578,6 +578,14 @@ func TestRelaySnapshotRendezvousAtEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer edge.Close()
+	// The edge writes a snapshot beside its spool only once the feed it
+	// covers is there.
+	evs := make([]osn.Event, 42)
+	for i := range evs {
+		evs[i] = testEvent(i)
+	}
+	root.BroadcastBatch(evs)
+	waitHead(t, edge.Server(), 42)
 
 	if seq, _ := held(edge.Server(), 0, 2); seq != 0 {
 		t.Fatalf("edge holds seq %d before any offer, want none", seq)

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -32,6 +33,29 @@ func spooledServer(t *testing.T, window int, opts ...ServerOption) (*Server, *sp
 // recvThrough drains the client until lastSeq reaches target,
 // checking sequence continuity via the events' At stamps (testEvent(i)
 // is broadcast as sequence i+1).
+// failingServer is a server with a window-event tail on a spool with
+// 512-byte segments, and fail takes that disk tier offline the way a
+// dying disk would: the spool's directory goes, and the next segment
+// roll fails. From then on the tail is all the feed serves, the one way
+// a broker still loses a range that its readers' acks or its held
+// snapshots pin against pruning. Callers publish past a roll and check
+// ServerStats.SpoolErr.
+func failingServer(t *testing.T, window int) (srv *Server, fail func()) {
+	t.Helper()
+	dir := t.TempDir()
+	sp, err := spool.Open(dir, spool.WithSegmentBytes(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sp.Close() })
+	srv, err = NewServer("127.0.0.1:0", WithReplayBuffer(window), WithSpool(sp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv, func() { os.RemoveAll(dir) }
+}
+
 func recvThrough(t *testing.T, c *Client, target uint64) {
 	t.Helper()
 	for c.LastSeq() < target {
@@ -131,7 +155,7 @@ func TestResumeEvictedSessionFromSpool(t *testing.T) {
 // (CatchUp) and still receives every event.
 func TestSlowSubscriberDemotedNotStalled(t *testing.T) {
 	const total = 5000
-	srv, _ := spooledServer(t, 16, withStallTimeout(50*time.Millisecond))
+	srv, _ := spooledServer(t, 16)
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -139,9 +163,8 @@ func TestSlowSubscriberDemotedNotStalled(t *testing.T) {
 	defer c.Close()
 
 	// Broadcast everything before the consumer reads a byte: the
-	// 16-event tail overflows immediately. Without the spool this
-	// would block for the stall timeout and then evict; with it, the
-	// loop must complete quickly.
+	// 16-event tail overflows immediately, and the loop must still
+	// complete quickly.
 	start := time.Now()
 	demoted := false
 	for i := 0; i < total; i++ {
@@ -255,13 +278,11 @@ func TestResumeBelowRetentionIsErrGap(t *testing.T) {
 // TestManualAckLargeLagOverSpool is the detectd shape that motivates
 // the disk tier: a manual-ack consumer whose acks move only at
 // checkpoints, with a tail far smaller than the checkpoint
-// interval. Without the spool the producer/consumer pair would
-// deadlock (broken only by stall eviction); with it the tail moves on,
-// the consumer reads what it left behind from disk, and the feed
-// drains fully.
+// interval. The tail moves on, the consumer reads what it left behind
+// from disk, and the feed drains fully.
 func TestManualAckLargeLagOverSpool(t *testing.T) {
 	const total = 4000
-	srv, _ := spooledServer(t, 32, withStallTimeout(100*time.Millisecond))
+	srv, _ := spooledServer(t, 32)
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)

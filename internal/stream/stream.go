@@ -8,8 +8,8 @@
 // and applies the one resume rule. Each subscriber session is a reader
 // of that log — a pair of cursors, what was sent and what the client
 // acknowledged — plus a socket writer that frames the reader's rounds
-// onto its connection. A subscriber that falls behind a memory-only
-// log applies backpressure to the producer instead of losing events. A
+// onto its connection. A producer never waits on a subscriber: a
+// subscriber that falls behind the tail reads the spool. A
 // briefly-disconnected subscriber redials with its last delivered
 // sequence and the log replays the gap, so delivery is at least once
 // end to end (and exactly once through SubscribeBatch, which
@@ -28,14 +28,16 @@
 // exactly where the broker's log ends, and the downstream eof is
 // emitted only after every registered producer has closed its epoch.
 //
-// With WithSpool the log continues on disk (internal/spool): every
-// batch is also appended to the spool, and a reader whose next
-// sequence has left the tail — a subscriber that fell behind, one
-// resuming after a long outage, one restarting from a stale
-// snapshot — reads it from segment files until it reaches the tail
-// again. The tail then drops its oldest frames freely, so no
-// subscriber holds the producer back, and ErrGap retreats to genuine
-// retention loss.
+// Every log continues on disk (internal/spool): every batch is also
+// appended to the spool, and a reader whose next sequence has left the
+// tail — a subscriber that fell behind, one resuming after a long
+// outage, one restarting from a stale snapshot — reads it from segment
+// files until it reaches the tail again. The tail drops its oldest
+// frames freely, so no subscriber holds the producer back, and ErrGap
+// is genuine loss: retention pruned the range, or the spool failed.
+// WithSpool names the spool (a deployment's directory, kept across
+// restarts); without it the server opens a private one in a temporary
+// directory and removes it when it closes.
 //
 // Besides the feed, a broker answers two one-shot control exchanges —
 // a snapshot offer and a rebalance prepare, which sequences a cutover
@@ -58,6 +60,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -75,10 +78,8 @@ import (
 // edge cases.
 const (
 	// DefaultReplayBuffer is the size of the log's in-memory tail in
-	// feed events, shared by every subscriber. Without a spool it is
-	// also the most a subscriber may leave unacknowledged before it
-	// holds the producer back; with one, a subscriber that falls out of
-	// the tail reads from disk instead.
+	// feed events, shared by every subscriber: a subscriber that falls
+	// out of it reads from the spool.
 	DefaultReplayBuffer = 16384
 	// DefaultMaxBatch caps events per batch frame.
 	DefaultMaxBatch = 256
@@ -88,12 +89,6 @@ const (
 	// DefaultSessionLinger is how long a disconnected session's cursors
 	// are kept for resume before it is evicted.
 	DefaultSessionLinger = 30 * time.Second
-	// DefaultStallTimeout is how long BroadcastBatch waits, with the
-	// tail full, on one connected subscriber that has not acknowledged
-	// its oldest frame before evicting it (liveness backstop: a
-	// dead-but-connected client cannot wedge the feed forever). Not
-	// reached when a spool is configured — the tail then never waits.
-	DefaultStallTimeout = 30 * time.Second
 	// DefaultDrainTimeout bounds Close: a subscriber still draining the
 	// remaining feed and the eof frame this long after Close began is cut
 	// off.
@@ -109,7 +104,6 @@ type serverOptions struct {
 	replay   int
 	maxBatch int
 	linger   time.Duration
-	stall    time.Duration
 	spool    *spool.Spool
 	adopting bool
 }
@@ -154,26 +148,15 @@ func withSessionLinger(d time.Duration) ServerOption {
 	}
 }
 
-// withStallTimeout sets how long BroadcastBatch waits, with the tail
-// full, on one connected subscriber that has not acknowledged the
-// tail's oldest frame before evicting it (spool-less servers only).
-func withStallTimeout(d time.Duration) ServerOption {
-	return func(o *serverOptions) {
-		if d > 0 {
-			o.stall = d
-		}
-	}
-}
-
-// WithSpool continues the log on disk: every broadcast is appended to
-// the spool, and a session whose next sequence has left the in-memory
-// tail — a slow subscriber, or a resume reaching further back — reads
-// it from the spool's segments, so the tail drops its oldest frames
-// freely and never applies backpressure or evicts. The server adopts
+// WithSpool continues the log on sp, which the caller owns and closes:
+// every broadcast is appended to it, and a session whose next sequence
+// has left the in-memory tail — a slow subscriber, or a resume reaching
+// further back — reads it from the spool's segments. The server adopts
 // the spool's last sequence as its own starting sequence, so a
 // restarted producer reusing a spool directory keeps the log gapless.
 // Retention pruning runs on segment roll, pinned to the minimum
-// acknowledged sequence across sessions.
+// acknowledged sequence across sessions. Without WithSpool the server
+// spools privately (NewServer).
 func WithSpool(sp *spool.Spool) ServerOption {
 	return func(o *serverOptions) { o.spool = sp }
 }
@@ -195,6 +178,11 @@ func WithSpool(sp *spool.Spool) ServerOption {
 type Server struct {
 	ln  net.Listener
 	log *feedLog
+
+	// private is the directory of the spool NewServer opened itself
+	// ("" when the caller passed WithSpool): the server closes that
+	// spool and removes the directory when it closes.
+	private string
 
 	// mu guards the producer registry and the control plane. Admission,
 	// a producer's dedupe and a rebalance's fence hold it across their
@@ -265,8 +253,7 @@ type ServerStats struct {
 	// (local sequencer), n for a relay n hops below the root.
 	Hop int
 	// PerSession breaks lag down by subscriber, sorted worst-lagging
-	// first, so an operator can see which consumer is holding the feed
-	// back before the stall timeout evicts it.
+	// first, so an operator can see which consumer is falling behind.
 	PerSession []SessionStats
 	// PerProducer breaks ingest down by wire producer (publish
 	// sub-protocol), sorted by id. Broadcast above remains the global
@@ -274,10 +261,9 @@ type ServerStats struct {
 	// space, so an audit against Delivered must use it, not any single
 	// producer's count.
 	PerProducer []ProducerStats
-	// Spool accounting, when a disk tier is configured. SpoolFirst is
-	// the oldest retained sequence (resumes reach back this far);
-	// SpoolErr reports the write failure that took the disk tier
-	// offline, if any.
+	// Spool accounting. SpoolFirst is the oldest retained sequence
+	// (resumes reach back this far); SpoolErr reports the write failure
+	// that took the disk tier offline, if any.
 	SpoolFirst uint64
 	SpoolEnd   uint64
 	SpoolErr   string
@@ -292,17 +278,15 @@ type ServerStats struct {
 // SessionStats is one subscriber session's flow-control view, in feed
 // events for partitioned sessions too.
 type SessionStats struct {
-	ID        string  // client-chosen session id
-	Connected bool    // false while lingering for resume
-	CatchUp   bool    // the session's next sequence has left the tail: its writer reads the spool
-	Relay     bool    // subscriber identified itself as a relay hop
-	Part      int     // partition index (meaningful when Parts > 0)
-	Parts     int     // partition group size; 0 = full feed
-	Acked     uint64  // highest sequence the client has acknowledged
-	Behind    uint64  // events behind the feed head (broadcast − acked)
-	Buffered  int     // feed events in the tail above Acked
-	Window    int     // the tail's size (WithReplayBuffer)
-	Fill      float64 // Buffered/Window; at 1.0 this session stalls a spool-less BroadcastBatch
+	ID        string // client-chosen session id
+	Connected bool   // false while lingering for resume
+	CatchUp   bool   // the session's next sequence has left the tail: its writer reads the spool
+	Relay     bool   // subscriber identified itself as a relay hop
+	Part      int    // partition index (meaningful when Parts > 0)
+	Parts     int    // partition group size; 0 = full feed
+	Acked     uint64 // highest sequence the client has acknowledged
+	Behind    uint64 // events behind the feed head (broadcast − acked)
+	Buffered  int    // feed events in the tail above Acked
 }
 
 // RebalanceStats describes one rebalance the broker holds, prepared
@@ -319,25 +303,40 @@ type RebalanceStats struct {
 }
 
 // NewServer listens on addr (e.g. "127.0.0.1:0") and starts accepting
-// subscribers.
+// subscribers. Without WithSpool it opens a private spool in a new
+// temporary directory, which Close and Abort remove: such a broker
+// starts empty, as it would in memory, and still never makes a
+// producer wait on a slow subscriber.
 func NewServer(addr string, opts ...ServerOption) (*Server, error) {
+	l := newFeedLog(opts...)
+	var private string
+	if l.opt.spool == nil {
+		dir, err := os.MkdirTemp("", "stream-spool-")
+		if err == nil {
+			l.opt.spool, err = spool.Open(dir)
+		}
+		if err != nil {
+			os.RemoveAll(dir)
+			return nil, fmt.Errorf("stream: private spool: %w", err)
+		}
+		private = dir
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		closeSpool(l.opt.spool, private)
 		return nil, fmt.Errorf("stream: listen: %w", err)
 	}
-	l := newFeedLog(opts...)
 	s := &Server{
 		ln:         ln,
 		log:        l,
+		private:    private,
 		producers:  make(map[string]*producerState),
 		ctl:        plane{log: l, snaps: make(map[partKey]spool.Snapshot), owners: make(map[partKey]string)},
 		ingestDone: make(chan struct{}),
 		encPool:    sync.Pool{New: func() any { return new([]byte) }},
 	}
-	if sp := l.opt.spool; sp != nil {
-		// Nothing races the reload before the broker accepts.
-		s.ctl.reload(sp.LoadCutovers(), sp.LoadSnapshots())
-	}
+	// Nothing races the reload before the broker accepts.
+	s.ctl.reload(l.opt.spool.LoadCutovers(), l.opt.spool.LoadSnapshots())
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -369,15 +368,11 @@ func (s *Server) acceptLoop() {
 // BroadcastBatch assigns the events one contiguous run of sequence
 // numbers and publishes the batch: the canonical frame is encoded
 // exactly once per maxBatch chunk under no lock, appended to the spool
-// (when configured) and to the tail, where every subscriber reads the
-// same bytes — N subscribers cost one append, not N re-encodes.
-// Without a spool it blocks — up to the stall timeout per subscriber —
-// while the tail is full and a connected subscriber has not
-// acknowledged its oldest chunk, so a slow consumer slows the feed down
-// instead of losing events; with a spool the tail drops the chunk and
-// the slow subscriber reads it from disk. Safe for concurrent use
-// (concurrent batches interleave at sequencing, never within a batch);
-// must not overlap Close.
+// and to the tail, where every subscriber reads the same bytes — N
+// subscribers cost one append, not N re-encodes. It never waits on a
+// subscriber: a slow one reads the chunks the tail dropped from the
+// spool. Safe for concurrent use (concurrent batches interleave at
+// sequencing, never within a batch); must not overlap Close.
 func (s *Server) BroadcastBatch(evs []osn.Event) {
 	if len(evs) == 0 {
 		return
@@ -534,7 +529,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Adopted snapshots' payloads follow the welcome as raw frames,
 	// under the handshake deadline, before the writer owns the socket.
 	welcome.T, welcome.V, welcome.Adopt = frameWelcome, ProtocolVersion, hello.Adopt
-	welcome.Hop, welcome.Window, welcome.Snaps = int(s.hop.Load()), s.log.window(), len(snaps)
+	welcome.Hop, welcome.Snaps = int(s.hop.Load()), len(snaps)
 	for _, sn := range snaps {
 		welcome.Seq, welcome.Size = sn.Seq, welcome.Size+uint64(len(sn.Data))
 	}
@@ -733,12 +728,9 @@ func (s *Server) Stats() ServerStats {
 		Snapshots:   snaps,
 		Rebalances:  reb,
 	}
-	if sp := l.opt.spool; sp != nil {
-		st.SpoolFirst = sp.First()
-		st.SpoolEnd = sp.End()
-		if err := l.spoolErr.Load(); err != nil {
-			st.SpoolErr = (*err).Error()
-		}
+	st.SpoolFirst, st.SpoolEnd = l.opt.spool.First(), l.opt.spool.End()
+	if err := l.spoolErr.Load(); err != nil {
+		st.SpoolErr = (*err).Error()
 	}
 	return st
 }
@@ -755,8 +747,9 @@ func (s *Server) NumClients() int {
 // closing, and the listener stays open for spareNotice past the last
 // held refusal, so a waiting spare hears that the feed ended; a spare
 // that finds the listener gone cannot tell a restart from an end. All
-// BroadcastBatch calls must have returned. The spool, if any, is not
-// closed — it belongs to the caller and outlives the server.
+// BroadcastBatch calls must have returned. A spool passed WithSpool is
+// not closed — it belongs to the caller and outlives the server; a
+// private one is closed and removed.
 func (s *Server) Close() error {
 	if !s.log.shut(false) {
 		s.ln.Close()
@@ -776,6 +769,7 @@ func (s *Server) Close() error {
 	// unless the spool still holds it for a future resume against a
 	// restarted producer.
 	s.log.evictAll()
+	s.closePrivate()
 	return err
 }
 
@@ -785,14 +779,36 @@ func (s *Server) Close() error {
 // nothing flushed on the way out. Subscribers see a dead TCP peer, not
 // a protocol goodbye, which is precisely what resume and relay
 // reconnect logic must survive. Safe to call concurrently with
-// BroadcastBatch/AdoptFrame; in-flight publishes are unblocked by the
-// evictions rather than waited for.
+// BroadcastBatch/AdoptFrame. A private spool is closed and removed once
+// every publish already under way has finished.
 func (s *Server) Abort() {
 	s.ln.Close()
-	if s.log.shut(true) {
+	shut := s.log.shut(true)
+	if shut {
 		s.severProducers()
 	}
 	s.wg.Wait()
+	if shut {
+		s.closePrivate()
+	}
+}
+
+// closePrivate closes a private spool and removes its directory, once
+// every batch reserved before the log closed is published (none is
+// reserved after).
+func (s *Server) closePrivate() {
+	if s.private == "" {
+		return
+	}
+	seq, _ := s.log.seq()
+	s.log.published(seq)
+	closeSpool(s.log.opt.spool, s.private)
+}
+
+// closeSpool closes the private spool sp and removes its directory.
+func closeSpool(sp *spool.Spool, dir string) {
+	sp.Close()
+	os.RemoveAll(dir)
 }
 
 // severProducers cuts every wire producer's connection once the log is

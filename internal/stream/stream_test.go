@@ -316,14 +316,13 @@ func TestCloseDrainsPendingWindow(t *testing.T) {
 }
 
 // TestStallingSubscriberLosesNothing is the at-least-once acceptance
-// test: a subscriber that stalls longer than the replay window would
-// have lost events under the v1 drop-oldest feed. Under v2 the
-// producer blocks until the subscriber drains, and every event arrives
-// exactly once, in order.
+// test: a subscriber that stalls while the feed runs far past the tail
+// would have lost events under the v1 drop-oldest feed. Now the tail
+// drops them onto the spool — a private one here — and every event
+// arrives exactly once, in order.
 func TestStallingSubscriberLosesNothing(t *testing.T) {
 	const window = 64
-	s, err := NewServer("127.0.0.1:0",
-		WithReplayBuffer(window), withMaxBatch(16), withStallTimeout(time.Minute))
+	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(window), withMaxBatch(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,12 +338,12 @@ func TestStallingSubscriberLosesNothing(t *testing.T) {
 	go func() {
 		defer close(sent)
 		for i := 0; i < total; i++ {
-			s.BroadcastBatch([]osn.Event{testEvent(i)}) // blocks while the subscriber stalls
+			s.BroadcastBatch([]osn.Event{testEvent(i)})
 		}
 	}()
 
-	// Read a little, then stall long enough for the producer to slam
-	// into the full window, then drain.
+	// Read a little, then stall long enough for the producer to run
+	// past the tail, then drain.
 	for i := 0; i < 10; i++ {
 		if _, err := c.Recv(); err != nil {
 			t.Fatalf("recv %d: %v", i, err)
@@ -367,14 +366,74 @@ func TestStallingSubscriberLosesNothing(t *testing.T) {
 	}
 }
 
-// TestChunkLargerThanTailAccepted: on a memory-only log a frame bigger
-// than the whole tail is still accepted — the tail always keeps its
-// newest chunk — so a tail smaller than maxBatch slows the producer to
-// the subscriber's acks instead of wedging it into the stall eviction.
+// TestProducerNeverWaitsOnAStalledReader: a server given no spool
+// spools privately, so a subscriber that stops reading and acking holds
+// no producer up. Four tails' worth of events are published while it
+// stalls, within a bound far above what publishing them takes; the
+// subscriber then reads on and gets every event exactly once, in
+// order, with nobody evicted.
+func TestProducerNeverWaitsOnAStalledReader(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitClients(t, s, 1)
+
+	const total = 4 * DefaultReplayBuffer
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		evs := make([]osn.Event, DefaultMaxBatch)
+		for off := 0; off < total; off += len(evs) {
+			for i := range evs {
+				evs[i] = testEvent(off + i)
+			}
+			s.BroadcastBatch(evs)
+		}
+	}()
+	select {
+	case <-published:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the producer is still waiting on a stalled subscriber after 10 s")
+	}
+
+	for i := 0; i < total; i++ {
+		ev, err := c.Recv()
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if ev.At != int64(i) {
+			t.Fatalf("lost, repeated or reordered: event %d has At=%d", i, ev.At)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	if _, err := c.Recv(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("after every event: err = %v, want ErrClosed", err)
+	}
+	c.Close() // lets Close return without waiting out the drain deadline
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Evicted != 0 || st.Broadcast != total || st.Delivered != total {
+		t.Fatalf("stats = evicted %d, broadcast %d, delivered %d; want 0, %d, %d", st.Evicted, st.Broadcast, st.Delivered, total, total)
+	}
+}
+
+// TestChunkLargerThanTailAccepted: a frame bigger than the whole tail
+// is still accepted — the tail always keeps its newest chunk — so a
+// tail smaller than maxBatch neither wedges the producer nor loses the
+// subscriber anything.
 func TestChunkLargerThanTailAccepted(t *testing.T) {
 	leakCheck(t)
 	const window, batch, batches = 8, 100, 20
-	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(window), withStallTimeout(time.Minute))
+	s, err := NewServer("127.0.0.1:0", WithReplayBuffer(window))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +470,7 @@ func TestChunkLargerThanTailAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("oversized chunks took %v: the producer waited out stall timeouts", d)
+		t.Fatalf("oversized chunks took %v", d)
 	}
 	if st := s.Stats(); st.Evicted != 0 || st.Broadcast != batch*batches {
 		t.Fatalf("stats = %+v", st)

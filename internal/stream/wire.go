@@ -131,11 +131,6 @@ type frame struct {
 	NParts  int    `json:"nparts,omitempty"` // new partition group size
 
 	Hop int `json:"hop,omitempty"` // welcome: answering broker's tree depth (0 = root; relay.go)
-
-	// Window (welcome) is the tail, in feed events, that the answering
-	// broker holds its producers on for this session's acks: its
-	// WithReplayBuffer when it has no usable spool, 0 when it has one.
-	Window int `json:"window,omitempty"`
 }
 
 // writeFrame emits one length-prefixed frame payload.
