@@ -18,9 +18,9 @@
 // refusal means, which events of a batch it applies, where it retires,
 // when it saves, what it acks and where it resumes. The control-plane
 // explorer drives that same kernel. A Worker does the I/O around it:
-// the dials and their backoff, the client, the pipeline, the snapshot
-// codec, Kill and Stop. The lifecycle (docs/ARCHITECTURE.md, "Resume
-// contract"):
+// the dials (on every broker client's redial loop, stream.Redial), the
+// client, the pipeline, the snapshot codec, Kill and Stop. The
+// lifecycle (docs/ARCHITECTURE.md, "Resume contract"):
 //
 //   - Start, with Handoff, adopts the partition's snapshot at the
 //     broker (a whole-feed worker's key is 0/1) in the subscribe
@@ -133,6 +133,7 @@ type Worker struct {
 	mu              sync.Mutex
 	c               *stream.Client // current connection, for Kill and Stop
 	killed, stopped atomic.Bool
+	quit            chan struct{} // closed by Kill or Stop: cuts a redial's sleep short
 
 	offered      atomic.Uint64 // highest sequence the broker confirmed
 	firstApplied atomic.Uint64 // lowest global sequence ingested (0: none yet)
@@ -143,21 +144,17 @@ type Worker struct {
 	done chan struct{}
 }
 
-// heldPoll is how often a starting worker redials while another
-// worker's session holds its partition key, or a rebalance cut it is
-// to adopt is not complete.
-const heldPoll = 50 * time.Millisecond
-
 // Start subscribes — with Handoff adopting the key's broker snapshot,
 // or re-keying a live rebalance's cut — and begins ingesting in a
 // background goroutine. While another worker's session holds the key,
-// or the cut is not complete, Start waits, redialing every heldPoll; it
-// returns once the worker is admitted (having offered the re-keyed
-// state), with an error wrapping stream.ErrRebalanced at once when a
-// rebalance retired the key's shape before the worker's resume point,
-// with one wrapping stream.ErrClosed at once when the broker closes
-// the feed while it waits as a spare, or with an error once the broker
-// stops answering (Retries consecutive failed dials).
+// or the cut is not complete, Start waits, redialing on the redial
+// loop's poll (stream.Redial); it returns once the worker is admitted
+// (having offered the re-keyed state), with an error wrapping
+// stream.ErrRebalanced at once when a rebalance retired the key's shape
+// before the worker's resume point, with one wrapping stream.ErrClosed
+// at once when the broker closes the feed while it waits as a spare, or
+// with an error once the broker stops answering (Retries+1 consecutive
+// failed dials).
 func Start(cfg Config) (*Worker, error) {
 	if cfg.Parts < 0 || cfg.Part < 0 || cfg.Part >= max(cfg.Parts, 1) {
 		return nil, fmt.Errorf("cluster: invalid partition %d/%d", cfg.Part, cfg.Parts)
@@ -191,7 +188,7 @@ func Start(cfg Config) (*Worker, error) {
 }
 
 func newWorker(cfg Config) *Worker {
-	return &Worker{cfg: cfg, done: make(chan struct{}), k: stream.Kernel{Part: cfg.Part, Parts: cfg.Parts,
+	return &Worker{cfg: cfg, done: make(chan struct{}), quit: make(chan struct{}), k: stream.Kernel{Part: cfg.Part, Parts: cfg.Parts,
 		Handoff: cfg.Handoff, FromStart: cfg.FromStart, Every: cfg.Every}}
 }
 
@@ -265,36 +262,22 @@ func rekey(part, parts int, seq uint64, cut [][]byte) (*detector.PipelineSnapsho
 	return out[part], nil
 }
 
-// connect dials the kernel's hellos until one is admitted, the kernel
-// ends the worker (its refusal table, stream.Kernel.Refused), or Retries
-// consecutive dials failed. A refusal the kernel waits out — a held
-// key, an incomplete rebalance cut, or a held snapshot past the feed,
-// which it passes over for a cold start — is redialed every heldPoll.
+// connect dials the kernel's hellos on the redial loop (stream.Redial)
+// until one is admitted, the kernel's refusal table
+// (stream.Kernel.Refused) ends the worker, Retries+1 consecutive dials
+// failed, or Kill or Stop cut a sleep short. A refusal the kernel waits
+// out — a held key, an incomplete rebalance cut, or a held snapshot past
+// the feed, which it passes over for a cold start — is redialed on the
+// loop's poll.
 func (w *Worker) connect() (*stream.Client, error) {
-	backoff := 50 * time.Millisecond
-	for fails := 0; ; {
-		c, err := stream.DialKernel(w.cfg.Addr, &w.k)
-		if err == nil {
-			return c, nil
-		}
-		wait, end := w.k.Refused(err)
-		switch {
-		case end != nil:
-			return nil, end
-		case wait:
-			if errors.Is(err, stream.ErrGap) {
+	return stream.Redial(func() (*stream.Client, error) { return stream.DialKernel(w.cfg.Addr, &w.k) },
+		func(err error) (bool, error) {
+			wait, end := w.k.Refused(err)
+			if wait && errors.Is(err, stream.ErrGap) {
 				w.origin = fmt.Sprintf("broker snapshot is past the feed's retention: cold start (%v)", err)
 			}
-			fails, backoff = 0, 50*time.Millisecond // the broker answers
-			time.Sleep(heldPoll)
-			continue
-		case fails >= w.cfg.Retries || w.killed.Load() || w.stopped.Load():
-			return nil, err
-		}
-		fails++
-		time.Sleep(backoff)
-		backoff = min(2*backoff, 2*time.Second)
-	}
+			return wait, end
+		}, w.cfg.Retries, w.quit)
 }
 
 // attach anchors the pipeline at c's subscription point, so a save
@@ -445,13 +428,20 @@ func (w *Worker) save(c *stream.Client) {
 	}
 }
 
-// signal makes c, when non-nil, the current connection, and delivers a
+// signal makes c, when non-nil, the current connection — nil is a
+// Kill or Stop, which also cuts a redial's sleep short — and delivers a
 // pending Kill or Stop to the current connection.
 func (w *Worker) signal(c *stream.Client) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if c != nil {
 		w.c = c
+	} else {
+		select {
+		case <-w.quit: // an earlier Kill or Stop closed it
+		default:
+			close(w.quit)
+		}
 	}
 	switch {
 	case w.c == nil:

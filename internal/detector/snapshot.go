@@ -97,8 +97,9 @@ func (p *Pipeline) Snapshot() *PipelineSnapshot {
 
 // NewPipelineFromSnapshot rebuilds a live pipeline from a snapshot and
 // returns the stream sequence to resume the feed from (snapshot
-// sequence + 1, ready to hand to stream.DialResume). The check cadence
-// defaults to the snapshot's and an option may override it; the flag
+// sequence + 1, where the feed resumes after a handshake that adopted
+// the snapshot, stream.DialKernel). The check cadence defaults to the
+// snapshot's and an option may override it; the flag
 // hook must be re-installed here since hooks don't serialize. The
 // cluster partition is not overridable: the restored pipeline
 // evaluates the snapshot's Part/Parts slice, and a WithPartition option

@@ -755,6 +755,16 @@ func (s *Spool) Close() error {
 	return err
 }
 
+// Remove closes the active segment without flushing or syncing it and
+// deletes the spool's directory: the end of a spool whose bytes are
+// worth nothing once its owner closes. The spool is unusable after.
+func (s *Spool) Remove() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.f.Close() // with no active segment s.f is nil, and Close just returns an error
+	return os.RemoveAll(s.dir)
+}
+
 // Reader iterates batches from a starting sequence toward the head,
 // reading sealed segments and the flushed prefix of the active one.
 // A Reader holds no lock between calls and tolerates concurrent

@@ -17,7 +17,8 @@ import (
 
 // ErrClosed is returned by RecvBatch when the server ends the
 // feed cleanly (eof frame). Any other receive error means the
-// connection was lost and the session can be resumed with DialResume.
+// connection was lost and the session can be resumed: SubscribeBatch
+// does so on its own.
 var ErrClosed = errors.New("stream: feed closed")
 
 // ErrGap means the server can no longer replay the requested resume
@@ -65,9 +66,9 @@ var ErrHeld = errors.New("stream: partition held by another session")
 // starting worker waits it out.
 var ErrCutPending = errors.New("stream: rebalance cut not complete")
 
-// NewSessionID returns a fresh random subscriber session id: the one a
+// newSessionID returns a fresh random subscriber session id: the one a
 // fresh dial presents, and a relay's upstream session.
-func NewSessionID() string {
+func newSessionID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic("stream: crypto/rand unavailable: " + err.Error())
@@ -82,11 +83,6 @@ type Client struct {
 	br      *bufio.Reader
 	bw      *bufio.Writer
 	session string
-
-	// Partitioned subscription (WithPartition); parts == 0 means the
-	// full feed.
-	part  int
-	parts int
 
 	lastSeq uint64 // last sequence handed to the caller
 	acked   uint64 // last sequence acknowledged to the server
@@ -126,7 +122,7 @@ type dialConfig struct {
 	parts int
 }
 
-// DialOption configures Dial, DialFrom and DialResume.
+// DialOption configures Dial, DialFrom and SubscribeBatch.
 type DialOption func(*dialConfig)
 
 // WithPartition subscribes to one account partition of the feed: the
@@ -149,7 +145,7 @@ func WithPartition(part, parts int) DialOption {
 // Dial connects to a stream server as a fresh subscriber: it receives
 // every event broadcast after the handshake.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
-	return dial(addr, frame{Session: NewSessionID()}, opts)
+	return dial(addr, frame{Session: newSessionID()}, opts)
 }
 
 // DialFrom connects as a fresh subscriber that backfills history: the
@@ -163,19 +159,7 @@ func DialFrom(addr string, from uint64, opts ...DialOption) (*Client, error) {
 	if from == 0 {
 		return nil, errors.New("stream: DialFrom needs a sequence ≥ 1 (use Dial to start at the live head)")
 	}
-	return dial(addr, frame{Session: NewSessionID(), Resume: from}, opts)
-}
-
-// DialResume reconnects an existing session, asking the feed to
-// continue from sequence from (normally LastSeq()+1, with session and
-// the sequence taken from the previous Client). It returns an error
-// wrapping ErrGap when the server no longer holds that part of the
-// stream.
-func DialResume(addr, session string, from uint64, opts ...DialOption) (*Client, error) {
-	if from == 0 || session == "" {
-		return nil, errors.New("stream: DialResume needs a session and a sequence ≥ 1")
-	}
-	return dial(addr, frame{Session: session, Resume: from}, opts)
+	return dial(addr, frame{Session: newSessionID(), Resume: from}, opts)
 }
 
 // DialKernel dials the hello k chose: a resume of its session once
@@ -196,7 +180,7 @@ func DialResume(addr, session string, from uint64, opts ...DialOption) (*Client,
 // (SetManualAck); refused, Kernel.Refused reads the error.
 func DialKernel(addr string, k *Kernel) (*Client, error) {
 	hello := k.hello()
-	hello.Session = cmp.Or(hello.Session, NewSessionID())
+	hello.Session = cmp.Or(hello.Session, newSessionID())
 	c, err := dial(addr, hello, []DialOption{WithPartition(k.Part, k.Parts)})
 	if err == nil {
 		k.admitted(c.session, c.lastSeq+1, c.reshaped, c.adoptedSeq, len(c.adopted), time.Now())
@@ -245,8 +229,6 @@ func subscribe(conn net.Conn, hello frame) (*Client, error) {
 		br:       br,
 		bw:       bufio.NewWriterSize(conn, 4<<10),
 		session:  hello.Session,
-		part:     hello.Part,
-		parts:    hello.Parts,
 		hop:      welcome.Hop,
 		reshaped: welcome.Barrier,
 	}
@@ -501,71 +483,94 @@ func (c *Client) Interrupt() { c.conn.SetReadDeadline(time.Now()) }
 
 // SubscribeBatch dials addr and delivers the feed to fn, whole wire
 // batches in order (each valid only during the call), until the server
-// ends the feed, transparently resuming the session (exponential
-// backoff, up to maxRetries consecutive failures) when the connection
-// drops mid-stream. Sequence numbers make the combined stream
-// exactly-once: fn sees every event delivered after the first
-// handshake, with no gaps and no duplicates. It returns nil on clean
-// end of feed, an error wrapping ErrGap if the server evicted the
-// session (events were irrecoverably lost), one wrapping ErrBadFrame if
-// the server sent a frame the client cannot decode, or the last dial
-// error.
+// ends the feed, transparently resuming the session when the connection
+// drops mid-stream. Its dials are a Kernel's: its hello, its refusal
+// table (Kernel.Refused) and its resume point (Kernel.Lost), on the
+// redial loop (Redial) with maxRetries. Sequence numbers make the
+// combined stream exactly-once: fn sees every event delivered after the
+// first handshake, with no gaps and no duplicates. A partitioned
+// subscription whose key another session holds waits for it, as a spare
+// worker does. It returns nil on clean end of feed (or when the broker
+// closes while it waits), an error wrapping ErrGap if the server can no
+// longer serve the resume (events were irrecoverably lost), one
+// wrapping ErrHeld if another session took the key over, one wrapping
+// ErrBadFrame if the server sent a frame the client cannot decode, or
+// the last dial error.
 func SubscribeBatch(addr string, fn func([]osn.Event), maxRetries int, opts ...DialOption) error {
-	open := func(prev *Client) (*Client, error) {
-		if prev == nil {
-			return Dial(addr, opts...)
-		}
-		return DialResume(addr, prev.Session(), prev.LastSeq()+1, opts...)
+	var cfg dialConfig
+	for _, o := range opts {
+		o(&cfg)
 	}
-	drain := func(c *Client) error {
+	k := &Kernel{Part: cfg.part, Parts: cfg.parts}
+	return follow(k, func() (*Client, error) { return DialKernel(addr, k) }, func(c *Client) error {
 		evs, err := c.RecvBatch()
 		for ; err == nil; evs, err = c.RecvBatch() {
 			fn(evs)
 		}
 		return err
-	}
-	return resumeLoop(open, drain, maxRetries, nil)
+	}, maxRetries, nil)
 }
 
-// resumeLoop is the one subscriber lifecycle, shared by SubscribeBatch
-// and a Relay's upstream link: open a session — fresh when prev is nil,
-// else resumed where prev left off — and drain it until it ends. The
-// clean end of feed (ErrClosed) returns nil; ErrGap, ErrBadFrame and
-// ErrRebalanced are terminal, since a resume would only find the same
-// lost range, frame or fence. Any other error reopens at once, and
-// a failed open is retried with exponential backoff (50ms, doubling
-// while under 2s) until maxRetries consecutive failures, when the last
-// error is returned. Closing quit cuts a backoff sleep short,
-// returning the open's error.
-func resumeLoop(open func(prev *Client) (*Client, error), drain func(*Client) error, maxRetries int, quit <-chan struct{}) error {
-	const minBackoff, maxBackoff = 50 * time.Millisecond, 2 * time.Second
-	backoff, fails := minBackoff, 0
-	var prev *Client
+// follow is the subscriber lifecycle SubscribeBatch and a Relay's
+// upstream link share: redial k's session (Redial, with k's refusal
+// table), drain it until it ends, and on a lost connection note where
+// the client's cursor ended (Kernel.Lost) and redial at once. The clean
+// end of feed — or the end of one a spare waited on — returns nil. An
+// undecodable frame (ErrBadFrame) is terminal, since a resume would
+// only replay it; so is whatever Redial returns.
+func follow(k *Kernel, dial func() (*Client, error), drain func(*Client) error, retries int, quit <-chan struct{}) error {
 	for {
-		c, err := open(prev)
+		c, err := Redial(dial, k.Refused, retries, quit)
 		if err == nil {
-			backoff, fails, prev = minBackoff, 0, c
 			err = drain(c)
 			c.Close()
-		} else {
-			fails++
+			k.Lost(c.LastSeq())
+			if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrBadFrame) {
+				continue // connection lost: resume at once
+			}
 		}
-		switch {
-		case errors.Is(err, ErrClosed):
+		if errors.Is(err, ErrClosed) {
 			return nil
-		case errors.Is(err, ErrGap), errors.Is(err, ErrBadFrame), errors.Is(err, ErrRebalanced),
-			fails > maxRetries:
-			return err
-		case fails == 0:
-			continue // connection lost mid-stream: resume at once
+		}
+		return err
+	}
+}
+
+// The redial schedule: a refusal the caller waits out is redialed every
+// redialPoll, and a failed dial is retried after a backoff that starts
+// at redialPoll and doubles up to maxBackoff.
+const redialPoll, maxBackoff = 50 * time.Millisecond, 2 * time.Second
+
+// Redial is every broker client's one redial loop: it calls dial until
+// a dial succeeds, and asks refused, the caller's rule, what each
+// failure means. wait (the broker answered, and the caller waits its
+// turn) redials after redialPoll and resets the count of failures; a
+// non-nil end is returned at once; neither retries after the backoff.
+// After retries+1 consecutive failed dials it returns the last error.
+// A closed quit cuts any sleep short, returning the last error too.
+func Redial[T any](dial func() (T, error), refused func(error) (wait bool, end error), retries int, quit <-chan struct{}) (T, error) {
+	backoff := redialPoll
+	for fails := 0; ; {
+		c, err := dial()
+		if err == nil {
+			return c, nil
+		}
+		sleep := redialPoll
+		switch wait, end := refused(err); {
+		case end != nil:
+			return c, end
+		case wait:
+			fails, backoff = 0, redialPoll
+		case fails >= retries:
+			return c, err
+		default:
+			fails++
+			sleep, backoff = backoff, min(2*backoff, maxBackoff)
 		}
 		select {
-		case <-time.After(backoff):
+		case <-time.After(sleep):
 		case <-quit:
-			return err
-		}
-		if backoff < maxBackoff {
-			backoff *= 2
+			return c, err
 		}
 	}
 }

@@ -45,8 +45,8 @@ func ExampleServer() {
 
 // ExampleDial drives the client by hand: RecvBatch yields events in
 // sequence order, whole wire batches at a time, and LastSeq names the
-// last sequence delivered: a reconnecting client passes LastSeq()+1 to
-// DialResume.
+// last sequence delivered, after which a resumed session continues
+// (SubscribeBatch resumes on its own).
 func ExampleDial() {
 	srv, err := stream.NewServer("127.0.0.1:0")
 	if err != nil {

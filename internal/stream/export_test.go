@@ -1,6 +1,10 @@
 package stream
 
-import "sybilwild/internal/osn"
+import (
+	"errors"
+
+	"sybilwild/internal/osn"
+)
 
 // Recv is RecvBatch one event at a time, so a test can stop the
 // client between two events of one frame: it blocks for the next
@@ -34,10 +38,22 @@ func (c *Client) Recv() (osn.Event, error) {
 	return ev, nil
 }
 
+// DialResume reconnects an existing session, asking the feed to
+// continue from sequence from (normally LastSeq()+1, with session and
+// the sequence taken from the previous Client). It returns an error
+// wrapping ErrGap when the server no longer holds that part of the
+// stream.
+func DialResume(addr, session string, from uint64, opts ...DialOption) (*Client, error) {
+	if from == 0 || session == "" {
+		return nil, errors.New("stream: DialResume needs a session and a sequence ≥ 1")
+	}
+	return dial(addr, frame{Session: session, Resume: from}, opts)
+}
+
 // DialAdopt connects as a fresh subscriber adopting its partition key's
 // state from, as a handoff worker's first hello does (DialKernel).
 func DialAdopt(addr string, from uint64, opts ...DialOption) (*Client, error) {
-	return dial(addr, frame{Session: NewSessionID(), Resume: from, Adopt: true}, opts)
+	return dial(addr, frame{Session: newSessionID(), Resume: from, Adopt: true}, opts)
 }
 
 // Reshaped returns the welcome's barrier: the newest committed cutover

@@ -20,8 +20,10 @@ import (
 )
 
 // Kernel is one worker's judging rules and the cursors they read. Set
-// the exported fields, then dial with DialKernel. A Kernel is not safe
-// for concurrent use.
+// the exported fields, then dial with DialKernel on the redial loop
+// (Redial), with Refused as its rule. SubscribeBatch and a relay's
+// upstream link dial the same way, with a kernel that judges nothing.
+// A Kernel is not safe for concurrent use.
 type Kernel struct {
 	Part, Parts int           // the worker's key; Parts ≤ 1 is the whole feed
 	Handoff     bool          // adopt the key's held state, offer it, and ack only through confirmed offers
@@ -100,7 +102,7 @@ func (k *Kernel) Refused(err error) (wait bool, end error) {
 		k.cold, k.spare = true, false
 		return true, nil
 	case gap:
-		return false, fmt.Errorf("stream: the feed cannot serve seq %d (history pruned, or the spool failed; a restart adopts a resumable snapshot or starts cold): %w", k.hello().Resume, err)
+		return false, fmt.Errorf("stream: the feed cannot serve seq %d (history pruned, or the spool failed): %w", k.hello().Resume, err)
 	case errors.Is(err, ErrClosing) && k.spare:
 		return false, fmt.Errorf("stream: partition %d/%d: the broker closed the feed while this worker waited (%v): %w", k.Part, max(k.Parts, 1), err, ErrClosed)
 	}

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"cmp"
+	"errors"
 	"testing"
 	"time"
 )
@@ -86,6 +88,141 @@ func TestLostResumesAtDurableState(t *testing.T) {
 		k.Lost(cursor)
 		if h := k.hello(); h.Session != "s" || h.Resume != tc.want {
 			t.Errorf("%s: hello resumes session %q at %d, want s at %d", tc.name, h.Session, h.Resume, tc.want)
+		}
+	}
+}
+
+// TestRedialReadsTheKernelsTable drives every broker client's one
+// redial loop (Redial) with a kernel's refusal table (Kernel.Refused)
+// and a scripted dial, for each refusal class, built as the broker's
+// replies are (rejected), and a plain transport error, in each phase of
+// a subscriber: a worker starting with Handoff, a fresh SubscribeBatch
+// (no Handoff), a spare and an admitted session. It counts the dials.
+// A wait redials after a poll and resets the failure count, so a wait
+// between two runs of retries failed dials still ends admitted. An end
+// returns at the refusal. A retry counts as a failed dial: retries+1
+// of them in a row give up with the last error, retries do not.
+func TestRedialReadsTheKernelsTable(t *testing.T) {
+	const retries = 2
+	const transport = ""
+	failure := func(class string) error {
+		switch class {
+		case transport:
+			return errors.New("stream: dial: connection refused")
+		case classRebalanced:
+			return rejected(frameHello, &frame{Class: class, Parts: 2, NParts: 3, Barrier: 9})
+		}
+		return rejected(frameHello, refusal(class, class+" refusal"))
+	}
+	phases := map[string]func() *Kernel{
+		"starting": func() *Kernel { return &Kernel{Parts: 2, Handoff: true} },
+		"fresh":    func() *Kernel { return &Kernel{Parts: 2} },
+		"spare": func() *Kernel {
+			k := &Kernel{Parts: 2, Handoff: true}
+			k.Refused(failure(classHeld))
+			return k
+		},
+		"admitted": func() *Kernel {
+			k := &Kernel{Parts: 2, Handoff: true}
+			k.admitted("s", 1, 0, 0, 0, time.Time{})
+			return k
+		},
+	}
+	const wait, retry = "wait", "retry"
+	for _, tc := range []struct {
+		phase, class string
+		want         string // wait, retry, or end: the error the end wraps
+		end          error
+	}{
+		{"starting", classHeld, wait, nil},
+		{"starting", classCutPending, wait, nil},
+		{"starting", classGap, wait, nil}, // adopting: passes the held snapshot over for a cold start
+		{"starting", classRebalanced, "", ErrRebalanced},
+		{"starting", classClosing, retry, nil},
+		{"starting", transport, retry, nil},
+		{"fresh", classHeld, wait, nil},
+		{"fresh", classCutPending, wait, nil},
+		{"fresh", classGap, "", ErrGap},
+		{"fresh", classRebalanced, "", ErrRebalanced},
+		{"fresh", classClosing, retry, nil},
+		{"fresh", transport, retry, nil},
+		{"spare", classHeld, wait, nil},
+		{"spare", classCutPending, wait, nil},
+		{"spare", classGap, wait, nil},
+		{"spare", classRebalanced, "", ErrRebalanced},
+		{"spare", classClosing, "", ErrClosed}, // the feed ended while it waited
+		{"spare", transport, retry, nil},
+		{"admitted", classHeld, "", ErrHeld},
+		{"admitted", classCutPending, retry, nil},
+		{"admitted", classGap, "", ErrGap},
+		{"admitted", classRebalanced, "", ErrRebalanced},
+		{"admitted", classClosing, retry, nil},
+		{"admitted", transport, retry, nil},
+	} {
+		t.Run(tc.phase+"/"+cmp.Or(tc.class, "transport"), func(t *testing.T) {
+			t.Parallel()
+			// run redials k through script's failures, then a dial that
+			// succeeds, and returns the result and the dials made.
+			run := func(k *Kernel, script ...error) (dials int, err error) {
+				got, err := Redial(func() (int, error) {
+					if dials++; dials <= len(script) {
+						return 0, script[dials-1]
+					}
+					return dials, nil
+				}, k.Refused, retries, nil)
+				if err == nil && got != dials {
+					t.Fatalf("Redial returned dial %d's result after %d dials", got, dials)
+				}
+				return dials, err
+			}
+			refused, down := failure(tc.class), failure(transport)
+			repeat := func(err error, n int) (errs []error) {
+				for ; n > 0; n-- {
+					errs = append(errs, err)
+				}
+				return errs
+			}
+			switch tc.want {
+			case wait:
+				script := append(append(repeat(down, retries), refused), repeat(down, retries)...)
+				if dials, err := run(phases[tc.phase](), script...); err != nil || dials != 2*retries+2 {
+					t.Errorf("a wait between two runs of %d failed dials: %d dials, %v; want admitted on dial %d", retries, dials, err, 2*retries+2)
+				}
+			case retry:
+				if dials, err := run(phases[tc.phase](), repeat(refused, retries)...); err != nil || dials != retries+1 {
+					t.Errorf("%d retried refusals: %d dials, %v; want admitted on dial %d", retries, dials, err, retries+1)
+				}
+				if dials, err := run(phases[tc.phase](), repeat(refused, retries+1)...); err != refused || dials != retries+1 {
+					t.Errorf("%d retried refusals: %d dials, %v; want to give up with %v after %d", retries+1, dials, err, refused, retries+1)
+				}
+			default:
+				if dials, err := run(phases[tc.phase](), down, refused); !errors.Is(err, tc.end) || dials != 2 {
+					t.Errorf("a failed dial, then the refusal: %d dials, %v; want an end wrapping %v at dial 2", dials, err, tc.end)
+				}
+			}
+		})
+	}
+}
+
+// TestRedialQuitCutsItsSleep: a closed quit ends the redial loop in the
+// sleep after a failed dial, a backoff or a wait's poll alike, with the
+// dial's error. The dial after that sleep would succeed.
+func TestRedialQuitCutsItsSleep(t *testing.T) {
+	quit := make(chan struct{})
+	close(quit)
+	for _, fail := range []error{
+		errors.New("stream: dial: connection refused"),                      // retried after a backoff
+		rejected(frameHello, refusal(classHeld, "held by another session")), // waited out by a starting worker
+	} {
+		dials := 0
+		_, err := Redial(func() (int, error) {
+			if dials++; dials > 1 {
+				return dials, nil
+			}
+			return 0, fail
+		}, (&Kernel{Parts: 2}).Refused, 100, quit)
+		if err != fail || dials != 1 {
+			t.Errorf("quit closed, dial failing with %v: %d dials, %v; want one, cut short with its error", fail, dials, err)
 		}
 	}
 }

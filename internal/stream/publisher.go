@@ -387,66 +387,70 @@ func (p *Publisher) detachLocked() {
 
 // reconnectLocked re-dials within the current epoch and retransmits
 // every unacknowledged batch (the broker's dedupe drops the ones it
-// already sequenced). A transport failure or a closing broker is
-// retried with exponential backoff, bounded by the retries option; any
-// other refusal (a successor fenced this epoch, a relay hop) would be
-// refused again, so it ends the publisher at once. A final failure is
-// sticky. p.mu must be held on entry and
-// is held on return, but is released around each dial and backoff
-// sleep so Abort (and Stats polls) never block behind the retry
-// ladder.
+// already sequenced), on the redial loop (Redial) with the retries
+// option. A transport failure or a closing broker is retried; any other
+// refusal (a successor fenced this epoch, a relay hop) would be refused
+// again, so it ends the publisher at once, as Abort does. A final
+// failure is sticky. p.mu must be held on entry and is held on return,
+// but is released for the redial, so Abort (and Stats polls) never
+// block behind the retry ladder.
 func (p *Publisher) reconnectLocked() error {
 	if p.err != nil {
 		return p.err
 	}
-	backoff := 50 * time.Millisecond
-	var lastErr error
-	for attempt := 0; attempt <= p.opt.retries; attempt++ {
-		p.mu.Unlock()
-		if attempt > 0 {
-			time.Sleep(backoff)
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
+	p.mu.Unlock()
+	_, err := Redial(p.resend, func(err error) (bool, error) {
+		if errors.Is(err, ErrPublisherClosed) || errors.Is(err, errRejected) && !errors.Is(err, ErrClosing) {
+			return false, err
 		}
-		conn, br, welcome, err := p.dial(p.epoch)
-		p.mu.Lock()
-		if p.closed || p.err != nil {
-			// Aborted while we were dialing.
-			if err == nil {
-				conn.Close()
-			}
-			return cmp.Or(p.err, ErrPublisherClosed)
-		}
-		if errors.Is(err, errRejected) && !errors.Is(err, ErrClosing) {
-			p.err = err
-			p.cond.Broadcast()
-			return p.err
-		}
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		// The broker reports what it already has; retire those batches
-		// and resend the remainder in order on the new connection. The
-		// ack reader only reads, and takes p.mu for what it reads.
-		p.retireLocked(welcome.Bseq)
-		p.attachLocked(conn, br)
-		for _, pb := range p.unacked {
-			if err = writeFrame(p.bw, pb.payload); err != nil {
-				break
-			}
-			p.stats.Resent++
-		}
-		if err == nil && p.bw.Flush() == nil {
-			return nil
-		}
-		p.detachLocked()
-		lastErr = errors.New("stream: publish resend failed")
+		return false, nil
+	}, p.opt.retries, nil)
+	p.mu.Lock()
+	switch {
+	case p.closed || p.err != nil:
+		return cmp.Or(p.err, ErrPublisherClosed)
+	case err == nil:
+		return nil
+	case errors.Is(err, errRejected) && !errors.Is(err, ErrClosing):
+		p.err = err
+	default:
+		p.err = fmt.Errorf("stream: publisher gave up after %d reconnect attempts: %w", p.opt.retries, err)
 	}
-	p.err = fmt.Errorf("stream: publisher gave up after %d reconnect attempts: %w", p.opt.retries, lastErr)
 	p.cond.Broadcast()
 	return p.err
+}
+
+// resend is reconnectLocked's dial: it dials the broker within the
+// current epoch, then, under p.mu, retires what the broker reports it
+// already has and resends the remainder in order on the new
+// connection. p.mu must not be held.
+func (p *Publisher) resend() (net.Conn, error) {
+	conn, br, welcome, err := p.dial(p.epoch)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.closed || p.err != nil: // aborted while we were dialing
+		if err == nil {
+			conn.Close()
+		}
+		return nil, ErrPublisherClosed
+	case err != nil:
+		return nil, err
+	}
+	// The ack reader only reads, and takes p.mu for what it reads.
+	p.retireLocked(welcome.Bseq)
+	p.attachLocked(conn, br)
+	for _, pb := range p.unacked {
+		if err = writeFrame(p.bw, pb.payload); err != nil {
+			break
+		}
+		p.stats.Resent++
+	}
+	if err == nil && p.bw.Flush() == nil {
+		return conn, nil
+	}
+	p.detachLocked()
+	return nil, errors.New("stream: publish resend failed")
 }
 
 // Close flushes the batch under construction, waits for every batch

@@ -11,16 +11,17 @@ package stream
 // broker's write loop.
 //
 // Upstream, the relay is an ordinary manual-ack Client run by the
-// resume loop SubscribeBatch runs too: it resumes from its own spool
-// head across restarts of either endpoint (an error wrapping ErrGap is
-// terminal — the upstream pruned below our head and the gap cannot be
-// hidden — and so is an upstream frame that does not decode), and on
-// upstream eof it drains and closes its own server, propagating the
-// eof down the tree. A terminal failure severs the downstream
-// subscribers instead, so none of them mistakes a broken feed for a
-// finished one. On the downstream side it is just a Server: resumable
-// sessions, partitioned fbatch subscriptions, and snapshot rendezvous
-// are all served at the edge.
+// subscriber lifecycle SubscribeBatch runs too, on every broker
+// client's redial loop (Redial) with a whole-feed Kernel's refusal
+// table: it resumes from its own spool head across restarts of either
+// endpoint (an error wrapping ErrGap is terminal — the upstream pruned
+// below our head and the gap cannot be hidden — and so is an upstream
+// frame that does not decode), and on upstream eof it drains and
+// closes its own server, propagating the eof down the tree. A terminal
+// failure severs the downstream subscribers instead, so none of them
+// mistakes a broken feed for a finished one. On the downstream side it
+// is just a Server: resumable sessions, partitioned fbatch
+// subscriptions, and snapshot rendezvous are all served at the edge.
 
 import (
 	"errors"
@@ -52,8 +53,9 @@ func WithRelayServer(opts ...ServerOption) RelayOption {
 }
 
 // withRelayRetries bounds consecutive upstream dial failures before
-// the relay gives up (default 8, on SubscribeBatch's backoff).
-// Failures reset on any successful handshake.
+// the relay gives up (default 8: it gives up after 9 failed dials, on
+// the redial loop's backoff, Redial). Failures reset on any successful
+// handshake.
 func withRelayRetries(n int) RelayOption {
 	return func(c *relayConfig) { c.maxRetries = n }
 }
@@ -76,8 +78,11 @@ type RelayStats struct {
 type Relay struct {
 	srv      *Server
 	upstream string
-	session  string
 	retries  int
+	// k is the upstream session's kernel: a whole-feed one that holds
+	// the relay's session from the start, since every hello of the relay
+	// resumes it at the local head + 1. Only the run goroutine uses it.
+	k Kernel
 
 	mu     sync.Mutex
 	conn   net.Conn // current upstream connection, severed by Close/Abort
@@ -117,7 +122,7 @@ func NewRelay(addr, upstream string, opts ...RelayOption) (*Relay, error) {
 	r := &Relay{
 		srv:      srv,
 		upstream: upstream,
-		session:  NewSessionID(),
+		k:        Kernel{session: newSessionID()},
 		retries:  cfg.maxRetries,
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -190,13 +195,13 @@ func (r *Relay) shutdown() {
 }
 
 // run is the upstream loop: the subscriber lifecycle SubscribeBatch
-// runs too (resumeLoop), with open resuming from the local head and
-// pump adopting frames. It exits on upstream eof (propagated
-// downstream via Close), a terminal error (ErrGap, an undecodable
-// frame, exhausted retries), or Close/Abort.
+// runs too (follow), with open resuming from the local head and pump
+// adopting frames. It exits on upstream eof (propagated downstream via
+// Close), a terminal error (ErrGap, an undecodable frame, exhausted
+// retries), or Close/Abort.
 func (r *Relay) run() {
 	defer close(r.done)
-	err := resumeLoop(r.open, r.pump, r.retries, r.quit)
+	err := follow(&r.k, r.open, r.pump, r.retries, r.quit)
 	r.mu.Lock()
 	closed := r.closed
 	r.mu.Unlock()
@@ -217,14 +222,16 @@ func (r *Relay) run() {
 	}
 }
 
-// open subscribes upstream as an ordinary manual-ack Client: a hello
-// with Relay set and Resume at the local head + 1, so the upstream
-// either replays what this hop is missing (from its tail or its
-// spool) or refuses with the gap error. The welcome's Hop tells the
-// relay its depth; the downstream server advertises hop+1 in its own
-// welcomes. The connection is registered before the hello goes out,
-// so Close and Abort can cut a handshake the upstream never answers.
-func (r *Relay) open(prev *Client) (*Client, error) {
+// open subscribes upstream as an ordinary manual-ack Client: the
+// kernel's hello, with Relay set and Resume at the local head + 1, so
+// the upstream either replays what this hop is missing (from its tail
+// or its spool) or refuses with the gap error, which names that
+// sequence (Kernel.Refused). The welcome's Hop tells the relay its
+// depth; the downstream server advertises hop+1 in its own welcomes.
+// The connection is registered before the hello goes out, so Close and
+// Abort can cut a handshake the upstream never answers.
+func (r *Relay) open() (*Client, error) {
+	r.k.Lost(r.srv.HeadSeq()) // the hello resumes at the local head + 1
 	conn, err := dialBroker(r.upstream)
 	if err != nil {
 		return nil, err
@@ -237,16 +244,17 @@ func (r *Relay) open(prev *Client) (*Client, error) {
 	}
 	r.conn = conn
 	r.mu.Unlock()
-	c, err := subscribe(conn, frame{T: frameHello, V: ProtocolVersion, Session: r.session,
-		Resume: r.srv.HeadSeq() + 1, Relay: true})
+	hello := r.k.hello()
+	hello.T, hello.V, hello.Relay = frameHello, ProtocolVersion, true
+	c, err := subscribe(conn, hello)
 	if err != nil {
 		return nil, err
 	}
-	if prev != nil {
+	// The server's hop is 0 until the first handshake sets it.
+	if r.srv.hop.Swap(int32(c.hop+1)) > 0 {
 		r.reconnects.Add(1)
 	}
 	c.SetManualAck(true)
-	r.srv.hop.Store(int32(c.hop + 1))
 	return c, nil
 }
 

@@ -468,7 +468,7 @@ func TestSpooledSnapshotPinsRetention(t *testing.T) {
 	if seq, _ := held(srv, 0, 2); seq != 50 {
 		t.Fatalf("held seq %d, want the snapshot at 50", seq)
 	}
-	c, err := DialResume(srv.Addr(), NewSessionID(), 51, WithPartition(0, 2))
+	c, err := DialResume(srv.Addr(), newSessionID(), 51, WithPartition(0, 2))
 	if err != nil {
 		t.Fatalf("resume at the snapshot's resume point: %v", err)
 	}

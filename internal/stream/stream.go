@@ -14,9 +14,11 @@
 // sequence and the log replays the gap, so delivery is at least once
 // end to end (and exactly once through SubscribeBatch, which
 // deduplicates on sequence numbers). Client (client.go) is the only
-// code that speaks the subscriber side of the protocol: SubscribeBatch
-// and a Relay's upstream link are the two callers of its one resume
-// loop.
+// code that speaks the subscriber side of the protocol, and every
+// client of the broker — SubscribeBatch, a Relay's upstream link, a
+// detector worker and a Publisher — rides out a lost connection on one
+// redial loop (Redial). The subscribers read every refusal through one
+// table, a Kernel's (kernel.go).
 //
 // The server is a producer-agnostic broker: events enter either via
 // in-process BroadcastBatch calls or from any number of concurrent wire
@@ -42,11 +44,12 @@
 // Besides the feed, a broker answers two one-shot control exchanges —
 // a snapshot offer and a rebalance prepare, which sequences a cutover
 // record into the feed — each on a short-lived connection of its own
-// (see control.go, OfferSnapshot and PrepareRebalance). A partition key has one owner: admission refuses a
-// second session on a held key (ErrHeld), and hands an adopting
-// subscriber the key's held snapshot in the handshake, or, on a shape a
-// live rebalance is cutting over to, the old group's snapshots at the
-// barrier (DialKernel).
+// (see control.go, OfferSnapshot and PrepareRebalance). A partition
+// key has one owner: admission refuses a second session on a held key
+// (ErrHeld), and hands an adopting subscriber the key's held snapshot
+// in the handshake, or, on a shape a live rebalance is cutting over to,
+// the old group's snapshots at the barrier (DialKernel). What each
+// refusal means to the subscriber is its kernel's (Kernel.Refused).
 //
 // The wire protocol — framing, the handshake, sequence/ack semantics
 // and the resume rules — is specified in docs/ARCHITECTURE.md.
@@ -179,10 +182,9 @@ type Server struct {
 	ln  net.Listener
 	log *feedLog
 
-	// private is the directory of the spool NewServer opened itself
-	// ("" when the caller passed WithSpool): the server closes that
-	// spool and removes the directory when it closes.
-	private string
+	// private is set when NewServer opened the spool itself (the caller
+	// passed no WithSpool): the server removes that spool when it closes.
+	private bool
 
 	// mu guards the producer registry and the control plane. Admission,
 	// a producer's dedupe and a rebalance's fence hold it across their
@@ -309,22 +311,21 @@ type RebalanceStats struct {
 // producer wait on a slow subscriber.
 func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 	l := newFeedLog(opts...)
-	var private string
-	if l.opt.spool == nil {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("stream: listen: %w", err)
+	}
+	private := l.opt.spool == nil
+	if private {
 		dir, err := os.MkdirTemp("", "stream-spool-")
 		if err == nil {
 			l.opt.spool, err = spool.Open(dir)
 		}
 		if err != nil {
+			ln.Close()
 			os.RemoveAll(dir)
 			return nil, fmt.Errorf("stream: private spool: %w", err)
 		}
-		private = dir
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		closeSpool(l.opt.spool, private)
-		return nil, fmt.Errorf("stream: listen: %w", err)
 	}
 	s := &Server{
 		ln:         ln,
@@ -793,22 +794,16 @@ func (s *Server) Abort() {
 	}
 }
 
-// closePrivate closes a private spool and removes its directory, once
+// closePrivate removes a private spool, unsynced (spool.Remove), once
 // every batch reserved before the log closed is published (none is
 // reserved after).
 func (s *Server) closePrivate() {
-	if s.private == "" {
+	if !s.private {
 		return
 	}
 	seq, _ := s.log.seq()
 	s.log.published(seq)
-	closeSpool(s.log.opt.spool, s.private)
-}
-
-// closeSpool closes the private spool sp and removes its directory.
-func closeSpool(sp *spool.Spool, dir string) {
-	sp.Close()
-	os.RemoveAll(dir)
+	s.log.opt.spool.Remove()
 }
 
 // severProducers cuts every wire producer's connection once the log is

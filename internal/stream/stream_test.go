@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -554,6 +555,75 @@ func TestSubscribeFailsWhenNoServer(t *testing.T) {
 	err := SubscribeBatch("127.0.0.1:1", func([]osn.Event) {}, 1)
 	if err == nil {
 		t.Fatal("expected dial failure")
+	}
+}
+
+// TestSubscribeBatchEndsWhenItsKeyIsTakenOver: a hand-driven broker, in
+// frameFeeder's style, admits a partitioned subscriber, drops the
+// connection, then refuses every resume as held: another session owns
+// the key now. A SubscribeBatch reads that refusal through its kernel's
+// table (Kernel.Refused) as a worker does, so it ends at the first
+// refused resume with an error wrapping ErrHeld instead of redialing
+// through its retries.
+func TestSubscribeBatchEndsWhenItsKeyIsTakenOver(t *testing.T) {
+	leakCheck(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts atomic.Int32
+	broker := make(chan struct{})
+	go func() {
+		defer close(broker)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, err := readFrame(bufio.NewReader(conn), nil); err == nil { // the hello
+				if accepts.Add(1) == 1 {
+					writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, From: 1})
+				} else {
+					writeControl(conn, frame{T: frameWelcome, V: ProtocolVersion, Class: classHeld, Err: "partition key held by another session"})
+				}
+			}
+			conn.Close()
+		}
+	}()
+	defer func() { ln.Close(); <-broker }()
+	const maxRetries = 3
+	err = SubscribeBatch(ln.Addr().String(), func([]osn.Event) {}, maxRetries, WithPartition(0, 2))
+	if !errors.Is(err, ErrHeld) {
+		t.Fatalf("SubscribeBatch = %v, want an error wrapping ErrHeld", err)
+	}
+	if n := accepts.Load(); n != 2 {
+		t.Fatalf("broker answered %d hellos; want 2: the admission and the one refused resume", n)
+	}
+}
+
+// TestPrivateSpoolLeavesNothingBehind: a broker opened without WithSpool
+// spools into a temporary directory of its own and removes it when it
+// ends, by Close and by Abort alike.
+func TestPrivateSpoolLeavesNothingBehind(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	for _, end := range []string{"Close", "Abort"} {
+		s, err := NewServer("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.BroadcastBatch([]osn.Event{testEvent(1), testEvent(2)})
+		if dirs, _ := filepath.Glob(filepath.Join(tmp, "stream-spool-*")); len(dirs) != 1 {
+			t.Fatalf("%s: the running broker spools in %q, want one private spool", end, dirs)
+		}
+		if end == "Close" {
+			s.Close()
+		} else {
+			s.Abort()
+		}
+		if dirs, _ := filepath.Glob(filepath.Join(tmp, "stream-spool-*")); len(dirs) != 0 {
+			t.Errorf("after %s: %q left behind", end, dirs)
+		}
 	}
 }
 
