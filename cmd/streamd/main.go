@@ -20,7 +20,11 @@
 // backfill the entire campaign from sequence 1 (detectd -from-start),
 // restart from a stale snapshot far past the in-memory tail, or fall
 // behind the tail without holding any producer up — regardless of
-// which producer each event came from.
+// which producer each event came from. A write the broker's promises
+// rest on that fails — a spool append or sync, or a cutover note beside
+// the spool (a full disk, a removed directory) — stops the broker: it
+// severs every producer and subscriber without eof, prints its audit
+// naming the failure, and exits 1, in root and relay mode alike.
 //
 // Subscribers may also join partitioned (detectd -partition i/K): the
 // broker filters each such session's feed down to its partition's
@@ -152,6 +156,9 @@ func main() {
 	st = srv.Stats()
 	fmt.Printf("sent=%d delivered=%d encodes=%d sessions_evicted=%d\n", st.Broadcast, st.Delivered, st.Encodes, st.Evicted)
 	closeSpool(sp, st.SpoolErr)
+	if st.SpoolErr != "" {
+		log.Fatal(st.SpoolErr)
+	}
 }
 
 // onSignal returns a channel closed at the first SIGINT or SIGTERM; a
@@ -172,7 +179,8 @@ func onSignal() <-chan struct{} {
 // serve runs the root broker until its feed is complete — every
 // producer of the group that registered within wait closed its epoch,
 // and linger passed — narrating ingest progress, and reports whether
-// it was. A signal (stop) ends it early.
+// it was. A signal (stop) ends it early, and so does a failed write
+// that stopped the broker, which also closes IngestDone.
 func serve(srv *stream.Server, stop <-chan struct{}, wait, linger, statsEvery time.Duration) bool {
 	deadline, done := time.After(wait), srv.IngestDone()
 	var lingered <-chan time.Time
@@ -185,6 +193,9 @@ func serve(srv *stream.Server, stop <-chan struct{}, wait, linger, statsEvery ti
 				log.Fatal("no producer registered; exiting")
 			}
 		case <-done:
+			if srv.Stats().SpoolErr != "" {
+				return false
+			}
 			if linger > 0 {
 				fmt.Printf("all producer epochs closed; serving subscribers for another %v\n", linger)
 			}

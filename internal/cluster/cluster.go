@@ -25,9 +25,9 @@
 //   - Start, with Handoff, adopts the partition's snapshot at the
 //     broker (a whole-feed worker's key is 0/1) in the subscribe
 //     handshake, so the state adopted is the one the broker held when
-//     it made the worker the key's owner. With none, or one the feed
-//     can no longer resume, the worker joins the feed's live head, or
-//     backfills it from sequence 1 with FromStart. A partition key has
+//     it made the worker the key's owner. With none, the worker joins
+//     the feed's live head, or backfills it from sequence 1 with
+//     FromStart. A partition key has
 //     one owner: while another worker's session holds it, Start waits.
 //     A second worker with the same Config is therefore a spare that
 //     takes over, with the dead owner's freshest offer, when the owner's
@@ -125,7 +125,7 @@ type Worker struct {
 	k   stream.Kernel
 	p   *detector.Pipeline
 
-	origin      string // the starting state, for the start-up log ("": cold)
+	origin      string // the adopted starting state, for the start-up log ("": cold)
 	handoffSeq  uint64 // the adopted snapshot's sequence (0: none)
 	resumedFrom uint64
 	stats       Stats
@@ -266,18 +266,11 @@ func rekey(part, parts int, seq uint64, cut [][]byte) (*detector.PipelineSnapsho
 // until one is admitted, the kernel's refusal table
 // (stream.Kernel.Refused) ends the worker, Retries+1 consecutive dials
 // failed, or Kill or Stop cut a sleep short. A refusal the kernel waits
-// out — a held key, an incomplete rebalance cut, or a held snapshot past
-// the feed, which it passes over for a cold start — is redialed on the
+// out — a held key, or an incomplete rebalance cut — is redialed on the
 // loop's poll.
 func (w *Worker) connect() (*stream.Client, error) {
 	return stream.Redial(func() (*stream.Client, error) { return stream.DialKernel(w.cfg.Addr, &w.k) },
-		func(err error) (bool, error) {
-			wait, end := w.k.Refused(err)
-			if wait && errors.Is(err, stream.ErrGap) {
-				w.origin = fmt.Sprintf("broker snapshot is past the feed's retention: cold start (%v)", err)
-			}
-			return wait, end
-		}, w.cfg.Retries, w.quit)
+		w.k.Refused, w.cfg.Retries, w.quit)
 }
 
 // attach anchors the pipeline at c's subscription point, so a save
@@ -483,8 +476,7 @@ func (w *Worker) Wait() error {
 func (w *Worker) Pipeline() *detector.Pipeline { return w.p }
 
 // Origin describes the state the worker started from ("adopted broker
-// snapshot ...", or why a held one was passed over), "" for a cold
-// start.
+// snapshot ..."), "" for a cold start.
 func (w *Worker) Origin() string { return w.origin }
 
 // ResumedFrom returns the feed sequence the first subscription started

@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -283,65 +282,6 @@ func TestLiveRebalanceEarlyStart(t *testing.T) {
 	for s := uint64(1); s <= uint64(len(events))+1; s++ {
 		if judged[s] != 1 {
 			t.Fatalf("seq %d judged by %d owners, want exactly 1", s, judged[s])
-		}
-	}
-}
-
-// TestLostRebalanceCutRefused: the old group's snapshots at the
-// barrier B pin the spool's retention until the rebalance commits, so
-// only a failed spool loses B+1. A 2→3 cut whose spool fails before its
-// new workers start, the tail then moving past B+1, is refused, not
-// skipped by a cold start that would leave (B, head] unjudged: each new
-// Start fails naming B, no session of the new shape is admitted and the
-// rebalance stays uncommitted.
-func TestLostRebalanceCutRefused(t *testing.T) {
-	events, rule := campaignFeed()
-	const from, to = 2, 3
-	srv, fail := failingServer(t, 1024)
-	var err error
-	oldGen := make([]*cluster.Worker, from)
-	for p := range oldGen {
-		cfg := workerConfig(srv.Addr(), p, from, rule)
-		cfg.Handoff = false
-		if oldGen[p], err = cluster.Start(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	third := len(events) / 3
-	for _, ev := range events[:third] {
-		srv.BroadcastBatch([]osn.Event{ev})
-	}
-	barrier, err := stream.PrepareRebalance(srv.Addr(), from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, w := range oldGen {
-		err := w.Wait()
-		if b, _, ok := w.Rebalanced(); err != nil || !ok || b != barrier {
-			t.Fatalf("old worker %d/%d: %v, retired at (%d, %v), want the barrier %d", p, from, err, b, ok, barrier)
-		}
-	}
-	fail()
-	for _, ev := range events[third : 2*third] {
-		srv.BroadcastBatch([]osn.Event{ev})
-	}
-	if srv.Stats().SpoolErr == "" {
-		t.Fatal("the spool never failed")
-	}
-	for p := 0; p < to; p++ {
-		cfg := workerConfig(srv.Addr(), p, to, rule)
-		cfg.Retries = 0
-		if w, err := cluster.Start(cfg); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("barrier %d", barrier)) {
-			t.Fatalf("new worker %d/%d: Start returned (%v, %v), want an error naming the barrier %d", p, to, w, err, barrier)
-		}
-	}
-	st := srv.Stats()
-	if len(st.Rebalances) != 1 || st.Rebalances[0].Committed {
-		t.Fatalf("rebalance audit %+v, want one uncommitted", st.Rebalances)
-	}
-	for _, ss := range st.PerSession {
-		if ss.Parts == to {
-			t.Fatalf("session %s of the new shape %d/%d was admitted", ss.ID, ss.Part, ss.Parts)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"io"
 	"net"
-	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -183,71 +182,6 @@ func TestColdRestartFromStaleCheckpointViaSpool(t *testing.T) {
 	finish(t, srv, w, events, want)
 	if ev := srv.Stats().Evicted; ev != 0 {
 		t.Fatalf("evicted = %d, want 0 — the disk tier must make this scenario lossless", ev)
-	}
-}
-
-// failingServer is a broker with a window-event tail on a spool with
-// 64 KiB segments, and fail takes that disk tier offline the way a
-// dying disk would: the spool's directory goes, and the next segment
-// roll fails. From then on the tail is all the feed serves, the one way
-// a broker still loses a range that its held snapshots pin against
-// retention. Callers publish past a roll and check ServerStats.SpoolErr.
-func failingServer(t *testing.T, window int) (srv *stream.Server, fail func()) {
-	t.Helper()
-	dir := t.TempDir()
-	sp, err := spool.Open(dir, spool.WithSegmentBytes(64<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sp.Close() })
-	srv, err = stream.NewServer("127.0.0.1:0", stream.WithReplayBuffer(window), stream.WithSpool(sp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, func() { os.RemoveAll(dir) }
-}
-
-// TestUnresumableSnapshotStartsCold: a held snapshot pins the spool's
-// retention at its resume point, so only a failed spool loses it. Here
-// the spool fails after a dead worker's offer, and the tail then moves
-// past the broker's snapshot of it. The snapshot can no longer be
-// resumed, so a replacement says so and starts cold at the live head
-// instead of failing on ErrGap, and its first offer replaces the stale
-// snapshot.
-func TestUnresumableSnapshotStartsCold(t *testing.T) {
-	events, rule, _ := restoreFeed(t)
-	n := len(events)
-	srv, fail := failingServer(t, n/3+16)
-	cfg, held := killMidFeed(t, srv, events, rule)
-	fail()
-	for _, ev := range events[n/3 : 5*n/6] {
-		srv.BroadcastBatch([]osn.Event{ev})
-	}
-	if srv.Stats().SpoolErr == "" {
-		t.Fatal("the spool never failed")
-	}
-	cfg = cluster.WithSaveEvery(cfg, 100)
-	w, err := cluster.Start(cfg)
-	if err != nil {
-		t.Fatalf("start past an unresumable snapshot: %v", err)
-	}
-	if w.HandoffSeq() != 0 || w.ResumedFrom() != 0 || !strings.Contains(w.Origin(), "past the feed's retention") {
-		t.Fatalf("replacement adopted seq %d, resumed from %d (%q); want a cold start at the live head that says why",
-			w.HandoffSeq(), w.ResumedFrom(), w.Origin())
-	}
-	for _, ev := range events[5*n/6:] {
-		srv.BroadcastBatch([]osn.Event{ev})
-	}
-	waitOffered(t, w, held)
-	if got := heldSnapshot(srv, 0, 1); got <= held {
-		t.Fatalf("the broker still holds the snapshot at %d, want the cold worker's newer offer", got)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Wait(); err != nil {
-		t.Fatalf("cold replacement: %v", err)
 	}
 }
 

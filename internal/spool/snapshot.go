@@ -172,7 +172,7 @@ func (s *Spool) Sync(seq uint64) error {
 		s.mu.Lock()
 		s.errSticky = cmp.Or(s.errSticky, err)
 		s.mu.Unlock()
-		return fmt.Errorf("spool: sync: %w", err)
+		return fmt.Errorf("%w: sync: %w", ErrBroken, err)
 	}
 	return nil
 }

@@ -97,9 +97,10 @@ var ErrPruned = errors.New("spool: sequence pruned from retention")
 // directory is left exactly as it was found.
 var ErrJSONFrames = errors.New("spool: directory holds v2 JSON frames; this build reads binary v3 frames only")
 
-// ErrBroken is returned by AppendFrame after a write error has poisoned
-// the spool; the store never silently drops a batch mid-stream.
-var ErrBroken = errors.New("spool: store broken by earlier write error")
+// ErrBroken is returned by AppendFrame and Sync after a write error has
+// poisoned the spool, and wrapped by the error of a failed Sync, which
+// poisons it; the store never silently drops a batch mid-stream.
+var ErrBroken = errors.New("spool: store broken by a write error")
 
 type options struct {
 	segmentBytes int64
@@ -817,8 +818,9 @@ func (r *Reader) NextFrame() (first uint64, n int, payload []byte, err error) {
 		var ok bool
 		first, n, ok = wire.ParseBatchBounds(payload)
 		if !ok {
+			// frameAt moved past the frame; report where it starts.
 			return 0, 0, nil, fmt.Errorf("spool: corrupt frame in %s at byte %d (seq %d expected)",
-				filepath.Base(r.path), r.off, r.next)
+				filepath.Base(r.path), r.off-4-int64(len(payload)), r.next)
 		}
 		if n == 0 || first > r.next {
 			return 0, 0, nil, fmt.Errorf("spool: frame in %s covers seqs %d-%d, expected %d",

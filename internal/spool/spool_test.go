@@ -633,6 +633,48 @@ func TestReaderNextFrame(t *testing.T) {
 	}
 }
 
+// TestReaderReportsCorruptFrameStart: a frame whose payload is not a
+// batch is reported at the byte where the frame starts, its length
+// header, not where the next one would: the first frame of a segment
+// at byte 0, a later one past the frames before it.
+func TestReaderReportsCorruptFrameStart(t *testing.T) {
+	dir := t.TempDir()
+	sp, err := Open(dir, WithSegmentBytes(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	appendN(t, sp, 1, 3)
+	if err := sp.Sync(3); err != nil { // the frames are in the file
+		t.Fatal(err)
+	}
+	frame := int64(4 + len(wire.AppendBatch(nil, 1, []osn.Event{testEvent(1)})))
+	path := activeSegmentPath(t, dir)
+	for _, tc := range []struct {
+		seq uint64 // the frame overwritten, and the read's start
+		at  int64  // where it starts
+	}{{2, frame}, {1, 0}} {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.WriteAt([]byte{0xff, 0xff}, tc.at+4)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := sp.ReadFrom(tc.seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err = rd.NextFrame()
+		rd.Close()
+		if want := fmt.Sprintf("corrupt frame in %s at byte %d (seq %d expected)", filepath.Base(path), tc.at, tc.seq); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("frame at seq %d: err = %v, want %q", tc.seq, err, want)
+		}
+	}
+}
+
 func TestAppendAfterWriteErrorIsBroken(t *testing.T) {
 	dir := t.TempDir()
 	sp, err := Open(dir, WithSegmentBytes(512))

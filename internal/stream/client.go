@@ -22,10 +22,9 @@ import (
 var ErrClosed = errors.New("stream: feed closed")
 
 // ErrGap means the server can no longer replay the requested resume
-// sequence — spool retention pruned it, or the spool failed and the
-// tail moved past it — and at-least-once delivery cannot be preserved.
-// The loss is loud: consumers must rebuild state rather than continue
-// silently.
+// sequence — spool retention pruned it — and at-least-once delivery
+// cannot be preserved. The loss is loud: consumers must rebuild state
+// rather than continue silently.
 var ErrGap = errors.New("stream: resume window lost")
 
 // ErrRebalanced is returned by a dial the broker refused because a
@@ -154,7 +153,7 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 // drained — served from the server's disk spool, so the feed is a
 // replayable log for new consumers, not only resumed ones. It returns
 // an error wrapping ErrGap when from is below the spool's retention
-// floor (or the server's spool failed and its tail moved past from).
+// floor.
 func DialFrom(addr string, from uint64, opts ...DialOption) (*Client, error) {
 	if from == 0 {
 		return nil, errors.New("stream: DialFrom needs a sequence ≥ 1 (use Dial to start at the live head)")
@@ -170,9 +169,7 @@ func DialFrom(addr string, from uint64, opts ...DialOption) (*Client, error) {
 // rebalance is cutting over to, a key with nothing at or past the
 // barrier is handed the old group's snapshots at the barrier instead,
 // for the caller to re-key; until all of them are there the dial is
-// refused with an error wrapping ErrCutPending. A held snapshot the
-// feed can no longer resume is refused with an error wrapping ErrGap.
-// The snapshot and the key's ownership are one decision of the
+// refused with an error wrapping ErrCutPending. The snapshot and the key's ownership are one decision of the
 // broker's, so the state adopted is exactly the one it held when it
 // admitted this session. A broker whose welcome does not echo adopt
 // predates this handshake; the dial fails rather than start cold past
@@ -517,7 +514,8 @@ func SubscribeBatch(addr string, fn func([]osn.Event), maxRetries int, opts ...D
 // the client's cursor ended (Kernel.Lost) and redial at once. The clean
 // end of feed — or the end of one a spare waited on — returns nil. An
 // undecodable frame (ErrBadFrame) is terminal, since a resume would
-// only replay it; so is whatever Redial returns.
+// only replay it; so is a relay hop's own broker stopping (errStopped),
+// and whatever Redial returns.
 func follow(k *Kernel, dial func() (*Client, error), drain func(*Client) error, retries int, quit <-chan struct{}) error {
 	for {
 		c, err := Redial(dial, k.Refused, retries, quit)
@@ -525,7 +523,7 @@ func follow(k *Kernel, dial func() (*Client, error), drain func(*Client) error, 
 			err = drain(c)
 			c.Close()
 			k.Lost(c.LastSeq())
-			if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrBadFrame) {
+			if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrBadFrame) && !errors.Is(err, errStopped) {
 				continue // connection lost: resume at once
 			}
 		}

@@ -33,7 +33,9 @@
 // relay hop when it adopts the frame carrying it (AdoptFrame). A
 // spooled broker notes each cutover beside its log before appending
 // the record (spool.PutCutover) and holds them again when it reopens
-// (NewServer), so a restart keeps the cut.
+// (NewServer), so a restart keeps the cut. A note that cannot be
+// written stops the broker (Server.stop) before the record is
+// published.
 //
 // Every decision — admission, an offer, a prepare, a learned record and
 // the restart reload — is the plane's (plane.go), a socket-free type
@@ -48,8 +50,8 @@ package stream
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"log"
 	"net"
 	"time"
 
@@ -92,11 +94,12 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, req frame, row fi
 
 // ctlOffer stores the raw payload frame that follows the soffer, whose
 // partition key must be valid and whose payload must be the size it
-// announced: the plane checks the offer's owner (offerRefusal), a
-// usable spool writes the payload, outside mu (a large fsync must not
-// stall admission), and the plane takes it (offer), checking the owner
-// again, since admission and commits go on meanwhile. A failed write is
-// refused, so the worker won't ack. A dead owner's file written while
+// announced: the plane checks the offer's owner (offerRefusal), the
+// spool writes the payload, outside mu (a large fsync must not stall
+// admission), and the plane takes it (offer), checking the owner again,
+// since admission and commits go on meanwhile. A failed write is
+// refused, so the worker won't ack, and one that broke the spool (its
+// sync failed) stops the broker too. A dead owner's file written while
 // its successor was admitted stays on disk until an offer passes it; it
 // is a valid state of the key, just not the one adopted. The files of a
 // shape a commit retired go, outside mu too, with the file just written
@@ -122,10 +125,11 @@ func (s *Server) ctlOffer(br *bufio.Reader, req frame) *frame {
 		return &frame{Err: why}
 	}
 	sp := s.log.opt.spool
-	if s.log.spoolUsable() {
-		if err := sp.PutSnapshot(req.Part, req.Parts, req.Seq, payload); err != nil {
-			return &frame{Err: err.Error()}
+	if err := sp.PutSnapshot(req.Part, req.Parts, req.Seq, payload); err != nil {
+		if errors.Is(err, spool.ErrBroken) {
+			s.stop(err)
 		}
+		return &frame{Err: err.Error()}
 	}
 	s.mu.Lock()
 	retired, why := s.ctl.offer(req, payload)
@@ -141,10 +145,12 @@ func (s *Server) ctlOffer(br *bufio.Reader, req frame) *frame {
 
 // ctlPrepare cuts group shape K over to K' (plane.prepare, under mu,
 // which reserves the record's sequence B with the cut); then it notes
-// the cutover beside a spooled log, publishes its record at B, and
-// replies with B once the record is published, and on disk when there
-// is a spool. A retry of the same prepare waits for the same record, so
-// a retry across a dropped connection is safe.
+// the cutover beside the log, publishes its record at B, and replies
+// with B once the record is published and synced to the spool (the
+// explorer's disk-free log has none). A retry of the same prepare waits
+// for the same record, so a retry across a dropped connection is safe.
+// A stopped broker answers with its failure: its record was not
+// published, or not made durable.
 func (s *Server) ctlPrepare(_ *bufio.Reader, req frame) *frame {
 	s.mu.Lock()
 	c, fresh, why := s.ctl.prepare(req.Parts, req.NParts)
@@ -152,18 +158,21 @@ func (s *Server) ctlPrepare(_ *bufio.Reader, req frame) *frame {
 	if why != "" {
 		return &frame{Err: why}
 	}
-	// Every sequence after B waits for the record, the note's fsync
-	// included: a rebalance is rare, and the note must come first.
-	err := s.noteCutover(c)
 	if fresh {
+		// Every sequence after B waits for the record, the note's fsync
+		// included: a rebalance is rare, and the note must come first.
+		s.noteCutover(c)
 		cut := []osn.Event{{Type: osn.EvCutover, Actor: osn.AccountID(c.from), Target: osn.AccountID(c.to)}}
-		s.log.publish(s.buildChunks(c.barrier, 1, func(_, _ int, seq uint64) []byte {
+		s.publish(s.buildChunks(c.barrier, 1, func(_, _ int, seq uint64) []byte {
 			return wire.AppendBatch(nil, seq, cut)
 		}))
 	}
 	s.log.published(c.barrier)
-	if err == nil && s.log.spoolUsable() {
-		err = s.log.opt.spool.Sync(c.barrier)
+	err := s.log.failed()
+	if sp := s.log.opt.spool; err == nil && sp != nil {
+		if err = sp.Sync(c.barrier); err != nil {
+			s.stop(err) // a failed sync broke the spool
+		}
 	}
 	if err != nil {
 		return &frame{Err: err.Error()}
@@ -171,26 +180,24 @@ func (s *Server) ctlPrepare(_ *bufio.Reader, req frame) *frame {
 	return &frame{Parts: c.from, NParts: c.to, Barrier: c.barrier}
 }
 
-// noteCutover notes c beside a usable spool, before its record is
-// appended (spool.PutCutover).
-func (s *Server) noteCutover(c cutover) error {
-	if !s.log.spoolUsable() {
-		return nil
+// noteCutover notes c beside the log before its record is appended
+// (spool.PutCutover), and stops the broker if it cannot: a restart
+// would forget a record noted nowhere.
+func (s *Server) noteCutover(c cutover) {
+	if err := s.log.opt.spool.PutCutover(spool.Cutover{From: c.from, To: c.to, Barrier: c.barrier}); err != nil {
+		s.stop(err)
 	}
-	return s.log.opt.spool.PutCutover(spool.Cutover{From: c.from, To: c.to, Barrier: c.barrier})
 }
 
 // learnCutover holds the cutover named by a record a relay hop adopts
-// at seq, and notes it on a spooled hop. Caller is AdoptFrame, between
-// the frame's reservation and its publication, so the note precedes the
-// record in the hop's spool.
+// at seq, and notes it. Caller is AdoptFrame, between the frame's
+// reservation and its publication, so the note precedes the record in
+// the hop's spool.
 func (s *Server) learnCutover(ev osn.Event, seq uint64) {
 	s.mu.Lock()
 	c := s.ctl.install(int(ev.Actor), int(ev.Target), seq)
 	s.mu.Unlock()
-	if err := s.noteCutover(c); err != nil {
-		log.Printf("stream: %v: a restart of this hop forgets the cutover at %d", err, seq)
-	}
+	s.noteCutover(c)
 }
 
 // dialBroker opens a connection to a broker — the one dial every client

@@ -40,11 +40,11 @@ var exploreDepth = flag.Int("explore.depth", 8, "depth of TestControlPlaneExplor
 
 // TestControlPlaneExplorer searches every event sequence up to
 // -explore.depth from each configuration's seeds: a spooled root, a
-// spooled relay hop that learns cutovers from their records, and a root
-// whose spool failed, so its two-event tail is all the feed still
-// serves, the one configuration with single-worker blips (they double
-// the others' time). The
-// invariants, checked after every step:
+// spooled relay hop that learns cutovers from their records, and a
+// spooled root, from the warm seed alone, whose workers' connections
+// also blip (single-worker blips double a search's time, so only this
+// configuration has them). The log serves every sequence, as a spooled
+// broker does. The invariants, checked after every step:
 //
 //   - one owner: a worker judges only events of its shape's current
 //     generation, no event is judged again while the judge that judged
@@ -84,7 +84,6 @@ type exploreConfig struct {
 	name   string
 	shapes []int // the group shapes workers use; the first is the initial one
 	hop    bool  // a relay hop: cutovers arrive as records (learn), not prepares
-	window int   // the log's tail; when small the spool failed and the tail is all the feed serves, else every sequence is served
 	blip   bool  // the alphabet has single-worker connection blips
 	seeds  [][]event
 }
@@ -95,9 +94,9 @@ func exploreConfigs() []exploreConfig {
 	hop := append(slices.Clone(warm), event{kind: evLearn, a: 2, b: 3}, event{kind: evStart, a: 3}, event{kind: evPub})
 	chain := append(slices.Clone(warm), event{kind: evLearn, a: 2, b: 3}, event{kind: evPub}, event{kind: evLearn, a: 3, b: 2})
 	return []exploreConfig{
-		{name: "spooled-root", shapes: []int{2, 3}, window: 1 << 10, seeds: [][]event{warm, root}},
-		{name: "spooled-hop", shapes: []int{2, 3}, hop: true, window: 1 << 10, seeds: [][]event{hop, chain}},
-		{name: "failed-spool-root", shapes: []int{2, 3}, window: 2, blip: true, seeds: [][]event{warm}},
+		{name: "spooled-root", shapes: []int{2, 3}, seeds: [][]event{warm, root}},
+		{name: "spooled-hop", shapes: []int{2, 3}, hop: true, seeds: [][]event{hop, chain}},
+		{name: "blipping-root", shapes: []int{2, 3}, blip: true, seeds: [][]event{warm}},
 	}
 }
 
@@ -186,8 +185,11 @@ type nopCloser struct{}
 
 func (nopCloser) Close() error { return nil }
 
+// newWorld opens the world's broker: a log with no spool whose tail
+// holds the whole feed, which it never outgrows (maxFeed), so it serves
+// every sequence as a spooled log does.
 func newWorld(cfg *exploreConfig) *world {
-	opts := []ServerOption{WithReplayBuffer(cfg.window)}
+	var opts []ServerOption
 	if cfg.hop {
 		opts = append(opts, withAdopting())
 	}
@@ -207,7 +209,6 @@ func (w *world) clone() *world {
 	n.state.Store(l.state.Load())
 	n.buf = slices.Clone(l.buf[l.lo:])
 	n.head, n.next = l.head, l.next
-	n.barriers = maps.Clone(l.barriers)
 	for id, r := range l.readers {
 		c := *r
 		c.l = n
@@ -344,7 +345,7 @@ func (w *world) events() []event {
 	}
 	if len(w.reserved) > 0 {
 		evs = append(evs, event{kind: evPubCut}, event{kind: evRetry})
-	} else if w.cfg.window > maxFeed && !w.cfg.hop {
+	} else if !w.cfg.hop {
 		evs = append(evs, event{kind: evRestart})
 	}
 	for _, k := range w.cfg.shapes {
@@ -445,8 +446,7 @@ func (w *world) apply(e event, check bool) string {
 		}
 	case evStart:
 		// A start of the shape in force, with no cut into it pending,
-		// admits every free key: a held snapshot the feed lost is passed
-		// over for a cold start.
+		// admits every free key.
 		_, pend, _ := w.srv.ctl.shape(e.a)
 		inForce := e.a == w.cur() && pend == nil && len(w.reserved) == 0
 		for p := 0; p < e.a; p++ {
@@ -502,8 +502,8 @@ func (w *world) apply(e event, check bool) string {
 
 // resume sends the hello of wk, which lost its connection: a resume of
 // its session at its kernel's resume point. It must be admitted exactly
-// there, and only where its shape still judges; on a tail that never
-// drops, only another worker holding the key may refuse it.
+// there, and only where its shape still judges; the log serves every
+// sequence, so only another worker holding the key may refuse it.
 func (w *world) resume(wk *worker) string {
 	at := wk.k.hello().Resume
 	welcome, _, reject, end := w.connect(wk)
@@ -513,7 +513,7 @@ func (w *world) resume(wk *worker) string {
 		return fmt.Sprintf("%s resumed at %d, but its kernel resumes at %d", wk.k.session, welcome.From, at)
 	case reject == nil && !w.legit(wk.k.Parts, at):
 		return fmt.Sprintf("%s (%s) resumed at %d, but shape %d is retired there", wk.key(), wk.k.session, at, wk.k.Parts)
-	case reject != nil && reject.Class != classHeld && w.cfg.window > maxFeed && w.legit(wk.k.Parts, at):
+	case reject != nil && reject.Class != classHeld && w.legit(wk.k.Parts, at):
 		return fmt.Sprintf("%s's resume at %d was refused (%s), though it judges only shape %d's events from there", wk.k.session, at, reject.Err, wk.k.Parts)
 	}
 	return ""
@@ -537,32 +537,27 @@ func (w *world) publishCut() {
 	w.confirmed = append(w.confirmed, c)
 }
 
-// connect sends wk's kernel's hellos to the plane until one is
-// admitted, which the kernel takes, or the kernel stops: a refusal it
-// waits out (a held key, a pending cut) ends this attempt, as a spare's
-// wait does, one it answers with another hello (a cold start) sends
-// that at once, and end is set when the refusal ends the worker.
+// connect sends wk's kernel's hello to the plane: an admitted one the
+// kernel takes; a refusal it reads, and a refusal it waits out (a held
+// key, a pending cut) ends this attempt, as a spare's wait does. end is
+// set when the refusal ends the worker.
 func (w *world) connect(wk *worker) (welcome frame, snaps []spool.Snapshot, reject *frame, end error) {
-	for {
-		hello := wk.k.hello()
-		if hello.Session == "" {
-			hello.Session = "w" + strconv.Itoa(int(wk.id))
-		}
-		hello.Part, hello.Parts = wk.k.Part, wk.k.Parts
-		_, _, welcome, snaps, reject = w.srv.ctl.admit(hello, nopCloser{})
-		if reject == nil {
-			var seq uint64
-			if len(snaps) > 0 {
-				seq = snaps[0].Seq
-			}
-			wk.k.admitted(hello.Session, welcome.From, welcome.Barrier, seq, len(snaps), time.Time{})
-			return welcome, snaps, nil, nil
-		}
-		wait, end := wk.k.Refused(rejected(frameHello, reject))
-		if !wait || wk.k.hello().Adopt == hello.Adopt {
-			return welcome, nil, reject, end
-		}
+	hello := wk.k.hello()
+	if hello.Session == "" {
+		hello.Session = "w" + strconv.Itoa(int(wk.id))
 	}
+	hello.Part, hello.Parts = wk.k.Part, wk.k.Parts
+	_, _, welcome, snaps, reject = w.srv.ctl.admit(hello, nopCloser{})
+	if reject != nil {
+		_, end = wk.k.Refused(rejected(frameHello, reject))
+		return welcome, nil, reject, end
+	}
+	var seq uint64
+	if len(snaps) > 0 {
+		seq = snaps[0].Seq
+	}
+	wk.k.admitted(hello.Session, welcome.From, welcome.Barrier, seq, len(snaps), time.Time{})
+	return welcome, snaps, nil, nil
 }
 
 // dial starts a worker on part/parts: a handoff worker adopting its
@@ -835,7 +830,7 @@ func (w *world) answers() string {
 	for _, k := range w.cfg.shapes {
 		for part := 0; part < k; part++ {
 			for i, r := range resumes {
-				resume, snaps, _, reject := p.gate(frame{Part: part, Parts: k, Resume: r, Adopt: i == 0})
+				resume, snaps, reject := p.gate(frame{Part: part, Parts: k, Resume: r, Adopt: i == 0})
 				num(uint64(part), uint64(k), r, resume)
 				for _, sn := range snaps {
 					num(uint64(sn.Part), uint64(sn.Parts), sn.Seq)
@@ -913,7 +908,7 @@ func (w *world) check(prev []bool) string {
 			probes = append(probes, b, b+1)
 		}
 		for _, r := range probes {
-			resume, _, _, reject := p.gate(frame{Part: 0, Parts: k, Resume: r})
+			resume, _, reject := p.gate(frame{Part: 0, Parts: k, Resume: r})
 			from := resume
 			if from == 0 {
 				from = uint64(len(w.feed)+len(w.reserved)) + 1

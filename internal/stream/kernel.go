@@ -32,7 +32,6 @@ type Kernel struct {
 
 	session  string // the admitted session ("": not admitted yet)
 	resume   uint64 // where an admitted worker's next hello resumes
-	cold     bool   // the key's held snapshot is past the feed: start without it
 	spare    bool   // not admitted, and last refused because another session holds the key
 	reshaped uint64 // the welcome's barrier: the newest committed cutover into the shape
 
@@ -46,13 +45,13 @@ type Kernel struct {
 
 // hello is the kernel's next hello: a resume of its own session once
 // admitted, else a fresh session (the dialer names it) adopting the
-// key's held state (Handoff, until that state proves past the feed),
-// starting at sequence 1 (FromStart) or at the live head.
+// key's held state (Handoff), starting at sequence 1 (FromStart) or at
+// the live head.
 func (k *Kernel) hello() frame {
 	if k.session != "" {
 		return frame{Session: k.session, Resume: k.resume}
 	}
-	h := frame{Adopt: k.Handoff && !k.cold}
+	h := frame{Adopt: k.Handoff}
 	if k.FromStart {
 		h.Resume = 1
 	}
@@ -77,19 +76,18 @@ func (k *Kernel) admitted(session string, from, barrier, seq uint64, snaps int, 
 // a broker closing under a worker that is not a spare: a kill and a
 // restart look the same from here).
 //
-//	refusal      starting                 spare        admitted
-//	held         wait (a spare now)       wait         end: another worker adopted the state
-//	cut-pending  wait                     wait         retry
-//	gap          adopting: start cold     as starting  end: the feed lost the range
-//	             else end
-//	rebalanced   end                      end          end
-//	closing      retry                    end          retry
+//	refusal      starting            spare   admitted
+//	held         wait (a spare now)  wait    end: another worker adopted the state
+//	cut-pending  wait                wait    retry
+//	gap          end: the feed lost the range
+//	rebalanced   end                 end     end
+//	closing      retry               end     retry
 //
 // A worker waiting on a cut is the key's only designated owner, so a
 // closing broker is retried as a failed dial; a spare was never
 // admitted and holds nothing, and the key's owner judged the feed.
 func (k *Kernel) Refused(err error) (wait bool, end error) {
-	starting, held, gap := k.session == "", errors.Is(err, ErrHeld), errors.Is(err, ErrGap)
+	starting, held := k.session == "", errors.Is(err, ErrHeld)
 	switch {
 	case starting && (held || errors.Is(err, ErrCutPending)):
 		k.spare = held
@@ -98,11 +96,8 @@ func (k *Kernel) Refused(err error) (wait bool, end error) {
 		return false, fmt.Errorf("stream: partition %d/%d is owned by another worker, which adopted its state: %w", k.Part, max(k.Parts, 1), err)
 	case errors.Is(err, ErrRebalanced):
 		return false, err
-	case gap && starting && k.Handoff && !k.cold:
-		k.cold, k.spare = true, false
-		return true, nil
-	case gap:
-		return false, fmt.Errorf("stream: the feed cannot serve seq %d (history pruned, or the spool failed): %w", k.hello().Resume, err)
+	case errors.Is(err, ErrGap):
+		return false, fmt.Errorf("stream: the feed cannot serve seq %d (history pruned): %w", k.hello().Resume, err)
 	case errors.Is(err, ErrClosing) && k.spare:
 		return false, fmt.Errorf("stream: partition %d/%d: the broker closed the feed while this worker waited (%v): %w", k.Part, max(k.Parts, 1), err, ErrClosed)
 	}

@@ -136,7 +136,7 @@ func TestRedialReadsTheKernelsTable(t *testing.T) {
 	}{
 		{"starting", classHeld, wait, nil},
 		{"starting", classCutPending, wait, nil},
-		{"starting", classGap, wait, nil}, // adopting: passes the held snapshot over for a cold start
+		{"starting", classGap, "", ErrGap},
 		{"starting", classRebalanced, "", ErrRebalanced},
 		{"starting", classClosing, retry, nil},
 		{"starting", transport, retry, nil},
@@ -148,7 +148,7 @@ func TestRedialReadsTheKernelsTable(t *testing.T) {
 		{"fresh", transport, retry, nil},
 		{"spare", classHeld, wait, nil},
 		{"spare", classCutPending, wait, nil},
-		{"spare", classGap, wait, nil},
+		{"spare", classGap, "", ErrGap},
 		{"spare", classRebalanced, "", ErrRebalanced},
 		{"spare", classClosing, "", ErrClosed}, // the feed ended while it waited
 		{"spare", transport, retry, nil},

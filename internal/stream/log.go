@@ -11,7 +11,8 @@ package stream
 //   - the spool append, its retention (pruneSpool) and the in-memory
 //     tail of the last WithReplayBuffer feed events, which drops its
 //     oldest chunks freely (dropLocked): a reader behind it reads the
-//     spool;
+//     spool. An append that fails stops the log (fail): nothing past
+//     it is published;
 //   - the one resume rule (open), and eviction (evictLocked);
 //   - readers: a subscriber's cursors, and the rounds its writer frames
 //     from the tail or the spool (fill).
@@ -22,6 +23,7 @@ package stream
 // one.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -54,8 +56,9 @@ type feedLog struct {
 	// so a producer never waits on writers splicing under mu.
 	state atomic.Uint64
 
-	// spoolErr holds the first spool append error; once it is set the
-	// disk tier is offline for good.
+	// spoolErr holds the write failure that stopped the log (fail): a
+	// spool append or sync, or a cutover note. It is set before the log
+	// closes, and never cleared.
 	spoolErr atomic.Pointer[error]
 
 	encodes   atomic.Uint64 // canonical batch/fbatch frames built (ServerStats.Encodes)
@@ -84,10 +87,6 @@ type feedLog struct {
 	next uint64
 
 	readers map[string]*reader
-
-	// barriers holds, per retired group shape, the sequence of the
-	// cutover record that retired it (retire).
-	barriers map[int]uint64
 }
 
 // newFeedLog builds a log from the server options. A log on a spool
@@ -101,8 +100,7 @@ func newFeedLog(opts ...ServerOption) *feedLog {
 			maxBatch: DefaultMaxBatch,
 			linger:   DefaultSessionLinger,
 		},
-		readers:  make(map[string]*reader),
-		barriers: make(map[int]uint64),
+		readers: make(map[string]*reader),
 	}
 	for _, fn := range opts {
 		fn(&l.opt)
@@ -156,7 +154,7 @@ func (l *feedLog) reserve(n int, at uint64) (first uint64, err error) {
 		head, last := v&^closingBit, v+uint64(n)
 		switch {
 		case v&closingBit != 0:
-			return 0, ErrClosing
+			return 0, cmp.Or(l.failed(), ErrClosing)
 		case at == 0:
 		case at+uint64(n) <= head+1:
 			return 0, nil
@@ -182,7 +180,11 @@ func (l *feedLog) reserve(n int, at uint64) (first uint64, err error) {
 // the batch displaces, and then it is pushed and every writer woken
 // with one Broadcast. Nothing here waits on a reader. The log never
 // looks inside a frame: partition views are their writers' work.
-func (l *feedLog) publish(chunks []*chunk) {
+//
+// A batch the spool does not take is not published: the append's
+// failure stops the log (fail), and publish returns it, as it does for
+// every batch whose turn comes after. Its ticket still passes on.
+func (l *feedLog) publish(chunks []*chunk) error {
 	first, last := chunks[0].first, chunks[len(chunks)-1].last
 	l.mu.Lock()
 	for l.next != first {
@@ -190,23 +192,14 @@ func (l *feedLog) publish(chunks []*chunk) {
 	}
 	l.mu.Unlock()
 
-	if l.spoolUsable() {
-		for _, c := range chunks {
-			rolled, err := l.opt.spool.AppendFrame(c.first, c.n, c.payload)
-			if err != nil {
-				// The disk tier is gone, loudly; the tail keeps the feed
-				// alive, and a reader that falls behind it is lost.
-				l.spoolErr.CompareAndSwap(nil, &err)
-				log.Printf("stream: spool append failed, disk replay tier offline: %v", err)
-				break
-			}
-			if rolled {
-				l.pruneSpool(c.last)
-			}
-		}
-	}
-
+	err := l.append(chunks)
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.next = last + 1
+	l.ticket.Broadcast()
+	if err != nil {
+		return err
+	}
 	for _, r := range l.readers {
 		// The linger clock runs here: silence and disk catch-up do not
 		// extend a detached reader's lifetime (a spool keeps its data
@@ -220,9 +213,51 @@ func (l *feedLog) publish(chunks []*chunk) {
 		l.push(c)
 	}
 	l.more.Broadcast()
-	l.next = last + 1
-	l.ticket.Broadcast()
-	l.mu.Unlock()
+	return nil
+}
+
+// append appends a batch's chunks to the spool, running retention after
+// a segment roll. A stopped log appends nothing, and a failed append
+// stops it. The explorer's disk-free log has no spool.
+func (l *feedLog) append(chunks []*chunk) error {
+	if err := l.failed(); err != nil || l.opt.spool == nil {
+		return err
+	}
+	for _, c := range chunks {
+		rolled, err := l.opt.spool.AppendFrame(c.first, c.n, c.payload)
+		if err != nil {
+			return l.fail(err)
+		}
+		if rolled {
+			l.pruneSpool(c.last)
+		}
+	}
+	return nil
+}
+
+// errStopped is wrapped by the failure that stopped a log (fail).
+var errStopped = errors.New("stream: broker stopped")
+
+// fail stops the log on err, a write its promises rest on that failed:
+// it records err, wrapped in errStopped, which ServerStats.SpoolErr
+// names and a stopped log's refusals and reservations give, then shuts
+// the log as a crash would (shut), so every reader is cut without eof.
+// The first failure stands, and fail returns it.
+func (l *feedLog) fail(err error) error {
+	err = fmt.Errorf("%w: %w", errStopped, err)
+	if l.spoolErr.CompareAndSwap(nil, &err) {
+		log.Print(err)
+	}
+	l.shut(true)
+	return l.failed()
+}
+
+// failed is the failure that stopped the log, nil if none.
+func (l *feedLog) failed() error {
+	if err := l.spoolErr.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // first returns the oldest sequence the tail holds, head+1 when it is
@@ -253,19 +288,12 @@ func (l *feedLog) push(c *chunk) {
 	l.head = c.last
 }
 
-// spoolUsable reports whether the disk tier can serve and accept
-// data.
-func (l *feedLog) spoolUsable() bool {
-	return l.opt.spool != nil && l.spoolErr.Load() == nil
-}
-
-// spoolServes reports whether the disk tier retains sequence r: the
-// spool is usable and its oldest segment starts at or below r. Anything
-// the spool has not appended yet is still in the tail (publish appends
-// to the spool first), so the caller checks r against the tail as
-// well.
+// spoolServes reports whether the spool retains sequence r: its oldest
+// segment starts at or below r. Anything the spool has not appended yet
+// is still in the tail (publish appends to the spool first), so the
+// caller checks r against the tail as well.
 func (l *feedLog) spoolServes(r uint64) bool {
-	if !l.spoolUsable() {
+	if l.opt.spool == nil {
 		return false
 	}
 	first := l.opt.spool.First()
@@ -291,8 +319,7 @@ func (l *feedLog) pruneSpool(head uint64) {
 // the front of the tail until the batch fits in WithReplayBuffer
 // events, or the tail is empty (a batch larger than the tail is still
 // accepted). It never waits: a reader still owed a dropped chunk reads
-// it from the spool, and without a usable spool it is lost (fill's
-// errLost, a refused resume). Caller holds l.mu.
+// it from the spool. Caller holds l.mu.
 func (l *feedLog) dropLocked(n int) {
 	for len(l.buf) > l.lo && l.head+1-l.first()+uint64(n) > uint64(l.opt.replay) {
 		l.buf[l.lo] = nil
@@ -301,23 +328,20 @@ func (l *feedLog) dropLocked(n int) {
 }
 
 // evictLocked removes r for good (the identity check keeps a delayed
-// eviction from deleting a newer reader reusing the id). Loss is only
-// counted when events r is owed die with it irrecoverably — a usable
-// spool still holds them for a later resume, so spooled evictions are
-// not loss, and neither is the session of a worker that retired at its
-// shape's cutover record (retire). Caller holds l.mu.
-func (l *feedLog) evictLocked(r *reader) {
+// eviction from deleting a newer reader reusing the id), and reports
+// whether this call removed it. An eviction is no loss: the spool
+// still holds what r is owed, for a later resume. Only a reader the
+// spool cannot serve is lost (reader.lose). Caller holds l.mu.
+func (l *feedLog) evictLocked(r *reader) bool {
 	if r.gone {
-		return
+		return false
 	}
 	r.gone = true
 	if l.readers[r.id] == r {
 		delete(l.readers, r.id)
 	}
-	if b := l.barriers[r.parts]; r.acked < l.head && (b == 0 || r.acked != b) && !l.spoolUsable() {
-		l.evicted.Add(1)
-	}
 	l.cutLocked(r)
+	return true
 }
 
 // evictAll evicts every reader.
@@ -356,11 +380,18 @@ func (l *feedLog) cutLocked(r *reader) {
 // still registered only decides which cursors carry over; a fresh
 // subscription (resume 0) starts at the next sequence reserved. Every
 // refused resume is a gap: the feed cannot serve it.
+//
+// A closed log refuses as closing, but a stopped one (fail) with a
+// plain refusal: its feed did not end, so a client redials it as it
+// would a dead broker, and a waiting spare goes on waiting.
 func (l *feedLog) open(want *reader, resume uint64, conn io.Closer) (r *reader, gen int, from uint64, reject *frame) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	seq, closing := l.seq()
-	if closing {
+	switch err := l.failed(); {
+	case closing && err != nil:
+		return nil, 0, 0, refusal("", err.Error())
+	case closing:
 		return nil, 0, 0, refusal(classClosing, ErrClosing.Error())
 	}
 	for _, o := range l.readers {
@@ -388,13 +419,7 @@ func (l *feedLog) open(want *reader, resume uint64, conn io.Closer) (r *reader, 
 	case from > seq+1:
 		return nil, 0, 0, refusal(classGap, "resume sequence ahead of feed")
 	case from < l.first() && !l.spoolServes(from):
-		switch {
-		case l.spoolUsable():
-			return nil, 0, 0, refusal(classGap, "resume sequence below the spool retention floor")
-		case r != nil:
-			return nil, 0, 0, refusal(classGap, "resume sequence already trimmed")
-		}
-		return nil, 0, 0, refusal(classGap, "unknown session (resume window expired)")
+		return nil, 0, 0, refusal(classGap, "resume sequence below the spool retention floor")
 	}
 	if r == nil {
 		r = want
@@ -411,20 +436,6 @@ func (l *feedLog) open(want *reader, resume uint64, conn io.Closer) (r *reader, 
 	l.cutLocked(r) // kick a previous connection and its writer
 	r.conn = conn
 	return r, r.gen, from, nil
-}
-
-// retire records that group shape parts is cut over at barrier, the
-// sequence of its cutover record. Delivery does not change: every
-// reader goes on being served the whole feed, and its worker stops at
-// the record. Only what a reader of the shape is owed does
-// (evictLocked): one that acknowledged exactly the barrier is a retired
-// worker's session, owed nothing more, so its eviction is no loss. A
-// reader below the barrier still owes its worker the record, and one
-// past it belongs to a later generation of the shape.
-func (l *feedLog) retire(parts int, barrier uint64) {
-	l.mu.Lock()
-	l.barriers[parts] = barrier
-	l.mu.Unlock()
 }
 
 // published waits until the log has published every sequence through
@@ -489,8 +500,9 @@ func (l *feedLog) sessionStats(seq uint64) []SessionStats {
 // reserved before it is published, writers drain to the head and end
 // with eof. A crash (abort) instead evicts every reader in the same
 // critical section, so no writer sees the log closing without also
-// seeing its reader gone: an aborted log sends no eof. It reports
-// whether this call closed the log.
+// seeing its reader gone: an aborted log sends no eof, even when it
+// was closed and draining already. It reports whether this call closed
+// the log.
 func (l *feedLog) shut(abort bool) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -498,16 +510,13 @@ func (l *feedLog) shut(abort bool) bool {
 	for !l.state.CompareAndSwap(v, v|closingBit) {
 		v = l.state.Load()
 	}
-	if v&closingBit != 0 {
-		return false
-	}
 	if abort {
 		for _, r := range l.readers {
 			l.evictLocked(r)
 		}
 	}
 	l.more.Broadcast()
-	return true
+	return v&closingBit == 0
 }
 
 // drainingLocked reports whether the log is closed and every batch
@@ -588,10 +597,13 @@ func (r *reader) detach(gen int) {
 	l.mu.Unlock()
 }
 
-// evict removes r for good.
-func (r *reader) evict() {
+// lose evicts r for good because the spool cannot serve it (errLost),
+// and counts the loss once: the only loss ServerStats.Evicted counts.
+func (r *reader) lose() {
 	r.l.mu.Lock()
-	r.l.evictLocked(r)
+	if r.l.evictLocked(r) {
+		r.l.evicted.Add(1)
+	}
 	r.l.mu.Unlock()
 }
 
@@ -748,11 +760,6 @@ func (f *fill) fromSpool(from uint64) (round, error) {
 		} else {
 			f.view(raw, first, f.pos)
 		}
-	}
-	if eof && f.pos < from && l.opt.spool.End() < from {
-		// Neither the tail nor the spool holds from: the tail only drops
-		// what the spool took, so the spool must have failed under us.
-		return round{}, fmt.Errorf("%w: stranded mid-catch-up by spool failure", errLost)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -113,9 +113,18 @@ func drain(t *testing.T, f *fill) (from, to uint64, eof bool) {
 	}
 }
 
+// evict removes r for good, as a linger expiry or a replacing session
+// does.
+func evict(r *reader) {
+	r.l.mu.Lock()
+	r.l.evictLocked(r)
+	r.l.mu.Unlock()
+}
+
 // TestLogResumeRule drives every outcome of the one resume rule: a
 // resume at r is served iff r lies in [tail first, head+1] or the
-// spool holds r, whether or not the log still knows the reader.
+// spool holds r, whether or not the log still knows the reader. The
+// log here has no spool, so below the tail nothing is served.
 func TestLogResumeRule(t *testing.T) {
 	l := newFeedLog(WithReplayBuffer(16), withSessionLinger(time.Nanosecond))
 	gone, _ := mustOpen(t, l, "gone", 0)
@@ -143,8 +152,8 @@ func TestLogResumeRule(t *testing.T) {
 		{"inside the tail, linger-expired id", "gone", 30, ""},
 		{"head+1", "athead", 41, ""},
 		{"ahead of the feed", "ahead", 42, "ahead of feed"},
-		{"below the tail, unknown id", "nosuch", 24, "unknown session"},
-		{"below the tail, known id", "known", 10, "already trimmed"},
+		{"below the tail, unknown id", "nosuch", 24, "retention floor"},
+		{"below the tail, known id", "known", 10, "retention floor"},
 	} {
 		_, f, reject := tryOpen(l, tc.id, tc.resume)
 		if tc.reject != "" {
@@ -183,8 +192,8 @@ func TestLogResumeFromSpool(t *testing.T) {
 	if from, to, _ := drain(t, f); from != 1 || to != 200 {
 		t.Fatalf("resume at 1 from the spool framed %d..%d, want 1..200", from, to)
 	}
-	cold.evict()
-	late.evict()
+	evict(cold)
+	evict(late)
 	for i := 0; i < 200; i++ {
 		put(t, l, 1)
 	}
@@ -264,11 +273,11 @@ func TestLogSpooledNeverWaits(t *testing.T) {
 	}
 }
 
-// TestLogSpoollessDropsFreely: a log with no usable spool (its disk
-// tier failed) still never waits on a reader: the tail drops its
+// TestLogSpoollessDropsFreely: a log with no spool, the explorer's
+// disk-free seam, still never waits on a reader: the tail drops its
 // oldest chunks whoever owes them. A reader left behind the tail is
-// lost — its fill fails with errLost, and its eviction counts the
-// loss — and a resume below the tail is refused.
+// lost — its fill fails with errLost, and losing it counts once — and
+// a resume below the tail is refused.
 func TestLogSpoollessDropsFreely(t *testing.T) {
 	l := newFeedLog(WithReplayBuffer(4))
 	ahead, fa := mustOpen(t, l, "ahead", 0)
@@ -290,11 +299,12 @@ func TestLogSpoollessDropsFreely(t *testing.T) {
 	if _, err := fb.next(false); !errors.Is(err, errLost) {
 		t.Fatalf("reader behind the tail: fill error %v, want errLost", err)
 	}
-	behind.evict()
-	if l.evicted.Load() != 1 {
-		t.Fatalf("evicted = %d, want the lost reader counted", l.evicted.Load())
+	behind.lose()
+	behind.lose()
+	if l.evicted.Load() != 1 || !behind.gone {
+		t.Fatalf("evicted = %d, gone = %v; want the lost reader evicted and counted once", l.evicted.Load(), behind.gone)
 	}
-	if _, _, reject := tryOpen(l, "late", 2); !strings.Contains(reject, "unknown session") {
+	if _, _, reject := tryOpen(l, "late", 2); !strings.Contains(reject, "retention floor") {
 		t.Fatalf("resume below the tail: reject %q", reject)
 	}
 }

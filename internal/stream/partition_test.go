@@ -377,9 +377,9 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 	leakCheck(t)
 	for _, tc := range []struct {
 		name string
-		run  func(t *testing.T, srv *Server, fail func())
+		run  func(t *testing.T, srv *Server, sp *spool.Spool)
 	}{
-		{"second session waits for the holder to detach", func(t *testing.T, srv *Server, _ func()) {
+		{"second session waits for the holder to detach", func(t *testing.T, srv *Server, _ *spool.Spool) {
 			c, err := Dial(srv.Addr(), WithPartition(0, 2))
 			if err != nil {
 				t.Fatal(err)
@@ -403,7 +403,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 			}
 			c2.Close()
 		}},
-		{"the holder's own resume passes", func(t *testing.T, srv *Server, _ func()) {
+		{"the holder's own resume passes", func(t *testing.T, srv *Server, _ *spool.Spool) {
 			srv.BroadcastBatch([]osn.Event{testEvent(0)})
 			c, err := DialFrom(srv.Addr(), 1, WithPartition(1, 3))
 			if err != nil {
@@ -416,7 +416,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 			}
 			c2.Close()
 		}},
-		{"whole-feed sessions share the feed", func(t *testing.T, srv *Server, _ func()) {
+		{"whole-feed sessions share the feed", func(t *testing.T, srv *Server, _ *spool.Spool) {
 			for _, opts := range [][]DialOption{nil, {WithPartition(0, 1)}} {
 				a, err := Dial(srv.Addr(), opts...)
 				if err != nil {
@@ -430,7 +430,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				b.Close()
 			}
 		}},
-		{"adoption hands over the held snapshot", func(t *testing.T, srv *Server, _ func()) {
+		{"adoption hands over the held snapshot", func(t *testing.T, srv *Server, _ *spool.Spool) {
 			for i := 0; i < 10; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
@@ -463,7 +463,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				c.Close()
 			}
 		}},
-		{"offers come from the key's owner", func(t *testing.T, srv *Server, _ func()) {
+		{"offers come from the key's owner", func(t *testing.T, srv *Server, _ *spool.Spool) {
 			for i := 0; i < 10; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
@@ -507,7 +507,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("held (%d, %q), want the equal-sequence re-offer at 5", seq, data)
 			}
 		}},
-		{"a fence refusal of an adopting hello is no lost range", func(t *testing.T, srv *Server, _ func()) {
+		{"a fence refusal of an adopting hello is no lost range", func(t *testing.T, srv *Server, _ *spool.Spool) {
 			for i := 0; i < 10; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
@@ -518,7 +518,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("adopting a fenced shape: err = %v, want the fence refusal, not ErrGap", err)
 			}
 		}},
-		{"a broker that ignores adopt is refused", func(t *testing.T, _ *Server, _ func()) {
+		{"a broker that ignores adopt is refused", func(t *testing.T, _ *Server, _ *spool.Spool) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -542,25 +542,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("welcome without the adopt echo: err = %v, want a refusal", err)
 			}
 		}},
-		{"an unresumable held snapshot is ErrGap", func(t *testing.T, srv *Server, fail func()) {
-			for i := 0; i < 100; i++ {
-				srv.BroadcastBatch([]osn.Event{testEvent(i)})
-			}
-			if err := OfferSnapshot(srv.Addr(), owner(t, srv, 1, 2), 1, 2, 5, []byte("state at 5")); err != nil {
-				t.Fatal(err)
-			}
-			fail()
-			for i := 100; i < 200; i++ {
-				srv.BroadcastBatch([]osn.Event{testEvent(i)})
-			}
-			if srv.Stats().SpoolErr == "" {
-				t.Fatal("the spool never failed")
-			}
-			if _, err := DialAdopt(srv.Addr(), 0, WithPartition(1, 2)); !errors.Is(err, ErrGap) || !strings.Contains(err.Error(), "held snapshot at seq 5") {
-				t.Fatalf("adopting past the tail: err = %v, want ErrGap naming the snapshot", err)
-			}
-		}},
-		{"a closing broker's refusal is ErrClosing, no lost range", func(t *testing.T, srv *Server, _ func()) {
+		{"a closing broker's refusal is ErrClosing, no lost range", func(t *testing.T, srv *Server, _ *spool.Spool) {
 			srv.BroadcastBatch([]osn.Event{testEvent(0)})
 			srv.log.shut(false) // what a hello dialed while Close runs meets
 			if rep := refusedHello(t, srv.Addr(), frame{Session: "s", Resume: 1}); rep.Class != classClosing {
@@ -575,7 +557,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				}
 			}
 		}},
-		{"an incomplete cut is ErrCutPending", func(t *testing.T, srv *Server, _ func()) {
+		{"an incomplete cut is ErrCutPending", func(t *testing.T, srv *Server, _ *spool.Spool) {
 			for i := 0; i < 10; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
@@ -589,7 +571,7 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("adopting an incomplete cut: err = %v, want ErrCutPending", err)
 			}
 		}},
-		{"a retired shape's refusal names its cutover", func(t *testing.T, srv *Server, _ func()) {
+		{"a retired shape's refusal names its cutover", func(t *testing.T, srv *Server, _ *spool.Spool) {
 			for i := 0; i < 10; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
@@ -607,25 +589,34 @@ func TestAdmissionOneOwnerPerKey(t *testing.T) {
 				t.Fatalf("fresh join of a retired shape: err = %v, want ErrRebalanced naming 2 -> 3 at %d", err, barrier)
 			}
 		}},
-		{"a resume below the tail is ErrGap", func(t *testing.T, srv *Server, fail func()) {
-			fail()
-			for i := 0; i < 100; i++ {
+		{"a resume below the tail is ErrGap", func(t *testing.T, srv *Server, sp *spool.Spool) {
+			for i := 0; i < 500; i++ {
 				srv.BroadcastBatch([]osn.Event{testEvent(i)})
 			}
-			if srv.Stats().SpoolErr == "" {
-				t.Fatal("the spool never failed")
+			if sp.First() <= 1 {
+				t.Fatal("test premise broken: retention never pruned")
 			}
 			if rep := refusedHello(t, srv.Addr(), frame{Session: "s", Resume: 1}); rep.Class != classGap {
-				t.Fatalf("resume below the tail: reply %+v, want class %q", rep, classGap)
+				t.Fatalf("resume below the spool's retention: reply %+v, want class %q", rep, classGap)
 			}
 			if _, err := DialResume(srv.Addr(), "s", 1); !errors.Is(err, ErrGap) {
-				t.Fatalf("resume below the tail: err = %v, want ErrGap", err)
+				t.Fatalf("resume below the spool's retention: err = %v, want ErrGap", err)
 			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, fail := failingServer(t, 16)
-			tc.run(t, srv, fail)
+			// Retention prunes whatever no session or snapshot pins.
+			sp, err := spool.Open(t.TempDir(), spool.WithSegmentBytes(512), spool.WithRetainBytes(1024))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sp.Close()
+			srv, err := NewServer("127.0.0.1:0", WithReplayBuffer(16), WithSpool(sp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			tc.run(t, srv, sp)
 		})
 	}
 }

@@ -12,10 +12,11 @@ package stream
 //
 // None of it touches a socket or the spool, and the plane takes no lock
 // of its own: Server calls it under Server.mu and does the spool writes
-// its answers call for (control.go). It keeps the cutovers as one list;
-// the fence on a shape, a pending cut and whether a cut committed are
-// all worked out from that list and the held snapshots, so no answer
-// depends on the order in which commits happened to be recorded.
+// its answers call for (control.go), any of which that fails stops the
+// broker. It keeps the cutovers as one list; the fence on a shape, a
+// pending cut and whether a cut committed are all worked out from that
+// list and the held snapshots, so no answer depends on the order in
+// which commits happened to be recorded.
 
 import (
 	"cmp"
@@ -110,20 +111,15 @@ func (p *plane) admit(hello frame, conn io.Closer) (r *reader, gen int, welcome 
 	if hello.Parts < 0 || hello.Part < 0 || (hello.Parts > 0 && hello.Part >= hello.Parts) {
 		return nil, 0, frame{}, nil, refusal("", "invalid partition")
 	}
-	resume, snaps, cut, reject := p.gate(hello)
+	resume, snaps, reject := p.gate(hello)
 	if reject != nil {
 		return nil, 0, frame{}, nil, reject
 	}
 	want := &reader{id: hello.Session, part: hello.Part, parts: hello.Parts, relay: hello.Relay}
 	r, gen, welcome.From, reject = p.log.open(want, resume, conn)
 	_, _, welcome.Barrier = p.shape(max(hello.Parts, 1))
-	switch {
-	case reject == nil && hello.Parts >= 2:
+	if reject == nil && hello.Parts >= 2 {
 		p.owners[partKey{part: hello.Part, parts: hello.Parts}] = hello.Session
-	case reject != nil && cut != nil && reject.Class == classGap:
-		reject = refusal("", fmt.Sprintf("rebalance cut at barrier %d: the feed no longer holds seq %d (%s)", cut.barrier, resume, reject.Err))
-	case reject != nil && len(snaps) > 0:
-		reject.Err = fmt.Sprintf("held snapshot at seq %d: %s", snaps[0].Seq, reject.Err)
 	}
 	return r, gen, welcome, snaps, reject
 }
@@ -134,14 +130,13 @@ func (p *plane) admit(hello frame, conn io.Closer) (r *reader, gen int, welcome 
 // with none held, the hello's own resume applies. On a group shape a
 // pending rebalance is cutting over to, an adopting hello whose key
 // holds nothing at or past the barrier is handed the old group's cut
-// instead (returned as cut) and resumes after the barrier, or is
-// refused as cut-pending until every old snapshot is there. A fence on
-// the hello's own group shape admits only a resume at or below its
-// barrier, one that will reach the cutover record, unless the shape is
-// being cut over to again, after that record, and the resume is past
-// that cut; anything else is refused as rebalanced, the reply naming
-// the cutover.
-func (p *plane) gate(hello frame) (resume uint64, snaps []spool.Snapshot, cut *cutover, reject *frame) {
+// instead and resumes after the barrier, or is refused as cut-pending
+// until every old snapshot is there. A fence on the hello's own group
+// shape admits only a resume at or below its barrier, one that will
+// reach the cutover record, unless the shape is being cut over to
+// again, after that record, and the resume is past that cut; anything
+// else is refused as rebalanced, the reply naming the cutover.
+func (p *plane) gate(hello frame) (resume uint64, snaps []spool.Snapshot, reject *frame) {
 	resume = hello.Resume
 	held, ok := p.snaps[partKey{part: hello.Part, parts: max(hello.Parts, 1)}]
 	f, pend, _ := p.shape(max(hello.Parts, 1))
@@ -156,9 +151,9 @@ func (p *plane) gate(hello frame) (resume uint64, snaps []spool.Snapshot, cut *c
 			}
 		}
 		if at < pend.from {
-			return 0, nil, nil, refusal(classCutPending, fmt.Sprintf("rebalance cut pending: %d of partition group %d's snapshots at barrier %d", at, pend.from, pend.barrier))
+			return 0, nil, refusal(classCutPending, fmt.Sprintf("rebalance cut pending: %d of partition group %d's snapshots at barrier %d", at, pend.from, pend.barrier))
 		}
-		resume, cut = pend.barrier+1, pend
+		resume = pend.barrier + 1
 	case ok && held.Seq > 0:
 		snaps, resume = []spool.Snapshot{held}, held.Seq+1
 	}
@@ -169,9 +164,9 @@ func (p *plane) gate(hello frame) (resume uint64, snaps []spool.Snapshot, cut *c
 		// retires there like the rest of its group.
 		reject = refusal(classRebalanced, (&RebalancedError{From: f.from, To: f.to, Barrier: f.barrier}).Error())
 		reject.Parts, reject.NParts, reject.Barrier = f.from, f.to, f.barrier
-		return 0, nil, nil, reject
+		return 0, nil, reject
 	}
-	return resume, snaps, cut, nil
+	return resume, snaps, nil
 }
 
 // offerRefusal is the reason an offer is refused, "" if it is not: an
@@ -255,10 +250,9 @@ func (p *plane) prepare(from, to int) (c cutover, fresh bool, why string) {
 }
 
 // install holds the cutover of group shape from to a group of to whose
-// record is at barrier, and the log's barrier for the shape (retire): a
-// prepare's, a reloaded note's, or a record's a relay hop adopts (learn,
-// see Server.learnCutover). A cut out of from at or past barrier
-// already covers the record.
+// record is at barrier: a prepare's, a reloaded note's, or a record's a
+// relay hop adopts (learn, see Server.learnCutover). A cut out of from
+// at or past barrier already covers the record.
 func (p *plane) install(from, to int, barrier uint64) cutover {
 	for i := len(p.cuts) - 1; i >= 0; i-- {
 		if c := p.cuts[i]; c.from == from && c.barrier >= barrier {
@@ -267,7 +261,6 @@ func (p *plane) install(from, to int, barrier uint64) cutover {
 	}
 	c := cutover{from: from, to: to, barrier: barrier}
 	p.cuts = append(p.cuts, c)
-	p.log.retire(from, barrier)
 	return c
 }
 

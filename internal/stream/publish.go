@@ -58,8 +58,10 @@ var errFenced = errors.New("stream: producer connection fenced by a newer one")
 // IngestDone returns a channel closed once every producer in the
 // declared group has closed its epoch (sent peof) — the broker's cue
 // that the feed is complete and Close may drain subscribers and emit
-// eof downstream. It never closes on a server that admits no wire
-// producers.
+// eof downstream — or once the broker stopped on a failed write, which
+// ServerStats.SpoolErr then names: the feed did not end, and nothing is
+// left to serve. Otherwise it never closes on a server that admits no
+// wire producers.
 func (s *Server) IngestDone() <-chan struct{} { return s.ingestDone }
 
 // servePublisher admits a wire producer and runs its ingest loop:
@@ -121,11 +123,12 @@ func (s *Server) servePublisher(conn net.Conn, br *bufio.Reader, hello frame, bu
 			// batch header in one copy sized for it — the bytes an encode
 			// would produce, and the chunks' own, since the payload is read
 			// scratch the next read reuses.
-			s.log.publish(s.buildChunks(first, n, func(off, end int, seq uint64) []byte {
+			err = s.publish(s.buildChunks(first, n, func(off, end int, seq uint64) []byte {
 				return wire.SpliceBatch(nil, seq, payload, off, end)
 			}))
 		}
-		if writeControl(bw, frame{T: framePAck, Bseq: ack}) != nil || bw.Flush() != nil {
+		// A batch the spool did not take stopped the broker: no ack.
+		if err != nil || writeControl(bw, frame{T: framePAck, Bseq: ack}) != nil || bw.Flush() != nil {
 			s.detachProducer(p, conn)
 			return
 		}
@@ -193,9 +196,10 @@ func (s *Server) admitProducer(hello frame, conn net.Conn) (p *producerState, ep
 // high-water mark) and the batch's first feed sequence, 0 when there is
 // nothing to publish (a replay, or an empty batch). The caller
 // publishes the batch before it acks, so an acked batch is in the spool
-// and the tail, preserving at-least-once across a broker death. The
-// total order of the feed is the order batches reserve their sequences,
-// producers' and in-process BroadcastBatch calls' alike.
+// and the tail, preserving at-least-once across a broker death, and
+// one the spool did not take is never acked. The total order of the
+// feed is the order batches reserve their sequences, producers' and
+// in-process BroadcastBatch calls' alike.
 func (s *Server) sequence(p *producerState, conn net.Conn, epoch, bseq uint64, n int) (ack, first uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,11 +243,7 @@ func (s *Server) closeEpoch(p *producerState) {
 	p.eof = true
 	s.eofed++
 	if s.expectProducers > 0 && s.eofed >= s.expectProducers {
-		select {
-		case <-s.ingestDone:
-		default:
-			close(s.ingestDone)
-		}
+		s.endIngest.Do(func() { close(s.ingestDone) })
 	}
 }
 

@@ -15,11 +15,12 @@ package stream
 // client's redial loop (Redial) with a whole-feed Kernel's refusal
 // table: it resumes from its own spool head across restarts of either
 // endpoint (an error wrapping ErrGap is terminal — the upstream pruned
-// below our head and the gap cannot be hidden — and so is an upstream
-// frame that does not decode), and on upstream eof it drains and
-// closes its own server, propagating the eof down the tree. A terminal
-// failure severs the downstream subscribers instead, so none of them
-// mistakes a broken feed for a finished one. On the downstream side it
+// below our head and the gap cannot be hidden — and so are an upstream
+// frame that does not decode and a failed write that stopped the hop's
+// own broker), and on upstream eof it drains and closes its own server,
+// propagating the eof down the tree. A terminal failure severs the
+// downstream subscribers instead, so none of them mistakes a broken
+// feed for a finished one. On the downstream side it
 // is just a Server: resumable sessions, partitioned fbatch
 // subscriptions, and snapshot rendezvous are all served at the edge.
 
@@ -154,9 +155,11 @@ func (r *Relay) Stats() RelayStats {
 // Wait blocks until the relay stops on its own: nil after upstream eof
 // has been propagated downstream, an error wrapping ErrGap when the
 // upstream pruned past our resume point, an error wrapping ErrBadFrame
-// when the upstream sent a frame that does not decode, or the last dial
-// error when reconnection attempts are exhausted. Close and Abort also
-// unblock it.
+// when the upstream sent a frame that does not decode, the failure
+// that stopped the hop's own broker (ServerStats.SpoolErr: a write to
+// its spool, or a cutover note, failed), or the last dial error when
+// reconnection attempts are exhausted. Close and Abort also unblock
+// it.
 func (r *Relay) Wait() error {
 	<-r.done
 	return r.err
@@ -197,8 +200,8 @@ func (r *Relay) shutdown() {
 // run is the upstream loop: the subscriber lifecycle SubscribeBatch
 // runs too (follow), with open resuming from the local head and pump
 // adopting frames. It exits on upstream eof (propagated downstream via
-// Close), a terminal error (ErrGap, an undecodable frame, exhausted
-// retries), or Close/Abort.
+// Close), a terminal error (ErrGap, an undecodable frame, the hop's
+// own broker stopping, exhausted retries), or Close/Abort.
 func (r *Relay) run() {
 	defer close(r.done)
 	err := follow(&r.k, r.open, r.pump, r.retries, r.quit)
@@ -279,7 +282,8 @@ func (r *Relay) pump(c *Client) error {
 		if err != nil {
 			// ErrAdoptGap — the resumed stream skipped frames, which only a
 			// broken upstream produces — reconnects and re-resumes; a frame
-			// that does not decode (ErrBadFrame) ends the relay.
+			// that does not decode (ErrBadFrame) ends the relay, and so does
+			// the failure that stopped its own broker (errStopped).
 			return err
 		}
 		r.frames.Add(1)

@@ -3,7 +3,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -33,29 +32,6 @@ func spooledServer(t *testing.T, window int, opts ...ServerOption) (*Server, *sp
 // recvThrough drains the client until lastSeq reaches target,
 // checking sequence continuity via the events' At stamps (testEvent(i)
 // is broadcast as sequence i+1).
-// failingServer is a server with a window-event tail on a spool with
-// 512-byte segments, and fail takes that disk tier offline the way a
-// dying disk would: the spool's directory goes, and the next segment
-// roll fails. From then on the tail is all the feed serves, the one way
-// a broker still loses a range that its readers' acks or its held
-// snapshots pin against pruning. Callers publish past a roll and check
-// ServerStats.SpoolErr.
-func failingServer(t *testing.T, window int) (srv *Server, fail func()) {
-	t.Helper()
-	dir := t.TempDir()
-	sp, err := spool.Open(dir, spool.WithSegmentBytes(512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sp.Close() })
-	srv, err = NewServer("127.0.0.1:0", WithReplayBuffer(window), WithSpool(sp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, func() { os.RemoveAll(dir) }
-}
-
 func recvThrough(t *testing.T, c *Client, target uint64) {
 	t.Helper()
 	for c.LastSeq() < target {

@@ -36,10 +36,13 @@
 // outage, one restarting from a stale snapshot — reads it from segment
 // files until it reaches the tail again. The tail drops its oldest
 // frames freely, so no subscriber holds the producer back, and ErrGap
-// is genuine loss: retention pruned the range, or the spool failed.
-// WithSpool names the spool (a deployment's directory, kept across
-// restarts); without it the server opens a private one in a temporary
-// directory and removes it when it closes.
+// is genuine loss: retention pruned the range. WithSpool names the
+// spool (a deployment's directory, kept across restarts); without it
+// the server opens a private one in a temporary directory and removes
+// it when it closes. The broker runs in that one mode: a spool append
+// or sync, or a cutover note, that fails stops it, as Abort would,
+// before anything past the failure is published or acknowledged, so
+// every sequence a client sees is on the spool.
 //
 // Besides the feed, a broker answers two one-shot control exchanges —
 // a snapshot offer and a rebalance prepare, which sequences a cutover
@@ -198,6 +201,7 @@ type Server struct {
 	expectProducers int // producer group size, fixed by the first phello
 	eofed           int // producers that closed their epoch
 	ingestDone      chan struct{}
+	endIngest       sync.Once // closes ingestDone
 
 	// encPool holds encode scratch (*[]byte) for BroadcastBatch, whose
 	// encode runs before the ticket on whatever goroutines call it — a
@@ -234,7 +238,7 @@ type ServerStats struct {
 	// broadcast count even though each event crossed the wire once.
 	Delivered uint64
 	Sessions  int    // sessions held (connected or lingering for resume)
-	Evicted   uint64 // sessions evicted with unrecoverable undelivered events — the only loss path
+	Evicted   uint64 // sessions evicted because the spool could not serve their range — the only loss path
 	// Encodes counts the canonical batch/fbatch frames the broker built,
 	// whether encoded from events or spliced from a checked frame's records
 	// — the fan-out hot path's unit of work: one batch frame per
@@ -264,8 +268,8 @@ type ServerStats struct {
 	// producer's count.
 	PerProducer []ProducerStats
 	// Spool accounting. SpoolFirst is the oldest retained sequence
-	// (resumes reach back this far); SpoolErr reports the write failure
-	// that took the disk tier offline, if any.
+	// (resumes reach back this far); SpoolErr names the write failure
+	// that stopped the broker, if any.
 	SpoolFirst uint64
 	SpoolEnd   uint64
 	SpoolErr   string
@@ -395,7 +399,7 @@ func (s *Server) BroadcastBatch(evs []osn.Event) {
 		return bytes.Clone(*scratch)
 	})
 	s.encPool.Put(scratch)
-	s.log.publish(chunks)
+	s.publish(chunks)
 }
 
 // buildChunks cuts a batch of n events sequenced from first into
@@ -469,9 +473,37 @@ func (s *Server) AdoptFrame(payload []byte) (n int, err error) {
 		s.learnCutover(ev, from+uint64(i))
 	}
 	adopt := int(last - from + 1)
+	if err := s.publish([]*chunk{{first: from, last: last, n: adopt, cursor: last, payload: payload}}); err != nil {
+		return 0, err
+	}
 	s.adopted.Add(uint64(adopt))
-	s.log.publish([]*chunk{{first: from, last: last, n: adopt, cursor: last, payload: payload}})
 	return n, nil
+}
+
+// publish publishes a reserved batch on the log, and stops the broker
+// when the spool does not take it (stop). It returns the failure, which
+// every batch whose turn comes after also gets: none of them is
+// published.
+func (s *Server) publish(chunks []*chunk) error {
+	err := s.log.publish(chunks)
+	if err != nil {
+		s.stop(err)
+	}
+	return err
+}
+
+// stop is the broker's answer to err, a failed write its promises rest
+// on — a spool append or sync, or a cutover note: it stops as Abort
+// does, before anything past the failure is published or acked. The log
+// closes, cutting every session without eof (feedLog.fail), the
+// listener closes, and every producer is severed with its unacked
+// batches unacked. ServerStats.SpoolErr names the first failure, and
+// IngestDone closes, so the process exits on it.
+func (s *Server) stop(err error) {
+	s.log.fail(err)
+	s.ln.Close()
+	s.severProducers()
+	s.endIngest.Do(func() { close(s.ingestDone) })
 }
 
 // serveConn reads the first frame and dispatches it through the
@@ -622,10 +654,10 @@ func (s *Server) writer(r *reader, conn net.Conn, gen int) {
 		if err != nil {
 			// A stale writer ends quietly, a dead connection detaches
 			// (the session stays resumable), and an unserviceable source
-			// evicts the session loudly.
+			// loses the session loudly.
 			if errors.Is(err, errLost) {
 				log.Printf("stream: session %s: %v", r.id, err)
-				r.evict()
+				r.lose()
 			} else if !errors.Is(err, errStale) {
 				r.detach(gen)
 			}
@@ -730,8 +762,8 @@ func (s *Server) Stats() ServerStats {
 		Rebalances:  reb,
 	}
 	st.SpoolFirst, st.SpoolEnd = l.opt.spool.First(), l.opt.spool.End()
-	if err := l.spoolErr.Load(); err != nil {
-		st.SpoolErr = (*err).Error()
+	if err := l.failed(); err != nil {
+		st.SpoolErr = err.Error()
 	}
 	return st
 }
@@ -750,11 +782,12 @@ func (s *Server) NumClients() int {
 // that finds the listener gone cannot tell a restart from an end. All
 // BroadcastBatch calls must have returned. A spool passed WithSpool is
 // not closed — it belongs to the caller and outlives the server; a
-// private one is closed and removed.
+// private one is closed and removed, on a stopped broker too.
 func (s *Server) Close() error {
 	if !s.log.shut(false) {
 		s.ln.Close()
 		s.wg.Wait()
+		s.closePrivate()
 		return nil
 	}
 	s.severProducers()
@@ -764,11 +797,9 @@ func (s *Server) Close() error {
 	cut := time.AfterFunc(DefaultDrainTimeout, s.log.evictAll)
 	s.wg.Wait()
 	cut.Stop()
-	// Final sweep: anything still owed here died undelivered (e.g. the
-	// drain timeout cut off a stalled subscriber, or a detached one had
-	// nothing to drain to): that is loss, and loss is always counted —
-	// unless the spool still holds it for a future resume against a
-	// restarted producer.
+	// Final sweep: a subscriber the drain timeout cut off, or a detached
+	// one, goes. That is no loss: the spool still holds what it is owed,
+	// for a resume against a restarted broker.
 	s.log.evictAll()
 	s.closePrivate()
 	return err
@@ -784,19 +815,15 @@ func (s *Server) Close() error {
 // every publish already under way has finished.
 func (s *Server) Abort() {
 	s.ln.Close()
-	shut := s.log.shut(true)
-	if shut {
-		s.severProducers()
-	}
+	s.log.shut(true)
+	s.severProducers()
 	s.wg.Wait()
-	if shut {
-		s.closePrivate()
-	}
+	s.closePrivate()
 }
 
 // closePrivate removes a private spool, unsynced (spool.Remove), once
 // every batch reserved before the log closed is published (none is
-// reserved after).
+// reserved after). A second call removes nothing more.
 func (s *Server) closePrivate() {
 	if !s.private {
 		return
