@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sybildetect -in campaign.gob.gz
+//	sybildetect -in campaign
 package main
 
 import (
@@ -12,23 +12,23 @@ import (
 	"fmt"
 	"log"
 
+	"sybilwild"
 	"sybilwild/internal/detector"
 	"sybilwild/internal/features"
 	"sybilwild/internal/svm"
-	"sybilwild/internal/trace"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sybildetect: ")
 	var (
-		in     = flag.String("in", "campaign.gob.gz", "input dataset path")
+		in     = flag.String("in", "campaign", "input dataset directory (sybilgen -out)")
 		folds  = flag.Int("folds", 5, "cross-validation folds")
 		useFit = flag.Bool("fit", true, "stump-fit thresholds (false: raw paper constants)")
 	)
 	flag.Parse()
 
-	ds, err := trace.Load(*in)
+	ds, err := sybilwild.LoadDataset(*in)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,18 +1,19 @@
 // Command sybilgen simulates a Sybil attack campaign against a
-// Renren-like network and writes the resulting dataset (accounts,
-// friendship edges, operational event log, ground truth) to disk for
-// later analysis by sybildetect and the experiment harness.
+// Renren-like network and writes the resulting dataset to a directory
+// for later analysis by sybildetect: the operational event log, the
+// bootstrap history's friendships first, as a spool, beside a JSON
+// sidecar holding the account table and the ground truth. It refuses
+// a directory that already holds a spool.
 //
 // Usage:
 //
-//	sybilgen -out campaign.gob.gz -normals 8000 -sybils 100 -hours 400 -seed 1
+//	sybilgen -out campaign -normals 8000 -sybils 100 -hours 400 -seed 1
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"sybilwild"
 )
@@ -21,12 +22,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sybilgen: ")
 	var (
-		out     = flag.String("out", "campaign.gob.gz", "output dataset path")
+		out     = flag.String("out", "campaign", "output dataset directory")
 		seed    = flag.Int64("seed", 1, "deterministic seed")
 		normals = flag.Int("normals", 8000, "background user population")
 		sybils  = flag.Int("sybils", 100, "Sybil accounts to launch")
 		hours   = flag.Int64("hours", 400, "observation window (hours)")
-		jsonOut = flag.String("json", "", "optional JSON export path")
 	)
 	flag.Parse()
 
@@ -40,24 +40,11 @@ func main() {
 	c := sybilwild.RunCampaign(cfg)
 	fmt.Println(c.Pop.Stats())
 
-	ds := c.Snapshot("sybilgen campaign", *seed, *hours)
-	if err := ds.Save(*out); err != nil {
+	meta := sybilwild.DatasetMeta{Seed: *seed, Description: "sybilgen campaign", DurationH: *hours}
+	if err := c.Save(*out, meta); err != nil {
 		log.Fatal(err)
 	}
+	net := c.Network()
 	fmt.Printf("wrote %s (%d accounts, %d events, %d edges)\n",
-		*out, len(ds.Accounts), len(ds.Events), len(ds.Edges))
-
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := ds.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
+		*out, net.NumAccounts(), len(net.Events()), net.Graph().NumEdges())
 }

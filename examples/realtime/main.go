@@ -16,11 +16,11 @@
 // with GOMAXPROCS-dependent interleaving):
 //
 //	event feed on 127.0.0.1:NNNNN
-//	streamed campaign: accounts=3040 (normal=3000 sybil=40) edges=~35000 events=~100000
-//	producer p0: epoch=1 events=~33000 | p1: ... | p2: ...
+//	streamed campaign: accounts=3040 (normal=3000 sybil=40) edges=35212 events=114682
+//	producer p0: epoch=1 events=~42000 | p1: ... | p2: ...
 //	flagged over the wire: 39 sybils (of 40), 0 normals (of 3000)
 //	serial in-process pipeline flagged 39 for comparison
-//	feed audit: sent=99535 delivered=99535 (100.0%) evicted_sessions=0
+//	feed audit: sent=114682 delivered=114682 (100.0%) evicted_sessions=0
 //
 // The audit line is the delivery contract made visible: delivered
 // equals sent (every event from every producer was sequenced once and
@@ -32,6 +32,7 @@ package main
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"sybilwild/internal/agents"
 	"sybilwild/internal/detector"
@@ -57,9 +58,12 @@ func main() {
 	rule := detector.Rule{OutAcceptMax: 0.5, FreqMin: 20, CCMax: 0.05, MinObserved: 10}
 
 	// --- detector side (cmd/detectd in production): pipeline
-	// fed whole wire batches, rebuilding the friendship graph from
-	// accepts. SubscribeBatch resumes the session on connection loss,
-	// so the pipeline sees every event exactly once.
+	// fed whole wire batches, rebuilding the friendship graph from the
+	// feed's friendship and accept events. SubscribeBatch resumes the
+	// session on connection loss, so the pipeline sees every event
+	// exactly once. It joins the feed at its live head, so the
+	// producers start once it is connected: the feed opens with the
+	// bootstrap history, published as fast as the simulation builds it.
 	pipe := detector.NewPipeline(rule, nil, detector.WithGraphReconstruction())
 	var subWG sync.WaitGroup
 	subWG.Add(1)
@@ -71,6 +75,9 @@ func main() {
 		}
 		pipe.Close()
 	}()
+	for srv.NumClients() == 0 {
+		time.Sleep(time.Millisecond)
+	}
 
 	// --- producer side (renrend in production): three
 	// processes each run the full deterministic simulation and publish

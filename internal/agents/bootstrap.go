@@ -20,11 +20,13 @@ import (
 // a near-zero clustering coefficient (Figure 4) even though each
 // community is internally clustered.
 //
-// Friendships created here are written directly to the graph without
-// request events: they are history from before the operational log
-// under observation begins, like accounts predating the paper's
-// measurement window. Edge timestamps are spread over the configured
-// bootstrap span ending at `end`.
+// Friendships created here carry no request events: they are history
+// from before the observation window, like accounts predating the
+// paper's measurement window. Each is logged as one osn.EvFriendship
+// event (Network.AddFriendship), so the log opens with this genesis
+// prefix and a consumer rebuilds the whole graph from the log alone.
+// Edge timestamps are spread over the configured bootstrap span ending
+// at `end`.
 func BuildBackground(net *osn.Network, r *stats.Rand, p Params, n int, end sim.Time) []osn.AccountID {
 	span := sim.Time(p.BootstrapSpanDays) * sim.TicksPerDay
 	start := end - span
@@ -72,8 +74,7 @@ func BuildBackground(net *osn.Network, r *stats.Rand, p Params, n int, end sim.T
 				}
 				other := communities[cj]
 				v := other[r.Intn(len(other))]
-				if !g.HasEdge(u, v) {
-					g.AddEdge(u, v, t)
+				if net.AddFriendship(u, v, t) {
 					t += step
 				}
 			}
@@ -110,7 +111,7 @@ func growCommunity(net *osn.Network, g *graph.Graph, r *stats.Rand, p Params, si
 	endpoints := make([]osn.AccountID, 0, 2*size*m)
 	for i := 0; i < seed; i++ {
 		for j := i + 1; j < seed; j++ {
-			if g.AddEdge(members[i], members[j], *t) {
+			if net.AddFriendship(members[i], members[j], *t) {
 				endpoints = append(endpoints, members[i], members[j])
 				*t += step
 			}
@@ -136,7 +137,7 @@ func growCommunity(net *osn.Network, g *graph.Graph, r *stats.Rand, p Params, si
 			if v == u || g.HasEdge(u, v) {
 				continue
 			}
-			g.AddEdge(u, v, *t)
+			net.AddFriendship(u, v, *t)
 			endpoints = append(endpoints, u, v)
 			lastTarget = v
 			added++

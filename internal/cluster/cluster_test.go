@@ -38,6 +38,16 @@ func campaignFeed() ([]osn.Event, detector.Rule) {
 	return campaign.events, campaign.rule
 }
 
+// genesis returns the length of the feed's prefix of bootstrap
+// friendships (osn.EvFriendship), which precedes the observation window.
+func genesis(events []osn.Event) int {
+	n := 0
+	for n < len(events) && events[n].Type == osn.EvFriendship {
+		n++
+	}
+	return n
+}
+
 // clusterServer builds a spool-backed broker: the spool retains the
 // whole feed, so a replacement worker can backfill any resume point
 // regardless of the in-memory window.

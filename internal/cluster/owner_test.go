@@ -58,7 +58,10 @@ func secondWorkerWaitsThenAdopts(t *testing.T) {
 	for _, ev := range events[:leg1] {
 		srv.BroadcastBatch([]osn.Event{ev})
 	}
-	waitOffered(t, victim, 0)
+	// The stale offer lies in the observation window, past the feed's
+	// genesis prefix of bootstrap friendships, in which nobody is
+	// flagged: the next offer then covers flags to check.
+	waitOffered(t, victim, uint64(genesis(events)))
 	stale := victim.OfferedSeq()
 	spare := startAsync(cfgFor(0))
 	for _, ev := range events[leg1:leg2] {

@@ -225,12 +225,9 @@ func TestMonitorOnLiveCampaign(t *testing.T) {
 			pop.Net.Ban(f.ID, f.At)
 		}
 	})
-	// The reference watches the same network, starting from the
-	// background friendships already in place.
-	ref := newReference(rule, 5)
-	for _, e := range pop.Net.Graph().Edges() {
-		ref.befriend(e.U, e.V)
-	}
+	// The reference replays the log so far — the bootstrap history's
+	// friendships — then watches the same network.
+	ref := newReference(rule, 5).replay(pop.Net.Events())
 	pop.Net.RegisterObserver(ref.observe)
 
 	pop.LaunchSybils(50, 100*sim.TicksPerHour)

@@ -173,9 +173,9 @@ func WithPartition(part, parts int) PipelineOption {
 }
 
 // WithGraphReconstruction has the pipeline build its own friendship
-// graph from the accept events it observes, the way detectd
-// reconstructs Renren's store from the feed. The graph argument to
-// NewPipeline is ignored and may be nil.
+// graph from the accept and friendship events it observes, the way
+// detectd reconstructs Renren's store from the feed. The graph argument
+// to NewPipeline is ignored and may be nil.
 func WithGraphReconstruction() PipelineOption {
 	return func(p *Pipeline) { p.ownGraph = true }
 }
@@ -320,7 +320,9 @@ func (p *Pipeline) apply(ev *osn.Event) {
 		if grow := int(max(ev.Actor, ev.Target)) + 1 - p.g.NumNodes(); grow > 0 {
 			p.g.AddNodes(grow)
 		}
-		if ev.Type == osn.EvFriendAccept && ev.Actor != ev.Target {
+		// Past admits, anything but a request is an edge: an accept or
+		// a friendship.
+		if ev.Type != osn.EvFriendRequest && ev.Actor != ev.Target {
 			p.g.AddEdge(ev.Actor, ev.Target, ev.At)
 		}
 	}
@@ -408,9 +410,9 @@ func (p *Pipeline) Flags() []Flag {
 	return out
 }
 
-// Skipped returns the number of friend requests and accepts dropped,
-// before touching any state, because their Actor or Target was
-// negative (see admits).
+// Skipped returns the number of friend requests, accepts and
+// friendships dropped, before touching any state, because their Actor
+// or Target was negative (see admits).
 func (p *Pipeline) Skipped() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -358,3 +358,54 @@ func TestIngestGraphReconstruction(t *testing.T) {
 		t.Errorf("reconstructed %d edges, source has %d", got, src)
 	}
 }
+
+// TestReconstructedStateMatchesExtract is the referee of the complete
+// log: a pipeline that rebuilds the graph from an agents campaign's
+// feed alone — the bootstrap history's friendship events first — ends
+// holding, for every account, the feature vector features.Extract
+// computes over the simulator's own graph, bit for bit, CC included.
+// So do the owners of a K=2 partitioned pair fed their
+// osn.PartitionDelivers slices. A feed without the history rebuilds a
+// graph short of the pre-window friendships, and the CC of the first
+// 50 friends differs.
+func TestReconstructedStateMatchesExtract(t *testing.T) {
+	pop := campaignLog(t, 41)
+	events := pop.Net.Events()
+	ids := make([]osn.AccountID, pop.Net.NumAccounts())
+	for i := range ids {
+		ids[i] = osn.AccountID(i)
+	}
+	want := features.Extract(pop.Net, ids)
+	whole := NewPipeline(PaperRule(), nil, WithGraphReconstruction())
+	feedChunks(whole, events, 256)
+	if !whole.Graph().Equal(pop.Net.Graph()) {
+		t.Fatalf("the feed rebuilt %d edges, the simulator holds %d", whole.Graph().NumEdges(), pop.Net.Graph().NumEdges())
+	}
+	const parts = 2
+	owners := make([]*Pipeline, parts)
+	for part := range owners {
+		owners[part] = NewPipeline(PaperRule(), nil, WithGraphReconstruction(), WithPartition(part, parts))
+		var slice []osn.Event
+		for _, ev := range events {
+			if osn.PartitionDelivers(ev, part, parts) {
+				slice = append(slice, ev)
+			}
+		}
+		feedChunks(owners[part], slice, 256)
+	}
+	ccNonZero := 0
+	for i, id := range ids {
+		owner := owners[osn.Partition(id, parts)]
+		for _, p := range []*Pipeline{whole, owner} {
+			if got := p.tr.VectorOf(id); got != want[i] {
+				t.Fatalf("account %d (partitioned: %v): end-state vector\n got %+v\nwant %+v", id, p == owner, got, want[i])
+			}
+		}
+		if want[i].CC > 0 {
+			ccNonZero++
+		}
+	}
+	if ccNonZero == 0 {
+		t.Fatal("no account has a non-zero CC; the referee cannot tell a short graph")
+	}
+}

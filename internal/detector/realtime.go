@@ -25,13 +25,13 @@ type CCGated interface {
 }
 
 // admits is the one gate in front of Pipeline's state: it passes
-// friend requests and accepts — no feature in §2.2 consumes the rest
-// of the log — unless their Actor or Target is negative. Account IDs
-// index that state directly and the wire decodes any int32, so such an
-// event is dropped here, before it touches anything, and counted in
-// *skipped.
+// friend requests, accepts and friendships — no feature in §2.2
+// consumes the rest of the log — unless their Actor or Target is
+// negative. Account IDs index that state directly and the wire decodes
+// any int32, so such an event is dropped here, before it touches
+// anything, and counted in *skipped.
 func admits(ev *osn.Event, skipped *int) bool {
-	if ev.Type != osn.EvFriendRequest && ev.Type != osn.EvFriendAccept {
+	if ev.Type != osn.EvFriendRequest && ev.Type != osn.EvFriendAccept && ev.Type != osn.EvFriendship {
 		return false
 	}
 	if ev.Actor < 0 || ev.Target < 0 {

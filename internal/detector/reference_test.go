@@ -29,8 +29,8 @@ type reference struct {
 	every                        int
 
 	// frozen keeps the friend lists as befriend seeded them: accepts
-	// move only counters. It stands for a pipeline over a caller's
-	// finished graph.
+	// move only counters, and friendships nothing. It stands for a
+	// pipeline over a caller's finished graph.
 	frozen bool
 
 	accounts map[osn.AccountID]*refAccount
@@ -109,15 +109,23 @@ func (r *reference) replay(events []osn.Event) *reference {
 	return r
 }
 
-// observe applies one log event: only friend requests and accepts
-// carry the features, and an event naming a negative account is
-// dropped and counted.
+// observe applies one log event: only friend requests, accepts and
+// friendships carry the features, and an event naming a negative
+// account is dropped and counted. A friendship only makes friends.
 func (r *reference) observe(ev osn.Event) {
-	if ev.Type != osn.EvFriendRequest && ev.Type != osn.EvFriendAccept {
+	switch ev.Type {
+	case osn.EvFriendRequest, osn.EvFriendAccept, osn.EvFriendship:
+	default:
 		return
 	}
 	if ev.Actor < 0 || ev.Target < 0 {
 		r.skipped++
+		return
+	}
+	if ev.Type == osn.EvFriendship {
+		if !r.frozen {
+			r.befriend(ev.Actor, ev.Target)
+		}
 		return
 	}
 	if ev.Type == osn.EvFriendAccept {

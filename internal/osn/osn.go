@@ -83,6 +83,10 @@ const (
 	// group of Target workers, and the record's own feed sequence is the
 	// barrier. Shape-K workers judge through it and retire.
 	EvCutover
+	// EvFriendship is a friendship {Actor, Target} that predates the
+	// observed requests (the bootstrap history): it only adds the edge,
+	// counts toward no feature and is never judged.
+	EvFriendship
 )
 
 // String returns the event type name.
@@ -104,6 +108,8 @@ func (t EventType) String() string {
 		return "blog_share"
 	case EvCutover:
 		return "cutover"
+	case EvFriendship:
+		return "friendship"
 	default:
 		return fmt.Sprintf("event(%d)", uint8(t))
 	}
@@ -263,6 +269,17 @@ func (n *Network) RespondFriendRequest(to, from AccountID, accept bool, at sim.T
 	return nil
 }
 
+// AddFriendship records the friendship {u, v} with no request behind
+// it, as history from before the observed log, and reports whether it
+// is new (graph.Graph.AddEdge); only a new one is logged.
+func (n *Network) AddFriendship(u, v AccountID, at sim.Time) bool {
+	if !n.g.AddEdge(u, v, at) {
+		return false
+	}
+	n.emit(Event{Type: EvFriendship, At: at, Actor: u, Target: v})
+	return true
+}
+
 // PendingFor returns to's incoming pending requests in arrival order.
 // Callers must not modify the returned slice.
 func (n *Network) PendingFor(to AccountID) []PendingRequest { return n.pendingIn[to] }
@@ -289,10 +306,11 @@ func (n *Network) Ban(id AccountID, at sim.Time) {
 }
 
 // Restore rebuilds a Network from serialized state: the account
-// table, the friendship edges, and the event log. Pending requests are
-// not part of serialized state (the paper's analyses never consume
-// them), so the restored network has empty pending queues.
-func Restore(accounts []Account, edges []graph.EdgeTriple, events []Event) *Network {
+// table and the event log, whose friendship and accept events are the
+// edges, added in log order. Pending requests are not part of
+// serialized state (the paper's analyses never consume them), so the
+// restored network has empty pending queues.
+func Restore(accounts []Account, events []Event) *Network {
 	n := NewNetwork()
 	for _, a := range accounts {
 		id := n.CreateAccount(a.Gender, a.Kind, a.CreatedAt)
@@ -302,8 +320,10 @@ func Restore(accounts []Account, edges []graph.EdgeTriple, events []Event) *Netw
 		n.accounts[id].Banned = a.Banned
 		n.accounts[id].BannedAt = a.BannedAt
 	}
-	for _, e := range edges {
-		n.g.AddEdge(e.U, e.V, e.Time)
+	for _, ev := range events {
+		if ev.Type == EvFriendship || ev.Type == EvFriendAccept {
+			n.g.AddEdge(ev.Actor, ev.Target, ev.At)
+		}
 	}
 	n.events = append(n.events, events...)
 	return n

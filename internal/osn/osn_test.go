@@ -50,6 +50,56 @@ func TestFriendRequestLifecycleAccept(t *testing.T) {
 	}
 }
 
+// TestAddFriendship: a friendship with no request behind it adds the
+// edge and logs one friendship event, only when the edge is new, and
+// reports what graph.AddEdge reports; a request between friends is
+// refused as for an accepted one.
+func TestAddFriendship(t *testing.T) {
+	n, a, b := twoAccounts()
+	var seen []Event
+	n.RegisterObserver(func(ev Event) { seen = append(seen, ev) })
+	if !n.AddFriendship(a, b, 7) {
+		t.Fatal("a new friendship reported as existing")
+	}
+	if n.AddFriendship(b, a, 8) {
+		t.Fatal("an existing friendship reported as new")
+	}
+	want := Event{Type: EvFriendship, At: 7, Actor: a, Target: b}
+	if evs := n.Events(); len(evs) != 1 || evs[0] != want || len(seen) != 1 || seen[0] != want {
+		t.Fatalf("log %+v, observer %+v; want the one event %+v", evs, seen, want)
+	}
+	if got := n.Graph().Neighbors(b); len(got) != 1 || got[0].To != a || got[0].Time != 7 {
+		t.Fatalf("b's friends = %+v", got)
+	}
+	if err := n.SendFriendRequest(a, b, 9); err != ErrAlreadyFriends {
+		t.Fatalf("request between friends: %v", err)
+	}
+}
+
+// TestRestoreRebuildsGraphFromLog: Restore's graph is the log's
+// friendship and accept events, in log order, with the account table's
+// ban state.
+func TestRestoreRebuildsGraphFromLog(t *testing.T) {
+	n := NewNetwork()
+	for i := 0; i < 4; i++ {
+		n.CreateAccount(Male, Normal, 0)
+	}
+	n.AddFriendship(2, 3, 1)
+	n.SendFriendRequest(0, 1, 2)
+	n.RespondFriendRequest(1, 0, true, 3)
+	n.SendFriendRequest(0, 2, 4)
+	n.RespondFriendRequest(2, 0, false, 5)
+	n.AddFriendship(0, 3, 6)
+	n.Ban(3, 7)
+	re := Restore(n.Accounts(), n.Events())
+	if !re.Graph().Equal(n.Graph()) {
+		t.Fatalf("restored edges %+v, want %+v", re.Graph().Edges(), n.Graph().Edges())
+	}
+	if !re.Account(3).Banned || len(re.Events()) != len(n.Events()) {
+		t.Fatal("restore lost the ban or the log")
+	}
+}
+
 func TestFriendRequestReject(t *testing.T) {
 	n, a, b := twoAccounts()
 	n.SendFriendRequest(a, b, 1)

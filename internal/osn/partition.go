@@ -42,6 +42,8 @@ func Partition(id AccountID, n int) int {
 //     edges (clustering coefficient is a two-hop structural feature —
 //     any partition may own an account adjacent to the new edge) and
 //     they carry the target's outgoing-accept credit.
+//   - friendship events (the bootstrap history's edges) go to every
+//     partition, like accepts, for the same clustering coefficient.
 //   - friend_request events additionally go to the target's
 //     partition (the target's incoming-request counter).
 //   - a cutover record (EvCutover) goes to every partition: each
@@ -61,7 +63,7 @@ func PartitionDelivers(ev Event, part, parts int) bool {
 		return true
 	}
 	switch ev.Type {
-	case EvFriendAccept, EvCutover:
+	case EvFriendAccept, EvFriendship, EvCutover:
 		return true
 	case EvFriendRequest, EvBan:
 		return Partition(ev.Target, parts) == part

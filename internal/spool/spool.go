@@ -1,12 +1,14 @@
 // Package spool is the disk tier of the feed's replay path: an
 // append-only store of sequenced event batches in segment files, so a
 // subscriber can resume from sequences that have long left the
-// transport's bounded in-memory tail. stream.Server appends
-// every broadcast batch here (when configured with WithSpool) and
-// reads segments back to serve resumes the memory tier answers with
-// ErrGap — making large snapshot intervals safe with a small
+// transport's bounded in-memory tail. Every stream.Server keeps one —
+// the caller's (stream.WithSpool) or a private one in a temporary
+// directory — appends each batch here before publishing it, and reads
+// segments back for every reader whose next sequence the tail no
+// longer holds — making large snapshot intervals safe with a small
 // in-memory tail, and a detector restart from a stale snapshot a
-// replay from disk instead of a silent coverage gap. Beside the
+// replay from disk instead of a silent coverage gap. A dataset at
+// rest (the facade's Dataset.Save) is a spool too. Beside the
 // segments it keeps the broker's detector snapshots, one file per
 // partition key (snapshot.go): the spool is the one owner of the
 // broker's disk.

@@ -462,9 +462,9 @@ func (l *feedLog) connected() int {
 	return n
 }
 
-// sessionStats is every reader's flow-control view against seq, the
-// last sequence reserved, worst-lagging first.
-func (l *feedLog) sessionStats(seq uint64) []SessionStats {
+// sessionStats is every reader's flow-control view against the head,
+// the last sequence published, worst-lagging first, and that head.
+func (l *feedLog) sessionStats() ([]SessionStats, uint64) {
 	l.mu.Lock()
 	first, head := l.first(), l.head
 	per := make([]SessionStats, 0, len(l.readers))
@@ -481,8 +481,8 @@ func (l *feedLog) sessionStats(seq uint64) []SessionStats {
 		if held := max(r.acked, first-1); head > held {
 			st.Buffered = int(head - held)
 		}
-		if seq > st.Acked {
-			st.Behind = seq - st.Acked
+		if head > st.Acked {
+			st.Behind = head - st.Acked
 		}
 		per = append(per, st)
 	}
@@ -493,7 +493,7 @@ func (l *feedLog) sessionStats(seq uint64) []SessionStats {
 		}
 		return per[i].ID < per[j].ID
 	})
-	return per
+	return per, head
 }
 
 // shut closes the log: nothing more is reserved, and once every batch

@@ -87,8 +87,8 @@ func awaitEnd(t *testing.T, ended <-chan error) error {
 // mid-campaign stops at the next segment roll. Its subscriber loses the
 // connection, without eof, and never receives a sequence past the
 // spool's end; the producer is acked for nothing past it and its Close
-// fails; the broker admits no new subscriber, names the failure and
-// closes IngestDone.
+// fails; the broker admits no new subscriber, names the failure,
+// closes IngestDone, and counts as broadcast only what the spool took.
 func TestSpoolFailureStopsBroker(t *testing.T) {
 	leakCheck(t)
 	srv, sp, fail := failingServer(t)
@@ -120,6 +120,10 @@ func TestSpoolFailureStopsBroker(t *testing.T) {
 		t.Fatal("the spool never failed")
 	}
 	end := sp.End()
+	if st := srv.Stats(); st.Broadcast != st.SpoolEnd || st.SpoolEnd != end {
+		t.Fatalf("stopped broker reports Broadcast %d, SpoolEnd %d; the spool ends at %d: the failed batch's reserved sequences were never published",
+			st.Broadcast, st.SpoolEnd, end)
+	}
 	if err := awaitEnd(t, ended); errors.Is(err, ErrClosed) {
 		t.Fatalf("the subscriber read the stop as the end of the feed: %v", err)
 	}

@@ -1,6 +1,6 @@
 // Package stream carries OSN events over TCP, mirroring how the
 // paper's detector consumed Renren's operational log feed in
-// production. The protocol (version 4) is lossless: events carry
+// production. The protocol (version 5) is lossless: events carry
 // global sequence numbers and travel in length-prefixed binary batches
 // (internal/wire). The broker is one append-only log (log.go): it
 // sequences every batch, publishes it in sequence order to the spool
@@ -230,7 +230,10 @@ type partKey struct{ part, parts int }
 
 // ServerStats is a snapshot of feed accounting.
 type ServerStats struct {
-	Broadcast uint64 // events broadcast (highest sequence assigned)
+	// Broadcast is the feed's head: the last sequence published, which
+	// the spool holds (SpoolEnd). A batch reserved but never published —
+	// one a failed spool append refused — is not counted.
+	Broadcast uint64
 	// Delivered sums acknowledged feed-cursor progress across
 	// subscribers. Partitioned subscribers acknowledge global cursor
 	// positions (their acks also cover foreign events they never
@@ -291,7 +294,7 @@ type SessionStats struct {
 	Part      int    // partition index (meaningful when Parts > 0)
 	Parts     int    // partition group size; 0 = full feed
 	Acked     uint64 // highest sequence the client has acknowledged
-	Behind    uint64 // events behind the feed head (broadcast − acked)
+	Behind    uint64 // events behind the feed head (Broadcast − Acked)
 	Buffered  int    // feed events in the tail above Acked
 }
 
@@ -731,7 +734,6 @@ func (w *sessionWriter) flush() error {
 func (s *Server) Stats() ServerStats {
 	l := s.log
 	s.mu.Lock()
-	seq, _ := l.seq()
 	snaps, reb := s.ctl.stats()
 	prod := make([]ProducerStats, 0, len(s.producers))
 	for _, p := range s.producers {
@@ -746,10 +748,10 @@ func (s *Server) Stats() ServerStats {
 		})
 	}
 	s.mu.Unlock()
-	per := l.sessionStats(seq)
+	per, head := l.sessionStats()
 	sort.Slice(prod, func(i, j int) bool { return prod[i].ID < prod[j].ID })
 	st := ServerStats{
-		Broadcast:   seq,
+		Broadcast:   head,
 		Delivered:   l.delivered.Load(),
 		Encodes:     l.encodes.Load(),
 		Adopted:     s.adopted.Load(),

@@ -104,7 +104,7 @@ func TestWireUnknownType(t *testing.T) {
 	leakCheck(t)
 	addr, accepts := frameFeeder(t,
 		wire.AppendBatch(nil, 1, []osn.Event{testEvent(1)}),
-		wire.AppendBatch(nil, 2, []osn.Event{testEvent(2), {Type: osn.EvCutover + 1, At: 3}}))
+		wire.AppendBatch(nil, 2, []osn.Event{testEvent(2), {Type: osn.EvFriendship + 1, At: 3}}))
 	var got []osn.Event
 	err := SubscribeBatch(addr, func(evs []osn.Event) { got = append(got, evs...) }, 3)
 	if !errors.Is(err, ErrBadFrame) {

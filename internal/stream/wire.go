@@ -9,7 +9,7 @@ import (
 	"sybilwild/internal/wire"
 )
 
-// This file is the v4 wire protocol's frame vocabulary. The framing
+// This file is the v5 wire protocol's frame vocabulary. The framing
 // and the event frame codec live one layer down in internal/wire
 // (shared with the disk spool, whose segments hold byte-identical
 // frames). The three frames that carry events — batch, pbatch and
@@ -21,12 +21,14 @@ import (
 // the event frames — is in docs/ARCHITECTURE.md.
 
 // ProtocolVersion is the feed protocol generation spoken by this
-// package. Version 4 names each refusal's class in the reply; version
-// 3, whose refusals carry only their text, carries the same binary
-// event frames. A peer speaking an older version is refused at its
-// first frame, so a client never reads an older broker's class-less
-// refusal as an ordinary one.
-const ProtocolVersion = 4
+// package. Version 5 adds the friendship record (osn.EvFriendship) to
+// the event types a producer may publish and the feed carries; version
+// 4 refuses a frame holding one. Version 4 named each refusal's class
+// in the reply; version 3, whose refusals carry only their text,
+// carries the same binary event frames. A peer speaking an older
+// version is refused at its first frame, so a client never reads an
+// older broker's frames as its own.
+const ProtocolVersion = 5
 
 // Control frame type tags.
 const (

@@ -19,8 +19,9 @@ import (
 // generator whose output is encoded and parsed back.
 
 // fuzzEvents derives events (and ascending sparse global sequences)
-// from fuzz bytes, 16 bytes per event, covering every event type and
-// the full id/time/aux ranges including negatives and zero aux.
+// from fuzz bytes, 16 bytes per event, covering every event type a
+// producer may publish and the full id/time/aux ranges including
+// negatives and zero aux.
 func fuzzEvents(data []byte) ([]osn.Event, []uint64) {
 	var evs []osn.Event
 	var seqs []uint64
@@ -29,8 +30,12 @@ func fuzzEvents(data []byte) ([]osn.Event, []uint64) {
 		c := data[:16]
 		data = data[16:]
 		seq += 1 + uint64(c[0]%7)
+		typ := osn.EventType(c[1] % 8)
+		if typ == osn.EvCutover {
+			typ = osn.EvFriendship
+		}
 		evs = append(evs, osn.Event{
-			Type:   osn.EventType(c[1] % 7),
+			Type:   typ,
 			At:     sim.Time(int64(int32(binary.LittleEndian.Uint32(c[2:6])))),
 			Actor:  osn.AccountID(binary.LittleEndian.Uint32(c[6:10])),
 			Target: osn.AccountID(binary.LittleEndian.Uint32(c[10:14])),
@@ -42,7 +47,7 @@ func fuzzEvents(data []byte) ([]osn.Event, []uint64) {
 }
 
 // fuzzSeedEvents are the events the hand-written seeds carry: every
-// type, and each field at its extremes.
+// type a producer may publish, and each field at its extremes.
 var fuzzSeedEvents = []osn.Event{
 	{Type: osn.EvFriendRequest, At: 60, Actor: 1, Target: 99999},
 	{Type: osn.EvFriendAccept, At: 61, Actor: 99999, Target: 1},
@@ -51,6 +56,7 @@ var fuzzSeedEvents = []osn.Event{
 	{Type: osn.EvBan, At: -9223372036854775808, Target: -2147483648},
 	{Type: osn.EvBlogPost, Actor: 5, Aux: 2147483647},
 	{Type: osn.EvBlogShare, At: 62, Actor: 2147483647, Target: 5, Aux: -2147483648},
+	{Type: osn.EvFriendship, At: 63, Actor: 6, Target: 7},
 }
 
 // unknownType returns payload with the type byte of its first record

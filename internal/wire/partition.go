@@ -46,7 +46,7 @@ func ParseFBatch(payload []byte, dstEvs []osn.Event, dstSeqs []uint64) (last uin
 	}
 	evs, seqs = slices.Grow(dstEvs, n), slices.Grow(dstSeqs, n)
 	for off := headerSize; off < len(payload); off += seqRecordSize {
-		ev, ok := event(payload[off+8:], lastType)
+		ev, ok := event(payload[off+8:], feedTypes)
 		if !ok {
 			return 0, dstEvs, dstSeqs, false
 		}

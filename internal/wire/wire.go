@@ -25,7 +25,7 @@
 // A payload is accepted exactly when it is what the encoders emit for
 // some events: the right tag, a length of exactly the header plus n
 // records, and a known event type in every record — for a pbatch, a
-// type a producer may publish, which excludes the broker's cutover
+// type a producer may publish: every one but the broker's cutover
 // record (osn.EvCutover). So
 // AppendBatch(ParseBatch(p)) == p byte for byte for every accepted p
 // (likewise for pbatch and fbatch), and an accepted frame's records can
@@ -112,12 +112,19 @@ const (
 	recordSize    = 21 // type u8 | at i64 | actor i32 | target i32 | aux i32
 	seqRecordSize = 8 + recordSize
 
-	// lastType is the highest event type this build knows, and
-	// lastProducerType the highest a producer may publish: the cutover
-	// record is the broker's own, so a pbatch carrying one is refused.
-	lastType         = byte(osn.EvCutover)
-	lastProducerType = byte(osn.EvBlogShare)
+	// lastType is the highest event type this build knows. feedTypes
+	// and producerTypes are the sets a feed frame and a pbatch may carry,
+	// one bit per type: the cutover record is the broker's own, so a
+	// pbatch carrying one is refused.
+	lastType      = byte(osn.EvFriendship)
+	feedTypes     = types(1<<(lastType+1) - 1)
+	producerTypes = feedTypes &^ (1 << osn.EvCutover)
 )
+
+// types is a set of event types, bit t for osn.EventType t: a record's
+// type byte t is in set s iff s>>t&1 != 0, one shift and mask per
+// record (a byte past the set's width shifts out to zero).
+type types uint16
 
 var le = binary.LittleEndian
 
@@ -168,8 +175,8 @@ func putEvent(b []byte, ev osn.Event) {
 }
 
 // event loads the record at the start of b; ok is false when its type
-// is past bound.
-func event(b []byte, bound byte) (ev osn.Event, ok bool) {
+// is not in allowed.
+func event(b []byte, allowed types) (ev osn.Event, ok bool) {
 	_ = b[recordSize-1]
 	return osn.Event{
 		Type:   osn.EventType(b[0]),
@@ -177,7 +184,7 @@ func event(b []byte, bound byte) (ev osn.Event, ok bool) {
 		Actor:  osn.AccountID(le.Uint32(b[9:])),
 		Target: osn.AccountID(le.Uint32(b[13:])),
 		Aux:    int32(le.Uint32(b[17:])),
-	}, b[0] <= bound
+	}, allowed>>b[0]&1 != 0
 }
 
 // header checks that payload is an event frame tagged tag whose length
@@ -197,7 +204,7 @@ func header(payload []byte, tag byte, rec int) (uint64, int, bool) {
 // ParseBatch decodes a batch payload into events appended to dst. ok is
 // false when the payload is not one AppendBatch emits.
 func ParseBatch(payload []byte, dst []osn.Event) (seq uint64, evs []osn.Event, ok bool) {
-	return parseEvents(payload, tagBatch, lastType, dst)
+	return parseEvents(payload, tagBatch, feedTypes, dst)
 }
 
 // ParsePBatch decodes a publish batch payload into events appended to
@@ -205,12 +212,12 @@ func ParseBatch(payload []byte, dst []osn.Event) (seq uint64, evs []osn.Event, o
 // ParseBatch, except that a cutover record is refused: only the broker
 // writes one.
 func ParsePBatch(payload []byte, dst []osn.Event) (bseq uint64, evs []osn.Event, ok bool) {
-	return parseEvents(payload, tagPBatch, lastProducerType, dst)
+	return parseEvents(payload, tagPBatch, producerTypes, dst)
 }
 
-// parseEvents decodes a payload tagged tag whose records' types are at
-// most bound.
-func parseEvents(payload []byte, tag, bound byte, dst []osn.Event) (uint64, []osn.Event, bool) {
+// parseEvents decodes a payload tagged tag whose records' types are all
+// in allowed.
+func parseEvents(payload []byte, tag byte, allowed types, dst []osn.Event) (uint64, []osn.Event, bool) {
 	seq, n, ok := header(payload, tag, recordSize)
 	if !ok {
 		return 0, dst, false
@@ -219,7 +226,7 @@ func parseEvents(payload []byte, tag, bound byte, dst []osn.Event) (uint64, []os
 	out, recs := evs[len(dst):], payload[headerSize:]
 	for i := range out {
 		var ok bool
-		if out[i], ok = event(recs[i*recordSize:], bound); !ok {
+		if out[i], ok = event(recs[i*recordSize:], allowed); !ok {
 			return 0, dst, false
 		}
 	}
@@ -232,20 +239,20 @@ func parseEvents(payload []byte, tag, bound byte, dst []osn.Event) (uint64, []os
 // (adoption, the spool), which moves frames around whole and only needs
 // to know which sequence run a frame covers.
 func ParseBatchBounds(payload []byte) (first uint64, n int, ok bool) {
-	return bounds(payload, tagBatch, lastType)
+	return bounds(payload, tagBatch, feedTypes)
 }
 
 // ParsePBatchBounds is ParseBatchBounds for a publish batch payload,
 // returning the producer's batch sequence; like ParsePBatch it refuses
 // a cutover record.
 func ParsePBatchBounds(payload []byte) (bseq uint64, n int, ok bool) {
-	return bounds(payload, tagPBatch, lastProducerType)
+	return bounds(payload, tagPBatch, producerTypes)
 }
 
-func bounds(payload []byte, tag, bound byte) (uint64, int, bool) {
+func bounds(payload []byte, tag byte, allowed types) (uint64, int, bool) {
 	seq, n, ok := header(payload, tag, recordSize)
 	for off := headerSize; ok && off < len(payload); off += recordSize {
-		ok = payload[off] <= bound
+		ok = allowed>>payload[off]&1 != 0
 	}
 	if !ok {
 		return 0, 0, false
@@ -260,8 +267,8 @@ func bounds(payload []byte, tag, bound byte) (uint64, int, bool) {
 // rebalance from the frames it adopts this way.
 func NextCutover(payload []byte, i int) (int, osn.Event) {
 	for off := headerSize + i*recordSize; off < len(payload); off += recordSize {
-		if payload[off] == lastType {
-			ev, _ := event(payload[off:], lastType)
+		if payload[off] == byte(osn.EvCutover) {
+			ev, _ := event(payload[off:], feedTypes)
 			return (off - headerSize) / recordSize, ev
 		}
 	}

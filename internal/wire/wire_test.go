@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"sybilwild/internal/osn"
@@ -209,6 +210,43 @@ func TestCutoverRecordIsTheBrokers(t *testing.T) {
 	}
 }
 
+// TestFriendshipRecordIsAProducers: a friendship record (the bootstrap
+// history's edge, the highest type) rides a batch and a pbatch alike,
+// every partition's view carries it, and NextCutover, which reads type
+// bytes only, never takes it for the cutover record before it.
+func TestFriendshipRecordIsAProducers(t *testing.T) {
+	events := []osn.Event{
+		{Type: osn.EvFriendship, At: 1, Actor: 4, Target: 5},
+		{Type: osn.EvFriendRequest, At: 2, Actor: 1, Target: 2},
+		{Type: osn.EvFriendship, At: 3, Actor: 6, Target: 7},
+	}
+	batch := AppendBatch(nil, 10, events)
+	if _, got, ok := ParseBatch(batch, nil); !ok || !slices.Equal(got, events) {
+		t.Fatalf("batch with friendship records: (%+v, %v)", got, ok)
+	}
+	if _, got, ok := ParsePBatch(AppendPBatch(nil, 3, events), nil); !ok || !slices.Equal(got, events) {
+		t.Fatalf("pbatch with friendship records: (%+v, %v)", got, ok)
+	}
+	if _, n, ok := ParsePBatchBounds(AppendPBatch(nil, 3, events)); !ok || n != 3 {
+		t.Fatalf("pbatch bounds with friendship records: (%d, %v)", n, ok)
+	}
+	if i, ev := NextCutover(batch, 0); i != -1 {
+		t.Fatalf("NextCutover in a batch of friendships = (%d, %+v), want -1", i, ev)
+	}
+	cut := AppendBatch(nil, 10, append(slices.Clone(events), osn.Event{Type: osn.EvCutover, Actor: 2, Target: 3}))
+	if i, ev := NextCutover(cut, 0); i != 3 || ev.Type != osn.EvCutover {
+		t.Fatalf("NextCutover past friendships = (%d, %+v), want the cutover at 3", i, ev)
+	}
+	for _, parts := range []int{2, 3} {
+		for part := 0; part < parts; part++ {
+			_, got, _, ok := ParseFBatch(SpliceFBatch(nil, 12, batch, Owned(nil, batch, part, parts)), nil, nil)
+			if !ok || got[0] != events[0] || got[len(got)-1] != events[2] {
+				t.Fatalf("partition %d/%d's view %+v misses a friendship", part, parts, got)
+			}
+		}
+	}
+}
+
 // TestSuffixBatch pins the mid-frame splice: the suffix starting at
 // any sequence inside a payload's run must be byte-identical to a fresh
 // encode of the trailing events — this is what a resumed subscriber
@@ -281,7 +319,7 @@ func TestParsersAcceptOnlyCanonical(t *testing.T) {
 		{"long seq", AppendPBatch(nil, 1234567890123, nil), true},
 		{"fbatch extremes", AppendFBatch(nil, math.MaxUint64, []uint64{0},
 			[]osn.Event{{Type: osn.EvMessage, At: -1, Aux: math.MaxInt32}}), true},
-		{"every event type", AppendBatch(nil, 3, []osn.Event{{Type: 0}, {Type: 1}, {Type: 2}, {Type: 3}, {Type: 4}, {Type: 5}, {Type: 6}}), true},
+		{"every event type", AppendBatch(nil, 3, []osn.Event{{Type: 0}, {Type: 1}, {Type: 2}, {Type: 3}, {Type: 4}, {Type: 5}, {Type: 6}, {Type: 7}, {Type: 8}}), true},
 
 		{"empty payload", nil, false},
 		{"short header", plain[:12], false},

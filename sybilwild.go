@@ -24,7 +24,6 @@ import (
 	"sybilwild/internal/osn"
 	"sybilwild/internal/sim"
 	"sybilwild/internal/svm"
-	"sybilwild/internal/trace"
 )
 
 // Re-exported core types. These aliases are the supported public API;
@@ -56,8 +55,6 @@ type (
 	SVMConfig = svm.Config
 	// ExperimentReport is one experiment's rendered output + metrics.
 	ExperimentReport = experiments.Report
-	// Dataset is the serializable form of a finished simulation.
-	Dataset = trace.Dataset
 )
 
 // DefaultParams returns the paper-calibrated behaviour constants.
@@ -106,13 +103,6 @@ func (c *Campaign) Network() *Network { return c.Pop.Net }
 // GroundTruth returns the labelled feature dataset for every account.
 func (c *Campaign) GroundTruth() FeatureDataset {
 	return features.Labelled(c.Pop.Net, c.Pop.Sybils, c.Pop.Normals)
-}
-
-// Snapshot converts the campaign into a serializable dataset.
-func (c *Campaign) Snapshot(description string, seed int64, hours int64) *Dataset {
-	return trace.FromNetwork(c.Pop.Net,
-		trace.Meta{Seed: seed, Description: description, DurationH: hours},
-		c.Pop.Sybils, c.Pop.Normals)
 }
 
 // FitRule learns scale-appropriate thresholds from labelled data using

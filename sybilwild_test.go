@@ -3,12 +3,11 @@ package sybilwild
 import (
 	"path/filepath"
 	"testing"
-
-	"sybilwild/internal/trace"
 )
 
 // TestFacadeEndToEnd exercises the public API the way the quickstart
-// example does: simulate, extract, fit, evaluate, snapshot, reload.
+// example does: simulate, extract, fit, evaluate, then save a dataset
+// directory and reload it.
 func TestFacadeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("facade campaign in -short mode")
@@ -40,19 +39,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("SVM CV accuracy = %.3f", acc)
 	}
 
-	// Snapshot to disk and reload.
-	path := filepath.Join(t.TempDir(), "c.gob.gz")
-	snap := c.Snapshot("facade test", cfg.Seed, cfg.Hours)
-	if err := snap.Save(path); err != nil {
+	// Save a dataset directory and reload it: the log alone rebuilds
+	// the graph, edge for edge in creation order.
+	dir := filepath.Join(t.TempDir(), "campaign")
+	if err := c.Save(dir, DatasetMeta{Seed: cfg.Seed, Description: "facade test", DurationH: cfg.Hours}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := trace.Load(path)
+	loaded, err := LoadDataset(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	re := loaded.Rebuild()
-	if re.Graph().NumEdges() != c.Network().Graph().NumEdges() {
-		t.Fatal("round-trip lost edges")
+	if !re.Graph().Equal(c.Network().Graph()) {
+		t.Fatalf("round trip rebuilt %d edges, not the campaign's %d in order", re.Graph().NumEdges(), c.Network().Graph().NumEdges())
 	}
 	// Features identical after round trip.
 	orig := ExtractFeatures(c.Network(), c.Pop.Sybils[:3])
